@@ -14,8 +14,6 @@ package api
 
 import (
 	"fmt"
-	"math"
-	"strconv"
 
 	"pushpull"
 )
@@ -137,22 +135,29 @@ type RunStats struct {
 	Canceled    bool   `json:"canceled"`
 }
 
+// StatsOf lowers a Report's run stats into the wire shape.
+func StatsOf(rep *pushpull.Report) RunStats {
+	return RunStats{
+		Direction:   statsDirection(rep),
+		Iterations:  rep.Stats.Iterations,
+		ElapsedNS:   int64(rep.Stats.Elapsed),
+		QueueWaitNS: int64(rep.Stats.QueueWait),
+		CacheHit:    rep.Stats.CacheHit,
+		Coalesced:   rep.Stats.Coalesced,
+		Canceled:    rep.Stats.Canceled,
+	}
+}
+
 // BuildResponse lowers a completed Report into the wire shape, labeled
-// with the graph name the run was requested against.
+// with the graph name the run was requested against. It is the decoded
+// form of what Encode writes: servers encode with Encode, clients decode
+// into RunResponse, and the tests marshal this as Encode's oracle.
 func BuildResponse(graph string, rep *pushpull.Report) RunResponse {
 	resp := RunResponse{
 		Algorithm: rep.Algorithm,
 		Graph:     graph,
 		Summary:   rep.Summary(),
-		Stats: RunStats{
-			Direction:   statsDirection(rep),
-			Iterations:  rep.Stats.Iterations,
-			ElapsedNS:   int64(rep.Stats.Elapsed),
-			QueueWaitNS: int64(rep.Stats.QueueWait),
-			CacheHit:    rep.Stats.CacheHit,
-			Coalesced:   rep.Stats.Coalesced,
-			Canceled:    rep.Stats.Canceled,
-		},
+		Stats:     StatsOf(rep),
 	}
 	for _, d := range rep.Directions {
 		resp.Directions = append(resp.Directions, d.String())
@@ -204,17 +209,5 @@ func (f Floats) MarshalJSON() ([]byte, error) {
 	if f == nil {
 		return []byte("null"), nil
 	}
-	out := make([]byte, 0, 8*len(f)+2)
-	out = append(out, '[')
-	for i, v := range f {
-		if i > 0 {
-			out = append(out, ',')
-		}
-		if math.IsInf(v, 0) || math.IsNaN(v) {
-			out = append(out, "null"...)
-		} else {
-			out = strconv.AppendFloat(out, v, 'g', -1, 64)
-		}
-	}
-	return append(out, ']'), nil
+	return appendFloats(make([]byte, 0, floatsSize(len(f))), f), nil
 }

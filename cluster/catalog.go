@@ -35,12 +35,22 @@ type Catalog struct {
 	// worker that accepted the submission. Job state lives on exactly one
 	// worker — there is no replication of job records — so status/result
 	// polls must pin to it; failover would invent a 404 for a live job.
-	jobs map[string]string
+	// Workers collect their terminal jobs, so an affinity outlives its
+	// use: one is dropped when its worker says the job is gone, and
+	// jobOrder — every ID in the order it was set — lets the oldest be
+	// dropped once more than maxJobs are tracked.
+	jobs     map[string]string
+	jobOrder []string
+	maxJobs  int
 }
+
+// MaxJobAffinities bounds the job/batch affinities a Catalog tracks, far
+// above what a fleet of workers at their default retention still holds.
+const MaxJobAffinities = 1 << 16
 
 // NewCatalog returns an empty catalog.
 func NewCatalog() *Catalog {
-	return &Catalog{m: map[string]Placement{}, jobs: map[string]string{}}
+	return &Catalog{m: map[string]Placement{}, jobs: map[string]string{}, maxJobs: MaxJobAffinities}
 }
 
 // NextEpoch allocates the next mutation epoch (starting at 1).
@@ -92,7 +102,24 @@ func (c *Catalog) List() []Placement {
 func (c *Catalog) SetJob(id, worker string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if _, tracked := c.jobs[id]; !tracked {
+		c.jobOrder = append(c.jobOrder, id)
+	}
 	c.jobs[id] = worker
+	// jobOrder also lists IDs DropJob has since removed; bounding it
+	// bounds the map, and deleting a dropped ID again is harmless.
+	for len(c.jobOrder) > c.maxJobs {
+		delete(c.jobs, c.jobOrder[0])
+		c.jobOrder = c.jobOrder[1:]
+	}
+}
+
+// DropJob forgets a job's affinity: its worker has answered that the job
+// is gone.
+func (c *Catalog) DropJob(id string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	delete(c.jobs, id)
 }
 
 // JobWorker looks up the worker holding a submitted job or batch.

@@ -104,7 +104,7 @@ func (rt *Router) submitJobs(w http.ResponseWriter, r *http.Request) {
 	if resp.status == http.StatusAccepted {
 		rt.recordAffinity(resp.body, batch, wkr)
 	}
-	rt.relay(w, resp, wkr)
+	rt.relay(r.Context(), w, resp, wkr)
 }
 
 // jobTargets computes the submission candidates for a job touching the
@@ -202,7 +202,13 @@ func (rt *Router) jobProxy(w http.ResponseWriter, r *http.Request,
 			fmt.Errorf("worker %s holding job %q is unreachable: %v", wkr, id, err))
 		return
 	}
-	rt.relay(w, resp, wkr)
+	if resp.status == http.StatusNotFound || resp.status == http.StatusGone {
+		// The worker no longer has the job (collected by its retention,
+		// or lost with an unpersisted restart) or will never have a result
+		// for it: nothing further can be asked of this affinity.
+		rt.catalog.DropJob(id)
+	}
+	rt.relay(r.Context(), w, resp, wkr)
 }
 
 // listJobs fans GET /jobs out to every up worker and merges the lists

@@ -12,20 +12,28 @@ import (
 	"pushpull/serve"
 )
 
-// workerResponse is one proxied worker reply: the status, the full body,
-// and the headers the router may relay.
+// workerResponse is one proxied worker reply: the status, the headers the
+// router may relay, and the body — read whole into body, or, for a 2xx
+// answer to a streamed call, still on the wire in stream (length is its
+// Content-Length, -1 if the worker did not declare one). Whoever ends up
+// with a streamed reply closes it; relay does.
 type workerResponse struct {
 	status int
-	body   []byte
 	header http.Header
+	body   []byte
+	stream io.ReadCloser
+	length int64
 }
 
 // ok reports a 2xx status.
 func (r *workerResponse) ok() bool { return r.status >= 200 && r.status < 300 }
 
 // proxy is the router's client for one worker fleet: it shapes the
-// worker-facing requests (replication epochs, content types) and reads
-// replies whole, so the router's handlers deal in values, not streams.
+// worker-facing requests (replication epochs, content types). Control
+// replies — mutations, submissions, status, stats — are read whole, so
+// the handlers deal in values; the two calls whose replies carry a
+// result vector (run, jobResult) are streamed, so the router's cost per
+// reply is a copy through a fixed buffer, not an allocation its size.
 type proxy struct {
 	client *http.Client
 }
@@ -34,6 +42,18 @@ type proxy struct {
 // worker was unreachable (connection refused/reset, timeout) — the
 // failover signal — while HTTP-level failures come back as statuses.
 func (p *proxy) do(ctx context.Context, method, url string, body []byte, epoch uint64) (*workerResponse, error) {
+	return p.send(ctx, method, url, body, epoch, false)
+}
+
+// stream is do for a reply that may be large: a 2xx body is left unread
+// in the response's stream. Everything the failover decision looks at —
+// connection errors, the status, an error body (those are always read
+// whole) — is settled before the first payload byte moves.
+func (p *proxy) stream(ctx context.Context, method, url string, body []byte) (*workerResponse, error) {
+	return p.send(ctx, method, url, body, 0, true)
+}
+
+func (p *proxy) send(ctx context.Context, method, url string, body []byte, epoch uint64, stream bool) (*workerResponse, error) {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
@@ -52,12 +72,16 @@ func (p *proxy) do(ctx context.Context, method, url string, body []byte, epoch u
 	if err != nil {
 		return nil, err
 	}
+	out := &workerResponse{status: resp.StatusCode, header: resp.Header}
+	if stream && out.ok() {
+		out.stream, out.length = resp.Body, resp.ContentLength
+		return out, nil
+	}
 	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
-	if err != nil {
+	if out.body, err = io.ReadAll(resp.Body); err != nil {
 		return nil, fmt.Errorf("cluster: reading %s %s reply: %w", method, url, err)
 	}
-	return &workerResponse{status: resp.StatusCode, body: b, header: resp.Header}, nil
+	return out, nil
 }
 
 // putGraph replicates an upload to one worker.
@@ -71,9 +95,9 @@ func (p *proxy) deleteGraph(ctx context.Context, worker, name string, epoch uint
 	return p.do(ctx, http.MethodDelete, worker+"/graphs/"+pathEscape(name), nil, epoch)
 }
 
-// run forwards a POST /run body to one worker.
+// run forwards a POST /run body to one worker; the reply is streamed.
 func (p *proxy) run(ctx context.Context, worker string, body []byte) (*workerResponse, error) {
-	return p.do(ctx, http.MethodPost, worker+"/run", body, 0)
+	return p.stream(ctx, http.MethodPost, worker+"/run", body)
 }
 
 // submitJobs forwards a POST /jobs body (single spec or batch) to one
@@ -87,9 +111,9 @@ func (p *proxy) jobStatus(ctx context.Context, worker, id string) (*workerRespon
 	return p.do(ctx, http.MethodGet, worker+"/jobs/"+pathEscape(id), nil, 0)
 }
 
-// jobResult fetches one job's stored run result.
+// jobResult fetches one job's stored run result; the reply is streamed.
 func (p *proxy) jobResult(ctx context.Context, worker, id string) (*workerResponse, error) {
-	return p.do(ctx, http.MethodGet, worker+"/jobs/"+pathEscape(id)+"/result", nil, 0)
+	return p.stream(ctx, http.MethodGet, worker+"/jobs/"+pathEscape(id)+"/result", nil)
 }
 
 // cancelJob propagates a DELETE /jobs/{id} to the worker holding it.

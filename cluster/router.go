@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -442,7 +443,7 @@ func (rt *Router) run(w http.ResponseWriter, r *http.Request) {
 	if advice != "" {
 		w.Header().Set(AdviceHeader, advice)
 	}
-	rt.relay(w, resp, wkr)
+	rt.relay(r.Context(), w, resp, wkr)
 }
 
 // tryReplicas drives the routing loop shared by synchronous runs and
@@ -500,15 +501,66 @@ func (rt *Router) tryReplicas(ctx context.Context, primary string, candidates []
 }
 
 // relay copies a worker's answer to the client, naming the worker that
-// served it.
-func (rt *Router) relay(w http.ResponseWriter, resp *workerResponse, wkr string) {
+// served it. A streamed body is copied through as it arrives; the status
+// and headers it follows were final before its first byte, so everything
+// retry and failover could act on has been acted on. If the worker dies
+// mid-body the client is left with a reply shorter than its declared
+// length — which the connection closing tells it — and the router counts
+// the request failed and the worker down. ctx is the client's request:
+// when that is what ended, the broken copy is nobody's failure.
+func (rt *Router) relay(ctx context.Context, w http.ResponseWriter, resp *workerResponse, wkr string) {
 	h := w.Header()
 	if ct := resp.header.Get("Content-Type"); ct != "" {
 		h.Set("Content-Type", ct)
 	}
 	h.Set(WorkerHeader, wkr)
-	w.WriteHeader(resp.status)
-	w.Write(resp.body)
+	if resp.stream == nil {
+		w.WriteHeader(resp.status)
+		w.Write(resp.body)
+		return
+	}
+	defer resp.stream.Close()
+	src := &sourceErr{r: resp.stream}
+	if resp.length > 0 {
+		// A declared length is passed on, and with it goes a duty: the
+		// reply is complete on the wire the moment its last byte is, and
+		// that must not happen while this handler still has the request —
+		// what the client does next (read /stats, poll again) could then
+		// overtake what the router records about what it just answered.
+		// So the last byte is written on its own: one byte stays in the
+		// ResponseWriter's buffer, which net/http flushes when the handler
+		// has returned. (An undeclared length needs nothing: the chunked
+		// terminator is sent at the same point.)
+		h.Set("Content-Length", strconv.FormatInt(resp.length, 10))
+		w.WriteHeader(resp.status)
+		io.CopyN(w, src, resp.length-1)
+		var last [1]byte
+		if n, _ := io.ReadFull(src, last[:]); n == 1 {
+			w.Write(last[:])
+		}
+	} else {
+		w.WriteHeader(resp.status)
+		io.Copy(w, src)
+	}
+	if src.err != nil && ctx.Err() == nil {
+		rt.failed.Add(1)
+		rt.health.MarkDown(wkr)
+	}
+}
+
+// sourceErr remembers the error that ended a read side, so a copy that
+// broke can be blamed on the right end.
+type sourceErr struct {
+	r   io.Reader
+	err error
+}
+
+func (s *sourceErr) Read(p []byte) (int, error) {
+	n, err := s.r.Read(p)
+	if err != nil && err != io.EOF {
+		s.err = err
+	}
+	return n, err
 }
 
 // ---- stats ----

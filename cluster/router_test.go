@@ -32,6 +32,9 @@ type worker struct {
 	ts   *httptest.Server
 	eng  *pushpull.Engine
 	dead atomic.Bool
+	// intercept, when set, sees every request first and reports whether
+	// it answered it: how a test scripts one endpoint's misbehaviour.
+	intercept atomic.Pointer[func(http.ResponseWriter, *http.Request) bool]
 }
 
 func (w *worker) URL() string { return w.ts.URL }
@@ -49,6 +52,9 @@ func newWorker(t *testing.T) *worker {
 	w.ts = httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
 		if w.dead.Load() {
 			panic(http.ErrAbortHandler)
+		}
+		if f := w.intercept.Load(); f != nil && (*f)(rw, r) {
+			return
 		}
 		h.ServeHTTP(rw, r)
 	}))

@@ -20,6 +20,7 @@
 //	pushpull run dist-pr-mp -ranks 32  # §6.3 simulated cluster
 //	pushpull serve -addr :8080 -graphs rmat,rca
 //	pushpull serve -shards 4 -cache-ttl 5m -store /var/lib/pushpull
+//	pushpull serve -jobs-keep 1024 -jobs-ttl 1h   # finished-job retention (the defaults)
 //	pushpull route -addr :8090 -workers http://h1:8080,http://h2:8080
 //	pushpull table3                    # PR and TC push-vs-pull times
 //	pushpull all                       # every experiment, paper order
@@ -289,9 +290,11 @@ func serveEngine(args []string, scale float64, seed uint64) {
 	maxQueue := fs.Int("max-queue", 1024, "per-shard admission-queue bound: excess runs are shed with 429 + Retry-After (0 = queue unboundedly)")
 	maxUpload := fs.Int64("max-upload", serve.MaxGraphBytes, "PUT /graphs body limit in bytes; larger uploads get 413")
 	jobsParallel := fs.Int("jobs-parallel", 0, "async job dispatch parallelism (0 = GOMAXPROCS; keep at or below -workers for strict priority order)")
+	jobsKeep := fs.Int("jobs-keep", jobs.DefaultKeep, "finished jobs kept for status and result fetches; beyond it the oldest is collected (record, and its result payload once no kept job shares it)")
+	jobsTTL := fs.Duration("jobs-ttl", jobs.DefaultTTL, "how long a finished job is kept before it is collected, e.g. 10m, 24h")
 	fs.Parse(args)
 	if fs.NArg() > 0 {
-		fmt.Fprintf(os.Stderr, "usage: pushpull [flags] serve [-addr host:port] [-workers n] [-cache n] [-cache-ttl d] [-shards n] [-max-queue n] [-max-upload bytes] [-jobs-parallel n] [-store dir] [-max-memory bytes] [-graphs ids]\n")
+		fmt.Fprintf(os.Stderr, "usage: pushpull [flags] serve [-addr host:port] [-workers n] [-cache n] [-cache-ttl d] [-shards n] [-max-queue n] [-max-upload bytes] [-jobs-parallel n] [-jobs-keep n] [-jobs-ttl d] [-store dir] [-max-memory bytes] [-graphs ids]\n")
 		os.Exit(2)
 	}
 	// Negative values would otherwise silently mean "unbounded" or
@@ -320,6 +323,10 @@ func serveEngine(args []string, scale float64, seed uint64) {
 	}
 	if *jobsParallel < 0 {
 		badFlag("jobs-parallel", "0 means GOMAXPROCS dispatch slots")
+	}
+	if *jobsKeep < 1 || *jobsTTL <= 0 {
+		fmt.Fprintf(os.Stderr, "pushpull: serve: -jobs-keep and -jobs-ttl must be positive (a finished job has to stay long enough for its result to be fetched; defaults %d and %v)\n", jobs.DefaultKeep, jobs.DefaultTTL)
+		os.Exit(2)
 	}
 	if *maxMemory < 0 {
 		badFlag("max-memory", "0 means no per-graph budget")
@@ -400,7 +407,7 @@ func serveEngine(args []string, scale float64, seed uint64) {
 		}
 		jobStore = js
 	}
-	mgrOpts := []jobs.Option{jobs.WithStore(jobStore)}
+	mgrOpts := []jobs.Option{jobs.WithStore(jobStore), jobs.WithRetention(*jobsKeep, *jobsTTL)}
 	if *jobsParallel > 0 {
 		mgrOpts = append(mgrOpts, jobs.WithParallel(*jobsParallel))
 	}

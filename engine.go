@@ -40,6 +40,8 @@ package pushpull
 import (
 	"container/list"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"runtime"
 	"sort"
@@ -82,6 +84,7 @@ type Engine struct {
 
 	hits, misses, uncacheable atomic.Uint64
 	coalesced, expired        atomic.Uint64
+	encodingHits              atomic.Uint64
 }
 
 // EngineOption configures NewEngine.
@@ -334,13 +337,76 @@ func cachedCopy(rep *Report) *Report {
 	return &cp
 }
 
+// Encoding is a serialized form of a Report's payload together with its
+// lazily computed content hash.
+type Encoding struct {
+	Bytes []byte
+
+	hashOnce sync.Once
+	hash     string
+}
+
+// Hash returns the hex SHA-256 (first 128 bits) of Bytes: a name under
+// which equal encodings can be stored once. Computed on first use.
+func (e *Encoding) Hash() string {
+	e.hashOnce.Do(func() {
+		sum := sha256.Sum256(e.Bytes)
+		e.hash = hex.EncodeToString(sum[:16])
+	})
+	return e.hash
+}
+
+// encodingMemo is the slot a result-cache entry keeps for the encoding of
+// its payload. It is created empty with the entry and filled by the first
+// hit that asks, so entries nobody hits retain no bytes; it is dropped
+// with the entry.
+type encodingMemo struct {
+	mu   sync.Mutex // serializes builders; readers go through enc
+	enc  atomic.Pointer[Encoding]
+	hits *atomic.Uint64 // the owning Engine's EncodingHits
+}
+
+// Encoding returns the serialized form of the report's payload, calling
+// build to produce it. A report served from an Engine's result cache
+// (Stats.CacheHit) keeps the first build on its cache entry — every later
+// hit of that entry gets the same bytes back without encoding anything,
+// and they are released when the entry is evicted, expires or is
+// invalidated. Any other report (a miss, a coalesced copy, an uncached
+// run) has no entry to keep it on: build runs on every call.
+//
+// The slot is single: all callers must pass builds that produce the same
+// bytes for the same payload (the serving stack's one caller is
+// api.Encode). The bytes are shared and read-only.
+func (r *Report) Encoding(build func() []byte) *Encoding {
+	m := r.memo
+	if m == nil {
+		return &Encoding{Bytes: build()}
+	}
+	if enc := m.enc.Load(); enc != nil {
+		m.hits.Add(1)
+		return enc
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if enc := m.enc.Load(); enc != nil {
+		m.hits.Add(1)
+		return enc
+	}
+	enc := &Encoding{Bytes: build()}
+	m.enc.Store(enc)
+	return enc
+}
+
 func (e *Engine) cacheGet(key string) (rep *Report, ok, expired bool) {
 	e.cacheMu.Lock()
 	defer e.cacheMu.Unlock()
 	return e.cache.get(key)
 }
 
+// cachePut stores rep — the cache's own snapshot — with an empty encoding
+// slot (see encodingMemo).
 func (e *Engine) cachePut(key string, rep *Report) {
+	rep.memo = &encodingMemo{hits: &e.encodingHits}
 	e.cacheMu.Lock()
 	defer e.cacheMu.Unlock()
 	e.cache.put(key, rep)
@@ -410,6 +476,11 @@ type EngineStats struct {
 	Expired uint64
 	// CacheEntries is the current number of cached reports.
 	CacheEntries int
+	// EncodingHits counts Report.Encoding calls answered from a cache
+	// entry's memoized bytes; EncodingBytes is what the live entries'
+	// memos retain right now.
+	EncodingHits  uint64
+	EncodingBytes int64
 	// QueuedRuns counts runs that waited in any admission queue;
 	// QueueWait is their cumulative wait. Waiting is the instantaneous
 	// depth across all queues; Rejected counts runs shed with
@@ -432,6 +503,8 @@ func (e *Engine) Stats() EngineStats {
 		Coalesced:   e.coalesced.Load(),
 		Expired:     e.expired.Load(),
 		Shards:      make([]ShardStats, len(e.shards)),
+
+		EncodingHits: e.encodingHits.Load(),
 	}
 	for i, sh := range e.shards {
 		ss := ShardStats{
@@ -451,6 +524,11 @@ func (e *Engine) Stats() EngineStats {
 	if e.cache != nil {
 		e.cacheMu.Lock()
 		s.CacheEntries = e.cache.ll.Len()
+		for el := e.cache.ll.Front(); el != nil; el = el.Next() {
+			if enc := el.Value.(*cacheEntry).rep.memo.enc.Load(); enc != nil {
+				s.EncodingBytes += int64(len(enc.Bytes))
+			}
+		}
 		e.cacheMu.Unlock()
 	}
 	return s

@@ -30,7 +30,8 @@ import (
 // consuming a worker slot; Result returns this error for them.
 var ErrDeadlineExceeded = errors.New("jobs: deadline exceeded before the job could run")
 
-// ErrNotFound: no job with the requested ID.
+// ErrNotFound: no job with the requested ID — never submitted here, or
+// terminal long enough ago to have been collected (WithRetention).
 var ErrNotFound = errors.New("jobs: no such job")
 
 // ErrNotDone: the job has no result yet (still queued or running).
@@ -147,11 +148,21 @@ type Job struct {
 	State   State  `json:"state"`
 	// Error is the failure message for failed/canceled/interrupted jobs.
 	Error string `json:"error,omitempty"`
-	// Result is the api.RunResponse of a done job, marshaled — byte-
-	// identical to what the synchronous POST /run would have returned.
-	// Status views omit it (GET /jobs/{id}/result serves it).
+	// Head and Payload are a done job's result — byte-identical to what
+	// the synchronous POST /run would have returned — in the two parts
+	// api.Encode writes it in: Head is the per-request part, verbatim,
+	// and Payload names the tail by its content hash in the JobStore,
+	// where jobs with equal payloads share one copy. A record therefore
+	// stays a few hundred bytes whatever the size of its result. Status
+	// views omit Head (Manager.Result and GET /jobs/{id}/result serve
+	// the two joined).
+	Head    string `json:"head,omitempty"`
+	Payload string `json:"payload,omitempty"`
+	// Result is a whole result stored inline: the form records written
+	// before payloads were shared carry, and which a record handed to
+	// JobStore.Put may still use. The Manager writes Head and Payload.
 	Result json.RawMessage `json:"result,omitempty"`
-	// Stats is the completed run's stats, duplicated out of Result so
+	// Stats is the completed run's stats, duplicated out of the result so
 	// status polls see timings without fetching the payload.
 	Stats *api.RunStats `json:"stats,omitempty"`
 	// Submitted/Started/Finished are unix-millisecond timestamps; zero
@@ -166,11 +177,11 @@ type Job struct {
 	DeadlineUnixMS int64 `json:"deadline_unix_ms,omitempty"`
 }
 
-// StatusView returns a shallow copy without the (potentially large)
-// result payload: the shape status polls and job listings serve.
+// StatusView returns a shallow copy without the result (Head and any
+// inline Result): the shape status polls and job listings serve.
 func (j *Job) StatusView() *Job {
 	cp := *j
-	cp.Result = nil
+	cp.Head, cp.Result = "", nil
 	return &cp
 }
 

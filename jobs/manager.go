@@ -9,19 +9,31 @@ package jobs
 // would have shed with 429.
 //
 // Concurrency shape: the in-memory job map is the runtime truth, guarded
-// by mu; every state transition writes through to the JobStore under the
-// same critical section (the engine registry's write-through idiom) so
-// the store can never disagree with the order of transitions. The
-// scheduler wakes on a 1-buffered notify channel — submissions, job
-// completions and deadline timers all nudge it; a missed nudge is
+// by mu; every state transition writes the job's record through to the
+// JobStore under the same critical section (the engine registry's
+// write-through idiom) so the store can never disagree with the order of
+// transitions. That section is the one every status poll takes, so only
+// what is actually shared goes through it: a record is a few hundred
+// bytes whatever its job computed. A result's payload — the encoded
+// vector, megabytes — is stored before the transition, outside mu, under
+// its content hash, once for all the jobs that share it (payMu orders
+// those writes against the deletes of collection; besides them only
+// Stats takes it). The scheduler wakes on a 1-buffered notify channel — submissions,
+// job completions and deadline timers all nudge it; a missed nudge is
 // harmless because the channel retains one.
+//
+// Terminal jobs do not stay forever: WithRetention bounds how many are
+// kept and for how long, oldest collected first — record deleted, and
+// the payload with its last referrer.
 
 import (
+	"bytes"
 	"container/heap"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"io/fs"
 	"runtime"
 	"sort"
 	"sync"
@@ -37,6 +49,8 @@ type Manager struct {
 	eng      *pushpull.Engine
 	store    JobStore
 	parallel int
+	keep     int           // terminal jobs retained
+	ttl      time.Duration // and for how long
 
 	mu      sync.Mutex
 	jobs    map[string]*Job
@@ -44,6 +58,23 @@ type Manager struct {
 	cancels map[string]context.CancelFunc
 	seq     uint64
 	closed  bool
+	// terminal lists the retained terminal jobs, oldest finish first: the
+	// order collection takes them in. ttlTimer is the one pending wake-up
+	// for the front entry's expiry, nil when none is armed.
+	terminal []*Job
+	ttlTimer *time.Timer
+	evicted  uint64
+	// released collects the payload hashes of jobs collected while mu is
+	// held; unlock hands them to release once it is not.
+	released []string
+
+	// payMu guards payloads, the reference counts of the stored result
+	// payloads, and is held across the store write or delete that a count
+	// leaving or reaching zero calls for, so the two cannot interleave on
+	// one hash. Never held together with mu. Close sets the map to nil:
+	// a closed manager stores and deletes nothing.
+	payMu    sync.Mutex
+	payloads map[string]*payloadRef
 
 	notify chan struct{} // 1-buffered scheduler nudge
 	sem    chan struct{} // dispatch slots (cap parallel)
@@ -80,6 +111,37 @@ func WithParallel(n int) Option {
 	}
 }
 
+// DefaultKeep and DefaultTTL are the retention a Manager applies unless
+// WithRetention says otherwise: sized so that a client polling at any
+// sane interval finds its result, while a worker fed jobs indefinitely
+// holds a bounded number of records and payload files.
+const (
+	DefaultKeep = 1024
+	DefaultTTL  = time.Hour
+)
+
+// WithRetention bounds the terminal jobs a Manager keeps: at most keep
+// of them, none longer than ttl after finishing. The oldest are
+// collected first — the record leaves the manager and the store (Get
+// then answers ErrNotFound) and a result payload goes with the last job
+// referring to it. Non-positive values keep the defaults.
+func WithRetention(keep int, ttl time.Duration) Option {
+	return func(m *Manager) {
+		if keep > 0 {
+			m.keep = keep
+		}
+		if ttl > 0 {
+			m.ttl = ttl
+		}
+	}
+}
+
+// payloadRef counts the retained jobs whose result is one stored payload.
+type payloadRef struct {
+	refs int
+	size int64
+}
+
 // NewManager builds a Manager over eng, recovers any jobs its store
 // holds, and starts the scheduler.
 func NewManager(eng *pushpull.Engine, opts ...Option) (*Manager, error) {
@@ -90,8 +152,11 @@ func NewManager(eng *pushpull.Engine, opts ...Option) (*Manager, error) {
 		eng:      eng,
 		store:    NewMemJobStore(),
 		parallel: runtime.GOMAXPROCS(0),
+		keep:     DefaultKeep,
+		ttl:      DefaultTTL,
 		jobs:     map[string]*Job{},
 		cancels:  map[string]context.CancelFunc{},
+		payloads: map[string]*payloadRef{},
 		notify:   make(chan struct{}, 1),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
@@ -112,8 +177,16 @@ func NewManager(eng *pushpull.Engine, opts ...Option) (*Manager, error) {
 // re-queue (in submission order, so recovered FIFO ties break as they
 // did originally), running jobs are marked interrupted — the process
 // that was executing them is gone, and their partial work with it.
+// Terminal jobs rejoin the retention list in finish order and are
+// collected if this manager's bounds are tighter than their age or
+// number; a payload no surviving record names (a crash between storing
+// it and recording its job, or after deleting a record) is deleted.
 func (m *Manager) recover() error {
 	persisted, err := m.store.List()
+	if err != nil {
+		return fmt.Errorf("jobs: recovering store: %w", err)
+	}
+	stored, err := m.store.Payloads()
 	if err != nil {
 		return fmt.Errorf("jobs: recovering store: %w", err)
 	}
@@ -123,9 +196,25 @@ func (m *Manager) recover() error {
 		}
 		return persisted[i].ID < persisted[k].ID
 	})
-	now := time.Now().UnixMilli()
+	// Nothing else runs yet, so payloads needs no payMu: one referrer per
+	// record naming a payload, and a stored payload left with none goes.
+	for _, j := range persisted {
+		if j.Payload == "" {
+			continue
+		}
+		if ref := m.payloads[j.Payload]; ref != nil {
+			ref.refs++
+		} else {
+			m.payloads[j.Payload] = &payloadRef{refs: 1, size: stored[j.Payload]}
+		}
+	}
+	for hash := range stored {
+		if m.payloads[hash] == nil {
+			_ = m.store.DeletePayload(hash) // left for the next recovery if it will not go
+		}
+	}
 	m.mu.Lock()
-	defer m.mu.Unlock()
+	defer m.unlock()
 	for _, j := range persisted {
 		m.jobs[j.ID] = j
 		switch j.State {
@@ -134,12 +223,17 @@ func (m *Manager) recover() error {
 		case StateRunning:
 			j.State = StateInterrupted
 			j.Error = "worker restarted while the job was running"
-			j.FinishedMS = now
+			j.FinishedMS = time.Now().UnixMilli()
 			if err := m.persistLocked(j); err != nil {
 				return err
 			}
 		}
+		if j.State.Terminal() {
+			m.terminal = append(m.terminal, j)
+		}
 	}
+	sort.SliceStable(m.terminal, func(i, k int) bool { return m.terminal[i].FinishedMS < m.terminal[k].FinishedMS })
+	m.collectLocked(time.Now())
 	return nil
 }
 
@@ -253,11 +347,12 @@ func (m *Manager) enqueueLocked(j *Job) {
 func (m *Manager) expire() {
 	m.mu.Lock()
 	m.sweepLocked()
-	m.mu.Unlock()
+	m.unlock()
 	m.wake()
 }
 
-// Get returns a snapshot of the job (result payload included).
+// Get returns a status snapshot of the job: everything but its result,
+// which Result and OpenResult serve.
 func (m *Manager) Get(id string) (*Job, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -265,31 +360,96 @@ func (m *Manager) Get(id string) (*Job, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNotFound, id)
 	}
-	cp := *j
-	return &cp, nil
+	return j.StatusView(), nil
 }
 
-// Result returns the stored api.RunResponse bytes of a done job. A
-// still-pending job returns ErrNotDone; a deadline-expired one returns
-// ErrDeadlineExceeded; other non-done terminal states return an error
-// carrying the job's failure message.
-func (m *Manager) Result(id string) ([]byte, error) {
+// ResultBody is a done job's result opened for reading: the stored
+// api.RunResponse document, Size bytes long. Close it when done.
+type ResultBody struct {
+	Size    int64
+	head    string
+	payload io.ReadCloser // nil when head is the whole document
+}
+
+// WriteTo writes the document to w: the job's own head, then the
+// payload streamed from the store.
+func (b *ResultBody) WriteTo(w io.Writer) (int64, error) {
+	n, err := io.WriteString(w, b.head)
+	if err != nil || b.payload == nil {
+		return int64(n), err
+	}
+	copied, err := io.Copy(w, b.payload)
+	return int64(n) + copied, err
+}
+
+// Close releases the store's reader.
+func (b *ResultBody) Close() error {
+	if b.payload == nil {
+		return nil
+	}
+	return b.payload.Close()
+}
+
+// OpenResult opens the result of a done job. A still-pending job returns
+// ErrNotDone; a deadline-expired one returns ErrDeadlineExceeded; other
+// non-done terminal states return an error carrying the job's failure
+// message. A job reported done by Get has a result to open until it is
+// collected: done is only ever recorded after the payload is stored.
+func (m *Manager) OpenResult(id string) (*ResultBody, error) {
 	m.mu.Lock()
-	defer m.mu.Unlock()
 	j, ok := m.jobs[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNotFound, id)
-	}
+	var (
+		body *ResultBody
+		hash string
+		err  error
+	)
 	switch {
+	case !ok:
+		err = fmt.Errorf("%w: %q", ErrNotFound, id)
+	case j.State == StateDone && j.Payload == "":
+		body = &ResultBody{head: string(j.Result)}
 	case j.State == StateDone:
-		return j.Result, nil
+		body, hash = &ResultBody{head: j.Head}, j.Payload
 	case !j.State.Terminal():
-		return nil, fmt.Errorf("%w: %q is %s", ErrNotDone, id, j.State)
+		err = fmt.Errorf("%w: %q is %s", ErrNotDone, id, j.State)
 	case j.Error == ErrDeadlineExceeded.Error():
-		return nil, fmt.Errorf("%w (job %q)", ErrDeadlineExceeded, id)
+		err = fmt.Errorf("%w (job %q)", ErrDeadlineExceeded, id)
 	default:
-		return nil, fmt.Errorf("jobs: %q %s: %s", id, j.State, j.Error)
+		err = fmt.Errorf("jobs: %q %s: %s", id, j.State, j.Error)
 	}
+	m.mu.Unlock()
+	if err != nil {
+		return nil, err
+	}
+	body.Size = int64(len(body.head))
+	if hash != "" {
+		var size int64
+		if body.payload, size, err = m.store.OpenPayload(hash); err != nil {
+			if errors.Is(err, fs.ErrNotExist) {
+				// Collected between the lookup and the open.
+				return nil, fmt.Errorf("%w: %q", ErrNotFound, id)
+			}
+			return nil, fmt.Errorf("jobs: result of %q: %w", id, err)
+		}
+		body.Size += size
+	}
+	return body, nil
+}
+
+// Result returns the stored api.RunResponse bytes of a done job, with
+// OpenResult's errors. It reads the whole document into memory; servers
+// stream it with OpenResult instead.
+func (m *Manager) Result(id string) ([]byte, error) {
+	body, err := m.OpenResult(id)
+	if err != nil {
+		return nil, err
+	}
+	defer body.Close()
+	buf := bytes.NewBuffer(make([]byte, 0, body.Size))
+	if _, err := body.WriteTo(buf); err != nil {
+		return nil, fmt.Errorf("jobs: result of %q: %w", id, err)
+	}
+	return buf.Bytes(), nil
 }
 
 // Cancel cancels a job: a queued job goes straight to canceled, a
@@ -298,7 +458,7 @@ func (m *Manager) Result(id string) ([]byte, error) {
 // snapshot reflects the state after the call.
 func (m *Manager) Cancel(id string) (*Job, error) {
 	m.mu.Lock()
-	defer m.mu.Unlock()
+	defer m.unlock()
 	j, ok := m.jobs[id]
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNotFound, id)
@@ -308,8 +468,7 @@ func (m *Manager) Cancel(id string) (*Job, error) {
 		// The heap entry stays; the scheduler skips non-queued entries.
 		j.State = StateCanceled
 		j.Error = "canceled while queued"
-		j.FinishedMS = time.Now().UnixMilli()
-		if err := m.persistLocked(j); err != nil {
+		if err := m.finishLocked(j); err != nil {
 			return nil, err
 		}
 	case StateRunning:
@@ -317,11 +476,10 @@ func (m *Manager) Cancel(id string) (*Job, error) {
 			cancel()
 		}
 	}
-	cp := *j
-	return &cp, nil
+	return j.StatusView(), nil
 }
 
-// List returns status snapshots (no result payloads), filtered by state
+// List returns status snapshots (no results), filtered by state
 // and/or batch ID when non-empty, sorted by submission time then ID.
 func (m *Manager) List(state State, batchID string) ([]*Job, error) {
 	if state != "" && !state.valid() {
@@ -358,22 +516,32 @@ func (m *Manager) Wait(ctx context.Context, id string, poll time.Duration) (*Job
 	ticker := time.NewTicker(poll)
 	defer ticker.Stop()
 	for {
-		j, err := m.Get(id)
-		if err != nil {
-			return nil, err
-		}
-		if j.State.Terminal() {
-			return j, nil
+		// Only the state is read per poll; the snapshot is taken once.
+		m.mu.Lock()
+		j, ok := m.jobs[id]
+		terminal := ok && j.State.Terminal()
+		m.mu.Unlock()
+		if !ok || terminal {
+			return m.Get(id)
 		}
 		select {
 		case <-ctx.Done():
+			j, err := m.Get(id)
+			if err != nil {
+				return nil, err
+			}
 			return j, ctx.Err()
 		case <-ticker.C:
 		}
 	}
 }
 
-// Stats is a point-in-time census of the Manager's jobs.
+// Stats is a point-in-time census of the Manager's jobs, by state, plus
+// what retention is holding and has let go: Retained is the terminal jobs
+// still answerable (the four terminal states sum to it), Evicted those
+// collected since this manager started, and PayloadFiles/PayloadBytes the
+// distinct result payloads in the store — fewer than the done jobs
+// whenever results repeat.
 type Stats struct {
 	Queued      int `json:"queued"`
 	Running     int `json:"running"`
@@ -381,13 +549,25 @@ type Stats struct {
 	Failed      int `json:"failed"`
 	Canceled    int `json:"canceled"`
 	Interrupted int `json:"interrupted"`
+
+	Retained     int    `json:"retained"`
+	Evicted      uint64 `json:"evicted"`
+	PayloadFiles int    `json:"payload_files"`
+	PayloadBytes int64  `json:"payload_bytes"`
 }
 
-// Stats counts jobs by state.
+// Stats counts jobs by state and sums the retention bookkeeping.
 func (m *Manager) Stats() Stats {
+	var s Stats
+	m.payMu.Lock()
+	s.PayloadFiles = len(m.payloads)
+	for _, ref := range m.payloads {
+		s.PayloadBytes += ref.size
+	}
+	m.payMu.Unlock()
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	var s Stats
+	s.Retained, s.Evicted = len(m.terminal), m.evicted
 	for _, j := range m.jobs {
 		switch j.State {
 		case StateQueued:
@@ -409,16 +589,29 @@ func (m *Manager) Stats() Stats {
 
 // Close stops the scheduler: no further jobs dispatch (queued ones keep
 // their state for a successor to recover). Jobs already running are not
-// canceled — they finish and persist on their own goroutines. Submit
-// fails after Close.
+// canceled and Close does not wait for them, but it fences them: once
+// Close has returned this manager writes nothing more to its store — no
+// record, no payload, no deletion — so a successor opened over the same
+// store owns it outright, and a run that outlives Close simply loses its
+// transition (the successor has already marked that job interrupted).
+// Submit fails after Close.
 func (m *Manager) Close() {
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
 		return
 	}
+	// Every record write and delete re-checks closed under mu, every
+	// payload write and delete finds the nil map under payMu; taking each
+	// lock here waits out the one that may be in flight.
 	m.closed = true
+	if m.ttlTimer != nil {
+		m.ttlTimer.Stop()
+	}
 	m.mu.Unlock()
+	m.payMu.Lock()
+	m.payloads = nil
+	m.payMu.Unlock()
 	close(m.stop)
 	<-m.done
 }
@@ -474,7 +667,7 @@ func (m *Manager) schedule() {
 // already moved on). Returns nil when nothing is runnable.
 func (m *Manager) next() (*Job, context.Context, context.CancelFunc) {
 	m.mu.Lock()
-	defer m.mu.Unlock()
+	defer m.unlock()
 	m.sweepLocked()
 	for m.queue.Len() > 0 {
 		j := heap.Pop(&m.queue).(*queued).job
@@ -518,8 +711,7 @@ func (m *Manager) sweepLocked() {
 		if j.State == StateQueued && j.DeadlineUnixMS > 0 && now >= j.DeadlineUnixMS {
 			j.State = StateFailed
 			j.Error = ErrDeadlineExceeded.Error()
-			j.FinishedMS = now
-			if err := m.persistLocked(j); err != nil {
+			if err := m.finishLocked(j); err != nil {
 				j.Error = fmt.Sprintf("%s (persist: %s)", ErrDeadlineExceeded.Error(), err)
 			}
 		}
@@ -528,7 +720,9 @@ func (m *Manager) sweepLocked() {
 
 // execute runs one dispatched job to completion on the engine and
 // records the outcome. Runs on its own goroutine, holding one dispatch
-// slot.
+// slot. Everything proportional to the result happens before mu is
+// taken: the tail comes from the engine's cache entry when the run was a
+// hit, and is stored once per distinct payload.
 func (m *Manager) execute(j *Job, ctx context.Context, cancel context.CancelFunc) {
 	defer func() {
 		cancel()
@@ -536,24 +730,23 @@ func (m *Manager) execute(j *Job, ctx context.Context, cancel context.CancelFunc
 		m.wake()
 	}()
 	rep, err := m.runSpec(ctx, j.Spec)
-	now := time.Now().UnixMilli()
+	var (
+		reply api.Reply
+		hash  string
+	)
+	if err == nil {
+		reply = api.Encode(j.Spec.Graph, rep)
+		hash, err = m.retain(reply.Tail)
+	}
 	m.mu.Lock()
-	defer m.mu.Unlock()
+	defer m.unlock()
 	delete(m.cancels, j.ID)
-	j.FinishedMS = now
 	switch {
 	case err == nil:
-		resp := api.BuildResponse(j.Spec.Graph, rep)
-		raw, merr := marshalResult(resp)
-		if merr != nil {
-			j.State = StateFailed
-			j.Error = merr.Error()
-			break
-		}
 		j.State = StateDone
 		j.Error = ""
-		j.Result = raw
-		stats := resp.Stats
+		j.Head, j.Payload = string(reply.Head), hash
+		stats := api.StatsOf(rep)
 		j.Stats = &stats
 	case errors.Is(err, context.Canceled):
 		j.State = StateCanceled
@@ -565,7 +758,7 @@ func (m *Manager) execute(j *Job, ctx context.Context, cancel context.CancelFunc
 		j.State = StateFailed
 		j.Error = err.Error()
 	}
-	if err := m.persistLocked(j); err != nil && j.Error == "" {
+	if err := m.finishLocked(j); err != nil && j.Error == "" {
 		j.Error = err.Error()
 	}
 }
@@ -590,24 +783,124 @@ func (m *Manager) runSpec(ctx context.Context, spec Spec) (*pushpull.Report, err
 	return m.eng.Run(ctx, wl, spec.Algorithm, opts...)
 }
 
-// persistLocked writes j through to the store (mu held, the engine
-// registry's write-through idiom: map and store must agree on the order
-// of transitions).
+// persistLocked writes j's record through to the store (mu held, the
+// engine registry's write-through idiom: map and store must agree on the
+// order of transitions). A closed manager no longer owns the store: the
+// write is dropped.
 func (m *Manager) persistLocked(j *Job) error {
-	//pushpull:allow lockheld write-through under mu by design: job map and store must observe state transitions in the same order
+	if m.closed {
+		return nil
+	}
+	//pushpull:allow lockheld write-through under mu by design: job map and store must observe state transitions in the same order; the record is a few hundred bytes, results live in payload files written outside mu
 	if err := m.store.Put(j); err != nil {
 		return fmt.Errorf("jobs: persisting %q: %w", j.ID, err)
 	}
 	return nil
 }
 
-// marshalResult encodes a run response for storage.
-func marshalResult(resp api.RunResponse) ([]byte, error) {
-	raw, err := json.Marshal(resp)
-	if err != nil {
-		return nil, fmt.Errorf("jobs: encoding result: %w", err)
+// finishLocked records j's transition into a terminal state (mu held):
+// the finish time is stamped here, when the state — and for a done job
+// the result, already stored — becomes visible to polls, then the record
+// is written, the job joins the retention list, and whatever that pushes
+// past the bounds is collected.
+func (m *Manager) finishLocked(j *Job) error {
+	now := time.Now()
+	j.FinishedMS = now.UnixMilli()
+	err := m.persistLocked(j)
+	m.terminal = append(m.terminal, j)
+	m.collectLocked(now)
+	return err
+}
+
+// collectLocked enforces retention (mu held): terminal jobs beyond the
+// count bound, or finished longer ago than the TTL, leave the map and
+// the store, oldest first. Their payload hashes queue on m.released for
+// unlock. While any job is retained one timer is kept pending for the
+// oldest one's expiry.
+func (m *Manager) collectLocked(now time.Time) {
+	if m.closed {
+		return
 	}
-	return raw, nil
+	expired := now.Add(-m.ttl).UnixMilli()
+	n := 0
+	for n < len(m.terminal) && (len(m.terminal)-n > m.keep || m.terminal[n].FinishedMS <= expired) {
+		j := m.terminal[n]
+		m.terminal[n] = nil
+		n++
+		delete(m.jobs, j.ID)
+		m.evicted++
+		if j.Payload != "" {
+			m.released = append(m.released, j.Payload)
+		}
+		// Under mu like the record writes, whose order it follows: one
+		// unlink. A record that will not delete is recovered as a terminal
+		// job by the next manager and collected again there.
+		_ = m.store.Delete(j.ID)
+	}
+	m.terminal = m.terminal[n:]
+	if len(m.terminal) > 0 && m.ttlTimer == nil {
+		due := time.UnixMilli(m.terminal[0].FinishedMS).Add(m.ttl + time.Millisecond)
+		m.ttlTimer = time.AfterFunc(due.Sub(now), func() {
+			m.mu.Lock()
+			m.ttlTimer = nil
+			m.collectLocked(time.Now())
+			m.unlock()
+		})
+	}
+}
+
+// unlock releases mu, then lets go of the payloads of the jobs collected
+// while it was held — store I/O that no status poll should wait behind.
+func (m *Manager) unlock() {
+	released := m.released
+	m.released = nil
+	m.mu.Unlock()
+	m.release(released)
+}
+
+// retain stores a result payload under its content hash unless a
+// retained job already refers to it, and counts the new referrer.
+func (m *Manager) retain(enc *pushpull.Encoding) (string, error) {
+	hash := enc.Hash()
+	m.payMu.Lock()
+	defer m.payMu.Unlock()
+	if m.payloads == nil { // closed
+		return hash, nil
+	}
+	if ref := m.payloads[hash]; ref != nil {
+		ref.refs++
+		return hash, nil
+	}
+	// Store I/O under payMu is what payMu is for — a payload's write must
+	// not interleave with its delete — and of the request paths only
+	// Stats takes it; no poll or submission does.
+	if err := m.store.PutPayload(hash, enc.Bytes); err != nil {
+		return "", fmt.Errorf("jobs: storing result payload: %w", err)
+	}
+	m.payloads[hash] = &payloadRef{refs: 1, size: int64(len(enc.Bytes))}
+	return hash, nil
+}
+
+// release drops one referrer from each payload and deletes those left
+// with none.
+func (m *Manager) release(hashes []string) {
+	if len(hashes) == 0 {
+		return
+	}
+	m.payMu.Lock()
+	defer m.payMu.Unlock()
+	for _, hash := range hashes {
+		ref := m.payloads[hash]
+		if ref == nil { // closed
+			continue
+		}
+		if ref.refs--; ref.refs == 0 {
+			delete(m.payloads, hash)
+			// A payload that will not delete is an orphan the next
+			// manager's recovery removes.
+			_ = m.store.DeletePayload(hash)
+		}
+	}
 }
 
 // ---- the priority queue ----

@@ -182,8 +182,8 @@ func TestManagerPriorityOrder(t *testing.T) {
 		if j.State != jobs.StateDone {
 			t.Fatalf("job %s ended %s (%s), want done", id, j.State, j.Error)
 		}
-		if j.Result == nil || j.Stats == nil {
-			t.Errorf("done job %s has no result/stats", id)
+		if res, err := m.Result(id); err != nil || len(res) == 0 || j.Stats == nil {
+			t.Errorf("done job %s has no result/stats (Result: %v)", id, err)
 		}
 	}
 

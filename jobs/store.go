@@ -5,11 +5,19 @@ package jobs
 // the store always holds the last state each job durably reached and a
 // restarted Manager can pick the queue back up (NewManager recovers:
 // queued jobs re-queue, running jobs become interrupted).
+//
+// A store holds two kinds of thing: job records, small and rewritten at
+// every transition, and result payloads, large, immutable and named by
+// their content hash so that any number of records can point at one.
+// The Manager counts the references and deletes a payload with its last
+// referrer; the store just keeps what it is given.
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -27,6 +35,18 @@ type JobStore interface {
 	// Delete removes a job record. Deleting an unknown ID is not an
 	// error.
 	Delete(id string) error
+
+	// PutPayload stores data under its content hash. The store may keep
+	// data itself, which the caller must not modify afterwards.
+	PutPayload(hash string, data []byte) error
+	// OpenPayload opens a stored payload for reading and reports its
+	// length; the error for an unknown hash wraps fs.ErrNotExist.
+	OpenPayload(hash string) (io.ReadCloser, int64, error)
+	// DeletePayload removes a payload. Deleting an unknown hash is not an
+	// error.
+	DeletePayload(hash string) error
+	// Payloads lists the stored payloads: hash → length.
+	Payloads() (map[string]int64, error)
 }
 
 // ---- in-memory store ----
@@ -35,13 +55,14 @@ type JobStore interface {
 // without durability, for tests and for Managers that don't need to
 // survive a restart.
 type MemJobStore struct {
-	mu   sync.Mutex
-	jobs map[string]*Job
+	mu       sync.Mutex
+	jobs     map[string]*Job
+	payloads map[string][]byte
 }
 
 // NewMemJobStore returns an empty in-memory job store.
 func NewMemJobStore() *MemJobStore {
-	return &MemJobStore{jobs: map[string]*Job{}}
+	return &MemJobStore{jobs: map[string]*Job{}, payloads: map[string][]byte{}}
 }
 
 // List implements JobStore.
@@ -73,6 +94,44 @@ func (s *MemJobStore) Delete(id string) error {
 	return nil
 }
 
+// PutPayload implements JobStore; it keeps data, not a copy.
+func (s *MemJobStore) PutPayload(hash string, data []byte) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.payloads[hash] = data
+	return nil
+}
+
+// OpenPayload implements JobStore.
+func (s *MemJobStore) OpenPayload(hash string) (io.ReadCloser, int64, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	data, ok := s.payloads[hash]
+	if !ok {
+		return nil, 0, fmt.Errorf("jobstore: payload %q: %w", hash, fs.ErrNotExist)
+	}
+	return io.NopCloser(bytes.NewReader(data)), int64(len(data)), nil
+}
+
+// DeletePayload implements JobStore.
+func (s *MemJobStore) DeletePayload(hash string) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	delete(s.payloads, hash)
+	return nil
+}
+
+// Payloads implements JobStore.
+func (s *MemJobStore) Payloads() (map[string]int64, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := make(map[string]int64, len(s.payloads))
+	for hash, data := range s.payloads {
+		out[hash] = int64(len(data))
+	}
+	return out, nil
+}
+
 // ---- on-disk store ----
 
 // DiskJobStore persists each job as one JSON file under a directory:
@@ -80,7 +139,8 @@ func (s *MemJobStore) Delete(id string) error {
 // idiom) so a crash mid-Put leaves the previous record intact — the job
 // store can never hold a half-written record, only the last state the
 // job durably reached. Job IDs are generated hex ([a-z0-9-]), so the
-// filename mapping is the identity.
+// filename mapping is the identity. Payloads are one file each under
+// payloads/, named by their hash and written the same way.
 type DiskJobStore struct {
 	dir string
 	// mu serializes writers; readers go straight to the filesystem
@@ -88,15 +148,19 @@ type DiskJobStore struct {
 	mu sync.Mutex
 }
 
-// jobExt is the persisted-file suffix.
-const jobExt = ".job"
+// jobExt is the persisted-file suffix; payloadDir the subdirectory the
+// payload files live in.
+const (
+	jobExt     = ".job"
+	payloadDir = "payloads"
+)
 
 // NewDiskJobStore opens (creating if needed) a job store rooted at dir.
 func NewDiskJobStore(dir string) (*DiskJobStore, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("jobstore: empty directory")
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := os.MkdirAll(filepath.Join(dir, payloadDir), 0o755); err != nil {
 		return nil, fmt.Errorf("jobstore: %w", err)
 	}
 	return &DiskJobStore{dir: dir}, nil
@@ -134,33 +198,36 @@ func (s *DiskJobStore) List() ([]*Job, error) {
 	return out, nil
 }
 
-// Put implements JobStore. Serialization happens before the store lock
-// is taken; only the atomic rename that publishes the temp file runs
-// under it, so concurrent Puts of one job still serialize into
-// complete, last-write-wins files.
+// Put implements JobStore.
 func (s *DiskJobStore) Put(j *Job) error {
-	buf, err := json.Marshal(j)
-	if err != nil {
-		return fmt.Errorf("jobstore: %q: %w", j.ID, err)
-	}
+	return s.writeFile(s.path(j.ID), func(f *os.File) error {
+		// Encode appends the newline a record ends with.
+		return json.NewEncoder(f).Encode(j)
+	})
+}
+
+// writeFile publishes a file atomically: write fills a temp file in the
+// store's root (same filesystem as every destination), and only the
+// rename that publishes it runs under the store lock, so concurrent
+// writers of one path still serialize into complete, last-write-wins
+// files.
+func (s *DiskJobStore) writeFile(path string, write func(*os.File) error) error {
 	tmp, err := os.CreateTemp(s.dir, ".put-*")
 	if err != nil {
 		return fmt.Errorf("jobstore: %w", err)
 	}
-	if _, err := tmp.Write(append(buf, '\n')); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("jobstore: %q: %w", j.ID, err)
+	err = write(tmp)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("jobstore: %q: %w", j.ID, err)
+	if err == nil {
+		s.mu.Lock()
+		err = os.Rename(tmp.Name(), path)
+		s.mu.Unlock()
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := os.Rename(tmp.Name(), s.path(j.ID)); err != nil {
+	if err != nil {
 		os.Remove(tmp.Name())
-		return fmt.Errorf("jobstore: %q: %w", j.ID, err)
+		return fmt.Errorf("jobstore: %q: %w", filepath.Base(path), err)
 	}
 	return nil
 }
@@ -173,4 +240,76 @@ func (s *DiskJobStore) Delete(id string) error {
 		return fmt.Errorf("jobstore: %q: %w", id, err)
 	}
 	return nil
+}
+
+// payloadPath maps a content hash to its file. Hashes reach here from
+// records read off disk, so anything but plain hex — a path separator, a
+// dot — is refused rather than joined into a path.
+func (s *DiskJobStore) payloadPath(hash string) (string, error) {
+	if hash == "" {
+		return "", fmt.Errorf("jobstore: empty payload hash")
+	}
+	for i := 0; i < len(hash); i++ {
+		if c := hash[i]; !('0' <= c && c <= '9' || 'a' <= c && c <= 'f') {
+			return "", fmt.Errorf("jobstore: bad payload hash %q", hash)
+		}
+	}
+	return filepath.Join(s.dir, payloadDir, hash), nil
+}
+
+// PutPayload implements JobStore.
+func (s *DiskJobStore) PutPayload(hash string, data []byte) error {
+	path, err := s.payloadPath(hash)
+	if err != nil {
+		return err
+	}
+	return s.writeFile(path, func(f *os.File) error {
+		_, err := f.Write(data)
+		return err
+	})
+}
+
+// OpenPayload implements JobStore.
+func (s *DiskJobStore) OpenPayload(hash string) (io.ReadCloser, int64, error) {
+	path, err := s.payloadPath(hash)
+	if err != nil {
+		return nil, 0, err
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, 0, fmt.Errorf("jobstore: payload: %w", err)
+	}
+	fi, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, 0, fmt.Errorf("jobstore: payload: %w", err)
+	}
+	return f, fi.Size(), nil
+}
+
+// DeletePayload implements JobStore.
+func (s *DiskJobStore) DeletePayload(hash string) error {
+	path, err := s.payloadPath(hash)
+	if err != nil {
+		return err
+	}
+	if err := os.Remove(path); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return fmt.Errorf("jobstore: payload: %w", err)
+	}
+	return nil
+}
+
+// Payloads implements JobStore.
+func (s *DiskJobStore) Payloads() (map[string]int64, error) {
+	entries, err := os.ReadDir(filepath.Join(s.dir, payloadDir))
+	if err != nil {
+		return nil, fmt.Errorf("jobstore: %w", err)
+	}
+	out := make(map[string]int64, len(entries))
+	for _, e := range entries {
+		if fi, err := e.Info(); err == nil && fi.Mode().IsRegular() {
+			out[e.Name()] = fi.Size()
+		}
+	}
+	return out, nil
 }

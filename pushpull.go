@@ -69,6 +69,10 @@ type Report struct {
 	// Counters holds the aggregated event counts of an instrumented run
 	// (WithProbes); nil otherwise.
 	Counters *CounterReport
+
+	// memo is the Engine result-cache entry's slot for a derived payload
+	// encoding (see Encoding); nil on every report that is not a cache hit.
+	memo *encodingMemo
 }
 
 // Ranks returns the payload as a float vector (pr ranks, bc scores,

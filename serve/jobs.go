@@ -119,7 +119,7 @@ func (s *Server) jobStatus(w http.ResponseWriter, r *http.Request) {
 		writeError(w, jobStatusFor(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, j.StatusView())
+	writeJSON(w, http.StatusOK, j)
 }
 
 func (s *Server) jobResult(w http.ResponseWriter, r *http.Request) {
@@ -130,15 +130,19 @@ func (s *Server) jobResult(w http.ResponseWriter, r *http.Request) {
 	}
 	switch j.State {
 	case jobs.StateDone:
-		// The stored bytes are already a marshaled api.RunResponse.
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusOK)
-		w.Write(j.Result)
-		w.Write([]byte("\n"))
+		// The stored document is already an encoded api.RunResponse: the
+		// job's head, then the payload streamed from the job store.
+		body, err := s.jobs.OpenResult(j.ID)
+		if err != nil {
+			writeError(w, jobStatusFor(err), err)
+			return
+		}
+		defer body.Close()
+		writeBody(w, body.Size, func() { body.WriteTo(w) })
 	case jobs.StateQueued, jobs.StateRunning:
 		// Not ready: 202 with the status view so pollers can hit this
 		// endpoint alone and branch on the code.
-		writeJSON(w, http.StatusAccepted, j.StatusView())
+		writeJSON(w, http.StatusAccepted, j)
 	case jobs.StateFailed:
 		if j.Error == jobs.ErrDeadlineExceeded.Error() {
 			writeError(w, http.StatusGatewayTimeout, fmt.Errorf("job %q: %s", j.ID, j.Error))
@@ -156,7 +160,7 @@ func (s *Server) cancelJob(w http.ResponseWriter, r *http.Request) {
 		writeError(w, jobStatusFor(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, j.StatusView())
+	writeJSON(w, http.StatusOK, j)
 }
 
 // jobStatusFor maps manager errors onto HTTP statuses.

@@ -224,12 +224,17 @@ type ShardStats struct {
 // depth × its mean historical queue wait) — the same number 429
 // responses send as Retry-After, rounded up to seconds there.
 type EngineStats struct {
-	CacheHits    uint64       `json:"cache_hits"`
-	CacheMisses  uint64       `json:"cache_misses"`
-	Uncacheable  uint64       `json:"uncacheable"`
-	Coalesced    uint64       `json:"coalesced"`
-	CacheExpired uint64       `json:"cache_expired"`
-	CacheEntries int          `json:"cache_entries"`
+	CacheHits    uint64 `json:"cache_hits"`
+	CacheMisses  uint64 `json:"cache_misses"`
+	Uncacheable  uint64 `json:"uncacheable"`
+	Coalesced    uint64 `json:"coalesced"`
+	CacheExpired uint64 `json:"cache_expired"`
+	CacheEntries int    `json:"cache_entries"`
+	// EncodedHits counts replies (POST /run hits and job results) whose
+	// payload encoding came off a cache entry instead of being formatted;
+	// EncodedBytes is what those memoized encodings hold right now.
+	EncodedHits  uint64       `json:"encoded_hits"`
+	EncodedBytes int64        `json:"encoded_bytes"`
 	QueuedRuns   uint64       `json:"queued_runs"`
 	QueueWaitNS  int64        `json:"queue_wait_ns"`
 	Waiting      int64        `json:"waiting"`
@@ -237,7 +242,8 @@ type EngineStats struct {
 	Rejected     uint64       `json:"rejected"`
 	Graphs       int          `json:"graphs"`
 	Shards       []ShardStats `json:"shards"`
-	// Jobs is the async job census, present when a job manager is wired.
+	// Jobs is the async job census and retention bookkeeping, present
+	// when a job manager is wired.
 	Jobs *jobs.Stats `json:"jobs,omitempty"`
 }
 
@@ -434,7 +440,14 @@ func (s *Server) run(w http.ResponseWriter, r *http.Request) {
 		writeError(w, statusFor(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, api.BuildResponse(req.Graph, rep))
+	// On an engine hit the tail — the payload, nearly all of the reply —
+	// is the cache entry's memoized encoding: nothing is formatted, the
+	// bytes are only written.
+	reply := api.Encode(req.Graph, rep)
+	writeBody(w, int64(reply.Len()), func() {
+		w.Write(reply.Head)
+		w.Write(reply.Tail.Bytes)
+	})
 }
 
 func (s *Server) stats(w http.ResponseWriter, r *http.Request) {
@@ -446,6 +459,8 @@ func (s *Server) stats(w http.ResponseWriter, r *http.Request) {
 		Coalesced:    es.Coalesced,
 		CacheExpired: es.Expired,
 		CacheEntries: es.CacheEntries,
+		EncodedHits:  es.EncodingHits,
+		EncodedBytes: es.EncodingBytes,
 		QueuedRuns:   es.QueuedRuns,
 		QueueWaitNS:  int64(es.QueueWait),
 		Waiting:      es.Waiting,
@@ -542,6 +557,22 @@ func writeJSON(w http.ResponseWriter, status int, body any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	w.Write(buf)
+	w.Write([]byte("\n"))
+}
+
+// writeBody sends a 200 JSON document of a known length that write
+// produces in pieces, plus the newline every reply ends with. Declaring
+// the length keeps a multi-megabyte reply out of chunked encoding and
+// lets a relaying router, and the client, tell a complete body from one
+// cut short. The newline is written on its own, last: one byte stays in
+// the ResponseWriter's buffer until net/http flushes it after the handler
+// has returned, so a reply is never complete on the wire while the
+// server is still accounting for it.
+func writeBody(w http.ResponseWriter, size int64, write func()) {
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.FormatInt(size+1, 10))
+	w.WriteHeader(http.StatusOK)
+	write()
 	w.Write([]byte("\n"))
 }
 
