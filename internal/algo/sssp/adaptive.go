@@ -1,7 +1,6 @@
 package sssp
 
 import (
-	"math"
 	"time"
 
 	"pushpull/internal/atomicx"
@@ -14,9 +13,10 @@ import (
 // Adaptive runs Δ-stepping with per-inner-iteration direction switching —
 // the traversal push↔pull switching the paper credits with the highest
 // performance (§7.2, after Beamer [4] and Chakaravarthy [17]): relax the
-// current bucket by pushing while it is small, and switch to pulling when
-// the bucket's edge work approaches the scan cost of the unsettled
-// vertices, exactly the direction-optimizing trade-off of §4.4.
+// current bucket by pushing while that is the cheaper side of the
+// direction-optimizing trade-off of §4.4, and by pulling once the edges a
+// pull round would read are few enough against the edges the bucket would
+// push along.
 //
 // The result matches Push, Pull and Dijkstra; Result.Dirs records the
 // direction chosen for every inner iteration.
@@ -29,42 +29,31 @@ type AdaptiveResult struct {
 func Adaptive(g *graph.CSR, opt Options) *AdaptiveResult {
 	n := g.N()
 	res := &AdaptiveResult{Result: &Result{Dist: make([]float64, n)}}
-	for i := range res.Dist {
-		res.Dist[i] = math.Inf(1)
-	}
 	if n == 0 {
 		return res
 	}
-	delta := resolveDelta(g, opt.Delta)
 	t := sched.Clamp(opt.Threads, n)
 	h := frontier.DefaultSwitch()
+	res.Stats.Reserve(64)
+	res.Dirs = make([]core.Direction, 0, 64)
 
-	distBits := make([]uint64, n)
-	inf := math.Float64bits(math.Inf(1))
-	for i := range distBits {
-		distBits[i] = inf
-	}
-	atomicx.StoreFloat64(&distBits[opt.Source], 0)
+	// The pull rounds and their scratch belong to the run. Their bucket
+	// bounds serve the push rounds too, so that both directions agree on
+	// the bucket a distance is in.
+	p := newPullRounds(g, opt.Source, resolveDelta(g, opt.Delta), t)
+	p.later = frontier.NewBitmap(n)
+	var lowered frontier.Sparse // what a pull round's bitmaps are read out into
 
 	buckets := [][]graph.V{{opt.Source}}
 	inRound := frontier.NewBitmap(n)
-	perThread := make([][]bucketInsert, t)
-	ensure := func(b int) {
-		for len(buckets) <= b {
+	perThread := make([][]graph.V, t)
+	// enqueue files v under the later bucket its distance is in.
+	enqueue := func(v graph.V) {
+		nb := p.bucketOf(atomicx.LoadFloat64(&p.dist[v]))
+		for len(buckets) <= nb {
 			buckets = append(buckets, nil)
 		}
-	}
-	// unsettled estimates the pull-side scan cost: vertices not yet below
-	// the current bucket boundary.
-	countUnsettled := func(b int) int64 {
-		var c int64
-		bound := float64(b) * delta
-		for v := 0; v < n; v++ {
-			if atomicx.LoadFloat64(&distBits[v]) > bound {
-				c++
-			}
-		}
-		return c
+		buckets[nb] = append(buckets[nb], v)
 	}
 
 	for b := 0; b < len(buckets); b++ {
@@ -74,47 +63,47 @@ func Adaptive(g *graph.CSR, opt Options) *AdaptiveResult {
 			continue
 		}
 		res.Epochs++
-		for itr := 0; len(cur) > 0; itr++ {
+		p.setBucket(b)
+		for len(cur) > 0 {
 			if opt.Canceled() {
 				res.Stats.Canceled = true
 				break
 			}
 			start := time.Now()
 			res.Inner++
-			// Direction decision: push relaxes only the bucket's edges;
-			// pull rescans every unsettled vertex's edges. Pull pays off
-			// only when the bucket already covers a large share of the
-			// remaining work.
-			bucketEdges := int64(0)
-			for _, v := range cur {
-				bucketEdges += g.Degree(v)
+			// Direction decision, on what each side would touch: a push
+			// round relaxes the bucket's out-edges with an atomic minimum
+			// each; a pull round reads the in-edges of the unsettled rows
+			// those out-edges lead to (every row's, at most all m, when the
+			// bucket is large enough to skip marking them), without
+			// atomics. Below n/β vertices the bucket is pushed unasked: a
+			// pull round's fixed cost — n/64 words per phase and worker,
+			// two more fork-joins — is already more than pushing it.
+			usePull := false
+			if int64(len(cur))*h.Beta >= int64(n) {
+				activeEdges := p.setActive(cur)
+				rowEdges := g.M()
+				if dense := p.markRows(activeEdges); !dense {
+					rowEdges = p.rowEdges()
+				}
+				usePull = h.UsePull(activeEdges, rowEdges, len(cur), n)
 			}
-			unsettled := countUnsettled(b)
-			usePull := h.UsePull(bucketEdges, unsettled*int64(g.AvgDegree()*2+1), len(cur), n)
 			if usePull {
 				res.Dirs = append(res.Dirs, core.Pull)
-				improved := adaptivePullRound(g, distBits, delta, b, cur, t)
-				// Route improvements exactly like the push merge: bucket-b
-				// reentrants continue the epoch, later buckets are queued.
-				inRound.Clear()
-				cur = cur[:0:0]
-				for _, v := range improved {
-					nb := int(atomicx.LoadFloat64(&distBits[v]) / delta)
-					if nb < b {
-						continue
-					}
-					if nb == b {
-						if inRound.Set(v) {
-							cur = append(cur, v)
-						}
-						continue
-					}
-					ensure(nb)
-					buckets[nb] = append(buckets[nb], v)
+				p.relaxRows()
+				// Route improvements exactly like the push merge: what
+				// landed in bucket b (the active set relaxRows leaves
+				// behind) continues the epoch, later buckets are queued.
+				p.active.ToSparse(&lowered)
+				cur = append(cur[:0], lowered.Vertices()...)
+				p.later.ToSparse(&lowered)
+				p.later.Clear()
+				for _, v := range lowered.Vertices() {
+					enqueue(v)
 				}
 			} else {
 				res.Dirs = append(res.Dirs, core.Push)
-				cur = adaptivePushRound(g, distBits, delta, b, cur, t, perThread, inRound, &buckets, ensure)
+				cur = adaptivePushRound(p, cur, perThread, inRound, enqueue)
 			}
 			el := time.Since(start)
 			res.Stats.Record(el)
@@ -124,31 +113,38 @@ func Adaptive(g *graph.CSR, opt Options) *AdaptiveResult {
 			break
 		}
 	}
-	for i := range res.Dist {
-		res.Dist[i] = atomicx.LoadFloat64(&distBits[i])
-	}
+	p.distances(res.Dist)
 	return res
 }
 
-// bucketInsert records a relaxed vertex and its destination bucket.
-type bucketInsert struct {
-	b int
-	v graph.V
+// setActive makes the vertices of vs that are still in the current bucket
+// the active set and returns their out-edge work. A bucket list holds a
+// vertex under every bucket it was ever lowered into; the entries it has
+// left behind for an earlier bucket are dropped here.
+func (p *pullRounds) setActive(vs []graph.V) int64 {
+	p.active.Clear()
+	var edges int64
+	for _, v := range vs {
+		if atomicx.LoadFloat64(&p.dist[v]) >= p.lo && !p.active.Get(v) {
+			p.active.SetSeq(v)
+			edges += p.g.Degree(v)
+		}
+	}
+	return edges
 }
 
 // adaptivePushRound relaxes the bucket's out-edges with atomic minima and
 // returns the refreshed current-bucket list.
-func adaptivePushRound(g *graph.CSR, distBits []uint64, delta float64, b int,
-	cur []graph.V, t int, perThread [][]bucketInsert, inRound *frontier.Bitmap,
-	buckets *[][]graph.V, ensure func(int)) []graph.V {
+func adaptivePushRound(p *pullRounds, cur []graph.V, perThread [][]graph.V,
+	inRound *frontier.Bitmap, enqueue func(graph.V)) []graph.V {
 
-	bucketOf := func(d float64) int { return int(d / delta) }
-	sched.ParallelFor(len(cur), t, sched.Static, 0, func(w, lo, hi int) {
+	g, distBits := p.g, p.dist
+	sched.ParallelFor(len(cur), p.t, sched.Static, 0, func(w, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			v := cur[i]
 			dv := atomicx.LoadFloat64(&distBits[v])
-			if bucketOf(dv) != b {
-				continue
+			if dv < p.lo {
+				continue // stale entry: v moved to an earlier bucket
 			}
 			ws := g.NeighborWeights(v)
 			for j, u := range g.Neighbors(v) {
@@ -156,85 +152,26 @@ func adaptivePushRound(g *graph.CSR, distBits []uint64, delta float64, b int,
 				if ws != nil {
 					we = float64(ws[j])
 				}
-				nd := dv + we
-				if lowered, _ := atomicx.MinFloat64(&distBits[u], nd); lowered {
-					perThread[w] = append(perThread[w], bucketInsert{bucketOf(nd), u})
+				if lowered, _ := atomicx.MinFloat64(&distBits[u], dv+we); lowered {
+					perThread[w] = append(perThread[w], u)
 				}
 			}
 		}
 	})
+	// Deterministic merge of the per-thread buffers, on each vertex's
+	// final distance: a later relaxation may have lowered it further.
+	// Nothing lands below bucket b, whose members are the only sources.
 	inRound.Clear()
 	next := cur[:0:0]
-	for w := 0; w < t; w++ {
-		for _, in := range perThread[w] {
-			nb := bucketOf(atomicx.LoadFloat64(&distBits[in.v]))
-			if nb < b {
-				continue
+	for w := range perThread {
+		for _, v := range perThread[w] {
+			if atomicx.LoadFloat64(&distBits[v]) >= p.hi {
+				enqueue(v)
+			} else if inRound.Set(v) {
+				next = append(next, v)
 			}
-			if nb == b {
-				if inRound.Set(in.v) {
-					next = append(next, in.v)
-				}
-				continue
-			}
-			ensure(nb)
-			(*buckets)[nb] = append((*buckets)[nb], in.v)
 		}
 		perThread[w] = perThread[w][:0]
 	}
 	return next
-}
-
-// adaptivePullRound relaxes by scanning unsettled vertices for bucket
-// members (no write conflicts) and returns every vertex whose distance
-// improved, regardless of which bucket it landed in.
-func adaptivePullRound(g *graph.CSR, distBits []uint64, delta float64, b int,
-	cur []graph.V, t int) []graph.V {
-
-	n := g.N()
-	bucketOf := func(d float64) int {
-		if math.IsInf(d, 1) {
-			return math.MaxInt32
-		}
-		return int(d / delta)
-	}
-	member := frontier.NewBitmap(n)
-	for _, v := range cur {
-		member.SetSeq(v)
-	}
-	out := frontier.NewPerThread(t)
-	sched.ParallelFor(n, t, sched.Static, 0, func(w, lo, hi int) {
-		for vi := lo; vi < hi; vi++ {
-			v := graph.V(vi)
-			dv := atomicx.LoadFloat64(&distBits[v])
-			if dv <= float64(b)*delta {
-				continue
-			}
-			ws := g.NeighborWeights(v)
-			best := dv
-			for j, u := range g.Neighbors(v) {
-				if !member.Get(u) {
-					continue
-				}
-				du := atomicx.LoadFloat64(&distBits[u])
-				if bucketOf(du) != b {
-					continue
-				}
-				we := 1.0
-				if ws != nil {
-					we = float64(ws[j])
-				}
-				if nd := du + we; nd < best {
-					best = nd
-				}
-			}
-			if best < dv {
-				atomicx.StoreFloat64(&distBits[v], best)
-				out.Add(w, v)
-			}
-		}
-	})
-	var merged frontier.Sparse
-	out.Merge(&merged)
-	return append([]graph.V(nil), merged.Vertices()...)
 }

@@ -6,9 +6,14 @@
 // relaxed repeatedly until it stops changing. In the push variant a bucket
 // vertex relaxes its out-edges — concurrent distance lowering on shared
 // vertices, an atomic min (CAS loop) per improvement. In the pull variant
-// every unsettled vertex scans for neighbors in the current bucket and
-// relaxes itself privately — no write conflicts, but each inner iteration
-// rescans all unsettled vertices, the O((L/Δ)·m·l_Δ) reads of §4.4.
+// a vertex relaxes itself privately against its neighbors in the bucket —
+// no write conflicts. §4.4 prices that at O((L/Δ)·m·l_Δ) reads because
+// its pull rescans every unsettled vertex in every inner iteration; here
+// an inner iteration first scatters the vertices that can still lower
+// anything (the bucket's members, then whatever the previous iteration
+// lowered into it) into a bitmap of destination rows, and reads only those
+// rows, so the l_Δ rescans of an epoch shrink to the rows its frontier
+// touches (pullRounds).
 package sssp
 
 import (
@@ -218,130 +223,6 @@ func Push(g *graph.CSR, opt Options) *Result {
 		if res.Stats.Canceled {
 			break
 		}
-	}
-	for i := range res.Dist {
-		res.Dist[i] = atomicx.LoadFloat64(&distBits[i])
-	}
-	return res
-}
-
-// Pull runs pull-based Δ-stepping: each unsettled vertex scans for current-
-// bucket neighbors and relaxes itself. Distances live in a bit array
-// accessed with plain atomic loads/stores — memory fences only, not the
-// read-modify-write atomics pushing needs — so cross-partition reads of a
-// neighbor's in-flight distance are well-defined while the owner remains
-// the sole writer of its vertex, the pull invariant of §3.8.
-func Pull(g *graph.CSR, opt Options) *Result {
-	n := g.N()
-	res := &Result{Dist: make([]float64, n)}
-	res.Stats.Direction = core.Pull
-	if n == 0 {
-		return res
-	}
-	delta := resolveDelta(g, opt.Delta)
-	t := sched.Clamp(opt.Threads, n)
-	distBits := make([]uint64, n)
-	inf := math.Float64bits(math.Inf(1))
-	for i := range distBits {
-		distBits[i] = inf
-	}
-	atomicx.StoreFloat64(&distBits[opt.Source], 0)
-
-	bucketOf := func(d float64) int {
-		if math.IsInf(d, 1) {
-			return math.MaxInt32
-		}
-		return int(d / delta)
-	}
-	activeCur := make([]bool, n)
-	activeNext := make([]bool, n)
-	changed := make([]bool, t)
-
-	// The relax body is hoisted out of the epoch loops so the steady state
-	// does not allocate a closure per round; b, itr and the active arrays
-	// are captured by reference, so each round's updates stay visible.
-	b := 0
-	var itr int
-	relax := func(w, lo, hi int) {
-		for vi := lo; vi < hi; vi++ {
-			v := graph.V(vi)
-			dv := atomicx.LoadFloat64(&distBits[v])
-			if dv <= float64(b)*delta {
-				continue // settled for this epoch
-			}
-			ws := g.NeighborWeights(v)
-			best := dv
-			for j, u := range g.Neighbors(v) {
-				du := atomicx.LoadFloat64(&distBits[u])
-				if bucketOf(du) != b {
-					continue
-				}
-				if itr > 0 && !activeCur[u] {
-					continue
-				}
-				we := 1.0
-				if ws != nil {
-					we = float64(ws[j])
-				}
-				if nd := du + we; nd < best {
-					best = nd
-				}
-			}
-			if best < dv {
-				// Owner-only write: a store, not a CAS.
-				atomicx.StoreFloat64(&distBits[v], best)
-				if bucketOf(best) == b {
-					activeNext[v] = true
-					changed[w] = true
-				}
-			}
-		}
-	}
-
-	for !res.Stats.Canceled {
-		res.Epochs++
-		for itr = 0; ; itr++ {
-			if opt.Canceled() {
-				res.Stats.Canceled = true
-				break
-			}
-			start := time.Now()
-			res.Inner++
-			for i := range changed {
-				changed[i] = false
-			}
-			sched.ParallelFor(n, t, sched.Static, 0, relax)
-			activeCur, activeNext = activeNext, activeCur
-			for i := range activeNext {
-				activeNext[i] = false
-			}
-			el := time.Since(start)
-			res.Stats.Record(el)
-			opt.Tick(res.Inner-1, el)
-			any := false
-			for _, c := range changed {
-				any = any || c
-			}
-			if !any {
-				break
-			}
-		}
-		// Advance to the next non-empty bucket.
-		next := math.MaxInt32
-		for v := 0; v < n; v++ {
-			if nb := bucketOf(atomicx.LoadFloat64(&distBits[v])); nb > b && nb < next {
-				next = nb
-			}
-		}
-		if next == math.MaxInt32 {
-			break
-		}
-		// Vertices already in bucket `next` are the epoch's initial
-		// members; itr==0 treats them all as active.
-		for i := range activeCur {
-			activeCur[i] = false
-		}
-		b = next
 	}
 	for i := range res.Dist {
 		res.Dist[i] = atomicx.LoadFloat64(&distBits[i])

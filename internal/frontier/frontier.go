@@ -194,6 +194,27 @@ func (b *Bitmap) BlockSummary(dst []uint64, blockVerts int) {
 	}
 }
 
+// MergeWords overwrites words [lo, hi) of b with the OR of the same words
+// of every src and zeroes them in the sources — the reduction that turns
+// per-worker private bitmaps into one shared bitmap without an atomic OR:
+// callers split [0, len(Words())) among workers, so each word of b and of
+// the sources is touched by exactly one of them, and the sources come out
+// empty for the next round. Zero source words (nearly all of them under a
+// sparse frontier) cost a load and a compare.
+func (b *Bitmap) MergeWords(srcs []*Bitmap, lo, hi int) {
+	dst := b.words[lo:hi]
+	clear(dst)
+	for _, s := range srcs {
+		src := s.words[lo:hi]
+		for i, w := range src {
+			if w != 0 {
+				dst[i] |= w
+				src[i] = 0
+			}
+		}
+	}
+}
+
 // Count returns the number of set bits, scanning words not vertices.
 func (b *Bitmap) Count() int {
 	c := 0

@@ -248,6 +248,53 @@ func TestBitmapToSparseDenseOddLength(t *testing.T) {
 	}
 }
 
+// MergeWords is the OR of the sources over exactly the given word range:
+// whatever the destination held there is overwritten, the sources come
+// out empty there, and nothing outside the range moves — including across
+// the partial last word.
+func TestBitmapMergeWords(t *testing.T) {
+	for _, n := range []int{1, 63, 64, 65, 300} {
+		srcs := []*Bitmap{NewBitmap(n), NewBitmap(n), NewBitmap(n)}
+		want := NewBitmap(n)
+		dst := NewBitmap(n)
+		dst.Fill() // stale content the merge must overwrite
+		for v := 0; v < n; v++ {
+			if v%3 == 0 || v == n-1 {
+				srcs[v%len(srcs)].SetSeq(graph.V(v))
+				srcs[(v+1)%len(srcs)].SetSeq(graph.V(v)) // marked by two workers
+				want.SetSeq(graph.V(v))
+			}
+		}
+		full := NewBitmap(n)
+		full.Fill()
+		nw := len(dst.Words())
+		mid := nw / 2
+		dst.MergeWords(srcs, 0, mid)
+		for wi := mid; wi < nw; wi++ {
+			if dst.Words()[wi] != full.Words()[wi] {
+				t.Fatalf("n=%d: word %d outside the merged range changed", n, wi)
+			}
+			if srcs[0].Words()[wi]|srcs[1].Words()[wi]|srcs[2].Words()[wi] != want.Words()[wi] {
+				t.Fatalf("n=%d: source word %d outside the merged range was drained", n, wi)
+			}
+		}
+		dst.MergeWords(srcs, mid, nw)
+		for wi, w := range dst.Words() {
+			if w != want.Words()[wi] {
+				t.Fatalf("n=%d: merged word %d = %#x, want %#x", n, wi, w, want.Words()[wi])
+			}
+		}
+		if dst.Count() != want.Count() {
+			t.Fatalf("n=%d: merged count %d, want %d", n, dst.Count(), want.Count())
+		}
+		for i, s := range srcs {
+			if s.Count() != 0 {
+				t.Fatalf("n=%d: source %d not drained", n, i)
+			}
+		}
+	}
+}
+
 func TestSwitchHeuristic(t *testing.T) {
 	h := DefaultSwitch()
 	// Tiny frontier over a huge graph: stay top-down (push).
