@@ -282,6 +282,7 @@ func serveEngine(args []string, scale float64, seed uint64) {
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address")
 	workers := fs.Int("workers", 0, "worker-pool size per shard (0 = GOMAXPROCS)")
 	cache := fs.Int("cache", pushpull.DefaultCacheCapacity, "result-cache capacity in entries (0 disables)")
+	cacheBytes := fs.Int64("cache-bytes", pushpull.DefaultCacheBytes, "result-cache byte budget: cached payloads plus their memoized encodings; the least recently used results are evicted to stay under it (0 = no byte bound, -cache alone governs)")
 	cacheTTL := fs.Duration("cache-ttl", 0, "result-cache entry lifetime, e.g. 30s, 5m (0 = no expiry)")
 	shards := fs.Int("shards", 1, "shard executors: graphs are partitioned across independent admission queues")
 	store := fs.String("store", "", "persist uploaded graphs to this directory (restored on restart)")
@@ -294,7 +295,7 @@ func serveEngine(args []string, scale float64, seed uint64) {
 	jobsTTL := fs.Duration("jobs-ttl", jobs.DefaultTTL, "how long a finished job is kept before it is collected, e.g. 10m, 24h")
 	fs.Parse(args)
 	if fs.NArg() > 0 {
-		fmt.Fprintf(os.Stderr, "usage: pushpull [flags] serve [-addr host:port] [-workers n] [-cache n] [-cache-ttl d] [-shards n] [-max-queue n] [-max-upload bytes] [-jobs-parallel n] [-jobs-keep n] [-jobs-ttl d] [-store dir] [-max-memory bytes] [-graphs ids]\n")
+		fmt.Fprintf(os.Stderr, "usage: pushpull [flags] serve [-addr host:port] [-workers n] [-cache n] [-cache-bytes n] [-cache-ttl d] [-shards n] [-max-queue n] [-max-upload bytes] [-jobs-parallel n] [-jobs-keep n] [-jobs-ttl d] [-store dir] [-max-memory bytes] [-graphs ids]\n")
 		os.Exit(2)
 	}
 	// Negative values would otherwise silently mean "unbounded" or
@@ -308,6 +309,9 @@ func serveEngine(args []string, scale float64, seed uint64) {
 	}
 	if *cache < 0 {
 		badFlag("cache", "0 disables the result cache")
+	}
+	if *cacheBytes < 0 {
+		badFlag("cache-bytes", "0 means no byte bound on the result cache")
 	}
 	if *cacheTTL < 0 {
 		badFlag("cache-ttl", "0 means cached results never expire")
@@ -339,8 +343,14 @@ func serveEngine(args []string, scale float64, seed uint64) {
 		fmt.Fprintf(os.Stderr, "pushpull: serve: -cache-ttl %v has no effect with -cache 0 (the result cache is disabled)\n", *cacheTTL)
 		os.Exit(2)
 	}
+	fs.Visit(func(f *flag.Flag) {
+		if f.Name == "cache-bytes" && *cache == 0 {
+			fmt.Fprintf(os.Stderr, "pushpull: serve: -cache-bytes %d has no effect with -cache 0 (the result cache is disabled)\n", *cacheBytes)
+			os.Exit(2)
+		}
+	})
 
-	engOpts := []pushpull.EngineOption{pushpull.WithResultCache(*cache)}
+	engOpts := []pushpull.EngineOption{pushpull.WithResultCache(*cache), pushpull.WithResultCacheBytes(*cacheBytes)}
 	if *workers > 0 {
 		engOpts = append(engOpts, pushpull.WithWorkers(*workers))
 	}
@@ -442,8 +452,8 @@ func serveEngine(args []string, scale float64, seed uint64) {
 	if effShards < 1 {
 		effShards = 1
 	}
-	fmt.Printf("serving %d algorithms on http://%s (shards=%d workers/shard=%d cache=%d ttl=%v store=%q)\n",
-		len(pushpull.Algorithms()), *addr, effShards, effWorkers, *cache, *cacheTTL, *store)
+	fmt.Printf("serving %d algorithms on http://%s (shards=%d workers/shard=%d cache=%d cache-bytes=%d ttl=%v store=%q)\n",
+		len(pushpull.Algorithms()), *addr, effShards, effWorkers, *cache, *cacheBytes, *cacheTTL, *store)
 	select {
 	case err := <-errc:
 		fmt.Fprintf(os.Stderr, "pushpull: serve: %v\n", err)

@@ -15,10 +15,11 @@ package pushpull
 //     onto the one run already executing (followers report
 //     Stats.Coalesced and run nothing), and
 //   - an LRU result cache keyed on (stable Workload content identity,
-//     algorithm name, canonical options fingerprint), with optional
-//     per-entry TTL (WithCacheTTL) and explicit invalidation wired to
-//     graph mutation: re-registering a name with different content drops
-//     the replaced graph's cached results.
+//     algorithm name, canonical options fingerprint), bounded by the bytes
+//     its entries hold (WithResultCacheBytes) and by their number
+//     (WithResultCache), with optional per-entry TTL (WithCacheTTL) and
+//     explicit invalidation wired to graph mutation: re-registering a name
+//     with different content drops the replaced graph's cached results.
 //
 // A GraphStore attached with AttachStore makes the name→Workload registry
 // durable: registrations write through, deletions propagate, and a fresh
@@ -54,6 +55,12 @@ import (
 // DefaultCacheCapacity is the result-cache size (entries) of NewEngine
 // when WithResultCache does not override it.
 const DefaultCacheCapacity = 128
+
+// DefaultCacheBytes is the result-cache byte budget of NewEngine when
+// WithResultCacheBytes does not override it. It is what makes the cache's
+// footprint a property of the configuration: an entry cap alone holds
+// capacity × (whatever the results weigh), so faster kernels retain more.
+const DefaultCacheBytes = 64 << 20
 
 // Engine is a long-lived run scheduler: sharded bounded worker pools,
 // single-flight deduplication, an LRU result cache, and a (optionally
@@ -93,6 +100,7 @@ type EngineOption func(*engineConfig)
 type engineConfig struct {
 	workers      int
 	cacheCap     int
+	cacheBytes   int64
 	cacheTTL     time.Duration
 	shards       int
 	queueLimit   int
@@ -110,9 +118,23 @@ func WithWorkers(n int) EngineOption {
 
 // WithResultCache sets the LRU result-cache capacity in entries;
 // capacity ≤ 0 disables result caching entirely. NewEngine's default is
-// DefaultCacheCapacity.
+// DefaultCacheCapacity. The entry cap is the secondary bound: the byte
+// budget of WithResultCacheBytes usually evicts first.
 func WithResultCache(capacity int) EngineOption {
 	return func(c *engineConfig) { c.cacheCap = capacity }
+}
+
+// WithResultCacheBytes sets the result cache's byte budget. Every entry is
+// charged the slice bytes of its payload when it is stored, plus the bytes
+// of its memoized encoding at the moment Report.Encoding fills that slot;
+// whenever the total exceeds the budget, entries are evicted from the
+// least-recently-used end. The most-recently-used entry is never the
+// victim, so a single result larger than the whole budget is still served
+// hot and the overshoot is bounded to that one entry. n ≤ 0 removes the
+// byte bound and leaves the entry cap alone in charge. NewEngine's default
+// is DefaultCacheBytes.
+func WithResultCacheBytes(n int64) EngineOption {
+	return func(c *engineConfig) { c.cacheBytes = n }
 }
 
 // WithCacheTTL bounds the lifetime of each cached result: an entry older
@@ -155,12 +177,14 @@ func WithSingleFlight(enabled bool) EngineOption {
 }
 
 // NewEngine builds an Engine with one shard, a GOMAXPROCS-bounded worker
-// pool, a DefaultCacheCapacity-entry result cache and single-flight
-// deduplication enabled, then applies opts.
+// pool, a result cache of at most DefaultCacheCapacity entries and
+// DefaultCacheBytes bytes, and single-flight deduplication enabled, then
+// applies opts.
 func NewEngine(opts ...EngineOption) *Engine {
 	cfg := engineConfig{
 		workers:      runtime.GOMAXPROCS(0),
 		cacheCap:     DefaultCacheCapacity,
+		cacheBytes:   DefaultCacheBytes,
 		shards:       1,
 		singleFlight: true,
 	}
@@ -174,7 +198,7 @@ func NewEngine(opts ...EngineOption) *Engine {
 		workloads:    map[string]*Workload{},
 	}
 	if cfg.cacheCap > 0 {
-		e.cache = newResultCache(cfg.cacheCap, cfg.cacheTTL)
+		e.cache = newResultCache(cfg.cacheCap, cfg.cacheBytes, cfg.cacheTTL)
 	}
 	return e
 }
@@ -361,18 +385,20 @@ func (e *Encoding) Hash() string {
 // hit that asks, so entries nobody hits retain no bytes; it is dropped
 // with the entry.
 type encodingMemo struct {
-	mu   sync.Mutex // serializes builders; readers go through enc
-	enc  atomic.Pointer[Encoding]
-	hits *atomic.Uint64 // the owning Engine's EncodingHits
+	mu  sync.Mutex // serializes builders; readers go through enc
+	enc atomic.Pointer[Encoding]
+	eng *Engine // the owning Engine: hit counter and byte accounting
+	key string  // the cache key of the entry this slot belongs to
 }
 
 // Encoding returns the serialized form of the report's payload, calling
 // build to produce it. A report served from an Engine's result cache
 // (Stats.CacheHit) keeps the first build on its cache entry — every later
-// hit of that entry gets the same bytes back without encoding anything,
-// and they are released when the entry is evicted, expires or is
-// invalidated. Any other report (a miss, a coalesced copy, an uncached
-// run) has no entry to keep it on: build runs on every call.
+// hit of that entry gets the same bytes back without encoding anything.
+// The entry is charged those bytes against the cache's byte budget
+// (WithResultCacheBytes), and they are released when the entry is evicted,
+// expires or is invalidated. Any other report (a miss, a coalesced copy,
+// an uncached run) has no entry to keep it on: build runs on every call.
 //
 // The slot is single: all callers must pass builds that produce the same
 // bytes for the same payload (the serving stack's one caller is
@@ -382,19 +408,33 @@ func (r *Report) Encoding(build func() []byte) *Encoding {
 	if m == nil {
 		return &Encoding{Bytes: build()}
 	}
-	if enc := m.enc.Load(); enc != nil {
-		m.hits.Add(1)
+	enc, built := m.enc.Load(), false
+	if enc == nil {
+		enc, built = m.fill(build)
+	}
+	if !built {
+		m.eng.encodingHits.Add(1)
 		return enc
 	}
+	// Charged with m.mu already released: neither lock is ever taken while
+	// the other is held. If they ever have to nest, the order is
+	// encodingMemo.mu → cacheMu, never the reverse (cacheMu is held on the
+	// hit path of every request).
+	m.eng.cacheCharge(m, int64(len(enc.Bytes)))
+	return enc
+}
+
+// fill returns the slot's encoding, building it if the slot is empty;
+// built reports whether this call did.
+func (m *encodingMemo) fill(build func() []byte) (enc *Encoding, built bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if enc := m.enc.Load(); enc != nil {
-		m.hits.Add(1)
-		return enc
+		return enc, false
 	}
-	enc := &Encoding{Bytes: build()}
+	enc = &Encoding{Bytes: build()}
 	m.enc.Store(enc)
-	return enc
+	return enc, true
 }
 
 func (e *Engine) cacheGet(key string) (rep *Report, ok, expired bool) {
@@ -404,12 +444,24 @@ func (e *Engine) cacheGet(key string) (rep *Report, ok, expired bool) {
 }
 
 // cachePut stores rep — the cache's own snapshot — with an empty encoding
-// slot (see encodingMemo).
+// slot (see encodingMemo), charged its payload's bytes.
 func (e *Engine) cachePut(key string, rep *Report) {
-	rep.memo = &encodingMemo{hits: &e.encodingHits}
+	rep.memo = &encodingMemo{eng: e, key: key}
+	size := rep.payloadBytes()
 	e.cacheMu.Lock()
 	defer e.cacheMu.Unlock()
-	e.cache.put(key, rep)
+	e.cache.put(key, rep, size)
+}
+
+// cacheCharge adds the n bytes memo m just memoized to its entry's charge.
+// The entry may be gone by now — evicted, expired, invalidated, or
+// overwritten by a newer run of the same key, which has its own memo —
+// and then there is nothing to charge: the bytes die with the reports
+// that still reference m.
+func (e *Engine) cacheCharge(m *encodingMemo, n int64) {
+	e.cacheMu.Lock()
+	defer e.cacheMu.Unlock()
+	e.cache.chargeEncoding(m, n)
 }
 
 // Invalidate drops every cached result computed on w's content, returning
@@ -474,8 +526,13 @@ type EngineStats struct {
 	// Expired counts cache lookups that found only a TTL-expired entry
 	// (also counted in CacheMisses).
 	Expired uint64
-	// CacheEntries is the current number of cached reports.
+	// CacheEntries is the current number of cached reports. CacheBytes is
+	// what they are charged against CacheBudget (WithResultCacheBytes; 0 =
+	// no byte bound): payload slice bytes plus EncodingBytes. It exceeds
+	// the budget by at most the most-recently-used entry's charge.
 	CacheEntries int
+	CacheBytes   int64
+	CacheBudget  int64
 	// EncodingHits counts Report.Encoding calls answered from a cache
 	// entry's memoized bytes; EncodingBytes is what the live entries'
 	// memos retain right now.
@@ -524,12 +581,9 @@ func (e *Engine) Stats() EngineStats {
 	if e.cache != nil {
 		e.cacheMu.Lock()
 		s.CacheEntries = e.cache.ll.Len()
-		for el := e.cache.ll.Front(); el != nil; el = el.Next() {
-			if enc := el.Value.(*cacheEntry).rep.memo.enc.Load(); enc != nil {
-				s.EncodingBytes += int64(len(enc.Bytes))
-			}
-		}
+		s.CacheBytes, s.EncodingBytes = e.cache.bytes, e.cache.encBytes
 		e.cacheMu.Unlock()
+		s.CacheBudget = e.cache.budget
 	}
 	return s
 }
@@ -672,24 +726,36 @@ func (e *Engine) WorkloadNames() []string {
 
 // ---- LRU result cache ----
 
-// resultCache is a plain LRU over completed Reports with an optional
-// per-entry TTL; the Engine guards it with cacheMu (hits mutate recency,
-// so even reads write).
+// resultCache is an LRU over completed Reports, bounded by an entry cap
+// and a byte budget, with an optional per-entry TTL; the Engine guards it
+// with cacheMu (hits mutate recency, so even reads write).
 type resultCache struct {
 	capacity int
+	budget   int64         // ≤ 0: no byte bound
 	ttl      time.Duration // ≤ 0: entries never expire
 	ll       *list.List    // front = most recently used
 	entries  map[string]*list.Element
+
+	// Running totals over the live entries, maintained by put,
+	// chargeEncoding and remove: bytes is every entry's payload + enc,
+	// encBytes the enc part alone.
+	bytes, encBytes int64
 }
 
 type cacheEntry struct {
 	key    string
 	rep    *Report
 	stored time.Time
+	// What the entry is charged: its payload's slice bytes, fixed at put,
+	// and its memoized encoding's bytes, 0 until chargeEncoding.
+	payload, enc int64
 }
 
-func newResultCache(capacity int, ttl time.Duration) *resultCache {
-	return &resultCache{capacity: capacity, ttl: ttl, ll: list.New(), entries: map[string]*list.Element{}}
+func newResultCache(capacity int, budget int64, ttl time.Duration) *resultCache {
+	if budget < 0 {
+		budget = 0
+	}
+	return &resultCache{capacity: capacity, budget: budget, ttl: ttl, ll: list.New(), entries: map[string]*list.Element{}}
 }
 
 func (c *resultCache) get(key string) (rep *Report, ok, expired bool) {
@@ -706,15 +772,39 @@ func (c *resultCache) get(key string) (rep *Report, ok, expired bool) {
 	return ent.rep, true, false
 }
 
-func (c *resultCache) put(key string, rep *Report) {
+// put stores rep under key, charged payload bytes, as the most recently
+// used entry; a previous entry of the key is released first.
+func (c *resultCache) put(key string, rep *Report, payload int64) {
 	if el, ok := c.entries[key]; ok {
-		ent := el.Value.(*cacheEntry)
-		ent.rep, ent.stored = rep, time.Now()
-		c.ll.MoveToFront(el)
+		c.remove(el)
+	}
+	c.entries[key] = c.ll.PushFront(&cacheEntry{key: key, rep: rep, stored: time.Now(), payload: payload})
+	c.bytes += payload
+	c.evict()
+}
+
+// chargeEncoding charges n bytes to the live entry whose memo is m, if
+// there still is one.
+func (c *resultCache) chargeEncoding(m *encodingMemo, n int64) {
+	el, ok := c.entries[m.key]
+	if !ok {
 		return
 	}
-	c.entries[key] = c.ll.PushFront(&cacheEntry{key: key, rep: rep, stored: time.Now()})
-	for c.ll.Len() > c.capacity {
+	ent := el.Value.(*cacheEntry)
+	if ent.rep.memo != m {
+		return
+	}
+	ent.enc = n
+	c.bytes += n
+	c.encBytes += n
+	c.evict()
+}
+
+// evict drops least-recently-used entries while either bound is exceeded.
+// The front entry is never dropped: a result larger than the budget stays
+// servable, alone.
+func (c *resultCache) evict() {
+	for c.ll.Len() > 1 && (c.ll.Len() > c.capacity || (c.budget > 0 && c.bytes > c.budget)) {
 		c.remove(c.ll.Back())
 	}
 }
@@ -736,6 +826,8 @@ func (c *resultCache) invalidate(prefix string) int {
 }
 
 func (c *resultCache) remove(el *list.Element) {
-	c.ll.Remove(el)
-	delete(c.entries, el.Value.(*cacheEntry).key)
+	ent := c.ll.Remove(el).(*cacheEntry)
+	delete(c.entries, ent.key)
+	c.bytes -= ent.payload + ent.enc
+	c.encBytes -= ent.enc
 }

@@ -30,8 +30,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Pull: every vertex gathers from its neighbors — no synchronization,
-	// but two random reads per edge.
+	// Pull: every vertex gathers its neighbors' contributions — no
+	// synchronization, a random read per edge and more to read overall.
 	pull, err := pushpull.Run(ctx, g, "pr",
 		pushpull.WithDirection(pushpull.Pull), pushpull.WithIterations(20))
 	if err != nil {

@@ -15,28 +15,14 @@ import (
 // becomes sequential segment reads the OS can prefetch — page faults
 // arrive in file order. Only the O(n) vertex state (ranks, degrees,
 // offsets) is resident; the O(m) adjacency streams through per-worker
-// cursors. Results match Pull/PullDirected up to floating-point
-// reassociation, the same ≤1e-9 contract the hub kernels carry.
+// cursors. Like the in-memory kernels it scales once per vertex and
+// gathers one contribution per edge, rows in storage order, so the ranks
+// equal Pull/PullDirected bit for bit.
 
-// contribDegrees returns the per-vertex degree a neighbor's contribution
-// scales by: the out-degree sidecar of a directed file, or the pull-view
-// degree of an undirected one, materialized once so the gather pays a
-// single indexed read per edge instead of re-deriving from offsets.
-func contribDegrees(bg *graph.BlockCSR) []int64 {
-	if bg.OutDeg != nil {
-		return bg.OutDeg
-	}
-	n := bg.N()
-	deg := make([]int64, n)
-	for i := 0; i < n; i++ {
-		deg[i] = bg.Offsets[i+1] - bg.Offsets[i]
-	}
-	return deg
-}
-
-// PullBlocked runs pull PageRank over a block-format graph. Parallelism
-// is over blocks: a static schedule hands each worker a contiguous block
-// range, keeping every worker's I/O sequential within its span.
+// PullBlocked runs pull PageRank over a block-format graph. The gather's
+// parallelism is over blocks: a static schedule hands each worker a
+// contiguous block range, keeping every worker's I/O sequential within its
+// span. The scale pass touches resident state only and splits by vertex.
 func PullBlocked(bg *graph.BlockCSR, opt Options) ([]float64, core.RunStats, error) {
 	opt.defaults()
 	n := bg.N()
@@ -48,18 +34,24 @@ func PullBlocked(bg *graph.BlockCSR, opt Options) ([]float64, core.RunStats, err
 	stats.Reserve(opt.Iterations)
 	numBlocks := bg.NumBlocks()
 	t := sched.Clamp(opt.Threads, numBlocks)
+	tv := sched.Clamp(opt.Threads, n)
 	initRank := 1 / float64(n)
 	for i := range pr {
 		pr[i] = initRank
 	}
 	next := make([]float64, n)
-	deg := contribDegrees(bg)
+	contrib := make([]float64, n)
 	base := (1 - opt.Damping) / float64(n)
-	// Per-worker cursors and error slots, hoisted with the gather body so
+	// Per-worker cursors and error slots, hoisted with the phase bodies so
 	// the steady state allocates nothing (the cursor's fallback buffer
 	// grows to the largest segment once, then is reused every round).
 	curs := make([]graph.BlockCursor, t)
 	errs := make([]error, t)
+	scale := func(w, lo, hi int) {
+		for vi := lo; vi < hi; vi++ {
+			contrib[vi] = contribution(pr[vi], bg.ContribDegree(graph.V(vi)))
+		}
+	}
 	gather := func(w, lo, hi int) {
 		cur := &curs[w]
 		for bi := lo; bi < hi; bi++ {
@@ -74,11 +66,7 @@ func PullBlocked(bg *graph.BlockCSR, opt Options) ([]float64, core.RunStats, err
 			for v := blo; v < bhi; v++ {
 				sum := 0.0
 				for _, u := range cur.Row(v) {
-					du := deg[u]
-					if du == 0 {
-						continue
-					}
-					sum += pr[u] / float64(du)
+					sum += contrib[u]
 				}
 				next[v] = base + opt.Damping*sum
 			}
@@ -90,6 +78,7 @@ func PullBlocked(bg *graph.BlockCSR, opt Options) ([]float64, core.RunStats, err
 			break
 		}
 		start := time.Now()
+		sched.ParallelFor(n, tv, opt.Schedule, 0, scale)
 		sched.ParallelFor(numBlocks, t, opt.Schedule, 0, gather)
 		for _, err := range errs {
 			if err != nil {
@@ -104,11 +93,11 @@ func PullBlocked(bg *graph.BlockCSR, opt Options) ([]float64, core.RunStats, err
 	return pr, stats, nil
 }
 
-// blockArrays models the out-of-core state: the resident offset, degree
-// and rank arrays plus the streamed adjacency and the small block index
-// consulted once per block.
+// blockArrays models the out-of-core state: the resident offset, degree,
+// rank and contribution arrays plus the streamed adjacency and the small
+// block index consulted once per block.
 type blockArrays struct {
-	off, adj, deg, blockOff, pr, next memsim.Array
+	off, adj, deg, blockOff, pr, next, contrib memsim.Array
 }
 
 func modelBlockArrays(bg *graph.BlockCSR, space *memsim.AddressSpace) blockArrays {
@@ -123,15 +112,18 @@ func modelBlockArrays(bg *graph.BlockCSR, space *memsim.AddressSpace) blockArray
 		blockOff: space.NewArray(bg.NumBlocks()+1, 8),
 		pr:       space.NewArray(n, 8),
 		next:     space.NewArray(n, 8),
+		contrib:  space.NewArray(n, 8),
 	}
 }
 
 // PullBlockedProfiled executes blocked pull PageRank deterministically
 // under the probes. The traffic signature it reports is the point of the
 // layout: adjacency reads are sequential within a block segment, and the
-// only random accesses are the O(n)-resident rank and degree arrays —
-// the probe trace shows sequential edge I/O where PullProfiled shows a
-// random off-array walk.
+// only random access is the O(n)-resident contribution vector — the probe
+// trace shows sequential edge I/O where PullProfiled shows a random
+// off-array walk. The scale pass reads the degree a contribution scales
+// by from where ContribDegree finds it: the out-degree sidecar of a
+// directed file, the offset pair otherwise.
 func PullBlockedProfiled(bg *graph.BlockCSR, opt Options, prof core.Profile, space *memsim.AddressSpace) ([]float64, error) {
 	opt.defaults()
 	if err := prof.Validate(); err != nil {
@@ -147,11 +139,27 @@ func PullBlockedProfiled(bg *graph.BlockCSR, opt Options, prof core.Profile, spa
 	for i := range pr {
 		pr[i] = 1 / float64(n)
 	}
-	deg := contribDegrees(bg)
+	contrib := make([]float64, n)
+	degA := a.off
+	if bg.OutDeg != nil {
+		degA = a.deg
+	}
 	base := (1 - opt.Damping) / float64(n)
 	numBlocks := bg.NumBlocks()
 	curs := make([]graph.BlockCursor, prof.Threads)
 	errs := make([]error, prof.Threads)
+	scalePhase := func(w, lo, hi int) {
+		p := prof.Probes[w]
+		p.Exec(regionPullScale)
+		for vi := lo; vi < hi; vi++ {
+			p.Read(a.pr.Addr(int64(vi)), 8)
+			p.Read(degA.Addr(int64(vi)), 8)
+			d := bg.ContribDegree(graph.V(vi))
+			p.Branch(d == 0)
+			contrib[vi] = contribution(pr[vi], d)
+			p.Write(a.contrib.Addr(int64(vi)), 8)
+		}
+	}
 	gatherPhase := func(w, lo, hi int) {
 		p := prof.Probes[w]
 		p.Exec(regionBlockGather)
@@ -173,13 +181,8 @@ func PullBlockedProfiled(bg *graph.BlockCSR, opt Options, prof core.Profile, spa
 				for i, u := range cur.Row(v) {
 					p.Branch(true)
 					p.Read(a.adj.Addr(offs+int64(i)), 4) // sequential within the segment
-					p.Read(a.pr.Addr(int64(u)), 8)       // R: random rank read
-					p.Read(a.deg.Addr(int64(u)), 8)      // random degree read
-					du := deg[u]
-					if du == 0 {
-						continue
-					}
-					sum += pr[u] / float64(du)
+					p.Read(a.contrib.Addr(int64(u)), 8)  // R: the one random read
+					sum += contrib[u]
 				}
 				p.Write(a.next.Addr(int64(v)), 8) // private, no conflict
 				next[v] = base + opt.Damping*sum
@@ -188,6 +191,7 @@ func PullBlockedProfiled(bg *graph.BlockCSR, opt Options, prof core.Profile, spa
 	}
 	for l := 0; l < opt.Iterations; l++ {
 		iterStart := time.Now()
+		sched.SequentialFor(n, prof.Threads, scalePhase)
 		sched.SequentialFor(numBlocks, prof.Threads, gatherPhase)
 		for _, err := range errs {
 			if err != nil {

@@ -125,9 +125,9 @@ func PushDirected(dg *DirectedGraph, opt Options) ([]float64, core.RunStats) {
 }
 
 // PullDirected gathers rank along in-edges with no synchronization: the
-// §4.8 pull direction, whose per-vertex cost is bounded by d̂in. Note the
-// extra reads relative to pushing: the out-degree of every in-neighbor
-// must be fetched to scale its contribution (§7.3).
+// §4.8 pull direction, whose per-vertex cost is bounded by d̂in. A
+// contribution scales by the *out*-degree of the in-neighbor (§7.3); the
+// scale pass reads it once per vertex, not once per arc.
 func PullDirected(dg *DirectedGraph, opt Options) ([]float64, core.RunStats) {
 	opt.defaults()
 	n := dg.Out.N()
@@ -142,21 +142,22 @@ func PullDirected(dg *DirectedGraph, opt Options) ([]float64, core.RunStats) {
 		pr[i] = 1 / float64(n)
 	}
 	next := make([]float64, n)
+	contrib := make([]float64, n)
 	base := (1 - opt.Damping) / float64(n)
-	// Hoisted gather body; pr and next are captured by reference, so the
+	// Hoisted phase bodies; pr and next are captured by reference, so the
 	// per-round swap stays visible.
+	scale := func(w, lo, hi int) {
+		for vi := lo; vi < hi; vi++ {
+			contrib[vi] = contribution(pr[vi], dg.Out.Degree(graph.V(vi)))
+		}
+	}
 	gather := func(w, lo, hi int) {
 		for vi := lo; vi < hi; vi++ {
-			v := graph.V(vi)
 			sum := 0.0
-			for _, u := range dg.In.Neighbors(v) {
-				du := dg.Out.Degree(u) // out-degree of the in-neighbor
-				if du == 0 {
-					continue
-				}
-				sum += pr[u] / float64(du)
+			for _, u := range dg.In.Neighbors(graph.V(vi)) {
+				sum += contrib[u]
 			}
-			next[v] = base + opt.Damping*sum
+			next[vi] = base + opt.Damping*sum
 		}
 	}
 	for l := 0; l < opt.Iterations; l++ {
@@ -165,6 +166,7 @@ func PullDirected(dg *DirectedGraph, opt Options) ([]float64, core.RunStats) {
 			break
 		}
 		start := time.Now()
+		sched.ParallelFor(n, t, opt.Schedule, 0, scale)
 		sched.ParallelFor(n, t, opt.Schedule, 0, gather)
 		pr, next = next, pr
 		el := time.Since(start)

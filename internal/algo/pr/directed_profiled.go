@@ -11,15 +11,17 @@ import (
 
 // Instrumented directed PageRank: the §4.8 kernels under the
 // deterministic probes, charging exactly what the fast variants do — one
-// conflicting atomic per out-edge when pushing, two random reads per
-// in-edge (rank and out-degree of the in-neighbor) when pulling. The
-// modeled layout adds the transpose's offset and adjacency arrays, the
-// extra n + 2m cells a directed graph pays for serving both views.
+// conflicting atomic per out-edge when pushing; when pulling, a scale pass
+// per vertex (rank and out-degree in, contribution out) and one random
+// contribution read per in-edge. The modeled layout adds the transpose's
+// offset and adjacency arrays, the extra n + 2m cells a directed graph
+// pays for serving both views.
 
 // directedArrays bundles the modeled address ranges of directed PageRank:
-// the out-CSR, the in-CSR (transpose), and the two rank vectors.
+// the out-CSR, the in-CSR (transpose), the two rank vectors and (pull
+// only) the contribution vector.
 type directedArrays struct {
-	outOff, outAdj, inOff, inAdj, pr, next memsim.Array
+	outOff, outAdj, inOff, inAdj, pr, next, contrib memsim.Array
 }
 
 func modelDirectedArrays(dg *DirectedGraph, space *memsim.AddressSpace) directedArrays {
@@ -37,6 +39,7 @@ func modelDirectedArrays(dg *DirectedGraph, space *memsim.AddressSpace) directed
 	if dg.In != nil {
 		a.inOff = space.NewArray(dg.In.N()+1, 8)
 		a.inAdj = space.NewArray(int(dg.In.M()), 4)
+		a.contrib = space.NewArray(dg.Out.N(), 8)
 	}
 	return a
 }
@@ -113,10 +116,10 @@ func PushDirectedProfiled(dg *DirectedGraph, opt Options, prof core.Profile, spa
 }
 
 // PullDirectedProfiled executes pull directed PageRank deterministically
-// under the probes: each vertex gathers along its in-edges with no
-// synchronization, paying two random reads per arc — the in-neighbor's
-// rank and its *out*-degree (§7.3). The returned ranks equal
-// PullDirected's output.
+// under the probes: the scale pass reads each vertex's rank and *out*-degree
+// (§7.3) and writes its contribution; each vertex then gathers along its
+// in-edges with no synchronization, one random contribution read per arc.
+// The returned ranks equal PullDirected's output.
 func PullDirectedProfiled(dg *DirectedGraph, opt Options, prof core.Profile, space *memsim.AddressSpace) ([]float64, error) {
 	opt.defaults()
 	if err := prof.Validate(); err != nil {
@@ -132,9 +135,22 @@ func PullDirectedProfiled(dg *DirectedGraph, opt Options, prof core.Profile, spa
 	for i := range pr {
 		pr[i] = 1 / float64(n)
 	}
+	contrib := make([]float64, n)
 	base := (1 - opt.Damping) / float64(n)
-	// Hoisted gather body; pr and next are captured by reference, so the
+	// Hoisted phase bodies; pr and next are captured by reference, so the
 	// per-round swap stays visible.
+	scalePhase := func(w, lo, hi int) {
+		p := prof.Probes[w]
+		p.Exec(regionPullScale)
+		for vi := lo; vi < hi; vi++ {
+			p.Read(a.pr.Addr(int64(vi)), 8)
+			p.Read(a.outOff.Addr(int64(vi)), 8)
+			d := dg.Out.Degree(graph.V(vi))
+			p.Branch(d == 0)
+			contrib[vi] = contribution(pr[vi], d)
+			p.Write(a.contrib.Addr(int64(vi)), 8)
+		}
+	}
 	gatherPhase := func(w, lo, hi int) {
 		p := prof.Probes[w]
 		p.Exec(regionPullGather)
@@ -146,13 +162,8 @@ func PullDirectedProfiled(dg *DirectedGraph, opt Options, prof core.Profile, spa
 			for i, u := range dg.In.Neighbors(v) {
 				p.Branch(true)                         // loop condition
 				p.Read(a.inAdj.Addr(offs+int64(i)), 4) // sequential in-adj read
-				p.Read(a.pr.Addr(int64(u)), 8)         // R: random rank read
-				p.Read(a.outOff.Addr(int64(u)), 8)     // random out-degree read
-				du := dg.Out.Degree(u)
-				if du == 0 {
-					continue
-				}
-				sum += pr[u] / float64(du)
+				p.Read(a.contrib.Addr(int64(u)), 8)    // R: the one random read
+				sum += contrib[u]
 			}
 			p.Write(a.next.Addr(int64(vi)), 8) // private, no conflict
 			next[vi] = base + opt.Damping*sum
@@ -160,6 +171,7 @@ func PullDirectedProfiled(dg *DirectedGraph, opt Options, prof core.Profile, spa
 	}
 	for l := 0; l < opt.Iterations; l++ {
 		iterStart := time.Now()
+		sched.SequentialFor(n, prof.Threads, scalePhase)
 		sched.SequentialFor(n, prof.Threads, gatherPhase)
 		pr, next = next, pr
 		opt.Tick(l, time.Since(iterStart))

@@ -6,9 +6,24 @@
 // for every neighbor u — a write conflict per edge, resolved with an atomic
 // CAS loop because CPUs have no float atomics (§4.1 charges these as
 // O(Lm) synchronization events). In the pull variant, the thread owning v
-// reads pr[u] and d(u) of every neighbor and accumulates privately — no
-// synchronization, but two random reads per edge instead of one random
-// write, which is exactly the cache-miss trade-off Table 1 reports.
+// gathers pr[u]/d(u) from every neighbor and accumulates privately — no
+// synchronization, a random read per edge instead of a random write, which
+// is the cache-miss trade-off Table 1 reports.
+//
+// The paper prices that gather at two random reads per edge (pr[u] and
+// d(u)). Every pull kernel here computes the quotient once where it
+// originates instead (sender-side combining, after Yan et al.): a scale
+// pass writes contrib[u] = pr[u]/d(u) (0 when d(u) = 0) for every vertex,
+// then the gather adds contrib[u] per edge. Each term is the same quotient
+// added in the same order, so the ranks are bit-identical to the
+// two-read gather's. The bill per iteration, as the profiled twins count
+// it (m = adjacency slots), two-read gather → contribution vector:
+//
+//	reads                 n + 3m → 3n + 2m
+//	random reads per edge      2 → 1
+//	writes                     n → 2n
+//	divides                    m → n
+//	atomics                    0 → 0
 package pr
 
 import (
@@ -154,7 +169,8 @@ func Push(g *graph.CSR, opt Options) ([]float64, core.RunStats) {
 }
 
 // Pull runs the pull-based variant: each vertex gathers f·pr[u]/d(u) from
-// its neighbors with no synchronization at all.
+// its neighbors with no synchronization at all — a scale pass computes
+// every vertex's contribution once, the gather reads one per edge.
 func Pull(g *graph.CSR, opt Options) ([]float64, core.RunStats) {
 	opt.defaults()
 	n := g.N()
@@ -170,22 +186,23 @@ func Pull(g *graph.CSR, opt Options) ([]float64, core.RunStats) {
 		pr[i] = initRank
 	}
 	next := make([]float64, n)
+	contrib := make([]float64, n)
 	base := (1 - opt.Damping) / float64(n)
-	// Hoisted gather body; it captures pr and next by reference, so the
-	// per-round swap below stays visible without re-allocating the
-	// closure each iteration.
+	// Hoisted phase bodies; they capture pr and next by reference, so the
+	// per-round swap below stays visible without re-allocating a closure
+	// each iteration.
+	scale := func(w, lo, hi int) {
+		for vi := lo; vi < hi; vi++ {
+			contrib[vi] = contribution(pr[vi], g.Degree(graph.V(vi)))
+		}
+	}
 	gather := func(w, lo, hi int) {
 		for vi := lo; vi < hi; vi++ {
-			v := graph.V(vi)
 			sum := 0.0
-			for _, u := range g.Neighbors(v) {
-				du := g.Degree(u)
-				if du == 0 {
-					continue
-				}
-				sum += pr[u] / float64(du)
+			for _, u := range g.Neighbors(graph.V(vi)) {
+				sum += contrib[u]
 			}
-			next[v] = base + opt.Damping*sum
+			next[vi] = base + opt.Damping*sum
 		}
 	}
 	for l := 0; l < opt.Iterations; l++ {
@@ -194,6 +211,7 @@ func Pull(g *graph.CSR, opt Options) ([]float64, core.RunStats) {
 			break
 		}
 		start := time.Now()
+		sched.ParallelFor(n, t, opt.Schedule, 0, scale)
 		sched.ParallelFor(n, t, opt.Schedule, 0, gather)
 		pr, next = next, pr
 		el := time.Since(start)
@@ -201,6 +219,17 @@ func Pull(g *graph.CSR, opt Options) ([]float64, core.RunStats) {
 		opt.Tick(l, el)
 	}
 	return pr, stats
+}
+
+// contribution is what a vertex of rank r and degree d offers each
+// neighbor: r/d, or 0 from a vertex with no edge to send it along. Every
+// pull kernel's scale pass goes through here, so the quotient the gathers
+// add is one expression tree-wide.
+func contribution(r float64, d int64) float64 {
+	if d == 0 {
+		return 0
+	}
+	return r / float64(d)
 }
 
 // PushPA runs push-based PageRank with the Partition-Awareness strategy

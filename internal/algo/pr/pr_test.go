@@ -1,7 +1,9 @@
 package pr
 
 import (
+	"context"
 	"math"
+	"path/filepath"
 	"testing"
 	"testing/quick"
 	"time"
@@ -11,6 +13,8 @@ import (
 	"pushpull/internal/gen"
 	"pushpull/internal/graph"
 	"pushpull/internal/memsim"
+	"pushpull/internal/rng"
+	"pushpull/internal/sched"
 )
 
 const tol = 1e-9
@@ -234,7 +238,8 @@ func TestProfiledVariantsMatchFast(t *testing.T) {
 }
 
 // The central Table 1 shape: pushing issues ≈ L·2m atomics, pulling zero;
-// pulling reads more than pushing; PA strictly reduces atomics.
+// pulling reads more than pushing (3n + 2m vs 3n + m per iteration, m
+// counting adjacency slots); PA strictly reduces atomics.
 func TestCounterShapes(t *testing.T) {
 	g := testGraph(t)
 	opt := Options{Iterations: 3}
@@ -263,6 +268,16 @@ func TestCounterShapes(t *testing.T) {
 		t.Fatalf("pull reads %d not > push reads %d",
 			pull.Get(counters.Reads), push.Get(counters.Reads))
 	}
+	// The pull bill exactly: the scale pass reads pr[v] and an offset, the
+	// gather an offset per row and adj + contrib[u] per edge; both passes
+	// write one cell per vertex.
+	n := int64(g.N())
+	if got, want := pull.Get(counters.Reads), L*(3*n+2*m2); got != want {
+		t.Fatalf("pull reads = %d, want L·(3n+2m) = %d", got, want)
+	}
+	if got, want := pull.Get(counters.Writes), L*2*n; got != want {
+		t.Fatalf("pull writes = %d, want L·2n = %d", got, want)
+	}
 	if pull.Get(counters.Locks) != 0 || push.Get(counters.Locks) != 0 {
 		t.Fatal("PR variants must not take locks (CAS-float counted as atomics)")
 	}
@@ -282,7 +297,8 @@ func TestCounterShapes(t *testing.T) {
 }
 
 // Cache-model shape from Table 1: pull suffers more L1 misses than push on
-// a dense power-law graph (two random arrays per edge vs one).
+// a dense power-law graph. Both now make one random access per edge; pull
+// still streams more (an extra offset pass and the contribution vector).
 func TestCacheMissShape(t *testing.T) {
 	g := testGraph(t)
 	opt := Options{Iterations: 2}
@@ -314,6 +330,285 @@ func TestProfiledValidation(t *testing.T) {
 	}
 	if _, err := PullProfiled(g, Options{}, bad, nil); err == nil {
 		t.Fatal("bad profile accepted")
+	}
+}
+
+// pullTwoReads is the gather every pull kernel ran before the contribution
+// vector, kept as the oracle: per edge it reads the neighbor's rank and
+// degree, skips a degree-0 neighbor and divides. rows is the pull view,
+// deg the degree a contribution scales by.
+func pullTwoReads(n int, rows func(graph.V) []graph.V, deg func(graph.V) int64, opt Options) []float64 {
+	opt.defaults()
+	pr := make([]float64, n)
+	next := make([]float64, n)
+	for i := range pr {
+		pr[i] = 1 / float64(n)
+	}
+	base := (1 - opt.Damping) / float64(n)
+	for l := 0; l < opt.Iterations; l++ {
+		for v := graph.V(0); int(v) < n; v++ {
+			sum := 0.0
+			for _, u := range rows(v) {
+				du := deg(u)
+				if du == 0 {
+					continue
+				}
+				sum += pr[u] / float64(du)
+			}
+			next[v] = base + opt.Damping*sum
+		}
+		pr, next = next, pr
+	}
+	return pr
+}
+
+// contribFixture is one graph of the bit-identity table: out is what the
+// builder produced (the out-edge view when directed).
+type contribFixture struct {
+	name     string
+	directed bool
+	out      *graph.CSR
+}
+
+// contribFixtures covers the shapes where a contribution of 0 or a
+// repeated term could make the two gathers part ways: isolated vertices,
+// dangling directed sources, self-loops, duplicate edges, and the sizes
+// around a single vertex and a block boundary.
+func contribFixtures(t *testing.T) []contribFixture {
+	t.Helper()
+	var fx []contribFixture
+	add := func(name string, directed bool, n int, edges [][2]graph.V) {
+		b := graph.NewBuilder(n).KeepDuplicates().KeepSelfLoops()
+		if directed {
+			b = b.Directed()
+		}
+		for _, e := range edges {
+			b.AddEdge(e[0], e[1])
+		}
+		g, err := b.Build()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		fx = append(fx, contribFixture{name: name, directed: directed, out: g})
+	}
+	// random draws edges over the low three quarters of the ids, so the top
+	// quarter stays isolated; one edge in eight is a self-loop, one in
+	// eight repeats its predecessor.
+	random := func(n, m int, seed uint64) [][2]graph.V {
+		r := rng.New(seed)
+		span := n - n/4
+		edges := make([][2]graph.V, 0, m)
+		for i := 0; i < m; i++ {
+			u, v := graph.V(r.Intn(span)), graph.V(r.Intn(span))
+			switch {
+			case i%8 == 3:
+				v = u
+			case i%8 == 5 && i > 0:
+				u, v = edges[i-1][0], edges[i-1][1]
+			}
+			edges = append(edges, [2]graph.V{u, v})
+		}
+		return edges
+	}
+	for _, directed := range []bool{false, true} {
+		kind := "undirected"
+		if directed {
+			kind = "directed"
+		}
+		add(kind+"/n1", directed, 1, nil)
+		add(kind+"/n1-loop", directed, 1, [][2]graph.V{{0, 0}})
+		add(kind+"/n2", directed, 2, [][2]graph.V{{0, 1}})
+		add(kind+"/n2-dup", directed, 2, [][2]graph.V{{0, 1}, {0, 1}, {1, 1}})
+		add(kind+"/n65", directed, 65, random(65, 300, 7))
+		add(kind+"/n700", directed, 700, random(700, 5000, 11))
+	}
+	// Every arc of a directed star points at the center: n−1 sources, and a
+	// center with out-degree 0 that every other vertex would pull from if
+	// the transpose were used by mistake.
+	star := make([][2]graph.V, 0, 64)
+	for v := graph.V(1); v < 65; v++ {
+		star = append(star, [2]graph.V{v, 0})
+	}
+	add("directed/sink-star", true, 65, star)
+	return fx
+}
+
+func bitsEqual(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d ranks, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: rank[%d] = %x (%g), oracle %x (%g)", what, i,
+				math.Float64bits(got[i]), got[i], math.Float64bits(want[i]), want[i])
+		}
+	}
+}
+
+// TestPullBitIdenticalToTwoReadsGather pins the claim the contribution
+// vector rests on: the same quotient added in the same order. Pull,
+// PullDirected and PullBlocked (mmap and buffered handles) must equal the
+// two-reads oracle bit for bit at every thread count and schedule; the hub
+// variants reassociate and keep their 1e-9 contract, and every profiled
+// twin equals its fast kernel exactly.
+func TestPullBitIdenticalToTwoReadsGather(t *testing.T) {
+	dir := t.TempDir()
+	for fi, fx := range contribFixtures(t) {
+		n := fx.out.N()
+		pull, deg := fx.out, fx.out.Degree
+		var dg *DirectedGraph
+		var outDeg []int64
+		if fx.directed {
+			dg = NewDirected(fx.out)
+			pull = dg.In
+			outDeg = make([]int64, n)
+			for v := range outDeg {
+				outDeg[v] = fx.out.Degree(graph.V(v))
+			}
+		}
+		base := Options{Iterations: 6}
+		want := pullTwoReads(n, pull.Neighbors, deg, base)
+
+		path := filepath.Join(dir, "g"+string(rune('a'+fi))+".blk")
+		if err := graph.WriteBlockFile(path, pull, outDeg, 64); err != nil {
+			t.Fatalf("%s: %v", fx.name, err)
+		}
+		handles := map[string]*graph.BlockCSR{}
+		for name, opts := range map[string][]graph.BlockOpt{"mmap": nil, "buffered": {graph.Buffered()}} {
+			bg, err := graph.OpenBlockCSR(path, opts...)
+			if err != nil {
+				t.Fatalf("%s: open %s: %v", fx.name, name, err)
+			}
+			t.Cleanup(func() { bg.Close() })
+			handles[name] = bg
+		}
+		hs := graph.BuildHubSplit(pull, 8)
+
+		for _, threads := range []int{1, 2, 4, 7} {
+			for _, schedule := range []sched.Schedule{sched.Static, sched.Dynamic} {
+				opt := base
+				opt.Threads, opt.Schedule = threads, schedule
+				at := fx.name + "/t" + string(rune('0'+threads)) + "/" + schedule.String()
+
+				var got, hub []float64
+				if fx.directed {
+					got, _ = PullDirected(dg, opt)
+					hub, _ = PullDirectedHub(dg, hs, opt)
+				} else {
+					got, _ = Pull(fx.out, opt)
+					hub, _ = PullHub(fx.out, hs, opt)
+				}
+				bitsEqual(t, at+" in-memory", got, want)
+				if d := MaxDiff(hub, want); d > tol {
+					t.Fatalf("%s hub: max diff %g from the oracle", at, d)
+				}
+				for name, bg := range handles {
+					blocked, _, err := PullBlocked(bg, opt)
+					if err != nil {
+						t.Fatalf("%s blocked/%s: %v", at, name, err)
+					}
+					bitsEqual(t, at+" blocked/"+name, blocked, want)
+				}
+
+				prof, _ := core.CountingProfile(threads)
+				var twin, hubTwin []float64
+				var err, hubErr error
+				if fx.directed {
+					twin, err = PullDirectedProfiled(dg, opt, prof, nil)
+					hubTwin, hubErr = PullDirectedHubProfiled(dg, hs, opt, prof, nil)
+				} else {
+					twin, err = PullProfiled(fx.out, opt, prof, nil)
+					hubTwin, hubErr = PullHubProfiled(fx.out, hs, opt, prof, nil)
+				}
+				if err != nil || hubErr != nil {
+					t.Fatalf("%s profiled: %v / %v", at, err, hubErr)
+				}
+				bitsEqual(t, at+" profiled", twin, want)
+				bitsEqual(t, at+" hub profiled vs hub", hubTwin, hub)
+				blockedTwin, err := PullBlockedProfiled(handles["mmap"], opt, prof, nil)
+				if err != nil {
+					t.Fatalf("%s blocked profiled: %v", at, err)
+				}
+				bitsEqual(t, at+" blocked profiled", blockedTwin, want)
+			}
+		}
+	}
+}
+
+// openBlocked writes pull to a block file of 64-vertex blocks and opens it.
+func openBlocked(t *testing.T, pull *graph.CSR) *graph.BlockCSR {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "g.blk")
+	if err := graph.WriteBlockFile(path, pull, nil, 64); err != nil {
+		t.Fatal(err)
+	}
+	bg, err := graph.OpenBlockCSR(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { bg.Close() })
+	return bg
+}
+
+// cancelAfter is a context whose first `left` Err calls pass and every
+// later one reports cancellation — the kernels poll Err once per
+// iteration, from the loop's own goroutine, so the run stops after exactly
+// `left` iterations whatever the machine's speed.
+type cancelAfter struct {
+	context.Context
+	left int
+}
+
+func (c *cancelAfter) Err() error {
+	if c.left--; c.left < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// A run canceled mid-way must still hand back a full-length vector of
+// finite ranks: the contribution vector is scratch, never the result.
+func TestPullCanceledMidRunReturnsFiniteRanks(t *testing.T) {
+	g := testGraph(t)
+	dg := directedFixture(t, 600, 4000, 11)
+	hs := graph.BuildHubSplit(g, 64)
+	bg := openBlocked(t, g)
+	opts := func() Options {
+		opt := Options{Iterations: 50}
+		opt.Threads = 3
+		opt.Ctx = &cancelAfter{Context: context.Background(), left: 4}
+		return opt
+	}
+	runs := map[string]func() ([]float64, core.RunStats){
+		"pull":          func() ([]float64, core.RunStats) { return Pull(g, opts()) },
+		"pull-directed": func() ([]float64, core.RunStats) { return PullDirected(dg, opts()) },
+		"pull-hub":      func() ([]float64, core.RunStats) { return PullHub(g, hs, opts()) },
+		"pull-blocked": func() ([]float64, core.RunStats) {
+			r, s, err := PullBlocked(bg, opts())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return r, s
+		},
+	}
+	for name, run := range runs {
+		ranks, stats := run()
+		if !stats.Canceled || stats.Iterations != 4 {
+			t.Errorf("%s: canceled=%v after %d iterations, want canceled after 4", name, stats.Canceled, stats.Iterations)
+		}
+		wantLen := g.N()
+		if name == "pull-directed" {
+			wantLen = dg.Out.N()
+		}
+		if len(ranks) != wantLen {
+			t.Errorf("%s: %d ranks, want %d", name, len(ranks), wantLen)
+		}
+		for v, r := range ranks {
+			if math.IsNaN(r) || math.IsInf(r, 0) || r <= 0 {
+				t.Fatalf("%s: rank[%d] = %g after cancellation", name, v, r)
+			}
+		}
 	}
 }
 

@@ -20,13 +20,15 @@ const (
 	regionHubRefresh
 	regionHubGather
 	regionBlockGather
+	regionPullScale
 )
 
 // arrays bundles the modeled address ranges of the PageRank state so the
 // cache simulator sees the same layout the fast variants use: the CSR
-// offsets and adjacency, the rank vector and the next-rank vector.
+// offsets and adjacency, the rank vector, the next-rank vector and (pull
+// only) the per-iteration contribution vector.
 type arrays struct {
-	off, adj, pr, next memsim.Array
+	off, adj, pr, next, contrib memsim.Array
 }
 
 func modelArrays(g *graph.CSR, space *memsim.AddressSpace) arrays {
@@ -38,6 +40,8 @@ func modelArrays(g *graph.CSR, space *memsim.AddressSpace) arrays {
 		adj:  space.NewArray(int(g.M()), 4),
 		pr:   space.NewArray(g.N(), 8),
 		next: space.NewArray(g.N(), 8),
+		// Last, so the ranges a push run touches sit where they always did.
+		contrib: space.NewArray(g.N(), 8),
 	}
 }
 
@@ -113,10 +117,13 @@ func PushProfiled(g *graph.CSR, opt Options, prof core.Profile, space *memsim.Ad
 	return pr, nil
 }
 
-// PullProfiled executes pull PageRank deterministically under the probes.
-// Note the two random reads per edge — pr[u] and the offset pair giving
-// d(u) — versus the single random atomic of pushing; this asymmetry is what
-// Table 1's higher pull miss counts measure.
+// PullProfiled executes pull PageRank deterministically under the probes,
+// in the fast kernel's two phases: the scale pass reads pr[v] and the
+// offset pair giving d(v) and writes contrib[v], all sequential; the gather
+// pays one sequential adjacency read and one random contrib[u] read per
+// edge. Against the single random atomic of pushing, pull keeps the larger
+// read volume (3n + 2m vs 3n + m) that Table 1's higher pull miss counts
+// measure.
 func PullProfiled(g *graph.CSR, opt Options, prof core.Profile, space *memsim.AddressSpace) ([]float64, error) {
 	opt.defaults()
 	if err := prof.Validate(); err != nil {
@@ -132,9 +139,22 @@ func PullProfiled(g *graph.CSR, opt Options, prof core.Profile, space *memsim.Ad
 	for i := range pr {
 		pr[i] = 1 / float64(n)
 	}
+	contrib := make([]float64, n)
 	base := (1 - opt.Damping) / float64(n)
-	// Hoisted gather body; pr and next are captured by reference, so the
+	// Hoisted phase bodies; pr and next are captured by reference, so the
 	// per-round swap stays visible.
+	scalePhase := func(w, lo, hi int) {
+		p := prof.Probes[w]
+		p.Exec(regionPullScale)
+		for vi := lo; vi < hi; vi++ {
+			p.Read(a.pr.Addr(int64(vi)), 8)
+			p.Read(a.off.Addr(int64(vi)), 8)
+			d := g.Degree(graph.V(vi))
+			p.Branch(d == 0)
+			contrib[vi] = contribution(pr[vi], d)
+			p.Write(a.contrib.Addr(int64(vi)), 8)
+		}
+	}
 	gatherPhase := func(w, lo, hi int) {
 		p := prof.Probes[w]
 		p.Exec(regionPullGather)
@@ -146,13 +166,8 @@ func PullProfiled(g *graph.CSR, opt Options, prof core.Profile, space *memsim.Ad
 			for i, u := range g.Neighbors(v) {
 				p.Branch(true)                       // loop condition
 				p.Read(a.adj.Addr(offs+int64(i)), 4) // sequential adj read
-				p.Read(a.pr.Addr(int64(u)), 8)       // R: random rank read
-				p.Read(a.off.Addr(int64(u)), 8)      // random degree read
-				du := g.Degree(u)
-				if du == 0 {
-					continue
-				}
-				sum += pr[u] / float64(du)
+				p.Read(a.contrib.Addr(int64(u)), 8)  // R: the one random read
+				sum += contrib[u]
 			}
 			p.Write(a.next.Addr(int64(vi)), 8) // private, no conflict
 			next[vi] = base + opt.Damping*sum
@@ -160,6 +175,7 @@ func PullProfiled(g *graph.CSR, opt Options, prof core.Profile, space *memsim.Ad
 	}
 	for l := 0; l < opt.Iterations; l++ {
 		iterStart := time.Now()
+		sched.SequentialFor(n, prof.Threads, scalePhase)
 		sched.SequentialFor(n, prof.Threads, gatherPhase)
 		pr, next = next, pr
 		opt.Tick(l, time.Since(iterStart))

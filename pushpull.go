@@ -120,6 +120,22 @@ func (r *Report) Tree() *BFSTree {
 	return v
 }
 
+// payloadBytes is what a result-cache entry holding r is charged when it
+// is stored: the bytes of the slices behind the payload, the direction
+// trace and the per-iteration timings. Struct headers are not counted, and
+// a payload shape this package does not know (a third-party registered
+// algorithm's) weighs nothing here — the entry cap still bounds those.
+func (r *Report) payloadBytes() int64 {
+	n := 8*(len(r.Ranks())+len(r.Counts())+len(r.Directions)+len(r.Stats.PerIteration)) + 4*len(r.Colors())
+	if t := r.Tree(); t != nil {
+		n += 4 * (len(t.Parent) + len(t.Level))
+	}
+	if m, ok := r.Result.(*MSTResult); ok {
+		n += 12 * len(m.Edges) // two int32 endpoints and a float32 weight
+	}
+	return int64(n)
+}
+
 // Summary renders a one-line human-readable digest of the run.
 func (r *Report) Summary() string {
 	var b strings.Builder

@@ -107,7 +107,12 @@ func TestServeEncodedPayloadShared(t *testing.T) {
 	if st.Jobs == nil || st.Jobs.Retained != keep || st.Jobs.Evicted != 1 || st.Jobs.PayloadFiles != 1 || st.Jobs.PayloadBytes != tail {
 		t.Errorf("stats.jobs = %+v, want %d retained, 1 evicted, 1 payload of %d bytes", st.Jobs, keep, tail)
 	}
-	for _, field := range []string{"retained", "evicted", "payload_files", "payload_bytes", "encoded_hits", "encoded_bytes"} {
+	// One entry is cached: its charge is the payload plus the memoized tail,
+	// inside the default budget.
+	if st.CacheBytes <= st.EncodedBytes || st.CacheBytes > st.CacheBudgetBytes || st.CacheBudgetBytes != pushpull.DefaultCacheBytes {
+		t.Errorf("stats: cache_bytes=%d cache_budget_bytes=%d with %d encoded bytes", st.CacheBytes, st.CacheBudgetBytes, st.EncodedBytes)
+	}
+	for _, field := range []string{"retained", "evicted", "payload_files", "payload_bytes", "encoded_hits", "encoded_bytes", "cache_bytes", "cache_budget_bytes"} {
 		if !bytes.Contains(raw, []byte(fmt.Sprintf("%q:", field))) {
 			t.Errorf("/stats body lacks %q: %s", field, raw)
 		}

@@ -230,6 +230,11 @@ type EngineStats struct {
 	Coalesced    uint64 `json:"coalesced"`
 	CacheExpired uint64 `json:"cache_expired"`
 	CacheEntries int    `json:"cache_entries"`
+	// CacheBytes is what the cached results are charged — payload vectors
+	// plus EncodedBytes — against CacheBudgetBytes (0 = no byte bound); the
+	// engine evicts from the LRU tail to stay under it.
+	CacheBytes       int64 `json:"cache_bytes"`
+	CacheBudgetBytes int64 `json:"cache_budget_bytes"`
 	// EncodedHits counts replies (POST /run hits and job results) whose
 	// payload encoding came off a cache entry instead of being formatted;
 	// EncodedBytes is what those memoized encodings hold right now.
@@ -459,6 +464,10 @@ func (s *Server) stats(w http.ResponseWriter, r *http.Request) {
 		Coalesced:    es.Coalesced,
 		CacheExpired: es.Expired,
 		CacheEntries: es.CacheEntries,
+
+		CacheBytes:       es.CacheBytes,
+		CacheBudgetBytes: es.CacheBudget,
+
 		EncodedHits:  es.EncodingHits,
 		EncodedBytes: es.EncodingBytes,
 		QueuedRuns:   es.QueuedRuns,
