@@ -38,19 +38,19 @@ func (b *builtin) Run(ctx context.Context, w *Workload, cfg *Config) (*Report, e
 func init() {
 	for _, b := range []*builtin{
 		{"pr", "PageRank (§3.1, Algorithm 1; +Partition-Awareness §5; directed per §4.8; out-of-core block pull)",
-			Caps{Directed: true, Probes: true, PartitionAware: true, DegreeSort: true, HubCache: true, OutOfCore: true}, runPR},
+			Caps{Directed: true, Probes: true, PartitionAware: true, DegreeSort: true, OutOfCore: true}, runPR},
 		{"tc", "triangle counting (§3.2, Algorithm 2; +Partition-Awareness §5)",
 			Caps{Probes: true, PartitionAware: true}, runTC},
 		{"bfs", "generalized breadth-first search (§3.3, Algorithm 3; Auto = direction-optimizing; out-of-core block pull)",
-			Caps{NeedsSource: true, Probes: true, DegreeSort: true, HubCache: true, OutOfCore: true}, runBFS},
+			Caps{NeedsSource: true, Probes: true, DegreeSort: true, OutOfCore: true}, runBFS},
 		{"sssp", "Δ-stepping shortest paths (§3.4, Algorithm 4; Auto = adaptive switching)",
 			Caps{NeedsWeights: true, NeedsSource: true, Probes: true}, runSSSP},
 		{"bc", "Brandes betweenness centrality (§3.5, Algorithm 5)",
 			Caps{NeedsSource: true, Probes: true}, runBC},
-		{"gc", "Boman graph coloring (§3.6, Algorithm 6; WithSwitchPolicy = Frontier-Exploit+GS/GrS §5; hub-cached pull)",
-			Caps{Probes: true, DegreeSort: true, HubCache: true}, runGC},
-		{"gc-fe", "Frontier-Exploit coloring (§5), optionally with a switch policy; hub-cached pull discovery",
-			Caps{Probes: true, DegreeSort: true, HubCache: true}, runGCFE},
+		{"gc", "Boman graph coloring (§3.6, Algorithm 6; WithSwitchPolicy = Frontier-Exploit+GS/GrS §5)",
+			Caps{Probes: true, DegreeSort: true}, runGC},
+		{"gc-fe", "Frontier-Exploit coloring (§5), optionally with a switch policy",
+			Caps{Probes: true, DegreeSort: true}, runGCFE},
 		{"gc-cr", "Conflict-Removal coloring (§5, Algorithm 9)",
 			Caps{Probes: true}, runGCCR},
 		{"mst", "Borůvka minimum spanning tree (§3.7, Algorithm 7)",
@@ -109,20 +109,15 @@ func runPR(ctx context.Context, w *Workload, cfg *Config) (*Report, error) {
 		dir = core.Push
 	}
 
-	// Layout options: degree sorting permutes the CSR every kernel runs
-	// on, hub caching splits the pull gather. PA runs keep the plain
-	// layout (its §5 split is laid out over the unpermuted graph;
-	// validateCaps rejects the explicit combination).
-	var lay layout
+	// Degree sorting permutes the CSR every kernel runs on. PA runs keep
+	// the plain layout (its §5 split is laid out over the unpermuted
+	// graph; validateCaps rejects the explicit combination).
+	var ds *DegreeSortedView
 	if !cfg.PartitionAware {
-		lay = resolveLayout(w, cfg, true)
+		ds = sortedView(w, cfg)
 	}
-	if lay.ds != nil {
-		g = lay.ds.G
-	}
-	var hs *HubSplit
-	if dir == core.Pull && lay.hubK > 0 {
-		hs = w.HubSplit(lay.hubK, lay.ds != nil, false)
+	if ds != nil {
+		g = ds.G
 	}
 
 	if cfg.Probes {
@@ -145,12 +140,9 @@ func runPR(ctx context.Context, w *Workload, cfg *Config) (*Report, error) {
 			rep = grp.Report()
 		} else {
 			prof, grp := core.CountingProfile(cfg.effectiveThreads(g.N()))
-			switch {
-			case dir == core.Push:
+			if dir == core.Push {
 				ranks, err = pr.PushProfiled(g, opt, prof, nil)
-			case hs != nil:
-				ranks, err = pr.PullHubProfiled(g, hs, opt, prof, nil)
-			default:
+			} else {
 				ranks, err = pr.PullProfiled(g, opt, prof, nil)
 			}
 			rep = grp.Report()
@@ -158,8 +150,8 @@ func runPR(ctx context.Context, w *Workload, cfg *Config) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		if lay.ds != nil {
-			ranks = unpermuteFloats(lay.ds, ranks)
+		if ds != nil {
+			ranks = unpermuteFloats(ds, ranks)
 		}
 		iters := cfg.Iterations
 		if iters <= 0 {
@@ -183,13 +175,11 @@ func runPR(ctx context.Context, w *Workload, cfg *Config) (*Report, error) {
 		ranks, stats = pr.PushPA(pa, opt)
 	case dir == core.Push:
 		ranks, stats = pr.Push(g, opt)
-	case hs != nil:
-		ranks, stats = pr.PullHub(g, hs, opt)
 	default:
 		ranks, stats = pr.Pull(g, opt)
 	}
-	if lay.ds != nil {
-		ranks = unpermuteFloats(lay.ds, ranks)
+	if ds != nil {
+		ranks = unpermuteFloats(ds, ranks)
 	}
 	return &Report{Result: ranks, Stats: stats, Directions: uniformTrace(dir, stats.Iterations)}, nil
 }
@@ -248,22 +238,17 @@ func runPRDirected(ctx context.Context, w *Workload, cfg *Config) (*Report, erro
 	// The two adjacency views of §4.8 — out-edges for pushing, in-edges
 	// for pulling. Only pulling iterates in-edges, so the workload's
 	// memoized transpose is materialized lazily, for pull runs alone.
-	// Degree sorting swaps in the permuted pair of views; hub caching
-	// splits the in-view.
-	lay := resolveLayout(w, cfg, true)
+	// Degree sorting swaps in the permuted pair of views.
+	ds := sortedView(w, cfg)
 	dg := &pr.DirectedGraph{Out: w.Graph()}
-	if lay.ds != nil {
-		dg.Out = lay.ds.G
+	if ds != nil {
+		dg.Out = ds.G
 	}
-	var hs *HubSplit
 	if dir == core.Pull {
-		if lay.ds != nil {
+		if ds != nil {
 			dg.In = w.SortedTranspose()
 		} else {
 			dg.In = w.Transpose()
-		}
-		if lay.hubK > 0 {
-			hs = w.HubSplit(lay.hubK, lay.ds != nil, true)
 		}
 	}
 
@@ -272,19 +257,16 @@ func runPRDirected(ctx context.Context, w *Workload, cfg *Config) (*Report, erro
 		prof, grp := core.CountingProfile(cfg.effectiveThreads(w.N()))
 		var ranks []float64
 		var err error
-		switch {
-		case dir == core.Push:
+		if dir == core.Push {
 			ranks, err = pr.PushDirectedProfiled(dg, opt, prof, nil)
-		case hs != nil:
-			ranks, err = pr.PullDirectedHubProfiled(dg, hs, opt, prof, nil)
-		default:
+		} else {
 			ranks, err = pr.PullDirectedProfiled(dg, opt, prof, nil)
 		}
 		if err != nil {
 			return nil, err
 		}
-		if lay.ds != nil {
-			ranks = unpermuteFloats(lay.ds, ranks)
+		if ds != nil {
+			ranks = unpermuteFloats(ds, ranks)
 		}
 		rep := grp.Report()
 		iters := cfg.Iterations
@@ -298,16 +280,13 @@ func runPRDirected(ctx context.Context, w *Workload, cfg *Config) (*Report, erro
 
 	var ranks []float64
 	var stats core.RunStats
-	switch {
-	case dir == core.Push:
+	if dir == core.Push {
 		ranks, stats = pr.PushDirected(dg, opt)
-	case hs != nil:
-		ranks, stats = pr.PullDirectedHub(dg, hs, opt)
-	default:
+	} else {
 		ranks, stats = pr.PullDirected(dg, opt)
 	}
-	if lay.ds != nil {
-		ranks = unpermuteFloats(lay.ds, ranks)
+	if ds != nil {
+		ranks = unpermuteFloats(ds, ranks)
 	}
 	return &Report{Result: ranks, Stats: stats, Directions: uniformTrace(dir, stats.Iterations)}, nil
 }
@@ -396,37 +375,31 @@ func runBFS(ctx context.Context, w *Workload, cfg *Config) (*Report, error) {
 	case Pull:
 		mode = bfs.ForcePull
 	}
-	// Layout options: the traversal runs on the permuted graph from the
-	// permuted root and the tree is un-permuted at the boundary; the hub
-	// split serves the pull rounds only, so a forced-push run skips
-	// building it.
-	lay := resolveLayout(w, cfg, true)
+	// Degree-sorted: the traversal runs on the permuted graph from the
+	// permuted root and the tree is un-permuted at the boundary.
+	ds := sortedView(w, cfg)
 	root := cfg.Source
-	if lay.ds != nil {
-		g = lay.ds.G
-		root = lay.ds.Inv[root]
-	}
-	var hs *HubSplit
-	if lay.hubK > 0 && mode != bfs.ForcePush {
-		hs = w.HubSplit(lay.hubK, lay.ds != nil, false)
+	if ds != nil {
+		g = ds.G
+		root = ds.Inv[root]
 	}
 	if cfg.Probes {
 		// Auto stays supported: the Beamer heuristic decides from frontier
 		// sizes, which the instrumented pass reproduces deterministically.
 		prof, grp := core.CountingProfile(cfg.effectiveThreads(g.N()))
-		tree, dirs, stats, err := bfs.TraverseFromHubProfiled(g, hs, root, mode, cfg.coreOptions(ctx), prof, nil)
+		tree, dirs, stats, err := bfs.TraverseFromProfiled(g, root, mode, cfg.coreOptions(ctx), prof, nil)
 		if err != nil {
 			return nil, err
 		}
-		if lay.ds != nil {
-			tree = unpermuteTree(lay.ds, tree)
+		if ds != nil {
+			tree = unpermuteTree(ds, tree)
 		}
 		rep := grp.Report()
 		return &Report{Result: tree, Stats: stats, Directions: coreTrace(dirs), Counters: &rep}, nil
 	}
-	tree, dirs, stats := bfs.TraverseFromHub(g, hs, root, mode, cfg.coreOptions(ctx))
-	if lay.ds != nil {
-		tree = unpermuteTree(lay.ds, tree)
+	tree, dirs, stats := bfs.TraverseFrom(g, root, mode, cfg.coreOptions(ctx))
+	if ds != nil {
+		tree = unpermuteTree(ds, tree)
 	}
 	return &Report{Result: tree, Stats: stats, Directions: coreTrace(dirs)}, nil
 }
@@ -541,16 +514,10 @@ func runGC(ctx context.Context, w *Workload, cfg *Config) (*Report, error) {
 	// Degree sorting runs the coloring over the permuted graph; the colors
 	// are un-permuted at the boundary. The permuted run may pick different
 	// (still proper) colors than a plain one: iteration order is part of
-	// Boman coloring's outcome. Hub caching serves the pull conflict
-	// scan's hub-neighbor color reads from a k-entry cache — the coloring
-	// itself is unchanged.
-	lay := resolveLayout(w, cfg, true)
-	if lay.ds != nil {
-		g = lay.ds.G
-	}
-	var hs *HubSplit
-	if dir == core.Pull && lay.hubK > 0 {
-		hs = w.HubSplit(lay.hubK, lay.ds != nil, false)
+	// Boman coloring's outcome.
+	ds := sortedView(w, cfg)
+	if ds != nil {
+		g = ds.G
 	}
 	part := NewPartition(g.N(), cfg.partitions(w))
 
@@ -563,20 +530,17 @@ func runGC(ctx context.Context, w *Workload, cfg *Config) (*Report, error) {
 		prof, grp := core.CountingProfile(t)
 		var res *gc.ProfiledResult
 		var err error
-		switch {
-		case dir == core.Push:
+		if dir == core.Push {
 			res, err = gc.PushProfiled(g, part, opt, prof, nil)
-		case hs != nil:
-			res, err = gc.PullHubProfiled(g, hs, part, opt, prof, nil)
-		default:
+		} else {
 			res, err = gc.PullProfiled(g, part, opt, prof, nil)
 		}
 		if err != nil {
 			return nil, err
 		}
 		colors := res.Colors
-		if lay.ds != nil {
-			colors = unpermuteColors(lay.ds, colors)
+		if ds != nil {
+			colors = unpermuteColors(ds, colors)
 		}
 		rep := grp.Report()
 		return &Report{
@@ -589,19 +553,16 @@ func runGC(ctx context.Context, w *Workload, cfg *Config) (*Report, error) {
 
 	var res *gc.Result
 	var err error
-	switch {
-	case dir == core.Push:
+	if dir == core.Push {
 		res, err = gc.Push(g, part, opt)
-	case hs != nil:
-		res, err = gc.PullHub(g, hs, part, opt)
-	default:
+	} else {
 		res, err = gc.Pull(g, part, opt)
 	}
 	if err != nil {
 		return nil, err
 	}
-	if lay.ds != nil {
-		res = unpermuteColoring(lay.ds, res)
+	if ds != nil {
+		res = unpermuteColoring(ds, res)
 	}
 	return &Report{Result: res, Stats: res.Stats, Directions: uniformTrace(dir, res.Stats.Iterations)}, nil
 }
@@ -610,16 +571,9 @@ func runGCFE(ctx context.Context, w *Workload, cfg *Config) (*Report, error) {
 	g := w.Graph()
 	opt := gc.Options{Options: cfg.coreOptions(ctx), MaxIters: cfg.MaxIters}
 	dir := cfg.resolveDir(core.Push)
-	lay := resolveLayout(w, cfg, true)
-	if lay.ds != nil {
-		g = lay.ds.G
-	}
-	// The hub split is built whenever hub caching is on, regardless of the
-	// starting direction: a Generic-Switch policy can flip the run into
-	// pull mid-way, and only pull rounds consult the cache.
-	var hs *HubSplit
-	if lay.hubK > 0 {
-		hs = w.HubSplit(lay.hubK, lay.ds != nil, false)
+	ds := sortedView(w, cfg)
+	if ds != nil {
+		g = ds.G
 	}
 	// The built-in policies are re-instantiated per run: GenericSwitch
 	// latches one-shot state after flipping, so handing the caller's
@@ -634,30 +588,19 @@ func runGCFE(ctx context.Context, w *Workload, cfg *Config) (*Report, error) {
 	}
 	if cfg.Probes {
 		prof, grp := core.CountingProfile(cfg.effectiveThreads(g.N()))
-		var res *gc.Result
-		var err error
-		if hs != nil {
-			res, err = gc.FrontierExploitHubProfiled(g, hs, opt, dir, policy, prof, nil)
-		} else {
-			res, err = gc.FrontierExploitProfiled(g, opt, dir, policy, prof, nil)
-		}
+		res, err := gc.FrontierExploitProfiled(g, opt, dir, policy, prof, nil)
 		if err != nil {
 			return nil, err
 		}
-		if lay.ds != nil {
-			res = unpermuteColoring(lay.ds, res)
+		if ds != nil {
+			res = unpermuteColoring(ds, res)
 		}
 		rep := grp.Report()
 		return &Report{Result: res, Stats: res.Stats, Directions: coreTrace(res.Dirs), Counters: &rep}, nil
 	}
-	var res *gc.Result
-	if hs != nil {
-		res = gc.FrontierExploitHub(g, hs, opt, dir, policy)
-	} else {
-		res = gc.FrontierExploit(g, opt, dir, policy)
-	}
-	if lay.ds != nil {
-		res = unpermuteColoring(lay.ds, res)
+	res := gc.FrontierExploit(g, opt, dir, policy)
+	if ds != nil {
+		res = unpermuteColoring(ds, res)
 	}
 	// The trace records each iteration's actual direction, so a
 	// GenericSwitch flip mid-run is visible in Directions.

@@ -23,6 +23,10 @@
 // row. Old rows normalize to variant "plain" on the top-level graph at
 // the top-level GOMAXPROCS, so the baseline-to-baseline comparison is
 // always well-defined.
+//
+// The walk is over the candidate file's rows: a row only the baseline has
+// (a layout variant deleted since, which the committed older files still
+// carry) is not compared and not an error.
 package main
 
 import (

@@ -10,12 +10,11 @@
 //
 // Every kernel row is self-describing: it records its graph, thread
 // count (GOMAXPROCS is pinned per row), layout variant (plain,
-// degree-sorted, hub-cached, out-of-core, or combinations — the
-// off-switch baseline is the "plain" row), the kernel's Stats.Elapsed
-// (minimum over -reps runs, with the median carried alongside as the
-// variance bound; workload construction, transposes, permutations and
-// hub splits are excluded by construction, they are memoized on the
-// Workload handle), ns/edge — the normalization the paper's tables use
+// degree-sorted or out-of-core — the off-switch baseline is the "plain"
+// row), the kernel's Stats.Elapsed (minimum over -reps runs, with the
+// median carried alongside as the variance bound; workload construction,
+// transposes and permutations are excluded by construction, they are
+// memoized on the Workload handle), ns/edge — the normalization the paper's tables use
 // — and the peak RSS observed while the row ran. With -validate each
 // layout variant's payload is cross-checked against the plain kernel's
 // before the row is recorded.
@@ -51,7 +50,6 @@ type kernelEntry struct {
 	Direction    string `json:"direction"`
 	Variant      string `json:"variant"`
 	DegreeSorted bool   `json:"degree_sorted"`
-	HubCache     int    `json:"hub_cache"`
 	OutOfCore    bool   `json:"out_of_core,omitempty"`
 	Threads      int    `json:"threads"`
 	GOMAXPROCS   int    `json:"gomaxprocs"`
@@ -110,39 +108,28 @@ type benchFile struct {
 	Engine        engineEntry   `json:"engine"`
 }
 
-// variant is one layout configuration of a kernel row. HubCache uses the
-// Config encoding: 0 off, pushpull.AutoHubCache for the degree-derived k.
+// variant is one layout configuration of a kernel row.
 type variant struct {
 	name         string
 	degreeSorted bool
-	hubCache     int
 	outOfCore    bool
 }
 
 // variantsFor returns the layout variants worth measuring for an
 // (algorithm, direction) pair: the plain baseline always (the
 // off-switch row the acceptance gate compares against), degree sorting
-// where the algorithm's caps accept it, the hub cache only on the pull
-// side where the kernels read it, and the block-sequential out-of-core
-// kernels where they exist (pull-only by construction).
+// where the algorithm's caps accept it, and the block-sequential
+// out-of-core kernels where they exist (pull-only by construction).
 func variantsFor(algo string, dir pushpull.Direction) []variant {
 	vs := []variant{{name: "plain"}}
 	switch algo {
 	case "pr", "bfs":
 		vs = append(vs, variant{name: "ds", degreeSorted: true})
 		if dir == pushpull.Pull {
-			vs = append(vs,
-				variant{name: "hub", hubCache: pushpull.AutoHubCache},
-				variant{name: "ds+hub", degreeSorted: true, hubCache: pushpull.AutoHubCache},
-				variant{name: "ooc", outOfCore: true})
+			vs = append(vs, variant{name: "ooc", outOfCore: true})
 		}
 	case "gc", "gc-fe":
 		vs = append(vs, variant{name: "ds", degreeSorted: true})
-		if dir == pushpull.Pull {
-			vs = append(vs,
-				variant{name: "hub", hubCache: pushpull.AutoHubCache},
-				variant{name: "ds+hub", degreeSorted: true, hubCache: pushpull.AutoHubCache})
-		}
 	}
 	return vs
 }
@@ -247,9 +234,6 @@ func benchGraph(ctx context.Context, w *pushpull.Workload, graphID string, algor
 				if v.degreeSorted {
 					opts = append(opts, pushpull.WithDegreeSorted())
 				}
-				if v.hubCache != 0 {
-					opts = append(opts, pushpull.WithHubCache(v.hubCache))
-				}
 				if v.outOfCore {
 					opts = append(opts, pushpull.WithOutOfCore())
 				}
@@ -305,7 +289,6 @@ func benchGraph(ctx context.Context, w *pushpull.Workload, graphID string, algor
 					Direction:    dirName(dir),
 					Variant:      v.name,
 					DegreeSorted: v.degreeSorted,
-					HubCache:     v.hubCache,
 					OutOfCore:    v.outOfCore,
 					Threads:      threads,
 					GOMAXPROCS:   runtime.GOMAXPROCS(0),
@@ -448,7 +431,7 @@ func crossValidate(w *pushpull.Workload, algo string, plain, got *pushpull.Repor
 
 // rssSampler polls VmRSS from /proc/self/status while a row runs and
 // keeps the maximum. Peak RSS — not the post-run value — is what the
-// hub split and permutation buffers show up in.
+// permutation buffers show up in.
 type rssSampler struct {
 	stop chan struct{}
 	done chan struct{}

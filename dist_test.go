@@ -1,8 +1,9 @@
 package pushpull_test
 
 // Registry tests for the §6.3 distributed simulations: the dist-* names
-// must appear in List(), return uniform Reports, and reproduce the legacy
-// Dist* wrapper outputs exactly (the simulation is deterministic).
+// must appear in Algorithms(), return uniform Reports, and reproduce the
+// outputs of the internal/dm/dalgo functions they wrap exactly (the
+// simulation is deterministic).
 
 import (
 	"context"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	"pushpull"
+	"pushpull/internal/dm/dalgo"
 )
 
 func distGraph(t testing.TB) *pushpull.Graph {
@@ -23,7 +25,7 @@ func distGraph(t testing.TB) *pushpull.Graph {
 
 func TestListIncludesDistAlgorithms(t *testing.T) {
 	names := map[string]bool{}
-	for _, n := range pushpull.List() {
+	for _, n := range pushpull.Algorithms() {
 		names[n] = true
 	}
 	for _, want := range []string{
@@ -31,21 +33,21 @@ func TestListIncludesDistAlgorithms(t *testing.T) {
 		"dist-tc-push-rma", "dist-tc-pull-rma", "dist-tc-mp",
 	} {
 		if !names[want] {
-			t.Errorf("List() misses %q (have %v)", want, pushpull.List())
+			t.Errorf("Algorithms() misses %q (have %v)", want, pushpull.Algorithms())
 		}
 	}
 }
 
 // TestDistPRMatchesWrappers cross-validates each dist-pr registry entry
-// against the legacy wrapper: same gathered ranks, same simulated
+// against the dalgo function it wraps: same gathered ranks, same simulated
 // makespan, same remote-operation counters.
 func TestDistPRMatchesWrappers(t *testing.T) {
 	g := distGraph(t)
 	const ranks, iters = 4, 5
 	wrappers := map[string]func(*pushpull.Graph, pushpull.DistPRConfig) (*pushpull.DistResult, error){
-		"dist-pr-push-rma": pushpull.DistPRPushRMA,
-		"dist-pr-pull-rma": pushpull.DistPRPullRMA,
-		"dist-pr-mp":       pushpull.DistPRMsgPassing,
+		"dist-pr-push-rma": dalgo.PRPushRMA,
+		"dist-pr-pull-rma": dalgo.PRPullRMA,
+		"dist-pr-mp":       dalgo.PRMsgPassing,
 	}
 	for name, wrapper := range wrappers {
 		rep := run(t, g, name, pushpull.WithRanks(ranks), pushpull.WithIterations(iters))
@@ -83,9 +85,9 @@ func TestDistTCMatchesWrappers(t *testing.T) {
 	g := distGraph(t)
 	const ranks = 4
 	wrappers := map[string]func(*pushpull.Graph, pushpull.DistTCConfig) (*pushpull.DistResult, error){
-		"dist-tc-push-rma": pushpull.DistTCPushRMA,
-		"dist-tc-pull-rma": pushpull.DistTCPullRMA,
-		"dist-tc-mp":       pushpull.DistTCMsgPassing,
+		"dist-tc-push-rma": dalgo.TCPushRMA,
+		"dist-tc-pull-rma": dalgo.TCPullRMA,
+		"dist-tc-mp":       dalgo.TCMsgPassing,
 	}
 	var first []int64
 	for name, wrapper := range wrappers {

@@ -41,7 +41,7 @@ func TestPushSteadyStateAllocs(t *testing.T) {
 }
 
 // The pull rounds share the hoisted bodies, so the same invariant holds
-// bottom-up (with and without a hub split).
+// bottom-up.
 func TestPullSteadyStateAllocs(t *testing.T) {
 	const n = 1024
 	short := pathGraph(t, n, 20)
@@ -51,12 +51,5 @@ func TestPullSteadyStateAllocs(t *testing.T) {
 	a40 := testing.AllocsPerRun(5, func() { TraverseFrom(long, 0, ForcePull, opt) })
 	if a20 != a40 {
 		t.Errorf("pull rounds allocate: %.0f allocs over 20 rounds vs %.0f over 40", a20, a40)
-	}
-	hsShort := graph.BuildHubSplit(short, 8)
-	hsLong := graph.BuildHubSplit(long, 8)
-	a20 = testing.AllocsPerRun(5, func() { TraverseFromHub(short, hsShort, 0, ForcePull, opt) })
-	a40 = testing.AllocsPerRun(5, func() { TraverseFromHub(long, hsLong, 0, ForcePull, opt) })
-	if a20 != a40 {
-		t.Errorf("hub pull rounds allocate: %.0f allocs over 20 rounds vs %.0f over 40", a20, a40)
 	}
 }

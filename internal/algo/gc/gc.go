@@ -116,7 +116,7 @@ func (s *state) colorPartition(w int) {
 		}
 		clear(taken)
 		for _, u := range s.g.Neighbors(v) {
-			if s.part.Owner(u) == w && s.colors[u] >= 0 {
+			if lo <= u && u < hi && s.colors[u] >= 0 {
 				taken[s.colors[u]] = true
 			}
 		}
@@ -191,10 +191,10 @@ func runBoman(g *graph.CSR, part graph.Partition, opt Options, dir core.Directio
 			lo, hi := sched.BlockRange(len(dirty), t, w)
 			for i := lo; i < hi; i++ {
 				v := dirty[i]
-				ov := part.Owner(v)
+				vlo, vhi := part.Range(part.Owner(v))
 				cv := s.colors[v]
 				for _, u := range g.Neighbors(v) {
-					if part.Owner(u) == ov || s.colors[u] != cv {
+					if (vlo <= u && u < vhi) || s.colors[u] != cv {
 						continue
 					}
 					conflictCount[w]++
@@ -211,10 +211,11 @@ func runBoman(g *graph.CSR, part graph.Partition, opt Options, dir core.Directio
 		}
 		// Pull: each thread scans only the border vertices it owns and
 		// only ever modifies those.
+		lo, hi := part.Range(w)
 		for _, v := range borderByOwner[w] {
 			cv := s.colors[v]
 			for _, u := range g.Neighbors(v) {
-				if part.Owner(u) == w || s.colors[u] != cv {
+				if (lo <= u && u < hi) || s.colors[u] != cv {
 					continue
 				}
 				conflictCount[w]++

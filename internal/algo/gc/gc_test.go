@@ -1,6 +1,9 @@
 package gc
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
 	"testing"
 	"testing/quick"
 
@@ -297,5 +300,64 @@ func BenchmarkGrS(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		GrS(g, Options{MaxIters: 4096}, core.Push, 0.1)
+	}
+}
+
+// colorDigest folds a coloring and its iteration count into one word.
+func colorDigest(colors []int32, iters int) uint64 {
+	h := fnv.New64a()
+	var b [4]byte
+	for _, c := range append([]int32{int32(iters)}, colors...) {
+		binary.LittleEndian.PutUint32(b[:], uint32(c))
+		h.Write(b[:])
+	}
+	return h.Sum64()
+}
+
+// The Boman kernels decide "same partition" with a range test against
+// part.Range hoisted out of the neighbor scan. The digests below were
+// taken from the per-edge part.Owner(u) form; colorings and iteration
+// counts of all four kernels must stay identical at every partition count,
+// including the degenerate split with more partitions than vertices.
+func TestBomanColoringsPinned(t *testing.T) {
+	graphs := map[string]*graph.CSR{"rmat": rmat(t, 9, 8, 13), "ring5": gen.Ring(5)}
+	want := map[string]uint64{
+		"rmat/p1": 0x69ad62fa68e5dd6a, "rmat/p2": 0xc2b681c3750b0c06,
+		"rmat/p4": 0xde0d18a0f0eb3c1f, "rmat/p7": 0xcc7f082341be6523,
+		"ring5/p1": 0xcb233d6af7637fe6, "ring5/p2": 0xe2289a7ca85207d5,
+		"ring5/p4": 0x9887dfc119606264, "ring5/p7": 0x1d0b69bb4de52ca4,
+	}
+	for name, g := range graphs {
+		for _, p := range []int{1, 2, 4, 7} {
+			key := fmt.Sprintf("%s/p%d", name, p)
+			part := graph.NewPartition(g.N(), p)
+			prof, _ := core.CountingProfile(p)
+			push, err := Push(g, part, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			pull, err := Pull(g, part, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			pushP, err := PushProfiled(g, part, Options{}, prof, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pullP, err := PullProfiled(g, part, Options{}, prof, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for kernel, d := range map[string]uint64{
+				"push":          colorDigest(push.Colors, push.Iterations),
+				"pull":          colorDigest(pull.Colors, pull.Iterations),
+				"push-profiled": colorDigest(pushP.Colors, pushP.Iterations),
+				"pull-profiled": colorDigest(pullP.Colors, pullP.Iterations),
+			} {
+				if d != want[key] {
+					t.Errorf("%s %s: digest %#x, want %#x", key, kernel, d, want[key])
+				}
+			}
+		}
 	}
 }

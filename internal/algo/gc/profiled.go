@@ -67,7 +67,7 @@ func runProfiled(g *graph.CSR, part graph.Partition, opt Options, prof core.Prof
 		p := prof.Probes[w]
 		p.Exec(regionFix)
 		for _, v := range verts {
-			ov := part.Owner(v)
+			vlo, vhi := part.Range(part.Owner(v))
 			p.Read(colA.Addr(int64(v)), 4)
 			cv := s.colors[v]
 			offs := g.Offsets[v]
@@ -75,7 +75,7 @@ func runProfiled(g *graph.CSR, part graph.Partition, opt Options, prof core.Prof
 			for j, u := range g.Neighbors(v) {
 				p.Branch(true)
 				p.Read(adjA.Addr(offs+int64(j)), 4)
-				if part.Owner(u) == ov {
+				if vlo <= u && u < vhi {
 					continue
 				}
 				p.Read(colA.Addr(int64(u)), 4) // R: other thread's color
@@ -124,7 +124,7 @@ func runProfiled(g *graph.CSR, part graph.Partition, opt Options, prof core.Prof
 					p.Branch(true)
 					p.Read(adjA.Addr(offs+int64(j)), 4)
 					p.Read(colA.Addr(int64(u)), 4)
-					if part.Owner(u) == w && s.colors[u] >= 0 {
+					if lo <= u && u < hi && s.colors[u] >= 0 {
 						//pushpull:allow alloc taken is a reused scratch set, cleared per vertex; it only grows to one neighborhood's palette
 						taken[s.colors[u]] = true
 					}

@@ -449,9 +449,8 @@ func bitsEqual(t *testing.T, what string, got, want []float64) {
 // TestPullBitIdenticalToTwoReadsGather pins the claim the contribution
 // vector rests on: the same quotient added in the same order. Pull,
 // PullDirected and PullBlocked (mmap and buffered handles) must equal the
-// two-reads oracle bit for bit at every thread count and schedule; the hub
-// variants reassociate and keep their 1e-9 contract, and every profiled
-// twin equals its fast kernel exactly.
+// two-reads oracle bit for bit at every thread count and schedule, and
+// every profiled twin equals its fast kernel exactly.
 func TestPullBitIdenticalToTwoReadsGather(t *testing.T) {
 	dir := t.TempDir()
 	for fi, fx := range contribFixtures(t) {
@@ -483,7 +482,6 @@ func TestPullBitIdenticalToTwoReadsGather(t *testing.T) {
 			t.Cleanup(func() { bg.Close() })
 			handles[name] = bg
 		}
-		hs := graph.BuildHubSplit(pull, 8)
 
 		for _, threads := range []int{1, 2, 4, 7} {
 			for _, schedule := range []sched.Schedule{sched.Static, sched.Dynamic} {
@@ -491,18 +489,13 @@ func TestPullBitIdenticalToTwoReadsGather(t *testing.T) {
 				opt.Threads, opt.Schedule = threads, schedule
 				at := fx.name + "/t" + string(rune('0'+threads)) + "/" + schedule.String()
 
-				var got, hub []float64
+				var got []float64
 				if fx.directed {
 					got, _ = PullDirected(dg, opt)
-					hub, _ = PullDirectedHub(dg, hs, opt)
 				} else {
 					got, _ = Pull(fx.out, opt)
-					hub, _ = PullHub(fx.out, hs, opt)
 				}
 				bitsEqual(t, at+" in-memory", got, want)
-				if d := MaxDiff(hub, want); d > tol {
-					t.Fatalf("%s hub: max diff %g from the oracle", at, d)
-				}
 				for name, bg := range handles {
 					blocked, _, err := PullBlocked(bg, opt)
 					if err != nil {
@@ -512,20 +505,17 @@ func TestPullBitIdenticalToTwoReadsGather(t *testing.T) {
 				}
 
 				prof, _ := core.CountingProfile(threads)
-				var twin, hubTwin []float64
-				var err, hubErr error
+				var twin []float64
+				var err error
 				if fx.directed {
 					twin, err = PullDirectedProfiled(dg, opt, prof, nil)
-					hubTwin, hubErr = PullDirectedHubProfiled(dg, hs, opt, prof, nil)
 				} else {
 					twin, err = PullProfiled(fx.out, opt, prof, nil)
-					hubTwin, hubErr = PullHubProfiled(fx.out, hs, opt, prof, nil)
 				}
-				if err != nil || hubErr != nil {
-					t.Fatalf("%s profiled: %v / %v", at, err, hubErr)
+				if err != nil {
+					t.Fatalf("%s profiled: %v", at, err)
 				}
 				bitsEqual(t, at+" profiled", twin, want)
-				bitsEqual(t, at+" hub profiled vs hub", hubTwin, hub)
 				blockedTwin, err := PullBlockedProfiled(handles["mmap"], opt, prof, nil)
 				if err != nil {
 					t.Fatalf("%s blocked profiled: %v", at, err)
@@ -572,7 +562,6 @@ func (c *cancelAfter) Err() error {
 func TestPullCanceledMidRunReturnsFiniteRanks(t *testing.T) {
 	g := testGraph(t)
 	dg := directedFixture(t, 600, 4000, 11)
-	hs := graph.BuildHubSplit(g, 64)
 	bg := openBlocked(t, g)
 	opts := func() Options {
 		opt := Options{Iterations: 50}
@@ -583,7 +572,6 @@ func TestPullCanceledMidRunReturnsFiniteRanks(t *testing.T) {
 	runs := map[string]func() ([]float64, core.RunStats){
 		"pull":          func() ([]float64, core.RunStats) { return Pull(g, opts()) },
 		"pull-directed": func() ([]float64, core.RunStats) { return PullDirected(dg, opts()) },
-		"pull-hub":      func() ([]float64, core.RunStats) { return PullHub(g, hs, opts()) },
 		"pull-blocked": func() ([]float64, core.RunStats) {
 			r, s, err := PullBlocked(bg, opts())
 			if err != nil {

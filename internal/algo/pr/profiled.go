@@ -17,8 +17,6 @@ const (
 	regionPullGather
 	regionPAPhase1
 	regionPAPhase2
-	regionHubRefresh
-	regionHubGather
 	regionBlockGather
 	regionPullScale
 )

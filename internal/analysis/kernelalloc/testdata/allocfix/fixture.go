@@ -74,9 +74,9 @@ func allowedFrontier(st *stats, rounds int) {
 	}
 }
 
-// goodHubRefresh mirrors the hub-cached pull kernel: the dense hub
-// contribution buffer is hoisted once and refreshed in place each
-// iteration, so the hot loop never touches the allocator.
+// goodHubRefresh mirrors pull PageRank's per-iteration contrib scale
+// pass: the contribution vector is hoisted once and refreshed in place
+// each iteration, so the hot loop never touches the allocator.
 func goodHubRefresh(st *stats, rounds, hubs int) {
 	contrib := make([]float64, hubs)
 	for i := 0; i < rounds; i++ {
@@ -87,7 +87,7 @@ func goodHubRefresh(st *stats, rounds, hubs int) {
 	}
 }
 
-// badHubRefresh rebuilds the hub buffer per iteration — the mistake the
+// badHubRefresh rebuilds the buffer per iteration — the mistake the
 // hoisted refresh exists to avoid.
 func badHubRefresh(st *stats, rounds, hubs int) {
 	for i := 0; i < rounds; i++ {

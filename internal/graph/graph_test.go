@@ -173,26 +173,30 @@ func TestTranspose(t *testing.T) {
 }
 
 func TestPartitionOwnerRange(t *testing.T) {
-	p := NewPartition(10, 3)
-	seen := map[int]int{}
-	for v := V(0); v < 10; v++ {
-		seen[p.Owner(v)]++
-	}
-	if len(seen) != 3 {
-		t.Fatalf("owners = %v", seen)
-	}
-	total := 0
-	for w := 0; w < 3; w++ {
-		lo, hi := p.Range(w)
-		for v := lo; v < hi; v++ {
-			if p.Owner(v) != w {
-				t.Fatalf("Owner(%d) = %d, want %d", v, p.Owner(v), w)
-			}
+	// {3, 5} is the degenerate split: more partitions than vertices, so
+	// the trailing ranges are empty and Owner must never name them.
+	for _, tc := range []struct{ n, p int }{{10, 3}, {10, 1}, {7, 7}, {3, 5}} {
+		p := NewPartition(tc.n, tc.p)
+		seen := map[int]int{}
+		for v := V(0); v < V(tc.n); v++ {
+			seen[p.Owner(v)]++
 		}
-		total += int(hi - lo)
-	}
-	if total != 10 {
-		t.Fatalf("ranges cover %d vertices", total)
+		if len(seen) != min(tc.n, tc.p) {
+			t.Fatalf("n=%d p=%d: owners = %v", tc.n, tc.p, seen)
+		}
+		total := 0
+		for w := 0; w < tc.p; w++ {
+			lo, hi := p.Range(w)
+			for v := lo; v < hi; v++ {
+				if p.Owner(v) != w {
+					t.Fatalf("n=%d p=%d: Owner(%d) = %d, want %d", tc.n, tc.p, v, p.Owner(v), w)
+				}
+			}
+			total += int(hi - lo)
+		}
+		if total != tc.n {
+			t.Fatalf("n=%d p=%d: ranges cover %d vertices", tc.n, tc.p, total)
+		}
 	}
 }
 
