@@ -17,6 +17,7 @@ import (
 	"pushpull/internal/algo/sssp"
 	"pushpull/internal/algo/tc"
 	"pushpull/internal/core"
+	"pushpull/internal/graph"
 )
 
 // builtin implements Algorithm around an adapter function and a static
@@ -37,7 +38,7 @@ func (b *builtin) Run(ctx context.Context, w *Workload, cfg *Config) (*Report, e
 
 func init() {
 	for _, b := range []*builtin{
-		{"pr", "PageRank (§3.1, Algorithm 1; +Partition-Awareness §5; directed per §4.8; out-of-core block pull)",
+		{"pr", "PageRank (§3.1, Algorithm 1; one kernel per direction, a directed workload only changes the views §4.8; +Partition-Awareness §5; out-of-core block pull)",
 			Caps{Directed: true, Probes: true, PartitionAware: true, DegreeSort: true, OutOfCore: true}, runPR},
 		{"tc", "triangle counting (§3.2, Algorithm 2; +Partition-Awareness §5)",
 			Caps{Probes: true, PartitionAware: true}, runTC},
@@ -86,66 +87,88 @@ func coreTrace(dirs []core.Direction) []Direction {
 
 // ---- PageRank ----
 
+// runPR is the one PageRank adapter. There is one kernel per direction
+// (§4.8): a directed workload changes only the pair of views the kernel is
+// handed — out-edges to push along, the memoized transpose to pull along —
+// and an undirected one hands the same graph as both. The two real
+// exceptions are the layouts that are not a CSR view: the out-of-core
+// block file (pull-only; validateCaps has already rejected push and the
+// in-memory layout options) and the §5 Partition-Awareness split (push-
+// only, defined over the plain undirected layout).
 func runPR(ctx context.Context, w *Workload, cfg *Config) (*Report, error) {
-	if cfg.outOfCore(w) {
-		return runPRBlocked(ctx, w, cfg)
-	}
-	if w.IsDirected() {
-		return runPRDirected(ctx, w, cfg)
-	}
-	g := w.Graph()
 	opt := pr.Options{Options: cfg.coreOptions(ctx), Iterations: cfg.Iterations}
 	if cfg.DampingSet {
 		opt.SetDamping(cfg.Damping)
 	}
 	// Pulling needs no synchronization at all (§3.1): the Auto default.
-	// Partition-Awareness accelerates the push kernel (§5), so asking for
-	// it implies pushing; an explicit pull direction conflicts.
 	dir := cfg.resolveDir(core.Pull)
-	if cfg.PartitionAware {
+	threads := cfg.effectiveThreads(w.N())
+
+	var (
+		blk   *graph.BlockCSR
+		pa    *PAGraph
+		views pr.Views
+		ds    *DegreeSortedView
+		err   error
+	)
+	switch {
+	case cfg.OutOfCore || w.IsOutOfCore():
+		// The block file stores the pull view (the transpose plus an
+		// out-degree sidecar, for directed workloads); the payload matches
+		// in-memory pull runs up to floating-point reassociation.
+		if blk, err = w.OutOfCore(); err != nil {
+			return nil, err
+		}
+	case cfg.PartitionAware || cfg.PA != nil:
+		// Partition-Awareness accelerates the push kernel (§5), so asking
+		// for it implies pushing; an explicit pull direction conflicts.
+		if w.IsDirected() {
+			return nil, fmt.Errorf("pushpull: pr on a directed workload: %w (the §5 split is defined over the undirected layout)", ErrPartitionAwareUnsupported)
+		}
 		if cfg.Direction == Pull {
 			return nil, fmt.Errorf("pushpull: pr partition awareness accelerates pushing (§5); drop WithDirection(Pull)")
 		}
 		dir = core.Push
-	}
-
-	// Degree sorting permutes the CSR every kernel runs on. PA runs keep
-	// the plain layout (its §5 split is laid out over the unpermuted
-	// graph; validateCaps rejects the explicit combination).
-	var ds *DegreeSortedView
-	if !cfg.PartitionAware {
-		ds = sortedView(w, cfg)
-	}
-	if ds != nil {
-		g = ds.G
+		if pa, err = cfg.paGraph(w); err != nil {
+			return nil, err
+		}
+		// The PA kernel's worker decomposition is the partition.
+		if cfg.Probes {
+			if threads, err = partitionProfileThreads("pr", cfg, pa.Part.P); err != nil {
+				return nil, err
+			}
+		}
+	default:
+		// Degree sorting swaps in the permuted pair of views. Only pulling
+		// iterates in-edges, and Transpose/SortedTranspose return the graph
+		// itself unless the workload is directed — so the in-CSR of a
+		// directed graph is built lazily, for pull runs alone.
+		views.Out = w.Graph()
+		if ds = sortedView(w, cfg); ds != nil {
+			views.Out = ds.G
+		}
+		if dir == core.Pull {
+			if ds != nil {
+				views.In = w.SortedTranspose()
+			} else {
+				views.In = w.Transpose()
+			}
+		}
 	}
 
 	if cfg.Probes {
 		start := time.Now()
+		prof, grp := core.CountingProfile(threads)
 		var ranks []float64
-		var err error
-		var rep CounterReport
-		if dir == core.Push && cfg.PartitionAware {
-			// The PA kernel's worker decomposition is the partition.
-			pa, paErr := cfg.paGraph(w)
-			if paErr != nil {
-				return nil, paErr
-			}
-			t, tErr := partitionProfileThreads("pr", cfg, pa.Part.P)
-			if tErr != nil {
-				return nil, tErr
-			}
-			prof, grp := core.CountingProfile(t)
+		switch {
+		case blk != nil:
+			ranks, err = pr.PullBlockedProfiled(blk, opt, prof, nil)
+		case pa != nil:
 			ranks, err = pr.PushPAProfiled(pa, opt, prof, nil)
-			rep = grp.Report()
-		} else {
-			prof, grp := core.CountingProfile(cfg.effectiveThreads(g.N()))
-			if dir == core.Push {
-				ranks, err = pr.PushProfiled(g, opt, prof, nil)
-			} else {
-				ranks, err = pr.PullProfiled(g, opt, prof, nil)
-			}
-			rep = grp.Report()
+		case dir == core.Push:
+			ranks, err = pr.PushProfiled(views, opt, prof, nil)
+		default:
+			ranks, err = pr.PullProfiled(views, opt, prof, nil)
 		}
 		if err != nil {
 			return nil, err
@@ -153,6 +176,7 @@ func runPR(ctx context.Context, w *Workload, cfg *Config) (*Report, error) {
 		if ds != nil {
 			ranks = unpermuteFloats(ds, ranks)
 		}
+		rep := grp.Report()
 		iters := cfg.Iterations
 		if iters <= 0 {
 			iters = pr.DefaultIterations
@@ -167,123 +191,16 @@ func runPR(ctx context.Context, w *Workload, cfg *Config) (*Report, error) {
 	var ranks []float64
 	var stats core.RunStats
 	switch {
-	case dir == core.Push && cfg.PartitionAware:
-		pa, err := cfg.paGraph(w)
-		if err != nil {
+	case blk != nil:
+		if ranks, stats, err = pr.PullBlocked(blk, opt); err != nil {
 			return nil, err
 		}
+	case pa != nil:
 		ranks, stats = pr.PushPA(pa, opt)
 	case dir == core.Push:
-		ranks, stats = pr.Push(g, opt)
+		ranks, stats = pr.Push(views, opt)
 	default:
-		ranks, stats = pr.Pull(g, opt)
-	}
-	if ds != nil {
-		ranks = unpermuteFloats(ds, ranks)
-	}
-	return &Report{Result: ranks, Stats: stats, Directions: uniformTrace(dir, stats.Iterations)}, nil
-}
-
-// runPRBlocked runs PageRank out-of-core: the block-sequential pull
-// kernel streams the pull-view adjacency (the transpose, for directed
-// workloads — the file stores in-edges plus the out-degree sidecar) from
-// the workload's memoized block file. validateCaps has already rejected
-// push and the in-memory layout options; the payload matches in-memory
-// pull runs up to floating-point reassociation.
-func runPRBlocked(ctx context.Context, w *Workload, cfg *Config) (*Report, error) {
-	bg, err := w.OutOfCore()
-	if err != nil {
-		return nil, err
-	}
-	opt := pr.Options{Options: cfg.coreOptions(ctx), Iterations: cfg.Iterations}
-	if cfg.DampingSet {
-		opt.SetDamping(cfg.Damping)
-	}
-	if cfg.Probes {
-		start := time.Now()
-		prof, grp := core.CountingProfile(cfg.effectiveThreads(w.N()))
-		ranks, err := pr.PullBlockedProfiled(bg, opt, prof, nil)
-		if err != nil {
-			return nil, err
-		}
-		rep := grp.Report()
-		iters := cfg.Iterations
-		if iters <= 0 {
-			iters = pr.DefaultIterations
-		}
-		return &Report{Result: ranks,
-			Stats:      RunStats{Direction: core.Pull, Iterations: iters, Elapsed: time.Since(start)},
-			Directions: uniformTrace(core.Pull, iters), Counters: &rep}, nil
-	}
-	ranks, stats, err := pr.PullBlocked(bg, opt)
-	if err != nil {
-		return nil, err
-	}
-	return &Report{Result: ranks, Stats: stats, Directions: uniformTrace(core.Pull, stats.Iterations)}, nil
-}
-
-// runPRDirected dispatches pr on a directed workload to the §4.8 kernels:
-// pushing scatters along out-edges (cost bound d̂out), pulling gathers
-// along the workload's memoized transpose (cost bound d̂in). Probes and
-// the direction trace behave exactly as on the undirected path.
-func runPRDirected(ctx context.Context, w *Workload, cfg *Config) (*Report, error) {
-	if cfg.PartitionAware || cfg.PA != nil {
-		return nil, fmt.Errorf("pushpull: pr on a directed workload: %w (the §5 split is defined over the undirected layout)", ErrPartitionAwareUnsupported)
-	}
-	opt := pr.Options{Options: cfg.coreOptions(ctx), Iterations: cfg.Iterations}
-	if cfg.DampingSet {
-		opt.SetDamping(cfg.Damping)
-	}
-	dir := cfg.resolveDir(core.Pull) // as undirected: pulling avoids all atomics
-	// The two adjacency views of §4.8 — out-edges for pushing, in-edges
-	// for pulling. Only pulling iterates in-edges, so the workload's
-	// memoized transpose is materialized lazily, for pull runs alone.
-	// Degree sorting swaps in the permuted pair of views.
-	ds := sortedView(w, cfg)
-	dg := &pr.DirectedGraph{Out: w.Graph()}
-	if ds != nil {
-		dg.Out = ds.G
-	}
-	if dir == core.Pull {
-		if ds != nil {
-			dg.In = w.SortedTranspose()
-		} else {
-			dg.In = w.Transpose()
-		}
-	}
-
-	if cfg.Probes {
-		start := time.Now()
-		prof, grp := core.CountingProfile(cfg.effectiveThreads(w.N()))
-		var ranks []float64
-		var err error
-		if dir == core.Push {
-			ranks, err = pr.PushDirectedProfiled(dg, opt, prof, nil)
-		} else {
-			ranks, err = pr.PullDirectedProfiled(dg, opt, prof, nil)
-		}
-		if err != nil {
-			return nil, err
-		}
-		if ds != nil {
-			ranks = unpermuteFloats(ds, ranks)
-		}
-		rep := grp.Report()
-		iters := cfg.Iterations
-		if iters <= 0 {
-			iters = pr.DefaultIterations
-		}
-		return &Report{Result: ranks,
-			Stats:      RunStats{Direction: dir, Iterations: iters, Elapsed: time.Since(start)},
-			Directions: uniformTrace(dir, iters), Counters: &rep}, nil
-	}
-
-	var ranks []float64
-	var stats core.RunStats
-	if dir == core.Push {
-		ranks, stats = pr.PushDirected(dg, opt)
-	} else {
-		ranks, stats = pr.PullDirected(dg, opt)
+		ranks, stats = pr.Pull(views, opt)
 	}
 	if ds != nil {
 		ranks = unpermuteFloats(ds, ranks)
@@ -363,7 +280,7 @@ func runTC(ctx context.Context, w *Workload, cfg *Config) (*Report, error) {
 // ---- BFS ----
 
 func runBFS(ctx context.Context, w *Workload, cfg *Config) (*Report, error) {
-	if cfg.outOfCore(w) {
+	if cfg.OutOfCore || w.IsOutOfCore() {
 		return runBFSBlocked(ctx, w, cfg)
 	}
 	// Source range is validated by the NeedsSource capability gate.

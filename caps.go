@@ -35,17 +35,15 @@ type Caps struct {
 	// Awareness acceleration; others fail with ErrPartitionAwareUnsupported.
 	PartitionAware bool
 	// DegreeSort marks algorithms that can run over the degree-sorted CSR
-	// permutation (WithDegreeSorted / AsDegreeSorted), un-permuting their
-	// report at the boundary; an explicit WithDegreeSorted on others fails
-	// with ErrDegreeSortUnsupported (the workload-level declaration is an
-	// ambient default and is ignored where unsupported).
+	// permutation (WithDegreeSorted), un-permuting their report at the
+	// boundary; WithDegreeSorted on others fails with
+	// ErrDegreeSortUnsupported.
 	DegreeSort bool
 	// OutOfCore marks algorithms with block-sequential kernels over the
-	// out-of-core block layout (WithOutOfCore / AsOutOfCore). An explicit
+	// out-of-core block layout (WithOutOfCore, or a pure file handle).
 	// WithOutOfCore on others fails with ErrOutOfCoreUnsupported, as does
 	// ANY run of an unsupporting algorithm on a pure file handle — there
-	// is no in-memory graph to fall back to (an in-memory AsOutOfCore
-	// declaration, by contrast, is ambient and ignored where unsupported).
+	// is no in-memory graph to fall back to.
 	OutOfCore bool
 }
 
@@ -152,7 +150,7 @@ func validateCaps(a Algorithm, w *Workload, cfg *Config) error {
 			return fmt.Errorf("pushpull: %s on a pure out-of-core workload: %w (no in-memory graph to run on)", name, ErrOutOfCoreUnsupported)
 		}
 	}
-	if caps.OutOfCore && cfg.outOfCore(w) {
+	if caps.OutOfCore && (cfg.OutOfCore || w.IsOutOfCore()) {
 		// The block kernels are pull-by-construction and stream the plain
 		// pull-view layout; directions and layouts that cannot be honored
 		// fail loudly instead of being silently rewritten.
@@ -163,9 +161,8 @@ func validateCaps(a Algorithm, w *Workload, cfg *Config) error {
 			return fmt.Errorf("pushpull: %s: degree-sort/partition-awareness with WithOutOfCore: %w (block kernels stream the plain pull layout)", name, ErrBadOption)
 		}
 	}
-	// The PA split is laid out over the plain graph, so an explicit
-	// degree sort does not compose with Partition-Awareness (the
-	// workload-level declaration is simply not applied there).
+	// The PA split is laid out over the plain graph, so a degree sort does
+	// not compose with Partition-Awareness.
 	if cfg.DegreeSorted && (cfg.PartitionAware || cfg.PA != nil) {
 		return fmt.Errorf("pushpull: %s: degree-sort with WithPartitionAwareness: %w (the §5 split is defined over the plain layout)", name, ErrBadOption)
 	}

@@ -14,7 +14,7 @@
 // noise rarely moves both), and a row whose median sits more than 50%
 // above its own minimum is reported but never gates.
 //
-//	go run ./cmd/benchdiff -old BENCH_pr6.json -new BENCH_pr9.json
+//	go run ./cmd/benchdiff -old BENCH_pr6.json -new /tmp/smoke.json
 //	go run ./cmd/benchdiff -old BENCH_pr10_smoke.json -new /tmp/smoke.json -gate 25
 //
 // Both schema generations are accepted: pre-PR9 files carry one
@@ -124,7 +124,7 @@ func index(f *benchFile) map[key]kernelRow {
 
 func main() {
 	oldPath := flag.String("old", "BENCH_pr6.json", "baseline trajectory file")
-	newPath := flag.String("new", "BENCH_pr9.json", "candidate trajectory file")
+	newPath := flag.String("new", "BENCH_pr10_smoke.json", "candidate trajectory file")
 	gate := flag.Float64("gate", 0, "fail (exit 1) when a plain-variant row regresses by more than this percent; 0 keeps the report-only behavior")
 	flag.Parse()
 

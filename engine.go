@@ -603,7 +603,7 @@ func (e *Engine) RegisterWorkload(name string, w *Workload) error {
 	if name == "" {
 		return fmt.Errorf("pushpull: RegisterWorkload with empty name")
 	}
-	if w == nil || (w.g == nil && !w.outOfCore) {
+	if w == nil || !w.hasGraph() {
 		return fmt.Errorf("pushpull: RegisterWorkload(%q) with nil workload", name)
 	}
 	id := w.ID() // outside the locks: first computation is O(n + m)

@@ -10,6 +10,7 @@ package pushpull_test
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -75,10 +76,15 @@ func registerSlow(t *testing.T) {
 // tests snapshot it before and after to count executions they caused.
 var gateRuns atomic.Int64
 
+// gateEntered maps a *Workload to a chan struct{} its test wants signaled
+// each time gateAlgo starts executing on that handle.
+var gateEntered sync.Map
+
 // gateAlgo is the single-flight observable: every real execution bumps
 // gateRuns and builds the workload's Stats (so Workload.Builds() provides
-// a second, independent execution count), then holds its worker slot for
-// ~100ms so concurrently issued identical requests must overlap it.
+// a second, independent execution count), signals entry to a test that
+// asked (gateEntered), then holds its worker slot for ~100ms so
+// concurrently issued identical requests must overlap it.
 type gateAlgo struct{}
 
 func (gateAlgo) Name() string { return "test-gate" }
@@ -89,6 +95,9 @@ func (gateAlgo) Caps() pushpull.Caps { return pushpull.Caps{} }
 func (gateAlgo) Run(ctx context.Context, w *pushpull.Workload, cfg *pushpull.Config) (*pushpull.Report, error) {
 	gateRuns.Add(1)
 	w.Stats()
+	if ch, ok := gateEntered.Load(w); ok {
+		ch.(chan struct{}) <- struct{}{}
+	}
 	stats := pushpull.RunStats{Iterations: 1}
 	select {
 	case <-time.After(100 * time.Millisecond):
@@ -485,21 +494,23 @@ func TestEngineSingleFlightLeaderFailure(t *testing.T) {
 	eng := pushpull.NewEngine(pushpull.WithResultCache(0))
 	w := pushpull.NewWorkload(undirectedGraph(t, 100, 79))
 
+	// Leader and retrying follower each signal once; room for both.
+	entered := make(chan struct{}, 2)
+	gateEntered.Store(w, entered)
+	defer gateEntered.Delete(w)
+
 	before := gateRuns.Load()
 	leaderCtx, cancelLeader := context.WithCancel(context.Background())
-	leaderIn := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		close(leaderIn)
 		_, err := eng.Run(leaderCtx, w, "test-gate")
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("canceled leader returned %v, want context.Canceled", err)
 		}
 	}()
-	<-leaderIn
-	time.Sleep(20 * time.Millisecond) // let the leader enter its run
+	<-entered // the leader is inside its run: its flight is registered
 	follower := make(chan *pushpull.Report, 1)
 	wg.Add(1)
 	go func() {
@@ -511,7 +522,13 @@ func TestEngineSingleFlightLeaderFailure(t *testing.T) {
 		}
 		follower <- rep
 	}()
-	time.Sleep(20 * time.Millisecond) // let the follower park on the flight
+	// The follower has joined the leader's flight — from here on it takes
+	// the leader's outcome, whenever the cancel lands.
+	for deadline := time.Now().Add(10 * time.Second); eng.FlightWaiters() == 0; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatal("follower never joined the leader's flight")
+		}
+	}
 	cancelLeader()
 	wg.Wait()
 

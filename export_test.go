@@ -17,3 +17,17 @@ func (e *Engine) RecountCache() (bytes, encBytes int64) {
 	}
 	return bytes, encBytes
 }
+
+// FlightWaiters returns how many followers have joined in-progress
+// single-flight runs: a follower counts from the moment it is committed to
+// the leader's outcome, so a test can order "parked" before "leader
+// canceled" without sleeping.
+func (e *Engine) FlightWaiters() int {
+	e.sfMu.Lock()
+	defer e.sfMu.Unlock()
+	n := 0
+	for _, f := range e.inflight {
+		n += f.waiters
+	}
+	return n
+}

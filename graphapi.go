@@ -37,7 +37,7 @@ type (
 	// adjacency split (§5, Algorithm 8).
 	PAGraph = graph.PAGraph
 	// DegreeSortedView is a Graph permuted by descending degree with the
-	// permutation and its inverse (WithDegreeSorted / AsDegreeSorted).
+	// permutation and its inverse (WithDegreeSorted).
 	DegreeSortedView = graph.DegreeSorted
 	// GraphStats carries the Table 2 statistics (n, m, d̄, d̂, D, ...).
 	GraphStats = graph.Stats

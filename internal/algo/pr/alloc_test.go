@@ -19,10 +19,10 @@ func TestKernelSteadyStateAllocs(t *testing.T) {
 	g := testGraph(t)
 	dg := directedFixture(t, 600, 4000, 11)
 	kernels := map[string]func(iters int){
-		"push":          func(iters int) { Push(g, Options{Options: seq(), Iterations: iters}) },
-		"pull":          func(iters int) { Pull(g, Options{Options: seq(), Iterations: iters}) },
-		"push-directed": func(iters int) { PushDirected(dg, Options{Options: seq(), Iterations: iters}) },
-		"pull-directed": func(iters int) { PullDirected(dg, Options{Options: seq(), Iterations: iters}) },
+		"push":          func(iters int) { Push(und(g), Options{Options: seq(), Iterations: iters}) },
+		"pull":          func(iters int) { Pull(und(g), Options{Options: seq(), Iterations: iters}) },
+		"push-directed": func(iters int) { Push(dg, Options{Options: seq(), Iterations: iters}) },
+		"pull-directed": func(iters int) { Pull(dg, Options{Options: seq(), Iterations: iters}) },
 	}
 	for name, run := range kernels {
 		// Ten runs each: AllocsPerRun floors the mean, so the few

@@ -24,6 +24,11 @@
 //	writes                     n → 2n
 //	divides                    m → n
 //	atomics                    0 → 0
+//
+// Every kernel takes the pair of adjacency views the two directions walk
+// (§4.8): pushing iterates out-edges, pulling iterates in-edges, and a
+// contribution always scales by the *out*-degree (§7.3). An undirected
+// graph is the In == Out case of the same kernels, not a second set.
 package pr
 
 import (
@@ -73,10 +78,20 @@ func (o *Options) defaults() {
 	}
 }
 
-// Sequential computes the reference ranks with a single thread; push and
-// pull variants are cross-validated against it.
-func Sequential(g *graph.CSR, opt Options) []float64 {
+// Views is the pair of adjacency views a run walks: row v of Out holds the
+// out-neighbors of v, row v of In its in-neighbors (the transpose). An
+// undirected graph is Views{g, g}. Push-only and sequential runs never read
+// In and may leave it nil.
+type Views struct {
+	Out, In *graph.CSR
+}
+
+// Sequential computes the reference ranks with a single thread — rank
+// flows along edge direction, split over each vertex's out-degree; push
+// and pull variants are cross-validated against it.
+func Sequential(vw Views, opt Options) []float64 {
 	opt.defaults()
+	g := vw.Out
 	n := g.N()
 	pr := make([]float64, n)
 	next := make([]float64, n)
@@ -107,10 +122,12 @@ func Sequential(g *graph.CSR, opt Options) []float64 {
 	return pr
 }
 
-// Push runs the push-based variant: each vertex distributes its rank to its
-// neighbors through atomic float adds.
-func Push(g *graph.CSR, opt Options) ([]float64, core.RunStats) {
+// Push runs the push-based variant: each vertex distributes its rank along
+// its out-edges through atomic float adds (per-vertex cost bounded by
+// d̂out, §4.8).
+func Push(vw Views, opt Options) ([]float64, core.RunStats) {
 	opt.defaults()
+	g := vw.Out
 	n := g.N()
 	stats := core.RunStats{Direction: core.Push}
 	pr := make([]float64, n)
@@ -168,12 +185,14 @@ func Push(g *graph.CSR, opt Options) ([]float64, core.RunStats) {
 	return pr, stats
 }
 
-// Pull runs the pull-based variant: each vertex gathers f·pr[u]/d(u) from
-// its neighbors with no synchronization at all — a scale pass computes
-// every vertex's contribution once, the gather reads one per edge.
-func Pull(g *graph.CSR, opt Options) ([]float64, core.RunStats) {
+// Pull runs the pull-based variant: each vertex gathers f·pr[u]/d(u) along
+// its in-edges with no synchronization at all (per-vertex cost bounded by
+// d̂in, §4.8) — a scale pass computes every vertex's contribution once, from
+// its out-degree, and the gather reads one per edge.
+func Pull(vw Views, opt Options) ([]float64, core.RunStats) {
 	opt.defaults()
-	n := g.N()
+	out, in := vw.Out, vw.In
+	n := out.N()
 	stats := core.RunStats{Direction: core.Pull}
 	pr := make([]float64, n)
 	if n == 0 {
@@ -193,13 +212,13 @@ func Pull(g *graph.CSR, opt Options) ([]float64, core.RunStats) {
 	// each iteration.
 	scale := func(w, lo, hi int) {
 		for vi := lo; vi < hi; vi++ {
-			contrib[vi] = contribution(pr[vi], g.Degree(graph.V(vi)))
+			contrib[vi] = contribution(pr[vi], out.Degree(graph.V(vi)))
 		}
 	}
 	gather := func(w, lo, hi int) {
 		for vi := lo; vi < hi; vi++ {
 			sum := 0.0
-			for _, u := range g.Neighbors(graph.V(vi)) {
+			for _, u := range in.Neighbors(graph.V(vi)) {
 				sum += contrib[u]
 			}
 			next[vi] = base + opt.Damping*sum

@@ -22,37 +22,51 @@ const (
 )
 
 // arrays bundles the modeled address ranges of the PageRank state so the
-// cache simulator sees the same layout the fast variants use: the CSR
-// offsets and adjacency, the rank vector, the next-rank vector and (pull
-// only) the per-iteration contribution vector.
+// cache simulator sees the same layout the fast variants use: the out-view
+// offsets and adjacency, the rank vector, the next-rank vector, the in-view
+// offsets and adjacency, and (pull only) the per-iteration contribution
+// vector.
 type arrays struct {
-	off, adj, pr, next, contrib memsim.Array
+	off, adj, pr, next, inOff, inAdj, contrib memsim.Array
 }
 
-func modelArrays(g *graph.CSR, space *memsim.AddressSpace) arrays {
+// modelArrays lays the views out in the modeled address space. The in-view
+// of an undirected graph (In == Out) is the out-view, so it aliases those
+// ranges; a directed graph pays the extra n + 2m cells for serving both
+// views, and a push-only run handed no in-view models none.
+func modelArrays(vw Views, space *memsim.AddressSpace) arrays {
 	if space == nil {
 		space = &memsim.AddressSpace{}
 	}
-	return arrays{
-		off:  space.NewArray(g.N()+1, 8),
-		adj:  space.NewArray(int(g.M()), 4),
-		pr:   space.NewArray(g.N(), 8),
-		next: space.NewArray(g.N(), 8),
-		// Last, so the ranges a push run touches sit where they always did.
-		contrib: space.NewArray(g.N(), 8),
+	n := vw.Out.N()
+	a := arrays{
+		off:  space.NewArray(n+1, 8),
+		adj:  space.NewArray(int(vw.Out.M()), 4),
+		pr:   space.NewArray(n, 8),
+		next: space.NewArray(n, 8),
 	}
+	a.inOff, a.inAdj = a.off, a.adj
+	if vw.In != nil && vw.In != vw.Out {
+		a.inOff = space.NewArray(n+1, 8)
+		a.inAdj = space.NewArray(int(vw.In.M()), 4)
+	}
+	// Last, so the ranges a push run touches sit where they always did.
+	a.contrib = space.NewArray(n, 8)
+	return a
 }
 
 // PushProfiled executes push PageRank deterministically, reporting every
-// access at the R/W-marked points of Algorithm 1 to the per-thread probes.
-// The returned ranks equal the fast variants' output.
-func PushProfiled(g *graph.CSR, opt Options, prof core.Profile, space *memsim.AddressSpace) ([]float64, error) {
+// access at the R/W-marked points of Algorithm 1 to the per-thread probes:
+// rank scatters along out-edges, an atomic float add per arc. The returned
+// ranks equal the fast variants' output.
+func PushProfiled(vw Views, opt Options, prof core.Profile, space *memsim.AddressSpace) ([]float64, error) {
 	opt.defaults()
 	if err := prof.Validate(); err != nil {
 		return nil, err
 	}
+	g := vw.Out
 	n := g.N()
-	a := modelArrays(g, space)
+	a := modelArrays(vw, space)
 	pr := make([]float64, n)
 	next := make([]float64, n)
 	if n == 0 {
@@ -117,18 +131,20 @@ func PushProfiled(g *graph.CSR, opt Options, prof core.Profile, space *memsim.Ad
 
 // PullProfiled executes pull PageRank deterministically under the probes,
 // in the fast kernel's two phases: the scale pass reads pr[v] and the
-// offset pair giving d(v) and writes contrib[v], all sequential; the gather
-// pays one sequential adjacency read and one random contrib[u] read per
-// edge. Against the single random atomic of pushing, pull keeps the larger
-// read volume (3n + 2m vs 3n + m) that Table 1's higher pull miss counts
+// out-view offset pair giving d(v) (§7.3: the out-degree) and writes
+// contrib[v], all sequential; the gather walks in-edges, paying one
+// sequential adjacency read and one random contrib[u] read per edge.
+// Against the single random atomic of pushing, pull keeps the larger read
+// volume (3n + 2m vs 3n + m) that Table 1's higher pull miss counts
 // measure.
-func PullProfiled(g *graph.CSR, opt Options, prof core.Profile, space *memsim.AddressSpace) ([]float64, error) {
+func PullProfiled(vw Views, opt Options, prof core.Profile, space *memsim.AddressSpace) ([]float64, error) {
 	opt.defaults()
 	if err := prof.Validate(); err != nil {
 		return nil, err
 	}
-	n := g.N()
-	a := modelArrays(g, space)
+	out, in := vw.Out, vw.In
+	n := out.N()
+	a := modelArrays(vw, space)
 	pr := make([]float64, n)
 	next := make([]float64, n)
 	if n == 0 {
@@ -147,7 +163,7 @@ func PullProfiled(g *graph.CSR, opt Options, prof core.Profile, space *memsim.Ad
 		for vi := lo; vi < hi; vi++ {
 			p.Read(a.pr.Addr(int64(vi)), 8)
 			p.Read(a.off.Addr(int64(vi)), 8)
-			d := g.Degree(graph.V(vi))
+			d := out.Degree(graph.V(vi))
 			p.Branch(d == 0)
 			contrib[vi] = contribution(pr[vi], d)
 			p.Write(a.contrib.Addr(int64(vi)), 8)
@@ -158,13 +174,13 @@ func PullProfiled(g *graph.CSR, opt Options, prof core.Profile, space *memsim.Ad
 		p.Exec(regionPullGather)
 		for vi := lo; vi < hi; vi++ {
 			v := graph.V(vi)
-			p.Read(a.off.Addr(int64(vi)), 8)
+			p.Read(a.inOff.Addr(int64(vi)), 8)
 			sum := 0.0
-			offs := g.Offsets[v]
-			for i, u := range g.Neighbors(v) {
-				p.Branch(true)                       // loop condition
-				p.Read(a.adj.Addr(offs+int64(i)), 4) // sequential adj read
-				p.Read(a.contrib.Addr(int64(u)), 8)  // R: the one random read
+			offs := in.Offsets[v]
+			for i, u := range in.Neighbors(v) {
+				p.Branch(true)                         // loop condition
+				p.Read(a.inAdj.Addr(offs+int64(i)), 4) // sequential adj read
+				p.Read(a.contrib.Addr(int64(u)), 8)    // R: the one random read
 				sum += contrib[u]
 			}
 			p.Write(a.next.Addr(int64(vi)), 8) // private, no conflict

@@ -86,34 +86,6 @@ func MinFloat64(addr *uint64, v float64) (lowered bool, attempts int) {
 	}
 }
 
-// MinInt64 atomically lowers *addr to v if v is smaller, returning whether
-// the value changed.
-func MinInt64(addr *atomic.Int64, v int64) bool {
-	for {
-		cur := addr.Load()
-		if cur <= v {
-			return false
-		}
-		if addr.CompareAndSwap(cur, v) {
-			return true
-		}
-	}
-}
-
-// MaxInt64 atomically raises *addr to v if v is larger, returning whether
-// the value changed.
-func MaxInt64(addr *atomic.Int64, v int64) bool {
-	for {
-		cur := addr.Load()
-		if cur >= v {
-			return false
-		}
-		if addr.CompareAndSwap(cur, v) {
-			return true
-		}
-	}
-}
-
 // SpinLock is a test-and-test-and-set spinlock. The zero value is unlocked.
 //
 // The paper counts "locks" as a synchronization event distinct from atomics
@@ -158,9 +130,6 @@ type PaddedInt64 struct {
 
 // PaddedCounters is a set of per-thread padded counters.
 type PaddedCounters []PaddedInt64
-
-// NewPaddedCounters returns n independent padded counters.
-func NewPaddedCounters(n int) PaddedCounters { return make(PaddedCounters, n) }
 
 // Sum returns the total across all per-thread counters.
 func (p PaddedCounters) Sum() int64 {

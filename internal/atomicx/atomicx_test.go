@@ -3,7 +3,6 @@ package atomicx
 import (
 	"math"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -121,23 +120,6 @@ func TestMinFloat64Concurrent(t *testing.T) {
 	}
 }
 
-func TestMinMaxInt64(t *testing.T) {
-	var a atomic.Int64
-	a.Store(7)
-	if !MinInt64(&a, 3) || a.Load() != 3 {
-		t.Fatalf("MinInt64 failed: %d", a.Load())
-	}
-	if MinInt64(&a, 9) {
-		t.Fatal("MinInt64 raised the value")
-	}
-	if !MaxInt64(&a, 11) || a.Load() != 11 {
-		t.Fatalf("MaxInt64 failed: %d", a.Load())
-	}
-	if MaxInt64(&a, 2) {
-		t.Fatal("MaxInt64 lowered the value")
-	}
-}
-
 func TestSpinLockMutualExclusion(t *testing.T) {
 	var l SpinLock
 	counter := 0
@@ -174,7 +156,7 @@ func TestSpinLockTryLock(t *testing.T) {
 }
 
 func TestPaddedCounters(t *testing.T) {
-	p := NewPaddedCounters(4)
+	p := make(PaddedCounters, 4)
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		w := w

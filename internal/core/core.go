@@ -65,9 +65,6 @@ func (o Options) Canceled() bool {
 	return o.Ctx != nil && o.Ctx.Err() != nil
 }
 
-// EffectiveThreads resolves Threads against the runtime.
-func (o Options) EffectiveThreads() int { return sched.Clamp(o.Threads, 1<<30) }
-
 // Tick invokes OnIteration if set.
 func (o Options) Tick(iter int, elapsed time.Duration) {
 	if o.OnIteration != nil {

@@ -19,9 +19,6 @@ func TestDirectionString(t *testing.T) {
 
 func TestOptionsDefaults(t *testing.T) {
 	var o Options
-	if o.EffectiveThreads() < 1 {
-		t.Fatal("EffectiveThreads < 1")
-	}
 	o.Tick(0, time.Second) // no hook: must not panic
 	var calls int
 	o.OnIteration = func(iter int, e time.Duration) { calls++ }

@@ -148,17 +148,6 @@ func (p Report) Scale(div int64) Report {
 	return out
 }
 
-// NonZero returns the events with non-zero counts, ordered by event id.
-func (p Report) NonZero() []Event {
-	var out []Event
-	for e := Event(0); e < NumEvents; e++ {
-		if p.counts[e] != 0 {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // String formats the report with one "name: value" pair per line, using
 // compact human units (k/M/B/T) as in the paper's Table 1.
 func (p Report) String() string {

@@ -37,9 +37,6 @@ type CountProbe struct {
 	Rec *Recorder
 }
 
-// NewCountProbe returns a counting probe over a fresh Recorder.
-func NewCountProbe() *CountProbe { return &CountProbe{Rec: &Recorder{}} }
-
 func (p *CountProbe) Read(addr uint64, size int)   { p.Rec.Inc(Reads) }
 func (p *CountProbe) Write(addr uint64, size int)  { p.Rec.Inc(Writes) }
 func (p *CountProbe) Atomic(addr uint64, size int) { p.Rec.Inc(Atomics) }

@@ -22,7 +22,7 @@ func testGraph(t testing.TB) *graph.CSR {
 }
 
 func smPR(g *graph.CSR, L int) []float64 {
-	return pr.Sequential(g, pr.Options{Iterations: L, Damping: 0.85})
+	return pr.Sequential(pr.Views{Out: g, In: g}, pr.Options{Iterations: L, Damping: 0.85})
 }
 
 func TestPRVariantsMatchSharedMemory(t *testing.T) {

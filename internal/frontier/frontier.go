@@ -31,9 +31,6 @@ func NewSparse(capacity int) *Sparse {
 	return &Sparse{verts: make([]graph.V, 0, capacity)}
 }
 
-// FromSlice wraps vs (not copied) as a frontier.
-func FromSlice(vs []graph.V) *Sparse { return &Sparse{verts: vs} }
-
 // Add appends v.
 func (s *Sparse) Add(v graph.V) { s.verts = append(s.verts, v) }
 
@@ -73,9 +70,6 @@ func (pt *PerThread) Threads() int { return len(pt.bufs) }
 // Add appends v to thread w's private frontier.
 func (pt *PerThread) Add(w int, v graph.V) { pt.bufs[w] = append(pt.bufs[w], v) }
 
-// LocalLen returns the size of thread w's private frontier.
-func (pt *PerThread) LocalLen(w int) int { return len(pt.bufs[w]) }
-
 // Merge concatenates all private frontiers into dst (reset first) in
 // thread order — the deterministic realization of the k-filter — and
 // clears the private buffers for the next iteration.
@@ -85,15 +79,6 @@ func (pt *PerThread) Merge(dst *Sparse) {
 		dst.verts = append(dst.verts, pt.bufs[w]...)
 		pt.bufs[w] = pt.bufs[w][:0]
 	}
-}
-
-// TotalLen returns the summed size of all private frontiers.
-func (pt *PerThread) TotalLen() int {
-	n := 0
-	for _, b := range pt.bufs {
-		n += len(b)
-	}
-	return n
 }
 
 // Bitmap is a packed dense frontier with atomic insertion, used by

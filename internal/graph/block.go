@@ -1,5 +1,5 @@
 // Out-of-core block CSR: the on-disk graph layout behind the facade's
-// AsOutOfCore/WithOutOfCore path, after HybridGraph's VE-BLOCK storage.
+// WithOutOfCore path, after HybridGraph's VE-BLOCK storage.
 // Vertices are grouped into fixed-size blocks (a multiple of 64, so one
 // block never shares a frontier-bitmap word with another) and each
 // block's adjacency rows are laid contiguously in one file segment. A
@@ -190,20 +190,6 @@ func (cur *BlockCursor) Row(v V) []V {
 	s := (cur.g.Offsets[v] - cur.base) * 4
 	e := (cur.g.Offsets[v+1] - cur.base) * 4
 	return castVs(cur.seg[s:e], &cur.vbuf)
-}
-
-// RowWeights returns the edge weights parallel to Row(v), nil for
-// unweighted files.
-func (cur *BlockCursor) RowWeights(v V) []float32 {
-	g := cur.g
-	if !g.weighted {
-		return nil
-	}
-	lo, hi := g.BlockRange(cur.block)
-	wbase := (g.Offsets[hi] - g.Offsets[lo]) * 4 // adjacency bytes precede weights
-	s := wbase + (g.Offsets[v]-cur.base)*4
-	e := wbase + (g.Offsets[v+1]-cur.base)*4
-	return castF32s(cur.seg[s:e], &cur.wbuf)
 }
 
 // hostLittleEndian is checked once: the zero-copy segment casts are

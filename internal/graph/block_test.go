@@ -20,8 +20,9 @@ func writeBlockFile(t testing.TB, pull *CSR, outDeg []int64, blockVerts int) str
 	return path
 }
 
-// checkBlockMatchesCSR compares every row (and weight row) of bg against
-// the pull-view CSR it was written from, via per-block cursors.
+// checkBlockMatchesCSR compares every row of bg against the pull-view CSR
+// it was written from, via per-block cursors, and every block's weights
+// via VisitBlocks.
 func checkBlockMatchesCSR(t *testing.T, bg *BlockCSR, pull *CSR) {
 	t.Helper()
 	if bg.N() != pull.N() || bg.M() != pull.M() {
@@ -44,21 +45,31 @@ func checkBlockMatchesCSR(t *testing.T, bg *BlockCSR, pull *CSR) {
 					t.Fatalf("vertex %d edge %d: %d, want %d", v, i, got[i], want[i])
 				}
 			}
-			if pull.Weighted() {
-				ww := pull.Weights[pull.Offsets[v]:pull.Offsets[v+1]]
-				gw := cur.RowWeights(v)
-				if len(gw) != len(ww) {
-					t.Fatalf("vertex %d: weight length %d, want %d", v, len(gw), len(ww))
-				}
-				for i := range ww {
-					if gw[i] != ww[i] {
-						t.Fatalf("vertex %d weight %d: %g, want %g", v, i, gw[i], ww[i])
-					}
-				}
-			} else if cur.RowWeights(v) != nil {
-				t.Fatalf("vertex %d: weights on an unweighted file", v)
+		}
+	}
+	bi := 0
+	err := bg.VisitBlocks(func(_ []V, gw []float32) error {
+		lo, hi := bg.BlockRange(bi)
+		bi++
+		if !pull.Weighted() {
+			if gw != nil {
+				t.Fatalf("block of vertex %d: weights on an unweighted file", lo)
+			}
+			return nil
+		}
+		ww := pull.Weights[pull.Offsets[lo]:pull.Offsets[hi]]
+		if len(gw) != len(ww) {
+			t.Fatalf("block of vertex %d: weight length %d, want %d", lo, len(gw), len(ww))
+		}
+		for i := range ww {
+			if gw[i] != ww[i] {
+				t.Fatalf("block of vertex %d weight %d: %g, want %g", lo, i, gw[i], ww[i])
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

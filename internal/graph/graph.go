@@ -205,9 +205,6 @@ func (b *Builder) AddEdgeW(u, v V, w float32) {
 	b.edges = append(b.edges, Edge{U: u, V: v, Weight: w})
 }
 
-// NumEdgesAdded returns the count of AddEdge/AddEdgeW calls so far.
-func (b *Builder) NumEdgesAdded() int { return len(b.edges) }
-
 // Build produces the CSR. It returns an error for out-of-range endpoints.
 func (b *Builder) Build() (*CSR, error) {
 	n := b.n

@@ -129,9 +129,6 @@ func TestBuilderRangeError(t *testing.T) {
 	if _, err := b.Build(); err == nil {
 		t.Fatal("out-of-range edge accepted")
 	}
-	if b.NumEdgesAdded() != 1 {
-		t.Fatalf("NumEdgesAdded = %d", b.NumEdgesAdded())
-	}
 }
 
 func TestTranspose(t *testing.T) {
@@ -236,16 +233,9 @@ func TestBuildPASplitsCorrectly(t *testing.T) {
 	if got := pa.Remote(4); len(got) != 0 {
 		t.Fatalf("Remote(4) = %v", got)
 	}
-	if pa.LocalDegree(2) != 2 || pa.RemoteDegree(2) != 1 {
-		t.Fatal("PA degrees wrong")
-	}
 	// Remote edges counted from both sides: (2,3) and (3,2) → 2 slots.
 	if pa.RemoteEdges() != 2 {
 		t.Fatalf("RemoteEdges = %d", pa.RemoteEdges())
-	}
-	// 2n + 2m cells.
-	if pa.Cells() != 2*5+10 {
-		t.Fatalf("Cells = %d", pa.Cells())
 	}
 }
 

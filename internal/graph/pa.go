@@ -67,18 +67,7 @@ func (pa *PAGraph) Local(v V) []V { return pa.LocAdj[pa.LocOff[v]:pa.LocOff[v+1]
 // Remote returns the other-owner neighbors of v.
 func (pa *PAGraph) Remote(v V) []V { return pa.RemAdj[pa.RemOff[v]:pa.RemOff[v+1]] }
 
-// LocalDegree returns the number of same-owner neighbors of v.
-func (pa *PAGraph) LocalDegree(v V) int64 { return pa.LocOff[v+1] - pa.LocOff[v] }
-
-// RemoteDegree returns the number of other-owner neighbors of v.
-func (pa *PAGraph) RemoteDegree(v V) int64 { return pa.RemOff[v+1] - pa.RemOff[v] }
-
 // RemoteEdges returns the total number of remote adjacency slots — the
 // exact number of atomics a PA push iteration issues (§5 bounds it by 0 for
 // a bipartite split and 2m when every edge is thread-internal).
 func (pa *PAGraph) RemoteEdges() int64 { return pa.RemOff[pa.G.NumV] }
-
-// Cells returns the number of representation cells (2n + 2m as in §5).
-func (pa *PAGraph) Cells() int64 {
-	return 2*int64(pa.G.NumV) + int64(len(pa.LocAdj)) + int64(len(pa.RemAdj))
-}

@@ -77,7 +77,7 @@ func Table1(cfg Config) error {
 		}
 		opt := pr.Options{Iterations: prIters}
 		rep, err := table1Run(func(prof core.Profile, sp *memsim.AddressSpace) error {
-			_, err := pr.PushProfiled(g, opt, prof, sp)
+			_, err := pr.PushProfiled(pr.Views{Out: g, In: g}, opt, prof, sp)
 			return err
 		}, t, prIters)
 		if err := add(name+" (PR) Push", rep, err); err != nil {
@@ -92,7 +92,7 @@ func Table1(cfg Config) error {
 			return err
 		}
 		rep, err = table1Run(func(prof core.Profile, sp *memsim.AddressSpace) error {
-			_, err := pr.PullProfiled(g, opt, prof, sp)
+			_, err := pr.PullProfiled(pr.Views{Out: g, In: g}, opt, prof, sp)
 			return err
 		}, t, prIters)
 		if err := add(name+" (PR) Pull", rep, err); err != nil {
@@ -280,11 +280,11 @@ func Table4(cfg Config) error {
 			run   func(g *graph.CSR, prof core.Profile, sp *memsim.AddressSpace) error
 		}{
 			{"Push", func(g *graph.CSR, prof core.Profile, sp *memsim.AddressSpace) error {
-				_, err := pr.PushProfiled(g, pr.Options{Iterations: prIters}, prof, sp)
+				_, err := pr.PushProfiled(pr.Views{Out: g, In: g}, pr.Options{Iterations: prIters}, prof, sp)
 				return err
 			}},
 			{"Pull", func(g *graph.CSR, prof core.Profile, sp *memsim.AddressSpace) error {
-				_, err := pr.PullProfiled(g, pr.Options{Iterations: prIters}, prof, sp)
+				_, err := pr.PullProfiled(pr.Views{Out: g, In: g}, pr.Options{Iterations: prIters}, prof, sp)
 				return err
 			}},
 			{"Push+PA", func(g *graph.CSR, prof core.Profile, sp *memsim.AddressSpace) error {

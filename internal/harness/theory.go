@@ -97,7 +97,7 @@ func LATable(cfg Config) error {
 		return err
 	}
 	const iters = 5
-	wantPR := prdirect.Sequential(g, prdirect.Options{Iterations: iters, Damping: 0.85})
+	wantPR := prdirect.Sequential(prdirect.Views{Out: g, In: g}, prdirect.Options{Iterations: iters, Damping: 0.85})
 	for _, dir := range []core.Direction{core.Pull, core.Push} {
 		start := time.Now()
 		got := la.PageRank(g, iters, 0.85, dir, cfg.Threads)

@@ -130,7 +130,7 @@ func TestPageRankLAMatchesDirect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := pr.Sequential(g, pr.Options{Iterations: 10, Damping: 0.85})
+	want := pr.Sequential(pr.Views{Out: g, In: g}, pr.Options{Iterations: 10, Damping: 0.85})
 	for _, dir := range []core.Direction{core.Push, core.Pull} {
 		got := PageRank(g, 10, 0.85, dir, 4)
 		if d := MaxDiff(got, want); d > tol {

@@ -254,68 +254,3 @@ func RunKRelaxation(ma *Machine, srcs, dsts []int) (steps, work int64, err error
 	}
 	return ma.steps - s0, ma.work - w0, nil
 }
-
-// RunPrefixSum computes an in-place exclusive prefix sum over cells
-// [0, n) using the work-efficient two-sweep schedule — the engine of the
-// k-filter primitive. It returns steps and work consumed.
-func RunPrefixSum(ma *Machine, n int) (steps, work int64, err error) {
-	if n <= 0 || n > len(ma.mem) || n&(n-1) != 0 {
-		return 0, 0, fmt.Errorf("pram: prefix sum needs a power-of-two cell count, got %d", n)
-	}
-	s0, w0 := ma.steps, ma.work
-	p := ma.P()
-	// Up-sweep.
-	for stride := 1; stride < n; stride *= 2 {
-		idxs := make([]int, 0, n/(2*stride)+1)
-		for i := 2*stride - 1; i < n; i += 2 * stride {
-			idxs = append(idxs, i)
-		}
-		for base := 0; base < len(idxs); base += p {
-			ops := make([]Op, p)
-			for j := 0; j < p && base+j < len(idxs); j++ {
-				i := idxs[base+j]
-				ops[j] = Op{Kind: Store, Addr: i, Value: ma.mem[i] + ma.mem[i-stride]}
-			}
-			if err := ma.Step(ops); err != nil {
-				return 0, 0, err
-			}
-		}
-	}
-	// Clear the root and down-sweep.
-	top := 1
-	for top*2 <= n {
-		top *= 2
-	}
-	if err := ma.Step(append([]Op{{Kind: Store, Addr: top - 1, Value: 0}}, make([]Op, p-1)...)); err != nil {
-		return 0, 0, err
-	}
-	for stride := top / 2; stride >= 1; stride /= 2 {
-		idxs := make([]int, 0)
-		for i := 2*stride - 1; i < n; i += 2 * stride {
-			idxs = append(idxs, i)
-		}
-		for base := 0; base < len(idxs); base += p {
-			ops := make([]Op, p)
-			// Two half-cycles to respect exclusive access: first move the
-			// left child up, then write the sum down.
-			lefts := make([]int64, p)
-			for j := 0; j < p && base+j < len(idxs); j++ {
-				i := idxs[base+j]
-				lefts[j] = ma.mem[i-stride]
-				ops[j] = Op{Kind: Store, Addr: i - stride, Value: ma.mem[i]}
-			}
-			if err := ma.Step(ops); err != nil {
-				return 0, 0, err
-			}
-			ops2 := make([]Op, p)
-			for j := 0; j < p && base+j < len(idxs); j++ {
-				i := idxs[base+j]
-				ops2[j] = Op{Kind: Store, Addr: i, Value: ma.mem[i] + lefts[j]}
-			}
-			if err := ma.Step(ops2); err != nil {
-				return 0, 0, err
-			}
-		}
-	}
-	return ma.steps - s0, ma.work - w0, nil
-}

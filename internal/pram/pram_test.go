@@ -274,67 +274,6 @@ func TestRunKRelaxationErrors(t *testing.T) {
 	}
 }
 
-func TestRunPrefixSum(t *testing.T) {
-	ma, _ := NewMachine(CREW, 4, 16, nil)
-	for i := 0; i < 16; i++ {
-		ma.Mem()[i] = 1
-	}
-	steps, work, err := RunPrefixSum(ma, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Exclusive prefix sum of all-ones: mem[i] = i.
-	for i := 0; i < 16; i++ {
-		if ma.Mem()[i] != int64(i) {
-			t.Fatalf("mem[%d] = %d, want %d", i, ma.Mem()[i], i)
-		}
-	}
-	if steps == 0 || work == 0 {
-		t.Fatal("no cost recorded")
-	}
-	// Work-efficiency: O(n) work, here ≤ 4n.
-	if work > 64 {
-		t.Fatalf("work = %d, want ≤ 64", work)
-	}
-}
-
-// Property: prefix sum on the machine equals the host-computed prefix sum
-// for random inputs.
-func TestPrefixSumMatchesHost(t *testing.T) {
-	f := func(vals [16]int8) bool {
-		ma, _ := NewMachine(CREW, 4, 16, nil)
-		want := make([]int64, 16)
-		acc := int64(0)
-		for i, v := range vals {
-			ma.Mem()[i] = int64(v)
-			want[i] = acc
-			acc += int64(v)
-		}
-		if _, _, err := RunPrefixSum(ma, 16); err != nil {
-			return false
-		}
-		for i := range want {
-			if ma.Mem()[i] != want[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPrefixSumValidation(t *testing.T) {
-	ma, _ := NewMachine(CREW, 2, 16, nil)
-	if _, _, err := RunPrefixSum(ma, 12); err == nil {
-		t.Fatal("non-power-of-two accepted")
-	}
-	if _, _, err := RunPrefixSum(ma, 0); err == nil {
-		t.Fatal("n=0 accepted")
-	}
-}
-
 func BenchmarkMachineStep(b *testing.B) {
 	ma, _ := NewMachine(CRCWCB, 8, 1024, add)
 	ops := make([]Op, 8)

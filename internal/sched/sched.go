@@ -206,9 +206,6 @@ func (b *Barrier) Wait() {
 	b.mu.Unlock()
 }
 
-// Parties returns the number of participants.
-func (b *Barrier) Parties() int { return b.parties }
-
 // Pool is a reusable team of worker goroutines with stable ids. Using one
 // pool across iterations avoids re-spawning goroutines in tight
 // per-iteration loops (PageRank, coloring rounds).

@@ -146,9 +146,6 @@ func TestBarrier(t *testing.T) {
 	const parties = 4
 	const rounds = 50
 	b := NewBarrier(parties)
-	if b.Parties() != parties {
-		t.Fatalf("Parties = %d", b.Parties())
-	}
 	var phase atomic.Int64
 	var wg sync.WaitGroup
 	errs := make(chan string, parties)

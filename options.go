@@ -104,13 +104,12 @@ type Config struct {
 	Ranks int
 	// DegreeSorted requests the degree-sorted CSR layout: kernels run on
 	// the workload's memoized degree-permuted graph and the report is
-	// un-permuted at the boundary. False defers to the workload's
-	// AsDegreeSorted declaration.
+	// un-permuted at the boundary.
 	DegreeSorted bool
 	// OutOfCore requests the block-sequential out-of-core kernels: the run
 	// streams adjacency from the workload's memoized block file instead of
-	// in-memory arrays. False defers to the workload's AsOutOfCore
-	// declaration (a pure file handle is always out-of-core).
+	// in-memory arrays. A pure file handle is out-of-core by construction,
+	// with or without the option.
 	OutOfCore bool
 }
 
@@ -297,20 +296,6 @@ func (c *Config) fingerprint() (fp string, ok bool) {
 		fmt.Fprintf(&b, "%d,", s)
 	}
 	return b.String(), true
-}
-
-// degreeSorted reports whether a run uses the degree-sorted layout: an
-// explicit WithDegreeSorted, else the workload's AsDegreeSorted
-// declaration.
-func (c *Config) degreeSorted(w *Workload) bool {
-	return c.DegreeSorted || w.IsDegreeSorted()
-}
-
-// outOfCore reports whether a run uses the out-of-core block kernels: an
-// explicit WithOutOfCore, else the workload's AsOutOfCore declaration
-// (which a pure file handle always carries).
-func (c *Config) outOfCore(w *Workload) bool {
-	return c.OutOfCore || w.IsOutOfCore()
 }
 
 // paGraph returns the caller-supplied PA layout, or the workload's

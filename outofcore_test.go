@@ -10,15 +10,17 @@ package pushpull_test
 import (
 	"context"
 	"errors"
+	"path/filepath"
 	"testing"
 
 	"pushpull"
 	"pushpull/internal/algo/pr"
+	"pushpull/internal/graph"
 )
 
 // oocVariants enumerates the facade spellings of an out-of-core run over
-// an in-memory graph: the explicit option, the workload declaration, and
-// the declaration pinned to the buffered (bounded-RSS) reader.
+// an in-memory graph: the per-run option, and the option on a handle
+// pinned to the buffered (bounded-RSS) reader.
 func oocVariants(g *pushpull.Graph, directed bool) map[string]struct {
 	on   pushpull.Runnable
 	opts []pushpull.Option
@@ -33,9 +35,8 @@ func oocVariants(g *pushpull.Graph, directed bool) map[string]struct {
 		on   pushpull.Runnable
 		opts []pushpull.Option
 	}{
-		"explicit":          {wrap(), []pushpull.Option{pushpull.WithOutOfCore()}},
-		"declared":          {wrap(pushpull.AsOutOfCore()), nil},
-		"declared-buffered": {wrap(pushpull.AsOutOfCore(), pushpull.AsBlockBuffered()), nil},
+		"mmap":     {wrap(), []pushpull.Option{pushpull.WithOutOfCore()}},
+		"buffered": {wrap(pushpull.AsBlockBuffered()), []pushpull.Option{pushpull.WithOutOfCore()}},
 	}
 }
 
@@ -70,12 +71,9 @@ func TestOutOfCoreBFSCrossValidate(t *testing.T) {
 		rep := run(t, v.on, "bfs", append(v.opts, pushpull.WithSource(0), pushpull.WithThreads(4))...)
 		tree := rep.Result.(*pushpull.BFSTree)
 		checkBFSTree(t, g, 0, tree, want)
-		if name == "explicit" {
-			continue
-		}
-		// Declared workloads must report the out-of-core kind.
-		if w, ok := v.on.(*pushpull.Workload); ok && !w.IsOutOfCore() {
-			t.Errorf("%s: workload does not report out-of-core", name)
+		// Asking per run does not change what the handle is.
+		if w := v.on.(*pushpull.Workload); w.IsOutOfCore() {
+			t.Errorf("%s: in-memory workload reports out-of-core", name)
 		}
 	}
 }
@@ -96,20 +94,23 @@ func TestOutOfCoreCapsErrors(t *testing.T) {
 			t.Fatalf("pr out-of-core with %s: %v, want ErrBadOption", name, err)
 		}
 	}
-	// An ambient in-memory declaration is ignored by algorithms without
-	// block kernels — they run on the in-memory graph as before.
-	w := pushpull.NewWorkload(g, pushpull.AsOutOfCore())
-	if _, err := pushpull.Run(ctx, w, "tc"); err != nil {
-		t.Fatalf("tc on declared ooc workload: %v", err)
-	}
 }
 
 func TestOutOfCoreOptionInCacheKeyAndID(t *testing.T) {
 	g := undirectedGraph(t, 400, 5)
-	// The workload declaration is part of the content ID; the explicit
-	// option is part of the engine cache key.
-	if pushpull.NewWorkload(g).ID() == pushpull.NewWorkload(g, pushpull.AsOutOfCore()).ID() {
-		t.Fatal("AsOutOfCore absent from the content ID")
+	// A file handle is out-of-core by what it is, and its ID says so; on an
+	// in-memory handle the option is part of the engine cache key.
+	path := filepath.Join(t.TempDir(), "g.blk")
+	if err := graph.WriteBlockFile(path, g, nil, 0); err != nil {
+		t.Fatal(err)
+	}
+	file, err := pushpull.OpenOutOfCoreWorkload(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer file.Close()
+	if pushpull.NewWorkload(g).ID() == file.ID() {
+		t.Fatal("a file handle shares the in-memory handle's content ID")
 	}
 	e := pushpull.NewEngine()
 	w := pushpull.NewWorkload(g)

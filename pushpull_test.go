@@ -118,9 +118,9 @@ func TestFacadePRMatchesDirect(t *testing.T) {
 			pushpull.WithThreads(2), pushpull.WithIterations(10))
 		var want []float64
 		if dir == pushpull.Push {
-			want, _ = pr.Push(g, opt)
+			want, _ = pr.Push(pr.Views{Out: g, In: g}, opt)
 		} else {
-			want, _ = pr.Pull(g, opt)
+			want, _ = pr.Pull(pr.Views{Out: g, In: g}, opt)
 		}
 		if d := pr.MaxDiff(rep.Ranks(), want); d > 1e-12 {
 			t.Errorf("pr %v: facade diverges from direct call by %g", dir, d)

@@ -176,6 +176,10 @@ type flight struct {
 	// of propagating a partial result).
 	rep *Report
 	err error
+	// waiters counts the followers that joined (under sfMu); nothing in
+	// the engine reads it — tests order "follower parked" on it instead of
+	// sleeping.
+	waiters int
 }
 
 // coalesce joins or creates the flight for key, returning either the
@@ -187,6 +191,7 @@ func (e *Engine) coalesce(ctx context.Context, key string) (*Report, error, *fli
 	for {
 		e.sfMu.Lock()
 		if f, ok := e.inflight[key]; ok {
+			f.waiters++
 			e.sfMu.Unlock()
 			select {
 			case <-f.done:

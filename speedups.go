@@ -1,9 +1,9 @@
 package pushpull
 
-// Facade wiring of the degree-sorted CSR permutation (WithDegreeSorted /
-// AsDegreeSorted): the algorithm adapters hand the permuted view to the
-// kernels and un-permute the payload at the report boundary — so callers
-// observe identical results and only the run's memory behavior changes.
+// Facade wiring of the degree-sorted CSR permutation (WithDegreeSorted):
+// the algorithm adapters hand the permuted view to the kernels and
+// un-permute the payload at the report boundary — so callers observe
+// identical results and only the run's memory behavior changes.
 
 import (
 	"pushpull/internal/algo/bfs"
@@ -12,10 +12,9 @@ import (
 )
 
 // sortedView returns the workload's memoized degree-sorted view when the
-// run options or the workload declaration ask for it, nil for the identity
-// layout.
+// run asks for it, nil for the identity layout.
 func sortedView(w *Workload, cfg *Config) *DegreeSortedView {
-	if cfg.degreeSorted(w) {
+	if cfg.DegreeSorted {
 		return w.DegreeSorted()
 	}
 	return nil

@@ -3,15 +3,17 @@ package pushpull_test
 // Cross-validation of the degree-sorted layout option: degree-sorted runs
 // must produce payloads identical to the plain kernels (pr ranks to 1e-9,
 // bfs trees valid with equal levels, gc proper colorings), the option must
-// participate in the Engine's cache key and the workload content ID, and
-// the derived view must be memoized.
+// participate in the Engine's cache key, and the derived view must be
+// memoized.
 
 import (
 	"context"
 	"errors"
+	"path/filepath"
 	"testing"
 
 	"pushpull"
+	"pushpull/internal/graph"
 )
 
 // skewedGraph builds a high-skew RMAT workload.
@@ -72,22 +74,14 @@ func TestPRLayoutOptionsCrossValidate(t *testing.T) {
 	if d := pushpull.MaxDiff(want, ranksOf(t, rep)); d > 1e-9 {
 		t.Fatalf("degree-sorted: ranks diverge from plain pull by %g", d)
 	}
-	// The workload-level declaration behaves identically to the per-run option.
-	w := pushpull.NewWorkload(g, pushpull.AsDegreeSorted())
-	rep, err = pushpull.Run(context.Background(), w, "pr", pushpull.WithDirection(pushpull.Pull))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := pushpull.MaxDiff(want, ranksOf(t, rep)); d > 1e-9 {
-		t.Fatalf("declared workload: ranks diverge by %g", d)
-	}
 	// Push runs honor the degree sort too.
-	rep, err = pushpull.Run(context.Background(), w, "pr", pushpull.WithDirection(pushpull.Push))
+	rep, err = pushpull.Run(context.Background(), g, "pr",
+		pushpull.WithDegreeSorted(), pushpull.WithDirection(pushpull.Push))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d := pushpull.MaxDiff(want, ranksOf(t, rep)); d > 1e-6 {
-		t.Fatalf("declared workload push: ranks diverge by %g", d)
+		t.Fatalf("degree-sorted push: ranks diverge by %g", d)
 	}
 }
 
@@ -150,16 +144,15 @@ func TestBFSLayoutOptionsCrossValidate(t *testing.T) {
 
 func TestGCLayoutOptionsProperColoring(t *testing.T) {
 	g := skewedGraph(t)
-	// Explicit degree sort and workloads declaring it, pushed and pulled.
+	// The degree sort, pushed and pulled, alone and under a switch policy.
 	runs := []struct {
 		name string
 		on   pushpull.Runnable
 		opts []pushpull.Option
 	}{
 		{"explicit-ds", pushpull.NewWorkload(g), []pushpull.Option{pushpull.WithDegreeSorted()}},
-		{"declared", pushpull.NewWorkload(g, pushpull.AsDegreeSorted()), nil},
-		{"declared-pull", pushpull.NewWorkload(g, pushpull.AsDegreeSorted()),
-			[]pushpull.Option{pushpull.WithDirection(pushpull.Pull)}},
+		{"sorted-pull", pushpull.NewWorkload(g),
+			[]pushpull.Option{pushpull.WithDegreeSorted(), pushpull.WithDirection(pushpull.Pull)}},
 		{"sorted-fe", pushpull.NewWorkload(g),
 			[]pushpull.Option{pushpull.WithDegreeSorted(), pushpull.WithSwitchPolicy(&pushpull.GenericSwitch{Threshold: 1})}},
 	}
@@ -191,22 +184,16 @@ func TestLayoutOptionCapsErrors(t *testing.T) {
 		pushpull.WithDegreeSorted()); !errors.Is(err, pushpull.ErrDegreeSortUnsupported) {
 		t.Fatalf("gc-cr WithDegreeSorted: %v, want ErrDegreeSortUnsupported", err)
 	}
-	// A workload-level declaration is ambient: algorithms without support
-	// ignore it instead of failing.
-	w := pushpull.NewWorkload(wg, pushpull.AsWeighted(), pushpull.AsDegreeSorted())
-	if _, err := pushpull.Run(context.Background(), w, "mst"); err != nil {
-		t.Fatalf("mst on declared workload: %v", err)
-	}
 }
 
 func TestLayoutViewsMemoized(t *testing.T) {
 	g := skewedGraph(t)
-	w := pushpull.NewWorkload(g, pushpull.AsDegreeSorted())
+	w := pushpull.NewWorkload(g)
 	for i := 0; i < 3; i++ {
-		if _, err := pushpull.Run(context.Background(), w, "pr", pushpull.WithDirection(pushpull.Pull)); err != nil {
+		if _, err := pushpull.Run(context.Background(), w, "pr", pushpull.WithDegreeSorted(), pushpull.WithDirection(pushpull.Pull)); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := pushpull.Run(context.Background(), w, "bfs", pushpull.WithSource(0)); err != nil {
+		if _, err := pushpull.Run(context.Background(), w, "bfs", pushpull.WithDegreeSorted(), pushpull.WithSource(0)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -218,15 +205,10 @@ func TestLayoutViewsMemoized(t *testing.T) {
 
 func TestLayoutOptionsInCacheKeyAndID(t *testing.T) {
 	g := undirectedGraph(t, 400, 5)
-	// Workload declarations are part of the content ID; plain handles keep
-	// matching each other.
-	plain, plain2 := pushpull.NewWorkload(g), pushpull.NewWorkload(g)
-	if plain.ID() != plain2.ID() {
+	// Layout is asked for per run, so it is no part of the content ID:
+	// handles over one graph keep matching each other.
+	if pushpull.NewWorkload(g).ID() != pushpull.NewWorkload(g).ID() {
 		t.Fatal("identical plain workloads disagree on ID")
-	}
-	ds := pushpull.NewWorkload(g, pushpull.AsDegreeSorted())
-	if ds.ID() == plain.ID() {
-		t.Fatal("AsDegreeSorted absent from the content ID")
 	}
 
 	// Run options are part of the Engine cache key: a different option is
@@ -252,23 +234,47 @@ func TestLayoutOptionsInCacheKeyAndID(t *testing.T) {
 	}
 }
 
-// Workload.ID is a DiskStore file name and a shard key, so it must not
-// drift: the literals are the IDs PR 21's tree computed for the same
-// handles.
+// Workload.ID is a cache key, a shard key and a router catalog entry, so it
+// must not drift: the literals are the IDs PR 22's tree computed for the
+// same handles. The file-handle rows are pure out-of-core handles — a .blk
+// written straight from the fixed graph, and one a DiskStore above its
+// block threshold wrote from a directed weighted workload (the file stores
+// the transpose).
 func TestWorkloadIDGolden(t *testing.T) {
 	g := undirectedGraph(t, 400, 5)
 	dw := directedGraph(t, 300, true)
+	dir := t.TempDir()
+	blk := filepath.Join(dir, "g.blk")
+	if err := graph.WriteBlockFile(blk, g, nil, 0); err != nil {
+		t.Fatal(err)
+	}
+	file, err := pushpull.OpenOutOfCoreWorkload(blk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer file.Close()
+	store, err := pushpull.NewDiskStore(filepath.Join(dir, "store"), pushpull.WithBlockThreshold(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Put("dw", pushpull.Directed(dw, pushpull.AsWeighted())); err != nil {
+		t.Fatal(err)
+	}
+	stored, err := store.Get("dw")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stored.Close()
 	for _, c := range []struct {
 		name string
 		w    *pushpull.Workload
 		want string
 	}{
 		{"plain", pushpull.NewWorkload(g), "w2c3036ed0d2aa2de-n400"},
-		{"degree-sorted", pushpull.NewWorkload(g, pushpull.AsDegreeSorted()), "wb8d6144cb3e5e07d-n400"},
-		{"out-of-core", pushpull.NewWorkload(g, pushpull.AsOutOfCore()), "w76e0f23d70ed827b-n400"},
-		{"degree-sorted+out-of-core", pushpull.NewWorkload(g, pushpull.AsDegreeSorted(), pushpull.AsOutOfCore()), "w38eb642b5b0eee39-n400"},
 		{"directed-weighted", pushpull.Directed(dw, pushpull.AsWeighted()), "w85c65bc17815159c-n300"},
 		{"partitioned-4", pushpull.NewWorkload(g, pushpull.AsPartitioned(4)), "w0b89180e6b13e6fe-n400"},
+		{"file-handle", file, "w76e0f23d70ed827b-n400"},
+		{"file-handle directed-weighted", stored, "w8173a6a3356e6f13-n300"},
 	} {
 		if got := c.w.ID(); got != c.want {
 			t.Errorf("%s: ID %s, want %s", c.name, got, c.want)

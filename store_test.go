@@ -327,9 +327,9 @@ func TestDiskStoreBlockThreshold(t *testing.T) {
 		t.Fatalf("Names() = %v, %v", names, err)
 	}
 
-	// The reopened handle is pure out-of-core, shares the content ID of
-	// an in-memory AsOutOfCore declaration over the same graph (caches
-	// and shard placement survive the swap), and computes the same ranks.
+	// The reopened handle is pure out-of-core, carries a file handle's
+	// content ID (stable across reopens, distinct from the in-memory
+	// handle's), and computes the same ranks.
 	got, err := s.Get("big")
 	if err != nil {
 		t.Fatal(err)
@@ -337,8 +337,13 @@ func TestDiskStoreBlockThreshold(t *testing.T) {
 	if !got.IsOutOfCore() {
 		t.Fatal("past-threshold graph did not come back out-of-core")
 	}
-	if want := pushpull.NewWorkload(bigG, pushpull.AsOutOfCore()); got.ID() != want.ID() {
-		t.Fatalf("reopened handle ID %s != declared ooc ID %s", got.ID(), want.ID())
+	again, err := s.Get("big")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer again.Close()
+	if again.ID() != got.ID() || got.ID() == big.ID() {
+		t.Fatalf("reopened handle ID %s: second reopen has %s, the in-memory handle %s", got.ID(), again.ID(), big.ID())
 	}
 	want := run(t, pushpull.NewWorkload(bigG), "pr", pushpull.WithDirection(pushpull.Pull)).Result.([]float64)
 	ranks := run(t, got, "pr").Result.([]float64)

@@ -8,11 +8,19 @@ package pushpull
 // The paper's §4.8 observation motivates the design: pushing iterates the
 // out-edges of a subset of vertices while pulling iterates the in-edges of
 // all of them, so a directed graph needs *both* adjacency views and the
-// cost bounds split into d̂out vs d̂in. The transpose (in-CSR) realizing the
-// pull view, the Partition-Awareness split of §5, and the Table 2 graph
-// statistics are all O(n + m) constructions worth exactly one build per
-// graph — so the Workload builds them lazily and memoizes them for every
-// subsequent Run, the engine-owned-view pattern of pull-frontier systems.
+// cost bounds split into d̂out vs d̂in. That is all a directed workload
+// changes: the kernels are the same, handed a different pair of views
+// (Graph and Transpose, which for an undirected workload are one CSR). The
+// transpose (in-CSR) realizing the pull view, the Partition-Awareness
+// split of §5, and the Table 2 graph statistics are all O(n + m)
+// constructions worth exactly one build per graph — so the Workload builds
+// them lazily and memoizes them for every subsequent Run, the
+// engine-owned-view pattern of pull-frontier systems.
+//
+// A handle declares what the graph is, never how a run should lay it out:
+// the degree-sorted permutation and the out-of-core block view are asked
+// for per run (WithDegreeSorted, WithOutOfCore) and memoized here. Only a
+// pure file handle (OpenOutOfCoreWorkload) is out-of-core by construction.
 
 import (
 	"encoding/binary"
@@ -51,13 +59,6 @@ type Workload struct {
 	// defaultParts is the partition count of AsPartitioned; 0 defers to
 	// WithPartitions / the resolved thread count.
 	defaultParts int
-	// degreeSorted is the AsDegreeSorted declaration: runs default to the
-	// memoized degree-sorted CSR permutation (reports are un-permuted at
-	// the boundary, so payloads match the plain layout).
-	degreeSorted bool
-	// outOfCore is the AsOutOfCore declaration: capable runs default to the
-	// block-sequential out-of-core kernels over the memoized block view.
-	outOfCore bool
 	// blockBuffered forces the buffered ReadAt reader over mmap — a
 	// machine-local I/O choice (it bounds the resident set to one block per
 	// worker), deliberately NOT part of the content identity.
@@ -116,22 +117,6 @@ func AsPartitioned(parts int) WorkloadOption {
 	}
 }
 
-// AsDegreeSorted declares that runs should use the degree-sorted CSR
-// permutation (vertices renumbered by descending degree): kernels compute
-// over the memoized permuted graph — which packs the high-degree vertices
-// into a contiguous id prefix — and every report is un-permuted at the
-// boundary, so payloads are identical to plain-layout runs. Algorithms
-// without degree-sort support ignore the declaration.
-func AsDegreeSorted() WorkloadOption { return func(w *Workload) { w.degreeSorted = true } }
-
-// AsOutOfCore declares that runs should use the out-of-core block layout:
-// capable algorithms (pr, bfs) run their block-sequential pull kernels
-// over the memoized block view — the adjacency streams from disk through
-// mmap (or bounded buffers, see AsBlockBuffered) instead of being
-// resident — and report payloads identical to in-memory runs. Algorithms
-// without out-of-core support ignore the declaration.
-func AsOutOfCore() WorkloadOption { return func(w *Workload) { w.outOfCore = true } }
-
 // AsBlockBuffered forces the out-of-core block view to read segments
 // through per-worker buffers (os.File ReadAt) instead of mmap, bounding
 // the resident set to one block per worker. It is machine-local I/O
@@ -175,7 +160,7 @@ func Partitioned(g *Graph, parts int, opts ...WorkloadOption) *Workload {
 // OutOfCore support will run. The handle holds the file open (and
 // mmapped, unless AsBlockBuffered); Close releases it.
 func OpenOutOfCoreWorkload(path string, opts ...WorkloadOption) (*Workload, error) {
-	w := &Workload{outOfCore: true}
+	w := &Workload{}
 	for _, opt := range opts {
 		opt(w)
 	}
@@ -233,13 +218,23 @@ func (w *Workload) WeightsDeclared() bool { return w.weightsDeclared }
 // declared.
 func (w *Workload) DefaultPartitions() int { return w.defaultParts }
 
-// IsDegreeSorted reports whether the workload was declared AsDegreeSorted.
-func (w *Workload) IsDegreeSorted() bool { return w.degreeSorted }
+// IsOutOfCore reports whether the handle is out-of-core by construction:
+// a pure file handle (OpenOutOfCoreWorkload, a DiskStore graph above its
+// block threshold) with no in-memory graph at all, which every run streams
+// through the block kernels. An in-memory workload asks per run
+// (WithOutOfCore).
+func (w *Workload) IsOutOfCore() bool { return w.g == nil }
 
-// IsOutOfCore reports whether runs default to the out-of-core block
-// kernels: either the handle was declared AsOutOfCore, or it is a pure
-// file handle with no in-memory graph at all.
-func (w *Workload) IsOutOfCore() bool { return w.outOfCore || w.g == nil }
+// hasGraph reports whether the handle has anything to run on: an
+// in-memory graph or, for a pure file handle, its open block view.
+func (w *Workload) hasGraph() bool {
+	if w.g != nil {
+		return true
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.blk != nil
+}
 
 // Close releases the memoized out-of-core block view (the open file and
 // its mapping), if any. The workload must not Run afterwards. Handles
@@ -457,12 +452,9 @@ func (w *Workload) ID() string {
 	return w.id
 }
 
-// contentID hashes the CSR arrays and the kind flags (FNV-1a, 64-bit).
-// Out-of-core handles hash the PULL view (the graph itself when
-// undirected, the transpose when directed) — the arrays the block file
-// stores — so a handle declared AsOutOfCore in memory and the same graph
-// reopened from its block file share one identity: cached reports and
-// shard placements survive the materialized→out-of-core swap.
+// contentID hashes the CSR arrays and the kind flags (FNV-1a, 64-bit). A
+// pure file handle hashes what its block file stores — the PULL view (the
+// graph itself when undirected, the transpose when directed).
 func (w *Workload) contentID() string {
 	h := fnv.New64a()
 	var buf [8]byte
@@ -470,10 +462,7 @@ func (w *Workload) contentID() string {
 		binary.LittleEndian.PutUint64(buf[:], x)
 		h.Write(buf[:])
 	}
-	ooc := w.outOfCore || w.g == nil
-	switch {
-	case !ooc:
-		g := w.g
+	if g := w.g; g != nil {
 		put(uint64(g.N()))
 		put(uint64(g.M()))
 		for _, o := range g.Offsets {
@@ -485,27 +474,11 @@ func (w *Workload) contentID() string {
 		for _, wt := range g.Weights {
 			put(uint64(math.Float32bits(wt)))
 		}
-	case w.g != nil:
-		pull := w.g
-		if w.directed {
-			pull = w.transposeLocked()
-		}
-		put(uint64(w.g.N()))
-		put(uint64(w.g.M()))
-		for _, o := range pull.Offsets {
-			put(uint64(o))
-		}
-		for _, v := range pull.Adj {
-			put(uint64(v))
-		}
-		for _, wt := range pull.Weights {
-			put(uint64(math.Float32bits(wt)))
-		}
-	default:
-		// Pure file handle: stream the adjacency block-sequentially (two
-		// passes when weighted, matching the all-adj-then-all-weights hash
-		// order of the in-memory path). The file was validated at open; a
-		// read failure here degrades the digest, not correctness.
+	} else {
+		// Stream the adjacency block-sequentially (two passes when weighted,
+		// matching the all-adj-then-all-weights hash order of the in-memory
+		// path). The file was validated at open; a read failure here
+		// degrades the digest, not correctness.
 		blk := w.blk
 		put(uint64(blk.N()))
 		put(uint64(blk.M()))
@@ -541,22 +514,14 @@ func (w *Workload) contentID() string {
 	}
 	kind |= uint64(w.defaultParts) << 3
 	put(kind)
-	// The layout declarations change what a run computes over (the
-	// degree-sorted permutation, the out-of-core block layout), so they
-	// are part of the identity too — but the word is folded only when one
-	// is set, keeping plain handles' IDs (and their DiskStore/shard
-	// placements) identical to releases that predate the options. Bits
-	// 2–33 are unused and stay zero: every ID a DiskStore or shard has
-	// seen keeps its value.
-	if w.degreeSorted || ooc {
-		var opt uint64 = 1
-		if w.degreeSorted {
-			opt |= 2
-		}
-		if ooc {
-			opt |= 1 << 34
-		}
-		put(opt)
+	// A file handle's identity carries one more word, so it never collides
+	// with an in-memory handle over the same arrays (an undirected graph's
+	// pull view IS its CSR), whose runs default to other kernels. In-memory
+	// handles fold nothing here, and the word keeps the value earlier
+	// releases folded (bits 0 and 34): every ID a DiskStore, shard or
+	// router catalog has seen keeps its value.
+	if w.g == nil {
+		put(1 | 1<<34)
 	}
 	return fmt.Sprintf("w%016x-n%d", h.Sum64(), w.N())
 }
@@ -583,9 +548,6 @@ func (w *Workload) Kind() string {
 	if w.defaultParts > 0 {
 		k += fmt.Sprintf(" partitioned(%d)", w.defaultParts)
 	}
-	if w.degreeSorted {
-		k += " degree-sorted"
-	}
 	if w.IsOutOfCore() {
 		k += " out-of-core"
 	}
@@ -601,7 +563,7 @@ func resolveWorkload(on Runnable) (*Workload, error) {
 		if v == nil {
 			return nil, fmt.Errorf("pushpull: Run on nil workload")
 		}
-		if v.g == nil && !v.outOfCore {
+		if !v.hasGraph() {
 			return nil, fmt.Errorf("pushpull: Run on workload with nil graph")
 		}
 		return v, nil

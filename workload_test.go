@@ -46,17 +46,18 @@ func directedGraph(t testing.TB, n int, weighted bool) *pushpull.Graph {
 }
 
 // TestFacadeDirectedPRMatchesSequential is the acceptance cross-check:
-// Run on Directed(g) dispatches pr to the §4.8 kernels, and push, pull
-// and the probed variants all match pr.SequentialDirected within 1e-9.
+// Run on Directed(g) hands the pr kernels the §4.8 views, and push, pull
+// and the probed variants all match pr.Sequential over the out-edges
+// within 1e-9.
 func TestFacadeDirectedPRMatchesSequential(t *testing.T) {
 	g := directedGraph(t, 700, false)
-	want := pr.SequentialDirected(pr.NewDirected(g), pr.Options{Iterations: 15})
+	want := pr.Sequential(pr.Views{Out: g}, pr.Options{Iterations: 15})
 	for _, dir := range []pushpull.Direction{pushpull.Push, pushpull.Pull, pushpull.Auto} {
 		w := pushpull.Directed(g)
 		rep := run(t, w, "pr", pushpull.WithDirection(dir),
 			pushpull.WithThreads(3), pushpull.WithIterations(15))
 		if d := pushpull.MaxDiff(rep.Ranks(), want); d > 1e-9 {
-			t.Errorf("directed pr %v diverges from SequentialDirected by %g", dir, d)
+			t.Errorf("directed pr %v diverges from Sequential by %g", dir, d)
 		}
 		if rep.Stats.Iterations != 15 || len(rep.Directions) != 15 {
 			t.Errorf("directed pr %v: %d iterations, %d trace entries, want 15/15",
@@ -70,7 +71,7 @@ func TestFacadeDirectedPRMatchesSequential(t *testing.T) {
 			t.Fatalf("probed directed pr %v returned no counters", dir)
 		}
 		if d := pushpull.MaxDiff(probed.Ranks(), want); d > 1e-9 {
-			t.Errorf("probed directed pr %v diverges from SequentialDirected by %g", dir, d)
+			t.Errorf("probed directed pr %v diverges from Sequential by %g", dir, d)
 		}
 	}
 	// The §4 asymmetry carries over: directed push pays atomics per
