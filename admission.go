@@ -1,16 +1,15 @@
 package pushpull
 
-// Shard executors and single-flight deduplication: the two request-level
-// scheduling layers the sharded Engine adds over PR 4's flat worker pool.
+// Admission and single-flight deduplication: the two request-level
+// scheduling layers the Engine puts in front of its kernels.
 //
-// The paper's §6 point is that the push/pull choice is ultimately about
-// *where* communication happens — partitioning work so each executor owns
-// its share. The Engine applies the same idea one level up: registered
-// workloads are placed across shard executors by content identity (and
-// partition-aware runs by the identity of the PA split they use), each
-// shard owning its own admission queue. A burst of requests against one
-// hot graph then queues on that graph's shard alone instead of
-// head-of-line-blocking every other graph behind one global semaphore.
+// Admission is one queue per Engine. Each kernel already spreads over
+// GOMAXPROCS threads, so splitting one process's runs over several queues
+// would isolate queues, not cores; spreading graphs over capacity is the
+// distribution layer's job, and the cluster router does it across
+// processes. The queue bounds concurrent runs (WithWorkers), sheds load
+// past a depth (WithQueueLimit) and fails queued runs on shutdown
+// (WithDrainSignal).
 //
 // Single-flight deduplication is the message-reduction lever (Yan et al.,
 // PAPERS.md) for identical work: concurrent requests whose (workload
@@ -23,17 +22,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
-	"io"
 	"sync/atomic"
 	"time"
 )
 
-// ErrOverloaded: a run was rejected because the owning shard's admission
-// queue already holds WithQueueLimit waiters. It is the engine's truthful
+// ErrOverloaded: a run was rejected because the Engine's admission queue
+// already holds WithQueueLimit waiters. It is the engine's truthful
 // overload signal — serving fronts map it to 429 + Retry-After so a
 // cluster router can back off or fail over instead of queueing forever.
-var ErrOverloaded = errors.New("pushpull: shard admission queue full")
+var ErrOverloaded = errors.New("pushpull: admission queue full")
 
 // ErrDraining: a queued (not-yet-admitted) run was failed because the
 // process is shutting down. A draining engine finishes the runs already
@@ -61,41 +58,25 @@ func drainSignal(ctx context.Context) <-chan struct{} {
 	return ch
 }
 
-// shard is one executor: an admission queue plus its telemetry. A nil sem
+// admission is the Engine's admission queue plus its telemetry. A nil sem
 // admits unboundedly (the default Engine).
-type shard struct {
+type admission struct {
 	sem chan struct{}
 	// queueLimit bounds the number of runs waiting on sem; ≤ 0 queues
 	// unboundedly. waiting tracks the current queue depth.
 	queueLimit int
 	waiting    atomic.Int64
 
-	runs        atomic.Uint64
 	queuedRuns  atomic.Uint64
 	queueWaitNS atomic.Int64
 	rejected    atomic.Uint64
 }
 
-func newShards(n, workers, queueLimit int) []*shard {
-	if n < 1 {
-		n = 1
-	}
-	shards := make([]*shard, n)
-	for i := range shards {
-		sh := &shard{queueLimit: queueLimit}
-		if workers > 0 {
-			sh.sem = make(chan struct{}, workers)
-		}
-		shards[i] = sh
-	}
-	return shards
-}
-
-// admit blocks until a worker slot frees up on this shard (or ctx fires
-// while queueing), returning how long the run waited. When the shard has
-// a queue limit and that many runs are already waiting, admit fails fast
-// with ErrOverloaded instead of joining the queue.
-func (s *shard) admit(ctx context.Context) (time.Duration, error) {
+// admit blocks until a worker slot frees up (or ctx fires while
+// queueing), returning how long the run waited. When the queue has a
+// limit and that many runs are already waiting, admit fails fast with
+// ErrOverloaded instead of joining the queue.
+func (s *admission) admit(ctx context.Context) (time.Duration, error) {
 	if s.sem == nil {
 		return 0, nil
 	}
@@ -130,39 +111,10 @@ func (s *shard) admit(ctx context.Context) (time.Duration, error) {
 	}
 }
 
-func (s *shard) release() {
+func (s *admission) release() {
 	if s.sem != nil {
 		<-s.sem
 	}
-}
-
-// shardFor places a run: the shard owning the workload's content — or,
-// for a partition-aware run, the shard owning that workload's PA split
-// for the resolved partition count, so repeated PA runs over one layout
-// always land together and their memoized split is hot on one queue.
-// Placement only exists to spread load deterministically; every shard can
-// execute every run (the Workload's derived views are shared state).
-func (e *Engine) shardFor(w *Workload, cfg *Config) *shard {
-	if len(e.shards) == 1 {
-		return e.shards[0]
-	}
-	key := w.ID()
-	if cfg.PartitionAware {
-		key = fmt.Sprintf("%s|pa=%d", key, cfg.partitions(w))
-	}
-	return e.shards[int(PlacementHash(key)%uint64(len(e.shards)))]
-}
-
-// PlacementHash is the deterministic digest (FNV-1a, 64-bit) behind every
-// placement decision in the system: the Engine places workloads on shard
-// executors by PlacementHash(content ID) mod shards, and the cluster
-// tier's rendezvous placer (cluster.Placer) scores workers with
-// PlacementHash(content ID + worker) — so in-process and cross-process
-// placement agree on one hash and stay stable across restarts.
-func PlacementHash(key string) uint64 {
-	h := fnv.New64a()
-	io.WriteString(h, key)
-	return h.Sum64()
 }
 
 // ---- single-flight ----
@@ -212,7 +164,7 @@ func (e *Engine) coalesce(ctx context.Context, key string) (*Report, error, *fli
 		// race-free: if the cache misses now, no identical run completed,
 		// and taking leadership cannot duplicate one.
 		if e.cache != nil {
-			if rep, hit, _ := e.cacheGet(key); hit {
+			if rep, hit := e.cacheGet(key); hit {
 				e.sfMu.Unlock()
 				e.hits.Add(1)
 				return cachedCopy(rep), nil, nil

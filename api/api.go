@@ -14,6 +14,8 @@ package api
 
 import (
 	"fmt"
+	"math"
+	"time"
 
 	"pushpull"
 )
@@ -54,7 +56,9 @@ type RunOptions struct {
 }
 
 // ToOptions lowers the JSON projection into the engine's functional
-// options, rejecting values no With* function would accept.
+// options, rejecting values no With* function would accept and values
+// the lowering could not carry exactly: a vertex id outside
+// [0, math.MaxInt32] or a timeout_ms too large for a time.Duration.
 func (o *RunOptions) ToOptions() ([]pushpull.Option, error) {
 	var opts []pushpull.Option
 	switch o.Direction {
@@ -76,12 +80,20 @@ func (o *RunOptions) ToOptions() ([]pushpull.Option, error) {
 		opts = append(opts, pushpull.WithMaxIters(o.MaxIters))
 	}
 	if o.Source != 0 {
-		opts = append(opts, pushpull.WithSource(pushpull.V(o.Source)))
+		v, err := vertex("source", o.Source)
+		if err != nil {
+			return nil, err
+		}
+		opts = append(opts, pushpull.WithSource(v))
 	}
 	if len(o.Sources) > 0 {
 		vs := make([]pushpull.V, len(o.Sources))
-		for i, v := range o.Sources {
-			vs[i] = pushpull.V(v)
+		for i, id := range o.Sources {
+			v, err := vertex(fmt.Sprintf("sources[%d]", i), id)
+			if err != nil {
+				return nil, err
+			}
+			vs[i] = v
 		}
 		opts = append(opts, pushpull.WithSources(vs))
 	}
@@ -103,7 +115,21 @@ func (o *RunOptions) ToOptions() ([]pushpull.Option, error) {
 	if o.Ranks != 0 {
 		opts = append(opts, pushpull.WithRanks(o.Ranks))
 	}
+	// The serving layers turn timeout_ms into a time.Duration of
+	// nanoseconds; past this bound that product wraps negative.
+	if time.Duration(o.TimeoutMS) > math.MaxInt64/time.Millisecond {
+		return nil, fmt.Errorf(`bad "timeout_ms" %d (at most %d)`, o.TimeoutMS, math.MaxInt64/time.Millisecond)
+	}
 	return opts, nil
+}
+
+// vertex converts a JSON vertex id to a pushpull.V, which is 32 bits wide:
+// a plain conversion would wrap 2^32 to vertex 0.
+func vertex(field string, id int) (pushpull.V, error) {
+	if id < 0 || id > math.MaxInt32 {
+		return 0, fmt.Errorf(`bad %q %d (vertex ids are 0..%d)`, field, id, math.MaxInt32)
+	}
+	return pushpull.V(id), nil
 }
 
 // RunResponse is the POST /run body on success — and, verbatim, the

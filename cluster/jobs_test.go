@@ -281,3 +281,24 @@ func TestRouterJobValidationAndAffinityPin(t *testing.T) {
 		t.Errorf("poll with dead affinity worker: status %d, want 502: %s", status, raw)
 	}
 }
+
+// TestRouterOptionRanges: a vertex id past 32 bits or an overflowing
+// timeout_ms reaches the client through the router as the worker's 400,
+// on POST /run and POST /jobs alike.
+func TestRouterOptionRanges(t *testing.T) {
+	fleet := newFleet(t, 2)
+	ts, _ := newRouter(t, fleet)
+	putGraph(t, ts.URL, "demo", testGraph(t, 200, 23), http.StatusCreated)
+	for _, c := range []struct{ algorithm, options, field string }{
+		{"bfs", `{"source": 4294967296}`, "source"},
+		{"bc", `{"sources": [4294967296]}`, "sources[0]"},
+		{"pr", `{"timeout_ms": 9223372036855}`, "timeout_ms"},
+	} {
+		body := fmt.Sprintf(`{"graph": "demo", "algorithm": %q, "options": %s}`, c.algorithm, c.options)
+		for _, path := range []string{"/run", "/jobs"} {
+			if status, raw, _ := postJSON(t, ts.URL, path, body); status != http.StatusBadRequest || !strings.Contains(string(raw), c.field) {
+				t.Errorf("POST %s %s via the router: %d %s, want 400 naming %q", path, body, status, raw, c.field)
+			}
+		}
+	}
+}

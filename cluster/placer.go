@@ -2,29 +2,27 @@
 // a router process that speaks the same HTTP API as a worker but fans
 // requests out over a fleet of `pushpull serve` base URLs.
 //
-// The design lifts the engine's in-process sharding (PR 5) one level up,
-// the same way the paper's §6 lifts the push/pull dichotomy from shared
-// memory to a cluster: placement stays deterministic content-identity
-// hashing (the shared pushpull.PlacementHash), but across processes it
-// becomes rendezvous (highest-random-weight) placement so losing a
-// worker only remaps the graphs that lived on it; uploads replicate to R
-// workers; runs route to the primary replica with retry, exponential
-// backoff and failover to secondaries; and mutations fan out with a
-// monotone epoch so no replica can serve a stale graph. A CostModel hook
-// consults the §6.3 dist-* simulations — the paper's remote-op bills —
-// to advise push vs pull per placed graph.
+// The router is where load is spread over capacity, the same way the
+// paper's §6 lifts the push/pull dichotomy from shared memory to a
+// cluster: placement is deterministic content-identity hashing, made
+// rendezvous (highest-random-weight) so losing a worker only remaps the
+// graphs that lived on it; uploads replicate to R workers; runs route to
+// the primary replica with retry, exponential backoff and failover to
+// secondaries; and mutations fan out with a monotone epoch so no replica
+// can serve a stale graph. A CostModel hook consults the §6.3 dist-*
+// simulations — the paper's remote-op bills — to advise push vs pull per
+// placed graph.
 package cluster
 
 import (
+	"hash/fnv"
+	"io"
 	"sort"
-
-	"pushpull"
 )
 
 // Placer decides which workers own a graph: rendezvous (HRW) hashing
-// over pushpull.PlacementHash. Every (key, worker) pair gets a score and
-// a key's replicas are the R highest-scoring workers. Unlike the modulo
-// placement the Engine uses for its fixed in-process shard set,
+// over placementHash. Every (key, worker) pair gets a score and a key's
+// replicas are the R highest-scoring workers. Unlike modulo placement,
 // rendezvous placement is stable under membership change: removing a
 // worker only remaps the keys that ranked it, and every other key's
 // worker order is untouched — exactly the property a fleet with failures
@@ -53,7 +51,7 @@ func (p *Placer) Rank(key string, workers []string) []string {
 	}
 	ranked := make([]scored, len(workers))
 	for i, w := range workers {
-		ranked[i] = scored{w, pushpull.PlacementHash(key + "\x00" + w)}
+		ranked[i] = scored{w, placementHash(key + "\x00" + w)}
 	}
 	sort.Slice(ranked, func(i, j int) bool {
 		if ranked[i].score != ranked[j].score {
@@ -76,4 +74,12 @@ func (p *Placer) Place(key string, workers []string) []string {
 		ranked = ranked[:p.replicas]
 	}
 	return ranked
+}
+
+// placementHash is the deterministic digest (FNV-1a, 64-bit) behind every
+// rendezvous score, so placement is stable across restarts and builds.
+func placementHash(key string) uint64 {
+	h := fnv.New64a()
+	io.WriteString(h, key)
+	return h.Sum64()
 }

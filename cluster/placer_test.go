@@ -109,3 +109,24 @@ func TestPlacerSpread(t *testing.T) {
 		}
 	}
 }
+
+// TestPlacerRanksPinned: rendezvous ranks are a stable function of the
+// digest, so a change of hash would silently move every graph to other
+// workers after an upgrade. These orders are pinned literals.
+func TestPlacerRanksPinned(t *testing.T) {
+	const w0, w1, w2 = "http://worker-0:8080", "http://worker-1:8080", "http://worker-2:8080"
+	want := map[string][]string{
+		"demo":             {w0, w2, w1},
+		"rmat":             {w1, w2, w0},
+		"graph-0":          {w2, w1, w0},
+		"graph-1":          {w1, w2, w0},
+		"graph-2":          {w0, w1, w2},
+		"3f2a9c1e7b4d8a6c": {w1, w0, w2},
+	}
+	p := NewPlacer(3)
+	for key, order := range want {
+		if got := p.Rank(key, fleet(3)); fmt.Sprint(got) != fmt.Sprint(order) {
+			t.Errorf("Rank(%q) = %v, want %v", key, got, order)
+		}
+	}
+}

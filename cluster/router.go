@@ -80,7 +80,7 @@ type Config struct {
 // to R workers by rendezvous placement on the graph's content ID; runs
 // route to the primary replica with retry, exponential backoff and
 // failover to secondaries on connection errors, 5xx, worker-side 404
-// (a worker that lost its state) and 429 (an overloaded shard shedding
+// (a worker that lost its state) and 429 (an overloaded worker shedding
 // load); re-PUT and DELETE fan out with monotone epochs so no replica
 // serves stale results.
 type Router struct {
@@ -285,8 +285,8 @@ func (rt *Router) putGraph(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Placement hashes the content ID — the same identity the workers'
-	// result caches and the engine's in-process shards key on — so a
-	// graph's replica set survives router restarts and renames.
+	// result caches key on — so a graph's replica set survives router
+	// restarts and renames.
 	replicas := rt.placer.Place(id, up)
 	if len(replicas) < rt.cfg.Replicas {
 		// Fewer live workers than the requested replication factor: the
@@ -453,7 +453,7 @@ func (rt *Router) run(w http.ResponseWriter, r *http.Request) {
 // only one connection error), with exponential backoff between
 // attempts. Connection errors mark the worker down — the fastest
 // truthful signal, so concurrent requests stop picking it before the
-// next probe. 5xx (worker-side fault), 429 (an overloaded shard
+// next probe. 5xx (worker-side fault), 429 (an overloaded worker
 // shedding load — the admission queue's truthful overload signal) and
 // 404 (a worker that lost its state, e.g. a restart without a store)
 // fail over to the next candidate. Any other status is the answer —

@@ -19,7 +19,7 @@
 //	pushpull run pr -probes            # instrumented run + counter bill
 //	pushpull run dist-pr-mp -ranks 32  # §6.3 simulated cluster
 //	pushpull serve -addr :8080 -graphs rmat,rca
-//	pushpull serve -shards 4 -cache-ttl 5m -store /var/lib/pushpull
+//	pushpull serve -workers 4 -store /var/lib/pushpull
 //	pushpull serve -jobs-keep 1024 -jobs-ttl 1h   # finished-job retention (the defaults)
 //	pushpull route -addr :8090 -workers http://h1:8080,http://h2:8080
 //	pushpull table3                    # PR and TC push-vs-pull times
@@ -44,7 +44,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"runtime"
 	"strconv"
 	"strings"
 	"syscall"
@@ -274,28 +273,25 @@ func runAlgorithm(args []string, threads int, scale float64, seed uint64) {
 }
 
 // serveEngine starts the HTTP serving front: one long-lived Engine with
-// sharded bounded worker pools, single-flight dedup, a TTL-capable LRU
+// one bounded admission queue, single-flight dedup, a byte-bounded LRU
 // result cache and an optional persistent graph store, exposed via
 // pushpull/serve.
 func serveEngine(args []string, scale float64, seed uint64) {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address")
-	workers := fs.Int("workers", 0, "worker-pool size per shard (0 = GOMAXPROCS)")
+	workers := fs.Int("workers", 0, "concurrent runs the engine admits, async jobs included (0 = GOMAXPROCS)")
 	cache := fs.Int("cache", pushpull.DefaultCacheCapacity, "result-cache capacity in entries (0 disables)")
 	cacheBytes := fs.Int64("cache-bytes", pushpull.DefaultCacheBytes, "result-cache byte budget: cached payloads plus their memoized encodings; the least recently used results are evicted to stay under it (0 = no byte bound, -cache alone governs)")
-	cacheTTL := fs.Duration("cache-ttl", 0, "result-cache entry lifetime, e.g. 30s, 5m (0 = no expiry)")
-	shards := fs.Int("shards", 1, "shard executors: graphs are partitioned across independent admission queues")
 	store := fs.String("store", "", "persist uploaded graphs to this directory (restored on restart)")
 	maxMemory := fs.Int64("max-memory", 0, "per-graph memory budget in bytes: stored graphs whose CSR would exceed it are persisted in the out-of-core block format and served block-sequentially off disk (0 = unlimited; requires -store)")
 	graphs := fs.String("graphs", "", "comma-separated suite graph ids to preload (e.g. rmat,rca; weights attached)")
-	maxQueue := fs.Int("max-queue", 1024, "per-shard admission-queue bound: excess runs are shed with 429 + Retry-After (0 = queue unboundedly)")
+	maxQueue := fs.Int("max-queue", 1024, "admission-queue bound: excess runs are shed with 429 + Retry-After (0 = queue unboundedly)")
 	maxUpload := fs.Int64("max-upload", serve.MaxGraphBytes, "PUT /graphs body limit in bytes; larger uploads get 413")
-	jobsParallel := fs.Int("jobs-parallel", 0, "async job dispatch parallelism (0 = GOMAXPROCS; keep at or below -workers for strict priority order)")
 	jobsKeep := fs.Int("jobs-keep", jobs.DefaultKeep, "finished jobs kept for status and result fetches; beyond it the oldest is collected (record, and its result payload once no kept job shares it)")
 	jobsTTL := fs.Duration("jobs-ttl", jobs.DefaultTTL, "how long a finished job is kept before it is collected, e.g. 10m, 24h")
 	fs.Parse(args)
 	if fs.NArg() > 0 {
-		fmt.Fprintf(os.Stderr, "usage: pushpull [flags] serve [-addr host:port] [-workers n] [-cache n] [-cache-bytes n] [-cache-ttl d] [-shards n] [-max-queue n] [-max-upload bytes] [-jobs-parallel n] [-jobs-keep n] [-jobs-ttl d] [-store dir] [-max-memory bytes] [-graphs ids]\n")
+		fmt.Fprintf(os.Stderr, "usage: pushpull [flags] serve [-addr host:port] [-workers n] [-cache n] [-cache-bytes n] [-max-queue n] [-max-upload bytes] [-jobs-keep n] [-jobs-ttl d] [-store dir] [-max-memory bytes] [-graphs ids]\n")
 		os.Exit(2)
 	}
 	// Negative values would otherwise silently mean "unbounded" or
@@ -305,7 +301,7 @@ func serveEngine(args []string, scale float64, seed uint64) {
 		os.Exit(2)
 	}
 	if *workers < 0 {
-		badFlag("workers", "0 means GOMAXPROCS workers per shard")
+		badFlag("workers", "0 means GOMAXPROCS workers")
 	}
 	if *cache < 0 {
 		badFlag("cache", "0 disables the result cache")
@@ -313,20 +309,11 @@ func serveEngine(args []string, scale float64, seed uint64) {
 	if *cacheBytes < 0 {
 		badFlag("cache-bytes", "0 means no byte bound on the result cache")
 	}
-	if *cacheTTL < 0 {
-		badFlag("cache-ttl", "0 means cached results never expire")
-	}
-	if *shards < 0 {
-		badFlag("shards", "1 means a single executor")
-	}
 	if *maxQueue < 0 {
 		badFlag("max-queue", "0 means an unbounded queue")
 	}
 	if *maxUpload < 0 {
 		badFlag("max-upload", "bytes; the default is 1 GiB")
-	}
-	if *jobsParallel < 0 {
-		badFlag("jobs-parallel", "0 means GOMAXPROCS dispatch slots")
 	}
 	if *jobsKeep < 1 || *jobsTTL <= 0 {
 		fmt.Fprintf(os.Stderr, "pushpull: serve: -jobs-keep and -jobs-ttl must be positive (a finished job has to stay long enough for its result to be fetched; defaults %d and %v)\n", jobs.DefaultKeep, jobs.DefaultTTL)
@@ -339,10 +326,6 @@ func serveEngine(args []string, scale float64, seed uint64) {
 		fmt.Fprintf(os.Stderr, "pushpull: serve: -max-memory requires -store (the out-of-core block files live in the store directory)\n")
 		os.Exit(2)
 	}
-	if *cacheTTL > 0 && *cache == 0 {
-		fmt.Fprintf(os.Stderr, "pushpull: serve: -cache-ttl %v has no effect with -cache 0 (the result cache is disabled)\n", *cacheTTL)
-		os.Exit(2)
-	}
 	fs.Visit(func(f *flag.Flag) {
 		if f.Name == "cache-bytes" && *cache == 0 {
 			fmt.Fprintf(os.Stderr, "pushpull: serve: -cache-bytes %d has no effect with -cache 0 (the result cache is disabled)\n", *cacheBytes)
@@ -353,12 +336,6 @@ func serveEngine(args []string, scale float64, seed uint64) {
 	engOpts := []pushpull.EngineOption{pushpull.WithResultCache(*cache), pushpull.WithResultCacheBytes(*cacheBytes)}
 	if *workers > 0 {
 		engOpts = append(engOpts, pushpull.WithWorkers(*workers))
-	}
-	if *cacheTTL > 0 {
-		engOpts = append(engOpts, pushpull.WithCacheTTL(*cacheTTL))
-	}
-	if *shards > 1 {
-		engOpts = append(engOpts, pushpull.WithShards(*shards))
 	}
 	if *maxQueue > 0 {
 		engOpts = append(engOpts, pushpull.WithQueueLimit(*maxQueue))
@@ -417,11 +394,7 @@ func serveEngine(args []string, scale float64, seed uint64) {
 		}
 		jobStore = js
 	}
-	mgrOpts := []jobs.Option{jobs.WithStore(jobStore), jobs.WithRetention(*jobsKeep, *jobsTTL)}
-	if *jobsParallel > 0 {
-		mgrOpts = append(mgrOpts, jobs.WithParallel(*jobsParallel))
-	}
-	mgr, err := jobs.NewManager(eng, mgrOpts...)
+	mgr, err := jobs.NewManager(eng, jobs.WithStore(jobStore), jobs.WithRetention(*jobsKeep, *jobsTTL))
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "pushpull: serve: recovering jobs: %v\n", err)
 		os.Exit(1)
@@ -444,16 +417,8 @@ func serveEngine(args []string, scale float64, seed uint64) {
 	go func() { errc <- srv.ListenAndServe() }()
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	effWorkers := *workers
-	if effWorkers <= 0 {
-		effWorkers = runtime.GOMAXPROCS(0) // the NewEngine default pool bound
-	}
-	effShards := *shards
-	if effShards < 1 {
-		effShards = 1
-	}
-	fmt.Printf("serving %d algorithms on http://%s (shards=%d workers/shard=%d cache=%d cache-bytes=%d ttl=%v store=%q)\n",
-		len(pushpull.Algorithms()), *addr, effShards, effWorkers, *cache, *cacheBytes, *cacheTTL, *store)
+	fmt.Printf("serving %d algorithms on http://%s (workers=%d cache=%d cache-bytes=%d store=%q)\n",
+		len(pushpull.Algorithms()), *addr, eng.Stats().Workers, *cache, *cacheBytes, *store)
 	select {
 	case err := <-errc:
 		fmt.Fprintf(os.Stderr, "pushpull: serve: %v\n", err)

@@ -6,20 +6,19 @@ package pushpull
 // already memoized per Workload handle, and the Engine adds the
 // request-level layers on top:
 //
-//   - shard executors (WithShards): registered workloads are partitioned
-//     across shards by content identity — partition-aware runs by the
-//     identity of their PA split — and each shard owns its own bounded
-//     admission queue, so a burst against one hot graph queues on that
-//     graph's shard instead of head-of-line-blocking every other graph,
+//   - one admission queue: at most WithWorkers runs execute at once, the
+//     rest wait (bounded by WithQueueLimit, shed past it with
+//     ErrOverloaded),
 //   - single-flight deduplication: concurrent identical requests coalesce
 //     onto the one run already executing (followers report
 //     Stats.Coalesced and run nothing), and
 //   - an LRU result cache keyed on (stable Workload content identity,
 //     algorithm name, canonical options fingerprint), bounded by the bytes
 //     its entries hold (WithResultCacheBytes) and by their number
-//     (WithResultCache), with optional per-entry TTL (WithCacheTTL) and
-//     explicit invalidation wired to graph mutation: re-registering a name
-//     with different content drops the replaced graph's cached results.
+//     (WithResultCache), with explicit invalidation wired to graph
+//     mutation: re-registering a name with different content drops the
+//     replaced graph's cached results. Keys name immutable content, so an
+//     entry never goes stale and nothing evicts it by age.
 //
 // A GraphStore attached with AttachStore makes the name→Workload registry
 // durable: registrations write through, deletions propagate, and a fresh
@@ -27,13 +26,12 @@ package pushpull
 //
 // pushpull.Run is a thin call on a lazily-initialized default Engine, so
 // every pre-Engine call site keeps compiling and behaving identically:
-// the default Engine is unbounded, uncached, un-sharded and never
-// coalesces, preserving the facade's one-shot timing semantics
-// (benchmarks and the paper harness must measure real kernel runs, never
-// cache hits or coalesced copies). Serving layers construct their own
-// Engine and opt in:
+// the default Engine is unbounded, uncached and never coalesces,
+// preserving the facade's one-shot timing semantics (benchmarks and the
+// paper harness must measure real kernel runs, never cache hits or
+// coalesced copies). Serving layers construct their own Engine and opt in:
 //
-//	eng := pushpull.NewEngine(pushpull.WithShards(4))
+//	eng := pushpull.NewEngine(pushpull.WithQueueLimit(1024))
 //	rep1, _ := eng.Run(ctx, w, "pr", pushpull.WithIterations(20))
 //	rep2, _ := eng.Run(ctx, w, "pr", pushpull.WithIterations(20))
 //	// rep2.Stats.CacheHit == true; no kernel ran.
@@ -62,15 +60,15 @@ const DefaultCacheCapacity = 128
 // capacity × (whatever the results weigh), so faster kernels retain more.
 const DefaultCacheBytes = 64 << 20
 
-// Engine is a long-lived run scheduler: sharded bounded worker pools,
+// Engine is a long-lived run scheduler: a bounded admission queue,
 // single-flight deduplication, an LRU result cache, and a (optionally
 // persistent) name→Workload registry for serving fronts. An Engine is
 // safe for concurrent use; the zero value is not valid — use NewEngine
 // (or the package-level Run, which uses the default Engine).
 type Engine struct {
-	// shards are the executors; placement is by workload content identity
-	// (see shardFor). Always at least one.
-	shards []*shard
+	// queue admits every run that executes; cache hits and coalesced
+	// followers never reach it.
+	queue admission
 
 	// singleFlight enables coalescing of concurrent identical requests.
 	singleFlight bool
@@ -90,8 +88,7 @@ type Engine struct {
 	store     GraphStore // nil until AttachStore
 
 	hits, misses, uncacheable atomic.Uint64
-	coalesced, expired        atomic.Uint64
-	encodingHits              atomic.Uint64
+	coalesced, encodingHits   atomic.Uint64
 }
 
 // EngineOption configures NewEngine.
@@ -101,17 +98,14 @@ type engineConfig struct {
 	workers      int
 	cacheCap     int
 	cacheBytes   int64
-	cacheTTL     time.Duration
-	shards       int
 	queueLimit   int
 	singleFlight bool
 }
 
-// WithWorkers bounds each shard's worker pool to n concurrent runs;
-// excess runs wait in that shard's admission queue (their wait is
-// reported as Stats.QueueWait). With S shards the engine-wide bound is
-// S×n. n ≤ 0 removes the bound. NewEngine's default is GOMAXPROCS — one
-// kernel's thread pool per hardware context.
+// WithWorkers bounds the Engine to n concurrent runs; excess runs wait in
+// its admission queue (their wait is reported as Stats.QueueWait). n ≤ 0
+// removes the bound. NewEngine's default is GOMAXPROCS — one kernel's
+// thread pool per hardware context.
 func WithWorkers(n int) EngineOption {
 	return func(c *engineConfig) { c.workers = n }
 }
@@ -137,29 +131,12 @@ func WithResultCacheBytes(n int64) EngineOption {
 	return func(c *engineConfig) { c.cacheBytes = n }
 }
 
-// WithCacheTTL bounds the lifetime of each cached result: an entry older
-// than ttl is evicted on lookup and the request runs for real. ttl ≤ 0
-// (the default) means entries never expire — only LRU pressure and
-// explicit invalidation evict them.
-func WithCacheTTL(ttl time.Duration) EngineOption {
-	return func(c *engineConfig) { c.cacheTTL = ttl }
-}
-
-// WithShards partitions the Engine into n shard executors, each with its
-// own admission queue (bounded per WithWorkers). Registered workloads are
-// placed by content identity, partition-aware runs by the identity of
-// their PA split, so one hot graph cannot head-of-line-block the rest.
-// n ≤ 1 keeps the single-executor layout.
-func WithShards(n int) EngineOption {
-	return func(c *engineConfig) { c.shards = n }
-}
-
-// WithQueueLimit bounds each shard's admission queue to n waiting runs:
-// a run arriving while all workers are busy and n runs already wait fails
+// WithQueueLimit bounds the admission queue to n waiting runs: a run
+// arriving while all workers are busy and n runs already wait fails
 // fast with ErrOverloaded instead of queueing (the rejection is counted
 // in EngineStats.Rejected). n ≤ 0 — the default — queues unboundedly.
 // Only meaningful on a bounded Engine (WithWorkers > 0); an unbounded
-// shard never queues. This is the truthful overload signal a serving
+// Engine never queues. This is the truthful overload signal a serving
 // front needs: under sustained overload an unbounded queue grows without
 // limit while every client times out, whereas a bounded one sheds load
 // the moment it cannot serve it.
@@ -176,29 +153,31 @@ func WithSingleFlight(enabled bool) EngineOption {
 	return func(c *engineConfig) { c.singleFlight = enabled }
 }
 
-// NewEngine builds an Engine with one shard, a GOMAXPROCS-bounded worker
-// pool, a result cache of at most DefaultCacheCapacity entries and
-// DefaultCacheBytes bytes, and single-flight deduplication enabled, then
+// NewEngine builds an Engine admitting GOMAXPROCS concurrent runs, with a
+// result cache of at most DefaultCacheCapacity entries and
+// DefaultCacheBytes bytes and single-flight deduplication enabled, then
 // applies opts.
 func NewEngine(opts ...EngineOption) *Engine {
 	cfg := engineConfig{
 		workers:      runtime.GOMAXPROCS(0),
 		cacheCap:     DefaultCacheCapacity,
 		cacheBytes:   DefaultCacheBytes,
-		shards:       1,
 		singleFlight: true,
 	}
 	for _, opt := range opts {
 		opt(&cfg)
 	}
 	e := &Engine{
-		shards:       newShards(cfg.shards, cfg.workers, cfg.queueLimit),
 		singleFlight: cfg.singleFlight,
 		inflight:     map[string]*flight{},
 		workloads:    map[string]*Workload{},
 	}
+	e.queue.queueLimit = cfg.queueLimit
+	if cfg.workers > 0 {
+		e.queue.sem = make(chan struct{}, cfg.workers)
+	}
 	if cfg.cacheCap > 0 {
-		e.cache = newResultCache(cfg.cacheCap, cfg.cacheBytes, cfg.cacheTTL)
+		e.cache = newResultCache(cfg.cacheCap, cfg.cacheBytes)
 	}
 	return e
 }
@@ -210,10 +189,10 @@ var (
 
 // DefaultEngine returns the process-wide Engine behind the package-level
 // Run, initializing it on first use. It is deliberately unbounded,
-// uncached, un-sharded and non-coalescing — the facade's one-shot
-// semantics (every Run measures a real kernel execution) predate the
-// Engine and must survive it; a serving layer wanting admission control,
-// result caching or deduplication builds its own Engine with NewEngine.
+// uncached and non-coalescing — the facade's one-shot semantics (every
+// Run measures a real kernel execution) predate the Engine and must
+// survive it; a serving layer wanting admission control, result caching
+// or deduplication builds its own Engine with NewEngine.
 func DefaultEngine() *Engine {
 	defaultEngineOnce.Do(func() {
 		defaultEngine = NewEngine(WithWorkers(0), WithResultCache(0), WithSingleFlight(false))
@@ -223,17 +202,16 @@ func DefaultEngine() *Engine {
 
 // Run executes the named algorithm on a Runnable exactly like the
 // package-level Run, routed through this Engine's result cache,
-// single-flight deduplication and shard admission queues.
+// single-flight deduplication and admission queue.
 //
 // A run is served from cache when all of the following hold: the Engine
 // caches (WithResultCache > 0), the caller passed a *Workload handle (a
 // bare *Graph is single-use, so hashing it every call would be pure
 // overhead), the options fingerprint as cacheable (no WithIterationHook,
-// WithProbes, WithPartitionAwareGraph, or custom switch policy), an
-// identical (workload content, algorithm, options) run completed before,
-// and — when WithCacheTTL is set — that run is younger than the TTL.
-// Cache hits bypass the worker pools and return a shallow copy of the
-// cached Report with Stats.CacheHit set.
+// WithProbes, WithPartitionAwareGraph, or custom switch policy), and an
+// identical (workload content, algorithm, options) run completed before
+// and is still cached. Cache hits bypass admission and return a shallow
+// copy of the cached Report with Stats.CacheHit set.
 //
 // When the same key is already executing on a single-flight Engine, the
 // call coalesces: it waits for that run and returns a shallow copy of its
@@ -281,11 +259,9 @@ func (e *Engine) Run(ctx context.Context, on Runnable, algorithm string, opts ..
 	cacheable := key != "" && e.cache != nil
 	if !cacheable {
 		e.uncacheable.Add(1)
-	} else if rep, ok, expired := e.cacheGet(key); ok {
+	} else if rep, ok := e.cacheGet(key); ok {
 		e.hits.Add(1)
 		return cachedCopy(rep), nil
-	} else if expired {
-		e.expired.Add(1)
 	}
 
 	if key != "" && e.singleFlight {
@@ -307,16 +283,14 @@ func (e *Engine) Run(ctx context.Context, on Runnable, algorithm string, opts ..
 	return e.runAdmitted(ctx, a, w, cfg, key)
 }
 
-// runAdmitted is the execution tail behind cache and single-flight: admit
-// on the owning shard, execute, and cache a completed cacheable result.
+// runAdmitted is the execution tail behind cache and single-flight: admit,
+// execute, and cache a completed cacheable result.
 func (e *Engine) runAdmitted(ctx context.Context, a Algorithm, w *Workload, cfg *Config, key string) (*Report, error) {
-	sh := e.shardFor(w, cfg)
-	wait, err := sh.admit(ctx)
+	wait, err := e.queue.admit(ctx)
 	if err != nil {
 		return nil, err
 	}
-	defer sh.release()
-	sh.runs.Add(1)
+	defer e.queue.release()
 
 	rep, err := execute(ctx, a, w, cfg)
 	if rep != nil {
@@ -396,8 +370,8 @@ type encodingMemo struct {
 // (Stats.CacheHit) keeps the first build on its cache entry — every later
 // hit of that entry gets the same bytes back without encoding anything.
 // The entry is charged those bytes against the cache's byte budget
-// (WithResultCacheBytes), and they are released when the entry is evicted,
-// expires or is invalidated. Any other report (a miss, a coalesced copy,
+// (WithResultCacheBytes), and they are released when the entry is evicted
+// or invalidated. Any other report (a miss, a coalesced copy,
 // an uncached run) has no entry to keep it on: build runs on every call.
 //
 // The slot is single: all callers must pass builds that produce the same
@@ -437,7 +411,7 @@ func (m *encodingMemo) fill(build func() []byte) (enc *Encoding, built bool) {
 	return enc, true
 }
 
-func (e *Engine) cacheGet(key string) (rep *Report, ok, expired bool) {
+func (e *Engine) cacheGet(key string) (*Report, bool) {
 	e.cacheMu.Lock()
 	defer e.cacheMu.Unlock()
 	return e.cache.get(key)
@@ -454,7 +428,7 @@ func (e *Engine) cachePut(key string, rep *Report) {
 }
 
 // cacheCharge adds the n bytes memo m just memoized to its entry's charge.
-// The entry may be gone by now — evicted, expired, invalidated, or
+// The entry may be gone by now — evicted, invalidated, or
 // overwritten by a newer run of the same key, which has its own memo —
 // and then there is nothing to charge: the bytes die with the reports
 // that still reference m.
@@ -486,28 +460,6 @@ func (e *Engine) invalidateID(id string) int {
 	return e.cache.invalidate(id + "|")
 }
 
-// ShardStats is the per-shard slice of EngineStats.
-type ShardStats struct {
-	// Shard is the executor's index (placement is stable for a given
-	// workload content and shard count).
-	Shard int
-	// Runs counts runs executed on this shard (cache hits and coalesced
-	// followers never reach a shard).
-	Runs uint64
-	// QueuedRuns counts runs that waited in this shard's admission
-	// queue; QueueWait is their cumulative wait.
-	QueuedRuns uint64
-	QueueWait  time.Duration
-	// Waiting is the instantaneous admission-queue depth: runs parked on
-	// this shard right now. Unlike the cumulative counters it can go to
-	// zero again; serving fronts divide mean historical queue wait by it
-	// to produce an honest Retry-After.
-	Waiting int64
-	// Rejected counts runs shed with ErrOverloaded because the queue
-	// already held WithQueueLimit waiters.
-	Rejected uint64
-}
-
 // EngineStats is a point-in-time snapshot of an Engine's serving
 // telemetry.
 type EngineStats struct {
@@ -523,9 +475,6 @@ type EngineStats struct {
 	// Coalesced counts requests served by single-flight deduplication:
 	// they joined an identical in-progress run instead of executing.
 	Coalesced uint64
-	// Expired counts cache lookups that found only a TTL-expired entry
-	// (also counted in CacheMisses).
-	Expired uint64
 	// CacheEntries is the current number of cached reports. CacheBytes is
 	// what they are charged against CacheBudget (WithResultCacheBytes; 0 =
 	// no byte bound): payload slice bytes plus EncodingBytes. It exceeds
@@ -538,45 +487,36 @@ type EngineStats struct {
 	// memos retain right now.
 	EncodingHits  uint64
 	EncodingBytes int64
-	// QueuedRuns counts runs that waited in any admission queue;
+	// Workers is the admission bound (WithWorkers): at most this many runs
+	// execute at once. 0 means unbounded.
+	Workers int
+	// QueuedRuns counts runs that waited in the admission queue;
 	// QueueWait is their cumulative wait. Waiting is the instantaneous
-	// depth across all queues; Rejected counts runs shed with
-	// ErrOverloaded under WithQueueLimit. All four aggregate Shards.
+	// queue depth: unlike the cumulative counters it can go to zero
+	// again, and serving fronts multiply it by the mean historical wait
+	// to produce an honest Retry-After. Rejected counts runs shed with
+	// ErrOverloaded under WithQueueLimit.
 	QueuedRuns uint64
 	QueueWait  time.Duration
 	Waiting    int64
 	Rejected   uint64
-	// Shards breaks the execution telemetry down per shard executor.
-	Shards []ShardStats
 }
 
-// Stats snapshots the Engine's cache, dedup and per-shard queue
-// telemetry.
+// Stats snapshots the Engine's cache, dedup and admission telemetry.
 func (e *Engine) Stats() EngineStats {
 	s := EngineStats{
 		CacheHits:   e.hits.Load(),
 		CacheMisses: e.misses.Load(),
 		Uncacheable: e.uncacheable.Load(),
 		Coalesced:   e.coalesced.Load(),
-		Expired:     e.expired.Load(),
-		Shards:      make([]ShardStats, len(e.shards)),
 
 		EncodingHits: e.encodingHits.Load(),
-	}
-	for i, sh := range e.shards {
-		ss := ShardStats{
-			Shard:      i,
-			Runs:       sh.runs.Load(),
-			QueuedRuns: sh.queuedRuns.Load(),
-			QueueWait:  time.Duration(sh.queueWaitNS.Load()),
-			Waiting:    sh.waiting.Load(),
-			Rejected:   sh.rejected.Load(),
-		}
-		s.Shards[i] = ss
-		s.QueuedRuns += ss.QueuedRuns
-		s.QueueWait += ss.QueueWait
-		s.Waiting += ss.Waiting
-		s.Rejected += ss.Rejected
+
+		Workers:    cap(e.queue.sem),
+		QueuedRuns: e.queue.queuedRuns.Load(),
+		QueueWait:  time.Duration(e.queue.queueWaitNS.Load()),
+		Waiting:    e.queue.waiting.Load(),
+		Rejected:   e.queue.rejected.Load(),
 	}
 	if e.cache != nil {
 		e.cacheMu.Lock()
@@ -727,13 +667,12 @@ func (e *Engine) WorkloadNames() []string {
 // ---- LRU result cache ----
 
 // resultCache is an LRU over completed Reports, bounded by an entry cap
-// and a byte budget, with an optional per-entry TTL; the Engine guards it
-// with cacheMu (hits mutate recency, so even reads write).
+// and a byte budget; the Engine guards it with cacheMu (hits mutate
+// recency, so even reads write).
 type resultCache struct {
 	capacity int
-	budget   int64         // ≤ 0: no byte bound
-	ttl      time.Duration // ≤ 0: entries never expire
-	ll       *list.List    // front = most recently used
+	budget   int64      // ≤ 0: no byte bound
+	ll       *list.List // front = most recently used
 	entries  map[string]*list.Element
 
 	// Running totals over the live entries, maintained by put,
@@ -743,33 +682,27 @@ type resultCache struct {
 }
 
 type cacheEntry struct {
-	key    string
-	rep    *Report
-	stored time.Time
+	key string
+	rep *Report
 	// What the entry is charged: its payload's slice bytes, fixed at put,
 	// and its memoized encoding's bytes, 0 until chargeEncoding.
 	payload, enc int64
 }
 
-func newResultCache(capacity int, budget int64, ttl time.Duration) *resultCache {
+func newResultCache(capacity int, budget int64) *resultCache {
 	if budget < 0 {
 		budget = 0
 	}
-	return &resultCache{capacity: capacity, budget: budget, ttl: ttl, ll: list.New(), entries: map[string]*list.Element{}}
+	return &resultCache{capacity: capacity, budget: budget, ll: list.New(), entries: map[string]*list.Element{}}
 }
 
-func (c *resultCache) get(key string) (rep *Report, ok, expired bool) {
-	el, hit := c.entries[key]
-	if !hit {
-		return nil, false, false
-	}
-	ent := el.Value.(*cacheEntry)
-	if c.ttl > 0 && time.Since(ent.stored) > c.ttl {
-		c.remove(el)
-		return nil, false, true
+func (c *resultCache) get(key string) (*Report, bool) {
+	el, ok := c.entries[key]
+	if !ok {
+		return nil, false
 	}
 	c.ll.MoveToFront(el)
-	return ent.rep, true, false
+	return el.Value.(*cacheEntry).rep, true
 }
 
 // put stores rep under key, charged payload bytes, as the most recently
@@ -778,7 +711,7 @@ func (c *resultCache) put(key string, rep *Report, payload int64) {
 	if el, ok := c.entries[key]; ok {
 		c.remove(el)
 	}
-	c.entries[key] = c.ll.PushFront(&cacheEntry{key: key, rep: rep, stored: time.Now(), payload: payload})
+	c.entries[key] = c.ll.PushFront(&cacheEntry{key: key, rep: rep, payload: payload})
 	c.bytes += payload
 	c.evict()
 }

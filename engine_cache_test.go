@@ -3,15 +3,14 @@ package pushpull_test
 // Result-cache accounting: the cache is bounded by the bytes its entries
 // are charged (payload at put, memoized encoding when the memo fills),
 // the entry cap stays as the secondary bound, and every way an entry
-// leaves — LRU pressure, TTL expiry, invalidation, same-key overwrite —
-// gives its bytes back.
+// leaves — LRU pressure, invalidation, same-key overwrite — gives its
+// bytes back.
 
 import (
 	"context"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"pushpull"
 )
@@ -164,27 +163,6 @@ func TestCacheReleasesBytes(t *testing.T) {
 		if st := checkTotals(t, eng); st.CacheBytes != 8*kb+700 || st.EncodingBytes != 700 || st.CacheEntries != 1 {
 			t.Errorf("after invalidation: %d entries, %d bytes / %d encoding; want what the kept graph holds (1, %d, 700)",
 				st.CacheEntries, st.CacheBytes, st.EncodingBytes, 8*kb+700)
-		}
-	})
-
-	t.Run("ttl", func(t *testing.T) {
-		eng := pushpull.NewEngine(pushpull.WithCacheTTL(30 * time.Millisecond))
-		w := pushpull.NewWorkload(undirectedGraph(t, 64, 3))
-		sized(t, eng, w, 0, kb)
-		stale := sized(t, eng, w, 0, kb)
-		encodeTo(stale, 700)
-		if st := checkTotals(t, eng); st.CacheBytes != 8*kb+700 {
-			t.Fatalf("before expiry: %d bytes", st.CacheBytes)
-		}
-		time.Sleep(60 * time.Millisecond)
-		// The lookup finds the entry expired, releases it, and the rerun
-		// stores a fresh one under the same key with an empty memo.
-		if sized(t, eng, w, 0, kb).Stats.CacheHit {
-			t.Fatal("expired entry served")
-		}
-		if st := checkTotals(t, eng); st.CacheBytes != 8*kb || st.EncodingBytes != 0 || st.Expired != 1 {
-			t.Errorf("after expiry and rerun: %d bytes / %d encoding, expired=%d; want %d / 0 / 1",
-				st.CacheBytes, st.EncodingBytes, st.Expired, 8*kb)
 		}
 	})
 

@@ -569,37 +569,6 @@ func TestEngineDefaultNoSingleFlight(t *testing.T) {
 	}
 }
 
-// TestEngineCacheTTL: an entry older than the TTL is evicted on lookup
-// and the request runs for real (counted as an expired miss).
-func TestEngineCacheTTL(t *testing.T) {
-	eng := pushpull.NewEngine(pushpull.WithCacheTTL(40 * time.Millisecond))
-	ctx := context.Background()
-	w := pushpull.NewWorkload(undirectedGraph(t, 300, 83))
-	opts := []pushpull.Option{pushpull.WithIterations(3)}
-
-	if _, err := eng.Run(ctx, w, "pr", opts...); err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := eng.Run(ctx, w, "pr", opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !fresh.Stats.CacheHit {
-		t.Fatal("immediate rerun missed the cache")
-	}
-	time.Sleep(80 * time.Millisecond)
-	stale, err := eng.Run(ctx, w, "pr", opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stale.Stats.CacheHit {
-		t.Fatal("rerun after the TTL was served the expired entry")
-	}
-	if st := eng.Stats(); st.Expired != 1 || st.CacheHits != 1 || st.CacheMisses != 2 {
-		t.Errorf("stats = %+v, want 1 expired / 1 hit / 2 misses", st)
-	}
-}
-
 // TestEngineInvalidateOnOverwrite is the regression test for the stale-
 // result bug: re-registering a name with different content must drop the
 // replaced graph's cached results (they could never hit again), while
@@ -676,137 +645,6 @@ func TestEngineDropWorkload(t *testing.T) {
 	}
 	if ok, err := eng.DropWorkload("g"); ok || err != nil {
 		t.Errorf("second drop = %v, %v, want false, nil", ok, err)
-	}
-}
-
-// shardRuns snapshots the per-shard run counters.
-func shardRuns(eng *pushpull.Engine) []uint64 {
-	st := eng.Stats()
-	runs := make([]uint64, len(st.Shards))
-	for i, sh := range st.Shards {
-		runs[i] = sh.Runs
-	}
-	return runs
-}
-
-// shardOf probes which shard a workload's runs land on.
-func shardOf(t *testing.T, eng *pushpull.Engine, w *pushpull.Workload) int {
-	t.Helper()
-	before := shardRuns(eng)
-	if _, err := eng.Run(context.Background(), w, "pr", pushpull.WithIterations(1)); err != nil {
-		t.Fatal(err)
-	}
-	after := shardRuns(eng)
-	for i := range after {
-		if after[i] > before[i] {
-			return i
-		}
-	}
-	t.Fatal("run landed on no shard")
-	return -1
-}
-
-// TestEngineShardPlacement: placement is deterministic by content (the
-// same workload always lands on the same shard), distinct workloads
-// spread across shards, and partition-aware runs stick to the shard
-// owning their PA split.
-func TestEngineShardPlacement(t *testing.T) {
-	eng := pushpull.NewEngine(pushpull.WithShards(3), pushpull.WithResultCache(0))
-	seen := map[int]bool{}
-	for seed := uint64(101); seed < 113; seed++ {
-		w := pushpull.NewWorkload(undirectedGraph(t, 200, seed))
-		first := shardOf(t, eng, w)
-		if again := shardOf(t, eng, w); again != first {
-			t.Errorf("seed %d: placement moved shard %d → %d", seed, first, again)
-		}
-		seen[first] = true
-	}
-	if len(seen) < 2 {
-		t.Errorf("12 distinct workloads all landed on one shard: %v", seen)
-	}
-
-	// PA runs route by (content, partition count): identical PA runs
-	// land together.
-	pa := pushpull.NewEngine(pushpull.WithShards(4), pushpull.WithResultCache(0))
-	w := pushpull.NewWorkload(undirectedGraph(t, 200, 131))
-	opts := []pushpull.Option{pushpull.WithDirection(pushpull.Push),
-		pushpull.WithPartitionAwareness(), pushpull.WithPartitions(3), pushpull.WithThreads(3)}
-	for i := 0; i < 2; i++ {
-		if _, err := pa.Run(context.Background(), w, "pr", opts...); err != nil {
-			t.Fatal(err)
-		}
-	}
-	runs := shardRuns(pa)
-	var total, maxed uint64
-	for _, r := range runs {
-		total += r
-		if r > maxed {
-			maxed = r
-		}
-	}
-	if total != 2 || maxed != 2 {
-		t.Errorf("PA runs spread as %v, want both on one shard", runs)
-	}
-}
-
-// TestEngineShardNoHeadOfLine is the sharding acceptance check: with one
-// worker per shard, a run against a graph on a busy shard queues, but a
-// run against a graph on another shard is admitted immediately — the hot
-// graph no longer head-of-line-blocks the rest.
-func TestEngineShardNoHeadOfLine(t *testing.T) {
-	registerSlow(t)
-	// Probe placement on an unbounded twin: placement depends only on
-	// content identity and shard count, so it transfers to the real
-	// engine below.
-	probe := pushpull.NewEngine(pushpull.WithShards(2), pushpull.WithResultCache(0))
-	var hot, cold *pushpull.Workload
-	hotShard := -1
-	for seed := uint64(211); seed < 231; seed++ {
-		w := pushpull.NewWorkload(undirectedGraph(t, 100, seed))
-		sh := shardOf(t, probe, w)
-		if hot == nil {
-			hot, hotShard = w, sh
-			continue
-		}
-		if sh != hotShard {
-			cold = w
-			break
-		}
-	}
-	if cold == nil {
-		t.Fatal("no pair of workloads on distinct shards among 20 seeds")
-	}
-
-	eng := pushpull.NewEngine(pushpull.WithShards(2), pushpull.WithWorkers(1), pushpull.WithResultCache(0))
-	slotHeld := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		// The hook makes the run uncacheable (no single-flight) and
-		// doubles as the "slot acquired" signal.
-		if _, err := eng.Run(context.Background(), hot, "test-slow",
-			pushpull.WithIterationHook(func(int, time.Duration) { close(slotHeld) })); err != nil {
-			t.Error(err)
-		}
-	}()
-	<-slotHeld // hot's shard is now saturated for ~30ms
-
-	rep, err := eng.Run(context.Background(), cold, "test-slow",
-		pushpull.WithIterationHook(func(int, time.Duration) {}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Stats.QueueWait != 0 {
-		t.Errorf("run on the cold shard waited %v behind the hot graph", rep.Stats.QueueWait)
-	}
-	wg.Wait()
-	st := eng.Stats()
-	if st.QueuedRuns != 0 {
-		t.Errorf("stats = %+v, want no queued runs across shards", st)
-	}
-	if len(st.Shards) != 2 {
-		t.Fatalf("got %d shard stats, want 2", len(st.Shards))
 	}
 }
 

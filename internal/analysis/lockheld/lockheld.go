@@ -1,9 +1,9 @@
 // Package lockheld flags sync.Mutex/sync.RWMutex critical sections that
 // reach a blocking operation — network or file I/O, channel operations,
-// http.Client calls, WaitGroup waits — in the engine, store, shard,
-// serve and cluster layers. A lock held across a slow worker call stalls
+// http.Client calls, WaitGroup waits — in the engine, store, serve and
+// cluster layers. A lock held across a slow worker call stalls
 // every contender behind one straggler, which is exactly the
-// head-of-line blocking the shard architecture exists to avoid.
+// head-of-line blocking a serving stack must avoid.
 //
 // The analysis is intra-procedural per critical section with a
 // same-package transitive summary: a package function whose body reaches

@@ -1,11 +1,12 @@
 // Package jobs turns synchronous engine runs into durable, schedulable
 // jobs: the async half of the serving stack. A Manager wraps a
 // *pushpull.Engine; Submit returns a job ID immediately and a scheduler
-// drains a priority+deadline-aware queue into the engine's existing
-// per-shard admission queues. Job state lives behind a JobStore, so a
-// worker restart recovers the queue instead of forgetting it: still-
-// queued jobs are re-queued, jobs that were mid-run are marked
-// interrupted (their partial work is gone with the process).
+// drains a priority+deadline-aware queue into the engine's admission
+// queue, at most as many jobs at once as the engine admits runs. Job
+// state lives behind a JobStore, so a worker restart recovers the queue
+// instead of forgetting it: still-queued jobs are re-queued, jobs that
+// were mid-run are marked interrupted (their partial work is gone with
+// the process).
 //
 // The scheduling order is strict: higher priority always dispatches
 // first; within a priority, earlier deadline first (no deadline sorts

@@ -26,14 +26,14 @@ import (
 )
 
 // newCachingEngine builds an engine at serving defaults (result cache
-// on) with an n-vertex graph registered as "g".
-func newCachingEngine(t testing.TB, n int) *pushpull.Engine {
+// on), changed by opts, with an n-vertex graph registered as "g".
+func newCachingEngine(t testing.TB, n int, opts ...pushpull.EngineOption) *pushpull.Engine {
 	t.Helper()
 	g, err := pushpull.ErdosRenyi(n, 4, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := pushpull.NewEngine()
+	eng := pushpull.NewEngine(opts...)
 	if err := eng.RegisterWorkload("g", pushpull.NewWorkload(g)); err != nil {
 		t.Fatal(err)
 	}
@@ -159,11 +159,21 @@ func TestRetentionCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A recovering manager orders terminal jobs by their millisecond
+	// finish stamps, so each job here finishes in a millisecond of its
+	// own: between equal stamps, which job is oldest is not recorded.
+	run := func(m *jobs.Manager, spec jobs.Spec) *jobs.Job {
+		j := runJob(t, m, spec)
+		for time.Now().UnixMilli() <= j.FinishedMS {
+			time.Sleep(100 * time.Microsecond)
+		}
+		return j
+	}
 	// One job with payload A, then keep+1 sharing payload B: A's job and
 	// the first B are collected.
-	all := []*jobs.Job{runJob(t, m, prSpec(1))}
+	all := []*jobs.Job{run(m, prSpec(1))}
 	for i := 0; i < keep+1; i++ {
-		all = append(all, runJob(t, m, prSpec(2)))
+		all = append(all, run(m, prSpec(2)))
 	}
 	evicted, kept := all[:2], all[2:]
 	if all[0].Payload == all[1].Payload || all[1].Payload != all[2].Payload {
@@ -216,7 +226,7 @@ func TestRetentionCount(t *testing.T) {
 	check(m2, 0)
 	// Collection continues where the predecessor stopped: the next job
 	// pushes out the oldest recovered one.
-	evicted, kept = append(evicted, kept[0]), append(kept[1:], runJob(t, m2, prSpec(2)))
+	evicted, kept = append(evicted, kept[0]), append(kept[1:], run(m2, prSpec(2)))
 	check(m2, 1)
 	m2.Close()
 
@@ -289,7 +299,7 @@ func TestJobAllocsIndependentOfN(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := jobs.NewManager(newCachingEngine(t, n), jobs.WithStore(store), jobs.WithParallel(1))
+		m, err := jobs.NewManager(newCachingEngine(t, n, pushpull.WithWorkers(1)), jobs.WithStore(store))
 		if err != nil {
 			t.Fatal(err)
 		}

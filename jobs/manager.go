@@ -1,12 +1,12 @@
 package jobs
 
 // The Manager: a priority+deadline-aware scheduler between job
-// submission and the engine's per-shard admission queues. Submission is
-// O(log n) and returns immediately; a single scheduler goroutine drains
-// the queue into at most WithParallel concurrent engine runs, so the
-// engine's own backpressure (bounded workers, shard queues) stays the
-// real throttle and the job queue absorbs what the synchronous path
-// would have shed with 429.
+// submission and the engine's admission queue. Submission is O(log n) and
+// returns immediately; a single scheduler goroutine drains the queue into
+// at most as many concurrent engine runs as the engine admits at once
+// (EngineStats.Workers), so the engine's own backpressure stays the real
+// throttle and the job queue absorbs what the synchronous path would
+// have shed with 429.
 //
 // Concurrency shape: the in-memory job map is the runtime truth, guarded
 // by mu; every state transition writes the job's record through to the
@@ -46,11 +46,10 @@ import (
 // Manager schedules submitted jobs onto one Engine. Safe for concurrent
 // use; build with NewManager.
 type Manager struct {
-	eng      *pushpull.Engine
-	store    JobStore
-	parallel int
-	keep     int           // terminal jobs retained
-	ttl      time.Duration // and for how long
+	eng   *pushpull.Engine
+	store JobStore
+	keep  int           // terminal jobs retained
+	ttl   time.Duration // and for how long
 
 	mu      sync.Mutex
 	jobs    map[string]*Job
@@ -77,7 +76,7 @@ type Manager struct {
 	payloads map[string]*payloadRef
 
 	notify chan struct{} // 1-buffered scheduler nudge
-	sem    chan struct{} // dispatch slots (cap parallel)
+	sem    chan struct{} // dispatch slots (cap: the engine's admission bound)
 	stop   chan struct{}
 	done   chan struct{}
 }
@@ -93,20 +92,6 @@ func WithStore(s JobStore) Option {
 	return func(m *Manager) {
 		if s != nil {
 			m.store = s
-		}
-	}
-}
-
-// WithParallel bounds how many jobs the scheduler dispatches into the
-// engine concurrently (default GOMAXPROCS). Keep it at or below the
-// engine's worker count when strict priority order matters: a dispatched
-// job that merely parks in a shard admission queue is "running" as far
-// as the job queue is concerned, so excess parallelism lets low-priority
-// jobs leak past a later high-priority submission.
-func WithParallel(n int) Option {
-	return func(m *Manager) {
-		if n > 0 {
-			m.parallel = n
 		}
 	}
 }
@@ -143,7 +128,10 @@ type payloadRef struct {
 }
 
 // NewManager builds a Manager over eng, recovers any jobs its store
-// holds, and starts the scheduler.
+// holds, and starts the scheduler. It dispatches as many jobs at once as
+// eng admits runs (WithWorkers; GOMAXPROCS for an unbounded engine): more
+// would park in the engine's admission queue while counting as running,
+// letting low-priority jobs leak past a later high-priority submission.
 func NewManager(eng *pushpull.Engine, opts ...Option) (*Manager, error) {
 	if eng == nil {
 		return nil, fmt.Errorf("jobs: NewManager(nil engine)")
@@ -151,7 +139,6 @@ func NewManager(eng *pushpull.Engine, opts ...Option) (*Manager, error) {
 	m := &Manager{
 		eng:      eng,
 		store:    NewMemJobStore(),
-		parallel: runtime.GOMAXPROCS(0),
 		keep:     DefaultKeep,
 		ttl:      DefaultTTL,
 		jobs:     map[string]*Job{},
@@ -164,7 +151,11 @@ func NewManager(eng *pushpull.Engine, opts ...Option) (*Manager, error) {
 	for _, opt := range opts {
 		opt(m)
 	}
-	m.sem = make(chan struct{}, m.parallel)
+	slots := eng.Stats().Workers
+	if slots <= 0 {
+		slots = runtime.GOMAXPROCS(0)
+	}
+	m.sem = make(chan struct{}, slots)
 	if err := m.recover(); err != nil {
 		return nil, err
 	}

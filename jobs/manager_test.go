@@ -12,8 +12,10 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -25,12 +27,15 @@ import (
 // traceAlgo is the test instrument: every run records its tag (the
 // Iterations option) in dispatch order, and tags registered with
 // traceBlock park until released (or their context ends, returned as
-// the context's error so cancellation is observable).
+// the context's error so cancellation is observable). tracePeak is the
+// most runs ever inside it at once.
 var (
 	traceMu    sync.Mutex
 	traceOrder []int
 	traceGates = map[int]chan struct{}{}
 	traceOnce  sync.Once
+
+	traceActive, tracePeak atomic.Int64
 )
 
 func traceReset() {
@@ -38,6 +43,7 @@ func traceReset() {
 	defer traceMu.Unlock()
 	traceOrder = nil
 	traceGates = map[int]chan struct{}{}
+	tracePeak.Store(0)
 }
 
 // traceBlock makes runs tagged tag park until the returned release func
@@ -63,6 +69,13 @@ func (traceAlgo) Name() string        { return "test-trace" }
 func (traceAlgo) Describe() string    { return "test-only: records dispatch order, parks gated tags" }
 func (traceAlgo) Caps() pushpull.Caps { return pushpull.Caps{} }
 func (traceAlgo) Run(ctx context.Context, w *pushpull.Workload, cfg *pushpull.Config) (*pushpull.Report, error) {
+	active := traceActive.Add(1)
+	defer traceActive.Add(-1)
+	for peak := tracePeak.Load(); active > peak; peak = tracePeak.Load() {
+		if tracePeak.CompareAndSwap(peak, active) {
+			break
+		}
+	}
 	traceMu.Lock()
 	traceOrder = append(traceOrder, cfg.Iterations)
 	gate := traceGates[cfg.Iterations]
@@ -78,14 +91,16 @@ func (traceAlgo) Run(ctx context.Context, w *pushpull.Workload, cfg *pushpull.Co
 }
 
 // newJobEngine builds a 1-worker engine (caches off, so every job is a
-// real run) with one registered graph "g".
-func newJobEngine(t *testing.T) *pushpull.Engine {
+// real run) with one registered graph "g", then applies opts. A manager
+// over it dispatches through one slot: the slots follow the engine's
+// admission bound.
+func newJobEngine(t *testing.T, opts ...pushpull.EngineOption) *pushpull.Engine {
 	t.Helper()
 	traceOnce.Do(func() { pushpull.MustRegister(traceAlgo{}) })
-	eng := pushpull.NewEngine(
-		pushpull.WithWorkers(1), pushpull.WithShards(1),
+	eng := pushpull.NewEngine(append([]pushpull.EngineOption{
+		pushpull.WithWorkers(1),
 		pushpull.WithResultCache(0), pushpull.WithSingleFlight(false),
-	)
+	}, opts...)...)
 	g, err := pushpull.ErdosRenyi(64, 4, 7)
 	if err != nil {
 		t.Fatal(err)
@@ -128,7 +143,7 @@ func waitState(t *testing.T, m *jobs.Manager, id string, want jobs.State) *jobs.
 // FIFO within that — regardless of submission order.
 func TestManagerPriorityOrder(t *testing.T) {
 	traceReset()
-	m, err := jobs.NewManager(newJobEngine(t), jobs.WithParallel(1))
+	m, err := jobs.NewManager(newJobEngine(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,13 +214,66 @@ func TestManagerPriorityOrder(t *testing.T) {
 	}
 }
 
+// TestManagerDispatchFollowsWorkers: with no manager option the dispatch
+// slots are the engine's admission bound. Over WithWorkers(3) at most 3
+// jobs are ever in the engine at once and the rest stay queued in the
+// job heap, none parked in the engine's queue; an unbounded engine
+// (WithWorkers(0)) gets GOMAXPROCS slots.
+func TestManagerDispatchFollowsWorkers(t *testing.T) {
+	for _, c := range []struct{ workers, slots int }{{3, 3}, {0, runtime.GOMAXPROCS(0)}} {
+		traceReset()
+		eng := newJobEngine(t, pushpull.WithWorkers(c.workers))
+		m, err := jobs.NewManager(eng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const extra = 2
+		var releases []func()
+		var ids []string
+		for tag := 1; tag <= c.slots+extra; tag++ {
+			releases = append(releases, traceBlock(tag))
+			j, err := m.Submit(traceSpec(tag, jobs.Normal))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids = append(ids, j.ID)
+		}
+		deadline := time.Now().Add(10 * time.Second)
+		for len(traceSeen()) < c.slots {
+			if time.Now().After(deadline) {
+				t.Fatalf("workers=%d: %d jobs reached the engine, want %d", c.workers, len(traceSeen()), c.slots)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		time.Sleep(20 * time.Millisecond) // room for an excess dispatch to show
+		if st := m.Stats(); st.Running != c.slots || st.Queued != extra {
+			t.Errorf("workers=%d: %d running / %d queued, want %d / %d", c.workers, st.Running, st.Queued, c.slots, extra)
+		}
+		if w := eng.Stats().Waiting; w != 0 {
+			t.Errorf("workers=%d: %d dispatched jobs parked in the engine's queue", c.workers, w)
+		}
+		for _, release := range releases {
+			release()
+		}
+		for _, id := range ids {
+			if j, err := m.Wait(context.Background(), id, time.Millisecond); err != nil || j.State != jobs.StateDone {
+				t.Fatalf("workers=%d: job %s ended %v (%v), want done", c.workers, id, j.State, err)
+			}
+		}
+		if peak := tracePeak.Load(); peak != int64(c.slots) {
+			t.Errorf("workers=%d: %d jobs in the engine at once, want at most and at some point %d", c.workers, peak, c.slots)
+		}
+		m.Close()
+	}
+}
+
 // TestManagerDeadlineExpiry: a queued job whose deadline passes while
 // every dispatch slot is busy fails promptly with ErrDeadlineExceeded —
 // StartedMS stays zero (it never consumed a slot) and the algorithm
 // never observes it.
 func TestManagerDeadlineExpiry(t *testing.T) {
 	traceReset()
-	m, err := jobs.NewManager(newJobEngine(t), jobs.WithParallel(1))
+	m, err := jobs.NewManager(newJobEngine(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +327,7 @@ func TestManagerDeadlineExpiry(t *testing.T) {
 // job lands canceled, not done.
 func TestManagerCancel(t *testing.T) {
 	traceReset()
-	m, err := jobs.NewManager(newJobEngine(t), jobs.WithParallel(1))
+	m, err := jobs.NewManager(newJobEngine(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +379,7 @@ func TestManagerRestartRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	m1, err := jobs.NewManager(newJobEngine(t), jobs.WithStore(store), jobs.WithParallel(1))
+	m1, err := jobs.NewManager(newJobEngine(t), jobs.WithStore(store))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +402,7 @@ func TestManagerRestartRecovery(t *testing.T) {
 	// job. The store still says "running" — exactly what a kill -9 leaves.
 	m1.Close()
 
-	m2, err := jobs.NewManager(newJobEngine(t), jobs.WithStore(store), jobs.WithParallel(1))
+	m2, err := jobs.NewManager(newJobEngine(t), jobs.WithStore(store))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +429,7 @@ func TestManagerRestartRecovery(t *testing.T) {
 // one bad entry rejects the whole batch with nothing enqueued.
 func TestManagerBatch(t *testing.T) {
 	traceReset()
-	m, err := jobs.NewManager(newJobEngine(t), jobs.WithParallel(1))
+	m, err := jobs.NewManager(newJobEngine(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,7 +476,7 @@ func TestManagerBatch(t *testing.T) {
 // plumbing (unknown IDs, closed manager).
 func TestManagerValidation(t *testing.T) {
 	traceReset()
-	m, err := jobs.NewManager(newJobEngine(t), jobs.WithParallel(1))
+	m, err := jobs.NewManager(newJobEngine(t))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -65,8 +65,8 @@ func (jobGateAlgo) Run(ctx context.Context, w *pushpull.Workload, cfg *pushpull.
 	return &pushpull.Report{Result: []float64{1}, Stats: pushpull.RunStats{Iterations: 1}}, nil
 }
 
-// newJobServer builds a saturable serving stack: 1 engine worker, a
-// 1-deep admission queue, a 1-slot job manager, caches off.
+// newJobServer builds a saturable serving stack: 1 engine worker (so the
+// job manager has 1 dispatch slot), a 1-deep admission queue, caches off.
 func newJobServer(t *testing.T) (*httptest.Server, *serve.Server, *pushpull.Engine) {
 	t.Helper()
 	jobGateOnce.Do(func() { pushpull.MustRegister(jobGateAlgo{}) })
@@ -82,13 +82,13 @@ func newJobServer(t *testing.T) (*httptest.Server, *serve.Server, *pushpull.Engi
 		break
 	}
 	eng := pushpull.NewEngine(
-		pushpull.WithWorkers(1), pushpull.WithShards(1), pushpull.WithQueueLimit(1),
+		pushpull.WithWorkers(1), pushpull.WithQueueLimit(1),
 		pushpull.WithResultCache(0), pushpull.WithSingleFlight(false),
 	)
 	if err := eng.RegisterWorkload("demo", pushpull.NewWorkload(smallGraph(t))); err != nil {
 		t.Fatal(err)
 	}
-	mgr, err := jobs.NewManager(eng, jobs.WithParallel(1))
+	mgr, err := jobs.NewManager(eng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,8 +383,7 @@ func TestServeDrain(t *testing.T) {
 // TestServeRetryAfterHonesty: the 429 Retry-After hint reflects
 // observed queue waits — once the engine has real queue-wait history
 // and a waiter, GET /stats exposes a nonzero queue_eta_ms and the 429
-// hint is a whole-second ceiling of it (floored by the configured
-// minimum).
+// hint is a whole-second ceiling of it (floored at one second).
 func TestServeRetryAfterHonesty(t *testing.T) {
 	ts, _, eng := newJobServer(t)
 
@@ -452,7 +451,7 @@ func TestServeRetryAfterHonesty(t *testing.T) {
 	}
 
 	// The queue (depth 1) is full: the next run is shed with a hint at
-	// least the configured floor and consistent with the observed ETA.
+	// least the one-second floor and consistent with the observed ETA.
 	resp, err := http.Post(ts.URL+"/run", "application/json",
 		strings.NewReader(fmt.Sprintf(`{"graph": "demo", "algorithm": %q, "options": {"iterations": 23}}`, jobGateAlgoN)))
 	if err != nil {

@@ -1,7 +1,7 @@
 package serve_test
 
 // Admission-boundary tests for the serving front: oversized uploads are
-// refused with 413 before parsing, a full shard admission queue sheds
+// refused with 413 before parsing, a full admission queue sheds
 // load as 429 + Retry-After instead of queueing forever, and the
 // X-Cluster-Epoch guard fences stale replicated mutations.
 
@@ -97,7 +97,7 @@ func TestServeOverload429(t *testing.T) {
 		break
 	}
 	eng := pushpull.NewEngine(
-		pushpull.WithWorkers(1), pushpull.WithShards(1), pushpull.WithQueueLimit(1),
+		pushpull.WithWorkers(1), pushpull.WithQueueLimit(1),
 		pushpull.WithResultCache(0), pushpull.WithSingleFlight(false),
 	)
 	ts := httptest.NewServer(serve.New(eng))
@@ -151,8 +151,9 @@ func TestServeOverload429(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("third run got %d, want 429: %s", resp.StatusCode, body)
 	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Error("429 response carries no Retry-After hint")
+	// No queue-wait history yet: the hint is the one-second floor.
+	if hint := resp.Header.Get("Retry-After"); hint != "1" {
+		t.Errorf("429 Retry-After %q, want the 1-second floor", hint)
 	}
 
 	close(blockRelease)

@@ -19,7 +19,7 @@
 //	                       invalidates the old graph's cached results
 //	DELETE /graphs/{name}  drop a workload (registry, cache, and store)
 //	POST   /run            {"graph": ..., "algorithm": ..., "options": {...}}
-//	GET    /stats          engine cache/dedup telemetry + per-shard queues
+//	GET    /stats          engine cache, dedup and admission-queue telemetry
 //
 // Run responses carry the uniform Report lowered to JSON: the payload
 // (ranks/counts/colors/parents+levels where the algorithm has one), the
@@ -72,10 +72,6 @@ type Server struct {
 
 	// maxUpload bounds PUT /graphs bodies; exceeding it is a 413.
 	maxUpload int64
-	// retryAfter is the floor/fallback for the Retry-After hint on 429
-	// responses; the live hint is derived from queue telemetry (see
-	// queueETA).
-	retryAfter time.Duration
 
 	// epochMu guards epochs, the per-graph replication epochs of the
 	// EpochHeader guard. It is held across the engine mutation of an
@@ -99,18 +95,6 @@ func WithMaxUpload(n int64) Option {
 	}
 }
 
-// WithRetryAfter sets the floor (and the idle-telemetry fallback) of the
-// Retry-After hint on 429 responses, default one second. The live hint
-// is derived from the shedding shard's queue depth × mean queue wait, so
-// it grows with actual congestion; this option only bounds it below.
-func WithRetryAfter(d time.Duration) Option {
-	return func(s *Server) {
-		if d > 0 {
-			s.retryAfter = d
-		}
-	}
-}
-
 // WithJobManager wires an async job manager into the server, enabling
 // the /jobs endpoints (submission, status, result, cancel, listing).
 // Without it those routes 404: a synchronous-only worker advertises no
@@ -122,12 +106,11 @@ func WithJobManager(m *jobs.Manager) Option {
 // New builds a Server over eng.
 func New(eng *pushpull.Engine, opts ...Option) *Server {
 	s := &Server{
-		eng:        eng,
-		mux:        http.NewServeMux(),
-		draining:   make(chan struct{}),
-		maxUpload:  MaxGraphBytes,
-		retryAfter: time.Second,
-		epochs:     map[string]uint64{},
+		eng:       eng,
+		mux:       http.NewServeMux(),
+		draining:  make(chan struct{}),
+		maxUpload: MaxGraphBytes,
+		epochs:    map[string]uint64{},
 	}
 	for _, opt := range opts {
 		opt(s)
@@ -151,7 +134,7 @@ func New(eng *pushpull.Engine, opts ...Option) *Server {
 
 // Drain puts the server into shutdown mode: runs already holding a
 // worker slot finish normally, but runs parked in (or newly reaching)
-// the admission queues fail immediately with 503 — a queue that will
+// the admission queue fail immediately with 503 — a queue that will
 // never move must not race the shutdown timeout. Call before
 // http.Server.Shutdown; idempotent. Async jobs are unaffected (stop
 // their Manager separately).
@@ -206,29 +189,17 @@ type RunStats = api.RunStats
 // null.
 type Floats = api.Floats
 
-// ShardStats is one per-shard entry of the GET /stats body. Waiting is
-// the instantaneous admission-queue depth (the cumulative counters only
-// ever grow).
-type ShardStats struct {
-	Shard       int    `json:"shard"`
-	Runs        uint64 `json:"runs"`
-	QueuedRuns  uint64 `json:"queued_runs"`
-	QueueWaitNS int64  `json:"queue_wait_ns"`
-	Waiting     int64  `json:"waiting"`
-	Rejected    uint64 `json:"rejected"`
-}
-
-// EngineStats is the GET /stats body. QueuedRuns/QueueWaitNS/Waiting
-// aggregate the per-shard breakdown in Shards. QueueETAMS is the live
-// estimate of how long a run arriving now would queue (deepest shard's
-// depth × its mean historical queue wait) — the same number 429
+// EngineStats is the GET /stats body. Workers is the engine's admission
+// bound (0 = unbounded), which async jobs dispatch at most; Waiting is the
+// instantaneous admission-queue depth (the cumulative counters only ever
+// grow). QueueETAMS is the live estimate of how long a run arriving now
+// would queue (depth × mean historical queue wait) — the same number 429
 // responses send as Retry-After, rounded up to seconds there.
 type EngineStats struct {
 	CacheHits    uint64 `json:"cache_hits"`
 	CacheMisses  uint64 `json:"cache_misses"`
 	Uncacheable  uint64 `json:"uncacheable"`
 	Coalesced    uint64 `json:"coalesced"`
-	CacheExpired uint64 `json:"cache_expired"`
 	CacheEntries int    `json:"cache_entries"`
 	// CacheBytes is what the cached results are charged — payload vectors
 	// plus EncodedBytes — against CacheBudgetBytes (0 = no byte bound); the
@@ -238,15 +209,15 @@ type EngineStats struct {
 	// EncodedHits counts replies (POST /run hits and job results) whose
 	// payload encoding came off a cache entry instead of being formatted;
 	// EncodedBytes is what those memoized encodings hold right now.
-	EncodedHits  uint64       `json:"encoded_hits"`
-	EncodedBytes int64        `json:"encoded_bytes"`
-	QueuedRuns   uint64       `json:"queued_runs"`
-	QueueWaitNS  int64        `json:"queue_wait_ns"`
-	Waiting      int64        `json:"waiting"`
-	QueueETAMS   int64        `json:"queue_eta_ms"`
-	Rejected     uint64       `json:"rejected"`
-	Graphs       int          `json:"graphs"`
-	Shards       []ShardStats `json:"shards"`
+	EncodedHits  uint64 `json:"encoded_hits"`
+	EncodedBytes int64  `json:"encoded_bytes"`
+	Workers      int    `json:"workers"`
+	QueuedRuns   uint64 `json:"queued_runs"`
+	QueueWaitNS  int64  `json:"queue_wait_ns"`
+	Waiting      int64  `json:"waiting"`
+	QueueETAMS   int64  `json:"queue_eta_ms"`
+	Rejected     uint64 `json:"rejected"`
+	Graphs       int    `json:"graphs"`
 	// Jobs is the async job census and retention bookkeeping, present
 	// when a job manager is wired.
 	Jobs *jobs.Stats `json:"jobs,omitempty"`
@@ -422,17 +393,13 @@ func (s *Server) run(w http.ResponseWriter, r *http.Request) {
 	rep, err := s.eng.Run(ctx, wl, req.Algorithm, opts...)
 	if err != nil {
 		if errors.Is(err, pushpull.ErrOverloaded) {
-			// The shard shed this run instead of queueing it: tell the
+			// The engine shed this run instead of queueing it: tell the
 			// client (or the cluster router, which fails over on 429)
 			// when to come back rather than letting it queue forever.
 			// The hint is honest — current queue depth × recent mean
 			// queue wait — so clients back off longer as congestion
 			// actually grows.
-			eta := s.queueETA()
-			if eta < s.retryAfter {
-				eta = s.retryAfter
-			}
-			w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(eta)))
+			w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(queueETA(s.eng.Stats()))))
 			writeError(w, http.StatusTooManyRequests, err)
 			return
 		}
@@ -462,7 +429,6 @@ func (s *Server) stats(w http.ResponseWriter, r *http.Request) {
 		CacheMisses:  es.CacheMisses,
 		Uncacheable:  es.Uncacheable,
 		Coalesced:    es.Coalesced,
-		CacheExpired: es.Expired,
 		CacheEntries: es.CacheEntries,
 
 		CacheBytes:       es.CacheBytes,
@@ -470,23 +436,13 @@ func (s *Server) stats(w http.ResponseWriter, r *http.Request) {
 
 		EncodedHits:  es.EncodingHits,
 		EncodedBytes: es.EncodingBytes,
+		Workers:      es.Workers,
 		QueuedRuns:   es.QueuedRuns,
 		QueueWaitNS:  int64(es.QueueWait),
 		Waiting:      es.Waiting,
 		QueueETAMS:   queueETA(es).Milliseconds(),
 		Rejected:     es.Rejected,
 		Graphs:       len(s.eng.WorkloadNames()),
-		Shards:       make([]ShardStats, len(es.Shards)),
-	}
-	for i, sh := range es.Shards {
-		out.Shards[i] = ShardStats{
-			Shard:       sh.Shard,
-			Runs:        sh.Runs,
-			QueuedRuns:  sh.QueuedRuns,
-			QueueWaitNS: int64(sh.QueueWait),
-			Waiting:     sh.Waiting,
-			Rejected:    sh.Rejected,
-		}
 	}
 	if s.jobs != nil {
 		js := s.jobs.Stats()
@@ -495,32 +451,24 @@ func (s *Server) stats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// queueETA estimates how long a run arriving now would wait: the deepest
-// shard's live queue depth × that shard's mean historical queue wait,
-// capped at a minute (past that the number is a guess, not an estimate).
-// Zero when no shard has live waiters or no wait history exists yet.
+// queueETA estimates how long a run arriving now would wait: the live
+// queue depth × the mean historical queue wait, capped at a minute (past
+// that the number is a guess, not an estimate). Zero when nothing waits
+// or no wait history exists yet.
 func queueETA(es pushpull.EngineStats) time.Duration {
-	var eta time.Duration
-	for _, sh := range es.Shards {
-		if sh.Waiting <= 0 || sh.QueuedRuns == 0 {
-			continue
-		}
-		mean := sh.QueueWait / time.Duration(sh.QueuedRuns)
-		if d := time.Duration(sh.Waiting) * mean; d > eta {
-			eta = d
-		}
+	if es.Waiting <= 0 || es.QueuedRuns == 0 {
+		return 0
 	}
+	eta := time.Duration(es.Waiting) * (es.QueueWait / time.Duration(es.QueuedRuns))
 	if eta > time.Minute {
 		eta = time.Minute
 	}
 	return eta
 }
 
-// queueETA is the server-side wrapper over the live engine snapshot.
-func (s *Server) queueETA() time.Duration { return queueETA(s.eng.Stats()) }
-
 // retryAfterSeconds rounds an ETA up to whole seconds (the Retry-After
-// unit), at least 1.
+// unit), at least 1: the floor of every 429's hint, and the whole hint
+// while the queue has no wait history.
 func retryAfterSeconds(eta time.Duration) int {
 	secs := int((eta + time.Second - 1) / time.Second)
 	if secs < 1 {

@@ -231,6 +231,28 @@ func TestServeErrors(t *testing.T) {
 	}
 }
 
+// TestServeOptionRanges: a vertex id past 32 bits and a timeout_ms that
+// overflows a time.Duration are the client's error — 400 naming the
+// field on both POST /run and POST /jobs — instead of running from
+// vertex id mod 2^32 or timing out at once.
+func TestServeOptionRanges(t *testing.T) {
+	ts, _, _ := newJobServer(t)
+	for _, c := range []struct{ algorithm, options, field string }{
+		{"bfs", `{"source": 4294967296}`, "source"},
+		{"bfs", `{"source": 4294967299}`, "source"},
+		{"bc", `{"sources": [4294967296]}`, "sources[0]"},
+		{"pr", `{"timeout_ms": 9223372036855}`, "timeout_ms"},
+	} {
+		body := fmt.Sprintf(`{"graph": "demo", "algorithm": %q, "options": %s}`, c.algorithm, c.options)
+		for _, path := range []string{"/run", "/jobs"} {
+			status, raw, _ := httpJob(t, http.MethodPost, ts.URL+path, body)
+			if status != http.StatusBadRequest || !strings.Contains(string(raw), c.field) {
+				t.Errorf("POST %s %s: %d %s, want 400 naming %q", path, body, status, raw, c.field)
+			}
+		}
+	}
+}
+
 // TestServeSSSPUnreachable: sssp distances include +Inf for unreached
 // vertices, which must encode as JSON null (regression: encoding/json
 // rejects non-finite floats outright, which used to truncate the
@@ -409,32 +431,39 @@ func TestServeRePutInvalidates(t *testing.T) {
 	}
 }
 
-// TestServeStatsShards: the stats endpoint exposes the per-shard
-// breakdown of a sharded engine, and cache hits never reach a shard.
-func TestServeStatsShards(t *testing.T) {
-	eng := pushpull.NewEngine(pushpull.WithShards(3))
+// TestServeStatsQueue: the stats endpoint reports the engine's one
+// admission queue — its worker bound and its counters at the top level —
+// with no "shards" breakdown and no "cache_expired" count.
+func TestServeStatsQueue(t *testing.T) {
+	eng := pushpull.NewEngine(pushpull.WithWorkers(2))
 	ts := httptest.NewServer(serve.New(eng))
 	t.Cleanup(ts.Close)
 	uploadGraph(t, ts, "demo", pushpull.NewWorkload(smallGraph(t)))
 	body := `{"graph": "demo", "algorithm": "pr", "options": {"iterations": 3}}`
 	postRun(t, ts, body, http.StatusOK)
-	postRun(t, ts, body, http.StatusOK) // cache hit: no shard run
+	postRun(t, ts, body, http.StatusOK) // cache hit: never admitted
 
+	status, doc, _ := httpJob(t, http.MethodGet, ts.URL+"/stats", "")
+	var raw map[string]json.RawMessage
 	var st serve.EngineStats
-	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/stats", nil)
-	doJSON(t, req, http.StatusOK, &st)
-	if len(st.Shards) != 3 {
-		t.Fatalf("stats expose %d shards, want 3", len(st.Shards))
+	if status != http.StatusOK || json.Unmarshal(doc, &raw) != nil || json.Unmarshal(doc, &st) != nil {
+		t.Fatalf("GET /stats: %d %s", status, doc)
 	}
-	var total uint64
-	for i, sh := range st.Shards {
-		if sh.Shard != i {
-			t.Errorf("shard %d labeled %d", i, sh.Shard)
+	for _, gone := range []string{"shards", "cache_expired"} {
+		if _, ok := raw[gone]; ok {
+			t.Errorf("stats still carry %q", gone)
 		}
-		total += sh.Runs
 	}
-	if total != 1 || st.CacheHits != 1 {
-		t.Errorf("shard runs total %d with %d cache hits, want 1 run / 1 hit", total, st.CacheHits)
+	for _, key := range []string{"workers", "queued_runs", "queue_wait_ns", "waiting", "queue_eta_ms", "rejected"} {
+		if _, ok := raw[key]; !ok {
+			t.Errorf("stats lack %q", key)
+		}
+	}
+	if st.Workers != 2 || st.CacheHits != 1 || st.CacheMisses != 1 {
+		t.Errorf("stats = %+v, want workers 2, 1 hit / 1 miss", st)
+	}
+	if st.QueuedRuns != 0 || st.Waiting != 0 || st.Rejected != 0 || st.QueueETAMS != 0 {
+		t.Errorf("an idle 2-worker engine reports queueing: %+v", st)
 	}
 }
 

@@ -234,7 +234,7 @@ func TestLayoutOptionsInCacheKeyAndID(t *testing.T) {
 	}
 }
 
-// Workload.ID is a cache key, a shard key and a router catalog entry, so it
+// Workload.ID is a cache key, a placement key and a router catalog entry, so it
 // must not drift: the literals are the IDs PR 22's tree computed for the
 // same handles. The file-handle rows are pure out-of-core handles — a .blk
 // written straight from the fixed graph, and one a DiskStore above its

@@ -439,8 +439,8 @@ func (w *Workload) writeBlockTo(dst io.Writer) error {
 // adjacency structure, the edge weights, and the declared kind (directed,
 // weighted, default partitions). Two handles over equal content share the
 // ID — it is what an Engine's result cache and single-flight dedup key
-// on, and what shard placement hashes, so cached reports (and shard
-// affinity) survive re-wrapping or re-loading the same graph, including a
+// on, and what cluster placement hashes, so cached reports (and replica
+// placement) survive re-wrapping or re-loading the same graph, including a
 // restore from a GraphStore after a restart. The digest is an O(n + m)
 // pass computed once per handle and memoized.
 func (w *Workload) ID() string {
@@ -518,7 +518,7 @@ func (w *Workload) contentID() string {
 	// with an in-memory handle over the same arrays (an undirected graph's
 	// pull view IS its CSR), whose runs default to other kernels. In-memory
 	// handles fold nothing here, and the word keeps the value earlier
-	// releases folded (bits 0 and 34): every ID a DiskStore, shard or
+	// releases folded (bits 0 and 34): every ID a DiskStore, cache or
 	// router catalog has seen keeps its value.
 	if w.g == nil {
 		put(1 | 1<<34)
