@@ -38,7 +38,7 @@ func (b *builtin) Run(ctx context.Context, w *Workload, cfg *Config) (*Report, e
 
 func init() {
 	for _, b := range []*builtin{
-		{"pr", "PageRank (§3.1, Algorithm 1; one kernel per direction, a directed workload only changes the views §4.8; +Partition-Awareness §5; out-of-core block pull)",
+		{"pr", "PageRank (§3.1, Algorithm 1; one kernel per direction, a directed workload only changes the views §4.8; push is Partition-Aware, Algorithm 8 §5; out-of-core block pull)",
 			Caps{Directed: true, Probes: true, PartitionAware: true, DegreeSort: true, OutOfCore: true}, runPR},
 		{"tc", "triangle counting (§3.2, Algorithm 2; +Partition-Awareness §5)",
 			Caps{Probes: true, PartitionAware: true}, runTC},
@@ -90,11 +90,13 @@ func coreTrace(dirs []core.Direction) []Direction {
 // runPR is the one PageRank adapter. There is one kernel per direction
 // (§4.8): a directed workload changes only the pair of views the kernel is
 // handed — out-edges to push along, the memoized transpose to pull along —
-// and an undirected one hands the same graph as both. The two real
-// exceptions are the layouts that are not a CSR view: the out-of-core
-// block file (pull-only; validateCaps has already rejected push and the
-// in-memory layout options) and the §5 Partition-Awareness split (push-
-// only, defined over the plain undirected layout).
+// and an undirected one hands the same graph as both. The push kernel is
+// already Partition-Aware (Algorithm 8 over the plain out-view), so
+// WithPartitionAwareness only implies pushing; the §5 split itself is
+// built for the probed run alone, whose bill it lays out. The one layout
+// that is not a CSR view is the out-of-core block file (pull-only;
+// validateCaps has already rejected push and the in-memory layout
+// options).
 func runPR(ctx context.Context, w *Workload, cfg *Config) (*Report, error) {
 	opt := pr.Options{Options: cfg.coreOptions(ctx), Iterations: cfg.Iterations}
 	if cfg.DampingSet {
@@ -102,6 +104,14 @@ func runPR(ctx context.Context, w *Workload, cfg *Config) (*Report, error) {
 	}
 	// Pulling needs no synchronization at all (§3.1): the Auto default.
 	dir := cfg.resolveDir(core.Pull)
+	if cfg.PartitionAware {
+		// Partition-Awareness accelerates the push kernel (§5), so asking
+		// for it implies pushing; an explicit pull direction conflicts.
+		if cfg.Direction == Pull {
+			return nil, fmt.Errorf("pushpull: pr partition awareness accelerates pushing (§5); drop WithDirection(Pull)")
+		}
+		dir = core.Push
+	}
 	threads := cfg.effectiveThreads(w.N())
 
 	var (
@@ -119,24 +129,12 @@ func runPR(ctx context.Context, w *Workload, cfg *Config) (*Report, error) {
 		if blk, err = w.OutOfCore(); err != nil {
 			return nil, err
 		}
-	case cfg.PartitionAware || cfg.PA != nil:
-		// Partition-Awareness accelerates the push kernel (§5), so asking
-		// for it implies pushing; an explicit pull direction conflicts.
-		if w.IsDirected() {
-			return nil, fmt.Errorf("pushpull: pr on a directed workload: %w (the §5 split is defined over the undirected layout)", ErrPartitionAwareUnsupported)
-		}
-		if cfg.Direction == Pull {
-			return nil, fmt.Errorf("pushpull: pr partition awareness accelerates pushing (§5); drop WithDirection(Pull)")
-		}
-		dir = core.Push
-		if pa, err = cfg.paGraph(w); err != nil {
+	case cfg.PartitionAware && cfg.Probes:
+		// The memoized split of the out-rows, whose worker decomposition
+		// is the partition.
+		pa = w.PA(cfg.partitions(w))
+		if threads, err = partitionProfileThreads("pr", cfg, pa.Part.P); err != nil {
 			return nil, err
-		}
-		// The PA kernel's worker decomposition is the partition.
-		if cfg.Probes {
-			if threads, err = partitionProfileThreads("pr", cfg, pa.Part.P); err != nil {
-				return nil, err
-			}
 		}
 	default:
 		// Degree sorting swaps in the permuted pair of views. Only pulling
@@ -195,8 +193,6 @@ func runPR(ctx context.Context, w *Workload, cfg *Config) (*Report, error) {
 		if ranks, stats, err = pr.PullBlocked(blk, opt); err != nil {
 			return nil, err
 		}
-	case pa != nil:
-		ranks, stats = pr.PushPA(pa, opt)
 	case dir == core.Push:
 		ranks, stats = pr.Push(views, opt)
 	default:
@@ -230,10 +226,7 @@ func runTC(ctx context.Context, w *Workload, cfg *Config) (*Report, error) {
 		var err error
 		var rep CounterReport
 		if cfg.PartitionAware {
-			pa, paErr := cfg.paGraph(w)
-			if paErr != nil {
-				return nil, paErr
-			}
+			pa := w.PA(cfg.partitions(w))
 			t, tErr := partitionProfileThreads("tc", cfg, pa.Part.P)
 			if tErr != nil {
 				return nil, tErr
@@ -264,11 +257,7 @@ func runTC(ctx context.Context, w *Workload, cfg *Config) (*Report, error) {
 	var stats core.RunStats
 	switch {
 	case dir == core.Push && cfg.PartitionAware:
-		pa, err := cfg.paGraph(w)
-		if err != nil {
-			return nil, err
-		}
-		counts, stats = tc.PushPA(pa, opt)
+		counts, stats = tc.PushPA(w.PA(cfg.partitions(w)), opt)
 	case dir == core.Push:
 		counts, stats = tc.Push(g, opt)
 	default:

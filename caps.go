@@ -136,7 +136,7 @@ func validateCaps(a Algorithm, w *Workload, cfg *Config) error {
 	if cfg.Probes && !caps.Probes {
 		return fmt.Errorf("pushpull: %s with WithProbes: %w", name, ErrProbesUnsupported)
 	}
-	if (cfg.PartitionAware || cfg.PA != nil) && !caps.PartitionAware {
+	if cfg.PartitionAware && !caps.PartitionAware {
 		return fmt.Errorf("pushpull: %s with WithPartitionAwareness: %w", name, ErrPartitionAwareUnsupported)
 	}
 	if cfg.DegreeSorted && !caps.DegreeSort {
@@ -157,13 +157,13 @@ func validateCaps(a Algorithm, w *Workload, cfg *Config) error {
 		if cfg.Direction == Push {
 			return fmt.Errorf("pushpull: %s out-of-core with WithDirection(Push): %w (block kernels are pull-only)", name, ErrBadOption)
 		}
-		if cfg.DegreeSorted || cfg.PartitionAware || cfg.PA != nil {
+		if cfg.DegreeSorted || cfg.PartitionAware {
 			return fmt.Errorf("pushpull: %s: degree-sort/partition-awareness with WithOutOfCore: %w (block kernels stream the plain pull layout)", name, ErrBadOption)
 		}
 	}
 	// The PA split is laid out over the plain graph, so a degree sort does
 	// not compose with Partition-Awareness.
-	if cfg.DegreeSorted && (cfg.PartitionAware || cfg.PA != nil) {
+	if cfg.DegreeSorted && cfg.PartitionAware {
 		return fmt.Errorf("pushpull: %s: degree-sort with WithPartitionAwareness: %w (the §5 split is defined over the plain layout)", name, ErrBadOption)
 	}
 	if caps.NeedsSource {

@@ -18,9 +18,6 @@ type Placement struct {
 	Kind      string   `json:"kind"`
 	Replicas  []string `json:"replicas"`
 	Epoch     uint64   `json:"epoch"`
-	// Advice maps algorithm → "push"/"pull", the CostModel's verdict from
-	// the §6.3 remote-op bills; empty when the advisor is off.
-	Advice map[string]string `json:"advice,omitempty"`
 }
 
 // Catalog is the router-side placement table: graph name → Placement,

@@ -49,8 +49,7 @@ func (rt *Router) submitJobs(w http.ResponseWriter, r *http.Request) {
 	// catalog is authoritative for graphs, and settling both here keeps a
 	// worker-side 404 an unambiguous failover signal.
 	graphs := make([]string, 0, len(specs))
-	for i := range specs {
-		spec := &specs[i]
+	for i, spec := range specs {
 		if spec.Graph == "" || spec.Algorithm == "" {
 			writeError(w, http.StatusBadRequest,
 				fmt.Errorf(`job spec %d: "graph" and "algorithm" are required`, i))
@@ -60,19 +59,12 @@ func (rt *Router) submitJobs(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusNotFound, fmt.Errorf("job spec %d: %w", i, err))
 			return
 		}
-		pl, ok := rt.catalog.Get(spec.Graph)
-		if !ok {
+		if _, ok := rt.catalog.Get(spec.Graph); !ok {
 			writeError(w, http.StatusNotFound,
 				fmt.Errorf("job spec %d: unknown graph %q (catalog: %v)", i, spec.Graph, rt.catalogNames()))
 			return
 		}
 		graphs = append(graphs, spec.Graph)
-		// Forced cost-model advice rewrites auto directions exactly as on
-		// the synchronous path.
-		if advice := pl.Advice[spec.Algorithm]; advice != "" && rt.cfg.Advisor == AdvisorForce &&
-			(spec.Options.Direction == "" || spec.Options.Direction == "auto") {
-			spec.Options.Direction = advice
-		}
 	}
 	if !batch {
 		req.Spec = specs[0]

@@ -9,9 +9,7 @@
 // graphs that lived on it; uploads replicate to R workers; runs route to
 // the primary replica with retry, exponential backoff and failover to
 // secondaries; and mutations fan out with a monotone epoch so no replica
-// can serve a stale graph. A CostModel hook consults the §6.3 dist-*
-// simulations — the paper's remote-op bills — to advise push vs pull per
-// placed graph.
+// can serve a stale graph.
 package cluster
 
 import (

@@ -18,23 +18,6 @@ import (
 	"pushpull/serve"
 )
 
-// Advisor modes: what the router does with the CostModel's per-graph
-// push/pull verdict.
-const (
-	// AdvisorOff disables the cost model entirely.
-	AdvisorOff = "off"
-	// AdvisorAnnotate computes advice at upload time and annotates routed
-	// runs with X-Cluster-Direction-Advice, leaving the direction choice
-	// to the client (and the worker's Auto heuristics).
-	AdvisorAnnotate = "annotate"
-	// AdvisorForce additionally rewrites the direction of routed runs
-	// that left it on auto to the advised one.
-	AdvisorForce = "force"
-)
-
-// AdviceHeader carries the CostModel's verdict on routed run responses.
-const AdviceHeader = "X-Cluster-Direction-Advice"
-
 // WorkerHeader names the worker that served a routed run.
 const WorkerHeader = "X-Cluster-Worker"
 
@@ -62,11 +45,6 @@ type Config struct {
 	// so without a bound a single hung worker would stall every later
 	// PUT/DELETE behind it indefinitely.
 	MutateTimeout time.Duration
-	// Advisor is the CostModel mode: AdvisorOff (default), AdvisorAnnotate
-	// or AdvisorForce. AdvisorRanks sets the simulated cluster size of
-	// the §6.3 bills (0: the worker count).
-	Advisor      string
-	AdvisorRanks int
 	// MaxUpload bounds PUT /graphs bodies (default serve.MaxGraphBytes).
 	MaxUpload int64
 	// Client issues every worker-facing request (default: a plain
@@ -89,7 +67,6 @@ type Router struct {
 	catalog *Catalog
 	health  *Health
 	proxy   *proxy
-	cost    *CostModel
 	mux     *http.ServeMux
 
 	// mutMu serializes replicated mutations (PUT/DELETE fan-outs), so
@@ -158,13 +135,6 @@ func New(cfg Config) (*Router, error) {
 	if cfg.Client == nil {
 		cfg.Client = &http.Client{}
 	}
-	switch cfg.Advisor {
-	case "", AdvisorOff:
-		cfg.Advisor = AdvisorOff
-	case AdvisorAnnotate, AdvisorForce:
-	default:
-		return nil, fmt.Errorf("cluster: bad advisor mode %q (off, annotate, force)", cfg.Advisor)
-	}
 
 	rt := &Router{
 		cfg:     cfg,
@@ -173,13 +143,6 @@ func New(cfg Config) (*Router, error) {
 		health:  NewHealth(cfg.Workers, cfg.Client, cfg.HealthTimeout),
 		proxy:   &proxy{client: cfg.Client},
 		mux:     http.NewServeMux(),
-	}
-	if cfg.Advisor != AdvisorOff {
-		ranks := cfg.AdvisorRanks
-		if ranks <= 0 {
-			ranks = len(cfg.Workers)
-		}
-		rt.cost = &CostModel{Ranks: ranks}
 	}
 	rt.mux.HandleFunc("GET /healthz", rt.healthz)
 	rt.mux.HandleFunc("GET /algorithms", rt.algorithms)
@@ -266,10 +229,6 @@ func (rt *Router) putGraph(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	id := wl.ID()
-	var advice map[string]string
-	if rt.cost != nil {
-		advice = rt.cost.Advise(r.Context(), wl)
-	}
 
 	// The fan-out below runs under the mutation lock by design (the
 	// catalog must agree with what the fleet converged on), so bound its
@@ -336,7 +295,7 @@ func (rt *Router) putGraph(w http.ResponseWriter, r *http.Request) {
 	pl := Placement{
 		Name: name, ContentID: id,
 		N: wl.N(), M: wl.M(), Kind: wl.Kind(),
-		Replicas: acked, Epoch: epoch, Advice: advice,
+		Replicas: acked, Epoch: epoch,
 	}
 	rt.catalog.Set(pl)
 	writeJSON(w, http.StatusCreated, pl)
@@ -416,11 +375,6 @@ func (rt *Router) run(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	advice := pl.Advice[req.Algorithm]
-	if advice != "" && rt.cfg.Advisor == AdvisorForce &&
-		(req.Options.Direction == "" || req.Options.Direction == "auto") {
-		req.Options.Direction = advice
-	}
 	body, err := json.Marshal(req)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, fmt.Errorf("re-encoding run request: %w", err))
@@ -439,9 +393,6 @@ func (rt *Router) run(w http.ResponseWriter, r *http.Request) {
 		}
 		writeError(w, http.StatusBadGateway, fmt.Errorf("graph %q: %w", req.Graph, err))
 		return
-	}
-	if advice != "" {
-		w.Header().Set(AdviceHeader, advice)
 	}
 	rt.relay(r.Context(), w, resp, wkr)
 }

@@ -434,48 +434,37 @@ func TestRouterDeleteFansOut(t *testing.T) {
 	}
 }
 
-// TestRouterAdvisorForce: with the §6.3 cost-model advisor forcing, the
-// upload records push/pull advice per advised algorithm and a routed run
-// that left the direction on auto executes in the advised direction.
-func TestRouterAdvisorForce(t *testing.T) {
+// TestRouterRejectsOutOfRangeEdgeList: the router parses uploads with
+// the library's reader, so a body whose numbers do not fit a vertex id is
+// refused with 400 naming the line before any worker sees it.
+func TestRouterRejectsOutOfRangeEdgeList(t *testing.T) {
 	fleet := newFleet(t, 2)
-	ts, _ := newRouter(t, fleet, func(c *cluster.Config) {
-		c.Advisor = cluster.AdvisorForce
-		c.AdvisorRanks = 4
-	})
-	pl := putGraph(t, ts.URL, "demo", testGraph(t, 400, 17), http.StatusCreated)
-	advice := pl.Advice["pr"]
-	if advice != "push" && advice != "pull" {
-		t.Fatalf("advice for pr = %q, want push or pull (full advice: %v)", advice, pl.Advice)
-	}
-
-	resp, err := http.Post(ts.URL+"/run", "application/json",
-		strings.NewReader(`{"graph": "demo", "algorithm": "pr", "options": {"iterations": 5}}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	raw, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("run got %d: %s", resp.StatusCode, raw)
-	}
-	if got := resp.Header.Get(cluster.AdviceHeader); got != advice {
-		t.Errorf("%s = %q, want %q", cluster.AdviceHeader, got, advice)
-	}
-	var rr serve.RunResponse
-	if err := json.Unmarshal(raw, &rr); err != nil {
-		t.Fatal(err)
-	}
-	for i, d := range rr.Directions {
-		if d != advice {
-			t.Fatalf("iteration %d ran %q despite forced advice %q (trace %v)", i, d, advice, rr.Directions)
+	ts, _ := newRouter(t, fleet)
+	for i, body := range []string{
+		"# pushpull -5 0 0 0\n",
+		"# pushpull 2147483648 0 0 0\n",
+		"# pushpull 4294967300 1 0 0\n",
+		"# pushpull 4 1 0 0\n4294967297 2\n",
+	} {
+		name := fmt.Sprintf("hostile%d", i)
+		req, err := http.NewRequest(http.MethodPut, ts.URL+"/graphs/"+name, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	// An explicit client direction is never overridden.
-	rr, _ = postRun(t, ts.URL,
-		`{"graph": "demo", "algorithm": "pr", "options": {"direction": "push", "iterations": 5}}`, http.StatusOK)
-	if rr.Stats.Direction != "push" {
-		t.Errorf("explicit push ran as %q; forcing must not override the client", rr.Stats.Direction)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("%q: %v", body, err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "line ") {
+			t.Errorf("%q: status %d %s, want 400 naming the line", body, resp.StatusCode, msg)
+		}
+		for _, w := range fleet {
+			if _, ok := w.eng.Workload(name); ok {
+				t.Errorf("%q: rejected upload reached worker %s", body, w.URL())
+			}
+		}
 	}
 }
 
@@ -505,7 +494,6 @@ func TestRouterConfigValidation(t *testing.T) {
 		{},
 		{Workers: []string{"not-a-url"}},
 		{Workers: []string{"http://a:1", "http://a:1"}},
-		{Workers: []string{"http://a:1"}, Advisor: "maybe"},
 	}
 	for i, cfg := range cases {
 		if _, err := cluster.New(cfg); err == nil {

@@ -454,12 +454,11 @@ func routeCluster(args []string) {
 	retryBase := fs.Duration("retry-base", 50*time.Millisecond, "first retry backoff (doubles per attempt, capped at 1s)")
 	healthInterval := fs.Duration("health-interval", 2*time.Second, "background health-probe period")
 	healthTimeout := fs.Duration("health-timeout", time.Second, "per-probe timeout")
-	advisor := fs.String("direction-advisor", "off", "§6.3 cost-model advice per uploaded graph: off, annotate (X-Cluster-Direction-Advice header), force (rewrite auto directions)")
 	maxUpload := fs.Int64("max-upload", serve.MaxGraphBytes, "PUT /graphs body limit in bytes; larger uploads get 413")
 	mutateTimeout := fs.Duration("mutate-timeout", 0, "per-worker deadline for upload/delete fan-outs (0 = the 30s default)")
 	fs.Parse(args)
 	if fs.NArg() > 0 || *workersCSV == "" {
-		fmt.Fprintf(os.Stderr, "usage: pushpull route -workers url1,url2,... [-addr host:port] [-replicas r] [-retry n] [-retry-base d] [-health-interval d] [-health-timeout d] [-mutate-timeout d] [-direction-advisor off|annotate|force] [-max-upload bytes]\n")
+		fmt.Fprintf(os.Stderr, "usage: pushpull route -workers url1,url2,... [-addr host:port] [-replicas r] [-retry n] [-retry-base d] [-health-interval d] [-health-timeout d] [-mutate-timeout d] [-max-upload bytes]\n")
 		os.Exit(2)
 	}
 	var workers []string
@@ -510,7 +509,6 @@ func routeCluster(args []string) {
 		HealthInterval: *healthInterval,
 		HealthTimeout:  *healthTimeout,
 		MutateTimeout:  *mutateTimeout,
-		Advisor:        *advisor,
 		MaxUpload:      *maxUpload,
 	})
 	if err != nil {
@@ -530,8 +528,8 @@ func routeCluster(args []string) {
 	go func() { errc <- srv.ListenAndServe() }()
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	fmt.Printf("routing over %d worker(s) on http://%s (replicas=%d retry=%d advisor=%s)\n",
-		len(workers), *addr, *replicas, *retry, *advisor)
+	fmt.Printf("routing over %d worker(s) on http://%s (replicas=%d retry=%d)\n",
+		len(workers), *addr, *replicas, *retry)
 	select {
 	case err := <-errc:
 		fmt.Fprintf(os.Stderr, "pushpull: route: %v\n", err)

@@ -208,7 +208,7 @@ func DefaultEngine() *Engine {
 // caches (WithResultCache > 0), the caller passed a *Workload handle (a
 // bare *Graph is single-use, so hashing it every call would be pure
 // overhead), the options fingerprint as cacheable (no WithIterationHook,
-// WithProbes, WithPartitionAwareGraph, or custom switch policy), and an
+// WithProbes, or custom switch policy), and an
 // identical (workload content, algorithm, options) run completed before
 // and is still cached. Cache hits bypass admission and return a shallow
 // copy of the cached Report with Stats.CacheHit set.

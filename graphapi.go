@@ -109,9 +109,6 @@ func NewBuilder(n int) *Builder { return graph.NewBuilder(n) }
 // NewPartition block-partitions n vertices over p owners.
 func NewPartition(n, p int) Partition { return graph.NewPartition(n, p) }
 
-// BuildPA precomputes the Partition-Awareness local/remote split.
-func BuildPA(g *Graph, part Partition) *PAGraph { return graph.BuildPA(g, part) }
-
 // ComputeStats derives the Table 2 statistics of a graph.
 func ComputeStats(g *Graph) GraphStats { return graph.ComputeStats(g) }
 

@@ -3,12 +3,26 @@
 // 8).
 //
 // In the push variant, the thread owning v adds f·pr[v]/d(v) to new_pr[u]
-// for every neighbor u — a write conflict per edge, resolved with an atomic
-// CAS loop because CPUs have no float atomics (§4.1 charges these as
-// O(Lm) synchronization events). In the pull variant, the thread owning v
-// gathers pr[u]/d(u) from every neighbor and accumulates privately — no
-// synchronization, a random read per edge instead of a random write, which
-// is the cache-miss trade-off Table 1 reports.
+// for every neighbor u — a write conflict on every edge whose target
+// another thread owns, resolved with an atomic CAS loop because CPUs have
+// no float atomics (§4.1 charges these as O(Lm) synchronization events).
+// In the pull variant, the thread owning v gathers pr[u]/d(u) from every
+// neighbor and accumulates privately — no synchronization, a random read
+// per edge instead of a random write, which is the cache-miss trade-off
+// Table 1 reports.
+//
+// The fast Push is Algorithm 8 without the split: each loop chunk owns
+// its slice of the next-rank vector, updates to owned targets are plain
+// stores, a phase boundary follows, and only the cross-chunk updates are
+// atomics — none at one thread. Ownership is tested per edge instead of
+// being laid out ahead of time, so push needs no second copy of the
+// adjacency. The profiled twins keep the paper's two bills apart:
+// PushProfiled counts Algorithm 1's (an atomic per arc), PushPAProfiled
+// counts Algorithm 8's over the §5 local/remote split (an atomic per
+// remote arc, plus the split's extra offset reads).
+//
+// Rank mass is specified, not normalized: a vertex with no out-edge sends
+// nothing and its rank is not redistributed (see Sum).
 //
 // The paper prices that gather at two random reads per edge (pr[u] and
 // d(u)). Every pull kernel here computes the quotient once where it
@@ -122,9 +136,15 @@ func Sequential(vw Views, opt Options) []float64 {
 	return pr
 }
 
-// Push runs the push-based variant: each vertex distributes its rank along
-// its out-edges through atomic float adds (per-vertex cost bounded by
-// d̂out, §4.8).
+// Push runs the push-based variant as Partition-Awareness (Algorithm 8)
+// over the plain out-view: each loop chunk [lo, hi) owns next[lo:hi).
+// Phase 1 resets the owned slots to the teleport term and adds every
+// update whose target the chunk owns with a plain read-modify-write; after
+// the phase boundary, phase 2 adds the remaining updates with atomic float
+// adds. Both phases get the same chunk boundaries (the same n, threads,
+// schedule and grain), so ownership holds under either schedule. At one
+// thread the only chunk is [0, n): phase 2 is skipped, no atomic is
+// issued, and the adds happen in Sequential's order.
 func Push(vw Views, opt Options) ([]float64, core.RunStats) {
 	opt.defaults()
 	g := vw.Out
@@ -145,13 +165,14 @@ func Push(vw Views, opt Options) ([]float64, core.RunStats) {
 	baseBits := math.Float64bits(base)
 	// Phase bodies are hoisted out of the round loop: a func literal in
 	// the loop would allocate its capture record every iteration, and the
-	// steady state must not allocate.
-	clearNext := func(w, lo, hi int) {
+	// steady state must not allocate. Ownership is one unsigned compare
+	// per edge, u − lo < hi − lo, which holds whatever order a row's
+	// neighbors are stored in.
+	local := func(w, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			nextBits[i] = baseBits
 		}
-	}
-	scatter := func(w, lo, hi int) {
+		span := uint(hi - lo)
 		for vi := lo; vi < hi; vi++ {
 			v := graph.V(vi)
 			d := g.Degree(v)
@@ -160,7 +181,25 @@ func Push(vw Views, opt Options) ([]float64, core.RunStats) {
 			}
 			c := opt.Damping * pr[v] / float64(d)
 			for _, u := range g.Neighbors(v) {
-				atomicx.AddFloat64(&nextBits[u], c)
+				if uint(int(u)-lo) < span {
+					nextBits[u] = math.Float64bits(math.Float64frombits(nextBits[u]) + c)
+				}
+			}
+		}
+	}
+	remote := func(w, lo, hi int) {
+		span := uint(hi - lo)
+		for vi := lo; vi < hi; vi++ {
+			v := graph.V(vi)
+			d := g.Degree(v)
+			if d == 0 {
+				continue
+			}
+			c := opt.Damping * pr[v] / float64(d)
+			for _, u := range g.Neighbors(v) {
+				if uint(int(u)-lo) >= span {
+					atomicx.AddFloat64(&nextBits[u], c)
+				}
 			}
 		}
 	}
@@ -175,8 +214,10 @@ func Push(vw Views, opt Options) ([]float64, core.RunStats) {
 			break
 		}
 		start := time.Now()
-		sched.ParallelFor(n, t, opt.Schedule, 0, clearNext)
-		sched.ParallelFor(n, t, opt.Schedule, 0, scatter)
+		sched.ParallelFor(n, t, opt.Schedule, 0, local)
+		if t > 1 {
+			sched.ParallelFor(n, t, opt.Schedule, 0, remote)
+		}
 		sched.ParallelFor(n, t, opt.Schedule, 0, commit)
 		el := time.Since(start)
 		stats.Record(el)
@@ -251,84 +292,6 @@ func contribution(r float64, d int64) float64 {
 	return r / float64(d)
 }
 
-// PushPA runs push-based PageRank with the Partition-Awareness strategy
-// (Algorithm 8): phase 1 updates same-owner neighbors with plain stores,
-// a barrier separates the phases, then phase 2 updates remote neighbors
-// with atomics. The number of atomics drops from 2m to the remote-edge
-// count of the PA layout.
-func PushPA(pa *graph.PAGraph, opt Options) ([]float64, core.RunStats) {
-	opt.defaults()
-	g := pa.G
-	n := g.N()
-	stats := core.RunStats{Direction: core.Push}
-	pr := make([]float64, n)
-	if n == 0 {
-		return pr, stats
-	}
-	stats.Reserve(opt.Iterations)
-	t := pa.Part.P
-	initRank := 1 / float64(n)
-	for i := range pr {
-		pr[i] = initRank
-	}
-	nextBits := make([]uint64, n)
-	base := (1 - opt.Damping) / float64(n)
-	baseBits := math.Float64bits(base)
-	pool := sched.NewPool(t)
-	defer pool.Close()
-	barrier := sched.NewBarrier(t)
-	// Hoisted round body — allocating the closure per round would put the
-	// allocator in the steady state.
-	round := func(w int) {
-		lo, hi := pa.Part.Range(w)
-		for i := lo; i < hi; i++ {
-			nextBits[i] = baseBits
-		}
-		barrier.Wait()
-		// Phase 1: local updates, no atomics. Only thread w writes
-		// vertices owned by w, so plain read-modify-write is safe.
-		for v := lo; v < hi; v++ {
-			d := g.Degree(v)
-			if d == 0 {
-				continue
-			}
-			c := opt.Damping * pr[v] / float64(d)
-			for _, u := range pa.Local(v) {
-				nextBits[u] = math.Float64bits(math.Float64frombits(nextBits[u]) + c)
-			}
-		}
-		// The lightweight barrier of Algorithm 8, line 10.
-		barrier.Wait()
-		// Phase 2: remote updates with atomics.
-		for v := lo; v < hi; v++ {
-			d := g.Degree(v)
-			if d == 0 {
-				continue
-			}
-			c := opt.Damping * pr[v] / float64(d)
-			for _, u := range pa.Remote(v) {
-				atomicx.AddFloat64(&nextBits[u], c)
-			}
-		}
-		barrier.Wait()
-		for i := lo; i < hi; i++ {
-			pr[i] = math.Float64frombits(nextBits[i])
-		}
-	}
-	for l := 0; l < opt.Iterations; l++ {
-		if opt.Canceled() {
-			stats.Canceled = true
-			break
-		}
-		start := time.Now()
-		pool.Run(round)
-		el := time.Since(start)
-		stats.Record(el)
-		opt.Tick(l, el)
-	}
-	return pr, stats
-}
-
 // MaxDiff returns the maximum absolute element difference between two rank
 // vectors — the cross-validation metric.
 func MaxDiff(a, b []float64) float64 {
@@ -342,8 +305,14 @@ func MaxDiff(a, b []float64) float64 {
 	return max
 }
 
-// Sum returns the total rank mass (≈1 for graphs without isolated or
-// dangling vertices).
+// Sum returns the total rank mass. It is 1 only when every vertex has an
+// out-edge. By specification, a vertex with none (isolated when
+// undirected, dangling when directed) sends nothing and its rank is not
+// redistributed: an isolated vertex keeps only its teleport share, and a
+// dangling one keeps that plus what it receives. Each iteration's mass is
+// therefore S' = (1−f) + f·(S − rank held by vertices without
+// out-edges), from S = 1 — every kernel, sequential or parallel, in
+// either direction, follows this recurrence.
 func Sum(a []float64) float64 {
 	s := 0.0
 	for _, v := range a {

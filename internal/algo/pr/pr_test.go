@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"path/filepath"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -59,15 +60,61 @@ func TestPullMatchesSequential(t *testing.T) {
 	}
 }
 
+// Push is Algorithm 8 with the loop chunks as owners: at every thread
+// count and under both schedules it matches Sequential, and at one thread
+// (a single chunk, no atomics) it adds in Sequential's order, bit for bit.
 func TestPushPAMatchesSequential(t *testing.T) {
 	g := testGraph(t)
 	opt := Options{Iterations: 15}
+	want := Sequential(und(g), opt)
 	for _, p := range []int{1, 2, 4, 7} {
-		pa := graph.BuildPA(g, graph.NewPartition(g.N(), p))
-		want := Sequential(und(g), opt)
-		got, _ := PushPA(pa, opt)
-		if d := MaxDiff(got, want); d > tol {
-			t.Fatalf("P=%d: push+PA vs sequential: max diff %g", p, d)
+		for _, schedule := range []sched.Schedule{sched.Static, sched.Dynamic} {
+			opt.Threads, opt.Schedule = p, schedule
+			got, _ := Push(und(g), opt)
+			if p == 1 {
+				bitsEqual(t, "push at one thread", got, want)
+			}
+			if d := MaxDiff(got, want); d > 1e-12 {
+				t.Fatalf("P=%d %v: push vs sequential: max diff %g", p, schedule, d)
+			}
+		}
+	}
+}
+
+// Ownership is decided per edge by comparing the target with the chunk's
+// bounds, not by where a row's neighbors sit, so a CSR whose rows are not
+// sorted (pushpull.Graph exposes its arrays; nothing guarantees order)
+// must give the same ranks. Run under -race: a wrong ownership test makes
+// two chunks write one slot with plain stores.
+func TestPushUnsortedRows(t *testing.T) {
+	g := testGraph(t)
+	shuffled := &graph.CSR{NumV: g.NumV, Offsets: g.Offsets, Adj: append([]graph.V(nil), g.Adj...)}
+	r := rng.New(3)
+	for v := graph.V(0); v < g.NumV; v++ {
+		row := shuffled.Adj[g.Offsets[v]:g.Offsets[v+1]]
+		for i := len(row) - 1; i > 0; i-- {
+			j := r.Intn(i + 1)
+			row[i], row[j] = row[j], row[i]
+		}
+	}
+	sorted := 0
+	for v := graph.V(0); v < g.NumV; v++ {
+		if slices.IsSorted(shuffled.Neighbors(v)) {
+			sorted++
+		}
+	}
+	if sorted == g.N() {
+		t.Fatal("shuffle left every row sorted")
+	}
+	opt := Options{Iterations: 10}
+	want := Sequential(und(g), opt)
+	for _, threads := range []int{2, 4, 7} {
+		for _, schedule := range []sched.Schedule{sched.Static, sched.Dynamic} {
+			opt.Threads, opt.Schedule = threads, schedule
+			got, _ := Push(und(shuffled), opt)
+			if d := MaxDiff(got, want); d > 1e-12 {
+				t.Fatalf("t=%d %v: unsorted-row push vs sequential: max diff %g", threads, schedule, d)
+			}
 		}
 	}
 }
@@ -137,10 +184,10 @@ func TestOnIterationHook(t *testing.T) {
 		t.Fatalf("pull iterations hook = %v", iters)
 	}
 	iters = nil
-	pa := graph.BuildPA(g, graph.NewPartition(g.N(), 2))
-	PushPA(pa, opt)
+	opt.Threads = 2 // both ownership phases run
+	Push(und(g), opt)
 	if len(iters) != 5 {
-		t.Fatalf("PA iterations hook = %v", iters)
+		t.Fatalf("two-thread push iterations hook = %v", iters)
 	}
 }
 
@@ -809,16 +856,6 @@ func BenchmarkPull(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Pull(und(g), opt)
-	}
-}
-
-func BenchmarkPushPA(b *testing.B) {
-	g, _ := gen.RMAT(gen.DefaultRMAT(12, 8, 1))
-	pa := graph.BuildPA(g, graph.NewPartition(g.N(), 4))
-	opt := Options{Iterations: 1}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		PushPA(pa, opt)
 	}
 }
 

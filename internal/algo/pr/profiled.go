@@ -57,8 +57,10 @@ func modelArrays(vw Views, space *memsim.AddressSpace) arrays {
 
 // PushProfiled executes push PageRank deterministically, reporting every
 // access at the R/W-marked points of Algorithm 1 to the per-thread probes:
-// rank scatters along out-edges, an atomic float add per arc. The returned
-// ranks equal the fast variants' output.
+// rank scatters along out-edges, an atomic float add per arc. This is the
+// paper's push bill, not the fast Push's, which issues atomics only on
+// cross-owner arcs (PushPAProfiled counts that scheme). The returned ranks
+// equal the fast variants' output.
 func PushProfiled(vw Views, opt Options, prof core.Profile, space *memsim.AddressSpace) ([]float64, error) {
 	opt.defaults()
 	if err := prof.Validate(); err != nil {
@@ -197,10 +199,11 @@ func PullProfiled(vw Views, opt Options, prof core.Profile, space *memsim.Addres
 	return pr, nil
 }
 
-// PushPAProfiled executes partition-aware push PageRank under the probes:
-// local edges issue plain writes, remote edges issue atomics, and the extra
-// offset arrays of the 2n+2m layout are modeled too (the +n reads that make
-// PA slower on sparse road graphs, §6.2).
+// PushPAProfiled executes partition-aware push PageRank under the probes,
+// billing Algorithm 8 over the §5 split: local edges issue plain writes,
+// remote edges issue atomics, and the extra offset arrays of the 2n+2m
+// layout are modeled too (the +n reads that make PA slower on sparse road
+// graphs, §6.2). The fast Push runs the same phases without the split.
 func PushPAProfiled(pa *graph.PAGraph, opt Options, prof core.Profile, space *memsim.AddressSpace) ([]float64, error) {
 	opt.defaults()
 	if err := prof.Validate(); err != nil {

@@ -9,6 +9,7 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"pushpull/internal/sched"
@@ -170,7 +171,7 @@ type Edge struct {
 
 // Builder accumulates edges and produces a CSR.
 type Builder struct {
-	n          int32
+	n          int // checked against V's range by Build
 	edges      []Edge
 	undirected bool
 	weighted   bool
@@ -183,7 +184,7 @@ type Builder struct {
 // edges are merged, and self-loops are dropped — matching the paper's graph
 // model (§2.2: undirected, simple).
 func NewBuilder(n int) *Builder {
-	return &Builder{n: int32(n), undirected: true}
+	return &Builder{n: n, undirected: true}
 }
 
 // Directed makes the builder store only the given direction per edge.
@@ -205,11 +206,15 @@ func (b *Builder) AddEdgeW(u, v V, w float32) {
 	b.edges = append(b.edges, Edge{U: u, V: v, Weight: w})
 }
 
-// Build produces the CSR. It returns an error for out-of-range endpoints.
+// Build produces the CSR. It returns an error for a vertex count outside
+// [0, MaxInt32] and for out-of-range endpoints.
 func (b *Builder) Build() (*CSR, error) {
-	n := b.n
+	if b.n < 0 || b.n > math.MaxInt32 {
+		return nil, fmt.Errorf("graph: vertex count %d out of range [0,%d]", b.n, math.MaxInt32)
+	}
+	n := b.n // an int: n+1 overflows V when n = MaxInt32
 	for _, e := range b.edges {
-		if e.U < 0 || e.U >= n || e.V < 0 || e.V >= n {
+		if e.U < 0 || int(e.U) >= n || e.V < 0 || int(e.V) >= n {
 			return nil, fmt.Errorf("graph: edge (%d,%d) out of range [0,%d)", e.U, e.V, n)
 		}
 	}
@@ -229,7 +234,7 @@ func (b *Builder) Build() (*CSR, error) {
 			add(e.V)
 		}
 	}
-	for i := V(1); i <= n; i++ {
+	for i := 1; i <= n; i++ {
 		deg[i] += deg[i-1]
 	}
 	arcs := make([]arc, deg[n])
@@ -252,13 +257,13 @@ func (b *Builder) Build() (*CSR, error) {
 			put(e.V, e.U, w)
 		}
 	}
-	g := &CSR{NumV: n, Offsets: make([]int64, n+1)}
+	g := &CSR{NumV: V(n), Offsets: make([]int64, n+1)}
 	adj := make([]V, 0, len(arcs))
 	var wts []float32
 	if b.weighted {
 		wts = make([]float32, 0, len(arcs))
 	}
-	for v := V(0); v < n; v++ {
+	for v := 0; v < n; v++ {
 		lo, hi := deg[v], deg[v+1]
 		row := arcs[lo:hi]
 		sort.Slice(row, func(i, j int) bool { return row[i].v < row[j].v })

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -84,13 +85,19 @@ func ReadEdgeListKind(r io.Reader) (*CSR, bool, error) {
 	}
 	n, err := strconv.Atoi(header[2])
 	if err != nil {
-		return nil, false, fmt.Errorf("graph: bad vertex count: %v", err)
+		return nil, false, fmt.Errorf("graph: line 1: bad vertex count: %v", err)
+	}
+	if n < 0 || n > math.MaxInt32 {
+		return nil, false, fmt.Errorf("graph: line 1: vertex count %d out of range [0,%d]", n, math.MaxInt32)
 	}
 	directed := len(header) >= 6 && header[5] == "1"
 	b := NewBuilder(n)
 	if directed {
 		b.Directed()
 	}
+	// A weighted graph stays weighted when it has no edge left to say so
+	// (its only edges were self-loops, which the builder drops).
+	b.weighted = len(header) >= 5 && header[4] == "1"
 	line := 1
 	for sc.Scan() {
 		line++
@@ -102,22 +109,27 @@ func ReadEdgeListKind(r io.Reader) (*CSR, bool, error) {
 		if len(fields) < 2 {
 			return nil, false, fmt.Errorf("graph: line %d: want 'u v [w]', got %q", line, text)
 		}
-		u, err := strconv.Atoi(fields[0])
-		if err != nil {
-			return nil, false, fmt.Errorf("graph: line %d: %v", line, err)
+		var ends [2]V
+		for i, field := range fields[:2] {
+			x, err := strconv.Atoi(field)
+			if err != nil {
+				return nil, false, fmt.Errorf("graph: line %d: %v", line, err)
+			}
+			// Range-checked before the conversion, which would wrap.
+			if x < 0 || x >= n {
+				return nil, false, fmt.Errorf("graph: line %d: vertex %d out of range [0,%d)", line, x, n)
+			}
+			ends[i] = V(x)
 		}
-		v, err := strconv.Atoi(fields[1])
-		if err != nil {
-			return nil, false, fmt.Errorf("graph: line %d: %v", line, err)
-		}
+		u, v := ends[0], ends[1]
 		if len(fields) >= 3 {
 			w, err := strconv.ParseFloat(fields[2], 32)
 			if err != nil {
 				return nil, false, fmt.Errorf("graph: line %d: %v", line, err)
 			}
-			b.AddEdgeW(V(u), V(v), float32(w))
+			b.AddEdgeW(u, v, float32(w))
 		} else {
-			b.AddEdge(V(u), V(v))
+			b.AddEdge(u, v)
 		}
 	}
 	if err := sc.Err(); err != nil {

@@ -108,20 +108,20 @@ func Ablation(cfg Config) error {
 
 	fmt.Fprintf(cfg.Out, "\nPA partition sweep on orc (2m = %d adjacency slots):\n", g.M())
 	fmt.Fprintf(cfg.Out, "%-6s %14s %10s %16s\n", "P", "remote slots", "fraction", "PR+PA [ms/iter]")
-	// One Workload handle across the sweep: the engine builds and
-	// memoizes each partition count's PA split, replacing the hand-rolled
-	// BuildPA plumbing this driver used to carry.
+	// One Workload handle across the sweep memoizes each partition
+	// count's split. The push kernel's owners are its loop chunks, so
+	// the timed run uses P threads: P owners, as the remote count assumes.
 	wl := pushpull.NewWorkload(g)
 	for _, p := range []int{2, 4, 8, 16, 32} {
 		rep, err := pushpull.Run(ctx, wl, "pr",
-			pushpull.WithThreads(cfg.Threads),
+			pushpull.WithThreads(p),
 			pushpull.WithPartitionAwareness(),
 			pushpull.WithPartitions(p),
 			pushpull.WithIterations(5))
 		if err != nil {
 			return err
 		}
-		pa := wl.PA(p) // the memoized split the run used
+		pa := wl.PA(p) // the split of P owners
 		fmt.Fprintf(cfg.Out, "%-6d %14d %9.1f%% %16s\n", p, pa.RemoteEdges(),
 			100*float64(pa.RemoteEdges())/float64(g.M()), ms(rep.Stats.AvgIteration()))
 	}

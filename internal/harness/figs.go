@@ -3,11 +3,15 @@ package harness
 import (
 	"context"
 	"fmt"
+	"math"
 	"time"
 
 	"pushpull"
+	"pushpull/internal/algo/pr"
+	"pushpull/internal/atomicx"
 	"pushpull/internal/dm/dalgo"
 	"pushpull/internal/graph"
+	"pushpull/internal/sched"
 )
 
 // Fig1 regenerates the coloring figure: per-iteration times of Pulling,
@@ -304,9 +308,56 @@ func Fig5(cfg Config) error {
 	return nil
 }
 
+// pushAlgorithm1 times Algorithm 1's push as the paper states it: an
+// atomic float add on every arc, at every thread count. It is Figure 6a's
+// baseline column and nothing else — the library's push is Algorithm 8 —
+// and returns the mean wall time of one of iters iterations.
+func pushAlgorithm1(g *graph.CSR, threads, iters int) time.Duration {
+	n := g.N()
+	if n == 0 || iters <= 0 {
+		return 0
+	}
+	t := sched.Clamp(threads, n)
+	ranks := make([]float64, n)
+	for i := range ranks {
+		ranks[i] = 1 / float64(n)
+	}
+	next := make([]uint64, n)
+	const f = pr.DefaultDamping
+	baseBits := math.Float64bits((1 - f) / float64(n))
+	clearNext := func(w, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			next[i] = baseBits
+		}
+	}
+	scatter := func(w, lo, hi int) {
+		for vi := lo; vi < hi; vi++ {
+			v := graph.V(vi)
+			if d := g.Degree(v); d > 0 {
+				c := f * ranks[v] / float64(d)
+				for _, u := range g.Neighbors(v) {
+					atomicx.AddFloat64(&next[u], c)
+				}
+			}
+		}
+	}
+	commit := func(w, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			ranks[i] = math.Float64frombits(next[i])
+		}
+	}
+	start := time.Now()
+	for l := 0; l < iters; l++ {
+		sched.ParallelFor(n, t, sched.Static, 0, clearNext)
+		sched.ParallelFor(n, t, sched.Static, 0, scatter)
+		sched.ParallelFor(n, t, sched.Static, 0, commit)
+	}
+	return time.Since(start) / time.Duration(iters)
+}
+
 // Fig6 regenerates the acceleration-strategy panel: (a) PR per-iteration
-// times for Push vs Push+PA vs Pull; (b) BGC iterations-to-finish for
-// Push, +FE, +GS, +GrS.
+// times for Push (Algorithm 1) vs Push+PA (Algorithm 8, the library's
+// push) vs Pull; (b) BGC iterations-to-finish for Push, +FE, +GS, +GrS.
 func Fig6(cfg Config) error {
 	cfg.defaults()
 	header(cfg.Out, "Figure 6a", "PR time per iteration [ms]: Push vs Push+PA vs Pull")
@@ -317,29 +368,24 @@ func Fig6(cfg Config) error {
 		if err != nil {
 			return err
 		}
-		ranks := func(opts ...pushpull.Option) (pushpull.RunStats, error) {
-			rep, err := pushpull.Run(context.Background(), g, "pr", append(opts,
-				pushpull.WithThreads(cfg.Threads), pushpull.WithIterations(iters))...)
+		ranks := func(dir pushpull.Direction) (pushpull.RunStats, error) {
+			rep, err := pushpull.Run(context.Background(), g, "pr", pushpull.WithDirection(dir),
+				pushpull.WithThreads(cfg.Threads), pushpull.WithIterations(iters))
 			if err != nil {
 				return pushpull.RunStats{}, err
 			}
 			return rep.Stats, nil
 		}
-		sPush, err := ranks(pushpull.WithDirection(pushpull.Push))
+		sPA, err := ranks(pushpull.Push)
 		if err != nil {
 			return err
 		}
-		sPA, err := ranks(pushpull.WithDirection(pushpull.Push),
-			pushpull.WithPartitionAwareness(), pushpull.WithPartitions(cfg.Threads))
-		if err != nil {
-			return err
-		}
-		sPull, err := ranks(pushpull.WithDirection(pushpull.Pull))
+		sPull, err := ranks(pushpull.Pull)
 		if err != nil {
 			return err
 		}
 		fmt.Fprintf(cfg.Out, "%-8s %10s %10s %10s\n", name,
-			ms(sPush.AvgIteration()), ms(sPA.AvgIteration()), ms(sPull.AvgIteration()))
+			ms(pushAlgorithm1(g, cfg.Threads, iters)), ms(sPA.AvgIteration()), ms(sPull.AvgIteration()))
 	}
 
 	header(cfg.Out, "Figure 6b", "BGC iterations to finish: Push vs +FE vs +GS vs +GrS")

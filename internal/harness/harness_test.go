@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"hash/fnv"
 	"strings"
 	"testing"
 )
@@ -96,6 +97,22 @@ func TestTable1HasAllEventRows(t *testing.T) {
 	}
 }
 
+// Table 1 runs only the profiled twins on a simulated machine, so its
+// output is deterministic. The digest was taken before the fast push
+// kernels were merged into one; the Push and Push+PA columns bill
+// Algorithms 1 and 8 and must not move with the fast kernel.
+func TestTable1Pinned(t *testing.T) {
+	var buf bytes.Buffer
+	if err := Table1(tinyConfig(&buf)); err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	h.Write(buf.Bytes())
+	if got, want := h.Sum64(), uint64(0x92e4f63935154984); got != want {
+		t.Fatalf("table1 digest %#x, want %#x:\n%s", got, want, buf.String())
+	}
+}
+
 func TestFig3CoversBothKernels(t *testing.T) {
 	var buf bytes.Buffer
 	if err := Fig3(tinyConfig(&buf)); err != nil {
@@ -116,7 +133,7 @@ func TestFig6ReportsStrategies(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"Push+PA", "+FE", "+GS", "+GrS"} {
+	for _, want := range []string{"Push", "Push+PA", "Pull", "+FE", "+GS", "+GrS"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("fig6 missing %q", want)
 		}

@@ -93,10 +93,6 @@ type Config struct {
 	// PartitionAware requests the Partition-Awareness acceleration
 	// (§5, Algorithm 8) for push-direction pr and tc.
 	PartitionAware bool
-	// PA optionally supplies a prebuilt Partition-Awareness graph so
-	// repeated runs over the same layout skip the O(m) BuildPA; set it
-	// through WithPartitionAwareGraph, which also implies PartitionAware.
-	PA *PAGraph
 	// Ranks is the simulated cluster size P for the dist-* algorithms
 	// (0: Threads if set, else DefaultDistRanks; negative values are
 	// rejected at Run entry with ErrBadOption). Shared-memory algorithms
@@ -173,14 +169,10 @@ func WithMaxIters(n int) Option { return func(c *Config) { c.MaxIters = n } }
 func WithPartitions(p int) Option { return func(c *Config) { c.Partitions = p } }
 
 // WithPartitionAwareness enables the Partition-Awareness acceleration
-// (§5) for push-direction pr and tc.
+// (§5) for push-direction pr and tc. pr's push kernel always runs it, so
+// there the option only implies pushing, and under WithProbes it bills
+// Algorithm 8 over the workload's memoized split instead of Algorithm 1.
 func WithPartitionAwareness() Option { return func(c *Config) { c.PartitionAware = true } }
-
-// WithPartitionAwareGraph enables Partition-Awareness with a prebuilt
-// PAGraph (BuildPA), sparing repeated runs the O(m) layout construction.
-func WithPartitionAwareGraph(pa *PAGraph) Option {
-	return func(c *Config) { c.PA, c.PartitionAware = pa, true }
-}
 
 // WithRanks sets the simulated cluster size P for the dist-* algorithms.
 func WithRanks(p int) Option { return func(c *Config) { c.Ranks = p } }
@@ -255,13 +247,13 @@ func (c *Config) partitions(w *Workload) int {
 // It returns ok=false for configs that must never be served from cache
 // (and so never coalesce either):
 // an iteration hook observes live per-iteration timings, probes produce
-// a measurement pass the caller wants re-executed, a caller-supplied PA
-// layout and custom switch policies carry pointer-identified mutable
-// state no canonical encoding can capture. The built-in policies
-// (GenericSwitch, GreedySwitch, NeverSwitch) are value-parameterized and
-// fingerprint by those parameters.
+// a measurement pass the caller wants re-executed, and custom switch
+// policies carry pointer-identified mutable state no canonical encoding
+// can capture. The built-in policies (GenericSwitch, GreedySwitch,
+// NeverSwitch) are value-parameterized and fingerprint by those
+// parameters.
 func (c *Config) fingerprint() (fp string, ok bool) {
-	if c.Hook != nil || c.Probes || c.PA != nil {
+	if c.Hook != nil || c.Probes {
 		return "", false
 	}
 	sw := "-"
@@ -296,18 +288,4 @@ func (c *Config) fingerprint() (fp string, ok bool) {
 		fmt.Fprintf(&b, "%d,", s)
 	}
 	return b.String(), true
-}
-
-// paGraph returns the caller-supplied PA layout, or the workload's
-// memoized one (built on first use). A supplied layout must have been
-// built from the graph being run, else the PA kernels would silently
-// compute over the other graph.
-func (c *Config) paGraph(w *Workload) (*PAGraph, error) {
-	if c.PA != nil {
-		if c.PA.G != w.Graph() {
-			return nil, fmt.Errorf("pushpull: WithPartitionAwareGraph layout was built for a different graph")
-		}
-		return c.PA, nil
-	}
-	return w.PA(c.partitions(w)), nil
 }

@@ -359,16 +359,16 @@ func TestSwitchPolicyReusable(t *testing.T) {
 
 func TestPartitionAwareOptions(t *testing.T) {
 	g := testGraph(t)
-	pa := pushpull.BuildPA(g, pushpull.NewPartition(g.N(), 3))
-	prebuilt := run(t, g, "pr", pushpull.WithPartitionAwareGraph(pa),
+	// Unprobed, Partition-Awareness is the push kernel itself: the option
+	// implies pushing and computes what a plain push computes.
+	aware := run(t, g, "pr", pushpull.WithPartitionAwareness(), pushpull.WithPartitions(3),
 		pushpull.WithThreads(3), pushpull.WithIterations(5))
-	built := run(t, g, "pr", pushpull.WithDirection(pushpull.Push),
-		pushpull.WithPartitionAwareness(), pushpull.WithPartitions(3),
+	push := run(t, g, "pr", pushpull.WithDirection(pushpull.Push),
 		pushpull.WithThreads(3), pushpull.WithIterations(5))
-	if d := pr.MaxDiff(prebuilt.Ranks(), built.Ranks()); d > 1e-12 {
-		t.Errorf("prebuilt-PA ranks diverge from facade-built PA by %g", d)
+	if d := pr.MaxDiff(aware.Ranks(), push.Ranks()); d > 1e-12 {
+		t.Errorf("partition-aware ranks diverge from plain push by %g", d)
 	}
-	if dirFromTrace := prebuilt.Directions[0]; dirFromTrace != pushpull.Push {
+	if dirFromTrace := aware.Directions[0]; dirFromTrace != pushpull.Push {
 		t.Errorf("PA run traced %v, want push (PA implies pushing)", dirFromTrace)
 	}
 	// PA contradicts an explicit pull direction.

@@ -56,6 +56,39 @@ func TestServeMaxUpload(t *testing.T) {
 	}
 }
 
+// TestServeRejectsOutOfRangeEdgeList: numbers that do not fit a vertex
+// id answer 400 naming the line, where they used to panic the handler
+// (the client saw EOF) or load a wrapped graph with 201.
+func TestServeRejectsOutOfRangeEdgeList(t *testing.T) {
+	eng := pushpull.NewEngine()
+	ts := httptest.NewServer(serve.New(eng))
+	t.Cleanup(ts.Close)
+	for i, body := range []string{
+		"# pushpull -5 0 0 0\n",
+		"# pushpull 2147483648 0 0 0\n",
+		"# pushpull 4294967300 1 0 0\n",
+		"# pushpull 4 1 0 0\n4294967297 2\n",
+	} {
+		name := fmt.Sprintf("hostile%d", i)
+		req, err := http.NewRequest(http.MethodPut, ts.URL+"/graphs/"+name, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("%q: %v", body, err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "line ") {
+			t.Errorf("%q: status %d %s, want 400 naming the line", body, resp.StatusCode, msg)
+		}
+		if _, ok := eng.Workload(name); ok {
+			t.Errorf("%q: rejected upload registered a workload", body)
+		}
+	}
+}
+
 // blockAlgo parks until the test releases it, so a worker slot can be
 // held occupied deterministically.
 var (

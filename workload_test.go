@@ -46,43 +46,59 @@ func directedGraph(t testing.TB, n int, weighted bool) *pushpull.Graph {
 }
 
 // TestFacadeDirectedPRMatchesSequential is the acceptance cross-check:
-// Run on Directed(g) hands the pr kernels the §4.8 views, and push, pull
-// and the probed variants all match pr.Sequential over the out-edges
-// within 1e-9.
+// Run on Directed(g) hands the pr kernels the §4.8 views, and push, pull,
+// partition-aware push and the probed variants all match pr.Sequential
+// over the out-edges within 1e-9.
 func TestFacadeDirectedPRMatchesSequential(t *testing.T) {
 	g := directedGraph(t, 700, false)
 	want := pr.Sequential(pr.Views{Out: g}, pr.Options{Iterations: 15})
-	for _, dir := range []pushpull.Direction{pushpull.Push, pushpull.Pull, pushpull.Auto} {
+	for _, c := range []struct {
+		name string
+		opt  pushpull.Option
+	}{
+		{"push", pushpull.WithDirection(pushpull.Push)},
+		{"pull", pushpull.WithDirection(pushpull.Pull)},
+		{"auto", pushpull.WithDirection(pushpull.Auto)},
+		// Probed, this bills Algorithm 8 over the split of the out-rows,
+		// one simulated thread per partition.
+		{"partition-aware", pushpull.WithPartitionAwareness()},
+	} {
 		w := pushpull.Directed(g)
-		rep := run(t, w, "pr", pushpull.WithDirection(dir),
+		rep := run(t, w, "pr", c.opt,
 			pushpull.WithThreads(3), pushpull.WithIterations(15))
 		if d := pushpull.MaxDiff(rep.Ranks(), want); d > 1e-9 {
-			t.Errorf("directed pr %v diverges from Sequential by %g", dir, d)
+			t.Errorf("directed pr %s diverges from Sequential by %g", c.name, d)
 		}
 		if rep.Stats.Iterations != 15 || len(rep.Directions) != 15 {
-			t.Errorf("directed pr %v: %d iterations, %d trace entries, want 15/15",
-				dir, rep.Stats.Iterations, len(rep.Directions))
+			t.Errorf("directed pr %s: %d iterations, %d trace entries, want 15/15",
+				c.name, rep.Stats.Iterations, len(rep.Directions))
 		}
 		// WithProbes behaves identically to the undirected path: counters
 		// attached, payload unchanged.
-		probed := run(t, w, "pr", pushpull.WithDirection(dir),
+		probed := run(t, w, "pr", c.opt,
 			pushpull.WithThreads(3), pushpull.WithIterations(15), pushpull.WithProbes())
 		if probed.Counters == nil || probed.Counters.Get(pushpull.Reads) == 0 {
-			t.Fatalf("probed directed pr %v returned no counters", dir)
+			t.Fatalf("probed directed pr %s returned no counters", c.name)
 		}
 		if d := pushpull.MaxDiff(probed.Ranks(), want); d > 1e-9 {
-			t.Errorf("probed directed pr %v diverges from Sequential by %g", dir, d)
+			t.Errorf("probed directed pr %s diverges from Sequential by %g", c.name, d)
 		}
 	}
 	// The §4 asymmetry carries over: directed push pays atomics per
-	// out-arc, directed pull pays none.
+	// out-arc, the partition-aware bill only per remote out-arc, directed
+	// pull none.
 	w := pushpull.Directed(g)
 	push := run(t, w, "pr", pushpull.WithDirection(pushpull.Push),
+		pushpull.WithIterations(1), pushpull.WithProbes())
+	aware := run(t, w, "pr", pushpull.WithPartitionAwareness(), pushpull.WithPartitions(3),
 		pushpull.WithIterations(1), pushpull.WithProbes())
 	pull := run(t, w, "pr", pushpull.WithDirection(pushpull.Pull),
 		pushpull.WithIterations(1), pushpull.WithProbes())
 	if got := push.Counters.Get(pushpull.Atomics); got == 0 {
 		t.Error("directed push pr issued no atomics")
+	}
+	if got, all := aware.Counters.Get(pushpull.Atomics), push.Counters.Get(pushpull.Atomics); got == 0 || got >= all {
+		t.Errorf("directed partition-aware pr over 3 partitions issued %d atomics, want some but fewer than push's %d", got, all)
 	}
 	if got := pull.Counters.Get(pushpull.Atomics); got != 0 {
 		t.Errorf("directed pull pr issued %d atomics, want 0", got)
@@ -116,24 +132,29 @@ func TestWorkloadMemoizesTranspose(t *testing.T) {
 }
 
 // TestWorkloadMemoizesPAAndStats: the Partition-Awareness split is built
-// once per distinct partition count across repeated runs, and Stats once
-// per handle.
+// once per distinct partition count across repeated probed runs (the
+// only pr runs that lay it out), and Stats once per handle.
 func TestWorkloadMemoizesPAAndStats(t *testing.T) {
 	g := testGraph(t)
 	w := pushpull.Partitioned(g, 3)
+	run(t, w, "pr", pushpull.WithPartitionAwareness(), pushpull.WithThreads(3),
+		pushpull.WithIterations(2))
+	if got := w.Builds().PASplits; got != 0 {
+		t.Fatalf("unprobed PA push built %d splits, want 0 (the kernel needs none)", got)
+	}
 	for i := 0; i < 3; i++ {
 		run(t, w, "pr", pushpull.WithPartitionAwareness(), pushpull.WithThreads(3),
-			pushpull.WithIterations(2))
+			pushpull.WithIterations(2), pushpull.WithProbes())
 	}
 	if got := w.Builds().PASplits; got != 1 {
-		t.Fatalf("3 PA runs built %d splits, want exactly 1", got)
+		t.Fatalf("3 probed PA runs built %d splits, want exactly 1", got)
 	}
 	if w.PA(3) != w.PA(3) {
 		t.Error("PA(3) returns distinct layouts across calls")
 	}
 	// A different partition count is a different split, memoized separately.
 	run(t, w, "pr", pushpull.WithPartitionAwareness(), pushpull.WithPartitions(5),
-		pushpull.WithThreads(5), pushpull.WithIterations(2))
+		pushpull.WithThreads(5), pushpull.WithIterations(2), pushpull.WithProbes())
 	if got := w.Builds().PASplits; got != 2 {
 		t.Errorf("second partition count built %d splits total, want 2", got)
 	}
@@ -182,11 +203,6 @@ func TestDirectedUnsupportedTyped(t *testing.T) {
 		if !errors.Is(err, pushpull.ErrDirectedUnsupported) {
 			t.Errorf("%s on directed workload: err = %v, want ErrDirectedUnsupported", algo, err)
 		}
-	}
-	// Directed pr + partition awareness is the one in-algorithm gap.
-	if _, err := pushpull.Run(context.Background(), pushpull.Directed(g), "pr",
-		pushpull.WithPartitionAwareness()); !errors.Is(err, pushpull.ErrPartitionAwareUnsupported) {
-		t.Errorf("directed pr + PA: err = %v, want ErrPartitionAwareUnsupported", err)
 	}
 }
 
