@@ -38,7 +38,7 @@ func (b *builtin) Run(ctx context.Context, w *Workload, cfg *Config) (*Report, e
 
 func init() {
 	for _, b := range []*builtin{
-		{"pr", "PageRank (§3.1, Algorithm 1; one kernel per direction, a directed workload only changes the views §4.8; push is Partition-Aware, Algorithm 8 §5; out-of-core block pull)",
+		{"pr", "PageRank (§3.1, Algorithm 1; one kernel per direction, a directed workload only changes the views §4.8; push owns targets per chunk as in §5 and sends the rest to private accumulators, no atomics; out-of-core block pull)",
 			Caps{Directed: true, Probes: true, PartitionAware: true, DegreeSort: true, OutOfCore: true}, runPR},
 		{"tc", "triangle counting (§3.2, Algorithm 2; +Partition-Awareness §5)",
 			Caps{Probes: true, PartitionAware: true}, runTC},
@@ -90,8 +90,9 @@ func coreTrace(dirs []core.Direction) []Direction {
 // runPR is the one PageRank adapter. There is one kernel per direction
 // (§4.8): a directed workload changes only the pair of views the kernel is
 // handed — out-edges to push along, the memoized transpose to pull along —
-// and an undirected one hands the same graph as both. The push kernel is
-// already Partition-Aware (Algorithm 8 over the plain out-view), so
+// and an undirected one hands the same graph as both. The push kernel
+// already owns its targets per loop chunk (§5's ownership over the plain
+// out-view, with private accumulators instead of remote atomics), so
 // WithPartitionAwareness only implies pushing; the §5 split itself is
 // built for the probed run alone, whose bill it lays out. The one layout
 // that is not a CSR view is the out-of-core block file (pull-only;

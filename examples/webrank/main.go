@@ -4,10 +4,12 @@
 //
 // This is the paper's Figure 6a / Table 1 workflow as a library user would
 // run it: measure first, then choose the direction for your graph shape.
-// The push kernel already runs Partition-Awareness (§5, Algorithm 8): only
-// updates that cross to another thread's vertices are atomics. The probed
-// runs print the two push bills side by side — Algorithm 1's atomic per
-// arc, and Algorithm 8's atomic per remote arc.
+// The push kernel issues no atomic: each thread adds updates to its own
+// vertices in place and every other update into a private accumulator,
+// and a second pass folds the accumulators in thread order, so the pushed
+// ranks are the same bits on every run. The probed runs print the paper's
+// two push bills side by side — Algorithm 1's atomic per arc, and
+// Algorithm 8's (§5, Partition-Awareness) atomic per remote arc.
 package main
 
 import (

@@ -12,6 +12,15 @@
 // [4, 55]) lets every not-yet-ready vertex scan for frontier neighbors —
 // no write conflicts, but O(D·m) reads in the worst case (§4.3). Auto mode
 // is the direction-optimizing switch of Beamer et al. [4].
+//
+// The fast plain-BFS push round (Config.EarlyOut, set by TraverseFrom) is
+// one claiming pass: each frontier arc loads the target's ready counter,
+// and only a target still unready pays the atomic decrement; the decrement
+// that reaches zero claims the vertex and sets its parent. Visited targets
+// cost a load and no read-modify-write. The profiled twin still bills
+// Algorithm 3 as the paper states it, in two sub-steps: a claim CAS per
+// frontier arc into an unready target, then a counter decrement per
+// frontier arc, O(m) atomics per traversal.
 package bfs
 
 import (
@@ -80,11 +89,13 @@ type Config struct {
 	Filter EdgeFilter
 	// Heuristic overrides the switch parameters in Auto mode.
 	Heuristic frontier.SwitchHeuristic
-	// EarlyOut lets a pull round stop scanning a vertex's neighbors once
-	// its ready counter reaches zero. Safe only when later combines cannot
-	// change the result (plain BFS claims one parent); generalized runs
-	// like betweenness centrality need every combine and must leave this
-	// off.
+	// EarlyOut declares that the first combine decides a vertex: a pull
+	// round stops scanning a vertex's neighbors once its ready counter
+	// reaches zero, and a push round combines only along the arc whose
+	// decrement claims the vertex, in one pass. Safe only when later
+	// combines cannot change the result (plain BFS claims one parent);
+	// generalized runs like betweenness centrality need every combine and
+	// must leave this off.
 	EarlyOut bool
 }
 
@@ -137,7 +148,9 @@ func Run(g *graph.CSR, cfg *Config, ops Ops) (rounds int, dirs []core.Direction,
 		}
 	}
 	// Push sub-step 2: decrement ready counters; exactly the decrement
-	// that reaches zero enqueues the vertex (the k-filter of §4.3).
+	// that reaches zero enqueues the vertex (the k-filter of §4.3). Only
+	// decrements ever touch a counter, so one already at or below zero can
+	// never reach zero again: it costs a load, not a read-modify-write.
 	notifyBody := func(w, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			v := curVerts[i]
@@ -145,7 +158,25 @@ func Run(g *graph.CSR, cfg *Config, ops Ops) (rounds int, dirs []core.Direction,
 				if cfg.Filter != nil && !cfg.Filter(v, u) {
 					continue
 				}
-				if atomic.AddInt32(&cfg.Ready[u], -1) == 0 {
+				if atomic.LoadInt32(&cfg.Ready[u]) > 0 && atomic.AddInt32(&cfg.Ready[u], -1) == 0 {
+					perThread.Add(w, u)
+				}
+			}
+		}
+	}
+	// EarlyOut push round, one pass: the decrement that reaches zero is
+	// the claim, and only the claiming arc combines. No combine can land
+	// after the vertex is enqueued, so the two sub-steps' separation is
+	// not needed, and a visited target costs one load.
+	claimBody := func(w, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			v := curVerts[i]
+			for _, u := range g.Neighbors(v) {
+				if cfg.Filter != nil && !cfg.Filter(v, u) {
+					continue
+				}
+				if atomic.LoadInt32(&cfg.Ready[u]) > 0 && atomic.AddInt32(&cfg.Ready[u], -1) == 0 {
+					ops.PushCombine(u, v)
 					perThread.Add(w, u)
 				}
 			}
@@ -208,6 +239,9 @@ func Run(g *graph.CSR, cfg *Config, ops Ops) (rounds int, dirs []core.Direction,
 			inF.FromSparse(cur)
 			sched.ParallelFor(n, t, sched.Static, 0, pullBody)
 			dirs = append(dirs, core.Pull)
+		} else if cfg.EarlyOut {
+			sched.ParallelFor(len(curVerts), t, sched.Static, 0, claimBody)
+			dirs = append(dirs, core.Push)
 		} else {
 			sched.ParallelFor(len(curVerts), t, sched.Static, 0, combineBody)
 			sched.ParallelFor(len(curVerts), t, sched.Static, 0, notifyBody)

@@ -1,6 +1,7 @@
 package bfs
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -84,6 +85,28 @@ func TestTraversePath(t *testing.T) {
 		checkTree(t, g, 0, tree, want)
 		if tree.Level[99] != 99 {
 			t.Fatalf("mode %v: end level %d", m, tree.Level[99])
+		}
+	}
+}
+
+// TraverseFrom's push rounds claim in one pass: the decrement that takes a
+// ready counter to zero wins the vertex and sets its parent. In K(64, 64)
+// every frontier vertex of the second round races for every target, so
+// exactly one claim per target must land, on a true neighbor one level up.
+func TestTraverseClaimRound(t *testing.T) {
+	rmat, err := gen.RMAT(gen.DefaultRMAT(10, 8, 17))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, g := range map[string]*graph.CSR{"rmat": rmat, "k64x64": gen.BipartiteFull(64, 64)} {
+		want := refLevels(g, 0)
+		for _, m := range []Mode{ForcePush, Auto} {
+			for _, threads := range []int{1, 2, 4, 7} {
+				t.Run(fmt.Sprintf("%s/%v/t%d", name, m, threads), func(t *testing.T) {
+					tree, _, _ := TraverseFrom(g, 0, m, core.Options{Threads: threads})
+					checkTree(t, g, 0, tree, want)
+				})
+			}
 		}
 	}
 }

@@ -11,15 +11,23 @@
 // per edge instead of a random write, which is the cache-miss trade-off
 // Table 1 reports.
 //
-// The fast Push is Algorithm 8 without the split: each loop chunk owns
-// its slice of the next-rank vector, updates to owned targets are plain
-// stores, a phase boundary follows, and only the cross-chunk updates are
-// atomics — none at one thread. Ownership is tested per edge instead of
-// being laid out ahead of time, so push needs no second copy of the
-// adjacency. The profiled twins keep the paper's two bills apart:
-// PushProfiled counts Algorithm 1's (an atomic per arc), PushPAProfiled
-// counts Algorithm 8's over the §5 local/remote split (an atomic per
-// remote arc, plus the split's extra offset reads).
+// The fast Push pushes into private state instead of shared state: each
+// loop chunk owns its slice of the next-rank vector and adds updates to
+// owned targets there with plain stores, and every cross-chunk update goes
+// with a plain store into the pushing worker's own n-entry accumulator. A
+// second pass folds the accumulators into the owned slices in worker
+// order. It issues no atomic at any thread count and walks the adjacency
+// once per iteration. Ownership is tested per edge instead of being laid
+// out ahead of time, so push needs no second copy of the adjacency. The
+// price is memory and a fold: at t > 1 threads a run holds t extra n-entry
+// vectors (t·n·8 bytes; 4 MiB at n = 2^18, t = 2) and folds O(t·n) per
+// iteration; at one thread it holds none and does not fold. The fold
+// order is fixed, so under the static schedule the ranks are
+// bit-identical run to run at every thread count, and at one thread they
+// are Sequential's bits. The profiled twins keep the paper's two bills
+// apart: PushProfiled counts Algorithm 1's (an atomic per arc),
+// PushPAProfiled counts Algorithm 8's over the §5 local/remote split (an
+// atomic per remote arc, plus the split's extra offset reads).
 //
 // Rank mass is specified, not normalized: a vertex with no out-edge sends
 // nothing and its rank is not redistributed (see Sum).
@@ -49,7 +57,6 @@ import (
 	"math"
 	"time"
 
-	"pushpull/internal/atomicx"
 	"pushpull/internal/core"
 	"pushpull/internal/graph"
 	"pushpull/internal/sched"
@@ -136,15 +143,19 @@ func Sequential(vw Views, opt Options) []float64 {
 	return pr
 }
 
-// Push runs the push-based variant as Partition-Awareness (Algorithm 8)
-// over the plain out-view: each loop chunk [lo, hi) owns next[lo:hi).
-// Phase 1 resets the owned slots to the teleport term and adds every
-// update whose target the chunk owns with a plain read-modify-write; after
-// the phase boundary, phase 2 adds the remaining updates with atomic float
-// adds. Both phases get the same chunk boundaries (the same n, threads,
-// schedule and grain), so ownership holds under either schedule. At one
-// thread the only chunk is [0, n): phase 2 is skipped, no atomic is
-// issued, and the adds happen in Sequential's order.
+// Push runs the push-based variant as one scatter pass into private state
+// plus an ordered fold. Each loop chunk [lo, hi) owns next[lo:hi): the
+// scatter resets the owned slots to the teleport term, adds every update
+// whose target the chunk owns into next, and adds every other update into
+// its worker's own accumulator priv[w]. After the phase boundary the fold
+// sums next[i] + priv[0][i] + … + priv[t−1][i] in worker order, zeroing
+// each accumulator slot as it reads it. Both passes are plain stores to
+// memory one worker owns, so there is no atomic anywhere. Under the static
+// schedule every worker sees the same rows in the same order each run, so
+// the ranks are bit-identical run to run at every thread count. Under the
+// dynamic schedule which worker takes which chunk varies, and so may the
+// last bits. At one thread the only chunk is [0, n), there are no
+// accumulators and no fold, and the adds happen in Sequential's order.
 func Push(vw Views, opt Options) ([]float64, core.RunStats) {
 	opt.defaults()
 	g := vw.Out
@@ -160,17 +171,28 @@ func Push(vw Views, opt Options) ([]float64, core.RunStats) {
 	for i := range pr {
 		pr[i] = initRank
 	}
-	nextBits := make([]uint64, n)
+	next := make([]float64, n)
+	var priv [][]float64
+	if t > 1 {
+		priv = make([][]float64, t)
+		for w := range priv {
+			priv[w] = make([]float64, n)
+		}
+	}
 	base := (1 - opt.Damping) / float64(n)
-	baseBits := math.Float64bits(base)
 	// Phase bodies are hoisted out of the round loop: a func literal in
 	// the loop would allocate its capture record every iteration, and the
-	// steady state must not allocate. Ownership is one unsigned compare
-	// per edge, u − lo < hi − lo, which holds whatever order a row's
-	// neighbors are stored in.
-	local := func(w, lo, hi int) {
+	// steady state must not allocate. They capture pr and next by
+	// reference, so the per-round swap stays visible. Ownership is one
+	// unsigned compare per edge, u − lo < hi − lo, which holds whatever
+	// order a row's neighbors are stored in.
+	scatter := func(w, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			nextBits[i] = baseBits
+			next[i] = base
+		}
+		var mine []float64
+		if priv != nil {
+			mine = priv[w]
 		}
 		span := uint(hi - lo)
 		for vi := lo; vi < hi; vi++ {
@@ -182,30 +204,21 @@ func Push(vw Views, opt Options) ([]float64, core.RunStats) {
 			c := opt.Damping * pr[v] / float64(d)
 			for _, u := range g.Neighbors(v) {
 				if uint(int(u)-lo) < span {
-					nextBits[u] = math.Float64bits(math.Float64frombits(nextBits[u]) + c)
+					next[u] += c
+				} else {
+					mine[u] += c
 				}
 			}
 		}
 	}
-	remote := func(w, lo, hi int) {
-		span := uint(hi - lo)
-		for vi := lo; vi < hi; vi++ {
-			v := graph.V(vi)
-			d := g.Degree(v)
-			if d == 0 {
-				continue
-			}
-			c := opt.Damping * pr[v] / float64(d)
-			for _, u := range g.Neighbors(v) {
-				if uint(int(u)-lo) >= span {
-					atomicx.AddFloat64(&nextBits[u], c)
-				}
-			}
-		}
-	}
-	commit := func(w, lo, hi int) {
+	fold := func(w, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			pr[i] = math.Float64frombits(nextBits[i])
+			s := next[i]
+			for _, p := range priv {
+				s += p[i]
+				p[i] = 0
+			}
+			next[i] = s
 		}
 	}
 	for l := 0; l < opt.Iterations; l++ {
@@ -214,11 +227,11 @@ func Push(vw Views, opt Options) ([]float64, core.RunStats) {
 			break
 		}
 		start := time.Now()
-		sched.ParallelFor(n, t, opt.Schedule, 0, local)
+		sched.ParallelFor(n, t, opt.Schedule, 0, scatter)
 		if t > 1 {
-			sched.ParallelFor(n, t, opt.Schedule, 0, remote)
+			sched.ParallelFor(n, t, opt.Schedule, 0, fold)
 		}
-		sched.ParallelFor(n, t, opt.Schedule, 0, commit)
+		pr, next = next, pr
 		el := time.Since(start)
 		stats.Record(el)
 		opt.Tick(l, el)

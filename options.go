@@ -169,9 +169,10 @@ func WithMaxIters(n int) Option { return func(c *Config) { c.MaxIters = n } }
 func WithPartitions(p int) Option { return func(c *Config) { c.Partitions = p } }
 
 // WithPartitionAwareness enables the Partition-Awareness acceleration
-// (§5) for push-direction pr and tc. pr's push kernel always runs it, so
-// there the option only implies pushing, and under WithProbes it bills
-// Algorithm 8 over the workload's memoized split instead of Algorithm 1.
+// (§5) for push-direction pr and tc. pr's push kernel always owns its
+// targets per loop chunk, so there the option only implies pushing, and
+// under WithProbes it bills Algorithm 8 over the workload's memoized split
+// instead of Algorithm 1.
 func WithPartitionAwareness() Option { return func(c *Config) { c.PartitionAware = true } }
 
 // WithRanks sets the simulated cluster size P for the dist-* algorithms.
