@@ -485,13 +485,19 @@ func runGCFE(ctx context.Context, w *Workload, cfg *Config) (*Report, error) {
 	// The built-in policies are re-instantiated per run: GenericSwitch
 	// latches one-shot state after flipping, so handing the caller's
 	// pointer straight to the algorithm would silently disable switching
-	// on every reuse (and race under concurrent Runs).
+	// on every reuse (and race under concurrent Runs). A GreedySwitch
+	// without a Total measures its Fraction against the graph's vertex
+	// count; left at zero it would never switch.
 	policy := cfg.Switch
 	switch p := policy.(type) {
 	case *core.GenericSwitch:
 		policy = &core.GenericSwitch{Threshold: p.Threshold}
 	case *core.GreedySwitch:
-		policy = &core.GreedySwitch{Fraction: p.Fraction, Total: p.Total}
+		total := p.Total
+		if total <= 0 {
+			total = g.N()
+		}
+		policy = &core.GreedySwitch{Fraction: p.Fraction, Total: total}
 	}
 	if cfg.Probes {
 		prof, grp := core.CountingProfile(cfg.effectiveThreads(g.N()))

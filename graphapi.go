@@ -52,7 +52,9 @@ type (
 	// GenericSwitch flips push↔pull when conflicts dominate (§5).
 	GenericSwitch = core.GenericSwitch
 	// GreedySwitch falls back to the optimized sequential scheme once
-	// little work remains (§5).
+	// fewer than Fraction·Total vertices remain uncolored (§5). Run fills
+	// a Total <= 0 with the graph's vertex count, so
+	// &GreedySwitch{Fraction: 0.1} is the paper's 0.1·n rule.
 	GreedySwitch = core.GreedySwitch
 	// NeverSwitch is the identity policy.
 	NeverSwitch = core.NeverSwitch

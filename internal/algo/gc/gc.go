@@ -292,35 +292,51 @@ func Greedy(g *graph.CSR) *Result {
 	return res
 }
 
+// greedyScratch is one worker's reusable state for greedy coloring:
+// seen[c] == stamp marks color c as held by a neighbor of the vertex being
+// colored, and bumping stamp forgets every mark at once.
+type greedyScratch struct {
+	seen  []uint32
+	stamp uint32
+}
+
+// colorOne gives v, if uncolored, the smallest color no colored neighbor
+// holds. v's d neighbors hold at most d colors, so one in [0, d] is free
+// and larger neighbor colors are never looked up.
+func (s *greedyScratch) colorOne(g *graph.CSR, colors []int32, v graph.V) {
+	if colors[v] >= 0 {
+		return
+	}
+	nb := g.Neighbors(v)
+	if len(nb) >= len(s.seen) {
+		s.seen = make([]uint32, max(len(nb)+1, 2*len(s.seen)))
+		s.stamp = 0
+	}
+	s.stamp++
+	for _, u := range nb {
+		if c := colors[u]; c >= 0 && int(c) <= len(nb) {
+			s.seen[c] = s.stamp
+		}
+	}
+	c := int32(0)
+	for s.seen[c] == s.stamp {
+		c++
+	}
+	colors[v] = c
+}
+
 // greedyColorSubset greedily colors the given vertices (nil = all, in id
 // order) respecting all already-assigned neighbor colors.
 func greedyColorSubset(g *graph.CSR, colors []int32, verts []graph.V) {
-	taken := map[int32]bool{}
-	colorOne := func(v graph.V) {
-		if colors[v] >= 0 {
-			return
-		}
-		clear(taken)
-		for _, u := range g.Neighbors(v) {
-			if colors[u] >= 0 {
-				taken[colors[u]] = true
-			}
-		}
-		for c := int32(0); ; c++ {
-			if !taken[c] {
-				colors[v] = c
-				return
-			}
-		}
-	}
+	var s greedyScratch
 	if verts == nil {
 		for v := graph.V(0); v < g.NumV; v++ {
-			colorOne(v)
+			s.colorOne(g, colors, v)
 		}
 		return
 	}
 	for _, v := range verts {
-		colorOne(v)
+		s.colorOne(g, colors, v)
 	}
 }
 
@@ -357,23 +373,9 @@ func ConflictRemoval(g *graph.CSR, part graph.Partition, opt Options) (*Result, 
 		defer pool.Close()
 		pool.Run(func(w int) {
 			lo, hi := part.Range(w)
-			taken := map[int32]bool{}
+			var s greedyScratch
 			for v := lo; v < hi; v++ {
-				if colors[v] >= 0 {
-					continue
-				}
-				clear(taken)
-				for _, u := range g.Neighbors(v) {
-					if colors[u] >= 0 {
-						taken[colors[u]] = true
-					}
-				}
-				for c := int32(0); ; c++ {
-					if !taken[c] {
-						colors[v] = c
-						break
-					}
-				}
+				s.colorOne(g, colors, v)
 			}
 		})
 	}

@@ -361,3 +361,111 @@ func TestBomanColoringsPinned(t *testing.T) {
 		}
 	}
 }
+
+// feDigest folds a Frontier-Exploit run — colors, iteration count and the
+// per-iteration direction trace — into one word.
+func feDigest(res *Result) uint64 {
+	h := fnv.New64a()
+	var b [4]byte
+	put := func(x int32) {
+		binary.LittleEndian.PutUint32(b[:], uint32(x))
+		h.Write(b[:])
+	}
+	put(int32(res.Iterations))
+	put(int32(len(res.Dirs)))
+	for _, d := range res.Dirs {
+		put(int32(d))
+	}
+	for _, c := range res.Colors {
+		put(c)
+	}
+	return h.Sum64()
+}
+
+// The digests below were taken from the Frontier-Exploit round that sorted
+// per-thread claim lists and rescanned every candidate's adjacency; the
+// bitmap-ordered, winner-blocking round must reproduce them exactly, fast
+// and probed, in both starting directions, at every thread count and under
+// all three policies. The 100-clique colors one vertex per round, so it
+// runs into the default MaxIters and ends on the greedy tail. Conflict
+// removal rides along: it shares the greedy helper. On the small dense
+// graphs nearly every vertex is a border vertex, so CR's coloring does not
+// depend on the partition count; the road grid has real interiors.
+func TestFrontierExploitPinned(t *testing.T) {
+	grid, err := gen.RoadGrid(20, 20, 0.8, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphs := map[string]*graph.CSR{
+		"rmat": rmat(t, 9, 8, 13), "ring5": gen.Ring(5), "k100": gen.Complete(100), "grid": grid,
+	}
+	policies := map[string]func(n int) core.SwitchPolicy{
+		"never":   func(int) core.SwitchPolicy { return core.NeverSwitch{} },
+		"generic": func(int) core.SwitchPolicy { return &core.GenericSwitch{Threshold: 1} },
+		"greedy":  func(n int) core.SwitchPolicy { return &core.GreedySwitch{Fraction: 0.1, Total: n} },
+	}
+	want := map[string]uint64{
+		"fe/rmat/Pushing/never": 0x39b200d4da65846b, "fe/rmat/Pulling/never": 0x4a9d41021d64011a,
+		"fe/rmat/Pushing/generic": 0x2fb06b3895534d8a, "fe/rmat/Pulling/generic": 0x549ed69e627637fb,
+		"fe/rmat/Pushing/greedy": 0xcc3baa3589d9a12b, "fe/rmat/Pulling/greedy": 0x68a9f554e22da88a,
+		"fe/ring5/Pushing/never": 0x9844d52b32805cd7, "fe/ring5/Pulling/never": 0x230c1b290f9dcb26,
+		"fe/ring5/Pushing/generic": 0x9844d52b32805cd7, "fe/ring5/Pulling/generic": 0x230c1b290f9dcb26,
+		"fe/ring5/Pushing/greedy": 0x9844d52b32805cd7, "fe/ring5/Pulling/greedy": 0x230c1b290f9dcb26,
+		"fe/k100/Pushing/never": 0xc258edc1c768e805, "fe/k100/Pulling/never": 0xe8a16f6f924ed674,
+		"fe/k100/Pushing/generic": 0xef0409a03a2bddc4, "fe/k100/Pulling/generic": 0x592bead9114c2235,
+		"fe/k100/Pushing/greedy": 0xc258edc1c768e805, "fe/k100/Pulling/greedy": 0xe8a16f6f924ed674,
+		"fe/grid/Pushing/never": 0x05ab864bb6cffd94, "fe/grid/Pulling/never": 0x6d296190de2a4e55,
+		"fe/grid/Pushing/generic": 0x05ab864bb6cffd94, "fe/grid/Pulling/generic": 0x6d296190de2a4e55,
+		"fe/grid/Pushing/greedy": 0x05ab864bb6cffd94, "fe/grid/Pulling/greedy": 0x6d296190de2a4e55,
+		"cr/rmat/p1": 0x69ad62fa68e5dd6a, "cr/rmat/p2": 0x69ad62fa68e5dd6a,
+		"cr/rmat/p4": 0x69ad62fa68e5dd6a, "cr/rmat/p7": 0x69ad62fa68e5dd6a,
+		"cr/ring5/p1": 0xcb233d6af7637fe6, "cr/ring5/p2": 0xcb233d6af7637fe6,
+		"cr/ring5/p4": 0xcb233d6af7637fe6, "cr/ring5/p7": 0xcb233d6af7637fe6,
+		"cr/k100/p1": 0x2d24f2b22d4bd3a4, "cr/k100/p2": 0x2d24f2b22d4bd3a4,
+		"cr/k100/p4": 0x2d24f2b22d4bd3a4, "cr/k100/p7": 0x2d24f2b22d4bd3a4,
+		"cr/grid/p1": 0xdd2178ad0164a715, "cr/grid/p2": 0x7490de6766fca956,
+		"cr/grid/p4": 0x9699a7132930b2b5, "cr/grid/p7": 0xcc983686eb1c0db7,
+	}
+	for name, g := range graphs {
+		for _, dir := range []core.Direction{core.Push, core.Pull} {
+			for pname, policy := range policies {
+				key := fmt.Sprintf("fe/%s/%v/%s", name, dir, pname)
+				for _, th := range []int{1, 2, 4, 7} {
+					opt := Options{Options: core.Options{Threads: th}}
+					fast := FrontierExploit(g, opt, dir, policy(g.N()))
+					prof, _ := core.CountingProfile(th)
+					probed, err := FrontierExploitProfiled(g, opt, dir, policy(g.N()), prof, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for kernel, res := range map[string]*Result{"fast": fast, "probed": probed} {
+						if err := Validate(g, res.Colors); err != nil {
+							t.Fatalf("%s t%d %s: %v", key, th, kernel, err)
+						}
+						if d := feDigest(res); d != want[key] {
+							t.Errorf("%s t%d %s: digest %#x, want %#x", key, th, kernel, d, want[key])
+						}
+					}
+				}
+			}
+		}
+		for _, p := range []int{1, 2, 4, 7} {
+			key := fmt.Sprintf("cr/%s/p%d", name, p)
+			part := graph.NewPartition(g.N(), p)
+			fast, err := ConflictRemoval(g, part, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			prof, _ := core.CountingProfile(p)
+			probed, err := ConflictRemovalProfiled(g, part, Options{}, prof, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for kernel, res := range map[string]*Result{"fast": fast, "probed": probed} {
+				if d := colorDigest(res.Colors, res.Iterations); d != want[key] {
+					t.Errorf("%s %s: digest %#x, want %#x", key, kernel, d, want[key])
+				}
+			}
+		}
+	}
+}

@@ -1,7 +1,6 @@
 package gc
 
 import (
-	"sort"
 	"time"
 
 	"pushpull/internal/core"
@@ -23,7 +22,7 @@ const (
 
 // feArrays bundles the modeled state of a Frontier-Exploit run.
 type feArrays struct {
-	off, adj, col, cand, inF memsim.Array
+	off, adj, col, cand, inF, blk memsim.Array
 }
 
 func feModel(g *graph.CSR, space *memsim.AddressSpace) feArrays {
@@ -36,6 +35,7 @@ func feModel(g *graph.CSR, space *memsim.AddressSpace) feArrays {
 		col:  space.NewArray(g.N(), 4),
 		cand: space.NewArray(g.N(), 1),
 		inF:  space.NewArray(g.N(), 1),
+		blk:  space.NewArray(g.N(), 4),
 	}
 }
 
@@ -77,9 +77,12 @@ func profiledGreedySubset(g *graph.CSR, colors []int32, p counters.Probe, a feAr
 // owner's plain candidate write. Result.Dirs records the direction of every
 // iteration, so a Generic-Switch flip is visible in the trace.
 //
-// Both the instrumented and the fast variant resolve candidates in
-// canonical id order, so the probed coloring equals the uninstrumented
-// run's exactly.
+// Both the instrumented and the fast variant read the candidates out of the
+// candidate bitmap in increasing id — the canonical order — and resolve
+// them with the same winner-side blocking, so the probed coloring equals
+// the uninstrumented run's exactly. Resolution charges one read of
+// blocked[v] per candidate and, per winner, its color write plus one
+// adjacency read and one blocked write per arc.
 func FrontierExploitProfiled(g *graph.CSR, opt Options, dir core.Direction, policy core.SwitchPolicy, prof core.Profile, space *memsim.AddressSpace) (*Result, error) {
 	opt.defaults()
 	if err := prof.Validate(); err != nil {
@@ -138,13 +141,10 @@ func FrontierExploitProfiled(g *graph.CSR, opt Options, dir core.Direction, poli
 
 	progress, conflicts := colored, 0
 	candMark := frontier.NewBitmap(n)
-
-	// Round-scoped buffers hoisted out of the iteration loop and reused:
-	// their contents are copied into f and colors before each reset, so
-	// truncation never aliases live data.
-	perThread := make([][]graph.V, t)
-	var cands []graph.V
-	byID := func(i, j int) bool { return cands[i] < cands[j] }
+	blocked := make([]int32, n)
+	// Reused across rounds: ToSparse resets it, and its winners prefix is
+	// copied into f before the next reset.
+	var cands frontier.Sparse
 
 	for colored < n && res.Iterations < opt.MaxIters {
 		start = time.Now()
@@ -169,9 +169,6 @@ func FrontierExploitProfiled(g *graph.CSR, opt Options, dir core.Direction, poli
 
 		// Candidate discovery (deterministic worker order).
 		candMark.Clear()
-		for w := range perThread {
-			perThread[w] = perThread[w][:0]
-		}
 		if dir == core.Push {
 			for w := 0; w < t; w++ {
 				p := prof.Probes[w]
@@ -190,9 +187,7 @@ func FrontierExploitProfiled(g *graph.CSR, opt Options, dir core.Direction, poli
 						}
 						p.Atomic(a.cand.Addr(int64(u)), 1) // claim (W i)
 						p.Jump()
-						if candMark.Set(u) {
-							perThread[w] = append(perThread[w], u)
-						}
+						candMark.SetSeq(u)
 					}
 				}
 			}
@@ -217,48 +212,41 @@ func FrontierExploitProfiled(g *graph.CSR, opt Options, dir core.Direction, poli
 						if inF.Get(u) {
 							candMark.SetSeq(v)
 							p.Write(a.cand.Addr(int64(vi)), 1) // own vertex
-							perThread[w] = append(perThread[w], v)
 							break
 						}
 					}
 				}
 			}
 		}
-		cands = cands[:0]
-		for w := 0; w < t; w++ {
-			cands = append(cands, perThread[w]...)
-		}
 		// Same canonical id order as the fast variant, so the probed
 		// coloring equals the uninstrumented one exactly.
-		sort.Slice(cands, byID)
+		candMark.ToSparse(&cands)
 
 		// Deterministic conflict resolution (sequential, charged to probe 0
-		// like the MIS pass): a candidate takes the round's color cᵢ unless
-		// a same-round winner neighbor already holds it; then it defers to
-		// the next round, exactly as the fast variant does.
+		// like the MIS pass): a candidate a lower-id winner has blocked
+		// defers to the next round; any other takes the round's color cᵢ
+		// and blocks its neighbors, exactly as the fast variant does.
 		p0.Exec(regionResolve)
 		ci := nextColor
 		conflicts = 0
-		winners := cands[:0]
-		for _, v := range cands {
-			ok := true
-			offs := g.Offsets[v]
-			for j, u := range g.Neighbors(v) {
-				p0.Branch(true)
-				p0.Read(a.adj.Addr(offs+int64(j)), 4)
-				p0.Read(a.col.Addr(int64(u)), 4)
-				if colors[u] == ci {
-					ok = false
-					break
-				}
-			}
-			if !ok {
+		winners := cands.Vertices()[:0]
+		for _, v := range cands.Vertices() {
+			p0.Read(a.blk.Addr(int64(v)), 4)
+			p0.Branch(blocked[v] == ci)
+			if blocked[v] == ci {
 				conflicts++
 				continue
 			}
 			colors[v] = ci
 			p0.Write(a.col.Addr(int64(v)), 4)
 			winners = append(winners, v)
+			offs := g.Offsets[v]
+			for j, u := range g.Neighbors(v) {
+				p0.Branch(true)
+				p0.Read(a.adj.Addr(offs+int64(j)), 4)
+				p0.Write(a.blk.Addr(int64(u)), 4)
+				blocked[u] = ci
+			}
 		}
 		nextColor = ci + 1
 		colored += len(winners)

@@ -1,7 +1,6 @@
 package gc
 
 import (
-	"sort"
 	"time"
 
 	"pushpull/internal/core"
@@ -16,9 +15,20 @@ import (
 // neighbor already took cᵢ this round defers — it is adjacent to a winner,
 // so the next frontier rediscovers it — which is what gives the strategy
 // its multi-round traversal structure and gives Generic-Switch a real
-// progress/conflict signal to steer by. The frontier's neighborhood is the
-// only state touched per round instead of every vertex — the memory-access
-// reduction the strategy exists for.
+// progress/conflict signal to steer by.
+//
+// A round touches the frontier's neighborhood, not every vertex — the
+// memory-access reduction the strategy exists for — and each phase reads an
+// arc at most once. Discovery only sets bits: push claims one bit of a candidate bitmap
+// per frontier arc to an uncolored vertex, pull sets an uncolored row's bit
+// at its first frontier neighbor. One word-strided read of that bitmap
+// lists the candidates in increasing id. Resolution walks them in that
+// order: a candidate that a lower-id winner has blocked loses after one
+// read, and a winner writes its round's color into blocked[u] for every
+// neighbor u. So resolution reads the winners' arcs and no loser's, for
+// 4n bytes of blocked per run. The adjacency must be symmetric (coloring
+// is undirected): a loser learns of its winning neighbor through the
+// winner's arc to it.
 //
 // policy steers the run: core.NeverSwitch{} is plain FE, a
 // core.GenericSwitch adds GS (flip push↔pull when conflicts dominate), and
@@ -67,24 +77,26 @@ func FrontierExploit(g *graph.CSR, opt Options, dir core.Direction, policy core.
 	opt.Tick(0, res.Stats.PerIteration[0])
 
 	progress, conflicts := colored, 0
-	perThread := frontier.NewPerThread(t)
 	candMark := frontier.NewBitmap(n)
+	// blocked[u] == cᵢ records that a winner of round i is adjacent to u.
+	// Round colors start at 1, so the zero value never blocks anyone.
+	blocked := make([]int32, n)
 
 	// Round bodies hoisted out of the iteration loop so the steady state
 	// does not allocate; f is captured by reference, so each round's
 	// frontier rebuild stays visible. cands lives across rounds too —
-	// Merge resets it, reusing the backing slice.
+	// ToSparse resets it, reusing the backing slice.
 	var cands frontier.Sparse
-	discoverPush := func(w, lo, hi int) {
+	discoverPush := func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			for _, u := range g.Neighbors(f[i]) {
-				if colors[u] < 0 && candMark.Set(u) { // atomic claim
-					perThread.Add(w, u)
+				if colors[u] < 0 {
+					candMark.Set(u) // atomic claim
 				}
 			}
 		}
 	}
-	discoverPull := func(w, lo, hi int) {
+	discoverPull := func(_, lo, hi int) {
 		for vi := lo; vi < hi; vi++ {
 			v := graph.V(vi)
 			if colors[v] >= 0 {
@@ -97,13 +109,11 @@ func FrontierExploit(g *graph.CSR, opt Options, dir core.Direction, policy core.
 					// block-boundary words are shared: Set's CAS
 					// keeps the word write safe.
 					candMark.Set(v)
-					perThread.Add(w, v)
 					break
 				}
 			}
 		}
 	}
-	byID := func(i, j int) bool { return cands.Vertices()[i] < cands.Vertices()[j] }
 
 	for colored < n && res.Iterations < opt.MaxIters {
 		if opt.Canceled() {
@@ -133,41 +143,35 @@ func FrontierExploit(g *graph.CSR, opt Options, dir core.Direction, policy core.
 
 		// Candidate discovery: push lets frontier vertices mark uncolored
 		// neighbors; pull lets uncolored vertices search for a frontier
-		// neighbor. Both produce the same candidate set with different
-		// access patterns (and only push needs the atomic claim).
+		// neighbor. Both mark the same candidate set in candMark with
+		// different access patterns (and only push races for its bits).
+		// Reading it out in increasing id makes the winner set — and with
+		// it the iteration count — independent of the thread count.
 		candMark.Clear()
 		if dir == core.Push {
 			sched.ParallelFor(len(f), t, sched.Static, 0, discoverPush)
 		} else {
 			sched.ParallelFor(n, t, sched.Static, 0, discoverPull)
 		}
-		perThread.Merge(&cands)
-		// Canonical id order: the candidate *set* is deterministic, but the
-		// per-thread merge order is not (push claims race); sorting makes
-		// the winner set — and with it the iteration count — reproducible.
-		sort.Slice(cands.Vertices(), byID)
+		candMark.ToSparse(&cands)
 
-		// Deterministic conflict resolution: a candidate takes the round's
-		// color cᵢ unless a neighbor — necessarily a same-round winner,
-		// earlier colors are all < cᵢ — already holds it; then it defers.
-		// The first candidate always wins, so every round makes progress.
+		// Deterministic conflict resolution in id order: a candidate takes
+		// the round's color cᵢ unless a lower-id winner of this round is
+		// its neighbor — and so has blocked it — then it defers. The first
+		// candidate always wins, so every round makes progress.
 		ci := nextColor
 		conflicts = 0
 		winners := cands.Vertices()[:0]
 		for _, v := range cands.Vertices() {
-			ok := true
-			for _, u := range g.Neighbors(v) {
-				if colors[u] == ci {
-					ok = false
-					break
-				}
-			}
-			if !ok {
+			if blocked[v] == ci {
 				conflicts++
 				continue
 			}
 			colors[v] = ci
 			winners = append(winners, v)
+			for _, u := range g.Neighbors(v) {
+				blocked[u] = ci
+			}
 		}
 		nextColor = ci + 1
 		colored += len(winners)

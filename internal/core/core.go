@@ -218,7 +218,10 @@ func (g *GenericSwitch) Decide(iter int, progress, conflicts, remaining int) Act
 // GreedySwitch implements the paper's Greedy-Switch strategy: once the
 // remaining work drops below Fraction of the total (the paper observes
 // < 0.1·n remaining vertices makes parallel coloring thrash), abandon the
-// parallel scheme entirely for an optimized sequential one.
+// parallel scheme entirely for an optimized sequential one. Total is the
+// work the Fraction is taken of; a policy with Total <= 0 never switches,
+// so a kernel caller must set it. The public facade fills a Total <= 0
+// with the graph's vertex count.
 type GreedySwitch struct {
 	Fraction float64
 	Total    int

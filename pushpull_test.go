@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -354,6 +355,29 @@ func TestSwitchPolicyReusable(t *testing.T) {
 	if a.Stats.Iterations != b.Stats.Iterations {
 		t.Errorf("reused GenericSwitch changed behavior: %d vs %d iterations",
 			a.Stats.Iterations, b.Stats.Iterations)
+	}
+}
+
+// A GreedySwitch without a Total takes the graph's vertex count: left at
+// zero it used to never switch (45 FE rounds here instead of 2).
+func TestGreedySwitchDefaultsTotal(t *testing.T) {
+	g, err := pushpull.NamedGraph("rmat", 0.25, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	implicit := run(t, g, "gc-fe", pushpull.WithSwitchPolicy(&pushpull.GreedySwitch{Fraction: 0.5}))
+	explicit := run(t, g, "gc-fe", pushpull.WithSwitchPolicy(&pushpull.GreedySwitch{Fraction: 0.5, Total: g.N()}))
+	if explicit.Stats.Iterations >= 10 {
+		t.Fatalf("GreedySwitch{0.5, n} took %d iterations; the fixture no longer switches early", explicit.Stats.Iterations)
+	}
+	if implicit.Stats.Iterations != explicit.Stats.Iterations {
+		t.Errorf("iterations: Total 0 took %d, Total n took %d", implicit.Stats.Iterations, explicit.Stats.Iterations)
+	}
+	if !slices.Equal(implicit.Directions, explicit.Directions) {
+		t.Errorf("directions: Total 0 traced %v, Total n traced %v", implicit.Directions, explicit.Directions)
+	}
+	if !slices.Equal(implicit.Colors(), explicit.Colors()) {
+		t.Error("colors differ between Total 0 and Total n")
 	}
 }
 
