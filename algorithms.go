@@ -39,9 +39,9 @@ func (b *builtin) Run(ctx context.Context, w *Workload, cfg *Config) (*Report, e
 func init() {
 	for _, b := range []*builtin{
 		{"pr", "PageRank (§3.1, Algorithm 1; one kernel per direction, a directed workload only changes the views §4.8; push owns targets per chunk as in §5 and sends the rest to private accumulators, no atomics; out-of-core block pull)",
-			Caps{Directed: true, Probes: true, PartitionAware: true, DegreeSort: true, OutOfCore: true}, runPR},
-		{"tc", "triangle counting (§3.2, Algorithm 2; +Partition-Awareness §5)",
-			Caps{Probes: true, PartitionAware: true}, runTC},
+			Caps{Directed: true, Probes: true, DegreeSort: true, OutOfCore: true}, runPR},
+		{"tc", "triangle counting (§3.2, Algorithm 2; push combines a pair's hits into one atomic)",
+			Caps{Probes: true}, runTC},
 		{"bfs", "generalized breadth-first search (§3.3, Algorithm 3; Auto = direction-optimizing; out-of-core block pull)",
 			Caps{NeedsSource: true, Probes: true, DegreeSort: true, OutOfCore: true}, runBFS},
 		{"sssp", "Δ-stepping shortest paths (§3.4, Algorithm 4; Auto = adaptive switching)",
@@ -62,7 +62,7 @@ func init() {
 }
 
 // partitionProfileThreads resolves the simulated thread count of a probed
-// partition-based run (PA kernels, Boman coloring, Conflict-Removal): those
+// partition-based run (Boman coloring, Conflict-Removal): those
 // kernels run one worker per partition, so an explicit WithThreads that
 // disagrees with the partition count cannot be honored and errors instead
 // of being silently ignored.
@@ -92,12 +92,10 @@ func coreTrace(dirs []core.Direction) []Direction {
 // handed — out-edges to push along, the memoized transpose to pull along —
 // and an undirected one hands the same graph as both. The push kernel
 // already owns its targets per loop chunk (§5's ownership over the plain
-// out-view, with private accumulators instead of remote atomics), so
-// WithPartitionAwareness only implies pushing; the §5 split itself is
-// built for the probed run alone, whose bill it lays out. The one layout
-// that is not a CSR view is the out-of-core block file (pull-only;
-// validateCaps has already rejected push and the in-memory layout
-// options).
+// out-view, with private accumulators instead of remote atomics); probed,
+// it bills Algorithm 1. The one layout that is not a CSR view is the
+// out-of-core block file (pull-only; validateCaps has already rejected
+// push and the degree sort).
 func runPR(ctx context.Context, w *Workload, cfg *Config) (*Report, error) {
 	opt := pr.Options{Options: cfg.coreOptions(ctx), Iterations: cfg.Iterations}
 	if cfg.DampingSet {
@@ -105,39 +103,21 @@ func runPR(ctx context.Context, w *Workload, cfg *Config) (*Report, error) {
 	}
 	// Pulling needs no synchronization at all (§3.1): the Auto default.
 	dir := cfg.resolveDir(core.Pull)
-	if cfg.PartitionAware {
-		// Partition-Awareness accelerates the push kernel (§5), so asking
-		// for it implies pushing; an explicit pull direction conflicts.
-		if cfg.Direction == Pull {
-			return nil, fmt.Errorf("pushpull: pr partition awareness accelerates pushing (§5); drop WithDirection(Pull)")
-		}
-		dir = core.Push
-	}
-	threads := cfg.effectiveThreads(w.N())
 
 	var (
 		blk   *graph.BlockCSR
-		pa    *PAGraph
 		views pr.Views
 		ds    *DegreeSortedView
 		err   error
 	)
-	switch {
-	case cfg.OutOfCore || w.IsOutOfCore():
+	if cfg.OutOfCore || w.IsOutOfCore() {
 		// The block file stores the pull view (the transpose plus an
 		// out-degree sidecar, for directed workloads); the payload matches
 		// in-memory pull runs up to floating-point reassociation.
 		if blk, err = w.OutOfCore(); err != nil {
 			return nil, err
 		}
-	case cfg.PartitionAware && cfg.Probes:
-		// The memoized split of the out-rows, whose worker decomposition
-		// is the partition.
-		pa = w.PA(cfg.partitions(w))
-		if threads, err = partitionProfileThreads("pr", cfg, pa.Part.P); err != nil {
-			return nil, err
-		}
-	default:
+	} else {
 		// Degree sorting swaps in the permuted pair of views. Only pulling
 		// iterates in-edges, and Transpose/SortedTranspose return the graph
 		// itself unless the workload is directed — so the in-CSR of a
@@ -157,13 +137,11 @@ func runPR(ctx context.Context, w *Workload, cfg *Config) (*Report, error) {
 
 	if cfg.Probes {
 		start := time.Now()
-		prof, grp := core.CountingProfile(threads)
+		prof, grp := core.CountingProfile(cfg.effectiveThreads(w.N()))
 		var ranks []float64
 		switch {
 		case blk != nil:
 			ranks, err = pr.PullBlockedProfiled(blk, opt, prof, nil)
-		case pa != nil:
-			ranks, err = pr.PushPAProfiled(pa, opt, prof, nil)
 		case dir == core.Push:
 			ranks, err = pr.PushProfiled(views, opt, prof, nil)
 		default:
@@ -211,42 +189,22 @@ func runTC(ctx context.Context, w *Workload, cfg *Config) (*Report, error) {
 	g := w.Graph()
 	opt := tc.Options{Options: cfg.coreOptions(ctx)}
 	// Pulling accumulates privately with no atomics (§4.9): Auto default.
-	// As with pr, Partition-Awareness implies the push kernel it exists
-	// to accelerate.
 	dir := cfg.resolveDir(core.Pull)
-	if cfg.PartitionAware {
-		if cfg.Direction == Pull {
-			return nil, fmt.Errorf("pushpull: tc partition awareness accelerates pushing (§5); drop WithDirection(Pull)")
-		}
-		dir = core.Push
-	}
 
 	if cfg.Probes {
 		start := time.Now()
+		prof, grp := core.CountingProfile(cfg.effectiveThreads(g.N()))
 		var counts []int64
 		var err error
-		var rep CounterReport
-		if cfg.PartitionAware {
-			pa := w.PA(cfg.partitions(w))
-			t, tErr := partitionProfileThreads("tc", cfg, pa.Part.P)
-			if tErr != nil {
-				return nil, tErr
-			}
-			prof, grp := core.CountingProfile(t)
-			counts, err = tc.PushPAProfiled(pa, prof, nil)
-			rep = grp.Report()
+		if dir == core.Push {
+			counts, err = tc.PushProfiled(g, prof, nil)
 		} else {
-			prof, grp := core.CountingProfile(cfg.effectiveThreads(g.N()))
-			if dir == core.Push {
-				counts, err = tc.PushProfiled(g, prof, nil)
-			} else {
-				counts, err = tc.PullProfiled(g, prof, nil)
-			}
-			rep = grp.Report()
+			counts, err = tc.PullProfiled(g, prof, nil)
 		}
 		if err != nil {
 			return nil, err
 		}
+		rep := grp.Report()
 		// The instrumented kernel is one deterministic pass; the wall
 		// time includes the probe bookkeeping.
 		return &Report{Result: counts,
@@ -256,12 +214,9 @@ func runTC(ctx context.Context, w *Workload, cfg *Config) (*Report, error) {
 
 	var counts []int64
 	var stats core.RunStats
-	switch {
-	case dir == core.Push && cfg.PartitionAware:
-		counts, stats = tc.PushPA(w.PA(cfg.partitions(w)), opt)
-	case dir == core.Push:
+	if dir == core.Push {
 		counts, stats = tc.Push(g, opt)
-	default:
+	} else {
 		counts, stats = tc.Pull(g, opt)
 	}
 	return &Report{Result: counts, Stats: stats, Directions: uniformTrace(dir, stats.Iterations)}, nil
@@ -359,24 +314,40 @@ func runSSSP(ctx context.Context, w *Workload, cfg *Config) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
+		if res.OverBudget {
+			return nil, deltaOverBudget(cfg, g)
+		}
 		rep := grp.Report()
 		return &Report{Result: res, Stats: res.Stats, Counters: &rep,
 			Directions: uniformTrace(res.Stats.Direction, res.Stats.Iterations)}, nil
 	}
 
-	// Auto runs the per-iteration switching variant (§7.2).
-	if cfg.Direction == Auto {
-		res := sssp.Adaptive(g, opt)
-		return &Report{Result: res.Result, Stats: res.Stats, Directions: coreTrace(res.Dirs)}, nil
-	}
 	var res *sssp.Result
-	if cfg.Direction == Push {
+	var trace []Direction
+	switch cfg.Direction {
+	case Auto:
+		// The per-iteration switching variant (§7.2).
+		ad := sssp.Adaptive(g, opt)
+		res, trace = ad.Result, coreTrace(ad.Dirs)
+	case Push:
 		res = sssp.Push(g, opt)
-	} else {
+	default:
 		res = sssp.Pull(g, opt)
 	}
-	return &Report{Result: res, Stats: res.Stats,
-		Directions: uniformTrace(res.Stats.Direction, res.Stats.Iterations)}, nil
+	if res.OverBudget {
+		return nil, deltaOverBudget(cfg, g)
+	}
+	if trace == nil {
+		trace = uniformTrace(res.Stats.Direction, res.Stats.Iterations)
+	}
+	return &Report{Result: res, Stats: res.Stats, Directions: trace}, nil
+}
+
+// deltaOverBudget is the error of an sssp run that stopped because its Δ
+// put a distance in a bucket past the kernels' budget of n + M buckets.
+func deltaOverBudget(cfg *Config, g *Graph) error {
+	return fmt.Errorf("pushpull: sssp WithDelta(%g): %w (delta too small for these distances: a bucket index would pass n + M = %d buckets; 0 picks the heuristic)",
+		cfg.Delta, ErrBadOption, int64(g.N())+g.M())
 }
 
 // ---- Betweenness centrality ----

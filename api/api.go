@@ -35,16 +35,15 @@ type RunRequest struct {
 // RunOptions is the JSON projection of the engine's functional options.
 // Unknown fields are rejected so a typo cannot silently run defaults.
 type RunOptions struct {
-	Direction      string   `json:"direction,omitempty"` // "push", "pull", "auto"
-	Threads        int      `json:"threads,omitempty"`
-	Iterations     int      `json:"iterations,omitempty"`
-	MaxIters       int      `json:"max_iters,omitempty"`
-	Source         int      `json:"source,omitempty"`
-	Sources        []int    `json:"sources,omitempty"`
-	Delta          float64  `json:"delta,omitempty"`
-	Damping        *float64 `json:"damping,omitempty"`
-	Partitions     int      `json:"partitions,omitempty"`
-	PartitionAware bool     `json:"partition_aware,omitempty"`
+	Direction  string   `json:"direction,omitempty"` // "push", "pull", "auto"
+	Threads    int      `json:"threads,omitempty"`
+	Iterations int      `json:"iterations,omitempty"`
+	MaxIters   int      `json:"max_iters,omitempty"`
+	Source     int      `json:"source,omitempty"`
+	Sources    []int    `json:"sources,omitempty"`
+	Delta      float64  `json:"delta,omitempty"`
+	Damping    *float64 `json:"damping,omitempty"`
+	Partitions int      `json:"partitions,omitempty"`
 	// OutOfCore asks for the block-sequential out-of-core kernels even on
 	// an in-memory graph (graphs stored past the server's memory budget
 	// run out-of-core regardless, with no option needed).
@@ -105,9 +104,6 @@ func (o *RunOptions) ToOptions() ([]pushpull.Option, error) {
 	}
 	if o.Partitions != 0 {
 		opts = append(opts, pushpull.WithPartitions(o.Partitions))
-	}
-	if o.PartitionAware {
-		opts = append(opts, pushpull.WithPartitionAwareness())
 	}
 	if o.OutOfCore {
 		opts = append(opts, pushpull.WithOutOfCore())

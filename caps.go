@@ -3,7 +3,7 @@ package pushpull
 // Capability declarations and the uniform precondition errors of the
 // engine. Every Algorithm declares up front what it needs from a workload
 // (weights, a source) and what kinds it supports (directed graphs,
-// instrumented probes, Partition-Awareness); Run validates the declared
+// instrumented probes, layouts); Run validates the declared
 // capabilities against the resolved Workload and Config before any
 // goroutine spawns, so an unsupported combination fails with one typed
 // error instead of an ad-hoc failure deep inside a kernel.
@@ -11,11 +11,12 @@ package pushpull
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // Caps declares what an algorithm needs and supports. The zero value is
 // the most restrictive declaration: no weights consumed, no source, no
-// directed graphs, no probes, no Partition-Awareness.
+// directed graphs, no probes, no layouts beyond the plain CSR.
 type Caps struct {
 	// NeedsWeights marks algorithms that are meaningless without edge
 	// weights (sssp, mst): Run fails with ErrNeedsWeights on an
@@ -31,9 +32,6 @@ type Caps struct {
 	// Probes marks algorithms with a deterministic instrumented variant
 	// (WithProbes); others fail with ErrProbesUnsupported.
 	Probes bool
-	// PartitionAware marks algorithms supporting the §5 Partition-
-	// Awareness acceleration; others fail with ErrPartitionAwareUnsupported.
-	PartitionAware bool
 	// DegreeSort marks algorithms that can run over the degree-sorted CSR
 	// permutation (WithDegreeSorted), un-permuting their report at the
 	// boundary; WithDegreeSorted on others fails with
@@ -62,7 +60,6 @@ func (c Caps) String() string {
 	add(c.NeedsSource, "needs-source")
 	add(c.Directed, "directed")
 	add(c.Probes, "probes")
-	add(c.PartitionAware, "pa")
 	add(c.DegreeSort, "degree-sort")
 	add(c.OutOfCore, "out-of-core")
 	if out == "" {
@@ -83,9 +80,6 @@ var (
 	ErrDirectedUnsupported = errors.New("directed workloads unsupported")
 	// ErrProbesUnsupported: the algorithm has no instrumented variant.
 	ErrProbesUnsupported = errors.New("instrumented (WithProbes) runs unsupported")
-	// ErrPartitionAwareUnsupported: the algorithm has no Partition-
-	// Awareness acceleration.
-	ErrPartitionAwareUnsupported = errors.New("partition awareness unsupported")
 	// ErrDegreeSortUnsupported: the algorithm cannot run over the
 	// degree-sorted layout.
 	ErrDegreeSortUnsupported = errors.New("degree-sorted (WithDegreeSorted) runs unsupported")
@@ -97,15 +91,18 @@ var (
 	// vertex range.
 	ErrBadSource = errors.New("source vertex out of range")
 	// ErrBadOption: an option carries a value outside its domain (negative
-	// WithThreads/WithPartitions/WithRanks). Zero always means "use the
-	// default"; negatives used to be clamped or to panic deep in a kernel
-	// and now fail at Run entry instead.
+	// WithThreads/WithPartitions/WithRanks, a negative, NaN or infinite
+	// WithDelta, or a Δ so small that sssp would index more buckets than
+	// its budget). Zero always means "use the default"; negatives used to
+	// be clamped or to panic deep in a kernel and now fail at Run entry
+	// instead.
 	ErrBadOption = errors.New("option value out of range")
 )
 
 // validateOptions rejects out-of-domain option values before capability
 // checks or any kernel work: zero keeps each option's documented default,
-// a negative count is a caller bug surfaced as ErrBadOption.
+// a negative count or a non-finite Δ is a caller bug surfaced as
+// ErrBadOption.
 func validateOptions(cfg *Config) error {
 	switch {
 	case cfg.Threads < 0:
@@ -114,6 +111,8 @@ func validateOptions(cfg *Config) error {
 		return fmt.Errorf("pushpull: WithPartitions(%d): %w (0 means the resolved thread count)", cfg.Partitions, ErrBadOption)
 	case cfg.Ranks < 0:
 		return fmt.Errorf("pushpull: WithRanks(%d): %w (0 means the default cluster size)", cfg.Ranks, ErrBadOption)
+	case !(cfg.Delta >= 0 && cfg.Delta <= math.MaxFloat64):
+		return fmt.Errorf("pushpull: WithDelta(%g): %w (delta must be finite and non-negative; 0 means the heuristic)", cfg.Delta, ErrBadOption)
 	}
 	return nil
 }
@@ -136,9 +135,6 @@ func validateCaps(a Algorithm, w *Workload, cfg *Config) error {
 	if cfg.Probes && !caps.Probes {
 		return fmt.Errorf("pushpull: %s with WithProbes: %w", name, ErrProbesUnsupported)
 	}
-	if cfg.PartitionAware && !caps.PartitionAware {
-		return fmt.Errorf("pushpull: %s with WithPartitionAwareness: %w", name, ErrPartitionAwareUnsupported)
-	}
 	if cfg.DegreeSorted && !caps.DegreeSort {
 		return fmt.Errorf("pushpull: %s with WithDegreeSorted: %w", name, ErrDegreeSortUnsupported)
 	}
@@ -157,14 +153,9 @@ func validateCaps(a Algorithm, w *Workload, cfg *Config) error {
 		if cfg.Direction == Push {
 			return fmt.Errorf("pushpull: %s out-of-core with WithDirection(Push): %w (block kernels are pull-only)", name, ErrBadOption)
 		}
-		if cfg.DegreeSorted || cfg.PartitionAware {
-			return fmt.Errorf("pushpull: %s: degree-sort/partition-awareness with WithOutOfCore: %w (block kernels stream the plain pull layout)", name, ErrBadOption)
+		if cfg.DegreeSorted {
+			return fmt.Errorf("pushpull: %s: degree-sort with WithOutOfCore: %w (block kernels stream the plain pull layout)", name, ErrBadOption)
 		}
-	}
-	// The PA split is laid out over the plain graph, so a degree sort does
-	// not compose with Partition-Awareness.
-	if cfg.DegreeSorted && cfg.PartitionAware {
-		return fmt.Errorf("pushpull: %s: degree-sort with WithPartitionAwareness: %w (the §5 split is defined over the plain layout)", name, ErrBadOption)
 	}
 	if caps.NeedsSource {
 		if n := w.N(); n > 0 {

@@ -282,9 +282,10 @@ func TestRouterJobValidationAndAffinityPin(t *testing.T) {
 	}
 }
 
-// TestRouterOptionRanges: a vertex id past 32 bits or an overflowing
-// timeout_ms reaches the client through the router as the worker's 400,
-// on POST /run and POST /jobs alike.
+// TestRouterOptionRanges: a vertex id past 32 bits, an overflowing
+// timeout_ms or the retired partition_aware field reaches the client
+// through the router as a 400 naming the field, on POST /run and
+// POST /jobs alike.
 func TestRouterOptionRanges(t *testing.T) {
 	fleet := newFleet(t, 2)
 	ts, _ := newRouter(t, fleet)
@@ -293,6 +294,7 @@ func TestRouterOptionRanges(t *testing.T) {
 		{"bfs", `{"source": 4294967296}`, "source"},
 		{"bc", `{"sources": [4294967296]}`, "sources[0]"},
 		{"pr", `{"timeout_ms": 9223372036855}`, "timeout_ms"},
+		{"pr", `{"partition_aware": true}`, "partition_aware"},
 	} {
 		body := fmt.Sprintf(`{"graph": "demo", "algorithm": %q, "options": %s}`, c.algorithm, c.options)
 		for _, path := range []string{"/run", "/jobs"} {

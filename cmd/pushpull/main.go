@@ -249,8 +249,6 @@ func runAlgorithm(args []string, threads int, scale float64, seed uint64) {
 			fmt.Fprintf(os.Stderr, "pushpull: %s does not support directed workloads; drop -directed\n", algo)
 		case errors.Is(err, pushpull.ErrProbesUnsupported):
 			fmt.Fprintf(os.Stderr, "pushpull: %s has no instrumented variant; drop -probes\n", algo)
-		case errors.Is(err, pushpull.ErrPartitionAwareUnsupported):
-			fmt.Fprintf(os.Stderr, "pushpull: %s does not support partition awareness here: %v\n", algo, err)
 		case errors.Is(err, pushpull.ErrBadOption):
 			fmt.Fprintln(os.Stderr, err) // already carries the pushpull: prefix
 		default:

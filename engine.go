@@ -250,7 +250,7 @@ func (e *Engine) Run(ctx context.Context, on Runnable, algorithm string, opts ..
 	_, isHandle := on.(*Workload)
 	key := ""
 	if isHandle && (e.cache != nil || e.singleFlight) {
-		if fp, ok := cfg.fingerprint(); ok {
+		if fp, ok := cfg.fingerprint(w.N()); ok {
 			key = w.ID() + "|" + a.Name() + "|" + fp
 		}
 	}
@@ -469,8 +469,7 @@ type EngineStats struct {
 	// counts only as Coalesced, never as a miss.
 	CacheHits, CacheMisses uint64
 	// Uncacheable counts runs that bypassed the cache (bare *Graph,
-	// hooks, probes, caller-supplied PA layouts, custom policies, or a
-	// cache-disabled Engine).
+	// hooks, probes, custom policies, or a cache-disabled Engine).
 	Uncacheable uint64
 	// Coalesced counts requests served by single-flight deduplication:
 	// they joined an identical in-progress run instead of executing.

@@ -10,6 +10,7 @@ package pushpull_test
 import (
 	"context"
 	"errors"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -214,6 +215,33 @@ func TestEngineCacheKeying(t *testing.T) {
 	}
 }
 
+// TestEngineGreedySwitchDefaultTotal: a GreedySwitch without a Total runs
+// with the workload's vertex count, so it is the run that spells n out and
+// is served from that run's cache entry; another Total is another run.
+func TestEngineGreedySwitchDefaultTotal(t *testing.T) {
+	eng := pushpull.NewEngine()
+	ctx := context.Background()
+	w := pushpull.NewWorkload(undirectedGraph(t, 300, 31))
+	grs := func(total int) *pushpull.Report {
+		t.Helper()
+		rep, err := eng.Run(ctx, w, "gc-fe",
+			pushpull.WithSwitchPolicy(&pushpull.GreedySwitch{Fraction: 0.5, Total: total}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	if grs(w.N()).Stats.CacheHit {
+		t.Fatal("first run reported CacheHit")
+	}
+	if !grs(0).Stats.CacheHit {
+		t.Error("GreedySwitch{0.5} after GreedySwitch{0.5, n} missed the cache")
+	}
+	if grs(w.N() / 2).Stats.CacheHit {
+		t.Error("GreedySwitch{0.5, n/2} served the {0.5, n} entry")
+	}
+}
+
 // TestEngineUncacheable: hooks, probes and bare graphs never touch the
 // cache — the second identical call runs for real.
 func TestEngineUncacheable(t *testing.T) {
@@ -391,6 +419,30 @@ func TestRunBadOption(t *testing.T) {
 	if _, err := pushpull.Run(context.Background(), g, "pr",
 		pushpull.WithThreads(0), pushpull.WithPartitions(0), pushpull.WithRanks(0)); err != nil {
 		t.Errorf("zero-valued options rejected: %v", err)
+	}
+}
+
+// TestSSSPDeltaBadOption: a Δ that is negative, non-finite or so small
+// that a bucket index would pass n + M fails with ErrBadOption in every
+// direction. Unchecked, a tiny Δ grows a bucket list past the machine's
+// memory (1e-6, 1e-12), or overflows the bucket index (1e-300) into wrong
+// distances or an index-out-of-range panic.
+func TestSSSPDeltaBadOption(t *testing.T) {
+	g, err := pushpull.NamedWeightedGraph("rmat", 0.05, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, dir := range []pushpull.Direction{pushpull.Push, pushpull.Pull, pushpull.Auto} {
+		for _, delta := range []float64{1e-300, 1e-12, 1e-6, -1, math.NaN(), math.Inf(1)} {
+			rep, err := pushpull.Run(context.Background(), g, "sssp",
+				pushpull.WithDirection(dir), pushpull.WithDelta(delta))
+			if !errors.Is(err, pushpull.ErrBadOption) || rep != nil {
+				t.Errorf("%v Δ=%g: report %v, err = %v, want ErrBadOption alone", dir, delta, rep != nil, err)
+			}
+		}
+		if _, err := pushpull.Run(context.Background(), g, "sssp", pushpull.WithDirection(dir)); err != nil {
+			t.Errorf("%v heuristic Δ: %v", dir, err)
+		}
 	}
 }
 

@@ -47,9 +47,13 @@ func Adaptive(g *graph.CSR, opt Options) *AdaptiveResult {
 	buckets := [][]graph.V{{opt.Source}}
 	inRound := frontier.NewBitmap(n)
 	perThread := make([][]graph.V, t)
-	// enqueue files v under the later bucket its distance is in.
+	// enqueue files v under the later bucket its distance is in; past the
+	// bucket budget it files nothing, and the run stops after the round.
 	enqueue := func(v graph.V) {
-		nb := p.bucketOf(atomicx.LoadFloat64(&p.dist[v]))
+		nb, ok := p.bucketOf(atomicx.LoadFloat64(&p.dist[v]))
+		if !ok {
+			return
+		}
 		for len(buckets) <= nb {
 			buckets = append(buckets, nil)
 		}
@@ -108,11 +112,15 @@ func Adaptive(g *graph.CSR, opt Options) *AdaptiveResult {
 			el := time.Since(start)
 			res.Stats.Record(el)
 			opt.Tick(res.Inner-1, el)
+			if p.overBudget {
+				break
+			}
 		}
-		if res.Stats.Canceled {
+		if res.Stats.Canceled || p.overBudget {
 			break
 		}
 	}
+	res.OverBudget = p.overBudget
 	p.distances(res.Dist)
 	return res
 }

@@ -51,15 +51,11 @@ func PushProfiled(g *graph.CSR, opt Options, prof core.Profile, space *memsim.Ad
 
 	part := graph.NewPartition(n, prof.Threads)
 	delta := resolveDelta(g, opt.Delta)
+	budget := bucketBudget(g)
 	dist[opt.Source] = 0
 	bucketOf := func(d float64) int { return int(d / delta) }
 	buckets := [][]graph.V{{opt.Source}}
-	ensure := func(b int) {
-		for len(buckets) <= b {
-			buckets = append(buckets, nil)
-		}
-	}
-	for b := 0; b < len(buckets); b++ {
+	for b := 0; b < len(buckets) && !res.OverBudget; b++ {
 		cur := buckets[b]
 		buckets[b] = nil
 		for len(cur) > 0 {
@@ -99,11 +95,17 @@ func PushProfiled(g *graph.CSR, opt Options, prof core.Profile, space *memsim.Ad
 					p.Write(distA.Addr(int64(u)), 8) // W: d[w] = weight
 					p.Write(bktA.Addr(int64(u)), 8)
 					dist[u] = nd
+					if nd/delta >= budget {
+						res.OverBudget = true
+						continue
+					}
 					nb := bucketOf(nd)
 					if nb == b {
 						next = append(next, u)
 					} else {
-						ensure(nb)
+						for len(buckets) <= nb {
+							buckets = append(buckets, nil)
+						}
 						buckets[nb] = append(buckets[nb], u)
 					}
 				}
@@ -184,6 +186,7 @@ func PullProfiled(g *graph.CSR, opt Options, prof core.Profile, space *memsim.Ad
 			}
 		}
 	}
+	res.OverBudget = r.overBudget
 	r.distances(res.Dist)
 	return res, nil
 }

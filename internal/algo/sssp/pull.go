@@ -51,6 +51,9 @@ type pullRounds struct {
 	lo    float64 // bucket b is lo ≤ d < hi; rows at or below lo are settled
 	hi    float64
 
+	budget     float64 // bucketBudget(g)
+	overBudget bool    // a distance fell in a bucket past the budget; the run stops
+
 	active *frontier.Bitmap   // sources of this round
 	next   *frontier.Bitmap   // lowered into bucket b by this round
 	later  *frontier.Bitmap   // lowered into a later bucket; nil unless the caller routes them
@@ -70,6 +73,7 @@ func newPullRounds(g *graph.CSR, source graph.V, delta float64, t int) *pullRoun
 	n := g.N()
 	p := &pullRounds{
 		g: g, dist: make([]uint64, n), delta: delta, t: t,
+		budget:    bucketBudget(g),
 		active:    frontier.NewBitmap(n),
 		next:      frontier.NewBitmap(n),
 		rows:      frontier.NewBitmap(n),
@@ -98,15 +102,21 @@ func (p *pullRounds) distances(dst []float64) {
 
 // bucketOf returns the b with b·Δ ≤ d < (b+1)·Δ as those products round,
 // so that it agrees with every lo/hi comparison the rounds make; a bare
-// int(d/Δ) can sit one off at a boundary. d must be finite.
-func (p *pullRounds) bucketOf(d float64) int {
-	b := int(d / p.delta)
+// int(d/Δ) can sit one off at a boundary. d must be finite. Past the
+// bucket budget it sets overBudget and returns false instead.
+func (p *pullRounds) bucketOf(d float64) (int, bool) {
+	q := d / p.delta
+	if q >= p.budget {
+		p.overBudget = true
+		return 0, false
+	}
+	b := int(q)
 	if d < float64(b)*p.delta {
 		b--
 	} else if d >= float64(b+1)*p.delta {
 		b++
 	}
-	return b
+	return b, true
 }
 
 func (p *pullRounds) setBucket(b int) {
@@ -248,7 +258,7 @@ func (p *pullRounds) endRound() int64 {
 // advance moves to the lowest non-empty bucket above the current one and
 // makes its members the active set, in one pass over the distances. It
 // returns the members' out-edge work, and false when no reached vertex is
-// left above the bucket.
+// left above the bucket or that bucket is past the budget (overBudget).
 func (p *pullRounds) advance() (int64, bool) {
 	n := p.g.N()
 	words := p.active.Words()
@@ -269,7 +279,10 @@ func (p *pullRounds) advance() (int64, bool) {
 				continue // in a finished bucket, or above the lowest seen so far (unreached included)
 			}
 			if d := math.Float64frombits(x); d < lo {
-				nb := p.bucketOf(d)
+				nb, ok := p.bucketOf(d)
+				if !ok {
+					return 0, false
+				}
 				if nb <= p.b {
 					continue // Δ is below the spacing of distances this large
 				}
@@ -331,6 +344,7 @@ func Pull(g *graph.CSR, opt Options) *Result {
 		}
 		activeEdges, more = p.advance()
 	}
+	res.OverBudget = p.overBudget
 	p.distances(res.Dist)
 	return res
 }

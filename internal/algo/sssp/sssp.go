@@ -44,7 +44,22 @@ type Result struct {
 	Epochs int // buckets processed
 	Inner  int // total inner (relaxation) iterations across epochs
 	Stats  core.RunStats
+	// OverBudget is set when the run stopped because a distance fell in a
+	// bucket at or past bucketBudget: Δ is too small for the distances,
+	// and Dist is partial.
+	OverBudget bool
 }
+
+// bucketBudget is how many buckets a run may index: n + M. A bucket index
+// is ⌊d/Δ⌋, and every tentative distance is the length of a simple path,
+// at most (n−1)·maxW. At the heuristic Δ = maxW/AvgDegree, and AvgDegree
+// = M/2n, so every index stays below (n−1)·M/2n < M/2; when AvgDegree < 1
+// the heuristic is maxW and every index stays below n. So every Δ of at
+// least half the heuristic stays under the budget. A smaller Δ could grow
+// the bucket list out to ⌊d/Δ⌋, or overflow int in the conversion, so each
+// site compares d/Δ in float against the budget before converting, and the
+// run stops with OverBudget instead.
+func bucketBudget(g *graph.CSR) float64 { return float64(g.N()) + float64(g.M()) }
 
 // resolveDelta applies the Δ heuristic.
 func resolveDelta(g *graph.CSR, delta float64) float64 {
@@ -128,6 +143,7 @@ func Push(g *graph.CSR, opt Options) *Result {
 		return res
 	}
 	delta := resolveDelta(g, opt.Delta)
+	budget := bucketBudget(g)
 	t := sched.Clamp(opt.Threads, n)
 
 	distBits := make([]uint64, n)
@@ -137,20 +153,9 @@ func Push(g *graph.CSR, opt Options) *Result {
 	}
 	atomicx.StoreFloat64(&distBits[opt.Source], 0)
 
-	bucketOf := func(d float64) int { return int(d / delta) }
 	buckets := [][]graph.V{{opt.Source}}
 	inRound := frontier.NewBitmap(n) // dedup within one merged round
-	type insert struct {
-		b int
-		v graph.V
-	}
-	perThread := make([][]insert, t)
-
-	ensure := func(b int) {
-		for len(buckets) <= b {
-			buckets = append(buckets, nil)
-		}
-	}
+	perThread := make([][]graph.V, t)
 
 	// The relax body is hoisted out of the epoch loops so the steady state
 	// does not allocate a closure per round; b and cur are captured by
@@ -161,7 +166,7 @@ func Push(g *graph.CSR, opt Options) *Result {
 		for i := lo; i < hi; i++ {
 			v := cur[i]
 			dv := atomicx.LoadFloat64(&distBits[v])
-			if bucketOf(dv) != b {
+			if int(dv/delta) != b {
 				continue // stale entry: v moved to an earlier bucket
 			}
 			ws := g.NeighborWeights(v)
@@ -172,7 +177,7 @@ func Push(g *graph.CSR, opt Options) *Result {
 				}
 				nd := dv + we
 				if lowered, _ := atomicx.MinFloat64(&distBits[u], nd); lowered {
-					perThread[w] = append(perThread[w], insert{bucketOf(nd), u})
+					perThread[w] = append(perThread[w], u)
 				}
 			}
 		}
@@ -197,30 +202,40 @@ func Push(g *graph.CSR, opt Options) *Result {
 			// k-filter step. Re-inserts into bucket b continue the epoch.
 			inRound.Clear()
 			cur = cur[:0:0]
-			for w := 0; w < t; w++ {
-				for _, in := range perThread[w] {
+			for w := 0; w < t && !res.OverBudget; w++ {
+				for _, v := range perThread[w] {
 					// Re-derive the bucket from the final distance: a later
 					// relaxation may have lowered it further.
-					nb := bucketOf(atomicx.LoadFloat64(&distBits[in.v]))
+					q := atomicx.LoadFloat64(&distBits[v]) / delta
+					if q >= budget {
+						res.OverBudget = true
+						break
+					}
+					nb := int(q)
 					if nb < b {
 						continue // already settled into an earlier bucket
 					}
 					if nb == b {
-						if inRound.Set(in.v) {
-							cur = append(cur, in.v)
+						if inRound.Set(v) {
+							cur = append(cur, v)
 						}
 						continue
 					}
-					ensure(nb)
-					buckets[nb] = append(buckets[nb], in.v)
+					for len(buckets) <= nb {
+						buckets = append(buckets, nil)
+					}
+					buckets[nb] = append(buckets[nb], v)
 				}
 				perThread[w] = perThread[w][:0]
 			}
 			el := time.Since(start)
 			res.Stats.Record(el)
 			opt.Tick(res.Inner-1, el)
+			if res.OverBudget {
+				break
+			}
 		}
-		if res.Stats.Canceled {
+		if res.Stats.Canceled || res.OverBudget {
 			break
 		}
 	}

@@ -108,6 +108,53 @@ func TestDeltaAffectsEpochCount(t *testing.T) {
 	}
 }
 
+// A Δ far below the spacing of the distances stops every variant with
+// OverBudget instead of growing a bucket list out to ⌊d/Δ⌋ or overflowing
+// int in the conversion; half the heuristic stays under the budget.
+func TestDeltaBudget(t *testing.T) {
+	g := weighted(t, 24)
+	want := Dijkstra(g, 0)
+	variants := map[string]func(Options) *Result{
+		"push":     func(o Options) *Result { return Push(g, o) },
+		"pull":     func(o Options) *Result { return Pull(g, o) },
+		"adaptive": func(o Options) *Result { return Adaptive(g, o).Result },
+		"push-profiled": func(o Options) *Result {
+			prof, _ := core.CountingProfile(2)
+			res, err := PushProfiled(g, o, prof, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		},
+		"pull-profiled": func(o Options) *Result {
+			prof, _ := core.CountingProfile(2)
+			res, err := PullProfiled(g, o, prof, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		},
+	}
+	for name, run := range variants {
+		for _, delta := range []float64{1e-300, 1e-12, 1e-6} {
+			opt := Options{Delta: delta}
+			opt.Threads = 2
+			if !run(opt).OverBudget {
+				t.Errorf("%s Δ=%g: ran to completion past the bucket budget", name, delta)
+			}
+		}
+		opt := Options{Delta: resolveDelta(g, 0) / 2}
+		opt.Threads = 2
+		res := run(opt)
+		if res.OverBudget {
+			t.Errorf("%s: half the heuristic Δ passed the bucket budget", name)
+		}
+		if d := MaxDiff(res.Dist, want); d > tol {
+			t.Errorf("%s: half the heuristic Δ: max diff vs dijkstra %g", name, d)
+		}
+	}
+}
+
 func TestRoadGraph(t *testing.T) {
 	g, err := gen.RoadGrid(30, 30, 0.9, 7)
 	if err != nil {

@@ -59,9 +59,11 @@ func intersectCount(a, b []graph.V) int {
 	return c
 }
 
-// Push counts triangles with the push variant: every adjacency hit
-// (v, w1, w2) issues a fetch-and-add on tc[w1], the O(m·d̂) atomics of
-// §4.2.
+// Push counts triangles with the push variant: the hits (v, w1, ·) of one
+// pair are combined at the sender into a single fetch-and-add on tc[w1].
+// Algorithm 2 issues one per hit, the O(m·d̂) atomics of §4.2, and
+// PushProfiled bills it that way; counts are integers, so the sum is the
+// same at every thread count and schedule.
 func Push(g *graph.CSR, opt Options) ([]int64, core.RunStats) {
 	n := g.N()
 	stats := core.RunStats{Direction: core.Push}
@@ -82,11 +84,8 @@ func Push(g *graph.CSR, opt Options) ([]int64, core.RunStats) {
 			v := graph.V(vi)
 			adj := g.Neighbors(v)
 			for _, w1 := range adj {
-				// Each common neighbor is one hit for pair (w1, ·):
-				// increment tc[w1] once per hit, as Algorithm 2 does.
-				hits := intersectCount(adj, g.Neighbors(w1))
-				for h := 0; h < hits; h++ {
-					atomic.AddInt64(&tc[w1], 1)
+				if hits := intersectCount(adj, g.Neighbors(w1)); hits > 0 {
+					atomic.AddInt64(&tc[w1], int64(hits))
 				}
 			}
 		}
@@ -127,62 +126,6 @@ func Pull(g *graph.CSR, opt Options) ([]int64, core.RunStats) {
 	stats.Canceled = skipped.Load()
 	stats.Record(time.Since(start))
 	finalize(tc, t)
-	return tc, stats
-}
-
-// PushPA counts triangles with Partition-Awareness (§5): hits whose target
-// w1 is owned by the executing thread are committed with plain adds in
-// phase 1; a barrier; then remote hits with atomics in phase 2.
-func PushPA(pa *graph.PAGraph, opt Options) ([]int64, core.RunStats) {
-	g := pa.G
-	n := g.N()
-	stats := core.RunStats{Direction: core.Push}
-	tc := make([]int64, n)
-	if n == 0 {
-		return tc, stats
-	}
-	start := time.Now()
-	p := pa.Part.P
-	pool := sched.NewPool(p)
-	defer pool.Close()
-	barrier := sched.NewBarrier(p)
-	// Cancellation is polled at phase granularity: a worker that observes
-	// it skips its loops but still reaches every barrier, so the pool's
-	// lockstep protocol stays intact.
-	var skipped atomic.Bool
-	pool.Run(func(w int) {
-		lo, hi := pa.Part.Range(w)
-		// Phase 1: local targets (owner(w1) == w), plain adds.
-		if opt.Canceled() {
-			skipped.Store(true)
-		} else {
-			for v := lo; v < hi; v++ {
-				adj := g.Neighbors(v)
-				for _, w1 := range pa.Local(v) {
-					hits := intersectCount(adj, g.Neighbors(w1))
-					tc[w1] += int64(hits)
-				}
-			}
-		}
-		barrier.Wait()
-		// Phase 2: remote targets, atomics.
-		if opt.Canceled() {
-			skipped.Store(true)
-		} else {
-			for v := lo; v < hi; v++ {
-				adj := g.Neighbors(v)
-				for _, w1 := range pa.Remote(v) {
-					hits := intersectCount(adj, g.Neighbors(w1))
-					if hits > 0 {
-						atomic.AddInt64(&tc[w1], int64(hits))
-					}
-				}
-			}
-		}
-	})
-	stats.Canceled = skipped.Load()
-	stats.Record(time.Since(start))
-	finalize(tc, p)
 	return tc, stats
 }
 

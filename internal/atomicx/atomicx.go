@@ -108,11 +108,6 @@ func (l *SpinLock) Lock() (spins int) {
 	}
 }
 
-// TryLock attempts to acquire the lock without spinning.
-func (l *SpinLock) TryLock() bool {
-	return l.state.Load() == 0 && l.state.CompareAndSwap(0, 1)
-}
-
 // Unlock releases the lock. It must only be called by the holder.
 func (l *SpinLock) Unlock() { l.state.Store(0) }
 

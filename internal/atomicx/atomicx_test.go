@@ -141,20 +141,6 @@ func TestSpinLockMutualExclusion(t *testing.T) {
 	}
 }
 
-func TestSpinLockTryLock(t *testing.T) {
-	var l SpinLock
-	if !l.TryLock() {
-		t.Fatal("TryLock on free lock failed")
-	}
-	if l.TryLock() {
-		t.Fatal("TryLock on held lock succeeded")
-	}
-	l.Unlock()
-	if !l.TryLock() {
-		t.Fatal("TryLock after Unlock failed")
-	}
-}
-
 func TestPaddedCounters(t *testing.T) {
 	p := make(PaddedCounters, 4)
 	var wg sync.WaitGroup

@@ -15,7 +15,6 @@ package counters
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -81,11 +80,6 @@ func Table1Events() []Event {
 		L1Miss, L2Miss, L3Miss, TLBDataMiss, TLBInstMiss,
 		Atomics, Locks, Reads, Writes, BranchesUncond, BranchesCond,
 	}
-}
-
-// DMEvents lists the events recorded in the distributed-memory experiments.
-func DMEvents() []Event {
-	return []Event{Messages, BytesSent, Collectives, RemoteReads, RemoteWrites, RemoteAtomics}
 }
 
 // Recorder accumulates event counts for one thread. It is padded so a slice
@@ -226,15 +220,4 @@ func Human(n int64) string {
 	default:
 		return fmt.Sprintf("%s%.2fT", neg, float64(n)/1e12)
 	}
-}
-
-// SortedNames returns all event names sorted alphabetically; useful for
-// stable diagnostic output.
-func SortedNames() []string {
-	out := make([]string, NumEvents)
-	for i := range out {
-		out[i] = eventNames[i]
-	}
-	sort.Strings(out)
-	return out
 }

@@ -130,13 +130,6 @@ func TestTable1EventsOrder(t *testing.T) {
 	}
 }
 
-func TestDMEvents(t *testing.T) {
-	evs := DMEvents()
-	if len(evs) != 6 {
-		t.Fatalf("DMEvents has %d entries", len(evs))
-	}
-}
-
 func TestCountProbe(t *testing.T) {
 	p := &CountProbe{Rec: &Recorder{}}
 	p.Read(0, 8)
@@ -196,17 +189,5 @@ func TestAggregateCommutes(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestSortedNames(t *testing.T) {
-	names := SortedNames()
-	if len(names) != int(NumEvents) {
-		t.Fatalf("len = %d, want %d", len(names), NumEvents)
-	}
-	for i := 1; i < len(names); i++ {
-		if names[i-1] > names[i] {
-			t.Fatalf("not sorted at %d: %q > %q", i, names[i-1], names[i])
-		}
 	}
 }

@@ -68,17 +68,6 @@ func (m *Comm) Recv(r *dm.Rank) Msg {
 	return msg
 }
 
-// TryRecv returns a queued message if one is available.
-func (m *Comm) TryRecv(r *dm.Rank) (Msg, bool) {
-	select {
-	case msg := <-m.inbox[r.ID]:
-		r.Charge(m.cluster.Cost.MsgOverhead / 2)
-		return msg, true
-	default:
-		return Msg{}, false
-	}
-}
-
 // Alltoallv exchanges one byte slice per destination: send[d] goes to rank
 // d, and the returned slice holds what every rank sent to the caller
 // (indexed by source). The collective costs CollectiveSetup·(P−1) plus the
@@ -108,25 +97,6 @@ func (m *Comm) Alltoallv(r *dm.Rank, send [][]byte) ([][]byte, error) {
 	}
 	m.cluster.Barrier(r)
 	return out, nil
-}
-
-// AllreduceFloat64 sums one float64 across all ranks.
-func (m *Comm) AllreduceFloat64(r *dm.Rank, v float64) (float64, error) {
-	buf := make([]byte, 8)
-	binary.LittleEndian.PutUint64(buf, math.Float64bits(v))
-	send := make([][]byte, m.cluster.P)
-	for d := range send {
-		send[d] = buf
-	}
-	parts, err := m.Alltoallv(r, send)
-	if err != nil {
-		return 0, err
-	}
-	sum := 0.0
-	for _, p := range parts {
-		sum += math.Float64frombits(binary.LittleEndian.Uint64(p))
-	}
-	return sum, nil
 }
 
 // EncodePairs packs (index, value) update pairs: 4-byte index + 8-byte

@@ -144,24 +144,6 @@ func (w *IntWin) Get(r *dm.Rank, target, idx int) int64 {
 	return atomic.LoadInt64(&w.seg[target][idx])
 }
 
-// GetBulk reads count elements starting at idx from target's segment with
-// one get (the paper's single-get extreme for fetching adjacency lists,
-// §6.3.2: most memory, least communication overhead).
-func (w *IntWin) GetBulk(r *dm.Rank, target, idx, count int) []int64 {
-	cost := w.cluster.Cost
-	out := make([]int64, count)
-	if target == r.ID {
-		r.ChargeOps(count)
-	} else {
-		r.Charge(cost.RemoteGet + cost.ByteCost*float64(8*count))
-		r.Rec().Inc(counters.RemoteReads)
-	}
-	for i := 0; i < count; i++ {
-		out[i] = atomic.LoadInt64(&w.seg[target][idx+i])
-	}
-	return out
-}
-
 // Put writes element idx of rank target's segment.
 func (w *IntWin) Put(r *dm.Rank, target, idx int, v int64) {
 	cost := w.cluster.Cost

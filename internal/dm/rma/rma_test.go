@@ -135,32 +135,6 @@ func TestIntWinOps(t *testing.T) {
 	}
 }
 
-func TestGetBulk(t *testing.T) {
-	c := cluster(t, 2)
-	w, _ := NewIntWin(c, []int{4, 4})
-	if err := c.Run(func(r *dm.Rank) {
-		if r.ID == 1 {
-			for i := 0; i < 4; i++ {
-				w.Put(r, 1, i, int64(10+i))
-			}
-		}
-		c.Barrier(r)
-		if r.ID == 0 {
-			before := r.Rec().Get(counters.RemoteReads)
-			vals := w.GetBulk(r, 1, 1, 3)
-			if len(vals) != 3 || vals[0] != 11 || vals[2] != 13 {
-				t.Errorf("bulk = %v", vals)
-			}
-			// One get, not three.
-			if r.Rec().Get(counters.RemoteReads) != before+1 {
-				t.Error("bulk get counted per element")
-			}
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestConcurrentAccumulates(t *testing.T) {
 	const p = 4
 	c := cluster(t, p)

@@ -107,7 +107,7 @@ func Ablation(cfg Config) error {
 		"TC pull total [s]", secs(seqStats.Elapsed), secs(tcDyn.Elapsed), cfg.Threads)
 
 	fmt.Fprintf(cfg.Out, "\nPA partition sweep on orc (2m = %d adjacency slots):\n", g.M())
-	fmt.Fprintf(cfg.Out, "%-6s %14s %10s %16s\n", "P", "remote slots", "fraction", "PR+PA [ms/iter]")
+	fmt.Fprintf(cfg.Out, "%-6s %14s %10s %18s\n", "P", "remote slots", "fraction", "PR push [ms/iter]")
 	// One Workload handle across the sweep memoizes each partition
 	// count's split. The push kernel's owners are its loop chunks, so
 	// the timed run uses P threads: P owners, as the remote count assumes.
@@ -115,14 +115,13 @@ func Ablation(cfg Config) error {
 	for _, p := range []int{2, 4, 8, 16, 32} {
 		rep, err := pushpull.Run(ctx, wl, "pr",
 			pushpull.WithThreads(p),
-			pushpull.WithPartitionAwareness(),
-			pushpull.WithPartitions(p),
+			pushpull.WithDirection(pushpull.Push),
 			pushpull.WithIterations(5))
 		if err != nil {
 			return err
 		}
 		pa := wl.PA(p) // the split of P owners
-		fmt.Fprintf(cfg.Out, "%-6d %14d %9.1f%% %16s\n", p, pa.RemoteEdges(),
+		fmt.Fprintf(cfg.Out, "%-6d %14d %9.1f%% %18s\n", p, pa.RemoteEdges(),
 			100*float64(pa.RemoteEdges())/float64(g.M()), ms(rep.Stats.AvgIteration()))
 	}
 	// The §5 extremes: a bipartite graph split across two owners pushes

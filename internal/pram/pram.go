@@ -1,9 +1,8 @@
 // Package pram reproduces the paper's theoretical analysis (§2.1, §4): the
-// PRAM machine variants (EREW, CREW, Combining-CRCW), the two cost
-// primitives every algorithm is built from — k-relaxation and k-filter —
-// the closed-form time/work bounds of §4.1–§4.7, the simulation lemmas of
-// §2.1, and an *executable* step-synchronous PRAM machine that validates
-// the primitive bounds and the concurrent-access rules of each model.
+// PRAM machine variants (EREW, CREW, Combining-CRCW), the k-relaxation
+// cost primitive, the closed-form time/work bounds of §4.1–§4.7, and an
+// *executable* step-synchronous PRAM machine that validates the primitive
+// bounds and the concurrent-access rules of each model.
 package pram
 
 import (
@@ -80,13 +79,6 @@ func KRelaxation(k, p, dhat float64, m Model, dir core.Direction) Cost {
 		f := log2(dhat)
 		return Cost{Time: base.Time * f, Work: base.Work * f}
 	}
-}
-
-// KFilter is the cost of extracting the vertices updated by one or more
-// k-relaxations via a prefix sum: O(log P + k̄) time and O(min(k, n)) work.
-// It is only needed when pushing; pulling inspects every vertex anyway.
-func KFilter(k, n, p float64) Cost {
-	return Cost{Time: log2(p) + kbar(k, p), Work: math.Min(math.Max(k, 1), n)}
 }
 
 // AlgorithmParams carries the quantities the §4 bounds depend on.
@@ -209,17 +201,4 @@ func Summaries() []ConflictSummary {
 		{"BGC", "O(Lm) int", "O(Lm)", "O(Lm) CAS", "O(Lm) CAS"},
 		{"MST", "O(n²) int", "O(n²)", "O(n²) CAS", "none"},
 	}
-}
-
-// CRCWSimulationSlowdown is the §2.1 lemma: any CRCW with M cells can be
-// simulated on an (M·P)-cell CREW/EREW with Θ(log n) slowdown.
-func CRCWSimulationSlowdown(n float64) float64 { return log2(n) }
-
-// LimitProcessors is the §2.1 LP lemma (Brent): a P-processor solution in
-// time S runs on P′ < P processors in time S·⌈P/P′⌉.
-func LimitProcessors(s float64, p, pPrime float64) float64 {
-	if pPrime <= 0 {
-		return math.Inf(1)
-	}
-	return s * math.Ceil(p/pPrime)
 }

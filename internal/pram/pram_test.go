@@ -2,7 +2,6 @@ package pram
 
 import (
 	"errors"
-	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -33,16 +32,6 @@ func TestKRelaxationBounds(t *testing.T) {
 	// Time is k̄ = max(1, k/P).
 	if got := KRelaxation(5, 10, 4, CRCWCB, core.Push).Time; got != 1 {
 		t.Fatalf("k < P time = %v, want 1", got)
-	}
-}
-
-func TestKFilter(t *testing.T) {
-	c := KFilter(1000, 500, 8)
-	if c.Work != 500 { // min(k, n)
-		t.Fatalf("work = %v", c.Work)
-	}
-	if c.Time < 1000.0/8 {
-		t.Fatalf("time = %v below k̄", c.Time)
 	}
 }
 
@@ -107,19 +96,6 @@ func TestTimeMonotoneInP(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestLemmas(t *testing.T) {
-	if got := CRCWSimulationSlowdown(1 << 20); math.Abs(got-20) > 1e-9 {
-		t.Fatalf("slowdown = %v", got)
-	}
-	// LP lemma: halving processors doubles time.
-	if got := LimitProcessors(100, 64, 32); got != 200 {
-		t.Fatalf("LP = %v", got)
-	}
-	if got := LimitProcessors(100, 64, 0); !math.IsInf(got, 1) {
-		t.Fatalf("LP with 0 processors = %v", got)
 	}
 }
 

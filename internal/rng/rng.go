@@ -5,8 +5,6 @@
 // workloads from its recorded seed.
 package rng
 
-import "math"
-
 // SplitMix64 is the 64-bit mixing generator of Steele et al.; it is used
 // both directly and to seed xoshiro state.
 type SplitMix64 struct {
@@ -88,22 +86,8 @@ func (r *Rand) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
-// Float64Range returns a uniform float64 in [lo, hi).
-func (r *Rand) Float64Range(lo, hi float64) float64 {
-	return lo + (hi-lo)*r.Float64()
-}
-
 // Bool returns true with probability p.
 func (r *Rand) Bool(p float64) bool { return r.Float64() < p }
-
-// Exp returns an exponentially distributed float64 with rate 1.
-func (r *Rand) Exp() float64 {
-	u := r.Float64()
-	for u == 0 {
-		u = r.Float64()
-	}
-	return -math.Log(u)
-}
 
 // Perm returns a random permutation of [0, n) (Fisher–Yates).
 func (r *Rand) Perm(n int) []int {
@@ -116,12 +100,4 @@ func (r *Rand) Perm(n int) []int {
 		p[i], p[j] = p[j], p[i]
 	}
 	return p
-}
-
-// Shuffle permutes xs in place.
-func (r *Rand) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
 }

@@ -86,13 +86,10 @@ type Config struct {
 	Delta float64
 	// MaxIters bounds conflict-resolution iterations (gc); 0 = default.
 	MaxIters int
-	// Partitions is the partition count for partition-based algorithms
-	// (gc, partition-aware pr/tc); 0 = the resolved thread count; negative
-	// values are rejected at Run entry with ErrBadOption.
+	// Partitions is the partition count for the partition-based coloring
+	// runs (gc, gc-cr); 0 = the resolved thread count; negative values are
+	// rejected at Run entry with ErrBadOption.
 	Partitions int
-	// PartitionAware requests the Partition-Awareness acceleration
-	// (§5, Algorithm 8) for push-direction pr and tc.
-	PartitionAware bool
 	// Ranks is the simulated cluster size P for the dist-* algorithms
 	// (0: Threads if set, else DefaultDistRanks; negative values are
 	// rejected at Run entry with ErrBadOption). Shared-memory algorithms
@@ -159,21 +156,18 @@ func WithDamping(f float64) Option {
 	return func(c *Config) { c.Damping, c.DampingSet = f, true }
 }
 
-// WithDelta sets the Δ-stepping bucket width (0 = heuristic).
+// WithDelta sets the Δ-stepping bucket width (0 = heuristic). A negative
+// or non-finite Δ fails at Run entry with ErrBadOption, and so does an
+// sssp run whose Δ is too small for the graph's distances: a bucket index
+// past n + M stops it.
 func WithDelta(d float64) Option { return func(c *Config) { c.Delta = d } }
 
 // WithMaxIters bounds conflict-resolution iterations (gc's L).
 func WithMaxIters(n int) Option { return func(c *Config) { c.MaxIters = n } }
 
-// WithPartitions sets the partition count for partition-based runs.
+// WithPartitions sets the partition count for the partition-based
+// coloring runs (gc, gc-cr).
 func WithPartitions(p int) Option { return func(c *Config) { c.Partitions = p } }
-
-// WithPartitionAwareness enables the Partition-Awareness acceleration
-// (§5) for push-direction pr and tc. pr's push kernel always owns its
-// targets per loop chunk, so there the option only implies pushing, and
-// under WithProbes it bills Algorithm 8 over the workload's memoized split
-// instead of Algorithm 1.
-func WithPartitionAwareness() Option { return func(c *Config) { c.PartitionAware = true } }
 
 // WithRanks sets the simulated cluster size P for the dist-* algorithms.
 func WithRanks(p int) Option { return func(c *Config) { c.Ranks = p } }
@@ -252,8 +246,9 @@ func (c *Config) partitions(w *Workload) int {
 // policies carry pointer-identified mutable state no canonical encoding
 // can capture. The built-in policies (GenericSwitch, GreedySwitch,
 // NeverSwitch) are value-parameterized and fingerprint by those
-// parameters.
-func (c *Config) fingerprint() (fp string, ok bool) {
+// parameters. n is the workload's vertex count: a GreedySwitch without a
+// Total runs with n, so it renders as n and shares the explicit run's key.
+func (c *Config) fingerprint(n int) (fp string, ok bool) {
 	if c.Hook != nil || c.Probes {
 		return "", false
 	}
@@ -263,7 +258,11 @@ func (c *Config) fingerprint() (fp string, ok bool) {
 	case *core.GenericSwitch:
 		sw = fmt.Sprintf("gs(%g)", p.Threshold)
 	case *core.GreedySwitch:
-		sw = fmt.Sprintf("grs(%g,%d)", p.Fraction, p.Total)
+		total := p.Total
+		if total <= 0 {
+			total = n
+		}
+		sw = fmt.Sprintf("grs(%g,%d)", p.Fraction, total)
 	case core.NeverSwitch, *core.NeverSwitch:
 		sw = "never"
 	default:
@@ -277,9 +276,8 @@ func (c *Config) fingerprint() (fp string, ok bool) {
 	} else {
 		b.WriteByte('-')
 	}
-	fmt.Fprintf(&b, ";delta=%g;maxit=%d;parts=%d;pa=%t;ranks=%d;ds=%t;ooc=%t;srcs=",
-		c.Delta, c.MaxIters, c.Partitions, c.PartitionAware, c.Ranks,
-		c.DegreeSorted, c.OutOfCore)
+	fmt.Fprintf(&b, ";delta=%g;maxit=%d;parts=%d;ranks=%d;ds=%t;ooc=%t;srcs=",
+		c.Delta, c.MaxIters, c.Partitions, c.Ranks, c.DegreeSorted, c.OutOfCore)
 	// nil and empty Sources are distinct configurations (bc: all
 	// vertices vs zero sources) and must not share a key.
 	if c.Sources == nil {

@@ -163,54 +163,24 @@ func TestProbesDirectionAsymmetry(t *testing.T) {
 	}
 }
 
-// TestProbedPartitionAwareTC exercises the instrumented PA kernel that
-// previously errored: counts match the plain PA run and phase 2's atomics
-// equal the remote hit structure (non-zero on a multi-partition run).
-func TestProbedPartitionAwareTC(t *testing.T) {
+// TestProbedPartitionThreadsReconciled pins the WithThreads/WithPartitions
+// reconciliation: a probed partition-based coloring run simulates one
+// thread per partition, so a conflicting explicit thread count errors
+// instead of being silently ignored, and an agreeing one succeeds.
+func TestProbedPartitionThreadsReconciled(t *testing.T) {
 	g := testGraph(t)
-	probed := run(t, g, "tc", pushpull.WithProbes(),
-		pushpull.WithPartitionAwareness(), pushpull.WithPartitions(3))
-	plain := run(t, g, "tc", pushpull.WithPartitionAwareness(), pushpull.WithPartitions(3))
-	if !tc.Equal(probed.Counts(), plain.Counts()) {
-		t.Error("probed PA tc counts diverge from plain PA run")
-	}
-	if probed.Counters.Get(pushpull.Atomics) == 0 {
-		t.Error("probed PA tc issued no remote atomics")
-	}
-	// PA strictly reduces atomics versus plain push (only remote hits pay).
-	full := run(t, g, "tc", pushpull.WithProbes(), pushpull.WithDirection(pushpull.Push),
-		pushpull.WithThreads(3))
-	if pa, all := probed.Counters.Get(pushpull.Atomics), full.Counters.Get(pushpull.Atomics); pa >= all {
-		t.Errorf("PA atomics (%d) not below plain push atomics (%d)", pa, all)
-	}
-}
-
-// TestProbedPAThreadsReconciled pins the WithThreads/WithPartitions
-// reconciliation: a probed partition-aware run simulates one thread per
-// partition, so a conflicting explicit thread count errors instead of
-// being silently ignored, and an agreeing one succeeds.
-func TestProbedPAThreadsReconciled(t *testing.T) {
-	g := testGraph(t)
-	for _, algo := range []string{"pr", "tc"} {
-		_, err := pushpull.Run(context.Background(), g, algo, pushpull.WithProbes(),
-			pushpull.WithPartitionAwareness(), pushpull.WithPartitions(3), pushpull.WithThreads(2))
-		if err == nil {
-			t.Errorf("%s: probed PA run accepted WithThreads(2) over 3 partitions", algo)
-		} else if !strings.Contains(err.Error(), "partition") {
-			t.Errorf("%s: unhelpful conflict error: %v", algo, err)
-		}
-		rep := run(t, g, algo, pushpull.WithProbes(),
-			pushpull.WithPartitionAwareness(), pushpull.WithPartitions(3), pushpull.WithThreads(3))
-		if rep.Counters == nil {
-			t.Errorf("%s: agreeing threads/partitions returned no counters", algo)
-		}
-	}
-	// The partition-based coloring runs apply the same reconciliation.
 	for _, algo := range []string{"gc", "gc-cr"} {
 		_, err := pushpull.Run(context.Background(), g, algo, pushpull.WithProbes(),
 			pushpull.WithPartitions(3), pushpull.WithThreads(2))
 		if err == nil {
 			t.Errorf("%s: probed run accepted WithThreads(2) over 3 partitions", algo)
+		} else if !strings.Contains(err.Error(), "partition") {
+			t.Errorf("%s: unhelpful conflict error: %v", algo, err)
+		}
+		rep := run(t, g, algo, pushpull.WithProbes(),
+			pushpull.WithPartitions(3), pushpull.WithThreads(3))
+		if rep.Counters == nil {
+			t.Errorf("%s: agreeing threads/partitions returned no counters", algo)
 		}
 	}
 }

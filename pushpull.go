@@ -186,11 +186,11 @@ func uniformTrace(d core.Direction, iters int) []Direction {
 // Direction, thread count, schedule, switching policy, instrumentation
 // and the per-algorithm knobs are all Options; see the With* functions.
 // Before anything runs, the options are range-checked (ErrBadOption for
-// negative WithThreads/WithPartitions/WithRanks) and the algorithm's Caps
-// are validated against the workload and options, so unsupported
-// combinations fail fast with one of the typed precondition errors
-// (ErrNeedsWeights, ErrDirectedUnsupported, ErrProbesUnsupported,
-// ErrPartitionAwareUnsupported) instead of deep in a kernel. When ctx is
+// negative WithThreads/WithPartitions/WithRanks and a negative or
+// non-finite WithDelta) and the algorithm's Caps are validated against the
+// workload and options, so unsupported combinations fail fast with one of
+// the typed precondition errors (ErrNeedsWeights, ErrDirectedUnsupported,
+// ErrProbesUnsupported, ...) instead of deep in a kernel. When ctx is
 // cancelled mid-run the engine stops between iterations and returns the
 // partial Report together with ctx's error — callers that care about
 // partial results must check the Report even on error.

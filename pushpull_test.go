@@ -381,29 +381,6 @@ func TestGreedySwitchDefaultsTotal(t *testing.T) {
 	}
 }
 
-func TestPartitionAwareOptions(t *testing.T) {
-	g := testGraph(t)
-	// Unprobed, Partition-Awareness is the push kernel itself: the option
-	// implies pushing and computes what a plain push computes.
-	aware := run(t, g, "pr", pushpull.WithPartitionAwareness(), pushpull.WithPartitions(3),
-		pushpull.WithThreads(3), pushpull.WithIterations(5))
-	push := run(t, g, "pr", pushpull.WithDirection(pushpull.Push),
-		pushpull.WithThreads(3), pushpull.WithIterations(5))
-	if d := pr.MaxDiff(aware.Ranks(), push.Ranks()); d > 1e-12 {
-		t.Errorf("partition-aware ranks diverge from plain push by %g", d)
-	}
-	if dirFromTrace := aware.Directions[0]; dirFromTrace != pushpull.Push {
-		t.Errorf("PA run traced %v, want push (PA implies pushing)", dirFromTrace)
-	}
-	// PA contradicts an explicit pull direction.
-	for _, algo := range []string{"pr", "tc"} {
-		if _, err := pushpull.Run(context.Background(), g, algo,
-			pushpull.WithPartitionAwareness(), pushpull.WithDirection(pushpull.Pull)); err == nil {
-			t.Errorf("%s accepted WithPartitionAwareness + WithDirection(Pull)", algo)
-		}
-	}
-}
-
 func TestIterationHook(t *testing.T) {
 	g := testGraph(t)
 	var ticks int

@@ -491,7 +491,6 @@ func statusFor(err error) int {
 	case errors.Is(err, pushpull.ErrNeedsWeights),
 		errors.Is(err, pushpull.ErrDirectedUnsupported),
 		errors.Is(err, pushpull.ErrProbesUnsupported),
-		errors.Is(err, pushpull.ErrPartitionAwareUnsupported),
 		errors.Is(err, pushpull.ErrOutOfCoreUnsupported),
 		errors.Is(err, pushpull.ErrBadSource),
 		errors.Is(err, pushpull.ErrBadOption):

@@ -234,7 +234,9 @@ func TestServeErrors(t *testing.T) {
 // TestServeOptionRanges: a vertex id past 32 bits and a timeout_ms that
 // overflows a time.Duration are the client's error — 400 naming the
 // field on both POST /run and POST /jobs — instead of running from
-// vertex id mod 2^32 or timing out at once.
+// vertex id mod 2^32 or timing out at once. So is partition_aware, a
+// field the wire no longer carries: refused, not silently run as another
+// configuration.
 func TestServeOptionRanges(t *testing.T) {
 	ts, _, _ := newJobServer(t)
 	for _, c := range []struct{ algorithm, options, field string }{
@@ -242,6 +244,7 @@ func TestServeOptionRanges(t *testing.T) {
 		{"bfs", `{"source": 4294967299}`, "source"},
 		{"bc", `{"sources": [4294967296]}`, "sources[0]"},
 		{"pr", `{"timeout_ms": 9223372036855}`, "timeout_ms"},
+		{"pr", `{"partition_aware": true}`, "partition_aware"},
 	} {
 		body := fmt.Sprintf(`{"graph": "demo", "algorithm": %q, "options": %s}`, c.algorithm, c.options)
 		for _, path := range []string{"/run", "/jobs"} {
@@ -251,6 +254,28 @@ func TestServeOptionRanges(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestServeSSSPDelta: a Δ too small for the graph's distances, or a
+// negative one, is the client's error — 400 naming delta — not a worker
+// run out of memory, a panic, or wrong distances.
+func TestServeSSSPDelta(t *testing.T) {
+	ts, _ := newTestServer(t)
+	g, err := pushpull.NamedWeightedGraph("rmat", 0.05, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	uploadGraph(t, ts, "wrmat", pushpull.Weighted(g))
+	for _, dir := range []string{"push", "pull", "auto"} {
+		for _, delta := range []string{"1e-300", "1e-12", "1e-6", "-1"} {
+			body := fmt.Sprintf(`{"graph": "wrmat", "algorithm": "sssp", "options": {"direction": %q, "delta": %s}}`, dir, delta)
+			status, raw, _ := httpJob(t, http.MethodPost, ts.URL+"/run", body)
+			if status != http.StatusBadRequest || !strings.Contains(string(raw), "delta") {
+				t.Errorf("POST /run %s: %d %s, want 400 naming delta", body, status, raw)
+			}
+		}
+	}
+	postRun(t, ts, `{"graph": "wrmat", "algorithm": "sssp"}`, http.StatusOK)
 }
 
 // TestServeSSSPUnreachable: sssp distances include +Inf for unreached

@@ -175,10 +175,6 @@ func TestLayoutOptionCapsErrors(t *testing.T) {
 		pushpull.WithDegreeSorted()); !errors.Is(err, pushpull.ErrDegreeSortUnsupported) {
 		t.Fatalf("sssp WithDegreeSorted: %v, want ErrDegreeSortUnsupported", err)
 	}
-	if _, err := pushpull.Run(context.Background(), g, "pr",
-		pushpull.WithDegreeSorted(), pushpull.WithPartitionAwareness()); !errors.Is(err, pushpull.ErrBadOption) {
-		t.Fatalf("pr degree-sort + PA: %v, want ErrBadOption", err)
-	}
 	// gc-cr does not take the degree sort (gc and gc-fe do).
 	if _, err := pushpull.Run(context.Background(), g, "gc-cr",
 		pushpull.WithDegreeSorted()); !errors.Is(err, pushpull.ErrDegreeSortUnsupported) {

@@ -106,9 +106,9 @@ func AsDirected() WorkloadOption { return func(w *Workload) { w.directed = true 
 // of computing over silently-assumed unit weights.
 func AsWeighted() WorkloadOption { return func(w *Workload) { w.weightsDeclared = true } }
 
-// AsPartitioned sets the workload's default partition count: partition-
-// based runs (gc, partition-aware pr/tc) without an explicit
-// WithPartitions use it, and the memoized PA split is keyed by it.
+// AsPartitioned sets the workload's default partition count: the
+// partition-based coloring runs (gc, gc-cr) use it when no WithPartitions
+// is given.
 func AsPartitioned(parts int) WorkloadOption {
 	return func(w *Workload) {
 		if parts > 0 {
@@ -372,22 +372,12 @@ func (w *Workload) outOfCoreLocked() (*graph.BlockCSR, error) {
 	if w.g == nil {
 		return nil, fmt.Errorf("pushpull: out-of-core workload has no open block view")
 	}
-	pull := w.g
-	var outDeg []int64
-	if w.directed {
-		pull = w.transposeLocked()
-		n := w.g.N()
-		outDeg = make([]int64, n)
-		for v := 0; v < n; v++ {
-			outDeg[v] = w.g.Degree(graph.V(v))
-		}
-	}
 	f, err := os.CreateTemp("", "pushpull-blk-*")
 	if err != nil {
 		return nil, fmt.Errorf("pushpull: building block view: %w", err)
 	}
 	path := f.Name()
-	werr := graph.WriteBlock(f, pull, outDeg, 0)
+	werr := w.writeBlockLocked(f)
 	if cerr := f.Close(); werr == nil {
 		werr = cerr
 	}
@@ -422,17 +412,21 @@ func (w *Workload) writeBlockTo(dst io.Writer) error {
 	if w.g == nil {
 		return fmt.Errorf("pushpull: pure out-of-core workload has no in-memory graph to serialize")
 	}
-	pull := w.g
-	var outDeg []int64
-	if w.directed {
-		pull = w.transposeLocked()
-		n := w.g.N()
-		outDeg = make([]int64, n)
-		for v := 0; v < n; v++ {
-			outDeg[v] = w.g.Degree(graph.V(v))
-		}
+	return w.writeBlockLocked(dst)
+}
+
+// writeBlockLocked writes what the block format stores: the pull view
+// (the graph itself, or the transpose for directed workloads) and, for
+// directed workloads, the out-degree sidecar the pull kernels divide by.
+func (w *Workload) writeBlockLocked(dst io.Writer) error {
+	if !w.directed {
+		return graph.WriteBlock(dst, w.g, nil, 0)
 	}
-	return graph.WriteBlock(dst, pull, outDeg, 0)
+	outDeg := make([]int64, w.g.N())
+	for v := range outDeg {
+		outDeg[v] = w.g.Degree(graph.V(v))
+	}
+	return graph.WriteBlock(dst, w.transposeLocked(), outDeg, 0)
 }
 
 // ID returns the workload's stable content identity: a digest of the

@@ -46,9 +46,9 @@ func directedGraph(t testing.TB, n int, weighted bool) *pushpull.Graph {
 }
 
 // TestFacadeDirectedPRMatchesSequential is the acceptance cross-check:
-// Run on Directed(g) hands the pr kernels the §4.8 views, and push, pull,
-// partition-aware push and the probed variants all match pr.Sequential
-// over the out-edges within 1e-9.
+// Run on Directed(g) hands the pr kernels the §4.8 views, and push, pull
+// and the probed variants all match pr.Sequential over the out-edges
+// within 1e-9.
 func TestFacadeDirectedPRMatchesSequential(t *testing.T) {
 	g := directedGraph(t, 700, false)
 	want := pr.Sequential(pr.Views{Out: g}, pr.Options{Iterations: 15})
@@ -59,9 +59,6 @@ func TestFacadeDirectedPRMatchesSequential(t *testing.T) {
 		{"push", pushpull.WithDirection(pushpull.Push)},
 		{"pull", pushpull.WithDirection(pushpull.Pull)},
 		{"auto", pushpull.WithDirection(pushpull.Auto)},
-		// Probed, this bills Algorithm 8 over the split of the out-rows,
-		// one simulated thread per partition.
-		{"partition-aware", pushpull.WithPartitionAwareness()},
 	} {
 		w := pushpull.Directed(g)
 		rep := run(t, w, "pr", c.opt,
@@ -85,20 +82,14 @@ func TestFacadeDirectedPRMatchesSequential(t *testing.T) {
 		}
 	}
 	// The §4 asymmetry carries over: directed push pays atomics per
-	// out-arc, the partition-aware bill only per remote out-arc, directed
-	// pull none.
+	// out-arc, directed pull none.
 	w := pushpull.Directed(g)
 	push := run(t, w, "pr", pushpull.WithDirection(pushpull.Push),
-		pushpull.WithIterations(1), pushpull.WithProbes())
-	aware := run(t, w, "pr", pushpull.WithPartitionAwareness(), pushpull.WithPartitions(3),
 		pushpull.WithIterations(1), pushpull.WithProbes())
 	pull := run(t, w, "pr", pushpull.WithDirection(pushpull.Pull),
 		pushpull.WithIterations(1), pushpull.WithProbes())
 	if got := push.Counters.Get(pushpull.Atomics); got == 0 {
 		t.Error("directed push pr issued no atomics")
-	}
-	if got, all := aware.Counters.Get(pushpull.Atomics), push.Counters.Get(pushpull.Atomics); got == 0 || got >= all {
-		t.Errorf("directed partition-aware pr over 3 partitions issued %d atomics, want some but fewer than push's %d", got, all)
 	}
 	if got := pull.Counters.Get(pushpull.Atomics); got != 0 {
 		t.Errorf("directed pull pr issued %d atomics, want 0", got)
@@ -131,35 +122,38 @@ func TestWorkloadMemoizesTranspose(t *testing.T) {
 	}
 }
 
-// TestWorkloadMemoizesPAAndStats: the Partition-Awareness split is built
-// once per distinct partition count across repeated probed runs (the
-// only pr runs that lay it out), and Stats once per handle.
+// TestWorkloadMemoizesPAAndStats: no run lays out the Partition-Awareness
+// split; PA builds it once per distinct partition count, and Stats is
+// computed once per handle.
 func TestWorkloadMemoizesPAAndStats(t *testing.T) {
 	g := testGraph(t)
 	w := pushpull.Partitioned(g, 3)
-	run(t, w, "pr", pushpull.WithPartitionAwareness(), pushpull.WithThreads(3),
-		pushpull.WithIterations(2))
+	for _, probes := range []bool{false, true} {
+		opts := []pushpull.Option{pushpull.WithDirection(pushpull.Push),
+			pushpull.WithThreads(3), pushpull.WithIterations(2)}
+		if probes {
+			opts = append(opts, pushpull.WithProbes())
+		}
+		run(t, w, "pr", opts...)
+		run(t, w, "tc", opts...)
+	}
 	if got := w.Builds().PASplits; got != 0 {
-		t.Fatalf("unprobed PA push built %d splits, want 0 (the kernel needs none)", got)
+		t.Fatalf("pr and tc push runs built %d splits, want 0 (their kernels need none)", got)
 	}
 	for i := 0; i < 3; i++ {
-		run(t, w, "pr", pushpull.WithPartitionAwareness(), pushpull.WithThreads(3),
-			pushpull.WithIterations(2), pushpull.WithProbes())
+		w.PA(3)
 	}
 	if got := w.Builds().PASplits; got != 1 {
-		t.Fatalf("3 probed PA runs built %d splits, want exactly 1", got)
+		t.Fatalf("3 PA(3) calls built %d splits, want exactly 1", got)
 	}
 	if w.PA(3) != w.PA(3) {
 		t.Error("PA(3) returns distinct layouts across calls")
 	}
 	// A different partition count is a different split, memoized separately.
-	run(t, w, "pr", pushpull.WithPartitionAwareness(), pushpull.WithPartitions(5),
-		pushpull.WithThreads(5), pushpull.WithIterations(2), pushpull.WithProbes())
+	w.PA(5)
 	if got := w.Builds().PASplits; got != 2 {
 		t.Errorf("second partition count built %d splits total, want 2", got)
 	}
-	// WithPartitions beats the workload default; without it the
-	// AsPartitioned count feeds the PA split.
 	if w.PA(3).Part.P != 3 || w.PA(5).Part.P != 5 {
 		t.Error("memoized splits keyed to the wrong partition counts")
 	}
@@ -231,8 +225,8 @@ func TestCapsGateForExternalAlgorithms(t *testing.T) {
 		t.Errorf("probes on probe-less algorithm: err = %v, want ErrProbesUnsupported", err)
 	}
 	if _, err := pushpull.Run(context.Background(), g, "caps-stub-algo",
-		pushpull.WithPartitionAwareness()); !errors.Is(err, pushpull.ErrPartitionAwareUnsupported) {
-		t.Errorf("PA on PA-less algorithm: err = %v, want ErrPartitionAwareUnsupported", err)
+		pushpull.WithDegreeSorted()); !errors.Is(err, pushpull.ErrDegreeSortUnsupported) {
+		t.Errorf("degree sort on a plain-layout algorithm: err = %v, want ErrDegreeSortUnsupported", err)
 	}
 	if _, err := pushpull.Run(context.Background(), g, "caps-stub-algo"); err != nil {
 		t.Errorf("plain run of the stub failed: %v", err)
