@@ -17,7 +17,6 @@ import (
 	"pushpull/internal/algo/sssp"
 	"pushpull/internal/algo/tc"
 	"pushpull/internal/core"
-	"pushpull/internal/graph"
 )
 
 // builtin implements Algorithm around an adapter function and a static
@@ -93,45 +92,45 @@ func coreTrace(dirs []core.Direction) []Direction {
 // and an undirected one hands the same graph as both. The push kernel
 // already owns its targets per loop chunk (§5's ownership over the plain
 // out-view, with private accumulators instead of remote atomics); probed,
-// it bills Algorithm 1. The one layout that is not a CSR view is the
-// out-of-core block file (pull-only; validateCaps has already rejected
-// push and the degree sort).
+// it bills Algorithm 1. A file handle has no CSR view at all and runs the
+// block pull kernel (validateCaps has already rejected push, probes and
+// the degree sort there).
 func runPR(ctx context.Context, w *Workload, cfg *Config) (*Report, error) {
 	opt := pr.Options{Options: cfg.coreOptions(ctx), Iterations: cfg.Iterations}
 	if cfg.DampingSet {
 		opt.SetDamping(cfg.Damping)
 	}
+	if w.IsOutOfCore() {
+		// The block file stores the pull view (the transpose plus an
+		// out-degree sidecar, for directed workloads); the ranks equal
+		// in-memory pull runs bit for bit.
+		blk, err := w.OutOfCore()
+		if err != nil {
+			return nil, err
+		}
+		ranks, stats, err := pr.PullBlocked(blk, opt)
+		if err != nil {
+			return nil, err
+		}
+		return &Report{Result: ranks, Stats: stats, Directions: uniformTrace(core.Pull, stats.Iterations)}, nil
+	}
 	// Pulling needs no synchronization at all (§3.1): the Auto default.
 	dir := cfg.resolveDir(core.Pull)
 
-	var (
-		blk   *graph.BlockCSR
-		views pr.Views
-		ds    *DegreeSortedView
-		err   error
-	)
-	if cfg.OutOfCore || w.IsOutOfCore() {
-		// The block file stores the pull view (the transpose plus an
-		// out-degree sidecar, for directed workloads); the payload matches
-		// in-memory pull runs up to floating-point reassociation.
-		if blk, err = w.OutOfCore(); err != nil {
-			return nil, err
-		}
-	} else {
-		// Degree sorting swaps in the permuted pair of views. Only pulling
-		// iterates in-edges, and Transpose/SortedTranspose return the graph
-		// itself unless the workload is directed — so the in-CSR of a
-		// directed graph is built lazily, for pull runs alone.
-		views.Out = w.Graph()
-		if ds = sortedView(w, cfg); ds != nil {
-			views.Out = ds.G
-		}
-		if dir == core.Pull {
-			if ds != nil {
-				views.In = w.SortedTranspose()
-			} else {
-				views.In = w.Transpose()
-			}
+	// Degree sorting swaps in the permuted pair of views. Only pulling
+	// iterates in-edges, and Transpose/SortedTranspose return the graph
+	// itself unless the workload is directed — so the in-CSR of a directed
+	// graph is built lazily, for pull runs alone.
+	views := pr.Views{Out: w.Graph()}
+	ds := sortedView(w, cfg)
+	if ds != nil {
+		views.Out = ds.G
+	}
+	if dir == core.Pull {
+		if ds != nil {
+			views.In = w.SortedTranspose()
+		} else {
+			views.In = w.Transpose()
 		}
 	}
 
@@ -139,12 +138,10 @@ func runPR(ctx context.Context, w *Workload, cfg *Config) (*Report, error) {
 		start := time.Now()
 		prof, grp := core.CountingProfile(cfg.effectiveThreads(w.N()))
 		var ranks []float64
-		switch {
-		case blk != nil:
-			ranks, err = pr.PullBlockedProfiled(blk, opt, prof, nil)
-		case dir == core.Push:
+		var err error
+		if dir == core.Push {
 			ranks, err = pr.PushProfiled(views, opt, prof, nil)
-		default:
+		} else {
 			ranks, err = pr.PullProfiled(views, opt, prof, nil)
 		}
 		if err != nil {
@@ -167,14 +164,9 @@ func runPR(ctx context.Context, w *Workload, cfg *Config) (*Report, error) {
 
 	var ranks []float64
 	var stats core.RunStats
-	switch {
-	case blk != nil:
-		if ranks, stats, err = pr.PullBlocked(blk, opt); err != nil {
-			return nil, err
-		}
-	case dir == core.Push:
+	if dir == core.Push {
 		ranks, stats = pr.Push(views, opt)
-	default:
+	} else {
 		ranks, stats = pr.Pull(views, opt)
 	}
 	if ds != nil {
@@ -225,7 +217,7 @@ func runTC(ctx context.Context, w *Workload, cfg *Config) (*Report, error) {
 // ---- BFS ----
 
 func runBFS(ctx context.Context, w *Workload, cfg *Config) (*Report, error) {
-	if cfg.OutOfCore || w.IsOutOfCore() {
+	if w.IsOutOfCore() {
 		return runBFSBlocked(ctx, w, cfg)
 	}
 	// Source range is validated by the NeedsSource capability gate.
@@ -266,24 +258,15 @@ func runBFS(ctx context.Context, w *Workload, cfg *Config) (*Report, error) {
 	return &Report{Result: tree, Stats: stats, Directions: coreTrace(dirs)}, nil
 }
 
-// runBFSBlocked runs BFS out-of-core: every round is a block-sequential
+// runBFSBlocked runs BFS on a file handle: every round is a block-sequential
 // bottom-up (pull) pass with a per-block frontier summary skipping cold
-// blocks; validateCaps has already rejected ForcePush. Levels match the
+// blocks; validateCaps has already rejected ForcePush and probes. Levels match the
 // in-memory kernels exactly; parents are valid tree edges (the
 // deterministic block-scan order claims them, not a push race).
 func runBFSBlocked(ctx context.Context, w *Workload, cfg *Config) (*Report, error) {
 	bg, err := w.OutOfCore()
 	if err != nil {
 		return nil, err
-	}
-	if cfg.Probes {
-		prof, grp := core.CountingProfile(cfg.effectiveThreads(w.N()))
-		tree, dirs, stats, err := bfs.TraverseBlockedProfiled(bg, cfg.Source, cfg.coreOptions(ctx), prof, nil)
-		if err != nil {
-			return nil, err
-		}
-		rep := grp.Report()
-		return &Report{Result: tree, Stats: stats, Directions: coreTrace(dirs), Counters: &rep}, nil
 	}
 	tree, dirs, stats, err := bfs.TraverseBlocked(bg, cfg.Source, cfg.coreOptions(ctx))
 	if err != nil {
@@ -397,7 +380,7 @@ func runGC(ctx context.Context, w *Workload, cfg *Config) (*Report, error) {
 	if ds != nil {
 		g = ds.G
 	}
-	part := NewPartition(g.N(), cfg.partitions(w))
+	part := NewPartition(g.N(), cfg.partitions(g.N()))
 
 	if cfg.Probes {
 		t, tErr := partitionProfileThreads("gc", cfg, part.P)
@@ -494,7 +477,7 @@ func runGCFE(ctx context.Context, w *Workload, cfg *Config) (*Report, error) {
 func runGCCR(ctx context.Context, w *Workload, cfg *Config) (*Report, error) {
 	g := w.Graph()
 	opt := gc.Options{Options: cfg.coreOptions(ctx), MaxIters: cfg.MaxIters}
-	part := NewPartition(g.N(), cfg.partitions(w))
+	part := NewPartition(g.N(), cfg.partitions(g.N()))
 	if cfg.Probes {
 		t, tErr := partitionProfileThreads("gc-cr", cfg, part.P)
 		if tErr != nil {

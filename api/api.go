@@ -44,11 +44,7 @@ type RunOptions struct {
 	Delta      float64  `json:"delta,omitempty"`
 	Damping    *float64 `json:"damping,omitempty"`
 	Partitions int      `json:"partitions,omitempty"`
-	// OutOfCore asks for the block-sequential out-of-core kernels even on
-	// an in-memory graph (graphs stored past the server's memory budget
-	// run out-of-core regardless, with no option needed).
-	OutOfCore bool `json:"out_of_core,omitempty"`
-	Ranks     int  `json:"ranks,omitempty"`
+	Ranks      int      `json:"ranks,omitempty"`
 	// TimeoutMS bounds the run server-side; the request context already
 	// cancels it when the client disconnects.
 	TimeoutMS int `json:"timeout_ms,omitempty"`
@@ -104,9 +100,6 @@ func (o *RunOptions) ToOptions() ([]pushpull.Option, error) {
 	}
 	if o.Partitions != 0 {
 		opts = append(opts, pushpull.WithPartitions(o.Partitions))
-	}
-	if o.OutOfCore {
-		opts = append(opts, pushpull.WithOutOfCore())
 	}
 	if o.Ranks != 0 {
 		opts = append(opts, pushpull.WithRanks(o.Ranks))

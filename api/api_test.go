@@ -69,7 +69,7 @@ func FuzzRunOptions(f *testing.F) {
 		`{"sources":[4294967296]}`,
 		`{"timeout_ms":9223372036855}`,
 		`{"direction":"pull","threads":4,"iterations":20,"max_iters":7,"source":3,"sources":[0,1,2],` +
-			`"delta":0.5,"damping":0.85,"partitions":8,"out_of_core":true,"ranks":16,"timeout_ms":100}`,
+			`"delta":0.5,"damping":0.85,"partitions":8,"ranks":16,"timeout_ms":100}`,
 		`{"direction":"sideways"}`,
 		`{}`,
 	} {
@@ -118,9 +118,6 @@ func FuzzRunOptions(f *testing.F) {
 		}
 		if (o.Damping != nil) != cfg.DampingSet || (o.Damping != nil && math.Float64bits(*o.Damping) != math.Float64bits(cfg.Damping)) {
 			t.Errorf("damping %v lowered to %v (set %v)", o.Damping, cfg.Damping, cfg.DampingSet)
-		}
-		if cfg.OutOfCore != o.OutOfCore {
-			t.Errorf("flag out_of_core %v lowered to %v", o.OutOfCore, cfg.OutOfCore)
 		}
 	})
 }

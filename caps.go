@@ -37,11 +37,11 @@ type Caps struct {
 	// boundary; WithDegreeSorted on others fails with
 	// ErrDegreeSortUnsupported.
 	DegreeSort bool
-	// OutOfCore marks algorithms with block-sequential kernels over the
-	// out-of-core block layout (WithOutOfCore, or a pure file handle).
-	// WithOutOfCore on others fails with ErrOutOfCoreUnsupported, as does
-	// ANY run of an unsupporting algorithm on a pure file handle — there
-	// is no in-memory graph to fall back to.
+	// OutOfCore marks algorithms with block-sequential kernels that run on
+	// a file handle (OpenOutOfCoreWorkload, or a DiskStore graph above its
+	// block threshold). Any run of an unsupporting algorithm on a file
+	// handle fails with ErrOutOfCoreUnsupported — there is no in-memory
+	// graph to fall back to.
 	OutOfCore bool
 }
 
@@ -83,10 +83,9 @@ var (
 	// ErrDegreeSortUnsupported: the algorithm cannot run over the
 	// degree-sorted layout.
 	ErrDegreeSortUnsupported = errors.New("degree-sorted (WithDegreeSorted) runs unsupported")
-	// ErrOutOfCoreUnsupported: the algorithm has no block-sequential
-	// out-of-core kernel (or the workload is a pure file handle no
-	// in-memory kernel can serve).
-	ErrOutOfCoreUnsupported = errors.New("out-of-core (WithOutOfCore) runs unsupported")
+	// ErrOutOfCoreUnsupported: the workload is a file handle and the
+	// algorithm has no block-sequential kernel to run on it.
+	ErrOutOfCoreUnsupported = errors.New("out-of-core (file handle) runs unsupported")
 	// ErrBadSource: a configured source vertex is outside the workload's
 	// vertex range.
 	ErrBadSource = errors.New("source vertex out of range")
@@ -138,23 +137,19 @@ func validateCaps(a Algorithm, w *Workload, cfg *Config) error {
 	if cfg.DegreeSorted && !caps.DegreeSort {
 		return fmt.Errorf("pushpull: %s with WithDegreeSorted: %w", name, ErrDegreeSortUnsupported)
 	}
-	if !caps.OutOfCore {
-		if cfg.OutOfCore {
-			return fmt.Errorf("pushpull: %s with WithOutOfCore: %w", name, ErrOutOfCoreUnsupported)
-		}
-		if w.Graph() == nil {
-			return fmt.Errorf("pushpull: %s on a pure out-of-core workload: %w (no in-memory graph to run on)", name, ErrOutOfCoreUnsupported)
-		}
-	}
-	if caps.OutOfCore && (cfg.OutOfCore || w.IsOutOfCore()) {
-		// The block kernels are pull-by-construction and stream the plain
-		// pull-view layout; directions and layouts that cannot be honored
-		// fail loudly instead of being silently rewritten.
-		if cfg.Direction == Push {
-			return fmt.Errorf("pushpull: %s out-of-core with WithDirection(Push): %w (block kernels are pull-only)", name, ErrBadOption)
-		}
-		if cfg.DegreeSorted {
-			return fmt.Errorf("pushpull: %s: degree-sort with WithOutOfCore: %w (block kernels stream the plain pull layout)", name, ErrBadOption)
+	if w.IsOutOfCore() {
+		// A file handle runs the block kernels, which are pull-by-construction,
+		// uninstrumented and stream the plain pull-view layout; what they
+		// cannot honor fails loudly instead of being silently rewritten.
+		switch {
+		case !caps.OutOfCore:
+			return fmt.Errorf("pushpull: %s on a file handle: %w (no in-memory graph to run on)", name, ErrOutOfCoreUnsupported)
+		case cfg.Probes:
+			return fmt.Errorf("pushpull: %s on a file handle with WithProbes: %w (the block kernels are uninstrumented)", name, ErrProbesUnsupported)
+		case cfg.Direction == Push:
+			return fmt.Errorf("pushpull: %s on a file handle with WithDirection(Push): %w (block kernels are pull-only)", name, ErrBadOption)
+		case cfg.DegreeSorted:
+			return fmt.Errorf("pushpull: %s on a file handle with WithDegreeSorted: %w (block kernels stream the plain pull layout)", name, ErrBadOption)
 		}
 	}
 	if caps.NeedsSource {

@@ -283,8 +283,8 @@ func TestRouterJobValidationAndAffinityPin(t *testing.T) {
 }
 
 // TestRouterOptionRanges: a vertex id past 32 bits, an overflowing
-// timeout_ms or the retired partition_aware field reaches the client
-// through the router as a 400 naming the field, on POST /run and
+// timeout_ms or a retired field (partition_aware, out_of_core) reaches the
+// client through the router as a 400 naming the field, on POST /run and
 // POST /jobs alike.
 func TestRouterOptionRanges(t *testing.T) {
 	fleet := newFleet(t, 2)
@@ -295,6 +295,7 @@ func TestRouterOptionRanges(t *testing.T) {
 		{"bc", `{"sources": [4294967296]}`, "sources[0]"},
 		{"pr", `{"timeout_ms": 9223372036855}`, "timeout_ms"},
 		{"pr", `{"partition_aware": true}`, "partition_aware"},
+		{"pr", `{"out_of_core": true}`, "out_of_core"},
 	} {
 		body := fmt.Sprintf(`{"graph": "demo", "algorithm": %q, "options": %s}`, c.algorithm, c.options)
 		for _, path := range []string{"/run", "/jobs"} {

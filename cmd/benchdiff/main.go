@@ -14,15 +14,10 @@
 // noise rarely moves both), and a row whose median sits more than 50%
 // above its own minimum is reported but never gates.
 //
-//	go run ./cmd/benchdiff -old BENCH_pr6.json -new /tmp/smoke.json
-//	go run ./cmd/benchdiff -old BENCH_pr10_smoke.json -new /tmp/smoke.json -gate 25
+//	go run ./cmd/benchdiff -new /tmp/smoke.json -gate 25
 //
-// Both schema generations are accepted: pre-PR9 files carry one
-// top-level graph and bare (algorithm, direction) kernel rows; newer
-// files are multi-graph, multi-thread and carry a layout variant per
-// row. Old rows normalize to variant "plain" on the top-level graph at
-// the top-level GOMAXPROCS, so the baseline-to-baseline comparison is
-// always well-defined.
+// Every row names its graph, thread count and layout variant, which
+// together with the algorithm and direction identify it across files.
 //
 // The walk is over the candidate file's rows: a row only the baseline has
 // (a layout variant deleted since, which the committed older files still
@@ -37,15 +32,7 @@ import (
 	"sort"
 )
 
-type graphEntry struct {
-	ID string  `json:"id"`
-	N  int     `json:"n"`
-	M  int64   `json:"m"`
-	S  float64 `json:"scale"`
-}
-
-// kernelRow carries the union of both schema generations; absent fields
-// decode to zero values and are filled in by normalize.
+// kernelRow is the part of a kernel row benchdiff compares.
 type kernelRow struct {
 	Graph     string  `json:"graph"`
 	Algorithm string  `json:"algorithm"`
@@ -66,11 +53,8 @@ func (k kernelRow) noisy() bool {
 }
 
 type benchFile struct {
-	PR         string       `json:"pr"`
-	GOMAXPROCS int          `json:"gomaxprocs"`
-	Graph      *graphEntry  `json:"graph"`  // pre-PR9 schema
-	Graphs     []graphEntry `json:"graphs"` // PR9+ schema
-	Kernels    []kernelRow  `json:"kernels"`
+	PR      string      `json:"pr"`
+	Kernels []kernelRow `json:"kernels"`
 }
 
 // key identifies a comparable row across files.
@@ -88,30 +72,7 @@ func load(path string) (*benchFile, error) {
 	if err := json.Unmarshal(buf, &f); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	normalize(&f)
 	return &f, nil
-}
-
-// normalize lifts pre-PR9 rows into the current shape.
-func normalize(f *benchFile) {
-	defaultGraph := ""
-	if f.Graph != nil {
-		defaultGraph = f.Graph.ID
-	} else if len(f.Graphs) == 1 {
-		defaultGraph = f.Graphs[0].ID
-	}
-	for i := range f.Kernels {
-		k := &f.Kernels[i]
-		if k.Graph == "" {
-			k.Graph = defaultGraph
-		}
-		if k.Variant == "" {
-			k.Variant = "plain"
-		}
-		if k.Threads == 0 {
-			k.Threads = f.GOMAXPROCS
-		}
-	}
 }
 
 func index(f *benchFile) map[key]kernelRow {
@@ -123,10 +84,13 @@ func index(f *benchFile) map[key]kernelRow {
 }
 
 func main() {
-	oldPath := flag.String("old", "BENCH_pr6.json", "baseline trajectory file")
-	newPath := flag.String("new", "BENCH_pr10_smoke.json", "candidate trajectory file")
+	oldPath := flag.String("old", "BENCH_pr10_smoke.json", "baseline trajectory file")
+	newPath := flag.String("new", "", "candidate trajectory file (required)")
 	gate := flag.Float64("gate", 0, "fail (exit 1) when a plain-variant row regresses by more than this percent; 0 keeps the report-only behavior")
 	flag.Parse()
+	if *newPath == "" {
+		fatal("-new: a candidate trajectory file is required")
+	}
 
 	oldFile, err := load(*oldPath)
 	if err != nil {

@@ -1,25 +1,24 @@
 // Command benchjson seeds and extends the repo's tracked perf
 // trajectory: it runs every shared-memory registry algorithm in both
-// directions on a suite of workloads, measures the serving layers
-// (cached, coalesced and uncached Engine runs), and writes one
-// machine-readable JSON file — BENCH_pr<N>.json — so perf claims land
-// as numbers in the tree instead of prose in PR messages.
+// directions on a suite of workloads and writes one machine-readable
+// JSON file, so perf claims land as numbers in the tree instead of prose
+// in PR messages.
 //
-//	go run ./cmd/benchjson -out BENCH_pr9.json
+//	go run ./cmd/benchjson -out /tmp/full.json
 //	go run ./cmd/benchjson -scale 0.1 -reps 1 -validate -out /tmp/bench.json  # CI smoke
 //
 // Every kernel row is self-describing: it records its graph, thread
-// count (GOMAXPROCS is pinned per row), layout variant (plain,
-// degree-sorted or out-of-core — the off-switch baseline is the "plain"
-// row), the kernel's Stats.Elapsed (minimum over -reps runs, with the
-// median carried alongside as the variance bound; workload construction,
+// count (GOMAXPROCS is pinned per row), layout variant (plain or
+// degree-sorted — the off-switch baseline is the "plain" row), the
+// kernel's Stats.Elapsed (minimum over -reps runs, with the median
+// carried alongside as the variance bound; workload construction,
 // transposes and permutations are excluded by construction, they are
-// memoized on the Workload handle), ns/edge — the normalization the paper's tables use
-// — and the peak RSS observed while the row ran. With -validate each
-// layout variant's payload is cross-checked against the plain kernel's
-// before the row is recorded.
+// memoized on the Workload handle), ns/edge — the normalization the
+// paper's tables use — and the peak RSS observed while the row ran. With
+// -validate each layout variant's payload is cross-checked against the
+// plain kernel's before the row is recorded.
 //
-// The out_of_core section is the tentpole RSS evidence: per graph, the
+// The out_of_core section is the out-of-core RSS evidence: per graph, the
 // same pull PageRank runs once over the in-memory CSR and once over a
 // buffered block-file handle with the in-memory graph released, and the
 // file records both absolute peak RSS values next to the estimated CSR
@@ -38,7 +37,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"pushpull"
@@ -50,7 +48,6 @@ type kernelEntry struct {
 	Direction    string `json:"direction"`
 	Variant      string `json:"variant"`
 	DegreeSorted bool   `json:"degree_sorted"`
-	OutOfCore    bool   `json:"out_of_core,omitempty"`
 	Threads      int    `json:"threads"`
 	GOMAXPROCS   int    `json:"gomaxprocs"`
 	Iterations   int    `json:"iterations"`
@@ -82,13 +79,6 @@ type oocEntry struct {
 	MaxRankDiff       float64 `json:"max_rank_diff"`
 }
 
-type engineEntry struct {
-	UncachedNSPerOp  int64   `json:"uncached_ns_per_op"`
-	CachedNSPerOp    int64   `json:"cached_ns_per_op"`
-	CoalescedNSPerOp int64   `json:"coalesced_ns_per_op"`
-	CoalescedRatio   float64 `json:"coalesced_ratio"`
-}
-
 type graphEntry struct {
 	ID    string  `json:"id"`
 	Scale float64 `json:"scale"`
@@ -105,38 +95,30 @@ type benchFile struct {
 	Graphs        []graphEntry  `json:"graphs"`
 	Kernels       []kernelEntry `json:"kernels"`
 	OutOfCore     []oocEntry    `json:"out_of_core"`
-	Engine        engineEntry   `json:"engine"`
 }
 
 // variant is one layout configuration of a kernel row.
 type variant struct {
 	name         string
 	degreeSorted bool
-	outOfCore    bool
 }
 
 // variantsFor returns the layout variants worth measuring for an
-// (algorithm, direction) pair: the plain baseline always (the
-// off-switch row the acceptance gate compares against), degree sorting
-// where the algorithm's caps accept it, and the block-sequential
-// out-of-core kernels where they exist (pull-only by construction).
-func variantsFor(algo string, dir pushpull.Direction) []variant {
+// algorithm: the plain baseline always (the off-switch row the
+// acceptance gate compares against), and degree sorting where the
+// algorithm's caps accept it.
+func variantsFor(algo string) []variant {
 	vs := []variant{{name: "plain"}}
 	switch algo {
-	case "pr", "bfs":
-		vs = append(vs, variant{name: "ds", degreeSorted: true})
-		if dir == pushpull.Pull {
-			vs = append(vs, variant{name: "ooc", outOfCore: true})
-		}
-	case "gc", "gc-fe":
+	case "pr", "bfs", "gc", "gc-fe":
 		vs = append(vs, variant{name: "ds", degreeSorted: true})
 	}
 	return vs
 }
 
 func main() {
-	out := flag.String("out", "BENCH_pr9.json", "output file")
-	pr := flag.String("pr", "9", "PR number this trajectory point belongs to")
+	out := flag.String("out", "", "output file (required)")
+	pr := flag.String("pr", "", "label recorded as the file's trajectory point")
 	graphList := flag.String("graphs", "rmat,er", "comma-separated suite workload ids (high-skew rmat vs uniform er by default)")
 	scale := flag.Float64("scale", 1.0, "workload scale multiplier")
 	seed := flag.Uint64("seed", 42, "generator seed")
@@ -145,6 +127,9 @@ func main() {
 	threadList := flag.String("threads", "1", "comma-separated thread counts; GOMAXPROCS is pinned to each in turn")
 	validate := flag.Bool("validate", false, "cross-validate each layout variant's payload against the plain kernel")
 	flag.Parse()
+	if *out == "" {
+		fatal("-out: an output file is required")
+	}
 
 	threads, err := parseInts(*threadList)
 	if err != nil {
@@ -173,7 +158,6 @@ func main() {
 	}
 
 	algorithms := []string{"pr", "tc", "bfs", "sssp", "bc", "gc", "gc-fe", "gc-cr", "mst"}
-	var firstWorkload *pushpull.Workload
 	for _, graphID := range strings.Split(*graphList, ",") {
 		graphID = strings.TrimSpace(graphID)
 		if graphID == "" {
@@ -184,9 +168,6 @@ func main() {
 			fatal("workload %s: %v", graphID, err)
 		}
 		w := pushpull.NewWorkload(g, pushpull.AsWeighted())
-		if firstWorkload == nil {
-			firstWorkload = w
-		}
 		file.Graphs = append(file.Graphs, graphEntry{
 			ID: graphID, Scale: *scale, Seed: *seed, N: w.N(), M: w.M(),
 		})
@@ -197,11 +178,9 @@ func main() {
 			file.Kernels = append(file.Kernels, rows...)
 		}
 	}
-	if firstWorkload == nil {
+	if len(file.Graphs) == 0 {
 		fatal("-graphs: no workloads")
 	}
-
-	file.Engine = engineNumbers(ctx, firstWorkload, *iters, *reps)
 
 	buf, err := json.MarshalIndent(file, "", "  ")
 	if err != nil {
@@ -226,16 +205,13 @@ func benchGraph(ctx context.Context, w *pushpull.Workload, graphID string, algor
 			// The plain row runs first so layout variants can
 			// cross-validate against its payload.
 			var plain *pushpull.Report
-			for _, v := range variantsFor(algo, dir) {
+			for _, v := range variantsFor(algo) {
 				opts := []pushpull.Option{
 					pushpull.WithDirection(dir),
 					pushpull.WithThreads(threads),
 				}
 				if v.degreeSorted {
 					opts = append(opts, pushpull.WithDegreeSorted())
-				}
-				if v.outOfCore {
-					opts = append(opts, pushpull.WithOutOfCore())
 				}
 				if algo == "pr" {
 					opts = append(opts, pushpull.WithIterations(iters))
@@ -289,7 +265,6 @@ func benchGraph(ctx context.Context, w *pushpull.Workload, graphID string, algor
 					Direction:    dirName(dir),
 					Variant:      v.name,
 					DegreeSorted: v.degreeSorted,
-					OutOfCore:    v.outOfCore,
 					Threads:      threads,
 					GOMAXPROCS:   runtime.GOMAXPROCS(0),
 					Iterations:   iterations,
@@ -491,64 +466,6 @@ func readVmRSS() int64 {
 		return kb * 1024
 	}
 	return 0
-}
-
-// engineNumbers measures what the serving layers buy: a real kernel per
-// request (uncached), an LRU hit per request (cached), and a flood of
-// identical concurrent requests deduplicated by single-flight
-// (coalesced). Wall time per op, not Stats.Elapsed — the serving layers'
-// overhead and savings are exactly what the kernel clock cannot see.
-func engineNumbers(ctx context.Context, w *pushpull.Workload, iters, reps int) engineEntry {
-	opts := []pushpull.Option{pushpull.WithDirection(pushpull.Pull), pushpull.WithIterations(iters)}
-	var out engineEntry
-
-	uncached := pushpull.NewEngine(pushpull.WithResultCache(0), pushpull.WithSingleFlight(false))
-	best := time.Duration(0)
-	for r := 0; r < reps; r++ {
-		start := time.Now()
-		if _, err := uncached.Run(ctx, w, "pr", opts...); err != nil {
-			fatal("engine uncached: %v", err)
-		}
-		if e := time.Since(start); best == 0 || e < best {
-			best = e
-		}
-	}
-	out.UncachedNSPerOp = int64(best)
-
-	cached := pushpull.NewEngine()
-	if _, err := cached.Run(ctx, w, "pr", opts...); err != nil {
-		fatal("engine cache warm: %v", err)
-	}
-	const hits = 1000
-	start := time.Now()
-	for i := 0; i < hits; i++ {
-		if _, err := cached.Run(ctx, w, "pr", opts...); err != nil {
-			fatal("engine cached: %v", err)
-		}
-	}
-	out.CachedNSPerOp = int64(time.Since(start)) / hits
-
-	coalescing := pushpull.NewEngine(pushpull.WithResultCache(0))
-	const floodWorkers, floodOps = 8, 4
-	var wg sync.WaitGroup
-	start = time.Now()
-	for i := 0; i < floodWorkers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < floodOps; j++ {
-				if _, err := coalescing.Run(ctx, w, "pr", opts...); err != nil {
-					fmt.Fprintf(os.Stderr, "benchjson: coalesced run: %v\n", err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	total := floodWorkers * floodOps
-	out.CoalescedNSPerOp = int64(time.Since(start)) / int64(total)
-	out.CoalescedRatio = float64(coalescing.Stats().Coalesced) / float64(total)
-	return out
 }
 
 // parseInts parses a comma-separated list of positive ints.

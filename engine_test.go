@@ -185,7 +185,7 @@ func TestEngineCacheKeying(t *testing.T) {
 		{"different direction", w, "pr", []pushpull.Option{pushpull.WithIterations(5), pushpull.WithDirection(pushpull.Push)}},
 		{"different algorithm", w, "tc", nil},
 		{"different content", pushpull.NewWorkload(undirectedGraph(t, 300, 8)), "pr", []pushpull.Option{pushpull.WithIterations(5)}},
-		{"different kind", pushpull.Partitioned(undirectedGraph(t, 300, 7), 4), "pr", []pushpull.Option{pushpull.WithIterations(5)}},
+		{"different kind", pushpull.Directed(undirectedGraph(t, 300, 7)), "pr", []pushpull.Option{pushpull.WithIterations(5)}},
 	}
 	for _, tc := range cases {
 		rep, err := eng.Run(ctx, tc.on, tc.algo, tc.opts...)
@@ -706,10 +706,10 @@ func TestWorkloadIDDistinguishesKind(t *testing.T) {
 	g := directedGraph(t, 200, false)
 	plain := pushpull.NewWorkload(g).ID()
 	directed := pushpull.Directed(g).ID()
-	parts := pushpull.Partitioned(g, 8).ID()
-	if plain == directed || plain == parts || directed == parts {
-		t.Errorf("kind not folded into identity: plain=%s directed=%s partitioned=%s",
-			plain, directed, parts)
+	weighted := pushpull.Weighted(g).ID()
+	if plain == directed || plain == weighted || directed == weighted {
+		t.Errorf("kind not folded into identity: plain=%s directed=%s weighted=%s",
+			plain, directed, weighted)
 	}
 	// Stable across calls on one handle.
 	w := pushpull.NewWorkload(g)

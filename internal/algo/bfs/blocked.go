@@ -6,7 +6,6 @@ import (
 	"pushpull/internal/core"
 	"pushpull/internal/frontier"
 	"pushpull/internal/graph"
-	"pushpull/internal/memsim"
 	"pushpull/internal/sched"
 )
 
@@ -111,122 +110,6 @@ func TraverseBlocked(bg *graph.BlockCSR, root graph.V, opt core.Options) (*Tree,
 			if err != nil {
 				return nil, dirs, stats, err
 			}
-		}
-		dirs = append(dirs, core.Pull)
-		el := time.Since(start)
-		stats.Record(el)
-		opt.Tick(stats.Iterations-1, el)
-		if nextF.Count() == 0 {
-			break
-		}
-		inF, nextF = nextF, inF
-		nextF.Clear()
-	}
-	return tree, dirs, stats, nil
-}
-
-// TraverseBlockedProfiled executes blocked bottom-up BFS
-// deterministically under the probes. Per block it charges one summary-
-// word read and (when warm) one block-index read; per pending vertex one
-// packed pending-word probe and one offset read; per scanned edge a
-// sequential adjacency read plus a packed frontier-word probe — no
-// atomics anywhere, the signature the block layout claims.
-func TraverseBlockedProfiled(bg *graph.BlockCSR, root graph.V, opt core.Options, prof core.Profile, space *memsim.AddressSpace) (*Tree, []core.Direction, core.RunStats, error) {
-	var stats core.RunStats
-	if err := prof.Validate(); err != nil {
-		return nil, nil, stats, err
-	}
-	n := bg.N()
-	tree := &Tree{Parent: make([]graph.V, n), Level: make([]int32, n)}
-	for i := range tree.Parent {
-		tree.Parent[i] = -1
-		tree.Level[i] = -1
-	}
-	if n == 0 {
-		return tree, nil, stats, nil
-	}
-	if space == nil {
-		space = &memsim.AddressSpace{}
-	}
-	numBlocks := bg.NumBlocks()
-	blockVerts := int(bg.BlockVerts)
-	offA := space.NewArray(n+1, 8)
-	adjA := space.NewArray(int(bg.M()), 4)
-	blockOffA := space.NewArray(numBlocks+1, 8)
-	parentA := space.NewArray(n, 4)
-	levelA := space.NewArray(n, 4)
-	pendingA := space.NewArray((n+63)/64, 8)
-	inFA := space.NewArray((n+63)/64, 8)
-	nextFA := space.NewArray((n+63)/64, 8)
-	summaryA := space.NewArray((numBlocks+63)/64, 8)
-
-	pending := frontier.NewBitmap(n)
-	pending.Fill()
-	pending.ClearSeq(root)
-	inF := frontier.NewBitmap(n)
-	inF.SetSeq(root)
-	nextF := frontier.NewBitmap(n)
-	summary := make([]uint64, (numBlocks+63)/64)
-	tree.Parent[root] = root
-	tree.Level[root] = 0
-	parent, level := tree.Parent, tree.Level
-
-	curs := make([]graph.BlockCursor, prof.Threads)
-	var dirs []core.Direction
-	for {
-		start := time.Now()
-		pending.BlockSummary(summary, blockVerts)
-		var loadErr error
-		for w := 0; w < prof.Threads; w++ {
-			p := prof.Probes[w]
-			p.Exec(regionBlockPull)
-			cur := &curs[w]
-			lo, hi := sched.BlockRange(numBlocks, prof.Threads, w)
-			for bi := lo; bi < hi; bi++ {
-				p.Read(summaryA.Addr(int64(bi>>6)), 8)
-				cold := summary[bi>>6]&(1<<(uint(bi)&63)) == 0
-				p.Branch(cold)
-				if cold {
-					continue
-				}
-				p.Read(blockOffA.Addr(int64(bi)), 8)
-				if err := bg.Load(bi, cur); err != nil {
-					loadErr = err
-					break
-				}
-				blo, bhi := bg.BlockRange(bi)
-				for v := blo; v < bhi; v++ {
-					p.Read(pendingA.Addr(int64(v>>6)), 8) // packed pending probe
-					if !pending.Get(v) {
-						continue
-					}
-					p.Read(offA.Addr(int64(v)), 8)
-					offs := bg.Offsets[v]
-					for j, u := range cur.Row(v) {
-						p.Branch(true)
-						p.Read(adjA.Addr(offs+int64(j)), 4) // sequential within the segment
-						p.Read(inFA.Addr(int64(u>>6)), 8)   // packed membership probe
-						if !inF.Get(u) {
-							continue
-						}
-						parent[v] = u
-						level[v] = level[u] + 1
-						p.Write(parentA.Addr(int64(v)), 4)
-						p.Write(levelA.Addr(int64(v)), 4)
-						p.Write(nextFA.Addr(int64(v>>6)), 8)
-						p.Write(pendingA.Addr(int64(v>>6)), 8)
-						nextF.SetSeq(v)
-						pending.ClearSeq(v)
-						break // early-out
-					}
-				}
-			}
-			if loadErr != nil {
-				break
-			}
-		}
-		if loadErr != nil {
-			return nil, dirs, stats, loadErr
 		}
 		dirs = append(dirs, core.Pull)
 		el := time.Since(start)

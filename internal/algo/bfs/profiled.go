@@ -15,7 +15,6 @@ const (
 	regionPushTopDown = iota
 	regionPushFilter
 	regionPullBottomUp
-	regionBlockPull
 )
 
 // TraverseFromProfiled runs a deterministic, instrumented BFS from root,

@@ -531,7 +531,7 @@ func bitsEqual(t *testing.T, what string, got, want []float64) {
 // vector rests on: the same quotient added in the same order. Pull (over
 // undirected and directed views) and PullBlocked (mmap and buffered
 // handles) must equal the two-reads oracle bit for bit at every thread count and schedule, and
-// every profiled twin equals its fast kernel exactly.
+// the profiled twin equals its fast kernel exactly.
 func TestPullBitIdenticalToTwoReadsGather(t *testing.T) {
 	dir := t.TempDir()
 	for fi, fx := range contribFixtures(t) {
@@ -585,11 +585,6 @@ func TestPullBitIdenticalToTwoReadsGather(t *testing.T) {
 					t.Fatalf("%s profiled: %v", at, err)
 				}
 				bitsEqual(t, at+" profiled", twin, want)
-				blockedTwin, err := PullBlockedProfiled(handles["mmap"], opt, prof, nil)
-				if err != nil {
-					t.Fatalf("%s blocked profiled: %v", at, err)
-				}
-				bitsEqual(t, at+" blocked profiled", blockedTwin, want)
 			}
 		}
 	}

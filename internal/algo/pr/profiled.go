@@ -17,7 +17,6 @@ const (
 	regionPullGather
 	regionPAPhase1
 	regionPAPhase2
-	regionBlockGather
 	regionPullScale
 )
 

@@ -209,7 +209,7 @@ func PRMsgPassing(g *graph.CSR, cfg PRConfig) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	comm := mp.New(cluster, 16)
+	comm := mp.New(cluster)
 	out := make([]float64, n)
 	base := (1 - cfg.Damping) / float64(n)
 	pr := make([]float64, n) // replicated view, refreshed per iteration

@@ -164,7 +164,7 @@ func TCMsgPassing(g *graph.CSR, cfg TCConfig) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	comm := mp.New(cluster, 16)
+	comm := mp.New(cluster)
 	out := make([]int64, n)
 	counts := make([][]int64, cfg.Ranks)
 	runErr := cluster.Run(func(r *dm.Rank) {

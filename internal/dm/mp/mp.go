@@ -1,10 +1,9 @@
 // Package mp implements the Message-Passing programming model of the
-// paper's distributed experiments (§6.3): point-to-point sends/receives
-// with per-rank inboxes and the MPI_Alltoallv-style collective used by the
-// distributed PageRank, where "each process contributes to the collective
-// by both providing a vector of rank updates (it pushes) and receiving
-// updates (it pulls)" — the hybrid that eliminates the push/pull
-// distinction (§7.2).
+// paper's distributed experiments (§6.3): the MPI_Alltoallv-style
+// collective used by the distributed PageRank (and triangle counting),
+// where "each process contributes to the collective by both providing a
+// vector of rank updates (it pushes) and receiving updates (it pulls)" —
+// the hybrid that eliminates the push/pull distinction (§7.2).
 //
 // Payloads are byte slices: algorithms encode their updates explicitly, so
 // the byte counters reflect exactly what would cross a real wire.
@@ -22,50 +21,17 @@ import (
 // Comm is a message-passing communicator over a cluster.
 type Comm struct {
 	cluster *dm.Cluster
-	inbox   []chan Msg
 	// board is the alltoallv exchange matrix: board[src][dst].
 	board [][][]byte
 }
 
-// Msg is one point-to-point message.
-type Msg struct {
-	From    int
-	Payload []byte
-}
-
-// New creates a communicator; inboxCap bounds queued messages per rank.
-func New(c *dm.Cluster, inboxCap int) *Comm {
-	if inboxCap < 1 {
-		inboxCap = 1024
-	}
-	m := &Comm{cluster: c, inbox: make([]chan Msg, c.P), board: make([][][]byte, c.P)}
-	for i := range m.inbox {
-		m.inbox[i] = make(chan Msg, inboxCap)
+// New creates a communicator over c's ranks.
+func New(c *dm.Cluster) *Comm {
+	m := &Comm{cluster: c, board: make([][][]byte, c.P)}
+	for i := range m.board {
 		m.board[i] = make([][]byte, c.P)
 	}
 	return m
-}
-
-// Send delivers payload to rank dst. The sender is charged the message
-// overhead plus per-byte cost; counters record one message and the bytes.
-func (m *Comm) Send(r *dm.Rank, dst int, payload []byte) error {
-	if dst < 0 || dst >= m.cluster.P {
-		return fmt.Errorf("mp: send to rank %d of %d", dst, m.cluster.P)
-	}
-	cost := m.cluster.Cost
-	r.Charge(cost.MsgOverhead + cost.ByteCost*float64(len(payload)))
-	r.Rec().Inc(counters.Messages)
-	r.Rec().Add(counters.BytesSent, int64(len(payload)))
-	m.inbox[dst] <- Msg{From: r.ID, Payload: payload}
-	return nil
-}
-
-// Recv blocks until a message arrives; the receiver is charged the
-// matching overhead.
-func (m *Comm) Recv(r *dm.Rank) Msg {
-	msg := <-m.inbox[r.ID]
-	r.Charge(m.cluster.Cost.MsgOverhead / 2)
-	return msg
 }
 
 // Alltoallv exchanges one byte slice per destination: send[d] goes to rank

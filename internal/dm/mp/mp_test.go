@@ -17,48 +17,10 @@ func cluster(t *testing.T, p int) *dm.Cluster {
 	return c
 }
 
-func TestSendRecv(t *testing.T) {
-	c := cluster(t, 2)
-	comm := New(c, 4)
-	if err := c.Run(func(r *dm.Rank) {
-		if r.ID == 0 {
-			if err := comm.Send(r, 1, []byte("hello")); err != nil {
-				t.Error(err)
-			}
-		} else {
-			msg := comm.Recv(r)
-			if string(msg.Payload) != "hello" || msg.From != 0 {
-				t.Errorf("msg = %+v", msg)
-			}
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
-	rep := c.Report()
-	if rep.Get(counters.Messages) != 1 {
-		t.Fatalf("messages = %d", rep.Get(counters.Messages))
-	}
-	if rep.Get(counters.BytesSent) != 5 {
-		t.Fatalf("bytes = %d", rep.Get(counters.BytesSent))
-	}
-}
-
-func TestSendValidation(t *testing.T) {
-	c := cluster(t, 2)
-	comm := New(c, 4)
-	c.Run(func(r *dm.Rank) {
-		if r.ID == 0 {
-			if err := comm.Send(r, 9, nil); err == nil {
-				t.Error("send to invalid rank accepted")
-			}
-		}
-	})
-}
-
 func TestAlltoallv(t *testing.T) {
 	const p = 4
 	c := cluster(t, p)
-	comm := New(c, 4)
+	comm := New(c)
 	if err := c.Run(func(r *dm.Rank) {
 		send := make([][]byte, p)
 		for d := 0; d < p; d++ {
@@ -85,7 +47,7 @@ func TestAlltoallv(t *testing.T) {
 
 func TestAlltoallvValidation(t *testing.T) {
 	c := cluster(t, 2)
-	comm := New(c, 4)
+	comm := New(c)
 	c.Run(func(r *dm.Rank) {
 		if r.ID == 0 {
 			if _, err := comm.Alltoallv(r, make([][]byte, 1)); err == nil {

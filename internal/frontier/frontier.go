@@ -209,20 +209,6 @@ func (b *Bitmap) Count() int {
 	return c
 }
 
-// ForEach calls fn for every set vertex in increasing order, striding
-// words and peeling bits with TrailingZeros64.
-func (b *Bitmap) ForEach(fn func(v graph.V)) {
-	for wi, w := range b.words {
-		for w != 0 {
-			idx := wi<<6 + bits.TrailingZeros64(w)
-			if idx < b.n {
-				fn(graph.V(idx))
-			}
-			w &= w - 1
-		}
-	}
-}
-
 // ToSparse converts the bitmap into a sparse frontier. The scan is
 // word-strided: zero words (the common case on sparse frontiers) cost one
 // load and one compare for 64 vertices.

@@ -1,5 +1,6 @@
 // Out-of-core block CSR: the on-disk graph layout behind the facade's
-// WithOutOfCore path, after HybridGraph's VE-BLOCK storage.
+// file handles (OpenOutOfCoreWorkload, a DiskStore above its block
+// threshold), after HybridGraph's VE-BLOCK storage.
 // Vertices are grouped into fixed-size blocks (a multiple of 64, so one
 // block never shares a frontier-bitmap word with another) and each
 // block's adjacency rows are laid contiguously in one file segment. A

@@ -1,9 +1,8 @@
 // Package sched provides the thread-scheduling substrate for the push/pull
 // algorithm implementations: parallel loops over vertex ranges with static
 // or dynamic (chunk-stealing) schedules — the OpenMP schedules compared in
-// the paper's §6 — a reusable barrier (used by the Partition-Awareness
-// strategy's two-phase iteration, Algorithm 8), and a deterministic
-// sequential executor used by profiled runs so cache-simulation results are
+// the paper's §6 — a reusable worker pool, and a deterministic sequential
+// executor used by profiled runs so cache-simulation results are
 // reproducible.
 package sched
 
@@ -167,45 +166,6 @@ func SequentialFor(n, t int, body func(worker, lo, hi int)) {
 	}
 }
 
-// Barrier is a reusable synchronization barrier for a fixed number of
-// parties, in the style of the "lightweight barrier" of Algorithm 8.
-type Barrier struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	parties int
-	waiting int
-	phase   uint64
-}
-
-// NewBarrier creates a barrier for n parties (n ≥ 1).
-func NewBarrier(n int) *Barrier {
-	if n < 1 {
-		n = 1
-	}
-	b := &Barrier{parties: n}
-	b.cond = sync.NewCond(&b.mu)
-	return b
-}
-
-// Wait blocks until all parties have called Wait, then releases them all.
-// The barrier resets automatically for reuse.
-func (b *Barrier) Wait() {
-	b.mu.Lock()
-	phase := b.phase
-	b.waiting++
-	if b.waiting == b.parties {
-		b.waiting = 0
-		b.phase++
-		b.cond.Broadcast()
-		b.mu.Unlock()
-		return
-	}
-	for phase == b.phase {
-		b.cond.Wait()
-	}
-	b.mu.Unlock()
-}
-
 // Pool is a reusable team of worker goroutines with stable ids. Using one
 // pool across iterations avoids re-spawning goroutines in tight
 // per-iteration loops (PageRank, coloring rounds).
@@ -234,9 +194,6 @@ func NewPool(t int) *Pool {
 	return p
 }
 
-// Threads returns the worker count.
-func (p *Pool) Threads() int { return p.t }
-
 // Run executes body once on every worker and waits for all to finish.
 func (p *Pool) Run(body func(worker int)) {
 	p.wg.Add(p.t)
@@ -244,19 +201,6 @@ func (p *Pool) Run(body func(worker int)) {
 		p.jobs[w] <- body
 	}
 	p.wg.Wait()
-}
-
-// For runs body over [0, n) statically partitioned across the pool.
-func (p *Pool) For(n int, body func(worker, lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	p.Run(func(w int) {
-		lo, hi := BlockRange(n, p.t, w)
-		if lo < hi {
-			body(w, lo, hi)
-		}
-	})
 }
 
 // Close shuts the pool down. The pool must be idle.

@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -142,72 +141,18 @@ func TestSequentialForDeterministicOrder(t *testing.T) {
 	}
 }
 
-func TestBarrier(t *testing.T) {
-	const parties = 4
-	const rounds = 50
-	b := NewBarrier(parties)
-	var phase atomic.Int64
-	var wg sync.WaitGroup
-	errs := make(chan string, parties)
-	for p := 0; p < parties; p++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for r := 0; r < rounds; r++ {
-				// All parties must observe the same phase before the barrier.
-				if got := phase.Load(); got != int64(r) {
-					errs <- "phase skew"
-					return
-				}
-				b.Wait()
-				// Exactly one party advances the phase per round.
-				phase.CompareAndSwap(int64(r), int64(r+1))
-				b.Wait()
-			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for e := range errs {
-		t.Fatal(e)
-	}
-	if got := phase.Load(); got != rounds {
-		t.Fatalf("phase = %d, want %d", got, rounds)
-	}
-}
-
-func TestPoolRunAndFor(t *testing.T) {
+func TestPoolRun(t *testing.T) {
 	p := NewPool(3)
 	defer p.Close()
-	if p.Threads() != 3 {
-		t.Fatalf("Threads = %d", p.Threads())
-	}
-	var ran atomic.Int32
-	p.Run(func(w int) { ran.Add(1) })
-	if ran.Load() != 3 {
-		t.Fatalf("Run executed on %d workers", ran.Load())
-	}
-
-	const n = 1000
-	marks := make([]atomic.Int32, n)
+	seen := make([]atomic.Int32, 3)
 	for iter := 0; iter < 10; iter++ { // reuse across iterations
-		p.For(n, func(w, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				marks[i].Add(1)
-			}
-		})
+		p.Run(func(w int) { seen[w].Add(1) })
 	}
-	for i := range marks {
-		if marks[i].Load() != 10 {
-			t.Fatalf("index %d visited %d times", i, marks[i].Load())
+	for w := range seen {
+		if got := seen[w].Load(); got != 10 {
+			t.Fatalf("worker %d ran %d times, want 10", w, got)
 		}
 	}
-}
-
-func TestPoolForEmpty(t *testing.T) {
-	p := NewPool(2)
-	defer p.Close()
-	p.For(0, func(w, lo, hi int) { t.Error("body called for n=0") })
 }
 
 func TestScheduleString(t *testing.T) {
@@ -234,21 +179,6 @@ func TestClamp(t *testing.T) {
 func BenchmarkParallelForStatic(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ParallelFor(1<<14, 4, Static, 0, func(w, lo, hi int) {
-			s := 0
-			for j := lo; j < hi; j++ {
-				s += j
-			}
-			_ = s
-		})
-	}
-}
-
-func BenchmarkPoolFor(b *testing.B) {
-	p := NewPool(4)
-	defer p.Close()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.For(1<<14, func(w, lo, hi int) {
 			s := 0
 			for j := lo; j < hi; j++ {
 				s += j

@@ -99,11 +99,6 @@ type Config struct {
 	// the workload's memoized degree-permuted graph and the report is
 	// un-permuted at the boundary.
 	DegreeSorted bool
-	// OutOfCore requests the block-sequential out-of-core kernels: the run
-	// streams adjacency from the workload's memoized block file instead of
-	// in-memory arrays. A pure file handle is out-of-core by construction,
-	// with or without the option.
-	OutOfCore bool
 }
 
 // Option configures one Run call.
@@ -130,9 +125,10 @@ func WithSwitchPolicy(p SwitchPolicy) Option { return func(c *Config) { c.Switch
 
 // WithProbes runs the deterministic instrumented variant and aggregates
 // its event counts into Report.Counters. Every shared-memory registry
-// algorithm supports it; instrumented passes always run to completion
-// (they never poll ctx). The dist-* algorithms attach their counters
-// whether or not probes are requested.
+// algorithm supports it on an in-memory workload (a file handle's block
+// kernels are uninstrumented: ErrProbesUnsupported); instrumented passes
+// always run to completion (they never poll ctx). The dist-* algorithms
+// attach their counters whether or not probes are requested.
 func WithProbes() Option { return func(c *Config) { c.Probes = true } }
 
 // WithIterationHook receives each completed iteration's wall time — the
@@ -179,16 +175,6 @@ func WithRanks(p int) Option { return func(c *Config) { c.Ranks = p } }
 // is identical to a plain-layout run.
 func WithDegreeSorted() Option { return func(c *Config) { c.DegreeSorted = true } }
 
-// WithOutOfCore runs the block-sequential out-of-core kernels: the
-// pull-view adjacency streams from the workload's memoized block file
-// (mmap-backed, or bounded buffers under AsBlockBuffered) in storage
-// order, so the O(m) edge data never needs to be resident — only the
-// O(n) vertex state does. Applies to algorithms whose Caps declare
-// OutOfCore (pr, bfs); runs are forced to the pull direction (an
-// explicit Push fails with ErrBadOption) and payloads are identical to
-// in-memory runs up to the usual floating-point reassociation.
-func WithOutOfCore() Option { return func(c *Config) { c.OutOfCore = true } }
-
 // ---- helpers for algorithm adapters ----
 
 // coreOptions lowers the shared fields into the internal option struct,
@@ -218,17 +204,13 @@ func (c *Config) effectiveThreads(n int) int {
 	return sched.Clamp(c.Threads, n)
 }
 
-// partitions resolves the partition count: an explicit WithPartitions
-// wins, then the workload's AsPartitioned default, then the effective
-// thread count.
-func (c *Config) partitions(w *Workload) int {
+// partitions resolves the partition count: WithPartitions, else the
+// effective thread count.
+func (c *Config) partitions(n int) int {
 	if c.Partitions > 0 {
 		return c.Partitions
 	}
-	if p := w.DefaultPartitions(); p > 0 {
-		return p
-	}
-	return c.effectiveThreads(w.N())
+	return c.effectiveThreads(n)
 }
 
 // fingerprint renders the configuration as a deterministic, canonical
@@ -276,8 +258,8 @@ func (c *Config) fingerprint(n int) (fp string, ok bool) {
 	} else {
 		b.WriteByte('-')
 	}
-	fmt.Fprintf(&b, ";delta=%g;maxit=%d;parts=%d;ranks=%d;ds=%t;ooc=%t;srcs=",
-		c.Delta, c.MaxIters, c.Partitions, c.Ranks, c.DegreeSorted, c.OutOfCore)
+	fmt.Fprintf(&b, ";delta=%g;maxit=%d;parts=%d;ranks=%d;ds=%t;srcs=",
+		c.Delta, c.MaxIters, c.Partitions, c.Ranks, c.DegreeSorted)
 	// nil and empty Sources are distinct configurations (bc: all
 	// vertices vs zero sources) and must not share a key.
 	if c.Sources == nil {

@@ -1,11 +1,13 @@
 package pushpull_test
 
-// Out-of-core facade tests: the block-sequential kernels must reproduce
-// the in-memory results exactly (blocked pull is the same arithmetic in
-// a different traversal order for bfs; PageRank accumulates per vertex
-// in the same neighbor order, so ranks agree to float tolerance), the
-// capability gate must reject combinations the block kernels cannot
-// honor, and content identity must survive the in-memory → file swap.
+// Out-of-core facade tests. Out-of-core is what a handle is: a DiskStore
+// above its block threshold writes the graph in the block format, and
+// OpenOutOfCoreWorkload opens that file mmap-backed or, under
+// AsBlockBuffered, through bounded buffers. The block kernels on such a
+// handle must reproduce the in-memory results (blocked pull PageRank adds
+// the same contributions in the same order; bfs levels are unique), the
+// capability gate must reject what the block kernels cannot honor, and a
+// file handle's identity must stay apart from the in-memory handle's.
 
 import (
 	"context"
@@ -15,47 +17,49 @@ import (
 
 	"pushpull"
 	"pushpull/internal/algo/pr"
-	"pushpull/internal/graph"
 )
 
-// oocVariants enumerates the facade spellings of an out-of-core run over
-// an in-memory graph: the per-run option, and the option on a handle
-// pinned to the buffered (bounded-RSS) reader.
-func oocVariants(g *pushpull.Graph, directed bool) map[string]struct {
-	on   pushpull.Runnable
-	opts []pushpull.Option
-} {
-	wrap := func(opts ...pushpull.WorkloadOption) *pushpull.Workload {
-		if directed {
-			return pushpull.Directed(g, opts...)
+// fileHandles persists w through a DiskStore whose threshold sends every
+// graph to the block format, then opens the file both ways.
+func fileHandles(t *testing.T, w *pushpull.Workload) map[string]*pushpull.Workload {
+	t.Helper()
+	dir := t.TempDir()
+	store, err := pushpull.NewDiskStore(dir, pushpull.WithBlockThreshold(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Put("g", w); err != nil {
+		t.Fatal(err)
+	}
+	handles := map[string]*pushpull.Workload{}
+	for name, opts := range map[string][]pushpull.WorkloadOption{
+		"mmap":     nil,
+		"buffered": {pushpull.AsBlockBuffered()},
+	} {
+		h, err := pushpull.OpenOutOfCoreWorkload(filepath.Join(dir, "g.blk"), opts...)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
-		return pushpull.NewWorkload(g, opts...)
+		t.Cleanup(func() { h.Close() })
+		if !h.IsOutOfCore() {
+			t.Fatalf("%s: file handle does not report out-of-core", name)
+		}
+		handles[name] = h
 	}
-	return map[string]struct {
-		on   pushpull.Runnable
-		opts []pushpull.Option
-	}{
-		"mmap":     {wrap(), []pushpull.Option{pushpull.WithOutOfCore()}},
-		"buffered": {wrap(pushpull.AsBlockBuffered()), []pushpull.Option{pushpull.WithOutOfCore()}},
-	}
+	return handles
 }
 
 func TestOutOfCorePRCrossValidate(t *testing.T) {
 	for _, tc := range []struct {
-		name     string
-		g        *pushpull.Graph
-		directed bool
+		name string
+		w    *pushpull.Workload
 	}{
-		{"undirected", skewedGraph(t), false},
-		{"directed", directedSkewedGraph(t, 600, 29), true},
+		{"undirected", pushpull.NewWorkload(skewedGraph(t))},
+		{"directed", pushpull.Directed(directedSkewedGraph(t, 600, 29))},
 	} {
-		var base pushpull.Runnable = pushpull.NewWorkload(tc.g)
-		if tc.directed {
-			base = pushpull.Directed(tc.g)
-		}
-		want := run(t, base, "pr", pushpull.WithDirection(pushpull.Pull)).Result.([]float64)
-		for name, v := range oocVariants(tc.g, tc.directed) {
-			got := run(t, v.on, "pr", append(v.opts, pushpull.WithThreads(4))...).Result.([]float64)
+		want := run(t, tc.w, "pr", pushpull.WithDirection(pushpull.Pull)).Result.([]float64)
+		for name, h := range fileHandles(t, tc.w) {
+			got := run(t, h, "pr", pushpull.WithThreads(4)).Result.([]float64)
 			if d := pr.MaxDiff(got, want); d > 1e-9 {
 				t.Errorf("%s/%s: blocked pr diverges from plain pull: max diff %g", tc.name, name, d)
 			}
@@ -65,70 +69,68 @@ func TestOutOfCorePRCrossValidate(t *testing.T) {
 
 func TestOutOfCoreBFSCrossValidate(t *testing.T) {
 	g := skewedGraph(t)
-	want := run(t, pushpull.NewWorkload(g), "bfs",
+	w := pushpull.NewWorkload(g)
+	want := run(t, w, "bfs",
 		pushpull.WithSource(0), pushpull.WithDirection(pushpull.Pull)).Result.(*pushpull.BFSTree).Level
-	for name, v := range oocVariants(g, false) {
-		rep := run(t, v.on, "bfs", append(v.opts, pushpull.WithSource(0), pushpull.WithThreads(4))...)
-		tree := rep.Result.(*pushpull.BFSTree)
-		checkBFSTree(t, g, 0, tree, want)
-		// Asking per run does not change what the handle is.
-		if w := v.on.(*pushpull.Workload); w.IsOutOfCore() {
-			t.Errorf("%s: in-memory workload reports out-of-core", name)
+	for name, h := range fileHandles(t, w) {
+		rep := run(t, h, "bfs", pushpull.WithSource(0), pushpull.WithThreads(4))
+		checkBFSTree(t, g, 0, rep.Result.(*pushpull.BFSTree), want)
+		for i, d := range rep.Directions {
+			if d != pushpull.Pull {
+				t.Fatalf("%s: round %d ran %v, want pull", name, i, d)
+			}
 		}
 	}
 }
 
 func TestOutOfCoreCapsErrors(t *testing.T) {
-	g := skewedGraph(t)
 	ctx := context.Background()
-	// No block kernel: the explicit option fails loudly.
-	if _, err := pushpull.Run(ctx, g, "tc", pushpull.WithOutOfCore()); !errors.Is(err, pushpull.ErrOutOfCoreUnsupported) {
-		t.Fatalf("tc WithOutOfCore: %v, want ErrOutOfCoreUnsupported", err)
+	h := fileHandles(t, pushpull.NewWorkload(skewedGraph(t)))["mmap"]
+	// No block kernel: the file handle has no in-memory graph to fall back to.
+	if _, err := pushpull.Run(ctx, h, "tc"); !errors.Is(err, pushpull.ErrOutOfCoreUnsupported) {
+		t.Fatalf("tc on a file handle: %v, want ErrOutOfCoreUnsupported", err)
+	}
+	// The block kernels are uninstrumented.
+	for _, algo := range []string{"pr", "bfs"} {
+		if _, err := pushpull.Run(ctx, h, algo, pushpull.WithProbes()); !errors.Is(err, pushpull.ErrProbesUnsupported) {
+			t.Fatalf("probed %s on a file handle: %v, want ErrProbesUnsupported", algo, err)
+		}
 	}
 	// Block kernels are pull-only over the plain layout.
-	for name, opts := range map[string][]pushpull.Option{
-		"push":        {pushpull.WithOutOfCore(), pushpull.WithDirection(pushpull.Push)},
-		"degree-sort": {pushpull.WithOutOfCore(), pushpull.WithDegreeSorted()},
+	for name, opt := range map[string]pushpull.Option{
+		"push":        pushpull.WithDirection(pushpull.Push),
+		"degree-sort": pushpull.WithDegreeSorted(),
 	} {
-		if _, err := pushpull.Run(ctx, g, "pr", opts...); !errors.Is(err, pushpull.ErrBadOption) {
-			t.Fatalf("pr out-of-core with %s: %v, want ErrBadOption", name, err)
+		if _, err := pushpull.Run(ctx, h, "pr", opt); !errors.Is(err, pushpull.ErrBadOption) {
+			t.Fatalf("pr on a file handle with %s: %v, want ErrBadOption", name, err)
 		}
 	}
 }
 
-func TestOutOfCoreOptionInCacheKeyAndID(t *testing.T) {
-	g := undirectedGraph(t, 400, 5)
-	// A file handle is out-of-core by what it is, and its ID says so; on an
-	// in-memory handle the option is part of the engine cache key.
-	path := filepath.Join(t.TempDir(), "g.blk")
-	if err := graph.WriteBlockFile(path, g, nil, 0); err != nil {
-		t.Fatal(err)
-	}
-	file, err := pushpull.OpenOutOfCoreWorkload(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer file.Close()
-	if pushpull.NewWorkload(g).ID() == file.ID() {
+func TestOutOfCoreHandleCacheKeyAndID(t *testing.T) {
+	w := pushpull.NewWorkload(undirectedGraph(t, 400, 5))
+	// A file handle is out-of-core by what it is, and its ID says so: it
+	// never shares the in-memory handle's cache entries.
+	file := fileHandles(t, w)["mmap"]
+	if w.ID() == file.ID() {
 		t.Fatal("a file handle shares the in-memory handle's content ID")
 	}
 	e := pushpull.NewEngine()
-	w := pushpull.NewWorkload(g)
-	runE := func(opts ...pushpull.Option) *pushpull.Report {
+	runE := func(on *pushpull.Workload) *pushpull.Report {
 		t.Helper()
-		rep, err := e.Run(context.Background(), w, "pr", opts...)
+		rep, err := e.Run(context.Background(), on, "pr")
 		if err != nil {
 			t.Fatal(err)
 		}
 		return rep
 	}
-	if rep := runE(pushpull.WithOutOfCore()); rep.Stats.CacheHit {
-		t.Fatal("first out-of-core run cannot be a cache hit")
+	if rep := runE(file); rep.Stats.CacheHit {
+		t.Fatal("first file-handle run cannot be a cache hit")
 	}
-	if rep := runE(pushpull.WithOutOfCore()); !rep.Stats.CacheHit {
-		t.Fatal("identical out-of-core run must hit the cache")
+	if rep := runE(file); !rep.Stats.CacheHit {
+		t.Fatal("identical file-handle run must hit the cache")
 	}
-	if rep := runE(); rep.Stats.CacheHit {
-		t.Fatal("plain run must not share the out-of-core key")
+	if rep := runE(w); rep.Stats.CacheHit {
+		t.Fatal("in-memory run must not share the file handle's key")
 	}
 }

@@ -268,7 +268,6 @@ func TestWorkloadIDGolden(t *testing.T) {
 	}{
 		{"plain", pushpull.NewWorkload(g), "w2c3036ed0d2aa2de-n400"},
 		{"directed-weighted", pushpull.Directed(dw, pushpull.AsWeighted()), "w85c65bc17815159c-n300"},
-		{"partitioned-4", pushpull.NewWorkload(g, pushpull.AsPartitioned(4)), "w0b89180e6b13e6fe-n400"},
 		{"file-handle", file, "w76e0f23d70ed827b-n400"},
 		{"file-handle directed-weighted", stored, "w8173a6a3356e6f13-n300"},
 	} {

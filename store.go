@@ -109,12 +109,10 @@ func (s *MemStore) Delete(name string) error {
 // header records the serialized graph kind (directedness, weights), so a
 // restored workload matches what the uploader registered — same content
 // ID, same capability validation — and any cached result computed before
-// the restart stays valid for it. The caveat is WriteWorkload's: the
-// machine-local parts of a handle's kind (the AsPartitioned default, an
-// AsWeighted claim on a weightless graph) are deliberately not
-// serialized, so a handle registered programmatically with those set
-// restores without them — and with the correspondingly different content
-// ID. Workloads that arrived through ReadWorkload (every HTTP upload)
+// the restart stays valid for it. The caveat is WriteWorkload's: an
+// AsWeighted claim on a weightless graph is not serialized, so a handle
+// registered programmatically with it restores without it — and with the
+// correspondingly different content ID. Workloads that arrived through ReadWorkload (every HTTP upload)
 // round-trip exactly. Writes are atomic (temp file + rename): a crash
 // mid-Put leaves the previous content intact.
 //

@@ -1,9 +1,9 @@
 package pushpull
 
 // Workload handles: the per-graph object that makes graph *kind* —
-// undirected vs directed, weighted vs not, partitioned — first-class in
-// the engine API, and that owns the expensive derived views every run
-// otherwise recomputes or cannot reach at all.
+// undirected vs directed, weighted vs not, in memory vs on file —
+// first-class in the engine API, and that owns the expensive derived views
+// every run otherwise recomputes or cannot reach at all.
 //
 // The paper's §4.8 observation motivates the design: pushing iterates the
 // out-edges of a subset of vertices while pulling iterates the in-edges of
@@ -17,10 +17,11 @@ package pushpull
 // them lazily and memoizes them for every subsequent Run, the
 // engine-owned-view pattern of pull-frontier systems.
 //
-// A handle declares what the graph is, never how a run should lay it out:
-// the degree-sorted permutation and the out-of-core block view are asked
-// for per run (WithDegreeSorted, WithOutOfCore) and memoized here. Only a
-// pure file handle (OpenOutOfCoreWorkload) is out-of-core by construction.
+// A handle declares what the graph is and where it lives, never how a run
+// should lay it out: the degree-sorted permutation is asked for per run
+// (WithDegreeSorted) and memoized here. Out-of-core is where the graph
+// lives, so only a file handle (OpenOutOfCoreWorkload, a DiskStore graph
+// above its block threshold) runs the block kernels.
 
 import (
 	"encoding/binary"
@@ -45,20 +46,17 @@ type Runnable interface {
 	M() int64
 }
 
-// Workload binds a graph to its declared kind (directed, weighted,
-// partitioned) and lazily builds + memoizes the derived state repeated
-// runs share: the transpose (in-CSR) powering directed pull, the
-// Partition-Awareness split per partition count (§5), and the Table 2
-// statistics. A Workload is safe for concurrent Runs.
+// Workload binds a graph to its declared kind (directed, weighted) and
+// lazily builds + memoizes the derived state repeated runs share: the
+// transpose (in-CSR) powering directed pull, the Partition-Awareness split
+// per partition count (§5), and the Table 2 statistics. A Workload is safe
+// for concurrent Runs.
 type Workload struct {
 	g        *Graph
 	directed bool
 	// weightsDeclared records a Weighted(...)/AsWeighted() claim, checked
 	// against the graph at Run time so a mismatch fails fast and typed.
 	weightsDeclared bool
-	// defaultParts is the partition count of AsPartitioned; 0 defers to
-	// WithPartitions / the resolved thread count.
-	defaultParts int
 	// blockBuffered forces the buffered ReadAt reader over mmap — a
 	// machine-local I/O choice (it bounds the resident set to one block per
 	// worker), deliberately NOT part of the content identity.
@@ -106,17 +104,6 @@ func AsDirected() WorkloadOption { return func(w *Workload) { w.directed = true 
 // of computing over silently-assumed unit weights.
 func AsWeighted() WorkloadOption { return func(w *Workload) { w.weightsDeclared = true } }
 
-// AsPartitioned sets the workload's default partition count: the
-// partition-based coloring runs (gc, gc-cr) use it when no WithPartitions
-// is given.
-func AsPartitioned(parts int) WorkloadOption {
-	return func(w *Workload) {
-		if parts > 0 {
-			w.defaultParts = parts
-		}
-	}
-}
-
 // AsBlockBuffered forces the out-of-core block view to read segments
 // through per-worker buffers (os.File ReadAt) instead of mmap, bounding
 // the resident set to one block per worker. It is machine-local I/O
@@ -145,12 +132,6 @@ func Directed(g *Graph, opts ...WorkloadOption) *Workload {
 // requires edge weights and fails fast (ErrNeedsWeights) when g has none.
 func Weighted(g *Graph, opts ...WorkloadOption) *Workload {
 	return NewWorkload(g, append([]WorkloadOption{AsWeighted()}, opts...)...)
-}
-
-// Partitioned is NewWorkload(g, AsPartitioned(parts), opts...): a handle
-// with a default partition count for partition-based runs.
-func Partitioned(g *Graph, parts int, opts ...WorkloadOption) *Workload {
-	return NewWorkload(g, append([]WorkloadOption{AsPartitioned(parts)}, opts...)...)
 }
 
 // OpenOutOfCoreWorkload opens a block-format file (written by
@@ -214,15 +195,10 @@ func (w *Workload) HasWeights() bool {
 // Weighted/AsWeighted — i.e. whether it promises weights to every run.
 func (w *Workload) WeightsDeclared() bool { return w.weightsDeclared }
 
-// DefaultPartitions returns the AsPartitioned count, or 0 when none was
-// declared.
-func (w *Workload) DefaultPartitions() int { return w.defaultParts }
-
-// IsOutOfCore reports whether the handle is out-of-core by construction:
-// a pure file handle (OpenOutOfCoreWorkload, a DiskStore graph above its
-// block threshold) with no in-memory graph at all, which every run streams
-// through the block kernels. An in-memory workload asks per run
-// (WithOutOfCore).
+// IsOutOfCore reports whether the handle is a file handle
+// (OpenOutOfCoreWorkload, a DiskStore graph above its block threshold)
+// with no in-memory graph at all, which every run streams through the
+// block kernels.
 func (w *Workload) IsOutOfCore() bool { return w.g == nil }
 
 // hasGraph reports whether the handle has anything to run on: an
@@ -431,7 +407,7 @@ func (w *Workload) writeBlockLocked(dst io.Writer) error {
 
 // ID returns the workload's stable content identity: a digest of the
 // adjacency structure, the edge weights, and the declared kind (directed,
-// weighted, default partitions). Two handles over equal content share the
+// weighted). Two handles over equal content share the
 // ID — it is what an Engine's result cache and single-flight dedup key
 // on, and what cluster placement hashes, so cached reports (and replica
 // placement) survive re-wrapping or re-loading the same graph, including a
@@ -495,7 +471,7 @@ func (w *Workload) contentID() string {
 		}
 	}
 	// The declared kind changes what a run computes (directed dispatch,
-	// the partition default), so it is part of the identity.
+	// the weights check), so it is part of the identity.
 	var kind uint64
 	if w.directed {
 		kind |= 1
@@ -506,7 +482,6 @@ func (w *Workload) contentID() string {
 	if w.HasWeights() {
 		kind |= 4
 	}
-	kind |= uint64(w.defaultParts) << 3
 	put(kind)
 	// A file handle's identity carries one more word, so it never collides
 	// with an in-memory handle over the same arrays (an undirected graph's
@@ -538,9 +513,6 @@ func (w *Workload) Kind() string {
 	}
 	if w.weightsDeclared || w.HasWeights() {
 		k += " weighted"
-	}
-	if w.defaultParts > 0 {
-		k += fmt.Sprintf(" partitioned(%d)", w.defaultParts)
 	}
 	if w.IsOutOfCore() {
 		k += " out-of-core"
@@ -577,10 +549,7 @@ func resolveWorkload(on Runnable) (*Workload, error) {
 
 // WriteWorkload serializes the workload as a portable edge list whose
 // header records the graph kind, so directedness and weights survive the
-// round trip through ReadWorkload. The AsPartitioned default is
-// deliberately NOT serialized: it is machine-local tuning (it tracks the
-// reader's thread count, not the graph), so the loading side declares its
-// own via Partitioned/AsPartitioned.
+// round trip through ReadWorkload.
 func WriteWorkload(dst io.Writer, w *Workload) error {
 	if w.g == nil {
 		return fmt.Errorf("pushpull: cannot serialize a pure out-of-core workload as an edge list (it lives in its block file)")
@@ -590,8 +559,7 @@ func WriteWorkload(dst io.Writer, w *Workload) error {
 
 // ReadWorkload parses an edge list written by WriteWorkload (or
 // WriteEdgeList), restoring the recorded graph kind: the returned handle
-// is directed and/or weighted exactly as the written one was (the
-// partition default is not persisted; see WriteWorkload).
+// is directed and/or weighted exactly as the written one was.
 func ReadWorkload(src io.Reader) (*Workload, error) {
 	g, directed, err := graph.ReadEdgeListKind(src)
 	if err != nil {

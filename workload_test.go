@@ -127,7 +127,7 @@ func TestWorkloadMemoizesTranspose(t *testing.T) {
 // computed once per handle.
 func TestWorkloadMemoizesPAAndStats(t *testing.T) {
 	g := testGraph(t)
-	w := pushpull.Partitioned(g, 3)
+	w := pushpull.NewWorkload(g)
 	for _, probes := range []bool{false, true} {
 		opts := []pushpull.Option{pushpull.WithDirection(pushpull.Push),
 			pushpull.WithThreads(3), pushpull.WithIterations(2)}
@@ -338,13 +338,13 @@ func TestConcurrentRunSharedWorkload(t *testing.T) {
 	// runs may race to fill the cache, but the handle still builds each
 	// view once and every report agrees.
 	eng := pushpull.NewEngine()
-	w2 := pushpull.Partitioned(undirectedGraph(t, 400, 5), 4)
+	w2 := pushpull.NewWorkload(undirectedGraph(t, 400, 5))
 	var wg2 sync.WaitGroup
 	for i := 0; i < N; i++ {
 		wg2.Add(1)
 		go func() {
 			defer wg2.Done()
-			rep, err := eng.Run(context.Background(), w2, "gc")
+			rep, err := eng.Run(context.Background(), w2, "gc", pushpull.WithPartitions(4))
 			if err != nil {
 				t.Error(err)
 				return
