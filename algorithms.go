@@ -73,8 +73,8 @@ func partitionProfileThreads(algo string, cfg *Config, parts int) (int, error) {
 	return parts, nil
 }
 
-// coreTrace lifts a recorded per-iteration direction sequence (bfs rounds,
-// adaptive sssp, Frontier-Exploit — including mid-run Generic-Switch
+// coreTrace lifts a recorded per-iteration direction sequence (bfs and
+// sssp rounds, Frontier-Exploit — including mid-run Generic-Switch
 // flips) into the public trace.
 func coreTrace(dirs []core.Direction) []Direction {
 	out := make([]Direction, len(dirs))
@@ -305,25 +305,18 @@ func runSSSP(ctx context.Context, w *Workload, cfg *Config) (*Report, error) {
 			Directions: uniformTrace(res.Stats.Direction, res.Stats.Iterations)}, nil
 	}
 
-	var res *sssp.Result
-	var trace []Direction
+	opt.Mode = sssp.Auto // per-round switching (§7.2)
 	switch cfg.Direction {
-	case Auto:
-		// The per-iteration switching variant (§7.2).
-		ad := sssp.Adaptive(g, opt)
-		res, trace = ad.Result, coreTrace(ad.Dirs)
 	case Push:
-		res = sssp.Push(g, opt)
-	default:
-		res = sssp.Pull(g, opt)
+		opt.Mode = sssp.ForcePush
+	case Pull:
+		opt.Mode = sssp.ForcePull
 	}
+	res := sssp.Run(g, opt)
 	if res.OverBudget {
 		return nil, deltaOverBudget(cfg, g)
 	}
-	if trace == nil {
-		trace = uniformTrace(res.Stats.Direction, res.Stats.Iterations)
-	}
-	return &Report{Result: res, Stats: res.Stats, Directions: trace}, nil
+	return &Report{Result: res, Stats: res.Stats, Directions: coreTrace(res.Dirs)}, nil
 }
 
 // deltaOverBudget is the error of an sssp run that stopped because its Δ

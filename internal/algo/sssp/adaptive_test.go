@@ -12,15 +12,17 @@ import (
 func TestAdaptiveMatchesDijkstra(t *testing.T) {
 	g := weighted(t, 41)
 	want := Dijkstra(g, 0)
-	for _, delta := range []float64{0, 10, 200} {
-		opt := Options{Source: 0, Delta: delta}
-		opt.Threads = 4
-		res := Adaptive(g, opt)
-		if d := MaxDiff(res.Dist, want); d > tol {
-			t.Fatalf("Δ=%v: adaptive diff %g", delta, d)
-		}
-		if len(res.Dirs) != res.Inner {
-			t.Fatalf("Δ=%v: %d directions for %d inner iterations", delta, len(res.Dirs), res.Inner)
+	for _, m := range modes {
+		for _, delta := range []float64{0, 10, 200} {
+			opt := Options{Source: 0, Delta: delta}
+			opt.Threads = 4
+			res := runMode(g, opt, m.mode)
+			if d := MaxDiff(res.Dist, want); d > tol {
+				t.Fatalf("%s Δ=%v: diff %g", m.name, delta, d)
+			}
+			if len(res.Dirs) != res.Inner {
+				t.Fatalf("%s Δ=%v: %d directions for %d inner iterations", m.name, delta, len(res.Dirs), res.Inner)
+			}
 		}
 	}
 }
@@ -32,14 +34,12 @@ func TestAdaptiveOnRoadGraph(t *testing.T) {
 	}
 	g = gen.WithUniformWeights(g, 1, 10, 6)
 	want := Dijkstra(g, 0)
-	res := Adaptive(g, Options{Source: 0})
-	if d := MaxDiff(res.Dist, want); d > tol {
-		t.Fatalf("road adaptive diff %g", d)
-	}
-	// Road buckets are tiny: the switch should essentially always push.
-	for _, dir := range res.Dirs {
-		if dir != core.Push {
-			return // at least one pull is fine too; just ensure no panic
+	for _, m := range modes {
+		// Road buckets are tiny, so the switch essentially always pushes;
+		// any direction is correct, so only the distances are checked.
+		res := runMode(g, Options{Source: 0}, m.mode)
+		if d := MaxDiff(res.Dist, want); d > tol {
+			t.Fatalf("road %s diff %g", m.name, d)
 		}
 	}
 }
@@ -49,7 +49,7 @@ func TestAdaptiveSwitchEngagesOnDenseGraph(t *testing.T) {
 	// the heuristic must choose pull for at least one inner iteration.
 	g := weighted(t, 43)
 	opt := Options{Source: 0, Delta: 1e9}
-	res := Adaptive(g, opt)
+	res := Run(g, opt)
 	sawPull := false
 	for _, d := range res.Dirs {
 		if d == core.Pull {
@@ -67,21 +67,22 @@ func TestAdaptiveSwitchEngagesOnDenseGraph(t *testing.T) {
 
 func TestAdaptiveEmptyAndDisconnected(t *testing.T) {
 	empty := graph.NewBuilder(0).MustBuild()
-	if res := Adaptive(empty, Options{}); len(res.Dist) != 0 {
-		t.Fatal("empty graph produced distances")
-	}
 	b := graph.NewBuilder(4)
 	b.AddEdgeW(0, 1, 2)
 	b.AddEdgeW(2, 3, 2)
 	g := b.MustBuild()
-	res := Adaptive(g, Options{Source: 0})
 	want := Dijkstra(g, 0)
-	if d := MaxDiff(res.Dist, want); d != 0 {
-		t.Fatalf("disconnected diff %g", d)
+	for _, m := range modes {
+		if res := runMode(empty, Options{}, m.mode); len(res.Dist) != 0 {
+			t.Fatalf("%s: empty graph produced distances", m.name)
+		}
+		if d := MaxDiff(runMode(g, Options{Source: 0}, m.mode).Dist, want); d != 0 {
+			t.Fatalf("%s: disconnected diff %g", m.name, d)
+		}
 	}
 }
 
-// Property: adaptive == Dijkstra on random weighted graphs across Δ.
+// Property: every mode == Dijkstra on random weighted graphs across Δ.
 func TestAdaptiveAgreementProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		g, err := gen.ErdosRenyi(100, 4, seed)
@@ -90,24 +91,18 @@ func TestAdaptiveAgreementProperty(t *testing.T) {
 		}
 		g = gen.WithUniformWeights(g, 1, 20, seed+1)
 		want := Dijkstra(g, 0)
-		for _, delta := range []float64{0, 15, 1e6} {
-			opt := Options{Source: 0, Delta: delta}
-			opt.Threads = 3
-			if MaxDiff(Adaptive(g, opt).Dist, want) > tol {
-				return false
+		for _, m := range modes {
+			for _, delta := range []float64{0, 15, 1e6} {
+				opt := Options{Source: 0, Delta: delta}
+				opt.Threads = 3
+				if MaxDiff(runMode(g, opt, m.mode).Dist, want) > tol {
+					return false
+				}
 			}
 		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func BenchmarkAdaptive(b *testing.B) {
-	g, _ := gen.RMAT(gen.DefaultRMAT(12, 8, 1))
-	g = gen.WithUniformWeights(g, 1, 100, 2)
-	for i := 0; i < b.N; i++ {
-		Adaptive(g, Options{Source: 0})
 	}
 }

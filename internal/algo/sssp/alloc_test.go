@@ -27,29 +27,40 @@ func pathGraph(t testing.TB, n, length int) *graph.CSR {
 
 func allocs(run func()) float64 { return testing.AllocsPerRun(5, run) }
 
-// Steady-state zero-allocation proof for the pull rounds: the bitmaps and
-// the phase bodies are set up once per run, so neither more inner rounds
-// nor more epochs may allocate more. Run at Threads 1 so the round loop
+// Steady-state zero-allocation proof for the rounds of every mode: the
+// bitmaps, the per-worker buffers and the round bodies are set up once per
+// run and the round list reuses its storage, so more inner rounds may not
+// allocate more. (On this path a bucket never clears the n/β floor, so
+// Auto pushes.) An epoch takes its bucket's list and hands the drained one
+// on to the next new bucket, so more epochs may allocate only where a
+// per-run slice doubles: doubling the epochs from 80 to 160 adds at most 3
+// allocations, the doublings of the bucket index, the per-round direction
+// log and the per-iteration timings. Run at Threads 1 so the round loop
 // executes inline.
 func TestPullSteadyStateAllocs(t *testing.T) {
 	const n = 1024
 	short, long := pathGraph(t, n, 20), pathGraph(t, n, 40)
-	opt := func(delta float64) Options {
-		return Options{Options: core.Options{Threads: 1}, Delta: delta}
-	}
-	if r := Pull(long, opt(1e9)); r.Epochs != 1 || r.Inner < 39 {
-		t.Fatalf("fixture: one bucket should take one epoch of ~40 rounds, got %d epochs, %d rounds", r.Epochs, r.Inner)
-	}
-	if r := Pull(long, opt(1)); r.Epochs < 39 {
-		t.Fatalf("fixture: Δ=1 should take ~40 epochs, got %d", r.Epochs)
-	}
-	a20 := allocs(func() { Pull(short, opt(1e9)) })
-	a40 := allocs(func() { Pull(long, opt(1e9)) })
-	if a20 != a40 {
-		t.Errorf("pull rounds allocate: %.0f allocs over 20 rounds vs %.0f over 40", a20, a40)
-	}
-	if epochs := allocs(func() { Pull(long, opt(1)) }); epochs != a40 {
-		t.Errorf("pull epochs allocate: %.0f allocs over 40 epochs vs %.0f over one", epochs, a40)
+	p80, p160 := pathGraph(t, n, 80), pathGraph(t, n, 160)
+	for _, m := range modes {
+		opt := func(delta float64) Options {
+			return Options{Options: core.Options{Threads: 1}, Delta: delta, Mode: m.mode}
+		}
+		if r := Run(long, opt(1e9)); r.Epochs != 1 || r.Inner < 39 {
+			t.Fatalf("%s fixture: one bucket should take one epoch of ~40 rounds, got %d epochs, %d rounds", m.name, r.Epochs, r.Inner)
+		}
+		if r := Run(p160, opt(1)); r.Epochs < 159 {
+			t.Fatalf("%s fixture: Δ=1 should take ~160 epochs, got %d", m.name, r.Epochs)
+		}
+		a20 := allocs(func() { Run(short, opt(1e9)) })
+		a40 := allocs(func() { Run(long, opt(1e9)) })
+		if a20 != a40 {
+			t.Errorf("%s rounds allocate: %.0f allocs over 20 rounds vs %.0f over 40", m.name, a20, a40)
+		}
+		e80 := allocs(func() { Run(p80, opt(1)) })
+		e160 := allocs(func() { Run(p160, opt(1)) })
+		if e160 > e80+3 {
+			t.Errorf("%s epochs allocate: %.0f allocs over 80 epochs vs %.0f over 160", m.name, e80, e160)
+		}
 	}
 }
 
@@ -82,9 +93,8 @@ func ladderGraph(t testing.TB, n, width, layers int) *graph.CSR {
 	return g
 }
 
-// The switching variant owns one set of pull-round scratch per run, so
-// its pull rounds share the invariant. (Its bucket lists are per bucket by
-// design, so only the round count varies here, within one bucket.) The
+// Auto's pull rounds share the invariant: a pull round leaves the active
+// set in place and reads it out into the round list's own storage. The
 // layers are wide enough to clear the n/β floor below which a bucket is
 // pushed unasked, and a layer's out-edges lead to two short rows each, so
 // every round after the source's pulls.
@@ -92,8 +102,8 @@ func TestAdaptiveSteadyStateAllocs(t *testing.T) {
 	const n, width = 2048, 96
 	short, long := ladderGraph(t, n, width, 10), ladderGraph(t, n, width, 20)
 	opt := Options{Options: core.Options{Threads: 1}, Delta: 1e9}
-	r := Adaptive(long, opt)
-	if s := Adaptive(short, opt); s.Inner < 10 || r.Inner < 2*s.Inner-2 {
+	r := Run(long, opt)
+	if s := Run(short, opt); s.Inner < 10 || r.Inner < 2*s.Inner-2 {
 		t.Fatalf("fixture: expected a round per layer, got %d and %d", s.Inner, r.Inner)
 	}
 	for i, d := range r.Dirs[1:] {
@@ -101,9 +111,9 @@ func TestAdaptiveSteadyStateAllocs(t *testing.T) {
 			t.Fatalf("fixture: round %d pushed; the test covers pull rounds", i+1)
 		}
 	}
-	a10 := allocs(func() { Adaptive(short, opt) })
-	a20 := allocs(func() { Adaptive(long, opt) })
+	a10 := allocs(func() { Run(short, opt) })
+	a20 := allocs(func() { Run(long, opt) })
 	if a10 != a20 {
-		t.Errorf("adaptive pull rounds allocate: %.0f allocs over 10 rounds vs %.0f over 20", a10, a20)
+		t.Errorf("auto pull rounds allocate: %.0f allocs over 10 rounds vs %.0f over 20", a10, a20)
 	}
 }

@@ -43,7 +43,7 @@ func randomWeighted(t testing.TB, n int, seed uint64) (g *graph.CSR, isolated gr
 	return g, isolated
 }
 
-// checkRun asserts what every variant owes its caller: Dijkstra's
+// checkRun asserts what every mode and kernel owes its caller: Dijkstra's
 // distances and a populated iteration log.
 func checkRun(t *testing.T, name string, res *Result, want []float64) {
 	t.Helper()
@@ -56,36 +56,60 @@ func checkRun(t *testing.T, name string, res *Result, want []float64) {
 	}
 }
 
-// Every variant against Dijkstra over the cases the bitmaps make
+// Every mode against Dijkstra over the cases the bitmaps make
 // interesting: vertex counts at and around a word boundary and one past a
 // 64-word block, thread counts that do and do not divide the word count,
 // a bucket per vertex / the heuristic / one bucket for everything, and
 // sources in the first word, in the (partial) last word, and isolated.
+// The epochs are the buckets the distances fall in, so every mode, thread
+// count and PullProfiled count the same; forced pull runs PullProfiled's
+// rounds, so at one thread, where the rounds' order is fixed, it also
+// counts the same rounds; and every mode logs a direction per round, a
+// forced one only its own.
 func TestDifferentialTable(t *testing.T) {
+	forced := map[Mode]core.Direction{ForcePush: core.Push, ForcePull: core.Pull}
 	for _, n := range []int{1, 63, 64, 65, 4097} {
 		g, isolated := randomWeighted(t, n, uint64(n))
 		for _, src := range []graph.V{0, graph.V(n - 1), isolated} {
 			want := Dijkstra(g, src)
-			for _, threads := range []int{1, 2, 4, 7} {
-				for _, delta := range []float64{0.75, 0, 1e9} {
+			for _, delta := range []float64{0.75, 0, 1e9} {
+				epochs := -1
+				for _, threads := range []int{1, 2, 4, 7} {
 					name := fmt.Sprintf("n=%d src=%d t=%d Δ=%v", n, src, threads, delta)
 					opt := Options{Source: src, Delta: delta}
 					opt.Threads = threads
-					checkRun(t, name+" pull", Pull(g, opt), want)
-					checkRun(t, name+" push", Push(g, opt), want)
-					ad := Adaptive(g, opt)
-					checkRun(t, name+" adaptive", ad.Result, want)
-					if len(ad.Dirs) != ad.Inner {
-						t.Errorf("%s adaptive: %d directions for %d rounds", name, len(ad.Dirs), ad.Inner)
-					}
 					prof, grp := core.CountingProfile(threads)
-					res, err := PullProfiled(g, opt, prof, nil)
+					profiled, err := PullProfiled(g, opt, prof, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
-					checkRun(t, name+" pull-profiled", res, want)
+					checkRun(t, name+" pull-profiled", profiled, want)
 					if a := grp.Report().Get(counters.Atomics); a != 0 {
 						t.Errorf("%s pull-profiled: %d atomics", name, a)
+					}
+					if epochs < 0 {
+						epochs = profiled.Epochs
+					}
+					for _, m := range modes {
+						res := runMode(g, opt, m.mode)
+						checkRun(t, name+" "+m.name, res, want)
+						if res.Epochs != epochs {
+							t.Errorf("%s %s: %d epochs, want %d", name, m.name, res.Epochs, epochs)
+						}
+						if len(res.Dirs) != res.Inner {
+							t.Errorf("%s %s: %d directions for %d rounds", name, m.name, len(res.Dirs), res.Inner)
+						}
+						if dir, ok := forced[m.mode]; ok {
+							for i, d := range res.Dirs {
+								if d != dir {
+									t.Errorf("%s %s: round %d ran %v", name, m.name, i, d)
+									break
+								}
+							}
+						}
+						if m.mode == ForcePull && threads == 1 && res.Inner != profiled.Inner {
+							t.Errorf("%s pull: %d rounds, pull-profiled %d", name, res.Inner, profiled.Inner)
+						}
 					}
 				}
 			}
@@ -94,16 +118,14 @@ func TestDifferentialTable(t *testing.T) {
 }
 
 // A context canceled in the middle of an epoch stops the run at the next
-// round with Stats.Canceled set, and what it returns is a valid partial
-// result: every distance is +Inf or an upper bound on the true one.
+// round with Stats.Canceled set, in every mode, and what it returns is a
+// valid partial result: every distance is +Inf or an upper bound on the
+// true one.
 func TestCancelMidEpoch(t *testing.T) {
 	g := pathGraph(t, 256, 200) // one bucket: a single epoch of ~200 rounds
 	want := Dijkstra(g, 0)
-	runs := map[string]func(Options) *Result{
-		"pull":     func(o Options) *Result { return Pull(g, o) },
-		"adaptive": func(o Options) *Result { return Adaptive(g, o).Result },
-	}
-	for name, run := range runs {
+	for _, m := range modes {
+		name := m.name
 		ctx, cancel := context.WithCancel(context.Background())
 		opt := Options{Delta: 1e9}
 		opt.Threads = 2
@@ -113,7 +135,7 @@ func TestCancelMidEpoch(t *testing.T) {
 				cancel()
 			}
 		}
-		res := run(opt)
+		res := runMode(g, opt, m.mode)
 		cancel()
 		if !res.Stats.Canceled || res.Epochs != 1 || res.Inner != 10 || res.Stats.Iterations != 10 {
 			t.Errorf("%s: canceled %v after %d epochs, %d rounds; want a stop after round 10 of epoch 1",

@@ -112,7 +112,7 @@ func PushProfiled(g *graph.CSR, opt Options, prof core.Profile, space *memsim.Ad
 			}
 			cur = next
 			// Record and tick per inner iteration, the same granularity the
-			// plain Push variant reports.
+			// kernel's push rounds report.
 			el := time.Since(iterStart)
 			res.Stats.Record(el)
 			opt.Tick(res.Inner-1, el)
@@ -121,17 +121,19 @@ func PushProfiled(g *graph.CSR, opt Options, prof core.Profile, space *memsim.Ad
 	return res, nil
 }
 
-// PullProfiled runs Pull's rounds deterministically and instrumented: the
-// same row selection (scatter into per-worker marks, word-parallel merge,
-// dense sweep above the denseShare threshold) and the same relaxation
-// (active bit before distance), over the same pullRounds state, with the
-// workers' word ranges dealt out as contiguous blocks and executed in
-// worker order. Every bitmap word a phase touches is charged as an 8-byte
-// access. Each adopted relaxation is charged one lock for the shared
-// bucket-set insertion, Table 1's convention for SSSP-Δ, reproducing the
-// pull column's lock ≫ push shape; nothing is charged as an atomic. The
+// PullProfiled runs forced pull's rounds deterministically and
+// instrumented: the same row selection (scatter into per-worker marks,
+// word-parallel merge, dense sweep above the denseShare threshold) and the
+// same relaxation (active bit before distance), over the same rounds
+// state, with the workers' word ranges dealt out as contiguous blocks and
+// executed in worker order. Every bitmap word a phase touches is charged
+// as an 8-byte access. Each adopted relaxation is charged one lock for the
+// shared bucket-set insertion, Table 1's convention for SSSP-Δ,
+// reproducing the pull column's lock ≫ push shape; nothing is charged as
+// an atomic. The
 // bucket advance between epochs is bookkeeping outside the counted
-// kernel, as it has always been here.
+// kernel, as it has always been here: advance finds, in one pass over the
+// distances, the bucket the kernel takes from its lists.
 func PullProfiled(g *graph.CSR, opt Options, prof core.Profile, space *memsim.AddressSpace) (*Result, error) {
 	if err := prof.Validate(); err != nil {
 		return nil, err
@@ -147,12 +149,12 @@ func PullProfiled(g *graph.CSR, opt Options, prof core.Profile, space *memsim.Ad
 	}
 	t := sched.Clamp(prof.Threads, n)
 	r := pullProfile{
-		pullRounds: newPullRounds(g, opt.Source, resolveDelta(g, opt.Delta), t),
-		probes:     prof.Probes,
-		offA:       space.NewArray(n+1, 8),
-		adjA:       space.NewArray(int(g.M()), 4),
-		wA:         space.NewArray(int(g.M()), 4),
-		distA:      space.NewArray(n, 8),
+		rounds: newRounds(g, opt.Source, resolveDelta(g, opt.Delta), t),
+		probes: prof.Probes,
+		offA:   space.NewArray(n+1, 8),
+		adjA:   space.NewArray(int(g.M()), 4),
+		wA:     space.NewArray(int(g.M()), 4),
+		distA:  space.NewArray(n, 8),
 	}
 	nw := len(r.rows.Words())
 	r.actA, r.nextA, r.rowA = space.NewArray(nw, 8), space.NewArray(nw, 8), space.NewArray(nw, 8)
@@ -191,10 +193,10 @@ func PullProfiled(g *graph.CSR, opt Options, prof core.Profile, space *memsim.Ad
 	return res, nil
 }
 
-// pullProfile is pullRounds with a probe per worker and the simulated
+// pullProfile is rounds with a probe per worker and the simulated
 // addresses of everything a round touches.
 type pullProfile struct {
-	*pullRounds
+	*rounds
 	probes []counters.Probe
 
 	offA, adjA, wA, distA memsim.Array
@@ -210,7 +212,7 @@ func (r *pullProfile) wrote(a memsim.Array, nw int) {
 	}
 }
 
-// scatter is pullRounds.scatter, counted.
+// scatter is rounds.scatter, counted.
 func (r *pullProfile) scatter(w, from, to int) {
 	p, mine := r.probes[w], r.marks[w]
 	active := r.active.Words()
@@ -253,7 +255,7 @@ func (r *pullProfile) merge(w, from, to int) {
 	}
 }
 
-// relax is pullRounds.relax, counted.
+// relax is rounds.relax, counted.
 func (r *pullProfile) relax(w, from, to int) {
 	p, g, dist := r.probes[w], r.g, r.dist
 	rows, active, next := r.rows.Words(), r.active.Words(), r.next.Words()

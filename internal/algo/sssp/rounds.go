@@ -1,0 +1,423 @@
+package sssp
+
+import (
+	"math"
+	"math/bits"
+	"sync/atomic"
+
+	"pushpull/internal/atomicx"
+	"pushpull/internal/frontier"
+	"pushpull/internal/graph"
+	"pushpull/internal/sched"
+)
+
+// denseShare bounds the scatter: a round whose active sources own at least
+// 1/denseShare of the edge slots skips it and sweeps every row, because
+// marking that many out-edges costs about what testing the rows it would
+// rule out costs. Rounds that large are a handful of a run's thirty-odd
+// on a skewed graph and none on a road grid, so the value is not
+// sensitive: cmd/benchstack's lib-pull p50 was flat for 4, 16 and 64
+// (CHANGES.md).
+const denseShare = 16
+
+// chunkWords is how many bitmap words (64 vertices each) a worker takes
+// at a time. Workers draw chunks instead of owning one contiguous block
+// because rows differ in cost by orders of magnitude and sit together — a
+// generator's or a degree sort's hubs share the low ids — so an even
+// split by vertex count leaves one worker with most of the edges.
+const chunkWords = 8
+
+// rounds is the state of a Δ-stepping run and the scratch its rounds
+// reuse: the bucket lists and 4 + t bitmaps of n/8 bytes. Both directions
+// start a round from cur, the bucket's members at an epoch's first round
+// and afterwards the vertices the previous round lowered into the bucket,
+// and both file what they lower past the bucket by the same bucket bounds,
+// so they agree on the bucket a distance is in.
+//
+// A push round relaxes cur's out-edges with an atomic minimum each. A pull
+// round turns cur into a source-side frontier (active) and that into a
+// destination-side one (rows: the vertices with an active neighbor), then
+// relaxes only those rows. Pull work is handed out in whole bitmap words,
+// never in vertex ranges that could split one, so every word has one
+// writer per phase, no phase needs a read-modify-write atomic, and one
+// worker per round is the only writer of a vertex's distance.
+//
+// The graph must store every edge in both directions, as everywhere in
+// this package: a row is found through its neighbor's adjacency.
+type rounds struct {
+	g     *graph.CSR
+	dist  []uint64 // float64 bits: atomic loads; minima when pushed, owner-only stores when pulled
+	delta float64
+	t     int
+	b     int     // current bucket
+	lo    float64 // bucket b is lo ≤ d < hi; rows at or below lo are settled
+	hi    float64
+
+	budget     float64 // bucketBudget(g)
+	overBudget bool    // a distance fell in a bucket past the budget; the run stops
+
+	buckets [][]graph.V      // per bucket, every vertex lowered into it, once per lowering
+	spare   [][]graph.V      // drained lists, reused by the next new bucket
+	cur     []graph.V        // sources of this round
+	inRound *frontier.Bitmap // dedup of cur
+	lowered [][]graph.V      // per worker: what its push relaxations lowered
+
+	active      *frontier.Bitmap   // cur as a bitmap, and activeEdges its out-edge
+	activeEdges int64              // work, while activeCur is set: after activate
+	activeCur   bool               // or a pull round, until the next push or take
+	next        *frontier.Bitmap   // lowered into bucket b by this round
+	later       *frontier.Bitmap   // lowered into a later bucket by this round
+	rows        *frontier.Bitmap   // destinations of this round
+	marks       []*frontier.Bitmap // per-worker row marks, merged into rows
+	sparse      frontier.Sparse    // what active and later are read out into
+
+	nextEdges []int64 // per worker: out-edges of what it put into next
+
+	// The round bodies as func values, bound once: evaluating r.push in
+	// the round loop would allocate a closure per round.
+	pushFn, scatterFn, mergeFn, relaxFn func(w, from, to int)
+}
+
+// newRounds sets up a run from source: every distance +Inf but the
+// source's 0, which bucket 0 holds alone.
+func newRounds(g *graph.CSR, source graph.V, delta float64, t int) *rounds {
+	n := g.N()
+	r := &rounds{
+		g: g, dist: make([]uint64, n), delta: delta, t: t,
+		budget:    bucketBudget(g),
+		buckets:   [][]graph.V{{source}},
+		inRound:   frontier.NewBitmap(n),
+		lowered:   make([][]graph.V, t),
+		active:    frontier.NewBitmap(n),
+		next:      frontier.NewBitmap(n),
+		later:     frontier.NewBitmap(n),
+		rows:      frontier.NewBitmap(n),
+		marks:     make([]*frontier.Bitmap, t),
+		nextEdges: make([]int64, t),
+	}
+	for w := range r.marks {
+		r.marks[w] = frontier.NewBitmap(n)
+	}
+	inf := math.Float64bits(math.Inf(1))
+	for i := range r.dist {
+		r.dist[i] = inf //pushpull:allow atomicmix single-threaded init before any round runs
+	}
+	atomicx.StoreFloat64(&r.dist[source], 0)
+	r.pushFn, r.scatterFn, r.mergeFn, r.relaxFn = r.push, r.scatter, r.merge, r.relax
+	r.setBucket(0)
+	return r
+}
+
+// distances copies the distances out.
+func (r *rounds) distances(dst []float64) {
+	for i := range dst {
+		dst[i] = atomicx.LoadFloat64(&r.dist[i])
+	}
+}
+
+// bucketOf returns the b with b·Δ ≤ d < (b+1)·Δ as those products round,
+// so that it agrees with every lo/hi comparison the rounds make; a bare
+// int(d/Δ) can sit one off at a boundary. d must be finite. Past the
+// bucket budget it sets overBudget and returns false instead.
+func (r *rounds) bucketOf(d float64) (int, bool) {
+	q := d / r.delta
+	if q >= r.budget {
+		r.overBudget = true
+		return 0, false
+	}
+	b := int(q)
+	if d < float64(b)*r.delta {
+		b--
+	} else if d >= float64(b+1)*r.delta {
+		b++
+	}
+	return b, true
+}
+
+func (r *rounds) setBucket(b int) {
+	r.b = b
+	r.lo, r.hi = float64(b)*r.delta, float64(b+1)*r.delta
+}
+
+// take starts bucket b: the round list cur becomes the bucket's list with
+// only the entries still in the bucket, once each. A list holds a vertex
+// once per lowering into the bucket, including lowerings overtaken by one
+// into an earlier bucket. take returns false when no entry is left, so the
+// bucket is not counted as an epoch. The previous round list's storage
+// goes to spare, for the next new bucket.
+func (r *rounds) take(b int) bool {
+	list := r.buckets[b]
+	if len(list) == 0 {
+		return false
+	}
+	r.buckets[b] = nil
+	r.setBucket(b)
+	r.inRound.Clear()
+	keep := list[:0]
+	for _, v := range list {
+		if atomicx.LoadFloat64(&r.dist[v]) >= r.lo && r.inRound.Set(v) {
+			keep = append(keep, v)
+		}
+	}
+	r.spare = append(r.spare, r.cur[:0])
+	r.cur, r.activeCur = keep, false
+	return len(keep) > 0
+}
+
+// enqueue files v under the later bucket its distance is in; past the
+// bucket budget it files nothing, and the run stops after the round.
+func (r *rounds) enqueue(v graph.V) {
+	nb, ok := r.bucketOf(atomicx.LoadFloat64(&r.dist[v]))
+	if !ok {
+		return
+	}
+	for len(r.buckets) <= nb {
+		r.buckets = append(r.buckets, nil)
+	}
+	if r.buckets[nb] == nil && len(r.spare) > 0 {
+		r.buckets[nb] = r.spare[len(r.spare)-1]
+		r.spare = r.spare[:len(r.spare)-1]
+	}
+	r.buckets[nb] = append(r.buckets[nb], v)
+}
+
+// push relaxes the out-edges of cur[from:to] with atomic minima, and
+// collects what it lowered in worker w's buffer.
+func (r *rounds) push(w, from, to int) {
+	for _, v := range r.cur[from:to] {
+		dv := atomicx.LoadFloat64(&r.dist[v])
+		ws := r.g.NeighborWeights(v)
+		for j, u := range r.g.Neighbors(v) {
+			we := 1.0
+			if ws != nil {
+				we = float64(ws[j])
+			}
+			if lowered, _ := atomicx.MinFloat64(&r.dist[u], dv+we); lowered {
+				r.lowered[w] = append(r.lowered[w], u)
+			}
+		}
+	}
+}
+
+// pushRound relaxes cur's out-edges, then merges the workers' buffers in
+// worker order on each vertex's final distance (a later relaxation may
+// have lowered it further): what is in the bucket becomes the next cur,
+// once each, in the list's own storage, and the rest is filed under its
+// later bucket. Nothing lands below bucket b, whose members are the only
+// sources.
+func (r *rounds) pushRound() {
+	sched.ParallelFor(len(r.cur), r.t, sched.Static, 0, r.pushFn)
+	r.inRound.Clear()
+	r.cur, r.activeCur = r.cur[:0], false
+	for w, buf := range r.lowered {
+		for _, v := range buf {
+			if atomicx.LoadFloat64(&r.dist[v]) >= r.hi {
+				r.enqueue(v)
+			} else if r.inRound.Set(v) {
+				r.cur = append(r.cur, v)
+			}
+		}
+		r.lowered[w] = buf[:0]
+	}
+}
+
+// activate makes cur the active set, unless the last round pulled and
+// left it there, and returns its out-edge work.
+func (r *rounds) activate() int64 {
+	if !r.activeCur {
+		r.active.Clear()
+		r.activeEdges = 0
+		for _, v := range r.cur {
+			r.active.SetSeq(v)
+			r.activeEdges += r.g.Degree(v)
+		}
+		r.activeCur = true
+	}
+	return r.activeEdges
+}
+
+func (r *rounds) dense(activeEdges int64) bool {
+	return activeEdges*denseShare >= r.g.M()
+}
+
+// markRows fills rows for a round whose active sources have activeEdges
+// out-edges: every row when that is a large share of the graph (dense),
+// otherwise exactly the neighbors of the active sources. Settled
+// neighbors are marked too: relax drops them on the distance read it
+// makes anyway, in row order, where a test here would be one random read
+// per out-edge (and measured no faster).
+func (r *rounds) markRows(activeEdges int64) (dense bool) {
+	if r.dense(activeEdges) {
+		r.rows.Fill()
+		return true
+	}
+	nw := len(r.rows.Words())
+	sched.ParallelFor(nw, r.t, sched.Dynamic, chunkWords, r.scatterFn)
+	sched.ParallelFor(nw, r.t, sched.Static, 0, r.mergeFn)
+	return false
+}
+
+// scatter marks, in worker w's private bitmap, the neighbors of the active
+// sources in words [from, to).
+func (r *rounds) scatter(w, from, to int) {
+	mine := r.marks[w]
+	active := r.active.Words()
+	for wi := from; wi < to; wi++ {
+		for word := active[wi]; word != 0; word &= word - 1 {
+			u := graph.V(wi<<6 + bits.TrailingZeros64(word))
+			for _, v := range r.g.Neighbors(u) {
+				mine.SetSeq(v)
+			}
+		}
+	}
+}
+
+func (r *rounds) merge(_, from, to int) { r.rows.MergeWords(r.marks, from, to) }
+
+// rowEdges is what relaxing the marked rows will read: the in-edges of
+// every unsettled one. Against the active sources' out-edges — what a
+// push round would relax — it is the cost comparison behind a direction
+// switch.
+func (r *rounds) rowEdges() int64 {
+	var edges int64
+	for wi, word := range r.rows.Words() {
+		for ; word != 0; word &= word - 1 {
+			v := graph.V(wi<<6 + bits.TrailingZeros64(word))
+			if atomicx.LoadFloat64(&r.dist[v]) > r.lo {
+				edges += r.g.Degree(v)
+			}
+		}
+	}
+	return edges
+}
+
+// relax is the package's one pull relaxation: every unsettled marked row
+// in words [from, to) takes the minimum over its active neighbors, testing
+// the active bit (n/8 bytes in all, cache-resident) before touching the
+// neighbor's distance.
+func (r *rounds) relax(w, from, to int) {
+	offsets, adj, weights, dist := r.g.Offsets, r.g.Adj, r.g.Weights, r.dist
+	rows, active, next := r.rows.Words(), r.active.Words(), r.next.Words()
+	var edges int64
+	for wi := from; wi < to; wi++ {
+		for word := rows[wi]; word != 0; word &= word - 1 {
+			v := graph.V(wi<<6 + bits.TrailingZeros64(word))
+			dv := atomicx.LoadFloat64(&dist[v])
+			if dv <= r.lo {
+				continue // settled for this epoch
+			}
+			first, last := offsets[v], offsets[v+1]
+			best := dv
+			for j := first; j < last; j++ {
+				u := adj[j]
+				if atomic.LoadUint64(&active[u>>6])&(1<<(uint(u)&63)) == 0 {
+					continue
+				}
+				we := 1.0
+				if weights != nil {
+					we = float64(weights[j])
+				}
+				if nd := atomicx.LoadFloat64(&dist[u]) + we; nd < best {
+					best = nd
+				}
+			}
+			if best >= dv {
+				continue
+			}
+			// Owner-only write: a store, not a CAS.
+			atomicx.StoreFloat64(&dist[v], best)
+			bit := uint64(1) << (uint(v) & 63)
+			if best < r.hi {
+				next[wi] |= bit
+				edges += last - first
+				// v is a source from here on, not only from the next round:
+				// rows relaxed later in this round already see it, as every
+				// row saw every bucket member in the rescanning kernel's
+				// first round. This worker is the word's only writer, so
+				// the update is a load and a store, and the readers above
+				// load atomically.
+				atomic.StoreUint64(&active[wi], active[wi]|bit)
+			} else {
+				r.later.SetSeq(v)
+			}
+		}
+	}
+	r.nextEdges[w] += edges
+}
+
+// pullRound relaxes the marked rows. What it lowered into the bucket
+// becomes the next round's cur and, where endRound leaves it, active set;
+// what it lowered past the bucket is filed under its later bucket.
+func (r *rounds) pullRound() {
+	sched.ParallelFor(len(r.rows.Words()), r.t, sched.Dynamic, chunkWords, r.relaxFn)
+	r.activeEdges, r.activeCur = r.endRound(), true
+	r.active.ToSparse(&r.sparse)
+	r.cur = append(r.cur[:0], r.sparse.Vertices()...)
+	r.later.ToSparse(&r.sparse)
+	r.later.Clear()
+	for _, v := range r.sparse.Vertices() {
+		r.enqueue(v)
+	}
+}
+
+// endRound follows a round's relaxation: it makes what was lowered into
+// the bucket the active set and returns its out-edge work.
+func (r *rounds) endRound() int64 {
+	var edges int64
+	for _, e := range r.nextEdges {
+		edges += e
+	}
+	clear(r.nextEdges)
+	r.active, r.next = r.next, r.active
+	r.next.Clear()
+	return edges
+}
+
+// advance moves to the lowest non-empty bucket above the current one and
+// makes its members the active set, in one pass over the distances. It
+// returns the members' out-edge work, and false when no reached vertex is
+// left above the bucket or that bucket is past the budget (overBudget).
+// PullProfiled's epochs start here; the kernel's start from bucket lists.
+func (r *rounds) advance() (int64, bool) {
+	n := r.g.N()
+	words := r.active.Words()
+	// Distances are non-negative, so their bit patterns order like the
+	// values (+Inf above every finite one), and "at or above the current
+	// bucket's end but below the candidate's" is one unsigned comparison
+	// that nearly always fails: no branch depends on which side a vertex
+	// is out on.
+	done := math.Float64bits(r.hi)
+	lowest, lo, span := -1, math.Inf(1), math.Float64bits(math.Inf(1))-done
+	stale := 0 // words before this one hold members of a bucket that lost to a lower one
+	var edges int64
+	for wi := range words {
+		var word uint64
+		for v, end := wi<<6, min(wi<<6+64, n); v < end; v++ {
+			x := atomic.LoadUint64(&r.dist[v])
+			if x-done >= span {
+				continue // in a finished bucket, or above the lowest seen so far (unreached included)
+			}
+			if d := math.Float64frombits(x); d < lo {
+				nb, ok := r.bucketOf(d)
+				if !ok {
+					return 0, false
+				}
+				if nb <= r.b {
+					continue // Δ is below the spacing of distances this large
+				}
+				lowest, lo = nb, float64(nb)*r.delta
+				span = math.Float64bits(float64(nb+1)*r.delta) - done
+				stale, word, edges = wi, 0, 0
+			}
+			word |= 1 << uint(v&63)
+			edges += r.g.Degree(graph.V(v))
+		}
+		words[wi] = word
+	}
+	if lowest < 0 {
+		return 0, false
+	}
+	clear(words[:stale])
+	r.setBucket(lowest)
+	return edges, true
+}

@@ -1,19 +1,21 @@
-// Package sssp implements push- and pull-based Δ-Stepping single-source
-// shortest paths (paper §3.4 and Algorithm 4, after Meyer & Sanders [42]).
+// Package sssp implements Δ-Stepping single-source shortest paths (paper
+// §3.4 and Algorithm 4, after Meyer & Sanders [42]) as one kernel whose
+// rounds push or pull.
 //
 // Vertices are grouped into buckets of width Δ by tentative distance and
 // buckets are processed in order; within an epoch the current bucket is
-// relaxed repeatedly until it stops changing. In the push variant a bucket
+// relaxed repeatedly until it stops changing. In a push round a bucket
 // vertex relaxes its out-edges — concurrent distance lowering on shared
-// vertices, an atomic min (CAS loop) per improvement. In the pull variant
-// a vertex relaxes itself privately against its neighbors in the bucket —
-// no write conflicts. §4.4 prices that at O((L/Δ)·m·l_Δ) reads because
+// vertices, an atomic min (CAS loop) per improvement. In a pull round a
+// vertex relaxes itself privately against its neighbors in the bucket —
+// no write conflicts. §4.4 prices pulling at O((L/Δ)·m·l_Δ) reads because
 // its pull rescans every unsettled vertex in every inner iteration; here
-// an inner iteration first scatters the vertices that can still lower
-// anything (the bucket's members, then whatever the previous iteration
-// lowered into it) into a bitmap of destination rows, and reads only those
-// rows, so the l_Δ rescans of an epoch shrink to the rows its frontier
-// touches (pullRounds).
+// a pull round first scatters the vertices that can still lower anything
+// (the bucket's members, then whatever the previous round lowered into
+// it) into a bitmap of destination rows, and reads only those rows, so the
+// l_Δ rescans of an epoch shrink to the rows its frontier touches
+// (rounds). Forced push and forced pull are modes of the kernel, beside
+// the per-round switching of §7.2 (Mode).
 package sssp
 
 import (
@@ -21,11 +23,24 @@ import (
 	"math"
 	"time"
 
-	"pushpull/internal/atomicx"
 	"pushpull/internal/core"
 	"pushpull/internal/frontier"
 	"pushpull/internal/graph"
 	"pushpull/internal/sched"
+)
+
+// Mode selects the direction policy of a run.
+type Mode int
+
+const (
+	// Auto switches per round: the traversal push↔pull switching the
+	// paper credits with the highest performance (§7.2, after Beamer [4]
+	// and Chakaravarthy [17]).
+	Auto Mode = iota
+	// ForcePush pushes every round.
+	ForcePush
+	// ForcePull pulls every round.
+	ForcePull
 )
 
 // Options configures a Δ-stepping run.
@@ -36,13 +51,16 @@ type Options struct {
 	// Delta is the bucket width Δ; 0 picks max-weight/d̄, the standard
 	// heuristic.
 	Delta float64
+	// Mode picks forced push, forced pull, or per-round switching.
+	Mode Mode
 }
 
 // Result carries the distances and run metadata.
 type Result struct {
 	Dist   []float64
-	Epochs int // buckets processed
-	Inner  int // total inner (relaxation) iterations across epochs
+	Epochs int              // non-empty buckets processed
+	Inner  int              // total inner (relaxation) iterations across epochs
+	Dirs   []core.Direction // the direction of every inner iteration
 	Stats  core.RunStats
 	// OverBudget is set when the run stopped because a distance fell in a
 	// bucket at or past bucketBudget: Δ is too small for the distances,
@@ -130,118 +148,75 @@ func (h *vheap) Pop() interface{} {
 	return it
 }
 
-// Push runs push-based Δ-stepping: bucket vertices relax their edges
-// outward with atomic distance minimization.
-func Push(g *graph.CSR, opt Options) *Result {
+// Run is Δ-stepping with each round relaxed by pushing or by pulling, as
+// opt.Mode says. Auto pushes while that is the cheaper side of the
+// direction-optimizing trade-off of §4.4, and pulls once the edges a pull
+// round would read are few enough against the edges the bucket would push
+// along. Push rounds lower distances with atomic minima. Pull rounds read
+// them with plain atomic loads and store only the rows their worker owns —
+// memory fences only, not the read-modify-write atomics pushing needs — so
+// cross-partition reads of a neighbor's in-flight distance are well-defined
+// while one worker per round is the sole writer of a vertex, the pull
+// invariant of §3.8. Every mode returns Dijkstra's distances in the same
+// epochs.
+func Run(g *graph.CSR, opt Options) *Result {
 	n := g.N()
 	res := &Result{Dist: make([]float64, n)}
-	res.Stats.Direction = core.Push
-	for i := range res.Dist {
-		res.Dist[i] = math.Inf(1)
+	if opt.Mode == ForcePull {
+		res.Stats.Direction = core.Pull
 	}
 	if n == 0 {
 		return res
 	}
-	delta := resolveDelta(g, opt.Delta)
-	budget := bucketBudget(g)
-	t := sched.Clamp(opt.Threads, n)
-
-	distBits := make([]uint64, n)
-	inf := math.Float64bits(math.Inf(1))
-	for i := range distBits {
-		distBits[i] = inf
-	}
-	atomicx.StoreFloat64(&distBits[opt.Source], 0)
-
-	buckets := [][]graph.V{{opt.Source}}
-	inRound := frontier.NewBitmap(n) // dedup within one merged round
-	perThread := make([][]graph.V, t)
-
-	// The relax body is hoisted out of the epoch loops so the steady state
-	// does not allocate a closure per round; b and cur are captured by
-	// reference, so each round's reassignment stays visible.
-	var b int
-	var cur []graph.V
-	relax := func(w, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			v := cur[i]
-			dv := atomicx.LoadFloat64(&distBits[v])
-			if int(dv/delta) != b {
-				continue // stale entry: v moved to an earlier bucket
-			}
-			ws := g.NeighborWeights(v)
-			for j, u := range g.Neighbors(v) {
-				we := 1.0
-				if ws != nil {
-					we = float64(ws[j])
-				}
-				nd := dv + we
-				if lowered, _ := atomicx.MinFloat64(&distBits[u], nd); lowered {
-					perThread[w] = append(perThread[w], u)
-				}
-			}
-		}
-	}
-
-	for b = 0; b < len(buckets); b++ {
-		cur = buckets[b]
-		buckets[b] = nil
-		if len(cur) == 0 {
+	res.Stats.Reserve(64)
+	res.Dirs = make([]core.Direction, 0, 64)
+	r := newRounds(g, opt.Source, resolveDelta(g, opt.Delta), sched.Clamp(opt.Threads, n))
+	h := frontier.DefaultSwitch()
+	for b := 0; b < len(r.buckets) && !res.Stats.Canceled && !r.overBudget; b++ {
+		if !r.take(b) {
 			continue
 		}
 		res.Epochs++
-		for itr := 0; len(cur) > 0; itr++ {
+		for len(r.cur) > 0 && !r.overBudget {
 			if opt.Canceled() {
 				res.Stats.Canceled = true
 				break
 			}
 			start := time.Now()
 			res.Inner++
-			sched.ParallelFor(len(cur), t, sched.Static, 0, relax)
-			// Deterministic merge of the per-thread insertion buffers — the
-			// k-filter step. Re-inserts into bucket b continue the epoch.
-			inRound.Clear()
-			cur = cur[:0:0]
-			for w := 0; w < t && !res.OverBudget; w++ {
-				for _, v := range perThread[w] {
-					// Re-derive the bucket from the final distance: a later
-					// relaxation may have lowered it further.
-					q := atomicx.LoadFloat64(&distBits[v]) / delta
-					if q >= budget {
-						res.OverBudget = true
-						break
-					}
-					nb := int(q)
-					if nb < b {
-						continue // already settled into an earlier bucket
-					}
-					if nb == b {
-						if inRound.Set(v) {
-							cur = append(cur, v)
-						}
-						continue
-					}
-					for len(buckets) <= nb {
-						buckets = append(buckets, nil)
-					}
-					buckets[nb] = append(buckets[nb], v)
+			pull := opt.Mode == ForcePull
+			if pull {
+				r.markRows(r.activate())
+			} else if opt.Mode == Auto && int64(len(r.cur))*h.Beta >= int64(n) {
+				// Direction decision, on what each side would touch: a push
+				// round relaxes the bucket's out-edges with an atomic minimum
+				// each; a pull round reads the in-edges of the unsettled rows
+				// those out-edges lead to (every row's, at most all m, when
+				// the bucket is large enough to skip marking them), without
+				// atomics. Below n/β vertices the bucket is pushed unasked: a
+				// pull round's fixed cost — n/64 words per phase and worker,
+				// two more fork-joins — is already more than pushing it.
+				activeEdges := r.activate()
+				rowEdges := g.M()
+				if dense := r.markRows(activeEdges); !dense {
+					rowEdges = r.rowEdges()
 				}
-				perThread[w] = perThread[w][:0]
+				pull = h.UsePull(activeEdges, rowEdges, len(r.cur), n)
+			}
+			if pull {
+				res.Dirs = append(res.Dirs, core.Pull)
+				r.pullRound()
+			} else {
+				res.Dirs = append(res.Dirs, core.Push)
+				r.pushRound()
 			}
 			el := time.Since(start)
 			res.Stats.Record(el)
 			opt.Tick(res.Inner-1, el)
-			if res.OverBudget {
-				break
-			}
-		}
-		if res.Stats.Canceled || res.OverBudget {
-			break
 		}
 	}
-	for i := range res.Dist {
-		res.Dist[i] = atomicx.LoadFloat64(&distBits[i])
-	}
+	res.OverBudget = r.overBudget
+	r.distances(res.Dist)
 	return res
 }
 

@@ -23,18 +23,32 @@ func weighted(t *testing.T, seed uint64) *graph.CSR {
 	return gen.WithUniformWeights(g, 1, 100, seed+1)
 }
 
+// modes are Run's direction policies, by name.
+var modes = []struct {
+	name string
+	mode Mode
+}{{"auto", Auto}, {"push", ForcePush}, {"pull", ForcePull}}
+
+// runMode is Run in the given mode.
+func runMode(g *graph.CSR, opt Options, mode Mode) *Result {
+	opt.Mode = mode
+	return Run(g, opt)
+}
+
 func TestPushMatchesDijkstra(t *testing.T) {
 	g := weighted(t, 21)
 	want := Dijkstra(g, 0)
-	for _, delta := range []float64{0, 10, 50, 1000} {
-		opt := Options{Source: 0, Delta: delta}
-		opt.Threads = 4
-		res := Push(g, opt)
-		if d := MaxDiff(res.Dist, want); d > tol {
-			t.Fatalf("Δ=%v: push vs dijkstra max diff %g", delta, d)
-		}
-		if res.Epochs == 0 || res.Inner == 0 {
-			t.Fatalf("Δ=%v: no work recorded: %+v", delta, res)
+	for _, m := range modes {
+		for _, delta := range []float64{0, 10, 50, 1000} {
+			opt := Options{Source: 0, Delta: delta}
+			opt.Threads = 4
+			res := runMode(g, opt, m.mode)
+			if d := MaxDiff(res.Dist, want); d > tol {
+				t.Fatalf("%s Δ=%v: max diff vs dijkstra %g", m.name, delta, d)
+			}
+			if res.Epochs == 0 || res.Inner == 0 {
+				t.Fatalf("%s Δ=%v: no work recorded: %+v", m.name, delta, res)
+			}
 		}
 	}
 }
@@ -42,28 +56,27 @@ func TestPushMatchesDijkstra(t *testing.T) {
 func TestPullMatchesDijkstra(t *testing.T) {
 	g := weighted(t, 22)
 	want := Dijkstra(g, 0)
-	for _, delta := range []float64{0, 10, 50, 1000} {
-		opt := Options{Source: 0, Delta: delta}
-		opt.Threads = 4
-		res := Pull(g, opt)
-		if d := MaxDiff(res.Dist, want); d > tol {
-			t.Fatalf("Δ=%v: pull vs dijkstra max diff %g", delta, d)
+	for _, m := range modes {
+		for _, delta := range []float64{0, 10, 50, 1000} {
+			opt := Options{Source: 0, Delta: delta}
+			opt.Threads = 4
+			if d := MaxDiff(runMode(g, opt, m.mode).Dist, want); d > tol {
+				t.Fatalf("%s Δ=%v: max diff vs dijkstra %g", m.name, delta, d)
+			}
 		}
 	}
 }
 
 func TestUnweightedEqualsBFSDepth(t *testing.T) {
-	// On an unweighted path, distance = hop count.
+	// On an unweighted path, distance = hop count, in every mode.
 	g := gen.Path(50)
-	res := Push(g, Options{Source: 0, Delta: 1})
-	for v := 0; v < 50; v++ {
-		if res.Dist[v] != float64(v) {
-			t.Fatalf("dist[%d] = %v", v, res.Dist[v])
+	for _, m := range modes {
+		res := runMode(g, Options{Source: 0, Delta: 1}, m.mode)
+		for v := 0; v < 50; v++ {
+			if res.Dist[v] != float64(v) {
+				t.Fatalf("%s: dist[%d] = %v", m.name, v, res.Dist[v])
+			}
 		}
-	}
-	res2 := Pull(g, Options{Source: 0, Delta: 1})
-	if d := MaxDiff(res.Dist, res2.Dist); d != 0 {
-		t.Fatalf("push/pull diff on path: %g", d)
 	}
 }
 
@@ -73,51 +86,50 @@ func TestDisconnected(t *testing.T) {
 	// 2—3 unreachable from 0
 	b.AddEdgeW(2, 3, 1)
 	g := b.MustBuild()
-	for _, run := range []func(*graph.CSR, Options) *Result{Push, Pull} {
-		res := run(g, Options{Source: 0})
+	for _, m := range modes {
+		res := runMode(g, Options{Source: 0}, m.mode)
 		if !math.IsInf(res.Dist[2], 1) || !math.IsInf(res.Dist[3], 1) {
-			t.Fatal("unreachable vertex got finite distance")
+			t.Fatalf("%s: unreachable vertex got finite distance", m.name)
 		}
 		if res.Dist[1] != 5 {
-			t.Fatalf("dist[1] = %v", res.Dist[1])
+			t.Fatalf("%s: dist[1] = %v", m.name, res.Dist[1])
 		}
 	}
 }
 
 func TestEmptyGraph(t *testing.T) {
 	g := graph.NewBuilder(0).MustBuild()
-	if res := Push(g, Options{}); len(res.Dist) != 0 {
-		t.Fatal("empty push")
-	}
-	if res := Pull(g, Options{}); len(res.Dist) != 0 {
-		t.Fatal("empty pull")
+	for _, m := range modes {
+		if res := runMode(g, Options{}, m.mode); len(res.Dist) != 0 {
+			t.Fatalf("empty %s", m.name)
+		}
 	}
 }
 
 func TestDeltaAffectsEpochCount(t *testing.T) {
 	g := weighted(t, 23)
-	small := Push(g, Options{Source: 0, Delta: 5})
-	large := Push(g, Options{Source: 0, Delta: 1e6})
-	if small.Epochs <= large.Epochs {
-		t.Fatalf("epochs: Δ=5 → %d, Δ=1e6 → %d; small Δ must need more epochs",
-			small.Epochs, large.Epochs)
-	}
-	// With Δ → ∞, a single bucket holds everything (Bellman-Ford-like).
-	if large.Epochs != 1 {
-		t.Fatalf("Δ=1e6 epochs = %d, want 1", large.Epochs)
+	for _, m := range modes {
+		small := runMode(g, Options{Source: 0, Delta: 5}, m.mode)
+		large := runMode(g, Options{Source: 0, Delta: 1e6}, m.mode)
+		if small.Epochs <= large.Epochs {
+			t.Fatalf("%s epochs: Δ=5 → %d, Δ=1e6 → %d; small Δ must need more epochs",
+				m.name, small.Epochs, large.Epochs)
+		}
+		// With Δ → ∞, a single bucket holds everything (Bellman-Ford-like).
+		if large.Epochs != 1 {
+			t.Fatalf("%s: Δ=1e6 epochs = %d, want 1", m.name, large.Epochs)
+		}
 	}
 }
 
-// A Δ far below the spacing of the distances stops every variant with
-// OverBudget instead of growing a bucket list out to ⌊d/Δ⌋ or overflowing
-// int in the conversion; half the heuristic stays under the budget.
+// A Δ far below the spacing of the distances stops every mode and both
+// profiled kernels with OverBudget instead of growing a bucket list out to
+// ⌊d/Δ⌋ or overflowing int in the conversion; half the heuristic stays
+// under the budget.
 func TestDeltaBudget(t *testing.T) {
 	g := weighted(t, 24)
 	want := Dijkstra(g, 0)
 	variants := map[string]func(Options) *Result{
-		"push":     func(o Options) *Result { return Push(g, o) },
-		"pull":     func(o Options) *Result { return Pull(g, o) },
-		"adaptive": func(o Options) *Result { return Adaptive(g, o).Result },
 		"push-profiled": func(o Options) *Result {
 			prof, _ := core.CountingProfile(2)
 			res, err := PushProfiled(g, o, prof, nil)
@@ -134,6 +146,10 @@ func TestDeltaBudget(t *testing.T) {
 			}
 			return res
 		},
+	}
+	for _, m := range modes {
+		mode := m.mode
+		variants[m.name] = func(o Options) *Result { return runMode(g, o, mode) }
 	}
 	for name, run := range variants {
 		for _, delta := range []float64{1e-300, 1e-12, 1e-6} {
@@ -162,17 +178,14 @@ func TestRoadGraph(t *testing.T) {
 	}
 	g = gen.WithUniformWeights(g, 1, 10, 8)
 	want := Dijkstra(g, 0)
-	push := Push(g, Options{Source: 0})
-	pull := Pull(g, Options{Source: 0})
-	if d := MaxDiff(push.Dist, want); d > tol {
-		t.Fatalf("push diff %g", d)
-	}
-	if d := MaxDiff(pull.Dist, want); d > tol {
-		t.Fatalf("pull diff %g", d)
+	for _, m := range modes {
+		if d := MaxDiff(runMode(g, Options{Source: 0}, m.mode).Dist, want); d > tol {
+			t.Fatalf("%s diff %g", m.name, d)
+		}
 	}
 }
 
-// Property: push == pull == Dijkstra on random weighted graphs.
+// Property: every mode == Dijkstra on random weighted graphs.
 func TestVariantsAgreeProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		g, err := gen.ErdosRenyi(120, 4, seed)
@@ -183,10 +196,12 @@ func TestVariantsAgreeProperty(t *testing.T) {
 		want := Dijkstra(g, 0)
 		opt := Options{Source: 0}
 		opt.Threads = 3
-		if MaxDiff(Push(g, opt).Dist, want) > tol {
-			return false
+		for _, m := range modes {
+			if MaxDiff(runMode(g, opt, m.mode).Dist, want) > tol {
+				return false
+			}
 		}
-		return MaxDiff(Pull(g, opt).Dist, want) <= tol
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Fatal(err)
@@ -287,18 +302,14 @@ func TestProfiledValidation(t *testing.T) {
 	}
 }
 
-func BenchmarkPush(b *testing.B) {
+func BenchmarkRun(b *testing.B) {
 	g, _ := gen.RMAT(gen.DefaultRMAT(12, 8, 1))
 	g = gen.WithUniformWeights(g, 1, 100, 2)
-	for i := 0; i < b.N; i++ {
-		Push(g, Options{Source: 0})
-	}
-}
-
-func BenchmarkPull(b *testing.B) {
-	g, _ := gen.RMAT(gen.DefaultRMAT(12, 8, 1))
-	g = gen.WithUniformWeights(g, 1, 100, 2)
-	for i := 0; i < b.N; i++ {
-		Pull(g, Options{Source: 0})
+	for _, m := range modes {
+		b.Run(m.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				runMode(g, Options{Source: 0}, m.mode)
+			}
+		})
 	}
 }
