@@ -27,6 +27,10 @@ const denseShare = 16
 // split by vertex count leaves one worker with most of the edges.
 const chunkWords = 8
 
+// lightGrain is how many rows a worker takes at a time while building the
+// light view, drawn in chunks for the reason chunkWords gives.
+const lightGrain = 512
+
 // rounds is the state of a Δ-stepping run and the scratch its rounds
 // reuse: the bucket lists and 4 + t bitmaps of n/8 bytes. Both directions
 // start a round from cur, the bucket's members at an epoch's first round
@@ -42,6 +46,15 @@ const chunkWords = 8
 // writer per phase, no phase needs a read-modify-write atomic, and one
 // worker per round is the only writer of a vertex's distance.
 //
+// Pull rounds split the arcs as Meyer and Sanders do, into light (w < Δ)
+// and heavy (w ≥ Δ) ones. An epoch's first pull round reads whole rows.
+// A later one reads only the light view, g's light arcs, because its
+// sources were lowered into the bucket during the epoch: a heavy arc out
+// of one reaches lo + Δ or more, past the bucket. Those sources join the
+// epoch's members, and once the bucket empties one sweep relaxes their
+// heavy arcs. The view and a fifth bitmap, members, are built at the
+// run's first later pull round, so a run without one never pays for them.
+//
 // The graph must store every edge in both directions, as everywhere in
 // this package: a row is found through its neighbor's adjacency.
 type rounds struct {
@@ -52,6 +65,7 @@ type rounds struct {
 	b     int     // current bucket
 	lo    float64 // bucket b is lo ≤ d < hi; rows at or below lo are settled
 	hi    float64
+	floor float64 // relax skips rows at or below it: lo, and lo + Δ in a sweep
 
 	budget     float64 // bucketBudget(g)
 	overBudget bool    // a distance fell in a bucket past the budget; the run stops
@@ -61,6 +75,7 @@ type rounds struct {
 	cur     []graph.V        // sources of this round
 	inRound *frontier.Bitmap // dedup of cur
 	lowered [][]graph.V      // per worker: what its push relaxations lowered
+	opening bool             // the next round is its epoch's first
 
 	active      *frontier.Bitmap   // cur as a bitmap, and activeEdges its out-edge
 	activeEdges int64              // work, while activeCur is set: after activate
@@ -71,7 +86,13 @@ type rounds struct {
 	marks       []*frontier.Bitmap // per-worker row marks, merged into rows
 	sparse      frontier.Sparse    // what active and later are read out into
 
+	view        *graph.CSR       // the rows relax reads: g, or light in a later pull round
+	light       *graph.CSR       // g's light arcs, g itself when none is heavy; nil until needed
+	members     *frontier.Bitmap // sources of the epoch's light pull rounds
+	memberEdges int64            // their out-edges; 0 when the epoch owes no sweep
+
 	nextEdges []int64 // per worker: out-edges of what it put into next
+	pullArcs  []int64 // per worker: arcs its pull relaxations read
 
 	// The round bodies as func values, bound once: evaluating r.push in
 	// the round loop would allocate a closure per round.
@@ -93,7 +114,9 @@ func newRounds(g *graph.CSR, source graph.V, delta float64, t int) *rounds {
 		later:     frontier.NewBitmap(n),
 		rows:      frontier.NewBitmap(n),
 		marks:     make([]*frontier.Bitmap, t),
+		view:      g,
 		nextEdges: make([]int64, t),
+		pullArcs:  make([]int64, t),
 	}
 	for w := range r.marks {
 		r.marks[w] = frontier.NewBitmap(n)
@@ -137,6 +160,7 @@ func (r *rounds) bucketOf(d float64) (int, bool) {
 func (r *rounds) setBucket(b int) {
 	r.b = b
 	r.lo, r.hi = float64(b)*r.delta, float64(b+1)*r.delta
+	r.floor = r.lo
 }
 
 // take starts bucket b: the round list cur becomes the bucket's list with
@@ -160,7 +184,7 @@ func (r *rounds) take(b int) bool {
 		}
 	}
 	r.spare = append(r.spare, r.cur[:0])
-	r.cur, r.activeCur = keep, false
+	r.cur, r.activeCur, r.opening = keep, false, true
 	return len(keep) > 0
 }
 
@@ -208,7 +232,7 @@ func (r *rounds) push(w, from, to int) {
 func (r *rounds) pushRound() {
 	sched.ParallelFor(len(r.cur), r.t, sched.Static, 0, r.pushFn)
 	r.inRound.Clear()
-	r.cur, r.activeCur = r.cur[:0], false
+	r.cur, r.activeCur, r.opening = r.cur[:0], false, false
 	for w, buf := range r.lowered {
 		for _, v := range buf {
 			if atomicx.LoadFloat64(&r.dist[v]) >= r.hi {
@@ -291,22 +315,24 @@ func (r *rounds) rowEdges() int64 {
 	return edges
 }
 
-// relax is the package's one pull relaxation: every unsettled marked row
-// in words [from, to) takes the minimum over its active neighbors, testing
-// the active bit (n/8 bytes in all, cache-resident) before touching the
-// neighbor's distance.
+// relax is the package's one pull relaxation: every marked row of view in
+// words [from, to) whose distance is above floor takes the minimum over
+// its active neighbors, testing the active bit (n/8 bytes in all,
+// cache-resident) before touching the neighbor's distance.
 func (r *rounds) relax(w, from, to int) {
-	offsets, adj, weights, dist := r.g.Offsets, r.g.Adj, r.g.Weights, r.dist
+	offsets, adj, weights, dist := r.view.Offsets, r.view.Adj, r.view.Weights, r.dist
+	degrees, floor := r.g.Offsets, r.floor
 	rows, active, next := r.rows.Words(), r.active.Words(), r.next.Words()
-	var edges int64
+	var edges, arcs int64
 	for wi := from; wi < to; wi++ {
 		for word := rows[wi]; word != 0; word &= word - 1 {
 			v := graph.V(wi<<6 + bits.TrailingZeros64(word))
 			dv := atomicx.LoadFloat64(&dist[v])
-			if dv <= r.lo {
-				continue // settled for this epoch
+			if dv <= floor {
+				continue // settled, or out of a heavy arc's reach
 			}
 			first, last := offsets[v], offsets[v+1]
+			arcs += last - first
 			best := dv
 			for j := first; j < last; j++ {
 				u := adj[j]
@@ -329,7 +355,7 @@ func (r *rounds) relax(w, from, to int) {
 			bit := uint64(1) << (uint(v) & 63)
 			if best < r.hi {
 				next[wi] |= bit
-				edges += last - first
+				edges += degrees[v+1] - degrees[v]
 				// v is a source from here on, not only from the next round:
 				// rows relaxed later in this round already see it, as every
 				// row saw every bucket member in the rescanning kernel's
@@ -343,12 +369,27 @@ func (r *rounds) relax(w, from, to int) {
 		}
 	}
 	r.nextEdges[w] += edges
+	r.pullArcs[w] += arcs
 }
 
-// pullRound relaxes the marked rows. What it lowered into the bucket
-// becomes the next round's cur and, where endRound leaves it, active set;
-// what it lowered past the bucket is filed under its later bucket.
+// pullRound relaxes the marked rows: whole rows in the epoch's first
+// round, light rows after it, whose sources join the members.
 func (r *rounds) pullRound() {
+	r.view = r.g
+	if !r.opening {
+		if r.view = r.lightView(); r.view != r.g {
+			r.join()
+		}
+	}
+	r.opening = false
+	r.relaxRows()
+}
+
+// relaxRows relaxes the marked rows of view. What it lowered into the
+// bucket becomes the next round's cur and, where endRound leaves it,
+// active set; what it lowered past the bucket is filed under its later
+// bucket.
+func (r *rounds) relaxRows() {
 	sched.ParallelFor(len(r.rows.Words()), r.t, sched.Dynamic, chunkWords, r.relaxFn)
 	r.activeEdges, r.activeCur = r.endRound(), true
 	r.active.ToSparse(&r.sparse)
@@ -358,6 +399,92 @@ func (r *rounds) pullRound() {
 	for _, v := range r.sparse.Vertices() {
 		r.enqueue(v)
 	}
+}
+
+// lightView returns the light view, building it, and the members bitmap
+// when some arc is heavy, at the run's first call.
+func (r *rounds) lightView() *graph.CSR {
+	if r.light == nil {
+		r.light = lightArcs(r.g, r.delta, r.t)
+		if r.light != r.g {
+			r.members = frontier.NewBitmap(r.g.N())
+		}
+	}
+	return r.light
+}
+
+// join adds cur, the sources of a light pull round, to the members.
+func (r *rounds) join() {
+	for _, v := range r.cur {
+		if !r.members.Get(v) {
+			r.members.SetSeq(v)
+			r.memberEdges += r.g.Degree(v)
+		}
+	}
+}
+
+// sweep follows the round that emptied the bucket of an epoch with light
+// pull rounds: one pull pass over whole rows, the members the active set,
+// relaxes the heavy arcs those rounds skipped. It skips rows at or below
+// lo + Δ, the least a heavy arc out of a member reaches, which is hi up to
+// rounding. What it lowers past the bucket is filed. Where rounding puts
+// lo + Δ below hi, what it lowers into the bucket becomes cur and re-opens
+// the epoch.
+func (r *rounds) sweep() {
+	r.active, r.members = r.members, r.active
+	r.markRows(r.memberEdges)
+	r.view, r.floor = r.g, r.lo+r.delta
+	r.relaxRows()
+	r.floor = r.lo
+	r.members.Clear()
+	r.memberEdges = 0
+}
+
+// lightArcs returns the CSR of g's light arcs, those lighter than delta,
+// each row in g's order, or g itself when no arc is heavy. It makes two
+// passes over the rows with t workers: the first counts each row's light
+// arcs into the offsets and, after a prefix sum, the second copies them,
+// so every array is allocated once at its final size.
+func lightArcs(g *graph.CSR, delta float64, t int) *graph.CSR {
+	n := g.N()
+	if g.Weights == nil {
+		if 1 < delta {
+			return g
+		}
+		return &graph.CSR{NumV: g.NumV, Offsets: make([]int64, n+1)}
+	}
+	offsets := make([]int64, n+1)
+	sched.ParallelFor(n, t, sched.Dynamic, lightGrain, func(_, from, to int) {
+		for v := from; v < to; v++ {
+			var c int64
+			for _, w := range g.Weights[g.Offsets[v]:g.Offsets[v+1]] {
+				if float64(w) < delta {
+					c++
+				}
+			}
+			offsets[v+1] = c
+		}
+	})
+	for v := 0; v < n; v++ {
+		offsets[v+1] += offsets[v]
+	}
+	m := offsets[n]
+	if m == g.M() {
+		return g
+	}
+	light := &graph.CSR{NumV: g.NumV, Offsets: offsets, Adj: make([]graph.V, m), Weights: make([]float32, m)}
+	sched.ParallelFor(n, t, sched.Dynamic, lightGrain, func(_, from, to int) {
+		for v := from; v < to; v++ {
+			at := offsets[v]
+			for j := g.Offsets[v]; j < g.Offsets[v+1]; j++ {
+				if w := g.Weights[j]; float64(w) < delta {
+					light.Adj[at], light.Weights[at] = g.Adj[j], w
+					at++
+				}
+			}
+		}
+	})
+	return light
 }
 
 // endRound follows a round's relaxation: it makes what was lowered into

@@ -14,8 +14,11 @@
 // (the bucket's members, then whatever the previous round lowered into
 // it) into a bitmap of destination rows, and reads only those rows, so the
 // l_Δ rescans of an epoch shrink to the rows its frontier touches
-// (rounds). Forced push and forced pull are modes of the kernel, beside
-// the per-round switching of §7.2 (Mode).
+// (rounds). After an epoch's first round those rows are read for their
+// light arcs (w < Δ) only, and one sweep per epoch relaxes the heavy ones
+// (Meyer & Sanders' split), so the §4.4 price becomes the light rows the
+// frontier touches plus one heavy sweep. Forced push and forced pull are
+// modes of the kernel, beside the per-round switching of §7.2 (Mode).
 package sssp
 
 import (
@@ -66,6 +69,10 @@ type Result struct {
 	// bucket at or past bucketBudget: Δ is too small for the distances,
 	// and Dist is partial.
 	OverBudget bool
+	// PullArcs is how many arcs the run's pull relaxations read: the
+	// length of every row they relaxed, a light row counting its light
+	// arcs only.
+	PullArcs int64
 }
 
 // bucketBudget is how many buckets a run may index: n + M. A bucket index
@@ -157,8 +164,10 @@ func (h *vheap) Pop() interface{} {
 // memory fences only, not the read-modify-write atomics pushing needs — so
 // cross-partition reads of a neighbor's in-flight distance are well-defined
 // while one worker per round is the sole writer of a vertex, the pull
-// invariant of §3.8. Every mode returns Dijkstra's distances in the same
-// epochs.
+// invariant of §3.8. A pull round after an epoch's first reads only light
+// arcs, and one pull sweep per epoch relaxes the heavy arcs, so what pull
+// pays for §4.4's rescans is light rows plus one heavy sweep. Every mode
+// returns Dijkstra's distances in the same epochs.
 func Run(g *graph.CSR, opt Options) *Result {
 	n := g.N()
 	res := &Result{Dist: make([]float64, n)}
@@ -196,6 +205,10 @@ func Run(g *graph.CSR, opt Options) *Result {
 				// atomics. Below n/β vertices the bucket is pushed unasked: a
 				// pull round's fixed cost — n/64 words per phase and worker,
 				// two more fork-joins — is already more than pushing it.
+				// rowEdges counts whole rows even where the round will read
+				// only their light arcs: the inputs are deliberately those
+				// of the whole-row rounds, so the direction traces stay the
+				// same.
 				activeEdges := r.activate()
 				rowEdges := g.M()
 				if dense := r.markRows(activeEdges); !dense {
@@ -210,12 +223,25 @@ func Run(g *graph.CSR, opt Options) *Result {
 				res.Dirs = append(res.Dirs, core.Push)
 				r.pushRound()
 			}
+			if len(r.cur) == 0 && r.memberEdges > 0 && !r.overBudget {
+				// The bucket emptied and its light pull rounds owe the
+				// heavy arcs' sweep, timed with this round. A canceled run
+				// stops without it: its distances stay upper bounds.
+				if opt.Canceled() {
+					res.Stats.Canceled = true
+				} else {
+					r.sweep()
+				}
+			}
 			el := time.Since(start)
 			res.Stats.Record(el)
 			opt.Tick(res.Inner-1, el)
 		}
 	}
 	res.OverBudget = r.overBudget
+	for _, a := range r.pullArcs {
+		res.PullArcs += a
+	}
 	r.distances(res.Dist)
 	return res
 }

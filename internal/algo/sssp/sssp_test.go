@@ -259,11 +259,7 @@ func profiledCounts(t *testing.T, g *graph.CSR, run func(*graph.CSR, Options, co
 // words as a rescan did — an active-bitmap word per edge where the old
 // kernel read a distance — so the count falls by the sparse rounds only.
 func TestCounterShapes(t *testing.T) {
-	road, err := gen.RoadGrid(24, 24, 0.95, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	road = gen.WithUniformWeights(road, 1, 10, 4)
+	road := counterRoad(t)
 	push := profiledCounts(t, road, PushProfiled)
 	pull := profiledCounts(t, road, PullProfiled)
 
@@ -307,9 +303,11 @@ func BenchmarkRun(b *testing.B) {
 	g = gen.WithUniformWeights(g, 1, 100, 2)
 	for _, m := range modes {
 		b.Run(m.name, func(b *testing.B) {
+			var res *Result
 			for i := 0; i < b.N; i++ {
-				runMode(g, Options{Source: 0}, m.mode)
+				res = runMode(g, Options{Source: 0}, m.mode)
 			}
+			b.ReportMetric(float64(res.PullArcs), "pull-arcs/op")
 		})
 	}
 }
