@@ -7,8 +7,8 @@
 //
 // Paper grounding: §4.2/§4.5 price push-vs-pull as a synchronization
 // and memory-traffic trade; a kernel that mallocs per iteration drags
-// the allocator and GC into that budget and makes the BENCH_*.json
-// trajectory noise-bound. Deliberate per-round allocation (e.g. a
+// the allocator and GC into that budget and makes per-edge timings
+// noise-bound. Deliberate per-round allocation (e.g. a
 // frontier rebuilt per level because sizing is data-dependent) is
 // annotated `//pushpull:allow alloc <why>` — the alias keeps the escape
 // hatch short.

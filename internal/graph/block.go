@@ -477,9 +477,8 @@ func readBlockHeader(f *os.File, path string) (*BlockCSR, error) {
 		return nil, fmt.Errorf("graph: block file %s: %w", path, err)
 	}
 	fileSize := st.Size()
-	br := bufio.NewReaderSize(f, 1<<20)
 	var hdr [blockHeaderBytes]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+	if _, err := io.ReadFull(f, hdr[:]); err != nil {
 		return nil, fmt.Errorf("graph: block file %s: truncated header: %w", path, err)
 	}
 	magic := binary.LittleEndian.Uint32(hdr[0:])
@@ -498,8 +497,8 @@ func readBlockHeader(f *os.File, path string) (*BlockCSR, error) {
 	if flags&^uint32(blockFlagWeighted|blockFlagDirected) != 0 {
 		return nil, fmt.Errorf("graph: block file %s: unknown flag bits %#x", path, flags)
 	}
-	if bv == 0 || bv%64 != 0 {
-		return nil, fmt.Errorf("graph: block file %s: block size %d is not a positive multiple of 64", path, bv)
+	if bv == 0 || bv%64 != 0 || bv > math.MaxInt32 {
+		return nil, fmt.Errorf("graph: block file %s: block size %d is not a positive multiple of 64 within int32", path, bv)
 	}
 	if n > uint64(math.MaxInt32) {
 		return nil, fmt.Errorf("graph: block file %s: vertex count %d exceeds int32", path, n)
@@ -515,18 +514,29 @@ func readBlockHeader(f *os.File, path string) (*BlockCSR, error) {
 		weighted:   flags&blockFlagWeighted != 0,
 		directed:   flags&blockFlagDirected != 0,
 	}
-	read64s := func(dst []int64, what string) error {
+	// Every array below is sized by the header's counts, so each is
+	// checked against the bytes the file has left before it is
+	// allocated: a few-byte file claiming 2^31 vertices fails here, not
+	// after an allocation of gigabytes.
+	pos := int64(blockHeaderBytes)
+	br := bufio.NewReaderSize(f, int(min(1<<20, fileSize-pos)))
+	read64s := func(count uint64, what string) ([]int64, error) {
+		need := int64(count) * 8
+		if fileSize-pos < need {
+			return nil, fmt.Errorf("graph: block file %s: truncated %s: %d bytes left, %d needed", path, what, fileSize-pos, need)
+		}
+		pos += need
+		dst := make([]int64, count)
 		var b [8]byte
 		for i := range dst {
 			if _, err := io.ReadFull(br, b[:]); err != nil {
-				return fmt.Errorf("graph: block file %s: truncated %s: %w", path, what, err)
+				return nil, fmt.Errorf("graph: block file %s: truncated %s: %w", path, what, err)
 			}
 			dst[i] = int64(binary.LittleEndian.Uint64(b[:]))
 		}
-		return nil
+		return dst, nil
 	}
-	g.Offsets = make([]int64, n+1)
-	if err := read64s(g.Offsets, "offsets"); err != nil {
+	if g.Offsets, err = read64s(n+1, "offsets"); err != nil {
 		return nil, err
 	}
 	if g.Offsets[0] != 0 || g.Offsets[n] != g.adjCount {
@@ -537,14 +547,17 @@ func readBlockHeader(f *os.File, path string) (*BlockCSR, error) {
 			return nil, fmt.Errorf("graph: block file %s: offsets not monotone at vertex %d", path, i)
 		}
 	}
+	// Four bytes per arc must fit in the file; this also keeps the
+	// segment arithmetic in blockOffsets from overflowing.
+	if g.adjCount > fileSize/4 {
+		return nil, fmt.Errorf("graph: block file %s: %d arcs cannot fit in %d bytes (truncated file)", path, g.adjCount, fileSize)
+	}
 	if g.directed {
-		g.OutDeg = make([]int64, n)
-		if err := read64s(g.OutDeg, "out-degrees"); err != nil {
+		if g.OutDeg, err = read64s(n, "out-degrees"); err != nil {
 			return nil, err
 		}
 	}
-	g.blockOff = make([]int64, numBlocks+1)
-	if err := read64s(g.blockOff, "block index"); err != nil {
+	if g.blockOff, err = read64s(numBlocks+1, "block index"); err != nil {
 		return nil, err
 	}
 	want := blockOffsets(g.Offsets, int(n), int(bv), int(numBlocks), g.directed, g.weighted)

@@ -2,8 +2,10 @@ package graph
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -221,33 +223,16 @@ func TestBlockEmptyGraph(t *testing.T) {
 	}
 }
 
-// Corruption must fail at open, loudly, never serve a wrong graph.
-func TestBlockCorruptionRejected(t *testing.T) {
-	g := randomCSR(t, 500, 3000, false, false, 13)
-	path := writeBlockFile(t, g, nil, 64)
-	good, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	openMutated := func(t *testing.T, mutate func(b []byte) []byte) error {
-		t.Helper()
-		b := mutate(append([]byte(nil), good...))
-		p := filepath.Join(dir, "bad.blk")
-		if err := os.WriteFile(p, b, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		bg, err := OpenBlockCSR(p)
-		if err == nil {
-			bg.Close()
-		}
-		return err
-	}
-	cases := []struct {
-		name    string
-		wantSub string
-		mutate  func(b []byte) []byte
-	}{
+// blockCorruption is one way to damage a valid block file of an
+// undirected, unweighted graph with n > 10 vertices.
+type blockCorruption struct {
+	name    string
+	wantSub string
+	mutate  func(b []byte) []byte
+}
+
+func blockCorruptions(n int) []blockCorruption {
+	return []blockCorruption{
 		{"bad-magic", "bad magic", func(b []byte) []byte { b[0] ^= 0xff; return b }},
 		{"future-version", "version", func(b []byte) []byte { b[4] = 99; return b }},
 		{"unknown-flags", "unknown flag", func(b []byte) []byte { b[8] |= 0x80; return b }},
@@ -257,7 +242,7 @@ func TestBlockCorruptionRejected(t *testing.T) {
 		{"truncated-segments", "truncated file", func(b []byte) []byte { return b[:len(b)-64] }},
 		{"flipped-block-index", "block index entry", func(b []byte) []byte {
 			// First block-index entry sits right after header + offsets.
-			idx := blockHeaderBytes + (g.N()+1)*8
+			idx := blockHeaderBytes + (n+1)*8
 			b[idx] ^= 0x01
 			return b
 		}},
@@ -267,16 +252,124 @@ func TestBlockCorruptionRejected(t *testing.T) {
 			b[blockHeaderBytes+8*10] ^= 0xf0
 			return b
 		}},
+		{"huge-header", "truncated offsets", func(b []byte) []byte {
+			// A bare header claiming 2^27 vertices: 1 GiB of offsets
+			// the 40-byte file cannot hold.
+			b = b[:blockHeaderBytes]
+			binary.LittleEndian.PutUint32(b[12:], 64)
+			binary.LittleEndian.PutUint64(b[16:], 1<<27)
+			binary.LittleEndian.PutUint64(b[32:], 1<<27/64)
+			return b
+		}},
 	}
-	for _, tc := range cases {
+}
+
+// Corruption must fail at open, loudly, never serve a wrong graph, and
+// never allocate from a count the file cannot back.
+func TestBlockCorruptionRejected(t *testing.T) {
+	g := randomCSR(t, 500, 3000, false, false, 13)
+	path := writeBlockFile(t, g, nil, 64)
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	for _, tc := range blockCorruptions(g.N()) {
 		t.Run(tc.name, func(t *testing.T) {
-			err := openMutated(t, tc.mutate)
+			b := tc.mutate(append([]byte(nil), good...))
+			p := filepath.Join(dir, "bad.blk")
+			if err := os.WriteFile(p, b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			bg, err := OpenBlockCSR(p)
+			runtime.ReadMemStats(&after)
 			if err == nil {
+				bg.Close()
 				t.Fatal("corrupt file opened cleanly")
 			}
 			if tc.wantSub != "" && !strings.Contains(err.Error(), tc.wantSub) {
 				t.Fatalf("error %q does not mention %q", err, tc.wantSub)
 			}
+			if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+				t.Fatalf("rejecting a %d-byte file allocated %d bytes", len(b), alloc)
+			}
 		})
+	}
+}
+
+// FuzzOpenBlockFile feeds arbitrary bytes to OpenBlockCSR, mmap-backed
+// and buffered. A file it accepts must serve every block, every row and
+// the streamed visit without a panic, with rows as long as the offsets
+// say. The seeds are two-block files under a kilobyte: Go's minimizer
+// is quadratic in input length.
+func FuzzOpenBlockFile(f *testing.F) {
+	g := randomCSR(f, 65, 30, false, false, 13)
+	good, err := os.ReadFile(writeBlockFile(f, g, nil, 64))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(good)
+	for _, c := range blockCorruptions(g.N()) {
+		f.Add(c.mutate(append([]byte(nil), good...)))
+	}
+	dw := randomCSR(f, 65, 30, true, true, 17)
+	outDeg := make([]int64, dw.N())
+	for v := range outDeg {
+		outDeg[v] = int64(len(dw.Neighbors(V(v))))
+	}
+	directed, err := os.ReadFile(writeBlockFile(f, dw, outDeg, 64))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(directed)
+	// A worker process runs one input at a time, so one path serves all.
+	path := filepath.Join(f.TempDir(), "f.blk")
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, opts := range [][]BlockOpt{nil, {Buffered()}} {
+			bg, err := OpenBlockCSR(path, opts...)
+			if err != nil {
+				continue
+			}
+			walkBlockFile(t, bg)
+			if err := bg.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+}
+
+// walkBlockFile loads every block of an opened file, reads every row,
+// and streams the file through VisitBlocks.
+func walkBlockFile(t *testing.T, bg *BlockCSR) {
+	t.Helper()
+	var cur BlockCursor
+	for bi := 0; bi < bg.NumBlocks(); bi++ {
+		if err := bg.Load(bi, &cur); err != nil {
+			t.Fatal(err)
+		}
+		lo, hi := bg.BlockRange(bi)
+		for v := lo; v < hi; v++ {
+			if got := int64(len(cur.Row(v))); got != bg.Degree(v) {
+				t.Fatalf("vertex %d: row of %d arcs, degree %d", v, got, bg.Degree(v))
+			}
+		}
+	}
+	var arcs int64
+	if err := bg.VisitBlocks(func(adj []V, ws []float32) error {
+		if bg.Weighted() && len(ws) != len(adj) {
+			t.Fatalf("block of %d arcs carries %d weights", len(adj), len(ws))
+		}
+		arcs += int64(len(adj))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if arcs != bg.M() {
+		t.Fatalf("visited %d arcs, file holds %d", arcs, bg.M())
 	}
 }

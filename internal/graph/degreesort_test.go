@@ -9,7 +9,7 @@ import (
 // randomCSR builds a deterministic pseudo-random graph via the Builder so
 // permutation tests exercise non-trivial degree distributions without
 // importing the generator package (which would cycle).
-func randomCSR(t *testing.T, n, edges int, weighted, directed bool, seed uint64) *CSR {
+func randomCSR(t testing.TB, n, edges int, weighted, directed bool, seed uint64) *CSR {
 	t.Helper()
 	b := NewBuilder(n)
 	if directed {

@@ -13,10 +13,12 @@ import (
 	"context"
 	"errors"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"pushpull"
 	"pushpull/internal/algo/pr"
+	"pushpull/internal/graph"
 )
 
 // fileHandles persists w through a DiskStore whose threshold sends every
@@ -64,6 +66,40 @@ func TestOutOfCorePRCrossValidate(t *testing.T) {
 				t.Errorf("%s/%s: blocked pr diverges from plain pull: max diff %g", tc.name, name, d)
 			}
 		}
+	}
+}
+
+// A buffered file handle keeps the O(n) vertex state and one block per
+// worker resident, never the adjacency: a 20-iteration pull pr over 64
+// blocks must allocate less than the 4·m bytes of the adjacency alone,
+// and still reproduce the in-memory ranks.
+func TestOutOfCorePRResidency(t *testing.T) {
+	g, err := pushpull.RMAT(pushpull.DefaultRMAT(13, 16, 42))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "g.blk")
+	if err := graph.WriteBlockFile(path, g, nil, 128); err != nil {
+		t.Fatal(err)
+	}
+	h, err := pushpull.OpenOutOfCoreWorkload(path, pushpull.AsBlockBuffered())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	opts := []pushpull.Option{pushpull.WithDirection(pushpull.Pull), pushpull.WithIterations(20), pushpull.WithThreads(2)}
+	want := run(t, pushpull.NewWorkload(g), "pr", opts...).Ranks()
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got := run(t, h, "pr", opts...).Ranks()
+	runtime.ReadMemStats(&after)
+	adjacency := 4 * uint64(g.M())
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= adjacency {
+		t.Errorf("pr over %d blocks allocated %d bytes, the adjacency is %d", g.N()/128, alloc, adjacency)
+	}
+	if d := pushpull.MaxDiff(want, got); d > 1e-9 {
+		t.Errorf("buffered pr diverges from in-memory pull: max diff %g", d)
 	}
 }
 

@@ -9,6 +9,7 @@ package pushpull_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"path/filepath"
 	"testing"
 
@@ -59,7 +60,39 @@ func ranksOf(t *testing.T, rep *pushpull.Report) []float64 {
 	return ranks
 }
 
+// eachLayoutPair runs algo plain and degree-sorted on weighted rmat and er
+// at one tenth scale (seed 42), pushed and pulled, at one and two threads,
+// and hands each pair of reports to check. Every run also passes opts.
+func eachLayoutPair(t *testing.T, algo string, check func(t *testing.T, g *pushpull.Graph, plain, sorted *pushpull.Report), opts ...pushpull.Option) {
+	t.Helper()
+	for _, name := range []string{"rmat", "er"} {
+		g, err := pushpull.NamedWeightedGraph(name, 0.1, 42)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := pushpull.NewWorkload(g, pushpull.AsWeighted())
+		for _, dir := range []pushpull.Direction{pushpull.Push, pushpull.Pull} {
+			for _, threads := range []int{1, 2} {
+				t.Run(fmt.Sprintf("%s/%v/t%d", name, dir, threads), func(t *testing.T) {
+					o := append([]pushpull.Option{pushpull.WithDirection(dir), pushpull.WithThreads(threads)}, opts...)
+					plain := run(t, w, algo, o...)
+					sorted := run(t, w, algo, append(o, pushpull.WithDegreeSorted())...)
+					check(t, g, plain, sorted)
+				})
+			}
+		}
+	}
+}
+
 func TestPRLayoutOptionsCrossValidate(t *testing.T) {
+	// A degree-sorted run adds the same contributions as the plain run in
+	// the same direction, in another order.
+	eachLayoutPair(t, "pr", func(t *testing.T, _ *pushpull.Graph, plain, sorted *pushpull.Report) {
+		if d := pushpull.MaxDiff(ranksOf(t, plain), ranksOf(t, sorted)); d > 1e-9 {
+			t.Fatalf("degree-sorted ranks diverge from plain by %g", d)
+		}
+	}, pushpull.WithIterations(20))
+
 	g := skewedGraph(t)
 	base, err := pushpull.Run(context.Background(), g, "pr", pushpull.WithDirection(pushpull.Pull))
 	if err != nil {
@@ -126,6 +159,12 @@ func checkBFSTree(t *testing.T, g *pushpull.Graph, root pushpull.V, tree *pushpu
 }
 
 func TestBFSLayoutOptionsCrossValidate(t *testing.T) {
+	// Levels are unique even where parents are not: a sorted tree must
+	// have the plain run's levels and be a valid tree.
+	eachLayoutPair(t, "bfs", func(t *testing.T, g *pushpull.Graph, plain, sorted *pushpull.Report) {
+		checkBFSTree(t, g, 0, sorted.Tree(), plain.Tree().Level)
+	})
+
 	g := skewedGraph(t)
 	base, err := pushpull.Run(context.Background(), g, "bfs", pushpull.WithSource(0))
 	if err != nil {
@@ -143,6 +182,18 @@ func TestBFSLayoutOptionsCrossValidate(t *testing.T) {
 }
 
 func TestGCLayoutOptionsProperColoring(t *testing.T) {
+	for _, algo := range []string{"gc", "gc-fe"} {
+		t.Run(algo, func(t *testing.T) {
+			eachLayoutPair(t, algo, func(t *testing.T, g *pushpull.Graph, plain, sorted *pushpull.Report) {
+				for name, rep := range map[string]*pushpull.Report{"plain": plain, "sorted": sorted} {
+					if err := pushpull.ValidateColoring(g, rep.Colors()); err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+				}
+			})
+		})
+	}
+
 	g := skewedGraph(t)
 	// The degree sort, pushed and pulled, alone and under a switch policy.
 	runs := []struct {
