@@ -281,6 +281,11 @@ func runSSSP(ctx context.Context, w *Workload, cfg *Config) (*Report, error) {
 	g := w.Graph()
 	// Source range is validated by the NeedsSource capability gate.
 	opt := sssp.Options{Options: cfg.coreOptions(ctx), Source: cfg.Source, Delta: cfg.Delta}
+	if cfg.Delta == 0 {
+		// The heuristic Δ and its light view are the workload's, derived
+		// once; an explicit Δ derives its own per run, never memoized.
+		opt.View = w.ssspView()
+	}
 	if cfg.Probes {
 		// A deterministic measurement pass needs a fixed direction; the
 		// adaptive switcher's decisions come from runtime frontier costs

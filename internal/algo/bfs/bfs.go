@@ -17,7 +17,10 @@
 // one claiming pass: each frontier arc loads the target's ready counter,
 // and only a target still unready pays the atomic decrement; the decrement
 // that reaches zero claims the vertex and sets its parent. Visited targets
-// cost a load and no read-modify-write. The profiled twin still bills
+// cost a load and no read-modify-write. A push round's claims become the
+// next frontier in vertex-id order, not claim order, so the next round
+// reads rows in storage order, and at one thread every vertex's parent is
+// its least-id frontier neighbour, the one a pull round finds first. The profiled twin still bills
 // Algorithm 3 as the paper states it, in two sub-steps: a claim CAS per
 // frontier arc into an unready target, then a counter decrement per
 // frontier arc, O(m) atomics per traversal.
@@ -121,6 +124,7 @@ func Run(g *graph.CSR, cfg *Config, ops Ops) (rounds int, dirs []core.Direction,
 	}
 	perThread := frontier.NewPerThread(t)
 	inF := frontier.NewBitmap(n)
+	claimed := frontier.NewBitmap(n) // a push round's claims, read out in id order
 	dirs = make([]core.Direction, 0, 64)
 	stats.Reserve(64)
 	unexplored := g.M()
@@ -248,6 +252,12 @@ func Run(g *graph.CSR, cfg *Config, ops Ops) (rounds int, dirs []core.Direction,
 			dirs = append(dirs, core.Push)
 		}
 		perThread.Merge(cur)
+		if !usePull {
+			// Claims arrive in race order; the next round reads the rows
+			// in storage order. (A pull round's static ranges already
+			// merge in id order.)
+			cur.Sort(claimed)
+		}
 		rounds++
 		el := time.Since(start)
 		stats.Record(el)

@@ -111,6 +111,38 @@ func TestTraverseClaimRound(t *testing.T) {
 	}
 }
 
+// At one thread a push round relaxes its frontier in id order, so each
+// vertex is claimed by its least-id frontier neighbour: the one a pull
+// round finds first in the vertex's sorted row. Forced push, forced pull
+// and Auto then build the same tree.
+func TestPushPullParentsAgreeAtOneThread(t *testing.T) {
+	rmat, err := gen.RMAT(gen.DefaultRMAT(10, 8, 17))
+	if err != nil {
+		t.Fatal(err)
+	}
+	road, err := gen.RoadGrid(30, 30, 0.8, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	er, err := gen.ErdosRenyi(500, 4, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, g := range map[string]*graph.CSR{"rmat": rmat, "road": road, "er": er, "k64x64": gen.BipartiteFull(64, 64)} {
+		for _, root := range []graph.V{0, graph.V(g.N() / 2)} {
+			pull, _, _ := TraverseFrom(g, root, ForcePull, core.Options{Threads: 1})
+			for _, m := range []Mode{ForcePush, Auto} {
+				tree, _, _ := TraverseFrom(g, root, m, core.Options{Threads: 1})
+				for v := range pull.Parent {
+					if tree.Parent[v] != pull.Parent[v] {
+						t.Fatalf("%s root %d %v: parent[%d] = %d, pull's is %d", name, root, m, v, tree.Parent[v], pull.Parent[v])
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestTraverseDisconnected(t *testing.T) {
 	b := graph.NewBuilder(6)
 	b.AddEdge(0, 1)

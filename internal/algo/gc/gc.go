@@ -18,6 +18,7 @@ package gc
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"pushpull/internal/atomicx"
@@ -406,13 +407,41 @@ func Validate(g *graph.CSR, colors []int32) error {
 	return nil
 }
 
-// CountColors returns the number of distinct colors used.
+// CountColors returns the number of distinct colors used; negative
+// entries (uncolored) count for nothing. It marks colors in a bitset
+// sized to the largest one, which a coloring of n vertices keeps below
+// n; colors so large that the bitset would outgrow the colors themselves
+// are counted on a sorted copy instead.
 func CountColors(colors []int32) int {
-	seen := map[int32]bool{}
+	var top int32 = -1
 	for _, c := range colors {
-		if c >= 0 {
-			seen[c] = true
+		top = max(top, c)
+	}
+	if top < 0 {
+		return 0
+	}
+	if int(top>>6) > len(colors) {
+		sorted := slices.Clone(colors)
+		slices.Sort(sorted)
+		count := 0
+		for i, c := range sorted {
+			if c >= 0 && (i == 0 || c != sorted[i-1]) {
+				count++
+			}
+		}
+		return count
+	}
+	seen := make([]uint64, top>>6+1)
+	count := 0
+	for _, c := range colors {
+		if c < 0 {
+			continue
+		}
+		word, bit := &seen[c>>6], uint64(1)<<(c&63)
+		if *word&bit == 0 {
+			*word |= bit
+			count++
 		}
 	}
-	return len(seen)
+	return count
 }

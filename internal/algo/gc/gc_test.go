@@ -11,6 +11,7 @@ import (
 	"pushpull/internal/counters"
 	"pushpull/internal/gen"
 	"pushpull/internal/graph"
+	"pushpull/internal/rng"
 )
 
 func rmat(t testing.TB, scale, ef int, seed uint64) *graph.CSR {
@@ -182,6 +183,39 @@ func TestCountColors(t *testing.T) {
 	}
 	if got := CountColors(nil); got != 0 {
 		t.Fatalf("CountColors(nil) = %d", got)
+	}
+	// Against the map it replaced: random colorings with uncolored (−1)
+	// entries, dense small palettes, and a few colors up to 2^31−1, which
+	// take the sorted path.
+	r := rng.New(7)
+	for trial := 0; trial < 200; trial++ {
+		colors := make([]int32, r.Intn(300))
+		palette := int32(1 + r.Intn(200))
+		for i := range colors {
+			switch x := r.Intn(10); {
+			case x == 0:
+				colors[i] = -1
+			case x == 1 && trial%2 == 1:
+				colors[i] = r.Int31n(1<<31 - 1)
+			default:
+				colors[i] = r.Int31n(palette)
+			}
+		}
+		seen := map[int32]bool{}
+		for _, c := range colors {
+			if c >= 0 {
+				seen[c] = true
+			}
+		}
+		if got := CountColors(colors); got != len(seen) {
+			t.Fatalf("trial %d: CountColors = %d, the map counts %d (%v)", trial, got, len(seen), colors)
+		}
+	}
+	if got := CountColors([]int32{-1, -1, -5}); got != 0 {
+		t.Fatalf("CountColors of uncolored entries = %d", got)
+	}
+	if got := CountColors([]int32{1<<31 - 1, 0, 1<<31 - 1}); got != 2 {
+		t.Fatalf("CountColors with the largest int32 = %d", got)
 	}
 }
 

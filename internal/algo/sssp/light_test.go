@@ -19,7 +19,7 @@ import (
 func TestLightView(t *testing.T) {
 	for _, n := range []int{63, 4097} {
 		g, _ := randomWeighted(t, n, uint64(n))
-		for _, delta := range []float64{0.75, resolveDelta(g, 0), 1e9} {
+		for _, delta := range []float64{0.75, heuristicDelta(g), 1e9} {
 			for _, threads := range []int{1, 2, 7} {
 				name := fmt.Sprintf("n=%d Δ=%v t=%d", n, delta, threads)
 				light := lightArcs(g, delta, threads)

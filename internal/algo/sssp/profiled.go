@@ -50,7 +50,7 @@ func PushProfiled(g *graph.CSR, opt Options, prof core.Profile, space *memsim.Ad
 	bktA := space.NewArray(n, 8)
 
 	part := graph.NewPartition(n, prof.Threads)
-	delta := resolveDelta(g, opt.Delta)
+	delta, _ := opt.delta(g)
 	budget := bucketBudget(g)
 	dist[opt.Source] = 0
 	bucketOf := func(d float64) int { return int(d / delta) }
@@ -148,8 +148,9 @@ func PullProfiled(g *graph.CSR, opt Options, prof core.Profile, space *memsim.Ad
 		space = &memsim.AddressSpace{}
 	}
 	t := sched.Clamp(prof.Threads, n)
+	delta, _ := opt.delta(g)
 	r := pullProfile{
-		rounds: newRounds(g, opt.Source, resolveDelta(g, opt.Delta), t),
+		rounds: newRounds(g, opt.Source, delta, t),
 		probes: prof.Probes,
 		offA:   space.NewArray(n+1, 8),
 		adjA:   space.NewArray(int(g.M()), 4),

@@ -53,7 +53,9 @@ const lightGrain = 512
 // of one reaches lo + Δ or more, past the bucket. Those sources join the
 // epoch's members, and once the bucket empties one sweep relaxes their
 // heavy arcs. The view and a fifth bitmap, members, are built at the
-// run's first later pull round, so a run without one never pays for them.
+// run's first later pull round, so a run without one never pays for them;
+// at the heuristic Δ the view comes from the graph's shared View, built
+// once for all its runs.
 //
 // The graph must store every edge in both directions, as everywhere in
 // this package: a row is found through its neighbor's adjacency.
@@ -73,7 +75,7 @@ type rounds struct {
 	buckets [][]graph.V      // per bucket, every vertex lowered into it, once per lowering
 	spare   [][]graph.V      // drained lists, reused by the next new bucket
 	cur     []graph.V        // sources of this round
-	inRound *frontier.Bitmap // dedup of cur
+	inRound *frontier.Bitmap // dedup of cur while it is built; empty between rounds
 	lowered [][]graph.V      // per worker: what its push relaxations lowered
 	opening bool             // the next round is its epoch's first
 
@@ -88,6 +90,7 @@ type rounds struct {
 
 	view        *graph.CSR       // the rows relax reads: g, or light in a later pull round
 	light       *graph.CSR       // g's light arcs, g itself when none is heavy; nil until needed
+	shared      *View            // where light comes from, when the run's Δ is the view's
 	members     *frontier.Bitmap // sources of the epoch's light pull rounds
 	memberEdges int64            // their out-edges; 0 when the epoch owes no sweep
 
@@ -164,9 +167,10 @@ func (r *rounds) setBucket(b int) {
 }
 
 // take starts bucket b: the round list cur becomes the bucket's list with
-// only the entries still in the bucket, once each. A list holds a vertex
-// once per lowering into the bucket, including lowerings overtaken by one
-// into an earlier bucket. take returns false when no entry is left, so the
+// only the entries still in the bucket, once each, in vertex-id order, so
+// a push round reads the rows in storage order. A list holds a vertex once
+// per lowering into the bucket, including lowerings overtaken by one into
+// an earlier bucket. take returns false when no entry is left, so the
 // bucket is not counted as an epoch. The previous round list's storage
 // goes to spare, for the next new bucket.
 func (r *rounds) take(b int) bool {
@@ -176,13 +180,14 @@ func (r *rounds) take(b int) bool {
 	}
 	r.buckets[b] = nil
 	r.setBucket(b)
-	r.inRound.Clear()
 	keep := list[:0]
 	for _, v := range list {
-		if atomicx.LoadFloat64(&r.dist[v]) >= r.lo && r.inRound.Set(v) {
+		if atomicx.LoadFloat64(&r.dist[v]) >= r.lo && !r.inRound.Get(v) {
+			r.inRound.SetSeq(v)
 			keep = append(keep, v)
 		}
 	}
+	r.inRound.Drain(keep)
 	r.spare = append(r.spare, r.cur[:0])
 	r.cur, r.activeCur, r.opening = keep, false, true
 	return len(keep) > 0
@@ -226,23 +231,24 @@ func (r *rounds) push(w, from, to int) {
 // pushRound relaxes cur's out-edges, then merges the workers' buffers in
 // worker order on each vertex's final distance (a later relaxation may
 // have lowered it further): what is in the bucket becomes the next cur,
-// once each, in the list's own storage, and the rest is filed under its
-// later bucket. Nothing lands below bucket b, whose members are the only
-// sources.
+// once each, in vertex-id order, in the list's own storage, and the rest
+// is filed under its later bucket. Nothing lands below bucket b, whose
+// members are the only sources.
 func (r *rounds) pushRound() {
 	sched.ParallelFor(len(r.cur), r.t, sched.Static, 0, r.pushFn)
-	r.inRound.Clear()
 	r.cur, r.activeCur, r.opening = r.cur[:0], false, false
 	for w, buf := range r.lowered {
 		for _, v := range buf {
 			if atomicx.LoadFloat64(&r.dist[v]) >= r.hi {
 				r.enqueue(v)
-			} else if r.inRound.Set(v) {
+			} else if !r.inRound.Get(v) {
+				r.inRound.SetSeq(v)
 				r.cur = append(r.cur, v)
 			}
 		}
 		r.lowered[w] = buf[:0]
 	}
+	r.inRound.Drain(r.cur)
 }
 
 // activate makes cur the active set, unless the last round pulled and
@@ -401,11 +407,16 @@ func (r *rounds) relaxRows() {
 	}
 }
 
-// lightView returns the light view, building it, and the members bitmap
-// when some arc is heavy, at the run's first call.
+// lightView returns the light view, taking it from the shared View or
+// building it, and the members bitmap when some arc is heavy, at the
+// run's first call.
 func (r *rounds) lightView() *graph.CSR {
 	if r.light == nil {
-		r.light = lightArcs(r.g, r.delta, r.t)
+		if r.shared != nil {
+			r.light = r.shared.lightView(r.t)
+		} else {
+			r.light = lightArcs(r.g, r.delta, r.t)
+		}
 		if r.light != r.g {
 			r.members = frontier.NewBitmap(r.g.N())
 		}

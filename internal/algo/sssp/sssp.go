@@ -19,11 +19,18 @@
 // (Meyer & Sanders' split), so the §4.4 price becomes the light rows the
 // frontier touches plus one heavy sweep. Forced push and forced pull are
 // modes of the kernel, beside the per-round switching of §7.2 (Mode).
+//
+// The light view is a property of the graph and Δ, not of a run: at the
+// heuristic Δ the light view is the workload's. A View holds that Δ and
+// builds the light view once, at the first run that reads it, for every
+// run on the same graph; a run without one (an explicit Δ) builds its own.
 package sssp
 
 import (
 	"container/heap"
 	"math"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"pushpull/internal/core"
@@ -56,6 +63,51 @@ type Options struct {
 	Delta float64
 	// Mode picks forced push, forced pull, or per-round switching.
 	Mode Mode
+	// View, when set, is NewView of the run's graph: a run with Delta 0
+	// takes Δ and the light view from it instead of deriving its own. A
+	// run with an explicit Delta ignores it.
+	View *View
+}
+
+// delta is the run's Δ: the one asked for, else the view's heuristic,
+// else the heuristic computed from g. It also returns the view when the
+// run's Δ is the view's, so the light view may come from it.
+func (o *Options) delta(g *graph.CSR) (float64, *View) {
+	switch {
+	case o.Delta > 0:
+		return o.Delta, nil
+	case o.View != nil:
+		return o.View.delta, o.View
+	}
+	return heuristicDelta(g), nil
+}
+
+// View is the Δ-stepping state the runs on one graph share at the
+// heuristic Δ: Δ itself, and the light view of that Δ, built by the first
+// run that reads it. A View is safe for concurrent runs.
+type View struct {
+	g      *graph.CSR
+	delta  float64
+	once   sync.Once
+	light  *graph.CSR
+	builds atomic.Int32
+}
+
+// NewView computes g's heuristic Δ; the light view waits for a run.
+func NewView(g *graph.CSR) *View { return &View{g: g, delta: heuristicDelta(g)} }
+
+// Builds returns how many times the light view was built: 0 until a run
+// reads it, 1 after.
+func (v *View) Builds() int { return int(v.builds.Load()) }
+
+// lightView returns the light view, building it with t workers at the
+// first call; concurrent first callers wait for that one build.
+func (v *View) lightView(t int) *graph.CSR {
+	v.once.Do(func() {
+		v.light = lightArcs(v.g, v.delta, t)
+		v.builds.Add(1)
+	})
+	return v.light
 }
 
 // Result carries the distances and run metadata.
@@ -86,11 +138,9 @@ type Result struct {
 // run stops with OverBudget instead.
 func bucketBudget(g *graph.CSR) float64 { return float64(g.N()) + float64(g.M()) }
 
-// resolveDelta applies the Δ heuristic.
-func resolveDelta(g *graph.CSR, delta float64) float64 {
-	if delta > 0 {
-		return delta
-	}
+// heuristicDelta is the standard Δ, max-weight/d̄: one pass over the
+// weights.
+func heuristicDelta(g *graph.CSR) float64 {
 	var maxW float32 = 1
 	for _, w := range g.Weights {
 		if w > maxW {
@@ -179,7 +229,9 @@ func Run(g *graph.CSR, opt Options) *Result {
 	}
 	res.Stats.Reserve(64)
 	res.Dirs = make([]core.Direction, 0, 64)
-	r := newRounds(g, opt.Source, resolveDelta(g, opt.Delta), sched.Clamp(opt.Threads, n))
+	delta, shared := opt.delta(g)
+	r := newRounds(g, opt.Source, delta, sched.Clamp(opt.Threads, n))
+	r.shared = shared
 	h := frontier.DefaultSwitch()
 	for b := 0; b < len(r.buckets) && !res.Stats.Canceled && !r.overBudget; b++ {
 		if !r.take(b) {

@@ -67,6 +67,42 @@ func TestPullMatchesDijkstra(t *testing.T) {
 	}
 }
 
+// Push rounds take their sources in id order. At one thread, where the
+// counts are deterministic, no mode may need more epochs or rounds than
+// the counts pinned here, taken from the kernel that took them in
+// lowering order.
+func TestRoundCountsPinned(t *testing.T) {
+	random, _ := randomWeighted(t, 4097, 4097)
+	road, err := gen.RoadGrid(40, 40, 0.9, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	road = gen.WithUniformWeights(road, 1, 10, 4)
+	for _, c := range []struct {
+		name   string
+		g      *graph.CSR
+		epochs int
+		inner  [3]int // auto, push, pull
+	}{
+		{"weighted(31)", weighted(t, 31), 9, [3]int{16, 17, 15}},
+		{"random", random, 10, [3]int{29, 31, 29}},
+		{"road", road, 46, [3]int{126, 126, 124}},
+	} {
+		for i, m := range modes {
+			opt := Options{}
+			opt.Threads = 1
+			res := runMode(c.g, opt, m.mode)
+			if res.Epochs != c.epochs || res.Inner > c.inner[i] {
+				t.Errorf("%s %s: %d epochs, %d rounds; want %d epochs, at most %d rounds",
+					c.name, m.name, res.Epochs, res.Inner, c.epochs, c.inner[i])
+			}
+			if d := MaxDiff(res.Dist, Dijkstra(c.g, 0)); d > tol {
+				t.Errorf("%s %s: max diff %g from Dijkstra", c.name, m.name, d)
+			}
+		}
+	}
+}
+
 func TestUnweightedEqualsBFSDepth(t *testing.T) {
 	// On an unweighted path, distance = hop count, in every mode.
 	g := gen.Path(50)
@@ -159,7 +195,7 @@ func TestDeltaBudget(t *testing.T) {
 				t.Errorf("%s Δ=%g: ran to completion past the bucket budget", name, delta)
 			}
 		}
-		opt := Options{Delta: resolveDelta(g, 0) / 2}
+		opt := Options{Delta: heuristicDelta(g) / 2}
 		opt.Threads = 2
 		res := run(opt)
 		if res.OverBudget {

@@ -16,6 +16,7 @@ package frontier
 
 import (
 	"math/bits"
+	"slices"
 	"sync/atomic"
 
 	"pushpull/internal/graph"
@@ -51,6 +52,16 @@ func (s *Sparse) EdgeWork(g *graph.CSR) int64 {
 		w += g.Degree(v)
 	}
 	return w
+}
+
+// Sort puts s in increasing id order; its vertices must be distinct.
+// scratch must be an empty bitmap over the vertex range: a long frontier
+// is set in it and read back out (Bitmap.Drain), and it is left empty.
+func (s *Sparse) Sort(scratch *Bitmap) {
+	for _, v := range s.verts {
+		scratch.SetSeq(v)
+	}
+	scratch.Drain(s.verts)
 }
 
 // PerThread is the my_F array of Algorithm 3: one private frontier per
@@ -222,6 +233,33 @@ func (b *Bitmap) ToSparse(dst *Sparse) {
 				dst.verts = append(dst.verts, graph.V(idx))
 			}
 			w &= w - 1
+		}
+	}
+}
+
+// Drain puts list in increasing id order and leaves b empty. list must
+// hold distinct vertices and b exactly their bits. It takes whichever
+// read-out is cheaper: a short list is sorted, about k·log₂k steps, and
+// its bits cleared one by one; a long one is read out of the words, one
+// step per word and per vertex. So a round of a few vertices never pays a
+// pass over n/64 words, and a large one never pays a comparison sort.
+func (b *Bitmap) Drain(list []graph.V) {
+	if len(list)*bits.Len(uint(len(list))) < len(b.words) {
+		slices.Sort(list)
+		for _, v := range list {
+			b.ClearSeq(v)
+		}
+		return
+	}
+	i := 0
+	for wi, w := range b.words {
+		if w == 0 {
+			continue
+		}
+		b.words[wi] = 0
+		for base := wi << 6; w != 0; w &= w - 1 {
+			list[i] = graph.V(base + bits.TrailingZeros64(w))
+			i++
 		}
 	}
 }

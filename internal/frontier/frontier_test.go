@@ -1,6 +1,7 @@
 package frontier
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -8,6 +9,7 @@ import (
 
 	"pushpull/internal/gen"
 	"pushpull/internal/graph"
+	"pushpull/internal/rng"
 )
 
 func TestSparseBasics(t *testing.T) {
@@ -264,6 +266,40 @@ func TestBitmapMergeWords(t *testing.T) {
 		for i, s := range srcs {
 			if s.Count() != 0 {
 				t.Fatalf("n=%d: source %d not drained", n, i)
+			}
+		}
+	}
+}
+
+// Sort (and the Drain under it) must give the sorted vertices on both
+// read-outs, short lists sorted and long ones read out of the words, and
+// leave the scratch bitmap empty for the next round.
+func TestSparseSortBothReadOuts(t *testing.T) {
+	for _, n := range []int{1, 63, 64, 1000, 4099} {
+		scratch := NewBitmap(n)
+		for _, k := range []int{0, 1, 2, 5, n / 8, n / 2, n} {
+			k = min(k, n)
+			rnd := rng.New(uint64(n*31 + k))
+			perm := make([]graph.V, n)
+			for i := range perm {
+				perm[i] = graph.V(i)
+			}
+			for i := n - 1; i > 0; i-- {
+				j := rnd.Intn(i + 1)
+				perm[i], perm[j] = perm[j], perm[i]
+			}
+			s := NewSparse(k)
+			for _, v := range perm[:k] {
+				s.Add(v)
+			}
+			s.Sort(scratch)
+			want := append([]graph.V(nil), perm[:k]...)
+			slices.Sort(want)
+			if !slices.Equal(s.Vertices(), want) {
+				t.Fatalf("n=%d k=%d: sorted %v, want %v", n, k, s.Vertices(), want)
+			}
+			if c := scratch.Count(); c != 0 {
+				t.Fatalf("n=%d k=%d: scratch left with %d bits", n, k, c)
 			}
 		}
 	}

@@ -21,13 +21,19 @@
 //	segments  per block: adjacency (i32 per arc), then weights (f32 per
 //	          arc) when the weighted flag is set, padded to 8 bytes
 //
+// A segment's halves are read apart: the kernels (BlockCursor) read only
+// the adjacency half, 4 bytes per arc, and only the content-identity walk
+// (VisitBlocks) reads the weights too.
+//
 // For a directed graph the stored adjacency is the PULL view (in-edges)
 // and the out-degree array scales contributions (PageRank divides by
 // out-degree); undirected files store the symmetric adjacency and need
 // no degree sidecar. The blockIdx array is redundant with the offsets —
 // deliberately: it is revalidated entry by entry at open, so a
 // truncated or bit-flipped file fails loudly instead of serving a
-// silently wrong graph.
+// silently wrong graph. The arc ids inside the segments are checked
+// against n once per handle, at each block's first Load, so a flipped id
+// fails the run that reads it instead of indexing past a kernel's arrays.
 package graph
 
 import (
@@ -37,6 +43,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"sync/atomic"
 	"unsafe"
 )
 
@@ -73,6 +80,8 @@ type BlockCSR struct {
 	blockOff []int64 // len numBlocks+1, absolute byte offsets
 	weighted bool
 	directed bool
+	// checked[bi] is set once block bi's arc ids were found below NumV.
+	checked []atomic.Bool
 
 	f    *os.File
 	data []byte // mmap view; nil in buffered mode
@@ -141,46 +150,74 @@ func (g *BlockCSR) Close() error {
 }
 
 // BlockCursor is the per-worker scratch of block iteration: Load points
-// it at one block's segment (a zero-copy sub-slice under mmap, a reused
-// read buffer otherwise), and Row serves adjacency slices out of it.
-// A cursor is single-goroutine; kernels keep one per worker, hoisted
-// outside their round loops so steady-state iteration allocates nothing
-// (the fallback buffer grows to the largest block once and is reused).
+// it at the adjacency half of one block's segment (a zero-copy sub-slice
+// under mmap, a reused read buffer otherwise), and Row serves adjacency
+// slices out of it. The weights are never read into it: no block kernel
+// uses them. A cursor is single-goroutine; kernels keep one per worker,
+// hoisted outside their round loops so steady-state iteration allocates
+// nothing (the fallback buffer grows to the largest block once and is
+// reused).
 type BlockCursor struct {
 	g     *BlockCSR
 	block int
-	seg   []byte
-	base  int64 // Offsets[lo] of the loaded block
+	seg   []byte // the loaded block's adjacency, 4 bytes per arc
+	base  int64  // Offsets[lo] of the loaded block
 	buf   []byte
-	vbuf  []V       // big-endian-host decode scratch
-	wbuf  []float32 // big-endian-host decode scratch
+	vbuf  []V // big-endian-host decode scratch
 }
 
-// Load points cur at block bi, reading the segment from disk in
-// buffered mode (a no-op when the block is already loaded).
+// Load points cur at block bi's adjacency, reading it from disk in
+// buffered mode (a no-op when the block is already loaded). The first
+// Load of a block on this handle checks its arc ids; a block naming a
+// vertex at or past N is an error, on that Load and every later one.
 func (g *BlockCSR) Load(bi int, cur *BlockCursor) error {
 	if cur.g == g && cur.block == bi && cur.seg != nil {
 		return nil
 	}
-	start, end := g.blockOff[bi], g.blockOff[bi+1]
-	if g.data != nil {
-		cur.seg = g.data[start:end]
-	} else {
-		need := int(end - start)
-		if cap(cur.buf) < need {
-			cur.buf = make([]byte, need)
+	lo, hi := g.BlockRange(bi)
+	start := g.blockOff[bi]
+	seg, err := g.read(start, start+(g.Offsets[hi]-g.Offsets[lo])*4, &cur.buf)
+	if err != nil {
+		err = fmt.Errorf("graph: block %d: %w", bi, err)
+	} else if !g.checked[bi].Load() {
+		if err = g.checkIDs(bi, castVs(seg, &cur.vbuf)); err == nil {
+			g.checked[bi].Store(true)
 		}
-		b := cur.buf[:need]
-		if _, err := g.f.ReadAt(b, start); err != nil {
-			cur.seg = nil
-			return fmt.Errorf("graph: block %d: reading segment: %w", bi, err)
-		}
-		cur.seg = b
 	}
-	cur.g = g
-	cur.block = bi
-	lo, _ := g.BlockRange(bi)
-	cur.base = g.Offsets[lo]
+	if err != nil {
+		cur.seg = nil
+		return err
+	}
+	cur.g, cur.block, cur.seg, cur.base = g, bi, seg, g.Offsets[lo]
+	return nil
+}
+
+// read returns the file bytes [start, end): a view of the mapping, or
+// the bytes read into *buf, grown once to the largest request.
+func (g *BlockCSR) read(start, end int64, buf *[]byte) ([]byte, error) {
+	if g.data != nil {
+		return g.data[start:end], nil
+	}
+	need := int(end - start)
+	if cap(*buf) < need {
+		*buf = make([]byte, need)
+	}
+	b := (*buf)[:need]
+	if _, err := g.f.ReadAt(b, start); err != nil {
+		return nil, fmt.Errorf("reading bytes [%d, %d): %w", start, end, err)
+	}
+	return b, nil
+}
+
+// checkIDs reports the first arc of block bi whose id is not a vertex.
+func (g *BlockCSR) checkIDs(bi int, adj []V) error {
+	for i, u := range adj {
+		if uint32(u) >= uint32(g.NumV) {
+			lo, _ := g.BlockRange(bi)
+			return fmt.Errorf("graph: block %d: arc %d names vertex %d, the file has %d vertices (corrupt file)",
+				bi, g.Offsets[lo]+int64(i), u, g.NumV)
+		}
+	}
 	return nil
 }
 
@@ -240,20 +277,25 @@ func castF32s(b []byte, scratch *[]float32) []float32 {
 }
 
 // VisitBlocks streams every block's adjacency (and weights, when
-// present) in storage order through one buffered cursor — the content-
-// identity digest walks the graph this way without materializing it.
+// present) in storage order, whole segments through one buffer — the
+// content-identity digest walks the graph this way without
+// materializing it. It is the one reader of the weights, and it does not
+// check arc ids.
 func (g *BlockCSR) VisitBlocks(fn func(adj []V, weights []float32) error) error {
-	var cur BlockCursor
+	var buf []byte
+	var vbuf []V
+	var wbuf []float32
 	for bi := 0; bi < g.NumBlocks(); bi++ {
-		if err := g.Load(bi, &cur); err != nil {
-			return err
+		seg, err := g.read(g.blockOff[bi], g.blockOff[bi+1], &buf)
+		if err != nil {
+			return fmt.Errorf("graph: block %d: %w", bi, err)
 		}
 		lo, hi := g.BlockRange(bi)
 		cnt := (g.Offsets[hi] - g.Offsets[lo]) * 4
-		adj := castVs(cur.seg[:cnt], &cur.vbuf)
+		adj := castVs(seg[:cnt], &vbuf)
 		var ws []float32
 		if g.weighted {
-			ws = castF32s(cur.seg[cnt:cnt*2], &cur.wbuf)
+			ws = castF32s(seg[cnt:cnt*2], &wbuf)
 		}
 		if err := fn(adj, ws); err != nil {
 			return err
@@ -569,5 +611,6 @@ func readBlockHeader(f *os.File, path string) (*BlockCSR, error) {
 	if fileSize < g.blockOff[numBlocks] {
 		return nil, fmt.Errorf("graph: block file %s: %d bytes on disk, block index needs %d (truncated file)", path, fileSize, g.blockOff[numBlocks])
 	}
+	g.checked = make([]atomic.Bool, numBlocks)
 	return g, nil
 }

@@ -208,6 +208,86 @@ func TestBlockVisitBlocksStreamsAllArcs(t *testing.T) {
 	}
 }
 
+// A kernel's Load reads only a segment's adjacency half, 4 bytes per
+// arc, even where the file carries weights (8 bytes per arc on disk).
+func TestBlockLoadReadsAdjacencyOnly(t *testing.T) {
+	g := randomCSR(t, 400, 3000, true, false, 11)
+	path := writeBlockFile(t, g, nil, 64)
+	for _, opts := range [][]BlockOpt{nil, {Buffered()}} {
+		bg, err := OpenBlockCSR(path, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var cur BlockCursor
+		for bi := 0; bi < bg.NumBlocks(); bi++ {
+			if err := bg.Load(bi, &cur); err != nil {
+				t.Fatal(err)
+			}
+			lo, hi := bg.BlockRange(bi)
+			if got, want := int64(len(cur.seg)), 4*(bg.Offsets[hi]-bg.Offsets[lo]); got != want {
+				t.Fatalf("mmapped=%v block %d: loaded %d bytes, want %d", bg.Mmapped(), bi, got, want)
+			}
+		}
+		checkBlockMatchesCSR(t, bg, g)
+		bg.Close()
+	}
+}
+
+// An arc id at or past n passes open (which reads no segment) but fails
+// every Load of its block, mmapped and buffered; the other blocks load,
+// and each block's ids are checked on its first Load only.
+func TestBlockLoadRejectsOutOfRangeID(t *testing.T) {
+	g := randomCSR(t, 300, 2000, true, false, 5)
+	good, err := os.ReadFile(writeBlockFile(t, g, nil, 64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe, err := OpenBlockCSR(writeBlockFile(t, g, nil, 64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const bad = 2
+	lo, hi := probe.BlockRange(bad)
+	arc := probe.blockOff[bad] + 4*(probe.Offsets[hi]-probe.Offsets[lo]-1) // the block's last arc
+	probe.Close()
+	for _, id := range []uint32{uint32(g.N()), 1 << 31, ^uint32(0)} {
+		b := append([]byte(nil), good...)
+		binary.LittleEndian.PutUint32(b[arc:], id)
+		path := filepath.Join(t.TempDir(), "bad.blk")
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, opts := range [][]BlockOpt{nil, {Buffered()}} {
+			bg, err := OpenBlockCSR(path, opts...)
+			if err != nil {
+				t.Fatalf("id %d: open: %v", id, err)
+			}
+			var cur BlockCursor
+			for round := 0; round < 2; round++ {
+				for bi := 0; bi < bg.NumBlocks(); bi++ {
+					err := bg.Load(bi, &cur)
+					if bi != bad {
+						if err != nil {
+							t.Fatalf("id %d block %d: %v", id, bi, err)
+						}
+						if !bg.checked[bi].Load() {
+							t.Fatalf("id %d block %d: loaded but not marked checked", id, bi)
+						}
+						continue
+					}
+					if err == nil || !strings.Contains(err.Error(), "names vertex") {
+						t.Fatalf("id %d mmapped=%v round %d: Load = %v, want an arc-id error", id, bg.Mmapped(), round, err)
+					}
+					if bg.checked[bi].Load() {
+						t.Fatalf("id %d: the bad block is marked checked", id)
+					}
+				}
+			}
+			bg.Close()
+		}
+	}
+}
+
 func TestBlockEmptyGraph(t *testing.T) {
 	g, err := NewBuilder(0).Build()
 	if err != nil {
@@ -300,9 +380,10 @@ func TestBlockCorruptionRejected(t *testing.T) {
 }
 
 // FuzzOpenBlockFile feeds arbitrary bytes to OpenBlockCSR, mmap-backed
-// and buffered. A file it accepts must serve every block, every row and
-// the streamed visit without a panic, with rows as long as the offsets
-// say. The seeds are two-block files under a kilobyte: Go's minimizer
+// and buffered. A file it accepts must stream through VisitBlocks and
+// serve every block whose arc ids are all vertices, refuse the others,
+// and serve rows as long as the offsets say with ids below n, all
+// without a panic. The seeds are two-block files under a kilobyte: Go's minimizer
 // is quadratic in input length.
 func FuzzOpenBlockFile(f *testing.F) {
 	g := randomCSR(f, 65, 30, false, false, 13)
@@ -343,33 +424,49 @@ func FuzzOpenBlockFile(f *testing.F) {
 	})
 }
 
-// walkBlockFile loads every block of an opened file, reads every row,
-// and streams the file through VisitBlocks.
+// walkBlockFile streams an opened file through VisitBlocks, then loads
+// every block: a Load must fail exactly where the streamed block names a
+// vertex at or past n, and every row it serves must have the degree's
+// length and ids below n.
 func walkBlockFile(t *testing.T, bg *BlockCSR) {
 	t.Helper()
-	var cur BlockCursor
-	for bi := 0; bi < bg.NumBlocks(); bi++ {
-		if err := bg.Load(bi, &cur); err != nil {
-			t.Fatal(err)
-		}
-		lo, hi := bg.BlockRange(bi)
-		for v := lo; v < hi; v++ {
-			if got := int64(len(cur.Row(v))); got != bg.Degree(v) {
-				t.Fatalf("vertex %d: row of %d arcs, degree %d", v, got, bg.Degree(v))
-			}
-		}
-	}
 	var arcs int64
+	var badBlock []bool
 	if err := bg.VisitBlocks(func(adj []V, ws []float32) error {
 		if bg.Weighted() && len(ws) != len(adj) {
 			t.Fatalf("block of %d arcs carries %d weights", len(adj), len(ws))
 		}
 		arcs += int64(len(adj))
+		bad := false
+		for _, u := range adj {
+			bad = bad || u < 0 || u >= bg.NumV
+		}
+		badBlock = append(badBlock, bad)
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
 	if arcs != bg.M() {
 		t.Fatalf("visited %d arcs, file holds %d", arcs, bg.M())
+	}
+	var cur BlockCursor
+	for bi := 0; bi < bg.NumBlocks(); bi++ {
+		if err := bg.Load(bi, &cur); (err != nil) != badBlock[bi] {
+			t.Fatalf("block %d: Load = %v, block names a non-vertex: %v", bi, err, badBlock[bi])
+		} else if err != nil {
+			continue
+		}
+		lo, hi := bg.BlockRange(bi)
+		for v := lo; v < hi; v++ {
+			row := cur.Row(v)
+			if got := int64(len(row)); got != bg.Degree(v) {
+				t.Fatalf("vertex %d: row of %d arcs, degree %d", v, got, bg.Degree(v))
+			}
+			for _, u := range row {
+				if u < 0 || u >= bg.NumV {
+					t.Fatalf("vertex %d: served neighbour %d of %d vertices", v, u, bg.NumV)
+				}
+			}
+		}
 	}
 }

@@ -11,9 +11,12 @@ package pushpull_test
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
+	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 
 	"pushpull"
@@ -116,6 +119,44 @@ func TestOutOfCoreBFSCrossValidate(t *testing.T) {
 				t.Fatalf("%s: round %d ran %v, want pull", name, i, d)
 			}
 		}
+	}
+}
+
+// A block file whose arc names a vertex at or past n opens (open reads
+// no segment), but pr and bfs on it must fail with an error, mmapped and
+// buffered, not index past their arrays in a worker goroutine.
+func TestOutOfCoreCorruptArcIDIsAnError(t *testing.T) {
+	g := skewedGraph(t)
+	path := filepath.Join(t.TempDir(), "g.blk")
+	if err := graph.WriteBlockFile(path, g, nil, 64); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// An undirected file's block index follows the 40-byte header and the
+	// n+1 offsets; its first entry is where block 0's first arc sits.
+	seg := binary.LittleEndian.Uint64(b[40+8*(g.N()+1):])
+	binary.LittleEndian.PutUint32(b[seg:], uint32(g.N()))
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for name, opts := range map[string][]pushpull.WorkloadOption{
+		"mmap":     nil,
+		"buffered": {pushpull.AsBlockBuffered()},
+	} {
+		h, err := pushpull.OpenOutOfCoreWorkload(path, opts...)
+		if err != nil {
+			t.Fatalf("%s: open: %v", name, err)
+		}
+		for _, alg := range []string{"pr", "bfs"} {
+			_, err := pushpull.Run(context.Background(), h, alg, pushpull.WithSource(0), pushpull.WithThreads(2))
+			if err == nil || !strings.Contains(err.Error(), "names vertex") {
+				t.Errorf("%s %s: Run = %v, want the arc-id error", name, alg, err)
+			}
+		}
+		h.Close()
 	}
 }
 

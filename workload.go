@@ -32,6 +32,7 @@ import (
 	"os"
 	"sync"
 
+	"pushpull/internal/algo/sssp"
 	"pushpull/internal/graph"
 )
 
@@ -49,8 +50,8 @@ type Runnable interface {
 // Workload binds a graph to its declared kind (directed, weighted) and
 // lazily builds + memoizes the derived state repeated runs share: the
 // transpose (in-CSR) powering directed pull, the Partition-Awareness split
-// per partition count (§5), and the Table 2 statistics. A Workload is safe
-// for concurrent Runs.
+// per partition count (§5), the Table 2 statistics, and sssp's heuristic
+// Δ with its light view. A Workload is safe for concurrent Runs.
 type Workload struct {
 	g        *Graph
 	directed bool
@@ -68,6 +69,7 @@ type Workload struct {
 	dsTranspose *Graph
 	stats       *GraphStats
 	pa          map[int]*PAGraph
+	sssp        *sssp.View
 	blk         *graph.BlockCSR
 	builds      WorkloadBuilds
 	id          string
@@ -89,6 +91,12 @@ type WorkloadBuilds struct {
 	// BlockBuilds counts out-of-core block-view constructions (write the
 	// block file, reopen it mmap/buffered).
 	BlockBuilds int
+	// LightViews counts Δ-stepping light-view builds (the arcs lighter
+	// than Δ as a CSR): at most one, by the first sssp run at the
+	// heuristic Δ that reads it. A run with an explicit WithDelta builds
+	// its own and leaves this count alone, so requests with distinct Δ
+	// values cannot grow the handle's memory.
+	LightViews int
 }
 
 // WorkloadOption declares one aspect of a workload's kind at construction.
@@ -311,6 +319,18 @@ func (w *Workload) PA(parts int) *PAGraph {
 	return pa
 }
 
+// ssspView returns the memoized Δ-stepping view of the graph: the
+// heuristic Δ, computed here, and its light view, built by the first run
+// that reads it.
+func (w *Workload) ssspView() *sssp.View {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.sssp == nil {
+		w.sssp = sssp.NewView(w.g)
+	}
+	return w.sssp
+}
+
 // Stats returns the memoized Table 2 statistics of the graph. A pure
 // out-of-core handle has no in-memory CSR to scan and returns the zero
 // statistics.
@@ -501,7 +521,11 @@ func (w *Workload) contentID() string {
 func (w *Workload) Builds() WorkloadBuilds {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.builds
+	b := w.builds
+	if w.sssp != nil {
+		b.LightViews = w.sssp.Builds()
+	}
+	return b
 }
 
 // Kind renders the declared kind ("undirected", "directed weighted", ...)

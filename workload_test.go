@@ -10,11 +10,13 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 
 	"pushpull"
 	"pushpull/internal/algo/pr"
+	"pushpull/internal/algo/sssp"
 )
 
 // directedGraph builds a deterministic pseudo-random directed graph with
@@ -296,6 +298,86 @@ func TestWorkloadRoundTrip(t *testing.T) {
 	have := run(t, got, "pr", pushpull.WithIterations(5))
 	if d := pushpull.MaxDiff(want.Ranks(), have.Ranks()); d > 1e-12 {
 		t.Errorf("ranks diverge by %g after round trip", d)
+	}
+}
+
+// sssp at the heuristic Δ takes Δ and the light view from the workload:
+// a forced push run reads no light view and builds none, the first pull
+// run builds it, and no later run of any mode or thread count builds
+// anything, all still equal to Dijkstra.
+func TestWorkloadSSSPViewMemoized(t *testing.T) {
+	g := weightedGraph(t)
+	want := sssp.Dijkstra(g, 0)
+	w := pushpull.Weighted(g)
+	check := func(what string, opts ...pushpull.Option) {
+		t.Helper()
+		rep := run(t, w, "sssp", append(opts, pushpull.WithSource(0))...)
+		if d := sssp.MaxDiff(rep.Ranks(), want); d > 1e-9 {
+			t.Errorf("%s: diverges from Dijkstra by %g", what, d)
+		}
+	}
+	check("push", pushpull.WithDirection(pushpull.Push))
+	if got := w.Builds().LightViews; got != 0 {
+		t.Fatalf("forced push built %d light views, want 0", got)
+	}
+	check("pull", pushpull.WithDirection(pushpull.Pull))
+	if got := w.Builds().LightViews; got != 1 {
+		t.Fatalf("the first pull run built %d light views, want 1", got)
+	}
+	before := w.Builds()
+	for _, dir := range []pushpull.Direction{pushpull.Auto, pushpull.Push, pushpull.Pull} {
+		for _, threads := range []int{1, 2, 7} {
+			check(fmt.Sprintf("%v t=%d", dir, threads), pushpull.WithDirection(dir), pushpull.WithThreads(threads))
+		}
+	}
+	if after := w.Builds(); after != before {
+		t.Errorf("Builds() = %+v after the repeated runs, want %+v", after, before)
+	}
+}
+
+// An explicit Δ is a run's own: it builds its light view per run and
+// leaves the workload's memo alone.
+func TestWorkloadSSSPViewSkipsExplicitDelta(t *testing.T) {
+	g := weightedGraph(t)
+	want := sssp.Dijkstra(g, 0)
+	w := pushpull.Weighted(g)
+	for _, delta := range []float64{1.5, 4, 11} {
+		rep := run(t, w, "sssp", pushpull.WithSource(0), pushpull.WithDirection(pushpull.Pull), pushpull.WithDelta(delta))
+		if d := sssp.MaxDiff(rep.Ranks(), want); d > 1e-9 {
+			t.Errorf("WithDelta(%g): diverges from Dijkstra by %g", delta, d)
+		}
+	}
+	if b := w.Builds(); b != (pushpull.WorkloadBuilds{}) {
+		t.Errorf("Builds() = %+v after explicit-Δ runs only, want nothing memoized", b)
+	}
+}
+
+// Concurrent first pull runs (run under -race in CI) wait for one light
+// view build instead of racing to build two.
+func TestWorkloadSSSPViewConcurrent(t *testing.T) {
+	g := weightedGraph(t)
+	want := sssp.Dijkstra(g, 0)
+	w := pushpull.Weighted(g)
+	const N = 4
+	var wg sync.WaitGroup
+	for i := 0; i < N; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rep, err := pushpull.Run(context.Background(), w, "sssp", pushpull.WithSource(0),
+				pushpull.WithDirection(pushpull.Pull), pushpull.WithThreads(2))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if d := sssp.MaxDiff(rep.Ranks(), want); d > 1e-9 {
+				t.Errorf("concurrent pull diverges from Dijkstra by %g", d)
+			}
+		}()
+	}
+	wg.Wait()
+	if got := w.Builds().LightViews; got != 1 {
+		t.Errorf("%d concurrent pull runs built %d light views, want 1", N, got)
 	}
 }
 
