@@ -90,9 +90,8 @@ func coreTrace(dirs []core.Direction) []Direction {
 // (§4.8): a directed workload changes only the pair of views the kernel is
 // handed — out-edges to push along, the memoized transpose to pull along —
 // and an undirected one hands the same graph as both. The push kernel
-// already owns its targets per loop chunk (§5's ownership over the plain
-// out-view, with private accumulators instead of remote atomics); probed,
-// it bills Algorithm 1. A file handle has no CSR view at all and runs the
+// scatters into per-worker private accumulators over the plain out-view,
+// with no remote atomic; probed, it bills Algorithm 1. A file handle has no CSR view at all and runs the
 // block pull kernel (validateCaps has already rejected push, probes and
 // the degree sort there).
 func runPR(ctx context.Context, w *Workload, cfg *Config) (*Report, error) {

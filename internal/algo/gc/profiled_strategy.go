@@ -77,12 +77,15 @@ func profiledGreedySubset(g *graph.CSR, colors []int32, p counters.Probe, a feAr
 // owner's plain candidate write. Result.Dirs records the direction of every
 // iteration, so a Generic-Switch flip is visible in the trace.
 //
-// Both the instrumented and the fast variant read the candidates out of the
-// candidate bitmap in increasing id — the canonical order — and resolve
-// them with the same winner-side blocking, so the probed coloring equals
-// the uninstrumented run's exactly. Resolution charges one read of
-// blocked[v] per candidate and, per winner, its color write plus one
-// adjacency read and one blocked write per arc.
+// Both variants resolve the candidates in increasing id — the canonical
+// order — under the same rule: a candidate loses exactly when a lower-id
+// winner of the round is its neighbor. This twin bills the paper's
+// winner-side blocking: one read of blocked[v] per candidate and, per
+// winner, its color write plus one adjacency read and one blocked write
+// per arc. The fast kernel keeps no blocked vector; its winners clear
+// their neighbors' bits in the candidate bitmap instead, and it reaches
+// the same coloring, so the probed coloring equals the uninstrumented
+// run's exactly.
 func FrontierExploitProfiled(g *graph.CSR, opt Options, dir core.Direction, policy core.SwitchPolicy, prof core.Profile, space *memsim.AddressSpace) (*Result, error) {
 	opt.defaults()
 	if err := prof.Validate(); err != nil {

@@ -1,6 +1,7 @@
 package gc
 
 import (
+	"math/bits"
 	"time"
 
 	"pushpull/internal/core"
@@ -19,16 +20,17 @@ import (
 //
 // A round touches the frontier's neighborhood, not every vertex — the
 // memory-access reduction the strategy exists for — and each phase reads an
-// arc at most once. Discovery only sets bits: push claims one bit of a candidate bitmap
-// per frontier arc to an uncolored vertex, pull sets an uncolored row's bit
-// at its first frontier neighbor. One word-strided read of that bitmap
-// lists the candidates in increasing id. Resolution walks them in that
-// order: a candidate that a lower-id winner has blocked loses after one
-// read, and a winner writes its round's color into blocked[u] for every
-// neighbor u. So resolution reads the winners' arcs and no loser's, for
-// 4n bytes of blocked per run. The adjacency must be symmetric (coloring
-// is undirected): a loser learns of its winning neighbor through the
-// winner's arc to it.
+// arc at most once. Discovery marks candidates in per-worker bitmaps with
+// plain stores: push marks every uncolored target of a frontier arc, pull
+// marks an uncolored row at its first frontier neighbor. A word-parallel
+// merge ORs them into the candidate bitmap, so no worker writes a word
+// another worker writes. Resolution (see resolve) then runs in that bitmap
+// itself: in increasing id, a candidate whose bit is still set wins and
+// clears its neighbors' bits, and a cleared one loses without reading an
+// arc. Round 0's maximal independent set is the same resolve over a full
+// bitmap. The bitmap left holding the winners becomes the next frontier.
+// The adjacency must be symmetric (coloring is undirected): a loser learns
+// of its winning neighbor through the winner's arc to it.
 //
 // policy steers the run: core.NeverSwitch{} is plain FE, a
 // core.GenericSwitch adds GS (flip push↔pull when conflicts dominate), and
@@ -53,21 +55,11 @@ func FrontierExploit(g *graph.CSR, opt Options, dir core.Direction, policy core.
 
 	// Round 0: greedy maximal independent set, colored c₀ = 0.
 	start := time.Now()
-	inF := frontier.NewBitmap(n)
-	var f []graph.V
-	for v := graph.V(0); v < g.NumV; v++ {
-		ok := true
-		for _, u := range g.Neighbors(v) {
-			if inF.Get(u) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			inF.SetSeq(v)
-			colors[v] = 0
-			f = append(f, v)
-		}
+	inF, candMark := frontier.NewBitmap(n), frontier.NewBitmap(n)
+	inF.Fill()
+	f := resolve(g, inF, nil)
+	for _, v := range f {
+		colors[v] = 0
 	}
 	colored := len(f)
 	nextColor := int32(1)
@@ -77,26 +69,26 @@ func FrontierExploit(g *graph.CSR, opt Options, dir core.Direction, policy core.
 	opt.Tick(0, res.Stats.PerIteration[0])
 
 	progress, conflicts := colored, 0
-	candMark := frontier.NewBitmap(n)
-	// blocked[u] == cᵢ records that a winner of round i is adjacent to u.
-	// Round colors start at 1, so the zero value never blocks anyone.
-	blocked := make([]int32, n)
+	marks := make([]*frontier.Bitmap, t)
+	for w := range marks {
+		marks[w] = frontier.NewBitmap(n)
+	}
 
 	// Round bodies hoisted out of the iteration loop so the steady state
-	// does not allocate; f is captured by reference, so each round's
-	// frontier rebuild stays visible. cands lives across rounds too —
-	// ToSparse resets it, reusing the backing slice.
-	var cands frontier.Sparse
-	discoverPush := func(_, lo, hi int) {
+	// does not allocate; f, inF and candMark are captured by reference, so
+	// each round's swap stays visible.
+	discoverPush := func(w, lo, hi int) {
+		mine := marks[w]
 		for i := lo; i < hi; i++ {
 			for _, u := range g.Neighbors(f[i]) {
 				if colors[u] < 0 {
-					candMark.Set(u) // atomic claim
+					mine.SetSeq(u)
 				}
 			}
 		}
 	}
-	discoverPull := func(_, lo, hi int) {
+	discoverPull := func(w, lo, hi int) {
+		mine := marks[w]
 		for vi := lo; vi < hi; vi++ {
 			v := graph.V(vi)
 			if colors[v] >= 0 {
@@ -104,16 +96,14 @@ func FrontierExploit(g *graph.CSR, opt Options, dir core.Direction, policy core.
 			}
 			for _, u := range g.Neighbors(v) {
 				if inF.Get(u) {
-					// Only the owner marks v (the pull invariant),
-					// but the bitmap packs 64 vertices per word, so
-					// block-boundary words are shared: Set's CAS
-					// keeps the word write safe.
-					candMark.Set(v)
+					mine.SetSeq(v)
 					break
 				}
 			}
 		}
 	}
+	merge := func(_, lo, hi int) { candMark.MergeWords(marks, lo, hi) }
+	nw := len(candMark.Words())
 
 	for colored < n && res.Iterations < opt.MaxIters {
 		if opt.Canceled() {
@@ -143,47 +133,36 @@ func FrontierExploit(g *graph.CSR, opt Options, dir core.Direction, policy core.
 
 		// Candidate discovery: push lets frontier vertices mark uncolored
 		// neighbors; pull lets uncolored vertices search for a frontier
-		// neighbor. Both mark the same candidate set in candMark with
-		// different access patterns (and only push races for its bits).
-		// Reading it out in increasing id makes the winner set — and with
-		// it the iteration count — independent of the thread count.
-		candMark.Clear()
+		// neighbor. Both mark the same candidate set, with different
+		// access patterns, and the merge overwrites every word of
+		// candMark, so last round's bits need no clearing.
 		if dir == core.Push {
 			sched.ParallelFor(len(f), t, sched.Static, 0, discoverPush)
 		} else {
 			sched.ParallelFor(n, t, sched.Static, 0, discoverPull)
 		}
-		candMark.ToSparse(&cands)
+		sched.ParallelFor(nw, t, sched.Static, 0, merge)
 
 		// Deterministic conflict resolution in id order: a candidate takes
 		// the round's color cᵢ unless a lower-id winner of this round is
-		// its neighbor — and so has blocked it — then it defers. The first
-		// candidate always wins, so every round makes progress.
+		// its neighbor, then it defers. The first candidate always wins,
+		// so every round makes progress, and the winner set — with it the
+		// iteration count — does not depend on the thread count.
 		ci := nextColor
-		conflicts = 0
-		winners := cands.Vertices()[:0]
-		for _, v := range cands.Vertices() {
-			if blocked[v] == ci {
-				conflicts++
-				continue
-			}
+		cands := candMark.Count()
+		f = resolve(g, candMark, f[:0])
+		for _, v := range f {
 			colors[v] = ci
-			winners = append(winners, v)
-			for _, u := range g.Neighbors(v) {
-				blocked[u] = ci
-			}
 		}
 		nextColor = ci + 1
-		colored += len(winners)
-		progress = len(winners)
+		colored += len(f)
+		progress = len(f)
+		conflicts = cands - len(f)
 
-		// New frontier = this round's winners; every deferred loser is
-		// adjacent to one, so the next round rediscovers it.
-		inF.Clear()
-		f = append(f[:0], winners...)
-		for _, v := range winners {
-			inF.SetSeq(v)
-		}
+		// New frontier = this round's winners, left set in candMark;
+		// every deferred loser is adjacent to one, so the next round
+		// rediscovers it.
+		inF, candMark = candMark, inF
 
 		res.Iterations++
 		res.Dirs = append(res.Dirs, dir)
@@ -216,6 +195,31 @@ func FrontierExploit(g *graph.CSR, opt Options, dir core.Direction, policy core.
 	// run finished in, with Dirs carrying the full per-iteration truth.
 	res.Stats.Direction = dir
 	return res
+}
+
+// resolve appends to winners, in increasing id, every vertex of b whose bit
+// is still set when the walk reaches it, and clears the bits of each
+// winner's neighbors as it goes: a vertex loses exactly when a lower-id
+// winner is its neighbor, and a loser reads no arc. The winner clears its
+// whole row, so the outcome does not depend on the order of a row's
+// neighbors. b is left holding exactly the winners (a self-loop clears a
+// winner's own bit, which is set again).
+func resolve(g *graph.CSR, b *frontier.Bitmap, winners []graph.V) []graph.V {
+	words := b.Words()
+	for wi := range words {
+		for w := words[wi]; w != 0; {
+			bit := uint(bits.TrailingZeros64(w))
+			v := graph.V(wi<<6 | int(bit))
+			winners = append(winners, v)
+			for _, u := range g.Neighbors(v) {
+				b.ClearSeq(u)
+			}
+			b.SetSeq(v)
+			// Only bits above v are left to walk, as they stand now.
+			w = words[wi] &^ (2<<bit - 1)
+		}
+	}
+	return winners
 }
 
 // GrS is the paper's Greedy-Switch configuration for coloring: FE with a

@@ -12,22 +12,21 @@
 // Table 1 reports.
 //
 // The fast Push pushes into private state instead of shared state: each
-// loop chunk owns its slice of the next-rank vector and adds updates to
-// owned targets there with plain stores, and every cross-chunk update goes
-// with a plain store into the pushing worker's own n-entry accumulator. A
-// second pass folds the accumulators into the owned slices in worker
-// order. It issues no atomic at any thread count and walks the adjacency
-// once per iteration. Ownership is tested per edge instead of being laid
-// out ahead of time, so push needs no second copy of the adjacency. The
-// price is memory and a fold: at t > 1 threads a run holds t extra n-entry
-// vectors (t·n·8 bytes; 4 MiB at n = 2^18, t = 2) and folds O(t·n) per
-// iteration; at one thread it holds none and does not fold. The fold
-// order is fixed, so under the static schedule the ranks are
-// bit-identical run to run at every thread count, and at one thread they
-// are Sequential's bits. The profiled twins keep the paper's two bills
-// apart: PushProfiled counts Algorithm 1's (an atomic per arc),
-// PushPAProfiled counts Algorithm 8's over the §5 local/remote split (an
-// atomic per remote arc, plus the split's extra offset reads).
+// worker scatters every update of its loop chunk into its own n-entry
+// accumulator with a plain add. There is no atomic, and no per-edge test
+// of who owns the target. A fold then sums each slot's accumulators, its
+// fold worker's first and the others in worker order, and writes the
+// result over the rank vector in place. It walks the adjacency
+// once per iteration and needs no second copy of it. The price is memory
+// and a fold: a run holds t accumulators besides the rank vector,
+// (t+1)·n·8 bytes (6 MiB at n = 2^18, t = 2), and folds O(t·n) per
+// iteration. At one thread the only accumulator swaps with the rank
+// vector instead. Under the static schedule the ranks are bit-identical
+// run to run at every thread count, and at one thread they are
+// Sequential's bits. The profiled twins keep the paper's two bills apart:
+// PushProfiled counts Algorithm 1's (an atomic per arc), PushPAProfiled
+// counts Algorithm 8's over the §5 local/remote split (an atomic per
+// remote arc, plus the split's extra offset reads).
 //
 // Rank mass is specified, not normalized: a vertex with no out-edge sends
 // nothing and its rank is not redistributed (see Sum).
@@ -143,19 +142,22 @@ func Sequential(vw Views, opt Options) []float64 {
 	return pr
 }
 
-// Push runs the push-based variant as one scatter pass into private state
-// plus an ordered fold. Each loop chunk [lo, hi) owns next[lo:hi): the
-// scatter resets the owned slots to the teleport term, adds every update
-// whose target the chunk owns into next, and adds every other update into
-// its worker's own accumulator priv[w]. After the phase boundary the fold
-// sums next[i] + priv[0][i] + … + priv[t−1][i] in worker order, zeroing
-// each accumulator slot as it reads it. Both passes are plain stores to
-// memory one worker owns, so there is no atomic anywhere. Under the static
-// schedule every worker sees the same rows in the same order each run, so
-// the ranks are bit-identical run to run at every thread count. Under the
-// dynamic schedule which worker takes which chunk varies, and so may the
-// last bits. At one thread the only chunk is [0, n), there are no
-// accumulators and no fold, and the adds happen in Sequential's order.
+// Push runs the push-based variant as a scatter into private state plus
+// an ordered fold. The scatter gives worker w a loop chunk [lo, hi): it
+// adds the teleport term into priv[w][lo:hi], then adds every update of
+// the chunk's rows into priv[w], whichever chunk owns the target. After
+// the phase boundary the fold worker for [lo, hi) starts each slot from
+// its own accumulator, adds the others in worker order, zeroes them all
+// as it reads them, and writes the sum over pr. Both passes store only
+// into memory one worker owns, so there is no atomic and no per-edge
+// ownership test. Under the static schedule the fold and the scatter deal the
+// same chunk to the same worker, so each slot sums its teleport term and
+// its own chunk's updates in row order, then the other workers' partial
+// sums in worker order: the ranks are bit-identical run to run at every
+// thread count. Under the dynamic schedule which worker takes which chunk
+// varies, and so may the last bits. At one thread the only accumulator
+// swaps with pr instead of folding, and the adds happen in Sequential's
+// order.
 func Push(vw Views, opt Options) ([]float64, core.RunStats) {
 	opt.defaults()
 	g := vw.Out
@@ -171,30 +173,22 @@ func Push(vw Views, opt Options) ([]float64, core.RunStats) {
 	for i := range pr {
 		pr[i] = initRank
 	}
-	next := make([]float64, n)
-	var priv [][]float64
-	if t > 1 {
-		priv = make([][]float64, t)
-		for w := range priv {
-			priv[w] = make([]float64, n)
-		}
-	}
 	base := (1 - opt.Damping) / float64(n)
+	priv := make([][]float64, t)
+	for w := range priv {
+		priv[w] = make([]float64, n)
+	}
 	// Phase bodies are hoisted out of the round loop: a func literal in
 	// the loop would allocate its capture record every iteration, and the
-	// steady state must not allocate. They capture pr and next by
-	// reference, so the per-round swap stays visible. Ownership is one
-	// unsigned compare per edge, u − lo < hi − lo, which holds whatever
-	// order a row's neighbors are stored in.
+	// steady state must not allocate. They capture pr by reference, so the
+	// one-thread swap stays visible. The teleport term is added, not
+	// stored: under the dynamic schedule a worker may already have
+	// scattered into its new chunk's slots from an earlier chunk.
 	scatter := func(w, lo, hi int) {
+		mine := priv[w]
 		for i := lo; i < hi; i++ {
-			next[i] = base
+			mine[i] += base
 		}
-		var mine []float64
-		if priv != nil {
-			mine = priv[w]
-		}
-		span := uint(hi - lo)
 		for vi := lo; vi < hi; vi++ {
 			v := graph.V(vi)
 			d := g.Degree(v)
@@ -203,22 +197,22 @@ func Push(vw Views, opt Options) ([]float64, core.RunStats) {
 			}
 			c := opt.Damping * pr[v] / float64(d)
 			for _, u := range g.Neighbors(v) {
-				if uint(int(u)-lo) < span {
-					next[u] += c
-				} else {
-					mine[u] += c
-				}
+				mine[u] += c
 			}
 		}
 	}
 	fold := func(w, lo, hi int) {
+		mine := priv[w]
 		for i := lo; i < hi; i++ {
-			s := next[i]
-			for _, p := range priv {
-				s += p[i]
-				p[i] = 0
+			s := mine[i]
+			mine[i] = 0
+			for x, p := range priv {
+				if x != w {
+					s += p[i]
+					p[i] = 0
+				}
 			}
-			next[i] = s
+			pr[i] = s
 		}
 	}
 	for l := 0; l < opt.Iterations; l++ {
@@ -228,10 +222,12 @@ func Push(vw Views, opt Options) ([]float64, core.RunStats) {
 		}
 		start := time.Now()
 		sched.ParallelFor(n, t, opt.Schedule, 0, scatter)
-		if t > 1 {
+		if t == 1 {
+			pr, priv[0] = priv[0], pr
+			clear(priv[0])
+		} else {
 			sched.ParallelFor(n, t, opt.Schedule, 0, fold)
 		}
-		pr, next = next, pr
 		el := time.Since(start)
 		stats.Record(el)
 		opt.Tick(l, el)

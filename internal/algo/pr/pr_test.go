@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"path/filepath"
-	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -61,10 +60,10 @@ func TestPullMatchesSequential(t *testing.T) {
 	}
 }
 
-// Push scatters into chunk-owned slices and per-worker accumulators: at
-// every thread count and under both schedules it matches Sequential, and
-// at one thread (a single chunk, no accumulators) it adds in Sequential's
-// order, bit for bit.
+// Push scatters into per-worker accumulators: at every thread count and
+// under both schedules it matches Sequential, and at one thread (a single
+// chunk, one accumulator, no fold) it adds in Sequential's order, bit for
+// bit.
 func TestPushPAMatchesSequential(t *testing.T) {
 	g := testGraph(t)
 	opt := Options{Iterations: 15}
@@ -112,31 +111,13 @@ func TestPushReproducible(t *testing.T) {
 	}
 }
 
-// Ownership is decided per edge by comparing the target with the chunk's
-// bounds, not by where a row's neighbors sit, so a CSR whose rows are not
-// sorted (pushpull.Graph exposes its arrays; nothing guarantees order)
-// must give the same ranks. Run under -race: a wrong ownership test makes
-// two chunks write one slot with plain stores.
+// Every update goes into the scattering worker's own accumulator whatever
+// the target, so a CSR whose rows are not sorted (pushpull.Graph exposes
+// its arrays; nothing guarantees order) must give the same ranks. Run
+// under -race: a scatter into another worker's accumulator is a race.
 func TestPushUnsortedRows(t *testing.T) {
 	g := testGraph(t)
-	shuffled := &graph.CSR{NumV: g.NumV, Offsets: g.Offsets, Adj: append([]graph.V(nil), g.Adj...)}
-	r := rng.New(3)
-	for v := graph.V(0); v < g.NumV; v++ {
-		row := shuffled.Adj[g.Offsets[v]:g.Offsets[v+1]]
-		for i := len(row) - 1; i > 0; i-- {
-			j := r.Intn(i + 1)
-			row[i], row[j] = row[j], row[i]
-		}
-	}
-	sorted := 0
-	for v := graph.V(0); v < g.NumV; v++ {
-		if slices.IsSorted(shuffled.Neighbors(v)) {
-			sorted++
-		}
-	}
-	if sorted == g.N() {
-		t.Fatal("shuffle left every row sorted")
-	}
+	shuffled := shuffleRows(t, g, 3)
 	opt := Options{Iterations: 10}
 	want := Sequential(und(g), opt)
 	for _, threads := range []int{2, 4, 7} {
@@ -215,7 +196,7 @@ func TestOnIterationHook(t *testing.T) {
 		t.Fatalf("pull iterations hook = %v", iters)
 	}
 	iters = nil
-	opt.Threads = 2 // both ownership phases run
+	opt.Threads = 2 // scatter and fold both run
 	Push(und(g), opt)
 	if len(iters) != 5 {
 		t.Fatalf("two-thread push iterations hook = %v", iters)

@@ -358,11 +358,11 @@ func pushAlgorithm1(g *graph.CSR, threads, iters int) time.Duration {
 // Fig6 regenerates the acceleration-strategy panel: (a) PR per-iteration
 // times for Push (Algorithm 1) vs Push+PA vs Pull; (b) BGC
 // iterations-to-finish for Push, +FE, +GS, +GrS. The Push+PA column times
-// the library's push: Algorithm 8's chunk ownership, with the cross-chunk
-// updates sent to per-worker private accumulators instead of atomics.
+// the library's push: every update goes into the pushing worker's private
+// accumulator, folded in worker order, instead of an atomic.
 func Fig6(cfg Config) error {
 	cfg.defaults()
-	header(cfg.Out, "Figure 6a", "PR time per iteration [ms]: Push vs Push+PA (owned slots + private accumulators) vs Pull")
+	header(cfg.Out, "Figure 6a", "PR time per iteration [ms]: Push vs Push+PA (per-worker accumulators + ordered fold) vs Pull")
 	fmt.Fprintf(cfg.Out, "%-8s %10s %10s %10s\n", "graph", "Push", "Push+PA", "Pull")
 	const iters = 10
 	for _, name := range workloadNames {
