@@ -13,6 +13,13 @@
 // while the pull variant may only write its own avail[v][c], so every
 // iteration must rescan all border vertices to find out what changed. That
 // asymmetry (same lock count, more pull reads) is the Table 1 BGC column.
+//
+// Frontier-Exploit colors the uncolored neighbors of the last round's
+// winners with one fresh color per round, resolving conflicts in id order
+// inside a candidate bitmap. Each round reads every arc it touches once:
+// pushed, the winners mark the next round's candidates in the same row
+// walk that resolves them; pulled, each uncolored row looks for a
+// frontier neighbor, one bitmap word per writer.
 package gc
 
 import (

@@ -2,6 +2,8 @@ package gc
 
 import (
 	"fmt"
+	"math"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -9,6 +11,7 @@ import (
 	"pushpull/internal/gen"
 	"pushpull/internal/graph"
 	"pushpull/internal/rng"
+	"pushpull/internal/sched"
 )
 
 // frontierExploitOracle is Frontier-Exploit as it stood before resolution
@@ -151,10 +154,19 @@ func TestFrontierExploitMatchesOracle(t *testing.T) {
 		"generic": func(int) core.SwitchPolicy { return &core.GenericSwitch{Threshold: 1} },
 		"greedy":  func(n int) core.SwitchPolicy { return &core.GreedySwitch{Fraction: 0.1, Total: n} },
 	}
+	// A flip from pull to push marks the candidates from the frontier's
+	// rows instead of taking a pushed round's marks; the generic cases
+	// must run through both flips for that path to be checked at all.
+	flips := map[[2]core.Direction]bool{}
 	for name, g := range graphs {
 		for _, dir := range []core.Direction{core.Push, core.Pull} {
 			for pname, policy := range policies {
 				want := frontierExploitOracle(g, Options{}, dir, policy(g.N()))
+				if pname == "generic" {
+					for i := 1; i < len(want.Dirs); i++ {
+						flips[[2]core.Direction{want.Dirs[i-1], want.Dirs[i]}] = true
+					}
+				}
 				for _, th := range []int{1, 2, 7} {
 					at := fmt.Sprintf("%s/%v/%s/t%d", name, dir, pname, th)
 					got := FrontierExploit(g, Options{Options: core.Options{Threads: th}}, dir, policy(g.N()))
@@ -167,5 +179,68 @@ func TestFrontierExploitMatchesOracle(t *testing.T) {
 				}
 			}
 		}
+	}
+	for _, flip := range [][2]core.Direction{{core.Pull, core.Push}, {core.Push, core.Pull}} {
+		if !flips[flip] {
+			t.Errorf("no generic-switch case flips %v → %v", flip[0], flip[1])
+		}
+	}
+}
+
+// Beside the returned colors, Frontier-Exploit's scratch is its bill: four
+// n-bit bitmaps (frontier, candidates, next candidates, colored), 4·n/8
+// bytes at every thread count. Nothing per worker may be allocated. A
+// pulled round's one parallel phase pays what sched.ParallelFor allocates
+// to start its workers, measured here on an empty body; that is not
+// scratch, so each iteration is allowed it. The runtime now and then
+// allocates a fresh goroutine, so each figure is the least of three runs.
+func TestFrontierExploitScratchBytes(t *testing.T) {
+	g := rmat(t, 16, 4, 5)
+	n := g.N()
+	allocated := func(run func()) float64 {
+		least := math.Inf(1)
+		for range 3 {
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			run()
+			runtime.ReadMemStats(&after)
+			least = min(least, float64(after.TotalAlloc-before.TotalAlloc))
+		}
+		return least
+	}
+	for _, dir := range []core.Direction{core.Push, core.Pull} {
+		for _, threads := range []int{1, 2, 4} {
+			opt := Options{Options: core.Options{Threads: threads}}
+			var res *Result
+			got := allocated(func() { res = FrontierExploit(g, opt, dir, core.NeverSwitch{}) })
+			got -= float64(4 * len(res.Colors))
+			if dir == core.Pull {
+				const calls = 100
+				spawn := allocated(func() {
+					for range calls {
+						sched.ParallelFor(n/64, threads, sched.Dynamic, chunkWords, func(int, int, int) {})
+					}
+				})
+				got -= spawn / calls * float64(res.Iterations)
+			}
+			want := float64(4 * n / 8)
+			if got < 0.9*want || got > 1.1*want {
+				t.Errorf("%v t=%d: allocated %.0f bytes beside the colors, want %.0f ± 10%%", dir, threads, got, want)
+			}
+		}
+	}
+}
+
+func BenchmarkFrontierExploitPush(b *testing.B) { benchFrontierExploit(b, core.Push) }
+
+func BenchmarkFrontierExploitPull(b *testing.B) { benchFrontierExploit(b, core.Pull) }
+
+func benchFrontierExploit(b *testing.B, dir core.Direction) {
+	g := rmat(b, 16, 8, 1)
+	opt := Options{Options: core.Options{Threads: 2}}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		FrontierExploit(g, opt, dir, core.NeverSwitch{})
 	}
 }

@@ -82,10 +82,13 @@ func profiledGreedySubset(g *graph.CSR, colors []int32, p counters.Probe, a feAr
 // winner of the round is its neighbor. This twin bills the paper's
 // winner-side blocking: one read of blocked[v] per candidate and, per
 // winner, its color write plus one adjacency read and one blocked write
-// per arc. The fast kernel keeps no blocked vector; its winners clear
-// their neighbors' bits in the candidate bitmap instead, and it reaches
-// the same coloring, so the probed coloring equals the uninstrumented
-// run's exactly.
+// per arc. It stays the paper's literal round — discovery, then
+// resolution — so Table 1 and Fig 6 count what the paper describes. The
+// fast kernel keeps no blocked vector: its winners clear their neighbors'
+// bits in the candidate bitmap instead and, pushed, mark the next round's
+// candidates in the same row walk, so push has no discovery phase. It
+// reaches the same coloring, so the probed coloring equals the
+// uninstrumented run's exactly.
 func FrontierExploitProfiled(g *graph.CSR, opt Options, dir core.Direction, policy core.SwitchPolicy, prof core.Profile, space *memsim.AddressSpace) (*Result, error) {
 	opt.defaults()
 	if err := prof.Validate(); err != nil {

@@ -18,19 +18,26 @@ import (
 // its multi-round traversal structure and gives Generic-Switch a real
 // progress/conflict signal to steer by.
 //
-// A round touches the frontier's neighborhood, not every vertex — the
-// memory-access reduction the strategy exists for — and each phase reads an
-// arc at most once. Discovery marks candidates in per-worker bitmaps with
-// plain stores: push marks every uncolored target of a frontier arc, pull
-// marks an uncolored row at its first frontier neighbor. A word-parallel
-// merge ORs them into the candidate bitmap, so no worker writes a word
-// another worker writes. Resolution (see resolve) then runs in that bitmap
-// itself: in increasing id, a candidate whose bit is still set wins and
-// clears its neighbors' bits, and a cleared one loses without reading an
-// arc. Round 0's maximal independent set is the same resolve over a full
-// bitmap. The bitmap left holding the winners becomes the next frontier.
-// The adjacency must be symmetric (coloring is undirected): a loser learns
-// of its winning neighbor through the winner's arc to it.
+// A round reads each arc it touches once. Resolution (see resolve) runs in
+// the candidate bitmap: in increasing id, a candidate whose bit is still
+// set wins and clears its neighbors' bits, and a cleared one loses without
+// reading an arc. A pushed round's winners, in that same row walk, mark
+// their neighbors in a second bitmap; with every colored vertex taken out,
+// word by word, it is the next round's candidate set, so push has no
+// discovery phase of its own. A pulled round discovers instead: workers
+// draw chunks of whole bitmap words, and every uncolored vertex of a word
+// scans its row for a frontier neighbor (the last round's winners, left
+// set in their candidate bitmap); the worker stores the word it built, so
+// each word has one writer and a colored vertex costs one bit. A push
+// round after a pull round, a Generic-Switch flip, first marks the
+// candidates from the frontier's rows in one sequential pass. Round 0's
+// maximal independent set is the same resolve over a full bitmap. The
+// adjacency must be symmetric (coloring is undirected): a loser learns of
+// its winning neighbor through the winner's arc to it.
+//
+// Beside the returned colors, the run allocates four n-bit bitmaps —
+// frontier, candidates, next candidates and colored — 4·n/8 bytes at any
+// thread count.
 //
 // policy steers the run: core.NeverSwitch{} is plain FE, a
 // core.GenericSwitch adds GS (flip push↔pull when conflicts dominate), and
@@ -47,21 +54,71 @@ func FrontierExploit(g *graph.CSR, opt Options, dir core.Direction, policy core.
 	if n == 0 {
 		return res
 	}
-	colors := make([]int32, n)
+	colors := res.Colors
 	for i := range colors {
 		colors[i] = -1
 	}
 	t := sched.Clamp(opt.Threads, n)
 
+	inF, cand := frontier.NewBitmap(n), frontier.NewBitmap(n)
+	next, done := frontier.NewBitmap(n), frontier.NewBitmap(n)
+	nw := len(done.Words())
+	// tail masks the last word's bits past n, which are never uncolored.
+	tail := ^uint64(0) >> (uint(-n) & 63)
+	marked := false // a pushed round left the next candidates in cand
+
+	// Round bodies hoisted out of the iteration loop so the steady state
+	// does not allocate; the bitmaps are captured by reference, so each
+	// round's rotation stays visible.
+	discoverPull := func(_, lo, hi int) {
+		cw, dw := cand.Words(), done.Words()
+		for wi := lo; wi < hi; wi++ {
+			open := ^dw[wi]
+			if wi == nw-1 {
+				open &= tail
+			}
+			var word uint64
+			for ; open != 0; open &= open - 1 {
+				bit := uint(bits.TrailingZeros64(open))
+				for _, u := range g.Neighbors(graph.V(wi<<6 | int(bit))) {
+					if inF.Get(u) {
+						word |= 1 << bit
+						break
+					}
+				}
+			}
+			cw[wi] = word
+		}
+	}
+	// settle resolves cand with color ci, marking next when the round is
+	// pushed, and rotates the bitmaps: the winners become the frontier and
+	// a pushed round's marks, less every colored vertex, the candidates.
+	settle := func(ci int32) int {
+		var mark *frontier.Bitmap
+		if dir == core.Push {
+			next.Clear()
+			mark = next
+		}
+		won := resolve(g, cand, mark, colors, ci)
+		dw, cw, mw := done.Words(), cand.Words(), next.Words()
+		for i := range dw {
+			dw[i] |= cw[i]
+			if mark != nil {
+				mw[i] &^= dw[i]
+			}
+		}
+		inF, cand = cand, inF
+		marked = mark != nil
+		if marked {
+			cand, next = next, cand
+		}
+		return won
+	}
+
 	// Round 0: greedy maximal independent set, colored c₀ = 0.
 	start := time.Now()
-	inF, candMark := frontier.NewBitmap(n), frontier.NewBitmap(n)
-	inF.Fill()
-	f := resolve(g, inF, nil)
-	for _, v := range f {
-		colors[v] = 0
-	}
-	colored := len(f)
+	cand.Fill()
+	colored := settle(0)
 	nextColor := int32(1)
 	res.Iterations++
 	res.Dirs = append(res.Dirs, dir)
@@ -69,42 +126,6 @@ func FrontierExploit(g *graph.CSR, opt Options, dir core.Direction, policy core.
 	opt.Tick(0, res.Stats.PerIteration[0])
 
 	progress, conflicts := colored, 0
-	marks := make([]*frontier.Bitmap, t)
-	for w := range marks {
-		marks[w] = frontier.NewBitmap(n)
-	}
-
-	// Round bodies hoisted out of the iteration loop so the steady state
-	// does not allocate; f, inF and candMark are captured by reference, so
-	// each round's swap stays visible.
-	discoverPush := func(w, lo, hi int) {
-		mine := marks[w]
-		for i := lo; i < hi; i++ {
-			for _, u := range g.Neighbors(f[i]) {
-				if colors[u] < 0 {
-					mine.SetSeq(u)
-				}
-			}
-		}
-	}
-	discoverPull := func(w, lo, hi int) {
-		mine := marks[w]
-		for vi := lo; vi < hi; vi++ {
-			v := graph.V(vi)
-			if colors[v] >= 0 {
-				continue
-			}
-			for _, u := range g.Neighbors(v) {
-				if inF.Get(u) {
-					mine.SetSeq(v)
-					break
-				}
-			}
-		}
-	}
-	merge := func(_, lo, hi int) { candMark.MergeWords(marks, lo, hi) }
-	nw := len(candMark.Words())
-
 	for colored < n && res.Iterations < opt.MaxIters {
 		if opt.Canceled() {
 			res.Stats.Canceled = true
@@ -131,38 +152,28 @@ func FrontierExploit(g *graph.CSR, opt Options, dir core.Direction, policy core.
 			continue
 		}
 
-		// Candidate discovery: push lets frontier vertices mark uncolored
-		// neighbors; pull lets uncolored vertices search for a frontier
-		// neighbor. Both mark the same candidate set, with different
-		// access patterns, and the merge overwrites every word of
-		// candMark, so last round's bits need no clearing.
-		if dir == core.Push {
-			sched.ParallelFor(len(f), t, sched.Static, 0, discoverPush)
-		} else {
-			sched.ParallelFor(n, t, sched.Static, 0, discoverPull)
+		// The candidates are the uncolored neighbors of the frontier. A
+		// pushed round's winners marked them already; after a pulled
+		// round, push marks them from the frontier's rows, and pull lets
+		// every uncolored vertex search for a frontier neighbor.
+		if dir == core.Pull {
+			sched.ParallelFor(nw, t, sched.Dynamic, chunkWords, discoverPull)
+		} else if !marked {
+			markFrontier(g, inF, cand, done)
 		}
-		sched.ParallelFor(nw, t, sched.Static, 0, merge)
 
 		// Deterministic conflict resolution in id order: a candidate takes
 		// the round's color cᵢ unless a lower-id winner of this round is
 		// its neighbor, then it defers. The first candidate always wins,
 		// so every round makes progress, and the winner set — with it the
-		// iteration count — does not depend on the thread count.
-		ci := nextColor
-		cands := candMark.Count()
-		f = resolve(g, candMark, f[:0])
-		for _, v := range f {
-			colors[v] = ci
-		}
-		nextColor = ci + 1
-		colored += len(f)
-		progress = len(f)
-		conflicts = cands - len(f)
-
-		// New frontier = this round's winners, left set in candMark;
-		// every deferred loser is adjacent to one, so the next round
+		// iteration count — does not depend on the thread count. Every
+		// deferred loser is adjacent to a winner, so the next round
 		// rediscovers it.
-		inF, candMark = candMark, inF
+		cands := cand.Count()
+		progress = settle(nextColor)
+		nextColor++
+		colored += progress
+		conflicts = cands - progress
 
 		res.Iterations++
 		res.Dirs = append(res.Dirs, dir)
@@ -189,7 +200,6 @@ func FrontierExploit(g *graph.CSR, opt Options, dir core.Direction, policy core.
 		res.Stats.Record(el)
 		opt.Tick(res.Iterations-1, el)
 	}
-	copy(res.Colors, colors)
 	res.NumColors = CountColors(res.Colors)
 	// A Generic-Switch flip mid-run changes dir; report the direction the
 	// run finished in, with Dirs carrying the full per-iteration truth.
@@ -197,29 +207,66 @@ func FrontierExploit(g *graph.CSR, opt Options, dir core.Direction, policy core.
 	return res
 }
 
-// resolve appends to winners, in increasing id, every vertex of b whose bit
-// is still set when the walk reaches it, and clears the bits of each
-// winner's neighbors as it goes: a vertex loses exactly when a lower-id
-// winner is its neighbor, and a loser reads no arc. The winner clears its
-// whole row, so the outcome does not depend on the order of a row's
-// neighbors. b is left holding exactly the winners (a self-loop clears a
-// winner's own bit, which is set again).
-func resolve(g *graph.CSR, b *frontier.Bitmap, winners []graph.V) []graph.V {
+// chunkWords is how many candidate-bitmap words (64 vertices each) a pull
+// worker draws at a time: rmat's hubs sit at low ids, so equal static
+// blocks would leave one worker most of the rows to scan.
+const chunkWords = 8
+
+// markFrontier sets in cand every uncolored neighbor of the frontier inF,
+// one sequential pass over the frontier's rows.
+func markFrontier(g *graph.CSR, inF, cand, done *frontier.Bitmap) {
+	cw := cand.Words()
+	clear(cw)
+	for wi, word := range inF.Words() {
+		for ; word != 0; word &= word - 1 {
+			for _, u := range g.Neighbors(graph.V(wi<<6 + bits.TrailingZeros64(word))) {
+				cw[u>>6] |= 1 << (uint(u) & 63)
+			}
+		}
+	}
+	for i, d := range done.Words() {
+		cw[i] &^= d
+	}
+}
+
+// resolve colors ci, in increasing id, every vertex of b whose bit is
+// still set when the walk reaches it, and clears the bits of each winner's
+// neighbors as it goes: a vertex loses exactly when a lower-id winner is
+// its neighbor, and a loser reads no arc. The winner clears its whole row,
+// so the outcome does not depend on the order of a row's neighbors. b is
+// left holding exactly the winners (a self-loop clears a winner's own bit,
+// which is set again). A non-nil next gets, in the same row walk, the bit
+// of every winner's neighbor. resolve returns the number of winners.
+func resolve(g *graph.CSR, b, next *frontier.Bitmap, colors []int32, ci int32) int {
 	words := b.Words()
+	var marks []uint64
+	if next != nil {
+		marks = next.Words()
+	}
+	won := 0
 	for wi := range words {
 		for w := words[wi]; w != 0; {
 			bit := uint(bits.TrailingZeros64(w))
 			v := graph.V(wi<<6 | int(bit))
-			winners = append(winners, v)
-			for _, u := range g.Neighbors(v) {
-				b.ClearSeq(u)
+			colors[v] = ci
+			won++
+			if marks == nil {
+				for _, u := range g.Neighbors(v) {
+					words[u>>6] &^= 1 << (uint(u) & 63)
+				}
+			} else {
+				for _, u := range g.Neighbors(v) {
+					m := uint64(1) << (uint(u) & 63)
+					words[u>>6] &^= m
+					marks[u>>6] |= m
+				}
 			}
-			b.SetSeq(v)
+			words[wi] |= 1 << bit
 			// Only bits above v are left to walk, as they stand now.
 			w = words[wi] &^ (2<<bit - 1)
 		}
 	}
-	return winners
+	return won
 }
 
 // GrS is the paper's Greedy-Switch configuration for coloring: FE with a

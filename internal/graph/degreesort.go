@@ -1,6 +1,10 @@
 package graph
 
-import "sort"
+import (
+	"slices"
+
+	"pushpull/internal/sched"
+)
 
 // DegreeSorted is a CSR relabeled so that vertex ids are assigned in
 // descending degree order: the heaviest row becomes vertex 0. High-degree
@@ -20,20 +24,29 @@ type DegreeSorted struct {
 }
 
 // DegreePerm computes the degree-descending relabeling of g. Ties break by
-// ascending original id so the permutation is deterministic.
+// ascending original id so the permutation is deterministic. It is a
+// counting sort: one pass counts each degree, a walk from the largest
+// degree down turns the counts into first slots, and a pass in increasing
+// id places every vertex in its degree's next slot.
 func DegreePerm(g *CSR) (perm, inv []V) {
 	n := g.N()
-	perm = make([]V, n)
-	for i := range perm {
-		perm[i] = V(i)
+	maxDeg := int64(0)
+	for v := V(0); v < g.NumV; v++ {
+		maxDeg = max(maxDeg, g.Degree(v))
 	}
-	sort.Slice(perm, func(i, j int) bool {
-		di, dj := g.Degree(perm[i]), g.Degree(perm[j])
-		if di != dj {
-			return di > dj
-		}
-		return perm[i] < perm[j]
-	})
+	slot := make([]int, maxDeg+1)
+	for v := V(0); v < g.NumV; v++ {
+		slot[g.Degree(v)]++
+	}
+	for d, first := maxDeg, 0; d >= 0; d-- {
+		slot[d], first = first, first+slot[d]
+	}
+	perm = make([]V, n)
+	for v := V(0); v < g.NumV; v++ {
+		d := g.Degree(v)
+		perm[slot[d]] = v
+		slot[d]++
+	}
 	inv = make([]V, n)
 	for newID, old := range perm {
 		inv[old] = V(newID)
@@ -45,8 +58,10 @@ func DegreePerm(g *CSR) (perm, inv []V) {
 // inv[old], and row new reproduces old = perm[new]'s adjacency with every
 // endpoint remapped. Rows are re-sorted ascending (weights carried along)
 // so the result satisfies the CSR invariants, including HasEdge's binary
-// search.
-func PermuteCSR(g *CSR, perm, inv []V) *CSR {
+// search. t workers fill and sort the rows, drawing chunks of rows, since
+// in degree order the heaviest rows come first. A weighted row sorts
+// (endpoint, position) keys, so arcs to one endpoint keep their order.
+func PermuteCSR(g *CSR, perm, inv []V, t int) *CSR {
 	n := g.NumV
 	out := &CSR{NumV: n, Offsets: make([]int64, n+1), Adj: make([]V, g.M())}
 	if g.Weights != nil {
@@ -55,38 +70,41 @@ func PermuteCSR(g *CSR, perm, inv []V) *CSR {
 	for newV := V(0); newV < n; newV++ {
 		out.Offsets[newV+1] = out.Offsets[newV] + g.Degree(perm[newV])
 	}
-	for newV := V(0); newV < n; newV++ {
-		old := perm[newV]
-		row := out.Adj[out.Offsets[newV]:out.Offsets[newV+1]]
-		for i, w := range g.Neighbors(old) {
-			row[i] = inv[w]
+	t = sched.Clamp(t, int(n))
+	keys := make([][]uint64, t) // per worker, grown to its longest weighted row
+	sched.ParallelFor(int(n), t, sched.Dynamic, permuteRows, func(w, lo, hi int) {
+		for newV := V(lo); newV < V(hi); newV++ {
+			old := perm[newV]
+			row := out.Adj[out.Offsets[newV]:out.Offsets[newV+1]]
+			if g.Weights == nil {
+				for i, u := range g.Neighbors(old) {
+					row[i] = inv[u]
+				}
+				slices.Sort(row)
+				continue
+			}
+			key := keys[w][:0]
+			for i, u := range g.Neighbors(old) {
+				key = append(key, uint64(inv[u])<<32|uint64(i))
+			}
+			slices.Sort(key)
+			ws := g.NeighborWeights(old)
+			wrow := out.Weights[out.Offsets[newV]:out.Offsets[newV+1]]
+			for i, k := range key {
+				row[i], wrow[i] = V(k>>32), ws[uint32(k)]
+			}
+			keys[w] = key
 		}
-		if g.Weights == nil {
-			sort.Slice(row, func(i, j int) bool { return row[i] < row[j] })
-			continue
-		}
-		wrow := out.Weights[out.Offsets[newV]:out.Offsets[newV+1]]
-		copy(wrow, g.NeighborWeights(old))
-		sort.Sort(&arcRow{adj: row, wts: wrow})
-	}
+	})
 	return out
 }
 
-// SortByDegree builds the degree-sorted view of g.
-func SortByDegree(g *CSR) *DegreeSorted {
+// permuteRows is how many rows a PermuteCSR worker draws at a time.
+const permuteRows = 256
+
+// SortByDegree builds the degree-sorted view of g with t workers (t ≤ 0
+// means GOMAXPROCS).
+func SortByDegree(g *CSR, t int) *DegreeSorted {
 	perm, inv := DegreePerm(g)
-	return &DegreeSorted{G: PermuteCSR(g, perm, inv), Perm: perm, Inv: inv}
-}
-
-// arcRow co-sorts one adjacency row with its parallel weights.
-type arcRow struct {
-	adj []V
-	wts []float32
-}
-
-func (r *arcRow) Len() int           { return len(r.adj) }
-func (r *arcRow) Less(i, j int) bool { return r.adj[i] < r.adj[j] }
-func (r *arcRow) Swap(i, j int) {
-	r.adj[i], r.adj[j] = r.adj[j], r.adj[i]
-	r.wts[i], r.wts[j] = r.wts[j], r.wts[i]
+	return &DegreeSorted{G: PermuteCSR(g, perm, inv, t), Perm: perm, Inv: inv}
 }
