@@ -16,10 +16,10 @@
 //
 // Frontier-Exploit colors the uncolored neighbors of the last round's
 // winners with one fresh color per round, resolving conflicts in id order
-// inside a candidate bitmap. Each round reads every arc it touches once:
-// pushed, the winners mark the next round's candidates in the same row
-// walk that resolves them; pulled, each uncolored row looks for a
-// frontier neighbor, one bitmap word per writer.
+// inside a candidate bitmap. Pushed, a round reads each winner's row once:
+// the winners mark the next round's candidates in the same row walk that
+// resolves them. Pulled, each uncolored row first looks for a frontier
+// neighbor, one bitmap word per writer.
 package gc
 
 import (

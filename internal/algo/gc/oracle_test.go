@@ -5,6 +5,7 @@ import (
 	"math"
 	"runtime"
 	"slices"
+	"sync"
 	"testing"
 
 	"pushpull/internal/core"
@@ -154,9 +155,9 @@ func TestFrontierExploitMatchesOracle(t *testing.T) {
 		"generic": func(int) core.SwitchPolicy { return &core.GenericSwitch{Threshold: 1} },
 		"greedy":  func(n int) core.SwitchPolicy { return &core.GreedySwitch{Fraction: 0.1, Total: n} },
 	}
-	// A flip from pull to push marks the candidates from the frontier's
-	// rows instead of taking a pushed round's marks; the generic cases
-	// must run through both flips for that path to be checked at all.
+	// A push round after a pull round has no pushed round's marks to take
+	// and runs the pull discovery instead; the generic cases must run
+	// through both flips for that path to be checked at all.
 	flips := map[[2]core.Direction]bool{}
 	for name, g := range graphs {
 		for _, dir := range []core.Direction{core.Push, core.Pull} {
@@ -192,11 +193,25 @@ func TestFrontierExploitMatchesOracle(t *testing.T) {
 // bytes at every thread count. Nothing per worker may be allocated. A
 // pulled round's one parallel phase pays what sched.ParallelFor allocates
 // to start its workers, measured here on an empty body; that is not
-// scratch, so each iteration is allowed it. The runtime now and then
-// allocates a fresh goroutine, so each figure is the least of three runs.
+// scratch, so each iteration is allowed it. A round that starts its
+// workers before the last round's have exited needs more goroutines than
+// the runtime keeps for reuse, and a new one is allocated on the heap; so
+// the free list is first filled with more exited goroutines than any run
+// has alive at once, and each figure is the least of three runs.
 func TestFrontierExploitScratchBytes(t *testing.T) {
 	g := rmat(t, 16, 4, 5)
 	n := g.N()
+	var alive sync.WaitGroup
+	gate := make(chan struct{})
+	for range 256 {
+		alive.Add(1)
+		go func() {
+			defer alive.Done()
+			<-gate
+		}()
+	}
+	close(gate)
+	alive.Wait()
 	allocated := func(run func()) float64 {
 		least := math.Inf(1)
 		for range 3 {

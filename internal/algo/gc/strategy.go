@@ -18,22 +18,24 @@ import (
 // its multi-round traversal structure and gives Generic-Switch a real
 // progress/conflict signal to steer by.
 //
-// A round reads each arc it touches once. Resolution (see resolve) runs in
-// the candidate bitmap: in increasing id, a candidate whose bit is still
-// set wins and clears its neighbors' bits, and a cleared one loses without
-// reading an arc. A pushed round's winners, in that same row walk, mark
-// their neighbors in a second bitmap; with every colored vertex taken out,
-// word by word, it is the next round's candidate set, so push has no
-// discovery phase of its own. A pulled round discovers instead: workers
-// draw chunks of whole bitmap words, and every uncolored vertex of a word
-// scans its row for a frontier neighbor (the last round's winners, left
-// set in their candidate bitmap); the worker stores the word it built, so
-// each word has one writer and a colored vertex costs one bit. A push
-// round after a pull round, a Generic-Switch flip, first marks the
-// candidates from the frontier's rows in one sequential pass. Round 0's
-// maximal independent set is the same resolve over a full bitmap. The
-// adjacency must be symmetric (coloring is undirected): a loser learns of
-// its winning neighbor through the winner's arc to it.
+// Resolution (see resolve) runs in the candidate bitmap: in increasing
+// id, a candidate whose bit is still set wins and clears its neighbors'
+// bits, and a cleared one loses without reading an arc. A pushed round's
+// winners, in that same row walk, mark their neighbors in a second bitmap;
+// with every colored vertex taken out, word by word, it is the next
+// round's candidate set, so a pushed round reads each winner's row once
+// and push has no discovery phase of its own. A pulled round discovers
+// instead: workers draw chunks of whole bitmap words, and every uncolored
+// vertex of a word scans its row for a frontier neighbor (the last round's
+// winners, left set in their candidate bitmap); the worker stores the word
+// it built, so each word has one writer and a colored vertex costs one
+// bit. A pulled round thus reads a winner's row twice: up to its first
+// frontier neighbor in discovery, and whole in resolution. A push round
+// after a pull round, a Generic-Switch flip, finds no marks waiting and
+// runs the pull discovery once. Round 0's maximal independent set is the
+// same resolve over a full bitmap. The adjacency must be symmetric
+// (coloring is undirected): a loser learns of its winning neighbor through
+// the winner's arc to it.
 //
 // Beside the returned colors, the run allocates four n-bit bitmaps —
 // frontier, candidates, next candidates and colored — 4·n/8 bytes at any
@@ -153,13 +155,10 @@ func FrontierExploit(g *graph.CSR, opt Options, dir core.Direction, policy core.
 		}
 
 		// The candidates are the uncolored neighbors of the frontier. A
-		// pushed round's winners marked them already; after a pulled
-		// round, push marks them from the frontier's rows, and pull lets
-		// every uncolored vertex search for a frontier neighbor.
-		if dir == core.Pull {
+		// pushed round's winners marked them already; otherwise every
+		// uncolored vertex searches for a frontier neighbor.
+		if dir == core.Pull || !marked {
 			sched.ParallelFor(nw, t, sched.Dynamic, chunkWords, discoverPull)
-		} else if !marked {
-			markFrontier(g, inF, cand, done)
 		}
 
 		// Deterministic conflict resolution in id order: a candidate takes
@@ -211,23 +210,6 @@ func FrontierExploit(g *graph.CSR, opt Options, dir core.Direction, policy core.
 // worker draws at a time: rmat's hubs sit at low ids, so equal static
 // blocks would leave one worker most of the rows to scan.
 const chunkWords = 8
-
-// markFrontier sets in cand every uncolored neighbor of the frontier inF,
-// one sequential pass over the frontier's rows.
-func markFrontier(g *graph.CSR, inF, cand, done *frontier.Bitmap) {
-	cw := cand.Words()
-	clear(cw)
-	for wi, word := range inF.Words() {
-		for ; word != 0; word &= word - 1 {
-			for _, u := range g.Neighbors(graph.V(wi<<6 + bits.TrailingZeros64(word))) {
-				cw[u>>6] |= 1 << (uint(u) & 63)
-			}
-		}
-	}
-	for i, d := range done.Words() {
-		cw[i] &^= d
-	}
-}
 
 // resolve colors ci, in increasing id, every vertex of b whose bit is
 // still set when the walk reaches it, and clears the bits of each winner's

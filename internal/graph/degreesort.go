@@ -1,10 +1,6 @@
 package graph
 
-import (
-	"slices"
-
-	"pushpull/internal/sched"
-)
+import "slices"
 
 // DegreeSorted is a CSR relabeled so that vertex ids are assigned in
 // descending degree order: the heaviest row becomes vertex 0. High-degree
@@ -58,10 +54,9 @@ func DegreePerm(g *CSR) (perm, inv []V) {
 // inv[old], and row new reproduces old = perm[new]'s adjacency with every
 // endpoint remapped. Rows are re-sorted ascending (weights carried along)
 // so the result satisfies the CSR invariants, including HasEdge's binary
-// search. t workers fill and sort the rows, drawing chunks of rows, since
-// in degree order the heaviest rows come first. A weighted row sorts
-// (endpoint, position) keys, so arcs to one endpoint keep their order.
-func PermuteCSR(g *CSR, perm, inv []V, t int) *CSR {
+// search. A weighted row sorts (endpoint, position) keys, so arcs to one
+// endpoint keep their order.
+func PermuteCSR(g *CSR, perm, inv []V) *CSR {
 	n := g.NumV
 	out := &CSR{NumV: n, Offsets: make([]int64, n+1), Adj: make([]V, g.M())}
 	if g.Weights != nil {
@@ -70,41 +65,33 @@ func PermuteCSR(g *CSR, perm, inv []V, t int) *CSR {
 	for newV := V(0); newV < n; newV++ {
 		out.Offsets[newV+1] = out.Offsets[newV] + g.Degree(perm[newV])
 	}
-	t = sched.Clamp(t, int(n))
-	keys := make([][]uint64, t) // per worker, grown to its longest weighted row
-	sched.ParallelFor(int(n), t, sched.Dynamic, permuteRows, func(w, lo, hi int) {
-		for newV := V(lo); newV < V(hi); newV++ {
-			old := perm[newV]
-			row := out.Adj[out.Offsets[newV]:out.Offsets[newV+1]]
-			if g.Weights == nil {
-				for i, u := range g.Neighbors(old) {
-					row[i] = inv[u]
-				}
-				slices.Sort(row)
-				continue
-			}
-			key := keys[w][:0]
+	var key []uint64 // grown to the longest weighted row
+	for newV := V(0); newV < n; newV++ {
+		old := perm[newV]
+		row := out.Adj[out.Offsets[newV]:out.Offsets[newV+1]]
+		if g.Weights == nil {
 			for i, u := range g.Neighbors(old) {
-				key = append(key, uint64(inv[u])<<32|uint64(i))
+				row[i] = inv[u]
 			}
-			slices.Sort(key)
-			ws := g.NeighborWeights(old)
-			wrow := out.Weights[out.Offsets[newV]:out.Offsets[newV+1]]
-			for i, k := range key {
-				row[i], wrow[i] = V(k>>32), ws[uint32(k)]
-			}
-			keys[w] = key
+			slices.Sort(row)
+			continue
 		}
-	})
+		key = key[:0]
+		for i, u := range g.Neighbors(old) {
+			key = append(key, uint64(inv[u])<<32|uint64(i))
+		}
+		slices.Sort(key)
+		ws := g.NeighborWeights(old)
+		wrow := out.Weights[out.Offsets[newV]:out.Offsets[newV+1]]
+		for i, k := range key {
+			row[i], wrow[i] = V(k>>32), ws[uint32(k)]
+		}
+	}
 	return out
 }
 
-// permuteRows is how many rows a PermuteCSR worker draws at a time.
-const permuteRows = 256
-
-// SortByDegree builds the degree-sorted view of g with t workers (t ≤ 0
-// means GOMAXPROCS).
-func SortByDegree(g *CSR, t int) *DegreeSorted {
+// SortByDegree builds the degree-sorted view of g.
+func SortByDegree(g *CSR) *DegreeSorted {
 	perm, inv := DegreePerm(g)
-	return &DegreeSorted{G: PermuteCSR(g, perm, inv, t), Perm: perm, Inv: inv}
+	return &DegreeSorted{G: PermuteCSR(g, perm, inv), Perm: perm, Inv: inv}
 }

@@ -1,7 +1,6 @@
 package graph_test
 
 import (
-	"fmt"
 	"slices"
 	"sort"
 	"testing"
@@ -92,8 +91,8 @@ func directedFixture(t *testing.T) *graph.CSR {
 	return g
 }
 
-// The counting-sort permutation and the parallel typed row sort must build
-// exactly what the comparison-sort builder built, at every thread count.
+// The counting-sort permutation and the typed row sort must build exactly
+// what the comparison-sort builder built.
 func TestSortByDegreeMatchesOracle(t *testing.T) {
 	rmat, err := gen.RMAT(gen.DefaultRMAT(12, 8, 5))
 	if err != nil {
@@ -111,21 +110,18 @@ func TestSortByDegreeMatchesOracle(t *testing.T) {
 	}
 	for name, g := range fixtures {
 		want := sortByDegreeOracle(g)
-		for _, threads := range []int{1, 2, 7} {
-			got := graph.SortByDegree(g, threads)
-			at := fmt.Sprintf("%s t=%d", name, threads)
-			switch {
-			case !slices.Equal(got.Perm, want.Perm):
-				t.Errorf("%s: Perm differs", at)
-			case !slices.Equal(got.Inv, want.Inv):
-				t.Errorf("%s: Inv differs", at)
-			case !slices.Equal(got.G.Offsets, want.G.Offsets):
-				t.Errorf("%s: Offsets differ", at)
-			case !slices.Equal(got.G.Adj, want.G.Adj):
-				t.Errorf("%s: Adj differs", at)
-			case !slices.Equal(got.G.Weights, want.G.Weights) || (got.G.Weights == nil) != (want.G.Weights == nil):
-				t.Errorf("%s: Weights differ", at)
-			}
+		got := graph.SortByDegree(g)
+		switch {
+		case !slices.Equal(got.Perm, want.Perm):
+			t.Errorf("%s: Perm differs", name)
+		case !slices.Equal(got.Inv, want.Inv):
+			t.Errorf("%s: Inv differs", name)
+		case !slices.Equal(got.G.Offsets, want.G.Offsets):
+			t.Errorf("%s: Offsets differ", name)
+		case !slices.Equal(got.G.Adj, want.G.Adj):
+			t.Errorf("%s: Adj differs", name)
+		case !slices.Equal(got.G.Weights, want.G.Weights) || (got.G.Weights == nil) != (want.G.Weights == nil):
+			t.Errorf("%s: Weights differ", name)
 		}
 	}
 }

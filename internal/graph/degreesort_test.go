@@ -68,7 +68,7 @@ func TestSortByDegreePreservesEdges(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			g := randomCSR(t, 120, 700, tc.weighted, tc.directed, 7)
-			ds := SortByDegree(g, 2)
+			ds := SortByDegree(g)
 			if err := ds.G.Validate(); err != nil {
 				t.Fatalf("permuted CSR invalid: %v", err)
 			}
@@ -113,7 +113,7 @@ func TestSortByDegreeHeaviestFirst(t *testing.T) {
 		b.AddEdge(0, v)
 	}
 	g := b.MustBuild()
-	ds := SortByDegree(g, 2)
+	ds := SortByDegree(g)
 	if ds.Perm[0] != 0 || ds.Inv[0] != 0 {
 		t.Fatalf("star center not relabeled to 0: perm[0]=%d inv[0]=%d", ds.Perm[0], ds.Inv[0])
 	}

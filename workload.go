@@ -270,7 +270,7 @@ func (w *Workload) DegreeSorted() *DegreeSortedView {
 
 func (w *Workload) degreeSortedLocked() *DegreeSortedView {
 	if w.ds == nil {
-		w.ds = graph.SortByDegree(w.g, 0)
+		w.ds = graph.SortByDegree(w.g)
 		w.builds.DegreeSorts++
 	}
 	return w.ds
