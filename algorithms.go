@@ -132,6 +132,9 @@ func runPR(ctx context.Context, w *Workload, cfg *Config) (*Report, error) {
 			views.In = w.Transpose()
 		}
 	}
+	if err := checkGraphs(views.Out, views.In); err != nil {
+		return nil, err
+	}
 
 	if cfg.Probes {
 		start := time.Now()

@@ -96,7 +96,27 @@ var (
 	// be clamped or to panic deep in a kernel and now fail at Run entry
 	// instead.
 	ErrBadOption = errors.New("option value out of range")
+	// ErrMalformedGraph: a graph a run would walk fails graph.Check — a
+	// negative vertex count, offsets that are short, do not start at 0,
+	// decrease or disagree with the arc count, an arc id outside [0, n),
+	// or a weight array of the wrong length. The error names the fault.
+	ErrMalformedGraph = errors.New("malformed graph")
 )
+
+// checkGraphs runs each non-nil graph's Check, which a graph remembers
+// once passed, so a graph is scanned once however many runs and
+// workloads read it.
+func checkGraphs(gs ...*Graph) error {
+	for _, g := range gs {
+		if g == nil {
+			continue
+		}
+		if err := g.Check(); err != nil {
+			return fmt.Errorf("pushpull: %w: %v", ErrMalformedGraph, err)
+		}
+	}
+	return nil
+}
 
 // validateOptions rejects out-of-domain option values before capability
 // checks or any kernel work: zero keeps each option's documented default,

@@ -227,6 +227,9 @@ func (e *Engine) Run(ctx context.Context, on Runnable, algorithm string, opts ..
 	if err != nil {
 		return nil, err
 	}
+	if err := checkGraphs(w.Graph()); err != nil {
+		return nil, err
+	}
 	if ctx == nil {
 		ctx = context.Background()
 	}

@@ -24,6 +24,10 @@ import (
 // Core vocabulary.
 type (
 	// Graph is the CSR adjacency structure every algorithm consumes.
+	// Run checks a graph once (graph.Check, remembered on the graph)
+	// and fails a malformed one with ErrMalformedGraph; the kernels
+	// then read it without bounds checks, so a graph must not change
+	// after a run has read it.
 	Graph = graph.CSR
 	// V is a vertex id.
 	V = graph.V

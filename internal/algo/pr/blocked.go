@@ -63,11 +63,8 @@ func PullBlocked(bg *graph.BlockCSR, opt Options) ([]float64, core.RunStats, err
 			}
 			blo, bhi := bg.BlockRange(bi)
 			for v := blo; v < bhi; v++ {
-				sum := 0.0
-				for _, u := range cur.Row(v) {
-					sum += contrib[u]
-				}
-				next[v] = base + opt.Damping*sum
+				// Load has checked every arc id of the block below n.
+				next[v] = base + opt.Damping*graph.SumAt(contrib, cur.Row(v))
 			}
 		}
 	}

@@ -89,14 +89,14 @@ func TestKernelsPinned(t *testing.T) {
 		vw   Views
 		want pins
 	}{
-		"undirected": {Views{g, g}, pins{
+		"undirected": {und(g), pins{
 			push: 0xe99e6464d8147b83, pull: 0xf1c2f7f20223302c,
 			fastPush: [3]uint64{0x23b46c29ac1e8b9c, 0xb2088fb4ffe5dd6a, 0xa3f13855a6d20610},
 			pushBill: 0xf5b8f2929cea6f45, pullBill: 0x7e107e14fe83dfbd,
 			pushMisses: [4]uint64{0x2319ccc3b7e149bd, 0xa676fc9fd76f5c21, 0xbc6f0d2c6320dd07, 0xf8279453cb802152},
 			pullMisses: [4]uint64{0xd75bf5d94364fca6, 0x5f849669b24e48c9, 0xcd7edcd28c4ab13, 0xcef282d2897c6944},
 		}},
-		"directed": {Views{out, out.Transpose()}, pins{
+		"directed": {views(out, out.Transpose()), pins{
 			push: 0xed61d6263fe699d8, pull: 0x3d8365bedbd156a4,
 			fastPush: [3]uint64{0x265b13802ac08606, 0x5a48e8c70c04b2dd, 0x44869cbd6c005328},
 			pushBill: 0x471488458e94af05, pullBill: 0xe5c14a852222f539,

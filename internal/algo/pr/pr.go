@@ -50,9 +50,19 @@
 // (§4.8): pushing iterates out-edges, pulling iterates in-edges, and a
 // contribution always scales by the *out*-degree (§7.3). An undirected
 // graph is the In == Out case of the same kernels, not a second set.
+//
+// Push's scatter, Pull's gather and PullBlocked's gather read rows and
+// index n-vectors by arc id without bounds checks (graph.Row, SumAt and
+// AddAt): graph.Check has made each of those checks once, up front. That
+// is safe only for a graph that passed graph.Check — pushpull.Run checks
+// every graph it hands these kernels, once per graph, and PullBlocked's
+// block file checks its own ids — and only while the graph does not
+// change afterwards. Push and Pull panic on a view that never passed
+// Check. The *Profiled twins keep Go's checks.
 package pr
 
 import (
+	"fmt"
 	"math"
 	"time"
 
@@ -167,6 +177,7 @@ func Push(vw Views, opt Options) ([]float64, core.RunStats) {
 	if n == 0 {
 		return pr, stats
 	}
+	mustBeChecked("Push", g, n)
 	stats.Reserve(opt.Iterations)
 	t := sched.Clamp(opt.Threads, n)
 	initRank := 1 / float64(n)
@@ -190,15 +201,11 @@ func Push(vw Views, opt Options) ([]float64, core.RunStats) {
 			mine[i] += base
 		}
 		for vi := lo; vi < hi; vi++ {
-			v := graph.V(vi)
-			d := g.Degree(v)
-			if d == 0 {
+			row := g.Row(graph.V(vi))
+			if len(row) == 0 {
 				continue
 			}
-			c := opt.Damping * pr[v] / float64(d)
-			for _, u := range g.Neighbors(v) {
-				mine[u] += c
-			}
+			graph.AddAt(mine, row, opt.Damping*pr[vi]/float64(len(row)))
 		}
 	}
 	fold := func(w, lo, hi int) {
@@ -248,6 +255,7 @@ func Pull(vw Views, opt Options) ([]float64, core.RunStats) {
 	if n == 0 {
 		return pr, stats
 	}
+	mustBeChecked("Pull", in, n)
 	stats.Reserve(opt.Iterations)
 	t := sched.Clamp(opt.Threads, n)
 	initRank := 1 / float64(n)
@@ -267,11 +275,7 @@ func Pull(vw Views, opt Options) ([]float64, core.RunStats) {
 	}
 	gather := func(w, lo, hi int) {
 		for vi := lo; vi < hi; vi++ {
-			sum := 0.0
-			for _, u := range in.Neighbors(graph.V(vi)) {
-				sum += contrib[u]
-			}
-			next[vi] = base + opt.Damping*sum
+			next[vi] = base + opt.Damping*graph.SumAt(contrib, in.Row(graph.V(vi)))
 		}
 	}
 	for l := 0; l < opt.Iterations; l++ {
@@ -288,6 +292,19 @@ func Pull(vw Views, opt Options) ([]float64, core.RunStats) {
 		opt.Tick(l, el)
 	}
 	return pr, stats
+}
+
+// mustBeChecked panics unless g passed graph.Check and has n vertices:
+// Push and Pull read g's rows, and index n-vectors by its arc ids,
+// without bounds checks. Run checks every graph before it dispatches, so
+// only an internal caller that skips Run can fail here.
+func mustBeChecked(kernel string, g *graph.CSR, n int) {
+	if !g.Checked() {
+		panic("pr: " + kernel + " handed a graph that never passed graph.Check")
+	}
+	if g.N() != n {
+		panic(fmt.Sprintf("pr: %s handed a %d-vertex view of a %d-vertex graph", kernel, g.N(), n))
+	}
 }
 
 // contribution is what a vertex of rank r and degree d offers each

@@ -20,8 +20,21 @@ import (
 
 const tol = 1e-9
 
+// views pairs out and in (either may be nil) after checking both: Push
+// and Pull read only graphs that passed graph.Check.
+func views(out, in *graph.CSR) Views {
+	for _, g := range []*graph.CSR{out, in} {
+		if g != nil {
+			if err := g.Check(); err != nil {
+				panic(err)
+			}
+		}
+	}
+	return Views{out, in}
+}
+
 // und is the view pair of an undirected graph: In == Out.
-func und(g *graph.CSR) Views { return Views{g, g} }
+func und(g *graph.CSR) Views { return views(g, g) }
 
 func testGraph(t *testing.T) *graph.CSR {
 	t.Helper()
@@ -91,7 +104,7 @@ func TestPushPAMatchesSequential(t *testing.T) {
 func TestPushReproducible(t *testing.T) {
 	g := testGraph(t)
 	opt := Options{Iterations: 10}
-	for name, vw := range map[string]Views{"undirected": und(g), "directed": {Out: orient(t, g)}} {
+	for name, vw := range map[string]Views{"undirected": und(g), "directed": views(orient(t, g), nil)} {
 		want := Sequential(vw, opt)
 		for _, threads := range []int{2, 4, 7} {
 			opt.Threads, opt.Schedule = threads, sched.Static
@@ -520,7 +533,7 @@ func TestPullBitIdenticalToTwoReadsGather(t *testing.T) {
 		vw, deg := und(fx.out), fx.out.Degree
 		var outDeg []int64
 		if fx.directed {
-			vw.In = fx.out.Transpose()
+			vw = views(fx.out, fx.out.Transpose())
 			outDeg = make([]int64, n)
 			for v := range outDeg {
 				outDeg[v] = fx.out.Degree(graph.V(v))
@@ -658,7 +671,7 @@ func directedFixture(t testing.TB, n int, edges int, seed uint64) Views {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Views{g, g.Transpose()}
+	return views(g, g.Transpose())
 }
 
 func TestDirectedPushPullAgree(t *testing.T) {
@@ -686,7 +699,7 @@ func TestDirectedChain(t *testing.T) {
 	b.AddEdge(0, 1)
 	b.AddEdge(1, 2)
 	g := b.MustBuild()
-	ranks, _ := Pull(Views{g, g.Transpose()}, Options{Iterations: 40})
+	ranks, _ := Pull(views(g, g.Transpose()), Options{Iterations: 40})
 	if !(ranks[0] < ranks[1] && ranks[1] < ranks[2]) {
 		t.Fatalf("chain ranks not monotone: %v", ranks)
 	}
@@ -709,7 +722,7 @@ func TestDirectedVsUndirectedConsistency(t *testing.T) {
 		b.AddEdge(graph.V(r.Intn(n)), graph.V(r.Intn(n)))
 	}
 	g := b.MustBuild()
-	same, pair := Views{g, g}, Views{g, g.Transpose()}
+	same, pair := und(g), views(g, g.Transpose())
 	if pair.In == g {
 		t.Fatal("Transpose returned its receiver: the two-view case is not exercised")
 	}
@@ -758,7 +771,7 @@ func TestDirectedDanglingVertices(t *testing.T) {
 	b.AddEdge(1, 3)
 	b.AddEdge(2, 3)
 	g := b.MustBuild()
-	dg := Views{g, g.Transpose()}
+	dg := views(g, g.Transpose())
 	push, _ := Push(dg, Options{Iterations: 10})
 	pull, _ := Pull(dg, Options{Iterations: 10})
 	if d := MaxDiff(push, pull); d > tol {
@@ -771,7 +784,7 @@ func TestDirectedDanglingVertices(t *testing.T) {
 
 func TestDirectedEmpty(t *testing.T) {
 	g := graph.NewBuilder(0).Directed().MustBuild()
-	dg := Views{g, g.Transpose()}
+	dg := views(g, g.Transpose())
 	if rks, _ := Push(dg, Options{}); len(rks) != 0 {
 		t.Fatal("empty push")
 	}

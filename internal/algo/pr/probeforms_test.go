@@ -13,18 +13,23 @@ import (
 // were measured, and neither is free when the probe is switched off. This
 // benchmark is that measurement, kept so it can be repeated on a newer
 // toolchain (CONTRIBUTING.md says when to): one pull gather pass over
-// 2^18 rows of 15 edges, written three ways.
+// 2^18 rows of 15 edges, written four ways.
 //
-//	shipped         the loop Pull runs
-//	type-param-nop  the same loop with the probe events PullProfiled issues,
-//	                over a probe type parameter instantiated with the no-op
+//	shipped         the loop Pull runs: graph.Row and graph.SumAt, no
+//	                bounds checks
+//	checked         the same loop in plain Go, a bounds check per arc and a
+//	                checked re-slice per row
+//	type-param-nop  the checked loop with the probe events PullProfiled
+//	                issues, over a probe type parameter instantiated with
+//	                the no-op
 //	hoisted-guard   the same events behind an `if probed` tested per event,
 //	                probed false
 //
 // On go1.24.0 the type-parameter form ran 26.4–27.3 ms a pass against the
-// shipped loop's 4.7–4.9 ms (a method call on a type parameter goes through
+// checked loop's 4.7–4.9 ms (a method call on a type parameter goes through
 // the dictionary and is not inlined, no-op or not), and the guard 6.0–6.5 ms.
-// The twins can go when type-param-nop is within noise of shipped.
+// The twins can go when type-param-nop is within noise of checked, and
+// internal/graph/unchecked.go when checked is within noise of shipped.
 func BenchmarkGatherProbeForms(b *testing.B) {
 	const rows, deg = 1 << 18, 15
 	in := &graph.CSR{NumV: rows, Offsets: make([]int64, rows+1), Adj: make([]graph.V, rows*deg)}
@@ -34,6 +39,9 @@ func BenchmarkGatherProbeForms(b *testing.B) {
 	r := rng.New(1)
 	for i := range in.Adj {
 		in.Adj[i] = graph.V(r.Intn(rows))
+	}
+	if err := in.Check(); err != nil {
+		b.Fatal(err)
 	}
 	a := modelArrays(Views{in, in}, nil)
 	contrib := make([]float64, rows)
@@ -48,6 +56,7 @@ func BenchmarkGatherProbeForms(b *testing.B) {
 		pass func()
 	}{
 		{"shipped", func() { gatherShipped(in, contrib, next, base, damping) }},
+		{"checked", func() { gatherChecked(in, contrib, next, base, damping) }},
 		{"type-param-nop", func() { gatherTypeParam(counters.NopProbe{}, in, a, contrib, next, base, damping) }},
 		{"hoisted-guard", func() { gatherGuarded(false, counters.NopProbe{}, in, a, contrib, next, base, damping) }},
 	}
@@ -62,6 +71,12 @@ func BenchmarkGatherProbeForms(b *testing.B) {
 }
 
 func gatherShipped(in *graph.CSR, contrib, next []float64, base, damping float64) {
+	for vi := 0; vi < in.N(); vi++ {
+		next[vi] = base + damping*graph.SumAt(contrib, in.Row(graph.V(vi)))
+	}
+}
+
+func gatherChecked(in *graph.CSR, contrib, next []float64, base, damping float64) {
 	for vi := 0; vi < in.N(); vi++ {
 		sum := 0.0
 		for _, u := range in.Neighbors(graph.V(vi)) {

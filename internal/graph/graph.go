@@ -7,10 +7,10 @@
 package graph
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"sort"
+	"sync/atomic"
 
 	"pushpull/internal/sched"
 )
@@ -23,11 +23,17 @@ type V = int32
 // CSR is a graph in compressed sparse row form. For an undirected graph
 // every edge {u, v} occupies two slots (one per direction), so Adj has 2m
 // entries; with the n+1 offsets this is the paper's n + 2m cell layout.
+//
+// A CSR that passed Check must not change afterwards: Check remembers
+// the pass on the graph, and the kernels that read rows without bounds
+// checks rely on it.
 type CSR struct {
 	NumV    int32
 	Offsets []int64   // len NumV+1; Offsets[v]..Offsets[v+1] indexes Adj
 	Adj     []V       // neighbor array, sorted within each vertex
 	Weights []float32 // nil for unweighted graphs; parallel to Adj
+
+	checked atomic.Bool // set once Check has passed
 }
 
 // N returns the number of vertices.
@@ -86,28 +92,65 @@ func (g *CSR) AvgDegree() float64 {
 	return float64(g.M()) / float64(g.NumV) / 2
 }
 
-// Validate checks structural invariants: monotone offsets, in-range
-// neighbor ids, sorted adjacency, and weight-array consistency.
-func (g *CSR) Validate() error {
-	if len(g.Offsets) != g.N()+1 {
-		return fmt.Errorf("graph: offsets length %d, want %d", len(g.Offsets), g.N()+1)
+// Check verifies what reading the graph without bounds checks needs: a
+// vertex count of at least zero, n+1 monotone offsets from 0 to
+// len(Adj), every arc id in [0, n), and a weight array, if any, parallel
+// to Adj. It returns an error naming the first fault. A pass is
+// remembered on the graph, so later calls cost one atomic load; a
+// failure is not, so a fixed graph can pass.
+func (g *CSR) Check() error {
+	if g.checked.Load() {
+		return nil
 	}
-	if g.Offsets[0] != 0 || g.Offsets[g.NumV] != g.M() {
-		return errors.New("graph: offset endpoints wrong")
+	if err := g.check(); err != nil {
+		return err
+	}
+	g.checked.Store(true)
+	return nil
+}
+
+// Checked reports whether Check has passed on g.
+func (g *CSR) Checked() bool { return g.checked.Load() }
+
+func (g *CSR) check() error {
+	n := g.N()
+	if n < 0 {
+		return fmt.Errorf("graph: vertex count %d is negative", n)
+	}
+	if len(g.Offsets) != n+1 {
+		return fmt.Errorf("graph: offsets length %d, want %d", len(g.Offsets), n+1)
+	}
+	if g.Offsets[0] != 0 {
+		return fmt.Errorf("graph: offsets start at %d, want 0", g.Offsets[0])
+	}
+	for v := 0; v < n; v++ {
+		if g.Offsets[v] > g.Offsets[v+1] {
+			return fmt.Errorf("graph: offsets not monotone at vertex %d (%d > %d)", v, g.Offsets[v], g.Offsets[v+1])
+		}
+	}
+	if g.Offsets[n] != g.M() {
+		return fmt.Errorf("graph: offsets end at %d, but there are %d arcs", g.Offsets[n], g.M())
+	}
+	for i, u := range g.Adj {
+		if uint32(u) >= uint32(n) {
+			return fmt.Errorf("graph: arc %d names vertex %d, the graph has %d vertices", i, u, n)
+		}
 	}
 	if g.Weights != nil && len(g.Weights) != len(g.Adj) {
-		return errors.New("graph: weights length mismatch")
+		return fmt.Errorf("graph: %d weights for %d arcs", len(g.Weights), len(g.Adj))
+	}
+	return nil
+}
+
+// Validate is Check plus sorted adjacency: every row ascending.
+func (g *CSR) Validate() error {
+	if err := g.Check(); err != nil {
+		return err
 	}
 	for v := V(0); v < g.NumV; v++ {
-		if g.Offsets[v] > g.Offsets[v+1] {
-			return fmt.Errorf("graph: offsets not monotone at %d", v)
-		}
 		adj := g.Neighbors(v)
-		for i, w := range adj {
-			if w < 0 || w >= g.NumV {
-				return fmt.Errorf("graph: vertex %d has out-of-range neighbor %d", v, w)
-			}
-			if i > 0 && adj[i-1] > w {
+		for i := 1; i < len(adj); i++ {
+			if adj[i-1] > adj[i] {
 				return fmt.Errorf("graph: adjacency of %d not sorted", v)
 			}
 		}

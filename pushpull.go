@@ -185,7 +185,9 @@ func uniformTrace(d core.Direction, iters int) []Direction {
 //
 // Direction, thread count, schedule, switching policy, instrumentation
 // and the per-algorithm knobs are all Options; see the With* functions.
-// Before anything runs, the options are range-checked (ErrBadOption for
+// Before anything runs, the graph is checked (ErrMalformedGraph names
+// a CSR fault; a graph that passed once is not scanned again, and must
+// not change after), the options are range-checked (ErrBadOption for
 // negative WithThreads/WithPartitions/WithRanks and a negative or
 // non-finite WithDelta) and the algorithm's Caps are validated against the
 // workload and options, so unsupported combinations fail fast with one of

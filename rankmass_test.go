@@ -51,6 +51,13 @@ func TestRankMassSpec(t *testing.T) {
 				outDeg[v] = c.g.Degree(graph.V(v))
 			}
 		}
+		// pr.Push and pr.Pull read only graphs that passed Check; Run
+		// checks its own.
+		for _, g := range []*graph.CSR{vw.Out, vw.In} {
+			if err := g.Check(); err != nil {
+				t.Fatal(err)
+			}
+		}
 		opts := func(l, threads int) pr.Options {
 			o := pr.Options{Iterations: l}
 			o.SetDamping(f)
