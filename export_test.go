@@ -1,5 +1,7 @@
 package pushpull
 
+import "pushpull/internal/graph"
+
 // RecountCache walks the live result-cache entries and returns what their
 // charges add up to — payload bytes plus memoized-encoding bytes, and the
 // encoding part alone — for tests to hold against the running totals
@@ -30,4 +32,22 @@ func (e *Engine) FlightWaiters() int {
 		n += f.waiters
 	}
 	return n
+}
+
+// HoldPABuild starts w's PA(parts) build on a goroutine of its own and
+// holds it inside the build, with the key's table entry claimed, until
+// release is closed. It returns once the build is held; the channel it
+// returns then yields the split that build memoized.
+func (w *Workload) HoldPABuild(parts int, release <-chan struct{}) <-chan *PAGraph {
+	held := make(chan struct{})
+	built := make(chan *PAGraph, 1)
+	go func() {
+		built <- memo(w, viewKey{kind: viewPA, parts: parts}, func() *PAGraph {
+			close(held)
+			<-release
+			return graph.BuildPA(w.g, graph.NewPartition(w.g.N(), parts))
+		})
+	}()
+	<-held
+	return built
 }

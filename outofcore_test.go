@@ -72,6 +72,48 @@ func TestOutOfCorePRCrossValidate(t *testing.T) {
 	}
 }
 
+// A pure file handle has no in-memory graph to derive views from: each
+// in-memory view returns nil (Stats the zero statistics) instead of
+// panicking, and nothing is built. The block view and the ID still work.
+func TestOutOfCoreHandleViewsNil(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		w    *pushpull.Workload
+	}{
+		{"undirected", pushpull.NewWorkload(skewedGraph(t))},
+		{"directed", pushpull.Directed(directedSkewedGraph(t, 600, 29))},
+	} {
+		for name, h := range fileHandles(t, tc.w) {
+			t.Run(tc.name+"/"+name, func(t *testing.T) {
+				if h.Transpose() != nil {
+					t.Error("Transpose() != nil")
+				}
+				if h.DegreeSorted() != nil {
+					t.Error("DegreeSorted() != nil")
+				}
+				if h.SortedTranspose() != nil {
+					t.Error("SortedTranspose() != nil")
+				}
+				if h.PA(2) != nil {
+					t.Error("PA(2) != nil")
+				}
+				if s := h.Stats(); s != (pushpull.GraphStats{}) {
+					t.Errorf("Stats() = %+v, want the zero statistics", s)
+				}
+				if blk, err := h.OutOfCore(); err != nil || blk == nil {
+					t.Errorf("OutOfCore() = %v, %v; want the open block view", blk, err)
+				}
+				if h.ID() == "" {
+					t.Error("ID() is empty")
+				}
+				if b := h.Builds(); b != (pushpull.WorkloadBuilds{}) {
+					t.Errorf("Builds() = %+v, want nothing built", b)
+				}
+			})
+		}
+	}
+}
+
 // A buffered file handle keeps the O(n) vertex state and one block per
 // worker resident, never the adjacency: a 20-iteration pull pr over 64
 // blocks must allocate less than the 4·m bytes of the adjacency alone,

@@ -14,8 +14,9 @@ package pushpull
 // transpose (in-CSR) realizing the pull view, the Partition-Awareness
 // split of §5, and the Table 2 graph statistics are all O(n + m)
 // constructions worth exactly one build per graph — so the Workload builds
-// them lazily and memoizes them for every subsequent Run, the
-// engine-owned-view pattern of pull-frontier systems.
+// them lazily, each once under its own key in one view table, and reuses
+// them in every later Run: the engine-owned-view pattern of pull-frontier
+// systems. A build of one view never waits for the build of another.
 //
 // A handle declares what the graph is and where it lives, never how a run
 // should lay it out: the degree-sorted permutation is asked for per run
@@ -31,6 +32,7 @@ import (
 	"math"
 	"os"
 	"sync"
+	"sync/atomic"
 
 	"pushpull/internal/algo/sssp"
 	"pushpull/internal/graph"
@@ -49,9 +51,12 @@ type Runnable interface {
 
 // Workload binds a graph to its declared kind (directed, weighted) and
 // lazily builds + memoizes the derived state repeated runs share: the
-// transpose (in-CSR) powering directed pull, the Partition-Awareness split
-// per partition count (§5), the Table 2 statistics, and sssp's heuristic
-// Δ with its light view. A Workload is safe for concurrent Runs.
+// transpose (in-CSR) powering directed pull, the degree-sorted CSR and its
+// transpose, the Partition-Awareness split per partition count (§5), the
+// Table 2 statistics, sssp's heuristic Δ with its light view, the block
+// view and the content ID. Each view is built once under its own key, and
+// views with different keys build concurrently. A Workload is safe for
+// concurrent Runs.
 type Workload struct {
 	g        *Graph
 	directed bool
@@ -63,39 +68,89 @@ type Workload struct {
 	// worker), deliberately NOT part of the content identity.
 	blockBuffered bool
 
-	mu          sync.Mutex
-	transpose   *Graph
-	ds          *DegreeSortedView
-	dsTranspose *Graph
-	stats       *GraphStats
-	pa          map[int]*PAGraph
-	sssp        *sssp.View
-	blk         *graph.BlockCSR
-	builds      WorkloadBuilds
-	id          string
+	mu    sync.Mutex      // guards blk and the views map, never a build
+	blk   *graph.BlockCSR // a file handle's, opened by OpenOutOfCoreWorkload
+	views map[viewKey]*viewEntry
+}
+
+// viewKind names one kind of derived view in a Workload's table.
+type viewKind uint8
+
+const (
+	viewTranspose viewKind = iota
+	viewDegreeSorted
+	viewSortedTranspose
+	viewPA
+	viewStats
+	viewSSSP
+	viewBlock
+	viewID
+)
+
+// viewKey keys the view table: the kind, plus the partition count for PA
+// (zero for every other kind).
+type viewKey struct {
+	kind  viewKind
+	parts int
+}
+
+// viewEntry memoizes one key's view. Only that key's build holds its mutex,
+// so other keys build alongside it. Only a build that succeeded stores val,
+// so the next caller retries a failed one.
+type viewEntry struct {
+	mu  sync.Mutex
+	val atomic.Value
+}
+
+// view returns w's view under key, building it on first use; w.mu is held
+// only to find or insert the entry.
+func view[T any](w *Workload, key viewKey, build func() (T, error)) (T, error) {
+	w.mu.Lock()
+	e := w.views[key]
+	if e == nil {
+		e = &viewEntry{}
+		w.views[key] = e
+	}
+	w.mu.Unlock()
+	if v := e.val.Load(); v != nil {
+		return v.(T), nil
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if v := e.val.Load(); v != nil {
+		return v.(T), nil
+	}
+	v, err := build()
+	if err == nil {
+		e.val.Store(v)
+	}
+	return v, err
+}
+
+// memo is view for a build that cannot fail.
+func memo[T any](w *Workload, key viewKey, build func() T) T {
+	v, _ := view(w, key, func() (T, error) { return build(), nil })
+	return v
 }
 
 // WorkloadBuilds counts the derived-view constructions a Workload has
 // performed — the observable behind memoization tests: a second Run on the
 // same handle must not increase these.
 type WorkloadBuilds struct {
-	// Transposes counts in-CSR (transpose) builds.
+	// Transposes counts in-CSR builds, of the graph and the sorted graph.
 	Transposes int
-	// PASplits counts Partition-Awareness layout builds (one per distinct
-	// partition count).
+	// PASplits counts Partition-Awareness splits, one per partition count.
 	PASplits int
 	// Stats counts Table 2 statistics computations.
 	Stats int
 	// DegreeSorts counts degree-sorted CSR permutation builds.
 	DegreeSorts int
-	// BlockBuilds counts out-of-core block-view constructions (write the
-	// block file, reopen it mmap/buffered).
+	// BlockBuilds counts block views OutOfCore wrote and reopened.
 	BlockBuilds int
 	// LightViews counts Δ-stepping light-view builds (the arcs lighter
 	// than Δ as a CSR): at most one, by the first sssp run at the
-	// heuristic Δ that reads it. A run with an explicit WithDelta builds
-	// its own and leaves this count alone, so requests with distinct Δ
-	// values cannot grow the handle's memory.
+	// heuristic Δ. A run with an explicit WithDelta builds its own, so
+	// requests with distinct Δ values cannot grow the handle's memory.
 	LightViews int
 }
 
@@ -123,7 +178,7 @@ func AsBlockBuffered() WorkloadOption { return func(w *Workload) { w.blockBuffer
 // auto-wrapping produces, except that the handle persists its memoized
 // views across runs.
 func NewWorkload(g *Graph, opts ...WorkloadOption) *Workload {
-	w := &Workload{g: g}
+	w := &Workload{g: g, views: map[viewKey]*viewEntry{}}
 	for _, opt := range opts {
 		opt(w)
 	}
@@ -149,15 +204,8 @@ func Weighted(g *Graph, opts ...WorkloadOption) *Workload {
 // OutOfCore support will run. The handle holds the file open (and
 // mmapped, unless AsBlockBuffered); Close releases it.
 func OpenOutOfCoreWorkload(path string, opts ...WorkloadOption) (*Workload, error) {
-	w := &Workload{}
-	for _, opt := range opts {
-		opt(w)
-	}
-	var bopts []graph.BlockOpt
-	if w.blockBuffered {
-		bopts = append(bopts, graph.Buffered())
-	}
-	blk, err := graph.OpenBlockCSR(path, bopts...)
+	w := NewWorkload(nil, opts...)
+	blk, err := w.openBlock(path)
 	if err != nil {
 		return nil, err
 	}
@@ -204,148 +252,101 @@ func (w *Workload) HasWeights() bool {
 func (w *Workload) WeightsDeclared() bool { return w.weightsDeclared }
 
 // IsOutOfCore reports whether the handle is a file handle
-// (OpenOutOfCoreWorkload, a DiskStore graph above its block threshold)
-// with no in-memory graph at all, which every run streams through the
-// block kernels.
+// (OpenOutOfCoreWorkload, a DiskStore graph above its block threshold):
+// no in-memory graph, every run streamed through the block kernels.
 func (w *Workload) IsOutOfCore() bool { return w.g == nil }
 
 // hasGraph reports whether the handle has anything to run on: an
 // in-memory graph or, for a pure file handle, its open block view.
 func (w *Workload) hasGraph() bool {
-	if w.g != nil {
-		return true
-	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.blk != nil
+	return w.g != nil || w.blk != nil
 }
 
-// Close releases the memoized out-of-core block view (the open file and
-// its mapping), if any. The workload must not Run afterwards. Handles
-// that never touched the out-of-core path close as a no-op.
+// Close releases the block view (the open file and its mapping) a file
+// handle opened or OutOfCore built, if any. The workload must not Run
+// afterwards.
 func (w *Workload) Close() error {
+	key := viewKey{kind: viewBlock}
 	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.blk == nil {
-		return nil
-	}
 	blk := w.blk
 	w.blk = nil
+	if e := w.views[key]; e != nil {
+		blk, _ = e.val.Load().(*graph.BlockCSR)
+	}
+	delete(w.views, key)
+	w.mu.Unlock()
+	if blk == nil {
+		return nil
+	}
 	return blk.Close()
 }
 
-// Transpose returns the in-edge view (the reverse CSR), building it on
-// first use and memoizing it for every later call. For an undirected
-// workload the adjacency is symmetric, so the graph itself is returned
-// without building anything.
+// Transpose returns the memoized in-edge view (the reverse CSR). For an
+// undirected workload the adjacency is symmetric, so the graph itself is
+// returned without building anything. A pure out-of-core handle returns
+// nil.
 func (w *Workload) Transpose() *Graph {
-	if !w.directed {
+	if !w.directed || w.g == nil {
 		return w.g
 	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.transposeLocked()
-}
-
-func (w *Workload) transposeLocked() *Graph {
-	if !w.directed {
-		return w.g
-	}
-	if w.transpose == nil {
-		w.transpose = w.g.Transpose()
-		w.builds.Transposes++
-	}
-	return w.transpose
+	return memo(w, viewKey{kind: viewTranspose}, w.g.Transpose)
 }
 
 // DegreeSorted returns the memoized degree-sorted view of the graph:
 // the CSR permuted so vertex ids descend by degree, plus the permutation
-// and its inverse for un-permuting results at the report boundary. Built
-// on first use, like the transpose.
+// and its inverse for un-permuting results at the report boundary. A pure
+// out-of-core handle returns nil.
 func (w *Workload) DegreeSorted() *DegreeSortedView {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.degreeSortedLocked()
-}
-
-func (w *Workload) degreeSortedLocked() *DegreeSortedView {
-	if w.ds == nil {
-		w.ds = graph.SortByDegree(w.g)
-		w.builds.DegreeSorts++
+	if w.g == nil {
+		return nil
 	}
-	return w.ds
+	return memo(w, viewKey{kind: viewDegreeSorted}, func() *DegreeSortedView { return graph.SortByDegree(w.g) })
 }
 
 // SortedTranspose returns the in-edge view of the degree-sorted graph —
 // the pull view of a directed degree-sorted run — memoized like the plain
 // transpose. For an undirected workload it is the degree-sorted graph
-// itself.
+// itself. A pure out-of-core handle returns nil.
 func (w *Workload) SortedTranspose() *Graph {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.sortedTransposeLocked()
-}
-
-func (w *Workload) sortedTransposeLocked() *Graph {
-	ds := w.degreeSortedLocked()
+	ds := w.DegreeSorted()
+	if ds == nil {
+		return nil
+	}
 	if !w.directed {
 		return ds.G
 	}
-	if w.dsTranspose == nil {
-		w.dsTranspose = ds.G.Transpose()
-		w.builds.Transposes++
-	}
-	return w.dsTranspose
+	return memo(w, viewKey{kind: viewSortedTranspose}, ds.G.Transpose)
 }
 
 // PA returns the Partition-Awareness split (§5, Algorithm 8) of the graph
-// over parts partitions, building it on first use per distinct count and
-// memoizing it for every later call.
+// over parts partitions, memoized per distinct count. A pure out-of-core
+// handle returns nil.
 func (w *Workload) PA(parts int) *PAGraph {
-	if parts < 1 {
-		parts = 1
+	if w.g == nil {
+		return nil
 	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.pa == nil {
-		w.pa = map[int]*PAGraph{}
-	}
-	pa, ok := w.pa[parts]
-	if !ok {
-		pa = graph.BuildPA(w.g, graph.NewPartition(w.g.N(), parts))
-		w.pa[parts] = pa
-		w.builds.PASplits++
-	}
-	return pa
+	parts = max(parts, 1)
+	return memo(w, viewKey{kind: viewPA, parts: parts}, func() *PAGraph {
+		return graph.BuildPA(w.g, graph.NewPartition(w.g.N(), parts))
+	})
 }
 
 // ssspView returns the memoized Δ-stepping view of the graph: the
-// heuristic Δ, computed here, and its light view, built by the first run
-// that reads it.
+// heuristic Δ, and its light view once a run has read it.
 func (w *Workload) ssspView() *sssp.View {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.sssp == nil {
-		w.sssp = sssp.NewView(w.g)
-	}
-	return w.sssp
+	return memo(w, viewKey{kind: viewSSSP}, func() *sssp.View { return sssp.NewView(w.g) })
 }
 
 // Stats returns the memoized Table 2 statistics of the graph. A pure
 // out-of-core handle has no in-memory CSR to scan and returns the zero
 // statistics.
 func (w *Workload) Stats() GraphStats {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	if w.g == nil {
 		return GraphStats{}
 	}
-	if w.stats == nil {
-		s := graph.ComputeStats(w.g)
-		w.stats = &s
-		w.builds.Stats++
-	}
-	return *w.stats
+	return memo(w, viewKey{kind: viewStats}, func() GraphStats { return graph.ComputeStats(w.g) })
 }
 
 // OutOfCore returns the memoized block view the out-of-core kernels run
@@ -353,49 +354,46 @@ func (w *Workload) Stats() GraphStats {
 // or the transpose for directed workloads) is serialized to a temporary
 // block file, reopened mmap-backed (or buffered, per AsBlockBuffered),
 // and immediately unlinked so the kernel-visible file lives exactly as
-// long as the handle. A pure file handle returns its already-open view.
+// long as the handle; a failed build is retried by the next call. A pure
+// file handle returns its already-open view.
 func (w *Workload) OutOfCore() (*graph.BlockCSR, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	//pushpull:allow lockheld first-build memoization under the handle lock by design: concurrent runs must share one block view, not race to write two temp files
-	return w.outOfCoreLocked()
-}
-
-func (w *Workload) outOfCoreLocked() (*graph.BlockCSR, error) {
-	if w.blk != nil {
+	if w.g == nil {
+		w.mu.Lock()
+		defer w.mu.Unlock()
+		if w.blk == nil {
+			return nil, fmt.Errorf("pushpull: out-of-core workload has no open block view")
+		}
 		return w.blk, nil
 	}
-	if w.g == nil {
-		return nil, fmt.Errorf("pushpull: out-of-core workload has no open block view")
-	}
+	return view(w, viewKey{kind: viewBlock}, w.buildBlock)
+}
+
+// buildBlock writes, reopens and unlinks OutOfCore's block file.
+func (w *Workload) buildBlock() (*graph.BlockCSR, error) {
 	f, err := os.CreateTemp("", "pushpull-blk-*")
 	if err != nil {
 		return nil, fmt.Errorf("pushpull: building block view: %w", err)
 	}
 	path := f.Name()
-	werr := w.writeBlockLocked(f)
+	// Unlink-while-open: the open fd (and mapping) keeps the data alive,
+	// and nothing is left behind when the process dies.
+	defer os.Remove(path)
+	werr := w.writeBlock(f)
 	if cerr := f.Close(); werr == nil {
 		werr = cerr
 	}
 	if werr != nil {
-		os.Remove(path)
 		return nil, fmt.Errorf("pushpull: building block view: %w", werr)
 	}
-	var bopts []graph.BlockOpt
+	return w.openBlock(path)
+}
+
+// openBlock opens a block file mmap-backed, or buffered per AsBlockBuffered.
+func (w *Workload) openBlock(path string) (*graph.BlockCSR, error) {
 	if w.blockBuffered {
-		bopts = append(bopts, graph.Buffered())
+		return graph.OpenBlockCSR(path, graph.Buffered())
 	}
-	blk, err := graph.OpenBlockCSR(path, bopts...)
-	if err != nil {
-		os.Remove(path)
-		return nil, err
-	}
-	// Unlink-while-open: the open fd (and mapping) keeps the data alive,
-	// and nothing is left behind when the process dies.
-	os.Remove(path)
-	w.blk = blk
-	w.builds.BlockBuilds++
-	return blk, nil
+	return graph.OpenBlockCSR(path)
 }
 
 // writeBlockTo serializes the workload's pull view in the on-disk block
@@ -403,18 +401,16 @@ func (w *Workload) outOfCoreLocked() (*graph.BlockCSR, error) {
 // to persist graphs above its block threshold directly in the out-of-core
 // layout, so a restore never has to materialize them.
 func (w *Workload) writeBlockTo(dst io.Writer) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	if w.g == nil {
 		return fmt.Errorf("pushpull: pure out-of-core workload has no in-memory graph to serialize")
 	}
-	return w.writeBlockLocked(dst)
+	return w.writeBlock(dst)
 }
 
-// writeBlockLocked writes what the block format stores: the pull view
-// (the graph itself, or the transpose for directed workloads) and, for
+// writeBlock writes what the block format stores: the pull view (the
+// graph itself, or the transpose for directed workloads) and, for
 // directed workloads, the out-degree sidecar the pull kernels divide by.
-func (w *Workload) writeBlockLocked(dst io.Writer) error {
+func (w *Workload) writeBlock(dst io.Writer) error {
 	if !w.directed {
 		return graph.WriteBlock(dst, w.g, nil, 0)
 	}
@@ -422,25 +418,17 @@ func (w *Workload) writeBlockLocked(dst io.Writer) error {
 	for v := range outDeg {
 		outDeg[v] = w.g.Degree(graph.V(v))
 	}
-	return graph.WriteBlock(dst, w.transposeLocked(), outDeg, 0)
+	return graph.WriteBlock(dst, w.Transpose(), outDeg, 0)
 }
 
 // ID returns the workload's stable content identity: a digest of the
 // adjacency structure, the edge weights, and the declared kind (directed,
-// weighted). Two handles over equal content share the
-// ID — it is what an Engine's result cache and single-flight dedup key
-// on, and what cluster placement hashes, so cached reports (and replica
-// placement) survive re-wrapping or re-loading the same graph, including a
-// restore from a GraphStore after a restart. The digest is an O(n + m)
-// pass computed once per handle and memoized.
-func (w *Workload) ID() string {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.id == "" {
-		w.id = w.contentID()
-	}
-	return w.id
-}
+// weighted). Two handles over equal content share the ID — it is what an
+// Engine's result cache and single-flight dedup key on, and what cluster
+// placement hashes, so cached reports (and replica placement) survive
+// re-wrapping or re-loading the same graph, including a restore from a
+// GraphStore after a restart. The O(n + m) digest is memoized.
+func (w *Workload) ID() string { return memo(w, viewKey{kind: viewID}, w.contentID) }
 
 // contentID hashes the CSR arrays and the kind flags (FNV-1a, 64-bit). A
 // pure file handle hashes what its block file stores — the PULL view (the
@@ -515,15 +503,31 @@ func (w *Workload) contentID() string {
 	return fmt.Sprintf("w%016x-n%d", h.Sum64(), w.N())
 }
 
-// Builds reports how many derived-view constructions this workload has
-// performed so far — the memoization observable: repeated runs on the same
-// handle must not increase the counts.
+// Builds counts the views this workload has built so far, from its view
+// table: repeated runs on the same handle must not increase the counts.
 func (w *Workload) Builds() WorkloadBuilds {
+	var b WorkloadBuilds
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	b := w.builds
-	if w.sssp != nil {
-		b.LightViews = w.sssp.Builds()
+	for key, e := range w.views {
+		v := e.val.Load()
+		if v == nil {
+			continue
+		}
+		switch key.kind {
+		case viewTranspose, viewSortedTranspose:
+			b.Transposes++
+		case viewDegreeSorted:
+			b.DegreeSorts++
+		case viewPA:
+			b.PASplits++
+		case viewStats:
+			b.Stats++
+		case viewSSSP:
+			b.LightViews = v.(*sssp.View).Builds()
+		case viewBlock:
+			b.BlockBuilds++
+		}
 	}
 	return b
 }
@@ -589,12 +593,7 @@ func ReadWorkload(src io.Reader) (*Workload, error) {
 	if err != nil {
 		return nil, err
 	}
-	var opts []WorkloadOption
-	if directed {
-		opts = append(opts, AsDirected())
-	}
-	if g.Weighted() {
-		opts = append(opts, AsWeighted())
-	}
-	return NewWorkload(g, opts...), nil
+	w := NewWorkload(g)
+	w.directed, w.weightsDeclared = directed, g.Weighted()
+	return w, nil
 }

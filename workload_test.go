@@ -11,8 +11,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 
 	"pushpull"
 	"pushpull/internal/algo/pr"
@@ -352,32 +354,179 @@ func TestWorkloadSSSPViewSkipsExplicitDelta(t *testing.T) {
 	}
 }
 
-// Concurrent first pull runs (run under -race in CI) wait for one light
-// view build instead of racing to build two.
-func TestWorkloadSSSPViewConcurrent(t *testing.T) {
-	g := weightedGraph(t)
-	want := sssp.Dijkstra(g, 0)
-	w := pushpull.Weighted(g)
-	const N = 4
-	var wg sync.WaitGroup
-	for i := 0; i < N; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			rep, err := pushpull.Run(context.Background(), w, "sssp", pushpull.WithSource(0),
-				pushpull.WithDirection(pushpull.Pull), pushpull.WithThreads(2))
-			if err != nil {
-				t.Error(err)
+// Every memoized view, first asked for by N goroutines at once on a fresh
+// handle (run under -race in CI), is built exactly once, and every caller
+// gets the one built value. The sssp row's concurrent first pull runs
+// wait for one light-view build instead of racing to build two.
+func TestWorkloadViewsConcurrent(t *testing.T) {
+	g := directedGraph(t, 400, false)
+	road := weightedGraph(t)
+	want := sssp.Dijkstra(road, 0)
+	directed := func() *pushpull.Workload { return pushpull.Directed(g) }
+	for _, row := range []struct {
+		name  string
+		fresh func() *pushpull.Workload
+		get   func(t *testing.T, w *pushpull.Workload) any
+		// count reads the row's Builds() counter; nil for ID, which
+		// Builds() does not count.
+		count func(b pushpull.WorkloadBuilds) int
+	}{
+		{"transpose", directed,
+			func(t *testing.T, w *pushpull.Workload) any { return w.Transpose() },
+			func(b pushpull.WorkloadBuilds) int { return b.Transposes }},
+		{"degree-sorted", directed,
+			func(t *testing.T, w *pushpull.Workload) any { return w.DegreeSorted() },
+			func(b pushpull.WorkloadBuilds) int { return b.DegreeSorts }},
+		{"sorted-transpose", directed,
+			func(t *testing.T, w *pushpull.Workload) any { return w.SortedTranspose() },
+			func(b pushpull.WorkloadBuilds) int { return b.Transposes }},
+		{"pa-2", directed,
+			func(t *testing.T, w *pushpull.Workload) any { return w.PA(2) },
+			func(b pushpull.WorkloadBuilds) int { return b.PASplits }},
+		{"pa-3", directed,
+			func(t *testing.T, w *pushpull.Workload) any { return w.PA(3) },
+			func(b pushpull.WorkloadBuilds) int { return b.PASplits }},
+		{"stats", directed,
+			func(t *testing.T, w *pushpull.Workload) any { return w.Stats() },
+			func(b pushpull.WorkloadBuilds) int { return b.Stats }},
+		{"sssp-light-view", func() *pushpull.Workload { return pushpull.Weighted(road) },
+			func(t *testing.T, w *pushpull.Workload) any {
+				rep, err := pushpull.Run(context.Background(), w, "sssp", pushpull.WithSource(0),
+					pushpull.WithDirection(pushpull.Pull), pushpull.WithThreads(2))
+				if err != nil {
+					t.Error(err)
+					return nil
+				}
+				if d := sssp.MaxDiff(rep.Ranks(), want); d > 1e-9 {
+					t.Errorf("concurrent pull diverges from Dijkstra by %g", d)
+				}
+				return nil
+			},
+			func(b pushpull.WorkloadBuilds) int { return b.LightViews }},
+		{"block", directed,
+			func(t *testing.T, w *pushpull.Workload) any {
+				blk, err := w.OutOfCore()
+				if err != nil {
+					t.Error(err)
+				}
+				return blk
+			},
+			func(b pushpull.WorkloadBuilds) int { return b.BlockBuilds }},
+		{"id", directed,
+			func(t *testing.T, w *pushpull.Workload) any { return w.ID() },
+			nil},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			w := row.fresh()
+			defer w.Close()
+			const N = 8
+			got := make([]any, N)
+			start := make(chan struct{})
+			var wg sync.WaitGroup
+			for i := range got {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					<-start
+					got[i] = row.get(t, w)
+				}()
+			}
+			close(start)
+			wg.Wait()
+			for i, v := range got {
+				if v != got[0] {
+					t.Fatalf("caller %d got another %T than caller 0: want one shared value", i, v)
+				}
+			}
+			if row.count == nil {
+				if want := row.fresh().ID(); got[0] != want {
+					t.Errorf("ID() = %v, a fresh handle's is %v", got[0], want)
+				}
 				return
 			}
-			if d := sssp.MaxDiff(rep.Ranks(), want); d > 1e-9 {
-				t.Errorf("concurrent pull diverges from Dijkstra by %g", d)
+			if n := row.count(w.Builds()); n != 1 {
+				t.Errorf("%d concurrent first callers built %d, want 1 (Builds() = %+v)", N, n, w.Builds())
 			}
-		}()
+		})
 	}
-	wg.Wait()
-	if got := w.Builds().LightViews; got != 1 {
-		t.Errorf("%d concurrent pull runs built %d light views, want 1", N, got)
+}
+
+// A view build holds only its own key: while a PA(2) build is held, the
+// transpose, the degree sort, the stats and the content ID of the same
+// handle all build and return. A second PA(2) caller waits for the held
+// build and receives the split it built.
+func TestWorkloadViewBuildsIndependent(t *testing.T) {
+	w := pushpull.Directed(directedGraph(t, 400, false))
+	release := make(chan struct{})
+	held := w.HoldPABuild(2, release)
+	deadline := time.After(10 * time.Second)
+	fail := func(format string, args ...any) {
+		t.Helper()
+		close(release)
+		t.Fatalf(format, args...)
+	}
+
+	others := make(chan struct{})
+	go func() {
+		defer close(others)
+		w.Transpose()
+		w.DegreeSorted()
+		w.Stats()
+		w.ID()
+	}()
+	select {
+	case <-others:
+	case <-deadline:
+		fail("Transpose, DegreeSorted, Stats and ID did not return while a PA(2) build was held")
+	}
+
+	second := make(chan *pushpull.PAGraph, 1)
+	go func() { second <- w.PA(2) }()
+	select {
+	case <-second:
+		fail("a second PA(2) caller returned while the first build was held")
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(release)
+	first := <-held
+	select {
+	case got := <-second:
+		if got != first {
+			t.Errorf("the waiting PA(2) caller got %p, the held build stored %p", got, first)
+		}
+	case <-deadline:
+		t.Fatal("the waiting PA(2) caller did not return after the held build finished")
+	}
+	want := pushpull.WorkloadBuilds{Transposes: 1, PASplits: 1, Stats: 1, DegreeSorts: 1}
+	if b := w.Builds(); b != want {
+		t.Errorf("Builds() = %+v, want %+v", b, want)
+	}
+}
+
+// A block build that fails (here: no temporary directory to write the
+// block file in) is not memoized: the call errors, counts no build, and
+// the next call, with the directory back, builds the view once.
+func TestWorkloadBlockBuildRetried(t *testing.T) {
+	w := pushpull.Directed(directedGraph(t, 400, false))
+	defer w.Close()
+	t.Run("missing-tmpdir", func(t *testing.T) {
+		t.Setenv("TMPDIR", filepath.Join(t.TempDir(), "missing"))
+		if _, err := w.OutOfCore(); err == nil {
+			t.Fatal("OutOfCore() succeeded with TMPDIR pointing at a missing directory")
+		}
+		if got := w.Builds().BlockBuilds; got != 0 {
+			t.Errorf("a failed block build counted %d builds, want 0", got)
+		}
+	})
+	blk, err := w.OutOfCore()
+	if err != nil {
+		t.Fatalf("OutOfCore() after TMPDIR was restored: %v", err)
+	}
+	if again, _ := w.OutOfCore(); again != blk {
+		t.Error("a second OutOfCore() returned a different block view")
+	}
+	if got := w.Builds().BlockBuilds; got != 1 {
+		t.Errorf("BlockBuilds = %d after the retry, want 1", got)
 	}
 }
 
