@@ -18,7 +18,6 @@ import (
 	"pushpull/internal/counters"
 	"pushpull/internal/gen"
 	"pushpull/internal/graph"
-	"pushpull/internal/sched"
 )
 
 // Core vocabulary.
@@ -48,8 +47,6 @@ type (
 	// RunStats captures what one run did: direction, iteration count and
 	// timings, and whether the run was cancelled mid-way.
 	RunStats = core.RunStats
-	// Schedule selects the parallel-loop schedule.
-	Schedule = sched.Schedule
 	// SwitchPolicy decides when an adaptive run changes direction or
 	// falls back to a sequential scheme.
 	SwitchPolicy = core.SwitchPolicy
@@ -70,14 +67,6 @@ type (
 	RMATParams = gen.RMATParams
 	// SuiteGraph describes one workload of the Table 2 stand-in suite.
 	SuiteGraph = gen.SuiteGraph
-)
-
-// Loop schedules.
-const (
-	// Static divides the index range into contiguous per-worker blocks.
-	Static = sched.Static
-	// Dynamic hands out chunks from a shared cursor (skew-balancing).
-	Dynamic = sched.Dynamic
 )
 
 // Counter events readable from a CounterReport.

@@ -90,8 +90,6 @@ type Config struct {
 	Mode Mode
 	// Filter optionally restricts edges (nil = all edges).
 	Filter EdgeFilter
-	// Heuristic overrides the switch parameters in Auto mode.
-	Heuristic frontier.SwitchHeuristic
 	// EarlyOut declares that the first combine decides a vertex: a pull
 	// round stops scanning a vertex's neighbors once its ready counter
 	// reaches zero, and a push round combines only along the arc whose
@@ -111,10 +109,6 @@ func Run(g *graph.CSR, cfg *Config, ops Ops) (rounds int, dirs []core.Direction,
 		return 0, nil, stats
 	}
 	t := sched.Clamp(cfg.Threads, n)
-	h := cfg.Heuristic
-	if h.Alpha == 0 && h.Beta == 0 {
-		h = frontier.DefaultSwitch()
-	}
 
 	cur := frontier.NewSparse(64)
 	for v := graph.V(0); v < g.NumV; v++ {
@@ -233,7 +227,7 @@ func Run(g *graph.CSR, cfg *Config, ops Ops) (rounds int, dirs []core.Direction,
 			// EdgeWork scans the frontier, so compute it once and only
 			// when the heuristic actually needs it.
 			ew := cur.EdgeWork(g)
-			usePull = h.UsePull(ew, unexplored, cur.Len(), n)
+			usePull = frontier.UsePull(ew, unexplored, cur.Len(), n)
 			unexplored -= ew
 		}
 		curVerts = cur.Vertices()

@@ -64,7 +64,6 @@ func TraverseFromProfiled(g *graph.CSR, root graph.V, mode Mode, opt core.Option
 	level[root] = 0
 	ready[root] = 0
 
-	h := frontier.DefaultSwitch()
 	cur := []graph.V{root}
 	inF := frontier.NewBitmap(n)
 	unexplored := g.M()
@@ -87,7 +86,7 @@ func TraverseFromProfiled(g *graph.CSR, root graph.V, mode Mode, opt core.Option
 		case ForcePush:
 			usePull = false
 		default:
-			usePull = h.UsePull(work, unexplored, len(cur), n)
+			usePull = frontier.UsePull(work, unexplored, len(cur), n)
 		}
 		unexplored -= work
 

@@ -259,9 +259,11 @@ func runBoman(g *graph.CSR, part graph.Partition, opt Options, dir core.Directio
 			total += c
 		}
 		if dir == core.Push {
+			// needs.Set admits each loser once, so the merge holds no
+			// duplicate.
 			var merged frontier.Sparse
 			dirtyNext.Merge(&merged)
-			dirty = dedupe(merged.Vertices())
+			dirty = merged.Vertices()
 		}
 		if total == 0 {
 			break
@@ -270,19 +272,6 @@ func runBoman(g *graph.CSR, part graph.Partition, opt Options, dir core.Directio
 	copy(res.Colors, s.colors)
 	res.NumColors = CountColors(res.Colors)
 	return res, nil
-}
-
-// dedupe removes duplicate vertices, preserving first-seen order.
-func dedupe(vs []graph.V) []graph.V {
-	seen := map[graph.V]bool{}
-	out := vs[:0]
-	for _, v := range vs {
-		if !seen[v] {
-			seen[v] = true
-			out = append(out, v)
-		}
-	}
-	return out
 }
 
 // Greedy colors the whole graph with the optimized sequential greedy scheme

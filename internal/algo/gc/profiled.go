@@ -137,8 +137,9 @@ func runProfiled(g *graph.CSR, part graph.Partition, opt Options, prof core.Prof
 		s.needs.Clear()
 
 		// Phase 2 (profiled): conflict fixing. nextDirty must start nil,
-		// not truncated: dedupe below aliases its backing array into
-		// dirty, which the next round still scans.
+		// not truncated: dirty, which this round scans, is the last
+		// round's nextDirty. needs.Set admits each loser once, so
+		// nextDirty holds no duplicate.
 		conflicts = 0
 		nextDirty = nil
 		if dir == core.Push {
@@ -148,7 +149,7 @@ func runProfiled(g *graph.CSR, part graph.Partition, opt Options, prof core.Prof
 				lo, hi := sched.BlockRange(len(dirty), t, w)
 				scanFor(w, dirty[lo:hi])
 			}
-			dirty = dedupe(nextDirty)
+			dirty = nextDirty
 		} else {
 			for w := 0; w < part.P; w++ {
 				scanFor(w, borderByOwner[w])

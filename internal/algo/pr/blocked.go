@@ -74,8 +74,8 @@ func PullBlocked(bg *graph.BlockCSR, opt Options) ([]float64, core.RunStats, err
 			break
 		}
 		start := time.Now()
-		sched.ParallelFor(n, tv, opt.Schedule, 0, scale)
-		sched.ParallelFor(numBlocks, t, opt.Schedule, 0, gather)
+		sched.ParallelFor(n, tv, sched.Static, 0, scale)
+		sched.ParallelFor(numBlocks, t, sched.Static, 0, gather)
 		for _, err := range errs {
 			if err != nil {
 				return nil, stats, err

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"pushpull/internal/graph"
-	"pushpull/internal/sched"
 )
 
 // FuzzCheckCSR holds graph.Check to what Push and Pull assume of a graph
@@ -46,7 +45,7 @@ func FuzzCheckCSR(f *testing.F) {
 		opt := Options{Iterations: 3}
 		var pull1 []float64
 		for _, threads := range []int{1, 2} {
-			opt.Threads, opt.Schedule = threads, sched.Static
+			opt.Threads = threads
 			push, _ := Push(vw, opt)
 			pull, _ := Pull(vw, opt)
 			if threads == 1 {

@@ -21,12 +21,12 @@
 // and a fold: a run holds t accumulators besides the rank vector,
 // (t+1)·n·8 bytes (6 MiB at n = 2^18, t = 2), and folds O(t·n) per
 // iteration. At one thread the only accumulator swaps with the rank
-// vector instead. Under the static schedule the ranks are bit-identical
-// run to run at every thread count, and at one thread they are
-// Sequential's bits. The profiled twins keep the paper's two bills apart:
-// PushProfiled counts Algorithm 1's (an atomic per arc), PushPAProfiled
-// counts Algorithm 8's over the §5 local/remote split (an atomic per
-// remote arc, plus the split's extra offset reads).
+// vector instead. The ranks are bit-identical run to run at every thread
+// count, and at one thread they are Sequential's bits. The profiled twins
+// keep the paper's two bills apart: PushProfiled counts Algorithm 1's (an
+// atomic per arc), PushPAProfiled counts Algorithm 8's over the §5
+// local/remote split (an atomic per remote arc, plus the split's extra
+// offset reads).
 //
 // Rank mass is specified, not normalized: a vertex with no out-edge sends
 // nothing and its rank is not redistributed (see Sum).
@@ -160,14 +160,12 @@ func Sequential(vw Views, opt Options) []float64 {
 // its own accumulator, adds the others in worker order, zeroes them all
 // as it reads them, and writes the sum over pr. Both passes store only
 // into memory one worker owns, so there is no atomic and no per-edge
-// ownership test. Under the static schedule the fold and the scatter deal the
-// same chunk to the same worker, so each slot sums its teleport term and
-// its own chunk's updates in row order, then the other workers' partial
-// sums in worker order: the ranks are bit-identical run to run at every
-// thread count. Under the dynamic schedule which worker takes which chunk
-// varies, and so may the last bits. At one thread the only accumulator
-// swaps with pr instead of folding, and the adds happen in Sequential's
-// order.
+// ownership test. Both passes run under the static schedule, which deals
+// the same chunk to the same worker, so each slot sums its teleport term
+// and its own chunk's updates in row order, then the other workers'
+// partial sums in worker order: the ranks are bit-identical run to run at
+// every thread count. At one thread the only accumulator swaps with pr
+// instead of folding, and the adds happen in Sequential's order.
 func Push(vw Views, opt Options) ([]float64, core.RunStats) {
 	opt.defaults()
 	g := vw.Out
@@ -192,13 +190,12 @@ func Push(vw Views, opt Options) ([]float64, core.RunStats) {
 	// Phase bodies are hoisted out of the round loop: a func literal in
 	// the loop would allocate its capture record every iteration, and the
 	// steady state must not allocate. They capture pr by reference, so the
-	// one-thread swap stays visible. The teleport term is added, not
-	// stored: under the dynamic schedule a worker may already have
-	// scattered into its new chunk's slots from an earlier chunk.
+	// one-thread swap stays visible. The fold leaves every accumulator
+	// zero, so the teleport term is stored.
 	scatter := func(w, lo, hi int) {
 		mine := priv[w]
 		for i := lo; i < hi; i++ {
-			mine[i] += base
+			mine[i] = base
 		}
 		for vi := lo; vi < hi; vi++ {
 			row := g.Row(graph.V(vi))
@@ -228,12 +225,12 @@ func Push(vw Views, opt Options) ([]float64, core.RunStats) {
 			break
 		}
 		start := time.Now()
-		sched.ParallelFor(n, t, opt.Schedule, 0, scatter)
+		sched.ParallelFor(n, t, sched.Static, 0, scatter)
 		if t == 1 {
 			pr, priv[0] = priv[0], pr
 			clear(priv[0])
 		} else {
-			sched.ParallelFor(n, t, opt.Schedule, 0, fold)
+			sched.ParallelFor(n, t, sched.Static, 0, fold)
 		}
 		el := time.Since(start)
 		stats.Record(el)
@@ -284,8 +281,8 @@ func Pull(vw Views, opt Options) ([]float64, core.RunStats) {
 			break
 		}
 		start := time.Now()
-		sched.ParallelFor(n, t, opt.Schedule, 0, scale)
-		sched.ParallelFor(n, t, opt.Schedule, 0, gather)
+		sched.ParallelFor(n, t, sched.Static, 0, scale)
+		sched.ParallelFor(n, t, sched.Static, 0, gather)
 		pr, next = next, pr
 		el := time.Since(start)
 		stats.Record(el)

@@ -15,7 +15,6 @@ import (
 	"pushpull/internal/graph"
 	"pushpull/internal/memsim"
 	"pushpull/internal/rng"
-	"pushpull/internal/sched"
 )
 
 const tol = 1e-9
@@ -73,52 +72,40 @@ func TestPullMatchesSequential(t *testing.T) {
 	}
 }
 
-// Push scatters into per-worker accumulators: at every thread count and
-// under both schedules it matches Sequential, and at one thread (a single
-// chunk, one accumulator, no fold) it adds in Sequential's order, bit for
-// bit.
+// Push scatters into per-worker accumulators: at every thread count it
+// matches Sequential, and at one thread (a single chunk, one accumulator,
+// no fold) it adds in Sequential's order, bit for bit.
 func TestPushPAMatchesSequential(t *testing.T) {
 	g := testGraph(t)
 	opt := Options{Iterations: 15}
 	want := Sequential(und(g), opt)
 	for _, p := range []int{1, 2, 4, 7} {
-		for _, schedule := range []sched.Schedule{sched.Static, sched.Dynamic} {
-			opt.Threads, opt.Schedule = p, schedule
-			got, _ := Push(und(g), opt)
-			if p == 1 {
-				bitsEqual(t, "push at one thread", got, want)
-			}
-			if d := MaxDiff(got, want); d > 1e-12 {
-				t.Fatalf("P=%d %v: push vs sequential: max diff %g", p, schedule, d)
-			}
+		opt.Threads = p
+		got, _ := Push(und(g), opt)
+		if p == 1 {
+			bitsEqual(t, "push at one thread", got, want)
+		}
+		if d := MaxDiff(got, want); d > 1e-12 {
+			t.Fatalf("P=%d: push vs sequential: max diff %g", p, d)
 		}
 	}
 }
 
 // Push has no atomics and folds its per-worker accumulators in worker
-// order, so under the static schedule every worker adds the same terms in
-// the same order each run: the bits repeat at any fixed thread count, on
-// an undirected graph and on a digraph alike. The dynamic schedule deals
-// chunks to workers in a different order each run, so it is held to
-// Sequential's ranks within 1e-12 instead.
+// order, and its static schedule deals each worker the same chunk every
+// run, so every worker adds the same terms in the same order each run:
+// the bits repeat at any fixed thread count, on an undirected graph and
+// on a digraph alike.
 func TestPushReproducible(t *testing.T) {
 	g := testGraph(t)
 	opt := Options{Iterations: 10}
 	for name, vw := range map[string]Views{"undirected": und(g), "directed": views(orient(t, g), nil)} {
-		want := Sequential(vw, opt)
 		for _, threads := range []int{2, 4, 7} {
-			opt.Threads, opt.Schedule = threads, sched.Static
+			opt.Threads = threads
 			first, _ := Push(vw, opt)
 			for run := 1; run < 5; run++ {
 				got, _ := Push(vw, opt)
-				bitsEqual(t, fmt.Sprintf("%s t=%d static run %d", name, threads, run), got, first)
-			}
-			opt.Schedule = sched.Dynamic
-			for run := 0; run < 5; run++ {
-				got, _ := Push(vw, opt)
-				if d := MaxDiff(got, want); d > 1e-12 {
-					t.Fatalf("%s t=%d dynamic run %d: push vs sequential: max diff %g", name, threads, run, d)
-				}
+				bitsEqual(t, fmt.Sprintf("%s t=%d run %d", name, threads, run), got, first)
 			}
 		}
 	}
@@ -134,12 +121,10 @@ func TestPushUnsortedRows(t *testing.T) {
 	opt := Options{Iterations: 10}
 	want := Sequential(und(g), opt)
 	for _, threads := range []int{2, 4, 7} {
-		for _, schedule := range []sched.Schedule{sched.Static, sched.Dynamic} {
-			opt.Threads, opt.Schedule = threads, schedule
-			got, _ := Push(und(shuffled), opt)
-			if d := MaxDiff(got, want); d > 1e-12 {
-				t.Fatalf("t=%d %v: unsorted-row push vs sequential: max diff %g", threads, schedule, d)
-			}
+		opt.Threads = threads
+		got, _ := Push(und(shuffled), opt)
+		if d := MaxDiff(got, want); d > 1e-12 {
+			t.Fatalf("t=%d: unsorted-row push vs sequential: max diff %g", threads, d)
 		}
 	}
 }
@@ -558,28 +543,26 @@ func TestPullBitIdenticalToTwoReadsGather(t *testing.T) {
 		}
 
 		for _, threads := range []int{1, 2, 4, 7} {
-			for _, schedule := range []sched.Schedule{sched.Static, sched.Dynamic} {
-				opt := base
-				opt.Threads, opt.Schedule = threads, schedule
-				at := fx.name + "/t" + string(rune('0'+threads)) + "/" + schedule.String()
+			opt := base
+			opt.Threads = threads
+			at := fx.name + "/t" + string(rune('0'+threads))
 
-				got, _ := Pull(vw, opt)
-				bitsEqual(t, at+" in-memory", got, want)
-				for name, bg := range handles {
-					blocked, _, err := PullBlocked(bg, opt)
-					if err != nil {
-						t.Fatalf("%s blocked/%s: %v", at, name, err)
-					}
-					bitsEqual(t, at+" blocked/"+name, blocked, want)
-				}
-
-				prof, _ := core.CountingProfile(threads)
-				twin, err := PullProfiled(vw, opt, prof, nil)
+			got, _ := Pull(vw, opt)
+			bitsEqual(t, at+" in-memory", got, want)
+			for name, bg := range handles {
+				blocked, _, err := PullBlocked(bg, opt)
 				if err != nil {
-					t.Fatalf("%s profiled: %v", at, err)
+					t.Fatalf("%s blocked/%s: %v", at, name, err)
 				}
-				bitsEqual(t, at+" profiled", twin, want)
+				bitsEqual(t, at+" blocked/"+name, blocked, want)
 			}
+
+			prof, _ := core.CountingProfile(threads)
+			twin, err := PullProfiled(vw, opt, prof, nil)
+			if err != nil {
+				t.Fatalf("%s profiled: %v", at, err)
+			}
+			bitsEqual(t, at+" profiled", twin, want)
 		}
 	}
 }

@@ -130,10 +130,11 @@ func PushProfiled(g *graph.CSR, opt Options, prof core.Profile, space *memsim.Ad
 // as an 8-byte access. Each adopted relaxation is charged one lock for the
 // shared bucket-set insertion, Table 1's convention for SSSP-Δ,
 // reproducing the pull column's lock ≫ push shape; nothing is charged as
-// an atomic. The
-// bucket advance between epochs is bookkeeping outside the counted
-// kernel, as it has always been here: advance finds, in one pass over the
-// distances, the bucket the kernel takes from its lists.
+// an atomic. Epochs start as Run's do, from the bucket lists (take, then
+// activate), and each round files what it lowered past the bucket the
+// way Run's pull rounds do (rounds.file), so a distance past the bucket
+// budget stops the run with OverBudget here too. That bookkeeping is
+// outside the counted kernel.
 func PullProfiled(g *graph.CSR, opt Options, prof core.Profile, space *memsim.AddressSpace) (*Result, error) {
 	if err := prof.Validate(); err != nil {
 		return nil, err
@@ -163,14 +164,15 @@ func PullProfiled(g *graph.CSR, opt Options, prof core.Profile, space *memsim.Ad
 		r.markA = append(r.markA, space.NewArray(nw, 8))
 	}
 
-	r.active.SetSeq(opt.Source)
-	activeEdges := g.Degree(opt.Source)
-	for more := true; more; activeEdges, more = r.advance() {
+	for b := 0; b < len(r.buckets) && !r.overBudget; b++ {
+		if !r.take(b) {
+			continue
+		}
 		res.Epochs++
-		for {
+		for len(r.cur) > 0 && !r.overBudget {
 			iterStart := time.Now()
 			res.Inner++
-			if r.dense(activeEdges) {
+			if r.dense(r.activate()) {
 				r.rows.Fill()
 				r.wrote(r.rowA, nw)
 			} else {
@@ -178,15 +180,12 @@ func PullProfiled(g *graph.CSR, opt Options, prof core.Profile, space *memsim.Ad
 				sched.SequentialFor(nw, t, r.merge)
 			}
 			sched.SequentialFor(nw, t, r.relax)
-			activeEdges = r.endRound()
+			r.file()
 			r.actA, r.nextA = r.nextA, r.actA
-			r.wrote(r.nextA, nw) // endRound cleared it
+			r.wrote(r.nextA, nw) // file cleared it
 			el := time.Since(iterStart)
 			res.Stats.Record(el)
 			opt.Tick(res.Inner-1, el)
-			if activeEdges == 0 {
-				break
-			}
 		}
 	}
 	res.OverBudget = r.overBudget
@@ -308,6 +307,8 @@ func (r *pullProfile) relax(w, from, to int) {
 				next[wi] |= bit
 				active[wi] |= bit
 				r.nextEdges[w] += g.Degree(v)
+			} else {
+				r.later.SetSeq(v)
 			}
 		}
 	}

@@ -391,13 +391,25 @@ func (r *rounds) pullRound() {
 	r.relaxRows()
 }
 
-// relaxRows relaxes the marked rows of view. What it lowered into the
-// bucket becomes the next round's cur and, where endRound leaves it,
-// active set; what it lowered past the bucket is filed under its later
-// bucket.
+// relaxRows relaxes the marked rows of view, then files what it lowered.
 func (r *rounds) relaxRows() {
 	sched.ParallelFor(len(r.rows.Words()), r.t, sched.Dynamic, chunkWords, r.relaxFn)
-	r.activeEdges, r.activeCur = r.endRound(), true
+	r.file()
+}
+
+// file follows a pull round's relaxation. What it lowered into the bucket
+// becomes the active set and the next round's cur, and its out-edge work
+// activeEdges; what it lowered past the bucket is filed under its later
+// bucket.
+func (r *rounds) file() {
+	r.activeEdges = 0
+	for _, e := range r.nextEdges {
+		r.activeEdges += e
+	}
+	clear(r.nextEdges)
+	r.active, r.next = r.next, r.active
+	r.next.Clear()
+	r.activeCur = true
 	r.active.ToSparse(&r.sparse)
 	r.cur = append(r.cur[:0], r.sparse.Vertices()...)
 	r.later.ToSparse(&r.sparse)
@@ -496,66 +508,4 @@ func lightArcs(g *graph.CSR, delta float64, t int) *graph.CSR {
 		}
 	})
 	return light
-}
-
-// endRound follows a round's relaxation: it makes what was lowered into
-// the bucket the active set and returns its out-edge work.
-func (r *rounds) endRound() int64 {
-	var edges int64
-	for _, e := range r.nextEdges {
-		edges += e
-	}
-	clear(r.nextEdges)
-	r.active, r.next = r.next, r.active
-	r.next.Clear()
-	return edges
-}
-
-// advance moves to the lowest non-empty bucket above the current one and
-// makes its members the active set, in one pass over the distances. It
-// returns the members' out-edge work, and false when no reached vertex is
-// left above the bucket or that bucket is past the budget (overBudget).
-// PullProfiled's epochs start here; the kernel's start from bucket lists.
-func (r *rounds) advance() (int64, bool) {
-	n := r.g.N()
-	words := r.active.Words()
-	// Distances are non-negative, so their bit patterns order like the
-	// values (+Inf above every finite one), and "at or above the current
-	// bucket's end but below the candidate's" is one unsigned comparison
-	// that nearly always fails: no branch depends on which side a vertex
-	// is out on.
-	done := math.Float64bits(r.hi)
-	lowest, lo, span := -1, math.Inf(1), math.Float64bits(math.Inf(1))-done
-	stale := 0 // words before this one hold members of a bucket that lost to a lower one
-	var edges int64
-	for wi := range words {
-		var word uint64
-		for v, end := wi<<6, min(wi<<6+64, n); v < end; v++ {
-			x := atomic.LoadUint64(&r.dist[v])
-			if x-done >= span {
-				continue // in a finished bucket, or above the lowest seen so far (unreached included)
-			}
-			if d := math.Float64frombits(x); d < lo {
-				nb, ok := r.bucketOf(d)
-				if !ok {
-					return 0, false
-				}
-				if nb <= r.b {
-					continue // Δ is below the spacing of distances this large
-				}
-				lowest, lo = nb, float64(nb)*r.delta
-				span = math.Float64bits(float64(nb+1)*r.delta) - done
-				stale, word, edges = wi, 0, 0
-			}
-			word |= 1 << uint(v&63)
-			edges += r.g.Degree(graph.V(v))
-		}
-		words[wi] = word
-	}
-	if lowest < 0 {
-		return 0, false
-	}
-	clear(words[:stale])
-	r.setBucket(lowest)
-	return edges, true
 }

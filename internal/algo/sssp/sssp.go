@@ -232,7 +232,6 @@ func Run(g *graph.CSR, opt Options) *Result {
 	delta, shared := opt.delta(g)
 	r := newRounds(g, opt.Source, delta, sched.Clamp(opt.Threads, n))
 	r.shared = shared
-	h := frontier.DefaultSwitch()
 	for b := 0; b < len(r.buckets) && !res.Stats.Canceled && !r.overBudget; b++ {
 		if !r.take(b) {
 			continue
@@ -248,7 +247,7 @@ func Run(g *graph.CSR, opt Options) *Result {
 			pull := opt.Mode == ForcePull
 			if pull {
 				r.markRows(r.activate())
-			} else if opt.Mode == Auto && int64(len(r.cur))*h.Beta >= int64(n) {
+			} else if opt.Mode == Auto && int64(len(r.cur))*frontier.Beta >= int64(n) {
 				// Direction decision, on what each side would touch: a push
 				// round relaxes the bucket's out-edges with an atomic minimum
 				// each; a pull round reads the in-edges of the unsettled rows
@@ -266,7 +265,7 @@ func Run(g *graph.CSR, opt Options) *Result {
 				if dense := r.markRows(activeEdges); !dense {
 					rowEdges = r.rowEdges()
 				}
-				pull = h.UsePull(activeEdges, rowEdges, len(r.cur), n)
+				pull = frontier.UsePull(activeEdges, rowEdges, len(r.cur), n)
 			}
 			if pull {
 				res.Dirs = append(res.Dirs, core.Pull)

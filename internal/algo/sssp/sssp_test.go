@@ -165,29 +165,7 @@ func TestDeltaAffectsEpochCount(t *testing.T) {
 func TestDeltaBudget(t *testing.T) {
 	g := weighted(t, 24)
 	want := Dijkstra(g, 0)
-	variants := map[string]func(Options) *Result{
-		"push-profiled": func(o Options) *Result {
-			prof, _ := core.CountingProfile(2)
-			res, err := PushProfiled(g, o, prof, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return res
-		},
-		"pull-profiled": func(o Options) *Result {
-			prof, _ := core.CountingProfile(2)
-			res, err := PullProfiled(g, o, prof, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return res
-		},
-	}
-	for _, m := range modes {
-		mode := m.mode
-		variants[m.name] = func(o Options) *Result { return runMode(g, o, mode) }
-	}
-	for name, run := range variants {
+	for name, run := range variants(t, g) {
 		for _, delta := range []float64{1e-300, 1e-12, 1e-6} {
 			opt := Options{Delta: delta}
 			opt.Threads = 2
@@ -203,6 +181,50 @@ func TestDeltaBudget(t *testing.T) {
 		}
 		if d := MaxDiff(res.Dist, want); d > tol {
 			t.Errorf("%s: half the heuristic Δ: max diff vs dijkstra %g", name, d)
+		}
+	}
+}
+
+// variants are Run in every mode and both profiled kernels, on g, by
+// name; each profiled kernel simulates as many threads as the options ask.
+func variants(t *testing.T, g *graph.CSR) map[string]func(Options) *Result {
+	profiled := func(kernel func(*graph.CSR, Options, core.Profile, *memsim.AddressSpace) (*Result, error)) func(Options) *Result {
+		return func(o Options) *Result {
+			prof, _ := core.CountingProfile(o.Threads)
+			res, err := kernel(g, o, prof, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}
+	}
+	vs := map[string]func(Options) *Result{
+		"push-profiled": profiled(PushProfiled),
+		"pull-profiled": profiled(PullProfiled),
+	}
+	for _, m := range modes {
+		mode := m.mode
+		vs[m.name] = func(o Options) *Result { return runMode(g, o, mode) }
+	}
+	return vs
+}
+
+// A distance past the budget stops the run even when a later round would
+// lower it back under: from 0, the arc 0–2 (w = 100) puts 2 at bucket 100
+// of Δ = 1, past the budget of 9, before the path through 1 lowers it to
+// 2. Every variant must report OverBudget, so a probed pull run fails as
+// the unprobed one does.
+func TestOverBudgetLoweredBack(t *testing.T) {
+	b := graph.NewBuilder(3)
+	b.AddEdgeW(0, 2, 100)
+	b.AddEdgeW(0, 1, 1)
+	b.AddEdgeW(1, 2, 1)
+	g := b.MustBuild()
+	for name, run := range variants(t, g) {
+		opt := Options{Delta: 1}
+		opt.Threads = 1
+		if res := run(opt); !res.OverBudget {
+			t.Errorf("%s: ran to completion with %v past the bucket budget", name, res.Dist)
 		}
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"pushpull/internal/counters"
 	"pushpull/internal/gen"
 	"pushpull/internal/graph"
-	"pushpull/internal/sched"
 )
 
 // bruteForce counts triangles per vertex by enumerating all vertex triples.
@@ -120,9 +119,7 @@ func TestPushPullAgreeOnRMAT(t *testing.T) {
 }
 
 // Push combines a pair's hits into one fetch-and-add; the integer sums
-// must equal Sequential exactly whichever worker adds first. Push picks
-// its own dynamic schedule today; the schedule option is set anyway, so
-// the check keeps holding if Push starts to honour it.
+// must equal Sequential exactly whichever worker adds first.
 func TestPushMatchesSequentialAcrossThreads(t *testing.T) {
 	rmat, err := gen.RMAT(gen.DefaultRMAT(9, 6, 5))
 	if err != nil {
@@ -131,12 +128,10 @@ func TestPushMatchesSequentialAcrossThreads(t *testing.T) {
 	for name, g := range map[string]*graph.CSR{"rmat": rmat, "bipartite": gen.BipartiteFull(64, 64)} {
 		seq := Sequential(g)
 		for _, threads := range []int{1, 2, 4, 7} {
-			for _, s := range []sched.Schedule{sched.Static, sched.Dynamic} {
-				opt := Options{}
-				opt.Threads, opt.Schedule = threads, s
-				if got, _ := Push(g, opt); !Equal(got, seq) {
-					t.Errorf("%s t=%d schedule %v: push != sequential", name, threads, s)
-				}
+			opt := Options{}
+			opt.Threads = threads
+			if got, _ := Push(g, opt); !Equal(got, seq) {
+				t.Errorf("%s t=%d: push != sequential", name, threads)
 			}
 		}
 	}

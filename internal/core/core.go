@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"pushpull/internal/counters"
-	"pushpull/internal/sched"
 )
 
 // Direction selects whether updates are pushed to shared state or pulled
@@ -43,12 +42,10 @@ func (d Direction) String() string {
 }
 
 // Options configures one algorithm run. The zero value is usable: all
-// threads, static schedule, no instrumentation.
+// threads, no instrumentation.
 type Options struct {
 	// Threads is the worker count T (≤ 0 means GOMAXPROCS).
 	Threads int
-	// Schedule picks the loop schedule for parallel vertex loops.
-	Schedule sched.Schedule
 	// OnIteration, when set, receives the wall time of each completed
 	// iteration — the hook behind the per-iteration series of Figures 1,
 	// 2 and 4.

@@ -276,24 +276,22 @@ func (b *Bitmap) FromSparse(src *Sparse) {
 // heuristic's scans traverse.
 func (b *Bitmap) Words() []uint64 { return b.words }
 
-// SwitchHeuristic is the direction-optimizing policy of Beamer et al. [4]:
-// go bottom-up (pull) when the frontier's edge work exceeds remainingEdges/α
-// and back top-down (push) when the frontier shrinks below n/β.
-type SwitchHeuristic struct {
-	Alpha, Beta int64
-}
+// Alpha and Beta are the direction-optimizing switch parameters Beamer
+// et al. [4] published: α = 14 for the edge-work test, β = 24 for the
+// frontier-size test.
+const (
+	Alpha = 14
+	Beta  = 24
+)
 
-// DefaultSwitch returns the published α=14, β=24 parameters.
-func DefaultSwitch() SwitchHeuristic { return SwitchHeuristic{Alpha: 14, Beta: 24} }
-
-// UsePull decides the direction for the next iteration given the frontier
-// edge work, the unexplored edge count, the frontier size and n.
-func (h SwitchHeuristic) UsePull(frontierEdges, unexploredEdges int64, frontierLen, n int) bool {
-	if h.Alpha <= 0 || h.Beta <= 0 {
-		return false
-	}
-	if frontierEdges > unexploredEdges/h.Alpha {
+// UsePull is the direction-optimizing policy of Beamer et al. [4]: it
+// picks bottom-up (pull) for the next iteration when the frontier's edge
+// work exceeds unexploredEdges/α, and keeps pulling while the frontier
+// holds more than n/β vertices and over half that edge work; otherwise it
+// picks top-down (push).
+func UsePull(frontierEdges, unexploredEdges int64, frontierLen, n int) bool {
+	if frontierEdges > unexploredEdges/Alpha {
 		return true
 	}
-	return int64(frontierLen) > int64(n)/h.Beta && frontierEdges > unexploredEdges/(h.Alpha*2)
+	return int64(frontierLen) > int64(n)/Beta && frontierEdges > unexploredEdges/(Alpha*2)
 }

@@ -305,20 +305,14 @@ func TestSparseSortBothReadOuts(t *testing.T) {
 	}
 }
 
-func TestSwitchHeuristic(t *testing.T) {
-	h := DefaultSwitch()
+func TestUsePull(t *testing.T) {
 	// Tiny frontier over a huge graph: stay top-down (push).
-	if h.UsePull(10, 1_000_000, 5, 100_000) {
+	if UsePull(10, 1_000_000, 5, 100_000) {
 		t.Fatal("switched to pull with a tiny frontier")
 	}
 	// Huge frontier: go bottom-up (pull).
-	if !h.UsePull(500_000, 1_000_000, 50_000, 100_000) {
+	if !UsePull(500_000, 1_000_000, 50_000, 100_000) {
 		t.Fatal("stayed top-down with a huge frontier")
-	}
-	// Disabled heuristic never pulls.
-	off := SwitchHeuristic{}
-	if off.UsePull(500_000, 1_000_000, 50_000, 100_000) {
-		t.Fatal("disabled heuristic pulled")
 	}
 }
 

@@ -309,10 +309,11 @@ func Fig5(cfg Config) error {
 }
 
 // pushAlgorithm1 times Algorithm 1's push as the paper states it: an
-// atomic float add on every arc, at every thread count. It is Figure 6a's
-// baseline column and nothing else — the library's push issues no atomic —
-// and returns the mean wall time of one of iters iterations.
-func pushAlgorithm1(g *graph.CSR, threads, iters int) time.Duration {
+// atomic float add on every arc, at every thread count, with its loops
+// under schedule s. It is Figure 6a's baseline column and the ablation's
+// schedule row, nothing else — the library's push issues no atomic — and
+// returns the mean wall time of one of iters iterations.
+func pushAlgorithm1(g *graph.CSR, threads, iters int, s sched.Schedule) time.Duration {
 	n := g.N()
 	if n == 0 || iters <= 0 {
 		return 0
@@ -348,9 +349,9 @@ func pushAlgorithm1(g *graph.CSR, threads, iters int) time.Duration {
 	}
 	start := time.Now()
 	for l := 0; l < iters; l++ {
-		sched.ParallelFor(n, t, sched.Static, 0, clearNext)
-		sched.ParallelFor(n, t, sched.Static, 0, scatter)
-		sched.ParallelFor(n, t, sched.Static, 0, commit)
+		sched.ParallelFor(n, t, s, 0, clearNext)
+		sched.ParallelFor(n, t, s, 0, scatter)
+		sched.ParallelFor(n, t, s, 0, commit)
 	}
 	return time.Since(start) / time.Duration(iters)
 }
@@ -387,7 +388,7 @@ func Fig6(cfg Config) error {
 			return err
 		}
 		fmt.Fprintf(cfg.Out, "%-8s %10s %10s %10s\n", name,
-			ms(pushAlgorithm1(g, cfg.Threads, iters)), ms(sPA.AvgIteration()), ms(sPull.AvgIteration()))
+			ms(pushAlgorithm1(g, cfg.Threads, iters, sched.Static)), ms(sPA.AvgIteration()), ms(sPull.AvgIteration()))
 	}
 
 	header(cfg.Out, "Figure 6b", "BGC iterations to finish: Push vs +FE vs +GS vs +GrS")

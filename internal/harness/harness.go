@@ -66,7 +66,7 @@ func registry() []Experiment {
 		{ID: "fig5", Paper: "Figure 5", Title: "Betweenness centrality thread scaling: both BFS phases", Run: Fig5},
 		{ID: "fig6", Paper: "Figure 6", Title: "Acceleration strategies: PR+PA times and BGC iteration counts", Run: Fig6},
 		{ID: "weak", Paper: "§6", Title: "DM PageRank weak scaling (n ∝ P)", Run: WeakScaling},
-		{ID: "ablation", Paper: "§5/§6", Title: "Loop-schedule and PA partition-count ablations", Run: Ablation},
+		{ID: "ablation", Paper: "§5/§6", Title: "Loop schedule of Algorithm 1's push and PA partition-count ablations", Run: Ablation},
 		{ID: "pram", Paper: "§4", Title: "PRAM time/work bounds and the §4.9 conflict summary", Run: PRAMTable},
 		{ID: "la", Paper: "§7.1", Title: "Linear-algebra formulation: CSR(pull)/CSC(push) SpMV cross-check", Run: LATable},
 	}

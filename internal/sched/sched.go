@@ -3,7 +3,9 @@
 // or dynamic (chunk-stealing) schedules — the OpenMP schedules compared in
 // the paper's §6 — a reusable worker pool, and a deterministic sequential
 // executor used by profiled runs so cache-simulation results are
-// reproducible.
+// reproducible. Each kernel fixes the schedule of each of its loops; no
+// run option picks one. The §6 comparison is `pushpull ablation`, which
+// times Algorithm 1's push under both.
 package sched
 
 import (

@@ -159,9 +159,10 @@ type Job struct {
 	// the two joined).
 	Head    string `json:"head,omitempty"`
 	Payload string `json:"payload,omitempty"`
-	// Result is a whole result stored inline: the form records written
-	// before payloads were shared carry, and which a record handed to
-	// JobStore.Put may still use. The Manager writes Head and Payload.
+	// Result is a whole result stored inline, the form records took
+	// before payloads were shared. The Manager neither writes nor serves
+	// it: recovery drops it, and fails a done record that names no
+	// Payload.
 	Result json.RawMessage `json:"result,omitempty"`
 	// Stats is the completed run's stats, duplicated out of the result so
 	// status polls see timings without fetching the payload.
@@ -178,11 +179,11 @@ type Job struct {
 	DeadlineUnixMS int64 `json:"deadline_unix_ms,omitempty"`
 }
 
-// StatusView returns a shallow copy without the result (Head and any
-// inline Result): the shape status polls and job listings serve.
+// StatusView returns a shallow copy without the result's Head: the shape
+// status polls and job listings serve.
 func (j *Job) StatusView() *Job {
 	cp := *j
-	cp.Head, cp.Result = "", nil
+	cp.Head = ""
 	return &cp
 }
 

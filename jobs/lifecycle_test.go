@@ -11,6 +11,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -327,34 +328,33 @@ func TestJobAllocsIndependentOfN(t *testing.T) {
 	}
 }
 
-// TestInlineResultRecord: a record that carries its whole result inline —
-// what records written before payloads were shared look like, and what a
-// caller may still hand Put — round-trips through the DiskJobStore and is
-// served by a manager recovering it.
-func TestInlineResultRecord(t *testing.T) {
-	store, err := jobs.NewDiskJobStore(t.TempDir())
+// TestDoneRecordWithoutPayload: a done record that names no payload has
+// no result to serve. Recovery marks it failed, naming the record, and
+// Result errors instead of serving an empty document.
+func TestDoneRecordWithoutPayload(t *testing.T) {
+	dir := t.TempDir()
+	rec := fmt.Sprintf(`{"id":"j-empty","spec":{"graph":"g","algorithm":"pr"},"state":"done","submitted_ms":1,"finished_ms":%d}`, time.Now().UnixMilli())
+	if err := os.WriteFile(filepath.Join(dir, "j-empty.job"), []byte(rec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	store, err := jobs.NewDiskJobStore(dir)
 	if err != nil {
 		t.Fatal(err)
-	}
-	result := []byte(`{"algorithm":"pr","graph":"g","ranks":[0.25,0.75]}`)
-	rec := &jobs.Job{ID: "j-inline", Spec: prSpec(1), State: jobs.StateDone, Result: result, SubmittedMS: 1, FinishedMS: time.Now().UnixMilli()}
-	if err := store.Put(rec); err != nil {
-		t.Fatal(err)
-	}
-	list, err := store.List()
-	if err != nil || len(list) != 1 || !bytes.Equal(list[0].Result, result) {
-		t.Fatalf("List after Put = %+v, %v; want the inline result back", list, err)
 	}
 	m, err := jobs.NewManager(newCachingEngine(t, 64), jobs.WithStore(store))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	if got, err := m.Result("j-inline"); err != nil || !bytes.Equal(got, result) {
-		t.Errorf("Result(recovered inline record) = %q, %v", got, err)
+	if j, err := m.Get("j-empty"); err != nil || j.State != jobs.StateFailed || !strings.Contains(j.Error, "j-empty") {
+		t.Errorf("recovered done record without a payload: %+v, %v; want failed, naming the record", j, err)
 	}
-	if j, err := m.Get("j-inline"); err != nil || j.Result != nil || j.Head != "" {
-		t.Errorf("status view carries the result: %+v, %v", j, err)
+	if got, err := m.Result("j-empty"); err == nil {
+		t.Errorf("Result = %q, nil; want an error", got)
+	}
+	list, err := store.List()
+	if err != nil || len(list) != 1 || list[0].State != jobs.StateFailed {
+		t.Errorf("store after recovery = %+v, %v; want the record persisted as failed", list, err)
 	}
 }
 

@@ -167,7 +167,9 @@ func NewManager(eng *pushpull.Engine, opts ...Option) (*Manager, error) {
 // recover loads the store's jobs into the runtime map: queued jobs
 // re-queue (in submission order, so recovered FIFO ties break as they
 // did originally), running jobs are marked interrupted — the process
-// that was executing them is gone, and their partial work with it.
+// that was executing them is gone, and their partial work with it — and
+// a done job whose record names no payload is marked failed: it has no
+// result to serve.
 // Terminal jobs rejoin the retention list in finish order and are
 // collected if this manager's bounds are tighter than their age or
 // number; a payload no surviving record names (a crash between storing
@@ -207,14 +209,21 @@ func (m *Manager) recover() error {
 	m.mu.Lock()
 	defer m.unlock()
 	for _, j := range persisted {
+		j.Result = nil
 		m.jobs[j.ID] = j
-		switch j.State {
-		case StateQueued:
+		switch {
+		case j.State == StateQueued:
 			m.enqueueLocked(j)
-		case StateRunning:
+		case j.State == StateRunning:
 			j.State = StateInterrupted
 			j.Error = "worker restarted while the job was running"
 			j.FinishedMS = time.Now().UnixMilli()
+			if err := m.persistLocked(j); err != nil {
+				return err
+			}
+		case j.State == StateDone && j.Payload == "":
+			j.State = StateFailed
+			j.Error = fmt.Sprintf("record of job %q is done but names no result payload", j.ID)
 			if err := m.persistLocked(j); err != nil {
 				return err
 			}
@@ -359,14 +368,14 @@ func (m *Manager) Get(id string) (*Job, error) {
 type ResultBody struct {
 	Size    int64
 	head    string
-	payload io.ReadCloser // nil when head is the whole document
+	payload io.ReadCloser
 }
 
 // WriteTo writes the document to w: the job's own head, then the
 // payload streamed from the store.
 func (b *ResultBody) WriteTo(w io.Writer) (int64, error) {
 	n, err := io.WriteString(w, b.head)
-	if err != nil || b.payload == nil {
+	if err != nil {
 		return int64(n), err
 	}
 	copied, err := io.Copy(w, b.payload)
@@ -374,12 +383,7 @@ func (b *ResultBody) WriteTo(w io.Writer) (int64, error) {
 }
 
 // Close releases the store's reader.
-func (b *ResultBody) Close() error {
-	if b.payload == nil {
-		return nil
-	}
-	return b.payload.Close()
-}
+func (b *ResultBody) Close() error { return b.payload.Close() }
 
 // OpenResult opens the result of a done job. A still-pending job returns
 // ErrNotDone; a deadline-expired one returns ErrDeadlineExceeded; other
@@ -397,8 +401,6 @@ func (m *Manager) OpenResult(id string) (*ResultBody, error) {
 	switch {
 	case !ok:
 		err = fmt.Errorf("%w: %q", ErrNotFound, id)
-	case j.State == StateDone && j.Payload == "":
-		body = &ResultBody{head: string(j.Result)}
 	case j.State == StateDone:
 		body, hash = &ResultBody{head: j.Head}, j.Payload
 	case !j.State.Terminal():
@@ -412,18 +414,15 @@ func (m *Manager) OpenResult(id string) (*ResultBody, error) {
 	if err != nil {
 		return nil, err
 	}
-	body.Size = int64(len(body.head))
-	if hash != "" {
-		var size int64
-		if body.payload, size, err = m.store.OpenPayload(hash); err != nil {
-			if errors.Is(err, fs.ErrNotExist) {
-				// Collected between the lookup and the open.
-				return nil, fmt.Errorf("%w: %q", ErrNotFound, id)
-			}
-			return nil, fmt.Errorf("jobs: result of %q: %w", id, err)
+	var size int64
+	if body.payload, size, err = m.store.OpenPayload(hash); err != nil {
+		if errors.Is(err, fs.ErrNotExist) {
+			// Collected between the lookup and the open.
+			return nil, fmt.Errorf("%w: %q", ErrNotFound, id)
 		}
-		body.Size += size
+		return nil, fmt.Errorf("jobs: result of %q: %w", id, err)
 	}
+	body.Size = int64(len(body.head)) + size
 	return body, nil
 }
 

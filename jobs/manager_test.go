@@ -588,4 +588,13 @@ func TestDiskJobStore(t *testing.T) {
 	if _, err := s.List(); err == nil {
 		t.Error("corrupt record silently skipped; recovery must surface it")
 	}
+
+	// A record names its file: recovery re-persists records by ID, so an
+	// ID that is not the file's name would write somewhere else.
+	if err := os.WriteFile(filepath.Join(dir, "j-bad.job"), []byte(`{"id":"../j-escape","state":"running"}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.List(); err == nil {
+		t.Error("a record whose ID is not its file name was listed")
+	}
 }

@@ -193,6 +193,9 @@ func (s *DiskJobStore) List() ([]*Job, error) {
 		if err := json.Unmarshal(buf, &j); err != nil {
 			return nil, fmt.Errorf("jobstore: corrupt record %q: %w", e.Name(), err)
 		}
+		if j.ID+jobExt != e.Name() {
+			return nil, fmt.Errorf("jobstore: record %q holds job %q", e.Name(), j.ID)
+		}
 		out = append(out, &j)
 	}
 	return out, nil

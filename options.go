@@ -59,8 +59,6 @@ type Config struct {
 	// Threads is the worker count T (0: GOMAXPROCS; negative values are
 	// rejected at Run entry with ErrBadOption).
 	Threads int
-	// Schedule picks the parallel-loop schedule (Static, Dynamic).
-	Schedule Schedule
 	// Switch, when set, is the adaptive policy (GenericSwitch /
 	// GreedySwitch) steering direction changes or sequential fallback.
 	Switch SwitchPolicy
@@ -111,9 +109,6 @@ func WithDirection(d Direction) Option { return func(c *Config) { c.Direction = 
 // WithThreads sets the worker count T (0 means GOMAXPROCS; a negative
 // count fails the run with ErrBadOption).
 func WithThreads(t int) Option { return func(c *Config) { c.Threads = t } }
-
-// WithSchedule picks the parallel-loop schedule (Static or Dynamic).
-func WithSchedule(s Schedule) Option { return func(c *Config) { c.Schedule = s } }
 
 // WithSwitchPolicy installs an adaptive switching policy: a
 // *GenericSwitch flips push↔pull when conflicts dominate progress, a
@@ -180,7 +175,7 @@ func WithDegreeSorted() Option { return func(c *Config) { c.DegreeSorted = true 
 // coreOptions lowers the shared fields into the internal option struct,
 // carrying the cancellation context into the per-iteration loops.
 func (c *Config) coreOptions(ctx context.Context) core.Options {
-	return core.Options{Threads: c.Threads, Schedule: c.Schedule, OnIteration: c.Hook, Ctx: ctx}
+	return core.Options{Threads: c.Threads, OnIteration: c.Hook, Ctx: ctx}
 }
 
 // resolveDir maps the requested direction onto an internal one, using
@@ -251,8 +246,8 @@ func (c *Config) fingerprint(n int) (fp string, ok bool) {
 		return "", false
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "dir=%d;t=%d;sched=%d;sw=%s;src=%d;iters=%d;damp=",
-		c.Direction, c.Threads, c.Schedule, sw, c.Source, c.Iterations)
+	fmt.Fprintf(&b, "dir=%d;t=%d;sw=%s;src=%d;iters=%d;damp=",
+		c.Direction, c.Threads, sw, c.Source, c.Iterations)
 	if c.DampingSet {
 		fmt.Fprintf(&b, "%g", c.Damping)
 	} else {
