@@ -25,7 +25,7 @@ type RunRequest struct {
 	// Graph names a workload registered on the engine (PUT /graphs or
 	// server-side preload).
 	Graph string `json:"graph"`
-	// Algorithm is the registry name ("pr", "bfs", "dist-pr-mp", ...).
+	// Algorithm is the registry name ("pr", "bfs", "sssp", ...).
 	Algorithm string `json:"algorithm"`
 	// Options carries the run options; zero values mean the engine
 	// defaults, exactly like the With* functional options.
@@ -44,7 +44,6 @@ type RunOptions struct {
 	Delta      float64  `json:"delta,omitempty"`
 	Damping    *float64 `json:"damping,omitempty"`
 	Partitions int      `json:"partitions,omitempty"`
-	Ranks      int      `json:"ranks,omitempty"`
 	// TimeoutMS bounds the run server-side; the request context already
 	// cancels it when the client disconnects.
 	TimeoutMS int `json:"timeout_ms,omitempty"`
@@ -100,9 +99,6 @@ func (o *RunOptions) ToOptions() ([]pushpull.Option, error) {
 	}
 	if o.Partitions != 0 {
 		opts = append(opts, pushpull.WithPartitions(o.Partitions))
-	}
-	if o.Ranks != 0 {
-		opts = append(opts, pushpull.WithRanks(o.Ranks))
 	}
 	// The serving layers turn timeout_ms into a time.Duration of
 	// nanoseconds; past this bound that product wraps negative.
@@ -195,8 +191,8 @@ func BuildResponse(graph string, rep *pushpull.Report) RunResponse {
 // run flipped mid-way.
 func statsDirection(rep *pushpull.Report) string {
 	if len(rep.Directions) == 0 {
-		// No trace (e.g. dist-* simulations): fall back to the stats
-		// block's paper-style name, lowered to the API vocabulary.
+		// No trace (a run that finished no iteration): fall back to the
+		// stats block's paper-style name, lowered to the API vocabulary.
 		switch rep.Stats.Direction.String() {
 		case "Pushing":
 			return "push"

@@ -69,7 +69,7 @@ func FuzzRunOptions(f *testing.F) {
 		`{"sources":[4294967296]}`,
 		`{"timeout_ms":9223372036855}`,
 		`{"direction":"pull","threads":4,"iterations":20,"max_iters":7,"source":3,"sources":[0,1,2],` +
-			`"delta":0.5,"damping":0.85,"partitions":8,"ranks":16,"timeout_ms":100}`,
+			`"delta":0.5,"damping":0.85,"partitions":8,"timeout_ms":100}`,
 		`{"direction":"sideways"}`,
 		`{}`,
 	} {
@@ -98,9 +98,9 @@ func FuzzRunOptions(f *testing.F) {
 			t.Errorf("direction %q accepted as %v", o.Direction, cfg.Direction)
 		}
 		if cfg.Threads != o.Threads || cfg.Iterations != o.Iterations || cfg.MaxIters != o.MaxIters ||
-			cfg.Partitions != o.Partitions || cfg.Ranks != o.Ranks {
-			t.Errorf("counts %+v lowered to threads %d, iterations %d, max_iters %d, partitions %d, ranks %d",
-				o, cfg.Threads, cfg.Iterations, cfg.MaxIters, cfg.Partitions, cfg.Ranks)
+			cfg.Partitions != o.Partitions {
+			t.Errorf("counts %+v lowered to threads %d, iterations %d, max_iters %d, partitions %d",
+				o, cfg.Threads, cfg.Iterations, cfg.MaxIters, cfg.Partitions)
 		}
 		if int(cfg.Source) != o.Source {
 			t.Errorf("source %d lowered to %d", o.Source, cfg.Source)

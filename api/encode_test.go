@@ -55,10 +55,6 @@ func TestEncodeParity(t *testing.T) {
 			Result:     &pushpull.BFSTree{Parent: []pushpull.V{0, 0, 1, -1}, Level: []int32{0, 1, 2, -1}},
 			Directions: mixed}},
 		{"empty bfs tree", "g", &pushpull.Report{Algorithm: "bfs", Stats: stats, Result: &pushpull.BFSTree{}}},
-		{"dist values", "g", &pushpull.Report{Algorithm: "dist-pr-mp", Stats: stats,
-			Result: &pushpull.DistResult{Values: []float64{0.25, 0.75}}}},
-		{"dist values and counts", "g", &pushpull.Report{Algorithm: "dist-tc-mp", Stats: stats,
-			Result: &pushpull.DistResult{Values: []float64{1, 2}, Counts: []int64{1, 2}}}},
 		{"flags set", "g", &pushpull.Report{Algorithm: "pr", Result: []float64{1},
 			Stats: pushpull.RunStats{CacheHit: true, Coalesced: true, Canceled: true}}},
 		{"hostile graph name", "a\"b\\c<d>&e \x00\xff é", &pushpull.Report{Algorithm: "pr", Stats: stats, Result: []float64{1}}},

@@ -244,6 +244,7 @@ func TestRouterJobValidationAndAffinityPin(t *testing.T) {
 	}{
 		{`{"graph": "nope", "algorithm": "pr"}`, http.StatusNotFound},
 		{`{"graph": "demo", "algorithm": "nope"}`, http.StatusNotFound},
+		{`{"graph": "demo", "algorithm": "dist-pr-mp"}`, http.StatusNotFound},
 		{`{}`, http.StatusBadRequest},
 		{`{"graph": "demo", "algorithm": "pr", "batch": [{"graph": "demo", "algorithm": "pr"}]}`, http.StatusBadRequest},
 		{`{"batch": [{"graph": "demo", "algorithm": "pr"}, {"graph": "nope", "algorithm": "pr"}]}`, http.StatusNotFound},
@@ -283,7 +284,7 @@ func TestRouterJobValidationAndAffinityPin(t *testing.T) {
 }
 
 // TestRouterOptionRanges: a vertex id past 32 bits, an overflowing
-// timeout_ms or a retired field (partition_aware, out_of_core) reaches the
+// timeout_ms or a retired field (partition_aware, out_of_core, ranks) reaches the
 // client through the router as a 400 naming the field, on POST /run and
 // POST /jobs alike.
 func TestRouterOptionRanges(t *testing.T) {
@@ -296,6 +297,7 @@ func TestRouterOptionRanges(t *testing.T) {
 		{"pr", `{"timeout_ms": 9223372036855}`, "timeout_ms"},
 		{"pr", `{"partition_aware": true}`, "partition_aware"},
 		{"pr", `{"out_of_core": true}`, "out_of_core"},
+		{"pr", `{"ranks": 16}`, "ranks"},
 	} {
 		body := fmt.Sprintf(`{"graph": "demo", "algorithm": %q, "options": %s}`, c.algorithm, c.options)
 		for _, path := range []string{"/run", "/jobs"} {

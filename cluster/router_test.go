@@ -478,6 +478,7 @@ func TestRouterErrors(t *testing.T) {
 
 	postRun(t, ts.URL, `{"graph": "nope", "algorithm": "pr"}`, http.StatusNotFound)
 	postRun(t, ts.URL, `{"graph": "demo", "algorithm": "nope"}`, http.StatusNotFound)
+	postRun(t, ts.URL, `{"graph": "demo", "algorithm": "dist-pr-mp"}`, http.StatusNotFound)
 	postRun(t, ts.URL, `{}`, http.StatusBadRequest)
 	postRun(t, ts.URL, `{"graph": "demo", "algorithm": "pr", "options": {"bogus": 1}}`, http.StatusBadRequest)
 

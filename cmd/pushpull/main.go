@@ -17,7 +17,6 @@
 //	pushpull run pr -directed          # directed PageRank (§4.8, both views)
 //	pushpull -t 8 run sssp -graph rca -dir auto
 //	pushpull run pr -probes            # instrumented run + counter bill
-//	pushpull run dist-pr-mp -ranks 32  # §6.3 simulated cluster
 //	pushpull serve -addr :8080 -graphs rmat,rca
 //	pushpull serve -workers 4 -store /var/lib/pushpull
 //	pushpull serve -jobs-keep 1024 -jobs-ttl 1h   # finished-job retention (the defaults)
@@ -122,7 +121,6 @@ func runAlgorithm(args []string, threads int, scale float64, seed uint64) {
 	sourcesCSV := fs.String("sources", "", "comma-separated source vertices for bc (default: 8 sampled)")
 	delta := fs.Float64("delta", 0, "Δ-stepping bucket width (0 = heuristic)")
 	probes := fs.Bool("probes", false, "instrumented run: print the event-counter bill")
-	ranks := fs.Int("ranks", 0, "simulated cluster size for dist-* algorithms (0 = default)")
 	timeout := fs.Duration("timeout", 0, "abort the run after this long (0 = none)")
 	// Accept both "run pr -dir pull" and "run -dir pull pr".
 	algo := ""
@@ -215,10 +213,10 @@ func runAlgorithm(args []string, threads int, scale float64, seed uint64) {
 
 	ctx := context.Background()
 	if *timeout > 0 {
-		if *probes || strings.HasPrefix(algo, "dist-") {
-			// Instrumented and simulated-cluster runs are deterministic
-			// passes that never poll ctx (see WithProbes / the dist docs).
-			fmt.Fprintln(os.Stderr, "pushpull: warning: -timeout has no effect on probed or dist-* runs (they always run to completion)")
+		if *probes {
+			// Instrumented runs are deterministic passes that never poll
+			// ctx (see WithProbes).
+			fmt.Fprintln(os.Stderr, "pushpull: warning: -timeout has no effect on probed runs (they always run to completion)")
 		}
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
@@ -233,7 +231,6 @@ func runAlgorithm(args []string, threads int, scale float64, seed uint64) {
 		pushpull.WithSource(pushpull.V(*source)),
 		pushpull.WithSources(sources),
 		pushpull.WithDelta(*delta),
-		pushpull.WithRanks(*ranks),
 	}
 	if *probes {
 		opts = append(opts, pushpull.WithProbes())
@@ -262,11 +259,8 @@ func runAlgorithm(args []string, threads int, scale float64, seed uint64) {
 		os.Exit(1)
 	}
 	fmt.Println(rep.Summary())
-	if strings.HasPrefix(algo, "dist-") {
-		fmt.Println("(the reported time is the simulated cluster makespan)")
-	}
 	if rep.Counters != nil {
-		fmt.Print(rep.Counters) // the event bill of probed and dist-* runs
+		fmt.Print(rep.Counters) // the event bill of a probed run
 	}
 }
 

@@ -407,7 +407,6 @@ func TestRunBadOption(t *testing.T) {
 	}{
 		{"threads", "pr", pushpull.WithThreads(-1)},
 		{"partitions", "gc", pushpull.WithPartitions(-2)},
-		{"ranks", "dist-pr-mp", pushpull.WithRanks(-3)},
 	}
 	for _, tc := range cases {
 		_, err := pushpull.Run(context.Background(), g, tc.algo, tc.opt)
@@ -417,7 +416,7 @@ func TestRunBadOption(t *testing.T) {
 	}
 	// Zero still means "use the default" everywhere.
 	if _, err := pushpull.Run(context.Background(), g, "pr",
-		pushpull.WithThreads(0), pushpull.WithPartitions(0), pushpull.WithRanks(0)); err != nil {
+		pushpull.WithThreads(0), pushpull.WithPartitions(0)); err != nil {
 		t.Errorf("zero-valued options rejected: %v", err)
 	}
 }

@@ -4,7 +4,7 @@
 //  1. A registry entry whose Caps literal declares Probes: true must
 //     dispatch to a profiled kernel — its run function (or the function
 //     the run element calls to build one) must reference a *Profiled
-//     kernel or the dist-* Counter machinery. A probes claim without a
+//     kernel or the Counter machinery. A probes claim without a
 //     probe path silently returns un-instrumented results, which PR 2
 //     spent a whole release stamping out.
 //  2. Typed sentinel errors (ErrNeedsWeights, ErrOverloaded, …) passed
@@ -183,7 +183,7 @@ func resolveLit(pass *framework.Pass, varInit map[*types.Var]ast.Expr, e ast.Exp
 
 // resolveFuncBody finds the code the run element executes: a func
 // literal's body, a named function's declaration, the declaration of the
-// function a call expression invokes (the dist-* builder shape), or a
+// function a call expression invokes (a builder returning the run), or a
 // variable's initializer. Returns nil when it can't tell — no blind
 // reports.
 func resolveFuncBody(pass *framework.Pass, varInit map[*types.Var]ast.Expr, funcDecls map[*types.Func]*ast.FuncDecl, e ast.Expr) ast.Node {
@@ -215,7 +215,7 @@ func resolveFuncBody(pass *framework.Pass, varInit map[*types.Var]ast.Expr, func
 }
 
 // mentionsProfiled reports whether the body references a profiled kernel
-// or the dist-* Counter machinery.
+// or the Counter machinery.
 func mentionsProfiled(body ast.Node) bool {
 	found := false
 	ast.Inspect(body, func(n ast.Node) bool {

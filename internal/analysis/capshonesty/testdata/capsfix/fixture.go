@@ -29,7 +29,7 @@ var registry = []builtin{
 	{name: "noprobes", caps: Caps{}, run: runPlain},
 }
 
-// makeRun mirrors the dist-* builder shape: the registry element is a
+// makeRun mirrors the builder shape: the registry element is a
 // call that returns the run closure.
 func makeRun() func() int {
 	return func() int { return runProfiled() }

@@ -153,13 +153,14 @@ func Fig2(cfg Config) error {
 
 // Fig3 regenerates the distributed strong-scaling figure: simulated
 // makespan vs rank count for PR (orc, ljn, rmat) and TC (orc, ljn) with
-// Pushing-RMA, Pulling-RMA and Msg-Passing, all through the facade's
-// dist-* registry entries (Stats.Elapsed is the simulated makespan).
+// Pushing-RMA, Pulling-RMA and Msg-Passing, run on dalgo's simulated
+// cluster. The makespan is rounded to whole nanoseconds before it is
+// shown in milliseconds.
 func Fig3(cfg Config) error {
 	cfg.defaults()
 	header(cfg.Out, "Figure 3", "DM strong scaling (simulated makespan [ms] vs P)")
 	ranks := []int{2, 4, 8, 16, 32, 64, 128, 256}
-	simMS := func(rep *pushpull.Report) float64 { return float64(rep.Stats.Elapsed) / 1e6 }
+	simMS := func(res *dalgo.Result) float64 { return math.Round(res.SimTime) / 1e6 }
 
 	prGraphs := []string{"orc", "ljn", "rmat"}
 	for _, name := range prGraphs {
@@ -175,13 +176,13 @@ func Fig3(cfg Config) error {
 				break
 			}
 			row := make([]float64, 0, 3)
-			for _, algo := range []string{"dist-pr-push-rma", "dist-pr-pull-rma", "dist-pr-mp"} {
-				rep, err := pushpull.Run(context.Background(), g, algo,
-					pushpull.WithRanks(p), pushpull.WithIterations(iters))
+			for _, run := range []func(*graph.CSR, dalgo.PRConfig) (*dalgo.Result, error){
+				dalgo.PRPushRMA, dalgo.PRPullRMA, dalgo.PRMsgPassing} {
+				res, err := run(g, dalgo.PRConfig{Ranks: p, Iterations: iters})
 				if err != nil {
 					return err
 				}
-				row = append(row, simMS(rep)/iters)
+				row = append(row, simMS(res)/iters)
 			}
 			fmt.Fprintf(cfg.Out, "%-6d %14.3f %14.3f %14.3f\n", p, row[0], row[1], row[2])
 		}
@@ -201,12 +202,13 @@ func Fig3(cfg Config) error {
 				break
 			}
 			row := make([]float64, 0, 3)
-			for _, algo := range []string{"dist-tc-push-rma", "dist-tc-pull-rma", "dist-tc-mp"} {
-				rep, err := pushpull.Run(context.Background(), g, algo, pushpull.WithRanks(p))
+			for _, run := range []func(*graph.CSR, dalgo.TCConfig) (*dalgo.Result, error){
+				dalgo.TCPushRMA, dalgo.TCPullRMA, dalgo.TCMsgPassing} {
+				res, err := run(g, dalgo.TCConfig{Ranks: p})
 				if err != nil {
 					return err
 				}
-				row = append(row, simMS(rep))
+				row = append(row, simMS(res))
 			}
 			fmt.Fprintf(cfg.Out, "%-6d %14.3f %14.3f %14.3f\n", p, row[0], row[1], row[2])
 		}

@@ -22,6 +22,7 @@ func FuzzJobRecord(f *testing.F) {
 		`{"id":"j-fuzz","spec":{"graph":"g","algorithm":"pr"},"state":"done","result":{"ranks":[1]},"finished_ms":99999999999999}`,
 		`{"id":"j-fuzz","spec":{"graph":"g","algorithm":"pr"},"state":"running","started_ms":5}`,
 		`{"id":"j-fuzz","spec":{"graph":"g","algorithm":"pr","priority":"high"},"state":"queued","deadline_unix_ms":1}`,
+		`{"id":"j-fuzz","spec":{"graph":"g","algorithm":"dist-pr-mp","options":{"ranks":1024}},"state":"queued"}`,
 		`{"id":"j-fuzz","state":"failed","error":"boom","finished_ms":-1}`,
 		`{"id":"../j-fuzz","state":"running"}`,
 		`{"id":"j-fuzz","state":"what"}`,

@@ -358,6 +358,40 @@ func TestDoneRecordWithoutPayload(t *testing.T) {
 	}
 }
 
+// TestRecoveredRetiredAlgorithm: a queued record written before an
+// algorithm and an option left the registry and the wire (dist-pr-mp
+// with "ranks") still recovers. The decoder drops the unknown option,
+// and the job fails naming the algorithm, without running anything.
+func TestRecoveredRetiredAlgorithm(t *testing.T) {
+	dir := t.TempDir()
+	rec := `{"id":"j-dist","spec":{"graph":"g","algorithm":"dist-pr-mp","options":{"ranks":1024}},"state":"queued","submitted_ms":1}`
+	if err := os.WriteFile(filepath.Join(dir, "j-dist.job"), []byte(rec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	store, err := jobs.NewDiskJobStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := newCachingEngine(t, 64)
+	m, err := jobs.NewManager(eng, jobs.WithStore(store))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	j, err := m.Wait(ctx, "j-dist", time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j.State != jobs.StateFailed || !strings.Contains(j.Error, "dist-pr-mp") {
+		t.Errorf("recovered dist-pr-mp job: %s (%q), want failed naming the algorithm", j.State, j.Error)
+	}
+	if s := eng.Stats(); s.CacheMisses != 0 || s.Uncacheable != 0 {
+		t.Errorf("engine ran %d cached and %d uncached runs, want none", s.CacheMisses, s.Uncacheable)
+	}
+}
+
 // TestJobStorePayloads: the payload half of the JobStore contract, on
 // both implementations.
 func TestJobStorePayloads(t *testing.T) {

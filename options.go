@@ -88,11 +88,6 @@ type Config struct {
 	// runs (gc, gc-cr); 0 = the resolved thread count; negative values are
 	// rejected at Run entry with ErrBadOption.
 	Partitions int
-	// Ranks is the simulated cluster size P for the dist-* algorithms
-	// (0: Threads if set, else DefaultDistRanks; negative values are
-	// rejected at Run entry with ErrBadOption). Shared-memory algorithms
-	// ignore it.
-	Ranks int
 	// DegreeSorted requests the degree-sorted CSR layout: kernels run on
 	// the workload's memoized degree-permuted graph and the report is
 	// un-permuted at the boundary.
@@ -119,11 +114,10 @@ func WithThreads(t int) Option { return func(c *Config) { c.Threads = t } }
 func WithSwitchPolicy(p SwitchPolicy) Option { return func(c *Config) { c.Switch = p } }
 
 // WithProbes runs the deterministic instrumented variant and aggregates
-// its event counts into Report.Counters. Every shared-memory registry
-// algorithm supports it on an in-memory workload (a file handle's block
-// kernels are uninstrumented: ErrProbesUnsupported); instrumented passes
-// always run to completion (they never poll ctx). The dist-* algorithms
-// attach their counters whether or not probes are requested.
+// its event counts into Report.Counters. Every registry algorithm
+// supports it on an in-memory workload (a file handle's block kernels
+// are uninstrumented: ErrProbesUnsupported); instrumented passes always
+// run to completion (they never poll ctx).
 func WithProbes() Option { return func(c *Config) { c.Probes = true } }
 
 // WithIterationHook receives each completed iteration's wall time — the
@@ -159,9 +153,6 @@ func WithMaxIters(n int) Option { return func(c *Config) { c.MaxIters = n } }
 // WithPartitions sets the partition count for the partition-based
 // coloring runs (gc, gc-cr).
 func WithPartitions(p int) Option { return func(c *Config) { c.Partitions = p } }
-
-// WithRanks sets the simulated cluster size P for the dist-* algorithms.
-func WithRanks(p int) Option { return func(c *Config) { c.Ranks = p } }
 
 // WithDegreeSorted runs the kernels over the workload's memoized
 // degree-sorted CSR permutation: vertex ids are renumbered by descending
@@ -253,8 +244,8 @@ func (c *Config) fingerprint(n int) (fp string, ok bool) {
 	} else {
 		b.WriteByte('-')
 	}
-	fmt.Fprintf(&b, ";delta=%g;maxit=%d;parts=%d;ranks=%d;ds=%t;srcs=",
-		c.Delta, c.MaxIters, c.Partitions, c.Ranks, c.DegreeSorted)
+	fmt.Fprintf(&b, ";delta=%g;maxit=%d;parts=%d;ds=%t;srcs=",
+		c.Delta, c.MaxIters, c.Partitions, c.DegreeSorted)
 	// nil and empty Sources are distinct configurations (bc: all
 	// vertices vs zero sources) and must not share a key.
 	if c.Sources == nil {

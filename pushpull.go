@@ -35,12 +35,6 @@
 // exception: they are deterministic measurement passes and always run
 // to completion. Every shared-memory algorithm has an instrumented
 // variant, so WithProbes works registry-wide.
-//
-// The §6.3 distributed simulations are registry algorithms too
-// (dist-pr-push-rma, dist-pr-pull-rma, dist-pr-mp, dist-tc-push-rma,
-// dist-tc-pull-rma, dist-tc-mp): they run on a simulated cluster of
-// WithRanks(P) ranks and report the simulated makespan as Stats.Elapsed
-// with the remote-operation counters attached.
 package pushpull
 
 import (
@@ -76,8 +70,7 @@ type Report struct {
 }
 
 // Ranks returns the payload as a float vector (pr ranks, bc scores,
-// sssp distances, gathered dist-pr values), or nil when the payload has
-// another shape.
+// sssp distances), or nil when the payload has another shape.
 func (r *Report) Ranks() []float64 {
 	switch v := r.Result.(type) {
 	case []float64:
@@ -86,24 +79,15 @@ func (r *Report) Ranks() []float64 {
 		return v.Dist
 	case *BCResult:
 		return v.BC
-	case *DistResult:
-		return v.Values
 	default:
 		return nil
 	}
 }
 
-// Counts returns the payload as an integer count vector (tc, dist-tc),
-// or nil.
+// Counts returns the payload as an integer count vector (tc), or nil.
 func (r *Report) Counts() []int64 {
-	switch v := r.Result.(type) {
-	case []int64:
-		return v
-	case *DistResult:
-		return v.Counts
-	default:
-		return nil
-	}
+	v, _ := r.Result.([]int64)
+	return v
 }
 
 // Colors returns the coloring payload (gc), or nil.
@@ -183,12 +167,12 @@ func uniformTrace(d core.Direction, iters int) []Direction {
 // (auto-wrapped into an undirected single-use Workload) or a *Workload
 // handle declaring the graph kind — and returns its Report.
 //
-// Direction, thread count, schedule, switching policy, instrumentation
+// Direction, thread count, switching policy, instrumentation
 // and the per-algorithm knobs are all Options; see the With* functions.
 // Before anything runs, the graph is checked (ErrMalformedGraph names
 // a CSR fault; a graph that passed once is not scanned again, and must
 // not change after), the options are range-checked (ErrBadOption for
-// negative WithThreads/WithPartitions/WithRanks and a negative or
+// negative WithThreads/WithPartitions and a negative or
 // non-finite WithDelta) and the algorithm's Caps are validated against the
 // workload and options, so unsupported combinations fail fast with one of
 // the typed precondition errors (ErrNeedsWeights, ErrDirectedUnsupported,

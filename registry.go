@@ -71,10 +71,7 @@ func Lookup(name string) (Algorithm, error) {
 	return a, nil
 }
 
-// Algorithms lists every registered algorithm name, sorted. The shared-
-// memory built-ins use bare names (pr, bfs, ...); the distributed §6.3
-// simulations follow the dist-<algo>-<mechanism> scheme (dist-pr-push-rma,
-// dist-tc-mp, ...).
+// Algorithms lists every registered algorithm name, sorted.
 func Algorithms() []string {
 	regMu.RLock()
 	defer regMu.RUnlock()

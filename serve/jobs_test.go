@@ -268,6 +268,7 @@ func TestServeJobsValidation(t *testing.T) {
 	}{
 		{`{"graph": "nope", "algorithm": "pr"}`, http.StatusNotFound},
 		{`{"graph": "demo", "algorithm": "nope"}`, http.StatusNotFound},
+		{`{"graph": "demo", "algorithm": "dist-pr-mp"}`, http.StatusNotFound},
 		{`{}`, http.StatusBadRequest},
 		{`{"graph": "demo", "algorithm": "pr", "options": {"bogus": 1}}`, http.StatusBadRequest},
 		{`{"graph": "demo", "algorithm": "pr", "deadline_ms": -5}`, http.StatusBadRequest},

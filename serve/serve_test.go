@@ -219,6 +219,7 @@ func TestServeErrors(t *testing.T) {
 	}{
 		{"unknown graph", `{"graph": "nope", "algorithm": "pr"}`, http.StatusNotFound},
 		{"unknown algorithm", `{"graph": "demo", "algorithm": "nope"}`, http.StatusNotFound},
+		{"retired dist algorithm", `{"graph": "demo", "algorithm": "dist-pr-mp"}`, http.StatusNotFound},
 		{"missing fields", `{}`, http.StatusBadRequest},
 		{"unknown option field", `{"graph": "demo", "algorithm": "pr", "options": {"iterationz": 3}}`, http.StatusBadRequest},
 		{"bad direction", `{"graph": "demo", "algorithm": "pr", "options": {"direction": "sideways"}}`, http.StatusBadRequest},
@@ -234,9 +235,9 @@ func TestServeErrors(t *testing.T) {
 // TestServeOptionRanges: a vertex id past 32 bits and a timeout_ms that
 // overflows a time.Duration are the client's error — 400 naming the
 // field on both POST /run and POST /jobs — instead of running from
-// vertex id mod 2^32 or timing out at once. So are partition_aware and
-// out_of_core, fields the wire no longer carries: refused, not silently run
-// as another configuration.
+// vertex id mod 2^32 or timing out at once. So are partition_aware,
+// out_of_core and ranks, fields the wire no longer carries: refused, not
+// silently run as another configuration.
 func TestServeOptionRanges(t *testing.T) {
 	ts, _, _ := newJobServer(t)
 	for _, c := range []struct{ algorithm, options, field string }{
@@ -246,6 +247,7 @@ func TestServeOptionRanges(t *testing.T) {
 		{"pr", `{"timeout_ms": 9223372036855}`, "timeout_ms"},
 		{"pr", `{"partition_aware": true}`, "partition_aware"},
 		{"pr", `{"out_of_core": true}`, "out_of_core"},
+		{"pr", `{"ranks": 16}`, "ranks"},
 	} {
 		body := fmt.Sprintf(`{"graph": "demo", "algorithm": %q, "options": %s}`, c.algorithm, c.options)
 		for _, path := range []string{"/run", "/jobs"} {

@@ -195,7 +195,7 @@ func TestNeedsWeightsTyped(t *testing.T) {
 // directed workload with the typed error.
 func TestDirectedUnsupportedTyped(t *testing.T) {
 	g := directedGraph(t, 200, true)
-	for _, algo := range []string{"tc", "bfs", "gc", "bc", "mst", "dist-pr-mp"} {
+	for _, algo := range []string{"tc", "bfs", "gc", "bc", "mst"} {
 		_, err := pushpull.Run(context.Background(), pushpull.Directed(g), algo,
 			pushpull.WithSource(0))
 		if !errors.Is(err, pushpull.ErrDirectedUnsupported) {
