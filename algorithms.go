@@ -283,10 +283,15 @@ func runSSSP(ctx context.Context, w *Workload, cfg *Config) (*Report, error) {
 	g := w.Graph()
 	// Source range is validated by the NeedsSource capability gate.
 	opt := sssp.Options{Options: cfg.coreOptions(ctx), Source: cfg.Source, Delta: cfg.Delta}
+	// The weight check, the heuristic Δ and its light view are the
+	// workload's, derived once; an explicit Δ derives its own light view
+	// per run, never memoized.
+	view := w.ssspView()
+	if err := view.Err(); err != nil {
+		return nil, fmt.Errorf("pushpull: sssp: %v: %w", err, ErrNeedsWeights)
+	}
 	if cfg.Delta == 0 {
-		// The heuristic Δ and its light view are the workload's, derived
-		// once; an explicit Δ derives its own per run, never memoized.
-		opt.View = w.ssspView()
+		opt.View = view
 	}
 	if cfg.Probes {
 		// A deterministic measurement pass needs a fixed direction; the

@@ -73,8 +73,9 @@ func (c Caps) String() string {
 var (
 	// ErrNeedsWeights: the algorithm requires edge weights the workload
 	// does not carry (or a Weighted workload was built over an unweighted
-	// graph).
-	ErrNeedsWeights = errors.New("workload carries no edge weights")
+	// graph), or the workload carries a weight outside the algorithm's
+	// domain (sssp: a negative or NaN weight).
+	ErrNeedsWeights = errors.New("workload carries no usable edge weights")
 	// ErrDirectedUnsupported: the algorithm does not run on directed
 	// workloads.
 	ErrDirectedUnsupported = errors.New("directed workloads unsupported")

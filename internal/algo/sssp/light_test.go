@@ -130,8 +130,8 @@ func trapGraph(t *testing.T) (*graph.CSR, float64) {
 		}
 		return f
 	}
-	// nil0 stands in for a zero weight, which the builder reads as 1: added
-	// to any distance here it rounds away.
+	// nil0 is a zero weight in effect: added to any distance here it
+	// rounds away.
 	const nil0 = float32(1e-30)
 	for i := 0; i < 1000; i++ {
 		f := float32(0.3 + 1e-4*float64(i))

@@ -28,7 +28,9 @@ package sssp
 
 import (
 	"container/heap"
+	"fmt"
 	"math"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -88,13 +90,31 @@ func (o *Options) delta(g *graph.CSR) (float64, *View) {
 type View struct {
 	g      *graph.CSR
 	delta  float64
+	bad    int64 // the arc index of the first negative or NaN weight, or -1
 	once   sync.Once
 	light  *graph.CSR
 	builds atomic.Int32
 }
 
-// NewView computes g's heuristic Δ; the light view waits for a run.
-func NewView(g *graph.CSR) *View { return &View{g: g, delta: heuristicDelta(g)} }
+// NewView computes g's heuristic Δ and finds its first negative or NaN
+// weight in the same pass; the light view waits for a run.
+func NewView(g *graph.CSR) *View {
+	delta, bad := scanWeights(g)
+	return &View{g: g, delta: delta, bad: bad}
+}
+
+// Err reports a negative or NaN weight, naming its arc. Δ-stepping
+// assumes every weight is at least 0: on a graph with a negative or NaN
+// weight a push run need never end and a pull run returns wrong
+// distances, so no run may start on one. +Inf and 0 are legal.
+func (v *View) Err() error {
+	if v.bad < 0 {
+		return nil
+	}
+	u := sort.Search(v.g.N(), func(u int) bool { return v.g.Offsets[u+1] > v.bad })
+	return fmt.Errorf("arc (%d,%d) has weight %g; shortest paths need weights ≥ 0",
+		u, v.g.Adj[v.bad], v.g.Weights[v.bad])
+}
 
 // Builds returns how many times the light view was built: 0 until a run
 // reads it, 1 after.
@@ -141,17 +161,30 @@ func bucketBudget(g *graph.CSR) float64 { return float64(g.N()) + float64(g.M())
 // heuristicDelta is the standard Δ, max-weight/d̄: one pass over the
 // weights.
 func heuristicDelta(g *graph.CSR) float64 {
+	delta, _ := scanWeights(g)
+	return delta
+}
+
+// scanWeights returns the heuristic Δ and the index of the first weight
+// that is negative or NaN, or -1, from one pass over the weights. The
+// largest weight is the largest finite one: an arc of weight +Inf lowers
+// no distance, and the bucket arithmetic needs a finite Δ.
+func scanWeights(g *graph.CSR) (delta float64, bad int64) {
 	var maxW float32 = 1
-	for _, w := range g.Weights {
-		if w > maxW {
+	bad = -1
+	for i, w := range g.Weights {
+		if w > maxW && w <= math.MaxFloat32 {
 			maxW = w
+		}
+		if !(w >= 0) && bad < 0 {
+			bad = int64(i)
 		}
 	}
 	d := g.AvgDegree()
 	if d < 1 {
 		d = 1
 	}
-	return float64(maxW) / d
+	return float64(maxW) / d, bad
 }
 
 // Dijkstra computes reference distances with a binary heap.

@@ -239,11 +239,12 @@ func (b *Builder) KeepDuplicates() *Builder { b.keepDupes = true; return b }
 // KeepSelfLoops retains self-loops.
 func (b *Builder) KeepSelfLoops() *Builder { b.keepLoops = true; return b }
 
-// AddEdge adds an unweighted edge.
-func (b *Builder) AddEdge(u, v V) { b.edges = append(b.edges, Edge{U: u, V: v}) }
+// AddEdge adds an unweighted edge, which weighs 1 if the result carries
+// weights.
+func (b *Builder) AddEdge(u, v V) { b.edges = append(b.edges, Edge{U: u, V: v, Weight: 1}) }
 
 // AddEdgeW adds a weighted edge; any weighted edge makes the result carry
-// weights (unweighted edges default to weight 1).
+// weights.
 func (b *Builder) AddEdgeW(u, v V, w float32) {
 	b.weighted = true
 	b.edges = append(b.edges, Edge{U: u, V: v, Weight: w})
@@ -291,13 +292,9 @@ func (b *Builder) Build() (*CSR, error) {
 		if !b.keepLoops && e.U == e.V {
 			continue
 		}
-		w := e.Weight
-		if b.weighted && w == 0 {
-			w = 1
-		}
-		put(e.U, e.V, w)
+		put(e.U, e.V, e.Weight)
 		if b.undirected {
-			put(e.V, e.U, w)
+			put(e.V, e.U, e.Weight)
 		}
 	}
 	g := &CSR{NumV: V(n), Offsets: make([]int64, n+1)}
@@ -309,7 +306,14 @@ func (b *Builder) Build() (*CSR, error) {
 	for v := 0; v < n; v++ {
 		lo, hi := deg[v], deg[v+1]
 		row := arcs[lo:hi]
-		sort.Slice(row, func(i, j int) bool { return row[i].v < row[j].v })
+		// A strictly increasing row, the form every row of a written edge
+		// list arrives in, is already what the sort would make of it.
+		for i := 1; i < len(row); i++ {
+			if row[i-1].v >= row[i].v {
+				sort.Slice(row, func(i, j int) bool { return row[i].v < row[j].v })
+				break
+			}
+		}
 		for i, a := range row {
 			if !b.keepDupes && i > 0 && row[i-1].v == a.v {
 				continue

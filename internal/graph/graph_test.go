@@ -97,25 +97,20 @@ func TestBuilderDirected(t *testing.T) {
 }
 
 func TestBuilderWeights(t *testing.T) {
-	b := NewBuilder(3)
+	b := NewBuilder(4)
 	b.AddEdgeW(0, 1, 2.5)
-	b.AddEdgeW(1, 2, 0) // zero weight normalizes to 1
+	b.AddEdgeW(1, 2, 0) // an explicit zero stays zero
+	b.AddEdge(1, 3)     // an unweighted edge weighs 1
 	g := b.MustBuild()
 	if !g.Weighted() {
 		t.Fatal("not weighted")
 	}
 	ws := g.NeighborWeights(1)
 	ns := g.Neighbors(1)
+	want := map[V]float32{0: 2.5, 2: 0, 3: 1}
 	for i, u := range ns {
-		switch u {
-		case 0:
-			if ws[i] != 2.5 {
-				t.Fatalf("w(1,0) = %v", ws[i])
-			}
-		case 2:
-			if ws[i] != 1 {
-				t.Fatalf("w(1,2) = %v", ws[i])
-			}
+		if ws[i] != want[u] {
+			t.Fatalf("w(1,%d) = %v, want %v", u, ws[i], want[u])
 		}
 	}
 	if g2 := triangleGraph(t); g2.NeighborWeights(0) != nil {

@@ -2,13 +2,33 @@ package graph
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"math"
 	"sort"
 	"strconv"
-	"strings"
+	"unsafe"
 )
+
+// The text edge-list format. The first line is the header
+// "# pushpull n m weighted directed"; every other line is an edge
+// "u v [w]", a comment starting with '#', or blank.
+//   - Fields are separated by runs of the six ASCII whitespace bytes
+//     (space, \t, \n, \v, \f, \r). Any other byte, a Unicode space such
+//     as U+00A0 included, belongs to a field, so a line split by one
+//     fails to parse and is refused with its line number.
+//   - Lines end in "\n" or "\r\n"; a line may be at most lineMax bytes,
+//     its newline included, and a longer one fails with bufio.ErrTooLong.
+//   - Vertex ids are decimal integers in [0, n). A weight is whatever
+//     strconv.ParseFloat reads as a float32, except NaN, which is refused.
+//     +Inf and 0 are weights like any other; a weightless line in a
+//     weighted list reads as weight 1.
+//
+// Reader and writer allocate per call, not per line or per arc.
+
+// lineMax is the longest line ReadEdgeList accepts, its newline included.
+const lineMax = 1 << 20
 
 // WriteEdgeList serializes g as a text edge list: a header line
 // "# pushpull n m weighted directed" followed by edge lines "u v [w]".
@@ -25,20 +45,20 @@ func WriteEdgeList(w io.Writer, g *CSR) error {
 // WriteEdgeListKind is WriteEdgeList with the directedness stated by the
 // caller instead of detected. Writing a non-symmetric graph as undirected
 // loses the asymmetric arcs; the flag is recorded in the header either
-// way so ReadEdgeListKind restores the kind.
+// way so ReadEdgeListKind restores the kind. Ids print as fmt's %d and
+// weights as its %g of a float32, through one reused line buffer.
 func WriteEdgeListKind(w io.Writer, g *CSR, directed bool) error {
-	bw := bufio.NewWriter(w)
-	weighted := 0
-	if g.Weighted() {
-		weighted = 1
-	}
-	dirFlag := 0
+	bw := bufio.NewWriterSize(w, 64<<10)
 	m := g.UndirectedM()
 	if directed {
-		dirFlag = 1
 		m = g.M()
 	}
-	if _, err := fmt.Fprintf(bw, "# pushpull %d %d %d %d\n", g.N(), m, weighted, dirFlag); err != nil {
+	line := append(make([]byte, 0, 64), "# pushpull "...)
+	line = strconv.AppendInt(line, int64(g.N()), 10)
+	line = append(line, ' ')
+	line = strconv.AppendInt(line, m, 10)
+	line = append(line, ' ', flag(g.Weighted()), ' ', flag(directed), '\n')
+	if _, err := bw.Write(line); err != nil {
 		return err
 	}
 	for v := V(0); v < g.NumV; v++ {
@@ -47,18 +67,28 @@ func WriteEdgeListKind(w io.Writer, g *CSR, directed bool) error {
 			if !directed && u < v {
 				continue // emit each undirected edge once
 			}
-			var err error
+			line = strconv.AppendInt(line[:0], int64(v), 10)
+			line = append(line, ' ')
+			line = strconv.AppendInt(line, int64(u), 10)
 			if ws != nil {
-				_, err = fmt.Fprintf(bw, "%d %d %g\n", v, u, ws[i])
-			} else {
-				_, err = fmt.Fprintf(bw, "%d %d\n", v, u)
+				line = append(line, ' ')
+				line = strconv.AppendFloat(line, float64(ws[i]), 'g', -1, 32)
 			}
-			if err != nil {
+			line = append(line, '\n')
+			if _, err := bw.Write(line); err != nil {
 				return err
 			}
 		}
 	}
 	return bw.Flush()
+}
+
+// flag is a header flag's digit.
+func flag(on bool) byte {
+	if on {
+		return '1'
+	}
+	return '0'
 }
 
 // ReadEdgeList parses the format written by WriteEdgeList, restoring the
@@ -74,44 +104,53 @@ func ReadEdgeList(r io.Reader) (*CSR, error) {
 // ReadEdgeListKind is ReadEdgeList, additionally reporting whether the
 // header declared the graph directed.
 func ReadEdgeListKind(r io.Reader) (*CSR, bool, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	if !sc.Scan() {
+	br := bufio.NewReaderSize(r, lineMax)
+	text, err := readLine(br)
+	if err == io.EOF {
 		return nil, false, fmt.Errorf("graph: empty input")
 	}
-	header := strings.Fields(sc.Text())
-	if len(header) < 4 || header[0] != "#" || header[1] != "pushpull" {
-		return nil, false, fmt.Errorf("graph: bad header %q", sc.Text())
+	if err != nil {
+		return nil, false, err
 	}
-	n, err := strconv.Atoi(header[2])
+	var hdr [6][]byte
+	header := hdr[:splitFields(text, hdr[:])]
+	if len(header) < 4 || string(header[0]) != "#" || string(header[1]) != "pushpull" {
+		return nil, false, fmt.Errorf("graph: bad header %q", text)
+	}
+	n, err := atoi(header[2])
 	if err != nil {
 		return nil, false, fmt.Errorf("graph: line 1: bad vertex count: %v", err)
 	}
 	if n < 0 || n > math.MaxInt32 {
 		return nil, false, fmt.Errorf("graph: line 1: vertex count %d out of range [0,%d]", n, math.MaxInt32)
 	}
-	directed := len(header) >= 6 && header[5] == "1"
+	directed := len(header) >= 6 && string(header[5]) == "1"
 	b := NewBuilder(n)
 	if directed {
 		b.Directed()
 	}
 	// A weighted graph stays weighted when it has no edge left to say so
 	// (its only edges were self-loops, which the builder drops).
-	b.weighted = len(header) >= 5 && header[4] == "1"
-	line := 1
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
+	b.weighted = len(header) >= 5 && string(header[4]) == "1"
+	var f [3][]byte
+	for line := 2; ; line++ {
+		text, err := readLine(br)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, false, err
+		}
+		fields := f[:splitFields(text, f[:])]
+		if len(fields) == 0 || fields[0][0] == '#' {
 			continue
 		}
-		fields := strings.Fields(text)
 		if len(fields) < 2 {
-			return nil, false, fmt.Errorf("graph: line %d: want 'u v [w]', got %q", line, text)
+			return nil, false, fmt.Errorf("graph: line %d: want 'u v [w]', got %q", line, bytes.TrimSpace(text))
 		}
 		var ends [2]V
 		for i, field := range fields[:2] {
-			x, err := strconv.Atoi(field)
+			x, err := atoi(field)
 			if err != nil {
 				return nil, false, fmt.Errorf("graph: line %d: %v", line, err)
 			}
@@ -121,19 +160,18 @@ func ReadEdgeListKind(r io.Reader) (*CSR, bool, error) {
 			}
 			ends[i] = V(x)
 		}
-		u, v := ends[0], ends[1]
-		if len(fields) >= 3 {
-			w, err := strconv.ParseFloat(fields[2], 32)
-			if err != nil {
-				return nil, false, fmt.Errorf("graph: line %d: %v", line, err)
-			}
-			b.AddEdgeW(u, v, float32(w))
-		} else {
-			b.AddEdge(u, v)
+		if len(fields) < 3 {
+			b.AddEdge(ends[0], ends[1])
+			continue
 		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, false, err
+		w, err := parseWeight(fields[2])
+		if err != nil {
+			return nil, false, fmt.Errorf("graph: line %d: %v", line, err)
+		}
+		if math.IsNaN(float64(w)) {
+			return nil, false, fmt.Errorf("graph: line %d: weight is NaN", line)
+		}
+		b.AddEdgeW(ends[0], ends[1], w)
 	}
 	g, err := b.Build()
 	if err != nil {
@@ -141,6 +179,95 @@ func ReadEdgeListKind(r io.Reader) (*CSR, bool, error) {
 	}
 	return g, directed, nil
 }
+
+// readLine returns br's next line without its "\n" and one '\r' before
+// it, as bufio.ScanLines cuts lines, and io.EOF once no byte is left. The
+// line aliases br's buffer until the next read.
+func readLine(br *bufio.Reader) ([]byte, error) {
+	line, err := br.ReadSlice('\n')
+	switch {
+	case err == bufio.ErrBufferFull:
+		return nil, bufio.ErrTooLong
+	case err == io.EOF && len(line) > 0:
+		// The last line has no newline.
+	case err != nil:
+		return nil, err
+	default:
+		line = line[:len(line)-1]
+	}
+	if len(line) > 0 && line[len(line)-1] == '\r' {
+		line = line[:len(line)-1]
+	}
+	return line, nil
+}
+
+// isSpace reports whether c is one of the six ASCII whitespace bytes
+// strings.Fields splits ASCII text on: '\t', '\n', '\v', '\f', '\r', ' '.
+func isSpace(c byte) bool { return c == ' ' || c-'\t' <= '\r'-'\t' }
+
+// splitFields stores the first len(out) whitespace-separated fields of
+// line in out, in place, and returns how many it stored.
+func splitFields(line []byte, out [][]byte) int {
+	k, i := 0, 0
+	for k < len(out) {
+		for i < len(line) && isSpace(line[i]) {
+			i++
+		}
+		if i == len(line) {
+			break
+		}
+		j := i
+		for j < len(line) && !isSpace(line[j]) {
+			j++
+		}
+		out[k] = line[i:j]
+		k++
+		i = j
+	}
+	return k
+}
+
+// atoi parses a decimal integer: up to 18 plain digits, which cannot
+// overflow, by hand, and anything else (a sign, more digits, a stray
+// byte) through strconv.Atoi, so values and errors are Atoi's.
+func atoi(f []byte) (int, error) {
+	if len(f) <= 18 {
+		if x, ok := digits(f); ok {
+			return x, nil
+		}
+	}
+	return strconv.Atoi(aliasString(f))
+}
+
+// parseWeight parses a float32 weight: an integer of up to 7 digits,
+// which a float32 holds exactly, by hand, and anything else through
+// strconv.ParseFloat, so values and errors are ParseFloat's.
+func parseWeight(f []byte) (float32, error) {
+	if len(f) <= 7 {
+		if x, ok := digits(f); ok {
+			return float32(x), nil
+		}
+	}
+	w, err := strconv.ParseFloat(aliasString(f), 32)
+	return float32(w), err
+}
+
+// digits is the value of f when every byte of it is a decimal digit.
+func digits(f []byte) (x int, ok bool) {
+	for _, c := range f {
+		d := c - '0'
+		if d > 9 {
+			return 0, false
+		}
+		x = x*10 + int(d)
+	}
+	return x, true
+}
+
+// aliasString views f as a string without copying it. The string is
+// only handed to strconv, whose results and errors keep no reference to
+// it (a NumError holds a clone).
+func aliasString(f []byte) string { return unsafe.String(unsafe.SliceData(f), len(f)) }
 
 // symmetricWithWeights reports whether every stored arc has its reverse
 // with an equal weight — i.e. whether the CSR is losslessly representable

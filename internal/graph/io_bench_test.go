@@ -1,0 +1,48 @@
+package graph_test
+
+import (
+	"bytes"
+	"io"
+	"testing"
+
+	"pushpull/internal/gen"
+	"pushpull/internal/graph"
+)
+
+// edgeListBody is the weighted rmat graph at suite scale 1 (n = 2^16,
+// ≈0.96 M arcs, the graph every upload carries) as a directed edge list.
+func edgeListBody(b *testing.B) (*graph.CSR, []byte) {
+	g, err := gen.NamedWeighted("rmat", 1, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := graph.WriteEdgeListKind(&buf, g, true); err != nil {
+		b.Fatal(err)
+	}
+	return g, buf.Bytes()
+}
+
+func BenchmarkReadEdgeList(b *testing.B) {
+	_, body := edgeListBody(b)
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := graph.ReadEdgeListKind(bytes.NewReader(body)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkWriteEdgeList(b *testing.B) {
+	g, body := edgeListBody(b)
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := graph.WriteEdgeListKind(io.Discard, g, true); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

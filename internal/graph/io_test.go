@@ -6,11 +6,17 @@ package graph
 // undirected.
 
 import (
+	"bufio"
 	"bytes"
+	"fmt"
+	"io"
 	"math"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
+
+	"pushpull/internal/rng"
 )
 
 // sameCSR compares structure and weights exactly.
@@ -215,14 +221,9 @@ func TestBuildRejectsBadVertexCount(t *testing.T) {
 // FuzzReadEdgeList: whatever the body, the reader either refuses it or
 // yields a valid CSR that survives a write/read round trip unchanged.
 func FuzzReadEdgeList(f *testing.F) {
-	for _, body := range hostileEdgeLists {
+	for _, body := range roundTripSeeds {
 		f.Add(body)
 	}
-	f.Add("# pushpull 3 2 0\n# comment\n\n0 1\n1 2\n")
-	f.Add("# pushpull 4 3 1 1\n0 1 2.5\n1 0 3\n2 2 1\n")
-	f.Add("# pushpull 3 2 1 0\n0 1 5\n0 1 7\n")
-	f.Add("# pushpull 1 0 1 0\n0 0 0\n") // weighted, every edge a dropped self-loop
-	f.Add("# pushpull 0 0")              // a header with no flags
 	f.Fuzz(func(t *testing.T, body string) {
 		if n, ok := headerCount(body); ok && n > 1<<16 {
 			t.Skip("a valid header this large allocates O(n) before any edge")
@@ -258,4 +259,349 @@ func headerCount(body string) (int, bool) {
 	}
 	n, err := strconv.Atoi(fields[2])
 	return n, err == nil
+}
+
+// oracleReadEdgeListKind is the straightforward reader ReadEdgeListKind
+// must agree with on ASCII input: a Scanner, TrimSpace and Fields per
+// line, strconv for every number, and a NaN weight refused.
+func oracleReadEdgeListKind(r io.Reader) (*CSR, bool, error) {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	if !sc.Scan() {
+		return nil, false, fmt.Errorf("graph: empty input")
+	}
+	header := strings.Fields(sc.Text())
+	if len(header) < 4 || header[0] != "#" || header[1] != "pushpull" {
+		return nil, false, fmt.Errorf("graph: bad header %q", sc.Text())
+	}
+	n, err := strconv.Atoi(header[2])
+	if err != nil {
+		return nil, false, fmt.Errorf("graph: line 1: bad vertex count: %v", err)
+	}
+	if n < 0 || n > math.MaxInt32 {
+		return nil, false, fmt.Errorf("graph: line 1: vertex count %d out of range [0,%d]", n, math.MaxInt32)
+	}
+	directed := len(header) >= 6 && header[5] == "1"
+	b := NewBuilder(n)
+	if directed {
+		b.Directed()
+	}
+	b.weighted = len(header) >= 5 && header[4] == "1"
+	line := 1
+	for sc.Scan() {
+		line++
+		text := strings.TrimSpace(sc.Text())
+		if text == "" || strings.HasPrefix(text, "#") {
+			continue
+		}
+		fields := strings.Fields(text)
+		if len(fields) < 2 {
+			return nil, false, fmt.Errorf("graph: line %d: want 'u v [w]', got %q", line, text)
+		}
+		var ends [2]V
+		for i, field := range fields[:2] {
+			x, err := strconv.Atoi(field)
+			if err != nil {
+				return nil, false, fmt.Errorf("graph: line %d: %v", line, err)
+			}
+			if x < 0 || x >= n {
+				return nil, false, fmt.Errorf("graph: line %d: vertex %d out of range [0,%d)", line, x, n)
+			}
+			ends[i] = V(x)
+		}
+		u, v := ends[0], ends[1]
+		if len(fields) >= 3 {
+			w, err := strconv.ParseFloat(fields[2], 32)
+			if err != nil {
+				return nil, false, fmt.Errorf("graph: line %d: %v", line, err)
+			}
+			if math.IsNaN(w) {
+				return nil, false, fmt.Errorf("graph: line %d: weight is NaN", line)
+			}
+			b.AddEdgeW(u, v, float32(w))
+		} else {
+			b.AddEdge(u, v)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return nil, false, err
+	}
+	g, err := b.Build()
+	if err != nil {
+		return nil, false, err
+	}
+	return g, directed, nil
+}
+
+var lineRE = regexp.MustCompile(`line (\d+):`)
+
+// errLine is the line number an error names, or 0.
+func errLine(err error) int {
+	m := lineRE.FindStringSubmatch(err.Error())
+	if m == nil {
+		return 0
+	}
+	n, _ := strconv.Atoi(m[1])
+	return n
+}
+
+// roundTripSeeds are FuzzReadEdgeList's starting bodies.
+var roundTripSeeds = append(hostileEdgeLists[:len(hostileEdgeLists):len(hostileEdgeLists)],
+	"# pushpull 3 2 0\n# comment\n\n0 1\n1 2\n",
+	"# pushpull 4 3 1 1\n0 1 2.5\n1 0 3\n2 2 1\n",
+	"# pushpull 3 2 1 0\n0 1 5\n0 1 7\n",
+	"# pushpull 1 0 1 0\n0 0 0\n", // weighted, every edge a dropped self-loop
+	"# pushpull 0 0",              // a header with no flags
+)
+
+// readerSeeds are FuzzReadEdgeListOracle's: the round-trip seeds plus
+// bodies that exercise each rule of the format.
+var readerSeeds = append(roundTripSeeds[:len(roundTripSeeds):len(roundTripSeeds)],
+	"# pushpull 3 2 1 0\r\n0\t1 -0\r\n\v1 2 +Inf \f\r\n #c\n2 1\n",
+	"# pushpull 3 2 1 1\n0 1 1e-45\n1 2 0x1p-3\n2 0 NaN\n",
+	"# pushpull 4 1 0 0\n0 +3\n0 0003\n1 1_0\n",
+	"# pushpull 4 1 1 0\n0 1 9999999\n1 2 12345678\n2 3 1e39\n",
+)
+
+// FuzzReadEdgeListOracle: on ASCII bodies the reader and the oracle agree
+// on accepting or refusing, on the line a refusal names, on the kind and
+// on the graph.
+func FuzzReadEdgeListOracle(f *testing.F) {
+	for _, body := range readerSeeds {
+		f.Add(body)
+	}
+	f.Fuzz(func(t *testing.T, body string) {
+		for i := 0; i < len(body); i++ {
+			if body[i] >= 0x80 {
+				t.Skip("Unicode spaces separate fields for the oracle only")
+			}
+		}
+		if n, ok := headerCount(body); ok && n > 1<<16 {
+			t.Skip("a valid header this large allocates O(n) before any edge")
+		}
+		g, directed, err := ReadEdgeListKind(strings.NewReader(body))
+		og, odirected, oerr := oracleReadEdgeListKind(strings.NewReader(body))
+		if (err == nil) != (oerr == nil) {
+			t.Fatalf("reader err = %v, oracle err = %v", err, oerr)
+		}
+		if err != nil {
+			if errLine(err) != errLine(oerr) {
+				t.Fatalf("reader refuses %q, oracle %q", err, oerr)
+			}
+			return
+		}
+		if directed != odirected {
+			t.Fatalf("directed %v, oracle %v", directed, odirected)
+		}
+		sameCSR(t, g, og)
+	})
+}
+
+// TestReadEdgeListMatchesOracle runs the differential check on the seeds
+// and on a written rmat-like list, lines in their written order and
+// reversed (so every row needs the builder's sort).
+func TestReadEdgeListMatchesOracle(t *testing.T) {
+	for _, body := range readerSeeds {
+		_, _, err := ReadEdgeListKind(strings.NewReader(body))
+		_, _, oerr := oracleReadEdgeListKind(strings.NewReader(body))
+		if (err == nil) != (oerr == nil) || err != nil && err.Error() != oerr.Error() {
+			t.Errorf("%q: reader err = %v, oracle err = %v", body, err, oerr)
+		}
+	}
+	for _, directed := range []bool{false, true} {
+		var buf bytes.Buffer
+		if err := WriteEdgeListKind(&buf, randomWeighted(500, 4000, 3), directed); err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+		for i, j := 1, len(lines)-1; i < j; i, j = i+1, j-1 {
+			lines[i], lines[j] = lines[j], lines[i]
+		}
+		for _, body := range []string{buf.String(), strings.Join(lines, "\n")} {
+			g, d, err := ReadEdgeListKind(strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			og, od, err := oracleReadEdgeListKind(strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d != od || d != directed {
+				t.Fatalf("directed %v, oracle %v, written %v", d, od, directed)
+			}
+			sameCSR(t, g, og)
+		}
+	}
+}
+
+// randomWeighted is a weighted undirected graph with m random edges
+// (duplicates merged, loops dropped) whose weights include fractions.
+func randomWeighted(n, m int, seed uint64) *CSR {
+	b := NewBuilder(n)
+	r := rng.New(seed)
+	for i := 0; i < m; i++ {
+		b.AddEdgeW(V(r.Intn(n)), V(r.Intn(n)), float32(r.Intn(1000))/8)
+	}
+	return b.MustBuild()
+}
+
+// TestReadEdgeListLineRules pins the format rules the doc comment states.
+func TestReadEdgeListLineRules(t *testing.T) {
+	for _, c := range []struct{ body, want string }{
+		{"# pushpull 3 1 1 0\n0 1 NaN\n", "line 2: weight is NaN"},
+		{"# pushpull 3 1 1 0\n# c\n0 1 nan\n", "line 3: weight is NaN"},
+		{"# pushpull 3 1 0 0\n0\u00a01\n", "line 2: want 'u v [w]'"},
+		{"# pushpull 3 1 0 0\n0 1\u00a0\n", "line 2: strconv.Atoi"},
+		{"# pushpull 3 1 0 0\n0\u00851\n", "line 2: want 'u v [w]'"},
+		{"# pushpull 3 1 0 0\n" + strings.Repeat(" ", lineMax) + "0 1\n", bufio.ErrTooLong.Error()},
+	} {
+		_, _, err := ReadEdgeListKind(strings.NewReader(c.body))
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%.40q: err = %v, want one containing %q", c.body, err, c.want)
+		}
+	}
+	long := "# pushpull 3 1 0 0\n0 1" + strings.Repeat(" ", lineMax-5) + "\r\n"
+	if g, err := ReadEdgeList(strings.NewReader(long)); err != nil || g.UndirectedM() != 1 {
+		t.Fatalf("a line of exactly %d bytes: err = %v", lineMax, err)
+	}
+}
+
+// TestEdgeListZeroAndInfWeights: an explicit zero weight reads back as
+// zero, not 1, as do -0, +Inf and the smallest subnormal, and a
+// weightless line in a weighted list reads as 1.
+func TestEdgeListZeroAndInfWeights(t *testing.T) {
+	g, err := ReadEdgeList(strings.NewReader("# pushpull 4 3 1 0\n0 1 0\n1 2 2\n2 3\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fmt.Sprint(g.Weights), "[0 0 2 2 1 1]"; got != want {
+		t.Fatalf("weights %s, want %s", got, want)
+	}
+	b := NewBuilder(4).Directed()
+	b.AddEdgeW(0, 1, 0)
+	b.AddEdgeW(1, 2, float32(math.Copysign(0, -1)))
+	b.AddEdgeW(2, 3, float32(math.Inf(1)))
+	b.AddEdgeW(3, 0, 1e-45)
+	g = b.MustBuild()
+	var buf bytes.Buffer
+	if err := WriteEdgeList(&buf, g); err != nil {
+		t.Fatal(err)
+	}
+	back, err := ReadEdgeList(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameCSR(t, back, g)
+}
+
+// fmtWriteEdgeListKind is the format written with fmt: one Fprintf per
+// arc, the oracle WriteEdgeListKind must match byte for byte.
+func fmtWriteEdgeListKind(w io.Writer, g *CSR, directed bool) {
+	weighted, dirFlag, m := 0, 0, g.UndirectedM()
+	if g.Weighted() {
+		weighted = 1
+	}
+	if directed {
+		dirFlag, m = 1, g.M()
+	}
+	fmt.Fprintf(w, "# pushpull %d %d %d %d\n", g.N(), m, weighted, dirFlag)
+	for v := V(0); v < g.NumV; v++ {
+		ws := g.NeighborWeights(v)
+		for i, u := range g.Neighbors(v) {
+			if !directed && u < v {
+				continue
+			}
+			if ws != nil {
+				fmt.Fprintf(w, "%d %d %g\n", v, u, ws[i])
+			} else {
+				fmt.Fprintf(w, "%d %d\n", v, u)
+			}
+		}
+	}
+}
+
+func TestWriteEdgeListMatchesFmt(t *testing.T) {
+	special := []float32{0, float32(math.Copysign(0, -1)), 1e-45, 1.0 / 3, 3.4028235e+38,
+		float32(math.Inf(1)), float32(math.NaN()), -2.5, 7, 16777216, 1e-7}
+	b := NewBuilder(len(special) + 1)
+	for i, w := range special {
+		b.AddEdgeW(V(i), V(i+1), w)
+	}
+	weighted := b.MustBuild()
+	unweighted := NewBuilder(1000)
+	for i := 0; i < 999; i++ {
+		unweighted.AddEdge(V(i), V((i*7+13)%1000))
+	}
+	for name, g := range map[string]*CSR{
+		"special weights":   weighted,
+		"random weighted":   randomWeighted(300, 2000, 5),
+		"unweighted":        unweighted.MustBuild(),
+		"directed weighted": randomDirected(300, 2000, 9),
+	} {
+		for _, directed := range []bool{false, true} {
+			var got, want bytes.Buffer
+			if err := WriteEdgeListKind(&got, g, directed); err != nil {
+				t.Fatal(err)
+			}
+			fmtWriteEdgeListKind(&want, g, directed)
+			if !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Errorf("%s, directed %v: output differs from fmt's", name, directed)
+			}
+		}
+	}
+}
+
+// randomDirected is randomWeighted with arcs kept one way.
+func randomDirected(n, m int, seed uint64) *CSR {
+	g := randomWeighted(n, m, seed)
+	b := NewBuilder(n).Directed()
+	for v := V(0); v < g.NumV; v++ {
+		ws := g.NeighborWeights(v)
+		for i, u := range g.Neighbors(v) {
+			if (u+v)%3 != 0 {
+				b.AddEdgeW(v, u, ws[i]+float32(v))
+			}
+		}
+	}
+	return b.MustBuild()
+}
+
+// TestEdgeListAllocs pins the codec's allocations: the writer's do not
+// depend on the arc count, and the reader's grow with it only by the
+// edge slice's growth.
+func TestEdgeListAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation counts under -short are not the point")
+	}
+	bodies := map[int][]byte{}
+	writes := map[int]float64{}
+	for _, m := range []int{10_000, 100_000} {
+		g := randomWeighted(m/4, m, 7)
+		var buf bytes.Buffer
+		if err := WriteEdgeListKind(&buf, g, true); err != nil {
+			t.Fatal(err)
+		}
+		bodies[m] = buf.Bytes()
+		// Twenty runs, so that a stray allocation elsewhere in the
+		// process (the race runtime's, say) averages away.
+		writes[m] = testing.AllocsPerRun(20, func() {
+			if err := WriteEdgeListKind(io.Discard, g, true); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if writes[10_000] != writes[100_000] || writes[100_000] > 2 {
+		t.Errorf("writer allocations %v at 10k arcs, %v at 100k: want one constant ≤ 2 (the bufio.Writer and its buffer)", writes[10_000], writes[100_000])
+	}
+	reads := map[int]float64{}
+	for m, body := range bodies {
+		reads[m] = testing.AllocsPerRun(3, func() {
+			if _, _, err := ReadEdgeListKind(bytes.NewReader(body)); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if d := reads[100_000] - reads[10_000]; d < 0 || d > 32 {
+		t.Errorf("reader allocations %v at 10k lines, %v at 100k: want them within 32", reads[10_000], reads[100_000])
+	}
 }

@@ -7,8 +7,9 @@ import "unsafe"
 // offsets; a graph that passed Check has every offset and arc id in
 // range, so those checks can never fail there (BenchmarkGatherProbeForms
 // in internal/algo/pr times the loop with and without them). These
-// helpers, block.go's casts and nothing else in the tree use package
-// unsafe; each caller must hold a checked graph (or a block whose ids
+// helpers, block.go's casts and io.go's aliasString (a field handed to
+// strconv without a copy) are the tree's only uses of package unsafe;
+// each caller of these must hold a checked graph (or a block whose ids
 // Load checked) and vectors of length N. The pointer arithmetic is
 // written as unsafe.Pointer(uintptr(p) + off), the form -race's checkptr
 // instruments.

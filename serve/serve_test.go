@@ -281,6 +281,29 @@ func TestServeSSSPDelta(t *testing.T) {
 	postRun(t, ts, `{"graph": "wrmat", "algorithm": "sssp"}`, http.StatusOK)
 }
 
+// TestServeSSSPWeightDomain: an upload with a NaN weight is refused at
+// PUT naming its line, and sssp on a graph with a negative weight answers
+// 400 naming the arc, not a push that runs until the request's deadline
+// or a pull that answers 200 with wrong distances.
+func TestServeSSSPWeightDomain(t *testing.T) {
+	ts, _ := newTestServer(t)
+	status, raw, _ := httpJob(t, http.MethodPut, ts.URL+"/graphs/nan", "# pushpull 3 2 1 0\n0 1 NaN\n1 2 2\n")
+	if status != http.StatusBadRequest || !strings.Contains(string(raw), "line 2") {
+		t.Errorf("PUT with a NaN weight: %d %s, want 400 naming line 2", status, raw)
+	}
+	b := pushpull.NewBuilder(3)
+	b.AddEdgeW(0, 1, -5)
+	b.AddEdgeW(1, 2, 2)
+	uploadGraph(t, ts, "neg", pushpull.Weighted(b.MustBuild()))
+	for _, dir := range []string{"push", "pull", "auto"} {
+		body := fmt.Sprintf(`{"graph": "neg", "algorithm": "sssp", "options": {"direction": %q, "timeout_ms": 5000}}`, dir)
+		status, raw, _ := httpJob(t, http.MethodPost, ts.URL+"/run", body)
+		if status != http.StatusBadRequest || !strings.Contains(string(raw), "arc (0,1)") {
+			t.Errorf("POST /run %s: %d %s, want 400 naming arc (0,1)", body, status, raw)
+		}
+	}
+}
+
 // TestServeSSSPUnreachable: sssp distances include +Inf for unreached
 // vertices, which must encode as JSON null (regression: encoding/json
 // rejects non-finite floats outright, which used to truncate the
