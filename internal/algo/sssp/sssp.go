@@ -81,7 +81,8 @@ func (o *Options) delta(g *graph.CSR) (float64, *View) {
 	case o.View != nil:
 		return o.View.delta, o.View
 	}
-	return heuristicDelta(g), nil
+	d, _ := scanWeights(g)
+	return d, nil
 }
 
 // View is the Δ-stepping state the runs on one graph share at the
@@ -158,17 +159,11 @@ type Result struct {
 // run stops with OverBudget instead.
 func bucketBudget(g *graph.CSR) float64 { return float64(g.N()) + float64(g.M()) }
 
-// heuristicDelta is the standard Δ, max-weight/d̄: one pass over the
-// weights.
-func heuristicDelta(g *graph.CSR) float64 {
-	delta, _ := scanWeights(g)
-	return delta
-}
-
-// scanWeights returns the heuristic Δ and the index of the first weight
-// that is negative or NaN, or -1, from one pass over the weights. The
-// largest weight is the largest finite one: an arc of weight +Inf lowers
-// no distance, and the bucket arithmetic needs a finite Δ.
+// scanWeights returns the standard heuristic Δ, max-weight/d̄, and the
+// index of the first weight that is negative or NaN, or -1, from one pass
+// over the weights. The largest weight is the largest finite one: an arc
+// of weight +Inf lowers no distance, and the bucket arithmetic needs a
+// finite Δ.
 func scanWeights(g *graph.CSR) (delta float64, bad int64) {
 	var maxW float32 = 1
 	bad = -1

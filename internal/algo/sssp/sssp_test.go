@@ -173,7 +173,7 @@ func TestDeltaBudget(t *testing.T) {
 				t.Errorf("%s Δ=%g: ran to completion past the bucket budget", name, delta)
 			}
 		}
-		opt := Options{Delta: heuristicDelta(g) / 2}
+		opt := Options{Delta: NewView(g).delta / 2}
 		opt.Threads = 2
 		res := run(opt)
 		if res.OverBudget {

@@ -117,7 +117,7 @@ func ReadEdgeListKind(r io.Reader) (*CSR, bool, error) {
 	if len(header) < 4 || string(header[0]) != "#" || string(header[1]) != "pushpull" {
 		return nil, false, fmt.Errorf("graph: bad header %q", text)
 	}
-	n, err := atoi(header[2])
+	n, err := strconv.Atoi(aliasString(header[2]))
 	if err != nil {
 		return nil, false, fmt.Errorf("graph: line 1: bad vertex count: %v", err)
 	}
@@ -150,7 +150,7 @@ func ReadEdgeListKind(r io.Reader) (*CSR, bool, error) {
 		}
 		var ends [2]V
 		for i, field := range fields[:2] {
-			x, err := atoi(field)
+			x, err := strconv.Atoi(aliasString(field))
 			if err != nil {
 				return nil, false, fmt.Errorf("graph: line %d: %v", line, err)
 			}
@@ -164,14 +164,14 @@ func ReadEdgeListKind(r io.Reader) (*CSR, bool, error) {
 			b.AddEdge(ends[0], ends[1])
 			continue
 		}
-		w, err := parseWeight(fields[2])
+		w, err := strconv.ParseFloat(aliasString(fields[2]), 32)
 		if err != nil {
 			return nil, false, fmt.Errorf("graph: line %d: %v", line, err)
 		}
-		if math.IsNaN(float64(w)) {
+		if math.IsNaN(w) {
 			return nil, false, fmt.Errorf("graph: line %d: weight is NaN", line)
 		}
-		b.AddEdgeW(ends[0], ends[1], w)
+		b.AddEdgeW(ends[0], ends[1], float32(w))
 	}
 	g, err := b.Build()
 	if err != nil {
@@ -225,43 +225,6 @@ func splitFields(line []byte, out [][]byte) int {
 		i = j
 	}
 	return k
-}
-
-// atoi parses a decimal integer: up to 18 plain digits, which cannot
-// overflow, by hand, and anything else (a sign, more digits, a stray
-// byte) through strconv.Atoi, so values and errors are Atoi's.
-func atoi(f []byte) (int, error) {
-	if len(f) <= 18 {
-		if x, ok := digits(f); ok {
-			return x, nil
-		}
-	}
-	return strconv.Atoi(aliasString(f))
-}
-
-// parseWeight parses a float32 weight: an integer of up to 7 digits,
-// which a float32 holds exactly, by hand, and anything else through
-// strconv.ParseFloat, so values and errors are ParseFloat's.
-func parseWeight(f []byte) (float32, error) {
-	if len(f) <= 7 {
-		if x, ok := digits(f); ok {
-			return float32(x), nil
-		}
-	}
-	w, err := strconv.ParseFloat(aliasString(f), 32)
-	return float32(w), err
-}
-
-// digits is the value of f when every byte of it is a decimal digit.
-func digits(f []byte) (x int, ok bool) {
-	for _, c := range f {
-		d := c - '0'
-		if d > 9 {
-			return 0, false
-		}
-		x = x*10 + int(d)
-	}
-	return x, true
 }
 
 // aliasString views f as a string without copying it. The string is
