@@ -38,11 +38,12 @@ type proxy struct {
 	client *http.Client
 }
 
-// do issues one request and slurps the reply. A non-nil error means the
-// worker was unreachable (connection refused/reset, timeout) — the
-// failover signal — while HTTP-level failures come back as statuses.
-func (p *proxy) do(ctx context.Context, method, url string, body []byte, epoch uint64) (*workerResponse, error) {
-	return p.send(ctx, method, url, body, epoch, false)
+// do issues one request, with hdr added to its headers, and slurps the
+// reply. A non-nil error means the worker was unreachable (connection
+// refused/reset, timeout) — the failover signal — while HTTP-level
+// failures come back as statuses.
+func (p *proxy) do(ctx context.Context, method, url string, body []byte, hdr http.Header) (*workerResponse, error) {
+	return p.send(ctx, method, url, body, hdr, false)
 }
 
 // stream is do for a reply that may be large: a 2xx body is left unread
@@ -50,10 +51,12 @@ func (p *proxy) do(ctx context.Context, method, url string, body []byte, epoch u
 // connection errors, the status, an error body (those are always read
 // whole) — is settled before the first payload byte moves.
 func (p *proxy) stream(ctx context.Context, method, url string, body []byte) (*workerResponse, error) {
-	return p.send(ctx, method, url, body, 0, true)
+	return p.send(ctx, method, url, body, nil, true)
 }
 
-func (p *proxy) send(ctx context.Context, method, url string, body []byte, epoch uint64, stream bool) (*workerResponse, error) {
+// send issues one request. A body goes as application/octet-stream
+// unless hdr names its type.
+func (p *proxy) send(ctx context.Context, method, url string, body []byte, hdr http.Header, stream bool) (*workerResponse, error) {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
@@ -62,11 +65,11 @@ func (p *proxy) send(ctx context.Context, method, url string, body []byte, epoch
 	if err != nil {
 		return nil, fmt.Errorf("cluster: building %s %s: %w", method, url, err)
 	}
-	if epoch > 0 {
-		req.Header.Set(serve.EpochHeader, strconv.FormatUint(epoch, 10))
-	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/octet-stream")
+	}
+	for k, v := range hdr {
+		req.Header[k] = v
 	}
 	resp, err := p.client.Do(req)
 	if err != nil {
@@ -84,15 +87,24 @@ func (p *proxy) send(ctx context.Context, method, url string, body []byte, epoch
 	return out, nil
 }
 
-// putGraph replicates an upload to one worker.
-func (p *proxy) putGraph(ctx context.Context, worker, name string, body []byte, epoch uint64) (*workerResponse, error) {
-	return p.do(ctx, http.MethodPut, worker+"/graphs/"+pathEscape(name), body, epoch)
+// putGraph replicates an upload to one worker: csr is the graph in the
+// binary CSR format, and id its content ID, which the worker checks.
+func (p *proxy) putGraph(ctx context.Context, worker, name string, csr []byte, id string, epoch uint64) (*workerResponse, error) {
+	hdr := epochHeader(epoch)
+	hdr.Set("Content-Type", serve.CSRContentType)
+	hdr.Set(serve.ContentIDHeader, id)
+	return p.do(ctx, http.MethodPut, worker+"/graphs/"+pathEscape(name), csr, hdr)
 }
 
 // deleteGraph propagates a delete (or a placement-change cleanup) to one
 // worker.
 func (p *proxy) deleteGraph(ctx context.Context, worker, name string, epoch uint64) (*workerResponse, error) {
-	return p.do(ctx, http.MethodDelete, worker+"/graphs/"+pathEscape(name), nil, epoch)
+	return p.do(ctx, http.MethodDelete, worker+"/graphs/"+pathEscape(name), nil, epochHeader(epoch))
+}
+
+// epochHeader is the header set that stamps a mutation with its epoch.
+func epochHeader(epoch uint64) http.Header {
+	return http.Header{serve.EpochHeader: {strconv.FormatUint(epoch, 10)}}
 }
 
 // run forwards a POST /run body to one worker; the reply is streamed.
@@ -103,12 +115,12 @@ func (p *proxy) run(ctx context.Context, worker string, body []byte) (*workerRes
 // submitJobs forwards a POST /jobs body (single spec or batch) to one
 // worker.
 func (p *proxy) submitJobs(ctx context.Context, worker string, body []byte) (*workerResponse, error) {
-	return p.do(ctx, http.MethodPost, worker+"/jobs", body, 0)
+	return p.do(ctx, http.MethodPost, worker+"/jobs", body, nil)
 }
 
 // jobStatus fetches one job's status view from the worker holding it.
 func (p *proxy) jobStatus(ctx context.Context, worker, id string) (*workerResponse, error) {
-	return p.do(ctx, http.MethodGet, worker+"/jobs/"+pathEscape(id), nil, 0)
+	return p.do(ctx, http.MethodGet, worker+"/jobs/"+pathEscape(id), nil, nil)
 }
 
 // jobResult fetches one job's stored run result; the reply is streamed.
@@ -118,18 +130,18 @@ func (p *proxy) jobResult(ctx context.Context, worker, id string) (*workerRespon
 
 // cancelJob propagates a DELETE /jobs/{id} to the worker holding it.
 func (p *proxy) cancelJob(ctx context.Context, worker, id string) (*workerResponse, error) {
-	return p.do(ctx, http.MethodDelete, worker+"/jobs/"+pathEscape(id), nil, 0)
+	return p.do(ctx, http.MethodDelete, worker+"/jobs/"+pathEscape(id), nil, nil)
 }
 
 // listJobs fetches one worker's job list; query carries the caller's
 // filter string ("" or "?state=...&batch=...").
 func (p *proxy) listJobs(ctx context.Context, worker, query string) (*workerResponse, error) {
-	return p.do(ctx, http.MethodGet, worker+"/jobs"+query, nil, 0)
+	return p.do(ctx, http.MethodGet, worker+"/jobs"+query, nil, nil)
 }
 
 // stats fetches one worker's GET /stats body.
 func (p *proxy) stats(ctx context.Context, worker string) (*workerResponse, error) {
-	return p.do(ctx, http.MethodGet, worker+"/stats", nil, 0)
+	return p.do(ctx, http.MethodGet, worker+"/stats", nil, nil)
 }
 
 // pathEscape keeps hostile graph names (slashes, dots, percent escapes)

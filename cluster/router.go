@@ -212,7 +212,10 @@ func (rt *Router) graphs(w http.ResponseWriter, r *http.Request) {
 
 func (rt *Router) putGraph(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, rt.cfg.MaxUpload))
+	// The text is parsed as it arrives, and hashed once, here: the
+	// replicas get the graph as a binary CSR, which they read at memory
+	// speed, check against the ID, and persist as it is.
+	wl, err := pushpull.ReadWorkload(http.MaxBytesReader(w, r.Body, rt.cfg.MaxUpload))
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
@@ -220,15 +223,15 @@ func (rt *Router) putGraph(w http.ResponseWriter, r *http.Request) {
 				fmt.Errorf("upload exceeds the router's %d-byte graph limit", rt.cfg.MaxUpload))
 			return
 		}
-		writeError(w, http.StatusBadRequest, fmt.Errorf("reading upload: %w", err))
-		return
-	}
-	wl, err := pushpull.ReadWorkload(bytes.NewReader(body))
-	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("parsing edge list: %w", err))
 		return
 	}
 	id := wl.ID()
+	var csr bytes.Buffer
+	if err := pushpull.WriteWorkloadCSR(&csr, wl); err != nil {
+		writeError(w, http.StatusInternalServerError, fmt.Errorf("encoding the parsed graph: %w", err))
+		return
+	}
 
 	// The fan-out below runs under the mutation lock by design (the
 	// catalog must agree with what the fleet converged on), so bound its
@@ -256,7 +259,7 @@ func (rt *Router) putGraph(w http.ResponseWriter, r *http.Request) {
 	epoch := rt.catalog.NextEpoch()
 
 	//pushpull:allow lockheld mutation fan-outs serialize on mutMu by design; bounded by MutateTimeout
-	acks := rt.fanPut(ctx, replicas, name, body, epoch)
+	acks := rt.fanPut(ctx, replicas, name, csr.Bytes(), id, epoch)
 	acked := make([]string, 0, len(replicas))
 	var firstErr error
 	for i, wkr := range replicas {
@@ -301,16 +304,17 @@ func (rt *Router) putGraph(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusCreated, pl)
 }
 
-// fanPut replicates one upload to every target concurrently; the result
-// slice holds nil per acknowledged worker, the failure otherwise.
-func (rt *Router) fanPut(ctx context.Context, targets []string, name string, body []byte, epoch uint64) []error {
+// fanPut replicates one upload, csr in the binary CSR format with content
+// ID id, to every target concurrently; the result slice holds nil per
+// acknowledged worker, the failure otherwise.
+func (rt *Router) fanPut(ctx context.Context, targets []string, name string, csr []byte, id string, epoch uint64) []error {
 	errs := make([]error, len(targets))
 	var wg sync.WaitGroup
 	for i, wkr := range targets {
 		wg.Add(1)
 		go func(i int, wkr string) {
 			defer wg.Done()
-			resp, err := rt.proxy.putGraph(ctx, wkr, name, body, epoch)
+			resp, err := rt.proxy.putGraph(ctx, wkr, name, csr, id, epoch)
 			switch {
 			case err != nil:
 				rt.health.MarkDown(wkr)

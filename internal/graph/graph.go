@@ -7,8 +7,10 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -307,10 +309,12 @@ func (b *Builder) Build() (*CSR, error) {
 		lo, hi := deg[v], deg[v+1]
 		row := arcs[lo:hi]
 		// A strictly increasing row, the form every row of a written edge
-		// list arrives in, is already what the sort would make of it.
+		// list arrives in, is already what the sort would make of it. The
+		// sort is stable, so of duplicate arcs the first added is kept:
+		// both rows of an undirected edge listed twice keep the same weight.
 		for i := 1; i < len(row); i++ {
 			if row[i-1].v >= row[i].v {
-				sort.Slice(row, func(i, j int) bool { return row[i].v < row[j].v })
+				slices.SortStableFunc(row, func(a, b arc) int { return cmp.Compare(a.v, b.v) })
 				break
 			}
 		}

@@ -11,11 +11,14 @@
 //	GET    /healthz        liveness probe
 //	GET    /algorithms     the registry: name, description, caps
 //	GET    /graphs         registered workloads: name, n, m, kind, id
-//	PUT    /graphs/{name}  register a workload from an edge-list body
-//	                       (the WriteWorkload format; the header's kind
-//	                       flags — directed, weighted — are honored);
-//	                       persisted when the engine has a store attached,
-//	                       and overwriting a name with different content
+//	PUT    /graphs/{name}  register a workload from a text edge list (the
+//	                       WriteWorkload format) or, with Content-Type
+//	                       CSRContentType, a binary CSR (the
+//	                       WriteWorkloadCSR format a cluster router
+//	                       replicates); either header's kind flags —
+//	                       directed, weighted — are honored; persisted
+//	                       when the engine has a store attached, and
+//	                       overwriting a name with different content
 //	                       invalidates the old graph's cached results
 //	DELETE /graphs/{name}  drop a workload (registry, cache, and store)
 //	POST   /run            {"graph": ..., "algorithm": ..., "options": {...}}
@@ -32,6 +35,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"mime"
 	"net/http"
 	"strconv"
 	"sync"
@@ -55,6 +59,19 @@ const MaxGraphBytes = 1 << 30
 // latest mutation. Requests without the header (direct clients) bypass
 // the guard entirely.
 const EpochHeader = "X-Cluster-Epoch"
+
+// ContentIDHeader carries the content ID (Workload.ID) a cluster router
+// computed for the graph it replicates. A worker that gets it compares
+// it with the ID of the graph it decoded and refuses a mismatch with 400
+// naming both, so a replica never serves other content than the router's
+// catalog names.
+const ContentIDHeader = "X-Cluster-Content-ID"
+
+// CSRContentType is the media type of a PUT /graphs body in the binary
+// CSR format (pushpull.WriteWorkloadCSR), the form a cluster router
+// replicates uploads in. A body of any other accepted type is a text edge
+// list.
+const CSRContentType = "application/x-pushpull-csr"
 
 // Server is an http.Handler serving one Engine.
 type Server struct {
@@ -264,16 +281,50 @@ func (s *Server) putGraph(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	body := http.MaxBytesReader(w, r.Body, s.maxUpload)
-	wl, err := pushpull.ReadWorkload(body)
+	csr, err := isCSR(r.Header.Get("Content-Type"))
 	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("upload exceeds the server's %d-byte graph limit; split the graph or raise -max-upload", s.maxUpload))
+		writeError(w, http.StatusUnsupportedMediaType, err)
+		return
+	}
+	tooBig := func() {
+		writeError(w, http.StatusRequestEntityTooLarge,
+			fmt.Errorf("upload exceeds the server's %d-byte graph limit; split the graph or raise -max-upload", s.maxUpload))
+	}
+	if csr && r.ContentLength > s.maxUpload {
+		tooBig()
+		return
+	}
+	body := http.MaxBytesReader(w, r.Body, s.maxUpload)
+	var wl *pushpull.Workload
+	if csr {
+		// A declared length bounds what the header may claim, so a short
+		// body claiming a huge graph is refused before any allocation.
+		limit := s.maxUpload
+		if r.ContentLength >= 0 {
+			limit = min(limit, r.ContentLength)
+		}
+		wl, err = pushpull.ReadWorkloadCSR(body, limit)
+	} else {
+		wl, err = pushpull.ReadWorkload(body)
+	}
+	if err != nil {
+		var maxErr *http.MaxBytesError
+		if errors.As(err, &maxErr) {
+			tooBig()
 			return
 		}
-		writeError(w, http.StatusBadRequest, fmt.Errorf("parsing edge list: %w", err))
+		what := "edge list"
+		if csr {
+			what = "CSR body"
+		}
+		writeError(w, http.StatusBadRequest, fmt.Errorf("parsing %s: %w", what, err))
+		return
+	}
+	// The ID is memoized on the handle: registering it below costs no
+	// second hash.
+	if want := r.Header.Get(ContentIDHeader); want != "" && want != wl.ID() {
+		writeError(w, http.StatusBadRequest,
+			fmt.Errorf("content ID mismatch: the %s header names %s, the body hashes to %s", ContentIDHeader, want, wl.ID()))
 		return
 	}
 	if hasEpoch {
@@ -339,6 +390,28 @@ func (s *Server) deleteGraph(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
+}
+
+// isCSR reports whether a PUT /graphs Content-Type names the binary CSR
+// format. A missing type, and the types clients send a text edge list
+// as — text/plain, application/octet-stream (a generic byte stream), and
+// application/x-www-form-urlencoded (curl's default for --data-binary) —
+// name the text format; any other type is an error.
+func isCSR(contentType string) (bool, error) {
+	if contentType == "" {
+		return false, nil
+	}
+	mt, _, err := mime.ParseMediaType(contentType)
+	if err != nil {
+		return false, fmt.Errorf("bad Content-Type %q: %w", contentType, err)
+	}
+	switch mt {
+	case CSRContentType:
+		return true, nil
+	case "text/plain", "application/octet-stream", "application/x-www-form-urlencoded":
+		return false, nil
+	}
+	return false, fmt.Errorf("unsupported Content-Type %q: send a text edge list or %s", mt, CSRContentType)
 }
 
 // epochFrom parses the optional EpochHeader of a cluster-replicated

@@ -10,9 +10,8 @@ package pushpull
 //
 // Two implementations ship: MemStore (a map — the write-through contract
 // without durability, for tests and composition) and DiskStore (one
-// portable edge-list file per graph, the WriteWorkload format, so the
-// persisted state is human-readable and survives process and machine
-// restarts).
+// binary CSR file per graph, the WriteWorkloadCSR format, so a restart
+// restores a graph by reading its arrays back instead of parsing text).
 
 import (
 	"errors"
@@ -104,17 +103,26 @@ func (s *MemStore) Delete(name string) error {
 
 // ---- on-disk store ----
 
-// DiskStore persists each workload as one edge-list file under a
-// directory: <url.PathEscape(name)>.el in the WriteWorkload format, whose
-// header records the serialized graph kind (directedness, weights), so a
-// restored workload matches what the uploader registered — same content
-// ID, same capability validation — and any cached result computed before
-// the restart stays valid for it. The caveat is WriteWorkload's: an
-// AsWeighted claim on a weightless graph is not serialized, so a handle
-// registered programmatically with it restores without it — and with the
-// correspondingly different content ID. Workloads that arrived through ReadWorkload (every HTTP upload)
-// round-trip exactly. Writes are atomic (temp file + rename): a crash
+// DiskStore persists each workload as one file under a directory:
+// <url.PathEscape(name)>.csr in the binary CSR format of
+// WriteWorkloadCSR, whose header records the graph kind (directedness,
+// weights), so a restored workload matches what the uploader registered —
+// same content ID, same capability validation — and any cached result
+// computed before the restart stays valid for it. Restoring a graph
+// reads its arrays back and checks them (graph.ReadCSR); nothing is
+// parsed. The caveat is the format's: an AsWeighted claim on a weightless
+// graph is not serialized, so a handle registered programmatically with
+// it restores without it — and with the correspondingly different
+// content ID. Workloads that arrived through ReadWorkload or
+// ReadWorkloadCSR (every HTTP upload) round-trip exactly. A graph the
+// format refuses (a self-loop, a duplicated arc, an undirected graph
+// that differs from its transpose) fails Put instead of being persisted
+// as a different graph. Writes are atomic (temp file + rename): a crash
 // mid-Put leaves the previous content intact.
+//
+// Stores written before the CSR format hold <name>.el text edge lists in
+// the WriteWorkload format. Get still restores them, and the next Put of
+// the name replaces the file with a .csr one.
 //
 // With WithBlockThreshold, graphs above the threshold are persisted as
 // <name>.blk in the out-of-core block format instead and restore as pure
@@ -123,7 +131,7 @@ type DiskStore struct {
 	dir string
 	// blockThreshold: a Put whose estimated in-memory CSR footprint
 	// exceeds this many bytes is persisted in the block (out-of-core)
-	// format instead of the edge list; ≤ 0 never converts.
+	// format instead of the CSR format; ≤ 0 never converts.
 	blockThreshold int64
 	// blockBuffered opens restored block handles in buffered (ReadAt)
 	// mode instead of mmap.
@@ -133,20 +141,27 @@ type DiskStore struct {
 	mu sync.Mutex
 }
 
-// diskExt is the persisted-file suffix for edge-list graphs; blockExt is
-// the suffix for graphs persisted in the out-of-core block format. Put
-// writes exactly one of the two per name.
+// csrExt is the persisted-file suffix for in-memory graphs and blockExt
+// the suffix for graphs persisted in the out-of-core block format; Put
+// writes exactly one of the two per name. textExt is the suffix of the
+// text edge lists stores held before the CSR format, which Get still
+// reads and Put replaces.
 const (
-	diskExt  = ".el"
+	csrExt   = ".csr"
 	blockExt = ".blk"
+	textExt  = ".el"
 )
+
+// storeExts are every suffix a persisted name can have, in the order Get
+// looks for them.
+var storeExts = []string{blockExt, csrExt, textExt}
 
 // DiskOption configures NewDiskStore.
 type DiskOption func(*DiskStore)
 
 // WithBlockThreshold makes Put persist any workload whose estimated
 // in-memory CSR footprint (offsets + adjacency + weights) exceeds bytes
-// in the on-disk block format instead of the edge-list format. A graph
+// in the on-disk block format instead of the CSR format. A graph
 // persisted that way restores as a pure out-of-core handle
 // (OpenOutOfCoreWorkload): OutOfCore-capable algorithms stream it
 // block-sequentially off disk, and the process never materializes the
@@ -180,17 +195,13 @@ func NewDiskStore(dir string, opts ...DiskOption) (*DiskStore, error) {
 // Dir returns the store's root directory.
 func (s *DiskStore) Dir() string { return s.dir }
 
-// path maps a graph name onto its file. PathEscape makes the mapping
-// injective and filesystem-safe: separators and every other reserved byte
-// arrive percent-encoded, so no name can escape the store directory. A
-// leading dot is escaped by hand (PathEscape leaves it alone): dotfiles
-// are reserved for the store's own temp files, and a graph named
-// ".hidden" must not be mistaken for one and dropped by Names.
-func (s *DiskStore) path(name string) string { return s.pathExt(name, diskExt) }
-
-// blockPath is the name's file in the block (out-of-core) format.
-func (s *DiskStore) blockPath(name string) string { return s.pathExt(name, blockExt) }
-
+// pathExt maps a graph name onto its file with suffix ext. PathEscape
+// makes the mapping injective and filesystem-safe: separators and every
+// other reserved byte arrive percent-encoded, so no name can escape the
+// store directory. A leading dot is escaped by hand (PathEscape leaves
+// it alone): dotfiles are reserved for the store's own temp files, and a
+// graph named ".hidden" must not be mistaken for one and dropped by
+// Names.
 func (s *DiskStore) pathExt(name, ext string) string {
 	esc := url.PathEscape(name)
 	if strings.HasPrefix(esc, ".") {
@@ -208,9 +219,12 @@ func (s *DiskStore) Names() ([]string, error) {
 	var names []string
 	seen := map[string]bool{}
 	for _, e := range entries {
-		base, ok := strings.CutSuffix(e.Name(), diskExt)
-		if !ok {
-			base, ok = strings.CutSuffix(e.Name(), blockExt)
+		var base string
+		ok := false
+		for _, ext := range storeExts {
+			if base, ok = strings.CutSuffix(e.Name(), ext); ok {
+				break
+			}
 		}
 		if !ok || e.IsDir() || strings.HasPrefix(base, ".") {
 			// Temp files and foreign droppings. Persisted names never
@@ -222,7 +236,7 @@ func (s *DiskStore) Names() ([]string, error) {
 			return nil, fmt.Errorf("diskstore: undecodable file %q: %w", e.Name(), err)
 		}
 		if seen[name] {
-			continue // both formats present (interrupted Put): list once
+			continue // two formats present (interrupted Put): list once
 		}
 		seen[name] = true
 		names = append(names, name)
@@ -234,21 +248,34 @@ func (s *DiskStore) Names() ([]string, error) {
 // Get implements GraphStore. A name persisted in the block format comes
 // back as a pure out-of-core handle — the full CSR is never materialized,
 // which is the point of WithBlockThreshold: a restart restores the big
-// graphs at the cost of an open fd each, not their memory.
+// graphs at the cost of an open fd each, not their memory. Otherwise the
+// .csr file is read, or, for a name no Put has rewritten since stores
+// held text, the legacy .el edge list.
 func (s *DiskStore) Get(name string) (*Workload, error) {
-	if bp := s.blockPath(name); fileExists(bp) {
+	if bp := s.pathExt(name, blockExt); fileExists(bp) {
 		w, err := OpenOutOfCoreWorkload(bp, s.blockOpts()...)
 		if err != nil {
 			return nil, fmt.Errorf("diskstore: %q: %w", name, err)
 		}
 		return w, nil
 	}
-	f, err := os.Open(s.path(name))
+	read := func(f *os.File) (*Workload, error) {
+		st, err := f.Stat()
+		if err != nil {
+			return nil, err
+		}
+		return ReadWorkloadCSR(f, st.Size())
+	}
+	f, err := os.Open(s.pathExt(name, csrExt))
+	if errors.Is(err, fs.ErrNotExist) {
+		read = func(f *os.File) (*Workload, error) { return ReadWorkload(f) }
+		f, err = os.Open(s.pathExt(name, textExt))
+	}
 	if err != nil {
 		return nil, fmt.Errorf("diskstore: %w", err)
 	}
 	defer f.Close()
-	w, err := ReadWorkload(f)
+	w, err := read(f)
 	if err != nil {
 		return nil, fmt.Errorf("diskstore: %q: %w", name, err)
 	}
@@ -261,7 +288,7 @@ func (s *DiskStore) Get(name string) (*Workload, error) {
 // uploaded in-memory workload to the on-disk view and let the upload's
 // CSR be collected.
 func (s *DiskStore) OutOfCoreHandle(name string) (*Workload, bool, error) {
-	bp := s.blockPath(name)
+	bp := s.pathExt(name, blockExt)
 	if !fileExists(bp) {
 		return nil, false, nil
 	}
@@ -285,7 +312,7 @@ func fileExists(path string) bool {
 }
 
 // Put implements GraphStore. The whole-graph serialization happens
-// before the store lock is taken — WriteWorkload walks every edge, and
+// before the store lock is taken — it writes every arc, and
 // holding the lock across it would stall every concurrent Get/Delete
 // behind one large upload. Only the atomic rename that publishes the
 // temp file runs under the lock, so concurrent Puts of one name still
@@ -293,13 +320,14 @@ func fileExists(path string) bool {
 //
 // With WithBlockThreshold set, a workload whose estimated CSR footprint
 // exceeds the threshold is written in the block format instead; the
-// rename also removes the other format's stale file, so a name is always
-// stored exactly one way. Re-putting a pure out-of-core handle that this
-// store itself restored is a no-op — its block file IS the persisted
-// state; a pure handle from elsewhere cannot be serialized and errors.
+// rename also removes the other formats' stale files, a legacy .el edge
+// list included, so a name is always stored exactly one way.
+// Re-putting a pure out-of-core handle that this store itself restored
+// is a no-op — its block file IS the persisted state; a pure handle from
+// elsewhere cannot be serialized and errors.
 func (s *DiskStore) Put(name string, w *Workload) error {
 	if w != nil && w.Graph() == nil {
-		if fileExists(s.blockPath(name)) {
+		if fileExists(s.pathExt(name, blockExt)) {
 			return nil
 		}
 		return fmt.Errorf("diskstore: %q: cannot persist a pure out-of-core workload with no block file in this store", name)
@@ -309,10 +337,12 @@ func (s *DiskStore) Put(name string, w *Workload) error {
 	if err != nil {
 		return fmt.Errorf("diskstore: %w", err)
 	}
+	ext := csrExt
 	if asBlock {
+		ext = blockExt
 		err = w.writeBlockTo(tmp)
 	} else {
-		err = WriteWorkload(tmp, w)
+		err = WriteWorkloadCSR(tmp, w)
 	}
 	if err != nil {
 		tmp.Close()
@@ -323,18 +353,19 @@ func (s *DiskStore) Put(name string, w *Workload) error {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("diskstore: %q: %w", name, err)
 	}
-	dst, stale := s.path(name), s.blockPath(name)
-	if asBlock {
-		dst, stale = stale, dst
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := os.Rename(tmp.Name(), dst); err != nil {
+	if err := os.Rename(tmp.Name(), s.pathExt(name, ext)); err != nil {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("diskstore: %q: %w", name, err)
 	}
-	if err := os.Remove(stale); err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return fmt.Errorf("diskstore: %q: dropping stale %s: %w", name, filepath.Ext(stale), err)
+	for _, stale := range storeExts {
+		if stale == ext {
+			continue
+		}
+		if err := os.Remove(s.pathExt(name, stale)); err != nil && !errors.Is(err, fs.ErrNotExist) {
+			return fmt.Errorf("diskstore: %q: dropping stale %s: %w", name, stale, err)
+		}
 	}
 	return nil
 }
@@ -351,12 +382,12 @@ func estimatedCSRBytes(w *Workload) int64 {
 	return b
 }
 
-// Delete implements GraphStore. Both formats are removed.
+// Delete implements GraphStore. Every format is removed.
 func (s *DiskStore) Delete(name string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, p := range []string{s.path(name), s.blockPath(name)} {
-		if err := os.Remove(p); err != nil && !errors.Is(err, fs.ErrNotExist) {
+	for _, ext := range storeExts {
+		if err := os.Remove(s.pathExt(name, ext)); err != nil && !errors.Is(err, fs.ErrNotExist) {
 			return fmt.Errorf("diskstore: %q: %w", name, err)
 		}
 	}

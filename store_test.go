@@ -8,8 +8,11 @@ package pushpull_test
 // propagate.
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -93,15 +96,15 @@ func TestDiskStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	storeRoundTrip(t, s)
-	// The persisted form is one sanitized edge-list file per graph: no
+	// The persisted form is one sanitized binary CSR file per graph: no
 	// name can smuggle a path separator past the escaping.
 	entries, err := os.ReadDir(s.Dir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, e := range entries {
-		if e.IsDir() || strings.ContainsAny(e.Name(), "/ ") || !strings.HasSuffix(e.Name(), ".el") {
-			t.Errorf("store file %q is not a flat sanitized .el file", e.Name())
+		if e.IsDir() || strings.ContainsAny(e.Name(), "/ ") || !strings.HasSuffix(e.Name(), ".csr") {
+			t.Errorf("store file %q is not a flat sanitized .csr file", e.Name())
 		}
 	}
 }
@@ -318,8 +321,8 @@ func TestDiskStoreBlockThreshold(t *testing.T) {
 		}
 	}
 	mustExist("big.blk", true)
-	mustExist("big.el", false)
-	mustExist("small.el", true)
+	mustExist("big.csr", false)
+	mustExist("small.csr", true)
 	mustExist("small.blk", false)
 
 	names, err := s.Names()
@@ -367,13 +370,13 @@ func TestDiskStoreBlockThreshold(t *testing.T) {
 	if err := s.Put("big", small); err != nil {
 		t.Fatal(err)
 	}
-	mustExist("big.el", true)
+	mustExist("big.csr", true)
 	mustExist("big.blk", false)
 	if err := s.Put("small", big); err != nil {
 		t.Fatal(err)
 	}
 	mustExist("small.blk", true)
-	mustExist("small.el", false)
+	mustExist("small.csr", false)
 	if names, err = s.Names(); err != nil || len(names) != 2 {
 		t.Fatalf("Names() after overwrites = %v, %v", names, err)
 	}
@@ -475,5 +478,120 @@ func TestEngineOutOfCoreSwapAndRestore(t *testing.T) {
 	}
 	if ok, err := eng2.DropWorkload("big"); !ok || err != nil {
 		t.Fatalf("drop: %v, %v", ok, err)
+	}
+}
+
+// TestDiskStoreRestoresLegacyEdgeList: a store written before the binary
+// CSR format holds <name>.el text edge lists. Get restores one with the ID
+// the text has always had, and the next Put of the name replaces it with
+// a .csr file, leaving the name listed once.
+func TestDiskStoreRestoresLegacyEdgeList(t *testing.T) {
+	const wantID = "w1223537e2a0c835e-n6"
+	fixture, err := os.ReadFile(filepath.Join("testdata", "legacy.el"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "legacy.el"), fixture, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := pushpull.NewDiskStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if names, err := s.Names(); err != nil || len(names) != 1 || names[0] != "legacy" {
+		t.Fatalf("Names() = %v, %v, want [legacy]", names, err)
+	}
+	w, err := s.Get("legacy")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w.ID() != wantID || !w.IsDirected() || !w.HasWeights() {
+		t.Fatalf("legacy graph restored as %s %s, want directed weighted %s", w.Kind(), w.ID(), wantID)
+	}
+	if err := s.Put("legacy", w); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "legacy.el")); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("re-Put left the legacy .el file: %v", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "legacy.csr")); err != nil {
+		t.Fatalf("re-Put wrote no .csr file: %v", err)
+	}
+	if names, err := s.Names(); err != nil || len(names) != 1 {
+		t.Fatalf("Names() after re-Put = %v, %v, want one entry", names, err)
+	}
+	if again, err := s.Get("legacy"); err != nil || again.ID() != wantID {
+		t.Fatalf("re-put graph restored as %v, %v, want %s", again, err, wantID)
+	}
+}
+
+// TestDiskStoreKeepsIDOfDuplicatedUndirectedEdge: an undirected edge
+// listed twice with different weights, in a row long enough that the
+// builder's sort is not an insertion sort, used to read back asymmetric,
+// so a store round trip changed the graph's content ID and a restored
+// worker disagreed with the router's catalog.
+func TestDiskStoreKeepsIDOfDuplicatedUndirectedEdge(t *testing.T) {
+	var text strings.Builder
+	text.WriteString("# pushpull 40 78 1 0\n")
+	for pass := 0; pass < 2; pass++ {
+		for v := 39; v >= 2; v-- {
+			fmt.Fprintf(&text, "0 %d 1\n", v)
+		}
+	}
+	text.WriteString("0 1 2\n1 0 3\n")
+	w, err := pushpull.ReadWorkload(strings.NewReader(text.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := pushpull.NewDiskStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put("dup", w); err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.Get("dup")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.ID() != w.ID() {
+		t.Fatalf("store round trip changed the ID: %s → %s", w.ID(), got.ID())
+	}
+}
+
+// TestWorkloadCSRKeepsID: the binary form restores every kind with the
+// content ID the text form gives, and refuses a graph the text reader
+// could not have produced instead of writing it.
+func TestWorkloadCSRKeepsID(t *testing.T) {
+	for _, w := range []*pushpull.Workload{
+		pushpull.NewWorkload(undirectedGraph(t, 200, 41)),
+		pushpull.Directed(directedGraph(t, 100, true), pushpull.AsWeighted()),
+		pushpull.Directed(directedGraph(t, 100, false)),
+	} {
+		var text, bin bytes.Buffer
+		if err := pushpull.WriteWorkload(&text, w); err != nil {
+			t.Fatal(err)
+		}
+		if err := pushpull.WriteWorkloadCSR(&bin, w); err != nil {
+			t.Fatal(err)
+		}
+		fromText, err := pushpull.ReadWorkload(&text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fromBin, err := pushpull.ReadWorkloadCSR(&bin, int64(bin.Len()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fromBin.ID() != w.ID() || fromBin.ID() != fromText.ID() || fromBin.Kind() != w.Kind() {
+			t.Fatalf("%s %s: binary gives %s %s, text %s", w.Kind(), w.ID(), fromBin.Kind(), fromBin.ID(), fromText.ID())
+		}
+	}
+	loops := pushpull.NewBuilder(3).KeepSelfLoops()
+	loops.AddEdge(1, 1)
+	if err := pushpull.WriteWorkloadCSR(io.Discard, pushpull.Directed(loops.MustBuild())); err == nil ||
+		!strings.Contains(err.Error(), "self-loop") {
+		t.Fatalf("WriteWorkloadCSR of a self-loop: %v", err)
 	}
 }

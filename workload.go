@@ -589,7 +589,31 @@ func WriteWorkload(dst io.Writer, w *Workload) error {
 // WriteEdgeList), restoring the recorded graph kind: the returned handle
 // is directed and/or weighted exactly as the written one was.
 func ReadWorkload(src io.Reader) (*Workload, error) {
-	g, directed, err := graph.ReadEdgeListKind(src)
+	return readKind(graph.ReadEdgeListKind(src))
+}
+
+// WriteWorkloadCSR serializes the workload in the binary CSR format
+// (graph.WriteCSR): its arrays as they are, with the kind in the header.
+// It refuses a graph the text reader could not have produced — one with
+// a self-loop, an unsorted or duplicated arc or a NaN weight, or an
+// undirected one that differs from its transpose.
+func WriteWorkloadCSR(dst io.Writer, w *Workload) error {
+	if w.g == nil {
+		return fmt.Errorf("pushpull: cannot serialize a pure out-of-core workload as a CSR (it lives in its block file)")
+	}
+	return graph.WriteCSR(dst, w.g, w.directed)
+}
+
+// ReadWorkloadCSR reads a workload written by WriteWorkloadCSR, refusing
+// a header whose sections need more than limit bytes before allocating
+// them. The handle has the kind, and so the content ID, that
+// ReadWorkload gives the same graph as text.
+func ReadWorkloadCSR(src io.Reader, limit int64) (*Workload, error) {
+	return readKind(graph.ReadCSR(src, limit))
+}
+
+// readKind wraps a graph read with its recorded kind.
+func readKind(g *graph.CSR, directed bool, err error) (*Workload, error) {
 	if err != nil {
 		return nil, err
 	}
