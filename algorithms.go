@@ -60,19 +60,6 @@ func init() {
 	}
 }
 
-// partitionProfileThreads resolves the simulated thread count of a probed
-// partition-based run (Boman coloring, Conflict-Removal): those
-// kernels run one worker per partition, so an explicit WithThreads that
-// disagrees with the partition count cannot be honored and errors instead
-// of being silently ignored.
-func partitionProfileThreads(algo string, cfg *Config, parts int) (int, error) {
-	if cfg.Threads > 0 && cfg.Threads != parts {
-		return 0, fmt.Errorf("pushpull: %s probes simulate one thread per partition (%d); WithThreads(%d) conflicts — drop it or set WithPartitions(%d)",
-			algo, parts, cfg.Threads, cfg.Threads)
-	}
-	return parts, nil
-}
-
 // coreTrace lifts a recorded per-iteration direction sequence (bfs and
 // sssp rounds, Frontier-Exploit — including mid-run Generic-Switch
 // flips) into the public trace.
@@ -385,15 +372,12 @@ func runGC(ctx context.Context, w *Workload, cfg *Config) (*Report, error) {
 	if ds != nil {
 		g = ds.G
 	}
-	part := NewPartition(g.N(), cfg.partitions(g.N()))
+	// One worker per partition, so the thread count is the partition count.
+	part := NewPartition(g.N(), cfg.effectiveThreads(g.N()))
 
 	if cfg.Probes {
-		t, tErr := partitionProfileThreads("gc", cfg, part.P)
-		if tErr != nil {
-			return nil, tErr
-		}
 		start := time.Now()
-		prof, grp := core.CountingProfile(t)
+		prof, grp := core.CountingProfile(part.P)
 		var res *gc.ProfiledResult
 		var err error
 		if dir == core.Push {
@@ -482,13 +466,9 @@ func runGCFE(ctx context.Context, w *Workload, cfg *Config) (*Report, error) {
 func runGCCR(ctx context.Context, w *Workload, cfg *Config) (*Report, error) {
 	g := w.Graph()
 	opt := gc.Options{Options: cfg.coreOptions(ctx), MaxIters: cfg.MaxIters}
-	part := NewPartition(g.N(), cfg.partitions(g.N()))
+	part := NewPartition(g.N(), cfg.effectiveThreads(g.N()))
 	if cfg.Probes {
-		t, tErr := partitionProfileThreads("gc-cr", cfg, part.P)
-		if tErr != nil {
-			return nil, tErr
-		}
-		prof, grp := core.CountingProfile(t)
+		prof, grp := core.CountingProfile(part.P)
 		res, err := gc.ConflictRemovalProfiled(g, part, opt, prof, nil)
 		if err != nil {
 			return nil, err

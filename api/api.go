@@ -43,7 +43,6 @@ type RunOptions struct {
 	Sources    []int    `json:"sources,omitempty"`
 	Delta      float64  `json:"delta,omitempty"`
 	Damping    *float64 `json:"damping,omitempty"`
-	Partitions int      `json:"partitions,omitempty"`
 	// TimeoutMS bounds the run server-side; the request context already
 	// cancels it when the client disconnects.
 	TimeoutMS int `json:"timeout_ms,omitempty"`
@@ -52,7 +51,8 @@ type RunOptions struct {
 // ToOptions lowers the JSON projection into the engine's functional
 // options, rejecting values no With* function would accept and values
 // the lowering could not carry exactly: a vertex id outside
-// [0, math.MaxInt32] or a timeout_ms too large for a time.Duration.
+// [0, math.MaxInt32] or a timeout_ms that is negative or too large for a
+// time.Duration.
 func (o *RunOptions) ToOptions() ([]pushpull.Option, error) {
 	var opts []pushpull.Option
 	switch o.Direction {
@@ -97,13 +97,11 @@ func (o *RunOptions) ToOptions() ([]pushpull.Option, error) {
 	if o.Damping != nil {
 		opts = append(opts, pushpull.WithDamping(*o.Damping))
 	}
-	if o.Partitions != 0 {
-		opts = append(opts, pushpull.WithPartitions(o.Partitions))
-	}
 	// The serving layers turn timeout_ms into a time.Duration of
-	// nanoseconds; past this bound that product wraps negative.
-	if time.Duration(o.TimeoutMS) > math.MaxInt64/time.Millisecond {
-		return nil, fmt.Errorf(`bad "timeout_ms" %d (at most %d)`, o.TimeoutMS, math.MaxInt64/time.Millisecond)
+	// nanoseconds; past this bound that product wraps negative. They
+	// apply it only when positive, so a negative one would mean none.
+	if o.TimeoutMS < 0 || time.Duration(o.TimeoutMS) > math.MaxInt64/time.Millisecond {
+		return nil, fmt.Errorf(`bad "timeout_ms" %d (0 means none, at most %d)`, o.TimeoutMS, math.MaxInt64/time.Millisecond)
 	}
 	return opts, nil
 }

@@ -11,9 +11,10 @@ import (
 	"pushpull"
 )
 
-// TestToOptionsRanges: a vertex id that does not fit pushpull.V and a
-// timeout_ms whose nanoseconds overflow are refused with an error naming
-// the field, instead of wrapping to vertex 0 or a negative timeout; the
+// TestToOptionsRanges: a vertex id that does not fit pushpull.V, a
+// negative timeout_ms and one whose nanoseconds overflow are refused with
+// an error naming the field, instead of wrapping to vertex 0 or running
+// with no timeout at all; the
 // largest values that do fit are accepted unchanged.
 func TestToOptionsRanges(t *testing.T) {
 	for _, c := range []struct {
@@ -26,6 +27,8 @@ func TestToOptionsRanges(t *testing.T) {
 		{`{"sources":[1,2,2147483648]}`, `"sources[2]"`},
 		{`{"timeout_ms":9223372036855}`, `"timeout_ms"`},
 		{`{"timeout_ms":9223372036854775807}`, `"timeout_ms"`},
+		{`{"timeout_ms":-1}`, `"timeout_ms"`},
+		{`{"timeout_ms":-9223372036854775808}`, `"timeout_ms"`},
 	} {
 		o := decodeOptions(t, c.body)
 		if _, err := o.ToOptions(); err == nil || !strings.Contains(err.Error(), c.field) {
@@ -69,7 +72,8 @@ func FuzzRunOptions(f *testing.F) {
 		`{"sources":[4294967296]}`,
 		`{"timeout_ms":9223372036855}`,
 		`{"direction":"pull","threads":4,"iterations":20,"max_iters":7,"source":3,"sources":[0,1,2],` +
-			`"delta":0.5,"damping":0.85,"partitions":8,"timeout_ms":100}`,
+			`"delta":0.5,"damping":0.85,"timeout_ms":100}`,
+		`{"timeout_ms":-1}`,
 		`{"direction":"sideways"}`,
 		`{}`,
 	} {
@@ -97,10 +101,12 @@ func FuzzRunOptions(f *testing.F) {
 		if d, ok := dir[o.Direction]; !ok || cfg.Direction != d {
 			t.Errorf("direction %q accepted as %v", o.Direction, cfg.Direction)
 		}
-		if cfg.Threads != o.Threads || cfg.Iterations != o.Iterations || cfg.MaxIters != o.MaxIters ||
-			cfg.Partitions != o.Partitions {
-			t.Errorf("counts %+v lowered to threads %d, iterations %d, max_iters %d, partitions %d",
-				o, cfg.Threads, cfg.Iterations, cfg.MaxIters, cfg.Partitions)
+		if cfg.Threads != o.Threads || cfg.Iterations != o.Iterations || cfg.MaxIters != o.MaxIters {
+			t.Errorf("counts %+v lowered to threads %d, iterations %d, max_iters %d",
+				o, cfg.Threads, cfg.Iterations, cfg.MaxIters)
+		}
+		if o.TimeoutMS < 0 {
+			t.Errorf("negative timeout_ms %d accepted", o.TimeoutMS)
 		}
 		if int(cfg.Source) != o.Source {
 			t.Errorf("source %d lowered to %d", o.Source, cfg.Source)

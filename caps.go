@@ -91,7 +91,7 @@ var (
 	// vertex range.
 	ErrBadSource = errors.New("source vertex out of range")
 	// ErrBadOption: an option carries a value outside its domain (negative
-	// WithThreads/WithPartitions, a negative, NaN or infinite
+	// WithThreads, a negative, NaN or infinite
 	// WithDelta, or a Δ so small that sssp would index more buckets than
 	// its budget). Zero always means "use the default"; negatives used to
 	// be clamped or to panic deep in a kernel and now fail at Run entry
@@ -127,8 +127,6 @@ func validateOptions(cfg *Config) error {
 	switch {
 	case cfg.Threads < 0:
 		return fmt.Errorf("pushpull: WithThreads(%d): %w (0 means GOMAXPROCS)", cfg.Threads, ErrBadOption)
-	case cfg.Partitions < 0:
-		return fmt.Errorf("pushpull: WithPartitions(%d): %w (0 means the resolved thread count)", cfg.Partitions, ErrBadOption)
 	case !(cfg.Delta >= 0 && cfg.Delta <= math.MaxFloat64):
 		return fmt.Errorf("pushpull: WithDelta(%g): %w (delta must be finite and non-negative; 0 means the heuristic)", cfg.Delta, ErrBadOption)
 	}

@@ -283,10 +283,10 @@ func TestRouterJobValidationAndAffinityPin(t *testing.T) {
 	}
 }
 
-// TestRouterOptionRanges: a vertex id past 32 bits, an overflowing
-// timeout_ms or a retired field (partition_aware, out_of_core, ranks) reaches the
-// client through the router as a 400 naming the field, on POST /run and
-// POST /jobs alike.
+// TestRouterOptionRanges: a vertex id past 32 bits, a negative or
+// overflowing timeout_ms or a retired field (partition_aware,
+// out_of_core, ranks, partitions) reaches the client through the router
+// as a 400 naming the field, on POST /run and POST /jobs alike.
 func TestRouterOptionRanges(t *testing.T) {
 	fleet := newFleet(t, 2)
 	ts, _ := newRouter(t, fleet)
@@ -295,9 +295,11 @@ func TestRouterOptionRanges(t *testing.T) {
 		{"bfs", `{"source": 4294967296}`, "source"},
 		{"bc", `{"sources": [4294967296]}`, "sources[0]"},
 		{"pr", `{"timeout_ms": 9223372036855}`, "timeout_ms"},
+		{"pr", `{"timeout_ms": -1}`, "timeout_ms"},
 		{"pr", `{"partition_aware": true}`, "partition_aware"},
 		{"pr", `{"out_of_core": true}`, "out_of_core"},
 		{"pr", `{"ranks": 16}`, "ranks"},
+		{"gc", `{"partitions": 4}`, "partitions"},
 	} {
 		body := fmt.Sprintf(`{"graph": "demo", "algorithm": %q, "options": %s}`, c.algorithm, c.options)
 		for _, path := range []string{"/run", "/jobs"} {

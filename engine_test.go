@@ -406,7 +406,7 @@ func TestRunBadOption(t *testing.T) {
 		opt  pushpull.Option
 	}{
 		{"threads", "pr", pushpull.WithThreads(-1)},
-		{"partitions", "gc", pushpull.WithPartitions(-2)},
+		{"threads", "gc", pushpull.WithThreads(-2)},
 	}
 	for _, tc := range cases {
 		_, err := pushpull.Run(context.Background(), g, tc.algo, tc.opt)
@@ -416,7 +416,7 @@ func TestRunBadOption(t *testing.T) {
 	}
 	// Zero still means "use the default" everywhere.
 	if _, err := pushpull.Run(context.Background(), g, "pr",
-		pushpull.WithThreads(0), pushpull.WithPartitions(0)); err != nil {
+		pushpull.WithThreads(0)); err != nil {
 		t.Errorf("zero-valued options rejected: %v", err)
 	}
 }

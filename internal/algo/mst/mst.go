@@ -10,11 +10,13 @@
 //     edges and write only its own slot; the push variant lets each
 //     supervertex override the tentative minima of its *neighbor*
 //     supervertices — cross-thread writes that must be resolved with a
-//     lock per candidate improvement (the O(n²) conflicts of §4.7).
+//     lock per crossing arc, taken whether or not the candidate improves
+//     the slot (the O(n²) conflicts of §4.7).
 //   - Build-Merge-Tree (BMT): hook edges are turned into a forest by
 //     breaking two-cycles and pointer-jumping to roots.
-//   - Merge (M): vertex lists, MST edges and supervertex labels are
-//     contracted into the roots.
+//   - Merge (M): every non-root adds its minimum edge to the tree, one
+//     parallel pass relabels every vertex with its root, and a counting
+//     sort on the new labels rebuilds the member CSR that FM scans.
 //
 // Weight ties are broken by edge endpoints, making the MST unique and the
 // two directions byte-identical.
@@ -80,7 +82,10 @@ func canon(a, b graph.V) (graph.V, graph.V) {
 }
 
 // Boruvka computes the MST (or forest, for disconnected graphs) with the
-// given update direction.
+// given update direction. avail lists the supervertex ids in increasing
+// order, svFlag labels each vertex with its supervertex, and the member
+// CSR members[start[i]:start[i+1]] holds avail[i]'s vertices, so a round
+// allocates nothing but the tree edges and timings it appends.
 func Boruvka(g *graph.CSR, opt Options, dir core.Direction) *Result {
 	n := g.N()
 	res := &Result{}
@@ -91,28 +96,28 @@ func Boruvka(g *graph.CSR, opt Options, dir core.Direction) *Result {
 	t := sched.Clamp(opt.Threads, n)
 
 	svFlag := make([]int32, n)
-	sv := make([][]graph.V, n)
+	members := make([]graph.V, n)
+	avail := make([]int32, n)
+	start := make([]int32, n+1)
 	for i := 0; i < n; i++ {
 		svFlag[i] = int32(i)
-		sv[i] = []graph.V{graph.V(i)}
-	}
-	avail := make([]int32, n)
-	for i := range avail {
+		members[i] = graph.V(i)
 		avail[i] = int32(i)
+		start[i+1] = int32(i + 1)
 	}
 	minE := make([]minEdge, n)
 	locks := make([]atomicx.SpinLock, n)
 	parent := make([]int32, n)
+	pos := make([]int32, n) // a root's index in the next round's avail
 
-	// Phase bodies and the root comparator are hoisted out of the round
-	// loop so the steady state does not allocate closures; avail, roots
-	// and rootMembers are captured by reference, so each round's
-	// reassignment stays visible.
+	// Phase bodies are hoisted out of the round loop so the steady state
+	// does not allocate closures; avail and start are captured by
+	// reference, so each round's reassignment stays visible.
 	fmPull := func(w, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			f := avail[i]
 			best := &minE[f]
-			for _, v := range sv[f] {
+			for _, v := range members[start[i]:start[i+1]] {
 				ws := g.NeighborWeights(v)
 				for j, u := range g.Neighbors(v) {
 					if svFlag[u] == f {
@@ -132,7 +137,7 @@ func Boruvka(g *graph.CSR, opt Options, dir core.Direction) *Result {
 	fmPush := func(w, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			f := avail[i]
-			for _, v := range sv[f] {
+			for _, v := range members[start[i]:start[i+1]] {
 				ws := g.NeighborWeights(v)
 				for j, u := range g.Neighbors(v) {
 					tgt := svFlag[u]
@@ -155,19 +160,9 @@ func Boruvka(g *graph.CSR, opt Options, dir core.Direction) *Result {
 			}
 		}
 	}
-	var roots []int32
-	var rootMembers map[int32][]int32
-	rootsByID := func(i, j int) bool { return roots[i] < roots[j] }
-	contract := func(w, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			r := roots[i]
-			for _, f := range rootMembers[r] {
-				for _, v := range sv[f] {
-					svFlag[v] = r
-				}
-				sv[r] = append(sv[r], sv[f]...)
-				sv[f] = nil
-			}
+	relabel := func(w, lo, hi int) {
+		for v := lo; v < hi; v++ {
+			svFlag[v] = parent[svFlag[v]]
 		}
 	}
 
@@ -230,37 +225,40 @@ func Boruvka(g *graph.CSR, opt Options, dir core.Direction) *Result {
 		res.PhaseBMT = append(res.PhaseBMT, time.Since(bmtStart))
 
 		// ---- Phase M: contract components into their roots ----
-		// roots must start nil, not truncated: the previous round's slice
-		// became avail, which this round still iterates.
+		// Filtering avail in place keeps the roots in increasing id.
 		mStart := time.Now()
-		rootMembers = map[int32][]int32{}
-		roots = nil
+		roots := avail[:0]
 		for _, f := range avail {
-			r := parent[f]
-			if r == f {
-				if _, ok := rootMembers[r]; !ok {
-					roots = append(roots, r)
-					//pushpull:allow alloc rootMembers is the round's contraction table; its size is the supervertex count, which halves every round
-					rootMembers[r] = nil
-				}
+			if parent[f] == f {
+				pos[f] = int32(len(roots))
+				roots = append(roots, f)
 				continue
 			}
-			if _, ok := rootMembers[r]; !ok {
-				roots = append(roots, r)
-				//pushpull:allow alloc rootMembers is the round's contraction table; its size is the supervertex count, which halves every round
-				rootMembers[r] = nil
-			}
-			//pushpull:allow alloc rootMembers is the round's contraction table; its size is the supervertex count, which halves every round
-			rootMembers[r] = append(rootMembers[r], f)
 			// Every non-root contributes its minimum edge to the MST.
 			e := minE[f]
 			a, b := canon(e.inside, e.other)
 			res.Edges = append(res.Edges, graph.Edge{U: a, V: b, Weight: e.w})
 			res.TotalWeight += float64(e.w)
 		}
-		sort.Slice(roots, rootsByID)
-		sched.ParallelFor(len(roots), t, sched.Dynamic, 4, contract)
 		avail = roots
+		sched.ParallelFor(n, t, sched.Static, 0, relabel)
+		// Counting sort on the new labels: count into start[k+1], sum the
+		// prefixes, place at cursor start[k], shift the cursors back one.
+		start = start[:len(avail)+1]
+		clear(start)
+		for _, r := range svFlag {
+			start[pos[r]+1]++
+		}
+		for k := 1; k < len(start); k++ {
+			start[k] += start[k-1]
+		}
+		for v, r := range svFlag {
+			k := pos[r]
+			members[start[k]] = graph.V(v)
+			start[k]++
+		}
+		copy(start[1:], start)
+		start[0] = 0
 		res.PhaseM = append(res.PhaseM, time.Since(mStart))
 
 		res.Iterations++

@@ -19,6 +19,31 @@ func weighted(t testing.TB, scale, ef int, seed uint64) *graph.CSR {
 	return gen.WithUniformWeights(g, 1, 100, seed+1)
 }
 
+// agreesWithKruskal runs Borůvka in both directions at 1, 2 and 7 threads
+// and checks each run's tree, weight and per-phase bookkeeping against
+// Kruskal's reference.
+func agreesWithKruskal(t *testing.T, g *graph.CSR, want *Result) {
+	t.Helper()
+	for _, dir := range []core.Direction{core.Push, core.Pull} {
+		for _, threads := range []int{1, 2, 7} {
+			opt := Options{}
+			opt.Threads = threads
+			got := Boruvka(g, opt, dir)
+			if !SameTree(got, want) {
+				t.Fatalf("%v t=%d: edges %v, want %v", dir, threads, got.Edges, want.Edges)
+			}
+			if math.Abs(got.TotalWeight-want.TotalWeight) > 1e-6 {
+				t.Fatalf("%v t=%d: weight %v vs %v", dir, threads, got.TotalWeight, want.TotalWeight)
+			}
+			if got.Iterations < 1 || len(got.PhaseFM) != got.Iterations ||
+				len(got.PhaseBMT) != got.Iterations || len(got.PhaseM) != got.Iterations {
+				t.Fatalf("%v t=%d: phase bookkeeping: %d iters, %d/%d/%d FM/BMT/M entries", dir, threads,
+					got.Iterations, len(got.PhaseFM), len(got.PhaseBMT), len(got.PhaseM))
+			}
+		}
+	}
+}
+
 func TestKnownTree(t *testing.T) {
 	// Square with diagonal: 0-1 (1), 1-2 (2), 2-3 (3), 3-0 (4), 0-2 (5).
 	// MST = {0-1, 1-2, 2-3} with weight 6.
@@ -34,15 +59,7 @@ func TestKnownTree(t *testing.T) {
 	if want.TotalWeight != 6 || len(want.Edges) != 3 {
 		t.Fatalf("kruskal: %+v", want)
 	}
-	for _, dir := range []core.Direction{core.Push, core.Pull} {
-		got := Boruvka(g, Options{}, dir)
-		if !SameTree(got, want) {
-			t.Fatalf("%v: edges %v, want %v", dir, got.Edges, want.Edges)
-		}
-		if got.TotalWeight != 6 {
-			t.Fatalf("%v: weight %v", dir, got.TotalWeight)
-		}
-	}
+	agreesWithKruskal(t, g, want)
 	if p := Prim(g); !SameTree(p, want) {
 		t.Fatalf("prim: %v", p.Edges)
 	}
@@ -55,34 +72,18 @@ func TestAllVariantsAgreeOnRMAT(t *testing.T) {
 	if !SameTree(prim, want) {
 		t.Fatal("prim != kruskal")
 	}
-	for _, dir := range []core.Direction{core.Push, core.Pull} {
-		opt := Options{}
-		opt.Threads = 4
-		got := Boruvka(g, opt, dir)
-		if !SameTree(got, want) {
-			t.Fatalf("%v: tree differs from kruskal", dir)
-		}
-		if math.Abs(got.TotalWeight-want.TotalWeight) > 1e-6 {
-			t.Fatalf("%v: weight %v vs %v", dir, got.TotalWeight, want.TotalWeight)
-		}
-		if got.Iterations < 1 || len(got.PhaseFM) != got.Iterations {
-			t.Fatalf("%v: phase bookkeeping: %d iters, %d FM entries",
-				dir, got.Iterations, len(got.PhaseFM))
-		}
-	}
+	agreesWithKruskal(t, g, want)
 }
 
 func TestSpanningTreeEdgeCount(t *testing.T) {
 	// A connected graph's MST has exactly n-1 edges.
 	g := weighted(t, 9, 10, 7)
 	s := graph.ComputeStats(g)
-	want := g.N() - s.Components
-	for _, dir := range []core.Direction{core.Push, core.Pull} {
-		got := Boruvka(g, Options{}, dir)
-		if len(got.Edges) != want {
-			t.Fatalf("%v: %d edges, want %d", dir, len(got.Edges), want)
-		}
+	want := Kruskal(g)
+	if len(want.Edges) != g.N()-s.Components {
+		t.Fatalf("kruskal: %d edges, want %d", len(want.Edges), g.N()-s.Components)
 	}
+	agreesWithKruskal(t, g, want)
 }
 
 func TestDisconnectedForest(t *testing.T) {
@@ -93,15 +94,10 @@ func TestDisconnectedForest(t *testing.T) {
 	b.AddEdgeW(4, 5, 4)
 	g := b.MustBuild()
 	want := Kruskal(g)
-	for _, dir := range []core.Direction{core.Push, core.Pull} {
-		got := Boruvka(g, Options{}, dir)
-		if !SameTree(got, want) {
-			t.Fatalf("%v: %v vs %v", dir, got.Edges, want.Edges)
-		}
-		if len(got.Edges) != 4 {
-			t.Fatalf("%v: forest has %d edges", dir, len(got.Edges))
-		}
+	if len(want.Edges) != 4 {
+		t.Fatalf("kruskal forest has %d edges", len(want.Edges))
 	}
+	agreesWithKruskal(t, g, want)
 	if p := Prim(g); !SameTree(p, want) {
 		t.Fatal("prim forest differs")
 	}
@@ -115,12 +111,7 @@ func TestEqualWeightsDeterministic(t *testing.T) {
 	if len(want.Edges) != 7 {
 		t.Fatalf("kruskal edges = %d", len(want.Edges))
 	}
-	for _, dir := range []core.Direction{core.Push, core.Pull} {
-		got := Boruvka(g, Options{}, dir)
-		if !SameTree(got, want) {
-			t.Fatalf("%v: tie-broken tree differs: %v vs %v", dir, got.Edges, want.Edges)
-		}
-	}
+	agreesWithKruskal(t, g, want)
 	if p := Prim(g); !SameTree(p, want) {
 		t.Fatal("prim tie-broken tree differs")
 	}
@@ -132,11 +123,23 @@ func TestRoadNetwork(t *testing.T) {
 		t.Fatal(err)
 	}
 	g = gen.WithUniformWeights(g, 1, 10, 4)
-	want := Kruskal(g)
+	agreesWithKruskal(t, g, Kruskal(g))
+}
+
+// TestBoruvkaAllocs pins the flat contraction: a round allocates nothing
+// per vertex or per supervertex, so growing n eightfold (rmat scale 10 to
+// 13) must not even double the allocations of a run. The remaining ones
+// are the run's arrays, the appended tree edges and phase timings, and
+// ParallelFor's goroutines, all logarithmic in n or fixed.
+func TestBoruvkaAllocs(t *testing.T) {
+	small, large := weighted(t, 10, 8, 3), weighted(t, 13, 8, 3)
 	for _, dir := range []core.Direction{core.Push, core.Pull} {
-		got := Boruvka(g, Options{}, dir)
-		if !SameTree(got, want) {
-			t.Fatalf("%v differs", dir)
+		opt := Options{}
+		opt.Threads = 2
+		a := testing.AllocsPerRun(3, func() { Boruvka(small, opt, dir) })
+		b := testing.AllocsPerRun(3, func() { Boruvka(large, opt, dir) })
+		if b >= 2*a {
+			t.Fatalf("%v: %.0f allocs at n=%d, %.0f at n=%d: not flat in n", dir, a, small.N(), b, large.N())
 		}
 	}
 }

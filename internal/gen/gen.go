@@ -130,19 +130,25 @@ func PrefAttach(n, k int, seed uint64) (*graph.CSR, error) {
 	// implements degree-proportional attachment.
 	targets := make([]graph.V, 0, 2*k*n)
 	targets = append(targets, 0)
+	chosen := map[graph.V]bool{}
+	picks := make([]graph.V, 0, k)
 	for v := 1; v < n; v++ {
 		attach := k
 		if v < k {
 			attach = v
 		}
-		chosen := map[graph.V]bool{}
-		for len(chosen) < attach {
+		clear(chosen)
+		picks = picks[:0]
+		for len(picks) < attach {
 			t := targets[r.Intn(len(targets))]
-			if t != graph.V(v) {
+			if t != graph.V(v) && !chosen[t] {
 				chosen[t] = true
+				picks = append(picks, t)
 			}
 		}
-		for t := range chosen {
+		// Attach in draw order, not map order: later draws sample
+		// targets, so its order is part of the seeded output.
+		for _, t := range picks {
 			b.AddEdge(graph.V(v), t)
 			targets = append(targets, t)
 		}

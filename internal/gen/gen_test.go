@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -241,6 +242,25 @@ func TestNamedSuite(t *testing.T) {
 	}
 	if _, err := Named("nope", 1, 1); err == nil {
 		t.Fatal("unknown name accepted")
+	}
+}
+
+// TestNamedDeterministic: every suite graph, weights included, is a pure
+// function of its seed. Building it twice must give the same arrays, or
+// every number measured on it moves from run to run.
+func TestNamedDeterministic(t *testing.T) {
+	for _, s := range Suite() {
+		a, err := NamedWeighted(s.ID, 0.1, 7)
+		if err != nil {
+			t.Fatalf("%s: %v", s.ID, err)
+		}
+		b, err := NamedWeighted(s.ID, 0.1, 7)
+		if err != nil {
+			t.Fatalf("%s: %v", s.ID, err)
+		}
+		if !slices.Equal(a.Offsets, b.Offsets) || !slices.Equal(a.Adj, b.Adj) || !slices.Equal(a.Weights, b.Weights) {
+			t.Errorf("%s: two builds at seed 7 differ", s.ID)
+		}
 	}
 }
 

@@ -84,10 +84,6 @@ type Config struct {
 	Delta float64
 	// MaxIters bounds conflict-resolution iterations (gc); 0 = default.
 	MaxIters int
-	// Partitions is the partition count for the partition-based coloring
-	// runs (gc, gc-cr); 0 = the resolved thread count; negative values are
-	// rejected at Run entry with ErrBadOption.
-	Partitions int
 	// DegreeSorted requests the degree-sorted CSR layout: kernels run on
 	// the workload's memoized degree-permuted graph and the report is
 	// un-permuted at the boundary.
@@ -150,10 +146,6 @@ func WithDelta(d float64) Option { return func(c *Config) { c.Delta = d } }
 // WithMaxIters bounds conflict-resolution iterations (gc's L).
 func WithMaxIters(n int) Option { return func(c *Config) { c.MaxIters = n } }
 
-// WithPartitions sets the partition count for the partition-based
-// coloring runs (gc, gc-cr).
-func WithPartitions(p int) Option { return func(c *Config) { c.Partitions = p } }
-
 // WithDegreeSorted runs the kernels over the workload's memoized
 // degree-sorted CSR permutation: vertex ids are renumbered by descending
 // degree, which concentrates the hot (high-degree) rows at the front of
@@ -188,15 +180,6 @@ func (c *Config) effectiveThreads(n int) int {
 		n = 1
 	}
 	return sched.Clamp(c.Threads, n)
-}
-
-// partitions resolves the partition count: WithPartitions, else the
-// effective thread count.
-func (c *Config) partitions(n int) int {
-	if c.Partitions > 0 {
-		return c.Partitions
-	}
-	return c.effectiveThreads(n)
 }
 
 // fingerprint renders the configuration as a deterministic, canonical
@@ -244,8 +227,8 @@ func (c *Config) fingerprint(n int) (fp string, ok bool) {
 	} else {
 		b.WriteByte('-')
 	}
-	fmt.Fprintf(&b, ";delta=%g;maxit=%d;parts=%d;ds=%t;srcs=",
-		c.Delta, c.MaxIters, c.Partitions, c.DegreeSorted)
+	fmt.Fprintf(&b, ";delta=%g;maxit=%d;ds=%t;srcs=",
+		c.Delta, c.MaxIters, c.DegreeSorted)
 	// nil and empty Sources are distinct configurations (bc: all
 	// vertices vs zero sources) and must not share a key.
 	if c.Sources == nil {

@@ -5,8 +5,6 @@ package pushpull_test
 // run; the switching traces must report what actually ran.
 
 import (
-	"context"
-	"strings"
 	"testing"
 	"time"
 
@@ -159,28 +157,6 @@ func TestProbesDirectionAsymmetry(t *testing.T) {
 		}
 		if got := pull.Counters.Get(c.event); got != 0 {
 			t.Errorf("%s pull issued %d %v, want 0", c.algo, got, c.event)
-		}
-	}
-}
-
-// TestProbedPartitionThreadsReconciled pins the WithThreads/WithPartitions
-// reconciliation: a probed partition-based coloring run simulates one
-// thread per partition, so a conflicting explicit thread count errors
-// instead of being silently ignored, and an agreeing one succeeds.
-func TestProbedPartitionThreadsReconciled(t *testing.T) {
-	g := testGraph(t)
-	for _, algo := range []string{"gc", "gc-cr"} {
-		_, err := pushpull.Run(context.Background(), g, algo, pushpull.WithProbes(),
-			pushpull.WithPartitions(3), pushpull.WithThreads(2))
-		if err == nil {
-			t.Errorf("%s: probed run accepted WithThreads(2) over 3 partitions", algo)
-		} else if !strings.Contains(err.Error(), "partition") {
-			t.Errorf("%s: unhelpful conflict error: %v", algo, err)
-		}
-		rep := run(t, g, algo, pushpull.WithProbes(),
-			pushpull.WithPartitions(3), pushpull.WithThreads(3))
-		if rep.Counters == nil {
-			t.Errorf("%s: agreeing threads/partitions returned no counters", algo)
 		}
 	}
 }

@@ -172,7 +172,7 @@ func uniformTrace(d core.Direction, iters int) []Direction {
 // Before anything runs, the graph is checked (ErrMalformedGraph names
 // a CSR fault; a graph that passed once is not scanned again, and must
 // not change after), the options are range-checked (ErrBadOption for
-// negative WithThreads/WithPartitions and a negative or
+// negative WithThreads and a negative or
 // non-finite WithDelta) and the algorithm's Caps are validated against the
 // workload and options, so unsupported combinations fail fast with one of
 // the typed precondition errors (ErrNeedsWeights, ErrDirectedUnsupported,

@@ -233,11 +233,11 @@ func TestServeErrors(t *testing.T) {
 }
 
 // TestServeOptionRanges: a vertex id past 32 bits and a timeout_ms that
-// overflows a time.Duration are the client's error — 400 naming the
-// field on both POST /run and POST /jobs — instead of running from
-// vertex id mod 2^32 or timing out at once. So are partition_aware,
-// out_of_core and ranks, fields the wire no longer carries: refused, not
-// silently run as another configuration.
+// is negative or overflows a time.Duration are the client's error — 400
+// naming the field on both POST /run and POST /jobs — instead of running
+// from vertex id mod 2^32, with no timeout, or timing out at once. So
+// are partition_aware, out_of_core, ranks and partitions, fields the wire
+// no longer carries: refused, not silently run as another configuration.
 func TestServeOptionRanges(t *testing.T) {
 	ts, _, _ := newJobServer(t)
 	for _, c := range []struct{ algorithm, options, field string }{
@@ -245,9 +245,11 @@ func TestServeOptionRanges(t *testing.T) {
 		{"bfs", `{"source": 4294967299}`, "source"},
 		{"bc", `{"sources": [4294967296]}`, "sources[0]"},
 		{"pr", `{"timeout_ms": 9223372036855}`, "timeout_ms"},
+		{"pr", `{"timeout_ms": -1}`, "timeout_ms"},
 		{"pr", `{"partition_aware": true}`, "partition_aware"},
 		{"pr", `{"out_of_core": true}`, "out_of_core"},
 		{"pr", `{"ranks": 16}`, "ranks"},
+		{"gc", `{"partitions": 4}`, "partitions"},
 	} {
 		body := fmt.Sprintf(`{"graph": "demo", "algorithm": %q, "options": %s}`, c.algorithm, c.options)
 		for _, path := range []string{"/run", "/jobs"} {

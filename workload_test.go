@@ -575,7 +575,7 @@ func TestConcurrentRunSharedWorkload(t *testing.T) {
 		wg2.Add(1)
 		go func() {
 			defer wg2.Done()
-			rep, err := eng.Run(context.Background(), w2, "gc", pushpull.WithPartitions(4))
+			rep, err := eng.Run(context.Background(), w2, "gc", pushpull.WithThreads(4))
 			if err != nil {
 				t.Error(err)
 				return
