@@ -468,6 +468,41 @@ func TestRouterRejectsOutOfRangeEdgeList(t *testing.T) {
 	}
 }
 
+// TestRouterMaxUpload: an upload past Config.MaxUpload, which the
+// router's edge-list reader reaches blocks into the body, is refused with
+// 413 naming the limit, and no worker sees it.
+func TestRouterMaxUpload(t *testing.T) {
+	const limit = 5 << 19 // 2.5 MiB
+	fleet := newFleet(t, 2)
+	ts, _ := newRouter(t, fleet, func(c *cluster.Config) { c.MaxUpload = limit })
+	var body bytes.Buffer
+	fmt.Fprintf(&body, "# pushpull 1000 %d 0 1\n", 400_000)
+	for i := 0; i < 400_000; i++ {
+		fmt.Fprintf(&body, "%d %d\n", i%1000, i*7%1000)
+	}
+	if body.Len() <= limit {
+		t.Fatalf("multi-block body is %d bytes, need > %d", body.Len(), limit)
+	}
+	req, err := http.NewRequest(http.MethodPut, ts.URL+"/graphs/big", &body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	msg, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(string(msg), fmt.Sprint(limit)) {
+		t.Fatalf("PUT past a %d-byte limit got %d %s, want 413 naming the limit", limit, resp.StatusCode, msg)
+	}
+	for _, w := range fleet {
+		if _, ok := w.eng.Workload("big"); ok {
+			t.Errorf("an upload refused as too large reached worker %s", w.URL())
+		}
+	}
+}
+
 // TestRouterErrors: router-local validation — unknown graph and unknown
 // algorithm 404 without touching a worker, malformed bodies 400, and a
 // fleet with every worker down turns uploads into 503.

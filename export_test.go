@@ -51,3 +51,7 @@ func (w *Workload) HoldPABuild(parts int, release <-chan struct{}) <-chan *PAGra
 	<-held
 	return built
 }
+
+// FNVWord folds one word into an FNV-1a digest the way content IDs do,
+// from the offset basis FNVOffset.
+var FNVWord, FNVOffset = fnvWord, uint64(fnvOffset)

@@ -216,7 +216,8 @@ type Edge struct {
 
 // Builder accumulates edges and produces a CSR.
 type Builder struct {
-	n          int // checked against V's range by Build
+	n          int      // checked against V's range by Build
+	blocks     [][]Edge // added ahead of edges: one slice per block the edge-list reader parsed
 	edges      []Edge
 	undirected bool
 	weighted   bool
@@ -259,9 +260,12 @@ func (b *Builder) Build() (*CSR, error) {
 		return nil, fmt.Errorf("graph: vertex count %d out of range [0,%d]", b.n, math.MaxInt32)
 	}
 	n := b.n // an int: n+1 overflows V when n = MaxInt32
-	for _, e := range b.edges {
-		if e.U < 0 || int(e.U) >= n || e.V < 0 || int(e.V) >= n {
-			return nil, fmt.Errorf("graph: edge (%d,%d) out of range [0,%d)", e.U, e.V, n)
+	parts := append(b.blocks[:len(b.blocks):len(b.blocks)], b.edges)
+	for _, edges := range parts {
+		for _, e := range edges {
+			if e.U < 0 || int(e.U) >= n || e.V < 0 || int(e.V) >= n {
+				return nil, fmt.Errorf("graph: edge (%d,%d) out of range [0,%d)", e.U, e.V, n)
+			}
 		}
 	}
 	type arc struct {
@@ -271,13 +275,15 @@ func (b *Builder) Build() (*CSR, error) {
 	// Count, fill, sort per-vertex, dedup.
 	deg := make([]int64, n+1)
 	add := func(u V) { deg[u+1]++ }
-	for _, e := range b.edges {
-		if !b.keepLoops && e.U == e.V {
-			continue
-		}
-		add(e.U)
-		if b.undirected {
-			add(e.V)
+	for _, edges := range parts {
+		for _, e := range edges {
+			if !b.keepLoops && e.U == e.V {
+				continue
+			}
+			add(e.U)
+			if b.undirected {
+				add(e.V)
+			}
 		}
 	}
 	for i := 1; i <= n; i++ {
@@ -290,13 +296,15 @@ func (b *Builder) Build() (*CSR, error) {
 		arcs[cursor[u]] = arc{v: v, w: w}
 		cursor[u]++
 	}
-	for _, e := range b.edges {
-		if !b.keepLoops && e.U == e.V {
-			continue
-		}
-		put(e.U, e.V, e.Weight)
-		if b.undirected {
-			put(e.V, e.U, e.Weight)
+	for _, edges := range parts {
+		for _, e := range edges {
+			if !b.keepLoops && e.U == e.V {
+				continue
+			}
+			put(e.U, e.V, e.Weight)
+			if b.undirected {
+				put(e.V, e.U, e.Weight)
+			}
 		}
 	}
 	g := &CSR{NumV: V(n), Offsets: make([]int64, n+1)}

@@ -3,11 +3,14 @@ package graph
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"math"
+	"runtime"
 	"sort"
 	"strconv"
+	"sync"
 	"unsafe"
 )
 
@@ -25,7 +28,8 @@ import (
 //     +Inf and 0 are weights like any other; a weightless line in a
 //     weighted list reads as weight 1.
 //
-// Reader and writer allocate per call, not per line or per arc.
+// The writer allocates per call, and the reader per call and per block of
+// about blockSize bytes, not per line or per arc.
 
 // lineMax is the longest line ReadEdgeList accepts, its newline included.
 const lineMax = 1 << 20
@@ -103,15 +107,36 @@ func ReadEdgeList(r io.Reader) (*CSR, error) {
 
 // ReadEdgeListKind is ReadEdgeList, additionally reporting whether the
 // header declared the graph directed.
+//
+// The input is cut into blocks of whole lines, about blockSize bytes
+// each, and the blocks are parsed on GOMAXPROCS goroutines, each into
+// its own edge slice. The first refusal in stream order is reported, with
+// its line number in the input, so the result, the graph or the error, is
+// the one a line-by-line read gives.
 func ReadEdgeListKind(r io.Reader) (*CSR, bool, error) {
-	br := bufio.NewReaderSize(r, lineMax)
-	text, err := readLine(br)
-	if err == io.EOF {
-		return nil, false, fmt.Errorf("graph: empty input")
+	return readEdgeList(r, blockSize)
+}
+
+// blockSize is the most a block holds, unless one line alone is longer:
+// the reader cuts a block at its last newline once it has read this many
+// bytes.
+const blockSize = 1 << 20
+
+// readEdgeList is ReadEdgeListKind with blocks cut at size bytes.
+func readEdgeList(r io.Reader, size int) (*CSR, bool, error) {
+	s := splitter{r: r, size: size}
+	first := s.next(make([]byte, 0, size))
+	if len(first.text) == 0 {
+		if s.err == io.EOF {
+			return nil, false, fmt.Errorf("graph: empty input")
+		}
+		return nil, false, s.err
 	}
+	text, rest, err := cutLine(first.text)
 	if err != nil {
 		return nil, false, err
 	}
+	first.text = rest
 	var hdr [6][]byte
 	header := hdr[:splitFields(text, hdr[:])]
 	if len(header) < 4 || string(header[0]) != "#" || string(header[1]) != "pushpull" {
@@ -132,46 +157,15 @@ func ReadEdgeListKind(r io.Reader) (*CSR, bool, error) {
 	// A weighted graph stays weighted when it has no edge left to say so
 	// (its only edges were self-loops, which the builder drops).
 	b.weighted = len(header) >= 5 && string(header[4]) == "1"
-	var f [3][]byte
-	for line := 2; ; line++ {
-		text, err := readLine(br)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, false, err
-		}
-		fields := f[:splitFields(text, f[:])]
-		if len(fields) == 0 || fields[0][0] == '#' {
-			continue
-		}
-		if len(fields) < 2 {
-			return nil, false, fmt.Errorf("graph: line %d: want 'u v [w]', got %q", line, bytes.TrimSpace(text))
-		}
-		var ends [2]V
-		for i, field := range fields[:2] {
-			x, err := strconv.Atoi(aliasString(field))
-			if err != nil {
-				return nil, false, fmt.Errorf("graph: line %d: %v", line, err)
-			}
-			// Range-checked before the conversion, which would wrap.
-			if x < 0 || x >= n {
-				return nil, false, fmt.Errorf("graph: line %d: vertex %d out of range [0,%d)", line, x, n)
-			}
-			ends[i] = V(x)
-		}
-		if len(fields) < 3 {
-			b.AddEdge(ends[0], ends[1])
-			continue
-		}
-		w, err := strconv.ParseFloat(aliasString(fields[2]), 32)
-		if err != nil {
-			return nil, false, fmt.Errorf("graph: line %d: %v", line, err)
-		}
-		if math.IsNaN(w) {
-			return nil, false, fmt.Errorf("graph: line %d: weight is NaN", line)
-		}
-		b.AddEdgeW(ends[0], ends[1], float32(w))
+
+	blocks, err := parseBlocks(&s, first, n)
+	if err != nil {
+		return nil, false, err
+	}
+	b.blocks = make([][]Edge, len(blocks))
+	for i, blk := range blocks {
+		b.blocks[i] = blk.edges
+		b.weighted = b.weighted || blk.weighted
 	}
 	g, err := b.Build()
 	if err != nil {
@@ -180,25 +174,211 @@ func ReadEdgeListKind(r io.Reader) (*CSR, bool, error) {
 	return g, directed, nil
 }
 
-// readLine returns br's next line without its "\n" and one '\r' before
-// it, as bufio.ScanLines cuts lines, and io.EOF once no byte is left. The
-// line aliases br's buffer until the next read.
-func readLine(br *bufio.Reader) ([]byte, error) {
-	line, err := br.ReadSlice('\n')
-	switch {
-	case err == bufio.ErrBufferFull:
-		return nil, bufio.ErrTooLong
-	case err == io.EOF && len(line) > 0:
-		// The last line has no newline.
-	case err != nil:
-		return nil, err
-	default:
-		line = line[:len(line)-1]
+// A block is a run of whole lines of the input and what one parser made
+// of them: while it is parsed, the parser alone writes its fields.
+type block struct {
+	buf      []byte // the block's bytes, a buffer recycled once parsed
+	text     []byte // the lines to parse: buf, less the header in the first block
+	edges    []Edge
+	weighted bool // some line carried a weight
+	lines    int  // lines parsed: all of them, or those before the refusal
+	err      error
+}
+
+// parseBlocks parses first and the blocks s cuts after it, in stream
+// order, and returns them, or the first refusal in stream order. With
+// GOMAXPROCS parsers, at most two blocks per parser are in flight, and a
+// parsed block's buffer holds the next one. A single block, or a single
+// parser, is parsed on the calling goroutine. No goroutine outlives the
+// call.
+func parseBlocks(s *splitter, first *block, n int) ([]*block, error) {
+	parsers := runtime.GOMAXPROCS(0)
+	var (
+		blocks = []*block{first}
+		work   chan *block
+		parsed chan *block // sized to every buffer, so a parser never waits to hand one back
+		wg     sync.WaitGroup
+		made   = 1
+	)
+	for cur := first; ; {
+		if work == nil && (s.err != nil || parsers == 1) {
+			cur.parse(n)
+		} else {
+			if work == nil {
+				work, parsed = make(chan *block), make(chan *block, 2*parsers)
+				wg.Add(parsers)
+				for range parsers {
+					go func() {
+						defer wg.Done()
+						for blk := range work {
+							blk.parse(n)
+							parsed <- blk
+						}
+					}()
+				}
+			}
+			work <- cur
+		}
+		if s.err != nil {
+			break
+		}
+		// The buffer for the next block: the one just parsed inline, a new
+		// one until there are two per parser, then a parsed block's. A
+		// refusal seen on the way stops the read.
+		var done *block
+		switch {
+		case work == nil:
+			done = cur
+		case made < 2*parsers:
+			made++
+			done = &block{buf: make([]byte, 0, s.size)}
+		default:
+			done = <-parsed
+		}
+		if done.err != nil {
+			break
+		}
+		cur = s.next(done.buf)
+		blocks = append(blocks, cur)
+	}
+	if work != nil {
+		close(work)
+		wg.Wait()
+	}
+	before := 1 // the header
+	for _, blk := range blocks {
+		if blk.err != nil {
+			return nil, blk.refusal(before + blk.lines + 1)
+		}
+		before += blk.lines
+	}
+	if s.err != io.EOF {
+		return nil, s.err
+	}
+	return blocks, nil
+}
+
+// parse reads the block's edge lines, stopping at the first refusal: a
+// line too long, a line of one field, an id that is not a decimal integer
+// in [0, n), or a weight that is not a float32 or is NaN.
+func (b *block) parse(n int) {
+	text := b.text
+	b.edges = make([]Edge, 0, bytes.Count(text, []byte{'\n'})+1)
+	var f [3][]byte
+	for ; len(text) > 0; b.lines++ {
+		var line []byte
+		if line, text, b.err = cutLine(text); b.err != nil {
+			return
+		}
+		fields := f[:splitFields(line, f[:])]
+		if len(fields) == 0 || fields[0][0] == '#' {
+			continue
+		}
+		if len(fields) < 2 {
+			b.err = fmt.Errorf("want 'u v [w]', got %q", bytes.TrimSpace(line))
+			return
+		}
+		var ends [2]V
+		for i, field := range fields[:2] {
+			x, err := strconv.Atoi(aliasString(field))
+			if err != nil {
+				b.err = err
+				return
+			}
+			// Range-checked before the conversion, which would wrap.
+			if x < 0 || x >= n {
+				b.err = fmt.Errorf("vertex %d out of range [0,%d)", x, n)
+				return
+			}
+			ends[i] = V(x)
+		}
+		e := Edge{U: ends[0], V: ends[1], Weight: 1}
+		if len(fields) == 3 {
+			w, err := strconv.ParseFloat(aliasString(fields[2]), 32)
+			if err != nil {
+				b.err = err
+				return
+			}
+			if math.IsNaN(w) {
+				b.err = errors.New("weight is NaN")
+				return
+			}
+			e.Weight, b.weighted = float32(w), true
+		}
+		b.edges = append(b.edges, e)
+	}
+}
+
+// refusal is the block's refusal as the reader reports it, at the given
+// input line. A line too long is reported without its number, as
+// bufio.Scanner reports it.
+func (b *block) refusal(line int) error {
+	if b.err == bufio.ErrTooLong {
+		return b.err
+	}
+	return fmt.Errorf("graph: line %d: %v", line, b.err)
+}
+
+// cutLine cuts text's first line off as bufio.ScanLines does, without its
+// "\n" and one '\r' before it. A line of lineMax bytes or more before its
+// newline is refused with bufio.ErrTooLong.
+func cutLine(text []byte) (line, rest []byte, err error) {
+	line = text
+	if i := bytes.IndexByte(text, '\n'); i >= 0 {
+		line, rest = text[:i], text[i+1:]
+	}
+	if len(line) >= lineMax {
+		return nil, nil, bufio.ErrTooLong
 	}
 	if len(line) > 0 && line[len(line)-1] == '\r' {
 		line = line[:len(line)-1]
 	}
-	return line, nil
+	return line, rest, nil
+}
+
+// A splitter cuts its input into blocks of whole lines.
+type splitter struct {
+	r     io.Reader
+	size  int    // the bytes read before a block is cut at its last newline
+	carry []byte // the partial line after the last block cut
+	// err ends the input: io.EOF, r's error, or bufio.ErrTooLong for a
+	// partial line that has grown to lineMax bytes.
+	err error
+}
+
+// next reads the next block into buf, growing it as needed: the carried
+// partial line and what follows, up to the last newline once size bytes
+// are read, or the first newline after them. Once the input ends it
+// returns what is left and sets err; that is whole lines only, unless the
+// input reached io.EOF, when the last line may lack its newline.
+func (s *splitter) next(buf []byte) *block {
+	buf = append(buf[:0], s.carry...)
+	s.carry = s.carry[:0]
+	lineStart := 0 // past the last newline in buf; the carry has none
+	for s.err == nil {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		k, err := s.r.Read(buf[len(buf):cap(buf)])
+		if i := bytes.LastIndexByte(buf[len(buf):len(buf)+k], '\n'); i >= 0 {
+			lineStart = len(buf) + i + 1
+		}
+		buf = buf[:len(buf)+k]
+		switch {
+		case len(buf)-lineStart >= lineMax:
+			s.err = bufio.ErrTooLong
+		case err != nil:
+			s.err = err
+		case len(buf) >= s.size && lineStart > 0:
+			s.carry = append(s.carry, buf[lineStart:]...)
+			buf = buf[:lineStart]
+			return &block{buf: buf, text: buf}
+		}
+	}
+	if s.err != io.EOF {
+		buf = buf[:lineStart]
+	}
+	return &block{buf: buf, text: buf}
 }
 
 // isSpace reports whether c is one of the six ASCII whitespace bytes

@@ -8,13 +8,17 @@ package graph
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
+	"testing/iotest"
+	"time"
 
 	"pushpull/internal/rng"
 )
@@ -361,6 +365,7 @@ var readerSeeds = append(roundTripSeeds[:len(roundTripSeeds):len(roundTripSeeds)
 	"# pushpull 3 2 1 1\n0 1 1e-45\n1 2 0x1p-3\n2 0 NaN\n",
 	"# pushpull 4 1 0 0\n0 +3\n0 0003\n1 1_0\n",
 	"# pushpull 4 1 1 0\n0 1 9999999\n1 2 12345678\n2 3 1e39\n",
+	"# pushpull 3 2 0 0\n0 1\n1 2 2.5\n", // a weight under an unweighted header
 )
 
 // FuzzReadEdgeListOracle: on ASCII bodies the reader and the oracle agree
@@ -379,22 +384,51 @@ func FuzzReadEdgeListOracle(f *testing.F) {
 		if n, ok := headerCount(body); ok && n > 1<<16 {
 			t.Skip("a valid header this large allocates O(n) before any edge")
 		}
-		g, directed, err := ReadEdgeListKind(strings.NewReader(body))
 		og, odirected, oerr := oracleReadEdgeListKind(strings.NewReader(body))
-		if (err == nil) != (oerr == nil) {
-			t.Fatalf("reader err = %v, oracle err = %v", err, oerr)
-		}
-		if err != nil {
-			if errLine(err) != errLine(oerr) {
-				t.Fatalf("reader refuses %q, oracle %q", err, oerr)
+		for _, size := range blockSizes {
+			g, directed, err := readEdgeList(strings.NewReader(body), size)
+			if (err == nil) != (oerr == nil) {
+				t.Fatalf("block size %d: reader err = %v, oracle err = %v", size, err, oerr)
 			}
-			return
+			if err != nil {
+				if errLine(err) != errLine(oerr) {
+					t.Fatalf("block size %d: reader refuses %q, oracle %q", size, err, oerr)
+				}
+				continue
+			}
+			if directed != odirected {
+				t.Fatalf("block size %d: directed %v, oracle %v", size, directed, odirected)
+			}
+			sameCSR(t, g, og)
 		}
-		if directed != odirected {
-			t.Fatalf("directed %v, oracle %v", directed, odirected)
-		}
-		sameCSR(t, g, og)
 	})
+}
+
+// blockSizes are the block sizes the differential tests read at: the
+// reader's own, and sizes at which lines straddle block boundaries.
+var blockSizes = []int{blockSize, 1, 7, 64}
+
+// agreesWithOracle reads body at every block size, in one Read and one
+// byte per Read, and fails unless each read gives the oracle's graph and
+// kind, or its error.
+func agreesWithOracle(t *testing.T, body string) {
+	t.Helper()
+	og, odirected, oerr := oracleReadEdgeListKind(strings.NewReader(body))
+	for _, size := range blockSizes {
+		for _, r := range []io.Reader{strings.NewReader(body), iotest.OneByteReader(strings.NewReader(body))} {
+			g, directed, err := readEdgeList(r, size)
+			if (err == nil) != (oerr == nil) || err != nil && err.Error() != oerr.Error() {
+				t.Fatalf("%.40q at block size %d: reader err = %v, oracle err = %v", body, size, err, oerr)
+			}
+			if err != nil {
+				continue
+			}
+			if directed != odirected {
+				t.Fatalf("%.40q at block size %d: directed %v, oracle %v", body, size, directed, odirected)
+			}
+			sameCSR(t, g, og)
+		}
+	}
 }
 
 // TestReadEdgeListMatchesOracle runs the differential check on the seeds
@@ -402,11 +436,7 @@ func FuzzReadEdgeListOracle(f *testing.F) {
 // reversed (so every row needs the builder's sort).
 func TestReadEdgeListMatchesOracle(t *testing.T) {
 	for _, body := range readerSeeds {
-		_, _, err := ReadEdgeListKind(strings.NewReader(body))
-		_, _, oerr := oracleReadEdgeListKind(strings.NewReader(body))
-		if (err == nil) != (oerr == nil) || err != nil && err.Error() != oerr.Error() {
-			t.Errorf("%q: reader err = %v, oracle err = %v", body, err, oerr)
-		}
+		agreesWithOracle(t, body)
 	}
 	for _, directed := range []bool{false, true} {
 		var buf bytes.Buffer
@@ -418,18 +448,10 @@ func TestReadEdgeListMatchesOracle(t *testing.T) {
 			lines[i], lines[j] = lines[j], lines[i]
 		}
 		for _, body := range []string{buf.String(), strings.Join(lines, "\n")} {
-			g, d, err := ReadEdgeListKind(strings.NewReader(body))
-			if err != nil {
-				t.Fatal(err)
+			if _, d, err := ReadEdgeListKind(strings.NewReader(body)); err != nil || d != directed {
+				t.Fatalf("directed %v, written %v: err = %v", d, directed, err)
 			}
-			og, od, err := oracleReadEdgeListKind(strings.NewReader(body))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if d != od || d != directed {
-				t.Fatalf("directed %v, oracle %v, written %v", d, od, directed)
-			}
-			sameCSR(t, g, og)
+			agreesWithOracle(t, body)
 		}
 	}
 }
@@ -463,6 +485,82 @@ func TestReadEdgeListLineRules(t *testing.T) {
 	long := "# pushpull 3 1 0 0\n0 1" + strings.Repeat(" ", lineMax-5) + "\r\n"
 	if g, err := ReadEdgeList(strings.NewReader(long)); err != nil || g.UndirectedM() != 1 {
 		t.Fatalf("a line of exactly %d bytes: err = %v", lineMax, err)
+	}
+}
+
+// TestReadEdgeListBlockBoundaries reads bodies whose lines, refusals and
+// line ends fall across block boundaries, at every block size, and holds
+// each read to the oracle: the same graph, or the same error.
+func TestReadEdgeListBlockBoundaries(t *testing.T) {
+	const hdr = "# pushpull 3 2 0 0\n"
+	for _, size := range blockSizes {
+		// More than a block of good lines before each of two refusals.
+		fill := strings.Repeat("0 1\n", size/4+2)
+		twoRefusals := hdr + fill + "0 x\n" + fill + "9 0\n" + fill
+		if _, _, err := readEdgeList(strings.NewReader(twoRefusals), size); err == nil ||
+			!strings.Contains(err.Error(), fmt.Sprintf("line %d: strconv.Atoi", size/4+4)) {
+			t.Errorf("block size %d: err = %v, want the first refusal's line, %d", size, err, size/4+4)
+		}
+		agreesWithOracle(t, twoRefusals)
+	}
+	for _, c := range []struct{ name, body, want string }{
+		{"a \\r\\n whose bytes arrive in different reads", "# pushpull 3 2 1 0\r\n0 1 2\r\n1 2\r\n\r\n", ""},
+		{"a line of lineMax bytes", hdr + "0 1" + strings.Repeat(" ", lineMax-5) + "\r\n1 2\n", ""},
+		{"a line of lineMax+1 bytes", hdr + "0 1" + strings.Repeat(" ", lineMax-4) + "\r\n1 2\n", bufio.ErrTooLong.Error()},
+		{"an unended last line of lineMax bytes", hdr + "0 1" + strings.Repeat(" ", lineMax-3), bufio.ErrTooLong.Error()},
+		{"a refusal before a line too long", hdr + "0 x\n" + strings.Repeat(" ", lineMax+9) + "\n", "line 2: strconv.Atoi"},
+	} {
+		if _, _, err := ReadEdgeListKind(strings.NewReader(c.body)); c.want == "" && err != nil ||
+			c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)) {
+			t.Errorf("%s: err = %v, want %q", c.name, err, c.want)
+		}
+		agreesWithOracle(t, c.body)
+	}
+	// A line with no end is refused once it reaches lineMax bytes, not
+	// read on to the end of the input.
+	endless := strings.NewReader(hdr + strings.Repeat(" ", 8*lineMax))
+	if _, _, err := ReadEdgeListKind(endless); err != bufio.ErrTooLong || endless.Len() < 5*lineMax {
+		t.Errorf("a line with no end: err = %v after %d bytes, want %v within %d", err, endless.Size()-int64(endless.Len()), bufio.ErrTooLong, 3*lineMax)
+	}
+	// A block's first size bytes ending at every byte of the body, so at
+	// each '\r' and each '\n' of its line ends.
+	body := "# pushpull 3 2 1 0\r\n0 1 2\r\n1 2\r\n"
+	want, _, _ := oracleReadEdgeListKind(strings.NewReader(body))
+	for size := 1; size <= len(body); size++ {
+		g, _, err := readEdgeList(strings.NewReader(body), size)
+		if err != nil {
+			t.Fatalf("block size %d: %v", size, err)
+		}
+		sameCSR(t, g, want)
+	}
+}
+
+// TestReadEdgeListLeavesNoGoroutine: after a refusal in the first of many
+// blocks, and after a source that fails mid-stream, the reader returns
+// with its parsers gone, and the refusal stops it reading on.
+func TestReadEdgeListLeavesNoGoroutine(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	base := runtime.NumGoroutine()
+	const hdr = "# pushpull 2 1 0 0\n"
+	fill := strings.Repeat("0 1\n", 20_000)
+	boom := errors.New("source failed")
+	refused := strings.NewReader(hdr + "0 x\n" + fill)
+	if _, _, err := readEdgeList(refused, 64); err == nil || !strings.Contains(err.Error(), "line 2:") {
+		t.Errorf("refusal in the first block: err = %v, want line 2", err)
+	}
+	if refused.Len() < len(fill)/2 {
+		t.Errorf("read %d of %d bytes past a refusal in the first block", int(refused.Size())-refused.Len(), refused.Size())
+	}
+	// The line the source fails in is not read to its end, so it is not
+	// parsed: "0" would be refused.
+	failing := io.MultiReader(strings.NewReader(hdr+fill+"0"), iotest.ErrReader(boom))
+	if _, _, err := readEdgeList(failing, 64); !errors.Is(err, boom) {
+		t.Errorf("source failing mid-stream: err = %v, want %v", err, boom)
+	}
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the reads, %d before", runtime.NumGoroutine(), base)
+		}
 	}
 }
 

@@ -54,6 +54,36 @@ func TestServeMaxUpload(t *testing.T) {
 	if _, ok := eng.Workload("big"); ok {
 		t.Error("rejected upload still registered a workload")
 	}
+
+	// A limit the edge-list reader reaches two blocks into the body: its
+	// error still surfaces from the parse as a 413.
+	const limit = 5 << 19 // 2.5 MiB
+	ts = httptest.NewServer(serve.New(eng, serve.WithMaxUpload(limit)))
+	t.Cleanup(ts.Close)
+	var long bytes.Buffer
+	fmt.Fprintf(&long, "# pushpull 1000 %d 0 1\n", 400_000)
+	for i := 0; i < 400_000; i++ {
+		fmt.Fprintf(&long, "%d %d\n", i%1000, i*7%1000)
+	}
+	if long.Len() <= limit {
+		t.Fatalf("multi-block body is %d bytes, need > %d", long.Len(), limit)
+	}
+	req, err = http.NewRequest(http.MethodPut, ts.URL+"/graphs/longer", &long)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp2, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp2.Body.Close()
+	body, _ = io.ReadAll(resp2.Body)
+	if resp2.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(string(body), fmt.Sprint(limit)) {
+		t.Fatalf("PUT past a %d-byte limit got %d %s, want 413 naming the limit", limit, resp2.StatusCode, body)
+	}
+	if _, ok := eng.Workload("longer"); ok {
+		t.Error("rejected multi-block upload still registered a workload")
+	}
 }
 
 // TestServeRejectsOutOfRangeEdgeList: numbers that do not fit a vertex

@@ -8,8 +8,11 @@ package pushpull_test
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/fnv"
+	"math"
 	"path/filepath"
 	"testing"
 
@@ -324,6 +327,26 @@ func TestWorkloadIDGolden(t *testing.T) {
 	} {
 		if got := c.w.ID(); got != c.want {
 			t.Errorf("%s: ID %s, want %s", c.name, got, c.want)
+		}
+	}
+}
+
+// TestFNVWordMatchesHashFNV: the content ID's folded FNV-1a, which takes
+// a word with zero high bytes in four byte steps and one multiply, gives
+// hash/fnv's digest of the same little-endian words, with and without
+// high bits set.
+func TestFNVWordMatchesHashFNV(t *testing.T) {
+	words := []uint64{0, 1, 0xff, 0x100, 0xdeadbeef, math.MaxUint32, 1 << 32, 1 | 1<<34,
+		uint64(math.Float32bits(2.5)), 0x0123456789abcdef, math.MaxUint64, 1 << 63}
+	want := fnv.New64a()
+	got := pushpull.FNVOffset
+	var buf [8]byte
+	for i, x := range words {
+		binary.LittleEndian.PutUint64(buf[:], x)
+		want.Write(buf[:])
+		got = pushpull.FNVWord(got, x)
+		if got != want.Sum64() {
+			t.Fatalf("after word %d (%#x): folded %#x, hash/fnv %#x", i, x, got, want.Sum64())
 		}
 	}
 }

@@ -25,9 +25,7 @@ package pushpull
 // above its block threshold) runs the block kernels.
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"math"
 	"os"
@@ -434,49 +432,47 @@ func (w *Workload) ID() string { return memo(w, viewKey{kind: viewID}, w.content
 // pure file handle hashes what its block file stores — the PULL view (the
 // graph itself when undirected, the transpose when directed).
 func (w *Workload) contentID() string {
-	h := fnv.New64a()
-	var buf [8]byte
-	put := func(x uint64) {
-		binary.LittleEndian.PutUint64(buf[:], x)
-		h.Write(buf[:])
-	}
+	h := uint64(fnvOffset)
 	if g := w.g; g != nil {
-		put(uint64(g.N()))
-		put(uint64(g.M()))
+		h = fnvWord(h, uint64(g.N()))
+		h = fnvWord(h, uint64(g.M()))
 		for _, o := range g.Offsets {
-			put(uint64(o))
+			h = fnvWord(h, uint64(o))
 		}
 		for _, v := range g.Adj {
-			put(uint64(v))
+			h = fnvWord(h, uint64(v))
 		}
 		for _, wt := range g.Weights {
-			put(uint64(math.Float32bits(wt)))
+			h = fnvWord(h, uint64(math.Float32bits(wt)))
 		}
 	} else {
 		// Stream the adjacency block-sequentially (two passes when weighted,
 		// matching the all-adj-then-all-weights hash order of the in-memory
 		// path). The file was validated at open; a read failure here
-		// degrades the digest, not correctness.
-		blk := w.blk
-		put(uint64(blk.N()))
-		put(uint64(blk.M()))
+		// degrades the digest, not correctness. The visitors fold into
+		// their own copy of h, so no closure captures h, which then stays
+		// in a register in the in-memory loops above.
+		blk, hb := w.blk, h
+		hb = fnvWord(hb, uint64(blk.N()))
+		hb = fnvWord(hb, uint64(blk.M()))
 		for _, o := range blk.Offsets {
-			put(uint64(o))
+			hb = fnvWord(hb, uint64(o))
 		}
 		_ = blk.VisitBlocks(func(adj []graph.V, _ []float32) error {
 			for _, v := range adj {
-				put(uint64(v))
+				hb = fnvWord(hb, uint64(v))
 			}
 			return nil
 		})
 		if blk.Weighted() {
 			_ = blk.VisitBlocks(func(_ []graph.V, ws []float32) error {
 				for _, wt := range ws {
-					put(uint64(math.Float32bits(wt)))
+					hb = fnvWord(hb, uint64(math.Float32bits(wt)))
 				}
 				return nil
 			})
 		}
+		h = hb
 	}
 	// The declared kind changes what a run computes (directed dispatch,
 	// the weights check), so it is part of the identity.
@@ -490,7 +486,7 @@ func (w *Workload) contentID() string {
 	if w.HasWeights() {
 		kind |= 4
 	}
-	put(kind)
+	h = fnvWord(h, kind)
 	// A file handle's identity carries one more word, so it never collides
 	// with an in-memory handle over the same arrays (an undirected graph's
 	// pull view IS its CSR), whose runs default to other kernels. In-memory
@@ -498,9 +494,35 @@ func (w *Workload) contentID() string {
 	// releases folded (bits 0 and 34): every ID a DiskStore, cache or
 	// router catalog has seen keeps its value.
 	if w.g == nil {
-		put(1 | 1<<34)
+		h = fnvWord(h, 1|1<<34)
 	}
-	return fmt.Sprintf("w%016x-n%d", h.Sum64(), w.N())
+	return fmt.Sprintf("w%016x-n%d", h, w.N())
+}
+
+// FNV-1a, 64-bit (hash/fnv's New64a), over 8-byte little-endian words.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+	// fnvPrime4 is what folding four zero bytes multiplies by: xoring a
+	// zero byte changes nothing, so each of the four is one multiply.
+	fnvPrime4 = fnvPrime * fnvPrime * fnvPrime * fnvPrime % (1 << 64)
+)
+
+// fnvWord folds x's eight little-endian bytes into h. A word whose high
+// four bytes are zero, as is every id, float32's bits and offset below
+// 2³², costs four byte steps and one multiply.
+func fnvWord(h, x uint64) uint64 {
+	if x>>32 != 0 {
+		for i := 0; i < 64; i += 8 {
+			h = (h ^ x>>i&0xff) * fnvPrime
+		}
+		return h
+	}
+	h = (h ^ x&0xff) * fnvPrime
+	h = (h ^ x>>8&0xff) * fnvPrime
+	h = (h ^ x>>16&0xff) * fnvPrime
+	h = (h ^ x>>24) * fnvPrime
+	return h * fnvPrime4
 }
 
 // Builds counts the views this workload has built so far, from its view
