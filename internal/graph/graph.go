@@ -9,6 +9,7 @@ package graph
 import (
 	"cmp"
 	"fmt"
+	"iter"
 	"math"
 	"slices"
 	"sort"
@@ -175,37 +176,43 @@ func (g *CSR) IsSymmetric() bool {
 
 // Transpose returns the reverse graph (CSC view of the adjacency matrix;
 // §7.1 uses it to realize the CSC/push formulation for directed inputs).
+// It is one scatter of g's rows, so each row of the transpose lists its
+// sources in increasing order, sorted as a CSR's rows are. A graph that
+// fails Check is transposed on the calling goroutine alone, so a fault
+// it trips panics there, where the caller can recover, not in a worker.
 func (g *CSR) Transpose() *CSR {
-	n := g.NumV
-	deg := make([]int64, n+1)
-	for v := V(0); v < n; v++ {
-		for _, w := range g.Neighbors(v) {
-			deg[w+1]++
-		}
+	t := 1
+	if g.Checked() || g.check() == nil {
+		t = scatterWorkers(g.N(), int(g.M()))
 	}
-	for i := V(1); i <= n; i++ {
-		deg[i] += deg[i-1]
-	}
-	t := &CSR{NumV: n, Offsets: deg, Adj: make([]V, g.M())}
+	return g.transpose(t)
+}
+
+// transpose is Transpose on t scatter workers.
+func (g *CSR) transpose(t int) *CSR {
+	tr := &CSR{NumV: g.NumV, Adj: make([]V, g.M())}
 	if g.Weights != nil {
-		t.Weights = make([]float32, g.M())
+		tr.Weights = make([]float32, g.M())
 	}
-	cursor := make([]int64, n)
-	copy(cursor, deg[:n])
-	for v := V(0); v < n; v++ {
-		ws := g.NeighborWeights(v)
-		for i, w := range g.Neighbors(v) {
-			c := cursor[w]
-			t.Adj[c] = v
-			if ws != nil {
-				t.Weights[c] = ws[i]
-			}
-			cursor[w]++
+	tr.Offsets, _ = scatter(g.N(), rowBounds(g, t), func(lo, hi int, cnt []int64) bool {
+		for _, w := range g.Adj[g.Offsets[lo]:g.Offsets[hi]] {
+			cnt[w]++
 		}
-	}
-	// Adjacency within each row of the transpose is already sorted because
-	// source vertices were visited in increasing order.
-	return t
+		return true
+	}, func(lo, hi int, cur []int64) {
+		for v := V(lo); v < V(hi); v++ {
+			ws := g.NeighborWeights(v)
+			for i, w := range g.Neighbors(v) {
+				c := cur[w]
+				tr.Adj[c] = v
+				if ws != nil {
+					tr.Weights[c] = ws[i]
+				}
+				cur[w] = c + 1
+			}
+		}
+	})
+	return tr
 }
 
 // Edge is one (possibly weighted) edge used by builders and serialization.
@@ -255,91 +262,163 @@ func (b *Builder) AddEdgeW(u, v V, w float32) {
 
 // Build produces the CSR. It returns an error for a vertex count outside
 // [0, MaxInt32] and for out-of-range endpoints.
-func (b *Builder) Build() (*CSR, error) {
+//
+// The edges, the reader's blocks first, are scattered into their rows in
+// the order they were added, on as many workers as scatterWorkers gives;
+// then each row is sorted and its duplicates merged.
+func (b *Builder) Build() (*CSR, error) { return b.build(scatterWorkers) }
+
+// build is Build on workers(n, arcs) scatter workers.
+func (b *Builder) build(workers func(n, arcs int) int) (*CSR, error) {
 	if b.n < 0 || b.n > math.MaxInt32 {
 		return nil, fmt.Errorf("graph: vertex count %d out of range [0,%d]", b.n, math.MaxInt32)
 	}
 	n := b.n // an int: n+1 overflows V when n = MaxInt32
 	parts := append(b.blocks[:len(b.blocks):len(b.blocks)], b.edges)
+	items := 0
 	for _, edges := range parts {
-		for _, e := range edges {
-			if e.U < 0 || int(e.U) >= n || e.V < 0 || int(e.V) >= n {
-				return nil, fmt.Errorf("graph: edge (%d,%d) out of range [0,%d)", e.U, e.V, n)
-			}
-		}
+		items += len(edges)
 	}
-	type arc struct {
-		v V
-		w float32
+	arcs := items
+	if b.undirected {
+		arcs *= 2
 	}
-	// Count, fill, sort per-vertex, dedup.
-	deg := make([]int64, n+1)
-	add := func(u V) { deg[u+1]++ }
-	for _, edges := range parts {
-		for _, e := range edges {
-			if !b.keepLoops && e.U == e.V {
-				continue
-			}
-			add(e.U)
-			if b.undirected {
-				add(e.V)
-			}
-		}
-	}
-	for i := 1; i <= n; i++ {
-		deg[i] += deg[i-1]
-	}
-	arcs := make([]arc, deg[n])
-	cursor := make([]int64, n)
-	copy(cursor, deg[:n])
-	put := func(u, v V, w float32) {
-		arcs[cursor[u]] = arc{v: v, w: w}
-		cursor[u]++
-	}
-	for _, edges := range parts {
-		for _, e := range edges {
-			if !b.keepLoops && e.U == e.V {
-				continue
-			}
-			put(e.U, e.V, e.Weight)
-			if b.undirected {
-				put(e.V, e.U, e.Weight)
-			}
-		}
-	}
-	g := &CSR{NumV: V(n), Offsets: make([]int64, n+1)}
-	adj := make([]V, 0, len(arcs))
+	// Sized for every arc; a dropped self-loop or duplicate leaves its
+	// slot unused.
+	adj := make([]V, arcs)
 	var wts []float32
 	if b.weighted {
-		wts = make([]float32, 0, len(arcs))
+		wts = make([]float32, arcs)
 	}
-	for v := 0; v < n; v++ {
-		lo, hi := deg[v], deg[v+1]
-		row := arcs[lo:hi]
-		// A strictly increasing row, the form every row of a written edge
-		// list arrives in, is already what the sort would make of it. The
-		// sort is stable, so of duplicate arcs the first added is kept:
-		// both rows of an undirected edge listed twice keep the same weight.
-		for i := 1; i < len(row); i++ {
-			if row[i-1].v >= row[i].v {
-				slices.SortStableFunc(row, func(a, b arc) int { return cmp.Compare(a.v, b.v) })
-				break
+	offsets, ok := scatter(n, evenBounds(items, workers(n, arcs)), func(lo, hi int, cnt []int64) bool {
+		for edges := range span(parts, lo, hi) {
+			for _, e := range edges {
+				if uint32(e.U) >= uint32(n) || uint32(e.V) >= uint32(n) {
+					return false
+				}
+				if e.U == e.V && !b.keepLoops {
+					continue
+				}
+				cnt[e.U]++
+				if b.undirected {
+					cnt[e.V]++
+				}
 			}
 		}
-		for i, a := range row {
-			if !b.keepDupes && i > 0 && row[i-1].v == a.v {
-				continue
+		return true
+	}, func(lo, hi int, cur []int64) {
+		put := func(u, v V, w float32) {
+			c := cur[u]
+			adj[c] = v
+			if wts != nil {
+				wts[c] = w
 			}
-			adj = append(adj, a.v)
-			if b.weighted {
-				wts = append(wts, a.w)
+			cur[u] = c + 1
+		}
+		for edges := range span(parts, lo, hi) {
+			for _, e := range edges {
+				if e.U == e.V && !b.keepLoops {
+					continue
+				}
+				put(e.U, e.V, e.Weight)
+				if b.undirected {
+					put(e.V, e.U, e.Weight)
+				}
 			}
 		}
-		g.Offsets[v+1] = int64(len(adj))
+	})
+	if !ok {
+		for _, edges := range parts {
+			for _, e := range edges {
+				if uint32(e.U) >= uint32(n) || uint32(e.V) >= uint32(n) {
+					return nil, fmt.Errorf("graph: edge (%d,%d) out of range [0,%d)", e.U, e.V, n)
+				}
+			}
+		}
 	}
-	g.Adj = adj
-	g.Weights = wts
+	// Sort each row and merge its duplicates, moving the rows down over
+	// the slots they free. A strictly increasing row, the form every row
+	// of a written edge list arrives in, is already what the sort would
+	// make of it, and stays where it is until a row before it shrinks.
+	var scratch []arc
+	var lo, out int64
+	for v := 1; v <= n; v++ {
+		hi := offsets[v]
+		row := adj[lo:hi]
+		i := 1
+		for i < len(row) && row[i-1] < row[i] {
+			i++
+		}
+		if i >= len(row) && out == lo {
+			out = hi
+		} else {
+			if i < len(row) {
+				scratch = sortRow(row, wts, lo, scratch)
+			}
+			// Of duplicate arcs the first added is kept, the sort being
+			// stable: both rows of an undirected edge listed twice keep
+			// the same weight.
+			for j := lo; j < hi; j++ {
+				if !b.keepDupes && j > lo && adj[j-1] == adj[j] {
+					continue
+				}
+				adj[out] = adj[j]
+				if wts != nil {
+					wts[out] = wts[j]
+				}
+				out++
+			}
+		}
+		offsets[v] = out
+		lo = hi
+	}
+	g := &CSR{NumV: V(n), Offsets: offsets, Adj: adj[:out]}
+	if wts != nil {
+		g.Weights = wts[:out]
+	}
 	return g, nil
+}
+
+// An arc is a row entry with its weight, as sortRow sorts it.
+type arc struct {
+	v V
+	w float32
+}
+
+// sortRow sorts row, adj[lo:lo+len(row)], stably by endpoint, carrying
+// the weights in wts alongside when there are any, and returns the
+// scratch it sorted weighted arcs in, for the next row.
+func sortRow(row []V, wts []float32, lo int64, scratch []arc) []arc {
+	if wts == nil {
+		slices.Sort(row)
+		return scratch
+	}
+	ws := wts[lo : lo+int64(len(row))]
+	scratch = scratch[:0]
+	for i, v := range row {
+		scratch = append(scratch, arc{v: v, w: ws[i]})
+	}
+	slices.SortStableFunc(scratch, func(a, b arc) int { return cmp.Compare(a.v, b.v) })
+	for i, a := range scratch {
+		row[i], ws[i] = a.v, a.w
+	}
+	return scratch
+}
+
+// span yields the runs of parts that hold items [lo, hi) of their
+// concatenation, in order.
+func span(parts [][]Edge, lo, hi int) iter.Seq[[]Edge] {
+	return func(yield func([]Edge) bool) {
+		for _, edges := range parts {
+			if hi <= 0 {
+				return
+			}
+			if lo < len(edges) && !yield(edges[max(lo, 0):min(hi, len(edges))]) {
+				return
+			}
+			lo, hi = lo-len(edges), hi-len(edges)
+		}
+	}
 }
 
 // MustBuild is Build panicking on error, for tests and fixtures.

@@ -429,7 +429,9 @@ func TestBuildAlwaysValid(t *testing.T) {
 	}
 }
 
-func BenchmarkBuild(b *testing.B) {
+// BenchmarkBuildRandom adds and builds 32 k random undirected edges on
+// 4096 vertices.
+func BenchmarkBuildRandom(b *testing.B) {
 	r := rng.New(1)
 	const n = 1 << 12
 	edges := make([]Edge, 8*n)

@@ -27,6 +27,11 @@ import (
 //     strconv.ParseFloat reads as a float32, except NaN, which is refused.
 //     +Inf and 0 are weights like any other; a weightless line in a
 //     weighted list reads as weight 1.
+//   - A line is scanned once, left to right. A plain field converts
+//     inline: an id of up to ten decimal digits, a weight of digits with
+//     at most one '.' between more digits (see scanWeight for its
+//     bounds). Any other field goes to strconv, whose values and errors
+//     the reader keeps, so the inline conversions change neither.
 //
 // The writer allocates per call, and the reader per call and per block of
 // about blockSize bytes, not per line or per arc.
@@ -264,49 +269,140 @@ func parseBlocks(s *splitter, first *block, n int) ([]*block, error) {
 func (b *block) parse(n int) {
 	text := b.text
 	b.edges = make([]Edge, 0, bytes.Count(text, []byte{'\n'})+1)
-	var f [3][]byte
 	for ; len(text) > 0; b.lines++ {
 		var line []byte
 		if line, text, b.err = cutLine(text); b.err != nil {
 			return
 		}
-		fields := f[:splitFields(line, f[:])]
-		if len(fields) == 0 || fields[0][0] == '#' {
-			continue
-		}
-		if len(fields) < 2 {
-			b.err = fmt.Errorf("want 'u v [w]', got %q", bytes.TrimSpace(line))
+		e, weighted, ok, err := scanEdge(line, n)
+		if err != nil {
+			b.err = err
 			return
 		}
-		var ends [2]V
-		for i, field := range fields[:2] {
-			x, err := strconv.Atoi(aliasString(field))
-			if err != nil {
-				b.err = err
-				return
-			}
-			// Range-checked before the conversion, which would wrap.
-			if x < 0 || x >= n {
-				b.err = fmt.Errorf("vertex %d out of range [0,%d)", x, n)
-				return
-			}
-			ends[i] = V(x)
+		if ok {
+			b.edges = append(b.edges, e)
+			b.weighted = b.weighted || weighted
 		}
-		e := Edge{U: ends[0], V: ends[1], Weight: 1}
-		if len(fields) == 3 {
-			w, err := strconv.ParseFloat(aliasString(fields[2]), 32)
-			if err != nil {
-				b.err = err
-				return
-			}
-			if math.IsNaN(w) {
-				b.err = errors.New("weight is NaN")
-				return
-			}
-			e.Weight, b.weighted = float32(w), true
-		}
-		b.edges = append(b.edges, e)
 	}
+}
+
+// scanEdge reads an edge line in one pass from left to right. ok is
+// false for a blank or comment line; weighted reports a third field.
+// What follows the third field is ignored.
+func scanEdge(line []byte, n int) (e Edge, weighted, ok bool, err error) {
+	i := skipSpace(line, 0)
+	if i == len(line) || line[i] == '#' {
+		return e, false, false, nil
+	}
+	u, i, errU := scanID(line, i, n)
+	if i = skipSpace(line, i); i == len(line) {
+		return e, false, false, fmt.Errorf("want 'u v [w]', got %q", bytes.TrimSpace(line))
+	}
+	if errU != nil {
+		return e, false, false, errU
+	}
+	v, i, err := scanID(line, i, n)
+	if err != nil {
+		return e, false, false, err
+	}
+	e = Edge{U: u, V: v, Weight: 1}
+	if i = skipSpace(line, i); i == len(line) {
+		return e, false, true, nil
+	}
+	if e.Weight, err = scanWeight(line, i); err != nil {
+		return e, false, false, err
+	}
+	if math.IsNaN(float64(e.Weight)) {
+		return e, false, false, errors.New("weight is NaN")
+	}
+	return e, true, true, nil
+}
+
+// scanID reads the vertex id field that starts at line[i] and returns it
+// with the index past the field. Up to ten plain decimal digits convert
+// here; any other field goes to strconv.Atoi, whose value and error the
+// reader keeps.
+func scanID(line []byte, i, n int) (V, int, error) {
+	var x int64
+	j := i
+	for ; j < len(line) && j-i < 10 && line[j]-'0' <= 9; j++ {
+		x = x*10 + int64(line[j]-'0')
+	}
+	if j == i || j < len(line) && !isSpace(line[j]) {
+		j = fieldEnd(line, j)
+		y, err := strconv.Atoi(aliasString(line[i:j]))
+		if err != nil {
+			return 0, j, err
+		}
+		x = int64(y)
+	}
+	// Range-checked before the conversion, which would wrap.
+	if x < 0 || x >= int64(n) {
+		return 0, j, fmt.Errorf("vertex %d out of range [0,%d)", x, n)
+	}
+	return V(x), j, nil
+}
+
+// scanWeight reads the weight field that starts at line[i]. A plain decimal, digits with at most one
+// '.' between more digits, of at most 15 significant digits and at most
+// 22 after the point, converts here as float32(mant / 10^frac): mant
+// < 2^53 and 10^frac are exact in a float64 and the division rounds once,
+// and since every float32 rounding midpoint is a float64, rounding that
+// quotient to a float32 rounds the decimal itself correctly, unless the
+// quotient lands on a midpoint. That field, and any other (a sign, an
+// exponent, "inf", "0x…", more digits), goes to strconv.ParseFloat,
+// whose value and error the reader keeps.
+func scanWeight(line []byte, i int) (float32, error) {
+	var mant uint64
+	sig, j := 0, i
+	digits := func() {
+		for ; j < len(line) && line[j]-'0' <= 9; j++ {
+			mant = mant*10 + uint64(line[j]-'0')
+			if mant != 0 {
+				sig++
+			}
+		}
+	}
+	digits()
+	plain, frac := j > i, 0
+	if j < len(line) && line[j] == '.' {
+		j++
+		k := j
+		digits()
+		frac = j - k
+		plain = plain && frac > 0
+	}
+	if plain && sig <= 15 && frac <= 22 && (j == len(line) || isSpace(line[j])) {
+		x := float64(mant) / pow10[frac]
+		const low = 1<<29 - 1 // the float64 fraction bits a float32 drops
+		if math.Float64bits(x)&low != 1<<28 {
+			return float32(x), nil
+		}
+	}
+	w, err := strconv.ParseFloat(aliasString(line[i:fieldEnd(line, j)]), 32)
+	return float32(w), err
+}
+
+// pow10 holds the powers of ten a float64 represents exactly.
+var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
+
+// skipSpace is the index of the first byte of line at or after i that is
+// not a space, or len(line).
+func skipSpace(line []byte, i int) int {
+	for i < len(line) && isSpace(line[i]) {
+		i++
+	}
+	return i
+}
+
+// fieldEnd is the index of the first space in line at or after i, or
+// len(line).
+func fieldEnd(line []byte, i int) int {
+	for i < len(line) && !isSpace(line[i]) {
+		i++
+	}
+	return i
 }
 
 // refusal is the block's refusal as the reader reports it, at the given
@@ -388,21 +484,11 @@ func isSpace(c byte) bool { return c == ' ' || c-'\t' <= '\r'-'\t' }
 // splitFields stores the first len(out) whitespace-separated fields of
 // line in out, in place, and returns how many it stored.
 func splitFields(line []byte, out [][]byte) int {
-	k, i := 0, 0
-	for k < len(out) {
-		for i < len(line) && isSpace(line[i]) {
-			i++
-		}
-		if i == len(line) {
-			break
-		}
-		j := i
-		for j < len(line) && !isSpace(line[j]) {
-			j++
-		}
+	k, i := 0, skipSpace(line, 0)
+	for ; k < len(out) && i < len(line); k++ {
+		j := fieldEnd(line, i)
 		out[k] = line[i:j]
-		k++
-		i = j
+		i = skipSpace(line, j)
 	}
 	return k
 }

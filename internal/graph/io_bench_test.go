@@ -46,3 +46,35 @@ func BenchmarkWriteEdgeList(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkTranspose transposes the upload graph, as an upload's first
+// pull run does: on a graph that has passed Check, as a run's has.
+func BenchmarkTranspose(b *testing.B) {
+	g, _ := edgeListBody(b)
+	if err := g.Check(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		g.Transpose()
+	}
+}
+
+// BenchmarkBuild builds the upload graph from its arcs as a directed
+// weighted edge list, as the reader's Build does.
+func BenchmarkBuild(b *testing.B) {
+	g, _ := edgeListBody(b)
+	bld := graph.NewBuilder(g.N()).Directed()
+	for v := graph.V(0); v < g.NumV; v++ {
+		ws := g.NeighborWeights(v)
+		for i, u := range g.Neighbors(v) {
+			bld.AddEdgeW(v, u, ws[i])
+		}
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := bld.Build(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -267,7 +267,8 @@ func headerCount(body string) (int, bool) {
 
 // oracleReadEdgeListKind is the straightforward reader ReadEdgeListKind
 // must agree with on ASCII input: a Scanner, TrimSpace and Fields per
-// line, strconv for every number, and a NaN weight refused.
+// line, strconv for every number, a NaN weight refused, and the
+// sequential oracleBuild.
 func oracleReadEdgeListKind(r io.Reader) (*CSR, bool, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -330,7 +331,7 @@ func oracleReadEdgeListKind(r io.Reader) (*CSR, bool, error) {
 	if err := sc.Err(); err != nil {
 		return nil, false, err
 	}
-	g, err := b.Build()
+	g, err := oracleBuild(b)
 	if err != nil {
 		return nil, false, err
 	}
@@ -561,6 +562,80 @@ func TestReadEdgeListLeavesNoGoroutine(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("%d goroutines after the reads, %d before", runtime.NumGoroutine(), base)
 		}
+	}
+}
+
+// weightSeeds are FuzzEdgeWeight's starting fields: float32 rounding
+// midpoints printed exactly and to 9–17 digits, mantissas at and past
+// the scanner's 15 digits, fractions at and past its 22 digits, and the
+// forms strconv alone reads.
+func weightSeeds() []string {
+	seeds := []string{
+		"0", "0.", ".5", "-0", "+1", "0007.50", "000000000000000000001.5", "1e-5", "1E5",
+		"123456789012345", "1234567890123456", "0.123456789012345", "1.234567890123456",
+		"0.0000000000000000000001", "0.00000000000000000000001",
+		"1.2345678901234567890123", "99999999999999.9", "16777217", "16777219", "33554435",
+		"inf", "NaN", "0x1p-3", "1_0", "5..5", "3.4028236e38",
+	}
+	for _, f := range []float32{1, 0.1, 1.5, 37.12345, 99.99999, 16777216, 3.4e5, 1e-7, 1e14} {
+		mid := (float64(f) + float64(math.Nextafter32(f, float32(math.Inf(1))))) / 2
+		seeds = append(seeds, strings.TrimRight(strconv.FormatFloat(mid, 'f', 80, 64), "0"))
+		for digits := 9; digits <= 17; digits++ {
+			seeds = append(seeds, strconv.FormatFloat(mid, 'f', digits-1-int(math.Floor(math.Log10(mid))), 64))
+		}
+	}
+	return seeds
+}
+
+// FuzzEdgeWeight holds the scanner's weight to strconv.ParseFloat(s, 32)
+// on the field s starts with, bit for bit, accepted or refused.
+func FuzzEdgeWeight(f *testing.F) {
+	for _, s := range weightSeeds() {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		sameWeight(t, s)
+	})
+}
+
+// sameWeight fails unless scanWeight reads the field s starts with as
+// strconv.ParseFloat(field, 32) does: the same float32 bits and the same
+// error.
+func sameWeight(t *testing.T, s string) {
+	t.Helper()
+	field := s[:fieldEnd([]byte(s), 0)]
+	if field == "" {
+		return // a field starts at a byte that is not a space
+	}
+	w, err := scanWeight([]byte(s), 0)
+	want, wantErr := strconv.ParseFloat(field, 32)
+	if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+		t.Fatalf("%q: err = %v, strconv %v", s, err, wantErr)
+	}
+	if math.Float32bits(w) != math.Float32bits(float32(want)) {
+		t.Fatalf("%q: %g (%#x), strconv %g (%#x)", s, w, math.Float32bits(w), want, math.Float32bits(float32(want)))
+	}
+}
+
+// TestScanWeightMatchesStrconv runs sameWeight on the seeds and on
+// random decimals: short ones, and ones within a digit in the last place
+// of a float32 rounding midpoint, where a second rounding would show.
+func TestScanWeightMatchesStrconv(t *testing.T) {
+	for _, s := range weightSeeds() {
+		sameWeight(t, s)
+	}
+	r := rng.New(11)
+	for i := 0; i < 100_000; i++ {
+		f := math.Float32frombits(uint32(r.Intn(0x7f000000)))
+		mid := (float64(f) + float64(math.Nextafter32(f, float32(math.Inf(1))))) / 2
+		digits := 9 + r.Intn(9)
+		s := strconv.FormatFloat(mid, 'f', max(0, digits-1-int(math.Floor(math.Log10(mid)))), 64)
+		last := s[len(s)-1] - '0'
+		if nudge := byte(r.Intn(3)); last+nudge >= 1 && last+nudge <= 10 {
+			s = s[:len(s)-1] + string('0'+last+nudge-1)
+		}
+		sameWeight(t, s)
+		sameWeight(t, strconv.Itoa(r.Intn(1000))+"."+strconv.Itoa(r.Intn(100000)))
 	}
 }
 
