@@ -13,6 +13,11 @@ package api
 // POST /run and every async job over the same entry then write the same
 // bytes instead of formatting the vector again. head+tail is byte for
 // byte json.Marshal(BuildResponse(graph, rep)); the tests hold it to that.
+//
+// A float is spelled as strconv.AppendFloat(x, 'g', -1, 64) spells it.
+// appendShortest (shortest.go) writes that spelling for normal floats,
+// the bulk of a reply, and calls strconv only for zero and subnormals;
+// the tests take their expected arrays from strconv itself.
 
 import (
 	"encoding/json"
@@ -119,9 +124,9 @@ func AppendTail(dst []byte, rep *pushpull.Report) []byte {
 func floatsSize(n int) int { return 25*n + 2 }
 
 // appendFloats appends v as a JSON array in the tree's one float
-// spelling: strconv's shortest 'g' form, with null for NaN and ±Inf
-// (which JSON cannot carry — e.g. the +Inf distance of a vertex sssp
-// never reached).
+// spelling: strconv's shortest 'g' form, written by appendShortest (zero
+// and subnormals by strconv), with null for NaN and ±Inf (which JSON
+// cannot carry — e.g. the +Inf distance of a vertex sssp never reached).
 func appendFloats(dst []byte, v []float64) []byte {
 	dst = append(dst, '[')
 	for i, x := range v {
@@ -131,7 +136,7 @@ func appendFloats(dst []byte, v []float64) []byte {
 		if math.IsInf(x, 0) || math.IsNaN(x) {
 			dst = append(dst, "null"...)
 		} else {
-			dst = strconv.AppendFloat(dst, x, 'g', -1, 64)
+			dst = appendShortest(dst, x)
 		}
 	}
 	return append(dst, ']')
