@@ -87,8 +87,8 @@ func runPR(ctx context.Context, w *Workload, cfg *Config) (*Report, error) {
 		opt.SetDamping(cfg.Damping)
 	}
 	if w.IsOutOfCore() {
-		// The block file stores the pull view (the transpose plus an
-		// out-degree sidecar, for directed workloads); the ranks equal
+		// The file stores the pull view (the transpose plus the
+		// out-degrees, for directed workloads); the ranks equal
 		// in-memory pull runs bit for bit.
 		blk, err := w.OutOfCore()
 		if err != nil {

@@ -275,7 +275,7 @@ func serveEngine(args []string, scale float64, seed uint64) {
 	cache := fs.Int("cache", pushpull.DefaultCacheCapacity, "result-cache capacity in entries (0 disables)")
 	cacheBytes := fs.Int64("cache-bytes", pushpull.DefaultCacheBytes, "result-cache byte budget: cached payloads plus their memoized encodings; the least recently used results are evicted to stay under it (0 = no byte bound, -cache alone governs)")
 	store := fs.String("store", "", "persist uploaded graphs to this directory (restored on restart)")
-	maxMemory := fs.Int64("max-memory", 0, "per-graph memory budget in bytes: stored graphs whose CSR would exceed it are persisted in the out-of-core block format and served block-sequentially off disk (0 = unlimited; requires -store)")
+	maxMemory := fs.Int64("max-memory", 0, "per-graph memory budget in bytes: stored graphs whose CSR would exceed it are persisted as their pull view (a .csr an out-of-core handle opens) and served block-sequentially off disk (0 = unlimited; requires -store)")
 	graphs := fs.String("graphs", "", "comma-separated suite graph ids to preload (e.g. rmat,rca; weights attached)")
 	maxQueue := fs.Int("max-queue", 1024, "admission-queue bound: excess runs are shed with 429 + Retry-After (0 = queue unboundedly)")
 	maxUpload := fs.Int64("max-upload", serve.MaxGraphBytes, "PUT /graphs body limit in bytes; larger uploads get 413")
@@ -315,7 +315,7 @@ func serveEngine(args []string, scale float64, seed uint64) {
 		badFlag("max-memory", "0 means no per-graph budget")
 	}
 	if *maxMemory > 0 && *store == "" {
-		fmt.Fprintf(os.Stderr, "pushpull: serve: -max-memory requires -store (the out-of-core block files live in the store directory)\n")
+		fmt.Fprintf(os.Stderr, "pushpull: serve: -max-memory requires -store (the out-of-core pull-view files live in the store directory)\n")
 		os.Exit(2)
 	}
 	fs.Visit(func(f *flag.Flag) {

@@ -1,9 +1,11 @@
 package pr
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math"
+	"os"
 	"path/filepath"
 	"testing"
 	"testing/quick"
@@ -512,8 +514,7 @@ func bitsEqual(t *testing.T, what string, got, want []float64) {
 // handles) must equal the two-reads oracle bit for bit at every thread count and schedule, and
 // the profiled twin equals its fast kernel exactly.
 func TestPullBitIdenticalToTwoReadsGather(t *testing.T) {
-	dir := t.TempDir()
-	for fi, fx := range contribFixtures(t) {
+	for _, fx := range contribFixtures(t) {
 		n := fx.out.N()
 		vw, deg := und(fx.out), fx.out.Degree
 		var outDeg []int64
@@ -528,13 +529,10 @@ func TestPullBitIdenticalToTwoReadsGather(t *testing.T) {
 		pull := vw.In
 		want := pullTwoReads(n, pull.Neighbors, deg, base)
 
-		path := filepath.Join(dir, "g"+string(rune('a'+fi))+".blk")
-		if err := graph.WriteBlockFile(path, pull, outDeg, 64); err != nil {
-			t.Fatalf("%s: %v", fx.name, err)
-		}
+		path := writePullView(t, pull, outDeg)
 		handles := map[string]*graph.BlockCSR{}
-		for name, opts := range map[string][]graph.BlockOpt{"mmap": nil, "buffered": {graph.Buffered()}} {
-			bg, err := graph.OpenBlockCSR(path, opts...)
+		for name, buffered := range map[string]bool{"mmap": false, "buffered": true} {
+			bg, err := graph.OpenBlockCSR(path, buffered)
 			if err != nil {
 				t.Fatalf("%s: open %s: %v", fx.name, name, err)
 			}
@@ -567,14 +565,25 @@ func TestPullBitIdenticalToTwoReadsGather(t *testing.T) {
 	}
 }
 
-// openBlocked writes pull to a block file of 64-vertex blocks and opens it.
-func openBlocked(t *testing.T, pull *graph.CSR) *graph.BlockCSR {
+// writePullView writes pull, with outDeg when directed, to a pull-view
+// file and returns its path.
+func writePullView(t *testing.T, pull *graph.CSR, outDeg []int64) string {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), "g.blk")
-	if err := graph.WriteBlockFile(path, pull, nil, 64); err != nil {
+	var file bytes.Buffer
+	if err := graph.WritePullView(&file, pull, outDeg); err != nil {
 		t.Fatal(err)
 	}
-	bg, err := graph.OpenBlockCSR(path)
+	path := filepath.Join(t.TempDir(), "g.csr")
+	if err := os.WriteFile(path, file.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// openBlocked writes an undirected pull view to a file and opens it.
+func openBlocked(t *testing.T, pull *graph.CSR) *graph.BlockCSR {
+	t.Helper()
+	bg, err := graph.OpenBlockCSR(writePullView(t, pull, nil), false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,6 +20,11 @@ package graph
 // weights included. The reader refuses anything else, so a body from
 // any sender gives the graph and content ID the text would have given;
 // the writer refuses it too, so no file it writes fails to read back.
+//
+// Flag bit 2 marks a graph's pull view, the file an out-of-core handle
+// opens (OpenBlockCSR, WritePullView): the arrays are then the in-edge
+// CSR, and a directed one has an n×i64 out-degree section after the
+// weights. ReadCSR refuses such a body with ErrPullView.
 
 import (
 	"encoding/binary"
@@ -37,9 +42,14 @@ const (
 
 	csrFlagWeighted = 1 << 0
 	csrFlagDirected = 1 << 1
+	csrFlagPullView = 1 << 2
 
 	csrHeaderBytes = 4*4 + 8
 )
+
+// ErrPullView is ReadCSR's refusal of a body whose header marks a pull
+// view, which only an out-of-core handle opens.
+var ErrPullView = errors.New("graph: csr: the body is a pull view, which only an out-of-core handle opens")
 
 // csrBytes is the size of the binary CSR body of a graph with n vertices
 // and m arcs.
@@ -59,21 +69,22 @@ func WriteCSR(w io.Writer, g *CSR, directed bool) error {
 		return err
 	}
 	var flags uint32
-	if g.Weighted() {
-		flags |= csrFlagWeighted
-	}
 	if directed {
 		flags |= csrFlagDirected
 	}
-	if gw, ok := w.(interface{ Grow(int) }); ok {
-		gw.Grow(int(csrBytes(g.N(), g.M(), g.Weighted())))
+	return writeCSR(w, g, flags, nil)
+}
+
+// writeCSR writes g's header, with flags and g's weighted bit, and its
+// sections, then outDeg's.
+func writeCSR(w io.Writer, g *CSR, flags uint32, outDeg []int64) error {
+	if g.Weighted() {
+		flags |= csrFlagWeighted
 	}
-	var hdr [csrHeaderBytes]byte
-	binary.LittleEndian.PutUint32(hdr[0:], csrMagic)
-	binary.LittleEndian.PutUint32(hdr[4:], csrVersion)
-	binary.LittleEndian.PutUint32(hdr[8:], flags)
-	binary.LittleEndian.PutUint32(hdr[12:], uint32(g.NumV))
-	binary.LittleEndian.PutUint64(hdr[16:], uint64(g.M()))
+	if gw, ok := w.(interface{ Grow(int) }); ok {
+		gw.Grow(int(csrBytes(g.N(), g.M(), g.Weighted()) + 8*int64(len(outDeg))))
+	}
+	hdr := csrHeader(flags, uint32(g.NumV), uint64(g.M()))
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
@@ -83,7 +94,62 @@ func WriteCSR(w io.Writer, g *CSR, directed bool) error {
 	if err := writeLE(w, rawBytes(g.Adj), 4); err != nil {
 		return err
 	}
-	return writeLE(w, rawBytes(g.Weights), 4)
+	if err := writeLE(w, rawBytes(g.Weights), 4); err != nil {
+		return err
+	}
+	return writeLE(w, rawBytes(outDeg), 8)
+}
+
+// WritePullView writes in, the pull view of a graph, as a binary CSR
+// with the pull-view flag: for an undirected graph in is the graph itself
+// and outDeg nil; for a directed one in is the transpose and outDeg the
+// graph's out-degrees, which follow the weights. It checks only CSR.Check
+// and outDeg's length: in is a view the tree built, not a sender's body.
+func WritePullView(w io.Writer, in *CSR, outDeg []int64) error {
+	if err := in.Check(); err != nil {
+		return err
+	}
+	flags := uint32(csrFlagPullView)
+	if outDeg != nil {
+		if len(outDeg) != in.N() {
+			return fmt.Errorf("graph: pull view: %d out-degrees for %d vertices", len(outDeg), in.N())
+		}
+		flags |= csrFlagDirected
+	}
+	return writeCSR(w, in, flags, outDeg)
+}
+
+// csrHeader encodes a binary CSR header.
+func csrHeader(flags, n uint32, m uint64) [csrHeaderBytes]byte {
+	var hdr [csrHeaderBytes]byte
+	binary.LittleEndian.PutUint32(hdr[0:], csrMagic)
+	binary.LittleEndian.PutUint32(hdr[4:], csrVersion)
+	binary.LittleEndian.PutUint32(hdr[8:], flags)
+	binary.LittleEndian.PutUint32(hdr[12:], n)
+	binary.LittleEndian.PutUint64(hdr[16:], m)
+	return hdr
+}
+
+// readCSRHeader reads a binary CSR header and checks what every reader
+// checks: the magic, the version, the flag bits and the vertex count.
+func readCSRHeader(r io.Reader) (flags, n uint32, m uint64, err error) {
+	var hdr [csrHeaderBytes]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return 0, 0, 0, fmt.Errorf("truncated header: %w", err)
+	}
+	magic, version := binary.LittleEndian.Uint32(hdr[0:]), binary.LittleEndian.Uint32(hdr[4:])
+	flags, n, m = binary.LittleEndian.Uint32(hdr[8:]), binary.LittleEndian.Uint32(hdr[12:]), binary.LittleEndian.Uint64(hdr[16:])
+	switch unknown := flags &^ (csrFlagWeighted | csrFlagDirected | csrFlagPullView); {
+	case magic != csrMagic:
+		err = fmt.Errorf("bad magic %#x (not a pushpull binary CSR)", magic)
+	case version != csrVersion:
+		err = fmt.Errorf("version %d, this build reads %d", version, csrVersion)
+	case unknown != 0:
+		err = fmt.Errorf("unknown flag bits %#x", unknown)
+	case n > math.MaxInt32:
+		err = fmt.Errorf("vertex count %d exceeds %d", n, math.MaxInt32)
+	}
+	return flags, n, m, err
 }
 
 // ReadCSR reads a graph in the binary CSR format and reports whether the
@@ -91,26 +157,12 @@ func WriteCSR(w io.Writer, g *CSR, directed bool) error {
 // the body take: a header whose sections need more is refused before
 // anything is allocated. Every error names the fault.
 func ReadCSR(r io.Reader, limit int64) (*CSR, bool, error) {
-	var hdr [csrHeaderBytes]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, false, fmt.Errorf("graph: csr: truncated header: %w", err)
-	}
-	magic := binary.LittleEndian.Uint32(hdr[0:])
-	version := binary.LittleEndian.Uint32(hdr[4:])
-	flags := binary.LittleEndian.Uint32(hdr[8:])
-	n := binary.LittleEndian.Uint32(hdr[12:])
-	m := binary.LittleEndian.Uint64(hdr[16:])
-	if magic != csrMagic {
-		return nil, false, fmt.Errorf("graph: csr: bad magic %#x (not a pushpull CSR body)", magic)
-	}
-	if version != csrVersion {
-		return nil, false, fmt.Errorf("graph: csr: version %d, this build reads %d", version, csrVersion)
-	}
-	if unknown := flags &^ (csrFlagWeighted | csrFlagDirected); unknown != 0 {
-		return nil, false, fmt.Errorf("graph: csr: unknown flag bits %#x", unknown)
-	}
-	if n > math.MaxInt32 {
-		return nil, false, fmt.Errorf("graph: csr: vertex count %d exceeds %d", n, math.MaxInt32)
+	flags, n, m, err := readCSRHeader(r)
+	switch {
+	case err != nil:
+		return nil, false, fmt.Errorf("graph: csr: %w", err)
+	case flags&csrFlagPullView != 0:
+		return nil, false, ErrPullView
 	}
 	weighted, directed := flags&csrFlagWeighted != 0, flags&csrFlagDirected != 0
 	// The offsets take at most 2^34 bytes, so room cannot overflow, and m
@@ -195,6 +247,13 @@ func checkSimple(g *CSR, directed bool) error {
 	}
 	return nil
 }
+
+// hostLittleEndian is checked once: the zero-copy casts of file bytes
+// are only valid when the host byte order matches the file's.
+var hostLittleEndian = func() bool {
+	var x uint16 = 1
+	return *(*byte)(unsafe.Pointer(&x)) == 1
+}()
 
 // rawBytes views an array's memory as bytes, in host order.
 func rawBytes[T int64 | int32 | float32](s []T) []byte {

@@ -6,7 +6,10 @@ package graph
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"math"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strconv"
 	"strings"
@@ -119,9 +122,21 @@ type csrCorruption struct {
 // csrCorruptions damages the encoding of g, an undirected weighted graph
 // whose row 0 holds at least two arcs: one mutated byte or cut per header
 // field and section, then one hand-made body per rule a well-formed
-// layout can still break.
+// layout can still break, then one damaged out-degree section of a
+// directed pull view.
 func csrCorruptions(t *testing.T, g *CSR) []csrCorruption {
 	good := encodeCSR(t, g, false)
+	dg := randomDirected(40, 200, 3)
+	outDeg := make([]int64, dg.N())
+	for v := range outDeg {
+		outDeg[v] = dg.Degree(V(v))
+	}
+	var pv bytes.Buffer
+	if err := WritePullView(&pv, dg.Transpose(), outDeg); err != nil {
+		t.Fatal(err)
+	}
+	pull := pv.Bytes()
+	lastDeg := len(pull) - 8
 	n, m := g.N(), int(g.M())
 	adj := csrHeaderBytes + 8*(n+1)
 	wts := adj + 4*m
@@ -138,7 +153,8 @@ func csrCorruptions(t *testing.T, g *CSR) []csrCorruption {
 	return []csrCorruption{
 		{"bad-magic", "bad magic", put32(0, 0x4b425050)},
 		{"future-version", "version 2, this build reads 1", put32(4, 2)},
-		{"unknown-flags", "unknown flag bits 0x4", put32(8, csrFlagWeighted|4)},
+		{"unknown-flags", "unknown flag bits 0x8", put32(8, csrFlagWeighted|8)},
+		{"pull-view-flag", "is a pull view", put32(8, csrFlagWeighted|csrFlagPullView)},
 		{"vertex-count-past-int32", "vertex count 2147483648 exceeds", put32(12, 1<<31)},
 		{"vertex-count-up", "truncated weights", put32(12, uint32(n+1))},
 		{"vertex-count-down", "trailing bytes", put32(12, uint32(n-1))},
@@ -161,22 +177,43 @@ func csrCorruptions(t *testing.T, g *CSR) []csrCorruption {
 		{"self-loop", "vertex 1 has a self-loop", directed([]int64{0, 1, 3}, []V{1, 0, 1}, nil)},
 		{"duplicate-arc", "row 0 is not strictly increasing (1 after 1)", directed([]int64{0, 2, 2}, []V{1, 1}, nil)},
 		{"asymmetric", "arc 0→1 has no reverse", rawCSR(&CSR{NumV: 2, Offsets: []int64{0, 1, 1}, Adj: []V{1}}, false)},
+		{"truncated-out-degrees", "bytes on disk", pull[:len(pull)-1]},
+		{"trailing-out-degrees", "bytes on disk", append(append([]byte(nil), pull...), 0)},
+		{"out-degrees-sum", "out-degree", binary.LittleEndian.AppendUint64(append([]byte(nil), pull[:lastDeg]...),
+			binary.LittleEndian.Uint64(pull[lastDeg:])+1)},
 	}
 }
 
 // TestCSRCorruptionRejected: the reader refuses every damaged body with an
 // error that names the fault, and the writer refuses every graph the
-// reader would refuse.
+// reader would refuse. The reader refuses a pull-view body for its flag
+// alone; unless the case names that refusal, the out-of-core opener must
+// refuse the body too, naming the fault.
 func TestCSRCorruptionRejected(t *testing.T) {
 	g := randomWeighted(60, 400, 9)
 	if g.Degree(0) < 2 {
 		t.Fatal("fixture: row 0 needs two arcs")
 	}
+	path := filepath.Join(t.TempDir(), "pull.csr")
 	for _, c := range csrCorruptions(t, g) {
 		t.Run(c.name, func(t *testing.T) {
 			got, _, err := ReadCSR(bytes.NewReader(c.body), 1<<30)
 			if err == nil {
 				t.Fatalf("damaged body read as a graph of %d vertices", got.N())
+			}
+			if errors.Is(err, ErrPullView) && !strings.Contains(err.Error(), c.wantSub) {
+				if err := os.WriteFile(path, c.body, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				bg, err := OpenBlockCSR(path, false)
+				if err == nil {
+					bg.Close()
+					t.Fatal("damaged pull view opened cleanly")
+				}
+				if !strings.Contains(err.Error(), c.wantSub) {
+					t.Fatalf("opener error %q does not name %q", err, c.wantSub)
+				}
+				return
 			}
 			if !strings.Contains(err.Error(), c.wantSub) {
 				t.Fatalf("error %q does not name %q", err, c.wantSub)

@@ -123,16 +123,8 @@ func (g *CSR) check() error {
 	if len(g.Offsets) != n+1 {
 		return fmt.Errorf("graph: offsets length %d, want %d", len(g.Offsets), n+1)
 	}
-	if g.Offsets[0] != 0 {
-		return fmt.Errorf("graph: offsets start at %d, want 0", g.Offsets[0])
-	}
-	for v := 0; v < n; v++ {
-		if g.Offsets[v] > g.Offsets[v+1] {
-			return fmt.Errorf("graph: offsets not monotone at vertex %d (%d > %d)", v, g.Offsets[v], g.Offsets[v+1])
-		}
-	}
-	if g.Offsets[n] != g.M() {
-		return fmt.Errorf("graph: offsets end at %d, but there are %d arcs", g.Offsets[n], g.M())
+	if err := checkOffsets(g.Offsets, g.M()); err != nil {
+		return fmt.Errorf("graph: %w", err)
 	}
 	for i, u := range g.Adj {
 		if uint32(u) >= uint32(n) {
@@ -141,6 +133,23 @@ func (g *CSR) check() error {
 	}
 	if g.Weights != nil && len(g.Weights) != len(g.Adj) {
 		return fmt.Errorf("graph: %d weights for %d arcs", len(g.Weights), len(g.Adj))
+	}
+	return nil
+}
+
+// checkOffsets reports the first fault of a CSR's n+1 offsets over m
+// arcs: they must run monotone from 0 to m.
+func checkOffsets(offsets []int64, m int64) error {
+	if offsets[0] != 0 {
+		return fmt.Errorf("offsets start at %d, want 0", offsets[0])
+	}
+	for v := 1; v < len(offsets); v++ {
+		if offsets[v-1] > offsets[v] {
+			return fmt.Errorf("offsets not monotone at vertex %d (%d > %d)", v-1, offsets[v-1], offsets[v])
+		}
+	}
+	if end := offsets[len(offsets)-1]; end != m {
+		return fmt.Errorf("offsets end at %d, but there are %d arcs", end, m)
 	}
 	return nil
 }

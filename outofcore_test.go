@@ -1,7 +1,7 @@
 package pushpull_test
 
 // Out-of-core facade tests. Out-of-core is what a handle is: a DiskStore
-// above its block threshold writes the graph in the block format, and
+// above its block threshold writes the graph's pull view, and
 // OpenOutOfCoreWorkload opens that file mmap-backed or, under
 // AsBlockBuffered, through bounded buffers. The block kernels on such a
 // handle must reproduce the in-memory results (blocked pull PageRank adds
@@ -10,6 +10,7 @@ package pushpull_test
 // file handle's identity must stay apart from the in-memory handle's.
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -24,8 +25,20 @@ import (
 	"pushpull/internal/graph"
 )
 
+// writePullViewFile writes in, a graph's pull view, to path.
+func writePullViewFile(t testing.TB, path string, in *graph.CSR, outDeg []int64) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := graph.WritePullView(&buf, in, outDeg); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // fileHandles persists w through a DiskStore whose threshold sends every
-// graph to the block format, then opens the file both ways.
+// graph out of core, then opens the file both ways.
 func fileHandles(t *testing.T, w *pushpull.Workload) map[string]*pushpull.Workload {
 	t.Helper()
 	dir := t.TempDir()
@@ -41,7 +54,7 @@ func fileHandles(t *testing.T, w *pushpull.Workload) map[string]*pushpull.Worklo
 		"mmap":     nil,
 		"buffered": {pushpull.AsBlockBuffered()},
 	} {
-		h, err := pushpull.OpenOutOfCoreWorkload(filepath.Join(dir, "g.blk"), opts...)
+		h, err := pushpull.OpenOutOfCoreWorkload(filepath.Join(dir, "g.csr"), opts...)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -123,10 +136,8 @@ func TestOutOfCorePRResidency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "g.blk")
-	if err := graph.WriteBlockFile(path, g, nil, 128); err != nil {
-		t.Fatal(err)
-	}
+	path := filepath.Join(t.TempDir(), "g.csr")
+	writePullViewFile(t, path, g, nil)
 	h, err := pushpull.OpenOutOfCoreWorkload(path, pushpull.AsBlockBuffered())
 	if err != nil {
 		t.Fatal(err)
@@ -164,23 +175,19 @@ func TestOutOfCoreBFSCrossValidate(t *testing.T) {
 	}
 }
 
-// A block file whose arc names a vertex at or past n opens (open reads
-// no segment), but pr and bfs on it must fail with an error, mmapped and
+// A pull-view file whose arc names a vertex at or past n opens (open reads
+// no arc), but pr and bfs on it must fail with an error, mmapped and
 // buffered, not index past their arrays in a worker goroutine.
 func TestOutOfCoreCorruptArcIDIsAnError(t *testing.T) {
 	g := skewedGraph(t)
-	path := filepath.Join(t.TempDir(), "g.blk")
-	if err := graph.WriteBlockFile(path, g, nil, 64); err != nil {
-		t.Fatal(err)
-	}
+	path := filepath.Join(t.TempDir(), "g.csr")
+	writePullViewFile(t, path, g, nil)
 	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// An undirected file's block index follows the 40-byte header and the
-	// n+1 offsets; its first entry is where block 0's first arc sits.
-	seg := binary.LittleEndian.Uint64(b[40+8*(g.N()+1):])
-	binary.LittleEndian.PutUint32(b[seg:], uint32(g.N()))
+	// The first arc follows the 24-byte header and the n+1 offsets.
+	binary.LittleEndian.PutUint32(b[24+8*(g.N()+1):], uint32(g.N()))
 	if err := os.WriteFile(path, b, 0o644); err != nil {
 		t.Fatal(err)
 	}

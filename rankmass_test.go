@@ -86,11 +86,9 @@ func TestRankMassSpec(t *testing.T) {
 			t.Fatalf("%s: mass %g ≈ 1, the fixture loses none", c.name, mass)
 		}
 
-		path := filepath.Join(t.TempDir(), c.name+".blk")
-		if err := graph.WriteBlockFile(path, vw.In, outDeg, 64); err != nil {
-			t.Fatal(err)
-		}
-		bg, err := graph.OpenBlockCSR(path)
+		path := filepath.Join(t.TempDir(), c.name+".csr")
+		writePullViewFile(t, path, vw.In, outDeg)
+		bg, err := graph.OpenBlockCSR(path, false)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -59,8 +59,8 @@ func TestServeCSRUpload(t *testing.T) {
 }
 
 // TestServeCSRUploadRefusals: a content ID that is not the body's, a body
-// whose header claims more than it holds, and a type the server does not
-// know are refused without registering anything.
+// whose header claims more than it holds or marks a pull view, and a type
+// the server does not know are refused without registering anything.
 func TestServeCSRUploadRefusals(t *testing.T) {
 	ts, eng := newTestServer(t)
 	w := pushpull.NewWorkload(smallGraph(t))
@@ -76,6 +76,10 @@ func TestServeCSRUploadRefusals(t *testing.T) {
 	copy(huge, csr.Bytes()[:12])
 	binary.LittleEndian.PutUint32(huge[12:], math.MaxInt32)
 	binary.LittleEndian.PutUint64(huge[16:], 1<<40)
+	// The same body with the header's pull-view flag (bit 2): the file an
+	// out-of-core handle opens, never an upload.
+	pullView := append([]byte(nil), csr.Bytes()...)
+	pullView[8] |= 4
 	const otherID = "w0123456789abcdef-n400"
 	for _, c := range []struct {
 		name   string
@@ -92,6 +96,8 @@ func TestServeCSRUploadRefusals(t *testing.T) {
 			http.StatusBadRequest, []string{"do not fit in the 32-byte limit"}},
 		{"text-as-csr", text.Bytes(), map[string]string{"Content-Type": serve.CSRContentType},
 			http.StatusBadRequest, []string{"bad magic"}},
+		{"pull-view", pullView, map[string]string{"Content-Type": serve.CSRContentType},
+			http.StatusBadRequest, []string{"pull view"}},
 		{"unknown-type", text.Bytes(), map[string]string{"Content-Type": "application/json"},
 			http.StatusUnsupportedMediaType, []string{"application/json", serve.CSRContentType}},
 		{"bad-type", text.Bytes(), map[string]string{"Content-Type": "text/"},

@@ -17,7 +17,6 @@ import (
 	"testing"
 
 	"pushpull"
-	"pushpull/internal/graph"
 )
 
 // skewedGraph builds a high-skew RMAT workload.
@@ -286,19 +285,18 @@ func TestLayoutOptionsInCacheKeyAndID(t *testing.T) {
 
 // Workload.ID is a cache key, a placement key and a router catalog entry, so it
 // must not drift: the literals are the IDs PR 22's tree computed for the
-// same handles. The file-handle rows are pure out-of-core handles — a .blk
-// written straight from the fixed graph, and one a DiskStore above its
-// block threshold wrote from a directed weighted workload (the file stores
-// the transpose).
+// same handles. The file-handle rows are pure out-of-core handles — a
+// pull-view file written straight from the fixed graph, and one a
+// DiskStore above its block threshold wrote from a directed weighted
+// workload (the file stores the transpose). Their IDs were first computed
+// over the retired block format, which stored the same arrays.
 func TestWorkloadIDGolden(t *testing.T) {
 	g := undirectedGraph(t, 400, 5)
 	dw := directedGraph(t, 300, true)
 	dir := t.TempDir()
-	blk := filepath.Join(dir, "g.blk")
-	if err := graph.WriteBlockFile(blk, g, nil, 0); err != nil {
-		t.Fatal(err)
-	}
-	file, err := pushpull.OpenOutOfCoreWorkload(blk)
+	path := filepath.Join(dir, "g.csr")
+	writePullViewFile(t, path, g, nil)
+	file, err := pushpull.OpenOutOfCoreWorkload(path)
 	if err != nil {
 		t.Fatal(err)
 	}

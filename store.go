@@ -16,6 +16,7 @@ package pushpull
 import (
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"net/url"
 	"os"
@@ -23,6 +24,8 @@ import (
 	"sort"
 	"strings"
 	"sync"
+
+	"pushpull/internal/graph"
 )
 
 // ErrStore marks a graph-store failure (I/O, corrupt persisted graph).
@@ -120,48 +123,48 @@ func (s *MemStore) Delete(name string) error {
 // as a different graph. Writes are atomic (temp file + rename): a crash
 // mid-Put leaves the previous content intact.
 //
+// With WithBlockThreshold, a graph above the threshold is persisted as
+// its pull view instead (the same .csr file, with the header's pull-view
+// flag) and restores as a pure out-of-core handle — see Put and Get.
+//
 // Stores written before the CSR format hold <name>.el text edge lists in
 // the WriteWorkload format. Get still restores them, and the next Put of
-// the name replaces the file with a .csr one.
-//
-// With WithBlockThreshold, graphs above the threshold are persisted as
-// <name>.blk in the out-of-core block format instead and restore as pure
-// out-of-core handles — see Put and Get.
+// the name replaces the file with a .csr one. Stores written before the
+// pull-view flag hold out-of-core graphs in the retired v1 block format
+// (graph.LegacyBlockExt); the first Get of such a name converts the file,
+// once, to a pull-view .csr.
 type DiskStore struct {
 	dir string
 	// blockThreshold: a Put whose estimated in-memory CSR footprint
-	// exceeds this many bytes is persisted in the block (out-of-core)
-	// format instead of the CSR format; ≤ 0 never converts.
+	// exceeds this many bytes is persisted as its pull view (out-of-core)
+	// instead of as the graph; ≤ 0 never converts.
 	blockThreshold int64
-	// blockBuffered opens restored block handles in buffered (ReadAt)
-	// mode instead of mmap.
+	// blockBuffered opens restored out-of-core handles in buffered
+	// (ReadAt) mode instead of mmap.
 	blockBuffered bool
 	// mu serializes writers per store; readers go straight to the
 	// filesystem (rename makes each file's content atomic).
 	mu sync.Mutex
 }
 
-// csrExt is the persisted-file suffix for in-memory graphs and blockExt
-// the suffix for graphs persisted in the out-of-core block format; Put
-// writes exactly one of the two per name. textExt is the suffix of the
-// text edge lists stores held before the CSR format, which Get still
+// csrExt is the suffix of every file Put writes. textExt is the suffix of
+// the text edge lists stores held before the CSR format, which Get still
 // reads and Put replaces.
 const (
-	csrExt   = ".csr"
-	blockExt = ".blk"
-	textExt  = ".el"
+	csrExt  = ".csr"
+	textExt = ".el"
 )
 
 // storeExts are every suffix a persisted name can have, in the order Get
 // looks for them.
-var storeExts = []string{blockExt, csrExt, textExt}
+var storeExts = []string{graph.LegacyBlockExt, csrExt, textExt}
 
 // DiskOption configures NewDiskStore.
 type DiskOption func(*DiskStore)
 
 // WithBlockThreshold makes Put persist any workload whose estimated
 // in-memory CSR footprint (offsets + adjacency + weights) exceeds bytes
-// in the on-disk block format instead of the CSR format. A graph
+// as its pull view (graph.WritePullView) instead of as the graph. A graph
 // persisted that way restores as a pure out-of-core handle
 // (OpenOutOfCoreWorkload): OutOfCore-capable algorithms stream it
 // block-sequentially off disk, and the process never materializes the
@@ -170,9 +173,10 @@ func WithBlockThreshold(bytes int64) DiskOption {
 	return func(s *DiskStore) { s.blockThreshold = bytes }
 }
 
-// WithBufferedBlocks makes restored block handles read through a plain
-// file descriptor (ReadAt) instead of an mmap, trading zero-copy segment
-// access for a resident set that stays bounded by the cursor buffers.
+// WithBufferedBlocks makes restored out-of-core handles read through a
+// plain file descriptor (ReadAt) instead of an mmap, trading zero-copy
+// block access for a resident set that stays bounded by the cursor
+// buffers.
 func WithBufferedBlocks() DiskOption {
 	return func(s *DiskStore) { s.blockBuffered = true }
 }
@@ -245,26 +249,27 @@ func (s *DiskStore) Names() ([]string, error) {
 	return names, nil
 }
 
-// Get implements GraphStore. A name persisted in the block format comes
-// back as a pure out-of-core handle — the full CSR is never materialized,
+// Get implements GraphStore. A name persisted as a pull view comes back
+// as a pure out-of-core handle — the full CSR is never materialized,
 // which is the point of WithBlockThreshold: a restart restores the big
 // graphs at the cost of an open fd each, not their memory. Otherwise the
 // .csr file is read, or, for a name no Put has rewritten since stores
-// held text, the legacy .el edge list.
+// held text, the legacy .el edge list. A name still in the v1 block
+// format is converted first (migrateLegacyBlock).
 func (s *DiskStore) Get(name string) (*Workload, error) {
-	if bp := s.pathExt(name, blockExt); fileExists(bp) {
-		w, err := OpenOutOfCoreWorkload(bp, s.blockOpts()...)
-		if err != nil {
-			return nil, fmt.Errorf("diskstore: %q: %w", name, err)
-		}
-		return w, nil
+	if err := s.migrateLegacyBlock(name); err != nil {
+		return nil, err
 	}
 	read := func(f *os.File) (*Workload, error) {
 		st, err := f.Stat()
 		if err != nil {
 			return nil, err
 		}
-		return ReadWorkloadCSR(f, st.Size())
+		w, err := ReadWorkloadCSR(f, st.Size())
+		if errors.Is(err, graph.ErrPullView) {
+			return OpenOutOfCoreWorkload(f.Name(), s.blockOpts()...)
+		}
+		return w, err
 	}
 	f, err := os.Open(s.pathExt(name, csrExt))
 	if errors.Is(err, fs.ErrNotExist) {
@@ -283,17 +288,19 @@ func (s *DiskStore) Get(name string) (*Workload, error) {
 }
 
 // OutOfCoreHandle reopens name as a pure out-of-core handle if (and only
-// if) Put persisted it in the block format. The Engine probes this after
-// a write-through Put so it can swap the registry binding from the
+// if) it is persisted as a pull view. The Engine probes this after a
+// write-through Put so it can swap the registry binding from the
 // uploaded in-memory workload to the on-disk view and let the upload's
 // CSR be collected.
 func (s *DiskStore) OutOfCoreHandle(name string) (*Workload, bool, error) {
-	bp := s.pathExt(name, blockExt)
-	if !fileExists(bp) {
-		return nil, false, nil
+	if err := s.migrateLegacyBlock(name); err != nil {
+		return nil, false, err
 	}
-	w, err := OpenOutOfCoreWorkload(bp, s.blockOpts()...)
-	if err != nil {
+	w, err := OpenOutOfCoreWorkload(s.pathExt(name, csrExt), s.blockOpts()...)
+	switch {
+	case errors.Is(err, fs.ErrNotExist), errors.Is(err, graph.ErrNotPullView):
+		return nil, false, nil
+	case err != nil:
 		return nil, false, fmt.Errorf("diskstore: %q: %w", name, err)
 	}
 	return w, true, nil
@@ -304,6 +311,26 @@ func (s *DiskStore) blockOpts() []WorkloadOption {
 		return []WorkloadOption{AsBlockBuffered()}
 	}
 	return nil
+}
+
+// migrateLegacyBlock converts name's v1 block file, if it has one, to a
+// pull-view .csr: streamed into a temp file outside the store lock, as
+// Put's write is, and published only if the v1 file is still there, so
+// a Put or Delete that ran meanwhile wins. A v1 file the converter
+// refuses stays where it is, and the error names it.
+func (s *DiskStore) migrateLegacyBlock(name string) error {
+	legacy := s.pathExt(name, graph.LegacyBlockExt)
+	if !fileExists(legacy) {
+		return nil
+	}
+	tmp, err := s.writeTemp(func(f io.Writer) error { return graph.ConvertLegacyBlock(f, legacy) })
+	switch {
+	case errors.Is(err, fs.ErrNotExist):
+		return nil // converted or deleted meanwhile
+	case err != nil:
+		return fmt.Errorf("diskstore: %q: %w", name, err)
+	}
+	return s.publish(name, tmp, legacy)
 }
 
 func fileExists(path string) bool {
@@ -319,50 +346,72 @@ func fileExists(path string) bool {
 // serialize into complete, last-write-wins files.
 //
 // With WithBlockThreshold set, a workload whose estimated CSR footprint
-// exceeds the threshold is written in the block format instead; the
-// rename also removes the other formats' stale files, a legacy .el edge
-// list included, so a name is always stored exactly one way.
-// Re-putting a pure out-of-core handle that this store itself restored
-// is a no-op — its block file IS the persisted state; a pure handle from
-// elsewhere cannot be serialized and errors.
+// exceeds the threshold is written as its pull view instead; the rename
+// also removes the name's stale files of older formats, so a name is
+// always stored exactly one way. A pure out-of-core handle has no graph
+// to write: putting one is a no-op when the name's stored file holds the
+// same graph (the handle this store restored, registered again), and an
+// error otherwise.
 func (s *DiskStore) Put(name string, w *Workload) error {
-	if w != nil && w.Graph() == nil {
-		if fileExists(s.pathExt(name, blockExt)) {
-			return nil
+	if w == nil {
+		return fmt.Errorf("diskstore: %q: nil workload", name)
+	}
+	if w.g == nil {
+		stored, ok, err := s.OutOfCoreHandle(name)
+		if err != nil {
+			return err
 		}
-		return fmt.Errorf("diskstore: %q: cannot persist a pure out-of-core workload with no block file in this store", name)
+		if !ok {
+			return fmt.Errorf("diskstore: %q: cannot persist a pure out-of-core workload: the store holds no out-of-core file of the name", name)
+		}
+		defer stored.Close()
+		if stored.ID() != w.ID() {
+			return fmt.Errorf("diskstore: %q: cannot persist a pure out-of-core workload of %s over the stored %s", name, w.ID(), stored.ID())
+		}
+		return nil
 	}
-	asBlock := s.blockThreshold > 0 && w != nil && estimatedCSRBytes(w) > s.blockThreshold
-	tmp, err := os.CreateTemp(s.dir, ".put-*")
+	write := func(f io.Writer) error { return WriteWorkloadCSR(f, w) }
+	if s.blockThreshold > 0 && estimatedCSRBytes(w) > s.blockThreshold {
+		write = w.writePullView
+	}
+	tmp, err := s.writeTemp(write)
 	if err != nil {
-		return fmt.Errorf("diskstore: %w", err)
-	}
-	ext := csrExt
-	if asBlock {
-		ext = blockExt
-		err = w.writeBlockTo(tmp)
-	} else {
-		err = WriteWorkloadCSR(tmp, w)
-	}
-	if err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
 		return fmt.Errorf("diskstore: %q: %w", name, err)
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("diskstore: %q: %w", name, err)
+	return s.publish(name, tmp, "")
+}
+
+// writeTemp writes a temp file in the store directory with write and
+// returns its path; a failed write leaves no file behind.
+func (s *DiskStore) writeTemp(write func(io.Writer) error) (string, error) {
+	f, err := os.CreateTemp(s.dir, ".put-*")
+	if err != nil {
+		return "", err
 	}
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		os.Remove(f.Name())
+	}
+	return f.Name(), err
+}
+
+// publish renames tmp to name's .csr file and removes the name's files
+// in every other format, under the store lock. A non-empty unless names a
+// file whose removal meanwhile cancels the publish.
+func (s *DiskStore) publish(name, tmp, unless string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := os.Rename(tmp.Name(), s.pathExt(name, ext)); err != nil {
-		os.Remove(tmp.Name())
+	if unless != "" && !fileExists(unless) {
+		return os.Remove(tmp)
+	}
+	if err := os.Rename(tmp, s.pathExt(name, csrExt)); err != nil {
+		os.Remove(tmp)
 		return fmt.Errorf("diskstore: %q: %w", name, err)
 	}
-	for _, stale := range storeExts {
-		if stale == ext {
-			continue
-		}
+	for _, stale := range []string{graph.LegacyBlockExt, textExt} {
 		if err := os.Remove(s.pathExt(name, stale)); err != nil && !errors.Is(err, fs.ErrNotExist) {
 			return fmt.Errorf("diskstore: %q: dropping stale %s: %w", name, stale, err)
 		}

@@ -293,9 +293,38 @@ func TestDiskStoreConcurrentPutDelete(t *testing.T) {
 	}
 }
 
+// storedAs reports how dir holds name: "pull view" or "graph" for a .csr
+// file with or without the header's pull-view flag, "" for no file. Any
+// other file of the name fails the test: a store keeps one file a name.
+func storedAs(t *testing.T, dir, name string) string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if base, _, _ := strings.Cut(e.Name(), "."); base == name && e.Name() != name+".csr" {
+			t.Fatalf("the store holds %s", e.Name())
+		}
+	}
+	b, err := os.ReadFile(filepath.Join(dir, name+".csr"))
+	switch {
+	case errors.Is(err, fs.ErrNotExist):
+		return ""
+	case err != nil:
+		t.Fatal(err)
+	case len(b) < 12:
+		t.Fatalf("%s.csr is %d bytes", name, len(b))
+	}
+	if b[8]&4 != 0 {
+		return "pull view"
+	}
+	return "graph"
+}
+
 // TestDiskStoreBlockThreshold: a store with a memory budget persists
-// large graphs in the block format and serves them back as pure
-// out-of-core handles; small graphs keep the edge-list format; an
+// large graphs as their pull views and serves them back as pure
+// out-of-core handles; small graphs are stored as themselves; an
 // overwrite that crosses the threshold in either direction leaves
 // exactly one file per name.
 func TestDiskStoreBlockThreshold(t *testing.T) {
@@ -313,17 +342,14 @@ func TestDiskStoreBlockThreshold(t *testing.T) {
 	if err := s.Put("small", small); err != nil {
 		t.Fatal(err)
 	}
-	mustExist := func(name string, want bool) {
+	mustHold := func(name, want string) {
 		t.Helper()
-		_, err := os.Stat(filepath.Join(dir, name))
-		if got := err == nil; got != want {
-			t.Fatalf("%s exists=%v, want %v", name, got, want)
+		if got := storedAs(t, dir, name); got != want {
+			t.Fatalf("%s is stored as %q, want %q", name, got, want)
 		}
 	}
-	mustExist("big.blk", true)
-	mustExist("big.csr", false)
-	mustExist("small.csr", true)
-	mustExist("small.blk", false)
+	mustHold("big", "pull view")
+	mustHold("small", "graph")
 
 	names, err := s.Names()
 	if err != nil || len(names) != 2 || names[0] != "big" || names[1] != "small" {
@@ -370,20 +396,18 @@ func TestDiskStoreBlockThreshold(t *testing.T) {
 	if err := s.Put("big", small); err != nil {
 		t.Fatal(err)
 	}
-	mustExist("big.csr", true)
-	mustExist("big.blk", false)
+	mustHold("big", "graph")
 	if err := s.Put("small", big); err != nil {
 		t.Fatal(err)
 	}
-	mustExist("small.blk", true)
-	mustExist("small.csr", false)
+	mustHold("small", "pull view")
 	if names, err = s.Names(); err != nil || len(names) != 2 {
 		t.Fatalf("Names() after overwrites = %v, %v", names, err)
 	}
 	if err := s.Delete("small"); err != nil {
 		t.Fatal(err)
 	}
-	mustExist("small.blk", false)
+	mustHold("small", "")
 	if _, err := s.Get("small"); err == nil {
 		t.Fatal("Get after Delete succeeded")
 	}
@@ -523,6 +547,182 @@ func TestDiskStoreRestoresLegacyEdgeList(t *testing.T) {
 	}
 	if again, err := s.Get("legacy"); err != nil || again.ID() != wantID {
 		t.Fatalf("re-put graph restored as %v, %v, want %s", again, err, wantID)
+	}
+}
+
+// TestDiskStoreMigratesLegacyBlock: a store written before the pull-view
+// flag holds out-of-core graphs as <name>.blk files in the retired v1
+// block format. testdata/legacy.blk is directedGraph(200, weighted) in
+// that format, in four 64-vertex blocks. Get converts it once to a
+// pull-view .csr, which restores with the ID the v1 file had and runs pr
+// and bfs as the in-memory graph does (bfs refuses a directed graph
+// either way); a damaged v1 file is refused and left where it is.
+func TestDiskStoreMigratesLegacyBlock(t *testing.T) {
+	const wantID = "w6892f17a95e00015-n200"
+	fixture, err := os.ReadFile(filepath.Join("testdata", "legacy.blk"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "legacy.blk"), fixture, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := pushpull.NewDiskStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if names, err := s.Names(); err != nil || len(names) != 1 || names[0] != "legacy" {
+		t.Fatalf("Names() = %v, %v, want [legacy]", names, err)
+	}
+	h, err := s.Get("legacy")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	if !h.IsOutOfCore() || h.ID() != wantID {
+		t.Fatalf("legacy block graph restored as out-of-core=%v %s, want an out-of-core %s", h.IsOutOfCore(), h.ID(), wantID)
+	}
+	if got := storedAs(t, dir, "legacy"); got != "pull view" {
+		t.Fatalf("after Get the store holds the name as %q, want one pull-view .csr", got)
+	}
+	mem := pushpull.Directed(directedGraph(t, 200, true), pushpull.AsWeighted())
+	want := run(t, mem, "pr", pushpull.WithDirection(pushpull.Pull)).Ranks()
+	if d := pushpull.MaxDiff(run(t, h, "pr").Ranks(), want); d > 1e-9 {
+		t.Errorf("pr over the converted file diverges from in-memory pull: max diff %g", d)
+	}
+	// bfs runs on undirected graphs only, in memory and out of core alike.
+	for _, w := range []*pushpull.Workload{mem, h} {
+		if _, err := pushpull.Run(context.Background(), w, "bfs"); !errors.Is(err, pushpull.ErrDirectedUnsupported) {
+			t.Errorf("bfs on the directed graph (out-of-core=%v): %v, want ErrDirectedUnsupported", w.IsOutOfCore(), err)
+		}
+	}
+	if again, err := s.Get("legacy"); err != nil || again.ID() != wantID {
+		t.Fatalf("second Get: %v, %v, want %s", again, err, wantID)
+	} else {
+		again.Close()
+	}
+
+	// The block size field, in the header's fourth word, set to 65.
+	bad := append([]byte(nil), fixture...)
+	bad[12] = 65
+	if err := os.WriteFile(filepath.Join(dir, "bad.blk"), bad, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if w, err := s.Get("bad"); err == nil || !strings.Contains(err.Error(), "block size 65") {
+		t.Fatalf("damaged v1 file: Get = %v, %v, want a refusal naming the block size", w, err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var files []string
+	for _, e := range entries {
+		files = append(files, e.Name())
+	}
+	if fmt.Sprint(files) != "[bad.blk legacy.csr]" {
+		t.Fatalf("after the refusal the store holds %v, want [bad.blk legacy.csr]", files)
+	}
+}
+
+// TestDiskStoreMigratesLegacyBlockConcurrently: Gets racing to convert
+// one v1 file each restore the graph, and the store ends with one
+// pull-view .csr and no temp file.
+func TestDiskStoreMigratesLegacyBlockConcurrently(t *testing.T) {
+	fixture, err := os.ReadFile(filepath.Join("testdata", "legacy.blk"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "legacy.blk"), fixture, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := pushpull.NewDiskStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			w, err := s.Get("legacy")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer w.Close()
+			if w.ID() != "w6892f17a95e00015-n200" {
+				t.Errorf("restored as %s", w.ID())
+			}
+		}()
+	}
+	wg.Wait()
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 1 || entries[0].Name() != "legacy.csr" {
+		t.Fatalf("the store holds %v, %v, want only legacy.csr", entries, err)
+	}
+}
+
+// TestDiskStorePutFileHandle: a pure file handle has no graph to write.
+// Putting one over the name's stored file of the same graph is a no-op;
+// over a different graph it is an error, and the store keeps what it
+// held, so a restart restores the graph the Engine was told about or
+// reports that it could not be stored.
+func TestDiskStorePutFileHandle(t *testing.T) {
+	s, err := pushpull.NewDiskStore(t.TempDir(), pushpull.WithBlockThreshold(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, g := range map[string]*pushpull.Graph{"a": undirectedGraph(t, 300, 71), "b": undirectedGraph(t, 300, 73)} {
+		if err := s.Put(name, pushpull.NewWorkload(g)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a, err := s.Get("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	b, err := s.Get("b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	if err := s.Put("a", a); err != nil {
+		t.Fatalf("re-putting the handle the store restored: %v", err)
+	}
+	if err := s.Put("a", b); err == nil {
+		t.Fatal("putting b's file handle over a succeeded")
+	}
+	if err := s.Put("c", b); err == nil {
+		t.Fatal("putting a file handle under a name with no file succeeded")
+	}
+	got, err := s.Get("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer got.Close()
+	if got.ID() != a.ID() {
+		t.Fatalf("a restores as %s after the refused Put, want %s", got.ID(), a.ID())
+	}
+}
+
+// TestDiskStorePutNil: Put of a nil workload is an error, not a panic,
+// and leaves no temp file behind.
+func TestDiskStorePutNil(t *testing.T) {
+	dir := t.TempDir()
+	s, err := pushpull.NewDiskStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put("g", nil); err == nil {
+		t.Fatal("Put of a nil workload succeeded")
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 0 {
+		t.Fatalf("Put of a nil workload left %s", entries[0].Name())
 	}
 }
 

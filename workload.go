@@ -21,8 +21,9 @@ package pushpull
 // A handle declares what the graph is and where it lives, never how a run
 // should lay it out: the degree-sorted permutation is asked for per run
 // (WithDegreeSorted) and memoized here. Out-of-core is where the graph
-// lives, so only a file handle (OpenOutOfCoreWorkload, a DiskStore graph
-// above its block threshold) runs the block kernels.
+// lives, so only a file handle (OpenOutOfCoreWorkload over a pull-view
+// .csr, a DiskStore graph above its block threshold) runs the block
+// kernels.
 
 import (
 	"fmt"
@@ -165,7 +166,7 @@ func AsDirected() WorkloadOption { return func(w *Workload) { w.directed = true 
 // of computing over silently-assumed unit weights.
 func AsWeighted() WorkloadOption { return func(w *Workload) { w.weightsDeclared = true } }
 
-// AsBlockBuffered forces the out-of-core block view to read segments
+// AsBlockBuffered forces the out-of-core block view to read blocks
 // through per-worker buffers (os.File ReadAt) instead of mmap, bounding
 // the resident set to one block per worker. It is machine-local I/O
 // tuning, not part of the content identity.
@@ -195,15 +196,16 @@ func Weighted(g *Graph, opts ...WorkloadOption) *Workload {
 	return NewWorkload(g, append([]WorkloadOption{AsWeighted()}, opts...)...)
 }
 
-// OpenOutOfCoreWorkload opens a block-format file (written by
-// graph.WriteBlockFile or a DiskStore) as a pure out-of-core handle: no
-// in-memory CSR is materialized, ever — Graph() returns nil, the graph
-// kind comes from the file header, and only algorithms whose Caps report
-// OutOfCore support will run. The handle holds the file open (and
-// mmapped, unless AsBlockBuffered); Close releases it.
+// OpenOutOfCoreWorkload opens a pull-view binary CSR (written by
+// graph.WritePullView or a DiskStore above its block threshold) as a pure
+// out-of-core handle: no in-memory CSR is materialized, ever — Graph()
+// returns nil, the graph kind comes from the file header, and only
+// algorithms whose Caps report OutOfCore support will run. The handle
+// holds the file open (and mmapped, unless AsBlockBuffered); Close
+// releases it.
 func OpenOutOfCoreWorkload(path string, opts ...WorkloadOption) (*Workload, error) {
 	w := NewWorkload(nil, opts...)
-	blk, err := w.openBlock(path)
+	blk, err := graph.OpenBlockCSR(path, w.blockBuffered)
 	if err != nil {
 		return nil, err
 	}
@@ -348,12 +350,12 @@ func (w *Workload) Stats() GraphStats {
 }
 
 // OutOfCore returns the memoized block view the out-of-core kernels run
-// over, building it on first use: the pull-view CSR (the graph itself,
-// or the transpose for directed workloads) is serialized to a temporary
-// block file, reopened mmap-backed (or buffered, per AsBlockBuffered),
-// and immediately unlinked so the kernel-visible file lives exactly as
-// long as the handle; a failed build is retried by the next call. A pure
-// file handle returns its already-open view.
+// over, building it on first use: the pull view (the graph itself, or the
+// transpose for directed workloads) is written to a temporary file,
+// reopened mmap-backed (or buffered, per AsBlockBuffered), and
+// immediately unlinked so the kernel-visible file lives exactly as long
+// as the handle; a failed build is retried by the next call. A pure file
+// handle returns its already-open view.
 func (w *Workload) OutOfCore() (*graph.BlockCSR, error) {
 	if w.g == nil {
 		w.mu.Lock()
@@ -366,7 +368,7 @@ func (w *Workload) OutOfCore() (*graph.BlockCSR, error) {
 	return view(w, viewKey{kind: viewBlock}, w.buildBlock)
 }
 
-// buildBlock writes, reopens and unlinks OutOfCore's block file.
+// buildBlock writes, reopens and unlinks OutOfCore's pull-view file.
 func (w *Workload) buildBlock() (*graph.BlockCSR, error) {
 	f, err := os.CreateTemp("", "pushpull-blk-*")
 	if err != nil {
@@ -376,47 +378,29 @@ func (w *Workload) buildBlock() (*graph.BlockCSR, error) {
 	// Unlink-while-open: the open fd (and mapping) keeps the data alive,
 	// and nothing is left behind when the process dies.
 	defer os.Remove(path)
-	werr := w.writeBlock(f)
+	werr := w.writePullView(f)
 	if cerr := f.Close(); werr == nil {
 		werr = cerr
 	}
 	if werr != nil {
 		return nil, fmt.Errorf("pushpull: building block view: %w", werr)
 	}
-	return w.openBlock(path)
+	return graph.OpenBlockCSR(path, w.blockBuffered)
 }
 
-// openBlock opens a block file mmap-backed, or buffered per AsBlockBuffered.
-func (w *Workload) openBlock(path string) (*graph.BlockCSR, error) {
-	if w.blockBuffered {
-		return graph.OpenBlockCSR(path, graph.Buffered())
-	}
-	return graph.OpenBlockCSR(path)
-}
-
-// writeBlockTo serializes the workload's pull view in the on-disk block
-// format (the layout OpenOutOfCoreWorkload reads back). DiskStore uses it
-// to persist graphs above its block threshold directly in the out-of-core
-// layout, so a restore never has to materialize them.
-func (w *Workload) writeBlockTo(dst io.Writer) error {
-	if w.g == nil {
-		return fmt.Errorf("pushpull: pure out-of-core workload has no in-memory graph to serialize")
-	}
-	return w.writeBlock(dst)
-}
-
-// writeBlock writes what the block format stores: the pull view (the
-// graph itself, or the transpose for directed workloads) and, for
-// directed workloads, the out-degree sidecar the pull kernels divide by.
-func (w *Workload) writeBlock(dst io.Writer) error {
+// writePullView writes the file OpenOutOfCoreWorkload opens: the pull
+// view (the graph itself, or the transpose for directed workloads) and,
+// for directed workloads, the out-degrees the pull kernels divide by.
+// The workload must hold an in-memory graph.
+func (w *Workload) writePullView(dst io.Writer) error {
 	if !w.directed {
-		return graph.WriteBlock(dst, w.g, nil, 0)
+		return graph.WritePullView(dst, w.g, nil)
 	}
 	outDeg := make([]int64, w.g.N())
 	for v := range outDeg {
 		outDeg[v] = w.g.Degree(graph.V(v))
 	}
-	return graph.WriteBlock(dst, w.Transpose(), outDeg, 0)
+	return graph.WritePullView(dst, w.Transpose(), outDeg)
 }
 
 // ID returns the workload's stable content identity: a digest of the
@@ -429,7 +413,7 @@ func (w *Workload) writeBlock(dst io.Writer) error {
 func (w *Workload) ID() string { return memo(w, viewKey{kind: viewID}, w.contentID) }
 
 // contentID hashes the CSR arrays and the kind flags (FNV-1a, 64-bit). A
-// pure file handle hashes what its block file stores — the PULL view (the
+// pure file handle hashes what its file stores — the PULL view (the
 // graph itself when undirected, the transpose when directed).
 func (w *Workload) contentID() string {
 	h := uint64(fnvOffset)
@@ -446,32 +430,25 @@ func (w *Workload) contentID() string {
 			h = fnvWord(h, uint64(math.Float32bits(wt)))
 		}
 	} else {
-		// Stream the adjacency block-sequentially (two passes when weighted,
-		// matching the all-adj-then-all-weights hash order of the in-memory
-		// path). The file was validated at open; a read failure here
-		// degrades the digest, not correctness. The visitors fold into
-		// their own copy of h, so no closure captures h, which then stays
-		// in a register in the in-memory loops above.
+		// Stream the arcs, then the weights, matching the hash order of the
+		// in-memory path. The file was validated at open; a read failure
+		// here degrades the digest, not correctness. The visitor folds into
+		// its own copy of h, so no closure captures h, which then stays in
+		// a register in the in-memory loops above.
 		blk, hb := w.blk, h
 		hb = fnvWord(hb, uint64(blk.N()))
 		hb = fnvWord(hb, uint64(blk.M()))
 		for _, o := range blk.Offsets {
 			hb = fnvWord(hb, uint64(o))
 		}
-		_ = blk.VisitBlocks(func(adj []graph.V, _ []float32) error {
+		_ = blk.VisitArcs(func(adj []graph.V, ws []float32) {
 			for _, v := range adj {
 				hb = fnvWord(hb, uint64(v))
 			}
-			return nil
+			for _, wt := range ws {
+				hb = fnvWord(hb, uint64(math.Float32bits(wt)))
+			}
 		})
-		if blk.Weighted() {
-			_ = blk.VisitBlocks(func(_ []graph.V, ws []float32) error {
-				for _, wt := range ws {
-					hb = fnvWord(hb, uint64(math.Float32bits(wt)))
-				}
-				return nil
-			})
-		}
 		h = hb
 	}
 	// The declared kind changes what a run computes (directed dispatch,
@@ -602,7 +579,7 @@ func resolveWorkload(on Runnable) (*Workload, error) {
 // round trip through ReadWorkload.
 func WriteWorkload(dst io.Writer, w *Workload) error {
 	if w.g == nil {
-		return fmt.Errorf("pushpull: cannot serialize a pure out-of-core workload as an edge list (it lives in its block file)")
+		return fmt.Errorf("pushpull: cannot serialize a pure out-of-core workload as an edge list (it lives in its pull-view file)")
 	}
 	return graph.WriteEdgeListKind(dst, w.g, w.directed)
 }
@@ -621,7 +598,7 @@ func ReadWorkload(src io.Reader) (*Workload, error) {
 // undirected one that differs from its transpose.
 func WriteWorkloadCSR(dst io.Writer, w *Workload) error {
 	if w.g == nil {
-		return fmt.Errorf("pushpull: cannot serialize a pure out-of-core workload as a CSR (it lives in its block file)")
+		return fmt.Errorf("pushpull: cannot serialize a pure out-of-core workload as a CSR (it lives in its pull-view file)")
 	}
 	return graph.WriteCSR(dst, w.g, w.directed)
 }
