@@ -15,6 +15,7 @@ package api
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"time"
 
 	"pushpull"
@@ -52,7 +53,10 @@ type RunOptions struct {
 // options, rejecting values no With* function would accept and values
 // the lowering could not carry exactly: a vertex id outside
 // [0, math.MaxInt32] or a timeout_ms that is negative or too large for a
-// time.Duration.
+// time.Duration. It also refuses more threads than the process runs at
+// once, runtime.GOMAXPROCS(0): a kernel's scratch grows with its threads
+// (pr push holds (t+1)·n·8 bytes), so one request must not choose it past
+// what the machine can use.
 func (o *RunOptions) ToOptions() ([]pushpull.Option, error) {
 	var opts []pushpull.Option
 	switch o.Direction {
@@ -63,6 +67,9 @@ func (o *RunOptions) ToOptions() ([]pushpull.Option, error) {
 		opts = append(opts, pushpull.WithDirection(pushpull.Pull))
 	default:
 		return nil, fmt.Errorf(`bad "direction" %q (push, pull, auto)`, o.Direction)
+	}
+	if procs := runtime.GOMAXPROCS(0); o.Threads > procs {
+		return nil, fmt.Errorf(`bad "threads" %d (at most %d, this process's GOMAXPROCS)`, o.Threads, procs)
 	}
 	if o.Threads != 0 {
 		opts = append(opts, pushpull.WithThreads(o.Threads))

@@ -3,7 +3,9 @@ package api
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -12,10 +14,11 @@ import (
 )
 
 // TestToOptionsRanges: a vertex id that does not fit pushpull.V, a
-// negative timeout_ms and one whose nanoseconds overflow are refused with
-// an error naming the field, instead of wrapping to vertex 0 or running
-// with no timeout at all; the
-// largest values that do fit are accepted unchanged.
+// negative timeout_ms and one whose nanoseconds overflow, and more threads
+// than GOMAXPROCS are refused with an error naming the field, instead of
+// wrapping to vertex 0, running with no timeout at all or allocating a
+// kernel's scratch for threads the machine cannot run; the largest values
+// that do fit are accepted unchanged.
 func TestToOptionsRanges(t *testing.T) {
 	for _, c := range []struct {
 		body, field string
@@ -29,6 +32,8 @@ func TestToOptionsRanges(t *testing.T) {
 		{`{"timeout_ms":9223372036854775807}`, `"timeout_ms"`},
 		{`{"timeout_ms":-1}`, `"timeout_ms"`},
 		{`{"timeout_ms":-9223372036854775808}`, `"timeout_ms"`},
+		{fmt.Sprintf(`{"direction":"push","threads":%d}`, runtime.GOMAXPROCS(0)+1), `"threads"`},
+		{`{"threads":100000}`, `"threads"`},
 	} {
 		o := decodeOptions(t, c.body)
 		if _, err := o.ToOptions(); err == nil || !strings.Contains(err.Error(), c.field) {
@@ -36,7 +41,7 @@ func TestToOptionsRanges(t *testing.T) {
 		}
 	}
 
-	o := decodeOptions(t, `{"source":2147483647,"sources":[0,2147483647],"timeout_ms":9223372036854}`)
+	o := decodeOptions(t, fmt.Sprintf(`{"source":2147483647,"sources":[0,2147483647],"timeout_ms":9223372036854,"threads":%d}`, runtime.GOMAXPROCS(0)))
 	opts, err := o.ToOptions()
 	if err != nil {
 		t.Fatalf("largest representable values refused: %v", err)
@@ -47,6 +52,9 @@ func TestToOptionsRanges(t *testing.T) {
 	}
 	if cfg.Source != math.MaxInt32 || !slices.Equal(cfg.Sources, []pushpull.V{0, math.MaxInt32}) {
 		t.Errorf("source %d, sources %v: the boundary ids did not survive", cfg.Source, cfg.Sources)
+	}
+	if cfg.Threads != runtime.GOMAXPROCS(0) {
+		t.Errorf("threads %d: GOMAXPROCS (%d) did not survive", cfg.Threads, runtime.GOMAXPROCS(0))
 	}
 }
 
@@ -107,6 +115,9 @@ func FuzzRunOptions(f *testing.F) {
 		}
 		if o.TimeoutMS < 0 {
 			t.Errorf("negative timeout_ms %d accepted", o.TimeoutMS)
+		}
+		if o.Threads > runtime.GOMAXPROCS(0) {
+			t.Errorf("threads %d past GOMAXPROCS accepted", o.Threads)
 		}
 		if int(cfg.Source) != o.Source {
 			t.Errorf("source %d lowered to %d", o.Source, cfg.Source)

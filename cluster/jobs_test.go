@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -286,7 +287,8 @@ func TestRouterJobValidationAndAffinityPin(t *testing.T) {
 // TestRouterOptionRanges: a vertex id past 32 bits, a negative or
 // overflowing timeout_ms or a retired field (partition_aware,
 // out_of_core, ranks, partitions) reaches the client through the router
-// as a 400 naming the field, on POST /run and POST /jobs alike.
+// as a 400 naming the field, on POST /run and POST /jobs alike. So does
+// more threads than a worker's GOMAXPROCS, while GOMAXPROCS itself runs.
 func TestRouterOptionRanges(t *testing.T) {
 	fleet := newFleet(t, 2)
 	ts, _ := newRouter(t, fleet)
@@ -300,12 +302,19 @@ func TestRouterOptionRanges(t *testing.T) {
 		{"pr", `{"out_of_core": true}`, "out_of_core"},
 		{"pr", `{"ranks": 16}`, "ranks"},
 		{"gc", `{"partitions": 4}`, "partitions"},
+		{"pr", fmt.Sprintf(`{"direction": "push", "threads": %d}`, runtime.GOMAXPROCS(0)+1), "threads"},
 	} {
 		body := fmt.Sprintf(`{"graph": "demo", "algorithm": %q, "options": %s}`, c.algorithm, c.options)
 		for _, path := range []string{"/run", "/jobs"} {
 			if status, raw, _ := postJSON(t, ts.URL, path, body); status != http.StatusBadRequest || !strings.Contains(string(raw), c.field) {
 				t.Errorf("POST %s %s via the router: %d %s, want 400 naming %q", path, body, status, raw, c.field)
 			}
+		}
+	}
+	body := fmt.Sprintf(`{"graph": "demo", "algorithm": "pr", "options": {"direction": "push", "threads": %d}}`, runtime.GOMAXPROCS(0))
+	for path, want := range map[string]int{"/run": http.StatusOK, "/jobs": http.StatusAccepted} {
+		if status, raw, _ := postJSON(t, ts.URL, path, body); status != want {
+			t.Errorf("POST %s %s via the router: %d %s, want %d", path, body, status, raw, want)
 		}
 	}
 }

@@ -1,7 +1,5 @@
 package graph
 
-import "slices"
-
 // DegreeSorted is a CSR relabeled so that vertex ids are assigned in
 // descending degree order: the heaviest row becomes vertex 0. High-degree
 // (hub) vertices end up contiguous at the front of every state array, so
@@ -26,15 +24,11 @@ type DegreeSorted struct {
 // id places every vertex in its degree's next slot.
 func DegreePerm(g *CSR) (perm, inv []V) {
 	n := g.N()
-	maxDeg := int64(0)
-	for v := V(0); v < g.NumV; v++ {
-		maxDeg = max(maxDeg, g.Degree(v))
-	}
-	slot := make([]int, maxDeg+1)
+	slot := make([]int, g.MaxDegree()+1)
 	for v := V(0); v < g.NumV; v++ {
 		slot[g.Degree(v)]++
 	}
-	for d, first := maxDeg, 0; d >= 0; d-- {
+	for d, first := len(slot)-1, 0; d >= 0; d-- {
 		slot[d], first = first, first+slot[d]
 	}
 	perm = make([]V, n)
@@ -50,48 +44,40 @@ func DegreePerm(g *CSR) (perm, inv []V) {
 	return perm, inv
 }
 
-// PermuteCSR relabels g under the given bijection: vertex old becomes
-// inv[old], and row new reproduces old = perm[new]'s adjacency with every
-// endpoint remapped. Rows are re-sorted ascending (weights carried along)
-// so the result satisfies the CSR invariants, including HasEdge's binary
-// search. A weighted row sorts (endpoint, position) keys, so arcs to one
-// endpoint keep their order.
-func PermuteCSR(g *CSR, perm, inv []V) *CSR {
-	n := g.NumV
-	out := &CSR{NumV: n, Offsets: make([]int64, n+1), Adj: make([]V, g.M())}
-	if g.Weights != nil {
-		out.Weights = make([]float32, g.M())
-	}
-	for newV := V(0); newV < n; newV++ {
-		out.Offsets[newV+1] = out.Offsets[newV] + g.Degree(perm[newV])
-	}
-	var key []uint64 // grown to the longest weighted row
-	for newV := V(0); newV < n; newV++ {
-		old := perm[newV]
-		row := out.Adj[out.Offsets[newV]:out.Offsets[newV+1]]
-		if g.Weights == nil {
-			for i, u := range g.Neighbors(old) {
-				row[i] = inv[u]
-			}
-			slices.Sort(row)
-			continue
-		}
-		key = key[:0]
-		for i, u := range g.Neighbors(old) {
-			key = append(key, uint64(inv[u])<<32|uint64(i))
-		}
-		slices.Sort(key)
-		ws := g.NeighborWeights(old)
-		wrow := out.Weights[out.Offsets[newV]:out.Offsets[newV+1]]
-		for i, k := range key {
-			row[i], wrow[i] = V(k>>32), ws[uint32(k)]
-		}
-	}
-	return out
-}
+// SortByDegree builds the degree-sorted view of g with two scatters. The
+// first places Inv[v], with its arc's weight, in row Inv[u] for every arc
+// v→u: the relabelled transpose. The second transposes that back, which
+// lists every row in ascending order with the arcs to one endpoint in
+// g's order, so the view is exact for every CSR and no row is sorted.
+// Beside the view it holds one scatter's cursors at a time and the
+// relabelled transpose, 8(n+1) + 4m bytes (8m when weighted).
+func SortByDegree(g *CSR) *DegreeSorted { return sortByDegree(g, g.workersFor(g.N())) }
 
-// SortByDegree builds the degree-sorted view of g.
-func SortByDegree(g *CSR) *DegreeSorted {
+// sortByDegree is SortByDegree on t scatter workers.
+func sortByDegree(g *CSR, t int) *DegreeSorted {
 	perm, inv := DegreePerm(g)
-	return &DegreeSorted{G: PermuteCSR(g, perm, inv), Perm: perm, Inv: inv}
+	tr := &CSR{NumV: g.NumV, Adj: make([]V, g.M())}
+	if g.Weights != nil {
+		tr.Weights = make([]float32, g.M())
+	}
+	tr.Offsets, _ = scatter(g.N(), rowBounds(g, t), func(lo, hi int, cnt []int64) bool {
+		for _, u := range g.Adj[g.Offsets[lo]:g.Offsets[hi]] {
+			cnt[inv[u]]++
+		}
+		return true
+	}, func(lo, hi int, cur []int64) {
+		for v := V(lo); v < V(hi); v++ {
+			ws := g.NeighborWeights(v)
+			for i, u := range g.Neighbors(v) {
+				x := inv[u]
+				c := cur[x]
+				tr.Adj[c] = inv[v]
+				if ws != nil {
+					tr.Weights[c] = ws[i]
+				}
+				cur[x] = c + 1
+			}
+		}
+	})
+	return &DegreeSorted{G: tr.transpose(t), Perm: perm, Inv: inv}
 }

@@ -1,6 +1,9 @@
 package graph_test
 
 import (
+	"fmt"
+	"math"
+	"runtime"
 	"slices"
 	"sort"
 	"testing"
@@ -12,7 +15,8 @@ import (
 
 // sortByDegreeOracle is the degree-sorted build as it stood before the
 // counting sort: a comparison sort of the ids by (degree descending, id),
-// then every row remapped and sorted in turn through sort.Interface.
+// then every row remapped and sorted in turn through sort.Interface,
+// stably, so that arcs to one endpoint keep their order.
 func sortByDegreeOracle(g *graph.CSR) *graph.DegreeSorted {
 	n := g.N()
 	perm := make([]graph.V, n)
@@ -49,7 +53,7 @@ func sortByDegreeOracle(g *graph.CSR) *graph.DegreeSorted {
 		}
 		wrow := out.Weights[out.Offsets[newV]:out.Offsets[newV+1]]
 		copy(wrow, g.NeighborWeights(old))
-		sort.Sort(&arcRow{adj: row, wts: wrow})
+		sort.Stable(&arcRow{adj: row, wts: wrow})
 	}
 	return &graph.DegreeSorted{G: out, Perm: perm, Inv: inv}
 }
@@ -123,5 +127,62 @@ func TestSortByDegreeMatchesOracle(t *testing.T) {
 		case !slices.Equal(got.G.Weights, want.G.Weights) || (got.G.Weights == nil) != (want.G.Weights == nil):
 			t.Errorf("%s: Weights differ", name)
 		}
+	}
+}
+
+// TestSortByDegreeOracleAtAnyWorkers holds SortByDegree to the oracle, bit
+// for bit, at GOMAXPROCS 1, 2 and 7, through the worker count it picks and
+// at that many workers forced. The directed weighted graphs keep their
+// duplicate arcs, most of them weighted apart, so the order of tied arcs
+// is pinned; the larger has arcs enough for seven workers.
+func TestSortByDegreeOracleAtAnyWorkers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	dupes := func(n, m int, seed uint64) *graph.CSR {
+		b := graph.NewBuilder(n).Directed().KeepDuplicates()
+		r := rng.New(seed)
+		for range m {
+			b.AddEdgeW(graph.V(r.Intn(n)), graph.V(r.Intn(n)), float32(r.Intn(64))/4)
+		}
+		return b.MustBuild()
+	}
+	rmat, err := gen.RMAT(gen.DefaultRMAT(10, 8, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fixtures := []struct {
+		name string
+		g    *graph.CSR
+	}{
+		{"n=0", graph.NewBuilder(0).MustBuild()},
+		{"rmat-weighted", gen.WithUniformWeights(rmat, 1, 100, 7)},
+		{"directed", directedFixture(t)},
+		{"directed dupes", dupes(40, 3000, 1)},
+		{"directed dupes large", dupes(2000, 150_000, 2)},
+	}
+	for _, procs := range []int{1, 2, 7} {
+		runtime.GOMAXPROCS(procs)
+		for _, fx := range fixtures {
+			what := fmt.Sprintf("%s at GOMAXPROCS %d", fx.name, procs)
+			want := sortByDegreeOracle(fx.g)
+			sameDegreeSorted(t, what, graph.SortByDegree(fx.g), want)
+			sameDegreeSorted(t, what+" forced", graph.SortByDegreeOn(fx.g, procs), want)
+		}
+	}
+}
+
+// sameDegreeSorted fails unless got and want hold the same permutation and
+// the same offsets, arcs and weights, bit for bit.
+func sameDegreeSorted(t *testing.T, what string, got, want *graph.DegreeSorted) {
+	t.Helper()
+	bits := func(a, b float32) bool { return math.Float32bits(a) == math.Float32bits(b) }
+	switch {
+	case !slices.Equal(got.Perm, want.Perm) || !slices.Equal(got.Inv, want.Inv):
+		t.Fatalf("%s: permutation differs", what)
+	case got.G.NumV != want.G.NumV || !slices.Equal(got.G.Offsets, want.G.Offsets):
+		t.Fatalf("%s: offsets differ", what)
+	case !slices.Equal(got.G.Adj, want.G.Adj):
+		t.Fatalf("%s: arcs differ", what)
+	case (got.G.Weights == nil) != (want.G.Weights == nil) || !slices.EqualFunc(got.G.Weights, want.G.Weights, bits):
+		t.Fatalf("%s: weights differ", what)
 	}
 }

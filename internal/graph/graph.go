@@ -189,13 +189,7 @@ func (g *CSR) IsSymmetric() bool {
 // sources in increasing order, sorted as a CSR's rows are. A graph that
 // fails Check is transposed on the calling goroutine alone, so a fault
 // it trips panics there, where the caller can recover, not in a worker.
-func (g *CSR) Transpose() *CSR {
-	t := 1
-	if g.Checked() || g.check() == nil {
-		t = scatterWorkers(g.N(), int(g.M()))
-	}
-	return g.transpose(t)
-}
+func (g *CSR) Transpose() *CSR { return g.transpose(g.workersFor(g.N())) }
 
 // transpose is Transpose on t scatter workers.
 func (g *CSR) transpose(t int) *CSR {

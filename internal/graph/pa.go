@@ -17,47 +17,47 @@ type PAGraph struct {
 	RemAdj []V
 }
 
-// BuildPA splits g's adjacency arrays under the given partition.
-func BuildPA(g *CSR, part Partition) *PAGraph {
-	n := g.NumV
-	pa := &PAGraph{
-		G:      g,
-		Part:   part,
-		LocOff: make([]int64, n+1),
-		RemOff: make([]int64, n+1),
-	}
-	// First pass: count local/remote per vertex.
-	for v := V(0); v < n; v++ {
-		ov := part.Owner(v)
-		var loc, rem int64
-		for _, u := range g.Neighbors(v) {
-			if part.Owner(u) == ov {
-				loc++
-			} else {
-				rem++
+// BuildPA splits g's adjacency arrays under the given partition with one
+// scatter of g's rows into 2n rows: row v takes v's local arcs and row n+v
+// its remote ones, each in g's order, so one arc array holds LocAdj and
+// then RemAdj. Its cursors take t·2n·8 bytes, at most 8 per arc.
+func BuildPA(g *CSR, part Partition) *PAGraph { return buildPA(g, part, g.workersFor(2*g.N())) }
+
+// buildPA is BuildPA on t scatter workers. An arc v→u is local when u
+// lies in the range of vertices that v's owner owns.
+func buildPA(g *CSR, part Partition, t int) *PAGraph {
+	n := g.N()
+	adj := make([]V, g.M())
+	off, _ := scatter(2*n, rowBounds(g, t), func(lo, hi int, cnt []int64) bool {
+		for v := V(lo); v < V(hi); v++ {
+			l, h := part.Range(part.Owner(v))
+			for _, u := range g.Neighbors(v) {
+				if l <= u && u < h {
+					cnt[v]++
+				}
+			}
+			cnt[n+int(v)] = g.Degree(v) - cnt[v]
+		}
+		return true
+	}, func(lo, hi int, cur []int64) {
+		for v := V(lo); v < V(hi); v++ {
+			l, h := part.Range(part.Owner(v))
+			for _, u := range g.Neighbors(v) {
+				r := n + int(v)
+				if l <= u && u < h {
+					r = int(v)
+				}
+				adj[cur[r]] = u
+				cur[r]++
 			}
 		}
-		pa.LocOff[v+1] = pa.LocOff[v] + loc
-		pa.RemOff[v+1] = pa.RemOff[v] + rem
+	})
+	// Copied out, so that the view does not keep all 2n+1 offsets.
+	pa := &PAGraph{G: g, Part: part, LocOff: make([]int64, n+1), RemOff: make([]int64, n+1)}
+	for v := range pa.LocOff {
+		pa.LocOff[v], pa.RemOff[v] = off[v], off[n+v]-off[n]
 	}
-	pa.LocAdj = make([]V, pa.LocOff[n])
-	pa.RemAdj = make([]V, pa.RemOff[n])
-	lc := make([]int64, n)
-	rc := make([]int64, n)
-	copy(lc, pa.LocOff[:n])
-	copy(rc, pa.RemOff[:n])
-	for v := V(0); v < n; v++ {
-		ov := part.Owner(v)
-		for _, u := range g.Neighbors(v) {
-			if part.Owner(u) == ov {
-				pa.LocAdj[lc[v]] = u
-				lc[v]++
-			} else {
-				pa.RemAdj[rc[v]] = u
-				rc[v]++
-			}
-		}
-	}
+	pa.LocAdj, pa.RemAdj = adj[:off[n]:off[n]], adj[off[n]:]
 	return pa
 }
 

@@ -9,7 +9,9 @@ import (
 
 // scatter is the counting sort under every CSR build here: it lays the
 // arcs of a run of items (the rows of a CSR, the edges of a list) out
-// row by row, and returns the n+1 row offsets.
+// row by row, and returns the n+1 row offsets. Builder.Build, Transpose,
+// BuildPA and SortByDegree's two passes lay their arrays out with it, and
+// so does any new view that moves arcs between rows.
 //
 // Worker w owns the contiguous items [bounds[w], bounds[w+1]). It counts
 // its items' arcs into a private array, count(lo, hi, cnt) adding one to
@@ -65,6 +67,17 @@ const scatterGrain = 1 << 14
 // n get one worker, and the sequential build's bill.
 func scatterWorkers(n, arcs int) int {
 	return max(1, min(runtime.GOMAXPROCS(0), arcs/scatterGrain, arcs/(n+1)))
+}
+
+// workersFor is how many workers scatter g's arcs into the given number
+// of rows: scatterWorkers' count when g passes Check, else one, so that a
+// fault a malformed graph trips panics on the calling goroutine, where the
+// caller can recover, and not in a worker.
+func (g *CSR) workersFor(rows int) int {
+	if g.Checked() || g.check() == nil {
+		return scatterWorkers(rows, int(g.M()))
+	}
+	return 1
 }
 
 // evenBounds splits items into t contiguous ranges of near-equal size.

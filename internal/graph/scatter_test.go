@@ -119,6 +119,69 @@ func oracleBuild(b *Builder) (*CSR, error) {
 	return g, nil
 }
 
+// oraclePA is the sequential BuildPA the scatter replaced: one pass
+// counting each row's local and remote arcs into the two offset arrays,
+// then one placing them through a cursor per row and side.
+func oraclePA(g *CSR, part Partition) *PAGraph {
+	n := g.NumV
+	pa := &PAGraph{
+		G:      g,
+		Part:   part,
+		LocOff: make([]int64, n+1),
+		RemOff: make([]int64, n+1),
+	}
+	for v := V(0); v < n; v++ {
+		ov := part.Owner(v)
+		var loc, rem int64
+		for _, u := range g.Neighbors(v) {
+			if part.Owner(u) == ov {
+				loc++
+			} else {
+				rem++
+			}
+		}
+		pa.LocOff[v+1] = pa.LocOff[v] + loc
+		pa.RemOff[v+1] = pa.RemOff[v] + rem
+	}
+	pa.LocAdj = make([]V, pa.LocOff[n])
+	pa.RemAdj = make([]V, pa.RemOff[n])
+	lc := make([]int64, n)
+	rc := make([]int64, n)
+	copy(lc, pa.LocOff[:n])
+	copy(rc, pa.RemOff[:n])
+	for v := V(0); v < n; v++ {
+		ov := part.Owner(v)
+		for _, u := range g.Neighbors(v) {
+			if part.Owner(u) == ov {
+				pa.LocAdj[lc[v]] = u
+				lc[v]++
+			} else {
+				pa.RemAdj[rc[v]] = u
+				rc[v]++
+			}
+		}
+	}
+	return pa
+}
+
+// identicalPA fails unless got and want split the same graph under the
+// same partition into the same four arrays.
+func identicalPA(t *testing.T, what string, got, want *PAGraph) {
+	t.Helper()
+	switch {
+	case got.G != want.G || got.Part != want.Part:
+		t.Fatalf("%s: graph or partition differs", what)
+	case !slices.Equal(got.LocOff, want.LocOff):
+		t.Fatalf("%s: local offsets differ", what)
+	case !slices.Equal(got.LocAdj, want.LocAdj):
+		t.Fatalf("%s: local arcs differ", what)
+	case !slices.Equal(got.RemOff, want.RemOff):
+		t.Fatalf("%s: remote offsets differ", what)
+	case !slices.Equal(got.RemAdj, want.RemAdj):
+		t.Fatalf("%s: remote arcs differ", what)
+	}
+}
+
 // identical fails unless got and want hold the same offsets, arcs and
 // weights, bit for bit, and agree on carrying weights at all.
 func identical(t *testing.T, what string, got, want *CSR) {
@@ -211,9 +274,9 @@ func scatterFixtures() []scatterFixture {
 	}
 }
 
-// TestScatterMatchesOracle holds Build and Transpose to the sequential
-// oracles, bit for bit, at GOMAXPROCS 1, 2 and 7, through the worker
-// count each picks and at that many workers forced.
+// TestScatterMatchesOracle holds Build, Transpose and BuildPA to the
+// sequential oracles, bit for bit, at GOMAXPROCS 1, 2 and 7, through the
+// worker count each picks and at that many workers forced.
 func TestScatterMatchesOracle(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 2, 7} {
@@ -241,6 +304,12 @@ func TestScatterMatchesOracle(t *testing.T) {
 			tr := oracleTranspose(want)
 			identical(t, what+": Transpose", want.Transpose(), tr)
 			identical(t, what+": Transpose forced", want.transpose(procs), tr)
+			for _, parts := range []int{2, 7} {
+				part := NewPartition(want.N(), parts)
+				pa := oraclePA(want, part)
+				identicalPA(t, fmt.Sprintf("%s: BuildPA over %d parts", what, parts), BuildPA(want, part), pa)
+				identicalPA(t, fmt.Sprintf("%s: BuildPA over %d parts forced", what, parts), buildPA(want, part, procs), pa)
+			}
 		}
 	}
 }

@@ -486,6 +486,7 @@ func TestManagerValidation(t *testing.T) {
 		{Graph: "nope", Algorithm: "pr"},
 		{Graph: "g", Algorithm: "nope"},
 		{Graph: "g", Algorithm: "pr", DeadlineMS: -1},
+		{Graph: "g", Algorithm: "pr", Options: api.RunOptions{Direction: "push", Threads: runtime.GOMAXPROCS(0) + 1}},
 	}
 	for i, s := range bad {
 		if _, err := m.Submit(s); err == nil {

@@ -14,6 +14,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -238,6 +239,8 @@ func TestServeErrors(t *testing.T) {
 // from vertex id mod 2^32, with no timeout, or timing out at once. So
 // are partition_aware, out_of_core, ranks and partitions, fields the wire
 // no longer carries: refused, not silently run as another configuration.
+// So is more threads than the worker's GOMAXPROCS, while GOMAXPROCS itself
+// runs.
 func TestServeOptionRanges(t *testing.T) {
 	ts, _, _ := newJobServer(t)
 	for _, c := range []struct{ algorithm, options, field string }{
@@ -250,6 +253,7 @@ func TestServeOptionRanges(t *testing.T) {
 		{"pr", `{"out_of_core": true}`, "out_of_core"},
 		{"pr", `{"ranks": 16}`, "ranks"},
 		{"gc", `{"partitions": 4}`, "partitions"},
+		{"pr", fmt.Sprintf(`{"direction": "push", "threads": %d}`, runtime.GOMAXPROCS(0)+1), "threads"},
 	} {
 		body := fmt.Sprintf(`{"graph": "demo", "algorithm": %q, "options": %s}`, c.algorithm, c.options)
 		for _, path := range []string{"/run", "/jobs"} {
@@ -257,6 +261,12 @@ func TestServeOptionRanges(t *testing.T) {
 			if status != http.StatusBadRequest || !strings.Contains(string(raw), c.field) {
 				t.Errorf("POST %s %s: %d %s, want 400 naming %q", path, body, status, raw, c.field)
 			}
+		}
+	}
+	body := fmt.Sprintf(`{"graph": "demo", "algorithm": "pr", "options": {"direction": "push", "threads": %d}}`, runtime.GOMAXPROCS(0))
+	for path, want := range map[string]int{"/run": http.StatusOK, "/jobs": http.StatusAccepted} {
+		if status, raw, _ := httpJob(t, http.MethodPost, ts.URL+path, body); status != want {
+			t.Errorf("POST %s %s: %d %s, want %d", path, body, status, raw, want)
 		}
 	}
 }
