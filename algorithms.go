@@ -80,7 +80,9 @@ func coreTrace(dirs []core.Direction) []Direction {
 // scatters into per-worker private accumulators over the plain out-view,
 // with no remote atomic; probed, it bills Algorithm 1. A file handle has no CSR view at all and runs the
 // block pull kernel (validateCaps has already rejected push, probes and
-// the degree sort there).
+// the degree sort there). An unprobed pull on a handle an Engine serves,
+// or under WithDegreeSorted, gathers along the degree-ordered pull view
+// instead of the plain one, and the ranks come out the same bit for bit.
 func runPR(ctx context.Context, w *Workload, cfg *Config) (*Report, error) {
 	opt := pr.Options{Options: cfg.coreOptions(ctx), Iterations: cfg.Iterations}
 	if cfg.DampingSet {
@@ -102,6 +104,18 @@ func runPR(ctx context.Context, w *Workload, cfg *Config) (*Report, error) {
 	}
 	// Pulling needs no synchronization at all (§3.1): the Auto default.
 	dir := cfg.resolveDir(core.Pull)
+	if dir == core.Pull && !cfg.Probes && (cfg.DegreeSorted || w.served.Load()) {
+		// The view replaces the transpose of a directed handle. A graph
+		// whose out-degrees it cannot hold takes the paths below.
+		if dp, err := w.degreePull(); err == nil {
+			views := pr.Views{In: dp.In, OutDeg: dp.OutDeg}
+			if dp.OutDeg == nil {
+				views.Out = dp.In
+			}
+			ranks, stats := pr.Pull(views, opt)
+			return &Report{Result: unpermuteFloats(dp.Perm, ranks), Stats: stats, Directions: uniformTrace(core.Pull, stats.Iterations)}, nil
+		}
+	}
 
 	// Degree sorting swaps in the permuted pair of views. Only pulling
 	// iterates in-edges, and Transpose/SortedTranspose return the graph
@@ -137,7 +151,7 @@ func runPR(ctx context.Context, w *Workload, cfg *Config) (*Report, error) {
 			return nil, err
 		}
 		if ds != nil {
-			ranks = unpermuteFloats(ds, ranks)
+			ranks = unpermuteFloats(ds.Perm, ranks)
 		}
 		rep := grp.Report()
 		iters := cfg.Iterations
@@ -159,7 +173,7 @@ func runPR(ctx context.Context, w *Workload, cfg *Config) (*Report, error) {
 		ranks, stats = pr.Pull(views, opt)
 	}
 	if ds != nil {
-		ranks = unpermuteFloats(ds, ranks)
+		ranks = unpermuteFloats(ds.Perm, ranks)
 	}
 	return &Report{Result: ranks, Stats: stats, Directions: uniformTrace(dir, stats.Iterations)}, nil
 }

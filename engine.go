@@ -540,7 +540,8 @@ func (e *Engine) Stats() EngineStats {
 // could never hit again and would otherwise squat in the LRU until
 // evicted. With a store attached the binding is persisted write-through;
 // a persistence failure is reported wrapped in ErrStore (the in-memory
-// registration stands).
+// registration stands). The Engine then serves the handle: its pr pull
+// runs read the memoized degree-ordered pull view (see Workload).
 func (e *Engine) RegisterWorkload(name string, w *Workload) error {
 	if name == "" {
 		return fmt.Errorf("pushpull: RegisterWorkload with empty name")
@@ -548,6 +549,7 @@ func (e *Engine) RegisterWorkload(name string, w *Workload) error {
 	if w == nil || !w.hasGraph() {
 		return fmt.Errorf("pushpull: RegisterWorkload(%q) with nil workload", name)
 	}
+	w.served.Store(true)
 	id := w.ID() // outside the locks: first computation is O(n + m)
 	e.mutMu.Lock()
 	defer e.mutMu.Unlock()
@@ -616,7 +618,7 @@ func (e *Engine) DropWorkload(name string) (bool, error) {
 // and restore fidelity is the store's — DiskStore round-trips everything
 // but the machine-local kind (see its doc). Attach before serving
 // traffic; attaching a second store replaces the first without migrating
-// its contents.
+// its contents. Restored handles are served as registered ones are.
 func (e *Engine) AttachStore(s GraphStore) error {
 	if s == nil {
 		return fmt.Errorf("pushpull: AttachStore(nil)")
@@ -635,6 +637,7 @@ func (e *Engine) AttachStore(s GraphStore) error {
 		if err != nil {
 			return fmt.Errorf("%w: restore %q: %v", ErrStore, name, err)
 		}
+		w.served.Store(true)
 		restored[name] = w
 	}
 	e.wlMu.Lock()

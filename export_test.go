@@ -55,3 +55,14 @@ func (w *Workload) HoldPABuild(parts int, release <-chan struct{}) <-chan *PAGra
 // FNVWord folds one word into an FNV-1a digest the way content IDs do,
 // from the offset basis FNVOffset.
 var FNVWord, FNVOffset = fnvWord, uint64(fnvOffset)
+
+// DegreePullBuilds reports how many degree-ordered pull views w holds: 1
+// once a pr pull has built it, else 0. WorkloadBuilds does not count it.
+func (w *Workload) DegreePullBuilds() int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if e := w.views[viewKey{kind: viewDegreePull}]; e != nil && e.val.Load() != nil {
+		return 1
+	}
+	return 0
+}

@@ -12,7 +12,10 @@ import (
 // byte each, weights present or not), either Check refuses it, or both
 // kernels run at one and two threads without a fault, Push at one
 // thread equals Sequential bit for bit, and Pull's ranks do not depend
-// on the thread count.
+// on the thread count. Pull through the graph's degree-ordered pull view
+// (graph.PullByDegree), un-permuted, equals the plain Pull bit for bit,
+// with the graph read as directed (pulled along its transpose) and as
+// undirected (pulled along its own rows).
 func FuzzCheckCSR(f *testing.F) {
 	f.Add(int8(3), []byte{0, 2, 3, 4}, []byte{1, 2, 0, 0}, int8(-1)) // a valid digraph
 	f.Add(int8(3), []byte{0, 2, 3, 3}, []byte{1, 2, 0}, int8(3))     // valid, weighted, empty last row
@@ -41,13 +44,26 @@ func FuzzCheckCSR(f *testing.F) {
 		if err := in.Check(); err != nil {
 			t.Fatalf("the transpose of a checked graph fails Check: %v", err)
 		}
-		vw := Views{g, in}
+		vw := Views{Out: g, In: in}
+		directed, err := graph.PullByDegree(g, true)
+		if err != nil {
+			t.Fatalf("the degree-ordered pull view of a checked graph: %v", err)
+		}
+		undirected, err := graph.PullByDegree(g, false)
+		if err != nil {
+			t.Fatalf("the undirected degree-ordered pull view of a checked graph: %v", err)
+		}
 		opt := Options{Iterations: 3}
 		var pull1 []float64
 		for _, threads := range []int{1, 2} {
 			opt.Threads = threads
 			push, _ := Push(vw, opt)
 			pull, _ := Pull(vw, opt)
+			bitsEqual(t, fmt.Sprintf("directed degree-ordered pull at t=%d", threads),
+				pullDegreeOrdered(directed, opt), pull)
+			plain, _ := Pull(Views{Out: g, In: g}, opt)
+			bitsEqual(t, fmt.Sprintf("undirected degree-ordered pull at t=%d", threads),
+				pullDegreeOrdered(undirected, opt), plain)
 			if threads == 1 {
 				bitsEqual(t, "push at t=1", push, Sequential(vw, opt))
 				pull1 = pull
@@ -56,4 +72,19 @@ func FuzzCheckCSR(f *testing.F) {
 			bitsEqual(t, fmt.Sprintf("pull at t=%d", threads), pull, pull1)
 		}
 	})
+}
+
+// pullDegreeOrdered runs Pull over a degree-ordered pull view and returns
+// the ranks under the original ids.
+func pullDegreeOrdered(dp *graph.DegreePull, opt Options) []float64 {
+	vw := Views{In: dp.In, OutDeg: dp.OutDeg}
+	if dp.OutDeg == nil {
+		vw.Out = dp.In
+	}
+	ranks, _ := Pull(vw, opt)
+	out := make([]float64, len(ranks))
+	for x, v := range dp.Perm {
+		out[v] = ranks[x]
+	}
+	return out
 }

@@ -112,8 +112,14 @@ func (o *Options) defaults() {
 // out-neighbors of v, row v of In its in-neighbors (the transpose). An
 // undirected graph is Views{g, g}. Push-only and sequential runs never read
 // In and may leave it nil.
+//
+// Pull reads Out only for the out-degrees it divides by. OutDeg, when
+// set, holds those degrees instead, as a pull view that carries them
+// (graph.DegreePull) supplies them: then Pull reads no Out, and Out may be
+// nil.
 type Views struct {
 	Out, In *graph.CSR
+	OutDeg  []uint32
 }
 
 // Sequential computes the reference ranks with a single thread — rank
@@ -242,17 +248,21 @@ func Push(vw Views, opt Options) ([]float64, core.RunStats) {
 // Pull runs the pull-based variant: each vertex gathers f·pr[u]/d(u) along
 // its in-edges with no synchronization at all (per-vertex cost bounded by
 // d̂in, §4.8) — a scale pass computes every vertex's contribution once, from
-// its out-degree, and the gather reads one per edge.
+// its out-degree (Out's row length, or OutDeg), and the gather reads one
+// per edge.
 func Pull(vw Views, opt Options) ([]float64, core.RunStats) {
 	opt.defaults()
-	out, in := vw.Out, vw.In
-	n := out.N()
+	out, in, outDeg := vw.Out, vw.In, vw.OutDeg
+	n := in.N()
 	stats := core.RunStats{Direction: core.Pull}
 	pr := make([]float64, n)
 	if n == 0 {
 		return pr, stats
 	}
 	mustBeChecked("Pull", in, n)
+	if outDeg == nil && out.N() != n || outDeg != nil && len(outDeg) != n {
+		panic(fmt.Sprintf("pr: Pull handed out-degrees of another graph than its %d-vertex pull view", n))
+	}
 	stats.Reserve(opt.Iterations)
 	t := sched.Clamp(opt.Threads, n)
 	initRank := 1 / float64(n)
@@ -266,6 +276,12 @@ func Pull(vw Views, opt Options) ([]float64, core.RunStats) {
 	// per-round swap below stays visible without re-allocating a closure
 	// each iteration.
 	scale := func(w, lo, hi int) {
+		if outDeg != nil {
+			for vi := lo; vi < hi; vi++ {
+				contrib[vi] = contribution(pr[vi], int64(outDeg[vi]))
+			}
+			return
+		}
 		for vi := lo; vi < hi; vi++ {
 			contrib[vi] = contribution(pr[vi], out.Degree(graph.V(vi)))
 		}

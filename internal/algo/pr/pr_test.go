@@ -31,7 +31,7 @@ func views(out, in *graph.CSR) Views {
 			}
 		}
 	}
-	return Views{out, in}
+	return Views{Out: out, In: in}
 }
 
 // und is the view pair of an undirected graph: In == Out.

@@ -43,7 +43,7 @@ func BenchmarkGatherProbeForms(b *testing.B) {
 	if err := in.Check(); err != nil {
 		b.Fatal(err)
 	}
-	a := modelArrays(Views{in, in}, nil)
+	a := modelArrays(Views{Out: in, In: in}, nil)
 	contrib := make([]float64, rows)
 	for i := range contrib {
 		contrib[i] = 1 / float64(rows*deg)

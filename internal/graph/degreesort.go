@@ -1,5 +1,10 @@
 package graph
 
+import (
+	"fmt"
+	"math"
+)
+
 // DegreeSorted is a CSR relabeled so that vertex ids are assigned in
 // descending degree order: the heaviest row becomes vertex 0. High-degree
 // (hub) vertices end up contiguous at the front of every state array, so
@@ -45,39 +50,124 @@ func DegreePerm(g *CSR) (perm, inv []V) {
 }
 
 // SortByDegree builds the degree-sorted view of g with two scatters. The
-// first places Inv[v], with its arc's weight, in row Inv[u] for every arc
-// v→u: the relabelled transpose. The second transposes that back, which
-// lists every row in ascending order with the arcs to one endpoint in
-// g's order, so the view is exact for every CSR and no row is sorted.
-// Beside the view it holds one scatter's cursors at a time and the
-// relabelled transpose, 8(n+1) + 4m bytes (8m when weighted).
+// first is relabel's renumbered transpose, weights and all. The second
+// transposes that back, which lists every row in ascending order with the
+// arcs to one endpoint in g's order, so the view is exact for every CSR
+// and no row is sorted. Beside the view it holds one scatter's cursors at
+// a time and the relabelled transpose, 8(n+1) + 4m bytes (8m when
+// weighted).
 func SortByDegree(g *CSR) *DegreeSorted { return sortByDegree(g, g.workersFor(g.N())) }
 
 // sortByDegree is SortByDegree on t scatter workers.
 func sortByDegree(g *CSR, t int) *DegreeSorted {
 	perm, inv := DegreePerm(g)
-	tr := &CSR{NumV: g.NumV, Adj: make([]V, g.M())}
-	if g.Weights != nil {
-		tr.Weights = make([]float32, g.M())
+	return &DegreeSorted{G: relabel(g, inv, true, true, t).transpose(t), Perm: perm, Inv: inv}
+}
+
+// DegreePull is the pull view of a graph renumbered by descending degree
+// (DegreePerm): the in-edge rows a pull kernel gathers along, with every
+// vertex under its new id. The source paper's §4 charges pull one random
+// read per edge, of the sender's contribution; the renumbering packs the
+// senders a skewed graph's gather reads most into a dense prefix of the
+// contribution vector.
+//
+// Row Inv[u] of In lists Inv[v] for each arc v→u of a directed graph, in
+// g's row order, so by increasing old id v: the order the rows of g's
+// Transpose list them in. An undirected graph's rows are its in-edge
+// rows already, and row Inv[u] lists Inv[v] for each v of g's row u, in
+// that row's order. Either way a gather over row Inv[u] adds the same
+// contributions in the same order as a gather over the plain view's row
+// u, so the ranks are the same bit for bit. In has no weights.
+//
+// OutDeg[Inv[v]] is v's out-degree in a directed view, which a pull
+// kernel divides v's rank by; an undirected view leaves it nil, since
+// its row lengths are the out-degrees.
+//
+// The view holds 4m + 8(n+1) + 8n bytes (In's arcs and offsets, Perm and
+// Inv), plus 4n for OutDeg when directed; while it builds, one scatter's
+// cursors besides, 8n per worker.
+type DegreePull struct {
+	In     *CSR
+	OutDeg []uint32
+	Perm   []V // Perm[new] = old
+	Inv    []V // Inv[old] = new
+}
+
+// PullByDegree builds g's degree-ordered pull view with one scatter, and
+// checks it once, since pull kernels read it without bounds checks. It
+// fails for a directed g of 2^32 or more arcs, whose out-degrees 32 bits
+// may not hold.
+func PullByDegree(g *CSR, directed bool) (*DegreePull, error) {
+	return pullByDegree(g, directed, g.workersFor(g.N()))
+}
+
+// pullByDegree is PullByDegree on t scatter workers.
+func pullByDegree(g *CSR, directed bool, t int) (*DegreePull, error) {
+	if directed && g.M() > math.MaxUint32 {
+		return nil, fmt.Errorf("graph: degree-ordered pull view: %d arcs, out-degrees need more than 32 bits", g.M())
 	}
-	tr.Offsets, _ = scatter(g.N(), rowBounds(g, t), func(lo, hi int, cnt []int64) bool {
+	perm, inv := DegreePerm(g)
+	dp := &DegreePull{In: relabel(g, inv, directed, false, t), Perm: perm, Inv: inv}
+	if directed {
+		dp.OutDeg = make([]uint32, g.N())
+		for v, x := range inv {
+			dp.OutDeg[x] = uint32(g.Degree(V(v)))
+		}
+	}
+	if err := dp.In.Check(); err != nil {
+		return nil, fmt.Errorf("graph: degree-ordered pull view: %w", err)
+	}
+	return dp, nil
+}
+
+// relabel lays g's arcs out under the renumbering inv (inv[old] = new)
+// with one scatter of g's rows on t workers, each row receiving its arcs
+// in g's row order. Across, arc v→u lands in row inv[u] as inv[v] (the
+// renumbered transpose), with its weight when weighted is set and g has
+// weights. Otherwise it lands in row inv[v] as inv[u], unweighted (the
+// renumbered graph).
+func relabel(g *CSR, inv []V, across, weighted bool, t int) *CSR {
+	r := &CSR{NumV: g.NumV, Adj: make([]V, g.M())}
+	ws := g.Weights
+	if !weighted || !across {
+		ws = nil
+	}
+	if ws != nil {
+		r.Weights = make([]float32, g.M())
+	}
+	r.Offsets, _ = scatter(g.N(), rowBounds(g, t), func(lo, hi int, cnt []int64) bool {
+		if !across {
+			for v := lo; v < hi; v++ {
+				cnt[inv[v]] += g.Offsets[v+1] - g.Offsets[v]
+			}
+			return true
+		}
 		for _, u := range g.Adj[g.Offsets[lo]:g.Offsets[hi]] {
 			cnt[inv[u]]++
 		}
 		return true
 	}, func(lo, hi int, cur []int64) {
 		for v := V(lo); v < V(hi); v++ {
-			ws := g.NeighborWeights(v)
-			for i, u := range g.Neighbors(v) {
-				x := inv[u]
-				c := cur[x]
-				tr.Adj[c] = inv[v]
-				if ws != nil {
-					tr.Weights[c] = ws[i]
+			a, b := g.Offsets[v], g.Offsets[v+1]
+			if !across {
+				c := cur[inv[v]]
+				for i, u := range g.Adj[a:b] {
+					r.Adj[c+int64(i)] = inv[u]
 				}
-				cur[x] = c + 1
+				cur[inv[v]] = c + b - a
+				continue
+			}
+			x := inv[v]
+			for i, u := range g.Adj[a:b] {
+				y := inv[u]
+				c := cur[y]
+				r.Adj[c] = x
+				if ws != nil {
+					r.Weights[c] = ws[a+int64(i)]
+				}
+				cur[y] = c + 1
 			}
 		}
 	})
-	return &DegreeSorted{G: tr.transpose(t), Perm: perm, Inv: inv}
+	return r
 }

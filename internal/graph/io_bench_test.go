@@ -60,6 +60,22 @@ func BenchmarkTranspose(b *testing.B) {
 	}
 }
 
+// BenchmarkPullByDegree builds the upload graph's degree-ordered pull
+// view, which a served handle's first pr pull builds in place of the
+// transpose BenchmarkTranspose times.
+func BenchmarkPullByDegree(b *testing.B) {
+	g, _ := edgeListBody(b)
+	if err := g.Check(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := graph.PullByDegree(g, true); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkBuild builds the upload graph from its arcs as a directed
 // weighted edge list, as the reader's Build does.
 func BenchmarkBuild(b *testing.B) {

@@ -10,8 +10,8 @@ import (
 // scatter is the counting sort under every CSR build here: it lays the
 // arcs of a run of items (the rows of a CSR, the edges of a list) out
 // row by row, and returns the n+1 row offsets. Builder.Build, Transpose,
-// BuildPA and SortByDegree's two passes lay their arrays out with it, and
-// so does any new view that moves arcs between rows.
+// BuildPA, SortByDegree's two passes and PullByDegree lay their arrays out
+// with it, and so does any new view that moves arcs between rows.
 //
 // Worker w owns the contiguous items [bounds[w], bounds[w+1]). It counts
 // its items' arcs into a private array, count(lo, hi, cnt) adding one to

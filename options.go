@@ -150,7 +150,9 @@ func WithMaxIters(n int) Option { return func(c *Config) { c.MaxIters = n } }
 // degree-sorted CSR permutation: vertex ids are renumbered by descending
 // degree, which concentrates the hot (high-degree) rows at the front of
 // every array. The report is un-permuted at the boundary, so the payload
-// is identical to a plain-layout run.
+// is identical to a plain-layout run. An unprobed pr pull reads the
+// workload's degree-ordered pull view, the one an Engine's served
+// handles pull through, and its ranks equal the plain run's bit for bit.
 func WithDegreeSorted() Option { return func(c *Config) { c.DegreeSorted = true } }
 
 // ---- helpers for algorithm adapters ----

@@ -21,10 +21,10 @@ func sortedView(w *Workload, cfg *Config) *DegreeSortedView {
 }
 
 // unpermuteFloats lifts a permuted-layout vector back to original vertex
-// ids: out[Perm[new]] = in[new].
-func unpermuteFloats(ds *DegreeSortedView, in []float64) []float64 {
+// ids: out[perm[new]] = in[new].
+func unpermuteFloats(perm []graph.V, in []float64) []float64 {
 	out := make([]float64, len(in))
-	for nw, old := range ds.Perm {
+	for nw, old := range perm {
 		out[old] = in[nw]
 	}
 	return out

@@ -18,9 +18,14 @@ package pushpull
 // them in every later Run: the engine-owned-view pattern of pull-frontier
 // systems. A build of one view never waits for the build of another.
 //
-// A handle declares what the graph is and where it lives, never how a run
+// A handle declares what the graph is and where it lives, not how a run
 // should lay it out: the degree-sorted permutation is asked for per run
-// (WithDegreeSorted) and memoized here. Out-of-core is where the graph
+// (WithDegreeSorted) and memoized here. The one layout a handle does not
+// leave to its caller is the Engine's: a handle an Engine serves by name
+// (RegisterWorkload, AttachStore) pulls PageRank through its memoized
+// degree-ordered pull view, where repeated runs pay back the view's one
+// build, with ranks equal bit for bit to the plain layout's. A caller's
+// own handle keeps the identity layout. Out-of-core is where the graph
 // lives, so only a file handle (OpenOutOfCoreWorkload over a pull-view
 // .csr, a DiskStore graph above its block threshold) runs the block
 // kernels.
@@ -51,11 +56,15 @@ type Runnable interface {
 // Workload binds a graph to its declared kind (directed, weighted) and
 // lazily builds + memoizes the derived state repeated runs share: the
 // transpose (in-CSR) powering directed pull, the degree-sorted CSR and its
-// transpose, the Partition-Awareness split per partition count (§5), the
-// Table 2 statistics, sssp's heuristic Δ with its light view, the block
-// view and the content ID. Each view is built once under its own key, and
-// views with different keys build concurrently. A Workload is safe for
-// concurrent Runs.
+// transpose, the degree-ordered pull view, the Partition-Awareness split
+// per partition count (§5), the Table 2 statistics, sssp's heuristic Δ
+// with its light view, the block view and the content ID. Each view is
+// built once under its own key, and views with different keys build
+// concurrently. A Workload is safe for concurrent Runs.
+//
+// The handle's kind is the caller's to declare; which pull layout its pr
+// runs take is not always: once an Engine serves the handle by name, the
+// Engine picks the degree-ordered one (see the package comment).
 type Workload struct {
 	g        *Graph
 	directed bool
@@ -66,6 +75,10 @@ type Workload struct {
 	// machine-local I/O choice (it bounds the resident set to one block per
 	// worker), deliberately NOT part of the content identity.
 	blockBuffered bool
+	// served is set by an Engine that serves the handle by name
+	// (RegisterWorkload, AttachStore): its pr pull runs then read the
+	// degree-ordered pull view in place of the plain one.
+	served atomic.Bool
 
 	mu    sync.Mutex      // guards blk and the views map, never a build
 	blk   *graph.BlockCSR // a file handle's, opened by OpenOutOfCoreWorkload
@@ -79,6 +92,7 @@ const (
 	viewTranspose viewKind = iota
 	viewDegreeSorted
 	viewSortedTranspose
+	viewDegreePull
 	viewPA
 	viewStats
 	viewSSSP
@@ -306,7 +320,8 @@ func (w *Workload) DegreeSorted() *DegreeSortedView {
 }
 
 // SortedTranspose returns the in-edge view of the degree-sorted graph —
-// the pull view of a directed degree-sorted run — memoized like the plain
+// the pull view of a probed directed degree-sorted pr run (an unprobed
+// one reads the degree-ordered pull view) — memoized like the plain
 // transpose. For an undirected workload it is the degree-sorted graph
 // itself. A pure out-of-core handle returns nil.
 func (w *Workload) SortedTranspose() *Graph {
@@ -318,6 +333,18 @@ func (w *Workload) SortedTranspose() *Graph {
 		return ds.G
 	}
 	return memo(w, viewKey{kind: viewSortedTranspose}, ds.G.Transpose)
+}
+
+// degreePull returns the memoized degree-ordered pull view of the graph
+// (graph.DegreePull), which pr pull reads on a served handle and under
+// WithDegreeSorted in place of the plain pull view. On a directed
+// handle it replaces the transpose for those runs: it is built from the
+// out-edge rows, and no transpose is built beside it. It fails for a
+// directed graph of 2^32 or more arcs.
+func (w *Workload) degreePull() (*graph.DegreePull, error) {
+	return view(w, viewKey{kind: viewDegreePull}, func() (*graph.DegreePull, error) {
+		return graph.PullByDegree(w.g, w.directed)
+	})
 }
 
 // PA returns the Partition-Awareness split (§5, Algorithm 8) of the graph
