@@ -104,36 +104,8 @@ func runPR(ctx context.Context, w *Workload, cfg *Config) (*Report, error) {
 	}
 	// Pulling needs no synchronization at all (§3.1): the Auto default.
 	dir := cfg.resolveDir(core.Pull)
-	if dir == core.Pull && !cfg.Probes && (cfg.DegreeSorted || w.served.Load()) {
-		// The view replaces the transpose of a directed handle. A graph
-		// whose out-degrees it cannot hold takes the paths below.
-		if dp, err := w.degreePull(); err == nil {
-			views := pr.Views{In: dp.In, OutDeg: dp.OutDeg}
-			if dp.OutDeg == nil {
-				views.Out = dp.In
-			}
-			ranks, stats := pr.Pull(views, opt)
-			return &Report{Result: unpermuteFloats(dp.Perm, ranks), Stats: stats, Directions: uniformTrace(core.Pull, stats.Iterations)}, nil
-		}
-	}
-
-	// Degree sorting swaps in the permuted pair of views. Only pulling
-	// iterates in-edges, and Transpose/SortedTranspose return the graph
-	// itself unless the workload is directed — so the in-CSR of a directed
-	// graph is built lazily, for pull runs alone.
-	views := pr.Views{Out: w.Graph()}
-	ds := sortedView(w, cfg)
-	if ds != nil {
-		views.Out = ds.G
-	}
-	if dir == core.Pull {
-		if ds != nil {
-			views.In = w.SortedTranspose()
-		} else {
-			views.In = w.Transpose()
-		}
-	}
-	if err := checkGraphs(views.Out, views.In); err != nil {
+	views, perm, err := prViews(w, cfg, dir)
+	if err != nil {
 		return nil, err
 	}
 
@@ -141,7 +113,6 @@ func runPR(ctx context.Context, w *Workload, cfg *Config) (*Report, error) {
 		start := time.Now()
 		prof, grp := core.CountingProfile(cfg.effectiveThreads(w.N()))
 		var ranks []float64
-		var err error
 		if dir == core.Push {
 			ranks, err = pr.PushProfiled(views, opt, prof, nil)
 		} else {
@@ -150,8 +121,8 @@ func runPR(ctx context.Context, w *Workload, cfg *Config) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		if ds != nil {
-			ranks = unpermuteFloats(ds.Perm, ranks)
+		if perm != nil {
+			ranks = unpermuteFloats(perm, ranks)
 		}
 		rep := grp.Report()
 		iters := cfg.Iterations
@@ -172,10 +143,44 @@ func runPR(ctx context.Context, w *Workload, cfg *Config) (*Report, error) {
 	} else {
 		ranks, stats = pr.Pull(views, opt)
 	}
-	if ds != nil {
-		ranks = unpermuteFloats(ds.Perm, ranks)
+	if perm != nil {
+		ranks = unpermuteFloats(perm, ranks)
 	}
 	return &Report{Result: ranks, Stats: stats, Directions: uniformTrace(dir, stats.Iterations)}, nil
+}
+
+// prViews picks the views an in-memory pr run in direction dir walks,
+// and the permutation its ranks come back in (nil: original ids). A pull
+// under WithDegreeSorted, probed or not, and an unprobed pull on a served
+// handle read the degree-ordered pull view, whose rows keep the plain
+// pull's sum order, so their ranks equal it bit for bit.
+func prViews(w *Workload, cfg *Config, dir core.Direction) (pr.Views, []V, error) {
+	if dir == core.Pull && (cfg.DegreeSorted || !cfg.Probes && w.served.Load()) {
+		// The view replaces the transpose of a directed handle. A graph
+		// whose out-degrees it cannot hold takes the paths below.
+		if dp, err := w.degreePull(); err == nil {
+			views := pr.Views{In: dp.In, OutDeg: dp.OutDeg}
+			if dp.OutDeg == nil {
+				views.Out = dp.In
+			}
+			return views, dp.Perm, nil
+		}
+	}
+	// Degree sorting swaps in the permuted pair of views. Only pulling
+	// iterates in-edges, and Transpose/SortedTranspose return the graph
+	// itself unless the workload is directed — so the in-CSR of a directed
+	// graph is built lazily, for pull runs alone.
+	views := pr.Views{Out: w.Graph()}
+	var perm []V
+	if ds := sortedView(w, cfg); ds != nil {
+		views.Out, perm = ds.G, ds.Perm
+		if dir == core.Pull {
+			views.In = w.SortedTranspose()
+		}
+	} else if dir == core.Pull {
+		views.In = w.Transpose()
+	}
+	return views, perm, checkGraphs(views.Out, views.In)
 }
 
 // ---- Triangle counting ----

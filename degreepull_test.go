@@ -1,9 +1,9 @@
 package pushpull_test
 
 // The degree-ordered pull view behind served handles and WithDegreeSorted:
-// pr pull through it equals the plain pull bit for bit, a served handle
-// builds it once and no transpose beside it, and a caller's own handle
-// never builds it.
+// pr pull through it, probed or not, equals the plain pull bit for bit, a
+// served handle builds it once and no transpose beside it, and a caller's
+// own handle never builds it.
 
 import (
 	"context"
@@ -64,11 +64,12 @@ func pullFixtures(t *testing.T) map[string]func() *pushpull.Workload {
 	}
 }
 
-// TestDegreePullBitIdentical runs pr pull three ways on every fixture at
+// TestDegreePullBitIdentical runs pr pull four ways on every fixture at
 // 1, 2 and 7 threads: on a handle an Engine serves, on a caller's own
-// handle, and with WithDegreeSorted. All three, at every thread count,
-// give the caller's one-thread ranks bit for bit, and only the first and
-// the last build the degree-ordered pull view.
+// handle, and with WithDegreeSorted, unprobed and probed (pr's profiled
+// twin over the same view). All four, at every thread count, give the
+// caller's one-thread ranks bit for bit, and all but the second build the
+// degree-ordered pull view.
 func TestDegreePullBitIdentical(t *testing.T) {
 	ctx := context.Background()
 	for name, fresh := range pullFixtures(t) {
@@ -102,6 +103,14 @@ func TestDegreePullBitIdentical(t *testing.T) {
 				sameRankBits(t, fmt.Sprintf("WithDegreeSorted at t=%d", threads), ranksOf(t, rep), want)
 				if sorted.DegreePullBuilds() != 1 {
 					t.Errorf("WithDegreeSorted at t=%d: the run built no degree-ordered pull view", threads)
+				}
+
+				probed := fresh()
+				rep = run(t, probed, "pr", append(opts, pushpull.WithDegreeSorted(), pushpull.WithProbes())...)
+				sameRankBits(t, fmt.Sprintf("probed WithDegreeSorted at t=%d", threads), ranksOf(t, rep), want)
+				if rep.Counters == nil || probed.DegreePullBuilds() != 1 {
+					t.Errorf("probed WithDegreeSorted at t=%d: counters %v, %d degree-ordered pull views; want counters and 1",
+						threads, rep.Counters != nil, probed.DegreePullBuilds())
 				}
 			}
 		})

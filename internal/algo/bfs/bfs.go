@@ -17,10 +17,15 @@
 // one claiming pass: each frontier arc loads the target's ready counter,
 // and only a target still unready pays the atomic decrement; the decrement
 // that reaches zero claims the vertex and sets its parent. Visited targets
-// cost a load and no read-modify-write. A push round's claims become the
-// next frontier in vertex-id order, not claim order, so the next round
-// reads rows in storage order, and at one thread every vertex's parent is
-// its least-id frontier neighbour, the one a pull round finds first. The profiled twin still bills
+// cost a load and no read-modify-write. Every round deals its loop to the
+// workers in chunks from a shared cursor (rows when pulling, frontier
+// vertices when pushing), so a run of hubs is shared out instead of
+// landing on one worker. A round's claims become the next frontier in
+// vertex-id order, not in claim or dealing order, so the next round reads
+// rows in storage order, and at one thread every vertex's parent is its
+// least-id frontier neighbour, the one a pull round finds first. A pull
+// round's parents are that at every thread count: each row has one
+// writer, which scans it in row order. The profiled twin still bills
 // Algorithm 3 as the paper states it, in two sub-steps: a claim CAS per
 // frontier arc into an unready target, then a counter decrement per
 // frontier arc, O(m) atomics per traversal.
@@ -35,6 +40,10 @@ import (
 	"pushpull/internal/graph"
 	"pushpull/internal/sched"
 )
+
+// pullGrain and pushGrain are how many rows (pull) and frontier vertices
+// (push) a worker takes from a round's shared cursor at a time.
+const pullGrain, pushGrain = 256, 64
 
 // Ops is the accumulation operator ⇐ of Algorithm 3.
 type Ops interface {
@@ -118,7 +127,7 @@ func Run(g *graph.CSR, cfg *Config, ops Ops) (rounds int, dirs []core.Direction,
 	}
 	perThread := frontier.NewPerThread(t)
 	inF := frontier.NewBitmap(n)
-	claimed := frontier.NewBitmap(n) // a push round's claims, read out in id order
+	claimed := frontier.NewBitmap(n) // a round's claims, read out in id order
 	dirs = make([]core.Direction, 0, 64)
 	stats.Reserve(64)
 	unexplored := g.M()
@@ -235,23 +244,20 @@ func Run(g *graph.CSR, cfg *Config, ops Ops) (rounds int, dirs []core.Direction,
 		if usePull {
 			inF.Clear()
 			inF.FromSparse(cur)
-			sched.ParallelFor(n, t, sched.Static, 0, pullBody)
+			sched.ParallelFor(n, t, sched.Dynamic, pullGrain, pullBody)
 			dirs = append(dirs, core.Pull)
 		} else if cfg.EarlyOut {
-			sched.ParallelFor(len(curVerts), t, sched.Static, 0, claimBody)
+			sched.ParallelFor(len(curVerts), t, sched.Dynamic, pushGrain, claimBody)
 			dirs = append(dirs, core.Push)
 		} else {
-			sched.ParallelFor(len(curVerts), t, sched.Static, 0, combineBody)
-			sched.ParallelFor(len(curVerts), t, sched.Static, 0, notifyBody)
+			sched.ParallelFor(len(curVerts), t, sched.Dynamic, pushGrain, combineBody)
+			sched.ParallelFor(len(curVerts), t, sched.Dynamic, pushGrain, notifyBody)
 			dirs = append(dirs, core.Push)
 		}
 		perThread.Merge(cur)
-		if !usePull {
-			// Claims arrive in race order; the next round reads the rows
-			// in storage order. (A pull round's static ranges already
-			// merge in id order.)
-			cur.Sort(claimed)
-		}
+		// Claims arrive in race order, and a pull round's chunks in
+		// dealing order; the next round reads the rows in storage order.
+		cur.Sort(claimed)
 		rounds++
 		el := time.Since(start)
 		stats.Record(el)

@@ -23,10 +23,11 @@ import (
 // scatter random writes across the file, exactly the traffic the block
 // layout exists to avoid. It is also atomics-free by construction —
 // BlockVerts is a multiple of 64, so a block's vertices never share a
-// bitmap word with another block's, and each block belongs to exactly
-// one worker per round: every word of nextF and pending has a single
-// writer, and level[u] of a frontier member was settled in an earlier
-// round.
+// bitmap word with another block's, and each block is dealt to exactly
+// one worker per round, one block at a time from a shared cursor: every
+// word of nextF and pending has a single writer, and level[u] of a
+// frontier member was settled in an earlier round. A vertex's parent is
+// the first frontier member in its row, whichever worker scans it.
 
 // TraverseBlocked runs a plain BFS from root over a block-format graph.
 // For a directed file the stored adjacency is the pull view (in-edges),
@@ -105,7 +106,7 @@ func TraverseBlocked(bg *graph.BlockCSR, root graph.V, opt core.Options) (*Tree,
 		}
 		start := time.Now()
 		pending.BlockSummary(summary, blockVerts)
-		sched.ParallelFor(numBlocks, t, sched.Static, 0, body)
+		sched.ParallelFor(numBlocks, t, sched.Dynamic, 1, body)
 		for _, err := range errs {
 			if err != nil {
 				return nil, dirs, stats, err

@@ -19,9 +19,10 @@ import (
 // equal Pull/PullDirected bit for bit.
 
 // PullBlocked runs pull PageRank over a block-format graph. The gather's
-// parallelism is over blocks: a static schedule hands each worker a
-// contiguous block range, keeping every worker's I/O sequential within its
-// span. The scale pass touches resident state only and splits by vertex.
+// parallelism is over blocks, dealt one at a time from a shared cursor:
+// each block is read forward, so a worker's I/O stays sequential within
+// it, and the blocks holding the hubs no longer all land on one worker.
+// The scale pass touches resident state only and splits by vertex.
 func PullBlocked(bg *graph.BlockCSR, opt Options) ([]float64, core.RunStats, error) {
 	opt.defaults()
 	n := bg.N()
@@ -75,7 +76,7 @@ func PullBlocked(bg *graph.BlockCSR, opt Options) ([]float64, core.RunStats, err
 		}
 		start := time.Now()
 		sched.ParallelFor(n, tv, sched.Static, 0, scale)
-		sched.ParallelFor(numBlocks, t, sched.Static, 0, gather)
+		sched.ParallelFor(numBlocks, t, sched.Dynamic, 1, gather)
 		for _, err := range errs {
 			if err != nil {
 				return nil, stats, err

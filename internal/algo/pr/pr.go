@@ -46,6 +46,16 @@
 //	divides                    m → n
 //	atomics                    0 → 0
 //
+// Pull's gather, and PullBlocked's, deal rows (blocks) to their workers
+// in chunks from a shared cursor (sched.Dynamic), not one contiguous
+// range each: a power-law graph's hubs sit together, and on the suite's
+// rmat graphs the static split hands worker 0 of two 75 % of the arcs.
+// Each row has one writer and adds its terms in row order whichever
+// worker takes it, so the ranks are the same bits at every thread count
+// and under every dealing. The scale pass touches each vertex once, so
+// its work is already even, and it keeps the static split. So do Push's
+// scatter and fold: which accumulator sums which rows fixes their bits.
+//
 // Every kernel takes the pair of adjacency views the two directions walk
 // (§4.8): pushing iterates out-edges, pulling iterates in-edges, and a
 // contribution always scales by the *out*-degree (§7.3). An undirected
@@ -249,7 +259,10 @@ func Push(vw Views, opt Options) ([]float64, core.RunStats) {
 // its in-edges with no synchronization at all (per-vertex cost bounded by
 // d̂in, §4.8) — a scale pass computes every vertex's contribution once, from
 // its out-degree (Out's row length, or OutDeg), and the gather reads one
-// per edge.
+// per edge. The gather deals rows in chunks of gatherGrain, so a run of
+// hubs is shared out instead of landing on one worker; each row is still
+// summed by one worker in row order, so the ranks do not depend on the
+// dealing.
 func Pull(vw Views, opt Options) ([]float64, core.RunStats) {
 	opt.defaults()
 	out, in, outDeg := vw.Out, vw.In, vw.OutDeg
@@ -298,7 +311,7 @@ func Pull(vw Views, opt Options) ([]float64, core.RunStats) {
 		}
 		start := time.Now()
 		sched.ParallelFor(n, t, sched.Static, 0, scale)
-		sched.ParallelFor(n, t, sched.Static, 0, gather)
+		sched.ParallelFor(n, t, sched.Dynamic, gatherGrain, gather)
 		pr, next = next, pr
 		el := time.Since(start)
 		stats.Record(el)
@@ -306,6 +319,11 @@ func Pull(vw Views, opt Options) ([]float64, core.RunStats) {
 	}
 	return pr, stats
 }
+
+// gatherGrain is how many rows a pull worker takes from the shared cursor
+// at a time. On rmat at n = 2^18 and two workers, grains from 256 to 4096
+// rows timed alike, and all about 20 % below the static split.
+const gatherGrain = 1024
 
 // mustBeChecked panics unless g passed graph.Check and has n vertices:
 // Push and Pull read g's rows, and index n-vectors by its arc ids,

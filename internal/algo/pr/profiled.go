@@ -23,31 +23,40 @@ const (
 // arrays bundles the modeled address ranges of the PageRank state so the
 // cache simulator sees the same layout the fast variants use: the out-view
 // offsets and adjacency, the rank vector, the next-rank vector, the in-view
-// offsets and adjacency, and (pull only) the per-iteration contribution
-// vector.
+// offsets and adjacency, and (pull only) the out-degree array of a view
+// that carries one and the per-iteration contribution vector.
 type arrays struct {
-	off, adj, pr, next, inOff, inAdj, contrib memsim.Array
+	off, adj, pr, next, inOff, inAdj, outDeg, contrib memsim.Array
 }
 
 // modelArrays lays the views out in the modeled address space. The in-view
 // of an undirected graph (In == Out) is the out-view, so it aliases those
 // ranges; a directed graph pays the extra n + 2m cells for serving both
-// views, and a push-only run handed no in-view models none.
+// views, and a push-only run handed no in-view models none. A pull run
+// handed OutDeg and no Out models the in-view first, then n 4-byte
+// degrees in place of the out-view.
 func modelArrays(vw Views, space *memsim.AddressSpace) arrays {
 	if space == nil {
 		space = &memsim.AddressSpace{}
 	}
-	n := vw.Out.N()
+	first := vw.Out
+	if first == nil {
+		first = vw.In
+	}
+	n := first.N()
 	a := arrays{
 		off:  space.NewArray(n+1, 8),
-		adj:  space.NewArray(int(vw.Out.M()), 4),
+		adj:  space.NewArray(int(first.M()), 4),
 		pr:   space.NewArray(n, 8),
 		next: space.NewArray(n, 8),
 	}
 	a.inOff, a.inAdj = a.off, a.adj
-	if vw.In != nil && vw.In != vw.Out {
+	if vw.In != nil && vw.In != first {
 		a.inOff = space.NewArray(n+1, 8)
 		a.inAdj = space.NewArray(int(vw.In.M()), 4)
+	}
+	if vw.OutDeg != nil {
+		a.outDeg = space.NewArray(n, 4)
 	}
 	// Last, so the ranges a push run touches sit where they always did.
 	a.contrib = space.NewArray(n, 8)
@@ -132,19 +141,20 @@ func PushProfiled(vw Views, opt Options, prof core.Profile, space *memsim.Addres
 
 // PullProfiled executes pull PageRank deterministically under the probes,
 // in the fast kernel's two phases: the scale pass reads pr[v] and the
-// out-view offset pair giving d(v) (§7.3: the out-degree) and writes
-// contrib[v], all sequential; the gather walks in-edges, paying one
-// sequential adjacency read and one random contrib[u] read per edge.
-// Against the single random atomic of pushing, pull keeps the larger read
-// volume (3n + 2m vs 3n + m) that Table 1's higher pull miss counts
-// measure.
+// out-view offset pair giving d(v) (§7.3: the out-degree), or OutDeg[v]
+// when set, as Pull does, and writes contrib[v], all sequential; the
+// gather walks in-edges, paying one sequential adjacency read and one
+// random contrib[u] read per edge. Against the single random atomic of
+// pushing, pull keeps the larger read volume (3n + 2m vs 3n + m) that
+// Table 1's higher pull miss counts measure. The ranks equal Pull's bit
+// for bit.
 func PullProfiled(vw Views, opt Options, prof core.Profile, space *memsim.AddressSpace) ([]float64, error) {
 	opt.defaults()
 	if err := prof.Validate(); err != nil {
 		return nil, err
 	}
-	out, in := vw.Out, vw.In
-	n := out.N()
+	out, in, outDeg := vw.Out, vw.In, vw.OutDeg
+	n := in.N()
 	a := modelArrays(vw, space)
 	pr := make([]float64, n)
 	next := make([]float64, n)
@@ -163,8 +173,14 @@ func PullProfiled(vw Views, opt Options, prof core.Profile, space *memsim.Addres
 		p.Exec(regionPullScale)
 		for vi := lo; vi < hi; vi++ {
 			p.Read(a.pr.Addr(int64(vi)), 8)
-			p.Read(a.off.Addr(int64(vi)), 8)
-			d := out.Degree(graph.V(vi))
+			var d int64
+			if outDeg != nil {
+				p.Read(a.outDeg.Addr(int64(vi)), 4)
+				d = int64(outDeg[vi])
+			} else {
+				p.Read(a.off.Addr(int64(vi)), 8)
+				d = out.Degree(graph.V(vi))
+			}
 			p.Branch(d == 0)
 			contrib[vi] = contribution(pr[vi], d)
 			p.Write(a.contrib.Addr(int64(vi)), 8)

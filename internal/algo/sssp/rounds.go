@@ -31,6 +31,12 @@ const chunkWords = 8
 // light view, drawn in chunks for the reason chunkWords gives.
 const lightGrain = 512
 
+// pushGrain is how many sources of cur a worker takes at a time in a push
+// round, drawn in chunks for the reason chunkWords gives. The minima are
+// order-free and the merge sorts what they lowered, so which worker
+// relaxes which source changes no distance.
+const pushGrain = 64
+
 // rounds is the state of a Δ-stepping run and the scratch its rounds
 // reuse: the bucket lists and 4 + t bitmaps of n/8 bytes. Both directions
 // start a round from cur, the bucket's members at an epoch's first round
@@ -235,7 +241,7 @@ func (r *rounds) push(w, from, to int) {
 // is filed under its later bucket. Nothing lands below bucket b, whose
 // members are the only sources.
 func (r *rounds) pushRound() {
-	sched.ParallelFor(len(r.cur), r.t, sched.Static, 0, r.pushFn)
+	sched.ParallelFor(len(r.cur), r.t, sched.Dynamic, pushGrain, r.pushFn)
 	r.cur, r.activeCur, r.opening = r.cur[:0], false, false
 	for w, buf := range r.lowered {
 		for _, v := range buf {

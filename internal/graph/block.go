@@ -42,10 +42,11 @@ type BlockCSR struct {
 	// OutDeg is the out-degree section of a directed file, nil otherwise.
 	OutDeg []int64
 
-	adjCount  int64
-	numBlocks int
-	weighted  bool
-	directed  bool
+	adjCount      int64
+	numBlocks     int
+	maxBlockBytes int64 // the largest block's adjacency, 4 bytes per arc
+	weighted      bool
+	directed      bool
 	// checked[bi] is set once block bi's arc ids were found below NumV.
 	checked []atomic.Bool
 
@@ -127,8 +128,11 @@ func (g *BlockCSR) Close() error {
 // slices out of it. The weights are never read into it: no block kernel
 // uses them. A cursor is single-goroutine; kernels keep one per worker,
 // hoisted outside their round loops so steady-state iteration allocates
-// nothing (the fallback buffer grows to the largest block once and is
-// reused).
+// nothing. The kernels deal blocks to workers from a shared cursor, so
+// any worker may load any block: a buffered cursor's read buffer is
+// sized for the largest block at its first Load, once, and reused. A run
+// therefore holds at most one block per worker, and never more than the
+// largest block's bytes per worker.
 type BlockCursor struct {
 	g     *BlockCSR
 	block int
@@ -147,6 +151,9 @@ func (g *BlockCSR) Load(bi int, cur *BlockCursor) error {
 		return nil
 	}
 	lo, hi := g.BlockRange(bi)
+	if g.data == nil && int64(cap(cur.buf)) < g.maxBlockBytes {
+		cur.buf = make([]byte, g.maxBlockBytes)
+	}
 	seg, err := g.read(g.arcAt(g.Offsets[lo]), g.arcAt(g.Offsets[hi]), &cur.buf)
 	if err != nil {
 		err = fmt.Errorf("graph: block %d: %w", bi, err)
@@ -357,5 +364,9 @@ func readPullView(f *os.File) (*BlockCSR, int64, error) {
 	}
 	g.numBlocks = (int(n) + int(g.BlockVerts) - 1) / int(g.BlockVerts)
 	g.checked = make([]atomic.Bool, g.numBlocks)
+	for bi := 0; bi < g.numBlocks; bi++ {
+		lo, hi := g.BlockRange(bi)
+		g.maxBlockBytes = max(g.maxBlockBytes, 4*(g.Offsets[hi]-g.Offsets[lo]))
+	}
 	return g, size, nil
 }

@@ -23,6 +23,9 @@ const (
 	Static Schedule = iota
 	// Dynamic hands out fixed-size chunks from a shared atomic cursor,
 	// balancing skewed per-vertex work (power-law degree distributions).
+	// The suite's rmat graphs hold their hubs at the low ids, so Static
+	// hands worker 0 of two 75 % of the arcs; the pull kernels' loops,
+	// whose rows each have one writer, deal their rows this way.
 	Dynamic
 )
 

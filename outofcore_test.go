@@ -130,7 +130,12 @@ func TestOutOfCoreHandleViewsNil(t *testing.T) {
 // A buffered file handle keeps the O(n) vertex state and one block per
 // worker resident, never the adjacency: a 20-iteration pull pr over 64
 // blocks must allocate less than the 4·m bytes of the adjacency alone,
-// and still reproduce the in-memory ranks.
+// and still reproduce the in-memory ranks. Blocks are dealt to workers
+// from a shared cursor, so any worker may load the largest block; each
+// worker's read buffer is sized for it once. Beyond what the same run
+// allocates over the mapped file (its vectors and bookkeeping), the
+// buffered run may hold t buffers of the largest block, each rounded up
+// to the allocator's 8 KiB pages, and no buffer that grew block by block.
 func TestOutOfCorePRResidency(t *testing.T) {
 	g, err := pushpull.RMAT(pushpull.DefaultRMAT(13, 16, 42))
 	if err != nil {
@@ -138,21 +143,48 @@ func TestOutOfCorePRResidency(t *testing.T) {
 	}
 	path := filepath.Join(t.TempDir(), "g.csr")
 	writePullViewFile(t, path, g, nil)
+	const threads = 2
+	opts := []pushpull.Option{pushpull.WithDirection(pushpull.Pull), pushpull.WithIterations(20), pushpull.WithThreads(threads)}
+	want := run(t, pushpull.NewWorkload(g), "pr", opts...).Ranks()
+	allocated := func(h *pushpull.Workload) (uint64, []float64) {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		ranks := run(t, h, "pr", opts...).Ranks()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc, ranks
+	}
+	mapped, err := pushpull.OpenOutOfCoreWorkload(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mapped.Close()
 	h, err := pushpull.OpenOutOfCoreWorkload(path, pushpull.AsBlockBuffered())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer h.Close()
-	opts := []pushpull.Option{pushpull.WithDirection(pushpull.Pull), pushpull.WithIterations(20), pushpull.WithThreads(2)}
-	want := run(t, pushpull.NewWorkload(g), "pr", opts...).Ranks()
 
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	got := run(t, h, "pr", opts...).Ranks()
-	runtime.ReadMemStats(&after)
+	base, _ := allocated(mapped)
+	alloc, got := allocated(h)
 	adjacency := 4 * uint64(g.M())
-	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= adjacency {
+	if alloc >= adjacency {
 		t.Errorf("pr over %d blocks allocated %d bytes, the adjacency is %d", g.N()/128, alloc, adjacency)
+	}
+	blk, err := h.OutOfCore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var largest uint64
+	for bi := 0; bi < blk.NumBlocks(); bi++ {
+		lo, hi := blk.BlockRange(bi)
+		largest = max(largest, 4*uint64(blk.Offsets[hi]-blk.Offsets[lo]))
+	}
+	const page, noise = 8 << 10, 16 << 10
+	buffers := threads * ((largest + page - 1) / page * page)
+	if beyond := alloc - min(alloc, base); beyond > buffers+noise {
+		t.Errorf("the buffered run allocated %d bytes beyond the mapped run's %d; %d workers' buffers of the largest block (%d bytes) come to %d",
+			beyond, base, threads, largest, buffers)
 	}
 	if d := pushpull.MaxDiff(want, got); d > 1e-9 {
 		t.Errorf("buffered pr diverges from in-memory pull: max diff %g", d)
