@@ -158,8 +158,8 @@ func TestWorkloadViewDegreePullConcurrent(t *testing.T) {
 }
 
 // A caller's own handle never builds the view: its pr pull builds the
-// transpose. On a served handle, push and probed pulls keep the plain
-// views too.
+// transpose. On a served handle a push keeps the plain view, and a probed
+// pull reads the view its unprobed twin reads, with no transpose beside it.
 func TestDegreePullOnlyForServedPulls(t *testing.T) {
 	g := directedGraph(t, 400, false)
 	own := pushpull.Directed(g)
@@ -172,9 +172,42 @@ func TestDegreePullOnlyForServedPulls(t *testing.T) {
 		t.Fatal(err)
 	}
 	run(t, served, "pr", pushpull.WithDirection(pushpull.Push))
-	run(t, served, "pr", pushpull.WithDirection(pushpull.Pull), pushpull.WithProbes())
 	if served.DegreePullBuilds() != 0 {
-		t.Error("a served handle's push or probed pull built the degree-ordered pull view")
+		t.Error("a served handle's push built the degree-ordered pull view")
+	}
+	rep := run(t, served, "pr", pushpull.WithDirection(pushpull.Pull), pushpull.WithProbes())
+	if rep.Counters == nil || served.DegreePullBuilds() != 1 || served.Builds().Transposes != 0 {
+		t.Errorf("a served handle's probed pull: counters %v, %d degree-ordered pull views, Builds() = %+v; want counters, 1 and no transpose",
+			rep.Counters != nil, served.DegreePullBuilds(), served.Builds())
+	}
+}
+
+// A served directed handle that also runs WithDegreeSorted pr push and
+// pull holds one degree relabelling: its degree-sorted view and its
+// degree-ordered pull view share one Perm and one Inv, and it builds one
+// degree-sorted view, whatever the runs' thread counts and probes.
+func TestOneRelabellingPerHandle(t *testing.T) {
+	g := directedSkewedGraph(t, 500, 7)
+	w := pushpull.Directed(g)
+	if err := pushpull.NewEngine().RegisterWorkload("g", w); err != nil {
+		t.Fatal(err)
+	}
+	want := ranksOf(t, run(t, pushpull.Directed(g), "pr", pushpull.WithDirection(pushpull.Pull)))
+	for _, threads := range []int{1, 2, 7} {
+		for _, probes := range [][]pushpull.Option{nil, {pushpull.WithProbes()}} {
+			opts := append([]pushpull.Option{pushpull.WithThreads(threads)}, probes...)
+			run(t, w, "pr", append(opts, pushpull.WithDegreeSorted(), pushpull.WithDirection(pushpull.Push))...)
+			for _, ds := range [][]pushpull.Option{nil, {pushpull.WithDegreeSorted()}} {
+				rep := run(t, w, "pr", append(append(opts, ds...), pushpull.WithDirection(pushpull.Pull))...)
+				sameRankBits(t, fmt.Sprintf("pull at t=%d, degree-sorted %v, probed %v", threads, ds != nil, probes != nil), ranksOf(t, rep), want)
+			}
+		}
+	}
+	if b := w.Builds(); b.DegreeSorts != 1 || b.Transposes != 0 || w.DegreePullBuilds() != 1 {
+		t.Errorf("Builds() = %+v with %d degree-ordered pull views; want one degree sort, one pull view, no transpose", b, w.DegreePullBuilds())
+	}
+	if !w.RelabellingShared() {
+		t.Error("the degree-sorted view and the degree-ordered pull view hold different relabellings")
 	}
 }
 

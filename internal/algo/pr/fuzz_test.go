@@ -45,11 +45,12 @@ func FuzzCheckCSR(f *testing.F) {
 			t.Fatalf("the transpose of a checked graph fails Check: %v", err)
 		}
 		vw := Views{Out: g, In: in}
-		directed, err := graph.PullByDegree(g, true)
+		perm, inv := graph.DegreePerm(g)
+		directed, err := graph.PullByDegree(g, true, perm, inv)
 		if err != nil {
 			t.Fatalf("the degree-ordered pull view of a checked graph: %v", err)
 		}
-		undirected, err := graph.PullByDegree(g, false)
+		undirected, err := graph.PullByDegree(g, false, perm, inv)
 		if err != nil {
 			t.Fatalf("the undirected degree-ordered pull view of a checked graph: %v", err)
 		}

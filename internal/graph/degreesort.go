@@ -49,18 +49,20 @@ func DegreePerm(g *CSR) (perm, inv []V) {
 	return perm, inv
 }
 
-// SortByDegree builds the degree-sorted view of g with two scatters. The
+// SortByDegree builds the degree-sorted view of g under DegreePerm's
+// relabelling perm, inv, which the view holds, with two scatters. The
 // first is relabel's renumbered transpose, weights and all. The second
 // transposes that back, which lists every row in ascending order with the
 // arcs to one endpoint in g's order, so the view is exact for every CSR
 // and no row is sorted. Beside the view it holds one scatter's cursors at
 // a time and the relabelled transpose, 8(n+1) + 4m bytes (8m when
 // weighted).
-func SortByDegree(g *CSR) *DegreeSorted { return sortByDegree(g, g.workersFor(g.N())) }
+func SortByDegree(g *CSR, perm, inv []V) *DegreeSorted {
+	return sortByDegree(g, perm, inv, g.workersFor(g.N()))
+}
 
 // sortByDegree is SortByDegree on t scatter workers.
-func sortByDegree(g *CSR, t int) *DegreeSorted {
-	perm, inv := DegreePerm(g)
+func sortByDegree(g *CSR, perm, inv []V, t int) *DegreeSorted {
 	return &DegreeSorted{G: relabel(g, inv, true, true, t).transpose(t), Perm: perm, Inv: inv}
 }
 
@@ -83,9 +85,10 @@ func sortByDegree(g *CSR, t int) *DegreeSorted {
 // kernel divides v's rank by; an undirected view leaves it nil, since
 // its row lengths are the out-degrees.
 //
-// The view holds 4m + 8(n+1) + 8n bytes (In's arcs and offsets, Perm and
-// Inv), plus 4n for OutDeg when directed; while it builds, one scatter's
-// cursors besides, 8n per worker.
+// The view holds 4m + 8(n+1) bytes of In's arcs and offsets, plus 4n for
+// OutDeg when directed, beside the 8n of Perm and Inv it shares with the
+// relabelling it was built under; while it builds, one scatter's cursors
+// besides, 8n per worker.
 type DegreePull struct {
 	In     *CSR
 	OutDeg []uint32
@@ -93,20 +96,20 @@ type DegreePull struct {
 	Inv    []V // Inv[old] = new
 }
 
-// PullByDegree builds g's degree-ordered pull view with one scatter, and
+// PullByDegree builds g's degree-ordered pull view under DegreePerm's
+// relabelling perm, inv, which the view holds, with one scatter, and
 // checks it once, since pull kernels read it without bounds checks. It
 // fails for a directed g of 2^32 or more arcs, whose out-degrees 32 bits
 // may not hold.
-func PullByDegree(g *CSR, directed bool) (*DegreePull, error) {
-	return pullByDegree(g, directed, g.workersFor(g.N()))
+func PullByDegree(g *CSR, directed bool, perm, inv []V) (*DegreePull, error) {
+	return pullByDegree(g, directed, perm, inv, g.workersFor(g.N()))
 }
 
 // pullByDegree is PullByDegree on t scatter workers.
-func pullByDegree(g *CSR, directed bool, t int) (*DegreePull, error) {
+func pullByDegree(g *CSR, directed bool, perm, inv []V, t int) (*DegreePull, error) {
 	if directed && g.M() > math.MaxUint32 {
 		return nil, fmt.Errorf("graph: degree-ordered pull view: %d arcs, out-degrees need more than 32 bits", g.M())
 	}
-	perm, inv := DegreePerm(g)
 	dp := &DegreePull{In: relabel(g, inv, directed, false, t), Perm: perm, Inv: inv}
 	if directed {
 		dp.OutDeg = make([]uint32, g.N())

@@ -114,7 +114,7 @@ func TestSortByDegreeMatchesOracle(t *testing.T) {
 	}
 	for name, g := range fixtures {
 		want := sortByDegreeOracle(g)
-		got := graph.SortByDegree(g)
+		got := graph.SortByDegree(g, want.Perm, want.Inv)
 		switch {
 		case !slices.Equal(got.Perm, want.Perm):
 			t.Errorf("%s: Perm differs", name)
@@ -164,8 +164,9 @@ func TestSortByDegreeOracleAtAnyWorkers(t *testing.T) {
 		for _, fx := range fixtures {
 			what := fmt.Sprintf("%s at GOMAXPROCS %d", fx.name, procs)
 			want := sortByDegreeOracle(fx.g)
-			sameDegreeSorted(t, what, graph.SortByDegree(fx.g), want)
-			sameDegreeSorted(t, what+" forced", graph.SortByDegreeOn(fx.g, procs), want)
+			perm, inv := graph.DegreePerm(fx.g)
+			sameDegreeSorted(t, what, graph.SortByDegree(fx.g, perm, inv), want)
+			sameDegreeSorted(t, what+" forced", graph.SortByDegreeOn(fx.g, perm, inv, procs), want)
 		}
 	}
 }

@@ -60,9 +60,9 @@ func BenchmarkTranspose(b *testing.B) {
 	}
 }
 
-// BenchmarkPullByDegree builds the upload graph's degree-ordered pull
-// view, which a served handle's first pr pull builds in place of the
-// transpose BenchmarkTranspose times.
+// BenchmarkPullByDegree builds the upload graph's degree relabelling and
+// its degree-ordered pull view, which a served handle's first pr pull
+// builds in place of the transpose BenchmarkTranspose times.
 func BenchmarkPullByDegree(b *testing.B) {
 	g, _ := edgeListBody(b)
 	if err := g.Check(); err != nil {
@@ -70,7 +70,8 @@ func BenchmarkPullByDegree(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for b.Loop() {
-		if _, err := graph.PullByDegree(g, true); err != nil {
+		perm, inv := graph.DegreePerm(g)
+		if _, err := graph.PullByDegree(g, true, perm, inv); err != nil {
 			b.Fatal(err)
 		}
 	}

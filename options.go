@@ -84,9 +84,9 @@ type Config struct {
 	Delta float64
 	// MaxIters bounds conflict-resolution iterations (gc); 0 = default.
 	MaxIters int
-	// DegreeSorted requests the degree-sorted CSR layout: kernels run on
-	// the workload's memoized degree-permuted graph and the report is
-	// un-permuted at the boundary.
+	// DegreeSorted requests the degree relabelling (WithDegreeSorted):
+	// kernels run on the workload's memoized relabelled views and the
+	// report is un-permuted at the run boundary.
 	DegreeSorted bool
 }
 
@@ -146,13 +146,15 @@ func WithDelta(d float64) Option { return func(c *Config) { c.Delta = d } }
 // WithMaxIters bounds conflict-resolution iterations (gc's L).
 func WithMaxIters(n int) Option { return func(c *Config) { c.MaxIters = n } }
 
-// WithDegreeSorted runs the kernels over the workload's memoized
-// degree-sorted CSR permutation: vertex ids are renumbered by descending
-// degree, which concentrates the hot (high-degree) rows at the front of
-// every array. The report is un-permuted at the boundary, so the payload
-// is identical to a plain-layout run. An unprobed pr pull reads the
-// workload's degree-ordered pull view, the one an Engine's served
-// handles pull through, and its ranks equal the plain run's bit for bit.
+// WithDegreeSorted runs the kernels in the workload's degree relabelling:
+// vertex ids are renumbered by descending degree, which concentrates the
+// hot (high-degree) rows at the front of every array. The handle computes
+// the relabelling once; a pr pull, probed or not, reads its
+// degree-ordered pull view, the one an Engine's served handles pull
+// through, and every other run its degree-sorted CSR. The payload is
+// un-permuted at the run boundary, back to the graph's own ids: pr pull
+// ranks equal the plain run's bit for bit, and a coloring stays proper,
+// though iteration order may pick other colors than a plain run's.
 func WithDegreeSorted() Option { return func(c *Config) { c.DegreeSorted = true } }
 
 // ---- helpers for algorithm adapters ----

@@ -41,8 +41,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-
-	"pushpull/internal/core"
 )
 
 // Report is the uniform result of one engine run: the algorithm's
@@ -152,15 +150,6 @@ func (r *Report) directionDigest() string {
 	default:
 		return dirFromCore(r.Stats.Direction).String()
 	}
-}
-
-// uniformTrace builds the direction trace of a fixed-direction run.
-func uniformTrace(d core.Direction, iters int) []Direction {
-	out := make([]Direction, iters)
-	for i := range out {
-		out[i] = dirFromCore(d)
-	}
-	return out
 }
 
 // Run executes the named algorithm on a Runnable — a bare *Graph

@@ -19,16 +19,19 @@ package pushpull
 // systems. A build of one view never waits for the build of another.
 //
 // A handle declares what the graph is and where it lives, not how a run
-// should lay it out: the degree-sorted permutation is asked for per run
-// (WithDegreeSorted) and memoized here. The one layout a handle does not
-// leave to its caller is the Engine's: a handle an Engine serves by name
-// (RegisterWorkload, AttachStore) pulls PageRank through its memoized
-// degree-ordered pull view, where repeated runs pay back the view's one
-// build, with ranks equal bit for bit to the plain layout's. A caller's
-// own handle keeps the identity layout. Out-of-core is where the graph
-// lives, so only a file handle (OpenOutOfCoreWorkload over a pull-view
-// .csr, a DiskStore graph above its block threshold) runs the block
-// kernels.
+// should lay it out: the degree relabelling is asked for per run
+// (WithDegreeSorted), computed once per handle and memoized here with the
+// two row sets built under it, the degree-sorted out-rows and the
+// degree-ordered pull view. The one layout a handle does not leave to its
+// caller is the Engine's: a handle an Engine serves by name
+// (RegisterWorkload, AttachStore) pulls PageRank, probed or not, through
+// its degree-ordered pull view, where repeated runs pay back the view's
+// one build, with ranks equal bit for bit to the plain layout's. A
+// caller's own handle keeps the identity layout. Which layout a run reads
+// is decided in one place, builtin.relabels (algorithms.go). Out-of-core
+// is where the graph lives, so only a file handle (OpenOutOfCoreWorkload
+// over a pull-view .csr, a DiskStore graph above its block threshold)
+// runs the block kernels.
 
 import (
 	"fmt"
@@ -55,12 +58,13 @@ type Runnable interface {
 
 // Workload binds a graph to its declared kind (directed, weighted) and
 // lazily builds + memoizes the derived state repeated runs share: the
-// transpose (in-CSR) powering directed pull, the degree-sorted CSR and its
-// transpose, the degree-ordered pull view, the Partition-Awareness split
-// per partition count (§5), the Table 2 statistics, sssp's heuristic Δ
-// with its light view, the block view and the content ID. Each view is
-// built once under its own key, and views with different keys build
-// concurrently. A Workload is safe for concurrent Runs.
+// transpose (in-CSR) powering directed pull, the degree relabelling with
+// the degree-sorted CSR, its transpose and the degree-ordered pull view,
+// the Partition-Awareness split per partition count (§5), the Table 2
+// statistics, sssp's heuristic Δ with its light view, the block view and
+// the content ID. Each view is built once under its own key, and views
+// with different keys build concurrently. A Workload is safe for
+// concurrent Runs.
 //
 // The handle's kind is the caller's to declare; which pull layout its pr
 // runs take is not always: once an Engine serves the handle by name, the
@@ -90,6 +94,7 @@ type viewKind uint8
 
 const (
 	viewTranspose viewKind = iota
+	viewRelabelling
 	viewDegreeSorted
 	viewSortedTranspose
 	viewDegreePull
@@ -308,6 +313,20 @@ func (w *Workload) Transpose() *Graph {
 	return memo(w, viewKey{kind: viewTranspose}, w.g.Transpose)
 }
 
+// relabelling is a handle's one degree relabelling (graph.DegreePerm):
+// perm[new] = old and inv[old] = new. The degree-sorted view and the
+// degree-ordered pull view are both built under it and hold its slices.
+type relabelling struct{ perm, inv []V }
+
+// relabelling returns the handle's memoized degree relabelling. The
+// workload must hold an in-memory graph.
+func (w *Workload) relabelling() *relabelling {
+	return memo(w, viewKey{kind: viewRelabelling}, func() *relabelling {
+		perm, inv := graph.DegreePerm(w.g)
+		return &relabelling{perm, inv}
+	})
+}
+
 // DegreeSorted returns the memoized degree-sorted view of the graph:
 // the CSR permuted so vertex ids descend by degree, plus the permutation
 // and its inverse for un-permuting results at the report boundary. A pure
@@ -316,14 +335,16 @@ func (w *Workload) DegreeSorted() *DegreeSortedView {
 	if w.g == nil {
 		return nil
 	}
-	return memo(w, viewKey{kind: viewDegreeSorted}, func() *DegreeSortedView { return graph.SortByDegree(w.g) })
+	return memo(w, viewKey{kind: viewDegreeSorted}, func() *DegreeSortedView {
+		rl := w.relabelling()
+		return graph.SortByDegree(w.g, rl.perm, rl.inv)
+	})
 }
 
-// SortedTranspose returns the in-edge view of the degree-sorted graph —
-// the pull view of a probed directed degree-sorted pr run (an unprobed
-// one reads the degree-ordered pull view) — memoized like the plain
-// transpose. For an undirected workload it is the degree-sorted graph
-// itself. A pure out-of-core handle returns nil.
+// SortedTranspose returns the in-edge view of the degree-sorted graph,
+// memoized like the plain transpose; no run reads it. For an undirected
+// workload it is the degree-sorted graph itself. A pure out-of-core
+// handle returns nil.
 func (w *Workload) SortedTranspose() *Graph {
 	ds := w.DegreeSorted()
 	if ds == nil {
@@ -336,14 +357,15 @@ func (w *Workload) SortedTranspose() *Graph {
 }
 
 // degreePull returns the memoized degree-ordered pull view of the graph
-// (graph.DegreePull), which pr pull reads on a served handle and under
-// WithDegreeSorted in place of the plain pull view. On a directed
-// handle it replaces the transpose for those runs: it is built from the
-// out-edge rows, and no transpose is built beside it. It fails for a
-// directed graph of 2^32 or more arcs.
+// (graph.DegreePull), which a pr pull in the relabelled layout reads in
+// place of the plain pull view. On a directed handle it replaces the
+// transpose for those runs: it is built from the out-edge rows, and no
+// transpose is built beside it. It fails for a directed graph of 2^32 or
+// more arcs.
 func (w *Workload) degreePull() (*graph.DegreePull, error) {
 	return view(w, viewKey{kind: viewDegreePull}, func() (*graph.DegreePull, error) {
-		return graph.PullByDegree(w.g, w.directed)
+		rl := w.relabelling()
+		return graph.PullByDegree(w.g, w.directed, rl.perm, rl.inv)
 	})
 }
 
