@@ -10,7 +10,6 @@ package pushpull
 import (
 	"context"
 	"fmt"
-	"math"
 	"time"
 
 	"pushpull/internal/algo/bc"
@@ -122,12 +121,11 @@ func (b *builtin) Run(ctx context.Context, w *Workload, cfg *Config) (*Report, e
 // kernels read the handle's degree relabelling in place of the graph's
 // own ids. WithDegreeSorted asks for it where the Caps allow it, and a pr
 // pull on a served handle takes it unasked, since repeated runs pay back
-// the pull view's one build. A pull view's out-degrees are 32 bits, so a
-// directed graph of 2^32 or more arcs pulls pr along its transpose
-// instead, whose ranks are the same bits. Probed runs decide as unprobed
-// ones do.
+// the pull view's one build. Where the pull view cannot be built
+// (graph.PullFits), pr pulls along the transpose instead, whose ranks are
+// the same bits. Probed runs decide as unprobed ones do.
 func (b *builtin) relabels(w *Workload, cfg *Config, pullView bool) bool {
-	if w.IsOutOfCore() || pullView && w.directed && w.M() > math.MaxUint32 {
+	if w.IsOutOfCore() || pullView && !graph.PullFits(w.g, w.directed) {
 		return false
 	}
 	return cfg.DegreeSorted && b.caps.DegreeSort || pullView && w.served.Load()

@@ -183,9 +183,10 @@ func TestDegreePullOnlyForServedPulls(t *testing.T) {
 }
 
 // A served directed handle that also runs WithDegreeSorted pr push and
-// pull holds one degree relabelling: its degree-sorted view and its
-// degree-ordered pull view share one Perm and one Inv, and it builds one
-// degree-sorted view, whatever the runs' thread counts and probes.
+// pull holds one degree relabelling: its degree-sorted view holds the
+// Perm and Inv the handle un-permutes its pull view's ranks through, and
+// it builds one degree-sorted view, whatever the runs' thread counts and
+// probes.
 func TestOneRelabellingPerHandle(t *testing.T) {
 	g := directedSkewedGraph(t, 500, 7)
 	w := pushpull.Directed(g)
@@ -207,7 +208,7 @@ func TestOneRelabellingPerHandle(t *testing.T) {
 		t.Errorf("Builds() = %+v with %d degree-ordered pull views; want one degree sort, one pull view, no transpose", b, w.DegreePullBuilds())
 	}
 	if !w.RelabellingShared() {
-		t.Error("the degree-sorted view and the degree-ordered pull view hold different relabellings")
+		t.Error("the degree-sorted view holds a relabelling of its own, not the handle's")
 	}
 }
 

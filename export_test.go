@@ -56,16 +56,15 @@ func (w *Workload) HoldPABuild(parts int, release <-chan struct{}) <-chan *PAGra
 // from the offset basis FNVOffset.
 var FNVWord, FNVOffset = fnvWord, uint64(fnvOffset)
 
-// RelabellingShared reports whether w's degree-sorted view and its
-// degree-ordered pull view hold the one relabelling w memoizes: the same
-// Perm and Inv arrays, not equal copies. It builds whichever view w does
-// not hold yet.
+// RelabellingShared reports whether w's degree-sorted view holds the one
+// relabelling w memoizes, and so the one its degree-ordered pull view is
+// built under: the same Perm and Inv arrays, not equal copies. It builds
+// the degree-sorted view if w does not hold it yet.
 func (w *Workload) RelabellingShared() bool {
 	rl := w.relabelling()
 	ds := w.DegreeSorted()
-	dp, err := w.degreePull()
 	same := func(a, b []V) bool { return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0]) }
-	return err == nil && same(ds.Perm, rl.perm) && same(ds.Inv, rl.inv) && same(dp.Perm, rl.perm) && same(dp.Inv, rl.inv)
+	return same(ds.Perm, rl.perm) && same(ds.Inv, rl.inv)
 }
 
 // DegreePullBuilds reports how many degree-ordered pull views w holds: 1

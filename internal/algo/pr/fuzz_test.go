@@ -46,11 +46,11 @@ func FuzzCheckCSR(f *testing.F) {
 		}
 		vw := Views{Out: g, In: in}
 		perm, inv := graph.DegreePerm(g)
-		directed, err := graph.PullByDegree(g, true, perm, inv)
+		directed, err := graph.PullByDegree(g, true, inv)
 		if err != nil {
 			t.Fatalf("the degree-ordered pull view of a checked graph: %v", err)
 		}
-		undirected, err := graph.PullByDegree(g, false, perm, inv)
+		undirected, err := graph.PullByDegree(g, false, inv)
 		if err != nil {
 			t.Fatalf("the undirected degree-ordered pull view of a checked graph: %v", err)
 		}
@@ -61,10 +61,10 @@ func FuzzCheckCSR(f *testing.F) {
 			push, _ := Push(vw, opt)
 			pull, _ := Pull(vw, opt)
 			bitsEqual(t, fmt.Sprintf("directed degree-ordered pull at t=%d", threads),
-				pullDegreeOrdered(directed, opt), pull)
+				pullDegreeOrdered(directed, perm, opt), pull)
 			plain, _ := Pull(Views{Out: g, In: g}, opt)
 			bitsEqual(t, fmt.Sprintf("undirected degree-ordered pull at t=%d", threads),
-				pullDegreeOrdered(undirected, opt), plain)
+				pullDegreeOrdered(undirected, perm, opt), plain)
 			if threads == 1 {
 				bitsEqual(t, "push at t=1", push, Sequential(vw, opt))
 				pull1 = pull
@@ -75,16 +75,16 @@ func FuzzCheckCSR(f *testing.F) {
 	})
 }
 
-// pullDegreeOrdered runs Pull over a degree-ordered pull view and returns
-// the ranks under the original ids.
-func pullDegreeOrdered(dp *graph.DegreePull, opt Options) []float64 {
+// pullDegreeOrdered runs Pull over a degree-ordered pull view built under
+// the relabelling perm and returns the ranks under the original ids.
+func pullDegreeOrdered(dp *graph.DegreePull, perm []graph.V, opt Options) []float64 {
 	vw := Views{In: dp.In, OutDeg: dp.OutDeg}
 	if dp.OutDeg == nil {
 		vw.Out = dp.In
 	}
 	ranks, _ := Pull(vw, opt)
 	out := make([]float64, len(ranks))
-	for x, v := range dp.Perm {
+	for x, v := range perm {
 		out[v] = ranks[x]
 	}
 	return out

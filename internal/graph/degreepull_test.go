@@ -7,12 +7,11 @@ import (
 	"testing"
 )
 
-// oracleDegreePull is the degree-ordered pull view built one row at a time
-// on one goroutine: the permutation from DegreePerm, then, directed, every
-// arc v→u appended to row Inv[u] as Inv[v], g's rows walked in order;
-// undirected, every row u of g copied to row Inv[u] through Inv.
-func oracleDegreePull(g *CSR, directed bool) *DegreePull {
-	perm, inv := DegreePerm(g)
+// oracleDegreePull is the degree-ordered pull view under the relabelling
+// inv built one row at a time on one goroutine: directed, every arc v→u
+// appended to row inv[u] as inv[v], g's rows walked in order; undirected,
+// every row u of g copied to row inv[u] through inv.
+func oracleDegreePull(g *CSR, directed bool, inv []V) *DegreePull {
 	rows := make([][]V, g.N())
 	for v := V(0); v < g.NumV; v++ {
 		for _, u := range g.Neighbors(v) {
@@ -28,7 +27,7 @@ func oracleDegreePull(g *CSR, directed bool) *DegreePull {
 		in.Adj = append(in.Adj, row...)
 		in.Offsets[x+1] = int64(len(in.Adj))
 	}
-	dp := &DegreePull{In: in, Perm: perm, Inv: inv}
+	dp := &DegreePull{In: in}
 	if directed {
 		dp.OutDeg = make([]uint32, g.N())
 		for v := V(0); v < g.NumV; v++ {
@@ -38,13 +37,11 @@ func oracleDegreePull(g *CSR, directed bool) *DegreePull {
 	return dp
 }
 
-// sameDegreePull fails unless got and want hold the same permutation,
-// rows and out-degrees, and got's rows passed Check.
+// sameDegreePull fails unless got and want hold the same rows and
+// out-degrees, and got's rows passed Check.
 func sameDegreePull(t *testing.T, what string, got, want *DegreePull) {
 	t.Helper()
 	switch {
-	case !slices.Equal(got.Perm, want.Perm) || !slices.Equal(got.Inv, want.Inv):
-		t.Fatalf("%s: permutation differs", what)
 	case got.In.NumV != want.In.NumV || !slices.Equal(got.In.Offsets, want.In.Offsets):
 		t.Fatalf("%s: offsets differ", what)
 	case !slices.Equal(got.In.Adj, want.In.Adj):
@@ -82,13 +79,14 @@ func TestDegreePullOracleAtAnyWorkers(t *testing.T) {
 		for _, fx := range graphs {
 			for _, directed := range []bool{true, false} {
 				what := fmt.Sprintf("%s (directed %v) at GOMAXPROCS %d", fx.name, directed, procs)
-				want := oracleDegreePull(fx.g, directed)
-				got, err := PullByDegree(fx.g, directed, want.Perm, want.Inv)
+				_, inv := DegreePerm(fx.g)
+				want := oracleDegreePull(fx.g, directed, inv)
+				got, err := PullByDegree(fx.g, directed, inv)
 				if err != nil {
 					t.Fatalf("%s: %v", what, err)
 				}
 				sameDegreePull(t, what, got, want)
-				if got, err = pullByDegree(fx.g, directed, want.Perm, want.Inv, procs); err != nil {
+				if got, err = pullByDegree(fx.g, directed, inv, procs); err != nil {
 					t.Fatalf("%s forced: %v", what, err)
 				}
 				sameDegreePull(t, what+" forced", got, want)
@@ -104,7 +102,7 @@ func TestDegreePullOracleAtAnyWorkers(t *testing.T) {
 func TestDegreePullMemoryBill(t *testing.T) {
 	g := randomCSR(t, 20_000, 150_000, true, true, 11)
 	g.Check()
-	perm, inv := DegreePerm(g)
+	_, inv := DegreePerm(g)
 	n, m := uint64(g.N()), uint64(g.M())
 	for _, directed := range []bool{true, false} {
 		for _, workers := range []int{1, 2} {
@@ -113,7 +111,7 @@ func TestDegreePullMemoryBill(t *testing.T) {
 				bill += 4 * n
 			}
 			got := allocBytes(func() {
-				if _, err := pullByDegree(g, directed, perm, inv, workers); err != nil {
+				if _, err := pullByDegree(g, directed, inv, workers); err != nil {
 					t.Fatal(err)
 				}
 			})

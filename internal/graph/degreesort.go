@@ -73,7 +73,8 @@ func sortByDegree(g *CSR, perm, inv []V, t int) *DegreeSorted {
 // senders a skewed graph's gather reads most into a dense prefix of the
 // contribution vector.
 //
-// Row Inv[u] of In lists Inv[v] for each arc v→u of a directed graph, in
+// With Inv the relabelling's old-to-new map, row Inv[u] of In lists
+// Inv[v] for each arc v→u of a directed graph, in
 // g's row order, so by increasing old id v: the order the rows of g's
 // Transpose list them in. An undirected graph's rows are its in-edge
 // rows already, and row Inv[u] lists Inv[v] for each v of g's row u, in
@@ -85,32 +86,37 @@ func sortByDegree(g *CSR, perm, inv []V, t int) *DegreeSorted {
 // kernel divides v's rank by; an undirected view leaves it nil, since
 // its row lengths are the out-degrees.
 //
-// The view holds 4m + 8(n+1) bytes of In's arcs and offsets, plus 4n for
-// OutDeg when directed, beside the 8n of Perm and Inv it shares with the
-// relabelling it was built under; while it builds, one scatter's cursors
-// besides, 8n per worker.
+// The view holds no permutation: the caller keeps the relabelling it was
+// built under, and un-permutes through that relabelling's Perm. The view
+// holds 4m + 8(n+1) bytes of In's arcs and offsets, plus 4n for OutDeg
+// when directed; while it builds, one scatter's cursors besides, 8n per
+// worker.
 type DegreePull struct {
 	In     *CSR
 	OutDeg []uint32
-	Perm   []V // Perm[new] = old
-	Inv    []V // Inv[old] = new
 }
 
-// PullByDegree builds g's degree-ordered pull view under DegreePerm's
-// relabelling perm, inv, which the view holds, with one scatter, and
-// checks it once, since pull kernels read it without bounds checks. It
-// fails for a directed g of 2^32 or more arcs, whose out-degrees 32 bits
-// may not hold.
-func PullByDegree(g *CSR, directed bool, perm, inv []V) (*DegreePull, error) {
-	return pullByDegree(g, directed, perm, inv, g.workersFor(g.N()))
+// PullFits reports whether PullByDegree can build g's degree-ordered pull
+// view: a directed g of 2^32 or more arcs has out-degrees 32 bits may not
+// hold.
+func PullFits(g *CSR, directed bool) bool {
+	return !directed || g.M() <= math.MaxUint32
+}
+
+// PullByDegree builds g's degree-ordered pull view under the relabelling
+// inv (Inv[old] = new) from DegreePerm with one scatter, and checks it
+// once, since pull kernels read it without bounds checks. It fails where
+// PullFits does not hold.
+func PullByDegree(g *CSR, directed bool, inv []V) (*DegreePull, error) {
+	return pullByDegree(g, directed, inv, g.workersFor(g.N()))
 }
 
 // pullByDegree is PullByDegree on t scatter workers.
-func pullByDegree(g *CSR, directed bool, perm, inv []V, t int) (*DegreePull, error) {
-	if directed && g.M() > math.MaxUint32 {
+func pullByDegree(g *CSR, directed bool, inv []V, t int) (*DegreePull, error) {
+	if !PullFits(g, directed) {
 		return nil, fmt.Errorf("graph: degree-ordered pull view: %d arcs, out-degrees need more than 32 bits", g.M())
 	}
-	dp := &DegreePull{In: relabel(g, inv, directed, false, t), Perm: perm, Inv: inv}
+	dp := &DegreePull{In: relabel(g, inv, directed, false, t)}
 	if directed {
 		dp.OutDeg = make([]uint32, g.N())
 		for v, x := range inv {

@@ -70,8 +70,8 @@ func BenchmarkPullByDegree(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for b.Loop() {
-		perm, inv := graph.DegreePerm(g)
-		if _, err := graph.PullByDegree(g, true, perm, inv); err != nil {
+		_, inv := graph.DegreePerm(g)
+		if _, err := graph.PullByDegree(g, true, inv); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -16,7 +16,9 @@ package pushpull
 // constructions worth exactly one build per graph — so the Workload builds
 // them lazily, each once under its own key in one view table, and reuses
 // them in every later Run: the engine-owned-view pattern of pull-frontier
-// systems. A build of one view never waits for the build of another.
+// systems. A build of one view never waits for the build of another: a
+// view built from another (the two renumbered views from the one
+// relabelling) fetches it before its own build starts.
 //
 // A handle declares what the graph is and where it lives, not how a run
 // should lay it out: the degree relabelling is asked for per run
@@ -315,7 +317,9 @@ func (w *Workload) Transpose() *Graph {
 
 // relabelling is a handle's one degree relabelling (graph.DegreePerm):
 // perm[new] = old and inv[old] = new. The degree-sorted view and the
-// degree-ordered pull view are both built under it and hold its slices.
+// degree-ordered pull view are both built under it; the degree-sorted
+// view holds its slices, and a run that reads the pull view un-permutes
+// through it.
 type relabelling struct{ perm, inv []V }
 
 // relabelling returns the handle's memoized degree relabelling. The
@@ -335,8 +339,8 @@ func (w *Workload) DegreeSorted() *DegreeSortedView {
 	if w.g == nil {
 		return nil
 	}
+	rl := w.relabelling()
 	return memo(w, viewKey{kind: viewDegreeSorted}, func() *DegreeSortedView {
-		rl := w.relabelling()
 		return graph.SortByDegree(w.g, rl.perm, rl.inv)
 	})
 }
@@ -360,12 +364,12 @@ func (w *Workload) SortedTranspose() *Graph {
 // (graph.DegreePull), which a pr pull in the relabelled layout reads in
 // place of the plain pull view. On a directed handle it replaces the
 // transpose for those runs: it is built from the out-edge rows, and no
-// transpose is built beside it. It fails for a directed graph of 2^32 or
-// more arcs.
+// transpose is built beside it. It fails where graph.PullFits does not
+// hold.
 func (w *Workload) degreePull() (*graph.DegreePull, error) {
+	inv := w.relabelling().inv
 	return view(w, viewKey{kind: viewDegreePull}, func() (*graph.DegreePull, error) {
-		rl := w.relabelling()
-		return graph.PullByDegree(w.g, w.directed, rl.perm, rl.inv)
+		return graph.PullByDegree(w.g, w.directed, inv)
 	})
 }
 
