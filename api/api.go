@@ -21,6 +21,13 @@ import (
 	"pushpull"
 )
 
+// AlgorithmInfo is one GET /algorithms entry.
+type AlgorithmInfo struct {
+	Name        string `json:"name"`
+	Description string `json:"description"`
+	Caps        string `json:"caps"`
+}
+
 // RunRequest is the POST /run body.
 type RunRequest struct {
 	// Graph names a workload registered on the engine (PUT /graphs or

@@ -13,111 +13,61 @@ package cluster
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"sort"
 	"sync"
 	"time"
 
-	"pushpull"
+	"pushpull/internal/edge"
 	"pushpull/jobs"
 	"pushpull/serve"
 )
 
 func (rt *Router) submitJobs(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
 	var req serve.JobRequest
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("parsing job request: %w", err))
+	body, ok := edge.Decode(w, r, "job request", &req)
+	if !ok {
 		return
 	}
-	batch := len(req.Batch) > 0
-	specs := req.Batch
-	if batch {
-		if req.Graph != "" || req.Algorithm != "" {
-			writeError(w, http.StatusBadRequest,
-				errors.New(`a job request is either one inline spec or a "batch", not both`))
-			return
-		}
-	} else {
-		specs = []jobs.Spec{req.Spec}
+	specs, err := req.Specs()
+	if err != nil {
+		edge.WriteError(w, http.StatusBadRequest, err)
+		return
 	}
-
-	// Validate names router-side, like run(): the registry is shared, the
-	// catalog is authoritative for graphs, and settling both here keeps a
-	// worker-side 404 an unambiguous failover signal.
-	graphs := make([]string, 0, len(specs))
+	pls := make([]Placement, len(specs))
 	for i, spec := range specs {
-		if spec.Graph == "" || spec.Algorithm == "" {
-			writeError(w, http.StatusBadRequest,
-				fmt.Errorf(`job spec %d: "graph" and "algorithm" are required`, i))
+		if pls[i], err = rt.placement(spec.Graph, spec.Algorithm); err != nil {
+			edge.WriteError(w, edge.Status(err), fmt.Errorf("job spec %d: %w", i, err))
 			return
 		}
-		if _, err := pushpull.Lookup(spec.Algorithm); err != nil {
-			writeError(w, http.StatusNotFound, fmt.Errorf("job spec %d: %w", i, err))
-			return
-		}
-		if _, ok := rt.catalog.Get(spec.Graph); !ok {
-			writeError(w, http.StatusNotFound,
-				fmt.Errorf("job spec %d: unknown graph %q (catalog: %v)", i, spec.Graph, rt.catalogNames()))
-			return
-		}
-		graphs = append(graphs, spec.Graph)
 	}
-	if !batch {
-		req.Spec = specs[0]
-	}
-
-	candidates, status, err := rt.jobTargets(graphs)
+	candidates, err := jobTargets(pls)
 	if err != nil {
-		writeError(w, status, err)
+		edge.WriteError(w, http.StatusConflict, err)
 		return
 	}
-	body, err := json.Marshal(req)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, fmt.Errorf("re-encoding job request: %w", err))
-		return
-	}
-
-	resp, wkr, err := rt.tryReplicas(r.Context(), candidates[0], upFirst(candidates, rt.health),
+	resp, wkr, ok := rt.tryReplicas(r.Context(), w, "job submission", candidates,
 		func(wkr string) (*workerResponse, error) {
 			return rt.proxy.submitJobs(r.Context(), wkr, body)
 		})
-	if err != nil {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			writeError(w, http.StatusGatewayTimeout, err)
-			return
-		}
-		writeError(w, http.StatusBadGateway, fmt.Errorf("job submission: %w", err))
+	if !ok {
 		return
 	}
 	if resp.status == http.StatusAccepted {
-		rt.recordAffinity(resp.body, batch, wkr)
+		rt.recordAffinity(resp.body, wkr)
 	}
 	rt.relay(r.Context(), w, resp, wkr)
 }
 
 // jobTargets computes the submission candidates for a job touching the
-// named graphs: the workers replicating every one of them, in the first
+// placed graphs: the workers replicating every one of them, in the first
 // graph's placement order (so candidates[0] is that graph's primary). A
 // batch spanning graphs with no common replica cannot run under one
-// batch ID — 409.
-func (rt *Router) jobTargets(graphs []string) ([]string, int, error) {
-	pl, ok := rt.catalog.Get(graphs[0])
-	if !ok {
-		return nil, http.StatusNotFound, fmt.Errorf("unknown graph %q", graphs[0])
-	}
-	common := append([]string(nil), pl.Replicas...)
-	for _, g := range graphs[1:] {
-		if g == graphs[0] {
-			continue
-		}
-		pl, ok := rt.catalog.Get(g)
-		if !ok {
-			return nil, http.StatusNotFound, fmt.Errorf("unknown graph %q", g)
-		}
+// batch ID: the caller answers 409.
+func jobTargets(pls []Placement) ([]string, error) {
+	common := append([]string(nil), pls[0].Replicas...)
+	for _, pl := range pls[1:] {
 		holds := make(map[string]bool, len(pl.Replicas))
 		for _, w := range pl.Replicas {
 			holds[w] = true
@@ -131,35 +81,32 @@ func (rt *Router) jobTargets(graphs []string) ([]string, int, error) {
 		common = kept
 	}
 	if len(common) == 0 {
-		return nil, http.StatusConflict,
-			fmt.Errorf("no worker replicates all %d graphs of the batch — split the batch along replica sets", len(graphs))
+		return nil, fmt.Errorf("no worker replicates all %d graphs of the batch — split the batch along replica sets", len(pls))
 	}
-	return common, 0, nil
+	return common, nil
 }
 
-// recordAffinity parses an accepted submission reply and pins every
-// returned job ID (and the batch ID) to the worker that took it. Best
-// effort: an unparsable body is the client's problem to surface, not a
-// reason to fail a submission the worker already accepted.
-func (rt *Router) recordAffinity(body []byte, batch bool, wkr string) {
-	if batch {
-		var br serve.BatchResponse
-		if json.Unmarshal(body, &br) != nil {
-			return
-		}
-		if br.BatchID != "" {
-			rt.catalog.SetJob(br.BatchID, wkr)
-		}
-		for _, j := range br.Jobs {
-			if j != nil && j.ID != "" {
-				rt.catalog.SetJob(j.ID, wkr)
-			}
-		}
-		return
+// recordAffinity parses an accepted submission reply — one job, or a
+// batch ID and its jobs — and pins every ID in it to the worker that took
+// it. Best effort: an unparsable body is the client's problem to surface,
+// not a reason to fail a submission the worker already accepted.
+func (rt *Router) recordAffinity(body []byte, wkr string) {
+	var reply struct {
+		ID      string      `json:"id"`
+		BatchID string      `json:"batch_id"`
+		Jobs    []*jobs.Job `json:"jobs"`
 	}
-	var j jobs.Job
-	if json.Unmarshal(body, &j) == nil && j.ID != "" {
-		rt.catalog.SetJob(j.ID, wkr)
+	json.Unmarshal(body, &reply)
+	ids := []string{reply.ID, reply.BatchID}
+	for _, j := range reply.Jobs {
+		if j != nil {
+			ids = append(ids, j.ID)
+		}
+	}
+	for _, id := range ids {
+		if id != "" {
+			rt.catalog.SetJob(id, wkr)
+		}
 	}
 }
 
@@ -183,14 +130,14 @@ func (rt *Router) jobProxy(w http.ResponseWriter, r *http.Request,
 	id := r.PathValue("id")
 	wkr, ok := rt.catalog.JobWorker(id)
 	if !ok {
-		writeError(w, http.StatusNotFound,
+		edge.WriteError(w, http.StatusNotFound,
 			fmt.Errorf("unknown job %q (not submitted through this router)", id))
 		return
 	}
 	resp, err := call(r.Context(), wkr, id)
 	if err != nil {
 		rt.health.MarkDown(wkr)
-		writeError(w, http.StatusBadGateway,
+		edge.WriteError(w, http.StatusBadGateway,
 			fmt.Errorf("worker %s holding job %q is unreachable: %v", wkr, id, err))
 		return
 	}
@@ -209,14 +156,9 @@ func (rt *Router) jobProxy(w http.ResponseWriter, r *http.Request,
 // the state filter is validated here so a typo 400s instead of quietly
 // merging nothing.
 func (rt *Router) listJobs(w http.ResponseWriter, r *http.Request) {
-	if s := r.URL.Query().Get("state"); s != "" {
-		switch jobs.State(s) {
-		case jobs.StateQueued, jobs.StateRunning, jobs.StateDone,
-			jobs.StateFailed, jobs.StateCanceled, jobs.StateInterrupted:
-		default:
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad state filter %q", s))
-			return
-		}
+	if s := jobs.State(r.URL.Query().Get("state")); s != "" && !s.Valid() {
+		edge.WriteError(w, http.StatusBadRequest, fmt.Errorf("bad state filter %q", s))
+		return
 	}
 	query := ""
 	if r.URL.RawQuery != "" {
@@ -249,5 +191,5 @@ func (rt *Router) listJobs(w http.ResponseWriter, r *http.Request) {
 		}
 		return merged[i].ID < merged[j].ID
 	})
-	writeJSON(w, http.StatusOK, merged)
+	edge.WriteJSON(w, http.StatusOK, merged)
 }

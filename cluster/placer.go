@@ -9,7 +9,9 @@
 // graphs that lived on it; uploads replicate to R workers; runs route to
 // the primary replica with retry, exponential backoff and failover to
 // secondaries; and mutations fan out with a monotone epoch so no replica
-// can serve a stale graph.
+// can serve a stale graph. A run or job request is decoded and its names
+// checked as on a worker (pushpull/internal/edge), the graph's against
+// the catalog, and the client's bytes are forwarded as they arrived.
 package cluster
 
 import (

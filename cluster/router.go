@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"pushpull"
+	"pushpull/internal/edge"
 	"pushpull/serve"
 )
 
@@ -145,7 +146,7 @@ func New(cfg Config) (*Router, error) {
 		mux:     http.NewServeMux(),
 	}
 	rt.mux.HandleFunc("GET /healthz", rt.healthz)
-	rt.mux.HandleFunc("GET /algorithms", rt.algorithms)
+	rt.mux.HandleFunc("GET /algorithms", edge.Algorithms)
 	rt.mux.HandleFunc("GET /graphs", rt.graphs)
 	rt.mux.HandleFunc("PUT /graphs/{name}", rt.putGraph)
 	rt.mux.HandleFunc("DELETE /graphs/{name}", rt.deleteGraph)
@@ -182,7 +183,7 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) { rt.mux.Ser
 // ---- handlers ----
 
 func (rt *Router) healthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
+	edge.WriteJSON(w, http.StatusOK, map[string]any{
 		"status":     "ok",
 		"role":       "router",
 		"workers":    len(rt.cfg.Workers),
@@ -190,24 +191,8 @@ func (rt *Router) healthz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// algorithms serves the registry locally: router and workers are the
-// same binary, so the catalog of runnable algorithms is identical and
-// answering here keeps the endpoint alive when the whole fleet is down.
-func (rt *Router) algorithms(w http.ResponseWriter, r *http.Request) {
-	names := pushpull.Algorithms()
-	out := make([]serve.AlgorithmInfo, 0, len(names))
-	for _, n := range names {
-		a, err := pushpull.Lookup(n)
-		if err != nil {
-			continue
-		}
-		out = append(out, serve.AlgorithmInfo{Name: n, Description: a.Describe(), Caps: a.Caps().String()})
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
 func (rt *Router) graphs(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, rt.catalog.List())
+	edge.WriteJSON(w, http.StatusOK, rt.catalog.List())
 }
 
 func (rt *Router) putGraph(w http.ResponseWriter, r *http.Request) {
@@ -219,17 +204,17 @@ func (rt *Router) putGraph(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge,
+			edge.WriteError(w, http.StatusRequestEntityTooLarge,
 				fmt.Errorf("upload exceeds the router's %d-byte graph limit", rt.cfg.MaxUpload))
 			return
 		}
-		writeError(w, http.StatusBadRequest, fmt.Errorf("parsing edge list: %w", err))
+		edge.WriteError(w, http.StatusBadRequest, fmt.Errorf("parsing edge list: %w", err))
 		return
 	}
 	id := wl.ID()
 	var csr bytes.Buffer
 	if err := pushpull.WriteWorkloadCSR(&csr, wl); err != nil {
-		writeError(w, http.StatusInternalServerError, fmt.Errorf("encoding the parsed graph: %w", err))
+		edge.WriteError(w, http.StatusInternalServerError, fmt.Errorf("encoding the parsed graph: %w", err))
 		return
 	}
 
@@ -243,7 +228,7 @@ func (rt *Router) putGraph(w http.ResponseWriter, r *http.Request) {
 	defer rt.mutMu.Unlock()
 	up := rt.health.Up()
 	if len(up) == 0 {
-		writeError(w, http.StatusServiceUnavailable, fmt.Errorf("no workers up (fleet of %d)", len(rt.cfg.Workers)))
+		edge.WriteError(w, http.StatusServiceUnavailable, fmt.Errorf("no workers up (fleet of %d)", len(rt.cfg.Workers)))
 		return
 	}
 	// Placement hashes the content ID — the same identity the workers'
@@ -271,7 +256,7 @@ func (rt *Router) putGraph(w http.ResponseWriter, r *http.Request) {
 	}
 	if len(acked) == 0 {
 		rt.failed.Add(1)
-		writeError(w, http.StatusBadGateway, fmt.Errorf("upload reached no replica: %v", firstErr))
+		edge.WriteError(w, http.StatusBadGateway, fmt.Errorf("upload reached no replica: %v", firstErr))
 		return
 	}
 	if len(acked) < len(replicas) {
@@ -301,7 +286,7 @@ func (rt *Router) putGraph(w http.ResponseWriter, r *http.Request) {
 		Replicas: acked, Epoch: epoch,
 	}
 	rt.catalog.Set(pl)
-	writeJSON(w, http.StatusCreated, pl)
+	edge.WriteJSON(w, http.StatusCreated, pl)
 }
 
 // fanPut replicates one upload, csr in the binary CSR format with content
@@ -336,7 +321,7 @@ func (rt *Router) deleteGraph(w http.ResponseWriter, r *http.Request) {
 	defer rt.mutMu.Unlock()
 	pl, ok := rt.catalog.Get(name)
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("unknown graph %q", name))
+		edge.WriteError(w, http.StatusNotFound, fmt.Errorf("unknown graph %q", name))
 		return
 	}
 	epoch := rt.catalog.NextEpoch()
@@ -355,68 +340,46 @@ func (rt *Router) deleteGraph(w http.ResponseWriter, r *http.Request) {
 }
 
 func (rt *Router) run(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
 	var req serve.RunRequest
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("parsing run request: %w", err))
-		return
-	}
-	if req.Graph == "" || req.Algorithm == "" {
-		writeError(w, http.StatusBadRequest, errors.New(`"graph" and "algorithm" are required`))
-		return
-	}
-	// Validate the algorithm here: router and worker share the registry,
-	// and settling it locally keeps a worker-side 404 an unambiguous
-	// "this worker lost the graph" failover signal.
-	if _, err := pushpull.Lookup(req.Algorithm); err != nil {
-		writeError(w, http.StatusNotFound, err)
-		return
-	}
-	pl, ok := rt.catalog.Get(req.Graph)
+	body, ok := edge.Decode(w, r, "run request", &req)
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("unknown graph %q (catalog: %v)", req.Graph, rt.catalogNames()))
+		return
+	}
+	// Names are settled here, against the shared registry and the
+	// catalog, so that a worker's 404 means only that it lost the graph.
+	pl, err := rt.placement(req.Graph, req.Algorithm)
+	if err != nil {
+		edge.WriteError(w, edge.Status(err), err)
 		return
 	}
 
-	body, err := json.Marshal(req)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, fmt.Errorf("re-encoding run request: %w", err))
-		return
+	resp, wkr, ok := rt.tryReplicas(r.Context(), w, fmt.Sprintf("graph %q", req.Graph), pl.Replicas,
+		func(wkr string) (*workerResponse, error) {
+			return rt.proxy.run(r.Context(), wkr, body)
+		})
+	if ok {
+		rt.relay(r.Context(), w, resp, wkr)
 	}
-
-	// Route to the primary replica, failing over through the rest.
-	candidates := upFirst(pl.Replicas, rt.health)
-	resp, wkr, err := rt.tryReplicas(r.Context(), pl.Replicas[0], candidates, func(wkr string) (*workerResponse, error) {
-		return rt.proxy.run(r.Context(), wkr, body)
-	})
-	if err != nil {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			writeError(w, http.StatusGatewayTimeout, err)
-			return
-		}
-		writeError(w, http.StatusBadGateway, fmt.Errorf("graph %q: %w", req.Graph, err))
-		return
-	}
-	rt.relay(r.Context(), w, resp, wkr)
 }
 
 // tryReplicas drives the routing loop shared by synchronous runs and
-// async job submissions: try candidates in order (healthy replicas
-// first — upFirst keeps placement order within each liveness group, and
-// a down candidate may have recovered since the last probe, costing
-// only one connection error), with exponential backoff between
-// attempts. Connection errors mark the worker down — the fastest
+// async job submissions: try the replicas, given in placement order, in
+// turn (healthy ones first — upFirst keeps placement order within each
+// liveness group, and a down replica may have recovered since the last
+// probe, costing only one connection error), with exponential backoff
+// between attempts. Connection errors mark the worker down — the fastest
 // truthful signal, so concurrent requests stop picking it before the
 // next probe. 5xx (worker-side fault), 429 (an overloaded worker
 // shedding load — the admission queue's truthful overload signal) and
 // 404 (a worker that lost its state, e.g. a restart without a store)
 // fail over to the next candidate. Any other status is the answer —
-// returned with the worker that served it. primary names the
-// placement's first replica so failovers are counted even when upFirst
-// reordered the candidates; the returned error is the context's when
-// the client gave up mid-backoff.
-func (rt *Router) tryReplicas(ctx context.Context, primary string, candidates []string, send func(worker string) (*workerResponse, error)) (*workerResponse, string, error) {
+// returned with the worker that served it. A failover is a run served by
+// any but the first replica, whatever order upFirst chose. With no
+// answer, tryReplicas has answered w itself: 504 when the client gave up
+// mid-backoff, 502 naming what when no replica served.
+func (rt *Router) tryReplicas(ctx context.Context, w http.ResponseWriter, what string, replicas []string,
+	send func(worker string) (*workerResponse, error)) (*workerResponse, string, bool) {
+	candidates := upFirst(replicas, rt.health)
 	backoff := rt.cfg.RetryBase
 	attempts := rt.cfg.Retries + 1
 	var lastFailure string
@@ -426,7 +389,8 @@ func (rt *Router) tryReplicas(ctx context.Context, primary string, candidates []
 			rt.retried.Add(1)
 			select {
 			case <-ctx.Done():
-				return nil, "", ctx.Err()
+				edge.WriteError(w, http.StatusGatewayTimeout, ctx.Err())
+				return nil, "", false
 			case <-time.After(backoff):
 			}
 			backoff *= 2
@@ -444,15 +408,16 @@ func (rt *Router) tryReplicas(ctx context.Context, primary string, candidates []
 			lastFailure = fmt.Sprintf("%s: %s", wkr, errorFrom(resp))
 			continue
 		}
-		if wkr != primary {
+		if wkr != replicas[0] {
 			rt.failedOver.Add(1)
 		}
 		rt.routed.Add(1)
-		return resp, wkr, nil
+		return resp, wkr, true
 	}
 	rt.failed.Add(1)
-	return nil, "", fmt.Errorf("all %d replica(s) failed after %d attempts (last: %s)",
-		len(candidates), attempts, lastFailure)
+	edge.WriteError(w, http.StatusBadGateway, fmt.Errorf("%s: all %d replica(s) failed after %d attempts (last: %s)",
+		what, len(candidates), attempts, lastFailure))
+	return nil, "", false
 }
 
 // relay copies a worker's answer to the client, naming the worker that
@@ -583,10 +548,23 @@ func (rt *Router) stats(w http.ResponseWriter, r *http.Request) {
 		}(i, wkr)
 	}
 	wg.Wait()
-	writeJSON(w, http.StatusOK, out)
+	edge.WriteJSON(w, http.StatusOK, out)
 }
 
 // ---- helpers ----
+
+// placement is the router's check of a run or job request: the names
+// pass edge.CheckNames and the catalog places the graph (else 404).
+func (rt *Router) placement(graph, algorithm string) (Placement, error) {
+	if err := edge.CheckNames(graph, algorithm); err != nil {
+		return Placement{}, err
+	}
+	pl, ok := rt.catalog.Get(graph)
+	if !ok {
+		return Placement{}, edge.NotFound(fmt.Errorf("unknown graph %q (catalog: %v)", graph, rt.catalogNames()))
+	}
+	return pl, nil
+}
 
 func (rt *Router) catalogNames() []string {
 	pls := rt.catalog.List()
@@ -621,20 +599,4 @@ func errorFrom(resp *workerResponse) string {
 		return fmt.Sprintf("%d: %s", resp.status, body.Error)
 	}
 	return fmt.Sprintf("status %d", resp.status)
-}
-
-func writeJSON(w http.ResponseWriter, status int, body any) {
-	buf, err := json.Marshal(body)
-	if err != nil {
-		buf = []byte(fmt.Sprintf(`{"error": "encoding response: %s"}`, err))
-		status = http.StatusInternalServerError
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	w.Write(buf)
-	w.Write([]byte("\n"))
-}
-
-func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
 }

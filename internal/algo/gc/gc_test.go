@@ -126,7 +126,7 @@ func TestGrSReducesIterations(t *testing.T) {
 	g := rmat(t, 10, 8, 9)
 	opt := Options{MaxIters: 4096}
 	plain := FrontierExploit(g, opt, core.Push, nil)
-	grs := GrS(g, opt, core.Push, 0.1)
+	grs := FrontierExploit(g, opt, core.Push, &core.GreedySwitch{Fraction: 0.1, Total: g.N()})
 	if err := Validate(g, grs.Colors); err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestGrSReducesIterations(t *testing.T) {
 
 func TestGSValid(t *testing.T) {
 	g := rmat(t, 10, 8, 10)
-	res := GS(g, Options{MaxIters: 4096}, core.Push, 1.0)
+	res := FrontierExploit(g, Options{MaxIters: 4096}, core.Push, &core.GenericSwitch{Threshold: 1})
 	if err := Validate(g, res.Colors); err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +333,7 @@ func BenchmarkGrS(b *testing.B) {
 	g := rmat(b, 11, 8, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		GrS(g, Options{MaxIters: 4096}, core.Push, 0.1)
+		FrontierExploit(g, Options{MaxIters: 4096}, core.Push, &core.GreedySwitch{Fraction: 0.1, Total: g.N()})
 	}
 }
 

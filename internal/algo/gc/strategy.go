@@ -250,22 +250,3 @@ func resolve(g *graph.CSR, b, next *frontier.Bitmap, colors []int32, ci int32) i
 	}
 	return won
 }
-
-// GrS is the paper's Greedy-Switch configuration for coloring: FE with a
-// fallback to sequential greedy once fewer than fraction·n vertices remain
-// (the paper observes thrashing below 0.1·n, §5).
-func GrS(g *graph.CSR, opt Options, dir core.Direction, fraction float64) *Result {
-	if fraction <= 0 {
-		fraction = 0.1
-	}
-	return FrontierExploit(g, opt, dir, &core.GreedySwitch{Fraction: fraction, Total: g.N()})
-}
-
-// GS is the paper's Generic-Switch configuration: FE that flips direction
-// when the progress/conflict ratio of an iteration falls below threshold.
-func GS(g *graph.CSR, opt Options, dir core.Direction, threshold float64) *Result {
-	if threshold <= 0 {
-		threshold = 1
-	}
-	return FrontierExploit(g, opt, dir, &core.GenericSwitch{Threshold: threshold})
-}

@@ -113,9 +113,9 @@ func (s State) Terminal() bool {
 	return false
 }
 
-// valid reports whether s is one of the lifecycle states (used when
-// filtering by a client-supplied state string).
-func (s State) valid() bool {
+// Valid reports whether s is one of the lifecycle states: the check of a
+// client-supplied state filter, on a worker and on a router alike.
+func (s State) Valid() bool {
 	switch s {
 	case StateQueued, StateRunning, StateDone, StateFailed, StateCanceled, StateInterrupted:
 		return true

@@ -41,6 +41,7 @@ import (
 
 	"pushpull"
 	"pushpull/api"
+	"pushpull/internal/edge"
 )
 
 // Manager schedules submitted jobs onto one Engine. Safe for concurrent
@@ -308,17 +309,10 @@ func (m *Manager) submit(specs []Spec, batchID string) ([]*Job, error) {
 // validate rejects a spec the engine could never run: unknown graph or
 // algorithm, or options no With* function would accept. Submission-time
 // rejection keeps failures synchronous where they are cheap to report.
+// It is the worker's only judge of a spec, so its errors carry their
+// status class: an unknown name is edge.NotFound (404), the rest 400.
 func (m *Manager) validate(spec Spec) error {
-	if spec.Graph == "" || spec.Algorithm == "" {
-		return fmt.Errorf(`jobs: "graph" and "algorithm" are required`)
-	}
-	if _, ok := m.eng.Workload(spec.Graph); !ok {
-		return fmt.Errorf("jobs: unknown graph %q", spec.Graph)
-	}
-	if _, err := pushpull.Lookup(spec.Algorithm); err != nil {
-		return err
-	}
-	if _, err := spec.Options.ToOptions(); err != nil {
+	if _, _, err := edge.Resolve(m.eng, spec.Graph, spec.Algorithm, &spec.Options); err != nil {
 		return err
 	}
 	if spec.DeadlineMS < 0 {
@@ -472,7 +466,7 @@ func (m *Manager) Cancel(id string) (*Job, error) {
 // List returns status snapshots (no results), filtered by state
 // and/or batch ID when non-empty, sorted by submission time then ID.
 func (m *Manager) List(state State, batchID string) ([]*Job, error) {
-	if state != "" && !state.valid() {
+	if state != "" && !state.Valid() {
 		return nil, fmt.Errorf("jobs: bad state filter %q", state)
 	}
 	m.mu.Lock()
@@ -755,13 +749,9 @@ func (m *Manager) execute(j *Job, ctx context.Context, cancel context.CancelFunc
 
 // runSpec resolves and runs one spec on the engine.
 func (m *Manager) runSpec(ctx context.Context, spec Spec) (*pushpull.Report, error) {
-	wl, ok := m.eng.Workload(spec.Graph)
-	if !ok {
-		// Validated at submission, but the graph may have been dropped
-		// while the job queued.
-		return nil, fmt.Errorf("jobs: graph %q is no longer registered", spec.Graph)
-	}
-	opts, err := spec.Options.ToOptions()
+	// Validated at submission, but the graph may have been dropped while
+	// the job queued.
+	wl, opts, err := edge.Resolve(m.eng, spec.Graph, spec.Algorithm, &spec.Options)
 	if err != nil {
 		return nil, err
 	}

@@ -10,6 +10,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"net/http"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -21,6 +22,7 @@ import (
 
 	"pushpull"
 	"pushpull/api"
+	"pushpull/internal/edge"
 	"pushpull/jobs"
 )
 
@@ -481,16 +483,28 @@ func TestManagerValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	bad := []jobs.Spec{
-		{},
-		{Graph: "nope", Algorithm: "pr"},
-		{Graph: "g", Algorithm: "nope"},
-		{Graph: "g", Algorithm: "pr", DeadlineMS: -1},
-		{Graph: "g", Algorithm: "pr", Options: api.RunOptions{Direction: "push", Threads: runtime.GOMAXPROCS(0) + 1}},
+	// The error's class is the status a worker answers with: 404 for an
+	// unknown name, 400 for the rest.
+	bad := []struct {
+		spec   jobs.Spec
+		status int
+	}{
+		{jobs.Spec{}, http.StatusBadRequest},
+		{jobs.Spec{Graph: "nope", Algorithm: "pr"}, http.StatusNotFound},
+		{jobs.Spec{Graph: "g", Algorithm: "nope"}, http.StatusNotFound},
+		{jobs.Spec{Graph: "g", Algorithm: "pr", DeadlineMS: -1}, http.StatusBadRequest},
+		{jobs.Spec{Graph: "g", Algorithm: "pr", Options: api.RunOptions{Direction: "push", Threads: runtime.GOMAXPROCS(0) + 1}}, http.StatusBadRequest},
 	}
-	for i, s := range bad {
-		if _, err := m.Submit(s); err == nil {
-			t.Errorf("case %d: Submit(%+v) accepted an invalid spec", i, s)
+	for i, c := range bad {
+		if _, err := m.Submit(c.spec); err == nil {
+			t.Errorf("case %d: Submit(%+v) accepted an invalid spec", i, c.spec)
+		} else if got := edge.Status(err); got != c.status {
+			t.Errorf("case %d: Submit(%+v): %v classed %d, want %d", i, c.spec, err, got, c.status)
+		}
+		if _, _, err := m.SubmitBatch([]jobs.Spec{traceSpec(1, jobs.Normal), c.spec}); err == nil {
+			t.Errorf("case %d: a batch holding %+v was accepted", i, c.spec)
+		} else if got := edge.Status(err); got != c.status {
+			t.Errorf("case %d: batch holding %+v: %v classed %d, want %d", i, c.spec, err, got, c.status)
 		}
 	}
 	if _, _, err := m.SubmitBatch(nil); err == nil {

@@ -63,9 +63,10 @@ type Config struct {
 	// GreedySwitch) steering direction changes or sequential fallback.
 	Switch SwitchPolicy
 	// Probes enables deterministic instrumented execution: the run's
-	// memory events are aggregated into Report.Counters. Every shared-
-	// memory registry algorithm has an instrumented variant; the dist-*
-	// algorithms record their remote-operation counters unconditionally.
+	// memory events are aggregated into Report.Counters. Every built-in
+	// algorithm has an instrumented variant (Caps.Probes); a run of an
+	// algorithm without one, or on a file handle, fails with
+	// ErrProbesUnsupported.
 	Probes bool
 	// Hook receives the wall time of every completed iteration.
 	Hook func(iter int, elapsed time.Duration)

@@ -15,12 +15,11 @@ package serve
 //	                          the run's context is canceled)
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 
-	"pushpull"
+	"pushpull/internal/edge"
 	"pushpull/jobs"
 )
 
@@ -39,67 +38,43 @@ type BatchResponse struct {
 	Jobs    []*jobs.Job `json:"jobs"`
 }
 
-func (s *Server) submitJobs(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	var req JobRequest
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("parsing job request: %w", err))
-		return
+// Specs returns what the request submits: the batch, or the one inline
+// spec. A request carrying both is refused.
+func (req *JobRequest) Specs() ([]jobs.Spec, error) {
+	if len(req.Batch) == 0 {
+		return []jobs.Spec{req.Spec}, nil
 	}
-	if len(req.Batch) > 0 {
-		if req.Graph != "" || req.Algorithm != "" {
-			writeError(w, http.StatusBadRequest,
-				errors.New(`a job request is either one inline spec or a "batch", not both`))
-			return
-		}
-		for i, spec := range req.Batch {
-			if status, err := s.checkSpec(spec); err != nil {
-				writeError(w, status, fmt.Errorf("batch entry %d: %w", i, err))
-				return
-			}
-		}
-		batchID, submitted, err := s.jobs.SubmitBatch(req.Batch)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		writeJSON(w, http.StatusAccepted, BatchResponse{BatchID: batchID, Jobs: submitted})
-		return
+	if req.Graph != "" || req.Algorithm != "" {
+		return nil, errors.New(`a job request is either one inline spec or a "batch", not both`)
 	}
-	if status, err := s.checkSpec(req.Spec); err != nil {
-		writeError(w, status, err)
-		return
-	}
-	j, err := s.jobs.Submit(req.Spec)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	writeJSON(w, http.StatusAccepted, j)
+	return req.Batch, nil
 }
 
-// checkSpec pre-validates a spec so submission failures carry the same
-// statuses the synchronous run path uses: unknown names are the
-// client's lookup problem (404), bad options a bad request (400).
-func (s *Server) checkSpec(spec jobs.Spec) (int, error) {
-	if spec.Graph == "" || spec.Algorithm == "" {
-		return http.StatusBadRequest, errors.New(`"graph" and "algorithm" are required`)
+// submitJobs leaves the judging of each spec to the job manager, whose
+// errors carry their status class (edge.Status).
+func (s *Server) submitJobs(w http.ResponseWriter, r *http.Request) {
+	var req JobRequest
+	if _, ok := edge.Decode(w, r, "job request", &req); !ok {
+		return
 	}
-	if _, ok := s.eng.Workload(spec.Graph); !ok {
-		return http.StatusNotFound,
-			fmt.Errorf("unknown graph %q (registered: %v)", spec.Graph, s.eng.WorkloadNames())
+	specs, err := req.Specs()
+	if err != nil {
+		edge.WriteError(w, http.StatusBadRequest, err)
+		return
 	}
-	if _, err := pushpull.Lookup(spec.Algorithm); err != nil {
-		return http.StatusNotFound, err
+	var reply any
+	if len(req.Batch) == 0 {
+		reply, err = s.jobs.Submit(specs[0])
+	} else {
+		var br BatchResponse
+		br.BatchID, br.Jobs, err = s.jobs.SubmitBatch(specs)
+		reply = br
 	}
-	if _, err := spec.Options.ToOptions(); err != nil {
-		return http.StatusBadRequest, err
+	if err != nil {
+		edge.WriteError(w, edge.Status(err), err)
+		return
 	}
-	if spec.DeadlineMS < 0 {
-		return http.StatusBadRequest, fmt.Errorf("negative deadline_ms %d", spec.DeadlineMS)
-	}
-	return 0, nil
+	edge.WriteJSON(w, http.StatusAccepted, reply)
 }
 
 func (s *Server) listJobs(w http.ResponseWriter, r *http.Request) {
@@ -107,25 +82,25 @@ func (s *Server) listJobs(w http.ResponseWriter, r *http.Request) {
 	batch := r.URL.Query().Get("batch")
 	list, err := s.jobs.List(state, batch)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		edge.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, list)
+	edge.WriteJSON(w, http.StatusOK, list)
 }
 
 func (s *Server) jobStatus(w http.ResponseWriter, r *http.Request) {
 	j, err := s.jobs.Get(r.PathValue("id"))
 	if err != nil {
-		writeError(w, jobStatusFor(err), err)
+		edge.WriteError(w, jobStatusFor(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, j)
+	edge.WriteJSON(w, http.StatusOK, j)
 }
 
 func (s *Server) jobResult(w http.ResponseWriter, r *http.Request) {
 	j, err := s.jobs.Get(r.PathValue("id"))
 	if err != nil {
-		writeError(w, jobStatusFor(err), err)
+		edge.WriteError(w, jobStatusFor(err), err)
 		return
 	}
 	switch j.State {
@@ -134,7 +109,7 @@ func (s *Server) jobResult(w http.ResponseWriter, r *http.Request) {
 		// job's head, then the payload streamed from the job store.
 		body, err := s.jobs.OpenResult(j.ID)
 		if err != nil {
-			writeError(w, jobStatusFor(err), err)
+			edge.WriteError(w, jobStatusFor(err), err)
 			return
 		}
 		defer body.Close()
@@ -142,25 +117,25 @@ func (s *Server) jobResult(w http.ResponseWriter, r *http.Request) {
 	case jobs.StateQueued, jobs.StateRunning:
 		// Not ready: 202 with the status view so pollers can hit this
 		// endpoint alone and branch on the code.
-		writeJSON(w, http.StatusAccepted, j)
+		edge.WriteJSON(w, http.StatusAccepted, j)
 	case jobs.StateFailed:
 		if j.Error == jobs.ErrDeadlineExceeded.Error() {
-			writeError(w, http.StatusGatewayTimeout, fmt.Errorf("job %q: %s", j.ID, j.Error))
+			edge.WriteError(w, http.StatusGatewayTimeout, fmt.Errorf("job %q: %s", j.ID, j.Error))
 			return
 		}
-		writeError(w, http.StatusInternalServerError, fmt.Errorf("job %q failed: %s", j.ID, j.Error))
+		edge.WriteError(w, http.StatusInternalServerError, fmt.Errorf("job %q failed: %s", j.ID, j.Error))
 	default: // canceled, interrupted
-		writeError(w, http.StatusGone, fmt.Errorf("job %q is %s: %s", j.ID, j.State, j.Error))
+		edge.WriteError(w, http.StatusGone, fmt.Errorf("job %q is %s: %s", j.ID, j.State, j.Error))
 	}
 }
 
 func (s *Server) cancelJob(w http.ResponseWriter, r *http.Request) {
 	j, err := s.jobs.Cancel(r.PathValue("id"))
 	if err != nil {
-		writeError(w, jobStatusFor(err), err)
+		edge.WriteError(w, jobStatusFor(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, j)
+	edge.WriteJSON(w, http.StatusOK, j)
 }
 
 // jobStatusFor maps manager errors onto HTTP statuses.

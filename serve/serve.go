@@ -27,12 +27,13 @@
 // Run responses carry the uniform Report lowered to JSON: the payload
 // (ranks/counts/colors/parents+levels where the algorithm has one), the
 // direction trace, and the run stats including cache_hit and
-// queue_wait_ns — the serving layer is benchmarkable end to end.
+// queue_wait_ns — the serving layer is benchmarkable end to end. Bodies
+// are decoded, judged and answered through pushpull/internal/edge, which
+// the cluster router shares; a job spec's only judge is its jobs.Manager.
 package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"mime"
@@ -43,6 +44,7 @@ import (
 
 	"pushpull"
 	"pushpull/api"
+	"pushpull/internal/edge"
 	"pushpull/jobs"
 )
 
@@ -133,7 +135,7 @@ func New(eng *pushpull.Engine, opts ...Option) *Server {
 		opt(s)
 	}
 	s.mux.HandleFunc("GET /healthz", s.healthz)
-	s.mux.HandleFunc("GET /algorithms", s.algorithms)
+	s.mux.HandleFunc("GET /algorithms", edge.Algorithms)
 	s.mux.HandleFunc("GET /graphs", s.graphs)
 	s.mux.HandleFunc("PUT /graphs/{name}", s.putGraph)
 	s.mux.HandleFunc("DELETE /graphs/{name}", s.deleteGraph)
@@ -170,13 +172,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 
 // ---- request/response shapes ----
 
-// AlgorithmInfo is one GET /algorithms entry.
-type AlgorithmInfo struct {
-	Name        string `json:"name"`
-	Description string `json:"description"`
-	Caps        string `json:"caps"`
-}
-
 // GraphInfo is one GET /graphs entry (also the PUT /graphs response).
 type GraphInfo struct {
 	Name string `json:"name"`
@@ -189,6 +184,9 @@ type GraphInfo struct {
 // The run wire types live in pushpull/api (shared with pushpull/jobs and
 // pushpull/cluster); the original serve names are kept as aliases so
 // pre-jobs clients compile unchanged.
+
+// AlgorithmInfo is one GET /algorithms entry.
+type AlgorithmInfo = api.AlgorithmInfo
 
 // RunRequest is the POST /run body.
 type RunRequest = api.RunRequest
@@ -240,27 +238,10 @@ type EngineStats struct {
 	Jobs *jobs.Stats `json:"jobs,omitempty"`
 }
 
-type errorBody struct {
-	Error string `json:"error"`
-}
-
 // ---- handlers ----
 
 func (s *Server) healthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-}
-
-func (s *Server) algorithms(w http.ResponseWriter, r *http.Request) {
-	names := pushpull.Algorithms()
-	out := make([]AlgorithmInfo, 0, len(names))
-	for _, n := range names {
-		a, err := pushpull.Lookup(n)
-		if err != nil {
-			continue
-		}
-		out = append(out, AlgorithmInfo{Name: n, Description: a.Describe(), Caps: a.Caps().String()})
-	}
-	writeJSON(w, http.StatusOK, out)
+	edge.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 func (s *Server) graphs(w http.ResponseWriter, r *http.Request) {
@@ -271,23 +252,18 @@ func (s *Server) graphs(w http.ResponseWriter, r *http.Request) {
 			out = append(out, graphInfo(n, wl))
 		}
 	}
-	writeJSON(w, http.StatusOK, out)
+	edge.WriteJSON(w, http.StatusOK, out)
 }
 
 func (s *Server) putGraph(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	epoch, hasEpoch, err := epochFrom(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
 	csr, err := isCSR(r.Header.Get("Content-Type"))
 	if err != nil {
-		writeError(w, http.StatusUnsupportedMediaType, err)
+		edge.WriteError(w, http.StatusUnsupportedMediaType, err)
 		return
 	}
 	tooBig := func() {
-		writeError(w, http.StatusRequestEntityTooLarge,
+		edge.WriteError(w, http.StatusRequestEntityTooLarge,
 			fmt.Errorf("upload exceeds the server's %d-byte graph limit; split the graph or raise -max-upload", s.maxUpload))
 	}
 	if csr && r.ContentLength > s.maxUpload {
@@ -317,26 +293,21 @@ func (s *Server) putGraph(w http.ResponseWriter, r *http.Request) {
 		if csr {
 			what = "CSR body"
 		}
-		writeError(w, http.StatusBadRequest, fmt.Errorf("parsing %s: %w", what, err))
+		edge.WriteError(w, http.StatusBadRequest, fmt.Errorf("parsing %s: %w", what, err))
 		return
 	}
 	// The ID is memoized on the handle: registering it below costs no
 	// second hash.
 	if want := r.Header.Get(ContentIDHeader); want != "" && want != wl.ID() {
-		writeError(w, http.StatusBadRequest,
+		edge.WriteError(w, http.StatusBadRequest,
 			fmt.Errorf("content ID mismatch: the %s header names %s, the body hashes to %s", ContentIDHeader, want, wl.ID()))
 		return
 	}
-	if hasEpoch {
-		s.epochMu.Lock()
-		defer s.epochMu.Unlock()
-		if cur := s.epochs[name]; epoch <= cur {
-			w.Header().Set(EpochHeader, strconv.FormatUint(cur, 10))
-			writeError(w, http.StatusConflict,
-				fmt.Errorf("stale cluster epoch %d for graph %q (current %d)", epoch, name, cur))
-			return
-		}
+	epoch, release, ok := s.fence(w, r, name)
+	if !ok {
+		return
 	}
+	defer release()
 	if err := s.eng.RegisterWorkload(name, wl); err != nil {
 		status := http.StatusBadRequest
 		if errors.Is(err, pushpull.ErrStore) {
@@ -344,10 +315,10 @@ func (s *Server) putGraph(w http.ResponseWriter, r *http.Request) {
 			// fault, not a client mistake.
 			status = http.StatusInternalServerError
 		}
-		writeError(w, status, err)
+		edge.WriteError(w, status, err)
 		return
 	}
-	if hasEpoch {
+	if epoch > 0 {
 		s.epochs[name] = epoch
 		w.Header().Set(EpochHeader, strconv.FormatUint(epoch, 10))
 	}
@@ -357,39 +328,58 @@ func (s *Server) putGraph(w http.ResponseWriter, r *http.Request) {
 	if cur, ok := s.eng.Workload(name); ok {
 		wl = cur
 	}
-	writeJSON(w, http.StatusCreated, graphInfo(name, wl))
+	edge.WriteJSON(w, http.StatusCreated, graphInfo(name, wl))
 }
 
 func (s *Server) deleteGraph(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	epoch, hasEpoch, err := epochFrom(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	epoch, release, ok := s.fence(w, r, name)
+	if !ok {
 		return
 	}
-	if hasEpoch {
-		s.epochMu.Lock()
-		defer s.epochMu.Unlock()
-		if cur := s.epochs[name]; epoch <= cur {
-			w.Header().Set(EpochHeader, strconv.FormatUint(cur, 10))
-			writeError(w, http.StatusConflict,
-				fmt.Errorf("stale cluster epoch %d for graph %q (current %d)", epoch, name, cur))
-			return
-		}
+	defer release()
+	if epoch > 0 {
 		// Record the deletion epoch whether or not the name is bound, so
 		// a delayed replication PUT from before this delete is fenced.
 		s.epochs[name] = epoch
 	}
 	ok, err := s.eng.DropWorkload(name)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
+		edge.WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("unknown graph %q", name))
+		edge.WriteError(w, http.StatusNotFound, fmt.Errorf("unknown graph %q", name))
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
+}
+
+// fence is the EpochHeader guard of a mutation of name. A request
+// without the header passes with epoch 0. One with it passes holding
+// epochMu, which the caller keeps while it mutates and records the
+// returned epoch, then drops with release. A malformed epoch (400), or
+// one no newer than name's recorded epoch (409, naming the current one),
+// is answered here, and ok is false.
+func (s *Server) fence(w http.ResponseWriter, r *http.Request, name string) (epoch uint64, release func(), ok bool) {
+	h := r.Header.Get(EpochHeader)
+	if h == "" {
+		return 0, func() {}, true
+	}
+	epoch, err := strconv.ParseUint(h, 10, 64)
+	if err != nil {
+		edge.WriteError(w, http.StatusBadRequest, fmt.Errorf("bad %s header %q: %w", EpochHeader, h, err))
+		return 0, nil, false
+	}
+	s.epochMu.Lock()
+	if cur := s.epochs[name]; epoch <= cur {
+		s.epochMu.Unlock()
+		w.Header().Set(EpochHeader, strconv.FormatUint(cur, 10))
+		edge.WriteError(w, http.StatusConflict,
+			fmt.Errorf("stale cluster epoch %d for graph %q (current %d)", epoch, name, cur))
+		return 0, nil, false
+	}
+	return epoch, s.epochMu.Unlock, true
 }
 
 // isCSR reports whether a PUT /graphs Content-Type names the binary CSR
@@ -414,45 +404,14 @@ func isCSR(contentType string) (bool, error) {
 	return false, fmt.Errorf("unsupported Content-Type %q: send a text edge list or %s", mt, CSRContentType)
 }
 
-// epochFrom parses the optional EpochHeader of a cluster-replicated
-// mutation.
-func epochFrom(r *http.Request) (epoch uint64, ok bool, err error) {
-	h := r.Header.Get(EpochHeader)
-	if h == "" {
-		return 0, false, nil
-	}
-	epoch, err = strconv.ParseUint(h, 10, 64)
-	if err != nil {
-		return 0, false, fmt.Errorf("bad %s header %q: %w", EpochHeader, h, err)
-	}
-	return epoch, true, nil
-}
-
 func (s *Server) run(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
 	var req RunRequest
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("parsing run request: %w", err))
+	if _, ok := edge.Decode(w, r, "run request", &req); !ok {
 		return
 	}
-	if req.Graph == "" || req.Algorithm == "" {
-		writeError(w, http.StatusBadRequest, errors.New(`"graph" and "algorithm" are required`))
-		return
-	}
-	wl, ok := s.eng.Workload(req.Graph)
-	if !ok {
-		writeError(w, http.StatusNotFound,
-			fmt.Errorf("unknown graph %q (registered: %v)", req.Graph, s.eng.WorkloadNames()))
-		return
-	}
-	if _, err := pushpull.Lookup(req.Algorithm); err != nil {
-		writeError(w, http.StatusNotFound, err)
-		return
-	}
-	opts, err := req.Options.ToOptions()
+	wl, opts, err := edge.Resolve(s.eng, req.Graph, req.Algorithm, &req.Options)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		edge.WriteError(w, edge.Status(err), err)
 		return
 	}
 	// The drain signal rides the context so a queued (not-yet-admitted)
@@ -473,16 +432,8 @@ func (s *Server) run(w http.ResponseWriter, r *http.Request) {
 			// queue wait — so clients back off longer as congestion
 			// actually grows.
 			w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(queueETA(s.eng.Stats()))))
-			writeError(w, http.StatusTooManyRequests, err)
-			return
 		}
-		if errors.Is(err, pushpull.ErrDraining) {
-			// Shutting down: the queue this run was parked in will never
-			// move again. 503 sends the client (or router) elsewhere.
-			writeError(w, http.StatusServiceUnavailable, err)
-			return
-		}
-		writeError(w, statusFor(err), err)
+		edge.WriteError(w, statusFor(err), err)
 		return
 	}
 	// On an engine hit the tail — the payload, nearly all of the reply —
@@ -521,7 +472,7 @@ func (s *Server) stats(w http.ResponseWriter, r *http.Request) {
 		js := s.jobs.Stats()
 		out.Jobs = &js
 	}
-	writeJSON(w, http.StatusOK, out)
+	edge.WriteJSON(w, http.StatusOK, out)
 }
 
 // queueETA estimates how long a run arriving now would wait: the live
@@ -557,10 +508,16 @@ func graphInfo(name string, wl *pushpull.Workload) GraphInfo {
 }
 
 // statusFor maps engine errors onto HTTP statuses: precondition failures
-// are the client's (400), timeouts are gateway timeouts, the rest is a
-// server-side 500.
+// are the client's (400), a shed run is 429, a run whose queue will never
+// move again because the worker is shutting down is 503 (which sends the
+// client or router elsewhere), timeouts are gateway timeouts, the rest is
+// a server-side 500.
 func statusFor(err error) int {
 	switch {
+	case errors.Is(err, pushpull.ErrOverloaded):
+		return http.StatusTooManyRequests
+	case errors.Is(err, pushpull.ErrDraining):
+		return http.StatusServiceUnavailable
 	case errors.Is(err, pushpull.ErrNeedsWeights),
 		errors.Is(err, pushpull.ErrDirectedUnsupported),
 		errors.Is(err, pushpull.ErrProbesUnsupported),
@@ -573,20 +530,6 @@ func statusFor(err error) int {
 	default:
 		return http.StatusInternalServerError
 	}
-}
-
-func writeJSON(w http.ResponseWriter, status int, body any) {
-	// Marshal before touching the response: an encoding failure after
-	// WriteHeader would send a truncated 200.
-	buf, err := json.Marshal(body)
-	if err != nil {
-		buf = []byte(fmt.Sprintf(`{"error": "encoding response: %s"}`, err))
-		status = http.StatusInternalServerError
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	w.Write(buf)
-	w.Write([]byte("\n"))
 }
 
 // writeBody sends a 200 JSON document of a known length that write
@@ -603,8 +546,4 @@ func writeBody(w http.ResponseWriter, size int64, write func()) {
 	w.WriteHeader(http.StatusOK)
 	write()
 	w.Write([]byte("\n"))
-}
-
-func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, errorBody{Error: err.Error()})
 }
