@@ -202,7 +202,7 @@ func permuted[T any](perm []V, in []T) []T {
 
 func init() {
 	for _, b := range []*builtin{
-		{"pr", "PageRank (§3.1, Algorithm 1; one kernel per direction, a directed workload only changes the views §4.8; push owns targets per chunk as in §5 and sends the rest to private accumulators, no atomics; out-of-core block pull)",
+		{"pr", "PageRank (§3.1, Algorithm 1; one kernel per direction, a directed workload only changes the views §4.8; push scatters the row chunks dealt to each worker into its private accumulator, no atomics; out-of-core block pull)",
 			Caps{Directed: true, Probes: true, DegreeSort: true, OutOfCore: true}, core.Pull, true, runPR},
 		{"tc", "triangle counting (§3.2, Algorithm 2; push combines a pair's hits into one atomic)",
 			Caps{Probes: true}, core.Pull, false, runTC},

@@ -26,6 +26,7 @@ func TestRouterAndWorkerAgree(t *testing.T) {
 		{"/run", `{"graph": "demo", "algorithm": "nope"}`, http.StatusNotFound},
 		{"/run", `{"graph": "demo", "algorithm": "dist-pr-mp"}`, http.StatusNotFound},
 		{"/run", `{}`, http.StatusBadRequest},
+		{"/run", `{"graph":"demo","algorithm":"pr"} this is not json`, http.StatusBadRequest},
 		{"/run", `{"graph": "demo", "algorithm": "pr", "options": {"bogus": 1}}`, http.StatusBadRequest},
 		{"/run", `{"graph": "demo", "algorithm": "pr", "options": {"direction": "sideways"}}`, http.StatusBadRequest},
 		{"/run", `{"graph": "demo", "algorithm": "sssp"}`, http.StatusBadRequest},
@@ -36,6 +37,7 @@ func TestRouterAndWorkerAgree(t *testing.T) {
 		{"/jobs", `{"graph": "demo", "algorithm": "nope"}`, http.StatusNotFound},
 		{"/jobs", `{"graph": "demo", "algorithm": "dist-pr-mp"}`, http.StatusNotFound},
 		{"/jobs", `{}`, http.StatusBadRequest},
+		{"/jobs", `{"graph":"demo","algorithm":"pr"} this is not json`, http.StatusBadRequest},
 		{"/jobs", `{"graph": "demo", "algorithm": "pr", "options": {"bogus": 1}}`, http.StatusBadRequest},
 		{"/jobs", `{"graph": "demo", "algorithm": "pr", "deadline_ms": -5}`, http.StatusBadRequest},
 		{"/jobs", `{"graph": "demo", "algorithm": "pr", "priority": "urgent"}`, http.StatusBadRequest},

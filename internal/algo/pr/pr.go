@@ -12,17 +12,17 @@
 // Table 1 reports.
 //
 // The fast Push pushes into private state instead of shared state: each
-// worker scatters every update of its loop chunk into its own n-entry
-// accumulator with a plain add. There is no atomic, and no per-edge test
-// of who owns the target. A fold then sums each slot's accumulators, its
-// fold worker's first and the others in worker order, and writes the
-// result over the rank vector in place. It walks the adjacency
-// once per iteration and needs no second copy of it. The price is memory
-// and a fold: a run holds t accumulators besides the rank vector,
-// (t+1)·n·8 bytes (6 MiB at n = 2^18, t = 2), and folds O(t·n) per
-// iteration. At one thread the only accumulator swaps with the rank
-// vector instead. The ranks are bit-identical run to run at every thread
-// count, and at one thread they are Sequential's bits. The profiled twins
+// worker scatters every update of the rows it was dealt into its own
+// n-entry accumulator with a plain add. There is no atomic, and no
+// per-edge test of who owns the target. A fold then starts each slot from
+// the teleport term, adds the accumulators in worker order, and writes
+// the result over the rank vector in place. It walks the adjacency once
+// per iteration and needs no second copy of it. The price is memory and a
+// fold: a run holds t accumulators besides the rank vector, (t+1)·n·8
+// bytes (6 MiB at n = 2^18, t = 2), and folds O(t·n) per iteration. At
+// one thread the only accumulator swaps with the rank vector instead.
+// The ranks are bit-identical run to run at every thread count and
+// GOMAXPROCS, and at one thread they are Sequential's bits. The profiled twins
 // keep the paper's two bills apart: PushProfiled counts Algorithm 1's (an
 // atomic per arc), PushPAProfiled counts Algorithm 8's over the §5
 // local/remote split (an atomic per remote arc, plus the split's extra
@@ -53,8 +53,13 @@
 // Each row has one writer and adds its terms in row order whichever
 // worker takes it, so the ranks are the same bits at every thread count
 // and under every dealing. The scale pass touches each vertex once, so
-// its work is already even, and it keeps the static split. So do Push's
-// scatter and fold: which accumulator sums which rows fixes their bits.
+// its work is already even, and it keeps the static split, as does Push's
+// fold. Push's scatter cannot deal from a cursor: which accumulator sums
+// which rows fixes the bits. It deals fixed chunks instead, once per run
+// (dealRows): ordered by arc count and handed out boustrophedon, they
+// give every worker the same number of rows ±1 chunk and the same number
+// of arcs to within the heaviest chunk, and the deal depends on the graph
+// and t alone, so the ranks have one set of bits per thread count.
 //
 // Every kernel takes the pair of adjacency views the two directions walk
 // (§4.8): pushing iterates out-edges, pulling iterates in-edges, and a
@@ -72,8 +77,10 @@
 package pr
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"pushpull/internal/core"
@@ -169,19 +176,21 @@ func Sequential(vw Views, opt Options) []float64 {
 }
 
 // Push runs the push-based variant as a scatter into private state plus
-// an ordered fold. The scatter gives worker w a loop chunk [lo, hi): it
-// adds the teleport term into priv[w][lo:hi], then adds every update of
-// the chunk's rows into priv[w], whichever chunk owns the target. After
-// the phase boundary the fold worker for [lo, hi) starts each slot from
-// its own accumulator, adds the others in worker order, zeroes them all
-// as it reads them, and writes the sum over pr. Both passes store only
-// into memory one worker owns, so there is no atomic and no per-edge
-// ownership test. Both passes run under the static schedule, which deals
-// the same chunk to the same worker, so each slot sums its teleport term
-// and its own chunk's updates in row order, then the other workers'
-// partial sums in worker order: the ranks are bit-identical run to run at
-// every thread count. At one thread the only accumulator swaps with pr
-// instead of folding, and the adds happen in Sequential's order.
+// an ordered fold. At t ≥ 2 the scatter gives each worker the row chunks
+// Push's deal (dealRows) assigns it, fixed before the first round: the
+// worker adds every update of its chunks' rows, chunk by chunk in
+// increasing index, into its own accumulator, whichever row the target
+// is. After the phase boundary the fold, over the static split, starts
+// each slot from the teleport term, adds the t accumulators in worker
+// order, zeroing them as it reads them, and writes the sum over pr. Both
+// passes store only into memory one worker owns, so there is no atomic
+// and no per-edge ownership test. The deal is a function of the graph and
+// t, and the worker that scatters a chunk is the one the deal names, so
+// every slot sums the same terms in the same order in every run: the
+// ranks are bit-identical run to run and at any GOMAXPROCS, with one set
+// of bits per thread count. At one thread the only accumulator starts
+// each round from the teleport term and swaps with pr instead of
+// folding, and the adds happen in Sequential's order.
 func Push(vw Views, opt Options) ([]float64, core.RunStats) {
 	opt.defaults()
 	g := vw.Out
@@ -203,34 +212,27 @@ func Push(vw Views, opt Options) ([]float64, core.RunStats) {
 	for w := range priv {
 		priv[w] = make([]float64, n)
 	}
+	var d deal
+	if t > 1 {
+		d = dealRows(g, t)
+	}
 	// Phase bodies are hoisted out of the round loop: a func literal in
 	// the loop would allocate its capture record every iteration, and the
-	// steady state must not allocate. They capture pr by reference, so the
-	// one-thread swap stays visible. The fold leaves every accumulator
-	// zero, so the teleport term is stored.
-	scatter := func(w, lo, hi int) {
+	// steady state must not allocate. The scatter runs once per worker,
+	// over the chunks the deal gave it.
+	scatter := func(w, _, _ int) {
 		mine := priv[w]
-		for i := lo; i < hi; i++ {
-			mine[i] = base
-		}
-		for vi := lo; vi < hi; vi++ {
-			row := g.Row(graph.V(vi))
-			if len(row) == 0 {
-				continue
-			}
-			graph.AddAt(mine, row, opt.Damping*pr[vi]/float64(len(row)))
+		for _, c := range d.chunks[d.off[w]:d.off[w+1]] {
+			lo := int(c) * d.grain
+			scatterRows(g, mine, pr, opt.Damping, lo, min(lo+d.grain, n))
 		}
 	}
-	fold := func(w, lo, hi int) {
-		mine := priv[w]
+	fold := func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			s := mine[i]
-			mine[i] = 0
-			for x, p := range priv {
-				if x != w {
-					s += p[i]
-					p[i] = 0
-				}
+			s := base
+			for _, p := range priv {
+				s += p[i]
+				p[i] = 0
 			}
 			pr[i] = s
 		}
@@ -241,11 +243,15 @@ func Push(vw Views, opt Options) ([]float64, core.RunStats) {
 			break
 		}
 		start := time.Now()
-		sched.ParallelFor(n, t, sched.Static, 0, scatter)
 		if t == 1 {
-			pr, priv[0] = priv[0], pr
-			clear(priv[0])
+			mine := priv[0]
+			for i := range mine {
+				mine[i] = base
+			}
+			scatterRows(g, mine, pr, opt.Damping, 0, n)
+			pr, priv[0] = mine, pr
 		} else {
+			sched.ParallelFor(t, t, sched.Static, 0, scatter)
 			sched.ParallelFor(n, t, sched.Static, 0, fold)
 		}
 		el := time.Since(start)
@@ -253,6 +259,82 @@ func Push(vw Views, opt Options) ([]float64, core.RunStats) {
 		opt.Tick(l, el)
 	}
 	return pr, stats
+}
+
+// scatterRows adds f·pr[v]/d(v) into acc[u] for every arc v→u of the rows
+// [lo, hi), row by row in increasing v and each row in its own order.
+func scatterRows(g *graph.CSR, acc, pr []float64, f float64, lo, hi int) {
+	for vi := lo; vi < hi; vi++ {
+		row := g.Row(graph.V(vi))
+		if len(row) == 0 {
+			continue
+		}
+		graph.AddAt(acc, row, f*pr[vi]/float64(len(row)))
+	}
+}
+
+// dealGrain is the most rows one chunk of Push's deal holds.
+const dealGrain = 1024
+
+// deal is Push's assignment of row chunks to its t workers: chunk c holds
+// the rows [c·grain, min((c+1)·grain, n)), and worker w scatters chunks
+// chunks[off[w]:off[w+1]], in increasing index.
+type deal struct {
+	grain  int
+	chunks []int32
+	off    []int
+}
+
+// dealRows deals g's rows to t ≥ 2 workers. The chunks are dealGrain
+// rows, or n/(2t) when that is fewer, so a graph of n ≥ 2t rows has at
+// least 2t chunks and every worker gets one. Ordered by arc count,
+// heaviest first and ties by index, the chunks go out boustrophedon:
+// workers 0…t−1, then t−1…0, and so on. So every worker holds the same
+// number of chunks ±1, and the workers' arc counts differ by at most the
+// heaviest chunk's. No timing enters, so the deal — and with it which
+// accumulator sums which terms — is a function of the graph and t alone.
+//
+// Pull's gather deals its rows from a shared cursor instead, which
+// balances as well but lets timing pick a row's worker. That is harmless
+// where each row has one writer and adds its terms in row order, as in
+// the gather; here the worker fixes the accumulator a term lands in, and
+// so the rank's bits.
+func dealRows(g *graph.CSR, t int) deal {
+	n := g.N()
+	grain := min(dealGrain, max(1, n/(2*t)))
+	nc := (n + grain - 1) / grain
+	arcs := make([]int64, nc)
+	order := make([]int32, nc)
+	for c := range order {
+		lo := c * grain
+		arcs[c] = g.Offsets[min(lo+grain, n)] - g.Offsets[lo]
+		order[c] = int32(c)
+	}
+	slices.SortFunc(order, func(a, b int32) int {
+		if c := cmp.Compare(arcs[b], arcs[a]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	owner := make([]int, nc)
+	d := deal{grain: grain, chunks: order, off: make([]int, t+1)}
+	for k, c := range order {
+		w := k % t
+		if k/t%2 == 1 {
+			w = t - 1 - w
+		}
+		owner[c] = w
+		d.off[w+1]++
+	}
+	for w := 0; w < t; w++ {
+		d.off[w+1] += d.off[w]
+	}
+	next := slices.Clone(d.off[:t])
+	for c, w := range owner {
+		d.chunks[next[w]] = int32(c)
+		next[w]++
+	}
+	return d
 }
 
 // Pull runs the pull-based variant: each vertex gathers f·pr[u]/d(u) along

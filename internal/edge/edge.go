@@ -38,16 +38,22 @@ func WriteError(w http.ResponseWriter, status int, err error) {
 	WriteJSON(w, status, map[string]string{"error": err.Error()})
 }
 
-// Decode reads r's body, at most 1 MiB, into v as a JSON document whose
-// fields v must all know, and returns the body as read, so a tier that
-// forwards the request sends the client's bytes. On failure it has
-// answered 400 naming what, and returns false.
+// Decode reads r's body, at most 1 MiB, into v as one JSON document,
+// whose fields v must all know, followed by nothing but JSON whitespace.
+// It returns the body as read, so a tier that forwards the request sends
+// the client's bytes. On failure it has answered 400 naming what, and
+// returns false.
 func Decode(w http.ResponseWriter, r *http.Request, what string, v any) ([]byte, bool) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err == nil {
 		dec := json.NewDecoder(bytes.NewReader(body))
 		dec.DisallowUnknownFields()
 		err = dec.Decode(v)
+		if err == nil {
+			if rest := body[dec.InputOffset():]; len(bytes.TrimLeft(rest, " \t\r\n")) > 0 {
+				err = fmt.Errorf("data after the JSON document at offset %d", dec.InputOffset())
+			}
+		}
 	}
 	if err != nil {
 		WriteError(w, http.StatusBadRequest, fmt.Errorf("parsing %s: %w", what, err))

@@ -14,12 +14,16 @@ import (
 )
 
 // decode runs body through edge.Decode as a POST would bring it. A body
-// Decode refuses must have been answered 400 with an {"error": ...}
-// document.
+// Decode accepts must be one JSON document and nothing after it but
+// whitespace; a body it refuses must have been answered 400 with an
+// {"error": ...} document.
 func decode(t *testing.T, body []byte, v any) ([]byte, bool) {
 	t.Helper()
 	rec := httptest.NewRecorder()
 	fwd, ok := edge.Decode(rec, httptest.NewRequest(http.MethodPost, "/", bytes.NewReader(body)), "request", v)
+	if ok && !json.Valid(body) {
+		t.Fatalf("accepted %q, which is not one JSON document plus whitespace", body)
+	}
 	if !ok {
 		var reply struct{ Error string }
 		if rec.Code != http.StatusBadRequest || json.Unmarshal(rec.Body.Bytes(), &reply) != nil || reply.Error == "" {
@@ -29,9 +33,10 @@ func decode(t *testing.T, body []byte, v any) ([]byte, bool) {
 	return fwd, ok
 }
 
-// FuzzDecode: no body panics the decoder, and a body the router accepts
-// as a run or a job request — decoded, its names checked — reaches the
-// worker as the same bytes and decodes there to an equal value.
+// FuzzDecode: no body panics the decoder, a body it accepts is one JSON
+// document plus whitespace, and a body the router accepts as a run or a
+// job request — decoded, its names checked — reaches the worker as the
+// same bytes and decodes there to an equal value.
 func FuzzDecode(f *testing.F) {
 	for _, seed := range []string{
 		`{"graph": "g", "algorithm": "pr"}`,
@@ -40,6 +45,9 @@ func FuzzDecode(f *testing.F) {
 		`{"graph": "g", "algorithm": "pr", "batch": [{"graph": "g", "algorithm": "pr"}]}`,
 		`{"graph": "g", "algorithm": "pr", "options": {"bogus": 1}}`,
 		`{"GRAPH": "g", "Algorithm": "pr"} trailing`,
+		`{"graph":"g","algorithm":"pr"} this is not json`,
+		`{"graph":"g","algorithm":"pr"} {"graph":"h"}`,
+		"{\"graph\":\"g\",\"algorithm\":\"pr\"} \t\r\n",
 		`{"graph": "g", "graph": "h", "algorithm": "pr", "priority": "urgent"}`,
 		`{"graph": "g", "algorithm": "nope"}`,
 		``, `null`, `[]`, `{`, `{"options": null}`,

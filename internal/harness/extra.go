@@ -101,8 +101,9 @@ func Ablation(cfg Config) error {
 	fmt.Fprintf(cfg.Out, "\nPA partition sweep on orc (2m = %d adjacency slots):\n", g.M())
 	fmt.Fprintf(cfg.Out, "%-6s %14s %10s %18s\n", "P", "remote slots", "fraction", "PR push [ms/iter]")
 	// One Workload handle across the sweep memoizes each partition
-	// count's split. The push kernel's owners are its loop chunks, so
-	// the timed run uses P threads: P owners, as the remote count assumes.
+	// count's split. The timed run uses P threads, as many accumulators
+	// as the split has parts; push deals its rows to them by arc count,
+	// not in the split's contiguous blocks.
 	wl := pushpull.NewWorkload(g)
 	for _, p := range []int{2, 4, 8, 16, 32} {
 		rep, err := pushpull.Run(ctx, wl, "pr",

@@ -25,7 +25,11 @@ const (
 	// balancing skewed per-vertex work (power-law degree distributions).
 	// The suite's rmat graphs hold their hubs at the low ids, so Static
 	// hands worker 0 of two 75 % of the arcs; the pull kernels' loops,
-	// whose rows each have one writer, deal their rows this way.
+	// whose rows each have one writer, deal their rows this way. Timing
+	// decides which worker takes a chunk, so a loop whose result names
+	// the worker cannot use it: pr push, whose worker picks the
+	// accumulator a term lands in, deals fixed chunks by arc count
+	// instead, one deal per graph and thread count.
 	Dynamic
 )
 

@@ -38,6 +38,13 @@ var ErrNotFound = errors.New("jobs: no such job")
 // ErrNotDone: the job has no result yet (still queued or running).
 var ErrNotDone = errors.New("jobs: job has not finished")
 
+// ErrClosed: the Manager was closed and accepts no more submissions.
+var ErrClosed = errors.New("jobs: manager closed")
+
+// ErrPersist: the job store refused a record. A submission that meets it
+// is refused whole, with none of its jobs kept in memory or in the store.
+var ErrPersist = errors.New("jobs: persisting")
+
 // Priority orders jobs in the scheduler's queue. The zero value is
 // Normal, so specs that omit it behave like a plain run.
 type Priority int

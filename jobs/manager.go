@@ -277,10 +277,16 @@ func (m *Manager) submit(specs []Spec, batchID string) ([]*Job, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
-		return nil, fmt.Errorf("jobs: manager closed")
+		return nil, ErrClosed
 	}
-	out := make([]*Job, 0, len(specs))
-	for _, spec := range specs {
+	// Every record is written before any job joins the map or the queue,
+	// so a write that fails leaves nothing to unwind in memory: accepting
+	// a job un-persisted would break the restart contract (it would
+	// silently vanish), and a batch is all or nothing, so the records
+	// already written go too — none of them may run, or come back on
+	// restart, after the client was told the submission failed.
+	batch := make([]*Job, len(specs))
+	for i, spec := range specs {
 		j := &Job{
 			ID:          newID("j-"),
 			BatchID:     batchID,
@@ -291,16 +297,21 @@ func (m *Manager) submit(specs []Spec, batchID string) ([]*Job, error) {
 		if spec.DeadlineMS > 0 {
 			j.DeadlineUnixMS = now + spec.DeadlineMS
 		}
-		m.jobs[j.ID] = j
-		m.enqueueLocked(j)
+		batch[i] = j
 		if err := m.persistLocked(j); err != nil {
-			// Unwind this job: accepting it un-persisted would break the
-			// restart contract (the job would silently vanish).
-			delete(m.jobs, j.ID)
-			j.State = StateFailed
+			for _, j := range batch[:i+1] {
+				if derr := m.store.Delete(j.ID); derr != nil {
+					err = errors.Join(err, fmt.Errorf("jobs: unwinding %q: %w", j.ID, derr))
+				}
+			}
 			return nil, err
 		}
-		out = append(out, j.StatusView())
+	}
+	out := make([]*Job, len(batch))
+	for i, j := range batch {
+		m.jobs[j.ID] = j
+		m.enqueueLocked(j)
+		out[i] = j.StatusView()
 	}
 	m.wakeLocked()
 	return out, nil
@@ -773,7 +784,7 @@ func (m *Manager) persistLocked(j *Job) error {
 	}
 	//pushpull:allow lockheld write-through under mu by design: job map and store must observe state transitions in the same order; the record is a few hundred bytes, results live in payload files written outside mu
 	if err := m.store.Put(j); err != nil {
-		return fmt.Errorf("jobs: persisting %q: %w", j.ID, err)
+		return fmt.Errorf("%w %q: %w", ErrPersist, j.ID, err)
 	}
 	return nil
 }

@@ -613,3 +613,62 @@ func TestDiskJobStore(t *testing.T) {
 		t.Error("a record whose ID is not its file name was listed")
 	}
 }
+
+// putFailStore is a MemJobStore whose failAt-th Put fails.
+type putFailStore struct {
+	*jobs.MemJobStore
+	mu     sync.Mutex
+	puts   int
+	failAt int
+}
+
+func (s *putFailStore) Put(j *jobs.Job) error {
+	s.mu.Lock()
+	s.puts++
+	fail := s.puts == s.failAt
+	s.mu.Unlock()
+	if fail {
+		return errors.New("disk full")
+	}
+	return s.MemJobStore.Put(j)
+}
+
+// TestBatchPersistFailureUnwindsWholeBatch: a batch is all or nothing. When
+// the store refuses the record of its third job, the submission fails with
+// ErrPersist and leaves no job of the batch behind — none listed, none in
+// the store, none run.
+func TestBatchPersistFailureUnwindsWholeBatch(t *testing.T) {
+	traceReset()
+	store := &putFailStore{MemJobStore: jobs.NewMemJobStore(), failAt: 3}
+	m, err := jobs.NewManager(newJobEngine(t), jobs.WithStore(store))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	specs := make([]jobs.Spec, 8)
+	for i := range specs {
+		specs[i] = traceSpec(100+i, jobs.Normal)
+	}
+	if _, _, err := m.SubmitBatch(specs); !errors.Is(err, jobs.ErrPersist) {
+		t.Fatalf("SubmitBatch with the third record refused: %v, want ErrPersist", err)
+	}
+	if list, err := m.List("", ""); err != nil || len(list) != 0 {
+		t.Fatalf("after the refused batch the manager lists %d job(s) (%v), want none", len(list), err)
+	}
+	if recs, err := store.List(); err != nil || len(recs) != 0 {
+		t.Fatalf("after the refused batch the store holds %d record(s) (%v), want none", len(recs), err)
+	}
+	// A job submitted after it runs alone: nothing of the batch was queued
+	// ahead of it.
+	j, err := m.Submit(traceSpec(200, jobs.Normal))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, m, j.ID, jobs.StateDone)
+	if seen := traceSeen(); len(seen) != 1 || seen[0] != 200 {
+		t.Fatalf("runs after the refused batch: %v, want only [200]", seen)
+	}
+	if recs, err := store.List(); err != nil || len(recs) != 1 || recs[0].ID != j.ID {
+		t.Fatalf("store holds %d record(s) (%v), want only %s", len(recs), err, j.ID)
+	}
+}

@@ -8,7 +8,10 @@ package pushpull_test
 // iteration count, and its direction trace; a probed cell's counters fold
 // into a second. The literals were computed before the degree relabelling
 // and the report assembly moved into one run boundary, so a layout or
-// report change that moves one bit of any payload fails here.
+// report change that moves one bit of any payload fails here. The
+// unprobed pr push cells at 2 and 7 threads were taken again when push
+// began to deal its row chunks by arc count: their bits follow the deal,
+// and each of their layouts fills at least two of the deal's accumulators.
 
 import (
 	"context"
@@ -26,10 +29,11 @@ import (
 
 // pinCell is one pinned run: algo on a handle with opts.
 type pinCell struct {
-	name string
-	on   *pushpull.Workload
-	algo string
-	opts []pushpull.Option
+	name    string
+	on      *pushpull.Workload
+	algo    string
+	threads int
+	opts    []pushpull.Option
 }
 
 // pinnedCells lists every cell: the undirected weighted rmat(8, 8) for
@@ -84,11 +88,11 @@ func pinnedCells(t testing.TB) []pinCell {
 						suffix = "/probed"
 					}
 					name := fmt.Sprintf("%s/%s/%v/t%d", algo, kind, dir, threads)
-					cells = append(cells, pinCell{name + "/plain" + suffix, plain, algo, o})
+					cells = append(cells, pinCell{name + "/plain" + suffix, plain, algo, threads, o})
 					if a.Caps().DegreeSort {
-						cells = append(cells, pinCell{name + "/ds" + suffix, plain, algo, append(o, pushpull.WithDegreeSorted())})
+						cells = append(cells, pinCell{name + "/ds" + suffix, plain, algo, threads, append(o, pushpull.WithDegreeSorted())})
 					}
-					cells = append(cells, pinCell{name + "/served" + suffix, served, algo, o})
+					cells = append(cells, pinCell{name + "/served" + suffix, served, algo, threads, o})
 				}
 			}
 		}
@@ -208,6 +212,15 @@ func TestPinnedPayloadDigests(t *testing.T) {
 			t.Errorf("%s: no pinned digest", c.name)
 			continue
 		}
+		if c.algo == "pr" && c.threads > 1 && strings.Contains(c.name, "/push/") && !strings.HasSuffix(c.name, "/probed") {
+			g := c.on.Graph()
+			if strings.HasSuffix(c.name, "/ds") {
+				g = c.on.DegreeSorted().G
+			}
+			if filled := dealFills(g, c.threads); filled < 2 {
+				t.Errorf("%s: the push deal fills %d accumulator(s)", c.name, filled)
+			}
+		}
 		payload, ctrs := runCell(t, c)
 		got := payload
 		if ctrs != "" {
@@ -231,15 +244,15 @@ var pinnedDigests = map[string]string{
 	"pr/undirected/push/t1/plain/probed":     "b118c63cde2a2bab/025c2918a7b7c5a5",
 	"pr/undirected/push/t1/ds/probed":        "a1191ecd3587f9e6/025c2918a7b7c5a5",
 	"pr/undirected/push/t1/served/probed":    "b118c63cde2a2bab/025c2918a7b7c5a5",
-	"pr/undirected/push/t2/plain":            "f5cc8598c00495b4",
-	"pr/undirected/push/t2/ds":               "987925bdfb4ebd75",
-	"pr/undirected/push/t2/served":           "f5cc8598c00495b4",
+	"pr/undirected/push/t2/plain":            "56967bc4dec75ea1",
+	"pr/undirected/push/t2/ds":               "3fc91b161b65339f",
+	"pr/undirected/push/t2/served":           "56967bc4dec75ea1",
 	"pr/undirected/push/t2/plain/probed":     "b118c63cde2a2bab/025c2918a7b7c5a5",
 	"pr/undirected/push/t2/ds/probed":        "a1191ecd3587f9e6/025c2918a7b7c5a5",
 	"pr/undirected/push/t2/served/probed":    "b118c63cde2a2bab/025c2918a7b7c5a5",
-	"pr/undirected/push/t7/plain":            "6081495f4f4db5db",
-	"pr/undirected/push/t7/ds":               "bf8267c774fc9fff",
-	"pr/undirected/push/t7/served":           "6081495f4f4db5db",
+	"pr/undirected/push/t7/plain":            "6cd60b3b2f809437",
+	"pr/undirected/push/t7/ds":               "e3e7440d46b619e4",
+	"pr/undirected/push/t7/served":           "6cd60b3b2f809437",
 	"pr/undirected/push/t7/plain/probed":     "b118c63cde2a2bab/025c2918a7b7c5a5",
 	"pr/undirected/push/t7/ds/probed":        "a1191ecd3587f9e6/025c2918a7b7c5a5",
 	"pr/undirected/push/t7/served/probed":    "b118c63cde2a2bab/025c2918a7b7c5a5",
@@ -497,15 +510,15 @@ var pinnedDigests = map[string]string{
 	"pr/directed/push/t1/plain/probed":       "8f4483c4a8abf037/a38d984ca99acbf5",
 	"pr/directed/push/t1/ds/probed":          "bdc93ecd8724350e/a38d984ca99acbf5",
 	"pr/directed/push/t1/served/probed":      "8f4483c4a8abf037/a38d984ca99acbf5",
-	"pr/directed/push/t2/plain":              "1daaf9a75aef8eb9",
-	"pr/directed/push/t2/ds":                 "893b89e516f7e089",
-	"pr/directed/push/t2/served":             "1daaf9a75aef8eb9",
+	"pr/directed/push/t2/plain":              "7a1b8ed393eeba14",
+	"pr/directed/push/t2/ds":                 "d2048e8bc5763f01",
+	"pr/directed/push/t2/served":             "7a1b8ed393eeba14",
 	"pr/directed/push/t2/plain/probed":       "8f4483c4a8abf037/a38d984ca99acbf5",
 	"pr/directed/push/t2/ds/probed":          "bdc93ecd8724350e/a38d984ca99acbf5",
 	"pr/directed/push/t2/served/probed":      "8f4483c4a8abf037/a38d984ca99acbf5",
-	"pr/directed/push/t7/plain":              "dd9384baa4076fea",
-	"pr/directed/push/t7/ds":                 "b93d5195eb9778ad",
-	"pr/directed/push/t7/served":             "dd9384baa4076fea",
+	"pr/directed/push/t7/plain":              "dee042686318e511",
+	"pr/directed/push/t7/ds":                 "cd942225a5b234ce",
+	"pr/directed/push/t7/served":             "dee042686318e511",
 	"pr/directed/push/t7/plain/probed":       "8f4483c4a8abf037/a38d984ca99acbf5",
 	"pr/directed/push/t7/ds/probed":          "bdc93ecd8724350e/a38d984ca99acbf5",
 	"pr/directed/push/t7/served/probed":      "8f4483c4a8abf037/a38d984ca99acbf5",

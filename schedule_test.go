@@ -6,10 +6,15 @@ package pushpull_test
 // definition does not name a worker may change with it. Every cell below
 // runs at 1, 2 and 7 threads and is held to an oracle in this file that
 // splits the rows as the static schedule does, one contiguous block per
-// worker (sched.SequentialFor).
+// worker (sched.SequentialFor). pr push does name a worker — the
+// accumulator a term lands in — so it deals its rows in a fixed deal
+// instead, and its ranks at 2 and 7 threads are held to a replay of that
+// deal, run after run and at GOMAXPROCS 1, 2 and 4.
 
 import (
 	"fmt"
+	"runtime"
+	"sort"
 	"testing"
 
 	"pushpull"
@@ -64,6 +69,95 @@ func staticPR(g *pushpull.Graph, directed bool, t int) []float64 {
 		pr, next = next, pr
 	}
 	return pr
+}
+
+// dealOwners is pr push's deal of g's rows over t ≥ 2 workers: chunks of
+// min(1024, n/(2t)) rows (at least one), ordered by arc count, heaviest
+// first and ties by index, handed out boustrophedon — workers 0…t−1, then
+// t−1…0, and so on. It returns each chunk's worker and the chunk size.
+func dealOwners(g *pushpull.Graph, t int) (owner []int, grain int) {
+	n := g.N()
+	grain = max(1, min(1024, n/(2*t)))
+	arcs := func(c int) int64 { return g.Offsets[min((c+1)*grain, n)] - g.Offsets[c*grain] }
+	byArcs := make([]int, (n+grain-1)/grain)
+	for c := range byArcs {
+		byArcs[c] = c
+	}
+	sort.SliceStable(byArcs, func(i, k int) bool { return arcs(byArcs[i]) > arcs(byArcs[k]) })
+	owner = make([]int, len(byArcs))
+	for k, c := range byArcs {
+		w := k % t
+		if (k/t)%2 == 1 {
+			w = t - 1 - w
+		}
+		owner[c] = w
+	}
+	return owner, grain
+}
+
+// dealFills counts the workers whose dealt chunks of g's rows hold an arc.
+func dealFills(g *pushpull.Graph, t int) int {
+	owner, grain := dealOwners(g, t)
+	filled := map[int]bool{}
+	for c, w := range owner {
+		if g.Offsets[min((c+1)*grain, g.N())] > g.Offsets[c*grain] {
+			filled[w] = true
+		}
+	}
+	return len(filled)
+}
+
+// dealPR is the push PageRank oracle at t ≥ 2 threads: each iteration,
+// worker after worker, adds f·pr[v]/d(v) along every out-arc of the rows
+// its dealt chunks hold, in increasing chunk and row order, into its own
+// accumulator; then every rank starts from the teleport term and adds
+// the accumulators in worker order.
+func dealPR(g *pushpull.Graph, t int) []float64 {
+	n := g.N()
+	owner, grain := dealOwners(g, t)
+	pr := make([]float64, n)
+	for v := range pr {
+		pr[v] = 1 / float64(n)
+	}
+	acc := make([][]float64, t)
+	for w := range acc {
+		acc[w] = make([]float64, n)
+	}
+	base := (1 - schedDamping) / float64(n)
+	for l := 0; l < schedIters; l++ {
+		for w := range acc {
+			for c, o := range owner {
+				if o != w {
+					continue
+				}
+				for v := c * grain; v < min((c+1)*grain, n); v++ {
+					d := g.Degree(pushpull.V(v))
+					if d == 0 {
+						continue
+					}
+					x := schedDamping * pr[v] / float64(d)
+					for _, u := range g.Neighbors(pushpull.V(v)) {
+						acc[w][u] += x
+					}
+				}
+			}
+		}
+		for v := range pr {
+			s := base
+			for _, a := range acc {
+				s += a[v]
+				a[v] = 0
+			}
+			pr[v] = s
+		}
+	}
+	return pr
+}
+
+// atProcs runs f with GOMAXPROCS set to procs, and restores it after.
+func atProcs(procs int, f func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	f()
 }
 
 // staticPullBFS is the bottom-up BFS oracle: each round, every unreached
@@ -163,6 +257,20 @@ func TestScheduleIndependence(t *testing.T) {
 				sameRankBits(t, "pr pull", ranksOf(t, run(t, f.w, "pr", pull...)), want)
 				for name, h := range handles {
 					sameRankBits(t, "pr "+name, ranksOf(t, run(t, h, "pr", pull...)), want)
+				}
+				if threads > 1 {
+					if filled := dealFills(f.g, threads); filled < 2 {
+						t.Fatalf("pr push deal fills %d accumulator(s)", filled)
+					}
+					wantPush := dealPR(f.g, threads)
+					for _, procs := range []int{1, 2, 4} {
+						atProcs(procs, func() {
+							for rerun := 1; rerun <= 2; rerun++ {
+								what := fmt.Sprintf("pr push at GOMAXPROCS %d, run %d", procs, rerun)
+								sameRankBits(t, what, ranksOf(t, run(t, f.w, "pr", push...)), wantPush)
+							}
+						})
+					}
 				}
 				if f.directed {
 					return // bfs and sssp take undirected graphs only

@@ -51,7 +51,7 @@ func (req *JobRequest) Specs() ([]jobs.Spec, error) {
 }
 
 // submitJobs leaves the judging of each spec to the job manager, whose
-// errors carry their status class (edge.Status).
+// errors carry their status class (submitStatus).
 func (s *Server) submitJobs(w http.ResponseWriter, r *http.Request) {
 	var req JobRequest
 	if _, ok := edge.Decode(w, r, "job request", &req); !ok {
@@ -71,10 +71,24 @@ func (s *Server) submitJobs(w http.ResponseWriter, r *http.Request) {
 		reply = br
 	}
 	if err != nil {
-		edge.WriteError(w, edge.Status(err), err)
+		edge.WriteError(w, submitStatus(err), err)
 		return
 	}
 	edge.WriteJSON(w, http.StatusAccepted, reply)
+}
+
+// submitStatus is the status a refused submission gets. A spec the
+// manager judged gets edge.Status's 404 or 400. The other refusals are
+// the worker's, not the request's: a closed manager answers 503, and a
+// record the job store would not write answers 500.
+func submitStatus(err error) int {
+	switch {
+	case errors.Is(err, jobs.ErrClosed):
+		return http.StatusServiceUnavailable
+	case errors.Is(err, jobs.ErrPersist):
+		return http.StatusInternalServerError
+	}
+	return edge.Status(err)
 }
 
 func (s *Server) listJobs(w http.ResponseWriter, r *http.Request) {

@@ -10,6 +10,7 @@ package serve_test
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -17,6 +18,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -309,6 +311,60 @@ func TestServeJobsValidation(t *testing.T) {
 	rstatus, rraw, _ := httpJob(t, http.MethodGet, ts.URL+"/jobs/"+doomed.ID+"/result", "")
 	if rstatus != http.StatusGatewayTimeout {
 		t.Errorf("result of deadline-expired job: %d, want 504: %s", rstatus, rraw)
+	}
+}
+
+// refusingStore is a MemJobStore whose Put fails while refuse is set.
+type refusingStore struct {
+	*jobs.MemJobStore
+	refuse atomic.Bool
+}
+
+func (s *refusingStore) Put(j *jobs.Job) error {
+	if s.refuse.Load() {
+		return errors.New("disk full")
+	}
+	return s.MemJobStore.Put(j)
+}
+
+// TestServeJobsSubmitFailures: a submission the worker cannot take is the
+// worker's failure, not the request's. A record the job store refuses
+// answers 500 and keeps no job; a closed manager answers 503.
+func TestServeJobsSubmitFailures(t *testing.T) {
+	eng := pushpull.NewEngine(pushpull.WithResultCache(0))
+	if err := eng.RegisterWorkload("demo", pushpull.NewWorkload(smallGraph(t))); err != nil {
+		t.Fatal(err)
+	}
+	store := &refusingStore{MemJobStore: jobs.NewMemJobStore()}
+	mgr, err := jobs.NewManager(eng, jobs.WithStore(store))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mgr.Close()
+	ts := httptest.NewServer(serve.New(eng, serve.WithJobManager(mgr)))
+	defer ts.Close()
+
+	one := `{"graph": "demo", "algorithm": "pr"}`
+	batch := `{"batch": [{"graph": "demo", "algorithm": "pr"}, {"graph": "demo", "algorithm": "tc"}]}`
+	store.refuse.Store(true)
+	for _, body := range []string{one, batch} {
+		if status, raw, _ := httpJob(t, http.MethodPost, ts.URL+"/jobs", body); status != http.StatusInternalServerError {
+			t.Errorf("POST /jobs %s with the store refusing: %d, want 500: %s", body, status, raw)
+		}
+	}
+	if status, raw, _ := httpJob(t, http.MethodGet, ts.URL+"/jobs", ""); status != http.StatusOK || strings.TrimSpace(string(raw)) != "[]" {
+		t.Errorf("GET /jobs after refused submissions: %d %s, want 200 and no job", status, raw)
+	}
+	store.refuse.Store(false)
+	if status, raw, _ := httpJob(t, http.MethodPost, ts.URL+"/jobs", one); status != http.StatusAccepted {
+		t.Fatalf("POST /jobs with the store writing again: %d: %s", status, raw)
+	}
+
+	mgr.Close()
+	for _, body := range []string{one, batch} {
+		if status, raw, _ := httpJob(t, http.MethodPost, ts.URL+"/jobs", body); status != http.StatusServiceUnavailable {
+			t.Errorf("POST /jobs %s to a closed manager: %d, want 503: %s", body, status, raw)
+		}
 	}
 }
 
