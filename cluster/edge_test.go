@@ -2,19 +2,28 @@ package cluster_test
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"net/http"
 	"sync"
 	"testing"
+
+	"pushpull"
+	"pushpull/cluster"
+	"pushpull/serve"
 )
 
-// TestRouterAndWorkerAgree: a run or job request gets the same status
-// from a worker holding the graph as from the router in front of it,
-// whichever tier refuses it: the router settles names against the shared
-// registry and its catalog, the worker everything else.
+// TestRouterAndWorkerAgree: a run or job request, or an upload, gets the
+// same status from a worker holding the graph as from the router in
+// front of it, whichever tier refuses it: the router settles names
+// against the shared registry and its catalog, the worker everything
+// else, and both read uploads by one rule at one limit. A run whose own
+// timeout_ms expires answers 504 from both, and the router tries no
+// other replica for it.
 func TestRouterAndWorkerAgree(t *testing.T) {
-	fleet := newFleet(t, 2)
-	ts, _ := newRouter(t, fleet)
+	const limit = 64 << 10
+	fleet := newFleet(t, 2, serve.WithMaxUpload(limit))
+	ts, _ := newRouter(t, fleet, func(c *cluster.Config) { c.MaxUpload = limit })
 	pl := putGraph(t, ts.URL, "demo", testGraph(t, 200, 23), http.StatusCreated)
 
 	cases := []struct {
@@ -44,14 +53,91 @@ func TestRouterAndWorkerAgree(t *testing.T) {
 		{"/jobs", `{"graph": "demo", "algorithm": "pr", "batch": [{"graph": "demo", "algorithm": "pr"}]}`, http.StatusBadRequest},
 		{"/jobs", `{"batch": [{"graph": "demo", "algorithm": "pr"}, {"graph": "nope", "algorithm": "pr"}]}`, http.StatusNotFound},
 	}
+	tiers := map[string]string{"worker": pl.Replicas[0], "router": ts.URL}
 	for _, c := range cases {
-		for tier, base := range map[string]string{"worker": pl.Replicas[0], "router": ts.URL} {
+		for tier, base := range tiers {
 			if status, raw, _ := postJSON(t, base, c.path, c.body); status != c.want {
 				t.Errorf("POST %s %s to the %s: %d, want %d: %s", c.path, c.body, tier, status, c.want, raw)
 			}
 		}
 	}
+
+	small := pushpull.NewWorkload(testGraph(t, 50, 3))
+	var text, csr, big bytes.Buffer
+	if err := pushpull.WriteWorkload(&text, small); err != nil {
+		t.Fatal(err)
+	}
+	if err := pushpull.WriteWorkloadCSR(&csr, small); err != nil {
+		t.Fatal(err)
+	}
+	if err := pushpull.WriteWorkload(&big, pushpull.NewWorkload(testGraph(t, 3000, 5))); err != nil {
+		t.Fatal(err)
+	}
+	if text.Len() > limit || csr.Len() > limit || big.Len() <= limit {
+		t.Fatalf("bodies of %d, %d and %d bytes do not straddle the %d-byte limit", text.Len(), csr.Len(), big.Len(), limit)
+	}
+	for _, c := range []struct {
+		name, contentType string
+		body              []byte
+		want              int
+	}{
+		{"text", "", text.Bytes(), http.StatusCreated},
+		{"plain", "text/plain", text.Bytes(), http.StatusCreated},
+		{"csr", serve.CSRContentType, csr.Bytes(), http.StatusCreated},
+		{"json", "application/json", text.Bytes(), http.StatusUnsupportedMediaType},
+		{"big", "", big.Bytes(), http.StatusRequestEntityTooLarge},
+		{"huge-header", "", []byte("# pushpull 16777216 0\n"), http.StatusRequestEntityTooLarge},
+		{"bad-line", "", []byte("# pushpull 3 1 0\n0 x\n"), http.StatusBadRequest},
+	} {
+		for tier, base := range tiers {
+			req, err := http.NewRequest(http.MethodPut, base+"/graphs/"+c.name+"-"+tier, bytes.NewReader(c.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.contentType != "" {
+				req.Header.Set("Content-Type", c.contentType)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != c.want {
+				t.Errorf("PUT %s to the %s: %d, want %d: %s", c.name, tier, resp.StatusCode, c.want, raw)
+			}
+		}
+	}
+
+	registerWait()
+	before := routerStats(t, ts.URL)
+	for tier, base := range tiers {
+		body := `{"graph": "demo", "algorithm": "test-wait", "options": {"timeout_ms": 50}}`
+		if status, raw, _ := postJSON(t, base, "/run", body); status != http.StatusGatewayTimeout {
+			t.Errorf("POST /run %s to the %s: %d, want 504: %s", body, tier, status, raw)
+		}
+	}
+	if after := routerStats(t, ts.URL); after.Retried != before.Retried || after.Failed != before.Failed {
+		t.Errorf("a run past its own deadline moved the router's retried %d → %d, failed %d → %d",
+			before.Retried, after.Retried, before.Failed, after.Failed)
+	}
 }
+
+// waitAlgo runs until its context ends: a run that meets its deadline
+// wherever it runs.
+type waitAlgo struct{}
+
+func (waitAlgo) Name() string        { return "test-wait" }
+func (waitAlgo) Describe() string    { return "test-only: runs until its context ends" }
+func (waitAlgo) Caps() pushpull.Caps { return pushpull.Caps{} }
+func (waitAlgo) Run(ctx context.Context, _ *pushpull.Workload, _ *pushpull.Config) (*pushpull.Report, error) {
+	<-ctx.Done()
+	return &pushpull.Report{Stats: pushpull.RunStats{Canceled: true}}, nil
+}
+
+var waitOnce sync.Once
+
+func registerWait() { waitOnce.Do(func() { pushpull.MustRegister(waitAlgo{}) }) }
 
 // TestRouterForwardsBodyVerbatim: the router checks a run or job request
 // but sends the worker the client's bytes, whitespace and key order as

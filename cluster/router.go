@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -58,10 +57,10 @@ type Config struct {
 // a pushpull/serve worker, backed by a fleet of them. Uploads replicate
 // to R workers by rendezvous placement on the graph's content ID; runs
 // route to the primary replica with retry, exponential backoff and
-// failover to secondaries on connection errors, 5xx, worker-side 404
-// (a worker that lost its state) and 429 (an overloaded worker shedding
-// load); re-PUT and DELETE fan out with monotone epochs so no replica
-// serves stale results.
+// failover to secondaries on connection errors and the statuses
+// edge.FailOver names (5xx but 504, a worker-side 404, 429); re-PUT and
+// DELETE fan out with monotone epochs so no replica serves stale
+// results.
 type Router struct {
 	cfg     Config
 	placer  *Placer
@@ -197,18 +196,11 @@ func (rt *Router) graphs(w http.ResponseWriter, r *http.Request) {
 
 func (rt *Router) putGraph(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	// The text is parsed as it arrives, and hashed once, here: the
-	// replicas get the graph as a binary CSR, which they read at memory
-	// speed, check against the ID, and persist as it is.
-	wl, err := pushpull.ReadWorkload(http.MaxBytesReader(w, r.Body, rt.cfg.MaxUpload))
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			edge.WriteError(w, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("upload exceeds the router's %d-byte graph limit", rt.cfg.MaxUpload))
-			return
-		}
-		edge.WriteError(w, http.StatusBadRequest, fmt.Errorf("parsing edge list: %w", err))
+	// The body is read and hashed once, here: the replicas get the graph
+	// as a binary CSR, which they read at memory speed, check against the
+	// ID, and persist as it is.
+	wl, ok := edge.ReadGraph(w, r, rt.cfg.MaxUpload)
+	if !ok {
 		return
 	}
 	id := wl.ID()
@@ -369,10 +361,8 @@ func (rt *Router) run(w http.ResponseWriter, r *http.Request) {
 // probe, costing only one connection error), with exponential backoff
 // between attempts. Connection errors mark the worker down — the fastest
 // truthful signal, so concurrent requests stop picking it before the
-// next probe. 5xx (worker-side fault), 429 (an overloaded worker
-// shedding load — the admission queue's truthful overload signal) and
-// 404 (a worker that lost its state, e.g. a restart without a store)
-// fail over to the next candidate. Any other status is the answer —
+// next probe. A status edge.FailOver names sends the request to the next
+// candidate. Any other status is the answer —
 // returned with the worker that served it. A failover is a run served by
 // any but the first replica, whatever order upFirst chose. With no
 // answer, tryReplicas has answered w itself: 504 when the client gave up
@@ -404,7 +394,7 @@ func (rt *Router) tryReplicas(ctx context.Context, w http.ResponseWriter, what s
 			lastFailure = fmt.Sprintf("%s: %v", wkr, err)
 			continue
 		}
-		if resp.status >= 500 || resp.status == http.StatusTooManyRequests || resp.status == http.StatusNotFound {
+		if edge.FailOver(resp.status) {
 			lastFailure = fmt.Sprintf("%s: %s", wkr, errorFrom(resp))
 			continue
 		}

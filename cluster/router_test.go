@@ -40,7 +40,7 @@ type worker struct {
 func (w *worker) URL() string { return w.ts.URL }
 func (w *worker) kill()       { w.dead.Store(true) }
 
-func newWorker(t *testing.T) *worker {
+func newWorker(t *testing.T, opts ...serve.Option) *worker {
 	t.Helper()
 	w := &worker{eng: pushpull.NewEngine()}
 	mgr, err := jobs.NewManager(w.eng)
@@ -48,7 +48,7 @@ func newWorker(t *testing.T) *worker {
 		t.Fatal(err)
 	}
 	t.Cleanup(mgr.Close)
-	h := serve.New(w.eng, serve.WithJobManager(mgr))
+	h := serve.New(w.eng, append(opts, serve.WithJobManager(mgr))...)
 	w.ts = httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
 		if w.dead.Load() {
 			panic(http.ErrAbortHandler)
@@ -62,11 +62,11 @@ func newWorker(t *testing.T) *worker {
 	return w
 }
 
-func newFleet(t *testing.T, n int) []*worker {
+func newFleet(t *testing.T, n int, opts ...serve.Option) []*worker {
 	t.Helper()
 	out := make([]*worker, n)
 	for i := range out {
-		out[i] = newWorker(t)
+		out[i] = newWorker(t, opts...)
 	}
 	return out
 }

@@ -43,11 +43,14 @@ import (
 	"encoding/hex"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"pushpull/internal/sched"
 )
 
 // DefaultCacheCapacity is the result-cache size (entries) of NewEngine
@@ -272,12 +275,13 @@ func (e *Engine) Run(ctx context.Context, on Runnable, algorithm string, opts ..
 		if f == nil {
 			return rep, err // follower (Coalesced) or a late cache hit
 		}
-		// This call leads the flight: run, publish, wake the followers.
+		// This call leads the flight: run, publish, wake the followers,
+		// whatever way the run ends.
 		if cacheable {
 			e.misses.Add(1)
 		}
+		defer func() { e.resolve(key, f, rep, err) }()
 		rep, err = e.runAdmitted(ctx, a, w, cfg, key)
-		e.resolve(key, f, rep, err)
 		return rep, err
 	}
 	if cacheable {
@@ -312,9 +316,16 @@ func (e *Engine) runAdmitted(ctx context.Context, a Algorithm, w *Workload, cfg 
 }
 
 // execute is the dispatch tail shared by every Engine: capability checks
-// are already done, so run the algorithm and normalize the Report.
-func execute(ctx context.Context, a Algorithm, w *Workload, cfg *Config) (*Report, error) {
-	rep, err := a.Run(ctx, w, cfg)
+// are already done, so run the algorithm and normalize the Report. A run
+// that panics, on the caller or in a kernel's worker, fails with an error
+// carrying the value and the stack; the process and the engine go on.
+func execute(ctx context.Context, a Algorithm, w *Workload, cfg *Config) (rep *Report, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			rep, err = nil, runPanic(a.Name(), v)
+		}
+	}()
+	rep, err = a.Run(ctx, w, cfg)
 	if rep != nil {
 		rep.Algorithm = a.Name()
 		// Surface the cancellation only when the run actually stopped
@@ -326,6 +337,17 @@ func execute(ctx context.Context, a Algorithm, w *Workload, cfg *Config) (*Repor
 		}
 	}
 	return rep, err
+}
+
+// runPanic is the error of a run of algorithm that panicked with v: v
+// and the stack it panicked on, the worker's when a kernel loop re-raised
+// it (sched.Panic).
+func runPanic(algorithm string, v any) error {
+	p, ok := v.(*sched.Panic)
+	if !ok {
+		p = &sched.Panic{Value: v, Stack: debug.Stack()}
+	}
+	return fmt.Errorf("pushpull: %s panicked: %w", algorithm, p)
 }
 
 // cachedCopy returns the per-request view of a cached report: a shallow

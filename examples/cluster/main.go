@@ -31,28 +31,9 @@ import (
 	"time"
 
 	"pushpull"
+	"pushpull/api"
+	"pushpull/cluster"
 )
-
-type placement struct {
-	Name     string   `json:"name"`
-	ID       string   `json:"id"`
-	N        int      `json:"n"`
-	M        int64    `json:"m"`
-	Replicas []string `json:"replicas"`
-	Epoch    uint64   `json:"epoch"`
-}
-
-type runStats struct {
-	Direction string `json:"direction"`
-	CacheHit  bool   `json:"cache_hit"`
-	Coalesced bool   `json:"coalesced"`
-}
-
-type runResponse struct {
-	Summary string   `json:"summary"`
-	Counts  []int64  `json:"counts"`
-	Stats   runStats `json:"stats"`
-}
 
 func main() {
 	addr := flag.String("addr", "http://127.0.0.1:8090", "router base URL")
@@ -121,7 +102,7 @@ func main() {
 	fmt.Println("lifecycle ok: scratch deleted cluster-wide, runs 404")
 }
 
-func upload(client *http.Client, addr, name string, g *pushpull.Graph) placement {
+func upload(client *http.Client, addr, name string, g *pushpull.Graph) cluster.Placement {
 	var buf bytes.Buffer
 	if err := pushpull.WriteWorkload(&buf, pushpull.NewWorkload(g)); err != nil {
 		log.Fatalf("encode: %v", err)
@@ -139,14 +120,14 @@ func upload(client *http.Client, addr, name string, g *pushpull.Graph) placement
 	if resp.StatusCode != http.StatusCreated {
 		log.Fatalf("upload %s: got %d: %s", name, resp.StatusCode, body)
 	}
-	var pl placement
+	var pl cluster.Placement
 	if err := json.Unmarshal(body, &pl); err != nil {
 		log.Fatalf("upload %s: parsing placement: %v", name, err)
 	}
 	return pl
 }
 
-func run(client *http.Client, addr, graph, algo string, want int) (runResponse, string) {
+func run(client *http.Client, addr, graph, algo string, want int) (api.RunResponse, string) {
 	body, _ := json.Marshal(map[string]any{"graph": graph, "algorithm": algo})
 	resp, err := client.Post(addr+"/run", "application/json", bytes.NewReader(body))
 	if err != nil {
@@ -157,13 +138,13 @@ func run(client *http.Client, addr, graph, algo string, want int) (runResponse, 
 	if resp.StatusCode != want {
 		log.Fatalf("run %s/%s: got %d, want %d: %s", graph, algo, resp.StatusCode, want, raw)
 	}
-	var rr runResponse
+	var rr api.RunResponse
 	if want == http.StatusOK {
 		if err := json.Unmarshal(raw, &rr); err != nil {
 			log.Fatalf("run %s/%s: parsing response: %v", graph, algo, err)
 		}
 	}
-	return rr, resp.Header.Get("X-Cluster-Worker")
+	return rr, resp.Header.Get(cluster.WorkerHeader)
 }
 
 func total(counts []int64) string {

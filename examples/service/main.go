@@ -29,21 +29,8 @@ import (
 	"time"
 
 	"pushpull"
+	"pushpull/api"
 )
-
-type runStats struct {
-	Direction   string `json:"direction"`
-	Iterations  int    `json:"iterations"`
-	ElapsedNS   int64  `json:"elapsed_ns"`
-	QueueWaitNS int64  `json:"queue_wait_ns"`
-	CacheHit    bool   `json:"cache_hit"`
-	Coalesced   bool   `json:"coalesced"`
-}
-
-type runResponse struct {
-	Summary string   `json:"summary"`
-	Stats   runStats `json:"stats"`
-}
 
 func main() {
 	addr := flag.String("addr", "http://127.0.0.1:8080", "serving-front base URL")
@@ -76,7 +63,7 @@ func main() {
 
 	// The same request twice: first a real run, then a cache hit.
 	runBody := `{"graph": "demo", "algorithm": "pr", "options": {"direction": "pull", "iterations": 20}}`
-	var first, second runResponse
+	var first, second api.RunResponse
 	mustJSON(do(client, post(*addr+"/run", runBody), http.StatusOK), &first)
 	fmt.Printf("run 1: %s (cache_hit=%v, %v)\n",
 		first.Summary, first.Stats.CacheHit, time.Duration(first.Stats.ElapsedNS))
@@ -97,7 +84,7 @@ func main() {
 	const burst = 6
 	burstBody := `{"graph": "demo", "algorithm": "pr", "options": {"direction": "push", "iterations": 30}}`
 	var wg sync.WaitGroup
-	results := make([]runResponse, burst)
+	results := make([]api.RunResponse, burst)
 	for i := range results {
 		wg.Add(1)
 		go func(i int) {
@@ -163,7 +150,7 @@ func main() {
 			}
 			time.Sleep(20 * time.Millisecond)
 		}
-		var jr runResponse
+		var jr api.RunResponse
 		mustJSON(do(client, get(*addr+"/jobs/"+bj.ID+"/result"), http.StatusOK), &jr)
 		fmt.Printf("job %s: done — %s\n", bj.ID, jr.Summary)
 	}

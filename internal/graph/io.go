@@ -119,16 +119,33 @@ func ReadEdgeList(r io.Reader) (*CSR, error) {
 // its line number in the input, so the result, the graph or the error, is
 // the one a line-by-line read gives.
 func ReadEdgeListKind(r io.Reader) (*CSR, bool, error) {
-	return readEdgeList(r, blockSize)
+	return readEdgeList(r, blockSize, math.MaxInt64)
 }
+
+// ReadEdgeListLimit is ReadEdgeListKind for a reader that may take at
+// most limit bytes of memory for the graph: a header whose vertex count
+// alone needs more (vertexBytes a vertex) is refused with ErrTooLarge
+// before anything is allocated for it. The body's own bytes are the
+// caller's to bound.
+func ReadEdgeListLimit(r io.Reader, limit int64) (*CSR, bool, error) {
+	return readEdgeList(r, blockSize, limit)
+}
+
+// ErrTooLarge: an edge list's header declares more vertices than the
+// reader's limit has room for.
+var ErrTooLarge = errors.New("graph: header past the limit")
+
+// vertexBytes is what reading a graph costs per vertex its header
+// declares, edges aside: the offsets and the Builder's cursor.
+const vertexBytes = 16
 
 // blockSize is the most a block holds, unless one line alone is longer:
 // the reader cuts a block at its last newline once it has read this many
 // bytes.
 const blockSize = 1 << 20
 
-// readEdgeList is ReadEdgeListKind with blocks cut at size bytes.
-func readEdgeList(r io.Reader, size int) (*CSR, bool, error) {
+// readEdgeList is ReadEdgeListLimit with blocks cut at size bytes.
+func readEdgeList(r io.Reader, size int, limit int64) (*CSR, bool, error) {
 	s := splitter{r: r, size: size}
 	first := s.next(make([]byte, 0, size))
 	if len(first.text) == 0 {
@@ -153,6 +170,9 @@ func readEdgeList(r io.Reader, size int) (*CSR, bool, error) {
 	}
 	if n < 0 || n > math.MaxInt32 {
 		return nil, false, fmt.Errorf("graph: line 1: vertex count %d out of range [0,%d]", n, math.MaxInt32)
+	}
+	if int64(n) > limit/vertexBytes {
+		return nil, false, fmt.Errorf("%w: line 1: %d vertices need %d bytes, more than %d", ErrTooLarge, n, int64(n)*vertexBytes, limit)
 	}
 	directed := len(header) >= 6 && string(header[5]) == "1"
 	b := NewBuilder(n)

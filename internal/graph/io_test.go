@@ -387,7 +387,7 @@ func FuzzReadEdgeListOracle(f *testing.F) {
 		}
 		og, odirected, oerr := oracleReadEdgeListKind(strings.NewReader(body))
 		for _, size := range blockSizes {
-			g, directed, err := readEdgeList(strings.NewReader(body), size)
+			g, directed, err := readEdgeList(strings.NewReader(body), size, math.MaxInt64)
 			if (err == nil) != (oerr == nil) {
 				t.Fatalf("block size %d: reader err = %v, oracle err = %v", size, err, oerr)
 			}
@@ -417,7 +417,7 @@ func agreesWithOracle(t *testing.T, body string) {
 	og, odirected, oerr := oracleReadEdgeListKind(strings.NewReader(body))
 	for _, size := range blockSizes {
 		for _, r := range []io.Reader{strings.NewReader(body), iotest.OneByteReader(strings.NewReader(body))} {
-			g, directed, err := readEdgeList(r, size)
+			g, directed, err := readEdgeList(r, size, math.MaxInt64)
 			if (err == nil) != (oerr == nil) || err != nil && err.Error() != oerr.Error() {
 				t.Fatalf("%.40q at block size %d: reader err = %v, oracle err = %v", body, size, err, oerr)
 			}
@@ -498,7 +498,7 @@ func TestReadEdgeListBlockBoundaries(t *testing.T) {
 		// More than a block of good lines before each of two refusals.
 		fill := strings.Repeat("0 1\n", size/4+2)
 		twoRefusals := hdr + fill + "0 x\n" + fill + "9 0\n" + fill
-		if _, _, err := readEdgeList(strings.NewReader(twoRefusals), size); err == nil ||
+		if _, _, err := readEdgeList(strings.NewReader(twoRefusals), size, math.MaxInt64); err == nil ||
 			!strings.Contains(err.Error(), fmt.Sprintf("line %d: strconv.Atoi", size/4+4)) {
 			t.Errorf("block size %d: err = %v, want the first refusal's line, %d", size, err, size/4+4)
 		}
@@ -528,7 +528,7 @@ func TestReadEdgeListBlockBoundaries(t *testing.T) {
 	body := "# pushpull 3 2 1 0\r\n0 1 2\r\n1 2\r\n"
 	want, _, _ := oracleReadEdgeListKind(strings.NewReader(body))
 	for size := 1; size <= len(body); size++ {
-		g, _, err := readEdgeList(strings.NewReader(body), size)
+		g, _, err := readEdgeList(strings.NewReader(body), size, math.MaxInt64)
 		if err != nil {
 			t.Fatalf("block size %d: %v", size, err)
 		}
@@ -546,7 +546,7 @@ func TestReadEdgeListLeavesNoGoroutine(t *testing.T) {
 	fill := strings.Repeat("0 1\n", 20_000)
 	boom := errors.New("source failed")
 	refused := strings.NewReader(hdr + "0 x\n" + fill)
-	if _, _, err := readEdgeList(refused, 64); err == nil || !strings.Contains(err.Error(), "line 2:") {
+	if _, _, err := readEdgeList(refused, 64, math.MaxInt64); err == nil || !strings.Contains(err.Error(), "line 2:") {
 		t.Errorf("refusal in the first block: err = %v, want line 2", err)
 	}
 	if refused.Len() < len(fill)/2 {
@@ -555,7 +555,7 @@ func TestReadEdgeListLeavesNoGoroutine(t *testing.T) {
 	// The line the source fails in is not read to its end, so it is not
 	// parsed: "0" would be refused.
 	failing := io.MultiReader(strings.NewReader(hdr+fill+"0"), iotest.ErrReader(boom))
-	if _, _, err := readEdgeList(failing, 64); !errors.Is(err, boom) {
+	if _, _, err := readEdgeList(failing, 64, math.MaxInt64); !errors.Is(err, boom) {
 		t.Errorf("source failing mid-stream: err = %v, want %v", err, boom)
 	}
 	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
@@ -776,5 +776,19 @@ func TestEdgeListAllocs(t *testing.T) {
 	}
 	if d := reads[100_000] - reads[10_000]; d < 0 || d > 32 {
 		t.Errorf("reader allocations %v at 10k lines, %v at 100k: want them within 32", reads[10_000], reads[100_000])
+	}
+}
+
+// TestReadEdgeListLimit: a header's vertices are charged vertexBytes
+// each against the limit before any edge is read: a graph whose vertices
+// fit exactly is read, and at one byte less the header is refused with
+// ErrTooLarge.
+func TestReadEdgeListLimit(t *testing.T) {
+	const body = "# pushpull 4 1 0\n0 1\n"
+	if g, _, err := ReadEdgeListLimit(strings.NewReader(body), 4*vertexBytes); err != nil || g.NumV != 4 {
+		t.Errorf("at a limit of exactly 4 vertices: %v, %v", g, err)
+	}
+	if _, _, err := ReadEdgeListLimit(strings.NewReader(body), 4*vertexBytes-1); !errors.Is(err, ErrTooLarge) {
+		t.Errorf("at one byte less: err = %v, want ErrTooLarge", err)
 	}
 }

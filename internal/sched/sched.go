@@ -9,7 +9,9 @@
 package sched
 
 import (
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
@@ -97,7 +99,9 @@ func OwnerOf(n, t, i int) int {
 // schedule. body receives the worker id and a half-open sub-range. With
 // Static, each worker gets exactly one contiguous block (its "partition");
 // with Dynamic, workers pull chunks of the given grain (0 ⇒ a heuristic
-// grain) until the range is exhausted.
+// grain) until the range is exhausted. A body that panics panics on the
+// caller: inline at t = 1, and otherwise as a *Panic raised once every
+// worker has stopped.
 func ParallelFor(n, t int, s Schedule, grain int, body func(worker, lo, hi int)) {
 	if n <= 0 {
 		return
@@ -117,13 +121,13 @@ func ParallelFor(n, t int, s Schedule, grain int, body func(worker, lo, hi int))
 
 // parallelFor is the multi-worker slow path of ParallelFor.
 func parallelFor(n, t int, s Schedule, grain int, body func(worker, lo, hi int)) {
-	var wg sync.WaitGroup
-	wg.Add(t)
+	var b barrier
+	b.wg.Add(t)
 	switch s {
 	case Static:
 		for w := 0; w < t; w++ {
 			go func(w int) {
-				defer wg.Done()
+				defer b.done()
 				lo, hi := BlockRange(n, t, w)
 				if lo < hi {
 					body(w, lo, hi)
@@ -140,7 +144,7 @@ func parallelFor(n, t int, s Schedule, grain int, body func(worker, lo, hi int))
 		var cursor atomic.Int64
 		for w := 0; w < t; w++ {
 			go func(w int) {
-				defer wg.Done()
+				defer b.done()
 				for {
 					lo := int(cursor.Add(int64(grain))) - grain
 					if lo >= n {
@@ -155,7 +159,46 @@ func parallelFor(n, t int, s Schedule, grain int, body func(worker, lo, hi int))
 			}(w)
 		}
 	}
-	wg.Wait()
+	b.wait()
+}
+
+// A Panic is a worker's panic raised again on the goroutine that waits
+// for the worker: the value the worker panicked with and the worker's
+// stack when it did, which the re-raise would otherwise lose.
+type Panic struct {
+	Value any
+	Stack []byte
+}
+
+// Error reports the value and the worker's stack.
+func (p *Panic) Error() string { return fmt.Sprintf("%v\n\n%s", p.Value, p.Stack) }
+
+// barrier is what a team's waiter shares with its workers: the count of
+// workers still running and the first panic among them.
+type barrier struct {
+	wg     sync.WaitGroup
+	caught atomic.Pointer[Panic]
+}
+
+// done ends a worker, deferred: it records the worker's panic, if any,
+// instead of letting it end the process.
+func (b *barrier) done() {
+	if v := recover(); v != nil {
+		p, ok := v.(*Panic)
+		if !ok {
+			p = &Panic{Value: v, Stack: debug.Stack()}
+		}
+		b.caught.CompareAndSwap(nil, p)
+	}
+	b.wg.Done()
+}
+
+// wait returns once every worker is done, raising the first one's panic.
+func (b *barrier) wait() {
+	b.wg.Wait()
+	if p := b.caught.Swap(nil); p != nil {
+		panic(p)
+	}
 }
 
 // SequentialFor partitions [0, n) into t blocks exactly as ParallelFor with
@@ -182,7 +225,7 @@ type Pool struct {
 	t    int
 	jobs []chan func(worker int)
 	done chan struct{}
-	wg   sync.WaitGroup
+	b    barrier
 }
 
 // NewPool starts a pool with t workers.
@@ -195,21 +238,28 @@ func NewPool(t int) *Pool {
 		p.jobs[w] = make(chan func(worker int))
 		go func(w int) {
 			for job := range p.jobs[w] {
-				job(w)
-				p.wg.Done()
+				p.run(job, w)
 			}
 		}(w)
 	}
 	return p
 }
 
-// Run executes body once on every worker and waits for all to finish.
+// run executes one job on worker w.
+func (p *Pool) run(job func(worker int), w int) {
+	defer p.b.done()
+	job(w)
+}
+
+// Run executes body once on every worker and waits for all to finish. A
+// body that panics panics on the caller, as a *Panic, once every worker
+// has finished; the pool stays usable.
 func (p *Pool) Run(body func(worker int)) {
-	p.wg.Add(p.t)
+	p.b.wg.Add(p.t)
 	for w := 0; w < p.t; w++ {
 		p.jobs[w] <- body
 	}
-	p.wg.Wait()
+	p.b.wait()
 }
 
 // Close shuts the pool down. The pool must be idle.

@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"errors"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -153,6 +155,57 @@ func TestPoolRun(t *testing.T) {
 			t.Fatalf("worker %d ran %d times, want 10", w, got)
 		}
 	}
+}
+
+// TestPanicRaisedOnCaller: a worker that panics in a ParallelFor loop,
+// under either schedule, or in a Pool job, does not end the process: the
+// caller panics instead, with a *Panic carrying the value and the
+// worker's stack, once every other worker has stopped. The pool runs its
+// next job.
+func TestPanicRaisedOnCaller(t *testing.T) {
+	caught := func(run func()) (p *Panic) {
+		t.Helper()
+		defer func() {
+			if v := recover(); !errors.As(asError(v), &p) {
+				t.Errorf("recovered %v (%T), want a *Panic", v, v)
+			}
+		}()
+		run()
+		return nil
+	}
+	for _, s := range []Schedule{Static, Dynamic} {
+		var finished atomic.Int64
+		p := caught(func() {
+			ParallelFor(1000, 4, s, 10, func(w, lo, hi int) {
+				if lo == 0 {
+					panic("boom")
+				}
+				finished.Add(int64(hi - lo))
+			})
+		})
+		if p == nil || p.Value != "boom" || !strings.Contains(string(p.Stack), "TestPanicRaisedOnCaller") {
+			t.Errorf("%v: raised %+v, want the worker's value and stack", s, p)
+		}
+		if s == Static && finished.Load() != 750 {
+			t.Errorf("static: %d of 750 iterations outside the panicking block ran before the raise", finished.Load())
+		}
+	}
+	pool := NewPool(2)
+	defer pool.Close()
+	if p := caught(func() { pool.Run(func(w int) { panic(w) }) }); p == nil || (p.Value != 0 && p.Value != 1) {
+		t.Errorf("pool: raised %+v, want a worker id", p)
+	}
+	var ran atomic.Int64
+	pool.Run(func(int) { ran.Add(1) })
+	if ran.Load() != 2 {
+		t.Errorf("pool after a panic: %d of 2 workers ran the next job", ran.Load())
+	}
+}
+
+// asError is v as an error, nil when it is not one.
+func asError(v any) error {
+	err, _ := v.(error)
+	return err
 }
 
 func TestScheduleString(t *testing.T) {

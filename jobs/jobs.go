@@ -22,24 +22,27 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
 
 	"pushpull/api"
+	"pushpull/internal/edge"
 )
 
 // ErrDeadlineExceeded: the job's deadline passed before it could start
 // executing. The scheduler fails such jobs at dispatch time without
-// consuming a worker slot; Result returns this error for them.
-var ErrDeadlineExceeded = errors.New("jobs: deadline exceeded before the job could run")
+// consuming a worker slot; Result returns this error for them. Like the
+// errors below, it carries the status that answers it (edge.Status): 504.
+var ErrDeadlineExceeded = edge.Class(http.StatusGatewayTimeout, errors.New("jobs: deadline exceeded before the job could run"))
 
 // ErrNotFound: no job with the requested ID — never submitted here, or
-// terminal long enough ago to have been collected (WithRetention).
-var ErrNotFound = errors.New("jobs: no such job")
+// terminal long enough ago to have been collected (WithRetention). 404.
+var ErrNotFound = edge.NotFound(errors.New("jobs: no such job"))
 
-// ErrNotDone: the job has no result yet (still queued or running).
-var ErrNotDone = errors.New("jobs: job has not finished")
+// ErrNotDone: the job has no result yet (still queued or running). 202.
+var ErrNotDone = edge.Class(http.StatusAccepted, errors.New("jobs: job has not finished"))
 
-// ErrClosed: the Manager was closed and accepts no more submissions.
-var ErrClosed = errors.New("jobs: manager closed")
+// ErrClosed: the Manager was closed and accepts no more submissions. 503.
+var ErrClosed = edge.Class(http.StatusServiceUnavailable, errors.New("jobs: manager closed"))
 
 // ErrPersist: the job store refused a record. A submission that meets it
 // is refused whole, with none of its jobs kept in memory or in the store.

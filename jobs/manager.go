@@ -34,6 +34,7 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
+	"net/http"
 	"runtime"
 	"sort"
 	"sync"
@@ -254,7 +255,7 @@ func (m *Manager) Submit(spec Spec) (*Job, error) {
 // the accepted half of a failed submission.
 func (m *Manager) SubmitBatch(specs []Spec) (string, []*Job, error) {
 	if len(specs) == 0 {
-		return "", nil, fmt.Errorf("jobs: empty batch")
+		return "", nil, edge.BadRequest(errors.New("jobs: empty batch"))
 	}
 	batchID := newID("b-")
 	jobs, err := m.submit(specs, batchID)
@@ -327,7 +328,7 @@ func (m *Manager) validate(spec Spec) error {
 		return err
 	}
 	if spec.DeadlineMS < 0 {
-		return fmt.Errorf("jobs: negative deadline_ms %d", spec.DeadlineMS)
+		return edge.BadRequest(fmt.Errorf("jobs: negative deadline_ms %d", spec.DeadlineMS))
 	}
 	return nil
 }
@@ -393,8 +394,9 @@ func (b *ResultBody) Close() error { return b.payload.Close() }
 // OpenResult opens the result of a done job. A still-pending job returns
 // ErrNotDone; a deadline-expired one returns ErrDeadlineExceeded; other
 // non-done terminal states return an error carrying the job's failure
-// message. A job reported done by Get has a result to open until it is
-// collected: done is only ever recorded after the payload is stored.
+// message, 410 for a canceled or interrupted job. A job reported done by
+// Get has a result to open until it is collected: done is only ever
+// recorded after the payload is stored.
 func (m *Manager) OpenResult(id string) (*ResultBody, error) {
 	m.mu.Lock()
 	j, ok := m.jobs[id]
@@ -412,8 +414,10 @@ func (m *Manager) OpenResult(id string) (*ResultBody, error) {
 		err = fmt.Errorf("%w: %q is %s", ErrNotDone, id, j.State)
 	case j.Error == ErrDeadlineExceeded.Error():
 		err = fmt.Errorf("%w (job %q)", ErrDeadlineExceeded, id)
+	case j.State == StateFailed:
+		err = fmt.Errorf("jobs: %q failed: %s", id, j.Error)
 	default:
-		err = fmt.Errorf("jobs: %q %s: %s", id, j.State, j.Error)
+		err = edge.Class(http.StatusGone, fmt.Errorf("jobs: %q is %s: %s", id, j.State, j.Error))
 	}
 	m.mu.Unlock()
 	if err != nil {
@@ -478,7 +482,7 @@ func (m *Manager) Cancel(id string) (*Job, error) {
 // and/or batch ID when non-empty, sorted by submission time then ID.
 func (m *Manager) List(state State, batchID string) ([]*Job, error) {
 	if state != "" && !state.Valid() {
-		return nil, fmt.Errorf("jobs: bad state filter %q", state)
+		return nil, edge.BadRequest(fmt.Errorf("jobs: bad state filter %q", state))
 	}
 	m.mu.Lock()
 	out := make([]*Job, 0, len(m.jobs))
@@ -717,14 +721,17 @@ func (m *Manager) sweepLocked() {
 // records the outcome. Runs on its own goroutine, holding one dispatch
 // slot. Everything proportional to the result happens before mu is
 // taken: the tail comes from the engine's cache entry when the run was a
-// hit, and is stored once per distinct payload.
+// hit, and is stored once per distinct payload. A run that panics fails
+// its job alone: the engine returns the panic as the run's error.
 func (m *Manager) execute(j *Job, ctx context.Context, cancel context.CancelFunc) {
 	defer func() {
 		cancel()
 		<-m.sem
 		m.wake()
 	}()
-	rep, err := m.runSpec(ctx, j.Spec)
+	// The spec is resolved again: it was validated at submission, but
+	// the graph may have been dropped while the job queued.
+	rep, err := edge.Run(ctx, m.eng, j.Spec.Graph, j.Spec.Algorithm, &j.Spec.Options)
 	var (
 		reply api.Reply
 		hash  string
@@ -756,22 +763,6 @@ func (m *Manager) execute(j *Job, ctx context.Context, cancel context.CancelFunc
 	if err := m.finishLocked(j); err != nil && j.Error == "" {
 		j.Error = err.Error()
 	}
-}
-
-// runSpec resolves and runs one spec on the engine.
-func (m *Manager) runSpec(ctx context.Context, spec Spec) (*pushpull.Report, error) {
-	// Validated at submission, but the graph may have been dropped while
-	// the job queued.
-	wl, opts, err := edge.Resolve(m.eng, spec.Graph, spec.Algorithm, &spec.Options)
-	if err != nil {
-		return nil, err
-	}
-	if spec.Options.TimeoutMS > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(spec.Options.TimeoutMS)*time.Millisecond)
-		defer cancel()
-	}
-	return m.eng.Run(ctx, wl, spec.Algorithm, opts...)
 }
 
 // persistLocked writes j's record through to the store (mu held, the

@@ -16,7 +16,6 @@ package serve
 
 import (
 	"errors"
-	"fmt"
 	"net/http"
 
 	"pushpull/internal/edge"
@@ -51,7 +50,7 @@ func (req *JobRequest) Specs() ([]jobs.Spec, error) {
 }
 
 // submitJobs leaves the judging of each spec to the job manager, whose
-// errors carry their status class (submitStatus).
+// errors carry their status class.
 func (s *Server) submitJobs(w http.ResponseWriter, r *http.Request) {
 	var req JobRequest
 	if _, ok := edge.Decode(w, r, "job request", &req); !ok {
@@ -71,95 +70,54 @@ func (s *Server) submitJobs(w http.ResponseWriter, r *http.Request) {
 		reply = br
 	}
 	if err != nil {
-		edge.WriteError(w, submitStatus(err), err)
+		edge.WriteError(w, edge.Status(err), err)
 		return
 	}
 	edge.WriteJSON(w, http.StatusAccepted, reply)
 }
 
-// submitStatus is the status a refused submission gets. A spec the
-// manager judged gets edge.Status's 404 or 400. The other refusals are
-// the worker's, not the request's: a closed manager answers 503, and a
-// record the job store would not write answers 500.
-func submitStatus(err error) int {
-	switch {
-	case errors.Is(err, jobs.ErrClosed):
-		return http.StatusServiceUnavailable
-	case errors.Is(err, jobs.ErrPersist):
-		return http.StatusInternalServerError
-	}
-	return edge.Status(err)
-}
-
 func (s *Server) listJobs(w http.ResponseWriter, r *http.Request) {
-	state := jobs.State(r.URL.Query().Get("state"))
-	batch := r.URL.Query().Get("batch")
-	list, err := s.jobs.List(state, batch)
-	if err != nil {
-		edge.WriteError(w, http.StatusBadRequest, err)
-		return
-	}
-	edge.WriteJSON(w, http.StatusOK, list)
+	list, err := s.jobs.List(jobs.State(r.URL.Query().Get("state")), r.URL.Query().Get("batch"))
+	reply(w, list, err)
 }
 
 func (s *Server) jobStatus(w http.ResponseWriter, r *http.Request) {
 	j, err := s.jobs.Get(r.PathValue("id"))
-	if err != nil {
-		edge.WriteError(w, jobStatusFor(err), err)
-		return
-	}
-	edge.WriteJSON(w, http.StatusOK, j)
+	reply(w, j, err)
 }
 
 func (s *Server) jobResult(w http.ResponseWriter, r *http.Request) {
-	j, err := s.jobs.Get(r.PathValue("id"))
-	if err != nil {
-		edge.WriteError(w, jobStatusFor(err), err)
-		return
-	}
-	switch j.State {
-	case jobs.StateDone:
-		// The stored document is already an encoded api.RunResponse: the
-		// job's head, then the payload streamed from the job store.
-		body, err := s.jobs.OpenResult(j.ID)
-		if err != nil {
-			edge.WriteError(w, jobStatusFor(err), err)
-			return
-		}
-		defer body.Close()
-		writeBody(w, body.Size, func() { body.WriteTo(w) })
-	case jobs.StateQueued, jobs.StateRunning:
+	id := r.PathValue("id")
+	body, err := s.jobs.OpenResult(id)
+	if errors.Is(err, jobs.ErrNotDone) {
 		// Not ready: 202 with the status view so pollers can hit this
 		// endpoint alone and branch on the code.
-		edge.WriteJSON(w, http.StatusAccepted, j)
-	case jobs.StateFailed:
-		if j.Error == jobs.ErrDeadlineExceeded.Error() {
-			edge.WriteError(w, http.StatusGatewayTimeout, fmt.Errorf("job %q: %s", j.ID, j.Error))
+		var j *jobs.Job
+		if j, err = s.jobs.Get(id); err == nil {
+			edge.WriteJSON(w, http.StatusAccepted, j)
 			return
 		}
-		edge.WriteError(w, http.StatusInternalServerError, fmt.Errorf("job %q failed: %s", j.ID, j.Error))
-	default: // canceled, interrupted
-		edge.WriteError(w, http.StatusGone, fmt.Errorf("job %q is %s: %s", j.ID, j.State, j.Error))
 	}
+	if err != nil {
+		edge.WriteError(w, edge.Status(err), err)
+		return
+	}
+	// The stored document is already an encoded api.RunResponse: the
+	// job's head, then the payload streamed from the job store.
+	defer body.Close()
+	writeBody(w, body.Size, func() { body.WriteTo(w) })
 }
 
 func (s *Server) cancelJob(w http.ResponseWriter, r *http.Request) {
 	j, err := s.jobs.Cancel(r.PathValue("id"))
-	if err != nil {
-		edge.WriteError(w, jobStatusFor(err), err)
-		return
-	}
-	edge.WriteJSON(w, http.StatusOK, j)
+	reply(w, j, err)
 }
 
-// jobStatusFor maps manager errors onto HTTP statuses.
-func jobStatusFor(err error) int {
-	switch {
-	case errors.Is(err, jobs.ErrNotFound):
-		return http.StatusNotFound
-	case errors.Is(err, jobs.ErrNotDone):
-		return http.StatusAccepted
-	default:
-		return http.StatusInternalServerError
+// reply answers a manager call: v with 200, or err with its status.
+func reply(w http.ResponseWriter, v any, err error) {
+	if err != nil {
+		edge.WriteError(w, edge.Status(err), err)
+		return
 	}
+	edge.WriteJSON(w, http.StatusOK, v)
 }

@@ -11,15 +11,12 @@
 //	GET    /healthz        liveness probe
 //	GET    /algorithms     the registry: name, description, caps
 //	GET    /graphs         registered workloads: name, n, m, kind, id
-//	PUT    /graphs/{name}  register a workload from a text edge list (the
-//	                       WriteWorkload format) or, with Content-Type
-//	                       CSRContentType, a binary CSR (the
-//	                       WriteWorkloadCSR format a cluster router
-//	                       replicates); either header's kind flags —
-//	                       directed, weighted — are honored; persisted
-//	                       when the engine has a store attached, and
-//	                       overwriting a name with different content
-//	                       invalidates the old graph's cached results
+//	PUT    /graphs/{name}  register a workload from a text edge list or,
+//	                       as CSRContentType, a binary CSR, of the kind
+//	                       its header records; persisted when the engine
+//	                       has a store attached, and overwriting a name
+//	                       with different content invalidates the old
+//	                       graph's cached results
 //	DELETE /graphs/{name}  drop a workload (registry, cache, and store)
 //	POST   /run            {"graph": ..., "algorithm": ..., "options": {...}}
 //	GET    /stats          engine cache, dedup and admission-queue telemetry
@@ -28,15 +25,13 @@
 // (ranks/counts/colors/parents+levels where the algorithm has one), the
 // direction trace, and the run stats including cache_hit and
 // queue_wait_ns — the serving layer is benchmarkable end to end. Bodies
-// are decoded, judged and answered through pushpull/internal/edge, which
-// the cluster router shares; a job spec's only judge is its jobs.Manager.
+// are read, judged, run and answered through pushpull/internal/edge,
+// which the cluster router and the job plane share.
 package serve
 
 import (
-	"context"
 	"errors"
 	"fmt"
-	"mime"
 	"net/http"
 	"strconv"
 	"sync"
@@ -70,10 +65,8 @@ const EpochHeader = "X-Cluster-Epoch"
 const ContentIDHeader = "X-Cluster-Content-ID"
 
 // CSRContentType is the media type of a PUT /graphs body in the binary
-// CSR format (pushpull.WriteWorkloadCSR), the form a cluster router
-// replicates uploads in. A body of any other accepted type is a text edge
-// list.
-const CSRContentType = "application/x-pushpull-csr"
+// CSR format, the form a cluster router replicates uploads in.
+const CSRContentType = edge.CSRContentType
 
 // Server is an http.Handler serving one Engine.
 type Server struct {
@@ -257,43 +250,8 @@ func (s *Server) graphs(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) putGraph(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	csr, err := isCSR(r.Header.Get("Content-Type"))
-	if err != nil {
-		edge.WriteError(w, http.StatusUnsupportedMediaType, err)
-		return
-	}
-	tooBig := func() {
-		edge.WriteError(w, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("upload exceeds the server's %d-byte graph limit; split the graph or raise -max-upload", s.maxUpload))
-	}
-	if csr && r.ContentLength > s.maxUpload {
-		tooBig()
-		return
-	}
-	body := http.MaxBytesReader(w, r.Body, s.maxUpload)
-	var wl *pushpull.Workload
-	if csr {
-		// A declared length bounds what the header may claim, so a short
-		// body claiming a huge graph is refused before any allocation.
-		limit := s.maxUpload
-		if r.ContentLength >= 0 {
-			limit = min(limit, r.ContentLength)
-		}
-		wl, err = pushpull.ReadWorkloadCSR(body, limit)
-	} else {
-		wl, err = pushpull.ReadWorkload(body)
-	}
-	if err != nil {
-		var maxErr *http.MaxBytesError
-		if errors.As(err, &maxErr) {
-			tooBig()
-			return
-		}
-		what := "edge list"
-		if csr {
-			what = "CSR body"
-		}
-		edge.WriteError(w, http.StatusBadRequest, fmt.Errorf("parsing %s: %w", what, err))
+	wl, ok := edge.ReadGraph(w, r, s.maxUpload)
+	if !ok {
 		return
 	}
 	// The ID is memoized on the handle: registering it below costs no
@@ -309,13 +267,9 @@ func (s *Server) putGraph(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 	if err := s.eng.RegisterWorkload(name, wl); err != nil {
-		status := http.StatusBadRequest
-		if errors.Is(err, pushpull.ErrStore) {
-			// The graph is registered but not persisted: a server-side
-			// fault, not a client mistake.
-			status = http.StatusInternalServerError
-		}
-		edge.WriteError(w, status, err)
+		// The graph is registered but not persisted (ErrStore): a fault
+		// of the worker, not of the request.
+		edge.WriteError(w, edge.Status(err), err)
 		return
 	}
 	if epoch > 0 {
@@ -382,47 +336,15 @@ func (s *Server) fence(w http.ResponseWriter, r *http.Request, name string) (epo
 	return epoch, s.epochMu.Unlock, true
 }
 
-// isCSR reports whether a PUT /graphs Content-Type names the binary CSR
-// format. A missing type, and the types clients send a text edge list
-// as — text/plain, application/octet-stream (a generic byte stream), and
-// application/x-www-form-urlencoded (curl's default for --data-binary) —
-// name the text format; any other type is an error.
-func isCSR(contentType string) (bool, error) {
-	if contentType == "" {
-		return false, nil
-	}
-	mt, _, err := mime.ParseMediaType(contentType)
-	if err != nil {
-		return false, fmt.Errorf("bad Content-Type %q: %w", contentType, err)
-	}
-	switch mt {
-	case CSRContentType:
-		return true, nil
-	case "text/plain", "application/octet-stream", "application/x-www-form-urlencoded":
-		return false, nil
-	}
-	return false, fmt.Errorf("unsupported Content-Type %q: send a text edge list or %s", mt, CSRContentType)
-}
-
 func (s *Server) run(w http.ResponseWriter, r *http.Request) {
 	var req RunRequest
 	if _, ok := edge.Decode(w, r, "run request", &req); !ok {
 		return
 	}
-	wl, opts, err := edge.Resolve(s.eng, req.Graph, req.Algorithm, &req.Options)
-	if err != nil {
-		edge.WriteError(w, edge.Status(err), err)
-		return
-	}
 	// The drain signal rides the context so a queued (not-yet-admitted)
 	// run fails the moment Drain is called, while admitted runs finish.
 	ctx := pushpull.WithDrainSignal(r.Context(), s.draining)
-	if req.Options.TimeoutMS > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.Options.TimeoutMS)*time.Millisecond)
-		defer cancel()
-	}
-	rep, err := s.eng.Run(ctx, wl, req.Algorithm, opts...)
+	rep, err := edge.Run(ctx, s.eng, req.Graph, req.Algorithm, &req.Options)
 	if err != nil {
 		if errors.Is(err, pushpull.ErrOverloaded) {
 			// The engine shed this run instead of queueing it: tell the
@@ -433,7 +355,7 @@ func (s *Server) run(w http.ResponseWriter, r *http.Request) {
 			// actually grows.
 			w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(queueETA(s.eng.Stats()))))
 		}
-		edge.WriteError(w, statusFor(err), err)
+		edge.WriteError(w, edge.Status(err), err)
 		return
 	}
 	// On an engine hit the tail — the payload, nearly all of the reply —
@@ -505,31 +427,6 @@ func retryAfterSeconds(eta time.Duration) int {
 
 func graphInfo(name string, wl *pushpull.Workload) GraphInfo {
 	return GraphInfo{Name: name, N: wl.N(), M: wl.M(), Kind: wl.Kind(), ID: wl.ID()}
-}
-
-// statusFor maps engine errors onto HTTP statuses: precondition failures
-// are the client's (400), a shed run is 429, a run whose queue will never
-// move again because the worker is shutting down is 503 (which sends the
-// client or router elsewhere), timeouts are gateway timeouts, the rest is
-// a server-side 500.
-func statusFor(err error) int {
-	switch {
-	case errors.Is(err, pushpull.ErrOverloaded):
-		return http.StatusTooManyRequests
-	case errors.Is(err, pushpull.ErrDraining):
-		return http.StatusServiceUnavailable
-	case errors.Is(err, pushpull.ErrNeedsWeights),
-		errors.Is(err, pushpull.ErrDirectedUnsupported),
-		errors.Is(err, pushpull.ErrProbesUnsupported),
-		errors.Is(err, pushpull.ErrOutOfCoreUnsupported),
-		errors.Is(err, pushpull.ErrBadSource),
-		errors.Is(err, pushpull.ErrBadOption):
-		return http.StatusBadRequest
-	case errors.Is(err, context.DeadlineExceeded):
-		return http.StatusGatewayTimeout
-	default:
-		return http.StatusInternalServerError
-	}
 }
 
 // writeBody sends a 200 JSON document of a known length that write
