@@ -6,10 +6,6 @@
 // result is byte-identical to what a synchronous POST /run would have
 // returned, so clients (and the cluster router) can treat the two paths
 // interchangeably.
-//
-// pushpull/serve re-exports these types under their original names
-// (serve.RunRequest = api.RunRequest, ...), so pre-jobs clients keep
-// compiling unchanged.
 package api
 
 import (

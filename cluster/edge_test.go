@@ -70,27 +70,40 @@ func TestRouterAndWorkerAgree(t *testing.T) {
 	if err := pushpull.WriteWorkloadCSR(&csr, small); err != nil {
 		t.Fatal(err)
 	}
-	if err := pushpull.WriteWorkload(&big, pushpull.NewWorkload(testGraph(t, 3000, 5))); err != nil {
+	large := pushpull.NewWorkload(testGraph(t, 3000, 5))
+	if err := pushpull.WriteWorkload(&big, large); err != nil {
 		t.Fatal(err)
 	}
 	if text.Len() > limit || csr.Len() > limit || big.Len() <= limit {
 		t.Fatalf("bodies of %d, %d and %d bytes do not straddle the %d-byte limit", text.Len(), csr.Len(), big.Len(), limit)
 	}
+	var bigCSR bytes.Buffer
+	if err := pushpull.WriteWorkloadCSR(&bigCSR, large); err != nil {
+		t.Fatal(err)
+	}
 	for _, c := range []struct {
 		name, contentType string
 		body              []byte
 		want              int
+		chunked           bool
 	}{
-		{"text", "", text.Bytes(), http.StatusCreated},
-		{"plain", "text/plain", text.Bytes(), http.StatusCreated},
-		{"csr", serve.CSRContentType, csr.Bytes(), http.StatusCreated},
-		{"json", "application/json", text.Bytes(), http.StatusUnsupportedMediaType},
-		{"big", "", big.Bytes(), http.StatusRequestEntityTooLarge},
-		{"huge-header", "", []byte("# pushpull 16777216 0\n"), http.StatusRequestEntityTooLarge},
-		{"bad-line", "", []byte("# pushpull 3 1 0\n0 x\n"), http.StatusBadRequest},
+		{"text", "", text.Bytes(), http.StatusCreated, false},
+		{"plain", "text/plain", text.Bytes(), http.StatusCreated, false},
+		{"csr", serve.CSRContentType, csr.Bytes(), http.StatusCreated, false},
+		{"json", "application/json", text.Bytes(), http.StatusUnsupportedMediaType, false},
+		{"big", "", big.Bytes(), http.StatusRequestEntityTooLarge, false},
+		{"huge-header", "", []byte("# pushpull 16777216 0\n"), http.StatusRequestEntityTooLarge, false},
+		{"bad-line", "", []byte("# pushpull 3 1 0\n0 x\n"), http.StatusBadRequest, false},
+		// Sent with no Content-Length, a CSR header past the limit is an
+		// upload too large, as a text header is.
+		{"chunked-csr-header", serve.CSRContentType, bigCSR.Bytes()[:24], http.StatusRequestEntityTooLarge, true},
 	} {
 		for tier, base := range tiers {
-			req, err := http.NewRequest(http.MethodPut, base+"/graphs/"+c.name+"-"+tier, bytes.NewReader(c.body))
+			var body io.Reader = bytes.NewReader(c.body)
+			if c.chunked {
+				body = io.MultiReader(body) // a reader of unknown length
+			}
+			req, err := http.NewRequest(http.MethodPut, base+"/graphs/"+c.name+"-"+tier, body)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -121,6 +134,29 @@ func TestRouterAndWorkerAgree(t *testing.T) {
 		t.Errorf("a run past its own deadline moved the router's retried %d → %d, failed %d → %d",
 			before.Retried, after.Retried, before.Failed, after.Failed)
 	}
+}
+
+// TestRouterPassesOnUploadRefusal: an upload every replica refuses for
+// its own size limit answers the replica's 413, not 502, and is not a
+// failure of the fleet; a body within every limit still lands.
+func TestRouterPassesOnUploadRefusal(t *testing.T) {
+	const workerLimit = 16 << 10
+	fleet := newFleet(t, 2, serve.WithMaxUpload(workerLimit))
+	ts, _ := newRouter(t, fleet, func(c *cluster.Config) { c.MaxUpload = 1 << 20 })
+	var csr bytes.Buffer
+	g := testGraph(t, 1000, 5)
+	if err := pushpull.WriteWorkloadCSR(&csr, pushpull.NewWorkload(g)); err != nil {
+		t.Fatal(err)
+	}
+	if csr.Len() <= workerLimit {
+		t.Fatalf("a %d-byte CSR does not pass the workers' %d-byte limit", csr.Len(), workerLimit)
+	}
+	before := routerStats(t, ts.URL)
+	putGraph(t, ts.URL, "big", g, http.StatusRequestEntityTooLarge)
+	if after := routerStats(t, ts.URL); after.Failed != before.Failed {
+		t.Errorf("a refused upload moved the router's failed %d → %d", before.Failed, after.Failed)
+	}
+	putGraph(t, ts.URL, "small", testGraph(t, 50, 3), http.StatusCreated)
 }
 
 // waitAlgo runs until its context ends: a run that meets its deadline

@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"pushpull/api"
 	"pushpull/cluster"
 	"pushpull/jobs"
 	"pushpull/serve"
@@ -106,7 +107,7 @@ func TestRouterJobSubmitPollResult(t *testing.T) {
 	if rstatus != http.StatusOK {
 		t.Fatalf("GET result: status %d: %s", rstatus, rbody)
 	}
-	var rr serve.RunResponse
+	var rr api.RunResponse
 	if err := json.Unmarshal(rbody, &rr); err != nil {
 		t.Fatal(err)
 	}

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"pushpull"
+	"pushpull/api"
 	"pushpull/internal/edge"
 	"pushpull/serve"
 )
@@ -238,17 +239,22 @@ func (rt *Router) putGraph(w http.ResponseWriter, r *http.Request) {
 	//pushpull:allow lockheld mutation fan-outs serialize on mutMu by design; bounded by MutateTimeout
 	acks := rt.fanPut(ctx, replicas, name, csr.Bytes(), id, epoch)
 	acked := make([]string, 0, len(replicas))
-	var firstErr error
+	var failure error // the first replica's, unless a later one is the fleet's
 	for i, wkr := range replicas {
 		if acks[i] == nil {
 			acked = append(acked, wkr)
-		} else if firstErr == nil {
-			firstErr = acks[i]
+		} else if failure == nil || edge.Status(acks[i]) >= 500 {
+			failure = acks[i]
 		}
 	}
 	if len(acked) == 0 {
+		// Every replica refused the body (4xx): the client's fault.
+		if status := edge.Status(failure); status < 500 {
+			edge.WriteError(w, status, failure)
+			return
+		}
 		rt.failed.Add(1)
-		edge.WriteError(w, http.StatusBadGateway, fmt.Errorf("upload reached no replica: %v", firstErr))
+		edge.WriteError(w, http.StatusBadGateway, fmt.Errorf("upload reached no replica: %v", failure))
 		return
 	}
 	if len(acked) < len(replicas) {
@@ -283,7 +289,8 @@ func (rt *Router) putGraph(w http.ResponseWriter, r *http.Request) {
 
 // fanPut replicates one upload, csr in the binary CSR format with content
 // ID id, to every target concurrently; the result slice holds nil per
-// acknowledged worker, the failure otherwise.
+// acknowledged worker, the failure otherwise, classed with the worker's
+// status if it answered.
 func (rt *Router) fanPut(ctx context.Context, targets []string, name string, csr []byte, id string, epoch uint64) []error {
 	errs := make([]error, len(targets))
 	var wg sync.WaitGroup
@@ -297,7 +304,7 @@ func (rt *Router) fanPut(ctx context.Context, targets []string, name string, csr
 				rt.health.MarkDown(wkr)
 				errs[i] = fmt.Errorf("%s: %w", wkr, err)
 			case !resp.ok():
-				errs[i] = fmt.Errorf("%s: %s", wkr, errorFrom(resp))
+				errs[i] = edge.Class(resp.status, fmt.Errorf("%s: %s", wkr, errorFrom(resp)))
 			}
 		}(i, wkr)
 	}
@@ -332,7 +339,7 @@ func (rt *Router) deleteGraph(w http.ResponseWriter, r *http.Request) {
 }
 
 func (rt *Router) run(w http.ResponseWriter, r *http.Request) {
-	var req serve.RunRequest
+	var req api.RunRequest
 	body, ok := edge.Decode(w, r, "run request", &req)
 	if !ok {
 		return

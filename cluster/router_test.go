@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"pushpull"
+	"pushpull/api"
 	"pushpull/cluster"
 	"pushpull/jobs"
 	"pushpull/serve"
@@ -143,7 +144,7 @@ func putGraph(t *testing.T, base, name string, g *pushpull.Graph, wantStatus int
 
 // postRun POSTs a run and returns (response, serving worker). A non-2xx
 // other than wantStatus fails the test.
-func postRun(t *testing.T, base, body string, wantStatus int) (serve.RunResponse, string) {
+func postRun(t *testing.T, base, body string, wantStatus int) (api.RunResponse, string) {
 	t.Helper()
 	resp, err := http.Post(base+"/run", "application/json", strings.NewReader(body))
 	if err != nil {
@@ -154,7 +155,7 @@ func postRun(t *testing.T, base, body string, wantStatus int) (serve.RunResponse
 	if resp.StatusCode != wantStatus {
 		t.Fatalf("POST /run %s: status %d, want %d: %s", body, resp.StatusCode, wantStatus, raw)
 	}
-	var rr serve.RunResponse
+	var rr api.RunResponse
 	if wantStatus == http.StatusOK {
 		if err := json.Unmarshal(raw, &rr); err != nil {
 			t.Fatalf("parsing run response %q: %v", raw, err)

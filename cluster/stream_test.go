@@ -15,9 +15,9 @@ import (
 	"testing"
 	"time"
 
+	"pushpull/api"
 	"pushpull/cluster"
 	"pushpull/jobs"
-	"pushpull/serve"
 )
 
 // fleetOf returns the fleet member with the given URL.
@@ -87,7 +87,7 @@ func TestRouterStreamFailsOverBeforeFirstByte(t *testing.T) {
 		if resp.ContentLength != int64(len(raw)) {
 			t.Errorf("primary answering %d: Content-Length %d for a %d-byte body", status, resp.ContentLength, len(raw))
 		}
-		var rr serve.RunResponse
+		var rr api.RunResponse
 		if err := json.Unmarshal(raw, &rr); err != nil || len(rr.Ranks) != 300 || strings.Contains(string(raw), "scripted") {
 			t.Errorf("primary answering %d: body is not the secondary's reply alone (%v): %.200s", status, err, raw)
 		}

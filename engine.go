@@ -486,44 +486,45 @@ func (e *Engine) invalidateID(id string) int {
 }
 
 // EngineStats is a point-in-time snapshot of an Engine's serving
-// telemetry.
+// telemetry, in JSON the first part of a worker's GET /stats body.
 type EngineStats struct {
 	// CacheHits / CacheMisses count cacheable runs by outcome: a miss is
 	// a cacheable run that actually executed. Together with Uncacheable
 	// and Coalesced they partition all requests — a coalesced follower
 	// counts only as Coalesced, never as a miss.
-	CacheHits, CacheMisses uint64
+	CacheHits   uint64 `json:"cache_hits"`
+	CacheMisses uint64 `json:"cache_misses"`
 	// Uncacheable counts runs that bypassed the cache (bare *Graph,
 	// hooks, probes, custom policies, or a cache-disabled Engine).
-	Uncacheable uint64
+	Uncacheable uint64 `json:"uncacheable"`
 	// Coalesced counts requests served by single-flight deduplication:
 	// they joined an identical in-progress run instead of executing.
-	Coalesced uint64
+	Coalesced uint64 `json:"coalesced"`
 	// CacheEntries is the current number of cached reports. CacheBytes is
 	// what they are charged against CacheBudget (WithResultCacheBytes; 0 =
 	// no byte bound): payload slice bytes plus EncodingBytes. It exceeds
 	// the budget by at most the most-recently-used entry's charge.
-	CacheEntries int
-	CacheBytes   int64
-	CacheBudget  int64
+	CacheEntries int   `json:"cache_entries"`
+	CacheBytes   int64 `json:"cache_bytes"`
+	CacheBudget  int64 `json:"cache_budget_bytes"`
 	// EncodingHits counts Report.Encoding calls answered from a cache
 	// entry's memoized bytes; EncodingBytes is what the live entries'
 	// memos retain right now.
-	EncodingHits  uint64
-	EncodingBytes int64
+	EncodingHits  uint64 `json:"encoded_hits"`
+	EncodingBytes int64  `json:"encoded_bytes"`
 	// Workers is the admission bound (WithWorkers): at most this many runs
 	// execute at once. 0 means unbounded.
-	Workers int
+	Workers int `json:"workers"`
 	// QueuedRuns counts runs that waited in the admission queue;
 	// QueueWait is their cumulative wait. Waiting is the instantaneous
 	// queue depth: unlike the cumulative counters it can go to zero
 	// again, and serving fronts multiply it by the mean historical wait
 	// to produce an honest Retry-After. Rejected counts runs shed with
 	// ErrOverloaded under WithQueueLimit.
-	QueuedRuns uint64
-	QueueWait  time.Duration
-	Waiting    int64
-	Rejected   uint64
+	QueuedRuns uint64        `json:"queued_runs"`
+	QueueWait  time.Duration `json:"queue_wait_ns"`
+	Waiting    int64         `json:"waiting"`
+	Rejected   uint64        `json:"rejected"`
 }
 
 // Stats snapshots the Engine's cache, dedup and admission telemetry.

@@ -110,34 +110,3 @@ func (l *SpinLock) Lock() (spins int) {
 
 // Unlock releases the lock. It must only be called by the holder.
 func (l *SpinLock) Unlock() { l.state.Store(0) }
-
-// CacheLineSize is the assumed size of one cache line in bytes. 64 bytes
-// matches every x86 and most ARM server parts, including the Xeons used in
-// the paper's testbeds.
-const CacheLineSize = 64
-
-// PaddedInt64 is an int64 counter padded to occupy a full cache line, so
-// per-thread counters placed in a slice do not false-share.
-type PaddedInt64 struct {
-	atomic.Int64
-	_ [CacheLineSize - 8]byte
-}
-
-// PaddedCounters is a set of per-thread padded counters.
-type PaddedCounters []PaddedInt64
-
-// Sum returns the total across all per-thread counters.
-func (p PaddedCounters) Sum() int64 {
-	var s int64
-	for i := range p {
-		s += p[i].Load()
-	}
-	return s
-}
-
-// Reset zeroes all counters.
-func (p PaddedCounters) Reset() {
-	for i := range p {
-		p[i].Store(0)
-	}
-}

@@ -141,29 +141,6 @@ func TestSpinLockMutualExclusion(t *testing.T) {
 	}
 }
 
-func TestPaddedCounters(t *testing.T) {
-	p := make(PaddedCounters, 4)
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				p[w].Add(1)
-			}
-		}()
-	}
-	wg.Wait()
-	if got := p.Sum(); got != 4000 {
-		t.Fatalf("Sum = %d, want 4000", got)
-	}
-	p.Reset()
-	if got := p.Sum(); got != 0 {
-		t.Fatalf("Sum after Reset = %d, want 0", got)
-	}
-}
-
 // Property: a sequence of atomic float adds equals the plain sum.
 func TestAddFloat64MatchesPlainSum(t *testing.T) {
 	f := func(vals []float64) bool {

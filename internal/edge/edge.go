@@ -108,7 +108,9 @@ func ReadGraph(w http.ResponseWriter, r *http.Request, limit int64) (*pushpull.W
 		wl, err = readText(body, limit)
 	}
 	if err != nil {
-		if errors.As(err, new(*http.MaxBytesError)) || errors.Is(err, graph.ErrTooLarge) {
+		// A CSR header past its declared length is a malformed body.
+		tooBig := errors.Is(err, graph.ErrTooLarge) && (!csr || r.ContentLength < 0)
+		if tooBig || errors.As(err, new(*http.MaxBytesError)) {
 			tooLarge(w, limit, err)
 		} else {
 			WriteError(w, http.StatusBadRequest, fmt.Errorf("parsing %s: %w", what, err))

@@ -172,7 +172,7 @@ func ReadCSR(r io.Reader, limit int64) (*CSR, bool, error) {
 		arc = 8
 	}
 	if room := limit - csrBytes(int(n), 0, false); room < 0 || m > uint64(room)/arc {
-		return nil, false, fmt.Errorf("graph: csr: %d vertices and %d arcs do not fit in the %d-byte limit", n, m, limit)
+		return nil, false, fmt.Errorf("%w: csr: %d vertices and %d arcs do not fit in the %d-byte limit", ErrTooLarge, n, m, limit)
 	}
 	g := &CSR{NumV: V(n), Offsets: make([]int64, int(n)+1), Adj: make([]V, m)}
 	if weighted {

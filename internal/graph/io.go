@@ -131,8 +131,8 @@ func ReadEdgeListLimit(r io.Reader, limit int64) (*CSR, bool, error) {
 	return readEdgeList(r, blockSize, limit)
 }
 
-// ErrTooLarge: an edge list's header declares more vertices than the
-// reader's limit has room for.
+// ErrTooLarge: a graph's header, an edge list's or a binary CSR's,
+// declares more than the reader's limit has room for.
 var ErrTooLarge = errors.New("graph: header past the limit")
 
 // vertexBytes is what reading a graph costs per vertex its header

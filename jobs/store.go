@@ -15,7 +15,6 @@ package jobs
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"io/fs"
@@ -23,6 +22,8 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+
+	"pushpull/internal/atomicfile"
 )
 
 // JobStore persists job records for a Manager. Implementations must be
@@ -135,16 +136,19 @@ func (s *MemJobStore) Payloads() (map[string]int64, error) {
 // ---- on-disk store ----
 
 // DiskJobStore persists each job as one JSON file under a directory:
-// <id>.job, written atomically (temp file + rename, the DiskStore
-// idiom) so a crash mid-Put leaves the previous record intact — the job
-// store can never hold a half-written record, only the last state the
-// job durably reached. Job IDs are generated hex ([a-z0-9-]), so the
-// filename mapping is the identity. Payloads are one file each under
-// payloads/, named by their hash and written the same way.
+// <id>.job. Job IDs are generated hex ([a-z0-9-]), so the filename
+// mapping is the identity. Payloads are one file each under payloads/,
+// named by their hash.
+//
+// Every file is replaced whole (internal/atomicfile, temps in the root),
+// so a process killed mid-Put leaves the old record or the new, and every
+// one whose Put returned; NewDiskJobStore removes its temp. Nothing is
+// fsynced, so a power loss is not covered. One process owns a store
+// directory.
 type DiskJobStore struct {
 	dir string
-	// mu serializes writers; readers go straight to the filesystem
-	// (rename makes each file's content atomic).
+	// mu serializes the renames and removals of writers; readers go
+	// straight to the filesystem.
 	mu sync.Mutex
 }
 
@@ -155,7 +159,8 @@ const (
 	payloadDir = "payloads"
 )
 
-// NewDiskJobStore opens (creating if needed) a job store rooted at dir.
+// NewDiskJobStore opens (creating if needed) a job store rooted at dir,
+// removing the temps a killed writer left there.
 func NewDiskJobStore(dir string) (*DiskJobStore, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("jobstore: empty directory")
@@ -163,11 +168,11 @@ func NewDiskJobStore(dir string) (*DiskJobStore, error) {
 	if err := os.MkdirAll(filepath.Join(dir, payloadDir), 0o755); err != nil {
 		return nil, fmt.Errorf("jobstore: %w", err)
 	}
+	if err := atomicfile.Sweep(dir); err != nil {
+		return nil, fmt.Errorf("jobstore: %w", err)
+	}
 	return &DiskJobStore{dir: dir}, nil
 }
-
-// Dir returns the store's root directory.
-func (s *DiskJobStore) Dir() string { return s.dir }
 
 func (s *DiskJobStore) path(id string) string {
 	return filepath.Join(s.dir, id+jobExt)
@@ -181,8 +186,7 @@ func (s *DiskJobStore) List() ([]*Job, error) {
 	}
 	var out []*Job
 	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), jobExt) || strings.HasPrefix(e.Name(), ".") {
-			// Temp files and foreign droppings.
+		if e.IsDir() || !strings.HasSuffix(e.Name(), jobExt) || atomicfile.Hidden(e.Name()) {
 			continue
 		}
 		buf, err := os.ReadFile(filepath.Join(s.dir, e.Name()))
@@ -201,45 +205,20 @@ func (s *DiskJobStore) List() ([]*Job, error) {
 	return out, nil
 }
 
-// Put implements JobStore.
+// Put implements JobStore. Its errors are the file system's, which name
+// the file.
 func (s *DiskJobStore) Put(j *Job) error {
-	return s.writeFile(s.path(j.ID), func(f *os.File) error {
+	return atomicfile.Replace(s.dir, s.path(j.ID), &s.mu, func(f io.Writer) error {
 		// Encode appends the newline a record ends with.
 		return json.NewEncoder(f).Encode(j)
 	})
-}
-
-// writeFile publishes a file atomically: write fills a temp file in the
-// store's root (same filesystem as every destination), and only the
-// rename that publishes it runs under the store lock, so concurrent
-// writers of one path still serialize into complete, last-write-wins
-// files.
-func (s *DiskJobStore) writeFile(path string, write func(*os.File) error) error {
-	tmp, err := os.CreateTemp(s.dir, ".put-*")
-	if err != nil {
-		return fmt.Errorf("jobstore: %w", err)
-	}
-	err = write(tmp)
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		s.mu.Lock()
-		err = os.Rename(tmp.Name(), path)
-		s.mu.Unlock()
-	}
-	if err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("jobstore: %q: %w", filepath.Base(path), err)
-	}
-	return nil
 }
 
 // Delete implements JobStore.
 func (s *DiskJobStore) Delete(id string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := os.Remove(s.path(id)); err != nil && !errors.Is(err, fs.ErrNotExist) {
+	if err := atomicfile.Remove(s.path(id)); err != nil {
 		return fmt.Errorf("jobstore: %q: %w", id, err)
 	}
 	return nil
@@ -266,7 +245,7 @@ func (s *DiskJobStore) PutPayload(hash string, data []byte) error {
 	if err != nil {
 		return err
 	}
-	return s.writeFile(path, func(f *os.File) error {
+	return atomicfile.Replace(s.dir, path, &s.mu, func(f io.Writer) error {
 		_, err := f.Write(data)
 		return err
 	})
@@ -296,7 +275,7 @@ func (s *DiskJobStore) DeletePayload(hash string) error {
 	if err != nil {
 		return err
 	}
-	if err := os.Remove(path); err != nil && !errors.Is(err, fs.ErrNotExist) {
+	if err := atomicfile.Remove(path); err != nil {
 		return fmt.Errorf("jobstore: payload: %w", err)
 	}
 	return nil

@@ -101,16 +101,16 @@ func TestServeEncodedPayloadShared(t *testing.T) {
 	}
 	tail := int64(len(tailOf(hit)) - 1) // the reply's newline is not payload
 	// Five replies came off the entry's memo after the first hit built it.
-	if st.EncodedHits != 4 || st.EncodedBytes != tail {
-		t.Errorf("stats: encoded_hits=%d encoded_bytes=%d, want 4 and %d", st.EncodedHits, st.EncodedBytes, tail)
+	if st.EncodingHits != 4 || st.EncodingBytes != tail {
+		t.Errorf("stats: encoded_hits=%d encoded_bytes=%d, want 4 and %d", st.EncodingHits, st.EncodingBytes, tail)
 	}
 	if st.Jobs == nil || st.Jobs.Retained != keep || st.Jobs.Evicted != 1 || st.Jobs.PayloadFiles != 1 || st.Jobs.PayloadBytes != tail {
 		t.Errorf("stats.jobs = %+v, want %d retained, 1 evicted, 1 payload of %d bytes", st.Jobs, keep, tail)
 	}
 	// One entry is cached: its charge is the payload plus the memoized tail,
 	// inside the default budget.
-	if st.CacheBytes <= st.EncodedBytes || st.CacheBytes > st.CacheBudgetBytes || st.CacheBudgetBytes != pushpull.DefaultCacheBytes {
-		t.Errorf("stats: cache_bytes=%d cache_budget_bytes=%d with %d encoded bytes", st.CacheBytes, st.CacheBudgetBytes, st.EncodedBytes)
+	if st.CacheBytes <= st.EncodingBytes || st.CacheBytes > st.CacheBudget || st.CacheBudget != pushpull.DefaultCacheBytes {
+		t.Errorf("stats: cache_bytes=%d cache_budget_bytes=%d with %d encoded bytes", st.CacheBytes, st.CacheBudget, st.EncodingBytes)
 	}
 	for _, field := range []string{"retained", "evicted", "payload_files", "payload_bytes", "encoded_hits", "encoded_bytes", "cache_bytes", "cache_budget_bytes"} {
 		if !bytes.Contains(raw, []byte(fmt.Sprintf("%q:", field))) {

@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"pushpull"
+	"pushpull/api"
 	"pushpull/jobs"
 	"pushpull/serve"
 )
@@ -233,7 +234,7 @@ func TestServeJobsBatchAndLifecycle(t *testing.T) {
 		if rstatus != http.StatusOK {
 			t.Fatalf("result of done job %s: %d: %s", j.ID, rstatus, rraw)
 		}
-		var rr serve.RunResponse
+		var rr api.RunResponse
 		if err := json.Unmarshal(rraw, &rr); err != nil {
 			t.Fatalf("done result is not a RunResponse: %v", err)
 		}

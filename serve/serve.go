@@ -154,12 +154,6 @@ func (s *Server) Drain() {
 	s.drainOnce.Do(func() { close(s.draining) })
 }
 
-// Jobs returns the job manager behind the /jobs endpoints, nil if none.
-func (s *Server) Jobs() *jobs.Manager { return s.jobs }
-
-// Engine returns the Engine the server fronts.
-func (s *Server) Engine() *pushpull.Engine { return s.eng }
-
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
@@ -174,58 +168,14 @@ type GraphInfo struct {
 	ID   string `json:"id"`
 }
 
-// The run wire types live in pushpull/api (shared with pushpull/jobs and
-// pushpull/cluster); the original serve names are kept as aliases so
-// pre-jobs clients compile unchanged.
-
-// AlgorithmInfo is one GET /algorithms entry.
-type AlgorithmInfo = api.AlgorithmInfo
-
-// RunRequest is the POST /run body.
-type RunRequest = api.RunRequest
-
-// RunOptions is the JSON projection of the engine's functional options.
-type RunOptions = api.RunOptions
-
-// RunResponse is the POST /run body on success.
-type RunResponse = api.RunResponse
-
-// RunStats is the JSON projection of the report's RunStats.
-type RunStats = api.RunStats
-
-// Floats is api.Floats: a float vector marshaling non-finite entries as
-// null.
-type Floats = api.Floats
-
-// EngineStats is the GET /stats body. Workers is the engine's admission
-// bound (0 = unbounded), which async jobs dispatch at most; Waiting is the
-// instantaneous admission-queue depth (the cumulative counters only ever
-// grow). QueueETAMS is the live estimate of how long a run arriving now
-// would queue (depth × mean historical queue wait) — the same number 429
-// responses send as Retry-After, rounded up to seconds there.
+// EngineStats is the GET /stats body: the engine's counters, then the
+// worker's. QueueETAMS estimates how long a run arriving now would queue
+// (depth × mean historical queue wait), the number a 429's Retry-After
+// rounds up to seconds.
 type EngineStats struct {
-	CacheHits    uint64 `json:"cache_hits"`
-	CacheMisses  uint64 `json:"cache_misses"`
-	Uncacheable  uint64 `json:"uncacheable"`
-	Coalesced    uint64 `json:"coalesced"`
-	CacheEntries int    `json:"cache_entries"`
-	// CacheBytes is what the cached results are charged — payload vectors
-	// plus EncodedBytes — against CacheBudgetBytes (0 = no byte bound); the
-	// engine evicts from the LRU tail to stay under it.
-	CacheBytes       int64 `json:"cache_bytes"`
-	CacheBudgetBytes int64 `json:"cache_budget_bytes"`
-	// EncodedHits counts replies (POST /run hits and job results) whose
-	// payload encoding came off a cache entry instead of being formatted;
-	// EncodedBytes is what those memoized encodings hold right now.
-	EncodedHits  uint64 `json:"encoded_hits"`
-	EncodedBytes int64  `json:"encoded_bytes"`
-	Workers      int    `json:"workers"`
-	QueuedRuns   uint64 `json:"queued_runs"`
-	QueueWaitNS  int64  `json:"queue_wait_ns"`
-	Waiting      int64  `json:"waiting"`
-	QueueETAMS   int64  `json:"queue_eta_ms"`
-	Rejected     uint64 `json:"rejected"`
-	Graphs       int    `json:"graphs"`
+	pushpull.EngineStats
+	QueueETAMS int64 `json:"queue_eta_ms"`
+	Graphs     int   `json:"graphs"`
 	// Jobs is the async job census and retention bookkeeping, present
 	// when a job manager is wired.
 	Jobs *jobs.Stats `json:"jobs,omitempty"`
@@ -337,7 +287,7 @@ func (s *Server) fence(w http.ResponseWriter, r *http.Request, name string) (epo
 }
 
 func (s *Server) run(w http.ResponseWriter, r *http.Request) {
-	var req RunRequest
+	var req api.RunRequest
 	if _, ok := edge.Decode(w, r, "run request", &req); !ok {
 		return
 	}
@@ -370,26 +320,7 @@ func (s *Server) run(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) stats(w http.ResponseWriter, r *http.Request) {
 	es := s.eng.Stats()
-	out := EngineStats{
-		CacheHits:    es.CacheHits,
-		CacheMisses:  es.CacheMisses,
-		Uncacheable:  es.Uncacheable,
-		Coalesced:    es.Coalesced,
-		CacheEntries: es.CacheEntries,
-
-		CacheBytes:       es.CacheBytes,
-		CacheBudgetBytes: es.CacheBudget,
-
-		EncodedHits:  es.EncodingHits,
-		EncodedBytes: es.EncodingBytes,
-		Workers:      es.Workers,
-		QueuedRuns:   es.QueuedRuns,
-		QueueWaitNS:  int64(es.QueueWait),
-		Waiting:      es.Waiting,
-		QueueETAMS:   queueETA(es).Milliseconds(),
-		Rejected:     es.Rejected,
-		Graphs:       len(s.eng.WorkloadNames()),
-	}
+	out := EngineStats{EngineStats: es, QueueETAMS: queueETA(es).Milliseconds(), Graphs: len(s.eng.WorkloadNames())}
 	if s.jobs != nil {
 		js := s.jobs.Stats()
 		out.Jobs = &js

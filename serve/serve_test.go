@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"pushpull"
+	"pushpull/api"
 	"pushpull/serve"
 )
 
@@ -57,13 +58,13 @@ func uploadGraph(t *testing.T, ts *httptest.Server, name string, w *pushpull.Wor
 	return info
 }
 
-func postRun(t *testing.T, ts *httptest.Server, body string, wantStatus int) serve.RunResponse {
+func postRun(t *testing.T, ts *httptest.Server, body string, wantStatus int) api.RunResponse {
 	t.Helper()
 	req, err := http.NewRequest(http.MethodPost, ts.URL+"/run", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var resp serve.RunResponse
+	var resp api.RunResponse
 	doJSON(t, req, wantStatus, &resp)
 	return resp
 }
@@ -195,7 +196,7 @@ func TestServeUploadDirectedWeighted(t *testing.T) {
 // caps.
 func TestServeAlgorithms(t *testing.T) {
 	ts, _ := newTestServer(t)
-	var algos []serve.AlgorithmInfo
+	var algos []api.AlgorithmInfo
 	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/algorithms", nil)
 	doJSON(t, req, http.StatusOK, &algos)
 	if len(algos) != len(pushpull.Algorithms()) {
@@ -386,7 +387,7 @@ func TestServeSingleFlight(t *testing.T) {
 	const n = 8
 	before := gateRuns.Load()
 	body := `{"graph": "demo", "algorithm": "test-gate"}`
-	responses := make([]serve.RunResponse, n)
+	responses := make([]api.RunResponse, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
@@ -397,7 +398,7 @@ func TestServeSingleFlight(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			var resp serve.RunResponse
+			var resp api.RunResponse
 			doJSON(t, req, http.StatusOK, &resp)
 			responses[i] = resp
 		}(i)

@@ -21,10 +21,12 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 
+	"pushpull/internal/atomicfile"
 	"pushpull/internal/graph"
 )
 
@@ -120,8 +122,13 @@ func (s *MemStore) Delete(name string) error {
 // ReadWorkloadCSR (every HTTP upload) round-trip exactly. A graph the
 // format refuses (a self-loop, a duplicated arc, an undirected graph
 // that differs from its transpose) fails Put instead of being persisted
-// as a different graph. Writes are atomic (temp file + rename): a crash
-// mid-Put leaves the previous content intact.
+// as a different graph.
+//
+// Every file is replaced whole (internal/atomicfile), so a process
+// killed mid-Put leaves the old content or the new, and one killed
+// mid-Delete the content or none; NewDiskStore removes the temp a killed
+// writer left. Nothing is fsynced, so a power loss is not covered. One
+// process owns a store directory.
 //
 // With WithBlockThreshold, a graph above the threshold is persisted as
 // its pull view instead (the same .csr file, with the header's pull-view
@@ -132,7 +139,8 @@ func (s *MemStore) Delete(name string) error {
 // the name replaces the file with a .csr one. Stores written before the
 // pull-view flag hold out-of-core graphs in the retired v1 block format
 // (graph.LegacyBlockExt); the first Get of such a name converts the file,
-// once, to a pull-view .csr.
+// once, to a pull-view .csr, unless the name already has a .csr, which is
+// newer.
 type DiskStore struct {
 	dir string
 	// blockThreshold: a Put whose estimated in-memory CSR footprint
@@ -142,8 +150,8 @@ type DiskStore struct {
 	// blockBuffered opens restored out-of-core handles in buffered
 	// (ReadAt) mode instead of mmap.
 	blockBuffered bool
-	// mu serializes writers per store; readers go straight to the
-	// filesystem (rename makes each file's content atomic).
+	// mu serializes the renames and removals of writers; readers go
+	// straight to the filesystem.
 	mu sync.Mutex
 }
 
@@ -156,8 +164,9 @@ const (
 )
 
 // storeExts are every suffix a persisted name can have, in the order Get
-// looks for them.
-var storeExts = []string{graph.LegacyBlockExt, csrExt, textExt}
+// prefers them. Delete removes them in reverse, so a process killed
+// mid-Delete leaves the name's content or none, never an older file.
+var storeExts = []string{csrExt, graph.LegacyBlockExt, textExt}
 
 // DiskOption configures NewDiskStore.
 type DiskOption func(*DiskStore)
@@ -181,12 +190,16 @@ func WithBufferedBlocks() DiskOption {
 	return func(s *DiskStore) { s.blockBuffered = true }
 }
 
-// NewDiskStore opens (creating if needed) a graph store rooted at dir.
+// NewDiskStore opens (creating if needed) a graph store rooted at dir,
+// removing the temps a killed writer left there.
 func NewDiskStore(dir string, opts ...DiskOption) (*DiskStore, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("diskstore: empty directory")
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("diskstore: %w", err)
+	}
+	if err := atomicfile.Sweep(dir); err != nil {
 		return nil, fmt.Errorf("diskstore: %w", err)
 	}
 	s := &DiskStore{dir: dir}
@@ -196,14 +209,11 @@ func NewDiskStore(dir string, opts ...DiskOption) (*DiskStore, error) {
 	return s, nil
 }
 
-// Dir returns the store's root directory.
-func (s *DiskStore) Dir() string { return s.dir }
-
 // pathExt maps a graph name onto its file with suffix ext. PathEscape
 // makes the mapping injective and filesystem-safe: separators and every
 // other reserved byte arrive percent-encoded, so no name can escape the
 // store directory. A leading dot is escaped by hand (PathEscape leaves
-// it alone): dotfiles are reserved for the store's own temp files, and a
+// it alone): dotfiles are never entries (atomicfile.Hidden), and a
 // graph named ".hidden" must not be mistaken for one and dropped by
 // Names.
 func (s *DiskStore) pathExt(name, ext string) string {
@@ -230,9 +240,7 @@ func (s *DiskStore) Names() ([]string, error) {
 				break
 			}
 		}
-		if !ok || e.IsDir() || strings.HasPrefix(base, ".") {
-			// Temp files and foreign droppings. Persisted names never
-			// produce a dotfile: path() escapes a leading dot.
+		if !ok || e.IsDir() || atomicfile.Hidden(e.Name()) {
 			continue
 		}
 		name, err := url.PathUnescape(base)
@@ -320,10 +328,15 @@ func (s *DiskStore) blockOpts() []WorkloadOption {
 // refuses stays where it is, and the error names it.
 func (s *DiskStore) migrateLegacyBlock(name string) error {
 	legacy := s.pathExt(name, graph.LegacyBlockExt)
-	if !fileExists(legacy) {
+	if _, err := os.Stat(legacy); err != nil {
 		return nil
 	}
-	tmp, err := s.writeTemp(func(f io.Writer) error { return graph.ConvertLegacyBlock(f, legacy) })
+	// No release since the v1 format writes one, so a .csr beside it is
+	// newer: what a Put killed before its stale-format removal leaves.
+	if _, err := os.Stat(s.pathExt(name, csrExt)); err == nil {
+		return nil
+	}
+	tmp, err := atomicfile.Write(s.dir, func(f io.Writer) error { return graph.ConvertLegacyBlock(f, legacy) })
 	switch {
 	case errors.Is(err, fs.ErrNotExist):
 		return nil // converted or deleted meanwhile
@@ -331,11 +344,6 @@ func (s *DiskStore) migrateLegacyBlock(name string) error {
 		return fmt.Errorf("diskstore: %q: %w", name, err)
 	}
 	return s.publish(name, tmp, legacy)
-}
-
-func fileExists(path string) bool {
-	st, err := os.Stat(path)
-	return err == nil && !st.IsDir()
 }
 
 // Put implements GraphStore. The whole-graph serialization happens
@@ -374,45 +382,30 @@ func (s *DiskStore) Put(name string, w *Workload) error {
 	if s.blockThreshold > 0 && estimatedCSRBytes(w) > s.blockThreshold {
 		write = w.writePullView
 	}
-	tmp, err := s.writeTemp(write)
+	tmp, err := atomicfile.Write(s.dir, write)
 	if err != nil {
 		return fmt.Errorf("diskstore: %q: %w", name, err)
 	}
 	return s.publish(name, tmp, "")
 }
 
-// writeTemp writes a temp file in the store directory with write and
-// returns its path; a failed write leaves no file behind.
-func (s *DiskStore) writeTemp(write func(io.Writer) error) (string, error) {
-	f, err := os.CreateTemp(s.dir, ".put-*")
-	if err != nil {
-		return "", err
-	}
-	err = write(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(f.Name())
-	}
-	return f.Name(), err
-}
-
 // publish renames tmp to name's .csr file and removes the name's files
 // in every other format, under the store lock. A non-empty unless names a
 // file whose removal meanwhile cancels the publish.
-func (s *DiskStore) publish(name, tmp, unless string) error {
+func (s *DiskStore) publish(name string, tmp atomicfile.Temp, unless string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if unless != "" && !fileExists(unless) {
-		return os.Remove(tmp)
+	if unless != "" {
+		if _, err := os.Stat(unless); err != nil {
+			tmp.Discard()
+			return nil
+		}
 	}
-	if err := os.Rename(tmp, s.pathExt(name, csrExt)); err != nil {
-		os.Remove(tmp)
+	if err := tmp.Rename(s.pathExt(name, csrExt)); err != nil {
 		return fmt.Errorf("diskstore: %q: %w", name, err)
 	}
 	for _, stale := range []string{graph.LegacyBlockExt, textExt} {
-		if err := os.Remove(s.pathExt(name, stale)); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		if err := atomicfile.Remove(s.pathExt(name, stale)); err != nil {
 			return fmt.Errorf("diskstore: %q: dropping stale %s: %w", name, stale, err)
 		}
 	}
@@ -435,8 +428,8 @@ func estimatedCSRBytes(w *Workload) int64 {
 func (s *DiskStore) Delete(name string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, ext := range storeExts {
-		if err := os.Remove(s.pathExt(name, ext)); err != nil && !errors.Is(err, fs.ErrNotExist) {
+	for _, ext := range slices.Backward(storeExts) {
+		if err := atomicfile.Remove(s.pathExt(name, ext)); err != nil {
 			return fmt.Errorf("diskstore: %q: %w", name, err)
 		}
 	}
