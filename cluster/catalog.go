@@ -28,26 +28,11 @@ type Catalog struct {
 	mu    sync.RWMutex
 	m     map[string]Placement
 	epoch uint64
-	// jobs is the async-tier affinity table: job (or batch) ID → the
-	// worker that accepted the submission. Job state lives on exactly one
-	// worker — there is no replication of job records — so status/result
-	// polls must pin to it; failover would invent a 404 for a live job.
-	// Workers collect their terminal jobs, so an affinity outlives its
-	// use: one is dropped when its worker says the job is gone, and
-	// jobOrder — every ID in the order it was set — lets the oldest be
-	// dropped once more than maxJobs are tracked.
-	jobs     map[string]string
-	jobOrder []string
-	maxJobs  int
 }
-
-// MaxJobAffinities bounds the job/batch affinities a Catalog tracks, far
-// above what a fleet of workers at their default retention still holds.
-const MaxJobAffinities = 1 << 16
 
 // NewCatalog returns an empty catalog.
 func NewCatalog() *Catalog {
-	return &Catalog{m: map[string]Placement{}, jobs: map[string]string{}, maxJobs: MaxJobAffinities}
+	return &Catalog{m: map[string]Placement{}}
 }
 
 // NextEpoch allocates the next mutation epoch (starting at 1).
@@ -92,46 +77,6 @@ func (c *Catalog) List() []Placement {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
-}
-
-// SetJob records which worker accepted a job (or batch) submission, the
-// affinity every later status/result/cancel poll for that ID pins to.
-func (c *Catalog) SetJob(id, worker string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, tracked := c.jobs[id]; !tracked {
-		c.jobOrder = append(c.jobOrder, id)
-	}
-	c.jobs[id] = worker
-	// jobOrder also lists IDs DropJob has since removed; bounding it
-	// bounds the map, and deleting a dropped ID again is harmless.
-	for len(c.jobOrder) > c.maxJobs {
-		delete(c.jobs, c.jobOrder[0])
-		c.jobOrder = c.jobOrder[1:]
-	}
-}
-
-// DropJob forgets a job's affinity: its worker has answered that the job
-// is gone.
-func (c *Catalog) DropJob(id string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	delete(c.jobs, id)
-}
-
-// JobWorker looks up the worker holding a submitted job or batch.
-func (c *Catalog) JobWorker(id string) (string, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	w, ok := c.jobs[id]
-	return w, ok
-}
-
-// JobsLen counts tracked job/batch affinities.
-func (c *Catalog) JobsLen() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.jobs)
 }
 
 // Len counts recorded placements.

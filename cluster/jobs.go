@@ -2,13 +2,17 @@ package cluster
 
 // The async half of the router: /jobs endpoints over the worker fleet.
 // Submission routes like a run — to the primary replica of the job's
-// graph, with the same retry/backoff/failover loop — but the accepted
-// job then LIVES on the worker that took it (job records are not
-// replicated), so the router records a job→worker affinity in the
-// catalog and pins every later status/result/cancel poll to it. A batch
-// must land whole on one worker (one batch ID, one queue): only workers
-// replicating every graph the batch touches are candidates, and a batch
-// spanning disjoint replica sets is refused with 409 — split the batch.
+// graph, with the same retry/backoff/failover loop — and carries the
+// serving worker's origin token (serve.OriginHeader), which the worker
+// mints into every job and batch ID it accepts. Job records are not
+// replicated, so a job LIVES on the worker that took it; a status,
+// result or cancel poll goes to the worker its ID names (jobs.Origin),
+// through the token map New builds once. The router keeps no job table:
+// a restarted router, or a second one over the same workers, routes the
+// same polls the same way. A batch must land whole on one worker (one
+// batch ID, one queue): only workers replicating every graph the batch
+// touches are candidates, and a batch spanning disjoint replica sets is
+// refused with 409 — split the batch.
 
 import (
 	"context"
@@ -49,15 +53,11 @@ func (rt *Router) submitJobs(w http.ResponseWriter, r *http.Request) {
 	}
 	resp, wkr, ok := rt.tryReplicas(r.Context(), w, "job submission", candidates,
 		func(wkr string) (*workerResponse, error) {
-			return rt.proxy.submitJobs(r.Context(), wkr, body)
+			return rt.proxy.submitJobs(r.Context(), wkr, originToken(wkr), body)
 		})
-	if !ok {
-		return
+	if ok {
+		rt.relay(r.Context(), w, resp, wkr)
 	}
-	if resp.status == http.StatusAccepted {
-		rt.recordAffinity(resp.body, wkr)
-	}
-	rt.relay(r.Context(), w, resp, wkr)
 }
 
 // jobTargets computes the submission candidates for a job touching the
@@ -86,33 +86,9 @@ func jobTargets(pls []Placement) ([]string, error) {
 	return common, nil
 }
 
-// recordAffinity parses an accepted submission reply — one job, or a
-// batch ID and its jobs — and pins every ID in it to the worker that took
-// it. Best effort: an unparsable body is the client's problem to surface,
-// not a reason to fail a submission the worker already accepted.
-func (rt *Router) recordAffinity(body []byte, wkr string) {
-	var reply struct {
-		ID      string      `json:"id"`
-		BatchID string      `json:"batch_id"`
-		Jobs    []*jobs.Job `json:"jobs"`
-	}
-	json.Unmarshal(body, &reply)
-	ids := []string{reply.ID, reply.BatchID}
-	for _, j := range reply.Jobs {
-		if j != nil {
-			ids = append(ids, j.ID)
-		}
-	}
-	for _, id := range ids {
-		if id != "" {
-			rt.catalog.SetJob(id, wkr)
-		}
-	}
-}
-
-// jobStatus, jobResult and cancelJob pin to the affinity worker: job
-// records live on exactly one worker, so failover would turn a live job
-// into a phantom 404. A dead affinity worker is a truthful 502.
+// jobStatus, jobResult and cancelJob go to the worker the job's ID
+// names: job records live on exactly one worker, so failover would turn
+// a live job into a phantom 404. A dead worker is a truthful 502.
 func (rt *Router) jobStatus(w http.ResponseWriter, r *http.Request) {
 	rt.jobProxy(w, r, rt.proxy.jobStatus)
 }
@@ -128,10 +104,10 @@ func (rt *Router) cancelJob(w http.ResponseWriter, r *http.Request) {
 func (rt *Router) jobProxy(w http.ResponseWriter, r *http.Request,
 	call func(ctx context.Context, worker, id string) (*workerResponse, error)) {
 	id := r.PathValue("id")
-	wkr, ok := rt.catalog.JobWorker(id)
+	wkr, ok := rt.owners[jobs.Origin(id)]
 	if !ok {
 		edge.WriteError(w, http.StatusNotFound,
-			fmt.Errorf("unknown job %q (not submitted through this router)", id))
+			fmt.Errorf("unknown job %q (its ID names no worker of this fleet)", id))
 		return
 	}
 	resp, err := call(r.Context(), wkr, id)
@@ -140,12 +116,6 @@ func (rt *Router) jobProxy(w http.ResponseWriter, r *http.Request,
 		edge.WriteError(w, http.StatusBadGateway,
 			fmt.Errorf("worker %s holding job %q is unreachable: %v", wkr, id, err))
 		return
-	}
-	if resp.status == http.StatusNotFound || resp.status == http.StatusGone {
-		// The worker no longer has the job (collected by its retention,
-		// or lost with an unpersisted restart) or will never have a result
-		// for it: nothing further can be asked of this affinity.
-		rt.catalog.DropJob(id)
 	}
 	rt.relay(r.Context(), w, resp, wkr)
 }

@@ -1,8 +1,8 @@
 package cluster_test
 
 // Async-tier router tests: job submission routes like a run (replica
-// placement, failover counters), but accepted jobs pin to the worker
-// that took them — the affinity table is what these exercise, along
+// placement, failover counters), and the accepted job's ID names the
+// worker that took it — the origin token every poll is routed by — along
 // with batch atomicity (one worker runs the whole batch or the router
 // refuses it).
 
@@ -74,12 +74,12 @@ func waitJobDone(t *testing.T, base, id string) jobs.Job {
 }
 
 // TestRouterJobSubmitPollResult: a job submitted through the router
-// lands on a replica of its graph, gets an affinity entry, and its
+// lands on a replica of its graph, its ID names that worker, and its
 // status and result polls are answered through the router — the result
 // body being the same RunResponse a synchronous routed run returns.
 func TestRouterJobSubmitPollResult(t *testing.T) {
 	fleet := newFleet(t, 3)
-	ts, rt := newRouter(t, fleet)
+	ts, _ := newRouter(t, fleet)
 	pl := putGraph(t, ts.URL, "demo", testGraph(t, 400, 17), http.StatusCreated)
 	isReplica := map[string]bool{}
 	for _, r := range pl.Replicas {
@@ -98,8 +98,8 @@ func TestRouterJobSubmitPollResult(t *testing.T) {
 	if !isReplica[served] {
 		t.Errorf("job accepted by %s, not a replica of %v", served, pl.Replicas)
 	}
-	if wkr, ok := rt.Catalog().JobWorker(j.ID); !ok || wkr != served {
-		t.Errorf("affinity for %s = (%q, %v), want %q", j.ID, wkr, ok, served)
+	if got, want := jobs.Origin(j.ID), cluster.OriginToken(served); got != want {
+		t.Errorf("job %s names origin %q, want %q, the token of %s", j.ID, got, want, served)
 	}
 
 	waitJobDone(t, ts.URL, j.ID)
@@ -131,20 +131,15 @@ func TestRouterJobSubmitPollResult(t *testing.T) {
 	if !found {
 		t.Errorf("router job list %s does not carry %s", lraw, j.ID)
 	}
-
-	st := routerStats(t, ts.URL)
-	if st.Jobs == 0 {
-		t.Errorf("router stats report %d tracked jobs, want > 0", st.Jobs)
-	}
 }
 
 // TestRouterBatchOneWorker: a batch submitted through the router lands
-// whole on one worker — every job of the batch shares that affinity —
+// whole on one worker — its batch ID and every job ID name that worker —
 // and a batch-filtered list through the router returns exactly its
 // jobs.
 func TestRouterBatchOneWorker(t *testing.T) {
 	fleet := newFleet(t, 3)
-	ts, rt := newRouter(t, fleet)
+	ts, _ := newRouter(t, fleet)
 	putGraph(t, ts.URL, "demo", testGraph(t, 400, 17), http.StatusCreated)
 
 	status, raw, served := postJSON(t, ts.URL, "/jobs", `{"batch": [
@@ -162,12 +157,13 @@ func TestRouterBatchOneWorker(t *testing.T) {
 	if br.BatchID == "" || len(br.Jobs) != 3 {
 		t.Fatalf("batch reply %+v: want a batch ID and 3 jobs", br)
 	}
-	if wkr, ok := rt.Catalog().JobWorker(br.BatchID); !ok || wkr != served {
-		t.Errorf("batch affinity = (%q, %v), want %q", wkr, ok, served)
+	origin := cluster.OriginToken(served)
+	if got := jobs.Origin(br.BatchID); got != origin {
+		t.Errorf("batch %s names origin %q, want %q, the token of %s", br.BatchID, got, origin, served)
 	}
 	for _, j := range br.Jobs {
-		if wkr, ok := rt.Catalog().JobWorker(j.ID); !ok || wkr != served {
-			t.Errorf("job %s affinity = (%q, %v), want the batch's worker %q", j.ID, wkr, ok, served)
+		if got := jobs.Origin(j.ID); got != origin {
+			t.Errorf("job %s names origin %q, want the batch's %q", j.ID, got, origin)
 		}
 		waitJobDone(t, ts.URL, j.ID)
 	}
@@ -232,9 +228,9 @@ func TestRouterBatchDisjointReplicas(t *testing.T) {
 }
 
 // TestRouterJobValidationAndAffinityPin: router-local validation 400s/
-// 404s without touching a worker; polls for unknown jobs 404; and a
-// poll whose affinity worker died is a truthful 502, never a phantom
-// answer from another replica.
+// 404s without touching a worker; polls for IDs that name no worker of
+// the fleet 404; and a poll whose named worker died is a truthful 502,
+// never a phantom answer from another replica.
 func TestRouterJobValidationAndAffinityPin(t *testing.T) {
 	fleet := newFleet(t, 3)
 	ts, _ := newRouter(t, fleet)
@@ -256,15 +252,17 @@ func TestRouterJobValidationAndAffinityPin(t *testing.T) {
 			t.Errorf("POST /jobs %s: status %d, want %d: %s", c.body, status, c.want, raw)
 		}
 	}
-	if status, raw := getJSON(t, ts.URL+"/jobs/j-nope"); status != http.StatusNotFound {
-		t.Errorf("unknown job status poll: %d, want 404: %s", status, raw)
+	for _, id := range []string{"j-nope", "j-0123456789abcdef", "j-0123456789abcdef-0123456789abcdef"} {
+		if status, raw := getJSON(t, ts.URL+"/jobs/"+id); status != http.StatusNotFound {
+			t.Errorf("poll for %s: %d, want 404: %s", id, status, raw)
+		}
 	}
 	if status, raw := getJSON(t, ts.URL+"/jobs?state=bogus"); status != http.StatusBadRequest {
 		t.Errorf("bad state filter: %d, want 400: %s", status, raw)
 	}
 
-	// Submit, finish, then kill the affinity worker: the poll must not
-	// fail over (no other worker knows the job) — 502.
+	// Submit, finish, then kill the worker the ID names: the poll must
+	// not fail over (no other worker knows the job) — 502.
 	status, raw, served := postJSON(t, ts.URL, "/jobs",
 		`{"graph": "demo", "algorithm": "pr", "options": {"iterations": 4}}`)
 	if status != http.StatusAccepted {
@@ -281,7 +279,7 @@ func TestRouterJobValidationAndAffinityPin(t *testing.T) {
 		}
 	}
 	if status, raw := getJSON(t, ts.URL+"/jobs/"+j.ID); status != http.StatusBadGateway {
-		t.Errorf("poll with dead affinity worker: status %d, want 502: %s", status, raw)
+		t.Errorf("poll with the named worker dead: status %d, want 502: %s", status, raw)
 	}
 }
 

@@ -113,9 +113,9 @@ func (p *proxy) run(ctx context.Context, worker string, body []byte) (*workerRes
 }
 
 // submitJobs forwards a POST /jobs body (single spec or batch) to one
-// worker.
-func (p *proxy) submitJobs(ctx context.Context, worker string, body []byte) (*workerResponse, error) {
-	return p.do(ctx, http.MethodPost, worker+"/jobs", body, nil)
+// worker, with origin, the worker's token, for it to mint the IDs under.
+func (p *proxy) submitJobs(ctx context.Context, worker, origin string, body []byte) (*workerResponse, error) {
+	return p.do(ctx, http.MethodPost, worker+"/jobs", body, http.Header{serve.OriginHeader: {origin}})
 }
 
 // jobStatus fetches one job's status view from the worker holding it.

@@ -69,6 +69,10 @@ type Router struct {
 	health  *Health
 	proxy   *proxy
 	mux     *http.ServeMux
+	// owners maps each worker's origin token to its base URL: how a job
+	// poll finds the worker its ID names. Built by New, never written
+	// after, so it is read without a lock.
+	owners map[string]string
 
 	// mutMu serializes replicated mutations (PUT/DELETE fan-outs), so
 	// two mutations of one name cannot interleave their worker writes;
@@ -88,7 +92,7 @@ func New(cfg Config) (*Router, error) {
 		return nil, fmt.Errorf("cluster: no workers configured")
 	}
 	workers := make([]string, 0, len(cfg.Workers))
-	seen := map[string]bool{}
+	owners := map[string]string{}
 	for _, w := range cfg.Workers {
 		w = strings.TrimRight(strings.TrimSpace(w), "/")
 		if w == "" {
@@ -97,10 +101,14 @@ func New(cfg Config) (*Router, error) {
 		if !strings.HasPrefix(w, "http://") && !strings.HasPrefix(w, "https://") {
 			return nil, fmt.Errorf("cluster: worker %q is not an http(s) base URL", w)
 		}
-		if seen[w] {
-			return nil, fmt.Errorf("cluster: duplicate worker %q", w)
+		tok := originToken(w)
+		if prev, taken := owners[tok]; taken {
+			if prev == w {
+				return nil, fmt.Errorf("cluster: duplicate worker %q", w)
+			}
+			return nil, fmt.Errorf("cluster: workers %q and %q share the origin token %s", prev, w, tok)
 		}
-		seen[w] = true
+		owners[tok] = w
 		workers = append(workers, w)
 	}
 	if len(workers) == 0 {
@@ -144,6 +152,7 @@ func New(cfg Config) (*Router, error) {
 		health:  NewHealth(cfg.Workers, cfg.Client, cfg.HealthTimeout),
 		proxy:   &proxy{client: cfg.Client},
 		mux:     http.NewServeMux(),
+		owners:  owners,
 	}
 	rt.mux.HandleFunc("GET /healthz", rt.healthz)
 	rt.mux.HandleFunc("GET /algorithms", edge.Algorithms)
@@ -506,13 +515,10 @@ type RouterStats struct {
 	ReplicasDegraded uint64 `json:"replicas_degraded"`
 	// ReplicasCapped counts uploads placed on fewer replicas than the
 	// configured factor because not enough workers were up.
-	ReplicasCapped    uint64 `json:"replicas_capped"`
-	HealthTransitions uint64 `json:"health_transitions"`
-	Graphs            int    `json:"graphs"`
-	// Jobs counts the job and batch affinities the catalog tracks —
-	// async submissions routed through this router.
-	Jobs    int            `json:"jobs"`
-	Workers []WorkerStatus `json:"workers"`
+	ReplicasCapped    uint64         `json:"replicas_capped"`
+	HealthTransitions uint64         `json:"health_transitions"`
+	Graphs            int            `json:"graphs"`
+	Workers           []WorkerStatus `json:"workers"`
 }
 
 func (rt *Router) stats(w http.ResponseWriter, r *http.Request) {
@@ -525,7 +531,6 @@ func (rt *Router) stats(w http.ResponseWriter, r *http.Request) {
 		ReplicasCapped:    rt.replicasCapped.Load(),
 		HealthTransitions: rt.health.Transitions(),
 		Graphs:            rt.catalog.Len(),
-		Jobs:              rt.catalog.JobsLen(),
 		Workers:           make([]WorkerStatus, len(rt.cfg.Workers)),
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), 2*time.Second)
@@ -571,6 +576,12 @@ func (rt *Router) catalogNames() []string {
 	}
 	return names
 }
+
+// originToken is a worker's origin token: the FNV-1a 64 hash of its
+// normalized base URL, in 16 hex digits (jobs.ValidOrigin). It is a
+// function of the URL alone, so every router over the same worker list
+// holds the same tokens.
+func originToken(worker string) string { return fmt.Sprintf("%016x", placementHash(worker)) }
 
 // upFirst orders candidates with the healthy ones (per the last probe)
 // ahead, preserving placement order within each group.

@@ -157,12 +157,13 @@ func TestRouterWorkerDiesMidBody(t *testing.T) {
 	}
 }
 
-// TestRouterDropsStaleJobAffinity: once a job's worker answers that the
-// job is gone (collected: 404) or will never have a result (410), the
-// router stops tracking it instead of holding the affinity forever.
-func TestRouterDropsStaleJobAffinity(t *testing.T) {
+// TestRouterRelaysJobGone: a job's worker answering that the job is gone
+// (collected: 404) or will never have a result (410) is relayed as it
+// is, poll after poll, and changes nothing at the router: once the worker
+// answers for the job again, so does the router.
+func TestRouterRelaysJobGone(t *testing.T) {
 	ws := newFleet(t, 2)
-	ts, rt := newRouter(t, ws)
+	ts, _ := newRouter(t, ws)
 	putGraph(t, ts.URL, "g", testGraph(t, 300, 1), http.StatusCreated)
 	for _, gone := range []int{http.StatusNotFound, http.StatusGone} {
 		status, raw, wkr := postJSON(t, ts.URL, "/jobs", `{"graph":"g","algorithm":"pr"}`)
@@ -174,24 +175,18 @@ func TestRouterDropsStaleJobAffinity(t *testing.T) {
 			t.Fatal(err)
 		}
 		waitJobDone(t, ts.URL, j.ID)
-		tracked := rt.Catalog().JobsLen()
 		holder := fleetOf(t, ws, wkr)
 		answer(holder, http.MethodGet, "/jobs/"+j.ID, func(rw http.ResponseWriter) {
 			rw.Header().Set("Content-Type", "application/json")
 			rw.WriteHeader(gone)
 			io.WriteString(rw, `{"error":"scripted: gone"}`+"\n")
 		})
-		// The worker's verdict is relayed once...
-		if status, raw := getJSON(t, ts.URL+"/jobs/"+j.ID+"/result"); status != gone || !strings.Contains(string(raw), "scripted") {
-			t.Errorf("first poll after the job went: status %d (%s), want the worker's %d", status, raw, gone)
+		for _, path := range []string{"/jobs/" + j.ID + "/result", "/jobs/" + j.ID} {
+			if status, raw := getJSON(t, ts.URL+path); status != gone || !strings.Contains(string(raw), "scripted") {
+				t.Errorf("GET %s while the worker answers %d: status %d (%s), want the worker's answer", path, gone, status, raw)
+			}
 		}
 		holder.intercept.Store(nil)
-		// ...and the affinity with it: the router now answers for itself.
-		if status, raw := getJSON(t, ts.URL+"/jobs/"+j.ID); status != http.StatusNotFound || !strings.Contains(string(raw), "not submitted through this router") {
-			t.Errorf("poll after the affinity dropped: status %d (%s), want the router's own 404", status, raw)
-		}
-		if got := rt.Catalog().JobsLen(); got != tracked-1 {
-			t.Errorf("affinities tracked: %d, want %d", got, tracked-1)
-		}
+		waitJobDone(t, ts.URL, j.ID)
 	}
 }

@@ -159,8 +159,6 @@ func runBoman(g *graph.CSR, part graph.Partition, opt Options, dir core.Directio
 	}
 	s := newState(g, part)
 	t := part.P
-	pool := sched.NewPool(t)
-	defer pool.Close()
 
 	border := part.Border(g)
 	// Pull threads may only touch their own vertices, so the pull scan is
@@ -181,11 +179,11 @@ func runBoman(g *graph.CSR, part graph.Partition, opt Options, dir core.Directio
 	// counts for push and pull.
 	rowLocks := make([]atomicx.SpinLock, g.N())
 
-	// Phase bodies hoisted out of the iteration loop so the steady state
-	// does not allocate; dirty is captured by reference, so the per-round
-	// reassignment below stays visible.
-	colorPhase := func(w int) { s.colorPartition(w) }
-	fixConflicts := func(w int) {
+	// One ParallelFor index per partition, so worker w runs partition w.
+	// dirty is captured by reference, so the per-round reassignment below
+	// stays visible.
+	colorPhase := func(w, _, _ int) { s.colorPartition(w) }
+	fixConflicts := func(w, _, _ int) {
 		mark := func(loser graph.V, c int32) {
 			rowLocks[loser].Lock()
 			s.avail[loser].set(c)
@@ -241,14 +239,14 @@ func runBoman(g *graph.CSR, part graph.Partition, opt Options, dir core.Directio
 		}
 		start := time.Now()
 		// Phase 1: color each partition independently.
-		pool.Run(colorPhase)
+		sched.ParallelFor(t, t, sched.Static, 0, colorPhase)
 		s.needs.Clear()
 
 		// Phase 2: fix_conflicts over border vertices.
 		for i := range conflictCount {
 			conflictCount[i] = 0
 		}
-		pool.Run(fixConflicts)
+		sched.ParallelFor(t, t, sched.Static, 0, fixConflicts)
 		res.Iterations++
 		el := time.Since(start)
 		res.Stats.Record(el)
@@ -366,9 +364,7 @@ func ConflictRemoval(g *graph.CSR, part graph.Partition, opt Options) (*Result, 
 	if !canceled {
 		// Then all partitions in parallel; border vertices are fixed,
 		// interior vertices of different partitions are never adjacent.
-		pool := sched.NewPool(part.P)
-		defer pool.Close()
-		pool.Run(func(w int) {
+		sched.ParallelFor(part.P, part.P, sched.Static, 0, func(w, _, _ int) {
 			lo, hi := part.Range(w)
 			var s greedyScratch
 			for v := lo; v < hi; v++ {

@@ -102,7 +102,7 @@ func LATable(cfg Config) error {
 		start := time.Now()
 		got := la.PageRank(g, iters, 0.85, dir, cfg.Threads)
 		el := time.Since(start)
-		d := la.MaxDiff(got, wantPR)
+		d := sssp.MaxDiff(got, wantPR)
 		fmt.Fprintf(cfg.Out, "PageRank  %-18s %10s ms  max|Δ| vs direct = %.2g\n",
 			dirLayout(dir), ms(el), d)
 		if d > 1e-9 {
@@ -136,7 +136,7 @@ func LATable(cfg Config) error {
 		start := time.Now()
 		got := la.SSSPBellmanFord(wg, 0, dir, cfg.Threads)
 		el := time.Since(start)
-		d := la.MaxDiff(got, wantD)
+		d := sssp.MaxDiff(got, wantD)
 		fmt.Fprintf(cfg.Out, "SSSP      %-18s %10s ms  max|Δ| vs Dijkstra = %.2g\n",
 			dirLayout(dir), ms(el), d)
 		if d > 1e-9 {

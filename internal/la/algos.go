@@ -1,8 +1,6 @@
 package la
 
 import (
-	"math"
-
 	"pushpull/internal/core"
 	"pushpull/internal/graph"
 )
@@ -142,19 +140,4 @@ func SSSPBellmanFord(g *graph.CSR, source graph.V, dir core.Direction, threads i
 		}
 	}
 	return d
-}
-
-// MaxDiff returns the largest absolute element difference, treating paired
-// infinities as equal.
-func MaxDiff(a, b []float64) float64 {
-	max := 0.0
-	for i := range a {
-		if math.IsInf(a[i], 1) && math.IsInf(b[i], 1) {
-			continue
-		}
-		if d := math.Abs(a[i] - b[i]); d > max {
-			max = d
-		}
-	}
-	return max
 }

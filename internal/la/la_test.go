@@ -68,7 +68,7 @@ func TestCSRvsCSCMatVec(t *testing.T) {
 	CSRMatVec(s, g, x, yr, 4)
 	Fill(yc, s.Zero)
 	CSCMatVec(s, g, x, yc, 4)
-	if d := MaxDiff(yr, yc); d > tol {
+	if d := sssp.MaxDiff(yr, yc); d > tol {
 		t.Fatalf("CSR vs CSC: max diff %g", d)
 	}
 }
@@ -106,7 +106,7 @@ func TestSpMSpVMatchesDense(t *testing.T) {
 	got := make([]float64, n)
 	Fill(got, s.Zero)
 	touched := SpMSpVPush(s, g, sv, got, 2)
-	if d := MaxDiff(got, want); d > tol {
+	if d := sssp.MaxDiff(got, want); d > tol {
 		t.Fatalf("SpMSpV vs dense: max diff %g", d)
 	}
 	// touched must be exactly the nonzero outputs.
@@ -133,7 +133,7 @@ func TestPageRankLAMatchesDirect(t *testing.T) {
 	want := pr.Sequential(pr.Views{Out: g, In: g}, pr.Options{Iterations: 10, Damping: 0.85})
 	for _, dir := range []core.Direction{core.Push, core.Pull} {
 		got := PageRank(g, 10, 0.85, dir, 4)
-		if d := MaxDiff(got, want); d > tol {
+		if d := sssp.MaxDiff(got, want); d > tol {
 			t.Fatalf("%v: LA PageRank diff %g", dir, d)
 		}
 	}
@@ -164,7 +164,7 @@ func TestSSSPLAMatchesDijkstra(t *testing.T) {
 	want := sssp.Dijkstra(g, 0)
 	for _, dir := range []core.Direction{core.Push, core.Pull} {
 		got := SSSPBellmanFord(g, 0, dir, 4)
-		if d := MaxDiff(got, want); d > tol {
+		if d := sssp.MaxDiff(got, want); d > tol {
 			t.Fatalf("%v: LA SSSP diff %g", dir, d)
 		}
 	}
@@ -205,7 +205,7 @@ func TestMatVecAgreementProperty(t *testing.T) {
 		}
 		CSRMatVec(s, g, x, yr, 3)
 		CSCMatVec(s, g, x, yc, 3)
-		return MaxDiff(yr, yc) <= tol
+		return sssp.MaxDiff(yr, yc) <= tol
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)

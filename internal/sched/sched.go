@@ -1,11 +1,11 @@
 // Package sched provides the thread-scheduling substrate for the push/pull
 // algorithm implementations: parallel loops over vertex ranges with static
 // or dynamic (chunk-stealing) schedules — the OpenMP schedules compared in
-// the paper's §6 — a reusable worker pool, and a deterministic sequential
-// executor used by profiled runs so cache-simulation results are
-// reproducible. Each kernel fixes the schedule of each of its loops; no
-// run option picks one. The §6 comparison is `pushpull ablation`, which
-// times Algorithm 1's push under both.
+// the paper's §6 — and a deterministic sequential executor used by
+// profiled runs so cache-simulation results are reproducible. Each kernel
+// fixes the schedule of each of its loops; no run option picks one. The
+// §6 comparison is `pushpull ablation`, which times Algorithm 1's push
+// under both.
 package sched
 
 import (
@@ -215,56 +215,5 @@ func SequentialFor(n, t int, body func(worker, lo, hi int)) {
 		if lo < hi {
 			body(w, lo, hi)
 		}
-	}
-}
-
-// Pool is a reusable team of worker goroutines with stable ids. Using one
-// pool across iterations avoids re-spawning goroutines in tight
-// per-iteration loops (PageRank, coloring rounds).
-type Pool struct {
-	t    int
-	jobs []chan func(worker int)
-	done chan struct{}
-	b    barrier
-}
-
-// NewPool starts a pool with t workers.
-func NewPool(t int) *Pool {
-	if t < 1 {
-		t = 1
-	}
-	p := &Pool{t: t, jobs: make([]chan func(worker int), t), done: make(chan struct{})}
-	for w := 0; w < t; w++ {
-		p.jobs[w] = make(chan func(worker int))
-		go func(w int) {
-			for job := range p.jobs[w] {
-				p.run(job, w)
-			}
-		}(w)
-	}
-	return p
-}
-
-// run executes one job on worker w.
-func (p *Pool) run(job func(worker int), w int) {
-	defer p.b.done()
-	job(w)
-}
-
-// Run executes body once on every worker and waits for all to finish. A
-// body that panics panics on the caller, as a *Panic, once every worker
-// has finished; the pool stays usable.
-func (p *Pool) Run(body func(worker int)) {
-	p.b.wg.Add(p.t)
-	for w := 0; w < p.t; w++ {
-		p.jobs[w] <- body
-	}
-	p.b.wait()
-}
-
-// Close shuts the pool down. The pool must be idle.
-func (p *Pool) Close() {
-	for _, c := range p.jobs {
-		close(c)
 	}
 }

@@ -143,25 +143,10 @@ func TestSequentialForDeterministicOrder(t *testing.T) {
 	}
 }
 
-func TestPoolRun(t *testing.T) {
-	p := NewPool(3)
-	defer p.Close()
-	seen := make([]atomic.Int32, 3)
-	for iter := 0; iter < 10; iter++ { // reuse across iterations
-		p.Run(func(w int) { seen[w].Add(1) })
-	}
-	for w := range seen {
-		if got := seen[w].Load(); got != 10 {
-			t.Fatalf("worker %d ran %d times, want 10", w, got)
-		}
-	}
-}
-
 // TestPanicRaisedOnCaller: a worker that panics in a ParallelFor loop,
-// under either schedule, or in a Pool job, does not end the process: the
-// caller panics instead, with a *Panic carrying the value and the
-// worker's stack, once every other worker has stopped. The pool runs its
-// next job.
+// under either schedule, does not end the process: the caller panics
+// instead, with a *Panic carrying the value and the worker's stack, once
+// every other worker has stopped.
 func TestPanicRaisedOnCaller(t *testing.T) {
 	caught := func(run func()) (p *Panic) {
 		t.Helper()
@@ -189,16 +174,6 @@ func TestPanicRaisedOnCaller(t *testing.T) {
 		if s == Static && finished.Load() != 750 {
 			t.Errorf("static: %d of 750 iterations outside the panicking block ran before the raise", finished.Load())
 		}
-	}
-	pool := NewPool(2)
-	defer pool.Close()
-	if p := caught(func() { pool.Run(func(w int) { panic(w) }) }); p == nil || (p.Value != 0 && p.Value != 1) {
-		t.Errorf("pool: raised %+v, want a worker id", p)
-	}
-	var ran atomic.Int64
-	pool.Run(func(int) { ran.Add(1) })
-	if ran.Load() != 2 {
-		t.Errorf("pool after a panic: %d of 2 workers ran the next job", ran.Load())
 	}
 }
 

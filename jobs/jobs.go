@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strings"
 
 	"pushpull/api"
 	"pushpull/internal/edge"
@@ -197,9 +198,37 @@ func (j *Job) StatusView() *Job {
 	return &cp
 }
 
-// newID returns a crypto-random identifier: prefix + 16 hex digits.
-func newID(prefix string) string {
+// A job ID is "j-", a batch ID "b-", then 16 random hex digits. A
+// submission that names an origin — the token a cluster router holds for
+// the worker it sends the submission to — mints "j-<origin>-<random>"
+// and "b-<origin>-<random>" instead, so whoever holds the fleet's tokens
+// finds a job's worker from its ID alone. An origin is 16 lowercase hex
+// digits: it becomes part of a DiskJobStore file name, and no other form
+// is accepted.
+
+// newID returns a crypto-random identifier: prefix, then origin and a
+// dash when origin is not empty, then 16 hex digits.
+func newID(prefix, origin string) string {
 	var b [8]byte
 	rand.Read(b[:])
+	if origin != "" {
+		prefix += origin + "-"
+	}
 	return prefix + hex.EncodeToString(b[:])
+}
+
+// ValidOrigin reports whether tok is an origin token: 16 lowercase hex
+// digits.
+func ValidOrigin(tok string) bool {
+	return len(tok) == 16 && strings.Trim(tok, "0123456789abcdef") == ""
+}
+
+// Origin returns the origin token a job or batch ID was minted under, or
+// "" when the ID has no origin or is not one this package mints.
+func Origin(id string) string {
+	if len(id) != len("j-")+16+len("-")+16 || (id[:2] != "j-" && id[:2] != "b-") || id[18] != '-' ||
+		!ValidOrigin(id[2:18]) || !ValidOrigin(id[19:]) {
+		return ""
+	}
+	return id[2:18]
 }

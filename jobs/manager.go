@@ -242,30 +242,38 @@ func (m *Manager) recover() error {
 // Submit validates spec, records the job as queued, and returns it
 // immediately; the scheduler runs it when its turn comes.
 func (m *Manager) Submit(spec Spec) (*Job, error) {
-	jobs, err := m.submit([]Spec{spec}, "")
+	_, jobs, err := m.SubmitFrom("", false, spec)
 	if err != nil {
 		return nil, err
 	}
 	return jobs[0], nil
 }
 
-// SubmitBatch validates every spec and submits them together under one
-// batch ID. Validation is all-or-nothing: one bad tuple rejects the
-// whole batch with nothing enqueued, so a client never has to hunt down
-// the accepted half of a failed submission.
-func (m *Manager) SubmitBatch(specs []Spec) (string, []*Job, error) {
-	if len(specs) == 0 {
-		return "", nil, edge.BadRequest(errors.New("jobs: empty batch"))
+// SubmitFrom validates every spec and submits them together, their IDs
+// minted under origin (none when it is empty; else it must pass
+// ValidOrigin). A batch shares one batch ID, returned first; otherwise
+// that is empty. Validation is all-or-nothing: one bad tuple rejects the
+// whole submission with nothing enqueued, so a client never has to hunt
+// down the accepted half of a failed batch.
+func (m *Manager) SubmitFrom(origin string, batch bool, specs ...Spec) (string, []*Job, error) {
+	if origin != "" && !ValidOrigin(origin) {
+		return "", nil, edge.BadRequest(fmt.Errorf("jobs: bad origin %q: want 16 lowercase hex digits", origin))
 	}
-	batchID := newID("b-")
-	jobs, err := m.submit(specs, batchID)
+	if len(specs) == 0 {
+		return "", nil, edge.BadRequest(errors.New("jobs: no spec submitted"))
+	}
+	batchID := ""
+	if batch {
+		batchID = newID("b-", origin)
+	}
+	jobs, err := m.submit(specs, origin, batchID)
 	if err != nil {
 		return "", nil, err
 	}
 	return batchID, jobs, nil
 }
 
-func (m *Manager) submit(specs []Spec, batchID string) ([]*Job, error) {
+func (m *Manager) submit(specs []Spec, origin, batchID string) ([]*Job, error) {
 	for i, spec := range specs {
 		if err := m.validate(spec); err != nil {
 			if batchID != "" {
@@ -289,7 +297,7 @@ func (m *Manager) submit(specs []Spec, batchID string) ([]*Job, error) {
 	batch := make([]*Job, len(specs))
 	for i, spec := range specs {
 		j := &Job{
-			ID:          newID("j-"),
+			ID:          newID("j-", origin),
 			BatchID:     batchID,
 			Spec:        spec,
 			State:       StateQueued,

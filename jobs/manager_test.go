@@ -437,9 +437,9 @@ func TestManagerBatch(t *testing.T) {
 	}
 	defer m.Close()
 
-	batchID, submitted, err := m.SubmitBatch([]jobs.Spec{
+	batchID, submitted, err := m.SubmitFrom("", true,
 		traceSpec(1, jobs.Normal), traceSpec(2, jobs.Normal), traceSpec(3, jobs.Low),
-	})
+	)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -462,10 +462,10 @@ func TestManagerBatch(t *testing.T) {
 		t.Errorf("batch-filtered list has %d jobs, want 3", len(list))
 	}
 
-	_, _, err = m.SubmitBatch([]jobs.Spec{
+	_, _, err = m.SubmitFrom("", true,
 		traceSpec(4, jobs.Normal),
-		{Graph: "g", Algorithm: "nope"},
-	})
+		jobs.Spec{Graph: "g", Algorithm: "nope"},
+	)
 	if err == nil || !strings.Contains(err.Error(), "batch entry 1") {
 		t.Fatalf("bad batch error %v, want it to name entry 1", err)
 	}
@@ -501,13 +501,13 @@ func TestManagerValidation(t *testing.T) {
 		} else if got := edge.Status(err); got != c.status {
 			t.Errorf("case %d: Submit(%+v): %v classed %d, want %d", i, c.spec, err, got, c.status)
 		}
-		if _, _, err := m.SubmitBatch([]jobs.Spec{traceSpec(1, jobs.Normal), c.spec}); err == nil {
+		if _, _, err := m.SubmitFrom("", true, traceSpec(1, jobs.Normal), c.spec); err == nil {
 			t.Errorf("case %d: a batch holding %+v was accepted", i, c.spec)
 		} else if got := edge.Status(err); got != c.status {
 			t.Errorf("case %d: batch holding %+v: %v classed %d, want %d", i, c.spec, err, got, c.status)
 		}
 	}
-	if _, _, err := m.SubmitBatch(nil); err == nil {
+	if _, _, err := m.SubmitFrom("", true); err == nil {
 		t.Error("empty batch accepted")
 	}
 	if _, err := m.Get("j-nope"); !errors.Is(err, jobs.ErrNotFound) {
@@ -649,8 +649,8 @@ func TestBatchPersistFailureUnwindsWholeBatch(t *testing.T) {
 	for i := range specs {
 		specs[i] = traceSpec(100+i, jobs.Normal)
 	}
-	if _, _, err := m.SubmitBatch(specs); !errors.Is(err, jobs.ErrPersist) {
-		t.Fatalf("SubmitBatch with the third record refused: %v, want ErrPersist", err)
+	if _, _, err := m.SubmitFrom("", true, specs...); !errors.Is(err, jobs.ErrPersist) {
+		t.Fatalf("a batch whose third record is refused: %v, want ErrPersist", err)
 	}
 	if list, err := m.List("", ""); err != nil || len(list) != 0 {
 		t.Fatalf("after the refused batch the manager lists %d job(s) (%v), want none", len(list), err)
@@ -670,5 +670,50 @@ func TestBatchPersistFailureUnwindsWholeBatch(t *testing.T) {
 	}
 	if recs, err := store.List(); err != nil || len(recs) != 1 || recs[0].ID != j.ID {
 		t.Fatalf("store holds %d record(s) (%v), want only %s", len(recs), err, j.ID)
+	}
+}
+
+// TestOriginMintsIDs: a submission naming an origin mints job and batch
+// IDs that carry it, and Origin reads it back; a submission without one
+// mints IDs with none. A malformed origin is refused, 400, before any job
+// is recorded.
+func TestOriginMintsIDs(t *testing.T) {
+	traceReset()
+	m, err := jobs.NewManager(newJobEngine(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+
+	const origin = "0123456789abcdef"
+	batchID, batch, err := m.SubmitFrom(origin, true, traceSpec(1, jobs.Normal), traceSpec(2, jobs.Normal))
+	if err != nil {
+		t.Fatal(err)
+	}
+	single, err := m.Submit(traceSpec(3, jobs.Normal))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id, want := range map[string]string{batchID: origin, batch[0].ID: origin, batch[1].ID: origin, single.ID: ""} {
+		if got := jobs.Origin(id); got != want {
+			t.Errorf("Origin(%q) = %q, want %q", id, got, want)
+		}
+	}
+	if !strings.HasPrefix(batchID, "b-"+origin+"-") || !strings.HasPrefix(batch[0].ID, "j-"+origin+"-") {
+		t.Errorf("IDs %q, %q: want b-<origin>-… and j-<origin>-…", batchID, batch[0].ID)
+	}
+	for _, id := range []string{"", "j-nope", "x-" + origin + "-0123456789abcdef", "j-" + origin + "-0123456789abcdeF", "j-" + origin + "+0123456789abcdef"} {
+		if got := jobs.Origin(id); got != "" {
+			t.Errorf("Origin(%q) = %q, want none", id, got)
+		}
+	}
+
+	for _, bad := range []string{"0123456789abcde", "0123456789abcdef0", "0123456789ABCDEF", "../x", "0123456789abcdeg"} {
+		if _, _, err := m.SubmitFrom(bad, false, traceSpec(4, jobs.Normal)); edge.Status(err) != http.StatusBadRequest {
+			t.Errorf("origin %q: %v, want a 400", bad, err)
+		}
+	}
+	if list, err := m.List("", ""); err != nil || len(list) != 3 {
+		t.Errorf("manager lists %d job(s) (%v), want the 3 accepted", len(list), err)
 	}
 }

@@ -4,7 +4,11 @@ package serve
 // jobs.Manager (wired with WithJobManager). Submission returns
 // immediately with 202 and a job (or batch) ID; clients poll status and
 // fetch the result when done — the result body is byte-identical to
-// what the synchronous POST /run would have returned.
+// what the synchronous POST /run would have returned. A submission a
+// cluster router forwards carries OriginHeader, the router's token for
+// this worker, and the IDs minted for it carry the token: any router
+// over the same fleet finds this worker from such an ID, with no job
+// table of its own.
 //
 //	POST   /jobs              submit one spec, or {"batch": [...]} of
 //	                          many sharing one batch ID
@@ -16,6 +20,7 @@ package serve
 
 import (
 	"errors"
+	"fmt"
 	"net/http"
 
 	"pushpull/internal/edge"
@@ -49,9 +54,13 @@ func (req *JobRequest) Specs() ([]jobs.Spec, error) {
 	return req.Batch, nil
 }
 
-// submitJobs leaves the judging of each spec to the job manager, whose
-// errors carry their status class.
+// submitJobs checks a router's origin header and leaves the judging of
+// each spec to the job manager, whose errors carry their status class.
 func (s *Server) submitJobs(w http.ResponseWriter, r *http.Request) {
+	if h, routed := r.Header[OriginHeader]; routed && (len(h) != 1 || !jobs.ValidOrigin(h[0])) {
+		edge.WriteError(w, http.StatusBadRequest, fmt.Errorf("bad %s header %q: want 16 lowercase hex digits", OriginHeader, h))
+		return
+	}
 	var req JobRequest
 	if _, ok := edge.Decode(w, r, "job request", &req); !ok {
 		return
@@ -61,19 +70,16 @@ func (s *Server) submitJobs(w http.ResponseWriter, r *http.Request) {
 		edge.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	var reply any
-	if len(req.Batch) == 0 {
-		reply, err = s.jobs.Submit(specs[0])
-	} else {
-		var br BatchResponse
-		br.BatchID, br.Jobs, err = s.jobs.SubmitBatch(specs)
-		reply = br
-	}
+	batchID, js, err := s.jobs.SubmitFrom(r.Header.Get(OriginHeader), len(req.Batch) > 0, specs...)
 	if err != nil {
 		edge.WriteError(w, edge.Status(err), err)
 		return
 	}
-	edge.WriteJSON(w, http.StatusAccepted, reply)
+	if batchID == "" {
+		edge.WriteJSON(w, http.StatusAccepted, js[0])
+		return
+	}
+	edge.WriteJSON(w, http.StatusAccepted, BatchResponse{BatchID: batchID, Jobs: js})
 }
 
 func (s *Server) listJobs(w http.ResponseWriter, r *http.Request) {

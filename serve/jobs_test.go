@@ -15,6 +15,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strconv"
 	"strings"
 	"sync"
@@ -366,6 +367,97 @@ func TestServeJobsSubmitFailures(t *testing.T) {
 		if status, raw, _ := httpJob(t, http.MethodPost, ts.URL+"/jobs", body); status != http.StatusServiceUnavailable {
 			t.Errorf("POST /jobs %s to a closed manager: %d, want 503: %s", body, status, raw)
 		}
+	}
+}
+
+// TestServeJobsOriginHeader: a worker's port is public and a router's
+// origin token becomes part of a job store file name, so a malformed
+// origin header answers 400 and creates no job and no record, for one
+// spec and for a batch. A well-formed one names the job's ID and file.
+func TestServeJobsOriginHeader(t *testing.T) {
+	eng := pushpull.NewEngine(pushpull.WithResultCache(0))
+	if err := eng.RegisterWorkload("demo", pushpull.NewWorkload(smallGraph(t))); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	store, err := jobs.NewDiskJobStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr, err := jobs.NewManager(eng, jobs.WithStore(store))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mgr.Close()
+	ts := httptest.NewServer(serve.New(eng, serve.WithJobManager(mgr)))
+	defer ts.Close()
+
+	submit := func(body string, origin ...string) (int, []byte) {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodPost, ts.URL+"/jobs", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header[serve.OriginHeader] = origin
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, raw
+	}
+	records := func() []string {
+		t.Helper()
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, e := range entries {
+			// A dotfile is a record being replaced, not a record.
+			if !e.IsDir() && !strings.HasPrefix(e.Name(), ".") {
+				names = append(names, e.Name())
+			}
+		}
+		return names
+	}
+
+	one := `{"graph": "demo", "algorithm": "pr"}`
+	batch := `{"batch": [{"graph": "demo", "algorithm": "pr"}, {"graph": "demo", "algorithm": "tc"}]}`
+	for _, origin := range [][]string{
+		{""},
+		{"0123456789abcde"},
+		{"0123456789abcdef0"},
+		{"0123456789ABCDEF"},
+		{"../x"},
+		{"0123456789abcdeg"},
+		{"0123456789abcdef", "0123456789abcdef"},
+	} {
+		for _, body := range []string{one, batch} {
+			if status, raw := submit(body, origin...); status != http.StatusBadRequest || !strings.Contains(string(raw), serve.OriginHeader) {
+				t.Errorf("POST /jobs with %s %q: %d %s, want 400 naming the header", serve.OriginHeader, origin, status, raw)
+			}
+		}
+	}
+	if status, raw, _ := httpJob(t, http.MethodGet, ts.URL+"/jobs", ""); status != http.StatusOK || strings.TrimSpace(string(raw)) != "[]" {
+		t.Errorf("GET /jobs after refused origins: %d %s, want 200 and no job", status, raw)
+	}
+	if names := records(); len(names) != 0 {
+		t.Errorf("the job store holds %v after refused origins, want nothing", names)
+	}
+
+	const origin = "0123456789abcdef"
+	status, raw := submit(one, origin)
+	var j jobs.Job
+	if status != http.StatusAccepted || json.Unmarshal(raw, &j) != nil {
+		t.Fatalf("POST /jobs with origin %s: %d: %s", origin, status, raw)
+	}
+	if jobs.Origin(j.ID) != origin {
+		t.Errorf("job ID %s does not name origin %s", j.ID, origin)
+	}
+	if names := records(); len(names) != 1 || !strings.HasPrefix(names[0], j.ID) {
+		t.Errorf("the job store holds %v, want one record for %s", names, j.ID)
 	}
 }
 

@@ -64,6 +64,14 @@ const EpochHeader = "X-Cluster-Epoch"
 // catalog names.
 const ContentIDHeader = "X-Cluster-Content-ID"
 
+// OriginHeader carries the origin token a cluster router holds for the
+// worker it forwards a POST /jobs to (jobs.ValidOrigin: 16 lowercase hex
+// digits). The worker mints the submission's job and batch IDs under it
+// (jobs.Origin reads it back), which is how a router finds a job's worker
+// from its ID. A malformed token answers 400 with nothing recorded;
+// requests without the header (direct clients) get IDs with no origin.
+const OriginHeader = "X-Cluster-Origin"
+
 // CSRContentType is the media type of a PUT /graphs body in the binary
 // CSR format, the form a cluster router replicates uploads in.
 const CSRContentType = edge.CSRContentType
