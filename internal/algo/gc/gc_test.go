@@ -329,6 +329,17 @@ func BenchmarkBomanPull(b *testing.B) {
 	}
 }
 
+func BenchmarkConflictRemoval(b *testing.B) {
+	g := rmat(b, 11, 8, 1)
+	part := graph.NewPartition(g.N(), 4)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ConflictRemoval(g, part, Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkGrS(b *testing.B) {
 	g := rmat(b, 11, 8, 1)
 	b.ResetTimer()
