@@ -3,13 +3,14 @@ package cluster
 import (
 	"sort"
 	"sync"
+	"time"
 )
 
 // Placement is one catalog entry: where a named graph lives and what the
 // router knows about it. Replicas holds the workers that acknowledged
 // the upload, primary first (rendezvous order); Epoch is the router-wide
-// monotone mutation counter stamped on every replicated PUT/DELETE, the
-// fence the workers' EpochHeader guard checks.
+// monotone mutation epoch (NextEpoch) stamped on every replicated
+// PUT/DELETE, the fence the workers' EpochHeader guard checks.
 type Placement struct {
 	Name      string   `json:"name"`
 	ContentID string   `json:"id"`
@@ -35,11 +36,17 @@ func NewCatalog() *Catalog {
 	return &Catalog{m: map[string]Placement{}}
 }
 
-// NextEpoch allocates the next mutation epoch (starting at 1).
+// NextEpoch allocates the next mutation epoch: the later of the last
+// one plus one and the clock in Unix microseconds. Drawn from the clock,
+// a fresh router's first epoch is above every epoch an earlier router
+// over the same workers stamped (unless its clock runs behind that
+// router's), so its re-upload or delete of a name that router placed
+// passes the workers' fence. Microseconds stay below 2^53 for
+// centuries, so the JSON epoch is exact in a double.
 func (c *Catalog) NextEpoch() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.epoch++
+	c.epoch = max(c.epoch+1, uint64(time.Now().UnixMicro()))
 	return c.epoch
 }
 

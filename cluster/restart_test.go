@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"pushpull/cluster"
 	"pushpull/jobs"
 	"pushpull/serve"
 )
@@ -89,5 +90,49 @@ func TestJobPollsSurviveRouterRestart(t *testing.T) {
 	var listed []jobs.Job
 	if status != http.StatusOK || json.Unmarshal(raw, &listed) != nil || len(listed) != 8 {
 		t.Errorf("GET /jobs?batch= through router B: status %d, want the 8 jobs: %s", status, raw)
+	}
+}
+
+// TestFreshRouterReplacesAndDeletes: a router built fresh over the
+// workers an earlier router placed a graph on — the earlier one having
+// mutated it twice — can replace that graph (201, every worker holding
+// the new content) and then delete it (204, gone from every worker):
+// its epochs come from the clock, so they pass the fence the workers
+// recorded for the name. Every worker is a replica: the fresh router
+// knows nothing of where the earlier one put the old content.
+func TestFreshRouterReplacesAndDeletes(t *testing.T) {
+	fleet := newFleet(t, 3)
+	everyWorker := func(c *cluster.Config) { c.Replicas = len(fleet) }
+	tsA, _ := newRouter(t, fleet, everyWorker)
+	putGraph(t, tsA.URL, "demo", testGraph(t, 300, 5), http.StatusCreated)
+	plA := putGraph(t, tsA.URL, "demo", testGraph(t, 300, 6), http.StatusCreated)
+
+	tsB, _ := newRouter(t, fleet, everyWorker)
+	plB := putGraph(t, tsB.URL, "demo", testGraph(t, 300, 7), http.StatusCreated)
+	if plB.Epoch <= plA.Epoch || plB.ContentID == plA.ContentID {
+		t.Fatalf("router B's placement %+v does not supersede router A's %+v", plB, plA)
+	}
+	for _, w := range fleet {
+		if got := workerGraphs(t, w); len(got) != 1 || got[0].ID != plB.ContentID {
+			t.Errorf("worker %s holds %+v, want demo as router B's %s", w.URL(), got, plB.ContentID)
+		}
+	}
+
+	req, err := http.NewRequest(http.MethodDelete, tsB.URL+"/graphs/demo", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNoContent {
+		t.Fatalf("DELETE through router B: status %d, want 204", resp.StatusCode)
+	}
+	for _, w := range fleet {
+		if n := len(workerGraphs(t, w)); n != 0 {
+			t.Errorf("worker %s still holds %d graph(s) after router B's delete", w.URL(), n)
+		}
 	}
 }

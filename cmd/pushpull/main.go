@@ -391,8 +391,10 @@ func serveEngine(args []string, scale float64, seed uint64) {
 		fmt.Fprintf(os.Stderr, "pushpull: serve: recovering jobs: %v\n", err)
 		os.Exit(1)
 	}
-	if js := mgr.Stats(); js.Queued > 0 || js.Interrupted > 0 {
-		fmt.Printf("recovered jobs: %d re-queued, %d interrupted\n", js.Queued, js.Interrupted)
+	// Recovery starts re-queued jobs as slots allow, and nothing else has
+	// been submitted yet: the running ones were re-queued too.
+	if js := mgr.Stats(); js.Queued+js.Running > 0 || js.Interrupted > 0 {
+		fmt.Printf("recovered jobs: %d re-queued, %d interrupted\n", js.Queued+js.Running, js.Interrupted)
 	}
 
 	handler := serve.New(eng, serve.WithMaxUpload(*maxUpload), serve.WithJobManager(mgr))

@@ -225,14 +225,3 @@ func Sequential(g *graph.CSR, sources []graph.V) []float64 {
 	}
 	return bcv
 }
-
-// MaxDiff returns the largest absolute difference between score vectors.
-func MaxDiff(a, b []float64) float64 {
-	max := 0.0
-	for i := range a {
-		if d := math.Abs(a[i] - b[i]); d > max {
-			max = d
-		}
-	}
-	return max
-}

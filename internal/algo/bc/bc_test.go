@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"pushpull/internal/algo/bfs"
+	"pushpull/internal/algo/sssp"
 	"pushpull/internal/gen"
 	"pushpull/internal/graph"
 )
@@ -19,7 +20,7 @@ func TestPathCentrality(t *testing.T) {
 	want := []float64{0, 6, 8, 6, 0}
 	for _, mode := range []bfs.Mode{bfs.ForcePush, bfs.ForcePull} {
 		res := Run(g, Options{Mode: mode})
-		if d := MaxDiff(res.BC, want); d > tol {
+		if d := sssp.MaxDiff(res.BC, want); d > tol {
 			t.Fatalf("mode %v: bc = %v, want %v", mode, res.BC, want)
 		}
 	}
@@ -63,7 +64,7 @@ func TestMatchesSequentialOnRMAT(t *testing.T) {
 		opt := Options{Mode: mode}
 		opt.Threads = 4
 		res := Run(g, opt)
-		if d := MaxDiff(res.BC, want); d > tol {
+		if d := sssp.MaxDiff(res.BC, want); d > tol {
 			t.Fatalf("mode %v: max diff %g", mode, d)
 		}
 		if res.Phase1 <= 0 || res.Phase2 <= 0 {
@@ -80,7 +81,7 @@ func TestSampledSources(t *testing.T) {
 	sources := []graph.V{0, 5, 17}
 	want := Sequential(g, sources)
 	res := Run(g, Options{Sources: sources, Mode: bfs.ForcePull})
-	if d := MaxDiff(res.BC, want); d > tol {
+	if d := sssp.MaxDiff(res.BC, want); d > tol {
 		t.Fatalf("sampled: max diff %g", d)
 	}
 }
@@ -95,7 +96,7 @@ func TestDisconnectedGraph(t *testing.T) {
 	want := Sequential(g, nil)
 	for _, mode := range []bfs.Mode{bfs.ForcePush, bfs.ForcePull} {
 		res := Run(g, Options{Mode: mode})
-		if d := MaxDiff(res.BC, want); d > tol {
+		if d := sssp.MaxDiff(res.BC, want); d > tol {
 			t.Fatalf("mode %v: %v vs %v", mode, res.BC, want)
 		}
 		// Middle vertices of each path carry bc 2.
@@ -117,7 +118,7 @@ func TestAutoModeDefaultsToPush(t *testing.T) {
 	g := gen.Path(4)
 	res := Run(g, Options{Mode: bfs.Auto})
 	want := Sequential(g, nil)
-	if d := MaxDiff(res.BC, want); d > tol {
+	if d := sssp.MaxDiff(res.BC, want); d > tol {
 		t.Fatalf("auto mode: %v vs %v", res.BC, want)
 	}
 }
@@ -135,7 +136,7 @@ func TestVariantsAgreeProperty(t *testing.T) {
 			opt := Options{Mode: mode}
 			opt.Threads = 3
 			res := Run(g, opt)
-			if MaxDiff(res.BC, want) > tol {
+			if sssp.MaxDiff(res.BC, want) > tol {
 				return false
 			}
 		}

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"testing"
 
+	"pushpull/internal/algo/sssp"
 	"pushpull/internal/gen"
 	"pushpull/internal/graph"
 	"pushpull/internal/rng"
@@ -149,7 +150,7 @@ func TestPushMatchesDealOracle(t *testing.T) {
 			at := fmt.Sprintf("%s t=%d", name, threads)
 			got, _ := Push(vw, opt)
 			bitsEqual(t, at, got, pushDealOracle(vw, opt))
-			if d := MaxDiff(got, want); d > 1e-12 {
+			if d := sssp.MaxDiff(got, want); d > 1e-12 {
 				t.Errorf("%s: %g from Sequential", at, d)
 			}
 		}

@@ -7,6 +7,7 @@ import (
 	"math"
 	"testing"
 
+	"pushpull/internal/algo/sssp"
 	"pushpull/internal/core"
 	"pushpull/internal/counters"
 	"pushpull/internal/gen"
@@ -143,7 +144,7 @@ func TestKernelsPinned(t *testing.T) {
 				if filled := filledAccumulators(c.vw.Out, threads); filled < 2 {
 					t.Errorf("%s push: the deal fills %d accumulator(s)", at, filled)
 				}
-				if d := MaxDiff(push, pushP); d > 1e-12 {
+				if d := sssp.MaxDiff(push, pushP); d > 1e-12 {
 					t.Errorf("%s push: %g from its twin", at, d)
 				}
 			}

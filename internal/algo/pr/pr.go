@@ -79,7 +79,6 @@ package pr
 import (
 	"cmp"
 	"fmt"
-	"math"
 	"slices"
 	"time"
 
@@ -429,19 +428,6 @@ func contribution(r float64, d int64) float64 {
 		return 0
 	}
 	return r / float64(d)
-}
-
-// MaxDiff returns the maximum absolute element difference between two rank
-// vectors — the cross-validation metric.
-func MaxDiff(a, b []float64) float64 {
-	max := 0.0
-	for i := range a {
-		d := math.Abs(a[i] - b[i])
-		if d > max {
-			max = d
-		}
-	}
-	return max
 }
 
 // Sum returns the total rank mass. It is 1 only when every vertex has an

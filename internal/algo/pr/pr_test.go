@@ -11,6 +11,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"pushpull/internal/algo/sssp"
 	"pushpull/internal/core"
 	"pushpull/internal/counters"
 	"pushpull/internal/gen"
@@ -52,7 +53,7 @@ func TestPushMatchesSequential(t *testing.T) {
 	opt.Threads = 4
 	want := Sequential(und(g), opt)
 	got, stats := Push(und(g), opt)
-	if d := MaxDiff(got, want); d > tol {
+	if d := sssp.MaxDiff(got, want); d > tol {
 		t.Fatalf("push vs sequential: max diff %g", d)
 	}
 	if stats.Iterations != 15 || stats.Direction != core.Push {
@@ -66,7 +67,7 @@ func TestPullMatchesSequential(t *testing.T) {
 	opt.Threads = 4
 	want := Sequential(und(g), opt)
 	got, stats := Pull(und(g), opt)
-	if d := MaxDiff(got, want); d > tol {
+	if d := sssp.MaxDiff(got, want); d > tol {
 		t.Fatalf("pull vs sequential: max diff %g", d)
 	}
 	if stats.Direction != core.Pull {
@@ -87,7 +88,7 @@ func TestPushPAMatchesSequential(t *testing.T) {
 		if p == 1 {
 			bitsEqual(t, "push at one thread", got, want)
 		}
-		if d := MaxDiff(got, want); d > 1e-12 {
+		if d := sssp.MaxDiff(got, want); d > 1e-12 {
 			t.Fatalf("P=%d: push vs sequential: max diff %g", p, d)
 		}
 	}
@@ -125,7 +126,7 @@ func TestPushUnsortedRows(t *testing.T) {
 	for _, threads := range []int{2, 4, 7} {
 		opt.Threads = threads
 		got, _ := Push(und(shuffled), opt)
-		if d := MaxDiff(got, want); d > 1e-12 {
+		if d := sssp.MaxDiff(got, want); d > 1e-12 {
 			t.Fatalf("t=%d: unsorted-row push vs sequential: max diff %g", threads, d)
 		}
 	}
@@ -258,7 +259,7 @@ func TestPushPullEquivalenceProperty(t *testing.T) {
 		opt.Threads = 3
 		a, _ := Push(und(g), opt)
 		b, _ := Pull(und(g), opt)
-		return MaxDiff(a, b) < tol
+		return sssp.MaxDiff(a, b) < tol
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Fatal(err)
@@ -275,7 +276,7 @@ func TestProfiledVariantsMatchFast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := MaxDiff(got, want); d > tol {
+	if d := sssp.MaxDiff(got, want); d > tol {
 		t.Fatalf("profiled push diff %g", d)
 	}
 
@@ -284,7 +285,7 @@ func TestProfiledVariantsMatchFast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := MaxDiff(got2, want); d > tol {
+	if d := sssp.MaxDiff(got2, want); d > tol {
 		t.Fatalf("profiled pull diff %g", d)
 	}
 
@@ -294,7 +295,7 @@ func TestProfiledVariantsMatchFast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := MaxDiff(got3, want); d > tol {
+	if d := sssp.MaxDiff(got3, want); d > tol {
 		t.Fatalf("profiled push+PA diff %g", d)
 	}
 }
@@ -673,10 +674,10 @@ func TestDirectedPushPullAgree(t *testing.T) {
 	want := Sequential(dg, opt)
 	push, sPush := Push(dg, opt)
 	pull, sPull := Pull(dg, opt)
-	if d := MaxDiff(push, want); d > tol {
+	if d := sssp.MaxDiff(push, want); d > tol {
 		t.Fatalf("directed push diff %g", d)
 	}
-	if d := MaxDiff(pull, want); d > tol {
+	if d := sssp.MaxDiff(pull, want); d > tol {
 		t.Fatalf("directed pull diff %g", d)
 	}
 	if sPush.Iterations != 15 || sPull.Iterations != 15 {
@@ -726,7 +727,7 @@ func TestDirectedVsUndirectedConsistency(t *testing.T) {
 		pullSame, _ := Pull(same, opt)
 		pullPair, _ := Pull(pair, opt)
 		bitsEqual(t, "pull", pullPair, pullSame)
-		if d := MaxDiff(pullSame, want); d > tol {
+		if d := sssp.MaxDiff(pullSame, want); d > tol {
 			t.Fatalf("pull vs sequential diff %g", d)
 		}
 		// Fast push never reads In and folds its per-worker accumulators
@@ -736,7 +737,7 @@ func TestDirectedVsUndirectedConsistency(t *testing.T) {
 		pushSame, _ := Push(same, opt)
 		pushPair, _ := Push(pair, opt)
 		bitsEqual(t, "push", pushPair, pushSame)
-		if d := MaxDiff(pushSame, want); d > tol {
+		if d := sssp.MaxDiff(pushSame, want); d > tol {
 			t.Fatalf("push diff %g at %d threads", d, threads)
 		}
 		type twin func(Views, Options, core.Profile, *memsim.AddressSpace) ([]float64, error)
@@ -766,7 +767,7 @@ func TestDirectedDanglingVertices(t *testing.T) {
 	dg := views(g, g.Transpose())
 	push, _ := Push(dg, Options{Iterations: 10})
 	pull, _ := Pull(dg, Options{Iterations: 10})
-	if d := MaxDiff(push, pull); d > tol {
+	if d := sssp.MaxDiff(push, pull); d > tol {
 		t.Fatalf("dangling diff %g", d)
 	}
 	if !(push[3] > push[0]) {
@@ -794,7 +795,7 @@ func TestDirectedAgreementProperty(t *testing.T) {
 		want := Sequential(dg, opt)
 		a, _ := Push(dg, opt)
 		b, _ := Pull(dg, opt)
-		return MaxDiff(a, want) < tol && MaxDiff(b, want) < tol
+		return sssp.MaxDiff(a, want) < tol && sssp.MaxDiff(b, want) < tol
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 12}); err != nil {
 		t.Fatal(err)
@@ -816,7 +817,7 @@ func TestDirectedProfiledMatchesFast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := MaxDiff(push, wantPush); d > tol {
+	if d := sssp.MaxDiff(push, wantPush); d > tol {
 		t.Fatalf("profiled directed push diff %g", d)
 	}
 	pushRep := grp.Report()
@@ -829,7 +830,7 @@ func TestDirectedProfiledMatchesFast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := MaxDiff(pull, wantPull); d > tol {
+	if d := sssp.MaxDiff(pull, wantPull); d > tol {
 		t.Fatalf("profiled directed pull diff %g", d)
 	}
 	pullRep := grp.Report()
@@ -851,7 +852,7 @@ func TestDirectedProfiledMatchesFast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := MaxDiff(push2, wantPush); d > tol {
+	if d := sssp.MaxDiff(push2, wantPush); d > tol {
 		t.Fatalf("in-less profiled push diff %g", d)
 	}
 }

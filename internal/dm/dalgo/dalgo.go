@@ -20,7 +20,6 @@ package dalgo
 
 import (
 	"fmt"
-	"math"
 
 	"pushpull/internal/counters"
 	"pushpull/internal/dm"
@@ -285,17 +284,6 @@ func PRMsgPassing(g *graph.CSR, cfg PRConfig) (*Result, error) {
 		return nil, runErr
 	}
 	return &Result{Values: out, SimTime: cluster.SimTime(), Report: cluster.Report()}, nil
-}
-
-// MaxDiff returns the largest absolute element difference.
-func MaxDiff(a, b []float64) float64 {
-	max := 0.0
-	for i := range a {
-		if d := math.Abs(a[i] - b[i]); d > max {
-			max = d
-		}
-	}
-	return max
 }
 
 // validatePR guards against misuse shared by all PR variants.

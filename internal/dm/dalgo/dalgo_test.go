@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"pushpull/internal/algo/pr"
+	"pushpull/internal/algo/sssp"
 	"pushpull/internal/algo/tc"
 	"pushpull/internal/counters"
 	"pushpull/internal/gen"
@@ -34,21 +35,21 @@ func TestPRVariantsMatchSharedMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := MaxDiff(push.Values, want); d > tol {
+	if d := sssp.MaxDiff(push.Values, want); d > tol {
 		t.Fatalf("push-RMA diff %g", d)
 	}
 	pull, err := PRPullRMA(g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := MaxDiff(pull.Values, want); d > tol {
+	if d := sssp.MaxDiff(pull.Values, want); d > tol {
 		t.Fatalf("pull-RMA diff %g", d)
 	}
 	msg, err := PRMsgPassing(g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := MaxDiff(msg.Values, want); d > tol {
+	if d := sssp.MaxDiff(msg.Values, want); d > tol {
 		t.Fatalf("msg-passing diff %g", d)
 	}
 }
@@ -204,7 +205,7 @@ func TestSingleRankDegenerate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := MaxDiff(res.Values, want); d > tol {
+	if d := sssp.MaxDiff(res.Values, want); d > tol {
 		t.Fatalf("single rank diff %g", d)
 	}
 	// No remote traffic with one rank.

@@ -1,12 +1,14 @@
 // Package jobs turns synchronous engine runs into durable, schedulable
 // jobs: the async half of the serving stack. A Manager wraps a
-// *pushpull.Engine; Submit returns a job ID immediately and a scheduler
-// drains a priority+deadline-aware queue into the engine's admission
-// queue, at most as many jobs at once as the engine admits runs. Job
-// state lives behind a JobStore, so a worker restart recovers the queue
-// instead of forgetting it: still-queued jobs are re-queued, jobs that
-// were mid-run are marked interrupted (their partial work is gone with
-// the process).
+// *pushpull.Engine; Submit returns a job ID immediately, and the queue,
+// ordered by priority and deadline, feeds the engine's admission queue
+// at most as many jobs at once as the engine admits runs. A job starts
+// in the same critical section that queued it or freed its slot (there
+// is no scheduler goroutine), and one timer per Manager fails expired
+// queued jobs and collects expired finished ones. Job state lives
+// behind a JobStore, so a worker restart recovers the queue instead of
+// forgetting it: still-queued jobs are re-queued, jobs that were mid-run
+// are marked interrupted (their partial work is gone with the process).
 //
 // The scheduling order is strict: higher priority always dispatches
 // first; within a priority, earlier deadline first (no deadline sorts
@@ -30,7 +32,7 @@ import (
 )
 
 // ErrDeadlineExceeded: the job's deadline passed before it could start
-// executing. The scheduler fails such jobs at dispatch time without
+// executing. The manager fails such jobs when the deadline passes without
 // consuming a worker slot; Result returns this error for them. Like the
 // errors below, it carries the status that answers it (edge.Status): 504.
 var ErrDeadlineExceeded = edge.Class(http.StatusGatewayTimeout, errors.New("jobs: deadline exceeded before the job could run"))
@@ -49,7 +51,7 @@ var ErrClosed = edge.Class(http.StatusServiceUnavailable, errors.New("jobs: mana
 // is refused whole, with none of its jobs kept in memory or in the store.
 var ErrPersist = errors.New("jobs: persisting")
 
-// Priority orders jobs in the scheduler's queue. The zero value is
+// Priority orders jobs in the manager's queue. The zero value is
 // Normal, so specs that omit it behave like a plain run.
 type Priority int
 
@@ -114,7 +116,7 @@ const (
 	StateInterrupted State = "interrupted"
 )
 
-// Terminal reports whether the state is final — no scheduler or worker
+// Terminal reports whether the state is final — no dispatch or run
 // will touch the job again.
 func (s State) Terminal() bool {
 	switch s {

@@ -2,11 +2,10 @@ package jobs
 
 // The Manager: a priority+deadline-aware scheduler between job
 // submission and the engine's admission queue. Submission is O(log n) and
-// returns immediately; a single scheduler goroutine drains the queue into
-// at most as many concurrent engine runs as the engine admits at once
-// (EngineStats.Workers), so the engine's own backpressure stays the real
-// throttle and the job queue absorbs what the synchronous path would
-// have shed with 429.
+// returns immediately; at most as many jobs run at once as the engine
+// admits runs (EngineStats.Workers), so the engine's own backpressure
+// stays the real throttle and the job queue absorbs what the synchronous
+// path would have shed with 429.
 //
 // Concurrency shape: the in-memory job map is the runtime truth, guarded
 // by mu; every state transition writes the job's record through to the
@@ -18,9 +17,14 @@ package jobs
 // vector, megabytes — is stored before the transition, outside mu, under
 // its content hash, once for all the jobs that share it (payMu orders
 // those writes against the deletes of collection; besides them only
-// Stats takes it). The scheduler wakes on a 1-buffered notify channel — submissions,
-// job completions and deadline timers all nudge it; a missed nudge is
-// harmless because the channel retains one.
+// Stats takes it).
+//
+// Dispatch needs no goroutine of its own: whoever queues a job or frees a
+// slot — a submission, recovery, a run's end — starts what the free
+// slots allow in the same critical section (dispatchLocked). Time is the
+// one other event: a single timer per Manager, re-armed under mu for
+// whichever comes first, the earliest queued deadline or the oldest
+// terminal job's expiry.
 //
 // Terminal jobs do not stay forever: WithRetention bounds how many are
 // kept and for how long, oldest collected first — record deleted, and
@@ -52,19 +56,23 @@ type Manager struct {
 	store JobStore
 	keep  int           // terminal jobs retained
 	ttl   time.Duration // and for how long
+	slots int           // jobs running at once: the engine's admission bound
 
 	mu      sync.Mutex
 	jobs    map[string]*Job
 	queue   jobHeap
 	cancels map[string]context.CancelFunc
 	seq     uint64
+	running int
 	closed  bool
 	// terminal lists the retained terminal jobs, oldest finish first: the
-	// order collection takes them in. ttlTimer is the one pending wake-up
-	// for the front entry's expiry, nil when none is armed.
+	// order collection takes them in.
 	terminal []*Job
-	ttlTimer *time.Timer
 	evicted  uint64
+	// timer is the Manager's one wake-up (nil until first armed), due at
+	// armed; zero armed means none is pending.
+	timer *time.Timer
+	armed time.Time
 	// released collects the payload hashes of jobs collected while mu is
 	// held; unlock hands them to release once it is not.
 	released []string
@@ -76,11 +84,6 @@ type Manager struct {
 	// a closed manager stores and deletes nothing.
 	payMu    sync.Mutex
 	payloads map[string]*payloadRef
-
-	notify chan struct{} // 1-buffered scheduler nudge
-	sem    chan struct{} // dispatch slots (cap: the engine's admission bound)
-	stop   chan struct{}
-	done   chan struct{}
 }
 
 // Option configures NewManager.
@@ -130,7 +133,7 @@ type payloadRef struct {
 }
 
 // NewManager builds a Manager over eng, recovers any jobs its store
-// holds, and starts the scheduler. It dispatches as many jobs at once as
+// holds, and dispatches those it can. It runs as many jobs at once as
 // eng admits runs (WithWorkers; GOMAXPROCS for an unbounded engine): more
 // would park in the engine's admission queue while counting as running,
 // letting low-priority jobs leak past a later high-priority submission.
@@ -146,23 +149,17 @@ func NewManager(eng *pushpull.Engine, opts ...Option) (*Manager, error) {
 		jobs:     map[string]*Job{},
 		cancels:  map[string]context.CancelFunc{},
 		payloads: map[string]*payloadRef{},
-		notify:   make(chan struct{}, 1),
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
+		slots:    eng.Stats().Workers,
 	}
 	for _, opt := range opts {
 		opt(m)
 	}
-	slots := eng.Stats().Workers
-	if slots <= 0 {
-		slots = runtime.GOMAXPROCS(0)
+	if m.slots <= 0 {
+		m.slots = runtime.GOMAXPROCS(0)
 	}
-	m.sem = make(chan struct{}, slots)
 	if err := m.recover(); err != nil {
 		return nil, err
 	}
-	go m.schedule()
-	m.wake()
 	return m, nil
 }
 
@@ -236,11 +233,13 @@ func (m *Manager) recover() error {
 	}
 	sort.SliceStable(m.terminal, func(i, k int) bool { return m.terminal[i].FinishedMS < m.terminal[k].FinishedMS })
 	m.collectLocked(time.Now())
+	m.dispatchLocked()
 	return nil
 }
 
-// Submit validates spec, records the job as queued, and returns it
-// immediately; the scheduler runs it when its turn comes.
+// Submit validates spec, records the job as queued, and returns that
+// snapshot at once; the job runs when its turn comes, at once if a slot
+// is free.
 func (m *Manager) Submit(spec Spec) (*Job, error) {
 	_, jobs, err := m.SubmitFrom("", false, spec)
 	if err != nil {
@@ -284,7 +283,7 @@ func (m *Manager) submit(specs []Spec, origin, batchID string) ([]*Job, error) {
 	}
 	now := time.Now().UnixMilli()
 	m.mu.Lock()
-	defer m.mu.Unlock()
+	defer m.unlock()
 	if m.closed {
 		return nil, ErrClosed
 	}
@@ -322,7 +321,7 @@ func (m *Manager) submit(specs []Spec, origin, batchID string) ([]*Job, error) {
 		m.enqueueLocked(j)
 		out[i] = j.StatusView()
 	}
-	m.wakeLocked()
+	m.dispatchLocked()
 	return out, nil
 }
 
@@ -341,28 +340,11 @@ func (m *Manager) validate(spec Spec) error {
 	return nil
 }
 
-// enqueueLocked pushes j onto the queue (mu held) and arms an expiry
-// timer for its deadline so an expired job fails promptly even on an
-// idle manager instead of waiting for the next submission to sweep it.
+// enqueueLocked pushes j onto the queue (mu held); the dispatchLocked
+// that follows arms the timer for its deadline.
 func (m *Manager) enqueueLocked(j *Job) {
 	m.seq++
 	heap.Push(&m.queue, &queued{job: j, seq: m.seq})
-	if j.DeadlineUnixMS > 0 {
-		until := time.Until(time.UnixMilli(j.DeadlineUnixMS)) + time.Millisecond
-		time.AfterFunc(until, m.expire)
-	}
-}
-
-// expire sweeps deadline-expired queued jobs on the timer's goroutine.
-// It cannot just nudge the scheduler: with every dispatch slot busy the
-// scheduler is parked waiting for one, and a job whose deadline passed
-// must turn failed promptly — truthfully observable by status polls —
-// not when a slot happens to free.
-func (m *Manager) expire() {
-	m.mu.Lock()
-	m.sweepLocked()
-	m.unlock()
-	m.wake()
 }
 
 // Get returns a status snapshot of the job: everything but its result,
@@ -472,7 +454,7 @@ func (m *Manager) Cancel(id string) (*Job, error) {
 	}
 	switch j.State {
 	case StateQueued:
-		// The heap entry stays; the scheduler skips non-queued entries.
+		// The heap entry stays; dispatch skips non-queued entries.
 		j.State = StateCanceled
 		j.Error = "canceled while queued"
 		if err := m.finishLocked(j); err != nil {
@@ -594,8 +576,8 @@ func (m *Manager) Stats() Stats {
 	return s
 }
 
-// Close stops the scheduler: no further jobs dispatch (queued ones keep
-// their state for a successor to recover). Jobs already running are not
+// Close stops dispatch: no further jobs start (queued ones keep their
+// state for a successor to recover). Jobs already running are not
 // canceled and Close does not wait for them, but it fences them: once
 // Close has returned this manager writes nothing more to its store — no
 // record, no payload, no deletion — so a successor opened over the same
@@ -612,71 +594,29 @@ func (m *Manager) Close() {
 	// payload write and delete finds the nil map under payMu; taking each
 	// lock here waits out the one that may be in flight.
 	m.closed = true
-	if m.ttlTimer != nil {
-		m.ttlTimer.Stop()
+	if m.timer != nil {
+		m.timer.Stop()
 	}
 	m.mu.Unlock()
 	m.payMu.Lock()
 	m.payloads = nil
 	m.payMu.Unlock()
-	close(m.stop)
-	<-m.done
 }
 
-// ---- the scheduler ----
+// ---- dispatch ----
 
-// wake nudges the scheduler; safe from any goroutine, including after
-// Close (the nudge is simply never consumed).
-func (m *Manager) wake() {
-	select {
-	case m.notify <- struct{}{}:
-	default:
+// dispatchLocked (mu held) fails the queued jobs whose deadline has
+// passed, then starts the highest-ranked queued jobs while a slot is
+// free: each is marked running, its record written and its CancelFunc
+// registered before its goroutine starts. Entries canceled or expired
+// while queued are dropped as they surface (their state already moved
+// on). A closed manager starts nothing.
+func (m *Manager) dispatchLocked() {
+	if m.closed {
+		return
 	}
-}
-
-// wakeLocked exists to make call sites under mu self-documenting; the
-// nudge itself is lock-free.
-func (m *Manager) wakeLocked() { m.wake() }
-
-// schedule is the Manager's single scheduler goroutine: wait for a
-// nudge, then drain the queue into dispatch slots until either runs out.
-func (m *Manager) schedule() {
-	defer close(m.done)
-	for {
-		select {
-		case <-m.stop:
-			return
-		case <-m.notify:
-		}
-		for {
-			// A dispatch slot first, then a job: acquiring in this order
-			// means a popped job always has a slot waiting, so nothing is
-			// ever marked running and then re-queued.
-			select {
-			case m.sem <- struct{}{}:
-			case <-m.stop:
-				return
-			}
-			j, ctx, cancel := m.next()
-			if j == nil {
-				<-m.sem
-				break
-			}
-			go m.execute(j, ctx, cancel)
-		}
-	}
-}
-
-// next pops the highest-priority runnable job, marking it running and
-// registering its CancelFunc. Deadline-expired jobs met along the way
-// fail with ErrDeadlineExceeded without consuming the caller's dispatch
-// slot; entries canceled while queued are dropped silently (their state
-// already moved on). Returns nil when nothing is runnable.
-func (m *Manager) next() (*Job, context.Context, context.CancelFunc) {
-	m.mu.Lock()
-	defer m.unlock()
 	m.sweepLocked()
-	for m.queue.Len() > 0 {
+	for m.running < m.slots && m.queue.Len() > 0 {
 		j := heap.Pop(&m.queue).(*queued).job
 		if j.State != StateQueued {
 			continue
@@ -702,41 +642,76 @@ func (m *Manager) next() (*Job, context.Context, context.CancelFunc) {
 			// visible on the job.
 			j.Error = err.Error()
 		}
-		return j, ctx, cancel
+		m.running++
+		go m.execute(j, ctx, cancel)
 	}
-	return nil, nil, nil
 }
 
 // sweepLocked fails every queued job whose deadline has passed (mu
-// held). Pop order alone cannot catch these: an expired low-priority job
-// buried under live high-priority work would otherwise sit "queued"
+// held) and arms the timer for the earliest deadline still ahead. Pop
+// order alone cannot catch these: an expired low-priority job buried
+// under live high-priority work would otherwise sit "queued"
 // indefinitely.
 func (m *Manager) sweepLocked() {
 	now := time.Now().UnixMilli()
+	var soonest int64
 	for _, q := range m.queue {
 		j := q.job
-		if j.State == StateQueued && j.DeadlineUnixMS > 0 && now >= j.DeadlineUnixMS {
-			j.State = StateFailed
-			j.Error = ErrDeadlineExceeded.Error()
-			if err := m.finishLocked(j); err != nil {
-				j.Error = fmt.Sprintf("%s (persist: %s)", ErrDeadlineExceeded.Error(), err)
-			}
+		if j.State != StateQueued || j.DeadlineUnixMS == 0 {
+			continue
 		}
+		if now < j.DeadlineUnixMS {
+			if soonest == 0 || j.DeadlineUnixMS < soonest {
+				soonest = j.DeadlineUnixMS
+			}
+			continue
+		}
+		j.State = StateFailed
+		j.Error = ErrDeadlineExceeded.Error()
+		if err := m.finishLocked(j); err != nil {
+			j.Error = fmt.Sprintf("%s (persist: %s)", ErrDeadlineExceeded.Error(), err)
+		}
+	}
+	if soonest > 0 {
+		m.armLocked(time.UnixMilli(soonest))
 	}
 }
 
-// execute runs one dispatched job to completion on the engine and
-// records the outcome. Runs on its own goroutine, holding one dispatch
-// slot. Everything proportional to the result happens before mu is
+// armLocked makes the timer fire by at (mu held). It only ever moves the
+// wake-up earlier: a tick re-arms for whatever is still ahead, so an
+// early one costs a sweep and nothing else.
+func (m *Manager) armLocked(at time.Time) {
+	if m.closed || !m.armed.IsZero() && !at.Before(m.armed) {
+		return
+	}
+	m.armed = at
+	if m.timer == nil {
+		m.timer = time.AfterFunc(time.Until(at), m.tick)
+	} else {
+		m.timer.Reset(time.Until(at))
+	}
+}
+
+// tick is the timer's callback. It collects the terminal jobs whose time
+// is up and fails the queued jobs whose deadline passed — promptly, even
+// while every slot is busy — each step re-arming the timer for what is
+// left.
+func (m *Manager) tick() {
+	m.mu.Lock()
+	defer m.unlock()
+	m.armed = time.Time{}
+	m.collectLocked(time.Now())
+	m.dispatchLocked()
+}
+
+// execute runs one dispatched job to completion on the engine, records
+// the outcome and hands its slot to the next queued job. Runs on its own
+// goroutine. Everything proportional to the result happens before mu is
 // taken: the tail comes from the engine's cache entry when the run was a
 // hit, and is stored once per distinct payload. A run that panics fails
 // its job alone: the engine returns the panic as the run's error.
 func (m *Manager) execute(j *Job, ctx context.Context, cancel context.CancelFunc) {
-	defer func() {
-		cancel()
-		<-m.sem
-		m.wake()
-	}()
+	defer cancel()
 	// The spec is resolved again: it was validated at submission, but
 	// the graph may have been dropped while the job queued.
 	rep, err := edge.Run(ctx, m.eng, j.Spec.Graph, j.Spec.Algorithm, &j.Spec.Options)
@@ -751,6 +726,7 @@ func (m *Manager) execute(j *Job, ctx context.Context, cancel context.CancelFunc
 	m.mu.Lock()
 	defer m.unlock()
 	delete(m.cancels, j.ID)
+	m.running--
 	switch {
 	case err == nil:
 		j.State = StateDone
@@ -771,6 +747,7 @@ func (m *Manager) execute(j *Job, ctx context.Context, cancel context.CancelFunc
 	if err := m.finishLocked(j); err != nil && j.Error == "" {
 		j.Error = err.Error()
 	}
+	m.dispatchLocked()
 }
 
 // persistLocked writes j's record through to the store (mu held, the
@@ -805,8 +782,8 @@ func (m *Manager) finishLocked(j *Job) error {
 // collectLocked enforces retention (mu held): terminal jobs beyond the
 // count bound, or finished longer ago than the TTL, leave the map and
 // the store, oldest first. Their payload hashes queue on m.released for
-// unlock. While any job is retained one timer is kept pending for the
-// oldest one's expiry.
+// unlock. While any job is retained the timer is armed for the oldest
+// one's expiry.
 func (m *Manager) collectLocked(now time.Time) {
 	if m.closed {
 		return
@@ -828,14 +805,8 @@ func (m *Manager) collectLocked(now time.Time) {
 		_ = m.store.Delete(j.ID)
 	}
 	m.terminal = m.terminal[n:]
-	if len(m.terminal) > 0 && m.ttlTimer == nil {
-		due := time.UnixMilli(m.terminal[0].FinishedMS).Add(m.ttl + time.Millisecond)
-		m.ttlTimer = time.AfterFunc(due.Sub(now), func() {
-			m.mu.Lock()
-			m.ttlTimer = nil
-			m.collectLocked(time.Now())
-			m.unlock()
-		})
+	if len(m.terminal) > 0 {
+		m.armLocked(time.UnixMilli(m.terminal[0].FinishedMS).Add(m.ttl))
 	}
 }
 

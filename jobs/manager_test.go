@@ -324,6 +324,104 @@ func TestManagerDeadlineExpiry(t *testing.T) {
 	}
 }
 
+// holdSlot fills a one-slot manager's slot with a job parked until the
+// returned release is called.
+func holdSlot(t *testing.T, m *jobs.Manager) (release func()) {
+	t.Helper()
+	release = traceBlock(0)
+	gate, err := m.Submit(traceSpec(0, jobs.Normal))
+	if err != nil {
+		release()
+		t.Fatal(err)
+	}
+	waitState(t, m, gate.ID, jobs.StateRunning)
+	return release
+}
+
+// submitWithDeadline submits a traced job carrying a deadline.
+func submitWithDeadline(t *testing.T, m *jobs.Manager, tag int, deadline time.Duration) *jobs.Job {
+	t.Helper()
+	spec := traceSpec(tag, jobs.Normal)
+	spec.DeadlineMS = deadline.Milliseconds()
+	j, err := m.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return j
+}
+
+// TestManagerDeadlineNearAfterFar: the manager's one timer serves the
+// earliest deadline, whatever order the deadlines arrive in. With the
+// slot busy, a job due in a minute submitted before one due in 50 ms
+// does not delay the near one's failure, and stays queued itself.
+func TestManagerDeadlineNearAfterFar(t *testing.T) {
+	traceReset()
+	m, err := jobs.NewManager(newJobEngine(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	release := holdSlot(t, m)
+	defer release()
+
+	far := submitWithDeadline(t, m, 98, time.Minute)
+	near := submitWithDeadline(t, m, 99, 50*time.Millisecond)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	final, err := m.Wait(ctx, near.ID, time.Millisecond)
+	if err != nil {
+		t.Fatalf("near-deadline job 5 s after its 50 ms deadline: %v (snapshot %+v)", err, final)
+	}
+	if final.State != jobs.StateFailed || final.Error != jobs.ErrDeadlineExceeded.Error() {
+		t.Fatalf("near-deadline job: state %s error %q, want failed/%q",
+			final.State, final.Error, jobs.ErrDeadlineExceeded.Error())
+	}
+	if j, err := m.Get(far.ID); err != nil || j.State != jobs.StateQueued {
+		t.Fatalf("far-deadline job after the near one failed: %+v, %v; want queued", j, err)
+	}
+}
+
+// TestRetentionTTLWhileDeadlineArmed: with the slot busy and the timer
+// armed for a deadline a minute away, a job that finishes (canceled
+// while queued) is still collected when its retention TTL is up, and
+// the deadline job stays queued.
+func TestRetentionTTLWhileDeadlineArmed(t *testing.T) {
+	traceReset()
+	m, err := jobs.NewManager(newJobEngine(t), jobs.WithRetention(100, 40*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	release := holdSlot(t, m)
+	defer release()
+
+	far := submitWithDeadline(t, m, 98, time.Minute)
+	doomed, err := m.Submit(traceSpec(97, jobs.Normal))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j, err := m.Cancel(doomed.ID); err != nil || j.State != jobs.StateCanceled {
+		t.Fatalf("cancel queued: %+v, %v; want canceled", j, err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		_, err := m.Get(doomed.ID)
+		if errors.Is(err, jobs.ErrNotFound) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("canceled job still retained 5 s past its 40 ms TTL (Get: %v, stats %+v)", err, m.Stats())
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	if st := m.Stats(); st.Evicted != 1 || st.Retained != 0 {
+		t.Errorf("stats %+v, want 1 evicted and none retained", st)
+	}
+	if j, err := m.Get(far.ID); err != nil || j.State != jobs.StateQueued {
+		t.Fatalf("far-deadline job after the collection: %+v, %v; want queued", j, err)
+	}
+}
+
 // TestManagerCancel: canceling a queued job finishes it immediately and
 // it never runs; canceling a running job cancels its context and the
 // job lands canceled, not done.
@@ -400,8 +498,9 @@ func TestManagerRestartRecovery(t *testing.T) {
 		}
 		queuedIDs = append(queuedIDs, j.ID)
 	}
-	// Simulated kill: stop the scheduler without releasing the running
-	// job. The store still says "running" — exactly what a kill -9 leaves.
+	// Simulated kill: stop dispatch and fence the store without
+	// releasing the running job. The store still says "running" —
+	// exactly what a kill -9 leaves.
 	m1.Close()
 
 	m2, err := jobs.NewManager(newJobEngine(t), jobs.WithStore(store))

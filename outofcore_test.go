@@ -21,7 +21,6 @@ import (
 	"testing"
 
 	"pushpull"
-	"pushpull/internal/algo/pr"
 	"pushpull/internal/graph"
 )
 
@@ -78,7 +77,7 @@ func TestOutOfCorePRCrossValidate(t *testing.T) {
 		want := run(t, tc.w, "pr", pushpull.WithDirection(pushpull.Pull)).Result.([]float64)
 		for name, h := range fileHandles(t, tc.w) {
 			got := run(t, h, "pr", pushpull.WithThreads(4)).Result.([]float64)
-			if d := pr.MaxDiff(got, want); d > 1e-9 {
+			if d := pushpull.MaxDiff(got, want); d > 1e-9 {
 				t.Errorf("%s/%s: blocked pr diverges from plain pull: max diff %g", tc.name, name, d)
 			}
 		}

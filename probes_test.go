@@ -9,10 +9,8 @@ import (
 	"time"
 
 	"pushpull"
-	"pushpull/internal/algo/bc"
 	"pushpull/internal/algo/gc"
 	"pushpull/internal/algo/mst"
-	"pushpull/internal/algo/pr"
 	"pushpull/internal/algo/sssp"
 	"pushpull/internal/algo/tc"
 )
@@ -34,7 +32,7 @@ func TestProbesAllAlgorithms(t *testing.T) {
 	}{
 		{"pr", plain, []pushpull.Option{pushpull.WithIterations(3)},
 			func(t *testing.T, probed, ref *pushpull.Report) {
-				if d := pr.MaxDiff(probed.Ranks(), ref.Ranks()); d > 1e-12 {
+				if d := pushpull.MaxDiff(probed.Ranks(), ref.Ranks()); d > 1e-12 {
 					t.Errorf("probed pr diverges by %g", d)
 				}
 			}},
@@ -64,7 +62,7 @@ func TestProbesAllAlgorithms(t *testing.T) {
 			}},
 		{"bc", plain, []pushpull.Option{pushpull.WithSources([]pushpull.V{0, 1, 2, 3})},
 			func(t *testing.T, probed, ref *pushpull.Report) {
-				if d := bc.MaxDiff(probed.Ranks(), ref.Ranks()); d > 1e-6 {
+				if d := pushpull.MaxDiff(probed.Ranks(), ref.Ranks()); d > 1e-6 {
 					t.Errorf("probed bc diverges by %g", d)
 				}
 			}},

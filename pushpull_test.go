@@ -123,7 +123,7 @@ func TestFacadePRMatchesDirect(t *testing.T) {
 		} else {
 			want, _ = pr.Pull(pr.Views{Out: g, In: g}, opt)
 		}
-		if d := pr.MaxDiff(rep.Ranks(), want); d > 1e-12 {
+		if d := pushpull.MaxDiff(rep.Ranks(), want); d > 1e-12 {
 			t.Errorf("pr %v: facade diverges from direct call by %g", dir, d)
 		}
 		if rep.Stats.Iterations != 10 {
@@ -243,7 +243,7 @@ func TestFacadeBCMatchesDirect(t *testing.T) {
 	for _, dir := range []pushpull.Direction{pushpull.Push, pushpull.Pull} {
 		rep := run(t, g, "bc", pushpull.WithDirection(dir),
 			pushpull.WithThreads(2), pushpull.WithSources(sources))
-		if d := bc.MaxDiff(rep.Ranks(), want); d > 1e-6 {
+		if d := pushpull.MaxDiff(rep.Ranks(), want); d > 1e-6 {
 			t.Errorf("bc %v: facade diverges from sequential Brandes by %g", dir, d)
 		}
 	}
@@ -284,7 +284,7 @@ func TestWithProbes(t *testing.T) {
 	// The probed ranks still match the plain run.
 	plain := run(t, g, "pr", pushpull.WithDirection(pushpull.Push),
 		pushpull.WithThreads(2), pushpull.WithIterations(1))
-	if d := pr.MaxDiff(push.Ranks(), plain.Ranks()); d > 1e-12 {
+	if d := pushpull.MaxDiff(push.Ranks(), plain.Ranks()); d > 1e-12 {
 		t.Errorf("probed ranks diverge from plain run by %g", d)
 	}
 	// Probed reports still carry the iteration count and trace.
@@ -340,7 +340,7 @@ func TestWithDampingZero(t *testing.T) {
 			t.Fatalf("zero-damping rank[%d] = %g, want %g", v, r, 1/n)
 		}
 	}
-	if d := pr.MaxDiff(def.Ranks(), zero.Ranks()); d == 0 {
+	if d := pushpull.MaxDiff(def.Ranks(), zero.Ranks()); d == 0 {
 		t.Error("WithDamping(0) behaved like the default damping")
 	}
 }

@@ -21,7 +21,6 @@ import (
 	"testing"
 
 	"pushpull"
-	"pushpull/internal/algo/pr"
 )
 
 // storeRoundTrip drives the GraphStore contract shared by every
@@ -377,7 +376,7 @@ func TestDiskStoreBlockThreshold(t *testing.T) {
 	}
 	want := run(t, pushpull.NewWorkload(bigG), "pr", pushpull.WithDirection(pushpull.Pull)).Result.([]float64)
 	ranks := run(t, got, "pr").Result.([]float64)
-	if d := pr.MaxDiff(ranks, want); d > 1e-9 {
+	if d := pushpull.MaxDiff(ranks, want); d > 1e-9 {
 		t.Fatalf("reopened block graph pr diverges: %g", d)
 	}
 
@@ -438,7 +437,7 @@ func TestDiskStoreBufferedBlocks(t *testing.T) {
 		t.Fatal("buffered store served an mmapped handle")
 	}
 	want := run(t, pushpull.NewWorkload(g), "pr", pushpull.WithDirection(pushpull.Pull)).Result.([]float64)
-	if d := pr.MaxDiff(run(t, got, "pr").Result.([]float64), want); d > 1e-9 {
+	if d := pushpull.MaxDiff(run(t, got, "pr").Result.([]float64), want); d > 1e-9 {
 		t.Fatalf("buffered block graph pr diverges: %g", d)
 	}
 }
@@ -475,7 +474,7 @@ func TestEngineOutOfCoreSwapAndRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := pr.MaxDiff(rep.Result.([]float64), want); d > 1e-9 {
+	if d := pushpull.MaxDiff(rep.Result.([]float64), want); d > 1e-9 {
 		t.Fatalf("swapped handle pr diverges: %g", d)
 	}
 
@@ -494,7 +493,7 @@ func TestEngineOutOfCoreSwapAndRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := pr.MaxDiff(rep.Result.([]float64), want); d > 1e-9 {
+	if d := pushpull.MaxDiff(rep.Result.([]float64), want); d > 1e-9 {
 		t.Fatalf("restored handle pr diverges: %g", d)
 	}
 	// Algorithms without block kernels reject the pure file handle loudly.
