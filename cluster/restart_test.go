@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"slices"
 	"strings"
 	"testing"
 
+	"pushpull"
 	"pushpull/cluster"
 	"pushpull/jobs"
 	"pushpull/serve"
@@ -133,6 +135,66 @@ func TestFreshRouterReplacesAndDeletes(t *testing.T) {
 	for _, w := range fleet {
 		if n := len(workerGraphs(t, w)); n != 0 {
 			t.Errorf("worker %s still holds %d graph(s) after router B's delete", w.URL(), n)
+		}
+	}
+}
+
+// TestFreshRouterClearsExReplicas: 2 replicas over 3 workers. Router A
+// places demo on one pair; a router built fresh over the same workers
+// replaces it with content that places on another pair, so the worker
+// only A chose holds a copy the fresh router's catalog knows nothing of.
+// After the fresh router's PUT every worker holds its content or
+// nothing. Its DELETE then reaches every worker, not only its replicas:
+// a copy planted directly on the third worker, as one that was down
+// during the PUT would keep, is gone too.
+func TestFreshRouterClearsExReplicas(t *testing.T) {
+	fleet := newFleet(t, 3)
+	tsA, _ := newRouter(t, fleet)
+	plA := putGraph(t, tsA.URL, "demo", testGraph(t, 300, 5), http.StatusCreated)
+
+	sameSet := func(a, b []string) bool {
+		return len(a) == len(b) && !slices.ContainsFunc(a, func(w string) bool { return !slices.Contains(b, w) })
+	}
+	placer := cluster.NewPlacer(2)
+	var g *pushpull.Graph
+	for seed := uint64(6); g == nil; seed++ {
+		c := testGraph(t, 300, seed)
+		if !sameSet(placer.Place(pushpull.NewWorkload(c).ID(), urls(fleet)), plA.Replicas) {
+			g = c
+		}
+	}
+	tsB, _ := newRouter(t, fleet)
+	plB := putGraph(t, tsB.URL, "demo", g, http.StatusCreated)
+	if sameSet(plB.Replicas, plA.Replicas) {
+		t.Fatalf("router B placed demo on %v, router A's replicas too", plB.Replicas)
+	}
+	var other *worker
+	for _, w := range fleet {
+		got := workerGraphs(t, w)
+		if len(got) > 1 || len(got) == 1 && got[0].ID != plB.ContentID {
+			t.Errorf("worker %s holds %+v after router B's PUT, want nothing or demo as %s", w.URL(), got, plB.ContentID)
+		}
+		if !slices.Contains(plB.Replicas, w.URL()) {
+			other = w
+		}
+	}
+
+	putGraph(t, other.URL(), "demo", testGraph(t, 300, 5), http.StatusCreated)
+	req, err := http.NewRequest(http.MethodDelete, tsB.URL+"/graphs/demo", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNoContent {
+		t.Fatalf("DELETE through router B: status %d, want 204", resp.StatusCode)
+	}
+	for _, w := range fleet {
+		if got := workerGraphs(t, w); len(got) != 0 {
+			t.Errorf("worker %s holds %+v after router B's DELETE", w.URL(), got)
 		}
 	}
 }

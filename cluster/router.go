@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -22,6 +23,9 @@ import (
 // WorkerHeader names the worker that served a routed run.
 const WorkerHeader = "X-Cluster-Worker"
 
+// retryMax caps the backoff between a routed run's attempts.
+const retryMax = time.Second
+
 // Config configures a Router.
 type Config struct {
 	// Workers are the fleet's base URLs (e.g. http://10.0.0.1:8080).
@@ -33,9 +37,8 @@ type Config struct {
 	// (default 3); attempts rotate through the graph's replicas.
 	Retries int
 	// RetryBase is the first retry's backoff (default 50ms); it doubles
-	// per attempt, capped at RetryMax (default 1s).
+	// per attempt, capped at 1s (retryMax).
 	RetryBase time.Duration
-	RetryMax  time.Duration
 	// HealthInterval is the background health-probe period (default 2s;
 	// < 0 disables the loop). HealthTimeout bounds each probe (default
 	// 1s).
@@ -125,9 +128,6 @@ func New(cfg Config) (*Router, error) {
 	}
 	if cfg.RetryBase <= 0 {
 		cfg.RetryBase = 50 * time.Millisecond
-	}
-	if cfg.RetryMax <= 0 {
-		cfg.RetryMax = time.Second
 	}
 	if cfg.HealthInterval == 0 {
 		cfg.HealthInterval = 2 * time.Second
@@ -270,22 +270,14 @@ func (rt *Router) putGraph(w http.ResponseWriter, r *http.Request) {
 		rt.degraded.Add(1)
 	}
 
-	// Placement moved (different content hashes elsewhere, or workers
-	// died): ex-replicas must not keep serving the old content. The
-	// epoch fences a racing stale write; a down ex-replica is left to
-	// the next mutation (no anti-entropy in this tier yet).
-	if old, had := rt.catalog.Get(name); had {
-		inNew := map[string]bool{}
-		for _, wkr := range acked {
-			inNew[wkr] = true
-		}
-		for _, wkr := range old.Replicas {
-			if !inNew[wkr] {
-				//pushpull:allow lockheld ex-replica cleanup rides the serialized mutation; bounded by MutateTimeout
-				rt.proxy.deleteGraph(ctx, wkr, name, epoch)
-			}
-		}
-	}
+	// Every other worker that may hold the name drops it: an ex-replica
+	// must not keep serving the old content, whichever router placed it
+	// there. The epoch fences a racing stale write; a worker that stays
+	// down is left to the next mutation (no anti-entropy in this tier
+	// yet).
+	old, _ := rt.catalog.Get(name)
+	//pushpull:allow lockheld ex-replica cleanup rides the serialized mutation; bounded by MutateTimeout
+	rt.fanDelete(ctx, rt.holders(old.Replicas, acked), name, epoch)
 
 	pl := Placement{
 		Name: name, ContentID: id,
@@ -301,24 +293,67 @@ func (rt *Router) putGraph(w http.ResponseWriter, r *http.Request) {
 // acknowledged worker, the failure otherwise, classed with the worker's
 // status if it answered.
 func (rt *Router) fanPut(ctx context.Context, targets []string, name string, csr []byte, id string, epoch uint64) []error {
-	errs := make([]error, len(targets))
+	resps, errs := rt.fanOut(targets, func(wkr string) (*workerResponse, error) {
+		return rt.proxy.putGraph(ctx, wkr, name, csr, id, epoch)
+	})
+	for i, wkr := range targets {
+		switch {
+		case errs[i] != nil:
+			errs[i] = fmt.Errorf("%s: %w", wkr, errs[i])
+		case !resps[i].ok():
+			errs[i] = edge.Class(resps[i].status, fmt.Errorf("%s: %s", wkr, errorFrom(resps[i])))
+		}
+	}
+	return errs
+}
+
+// fanDelete deletes name, stamped with epoch, from every target
+// concurrently and returns how many answered with a refusal; a 404 is
+// none, the name being gone.
+func (rt *Router) fanDelete(ctx context.Context, targets []string, name string, epoch uint64) int {
+	resps, _ := rt.fanOut(targets, func(wkr string) (*workerResponse, error) {
+		return rt.proxy.deleteGraph(ctx, wkr, name, epoch)
+	})
+	refused := 0
+	for _, resp := range resps {
+		if resp != nil && !resp.ok() && resp.status != http.StatusNotFound {
+			refused++
+		}
+	}
+	return refused
+}
+
+// fanOut sends one request to every target concurrently and returns each
+// one's reply, or the error of a target it could not reach, which it
+// marks down.
+func (rt *Router) fanOut(targets []string, send func(wkr string) (*workerResponse, error)) ([]*workerResponse, []error) {
+	resps, errs := make([]*workerResponse, len(targets)), make([]error, len(targets))
 	var wg sync.WaitGroup
 	for i, wkr := range targets {
 		wg.Add(1)
-		go func(i int, wkr string) {
+		go func() {
 			defer wg.Done()
-			resp, err := rt.proxy.putGraph(ctx, wkr, name, csr, id, epoch)
-			switch {
-			case err != nil:
+			if resps[i], errs[i] = send(wkr); errs[i] != nil {
 				rt.health.MarkDown(wkr)
-				errs[i] = fmt.Errorf("%s: %w", wkr, err)
-			case !resp.ok():
-				errs[i] = edge.Class(resp.status, fmt.Errorf("%s: %s", wkr, errorFrom(resp)))
 			}
-		}(i, wkr)
+		}()
 	}
 	wg.Wait()
-	return errs
+	return resps, errs
+}
+
+// holders is every worker that may hold a copy of a name, less keep:
+// each up worker, whichever router placed the name there, and each of
+// known, the replicas this router's catalog placed it on, down or up,
+// since one may have recovered since the last probe.
+func (rt *Router) holders(known, keep []string) []string {
+	var out []string
+	for _, w := range rt.cfg.Workers {
+		if (rt.health.IsUp(w) || slices.Contains(known, w)) && !slices.Contains(keep, w) {
+			out = append(out, w)
+		}
+	}
+	return out
 }
 
 func (rt *Router) deleteGraph(w http.ResponseWriter, r *http.Request) {
@@ -333,16 +368,13 @@ func (rt *Router) deleteGraph(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	epoch := rt.catalog.NextEpoch()
-	for _, wkr := range pl.Replicas {
-		// Best-effort: a down replica keeps its copy but the epoch fence
-		// plus the catalog removal stop it from ever being routed to.
-		//pushpull:allow lockheld delete fan-out serializes on mutMu by design; bounded by MutateTimeout
-		if resp, err := rt.proxy.deleteGraph(ctx, wkr, name, epoch); err != nil {
-			rt.health.MarkDown(wkr)
-		} else if !resp.ok() && resp.status != http.StatusNotFound {
-			rt.degraded.Add(1)
-		}
-	}
+	// Every worker that may hold the name drops it, not only this
+	// router's replicas: a router restarted since an earlier one placed
+	// the name knows nothing of that copy. Best-effort: a worker that
+	// stays down keeps its copy, but the epoch fence plus the catalog
+	// removal stop it from ever being routed to.
+	//pushpull:allow lockheld delete fan-out serializes on mutMu by design; bounded by MutateTimeout
+	rt.degraded.Add(uint64(rt.fanDelete(ctx, rt.holders(pl.Replicas, nil), name, epoch)))
 	rt.catalog.Delete(name)
 	w.WriteHeader(http.StatusNoContent)
 }
@@ -400,9 +432,7 @@ func (rt *Router) tryReplicas(ctx context.Context, w http.ResponseWriter, what s
 			case <-time.After(backoff):
 			}
 			backoff *= 2
-			if backoff > rt.cfg.RetryMax {
-				backoff = rt.cfg.RetryMax
-			}
+			backoff = min(backoff, retryMax)
 		}
 		resp, err := send(wkr)
 		if err != nil {

@@ -239,7 +239,10 @@ func TestDegreePullRePutAndRestore(t *testing.T) {
 		t.Errorf("views built: first handle %d, second %d; want 1 each", first.DegreePullBuilds(), second.DegreePullBuilds())
 	}
 
-	store := pushpull.NewMemStore()
+	store, err := pushpull.NewDiskStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := store.Put("g", pushpull.Directed(g2)); err != nil {
 		t.Fatal(err)
 	}

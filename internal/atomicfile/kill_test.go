@@ -5,12 +5,13 @@ package atomicfile_test
 // Kill tests: the stores' crash promise, checked by killing a real
 // process. The test binary re-executes itself as a child (TestMain reads
 // the child's orders from the environment), which writes through a
-// store and stops itself with SIGKILL at a named step of a file
-// replacement. The parent reopens the store and checks that every file
-// holds its old or its new content, that every write the child saw
-// return is there, and that no temp is left. A killed process is all
-// this simulates: a power loss, which can lose a rename the file system
-// had not written back, is not, and nothing here claims to survive one.
+// store, or opens a graph store that migrates older files, and stops
+// itself with SIGKILL at a named step of a file replacement. The parent
+// reopens the store and checks that every file holds its old or its new
+// content, that every write the child saw return is there, and that no
+// temp is left. A killed process is all this simulates: a power loss,
+// which can lose a rename the file system had not written back, is not,
+// and nothing here claims to survive one.
 
 import (
 	"bytes"
@@ -75,13 +76,9 @@ func killChild(store, step, dir string) {
 		fmt.Println("kept")
 		die()
 		s.Put("g", graphOf(2))
-	case "graph-delete":
-		s, err := pushpull.NewDiskStore(dir)
-		if err != nil {
-			fail(err)
-		}
+	case "graph-open":
 		die()
-		s.Delete("g")
+		pushpull.NewDiskStore(dir)
 	case "jobs":
 		s, err := jobs.NewDiskJobStore(dir)
 		if err != nil {
@@ -139,119 +136,93 @@ func runChild(t *testing.T, store, step, dir string) []string {
 }
 
 // TestKillGraphStore: a DiskStore Put killed during the temp write,
-// after the temp is closed, and after the rename but before the stale
-// formats are removed. The name's old content is a .csr file, or a file
-// of an older store: a text .el, or a v1 .blk (testdata/legacy.blk).
+// after the temp is closed, and after the rename; and the migration a
+// DiskStore runs when it opens a directory of an older store, killed at
+// the same steps and after it removed the legacy file: a text .el, or a
+// v1 .blk (testdata/legacy.blk).
 func TestKillGraphStore(t *testing.T) {
-	const legacyID = "w6892f17a95e00015-n200"
 	old, neu, kept := graphOf(1), graphOf(2), graphOf(3)
-	legacy, err := os.ReadFile(filepath.Join("..", "..", "testdata", "legacy.blk"))
+	// check reopens dir and wants it to hold exactly the names in want,
+	// each with its content ID, and no temp.
+	check := func(t *testing.T, dir, step string, want map[string]string) {
+		t.Helper()
+		s, err := pushpull.NewDiskStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if left := temps(t, dir); len(left) != 0 {
+			t.Fatalf("reopened store holds temps %v", left)
+		}
+		names, err := s.Names()
+		if err != nil || len(names) != len(want) {
+			t.Fatalf("Names() = %v, %v; want the names of %v", names, err, want)
+		}
+		for name, id := range want {
+			got, err := s.Get(name)
+			if err != nil {
+				t.Fatalf("Get(%q) after a kill at %q: %v", name, step, err)
+			}
+			gotID := got.ID()
+			got.Close()
+			if gotID != id {
+				t.Fatalf("Get(%q) after a kill at %q holds %s, want %s", name, step, gotID, id)
+			}
+		}
+	}
+	for _, step := range []string{"write", "closed", "renamed"} {
+		t.Run(step+".csr", func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := pushpull.NewDiskStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Put("g", old); err != nil {
+				t.Fatal(err)
+			}
+			if done := runChild(t, "graph", step, dir); len(done) != 1 || done[0] != "kept" {
+				t.Fatalf("child reported %v, want [kept]", done)
+			}
+			want := old.ID()
+			if step == "renamed" {
+				want = neu.ID()
+			}
+			check(t, dir, step, map[string]string{"g": want, "kept": kept.ID()})
+		})
+	}
+
+	legacyBlk, err := os.ReadFile(filepath.Join("..", "..", "testdata", "legacy.blk"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, step := range []string{"write", "closed", "renamed"} {
-		for _, format := range []string{".csr", ".el", ".blk"} {
+	var legacyEl bytes.Buffer
+	if err := pushpull.WriteWorkload(&legacyEl, old); err != nil {
+		t.Fatal(err)
+	}
+	legacy := map[string]struct {
+		content []byte
+		id      string
+	}{
+		".el":  {legacyEl.Bytes(), old.ID()},
+		".blk": {legacyBlk, "w6892f17a95e00015-n200"},
+	}
+	for _, step := range []string{"write", "closed", "renamed", "removed"} {
+		for _, format := range []string{".el", ".blk"} {
 			t.Run(step+format, func(t *testing.T) {
 				dir := t.TempDir()
-				s, err := pushpull.NewDiskStore(dir)
-				if err != nil {
+				file := filepath.Join(dir, "g"+format)
+				if err := os.WriteFile(file, legacy[format].content, 0o644); err != nil {
 					t.Fatal(err)
 				}
-				oldID := old.ID()
-				switch format {
-				case ".csr":
-					err = s.Put("g", old)
-				case ".el":
-					var text bytes.Buffer
-					if err = pushpull.WriteWorkload(&text, old); err == nil {
-						err = os.WriteFile(filepath.Join(dir, "g.el"), text.Bytes(), 0o644)
-					}
-				case ".blk":
-					oldID = legacyID
-					err = os.WriteFile(filepath.Join(dir, "g.blk"), legacy, 0o644)
+				runChild(t, "graph-open", step, dir)
+				if _, err := os.Stat(file); (err == nil) != (step != "removed") {
+					t.Fatalf("after a kill at %q, stat g%s: %v", step, format, err)
 				}
-				if err != nil {
-					t.Fatal(err)
-				}
-				if done := runChild(t, "graph", step, dir); len(done) != 1 || done[0] != "kept" {
-					t.Fatalf("child reported %v, want [kept]", done)
-				}
-				if format != ".csr" {
-					if _, err := os.Stat(filepath.Join(dir, "g"+format)); err != nil {
-						t.Fatalf("the old g%s is gone after a kill at %q: %v", format, step, err)
-					}
-				}
-
-				s, err = pushpull.NewDiskStore(dir)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if left := temps(t, dir); len(left) != 0 {
-					t.Fatalf("reopened store holds temps %v", left)
-				}
-				names, err := s.Names()
-				if err != nil || strings.Join(names, ",") != "g,kept" {
-					t.Fatalf("Names() = %v, %v; want [g kept]", names, err)
-				}
-				want := oldID
-				if step == "renamed" {
-					want = neu.ID()
-				}
-				for name, id := range map[string]string{"g": want, "kept": kept.ID()} {
-					got, err := s.Get(name)
-					if err != nil {
-						t.Fatalf("Get(%q) after a kill at %q: %v", name, step, err)
-					}
-					gotID := got.ID()
-					got.Close()
-					if gotID != id {
-						t.Fatalf("Get(%q) after a kill at %q holds %s, want %s", name, step, gotID, id)
-					}
+				check(t, dir, step, map[string]string{"g": legacy[format].id})
+				if _, err := os.Stat(file); err == nil {
+					t.Fatalf("reopened store still holds g%s", format)
 				}
 			})
 		}
-	}
-}
-
-// TestKillGraphStoreDelete: a DiskStore Delete killed after its first
-// removal, on a name that holds a .csr and the stale .el a Put killed
-// before its stale-format removal left. The name is gone or holds the
-// .csr's content; the older .el's never comes back.
-func TestKillGraphStoreDelete(t *testing.T) {
-	old, neu := graphOf(1), graphOf(2)
-	dir := t.TempDir()
-	s, err := pushpull.NewDiskStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var text bytes.Buffer
-	if err := pushpull.WriteWorkload(&text, old); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Put("g", neu); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "g.el"), text.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	runChild(t, "graph-delete", "removed", dir)
-
-	if s, err = pushpull.NewDiskStore(dir); err != nil {
-		t.Fatal(err)
-	}
-	names, err := s.Names()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(names) == 0 {
-		return
-	}
-	got, err := s.Get("g")
-	if err != nil {
-		t.Fatalf("Get after a killed Delete: %v", err)
-	}
-	if got.ID() != neu.ID() {
-		t.Fatalf("a killed Delete left g holding %s, want %s or no g", got.ID(), neu.ID())
 	}
 }
 

@@ -1,17 +1,16 @@
 package pushpull
 
 // GraphStore: the persistence layer behind an Engine's named-workload
-// registry. PR 4's serving front kept uploaded graphs in process memory,
-// so a restart forgot every PUT /graphs; a store attached to the Engine
-// (AttachStore) makes the registry durable — every RegisterWorkload is
-// written through, every DropWorkload deleted, and a fresh Engine
-// attaching the same store restores the full name→Workload map before it
-// serves its first request.
+// registry. A store attached to the Engine (AttachStore) makes the
+// registry durable — every RegisterWorkload is written through, every
+// DropWorkload deleted, and a fresh Engine attaching the same store
+// restores the full name→Workload map before it serves its first
+// request.
 //
-// Two implementations ship: MemStore (a map — the write-through contract
-// without durability, for tests and composition) and DiskStore (one
-// binary CSR file per graph, the WriteWorkloadCSR format, so a restart
-// restores a graph by reading its arrays back instead of parsing text).
+// DiskStore is the implementation that ships: one binary CSR file per
+// graph, the WriteWorkloadCSR format, so a restart restores a graph by
+// reading its arrays back instead of parsing text. A test can substitute
+// its own GraphStore.
 
 import (
 	"errors"
@@ -21,7 +20,6 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -52,62 +50,6 @@ type GraphStore interface {
 	Delete(name string) error
 }
 
-// ---- in-memory store ----
-
-// MemStore is a map-backed GraphStore: the write-through contract without
-// durability. It is what tests compose against, and a building block for
-// wrapping stores (e.g. a write-behind cache over a remote store).
-type MemStore struct {
-	mu     sync.Mutex
-	graphs map[string]*Workload
-}
-
-// NewMemStore returns an empty in-memory store.
-func NewMemStore() *MemStore {
-	return &MemStore{graphs: map[string]*Workload{}}
-}
-
-// Names implements GraphStore.
-func (s *MemStore) Names() ([]string, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	names := make([]string, 0, len(s.graphs))
-	for n := range s.graphs {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names, nil
-}
-
-// Get implements GraphStore.
-func (s *MemStore) Get(name string) (*Workload, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	w, ok := s.graphs[name]
-	if !ok {
-		return nil, fmt.Errorf("memstore: %q: %w", name, fs.ErrNotExist)
-	}
-	return w, nil
-}
-
-// Put implements GraphStore.
-func (s *MemStore) Put(name string, w *Workload) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.graphs[name] = w
-	return nil
-}
-
-// Delete implements GraphStore.
-func (s *MemStore) Delete(name string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.graphs, name)
-	return nil
-}
-
-// ---- on-disk store ----
-
 // DiskStore persists each workload as one file under a directory:
 // <url.PathEscape(name)>.csr in the binary CSR format of
 // WriteWorkloadCSR, whose header records the graph kind (directedness,
@@ -134,13 +76,10 @@ func (s *MemStore) Delete(name string) error {
 // its pull view instead (the same .csr file, with the header's pull-view
 // flag) and restores as a pure out-of-core handle — see Put and Get.
 //
-// Stores written before the CSR format hold <name>.el text edge lists in
-// the WriteWorkload format. Get still restores them, and the next Put of
-// the name replaces the file with a .csr one. Stores written before the
-// pull-view flag hold out-of-core graphs in the retired v1 block format
-// (graph.LegacyBlockExt); the first Get of such a name converts the file,
-// once, to a pull-view .csr, unless the name already has a .csr, which is
-// newer.
+// A directory written by an older release may hold text <name>.el edge
+// lists or v1 .blk block files. NewDiskStore rewrites them as .csr files
+// once, when it opens the directory (migrateLegacy), so every other
+// method knows one file a name: <name>.csr.
 type DiskStore struct {
 	dir string
 	// blockThreshold: a Put whose estimated in-memory CSR footprint
@@ -155,18 +94,8 @@ type DiskStore struct {
 	mu sync.Mutex
 }
 
-// csrExt is the suffix of every file Put writes. textExt is the suffix of
-// the text edge lists stores held before the CSR format, which Get still
-// reads and Put replaces.
-const (
-	csrExt  = ".csr"
-	textExt = ".el"
-)
-
-// storeExts are every suffix a persisted name can have, in the order Get
-// prefers them. Delete removes them in reverse, so a process killed
-// mid-Delete leaves the name's content or none, never an older file.
-var storeExts = []string{csrExt, graph.LegacyBlockExt, textExt}
+// csrExt is the suffix of every file the store holds.
+const csrExt = ".csr"
 
 // DiskOption configures NewDiskStore.
 type DiskOption func(*DiskStore)
@@ -191,7 +120,8 @@ func WithBufferedBlocks() DiskOption {
 }
 
 // NewDiskStore opens (creating if needed) a graph store rooted at dir,
-// removing the temps a killed writer left there.
+// removing the temps a killed writer left there and migrating the files
+// of older formats (migrateLegacy).
 func NewDiskStore(dir string, opts ...DiskOption) (*DiskStore, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("diskstore: empty directory")
@@ -206,22 +136,85 @@ func NewDiskStore(dir string, opts ...DiskOption) (*DiskStore, error) {
 	for _, opt := range opts {
 		opt(s)
 	}
+	if err := s.migrateLegacy(); err != nil {
+		return nil, fmt.Errorf("diskstore: %w", err)
+	}
 	return s, nil
 }
 
-// pathExt maps a graph name onto its file with suffix ext. PathEscape
-// makes the mapping injective and filesystem-safe: separators and every
-// other reserved byte arrive percent-encoded, so no name can escape the
-// store directory. A leading dot is escaped by hand (PathEscape leaves
-// it alone): dotfiles are never entries (atomicfile.Hidden), and a
-// graph named ".hidden" must not be mistaken for one and dropped by
-// Names.
-func (s *DiskStore) pathExt(name, ext string) string {
+// migrateLegacy rewrites each file of an older format in the store
+// directory as the name's .csr: a text <x>.el edge list as the graph it
+// holds (the content ID the text gives it), a v1 <x>.blk block file as
+// its pull view. Each rewrite replaces the .csr whole, then the legacy
+// file is removed; a legacy file that already has a .csr beside it is
+// only removed, since that is what a process killed between the two
+// leaves, and the .csr is newer. Entries come in name order and <x>.blk
+// sorts before <x>.el, so a name held both ways keeps the block file's
+// content. A file the converter refuses stays, and the error names it.
+func (s *DiskStore) migrateLegacy() error {
+	const textExt = ".el" // the WriteWorkload text format
+	entries, err := os.ReadDir(s.dir)
+	if err != nil {
+		return err
+	}
+	for _, e := range entries {
+		if e.IsDir() || atomicfile.Hidden(e.Name()) {
+			continue
+		}
+		convert := graph.ConvertLegacyBlock
+		base, ok := strings.CutSuffix(e.Name(), graph.LegacyBlockExt)
+		if !ok {
+			convert = convertEdgeList
+			if base, ok = strings.CutSuffix(e.Name(), textExt); !ok {
+				continue
+			}
+		}
+		legacy, target := filepath.Join(s.dir, e.Name()), filepath.Join(s.dir, base+csrExt)
+		if _, err := os.Stat(target); errors.Is(err, fs.ErrNotExist) {
+			err = atomicfile.Replace(s.dir, target, &s.mu, func(w io.Writer) error { return convert(w, legacy) })
+			if err != nil {
+				return err
+			}
+		} else if err != nil {
+			return err
+		}
+		if err := atomicfile.Remove(legacy); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// convertEdgeList writes the text edge list at path to w in the binary
+// CSR format, or fails with an error naming the file.
+func convertEdgeList(w io.Writer, path string) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	wl, err := ReadWorkload(f)
+	if err == nil {
+		err = WriteWorkloadCSR(w, wl)
+	}
+	if err != nil {
+		return fmt.Errorf("text edge list %s: %w", path, err)
+	}
+	return nil
+}
+
+// path maps a graph name onto its file. PathEscape makes the mapping
+// injective and filesystem-safe: separators and every other reserved
+// byte arrive percent-encoded, so no name can escape the store
+// directory. A leading dot is escaped by hand (PathEscape leaves it
+// alone): dotfiles are never entries (atomicfile.Hidden), and a graph
+// named ".hidden" must not be mistaken for one and dropped by Names.
+func (s *DiskStore) path(name string) string {
 	esc := url.PathEscape(name)
 	if strings.HasPrefix(esc, ".") {
 		esc = "%2E" + esc[1:]
 	}
-	return filepath.Join(s.dir, esc+ext)
+	return filepath.Join(s.dir, esc+csrExt)
 }
 
 // Names implements GraphStore.
@@ -231,15 +224,8 @@ func (s *DiskStore) Names() ([]string, error) {
 		return nil, fmt.Errorf("diskstore: %w", err)
 	}
 	var names []string
-	seen := map[string]bool{}
 	for _, e := range entries {
-		var base string
-		ok := false
-		for _, ext := range storeExts {
-			if base, ok = strings.CutSuffix(e.Name(), ext); ok {
-				break
-			}
-		}
+		base, ok := strings.CutSuffix(e.Name(), csrExt)
 		if !ok || e.IsDir() || atomicfile.Hidden(e.Name()) {
 			continue
 		}
@@ -247,10 +233,6 @@ func (s *DiskStore) Names() ([]string, error) {
 		if err != nil {
 			return nil, fmt.Errorf("diskstore: undecodable file %q: %w", e.Name(), err)
 		}
-		if seen[name] {
-			continue // two formats present (interrupted Put): list once
-		}
-		seen[name] = true
 		names = append(names, name)
 	}
 	sort.Strings(names)
@@ -261,34 +243,21 @@ func (s *DiskStore) Names() ([]string, error) {
 // as a pure out-of-core handle — the full CSR is never materialized,
 // which is the point of WithBlockThreshold: a restart restores the big
 // graphs at the cost of an open fd each, not their memory. Otherwise the
-// .csr file is read, or, for a name no Put has rewritten since stores
-// held text, the legacy .el edge list. A name still in the v1 block
-// format is converted first (migrateLegacyBlock).
+// graph's arrays are read back.
 func (s *DiskStore) Get(name string) (*Workload, error) {
-	if err := s.migrateLegacyBlock(name); err != nil {
-		return nil, err
-	}
-	read := func(f *os.File) (*Workload, error) {
-		st, err := f.Stat()
-		if err != nil {
-			return nil, err
-		}
-		w, err := ReadWorkloadCSR(f, st.Size())
-		if errors.Is(err, graph.ErrPullView) {
-			return OpenOutOfCoreWorkload(f.Name(), s.blockOpts()...)
-		}
-		return w, err
-	}
-	f, err := os.Open(s.pathExt(name, csrExt))
-	if errors.Is(err, fs.ErrNotExist) {
-		read = func(f *os.File) (*Workload, error) { return ReadWorkload(f) }
-		f, err = os.Open(s.pathExt(name, textExt))
-	}
+	f, err := os.Open(s.path(name))
 	if err != nil {
 		return nil, fmt.Errorf("diskstore: %w", err)
 	}
 	defer f.Close()
-	w, err := read(f)
+	st, err := f.Stat()
+	if err != nil {
+		return nil, fmt.Errorf("diskstore: %w", err)
+	}
+	w, err := ReadWorkloadCSR(f, st.Size())
+	if errors.Is(err, graph.ErrPullView) {
+		w, err = OpenOutOfCoreWorkload(f.Name(), s.blockOpts()...)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("diskstore: %q: %w", name, err)
 	}
@@ -301,10 +270,7 @@ func (s *DiskStore) Get(name string) (*Workload, error) {
 // uploaded in-memory workload to the on-disk view and let the upload's
 // CSR be collected.
 func (s *DiskStore) OutOfCoreHandle(name string) (*Workload, bool, error) {
-	if err := s.migrateLegacyBlock(name); err != nil {
-		return nil, false, err
-	}
-	w, err := OpenOutOfCoreWorkload(s.pathExt(name, csrExt), s.blockOpts()...)
+	w, err := OpenOutOfCoreWorkload(s.path(name), s.blockOpts()...)
 	switch {
 	case errors.Is(err, fs.ErrNotExist), errors.Is(err, graph.ErrNotPullView):
 		return nil, false, nil
@@ -321,45 +287,18 @@ func (s *DiskStore) blockOpts() []WorkloadOption {
 	return nil
 }
 
-// migrateLegacyBlock converts name's v1 block file, if it has one, to a
-// pull-view .csr: streamed into a temp file outside the store lock, as
-// Put's write is, and published only if the v1 file is still there, so
-// a Put or Delete that ran meanwhile wins. A v1 file the converter
-// refuses stays where it is, and the error names it.
-func (s *DiskStore) migrateLegacyBlock(name string) error {
-	legacy := s.pathExt(name, graph.LegacyBlockExt)
-	if _, err := os.Stat(legacy); err != nil {
-		return nil
-	}
-	// No release since the v1 format writes one, so a .csr beside it is
-	// newer: what a Put killed before its stale-format removal leaves.
-	if _, err := os.Stat(s.pathExt(name, csrExt)); err == nil {
-		return nil
-	}
-	tmp, err := atomicfile.Write(s.dir, func(f io.Writer) error { return graph.ConvertLegacyBlock(f, legacy) })
-	switch {
-	case errors.Is(err, fs.ErrNotExist):
-		return nil // converted or deleted meanwhile
-	case err != nil:
-		return fmt.Errorf("diskstore: %q: %w", name, err)
-	}
-	return s.publish(name, tmp, legacy)
-}
-
 // Put implements GraphStore. The whole-graph serialization happens
-// before the store lock is taken — it writes every arc, and
-// holding the lock across it would stall every concurrent Get/Delete
-// behind one large upload. Only the atomic rename that publishes the
-// temp file runs under the lock, so concurrent Puts of one name still
-// serialize into complete, last-write-wins files.
+// before the store lock is taken — it writes every arc, and holding the
+// lock across it would stall every concurrent Get/Delete behind one
+// large upload. Only the atomic rename that publishes the temp file runs
+// under the lock, so concurrent Puts of one name still serialize into
+// complete, last-write-wins files.
 //
 // With WithBlockThreshold set, a workload whose estimated CSR footprint
-// exceeds the threshold is written as its pull view instead; the rename
-// also removes the name's stale files of older formats, so a name is
-// always stored exactly one way. A pure out-of-core handle has no graph
-// to write: putting one is a no-op when the name's stored file holds the
-// same graph (the handle this store restored, registered again), and an
-// error otherwise.
+// exceeds the threshold is written as its pull view instead. A pure
+// out-of-core handle has no graph to write: putting one is a no-op when
+// the name's stored file holds the same graph (the handle this store
+// restored, registered again), and an error otherwise.
 func (s *DiskStore) Put(name string, w *Workload) error {
 	if w == nil {
 		return fmt.Errorf("diskstore: %q: nil workload", name)
@@ -382,32 +321,8 @@ func (s *DiskStore) Put(name string, w *Workload) error {
 	if s.blockThreshold > 0 && estimatedCSRBytes(w) > s.blockThreshold {
 		write = w.writePullView
 	}
-	tmp, err := atomicfile.Write(s.dir, write)
-	if err != nil {
+	if err := atomicfile.Replace(s.dir, s.path(name), &s.mu, write); err != nil {
 		return fmt.Errorf("diskstore: %q: %w", name, err)
-	}
-	return s.publish(name, tmp, "")
-}
-
-// publish renames tmp to name's .csr file and removes the name's files
-// in every other format, under the store lock. A non-empty unless names a
-// file whose removal meanwhile cancels the publish.
-func (s *DiskStore) publish(name string, tmp atomicfile.Temp, unless string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if unless != "" {
-		if _, err := os.Stat(unless); err != nil {
-			tmp.Discard()
-			return nil
-		}
-	}
-	if err := tmp.Rename(s.pathExt(name, csrExt)); err != nil {
-		return fmt.Errorf("diskstore: %q: %w", name, err)
-	}
-	for _, stale := range []string{graph.LegacyBlockExt, textExt} {
-		if err := atomicfile.Remove(s.pathExt(name, stale)); err != nil {
-			return fmt.Errorf("diskstore: %q: dropping stale %s: %w", name, stale, err)
-		}
 	}
 	return nil
 }
@@ -424,14 +339,12 @@ func estimatedCSRBytes(w *Workload) int64 {
 	return b
 }
 
-// Delete implements GraphStore. Every format is removed.
+// Delete implements GraphStore.
 func (s *DiskStore) Delete(name string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, ext := range slices.Backward(storeExts) {
-		if err := atomicfile.Remove(s.pathExt(name, ext)); err != nil {
-			return fmt.Errorf("diskstore: %q: %w", name, err)
-		}
+	if err := atomicfile.Remove(s.path(name)); err != nil {
+		return fmt.Errorf("diskstore: %q: %w", name, err)
 	}
 	return nil
 }

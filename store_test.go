@@ -1,11 +1,11 @@
 package pushpull_test
 
 // GraphStore tests: the persistence layer behind the serving registry.
-// Both implementations round-trip name, content and kind; the disk store
-// survives a simulated restart (a fresh Engine attaching the same
-// directory restores every graph with the same content identity, so
-// cached results computed before the restart stay valid), and deletions
-// propagate.
+// The disk store round-trips name, content and kind; it survives a
+// simulated restart (a fresh Engine attaching the same directory
+// restores every graph with the same content identity, so cached results
+// computed before the restart stay valid), deletions propagate, and the
+// files of older formats are migrated when a store opens.
 
 import (
 	"bytes"
@@ -23,8 +23,7 @@ import (
 	"pushpull"
 )
 
-// storeRoundTrip drives the GraphStore contract shared by every
-// implementation.
+// storeRoundTrip drives the GraphStore contract.
 func storeRoundTrip(t *testing.T, s pushpull.GraphStore) {
 	t.Helper()
 	if names, err := s.Names(); err != nil || len(names) != 0 {
@@ -86,8 +85,6 @@ func storeRoundTrip(t *testing.T, s pushpull.GraphStore) {
 		t.Errorf("Names() after delete = %v, want one entry", names)
 	}
 }
-
-func TestMemStore(t *testing.T) { storeRoundTrip(t, pushpull.NewMemStore()) }
 
 func TestDiskStore(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "graphs")
@@ -505,23 +502,53 @@ func TestEngineOutOfCoreSwapAndRestore(t *testing.T) {
 	}
 }
 
-// TestDiskStoreRestoresLegacyEdgeList: a store written before the binary
-// CSR format holds <name>.el text edge lists. Get restores one with the ID
-// the text has always had, and the next Put of the name replaces it with
-// a .csr file, leaving the name listed once.
-func TestDiskStoreRestoresLegacyEdgeList(t *testing.T) {
-	const wantID = "w1223537e2a0c835e-n6"
-	fixture, err := os.ReadFile(filepath.Join("testdata", "legacy.el"))
+// dirFiles lists dir's entries by name.
+func dirFiles(t *testing.T, dir string) string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var files []string
+	for _, e := range entries {
+		files = append(files, e.Name())
+	}
+	return strings.Join(files, " ")
+}
+
+// openLegacy opens a store over a directory holding the committed
+// fixtures under the given file names (file name → fixture).
+func openLegacy(t *testing.T, fixtures map[string]string) (string, *pushpull.DiskStore) {
+	t.Helper()
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "legacy.el"), fixture, 0o644); err != nil {
-		t.Fatal(err)
+	for file, fixture := range fixtures {
+		b, err := os.ReadFile(filepath.Join("testdata", fixture))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, file), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	s, err := pushpull.NewDiskStore(dir)
 	if err != nil {
 		t.Fatal(err)
+	}
+	return dir, s
+}
+
+// TestDiskStoreRestoresLegacyEdgeList: a store written before the binary
+// CSR format holds <name>.el text edge lists. Opening it rewrites each as
+// a .csr file, before any Get, and the name restores with the ID the
+// text has always had.
+func TestDiskStoreRestoresLegacyEdgeList(t *testing.T) {
+	const wantID = "w1223537e2a0c835e-n6"
+	dir, s := openLegacy(t, map[string]string{"legacy.el": "legacy.el"})
+	if files := dirFiles(t, dir); files != "legacy.csr" {
+		t.Fatalf("the opened store holds %s, want legacy.csr", files)
+	}
+	if got := storedAs(t, dir, "legacy"); got != "graph" {
+		t.Fatalf("the opened store holds the name as %q, want a graph .csr", got)
 	}
 	if names, err := s.Names(); err != nil || len(names) != 1 || names[0] != "legacy" {
 		t.Fatalf("Names() = %v, %v, want [legacy]", names, err)
@@ -533,43 +560,24 @@ func TestDiskStoreRestoresLegacyEdgeList(t *testing.T) {
 	if w.ID() != wantID || !w.IsDirected() || !w.HasWeights() {
 		t.Fatalf("legacy graph restored as %s %s, want directed weighted %s", w.Kind(), w.ID(), wantID)
 	}
-	if err := s.Put("legacy", w); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "legacy.el")); !errors.Is(err, fs.ErrNotExist) {
-		t.Fatalf("re-Put left the legacy .el file: %v", err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "legacy.csr")); err != nil {
-		t.Fatalf("re-Put wrote no .csr file: %v", err)
-	}
-	if names, err := s.Names(); err != nil || len(names) != 1 {
-		t.Fatalf("Names() after re-Put = %v, %v, want one entry", names, err)
-	}
-	if again, err := s.Get("legacy"); err != nil || again.ID() != wantID {
-		t.Fatalf("re-put graph restored as %v, %v, want %s", again, err, wantID)
-	}
 }
 
 // TestDiskStoreMigratesLegacyBlock: a store written before the pull-view
 // flag holds out-of-core graphs as <name>.blk files in the retired v1
 // block format. testdata/legacy.blk is directedGraph(200, weighted) in
-// that format, in four 64-vertex blocks. Get converts it once to a
-// pull-view .csr, which restores with the ID the v1 file had and runs pr
-// and bfs as the in-memory graph does (bfs refuses a directed graph
-// either way); a damaged v1 file is refused and left where it is.
+// that format, in four 64-vertex blocks. Opening the store converts it,
+// before any Get, to a pull-view .csr, which restores with the ID the v1
+// file had and runs pr and bfs as the in-memory graph does (bfs refuses
+// a directed graph either way). A damaged v1 file fails the open and is
+// left where it is.
 func TestDiskStoreMigratesLegacyBlock(t *testing.T) {
 	const wantID = "w6892f17a95e00015-n200"
-	fixture, err := os.ReadFile(filepath.Join("testdata", "legacy.blk"))
-	if err != nil {
-		t.Fatal(err)
+	dir, s := openLegacy(t, map[string]string{"legacy.blk": "legacy.blk"})
+	if files := dirFiles(t, dir); files != "legacy.csr" {
+		t.Fatalf("the opened store holds %s, want legacy.csr", files)
 	}
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "legacy.blk"), fixture, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s, err := pushpull.NewDiskStore(dir)
-	if err != nil {
-		t.Fatal(err)
+	if got := storedAs(t, dir, "legacy"); got != "pull view" {
+		t.Fatalf("the opened store holds the name as %q, want a pull-view .csr", got)
 	}
 	if names, err := s.Names(); err != nil || len(names) != 1 || names[0] != "legacy" {
 		t.Fatalf("Names() = %v, %v, want [legacy]", names, err)
@@ -582,9 +590,6 @@ func TestDiskStoreMigratesLegacyBlock(t *testing.T) {
 	if !h.IsOutOfCore() || h.ID() != wantID {
 		t.Fatalf("legacy block graph restored as out-of-core=%v %s, want an out-of-core %s", h.IsOutOfCore(), h.ID(), wantID)
 	}
-	if got := storedAs(t, dir, "legacy"); got != "pull view" {
-		t.Fatalf("after Get the store holds the name as %q, want one pull-view .csr", got)
-	}
 	mem := pushpull.Directed(directedGraph(t, 200, true), pushpull.AsWeighted())
 	want := run(t, mem, "pr", pushpull.WithDirection(pushpull.Pull)).Ranks()
 	if d := pushpull.MaxDiff(run(t, h, "pr").Ranks(), want); d > 1e-9 {
@@ -596,69 +601,40 @@ func TestDiskStoreMigratesLegacyBlock(t *testing.T) {
 			t.Errorf("bfs on the directed graph (out-of-core=%v): %v, want ErrDirectedUnsupported", w.IsOutOfCore(), err)
 		}
 	}
-	if again, err := s.Get("legacy"); err != nil || again.ID() != wantID {
-		t.Fatalf("second Get: %v, %v, want %s", again, err, wantID)
-	} else {
-		again.Close()
-	}
 
 	// The block size field, in the header's fourth word, set to 65.
-	bad := append([]byte(nil), fixture...)
-	bad[12] = 65
-	if err := os.WriteFile(filepath.Join(dir, "bad.blk"), bad, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if w, err := s.Get("bad"); err == nil || !strings.Contains(err.Error(), "block size 65") {
-		t.Fatalf("damaged v1 file: Get = %v, %v, want a refusal naming the block size", w, err)
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var files []string
-	for _, e := range entries {
-		files = append(files, e.Name())
-	}
-	if fmt.Sprint(files) != "[bad.blk legacy.csr]" {
-		t.Fatalf("after the refusal the store holds %v, want [bad.blk legacy.csr]", files)
-	}
-}
-
-// TestDiskStoreMigratesLegacyBlockConcurrently: Gets racing to convert
-// one v1 file each restore the graph, and the store ends with one
-// pull-view .csr and no temp file.
-func TestDiskStoreMigratesLegacyBlockConcurrently(t *testing.T) {
 	fixture, err := os.ReadFile(filepath.Join("testdata", "legacy.blk"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "legacy.blk"), fixture, 0o644); err != nil {
+	fixture[12] = 65
+	if err := os.WriteFile(filepath.Join(dir, "bad.blk"), fixture, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s, err := pushpull.NewDiskStore(dir)
+	if _, err := pushpull.NewDiskStore(dir); err == nil || !strings.Contains(err.Error(), "bad.blk") ||
+		!strings.Contains(err.Error(), "block size 65") {
+		t.Fatalf("opening over a damaged v1 file: %v, want a refusal naming the file and its block size", err)
+	}
+	if files := dirFiles(t, dir); files != "bad.blk legacy.csr" {
+		t.Fatalf("after the refusal the store holds %s, want bad.blk legacy.csr", files)
+	}
+}
+
+// TestDiskStoreMigratesNameHeldBothWays: a name held both as a v1 block
+// file and as a text edge list opens to the block file's content, and
+// the store keeps one .csr of it.
+func TestDiskStoreMigratesNameHeldBothWays(t *testing.T) {
+	dir, s := openLegacy(t, map[string]string{"g.blk": "legacy.blk", "g.el": "legacy.el"})
+	if files := dirFiles(t, dir); files != "g.csr" {
+		t.Fatalf("the opened store holds %s, want g.csr", files)
+	}
+	w, err := s.Get("g")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var wg sync.WaitGroup
-	for range 4 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			w, err := s.Get("legacy")
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			defer w.Close()
-			if w.ID() != "w6892f17a95e00015-n200" {
-				t.Errorf("restored as %s", w.ID())
-			}
-		}()
-	}
-	wg.Wait()
-	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 1 || entries[0].Name() != "legacy.csr" {
-		t.Fatalf("the store holds %v, %v, want only legacy.csr", entries, err)
+	defer w.Close()
+	if w.ID() != "w6892f17a95e00015-n200" {
+		t.Fatalf("g restores as %s, want the block file's w6892f17a95e00015-n200", w.ID())
 	}
 }
 
