@@ -3,13 +3,15 @@ package pushpull
 // Admission and single-flight deduplication: the two request-level
 // scheduling layers the Engine puts in front of its kernels.
 //
-// Admission is one queue per Engine. Each kernel already spreads over
-// GOMAXPROCS threads, so splitting one process's runs over several queues
-// would isolate queues, not cores; spreading graphs over capacity is the
-// distribution layer's job, and the cluster router does it across
-// processes. The queue bounds concurrent runs (WithWorkers), sheds load
-// past a depth (WithQueueLimit) and fails queued runs on shutdown
-// (WithDrainSignal).
+// Admission is one ordered queue per Engine for every run that executes,
+// synchronous runs and jobs alike: each kernel already spreads over
+// GOMAXPROCS threads, so more queues would isolate queues, not cores (the
+// cluster router spreads graphs across processes). It bounds concurrent
+// runs (WithWorkers), sheds synchronous runs past a depth
+// (WithQueueLimit), fails queued runs on shutdown (WithDrainSignal), and
+// admits by priority, then deadline, then arrival. A job arrives when it
+// is submitted (Enqueue), not when its goroutine reaches Run, so the
+// admission order never depends on goroutine scheduling.
 //
 // Single-flight deduplication is the message-reduction lever (Yan et al.,
 // PAPERS.md) for identical work: concurrent requests whose (workload
@@ -22,14 +24,17 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
+	"sort"
+	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// ErrOverloaded: a run was rejected because the Engine's admission queue
-// already holds WithQueueLimit waiters. It is the engine's truthful
-// overload signal — serving fronts map it to 429 + Retry-After so a
-// cluster router can back off or fail over instead of queueing forever.
+// ErrOverloaded: a synchronous run was rejected because WithQueueLimit
+// queued runs were ahead of it. It is the engine's truthful overload
+// signal — serving fronts map it to 429 + Retry-After so a cluster router
+// can back off or fail over instead of queueing forever.
 var ErrOverloaded = errors.New("pushpull: admission queue full")
 
 // ErrDraining: a queued (not-yet-admitted) run was failed because the
@@ -39,7 +44,8 @@ var ErrOverloaded = errors.New("pushpull: admission queue full")
 // of racing the shutdown timeout in a queue that will never move.
 var ErrDraining = errors.New("pushpull: engine draining, queued run refused")
 
-// drainKey is the context key of WithDrainSignal.
+// drainKey is the context key of WithDrainSignal. Enqueue's key is the
+// queue itself, so a place is found only by the engine it was taken on.
 type drainKey struct{}
 
 // WithDrainSignal returns a context whose runs abandon the admission
@@ -58,62 +64,189 @@ func drainSignal(ctx context.Context) <-chan struct{} {
 	return ch
 }
 
-// admission is the Engine's admission queue plus its telemetry. A nil sem
-// admits unboundedly (the default Engine).
+// Enqueue takes a place in e's admission queue now and returns a context
+// holding it for the run that later calls e.Run with it: ordered by
+// priority (higher first; a synchronous run's is 0), then ctx's deadline,
+// then the moment of this call. When the place gets a slot, the run's
+// goroutine calls granted before it executes; an error from granted
+// releases the slot and fails the run. A cache hit, a coalesced follower
+// or the end of ctx gives the place up unused. A place is never shed by
+// WithQueueLimit; an unbounded engine grants it at once.
+func (e *Engine) Enqueue(ctx context.Context, priority int, granted func() error) context.Context {
+	q := &e.queue
+	w := &waiter{priority: priority, granted: granted}
+	w.deadline, _ = ctx.Deadline()
+	q.mu.Lock()
+	q.pushLocked(w)
+	q.mu.Unlock()
+	context.AfterFunc(ctx, func() { q.withdraw(w) })
+	return context.WithValue(ctx, q, w)
+}
+
+// admission is the Engine's admission queue plus its telemetry.
 type admission struct {
-	sem chan struct{}
-	// queueLimit bounds the number of runs waiting on sem; ≤ 0 queues
-	// unboundedly. waiting tracks the current queue depth.
-	queueLimit int
-	waiting    atomic.Int64
+	// workers bounds the runs admitted at once (0: no bound); queueLimit
+	// the waiters a synchronous run may queue behind (≤ 0: no bound).
+	workers, queueLimit int
+
+	mu    sync.Mutex
+	busy  int       // slots held, by runs and by granted places not yet claimed
+	queue []*waiter // in admission order
+	seq   uint64
+	// waiting counts the waiters a synchronous run would queue behind:
+	// all but low-priority ones. Written under mu, read by Stats.
+	waiting atomic.Int64
 
 	queuedRuns  atomic.Uint64
 	queueWaitNS atomic.Int64
 	rejected    atomic.Uint64
 }
 
-// admit blocks until a worker slot frees up (or ctx fires while
-// queueing), returning how long the run waited. When the queue has a
-// limit and that many runs are already waiting, admit fails fast with
-// ErrOverloaded instead of joining the queue.
-func (s *admission) admit(ctx context.Context) (time.Duration, error) {
-	if s.sem == nil {
+// waiter is one place in the queue; q.mu guards it once pushed.
+type waiter struct {
+	priority     int
+	deadline     time.Time
+	seq          uint64
+	queued, held bool // held: granted a slot no run has claimed yet
+	ready        chan struct{}
+	since        time.Time
+	wait         time.Duration
+	granted      func() error // Enqueue's hook; nil for a synchronous run
+}
+
+// before is the admission order: priority (high first), then deadline
+// (earliest first, none last), then arrival.
+func (w *waiter) before(o *waiter) bool {
+	if w.priority != o.priority {
+		return w.priority > o.priority
+	}
+	if !w.deadline.Equal(o.deadline) {
+		return !w.deadline.IsZero() && (o.deadline.IsZero() || w.deadline.Before(o.deadline))
+	}
+	return w.seq < o.seq
+}
+
+// admit blocks until the run holds a worker slot (or ctx fires while it
+// queues), returning how long it waited in the queue. A synchronous run
+// that finds WithQueueLimit waiters ahead fails fast with ErrOverloaded.
+func (q *admission) admit(ctx context.Context) (time.Duration, error) {
+	w, _ := ctx.Value(q).(*waiter)
+	if w == nil && q.workers == 0 {
 		return 0, nil
 	}
-	select {
-	case s.sem <- struct{}{}:
+	q.mu.Lock()
+	switch {
+	case w == nil && q.busy < q.workers:
+		q.busy++
+		q.mu.Unlock()
 		return 0, nil
-	default:
+	case w == nil:
+		if q.queueLimit > 0 && q.waiting.Load() >= int64(q.queueLimit) {
+			q.mu.Unlock()
+			q.rejected.Add(1)
+			return 0, fmt.Errorf("%w (%d queued)", ErrOverloaded, q.queueLimit)
+		}
+		w = &waiter{}
+		w.deadline, _ = ctx.Deadline()
+		q.pushLocked(w)
+	case !w.held && !w.queued && ctx.Err() == nil:
+		// A place given up unclaimed — a coalesced follower's, whose
+		// leader failed — takes its old order again.
+		q.pushLocked(w)
 	}
-	// waiting is tracked unconditionally (not just under a queue limit):
-	// it is the live queue depth behind the serving front's Retry-After
-	// estimate and the queue_eta_ms stat.
-	depth := s.waiting.Add(1)
-	if s.queueLimit > 0 && depth > int64(s.queueLimit) {
-		s.waiting.Add(-1)
-		s.rejected.Add(1)
-		return 0, fmt.Errorf("%w (%d queued)", ErrOverloaded, s.queueLimit)
-	}
-	defer s.waiting.Add(-1)
-	s.queuedRuns.Add(1)
-	start := time.Now()
+	q.mu.Unlock()
 	select {
-	case s.sem <- struct{}{}:
-		wait := time.Since(start)
-		s.queueWaitNS.Add(int64(wait))
-		return wait, nil
+	case <-w.ready:
 	case <-drainSignal(ctx):
-		s.queueWaitNS.Add(int64(time.Since(start)))
+		q.withdraw(w)
 		return 0, ErrDraining
 	case <-ctx.Done():
-		s.queueWaitNS.Add(int64(time.Since(start)))
+		q.withdraw(w)
 		return 0, fmt.Errorf("pushpull: canceled in admission queue: %w", ctx.Err())
+	}
+	// Claim the slot: a withdrawal at the end of ctx may have taken it.
+	q.mu.Lock()
+	held := w.held
+	w.held = false
+	q.mu.Unlock()
+	if !held {
+		return 0, fmt.Errorf("pushpull: canceled in admission queue: %w", ctx.Err())
+	}
+	if w.granted != nil {
+		if err := w.granted(); err != nil {
+			q.release()
+			return 0, err
+		}
+	}
+	return w.wait, nil
+}
+
+// pushLocked grants w a slot if one is free, else queues it in order.
+func (q *admission) pushLocked(w *waiter) {
+	if w.seq == 0 {
+		q.seq++
+		w.seq = q.seq
+	}
+	w.wait, w.ready = 0, make(chan struct{})
+	if q.workers == 0 || q.busy < q.workers {
+		q.grantLocked(w)
+		return
+	}
+	i := sort.Search(len(q.queue), func(i int) bool { return w.before(q.queue[i]) })
+	q.queue = slices.Insert(q.queue, i, w)
+	w.queued, w.since = true, time.Now()
+	if w.priority >= 0 {
+		q.waiting.Add(1)
+	}
+	q.queuedRuns.Add(1)
+}
+
+func (q *admission) grantLocked(w *waiter) {
+	if q.workers > 0 {
+		q.busy++
+	}
+	w.held = true
+	close(w.ready)
+}
+
+// dequeueLocked takes w out of the queue, charging its wait.
+func (q *admission) dequeueLocked(w *waiter) {
+	q.queue = slices.DeleteFunc(q.queue, func(o *waiter) bool { return o == w })
+	w.queued = false
+	if w.priority >= 0 {
+		q.waiting.Add(-1)
+	}
+	w.wait = time.Since(w.since)
+	q.queueWaitNS.Add(int64(w.wait))
+}
+
+// withdraw gives w's place up: out of the queue, or its unclaimed slot to
+// the next waiter.
+func (q *admission) withdraw(w *waiter) {
+	q.mu.Lock()
+	held := w.held
+	if w.queued {
+		q.dequeueLocked(w)
+	}
+	w.held = false
+	q.mu.Unlock()
+	if held {
+		q.release()
 	}
 }
 
-func (s *admission) release() {
-	if s.sem != nil {
-		<-s.sem
+// release frees a slot and grants it to the first waiter.
+func (q *admission) release() {
+	if q.workers == 0 {
+		return
+	}
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	q.busy--
+	if len(q.queue) > 0 {
+		w := q.queue[0]
+		q.dequeueLocked(w)
+		q.grantLocked(w)
 	}
 }
 
@@ -145,6 +278,12 @@ func (e *Engine) coalesce(ctx context.Context, key string) (*Report, error, *fli
 		if f, ok := e.inflight[key]; ok {
 			f.waiters++
 			e.sfMu.Unlock()
+			// A follower needs no slot: a place it took with Enqueue goes
+			// to the next waiter while it parks (admit takes it back if the
+			// leader fails and this call must run after all).
+			if w, _ := ctx.Value(&e.queue).(*waiter); w != nil {
+				e.queue.withdraw(w)
+			}
 			select {
 			case <-f.done:
 			case <-ctx.Done():

@@ -277,7 +277,7 @@ func serveEngine(args []string, scale float64, seed uint64) {
 	store := fs.String("store", "", "persist uploaded graphs to this directory (restored on restart)")
 	maxMemory := fs.Int64("max-memory", 0, "per-graph memory budget in bytes: stored graphs whose CSR would exceed it are persisted as their pull view (a .csr an out-of-core handle opens) and served block-sequentially off disk (0 = unlimited; requires -store)")
 	graphs := fs.String("graphs", "", "comma-separated suite graph ids to preload (e.g. rmat,rca; weights attached)")
-	maxQueue := fs.Int("max-queue", 1024, "admission-queue bound: excess runs are shed with 429 + Retry-After (0 = queue unboundedly)")
+	maxQueue := fs.Int("max-queue", 1024, "admission-queue bound for synchronous runs: a POST /run that would wait behind this many queued runs and jobs (low-priority jobs not counted) is shed with 429 + Retry-After; a job is never shed (0 = queue unboundedly)")
 	maxUpload := fs.Int64("max-upload", serve.MaxGraphBytes, "PUT /graphs body limit in bytes; larger uploads get 413")
 	jobsKeep := fs.Int("jobs-keep", jobs.DefaultKeep, "finished jobs kept for status and result fetches; beyond it the oldest is collected (record, and its result payload once no kept job shares it)")
 	jobsTTL := fs.Duration("jobs-ttl", jobs.DefaultTTL, "how long a finished job is kept before it is collected, e.g. 10m, 24h")

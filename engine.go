@@ -6,9 +6,9 @@ package pushpull
 // already memoized per Workload handle, and the Engine adds the
 // request-level layers on top:
 //
-//   - one admission queue: at most WithWorkers runs execute at once, the
-//     rest wait (bounded by WithQueueLimit, shed past it with
-//     ErrOverloaded),
+//   - one admission queue: at most WithWorkers runs, jobs included,
+//     execute at once; the rest wait by priority, deadline, then arrival
+//     (synchronous runs shed past WithQueueLimit with ErrOverloaded),
 //   - single-flight deduplication: concurrent identical requests coalesce
 //     onto the one run already executing (followers report
 //     Stats.Coalesced and run nothing), and
@@ -105,10 +105,12 @@ type engineConfig struct {
 	singleFlight bool
 }
 
-// WithWorkers bounds the Engine to n concurrent runs; excess runs wait in
-// its admission queue (their wait is reported as Stats.QueueWait). n ≤ 0
-// removes the bound. NewEngine's default is GOMAXPROCS — one kernel's
-// thread pool per hardware context.
+// WithWorkers bounds the Engine to n concurrent runs, jobs included;
+// excess runs wait in its admission queue (their wait is reported as
+// Stats.QueueWait). n ≤ 0 removes the bound: every run and job is
+// admitted at once. NewEngine's default is GOMAXPROCS — one kernel's
+// thread pool per hardware context — so only DefaultEngine and an
+// explicit WithWorkers(0) build an unbounded Engine.
 func WithWorkers(n int) EngineOption {
 	return func(c *engineConfig) { c.workers = n }
 }
@@ -134,15 +136,14 @@ func WithResultCacheBytes(n int64) EngineOption {
 	return func(c *engineConfig) { c.cacheBytes = n }
 }
 
-// WithQueueLimit bounds the admission queue to n waiting runs: a run
-// arriving while all workers are busy and n runs already wait fails
-// fast with ErrOverloaded instead of queueing (the rejection is counted
-// in EngineStats.Rejected). n ≤ 0 — the default — queues unboundedly.
-// Only meaningful on a bounded Engine (WithWorkers > 0); an unbounded
-// Engine never queues. This is the truthful overload signal a serving
-// front needs: under sustained overload an unbounded queue grows without
-// limit while every client times out, whereas a bounded one sheds load
-// the moment it cannot serve it.
+// WithQueueLimit sheds a synchronous run that would queue behind n runs
+// (EngineStats.Waiting: every waiter but low-priority jobs): it fails fast
+// with ErrOverloaded, counted in EngineStats.Rejected. A place taken with
+// Enqueue is never shed. n ≤ 0 — the default — queues unboundedly; an
+// unbounded Engine (WithWorkers ≤ 0) never queues. This is the truthful
+// overload signal a serving front needs: under sustained overload an
+// unbounded queue grows without limit while every client times out,
+// whereas a bounded one sheds load the moment it cannot serve it.
 func WithQueueLimit(n int) EngineOption {
 	return func(c *engineConfig) { c.queueLimit = n }
 }
@@ -175,10 +176,7 @@ func NewEngine(opts ...EngineOption) *Engine {
 		inflight:     map[string]*flight{},
 		workloads:    map[string]*Workload{},
 	}
-	e.queue.queueLimit = cfg.queueLimit
-	if cfg.workers > 0 {
-		e.queue.sem = make(chan struct{}, cfg.workers)
-	}
+	e.queue.workers, e.queue.queueLimit = max(cfg.workers, 0), cfg.queueLimit
 	if cfg.cacheCap > 0 {
 		e.cache = newResultCache(cfg.cacheCap, cfg.cacheBytes)
 	}
@@ -515,12 +513,11 @@ type EngineStats struct {
 	// Workers is the admission bound (WithWorkers): at most this many runs
 	// execute at once. 0 means unbounded.
 	Workers int `json:"workers"`
-	// QueuedRuns counts runs that waited in the admission queue;
-	// QueueWait is their cumulative wait. Waiting is the instantaneous
-	// queue depth: unlike the cumulative counters it can go to zero
-	// again, and serving fronts multiply it by the mean historical wait
-	// to produce an honest Retry-After. Rejected counts runs shed with
-	// ErrOverloaded under WithQueueLimit.
+	// QueuedRuns counts runs that waited in the admission queue, jobs
+	// included; QueueWait is their cumulative wait. Waiting is how many
+	// queued runs a synchronous run arriving now would wait behind (all but
+	// low-priority jobs); serving fronts multiply it by the mean wait for
+	// an honest Retry-After. Rejected counts runs shed with ErrOverloaded.
 	QueuedRuns uint64        `json:"queued_runs"`
 	QueueWait  time.Duration `json:"queue_wait_ns"`
 	Waiting    int64         `json:"waiting"`
@@ -537,7 +534,7 @@ func (e *Engine) Stats() EngineStats {
 
 		EncodingHits: e.encodingHits.Load(),
 
-		Workers:    cap(e.queue.sem),
+		Workers:    e.queue.workers,
 		QueuedRuns: e.queue.queuedRuns.Load(),
 		QueueWait:  time.Duration(e.queue.queueWaitNS.Load()),
 		Waiting:    e.queue.waiting.Load(),

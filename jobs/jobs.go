@@ -1,21 +1,18 @@
-// Package jobs turns synchronous engine runs into durable, schedulable
-// jobs: the async half of the serving stack. A Manager wraps a
-// *pushpull.Engine; Submit returns a job ID immediately, and the queue,
-// ordered by priority and deadline, feeds the engine's admission queue
-// at most as many jobs at once as the engine admits runs. A job starts
-// in the same critical section that queued it or freed its slot (there
-// is no scheduler goroutine), and one timer per Manager fails expired
-// queued jobs and collects expired finished ones. Job state lives
-// behind a JobStore, so a worker restart recovers the queue instead of
-// forgetting it: still-queued jobs are re-queued, jobs that were mid-run
-// are marked interrupted (their partial work is gone with the process).
+// Package jobs turns synchronous engine runs into durable jobs: the async
+// half of the serving stack. A Manager wraps a *pushpull.Engine; Submit
+// returns a job ID immediately, and the job waits for a worker slot in the
+// engine's one admission queue, in the place its submission took. Job
+// state lives behind a JobStore, so a worker restart recovers the queue
+// instead of forgetting it: still-queued jobs are re-queued, jobs that
+// were mid-run are marked interrupted (their partial work is gone with the
+// process).
 //
-// The scheduling order is strict: higher priority always dispatches
-// first; within a priority, earlier deadline first (no deadline sorts
-// last); within that, submission order. A job whose deadline passes
-// before it reaches a worker slot fails fast with ErrDeadlineExceeded —
-// it never occupies a slot, so an overloaded worker sheds exactly the
-// work that could no longer be useful.
+// The order is strict, with synchronous runs at normal priority: higher
+// priority first; within a priority, earlier deadline first (no deadline
+// sorts last); within that, submission order. A job whose deadline passes
+// before it reaches a worker slot fails fast with ErrDeadlineExceeded — it
+// never occupies a slot, so an overloaded worker sheds exactly the work
+// that could no longer be useful.
 package jobs
 
 import (

@@ -271,7 +271,8 @@ func TestRetentionTTL(t *testing.T) {
 			t.Errorf("Get(expired %s) = %v, want ErrNotFound", id, err)
 		}
 	}
-	// The payload deletes follow the collection, outside the manager lock.
+	// Records and payloads leave with the collection; the loop only gives
+	// a slow disk its time.
 	for {
 		records, payloads := storeFiles(t, dir)
 		if len(records) == 0 && len(payloads) == 0 {
@@ -284,6 +285,77 @@ func TestRetentionTTL(t *testing.T) {
 	}
 	if st := m.Stats(); st.Evicted != 2 || st.PayloadFiles != 0 || st.PayloadBytes != 0 {
 		t.Errorf("stats %+v, want 2 evicted and no payloads", st)
+	}
+}
+
+// deleteGateStore is a MemJobStore whose DeletePayload announces the hash
+// on entered and then waits for release to close.
+type deleteGateStore struct {
+	*jobs.MemJobStore
+	entered chan string
+	release chan struct{}
+}
+
+func (s *deleteGateStore) DeletePayload(hash string) error {
+	s.entered <- hash
+	<-s.release
+	return s.MemJobStore.DeletePayload(hash)
+}
+
+// TestRetentionEvictsPayloadBeforeDone: a finish that pushes an older job
+// out deletes that job's payload before the finish is visible, so no poll
+// reads done while the store still holds what the finish evicted. A store
+// whose payload delete blocks holds that moment open.
+func TestRetentionEvictsPayloadBeforeDone(t *testing.T) {
+	store := &deleteGateStore{MemJobStore: jobs.NewMemJobStore(), entered: make(chan string, 1), release: make(chan struct{})}
+	m, err := jobs.NewManager(newCachingEngine(t, 512), jobs.WithStore(store), jobs.WithRetention(1, time.Hour))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	var once sync.Once
+	open := func() { once.Do(func() { close(store.release) }) }
+	defer open()
+
+	old := runJob(t, m, prSpec(1))
+	next, err := m.Submit(prSpec(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case hash := <-store.entered:
+		if hash != old.Payload {
+			t.Fatalf("deleting payload %s, want the evicted job's %s", hash, old.Payload)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the second job's finish deleted no payload")
+	}
+	polled := make(chan *jobs.Job, 1)
+	go func() {
+		j, err := m.Get(next.ID)
+		if err != nil {
+			t.Error(err)
+		}
+		polled <- j
+	}()
+	select {
+	case j := <-polled:
+		if j != nil && j.State == jobs.StateDone {
+			t.Errorf("job %s reads done while the payload of the job it evicted is still being deleted", j.ID)
+		}
+	case <-time.After(50 * time.Millisecond):
+	}
+	open()
+	final, err := m.Wait(context.Background(), next.ID, time.Millisecond)
+	if err != nil || final.State != jobs.StateDone {
+		t.Fatalf("job %s ended %+v, %v; want done", next.ID, final, err)
+	}
+	payloads, err := store.Payloads()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := payloads[final.Payload]; len(payloads) != 1 || !ok {
+		t.Errorf("stored payloads %v, want only %s", payloads, final.Payload)
 	}
 }
 

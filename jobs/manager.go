@@ -1,11 +1,12 @@
 package jobs
 
-// The Manager: a priority+deadline-aware scheduler between job
-// submission and the engine's admission queue. Submission is O(log n) and
-// returns immediately; at most as many jobs run at once as the engine
-// admits runs (EngineStats.Workers), so the engine's own backpressure
-// stays the real throttle and the job queue absorbs what the synchronous
-// path would have shed with 429.
+// The Manager keeps job records, retention and recovery; the engine's one
+// admission queue schedules. Submission writes a job's queued record,
+// takes its place in that queue (Engine.Enqueue) and starts its run. The
+// queue's grant marks the job running, so running means it holds a worker
+// slot; a job is never shed, so the queue absorbs what the synchronous
+// path would have shed with 429. Cancel and the deadline are the job
+// context's, in the queue and in the kernel alike.
 //
 // Concurrency shape: the in-memory job map is the runtime truth, guarded
 // by mu; every state transition writes the job's record through to the
@@ -16,30 +17,21 @@ package jobs
 // bytes whatever its job computed. A result's payload — the encoded
 // vector, megabytes — is stored before the transition, outside mu, under
 // its content hash, once for all the jobs that share it (payMu orders
-// those writes against the deletes of collection; besides them only
-// Stats takes it).
-//
-// Dispatch needs no goroutine of its own: whoever queues a job or frees a
-// slot — a submission, recovery, a run's end — starts what the free
-// slots allow in the same critical section (dispatchLocked). Time is the
-// one other event: a single timer per Manager, re-armed under mu for
-// whichever comes first, the earliest queued deadline or the oldest
-// terminal job's expiry.
+// those writes against the deletes of collection).
 //
 // Terminal jobs do not stay forever: WithRetention bounds how many are
 // kept and for how long, oldest collected first — record deleted, and
-// the payload with its last referrer.
+// the payload with its last referrer, before the finish that pushed it
+// out is visible. One timer per Manager serves the TTL.
 
 import (
 	"bytes"
-	"container/heap"
 	"context"
 	"errors"
 	"fmt"
 	"io"
 	"io/fs"
 	"net/http"
-	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -49,39 +41,32 @@ import (
 	"pushpull/internal/edge"
 )
 
-// Manager schedules submitted jobs onto one Engine. Safe for concurrent
-// use; build with NewManager.
+// Manager runs submitted jobs on one Engine and keeps their records.
+// Safe for concurrent use; build with NewManager.
 type Manager struct {
 	eng   *pushpull.Engine
 	store JobStore
 	keep  int           // terminal jobs retained
 	ttl   time.Duration // and for how long
-	slots int           // jobs running at once: the engine's admission bound
 
 	mu      sync.Mutex
 	jobs    map[string]*Job
-	queue   jobHeap
-	cancels map[string]context.CancelFunc
-	seq     uint64
-	running int
+	cancels map[string]context.CancelFunc // of every job not yet terminal
 	closed  bool
 	// terminal lists the retained terminal jobs, oldest finish first: the
 	// order collection takes them in.
 	terminal []*Job
 	evicted  uint64
-	// timer is the Manager's one wake-up (nil until first armed), due at
-	// armed; zero armed means none is pending.
+	// timer is the Manager's one wake-up for retention (nil until first
+	// armed), due at armed; zero armed means none is pending.
 	timer *time.Timer
 	armed time.Time
-	// released collects the payload hashes of jobs collected while mu is
-	// held; unlock hands them to release once it is not.
-	released []string
 
 	// payMu guards payloads, the reference counts of the stored result
-	// payloads, and is held across the store write or delete that a count
-	// leaving or reaching zero calls for, so the two cannot interleave on
-	// one hash. Never held together with mu. Close sets the map to nil:
-	// a closed manager stores and deletes nothing.
+	// payloads, across the store write or delete a count leaving or
+	// reaching zero calls for. Paths that may collect take it before mu
+	// (lock), so a finish's evicted payloads are gone before a poll sees
+	// the finish. Close sets the map to nil: it stores and deletes nothing.
 	payMu    sync.Mutex
 	payloads map[string]*payloadRef
 }
@@ -132,11 +117,9 @@ type payloadRef struct {
 	size int64
 }
 
-// NewManager builds a Manager over eng, recovers any jobs its store
-// holds, and dispatches those it can. It runs as many jobs at once as
-// eng admits runs (WithWorkers; GOMAXPROCS for an unbounded engine): more
-// would park in the engine's admission queue while counting as running,
-// letting low-priority jobs leak past a later high-priority submission.
+// NewManager builds a Manager over eng and recovers any jobs its store
+// holds. Its jobs run as eng admits them, with its synchronous runs: at
+// most WithWorkers at once, all at once on an unbounded engine.
 func NewManager(eng *pushpull.Engine, opts ...Option) (*Manager, error) {
 	if eng == nil {
 		return nil, fmt.Errorf("jobs: NewManager(nil engine)")
@@ -149,13 +132,9 @@ func NewManager(eng *pushpull.Engine, opts ...Option) (*Manager, error) {
 		jobs:     map[string]*Job{},
 		cancels:  map[string]context.CancelFunc{},
 		payloads: map[string]*payloadRef{},
-		slots:    eng.Stats().Workers,
 	}
 	for _, opt := range opts {
 		opt(m)
-	}
-	if m.slots <= 0 {
-		m.slots = runtime.GOMAXPROCS(0)
 	}
 	if err := m.recover(); err != nil {
 		return nil, err
@@ -163,12 +142,11 @@ func NewManager(eng *pushpull.Engine, opts ...Option) (*Manager, error) {
 	return m, nil
 }
 
-// recover loads the store's jobs into the runtime map: queued jobs
-// re-queue (in submission order, so recovered FIFO ties break as they
-// did originally), running jobs are marked interrupted — the process
-// that was executing them is gone, and their partial work with it — and
-// a done job whose record names no payload is marked failed: it has no
-// result to serve.
+// recover loads the store's jobs into the runtime map: queued jobs take
+// their places again in submission order, so FIFO ties break as they did
+// originally; running jobs are marked interrupted — the process that ran
+// them is gone, and their partial work with it — and a done job whose
+// record names no payload is marked failed: it has no result to serve.
 // Terminal jobs rejoin the retention list in finish order and are
 // collected if this manager's bounds are tighter than their age or
 // number; a payload no surviving record names (a crash between storing
@@ -205,14 +183,14 @@ func (m *Manager) recover() error {
 			_ = m.store.DeletePayload(hash) // left for the next recovery if it will not go
 		}
 	}
-	m.mu.Lock()
+	m.lock()
 	defer m.unlock()
 	for _, j := range persisted {
 		j.Result = nil
 		m.jobs[j.ID] = j
 		switch {
 		case j.State == StateQueued:
-			m.enqueueLocked(j)
+			m.startLocked(j)
 		case j.State == StateRunning:
 			j.State = StateInterrupted
 			j.Error = "worker restarted while the job was running"
@@ -233,13 +211,12 @@ func (m *Manager) recover() error {
 	}
 	sort.SliceStable(m.terminal, func(i, k int) bool { return m.terminal[i].FinishedMS < m.terminal[k].FinishedMS })
 	m.collectLocked(time.Now())
-	m.dispatchLocked()
 	return nil
 }
 
-// Submit validates spec, records the job as queued, and returns that
-// snapshot at once; the job runs when its turn comes, at once if a slot
-// is free.
+// Submit validates spec, records the job as queued, takes its place in
+// the engine's admission queue and returns that snapshot at once; the
+// job runs when its turn comes, at once if a slot is free.
 func (m *Manager) Submit(spec Spec) (*Job, error) {
 	_, jobs, err := m.SubmitFrom("", false, spec)
 	if err != nil {
@@ -283,7 +260,7 @@ func (m *Manager) submit(specs []Spec, origin, batchID string) ([]*Job, error) {
 	}
 	now := time.Now().UnixMilli()
 	m.mu.Lock()
-	defer m.unlock()
+	defer m.mu.Unlock()
 	if m.closed {
 		return nil, ErrClosed
 	}
@@ -318,10 +295,9 @@ func (m *Manager) submit(specs []Spec, origin, batchID string) ([]*Job, error) {
 	out := make([]*Job, len(batch))
 	for i, j := range batch {
 		m.jobs[j.ID] = j
-		m.enqueueLocked(j)
 		out[i] = j.StatusView()
+		m.startLocked(j)
 	}
-	m.dispatchLocked()
 	return out, nil
 }
 
@@ -340,11 +316,39 @@ func (m *Manager) validate(spec Spec) error {
 	return nil
 }
 
-// enqueueLocked pushes j onto the queue (mu held); the dispatchLocked
-// that follows arms the timer for its deadline.
-func (m *Manager) enqueueLocked(j *Job) {
-	m.seq++
-	heap.Push(&m.queue, &queued{job: j, seq: m.seq})
+// startLocked (mu held) gives a queued job its context — its deadline and
+// Cancel's cancel, from Background: the submitting client is long gone by
+// design — takes its place in the engine's queue and starts its run.
+func (m *Manager) startLocked(j *Job) {
+	var ctx context.Context
+	var cancel context.CancelFunc
+	if j.DeadlineUnixMS > 0 {
+		ctx, cancel = context.WithDeadline(context.Background(), time.UnixMilli(j.DeadlineUnixMS))
+	} else {
+		ctx, cancel = context.WithCancel(context.Background())
+	}
+	m.cancels[j.ID] = cancel
+	ctx = m.eng.Enqueue(ctx, int(j.Spec.Priority), func() error { return m.grant(j) })
+	go m.execute(j, ctx, cancel)
+}
+
+// grant is the engine's call when j's place gets a worker slot: j turns
+// running and its record is written. A closed manager, or a job canceled
+// meanwhile, refuses, and the slot passes to the next waiter.
+func (m *Manager) grant(j *Job) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.closed || j.State != StateQueued {
+		return fmt.Errorf("jobs: %q not started: manager closed or job %s", j.ID, j.State)
+	}
+	j.State = StateRunning
+	j.StartedMS = time.Now().UnixMilli()
+	if err := m.persistLocked(j); err != nil {
+		// The store is the restart contract; run anyway — the run path must
+		// not depend on disk health — but keep the error visible on the job.
+		j.Error = err.Error()
+	}
+	return nil
 }
 
 // Get returns a status snapshot of the job: everything but its result,
@@ -441,28 +445,25 @@ func (m *Manager) Result(id string) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// Cancel cancels a job: a queued job goes straight to canceled, a
-// running one has its context canceled (the state transition lands when
-// the run returns). Canceling a terminal job is a no-op. The returned
+// Cancel cancels a job's context: a queued job goes straight to canceled
+// and leaves the engine's queue, a running one's transition lands when
+// the run returns. Canceling a terminal job is a no-op. The returned
 // snapshot reflects the state after the call.
 func (m *Manager) Cancel(id string) (*Job, error) {
-	m.mu.Lock()
+	m.lock()
 	defer m.unlock()
 	j, ok := m.jobs[id]
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNotFound, id)
 	}
-	switch j.State {
-	case StateQueued:
-		// The heap entry stays; dispatch skips non-queued entries.
+	if cancel, ok := m.cancels[id]; ok {
+		cancel()
+	}
+	if j.State == StateQueued {
 		j.State = StateCanceled
 		j.Error = "canceled while queued"
 		if err := m.finishLocked(j); err != nil {
 			return nil, err
-		}
-	case StateRunning:
-		if cancel, ok := m.cancels[id]; ok {
-			cancel()
 		}
 	}
 	return j.StatusView(), nil
@@ -547,139 +548,47 @@ type Stats struct {
 
 // Stats counts jobs by state and sums the retention bookkeeping.
 func (m *Manager) Stats() Stats {
-	var s Stats
-	m.payMu.Lock()
-	s.PayloadFiles = len(m.payloads)
+	m.lock()
+	defer m.unlock()
+	s := Stats{Retained: len(m.terminal), Evicted: m.evicted, PayloadFiles: len(m.payloads)}
 	for _, ref := range m.payloads {
 		s.PayloadBytes += ref.size
 	}
-	m.payMu.Unlock()
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	s.Retained, s.Evicted = len(m.terminal), m.evicted
+	count := map[State]*int{StateQueued: &s.Queued, StateRunning: &s.Running, StateDone: &s.Done,
+		StateFailed: &s.Failed, StateCanceled: &s.Canceled, StateInterrupted: &s.Interrupted}
 	for _, j := range m.jobs {
-		switch j.State {
-		case StateQueued:
-			s.Queued++
-		case StateRunning:
-			s.Running++
-		case StateDone:
-			s.Done++
-		case StateFailed:
-			s.Failed++
-		case StateCanceled:
-			s.Canceled++
-		case StateInterrupted:
-			s.Interrupted++
+		if n := count[j.State]; n != nil {
+			*n++
 		}
 	}
 	return s
 }
 
-// Close stops dispatch: no further jobs start (queued ones keep their
-// state for a successor to recover). Jobs already running are not
-// canceled and Close does not wait for them, but it fences them: once
-// Close has returned this manager writes nothing more to its store — no
-// record, no payload, no deletion — so a successor opened over the same
-// store owns it outright, and a run that outlives Close simply loses its
-// transition (the successor has already marked that job interrupted).
-// Submit fails after Close.
+// Close refuses the grants of its queued jobs, which keep their records
+// for a successor to recover. Running jobs are not canceled nor waited
+// for, but fenced: once Close has returned this manager writes nothing
+// more to its store — no record, no payload, no deletion — so a successor
+// opened over the same store owns it outright, and a run that outlives
+// Close loses its transition (the successor has already marked that job
+// interrupted). Submit fails after Close.
 func (m *Manager) Close() {
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return
-	}
 	// Every record write and delete re-checks closed under mu, every
-	// payload write and delete finds the nil map under payMu; taking each
-	// lock here waits out the one that may be in flight.
+	// payload write and delete finds the nil map under payMu; taking both
+	// locks here waits out the one that may be in flight.
+	m.lock()
+	defer m.unlock()
 	m.closed = true
 	if m.timer != nil {
 		m.timer.Stop()
 	}
-	m.mu.Unlock()
-	m.payMu.Lock()
 	m.payloads = nil
-	m.payMu.Unlock()
 }
 
-// ---- dispatch ----
-
-// dispatchLocked (mu held) fails the queued jobs whose deadline has
-// passed, then starts the highest-ranked queued jobs while a slot is
-// free: each is marked running, its record written and its CancelFunc
-// registered before its goroutine starts. Entries canceled or expired
-// while queued are dropped as they surface (their state already moved
-// on). A closed manager starts nothing.
-func (m *Manager) dispatchLocked() {
-	if m.closed {
-		return
-	}
-	m.sweepLocked()
-	for m.running < m.slots && m.queue.Len() > 0 {
-		j := heap.Pop(&m.queue).(*queued).job
-		if j.State != StateQueued {
-			continue
-		}
-		now := time.Now()
-		j.State = StateRunning
-		j.StartedMS = now.UnixMilli()
-		// The job context derives from Background, not any request: the
-		// submitting client is long gone by design. Cancellation comes
-		// from exactly two places — Cancel(id) and the job's deadline —
-		// so context.Canceled on the run unambiguously means canceled.
-		var ctx context.Context
-		var cancel context.CancelFunc
-		if j.DeadlineUnixMS > 0 {
-			ctx, cancel = context.WithDeadline(context.Background(), time.UnixMilli(j.DeadlineUnixMS))
-		} else {
-			ctx, cancel = context.WithCancel(context.Background())
-		}
-		m.cancels[j.ID] = cancel
-		if err := m.persistLocked(j); err != nil {
-			// The store is the restart contract; run anyway — the run
-			// path must not depend on disk health — but keep the error
-			// visible on the job.
-			j.Error = err.Error()
-		}
-		m.running++
-		go m.execute(j, ctx, cancel)
-	}
-}
-
-// sweepLocked fails every queued job whose deadline has passed (mu
-// held) and arms the timer for the earliest deadline still ahead. Pop
-// order alone cannot catch these: an expired low-priority job buried
-// under live high-priority work would otherwise sit "queued"
-// indefinitely.
-func (m *Manager) sweepLocked() {
-	now := time.Now().UnixMilli()
-	var soonest int64
-	for _, q := range m.queue {
-		j := q.job
-		if j.State != StateQueued || j.DeadlineUnixMS == 0 {
-			continue
-		}
-		if now < j.DeadlineUnixMS {
-			if soonest == 0 || j.DeadlineUnixMS < soonest {
-				soonest = j.DeadlineUnixMS
-			}
-			continue
-		}
-		j.State = StateFailed
-		j.Error = ErrDeadlineExceeded.Error()
-		if err := m.finishLocked(j); err != nil {
-			j.Error = fmt.Sprintf("%s (persist: %s)", ErrDeadlineExceeded.Error(), err)
-		}
-	}
-	if soonest > 0 {
-		m.armLocked(time.UnixMilli(soonest))
-	}
-}
+// ---- runs and retention ----
 
 // armLocked makes the timer fire by at (mu held). It only ever moves the
 // wake-up earlier: a tick re-arms for whatever is still ahead, so an
-// early one costs a sweep and nothing else.
+// early one costs a collection pass and nothing else.
 func (m *Manager) armLocked(at time.Time) {
 	if m.closed || !m.armed.IsZero() && !at.Before(m.armed) {
 		return
@@ -692,41 +601,44 @@ func (m *Manager) armLocked(at time.Time) {
 	}
 }
 
-// tick is the timer's callback. It collects the terminal jobs whose time
-// is up and fails the queued jobs whose deadline passed — promptly, even
-// while every slot is busy — each step re-arming the timer for what is
-// left.
+// tick is the timer's callback: it collects the terminal jobs whose time
+// is up, re-arming the timer for what is left.
 func (m *Manager) tick() {
-	m.mu.Lock()
+	m.lock()
 	defer m.unlock()
 	m.armed = time.Time{}
 	m.collectLocked(time.Now())
-	m.dispatchLocked()
 }
 
-// execute runs one dispatched job to completion on the engine, records
-// the outcome and hands its slot to the next queued job. Runs on its own
-// goroutine. Everything proportional to the result happens before mu is
-// taken: the tail comes from the engine's cache entry when the run was a
-// hit, and is stored once per distinct payload. A run that panics fails
-// its job alone: the engine returns the panic as the run's error.
+// execute runs one job on the engine, from its submission on its own
+// goroutine, and records the outcome. Everything proportional to the
+// result happens before mu is taken: the tail comes from the engine's
+// cache entry when the run was a hit, and is stored once per distinct
+// payload. A panicking run fails its job alone: the engine returns the
+// panic as the run's error.
 func (m *Manager) execute(j *Job, ctx context.Context, cancel context.CancelFunc) {
 	defer cancel()
 	// The spec is resolved again: it was validated at submission, but
 	// the graph may have been dropped while the job queued.
 	rep, err := edge.Run(ctx, m.eng, j.Spec.Graph, j.Spec.Algorithm, &j.Spec.Options)
-	var (
-		reply api.Reply
-		hash  string
-	)
+	answered := time.Now()
+	var reply api.Reply
 	if err == nil {
 		reply = api.Encode(j.Spec.Graph, rep)
-		hash, err = m.retain(reply.Tail)
+	}
+	m.payMu.Lock()
+	hash := ""
+	if err == nil {
+		hash, err = m.retainLocked(reply.Tail)
 	}
 	m.mu.Lock()
 	defer m.unlock()
 	delete(m.cancels, j.ID)
-	m.running--
+	if m.closed || j.State.Terminal() {
+		// Fenced, or canceled while queued: the record is final.
+		m.releaseLocked(hash)
+		return
+	}
 	switch {
 	case err == nil:
 		j.State = StateDone
@@ -734,20 +646,27 @@ func (m *Manager) execute(j *Job, ctx context.Context, cancel context.CancelFunc
 		j.Head, j.Payload = string(reply.Head), hash
 		stats := api.StatsOf(rep)
 		j.Stats = &stats
+		if j.StartedMS == 0 {
+			// Answered without admission — a cache hit, a coalesced
+			// follower: queued → done in one record.
+			j.StartedMS = answered.UnixMilli()
+		}
+	case j.StartedMS == 0 && errors.Is(err, context.DeadlineExceeded):
+		// The deadline passed while the job waited: it never held a slot.
+		j.State = StateFailed
+		j.Error = ErrDeadlineExceeded.Error()
 	case errors.Is(err, context.Canceled):
 		j.State = StateCanceled
 		j.Error = "canceled while running"
 	default:
-		// Deadline expiry mid-run lands here too: unlike pre-run expiry
-		// it did consume a slot, and the distinction stays visible in the
-		// timestamps (StartedMS set) and message.
+		// Deadline expiry mid-run too: it did hold a slot, and StartedMS
+		// and the message say so.
 		j.State = StateFailed
 		j.Error = err.Error()
 	}
 	if err := m.finishLocked(j); err != nil && j.Error == "" {
 		j.Error = err.Error()
 	}
-	m.dispatchLocked()
 }
 
 // persistLocked writes j's record through to the store (mu held, the
@@ -779,11 +698,10 @@ func (m *Manager) finishLocked(j *Job) error {
 	return err
 }
 
-// collectLocked enforces retention (mu held): terminal jobs beyond the
-// count bound, or finished longer ago than the TTL, leave the map and
-// the store, oldest first. Their payload hashes queue on m.released for
-// unlock. While any job is retained the timer is armed for the oldest
-// one's expiry.
+// collectLocked enforces retention (payMu and mu held): terminal jobs
+// beyond the count bound, or finished longer ago than the TTL, leave the
+// map and the store, oldest first, each releasing its payload. While any
+// job is retained the timer is armed for the oldest one's expiry.
 func (m *Manager) collectLocked(now time.Time) {
 	if m.closed {
 		return
@@ -796,9 +714,7 @@ func (m *Manager) collectLocked(now time.Time) {
 		n++
 		delete(m.jobs, j.ID)
 		m.evicted++
-		if j.Payload != "" {
-			m.released = append(m.released, j.Payload)
-		}
+		m.releaseLocked(j.Payload)
 		// Under mu like the record writes, whose order it follows: one
 		// unlink. A record that will not delete is recovered as a terminal
 		// job by the next manager and collected again there.
@@ -810,21 +726,22 @@ func (m *Manager) collectLocked(now time.Time) {
 	}
 }
 
-// unlock releases mu, then lets go of the payloads of the jobs collected
-// while it was held — store I/O that no status poll should wait behind.
-func (m *Manager) unlock() {
-	released := m.released
-	m.released = nil
-	m.mu.Unlock()
-	m.release(released)
+// lock takes payMu, then mu: every path that may collect holds both.
+func (m *Manager) lock() {
+	m.payMu.Lock()
+	m.mu.Lock()
 }
 
-// retain stores a result payload under its content hash unless a
-// retained job already refers to it, and counts the new referrer.
-func (m *Manager) retain(enc *pushpull.Encoding) (string, error) {
+func (m *Manager) unlock() {
+	m.mu.Unlock()
+	m.payMu.Unlock()
+}
+
+// retainLocked stores a result payload under its content hash unless a
+// retained job already refers to it, and counts the new referrer (payMu
+// held, not mu: no poll waits behind the write).
+func (m *Manager) retainLocked(enc *pushpull.Encoding) (string, error) {
 	hash := enc.Hash()
-	m.payMu.Lock()
-	defer m.payMu.Unlock()
 	if m.payloads == nil { // closed
 		return hash, nil
 	}
@@ -832,9 +749,6 @@ func (m *Manager) retain(enc *pushpull.Encoding) (string, error) {
 		ref.refs++
 		return hash, nil
 	}
-	// Store I/O under payMu is what payMu is for — a payload's write must
-	// not interleave with its delete — and of the request paths only
-	// Stats takes it; no poll or submission does.
 	if err := m.store.PutPayload(hash, enc.Bytes); err != nil {
 		return "", fmt.Errorf("jobs: storing result payload: %w", err)
 	}
@@ -842,67 +756,17 @@ func (m *Manager) retain(enc *pushpull.Encoding) (string, error) {
 	return hash, nil
 }
 
-// release drops one referrer from each payload and deletes those left
-// with none.
-func (m *Manager) release(hashes []string) {
-	if len(hashes) == 0 {
+// releaseLocked drops one referrer from a payload and deletes it when it
+// is left with none (payMu held).
+func (m *Manager) releaseLocked(hash string) {
+	ref := m.payloads[hash]
+	if ref == nil { // closed, or no payload
 		return
 	}
-	m.payMu.Lock()
-	defer m.payMu.Unlock()
-	for _, hash := range hashes {
-		ref := m.payloads[hash]
-		if ref == nil { // closed
-			continue
-		}
-		if ref.refs--; ref.refs == 0 {
-			delete(m.payloads, hash)
-			// A payload that will not delete is an orphan the next
-			// manager's recovery removes.
-			_ = m.store.DeletePayload(hash)
-		}
+	if ref.refs--; ref.refs == 0 {
+		delete(m.payloads, hash)
+		// A payload that will not delete is an orphan the next manager's
+		// recovery removes.
+		_ = m.store.DeletePayload(hash)
 	}
-}
-
-// ---- the priority queue ----
-
-// queued is one heap entry. The job pointer is shared with m.jobs;
-// entries whose job left the queued state (canceled) are lazily dropped
-// at pop time.
-type queued struct {
-	job *Job
-	seq uint64
-}
-
-// jobHeap orders by priority (high first), then deadline (earliest
-// first, none last), then submission sequence (FIFO).
-type jobHeap []*queued
-
-func (h jobHeap) Len() int { return len(h) }
-func (h jobHeap) Less(i, k int) bool {
-	a, b := h[i], h[k]
-	if a.job.Spec.Priority != b.job.Spec.Priority {
-		return a.job.Spec.Priority > b.job.Spec.Priority
-	}
-	ad, bd := a.job.DeadlineUnixMS, b.job.DeadlineUnixMS
-	if ad != bd {
-		if ad == 0 {
-			return false
-		}
-		if bd == 0 {
-			return true
-		}
-		return ad < bd
-	}
-	return a.seq < b.seq
-}
-func (h jobHeap) Swap(i, k int) { h[i], h[k] = h[k], h[i] }
-func (h *jobHeap) Push(x any)   { *h = append(*h, x.(*queued)) }
-func (h *jobHeap) Pop() any {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return it
 }

@@ -1,15 +1,17 @@
 package jobs_test
 
 // Scheduler-contract tests for the job manager, run under -race in CI:
-// strict priority dispatch order through a single dispatch slot,
-// deadline expiry that never consumes a slot, cancellation of queued
-// and running jobs, and the restart contract of the DiskJobStore
-// (queued jobs re-queue, running jobs come back interrupted).
+// strict priority order through the engine's one worker slot, against
+// synchronous runs too, deadline expiry that never consumes a slot,
+// cancellation of queued and running jobs, and the restart contract of
+// the DiskJobStore (queued jobs re-queue, running jobs come back
+// interrupted).
 
 import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -93,9 +95,8 @@ func (traceAlgo) Run(ctx context.Context, w *pushpull.Workload, cfg *pushpull.Co
 }
 
 // newJobEngine builds a 1-worker engine (caches off, so every job is a
-// real run) with one registered graph "g", then applies opts. A manager
-// over it dispatches through one slot: the slots follow the engine's
-// admission bound.
+// real run) with one registered graph "g", then applies opts. A manager's
+// jobs over it run through that one slot.
 func newJobEngine(t *testing.T, opts ...pushpull.EngineOption) *pushpull.Engine {
 	t.Helper()
 	traceOnce.Do(func() { pushpull.MustRegister(traceAlgo{}) })
@@ -139,7 +140,7 @@ func waitState(t *testing.T, m *jobs.Manager, id string, want jobs.State) *jobs.
 	}
 }
 
-// TestManagerPriorityOrder: with one dispatch slot, a mix of priorities
+// TestManagerPriorityOrder: with one worker slot, a mix of priorities
 // submitted while the slot is occupied dispatches in strict order —
 // high first, deadline-bearing before deadline-free within a priority,
 // FIFO within that — regardless of submission order.
@@ -216,23 +217,23 @@ func TestManagerPriorityOrder(t *testing.T) {
 	}
 }
 
-// TestManagerDispatchFollowsWorkers: with no manager option the dispatch
-// slots are the engine's admission bound. Over WithWorkers(3) at most 3
-// jobs are ever in the engine at once and the rest stay queued in the
-// job heap, none parked in the engine's queue; an unbounded engine
-// (WithWorkers(0)) gets GOMAXPROCS slots.
+// TestManagerDispatchFollowsWorkers: jobs hold the engine's worker slots
+// like any run. Over WithWorkers(3) at most 3 jobs are ever in the engine
+// at once, and the rest read queued while they wait in the engine's queue
+// (EngineStats.Waiting); an unbounded engine (WithWorkers(0)) admits every
+// job at once.
 func TestManagerDispatchFollowsWorkers(t *testing.T) {
-	for _, c := range []struct{ workers, slots int }{{3, 3}, {0, runtime.GOMAXPROCS(0)}} {
+	const jobCount = 5
+	for _, c := range []struct{ workers, slots int }{{3, 3}, {0, jobCount}} {
 		traceReset()
 		eng := newJobEngine(t, pushpull.WithWorkers(c.workers))
 		m, err := jobs.NewManager(eng)
 		if err != nil {
 			t.Fatal(err)
 		}
-		const extra = 2
 		var releases []func()
 		var ids []string
-		for tag := 1; tag <= c.slots+extra; tag++ {
+		for tag := 1; tag <= jobCount; tag++ {
 			releases = append(releases, traceBlock(tag))
 			j, err := m.Submit(traceSpec(tag, jobs.Normal))
 			if err != nil {
@@ -247,12 +248,12 @@ func TestManagerDispatchFollowsWorkers(t *testing.T) {
 			}
 			time.Sleep(time.Millisecond)
 		}
-		time.Sleep(20 * time.Millisecond) // room for an excess dispatch to show
-		if st := m.Stats(); st.Running != c.slots || st.Queued != extra {
-			t.Errorf("workers=%d: %d running / %d queued, want %d / %d", c.workers, st.Running, st.Queued, c.slots, extra)
+		time.Sleep(20 * time.Millisecond) // room for an excess admission to show
+		if st := m.Stats(); st.Running != c.slots || st.Queued != jobCount-c.slots {
+			t.Errorf("workers=%d: %d running / %d queued, want %d / %d", c.workers, st.Running, st.Queued, c.slots, jobCount-c.slots)
 		}
-		if w := eng.Stats().Waiting; w != 0 {
-			t.Errorf("workers=%d: %d dispatched jobs parked in the engine's queue", c.workers, w)
+		if w := eng.Stats().Waiting; w != int64(jobCount-c.slots) {
+			t.Errorf("workers=%d: %d jobs wait in the engine's queue, want %d", c.workers, w, jobCount-c.slots)
 		}
 		for _, release := range releases {
 			release()
@@ -269,8 +270,81 @@ func TestManagerDispatchFollowsWorkers(t *testing.T) {
 	}
 }
 
+// TestManagerPriorityAgainstSyncRuns: jobs and synchronous runs wait in
+// one queue. With the only slot held by a synchronous run and three more
+// queued, a high-priority job is admitted ahead of the queued runs, and
+// reads queued, not running, until then; a low-priority job is admitted
+// after them; the synchronous runs keep their arrival order.
+func TestManagerPriorityAgainstSyncRuns(t *testing.T) {
+	traceReset()
+	eng := newJobEngine(t)
+	m, err := jobs.NewManager(eng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	release := traceBlock(0)
+	defer release()
+
+	run := func(tag int) {
+		defer wg.Done()
+		if _, err := edge.Run(context.Background(), eng, "g", "test-trace", &api.RunOptions{Iterations: tag}); err != nil {
+			t.Error(err)
+		}
+	}
+	// waiting waits until n runs wait in the engine's queue.
+	waiting := func(n int64) {
+		deadline := time.Now().Add(10 * time.Second)
+		for eng.Stats().Waiting < n {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d runs wait in the engine's queue, want %d", eng.Stats().Waiting, n)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	wg.Add(4)
+	go run(0)
+	for len(traceSeen()) == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	for tag := 1; tag <= 3; tag++ {
+		go run(tag)
+		waiting(int64(tag))
+	}
+
+	high, err := m.Submit(traceSpec(99, jobs.High))
+	if err != nil {
+		t.Fatal(err)
+	}
+	low, err := m.Submit(traceSpec(98, jobs.Low))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waiting(4)
+	time.Sleep(20 * time.Millisecond) // room for an early grant to show
+	for _, id := range []string{high.ID, low.ID} {
+		if j, err := m.Get(id); err != nil || j.State != jobs.StateQueued {
+			t.Errorf("job %s while the slot is held: %+v, %v; want queued", id, j, err)
+		}
+	}
+
+	release()
+	for _, id := range []string{high.ID, low.ID} {
+		if j, err := m.Wait(context.Background(), id, time.Millisecond); err != nil || j.State != jobs.StateDone {
+			t.Fatalf("job %s ended %+v, %v; want done", id, j, err)
+		}
+	}
+	wg.Wait()
+	want := []int{0, 99, 1, 2, 3, 98}
+	if got := traceSeen(); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("admission order %v, want %v", got, want)
+	}
+}
+
 // TestManagerDeadlineExpiry: a queued job whose deadline passes while
-// every dispatch slot is busy fails promptly with ErrDeadlineExceeded —
+// every worker slot is busy fails promptly with ErrDeadlineExceeded —
 // StartedMS stays zero (it never consumed a slot) and the algorithm
 // never observes it.
 func TestManagerDeadlineExpiry(t *testing.T) {
@@ -299,8 +373,8 @@ func TestManagerDeadlineExpiry(t *testing.T) {
 		t.Fatal("submitted job carries no absolute deadline")
 	}
 
-	// The slot is still held: expiry must be detected by the deadline
-	// timer, not by a dispatch that cannot happen.
+	// The slot is still held: expiry must come from the job context's
+	// deadline in the engine's queue, not from a grant that cannot happen.
 	final, err := m.Wait(context.Background(), j.ID, time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
@@ -350,8 +424,8 @@ func submitWithDeadline(t *testing.T, m *jobs.Manager, tag int, deadline time.Du
 	return j
 }
 
-// TestManagerDeadlineNearAfterFar: the manager's one timer serves the
-// earliest deadline, whatever order the deadlines arrive in. With the
+// TestManagerDeadlineNearAfterFar: each job's deadline is its own
+// context's, whatever order the deadlines arrive in. With the
 // slot busy, a job due in a minute submitted before one due in 50 ms
 // does not delay the near one's failure, and stays queued itself.
 func TestManagerDeadlineNearAfterFar(t *testing.T) {
@@ -381,10 +455,10 @@ func TestManagerDeadlineNearAfterFar(t *testing.T) {
 	}
 }
 
-// TestRetentionTTLWhileDeadlineArmed: with the slot busy and the timer
-// armed for a deadline a minute away, a job that finishes (canceled
-// while queued) is still collected when its retention TTL is up, and
-// the deadline job stays queued.
+// TestRetentionTTLWhileDeadlineArmed: with the slot busy and a job due
+// in a minute queued, a job that finishes (canceled while queued) is
+// still collected when its retention TTL is up, and the deadline job
+// stays queued.
 func TestRetentionTTLWhileDeadlineArmed(t *testing.T) {
 	traceReset()
 	m, err := jobs.NewManager(newJobEngine(t), jobs.WithRetention(100, 40*time.Millisecond))
@@ -498,7 +572,7 @@ func TestManagerRestartRecovery(t *testing.T) {
 		}
 		queuedIDs = append(queuedIDs, j.ID)
 	}
-	// Simulated kill: stop dispatch and fence the store without
+	// Simulated kill: refuse every later grant and fence the store without
 	// releasing the running job. The store still says "running" —
 	// exactly what a kill -9 leaves.
 	m1.Close()

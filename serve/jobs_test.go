@@ -70,7 +70,8 @@ func (jobGateAlgo) Run(ctx context.Context, w *pushpull.Workload, cfg *pushpull.
 }
 
 // newJobServer builds a saturable serving stack: 1 engine worker (so the
-// job manager has 1 dispatch slot), a 1-deep admission queue, caches off.
+// job manager's jobs share that slot), a 1-deep admission queue, caches
+// off.
 func newJobServer(t *testing.T) (*httptest.Server, *serve.Server, *pushpull.Engine) {
 	t.Helper()
 	jobGateOnce.Do(func() { pushpull.MustRegister(jobGateAlgo{}) })
@@ -160,7 +161,7 @@ func TestServeJobsBatchAndLifecycle(t *testing.T) {
 	release := jobGateBlock(0)
 	defer release()
 
-	// Occupy the only dispatch slot.
+	// Occupy the only worker slot.
 	status, raw, _ := httpJob(t, http.MethodPost, ts.URL+"/jobs",
 		fmt.Sprintf(`{"graph": "demo", "algorithm": %q, "options": {"iterations": 0}}`, jobGateAlgoN))
 	if status != http.StatusAccepted {

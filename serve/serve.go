@@ -50,11 +50,14 @@ const MaxGraphBytes = 1 << 30
 // EpochHeader is the replication-epoch header a cluster router stamps on
 // the PUT/DELETE mutations it fans out to worker replicas. A worker
 // records the epoch per graph name and rejects any mutation carrying an
-// epoch no newer than the recorded one with 409 Conflict — so a delayed
-// or retried replication write can never overwrite (or resurrect) the
-// content of a newer one, and every replica converges on the router's
-// latest mutation. Requests without the header (direct clients) bypass
-// the guard entirely.
+// epoch no newer than the recorded one with 409 Conflict — so, while the
+// worker process lives, a delayed or retried replication write cannot
+// overwrite (or resurrect) the content of a newer one. The record is in
+// memory only (Server.epochs): a restarted worker has forgotten it and
+// accepts an older epoch — 50 after 100 — and its stale body, so
+// replicas are not guaranteed to converge across a worker restart
+// (ROADMAP item 26(a) makes the fence durable). Requests without the
+// header (direct clients) bypass the guard entirely.
 const EpochHeader = "X-Cluster-Epoch"
 
 // ContentIDHeader carries the content ID (Workload.ID) a cluster router
@@ -336,10 +339,12 @@ func (s *Server) stats(w http.ResponseWriter, r *http.Request) {
 	edge.WriteJSON(w, http.StatusOK, out)
 }
 
-// queueETA estimates how long a run arriving now would wait: the live
-// queue depth × the mean historical queue wait, capped at a minute (past
-// that the number is a guess, not an estimate). Zero when nothing waits
-// or no wait history exists yet.
+// queueETA estimates how long a synchronous run arriving now would wait:
+// the waiters it would queue behind (EngineStats.Waiting: every queued run
+// and job but low-priority jobs, which it passes; a later high-priority
+// job that would pass it is not foreseen) × the mean queue wait of every
+// run that queued, jobs included, capped at a minute (past that the number
+// is a guess). Zero when nothing waits or no wait history exists yet.
 func queueETA(es pushpull.EngineStats) time.Duration {
 	if es.Waiting <= 0 || es.QueuedRuns == 0 {
 		return 0
