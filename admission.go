@@ -4,14 +4,11 @@ package pushpull
 // scheduling layers the Engine puts in front of its kernels.
 //
 // Admission is one ordered queue per Engine for every run that executes,
-// synchronous runs and jobs alike: each kernel already spreads over
-// GOMAXPROCS threads, so more queues would isolate queues, not cores (the
-// cluster router spreads graphs across processes). It bounds concurrent
-// runs (WithWorkers), sheds synchronous runs past a depth
-// (WithQueueLimit), fails queued runs on shutdown (WithDrainSignal), and
-// admits by priority, then deadline, then arrival. A job arrives when it
-// is submitted (Enqueue), not when its goroutine reaches Run, so the
-// admission order never depends on goroutine scheduling.
+// synchronous runs and jobs alike (each kernel already spreads over
+// GOMAXPROCS threads). It bounds concurrent runs (WithWorkers), sheds
+// synchronous runs past a depth (WithQueueLimit), fails queued runs on
+// shutdown (WithDrainSignal), and admits by priority, then deadline, then
+// arrival; a job arrives when it is submitted (Enqueue).
 //
 // Single-flight deduplication is the message-reduction lever (Yan et al.,
 // PAPERS.md) for identical work: concurrent requests whose (workload
@@ -44,8 +41,7 @@ var ErrOverloaded = errors.New("pushpull: admission queue full")
 // of racing the shutdown timeout in a queue that will never move.
 var ErrDraining = errors.New("pushpull: engine draining, queued run refused")
 
-// drainKey is the context key of WithDrainSignal. Enqueue's key is the
-// queue itself, so a place is found only by the engine it was taken on.
+// drainKey is the context key of WithDrainSignal; a place's is its queue.
 type drainKey struct{}
 
 // WithDrainSignal returns a context whose runs abandon the admission
@@ -64,37 +60,45 @@ func drainSignal(ctx context.Context) <-chan struct{} {
 	return ch
 }
 
-// Enqueue takes a place in e's admission queue now and returns a context
-// holding it for the run that later calls e.Run with it: ordered by
-// priority (higher first; a synchronous run's is 0), then ctx's deadline,
-// then the moment of this call. When the place gets a slot, the run's
-// goroutine calls granted before it executes; an error from granted
-// releases the slot and fails the run. A cache hit, a coalesced follower
-// or the end of ctx gives the place up unused. A place is never shed by
-// WithQueueLimit; an unbounded engine grants it at once.
-func (e *Engine) Enqueue(ctx context.Context, priority int, granted func() error) context.Context {
+// Enqueue takes a place in e's admission queue now, ordered by priority
+// (higher first; a synchronous run's is 0), then ctx's deadline, then
+// this call, and once the place is granted a slot or ctx ends calls start
+// with a context holding it, on whichever goroutine did so: start must
+// not block, and the e.Run it starts with that context runs on the slot
+// or fails with ctx's error. A cache hit, a coalesced follower or the end
+// of ctx gives the slot up unused. A place is never shed.
+func (e *Engine) Enqueue(ctx context.Context, priority int, start func(context.Context)) {
 	q := &e.queue
-	w := &waiter{priority: priority, granted: granted}
+	w := &waiter{priority: priority}
 	w.deadline, _ = ctx.Deadline()
+	placed := context.WithValue(ctx, q, w)
+	w.start = func() { start(placed) }
 	q.mu.Lock()
-	q.pushLocked(w)
+	started := q.pushLocked(w)
 	q.mu.Unlock()
+	if started != nil {
+		started()
+	}
 	context.AfterFunc(ctx, func() { q.withdraw(w) })
-	return context.WithValue(ctx, q, w)
+}
+
+// leave gives up the place ctx holds, if any.
+func (q *admission) leave(ctx context.Context) {
+	if w, _ := ctx.Value(q).(*waiter); w != nil {
+		q.withdraw(w)
+	}
 }
 
 // admission is the Engine's admission queue plus its telemetry.
 type admission struct {
-	// workers bounds the runs admitted at once (0: no bound); queueLimit
-	// the waiters a synchronous run may queue behind (≤ 0: no bound).
-	workers, queueLimit int
+	workers, queueLimit int // 0: no bound
 
 	mu    sync.Mutex
 	busy  int       // slots held, by runs and by granted places not yet claimed
 	queue []*waiter // in admission order
 	seq   uint64
-	// waiting counts the waiters a synchronous run would queue behind:
-	// all but low-priority ones. Written under mu, read by Stats.
+	// waiting counts the waiters a synchronous run queues behind: all but
+	// low-priority ones. Written under mu.
 	waiting atomic.Int64
 
 	queuedRuns  atomic.Uint64
@@ -107,11 +111,11 @@ type waiter struct {
 	priority     int
 	deadline     time.Time
 	seq          uint64
-	queued, held bool // held: granted a slot no run has claimed yet
-	ready        chan struct{}
+	queued, held bool          // held: granted a slot no run has claimed yet
+	ready        chan struct{} // closed by the grant; nil until a run waits on it
 	since        time.Time
 	wait         time.Duration
-	granted      func() error // Enqueue's hook; nil for a synchronous run
+	start        func() // Enqueue's, until called; nil for a synchronous run
 }
 
 // before is the admission order: priority (high first), then deadline
@@ -127,8 +131,8 @@ func (w *waiter) before(o *waiter) bool {
 }
 
 // admit blocks until the run holds a worker slot (or ctx fires while it
-// queues), returning how long it waited in the queue. A synchronous run
-// that finds WithQueueLimit waiters ahead fails fast with ErrOverloaded.
+// queues), returning how long it queued; a synchronous run that finds
+// WithQueueLimit waiters ahead fails fast with ErrOverloaded.
 func (q *admission) admit(ctx context.Context) (time.Duration, error) {
 	w, _ := ctx.Value(q).(*waiter)
 	if w == nil && q.workers == 0 {
@@ -149,7 +153,12 @@ func (q *admission) admit(ctx context.Context) (time.Duration, error) {
 		w = &waiter{}
 		w.deadline, _ = ctx.Deadline()
 		q.pushLocked(w)
-	case !w.held && !w.queued && ctx.Err() == nil:
+	case w.held:
+		// The place's slot, granted before its run started: claim it.
+		w.held = false
+		q.mu.Unlock()
+		return w.wait, nil
+	case !w.queued && ctx.Err() == nil:
 		// A place given up unclaimed — a coalesced follower's, whose
 		// leader failed — takes its old order again.
 		q.pushLocked(w)
@@ -172,25 +181,21 @@ func (q *admission) admit(ctx context.Context) (time.Duration, error) {
 	if !held {
 		return 0, fmt.Errorf("pushpull: canceled in admission queue: %w", ctx.Err())
 	}
-	if w.granted != nil {
-		if err := w.granted(); err != nil {
-			q.release()
-			return 0, err
-		}
-	}
 	return w.wait, nil
 }
 
-// pushLocked grants w a slot if one is free, else queues it in order.
-func (q *admission) pushLocked(w *waiter) {
+// pushLocked grants w a slot if one is free, else queues it in order,
+// returning the start to call once q.mu is released.
+func (q *admission) pushLocked(w *waiter) (start func()) {
 	if w.seq == 0 {
 		q.seq++
 		w.seq = q.seq
 	}
-	w.wait, w.ready = 0, make(chan struct{})
+	if w.wait = 0; w.start == nil { // a run waits on it
+		w.ready = make(chan struct{})
+	}
 	if q.workers == 0 || q.busy < q.workers {
-		q.grantLocked(w)
-		return
+		return q.grantLocked(w)
 	}
 	i := sort.Search(len(q.queue), func(i int) bool { return w.before(q.queue[i]) })
 	q.queue = slices.Insert(q.queue, i, w)
@@ -199,19 +204,31 @@ func (q *admission) pushLocked(w *waiter) {
 		q.waiting.Add(1)
 	}
 	q.queuedRuns.Add(1)
+	return nil
 }
 
-func (q *admission) grantLocked(w *waiter) {
+// grantLocked gives w a slot, returning its start if not yet called.
+func (q *admission) grantLocked(w *waiter) (start func()) {
 	if q.workers > 0 {
 		q.busy++
 	}
 	w.held = true
-	close(w.ready)
+	if w.ready != nil {
+		close(w.ready)
+	}
+	start, w.start = w.start, nil
+	return start
 }
 
-// dequeueLocked takes w out of the queue, charging its wait.
+// dequeueLocked takes w out of the queue (by search: it is in before
+// order; the head, without moving the rest), charging its wait.
 func (q *admission) dequeueLocked(w *waiter) {
-	q.queue = slices.DeleteFunc(q.queue, func(o *waiter) bool { return o == w })
+	if i := sort.Search(len(q.queue), func(i int) bool { return !q.queue[i].before(w) }); i == 0 {
+		q.queue[0] = nil
+		q.queue = q.queue[1:]
+	} else {
+		q.queue = slices.Delete(q.queue, i, i+1)
+	}
 	w.queued = false
 	if w.priority >= 0 {
 		q.waiting.Add(-1)
@@ -221,17 +238,21 @@ func (q *admission) dequeueLocked(w *waiter) {
 }
 
 // withdraw gives w's place up: out of the queue, or its unclaimed slot to
-// the next waiter.
+// the next waiter. A place not yet started starts, to meet its ctx's end.
 func (q *admission) withdraw(w *waiter) {
 	q.mu.Lock()
 	held := w.held
 	if w.queued {
 		q.dequeueLocked(w)
 	}
-	w.held = false
+	start := w.start
+	w.held, w.start = false, nil
 	q.mu.Unlock()
 	if held {
 		q.release()
+	}
+	if start != nil {
+		start()
 	}
 }
 
@@ -241,12 +262,16 @@ func (q *admission) release() {
 		return
 	}
 	q.mu.Lock()
-	defer q.mu.Unlock()
 	q.busy--
+	var start func()
 	if len(q.queue) > 0 {
 		w := q.queue[0]
 		q.dequeueLocked(w)
-		q.grantLocked(w)
+		start = q.grantLocked(w)
+	}
+	q.mu.Unlock()
+	if start != nil {
+		start()
 	}
 }
 
@@ -281,9 +306,7 @@ func (e *Engine) coalesce(ctx context.Context, key string) (*Report, error, *fli
 			// A follower needs no slot: a place it took with Enqueue goes
 			// to the next waiter while it parks (admit takes it back if the
 			// leader fails and this call must run after all).
-			if w, _ := ctx.Value(&e.queue).(*waiter); w != nil {
-				e.queue.withdraw(w)
-			}
+			e.queue.leave(ctx)
 			select {
 			case <-f.done:
 			case <-ctx.Done():
@@ -306,6 +329,7 @@ func (e *Engine) coalesce(ctx context.Context, key string) (*Report, error, *fli
 			if rep, hit := e.cacheGet(key); hit {
 				e.sfMu.Unlock()
 				e.hits.Add(1)
+				e.queue.leave(ctx)
 				return cachedCopy(rep), nil, nil
 			}
 		}

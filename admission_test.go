@@ -2,7 +2,7 @@ package pushpull_test
 
 // Admission-queue tests, run under -race in CI: one ordered queue for
 // synchronous runs and places taken with Engine.Enqueue — priority, then
-// deadline, then arrival — whose grant calls the place's hook, whose
+// deadline, then arrival — whose grant starts the place's run, whose
 // places leave unused when the engine answers without admission, and
 // whose queue limit sheds synchronous runs only.
 
@@ -145,8 +145,7 @@ func waiting(t *testing.T, eng *pushpull.Engine, n int64) {
 
 // TestAdmissionPriorityOrder: one queue for runs and places, admitted by
 // priority, then deadline, then arrival — a place arrives when it is
-// taken, not when its run reaches the engine — and each place's hook is
-// called once, as its slot is granted.
+// taken, and its run starts only when its slot is granted.
 func TestAdmissionPriorityOrder(t *testing.T) {
 	eng, w := orderEngine(t, pushpull.WithWorkers(1), pushpull.WithResultCache(0), pushpull.WithSingleFlight(false))
 	r := newRuns(eng, w)
@@ -156,17 +155,16 @@ func TestAdmissionPriorityOrder(t *testing.T) {
 	var hooksMu sync.Mutex
 	var hooks []int
 	place := func(ctx context.Context, tag, priority int) {
-		ctx = eng.Enqueue(ctx, priority, func() error {
+		eng.Enqueue(ctx, priority, func(ctx context.Context) {
 			hooksMu.Lock()
 			hooks = append(hooks, tag)
 			hooksMu.Unlock()
-			return nil
+			r.start(ctx, tag)
 		})
-		r.start(ctx, tag)
 	}
 	r.start(context.Background(), 1)
 	waiting(t, eng, 1)
-	// The places are taken here, in this order, whenever their runs start.
+	// The places are taken here, in this order; no run of theirs exists yet.
 	place(context.Background(), 10, -1)
 	place(context.Background(), 30, 1)
 	far, cancel := context.WithTimeout(context.Background(), time.Minute)
@@ -174,6 +172,11 @@ func TestAdmissionPriorityOrder(t *testing.T) {
 	place(far, 21, 0)
 	place(context.Background(), 20, 0)
 	waiting(t, eng, 4)
+	hooksMu.Lock()
+	if len(hooks) != 0 {
+		t.Errorf("places %v started while the slot was held", hooks)
+	}
+	hooksMu.Unlock()
 	r.start(context.Background(), 2)
 	waiting(t, eng, 5)
 
@@ -187,33 +190,29 @@ func TestAdmissionPriorityOrder(t *testing.T) {
 		t.Errorf("admission order %s, want %s", got, want)
 	}
 	if got, want := fmt.Sprint(hooks), fmt.Sprint([]int{30, 21, 20, 10}); got != want {
-		t.Errorf("hooks called %s, want %s", got, want)
+		t.Errorf("places started %s, want %s", got, want)
 	}
 	if st := eng.Stats(); st.Waiting != 0 || st.QueuedRuns != 6 {
 		t.Errorf("stats %+v, want nothing waiting and 6 queued runs", st)
 	}
 }
 
-// TestAdmissionRefusedGrantPassesSlot: a hook that refuses fails its run
-// with the hook's error before it executes, and the slot goes on to the
-// next waiter.
-func TestAdmissionRefusedGrantPassesSlot(t *testing.T) {
+// TestAdmissionUnclaimedSlotPasses: a place whose run never claims its
+// granted slot gives it back when its context ends, and the slot goes on
+// to the next waiter.
+func TestAdmissionUnclaimedSlotPasses(t *testing.T) {
 	eng, w := orderEngine(t, pushpull.WithWorkers(1), pushpull.WithResultCache(0), pushpull.WithSingleFlight(false))
 	r := newRuns(eng, w)
 	release := r.holdSlot(t)
 	defer release()
 
-	refused := errors.New("closed")
-	r.start(eng.Enqueue(context.Background(), 1, func() error { return refused }), 7)
+	ctx, refuse := context.WithCancel(context.Background())
+	eng.Enqueue(ctx, 1, func(context.Context) { refuse() })
 	r.start(context.Background(), 1)
 	waiting(t, eng, 2)
 	release()
-	out := r.wait()
-	if !errors.Is(out[7].err, refused) {
-		t.Errorf("refused place's run: %v, want the hook's error", out[7].err)
-	}
-	if out[1].err != nil {
-		t.Errorf("run behind the refused place: %v", out[1].err)
+	if out := r.wait(); out[1].err != nil {
+		t.Errorf("run behind the unclaimed place: %v", out[1].err)
 	}
 	if got, want := fmt.Sprint(orderSeenNow()), "[0 1]"; got != want {
 		t.Errorf("runs executed %s, want %s", got, want)
@@ -224,55 +223,58 @@ func TestAdmissionRefusedGrantPassesSlot(t *testing.T) {
 }
 
 // TestAdmissionPlaceLeavesUnused: a place gives its slot up without its
-// hook being called when its context ends in the queue, when the engine
+// run executing when its context ends in the queue, when the engine
 // answers its run from the cache, and while its run waits on an identical
 // run as a coalesced follower — even one queued behind the place itself.
 func TestAdmissionPlaceLeavesUnused(t *testing.T) {
 	eng, w := orderEngine(t, pushpull.WithWorkers(1))
 	r := newRuns(eng, w)
-	hook := func() error {
-		t.Error("a place that left unused was granted")
-		return nil
+	place := func(ctx context.Context, tag, priority int) {
+		eng.Enqueue(ctx, priority, func(ctx context.Context) { r.start(ctx, tag) })
 	}
 
-	// Canceled in the queue.
+	// Canceled in the queue: the run starts, and fails.
 	release := r.holdSlot(t)
 	ctx, cancel := context.WithCancel(context.Background())
-	r.start(eng.Enqueue(ctx, 0, hook), 3)
+	place(ctx, 3, 0)
 	waiting(t, eng, 1)
 	cancel()
 	waiting(t, eng, 0)
 
 	// A follower of the identical run queued behind it: the follower's
-	// place must not hold the slot that run waits for.
+	// place, granted first, must not hold the slot that run waits for.
 	r.start(context.Background(), 4)
 	waiting(t, eng, 1)
 	followCtx, stop := context.WithCancel(context.Background())
 	defer stop()
-	r.start(eng.Enqueue(followCtx, 1, hook), 4)
-	waiting(t, eng, 1) // the follower parks, its place given back
+	place(followCtx, 4, 1)
+	waiting(t, eng, 2)
 	release()
 	out := r.wait()
 	if !errors.Is(out[3].err, context.Canceled) {
 		t.Errorf("run canceled in the queue: %v, want context.Canceled", out[3].err)
 	}
 	if res := out[4]; res.err != nil || res.rep == nil {
-		t.Errorf("coalesced follower: %v", res.err)
+		t.Errorf("leader or coalesced follower: %v", res.err)
+	}
+	if st := eng.Stats(); st.Coalesced != 1 {
+		t.Errorf("stats %+v, want 1 coalesced", st)
 	}
 
-	// A cache hit, on a place granted at once.
-	hitCtx, stopHit := context.WithCancel(context.Background())
-	rep, err := eng.Run(eng.Enqueue(hitCtx, 0, hook), w, "test-order", pushpull.WithIterations(4))
+	// A cache hit, on a place granted at once (so its start is called
+	// before Enqueue returns) and whose context stays live.
+	var placed context.Context
+	eng.Enqueue(context.Background(), 0, func(ctx context.Context) { placed = ctx })
+	rep, err := eng.Run(placed, w, "test-order", pushpull.WithIterations(4))
 	if err != nil || !rep.Stats.CacheHit {
 		t.Fatalf("run on a cached result: %v, cache hit %v", err, rep != nil && rep.Stats.CacheHit)
 	}
-	stopHit()
 	// The slot the place was granted is free again: this run would wait
 	// for it until its deadline otherwise.
 	short, cancelShort := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancelShort()
 	if _, err := eng.Run(short, w, "test-order", pushpull.WithIterations(5)); err != nil {
-		t.Errorf("run after the cache hit's place ended: %v", err)
+		t.Errorf("run after the cache hit: %v", err)
 	}
 	if got, want := fmt.Sprint(orderSeenNow()), "[0 4 5]"; got != want {
 		t.Errorf("runs executed %s, want %s", got, want)
@@ -288,16 +290,18 @@ func TestAdmissionQueueLimitShedsOnlySyncRuns(t *testing.T) {
 	r := newRuns(eng, w)
 	release := r.holdSlot(t)
 	defer release()
-	granted := func() error { return nil }
+	place := func(tag, priority int) {
+		eng.Enqueue(context.Background(), priority, func(ctx context.Context) { r.start(ctx, tag) })
+	}
 
-	r.start(eng.Enqueue(context.Background(), -1, granted), 10)
+	place(10, -1)
 	waiting(t, eng, 0)
 	r.start(context.Background(), 1) // not shed: only a low place waits
 	waiting(t, eng, 1)
 	if _, err := eng.Run(context.Background(), w, "test-order", pushpull.WithIterations(2)); !errors.Is(err, pushpull.ErrOverloaded) {
 		t.Errorf("synchronous run with one ahead under limit 1: %v, want ErrOverloaded", err)
 	}
-	r.start(eng.Enqueue(context.Background(), 0, granted), 20)
+	place(20, 0)
 	waiting(t, eng, 2)
 	release()
 	for tag, res := range r.wait() {
@@ -314,7 +318,7 @@ func TestAdmissionQueueLimitShedsOnlySyncRuns(t *testing.T) {
 }
 
 // TestAdmissionUnboundedGrantsPlacesAtOnce: an unbounded engine admits
-// every place at once, as it admits every run, and still calls the hook.
+// every place at once, as it admits every run, starting its run at once.
 func TestAdmissionUnboundedGrantsPlacesAtOnce(t *testing.T) {
 	eng, w := orderEngine(t, pushpull.WithWorkers(0), pushpull.WithResultCache(0), pushpull.WithSingleFlight(false))
 	r := newRuns(eng, w)
@@ -323,7 +327,7 @@ func TestAdmissionUnboundedGrantsPlacesAtOnce(t *testing.T) {
 	var releases []func()
 	for tag := 1; tag <= n; tag++ {
 		releases = append(releases, orderGate(tag))
-		r.start(eng.Enqueue(context.Background(), 0, func() error { hooks.Add(1); return nil }), tag)
+		eng.Enqueue(context.Background(), 0, func(ctx context.Context) { hooks.Add(1); r.start(ctx, tag) })
 	}
 	waitFor(t, "every place runs", func() bool { return orderActive.Load() == n })
 	for _, release := range releases {

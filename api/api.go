@@ -47,8 +47,10 @@ type RunOptions struct {
 	Sources    []int    `json:"sources,omitempty"`
 	Delta      float64  `json:"delta,omitempty"`
 	Damping    *float64 `json:"damping,omitempty"`
-	// TimeoutMS bounds the run server-side; the request context already
-	// cancels it when the client disconnects.
+	// TimeoutMS bounds the run server-side: a synchronous run's from its
+	// arrival, its queue wait included (the request context also cancels
+	// it when the client disconnects); a job's from its grant, since the
+	// job's deadline_ms bounds its wait.
 	TimeoutMS int `json:"timeout_ms,omitempty"`
 }
 

@@ -106,11 +106,9 @@ type engineConfig struct {
 }
 
 // WithWorkers bounds the Engine to n concurrent runs, jobs included;
-// excess runs wait in its admission queue (their wait is reported as
-// Stats.QueueWait). n ≤ 0 removes the bound: every run and job is
-// admitted at once. NewEngine's default is GOMAXPROCS — one kernel's
-// thread pool per hardware context — so only DefaultEngine and an
-// explicit WithWorkers(0) build an unbounded Engine.
+// excess runs wait in its admission queue (Stats.QueueWait). n ≤ 0
+// admits every run and job at once; NewEngine's default is GOMAXPROCS,
+// so only DefaultEngine and an explicit WithWorkers(0) are unbounded.
 func WithWorkers(n int) EngineOption {
 	return func(c *engineConfig) { c.workers = n }
 }
@@ -138,12 +136,9 @@ func WithResultCacheBytes(n int64) EngineOption {
 
 // WithQueueLimit sheds a synchronous run that would queue behind n runs
 // (EngineStats.Waiting: every waiter but low-priority jobs): it fails fast
-// with ErrOverloaded, counted in EngineStats.Rejected. A place taken with
-// Enqueue is never shed. n ≤ 0 — the default — queues unboundedly; an
-// unbounded Engine (WithWorkers ≤ 0) never queues. This is the truthful
-// overload signal a serving front needs: under sustained overload an
-// unbounded queue grows without limit while every client times out,
-// whereas a bounded one sheds load the moment it cannot serve it.
+// with ErrOverloaded, counted in EngineStats.Rejected — the truthful
+// overload signal a serving front needs. A place taken with Enqueue is
+// never shed. n ≤ 0 — the default — queues unboundedly.
 func WithQueueLimit(n int) EngineOption {
 	return func(c *engineConfig) { c.queueLimit = n }
 }
@@ -265,6 +260,7 @@ func (e *Engine) Run(ctx context.Context, on Runnable, algorithm string, opts ..
 		e.uncacheable.Add(1)
 	} else if rep, ok := e.cacheGet(key); ok {
 		e.hits.Add(1)
+		e.queue.leave(ctx)
 		return cachedCopy(rep), nil
 	}
 

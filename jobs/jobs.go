@@ -1,11 +1,8 @@
 // Package jobs turns synchronous engine runs into durable jobs: the async
 // half of the serving stack. A Manager wraps a *pushpull.Engine; Submit
-// returns a job ID immediately, and the job waits for a worker slot in the
-// engine's one admission queue, in the place its submission took. Job
-// state lives behind a JobStore, so a worker restart recovers the queue
-// instead of forgetting it: still-queued jobs are re-queued, jobs that
-// were mid-run are marked interrupted (their partial work is gone with the
-// process).
+// returns a job ID at once, and the job waits for a worker slot in the
+// engine's admission queue. Job state lives behind a JobStore, so a
+// restart re-queues still-queued jobs and marks mid-run ones interrupted.
 //
 // The order is strict, with synchronous runs at normal priority: higher
 // priority first; within a priority, earlier deadline first (no deadline

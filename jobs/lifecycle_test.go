@@ -18,6 +18,7 @@ import (
 	"runtime/debug"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -356,6 +357,63 @@ func TestRetentionEvictsPayloadBeforeDone(t *testing.T) {
 	}
 	if _, ok := payloads[final.Payload]; len(payloads) != 1 || !ok {
 		t.Errorf("stored payloads %v, want only %s", payloads, final.Payload)
+	}
+}
+
+// putGateStore is a MemJobStore whose Put of a done record, once armed,
+// announces the job on entered and waits for release to close.
+type putGateStore struct {
+	*jobs.MemJobStore
+	armed   atomic.Bool
+	entered chan string
+	release chan struct{}
+}
+
+func (s *putGateStore) Put(j *jobs.Job) error {
+	if j.State == jobs.StateDone && s.armed.Load() {
+		s.entered <- j.ID
+		<-s.release
+	}
+	return s.MemJobStore.Put(j)
+}
+
+// TestCacheHitJobFreesSlot: a job the engine answers from its cache gives
+// its worker slot up as soon as the engine answers, not after its record
+// is written: with one worker and that write held open, a synchronous run
+// still gets the slot.
+func TestCacheHitJobFreesSlot(t *testing.T) {
+	store := &putGateStore{MemJobStore: jobs.NewMemJobStore(), entered: make(chan string, 1), release: make(chan struct{})}
+	eng := newCachingEngine(t, 512, pushpull.WithWorkers(1))
+	m, err := jobs.NewManager(eng, jobs.WithStore(store))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	var once sync.Once
+	open := func() { once.Do(func() { close(store.release) }) }
+	defer open()
+
+	runJob(t, m, prSpec(3))
+	store.armed.Store(true)
+	hit, err := m.Submit(prSpec(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-store.entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the cache-hit job wrote no done record")
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	wl, _ := eng.Workload("g")
+	rep, err := eng.Run(ctx, wl, "pr", pushpull.WithDirection(pushpull.Pull), pushpull.WithIterations(4))
+	if err != nil || rep.Stats.CacheHit {
+		t.Errorf("synchronous run while the cache-hit job records: %v; want a run of its own", err)
+	}
+	open()
+	if j, err := m.Wait(context.Background(), hit.ID, time.Millisecond); err != nil || j.State != jobs.StateDone || !j.Stats.CacheHit {
+		t.Fatalf("cache-hit job ended %+v, %v; want done from the cache", j, err)
 	}
 }
 

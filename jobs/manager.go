@@ -1,28 +1,22 @@
 package jobs
 
 // The Manager keeps job records, retention and recovery; the engine's one
-// admission queue schedules. Submission writes a job's queued record,
-// takes its place in that queue (Engine.Enqueue) and starts its run. The
-// queue's grant marks the job running, so running means it holds a worker
-// slot; a job is never shed, so the queue absorbs what the synchronous
-// path would have shed with 429. Cancel and the deadline are the job
-// context's, in the queue and in the kernel alike.
+// admission queue schedules. Submission writes a job's queued record and
+// takes its place in that queue (Engine.Enqueue), a record and a place,
+// no goroutine. The grant starts the job's run, which marks it running:
+// running means holding a worker slot. Cancel and the deadline are the
+// job context's, in the queue and in the kernel alike.
 //
-// Concurrency shape: the in-memory job map is the runtime truth, guarded
-// by mu; every state transition writes the job's record through to the
-// JobStore under the same critical section (the engine registry's
-// write-through idiom) so the store can never disagree with the order of
-// transitions. That section is the one every status poll takes, so only
-// what is actually shared goes through it: a record is a few hundred
-// bytes whatever its job computed. A result's payload — the encoded
-// vector, megabytes — is stored before the transition, outside mu, under
-// its content hash, once for all the jobs that share it (payMu orders
-// those writes against the deletes of collection).
+// The in-memory job map, guarded by mu, is the runtime truth; every state
+// transition writes the job's record (a few hundred bytes) through to the
+// JobStore in the same critical section, so the store follows the order
+// of transitions. A result's payload — megabytes — is stored before the
+// transition, outside mu, under its content hash, once for all the jobs
+// that share it (payMu orders those writes against collection's deletes).
 //
-// Terminal jobs do not stay forever: WithRetention bounds how many are
-// kept and for how long, oldest collected first — record deleted, and
-// the payload with its last referrer, before the finish that pushed it
-// out is visible. One timer per Manager serves the TTL.
+// WithRetention bounds the terminal jobs kept, oldest collected first —
+// record, and the payload with its last referrer, gone before the finish
+// that pushed them out is visible. One timer per Manager serves the TTL.
 
 import (
 	"bytes"
@@ -143,14 +137,11 @@ func NewManager(eng *pushpull.Engine, opts ...Option) (*Manager, error) {
 }
 
 // recover loads the store's jobs into the runtime map: queued jobs take
-// their places again in submission order, so FIFO ties break as they did
-// originally; running jobs are marked interrupted — the process that ran
-// them is gone, and their partial work with it — and a done job whose
-// record names no payload is marked failed: it has no result to serve.
-// Terminal jobs rejoin the retention list in finish order and are
-// collected if this manager's bounds are tighter than their age or
-// number; a payload no surviving record names (a crash between storing
-// it and recording its job, or after deleting a record) is deleted.
+// their places again in submission order; running jobs are marked
+// interrupted (their process is gone), and a done job whose record names
+// no payload failed. Terminal jobs rejoin the retention list in finish
+// order, collected past this manager's bounds; a payload no surviving
+// record names (a crash between the two writes) is deleted.
 func (m *Manager) recover() error {
 	persisted, err := m.store.List()
 	if err != nil {
@@ -264,12 +255,9 @@ func (m *Manager) submit(specs []Spec, origin, batchID string) ([]*Job, error) {
 	if m.closed {
 		return nil, ErrClosed
 	}
-	// Every record is written before any job joins the map or the queue,
-	// so a write that fails leaves nothing to unwind in memory: accepting
-	// a job un-persisted would break the restart contract (it would
-	// silently vanish), and a batch is all or nothing, so the records
-	// already written go too — none of them may run, or come back on
-	// restart, after the client was told the submission failed.
+	// Every record is written before any job joins the map or the queue:
+	// a failed write leaves nothing to unwind in memory, and a batch is
+	// all or nothing, so the records already written go too.
 	batch := make([]*Job, len(specs))
 	for i, spec := range specs {
 		j := &Job{
@@ -301,11 +289,9 @@ func (m *Manager) submit(specs []Spec, origin, batchID string) ([]*Job, error) {
 	return out, nil
 }
 
-// validate rejects a spec the engine could never run: unknown graph or
-// algorithm, or options no With* function would accept. Submission-time
-// rejection keeps failures synchronous where they are cheap to report.
-// It is the worker's only judge of a spec, so its errors carry their
-// status class: an unknown name is edge.NotFound (404), the rest 400.
+// validate rejects, at submission, a spec the engine could never run:
+// unknown graph or algorithm (edge.NotFound, 404), or options no With*
+// function would accept (400).
 func (m *Manager) validate(spec Spec) error {
 	if _, _, err := edge.Resolve(m.eng, spec.Graph, spec.Algorithm, &spec.Options); err != nil {
 		return err
@@ -317,8 +303,8 @@ func (m *Manager) validate(spec Spec) error {
 }
 
 // startLocked (mu held) gives a queued job its context — its deadline and
-// Cancel's cancel, from Background: the submitting client is long gone by
-// design — takes its place in the engine's queue and starts its run.
+// Cancel's cancel — and its place in the engine's queue, whose grant (or
+// the context's end) starts its run.
 func (m *Manager) startLocked(j *Job) {
 	var ctx context.Context
 	var cancel context.CancelFunc
@@ -328,14 +314,12 @@ func (m *Manager) startLocked(j *Job) {
 		ctx, cancel = context.WithCancel(context.Background())
 	}
 	m.cancels[j.ID] = cancel
-	ctx = m.eng.Enqueue(ctx, int(j.Spec.Priority), func() error { return m.grant(j) })
-	go m.execute(j, ctx, cancel)
+	m.eng.Enqueue(ctx, int(j.Spec.Priority), func(ctx context.Context) { go m.execute(j, ctx, cancel) })
 }
 
-// grant is the engine's call when j's place gets a worker slot: j turns
-// running and its record is written. A closed manager, or a job canceled
-// meanwhile, refuses, and the slot passes to the next waiter.
-func (m *Manager) grant(j *Job) error {
+// begin marks j running as its run takes its slot. A closed manager, or
+// a job canceled meanwhile, refuses: the run does not happen.
+func (m *Manager) begin(j *Job) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed || j.State != StateQueued {
@@ -385,12 +369,10 @@ func (b *ResultBody) WriteTo(w io.Writer) (int64, error) {
 // Close releases the store's reader.
 func (b *ResultBody) Close() error { return b.payload.Close() }
 
-// OpenResult opens the result of a done job. A still-pending job returns
-// ErrNotDone; a deadline-expired one returns ErrDeadlineExceeded; other
-// non-done terminal states return an error carrying the job's failure
-// message, 410 for a canceled or interrupted job. A job reported done by
-// Get has a result to open until it is collected: done is only ever
-// recorded after the payload is stored.
+// OpenResult opens the result of a done job (done is recorded only after
+// the payload is stored). A pending job returns ErrNotDone, a
+// deadline-expired one ErrDeadlineExceeded, other terminal states an
+// error carrying the job's failure, 410 for canceled or interrupted.
 func (m *Manager) OpenResult(id string) (*ResultBody, error) {
 	m.mu.Lock()
 	j, ok := m.jobs[id]
@@ -526,12 +508,9 @@ func (m *Manager) Wait(ctx context.Context, id string, poll time.Duration) (*Job
 	}
 }
 
-// Stats is a point-in-time census of the Manager's jobs, by state, plus
-// what retention is holding and has let go: Retained is the terminal jobs
-// still answerable (the four terminal states sum to it), Evicted those
-// collected since this manager started, and PayloadFiles/PayloadBytes the
-// distinct result payloads in the store — fewer than the done jobs
-// whenever results repeat.
+// Stats is a census of the Manager's jobs by state, plus retention:
+// Retained terminal jobs (the four terminal states sum to it), Evicted
+// since this manager started, and the distinct result payloads stored.
 type Stats struct {
 	Queued      int `json:"queued"`
 	Running     int `json:"running"`
@@ -554,23 +533,30 @@ func (m *Manager) Stats() Stats {
 	for _, ref := range m.payloads {
 		s.PayloadBytes += ref.size
 	}
-	count := map[State]*int{StateQueued: &s.Queued, StateRunning: &s.Running, StateDone: &s.Done,
-		StateFailed: &s.Failed, StateCanceled: &s.Canceled, StateInterrupted: &s.Interrupted}
 	for _, j := range m.jobs {
-		if n := count[j.State]; n != nil {
-			*n++
+		switch j.State {
+		case StateQueued:
+			s.Queued++
+		case StateRunning:
+			s.Running++
+		case StateDone:
+			s.Done++
+		case StateFailed:
+			s.Failed++
+		case StateCanceled:
+			s.Canceled++
+		case StateInterrupted:
+			s.Interrupted++
 		}
 	}
 	return s
 }
 
-// Close refuses the grants of its queued jobs, which keep their records
-// for a successor to recover. Running jobs are not canceled nor waited
-// for, but fenced: once Close has returned this manager writes nothing
-// more to its store — no record, no payload, no deletion — so a successor
-// opened over the same store owns it outright, and a run that outlives
-// Close loses its transition (the successor has already marked that job
-// interrupted). Submit fails after Close.
+// Close withdraws its queued jobs from the engine's queue; they keep their
+// records for a successor to recover. Running jobs are neither canceled
+// nor waited for, but fenced: after Close this manager writes nothing more
+// to its store, so a successor over it owns it outright (and has marked
+// those jobs interrupted). Submit fails after Close.
 func (m *Manager) Close() {
 	// Every record write and delete re-checks closed under mu, every
 	// payload write and delete finds the nil map under payMu; taking both
@@ -578,6 +564,11 @@ func (m *Manager) Close() {
 	m.lock()
 	defer m.unlock()
 	m.closed = true
+	for id, cancel := range m.cancels {
+		if j := m.jobs[id]; j != nil && j.State == StateQueued {
+			cancel()
+		}
+	}
 	if m.timer != nil {
 		m.timer.Stop()
 	}
@@ -586,9 +577,8 @@ func (m *Manager) Close() {
 
 // ---- runs and retention ----
 
-// armLocked makes the timer fire by at (mu held). It only ever moves the
-// wake-up earlier: a tick re-arms for whatever is still ahead, so an
-// early one costs a collection pass and nothing else.
+// armLocked makes the timer fire by at (mu held), only ever earlier: a
+// tick re-arms for what is still ahead.
 func (m *Manager) armLocked(at time.Time) {
 	if m.closed || !m.armed.IsZero() && !at.Before(m.armed) {
 		return
@@ -601,8 +591,7 @@ func (m *Manager) armLocked(at time.Time) {
 	}
 }
 
-// tick is the timer's callback: it collects the terminal jobs whose time
-// is up, re-arming the timer for what is left.
+// tick, the timer's callback, collects the jobs whose time is up.
 func (m *Manager) tick() {
 	m.lock()
 	defer m.unlock()
@@ -610,18 +599,23 @@ func (m *Manager) tick() {
 	m.collectLocked(time.Now())
 }
 
-// execute runs one job on the engine, from its submission on its own
-// goroutine, and records the outcome. Everything proportional to the
-// result happens before mu is taken: the tail comes from the engine's
-// cache entry when the run was a hit, and is stored once per distinct
-// payload. A panicking run fails its job alone: the engine returns the
-// panic as the run's error.
+// execute runs one job from its grant (or its context's end in the
+// queue) and records the outcome. Everything proportional to the result
+// happens before mu is taken: the tail comes from the engine's cache entry
+// on a hit, and is stored once per distinct payload. A panicking run fails
+// its job alone.
 func (m *Manager) execute(j *Job, ctx context.Context, cancel context.CancelFunc) {
-	defer cancel()
-	// The spec is resolved again: it was validated at submission, but
-	// the graph may have been dropped while the job queued.
-	rep, err := edge.Run(ctx, m.eng, j.Spec.Graph, j.Spec.Algorithm, &j.Spec.Options)
-	answered := time.Now()
+	var rep *pushpull.Report
+	err := ctx.Err() // its deadline passed, or it was canceled, in the queue
+	if err == nil {
+		err = m.begin(j) // refused only when the record is final already
+	}
+	if err == nil {
+		// Resolved now, as the graph may have changed while the job
+		// queued; timeout_ms starts here, with the run.
+		rep, err = edge.Run(ctx, m.eng, j.Spec.Graph, j.Spec.Algorithm, &j.Spec.Options)
+	}
+	cancel() // the place leaves the engine, whatever the engine did with it
 	var reply api.Reply
 	if err == nil {
 		reply = api.Encode(j.Spec.Graph, rep)
@@ -646,11 +640,6 @@ func (m *Manager) execute(j *Job, ctx context.Context, cancel context.CancelFunc
 		j.Head, j.Payload = string(reply.Head), hash
 		stats := api.StatsOf(rep)
 		j.Stats = &stats
-		if j.StartedMS == 0 {
-			// Answered without admission — a cache hit, a coalesced
-			// follower: queued → done in one record.
-			j.StartedMS = answered.UnixMilli()
-		}
 	case j.StartedMS == 0 && errors.Is(err, context.DeadlineExceeded):
 		// The deadline passed while the job waited: it never held a slot.
 		j.State = StateFailed
@@ -669,10 +658,8 @@ func (m *Manager) execute(j *Job, ctx context.Context, cancel context.CancelFunc
 	}
 }
 
-// persistLocked writes j's record through to the store (mu held, the
-// engine registry's write-through idiom: map and store must agree on the
-// order of transitions). A closed manager no longer owns the store: the
-// write is dropped.
+// persistLocked writes j's record through to the store (mu held); a
+// closed manager no longer owns the store, and drops the write.
 func (m *Manager) persistLocked(j *Job) error {
 	if m.closed {
 		return nil
@@ -684,11 +671,9 @@ func (m *Manager) persistLocked(j *Job) error {
 	return nil
 }
 
-// finishLocked records j's transition into a terminal state (mu held):
-// the finish time is stamped here, when the state — and for a done job
-// the result, already stored — becomes visible to polls, then the record
-// is written, the job joins the retention list, and whatever that pushes
-// past the bounds is collected.
+// finishLocked records j's terminal transition (mu held): stamped now,
+// as it becomes visible to polls, written, and added to the retention
+// list, collecting whatever that pushes past the bounds.
 func (m *Manager) finishLocked(j *Job) error {
 	now := time.Now()
 	j.FinishedMS = now.UnixMilli()

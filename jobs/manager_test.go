@@ -496,6 +496,104 @@ func TestRetentionTTLWhileDeadlineArmed(t *testing.T) {
 	}
 }
 
+// TestManagerTimeoutBoundsRunOnly: timeout_ms bounds a job's run from its
+// grant, not its wait in the queue: a job whose timeout is shorter than
+// its wait behind a held slot still runs to done, and one whose run
+// outlasts its timeout fails once it holds a slot.
+func TestManagerTimeoutBoundsRunOnly(t *testing.T) {
+	traceReset()
+	m, err := jobs.NewManager(newJobEngine(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	release := holdSlot(t, m)
+	defer release()
+
+	spec := traceSpec(5, jobs.Normal)
+	spec.Options.TimeoutMS = 20
+	waited, err := m.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(100 * time.Millisecond) // five timeouts of queue wait
+	release()
+	if j, err := m.Wait(context.Background(), waited.ID, time.Millisecond); err != nil || j.State != jobs.StateDone {
+		t.Fatalf("job that queued past its timeout ended %+v, %v; want done", j, err)
+	}
+
+	defer traceBlock(6)()
+	spec = traceSpec(6, jobs.Normal)
+	spec.Options.TimeoutMS = 20
+	slow, err := m.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := m.Wait(context.Background(), slow.ID, time.Millisecond)
+	if err != nil || j.State != jobs.StateFailed || j.StartedMS == 0 || !strings.Contains(j.Error, "deadline") {
+		t.Fatalf("job whose run outlasts its timeout ended %+v, %v; want failed past its deadline after starting", j, err)
+	}
+}
+
+// TestManagerGraphChangedWhileQueued: a job resolves its graph when its
+// slot is granted, not at submission: dropped while the job queued, the
+// graph is unknown to it; replaced, the job runs on the new content.
+func TestManagerGraphChangedWhileQueued(t *testing.T) {
+	traceReset()
+	eng := newJobEngine(t)
+	m, err := jobs.NewManager(eng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	graph := func(n int) *pushpull.Workload {
+		g, err := pushpull.ErdosRenyi(n, 4, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pushpull.NewWorkload(g)
+	}
+	for _, name := range []string{"dropped", "replaced"} {
+		if err := eng.RegisterWorkload(name, graph(40)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	release := holdSlot(t, m)
+	defer release()
+	ids := map[string]string{}
+	for _, name := range []string{"dropped", "replaced"} {
+		j, err := m.Submit(jobs.Spec{Graph: name, Algorithm: "pr",
+			Options: api.RunOptions{Direction: "pull", Threads: 1, Iterations: 2}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[name] = j.ID
+	}
+	if ok, err := eng.DropWorkload("dropped"); !ok || err != nil {
+		t.Fatalf("DropWorkload: %v, %v", ok, err)
+	}
+	if err := eng.RegisterWorkload("replaced", graph(50)); err != nil {
+		t.Fatal(err)
+	}
+	release()
+
+	j, err := m.Wait(context.Background(), ids["dropped"], time.Millisecond)
+	if err != nil || j.State != jobs.StateFailed || !strings.Contains(j.Error, "unknown graph") {
+		t.Errorf("job on a graph dropped while it queued ended %+v, %v; want failed on an unknown graph", j, err)
+	}
+	if j, err = m.Wait(context.Background(), ids["replaced"], time.Millisecond); err != nil || j.State != jobs.StateDone {
+		t.Fatalf("job on a graph replaced while it queued ended %+v, %v; want done", j, err)
+	}
+	raw, err := m.Result(j.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var resp api.RunResponse
+	if err := json.Unmarshal(raw, &resp); err != nil || len(resp.Ranks) != 50 {
+		t.Errorf("result over %d vertices (%v), want the replacement's 50", len(resp.Ranks), err)
+	}
+}
+
 // TestManagerCancel: canceling a queued job finishes it immediately and
 // it never runs; canceling a running job cancels its context and the
 // job lands canceled, not done.
